@@ -687,10 +687,12 @@ fn render_json(
         let _ = writeln!(
             s,
             "      \"kernel\": {{ \"millis\": {:.3}, \"interval_evals\": {}, \
+             \"interval_resumes\": {}, \
              \"interval_cache_hits\": {}, \"tree_builds\": {}, \"tree_cache_hits\": {}, \
              \"dominance_checks\": {}, \"refinements\": {}, \"parallel_batches\": {} }},",
             r.kernel_millis,
             r.kernel_evals,
+            r.stats.interval_resumes,
             r.kernel_cache_hits,
             r.stats.tree_builds,
             r.stats.tree_cache_hits,

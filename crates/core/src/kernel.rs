@@ -17,12 +17,14 @@
 //! 3. **Cross-round recomputation** — iDrips re-runs Drips per emission
 //!    over plan spaces that mostly did not change (§5.2 calls this out as
 //!    deliberate redundancy). The kernel hash-conses abstraction trees
-//!    keyed on `(bucket, candidate set)` and memoizes `utility_interval`
-//!    results keyed on the candidate sets, with the interval cache pinned
-//!    to the [`ExecutionContext::epoch`]: context-sensitive measures are
-//!    invalidated on every `record`/`retract`, while
-//!    [`context_free`](UtilityMeasure::context_free) measures cache across
-//!    emissions.
+//!    keyed on `(bucket, candidate set)` and memoizes utility intervals
+//!    keyed on the candidate sets. An entry answers outright at the
+//!    [`ExecutionContext::epoch`] it was computed at (always, for
+//!    [`context_free`](UtilityMeasure::context_free) measures); later it
+//!    is *resumed*: `record` only appends to the history, so
+//!    [`UtilityMeasure::resume_interval`] folds just the appended plans
+//!    into the entry's [`IntervalCarry`]. Only a `retract` — the history
+//!    is no longer an extension of what the carries saw — drops the table.
 //!
 //! Wide evaluation rounds (many pending intervals, as in iDrips' first
 //! round over a large space frontier) are fanned out over a bounded
@@ -30,7 +32,9 @@
 //! bit-for-bit identical to the serial kernel — and, by construction, to
 //! [`reference_find_best`]: the champion rule eliminates *exactly* the
 //! plans the pairwise sweep eliminates (see `eliminates`' invariants),
-//! and caching only short-circuits recomputation of pure functions.
+//! caching only short-circuits recomputation of pure functions, and a
+//! resumed evaluation returns the bits a from-scratch one would (the
+//! measure's contract).
 
 use crate::abstraction::{AbstractionHeuristic, AbstractionTree, NodeId};
 use crate::drips::DripsOutcome;
@@ -40,7 +44,7 @@ use qpo_interval::Interval;
 use qpo_obs::{
     encode_candidates, Counter, EliminationCertificate, Histogram, Obs, TraceJournal, Value,
 };
-use qpo_utility::{as_concrete, ExecutionContext, UtilityMeasure};
+use qpo_utility::{as_concrete, ExecutionContext, IntervalCarry, UtilityMeasure};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -65,9 +69,12 @@ pub struct KernelStats {
     pub eliminations: u64,
     /// Rounds in which the champion changed and a full sweep ran.
     pub champion_sweeps: u64,
-    /// `utility_interval` calls forwarded to the measure.
+    /// Interval evaluations forwarded to the measure, resumed or not.
     pub interval_evals: u64,
-    /// `utility_interval` calls answered from the memo table.
+    /// The evaluations among `interval_evals` that picked up from a memo
+    /// entry's carry instead of starting over.
+    pub interval_resumes: u64,
+    /// Interval evaluations answered from the memo table.
     pub interval_cache_hits: u64,
     /// Abstraction trees built from scratch.
     pub tree_builds: u64,
@@ -98,6 +105,7 @@ struct KernelMetrics {
     eliminations: Counter,
     champion_sweeps: Counter,
     interval_evals: Counter,
+    interval_resumes: Counter,
     interval_cache_hits: Counter,
     tree_builds: Counter,
     tree_cache_hits: Counter,
@@ -117,6 +125,7 @@ impl KernelMetrics {
             eliminations: c("qpo_kernel_eliminations_total"),
             champion_sweeps: c("qpo_kernel_champion_sweeps_total"),
             interval_evals: c("qpo_kernel_interval_evals_total"),
+            interval_resumes: c("qpo_kernel_interval_resumes_total"),
             interval_cache_hits: c("qpo_kernel_interval_cache_hits_total"),
             tree_builds: c("qpo_kernel_tree_builds_total"),
             tree_cache_hits: c("qpo_kernel_tree_cache_hits_total"),
@@ -133,6 +142,7 @@ impl KernelMetrics {
             eliminations: self.eliminations.get(),
             champion_sweeps: self.champion_sweeps.get(),
             interval_evals: self.interval_evals.get(),
+            interval_resumes: self.interval_resumes.get(),
             interval_cache_hits: self.interval_cache_hits.get(),
             tree_builds: self.tree_builds.get(),
             tree_cache_hits: self.tree_cache_hits.get(),
@@ -224,22 +234,33 @@ impl Ord for HeapEntry {
     }
 }
 
+/// A memoized utility interval: valid as is at `epoch`, resumable from
+/// `carry` at a later epoch of the same append-only history.
+#[derive(Debug)]
+struct MemoEntry {
+    interval: Interval,
+    epoch: u64,
+    carry: IntervalCarry,
+}
+
 /// The reusable state of the incremental kernel: hash-consed abstraction
-/// trees, the interval memo table with its context epoch, the worker
-/// budget, and the accumulated [`KernelStats`].
+/// trees, the interval memo table, the worker budget, and the accumulated
+/// [`KernelStats`].
 ///
 /// A kernel instance must be driven with a fixed `(instance, measure,
 /// heuristic)` triple and a single [`ExecutionContext`] lineage (the one
-/// an orderer owns and mutates) — the caches key on candidate sets and the
-/// context epoch only. [`IDrips`](crate::IDrips) owns one kernel per
-/// orderer, which satisfies both conditions by construction.
+/// an orderer owns and mutates) — the caches key on candidate sets, the
+/// context epoch and its retraction count only. [`IDrips`](crate::IDrips)
+/// owns one kernel per orderer, which satisfies both conditions by
+/// construction.
 #[derive(Debug)]
 pub struct OrderingKernel {
-    trees: HashMap<(usize, Vec<usize>), Arc<AbstractionTree>>,
-    intervals: HashMap<Vec<Vec<usize>>, Interval>,
-    /// Epoch the interval memo table is valid for (context-dependent
-    /// measures only; `None` until the first call).
-    cache_epoch: Option<u64>,
+    /// Bucket → candidate set → tree (nested so a lookup borrows `cands`).
+    trees: HashMap<usize, HashMap<Vec<usize>, Arc<AbstractionTree>>>,
+    intervals: HashMap<Vec<Vec<usize>>, MemoEntry>,
+    /// [`ExecutionContext::retractions`] the memoized carries were built
+    /// under: while it stands still, the history only grew by appends.
+    retractions: u64,
     metrics: KernelMetrics,
     journal: TraceJournal,
     max_workers: usize,
@@ -261,7 +282,7 @@ impl OrderingKernel {
         OrderingKernel {
             trees: HashMap::new(),
             intervals: HashMap::new(),
-            cache_epoch: None,
+            retractions: 0,
             metrics: KernelMetrics::registered(&Obs::new()),
             journal: TraceJournal::default(),
             max_workers: cores.min(8),
@@ -321,17 +342,17 @@ impl OrderingKernel {
     }
 
     /// Drops both caches (keeps the stats). Callers never *need* this for
-    /// correctness — the epoch mechanism handles invalidation — but it
-    /// bounds memory for very long runs.
+    /// correctness — epochs and the retraction count handle invalidation —
+    /// but it bounds memory for very long runs.
     pub fn clear_caches(&mut self) {
         self.trees.clear();
         self.intervals.clear();
-        self.cache_epoch = None;
     }
 
     /// Entries currently held by the (tree, interval) caches.
     pub fn cache_sizes(&self) -> (usize, usize) {
-        (self.trees.len(), self.intervals.len())
+        let trees = self.trees.values().map(HashMap::len).sum();
+        (trees, self.intervals.len())
     }
 
     fn tree<H: AbstractionHeuristic + ?Sized>(
@@ -341,7 +362,8 @@ impl OrderingKernel {
         cands: &[usize],
         heuristic: &H,
     ) -> Arc<AbstractionTree> {
-        if let Some(t) = self.trees.get(&(bucket, cands.to_vec())) {
+        let table = self.trees.entry(bucket).or_default();
+        if let Some(t) = table.get(cands) {
             self.metrics.tree_cache_hits.inc();
             if self.journal.is_enabled() {
                 self.journal.record(
@@ -356,7 +378,7 @@ impl OrderingKernel {
         }
         self.metrics.tree_builds.inc();
         let t = Arc::new(AbstractionTree::build(inst, bucket, cands, heuristic));
-        self.trees.insert((bucket, cands.to_vec()), Arc::clone(&t));
+        table.insert(cands.to_vec(), Arc::clone(&t));
         t
     }
 
@@ -379,11 +401,12 @@ impl OrderingKernel {
         if spaces.is_empty() {
             return None;
         }
-        // Interval memo validity: context-free measures cache forever;
-        // context-sensitive ones only within one context epoch.
-        if !measure.context_free() && self.cache_epoch != Some(ctx.epoch()) {
+        // Context-free measures cache forever. Context-sensitive entries
+        // resume across appends; a retraction since the last call means
+        // their carries folded in a plan that is gone.
+        if !measure.context_free() && self.retractions != ctx.retractions() {
             self.intervals.clear();
-            self.cache_epoch = Some(ctx.epoch());
+            self.retractions = ctx.retractions();
         }
         // The context is fixed for the whole call; every certificate
         // recorded below replays against this epoch.
@@ -641,10 +664,13 @@ impl OrderingKernel {
         p.cands = Vec::new();
     }
 
-    /// Resolves the pending plans' utility intervals: memo-table lookups
-    /// first, then the misses — serially, or over a bounded scoped-thread
-    /// pool when the batch is wide. Results merge in ascending id order,
-    /// so the outcome is deterministic regardless of scheduling.
+    /// Resolves the pending plans' utility intervals. A memo entry of this
+    /// epoch answers outright; one of an earlier epoch resumes from its
+    /// carry, here on the coordinator (folding in a few appended plans is
+    /// cheaper than handing the work to a thread). What is left starts
+    /// from scratch — serially, or over a bounded scoped-thread pool when
+    /// the batch is wide. Results merge in ascending id order, so the
+    /// outcome is deterministic regardless of scheduling.
     fn evaluate<M: UtilityMeasure + ?Sized>(
         &mut self,
         inst: &ProblemInstance,
@@ -653,45 +679,67 @@ impl OrderingKernel {
         plans: &mut [PoolPlan],
         pending: &[usize],
     ) {
+        let epoch = ctx.epoch();
+        let context_free = measure.context_free();
         let mut misses: Vec<usize> = Vec::with_capacity(pending.len());
         for &id in pending {
-            if let Some(&iv) = self.intervals.get(&plans[id].cands) {
-                self.metrics.interval_cache_hits.inc();
-                if self.journal.is_enabled() {
-                    self.journal.record(
-                        "kernel_cache_hit",
-                        vec![
-                            ("cache", Value::Str("interval".into())),
-                            ("plan_id", Value::U64(id as u64)),
-                        ],
-                    );
+            match self.intervals.get_mut(&plans[id].cands) {
+                Some(entry) if context_free || entry.epoch == epoch => {
+                    self.metrics.interval_cache_hits.inc();
+                    if self.journal.is_enabled() {
+                        self.journal.record(
+                            "kernel_cache_hit",
+                            vec![
+                                ("cache", Value::Str("interval".into())),
+                                ("plan_id", Value::U64(id as u64)),
+                            ],
+                        );
+                    }
+                    plans[id].utility = Some(entry.interval);
                 }
-                plans[id].utility = Some(iv);
-            } else {
-                misses.push(id);
+                // (A fresh carry means the measure does not resume: its
+                // evaluation starts over below, where it can fan out.)
+                Some(entry) if !entry.carry.is_fresh() => {
+                    self.metrics.interval_evals.inc();
+                    self.metrics.interval_resumes.inc();
+                    let iv = measure.resume_interval(inst, &plans[id].cands, ctx, &mut entry.carry);
+                    entry.interval = iv;
+                    entry.epoch = epoch;
+                    self.metrics.interval_width.record(iv.hi() - iv.lo());
+                    plans[id].utility = Some(iv);
+                }
+                _ => misses.push(id),
             }
         }
         self.metrics.interval_evals.add(misses.len() as u64);
 
+        let from_scratch = |cands: &[Vec<usize>]| {
+            let mut carry = IntervalCarry::default();
+            let interval = measure.resume_interval(inst, cands, ctx, &mut carry);
+            MemoEntry {
+                interval,
+                epoch,
+                carry,
+            }
+        };
         // Fan out only for wide batches on a multi-worker budget; aim for
         // ≥8 evaluations per worker so thread setup amortizes, but never
         // fall back to a single worker once the batch crossed the
         // threshold (tests pin small thresholds to exercise this path).
-        let results: Vec<(usize, Interval)> =
+        let results: Vec<(usize, MemoEntry)> =
             if misses.len() >= self.parallel_threshold && self.max_workers > 1 {
                 let workers = self.max_workers.min(misses.len().div_ceil(8)).max(2);
                 self.metrics.parallel_batches.inc();
                 let chunk = misses.len().div_ceil(workers);
                 let shared: &[PoolPlan] = plans;
+                let from_scratch = &from_scratch;
                 crossbeam::thread::scope(|s| {
                     let handles: Vec<_> = misses
                         .chunks(chunk)
                         .map(|ids| {
                             s.spawn(move |_| {
                                 ids.iter()
-                                    .map(|&id| {
-                                        (id, measure.utility_interval(inst, &shared[id].cands, ctx))
-                                    })
+                                    .map(|&id| (id, from_scratch(&shared[id].cands)))
                                     .collect::<Vec<_>>()
                             })
                         })
@@ -705,14 +753,15 @@ impl OrderingKernel {
             } else {
                 misses
                     .iter()
-                    .map(|&id| (id, measure.utility_interval(inst, &plans[id].cands, ctx)))
+                    .map(|&id| (id, from_scratch(&plans[id].cands)))
                     .collect()
             };
 
-        for (id, iv) in results {
+        for (id, fresh) in results {
+            let iv = fresh.interval;
             self.metrics.interval_width.record(iv.hi() - iv.lo());
             plans[id].utility = Some(iv);
-            self.intervals.insert(plans[id].cands.clone(), iv);
+            self.intervals.insert(plans[id].cands.clone(), fresh);
         }
     }
 }

@@ -11,6 +11,11 @@
 //! the dominance still holds. This recycling is what lets Streamer avoid
 //! re-deriving the dominance work iDrips redoes every round.
 //!
+//! Utilities are recycled the same way: a node whose utility step 2.d
+//! resets to nil keeps its [`IntervalCarry`], so step 2.a's recomputation
+//! folds in only the plans output since the node was last evaluated (the
+//! orderer's context is append-only: Streamer never retracts).
+//!
 //! Applicable only when the measure exhibits utility-diminishing returns.
 
 use crate::abstraction::{AbstractionHeuristic, AbstractionTree, NodeId};
@@ -18,7 +23,7 @@ use crate::orderer::{OrderedPlan, OrdererError, PlanOrderer};
 use qpo_catalog::ProblemInstance;
 use qpo_interval::Interval;
 use qpo_obs::{Counter, Obs};
-use qpo_utility::{as_concrete, ExecutionContext, UtilityMeasure};
+use qpo_utility::{as_concrete, ExecutionContext, IntervalCarry, UtilityMeasure};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Work counters exposed for the experiments.
@@ -38,6 +43,9 @@ pub struct StreamerStats {
     pub links_invalidated: usize,
     /// Utility (re)computations (Step 2.a).
     pub utility_recomputations: usize,
+    /// The recomputations among them that resumed from the node's carry
+    /// instead of starting over.
+    pub utility_resumes: usize,
 }
 
 /// Live metric handles behind [`StreamerStats`].
@@ -48,6 +56,7 @@ struct StreamerMetrics {
     links_recycled: Counter,
     links_invalidated: Counter,
     utility_recomputations: Counter,
+    utility_resumes: Counter,
 }
 
 impl StreamerMetrics {
@@ -59,6 +68,7 @@ impl StreamerMetrics {
             links_recycled: c("qpo_streamer_links_recycled_total"),
             links_invalidated: c("qpo_streamer_links_invalidated_total"),
             utility_recomputations: c("qpo_streamer_utility_recomputations_total"),
+            utility_resumes: c("qpo_streamer_utility_resumes_total"),
         }
     }
 
@@ -69,6 +79,7 @@ impl StreamerMetrics {
             links_recycled: self.links_recycled.get() as usize,
             links_invalidated: self.links_invalidated.get() as usize,
             utility_recomputations: self.utility_recomputations.get() as usize,
+            utility_resumes: self.utility_resumes.get() as usize,
         }
     }
 }
@@ -81,6 +92,8 @@ struct SNode {
     cands: Vec<Vec<usize>>,
     /// `None` = nil in the paper's pseudocode (needs recomputation).
     utility: Option<Interval>,
+    /// Where the last computation of `utility` left off; outlives the nil.
+    carry: IntervalCarry,
 }
 
 impl SNode {
@@ -144,6 +157,7 @@ impl<'a, M: UtilityMeasure + ?Sized> Streamer<'a, M> {
                 nodes: top_nodes,
                 cands: top_cands,
                 utility: None,
+                carry: IntervalCarry::default(),
             },
         );
         Ok(Streamer {
@@ -258,6 +272,7 @@ impl<'a, M: UtilityMeasure + ?Sized> Streamer<'a, M> {
                     nodes,
                     cands,
                     utility: None,
+                    carry: IntervalCarry::default(),
                 },
             );
             self.next_id += 1;
@@ -281,10 +296,14 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Streamer<'_, M> {
             for &id in &nd {
                 let node = self.nodes.get_mut(&id).expect("nondominated node exists");
                 if node.utility.is_none() {
-                    node.utility = Some(self.measure.utility_interval(
+                    if !node.carry.is_fresh() {
+                        self.metrics.utility_resumes.inc();
+                    }
+                    node.utility = Some(self.measure.resume_interval(
                         self.inst,
                         &node.cands,
                         &self.ctx,
+                        &mut node.carry,
                     ));
                     self.metrics.utility_recomputations.inc();
                 }

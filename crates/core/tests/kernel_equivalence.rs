@@ -13,7 +13,8 @@
 //! 3. `CountingMeasure` — the caches actually *save* measure evaluations
 //!    (otherwise the kernel is just complexity), and context-sensitive
 //!    measures re-evaluate after every context change (otherwise it is
-//!    just wrong).
+//!    just wrong) — resuming from their carries after an append, starting
+//!    over after a retract.
 
 use qpo_catalog::{GeneratorConfig, ProblemInstance};
 use qpo_core::{
@@ -101,24 +102,75 @@ fn equivalence_survives_alternative_heuristics() {
 #[test]
 fn equivalence_survives_observed_failures() {
     // Failures retract from the context (bumping the epoch); the caching
-    // measure makes later utilities depend on what actually survived, so
-    // any stale cached interval would surface here.
+    // measures make later utilities depend on what actually survived, and
+    // coverage on which boxes are still counted as covered, so any stale
+    // cached interval — or a carry resumed across the retraction — would
+    // surface here.
     let inst = GeneratorConfig::new(3, 4).with_seed(17).build();
-    let m = FailureCost::with_caching();
-    let mut fast = IDrips::new(&inst, &m, ByExpectedTuples);
-    let mut slow = IDrips::new(&inst, &m, ByExpectedTuples).with_reference_kernel();
-    for step in 0..inst.plan_count() {
-        let a = fast.next_plan().expect("fast kernel exhausted early");
-        let b = slow.next_plan().expect("reference kernel exhausted early");
-        assert_eq!(a.plan, b.plan, "step {step}");
-        assert_eq!(a.utility.to_bits(), b.utility.to_bits(), "step {step}");
-        if step % 2 == 0 {
-            fast.observe(&PlanOutcome::failed(&a.plan));
-            slow.observe(&PlanOutcome::failed(&b.plan));
+    let measures: [(&str, Box<dyn UtilityMeasure>); 3] = [
+        ("failure-cache", Box::new(FailureCost::with_caching())),
+        ("coverage", Box::new(Coverage)),
+        ("monetary-cache", Box::new(MonetaryCost::with_caching())),
+    ];
+    for (name, m) in measures {
+        let mut fast = IDrips::new(&inst, m.as_ref(), ByExpectedTuples);
+        let mut slow = IDrips::new(&inst, m.as_ref(), ByExpectedTuples).with_reference_kernel();
+        for step in 0..inst.plan_count() {
+            let a = fast.next_plan().expect("fast kernel exhausted early");
+            let b = slow.next_plan().expect("reference kernel exhausted early");
+            assert_eq!(a.plan, b.plan, "{name}, step {step}");
+            assert_eq!(
+                a.utility.to_bits(),
+                b.utility.to_bits(),
+                "{name}, step {step}"
+            );
+            if step % 2 == 0 {
+                fast.observe(&PlanOutcome::failed(&a.plan));
+                slow.observe(&PlanOutcome::failed(&b.plan));
+            }
         }
+        assert_eq!(fast.next_plan(), None);
+        assert_eq!(slow.next_plan(), None);
     }
-    assert_eq!(fast.next_plan(), None);
-    assert_eq!(slow.next_plan(), None);
+}
+
+#[test]
+fn appends_resume_carries_and_a_retract_discards_them() {
+    let inst = GeneratorConfig::new(3, 5).with_seed(4).build();
+    let m = CountingMeasure::new(Coverage);
+    let mut alg = IDrips::new(&inst, &m, ByExpectedTuples);
+    // What one emission cost: (measure evaluations, those the kernel
+    // resumed from a carry). The rest started from scratch.
+    let emit = |alg: &mut IDrips<_, _>| {
+        let before = (m.interval_evals(), alg.kernel_stats().interval_resumes);
+        let plan = alg.next_plan().expect("plans remain").plan;
+        let evals = m.interval_evals() - before.0;
+        (plan, evals, alg.kernel_stats().interval_resumes - before.1)
+    };
+    let (_, evals, resumes) = emit(&mut alg);
+    assert!(evals > 0 && resumes == 0, "nothing to resume at the start");
+    // Pure appends: once the full space has split into spaces that
+    // outlive an emission, their intervals pick up from the carries (only
+    // candidate sets never seen before start over).
+    for _ in 0..4 {
+        emit(&mut alg);
+    }
+    let (last, evals, resumes) = emit(&mut alg);
+    assert!(
+        resumes * 2 > evals,
+        "after an append {resumes} of {evals} evaluations resumed"
+    );
+    // A retract: the history is no longer an extension of what the
+    // carries saw, so every evaluation starts over.
+    alg.observe(&PlanOutcome::failed(&last));
+    let (_, evals, resumes) = emit(&mut alg);
+    assert!(
+        evals > 0 && resumes == 0,
+        "{resumes} resumed across a retract"
+    );
+    let (_, _, resumes) = emit(&mut alg);
+    assert!(resumes > 0, "resuming picks up again after the retract");
+    assert_eq!(alg.kernel_stats().interval_evals, m.interval_evals());
 }
 
 #[test]

@@ -38,8 +38,8 @@ pub fn format_kernel_stats(stats: &KernelStats) -> String {
     );
     let _ = writeln!(
         out,
-        "  interval evals     {:>8}  ({} cache hits)",
-        stats.interval_evals, stats.interval_cache_hits
+        "  interval evals     {:>8}  ({} resumed, {} cache hits)",
+        stats.interval_evals, stats.interval_resumes, stats.interval_cache_hits
     );
     let _ = writeln!(
         out,
@@ -163,6 +163,7 @@ mod tests {
             eliminations: 7,
             champion_sweeps: 3,
             interval_evals: 25,
+            interval_resumes: 11,
             interval_cache_hits: 75,
             tree_builds: 4,
             tree_cache_hits: 16,
@@ -178,6 +179,7 @@ mod tests {
             "7 eliminations",
             "3 champion sweeps",
             "interval evals",
+            "11 resumed",
             "75 cache hits",
             "evals saved",
             "75.0% of demand",

@@ -8,7 +8,7 @@
 //! so both weights are non-negative).
 
 use crate::context::ExecutionContext;
-use crate::measure::{as_concrete, UtilityMeasure};
+use crate::measure::{as_concrete, CarryState, IntervalCarry, UtilityMeasure};
 use qpo_catalog::ProblemInstance;
 use qpo_interval::Interval;
 
@@ -82,15 +82,35 @@ impl<A: UtilityMeasure, B: UtilityMeasure> UtilityMeasure for Combined<A, B> {
         candidates: &[Vec<usize>],
         ctx: &ExecutionContext,
     ) -> Interval {
+        self.resume_interval(inst, candidates, ctx, &mut IntervalCarry::default())
+    }
+
+    /// Abstract candidates resume component by component. A concrete plan
+    /// starts over and leaves the carry fresh: its point is the weighted
+    /// sum of the components' `utility`, which need not share bits with
+    /// their point intervals.
+    fn resume_interval(
+        &self,
+        inst: &ProblemInstance,
+        candidates: &[Vec<usize>],
+        ctx: &ExecutionContext,
+        carry: &mut IntervalCarry,
+    ) -> Interval {
         if let Some(plan) = as_concrete(candidates) {
             return Interval::point(self.utility(inst, &plan, ctx));
         }
+        // The pair's own `seen` is unused: each component tracks its own.
+        let (state, _) = carry.resume(ctx, || CarryState::Pair(Box::default()));
+        let CarryState::Pair(pair) = state else {
+            unreachable!("carry belongs to another measure");
+        };
+        let (a, b) = &mut **pair;
         self.a
-            .utility_interval(inst, candidates, ctx)
+            .resume_interval(inst, candidates, ctx, a)
             .scale(self.weight_a)
             + self
                 .b
-                .utility_interval(inst, candidates, ctx)
+                .resume_interval(inst, candidates, ctx, b)
                 .scale(self.weight_b)
     }
 

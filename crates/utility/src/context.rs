@@ -22,11 +22,14 @@ pub struct ExecutionContext {
     /// [`record`]: ExecutionContext::record
     /// [`retract`]: ExecutionContext::retract
     epoch: u64,
+    /// Successful [`retract`](ExecutionContext::retract)s so far.
+    retractions: u64,
 }
 
 /// Equality compares the executed history and cache index only; the epoch
-/// is a modification counter, not part of the context's meaning (a context
-/// that records and then retracts a plan equals its former self).
+/// and the retraction count are modification counters, not part of the
+/// context's meaning (a context that records and then retracts a plan
+/// equals its former self).
 impl PartialEq for ExecutionContext {
     fn eq(&self, other: &Self) -> bool {
         self.executed == other.executed && self.cached == other.cached
@@ -74,6 +77,7 @@ impl ExecutionContext {
             }
         }
         self.epoch += 1;
+        self.retractions += 1;
         true
     }
 
@@ -86,6 +90,14 @@ impl ExecutionContext {
     /// [`retract`]: ExecutionContext::retract
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Number of successful [`retract`](ExecutionContext::retract)s. While
+    /// it stands still the history is only appended to — an earlier
+    /// `executed()` is a prefix of a later one — which is what lets an
+    /// [`IntervalCarry`](crate::IntervalCarry) resume.
+    pub fn retractions(&self) -> u64 {
+        self.retractions
     }
 
     /// The executed plans, oldest first.
@@ -174,8 +186,10 @@ mod tests {
         assert_eq!(ctx.epoch(), 2);
         assert!(ctx.retract(&[1, 2]));
         assert_eq!(ctx.epoch(), 3, "successful retract bumps");
+        assert_eq!(ctx.retractions(), 1, "appends do not count as retractions");
         assert!(!ctx.retract(&[9, 9]));
         assert_eq!(ctx.epoch(), 3, "failed retract is a no-op");
+        assert_eq!(ctx.retractions(), 1);
         // Equality ignores the epoch: same content, different history.
         let mut other = ExecutionContext::new();
         other.record(&[3, 4]);

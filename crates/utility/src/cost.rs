@@ -16,7 +16,7 @@
 //!   both plan independence and diminishing returns (§6).
 
 use crate::context::ExecutionContext;
-use crate::measure::UtilityMeasure;
+use crate::measure::{IntervalCarry, UtilityMeasure};
 use qpo_catalog::{ProblemInstance, SourceRef};
 use qpo_interval::Interval;
 
@@ -329,6 +329,21 @@ impl UtilityMeasure for FailureCost {
         ctx: &ExecutionContext,
     ) -> Interval {
         -self.cost_interval(inst, candidates, ctx)
+    }
+
+    fn resume_interval(
+        &self,
+        inst: &ProblemInstance,
+        candidates: &[Vec<usize>],
+        ctx: &ExecutionContext,
+        carry: &mut IntervalCarry,
+    ) -> Interval {
+        // The context is read only through `is_cached(b, i)` for
+        // `i ∈ candidates[b]`: exactly what `all_independent` tests.
+        let disturbs = |e: &[usize]| !self.all_independent(inst, candidates, e);
+        carry.stand_unless(ctx, disturbs, || {
+            self.utility_interval(inst, candidates, ctx)
+        })
     }
 
     fn diminishing_returns(&self) -> bool {

@@ -9,8 +9,8 @@
 //! the properties §3 of the paper derives for its coverage measure.
 
 use crate::context::ExecutionContext;
-use crate::geometry::{residual_volume, BoxN};
-use crate::measure::{as_concrete, UtilityMeasure};
+use crate::geometry::Residual;
+use crate::measure::{as_concrete, CarryState, IntervalCarry, UtilityMeasure};
 use qpo_catalog::{Extent, ProblemInstance};
 use qpo_interval::Interval;
 
@@ -28,18 +28,47 @@ impl Coverage {
         inst.buckets[bucket][index].extent
     }
 
-    /// The product box covered by a concrete plan.
-    pub fn plan_box(inst: &ProblemInstance, plan: &[usize]) -> BoxN {
-        BoxN::new(
-            plan.iter()
-                .enumerate()
-                .map(|(b, &i)| Self::extent(inst, b, i))
-                .collect(),
-        )
-    }
-
     fn total_volume(inst: &ProblemInstance) -> f64 {
         inst.universes.iter().map(|&u| u as f64).product()
+    }
+
+    /// What is left of a concrete plan's box before anything executed.
+    fn plan_residual(inst: &ProblemInstance, plan: &[usize]) -> Residual {
+        let extents = plan.iter().enumerate();
+        Residual::new(extents.map(|(b, &i)| Self::extent(inst, b, i)))
+    }
+
+    /// The concrete fold step: cuts executed plan `e`'s box out of what is
+    /// left of `plan`'s. A box that misses `plan`'s costs the overlap test.
+    fn subtract_plan(
+        &self,
+        inst: &ProblemInstance,
+        plan: &[usize],
+        left: &mut Residual,
+        e: &[usize],
+    ) {
+        if !self.independent(inst, plan, e) {
+            left.subtract(|b| Self::extent(inst, b, e[b]));
+        }
+    }
+
+    /// Hull over the candidate product of `Π_b frac(i_b)`, where `frac`
+    /// gives a candidate's normalized per-axis length (normalized
+    /// fractions keep products well-conditioned).
+    fn product_hull(
+        inst: &ProblemInstance,
+        candidates: &[Vec<usize>],
+        len: impl Fn(usize, usize) -> u64,
+    ) -> Interval {
+        let mut product = Interval::ONE;
+        for (b, cands) in candidates.iter().enumerate() {
+            let u = inst.universes[b] as f64;
+            let fracs = cands.iter().map(|&i| len(b, i) as f64 / u);
+            let lo = fracs.clone().fold(f64::MAX, f64::min);
+            let hi = fracs.fold(f64::MIN, f64::max);
+            product = product * Interval::new(lo, hi);
+        }
+        product
     }
 }
 
@@ -49,59 +78,65 @@ impl UtilityMeasure for Coverage {
     }
 
     fn utility(&self, inst: &ProblemInstance, plan: &[usize], ctx: &ExecutionContext) -> f64 {
-        let target = Self::plan_box(inst, plan);
-        let executed: Vec<BoxN> = ctx
-            .executed()
-            .iter()
-            .map(|e| Self::plan_box(inst, e))
-            .collect();
-        residual_volume(&target, &executed) as f64 / Self::total_volume(inst)
+        let mut left = Self::plan_residual(inst, plan);
+        for e in ctx.executed() {
+            self.subtract_plan(inst, plan, &mut left, e);
+        }
+        left.volume() as f64 / Self::total_volume(inst)
     }
 
-    /// Sound interval via per-axis candidate ranges and Bonferroni bounds:
-    /// for any member plan `s`,
-    /// `max_e vol(s∩e) ≤ vol(s ∩ ∪E) ≤ Σ_e vol(s∩e)`, so
-    /// `coverage(s) ∈ [vol_lo(p) − Σ_e hi(p∩e),  vol_hi(p) − max_e lo(p∩e)]`
-    /// (clamped to non-negative, normalized by the universe volume).
     fn utility_interval(
         &self,
         inst: &ProblemInstance,
         candidates: &[Vec<usize>],
         ctx: &ExecutionContext,
     ) -> Interval {
+        self.resume_interval(inst, candidates, ctx, &mut IntervalCarry::default())
+    }
+
+    /// Sound interval via per-axis candidate ranges and Bonferroni bounds:
+    /// for any member plan `s`,
+    /// `max_e vol(s∩e) ≤ vol(s ∩ ∪E) ≤ Σ_e vol(s∩e)`, so
+    /// `coverage(s) ∈ [vol_lo(p) − Σ_e hi(p∩e),  vol_hi(p) − max_e lo(p∩e)]`
+    /// (clamped to non-negative, normalized by the universe volume). Both
+    /// accumulators — and, for a concrete plan, the exact residual box —
+    /// are left-to-right folds over the executed plans, so the carry holds
+    /// them and a resumed call folds in the appended plans only.
+    fn resume_interval(
+        &self,
+        inst: &ProblemInstance,
+        candidates: &[Vec<usize>],
+        ctx: &ExecutionContext,
+        carry: &mut IntervalCarry,
+    ) -> Interval {
+        const MISMATCH: &str = "carry belongs to another candidate list";
         if let Some(plan) = as_concrete(candidates) {
-            return Interval::point(self.utility(inst, &plan, ctx));
-        }
-        // Normalized per-axis fractions keep products well-conditioned.
-        let mut vol = Interval::ONE;
-        for (b, cands) in candidates.iter().enumerate() {
-            let u = inst.universes[b] as f64;
-            let lens = cands
-                .iter()
-                .map(|&i| Self::extent(inst, b, i).len as f64 / u);
-            let lo = lens.clone().fold(f64::MAX, f64::min);
-            let hi = lens.fold(f64::MIN, f64::max);
-            vol = vol * Interval::new(lo, hi);
-        }
-        let mut overlap_hi_sum = 0.0;
-        let mut overlap_lo_max = 0.0f64;
-        for e in ctx.executed() {
-            let mut ov = Interval::ONE;
-            for (b, cands) in candidates.iter().enumerate() {
-                let u = inst.universes[b] as f64;
-                let e_ext = Self::extent(inst, b, e[b]);
-                let fracs = cands
-                    .iter()
-                    .map(|&i| Self::extent(inst, b, i).intersect(e_ext).len as f64 / u);
-                let lo = fracs.clone().fold(f64::MAX, f64::min);
-                let hi = fracs.fold(f64::MIN, f64::max);
-                ov = ov * Interval::new(lo, hi);
+            let init = || CarryState::Residual(Self::plan_residual(inst, &plan));
+            let (CarryState::Residual(left), unseen) = carry.resume(ctx, init) else {
+                unreachable!("{MISMATCH}");
+            };
+            for e in unseen {
+                self.subtract_plan(inst, &plan, left, e);
             }
-            overlap_hi_sum += ov.hi();
-            overlap_lo_max = overlap_lo_max.max(ov.lo());
+            return Interval::point(left.volume() as f64 / Self::total_volume(inst));
         }
-        let lo = (vol.lo() - overlap_hi_sum).max(0.0);
-        let hi = (vol.hi() - overlap_lo_max).max(lo);
+        let own_len = |b, i| Self::extent(inst, b, i).len;
+        let init = || CarryState::Overlap(Self::product_hull(inst, candidates, own_len), 0.0, 0.0);
+        let (CarryState::Overlap(vol, hi_sum, lo_max), unseen) = carry.resume(ctx, init) else {
+            unreachable!("{MISMATCH}");
+        };
+        for e in unseen {
+            let shared_len = |b, i| {
+                Self::extent(inst, b, i)
+                    .intersect(Self::extent(inst, b, e[b]))
+                    .len
+            };
+            let ov = Self::product_hull(inst, candidates, shared_len);
+            *hi_sum += ov.hi();
+            *lo_max = lo_max.max(ov.lo());
+        }
+        let lo = (vol.lo() - *hi_sum).max(0.0);
+        let hi = (vol.hi() - *lo_max).max(lo);
         Interval::new(lo, hi)
     }
 

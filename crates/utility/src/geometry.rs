@@ -35,7 +35,7 @@ impl BoxN {
 
     /// Product of extent lengths. The empty product (zero axes) is 1.
     pub fn volume(&self) -> u128 {
-        self.extents.iter().map(|e| e.len as u128).product()
+        volume_of(&self.extents)
     }
 
     /// True iff some axis is empty (volume zero).
@@ -57,63 +57,103 @@ impl BoxN {
 
     /// True iff the boxes share volume.
     pub fn overlaps(&self, other: &BoxN) -> bool {
-        !self.intersect(other).is_empty()
+        debug_assert_eq!(self.dims(), other.dims());
+        let mut pairs = self.extents.iter().zip(&other.extents);
+        pairs.all(|(a, b)| a.overlaps(*b))
     }
 
     /// Subtracts `other`, returning disjoint fragments that exactly cover
     /// `self \ other`. Produces at most `2·dims` fragments.
     pub fn subtract(&self, other: &BoxN) -> Vec<BoxN> {
-        let inter = self.intersect(other);
-        if inter.is_empty() {
-            return if self.is_empty() {
-                vec![]
-            } else {
-                vec![self.clone()]
-            };
-        }
-        let mut fragments = Vec::new();
-        // Peel the region outside the intersection one axis at a time:
-        // after axis i is processed, `core` matches the intersection on
-        // axes 0..=i and `self` on the rest.
-        let mut core = self.clone();
-        for axis in 0..self.dims() {
-            let [left, right] = core.extents[axis].subtract(inter.extents[axis]);
-            for piece in [left, right] {
-                if !piece.is_empty() {
-                    let mut frag = core.clone();
-                    frag.extents[axis] = piece;
-                    if !frag.is_empty() {
-                        fragments.push(frag);
-                    }
-                }
-            }
-            core.extents[axis] = inter.extents[axis];
-        }
-        fragments
+        debug_assert_eq!(self.dims(), other.dims());
+        let mut residual = Residual::new(self.extents.iter().copied());
+        residual.subtract(|axis| other.extents[axis]);
+        let fragments = residual.fragments.chunks(self.dims().max(1));
+        fragments.map(|f| BoxN::new(f.to_vec())).collect()
     }
+}
+
+/// Appends to `out` disjoint fragments (`frag.len()` extents each) that
+/// exactly cover `frag \ other`; `other` yields the subtrahend's extent on
+/// an axis. `frag` must be non-empty on every axis.
+fn subtract_into(frag: &[Extent], other: impl Fn(usize) -> Extent, out: &mut Vec<Extent>) {
+    let inter = |axis: usize| frag[axis].intersect(other(axis));
+    if (0..frag.len()).any(|axis| inter(axis).is_empty()) {
+        out.extend_from_slice(frag);
+        return;
+    }
+    // Peel the region outside the intersection one axis at a time: a
+    // fragment cut on `axis` matches the intersection on the axes before
+    // it and `frag` on the axes after it.
+    for axis in 0..frag.len() {
+        for piece in frag[axis].subtract(inter(axis)) {
+            if !piece.is_empty() {
+                out.extend((0..axis).map(inter));
+                out.push(piece);
+                out.extend_from_slice(&frag[axis + 1..]);
+            }
+        }
+    }
+}
+
+/// The disjoint-fragment worklist of a target box minus the boxes
+/// subtracted from it so far — the state [`residual_volume`] folds over
+/// its subtrahends, kept as a value so the fold can stop and resume.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Residual {
+    dims: usize,
+    /// The fragments, flat: `dims` extents each. A zero-dimensional target
+    /// (the empty product, volume 1) is held as one unit extent.
+    fragments: Vec<Extent>,
+}
+
+impl Residual {
+    /// The worklist holding `target` alone (nothing, if it is empty).
+    pub(crate) fn new(target: impl IntoIterator<Item = Extent>) -> Self {
+        let mut fragments: Vec<Extent> = target.into_iter().collect();
+        let dims = fragments.len();
+        if dims == 0 {
+            fragments.push(Extent::new(0, 1));
+        } else if fragments.iter().any(|e| e.is_empty()) {
+            fragments.clear();
+        }
+        Residual { dims, fragments }
+    }
+
+    /// The fold step: removes the box whose extent on each axis `other`
+    /// yields. Callers that know the box misses the whole target skip the
+    /// call (it would copy every fragment unchanged).
+    pub(crate) fn subtract(&mut self, other: impl Fn(usize) -> Extent) {
+        if self.dims == 0 {
+            self.fragments.clear(); // the point minus the point
+            return;
+        }
+        let mut next = Vec::with_capacity(self.fragments.len());
+        for frag in self.fragments.chunks(self.dims) {
+            subtract_into(frag, &other, &mut next);
+        }
+        self.fragments = next;
+    }
+
+    /// Volume still uncovered.
+    pub(crate) fn volume(&self) -> u128 {
+        self.fragments.chunks(self.dims.max(1)).map(volume_of).sum()
+    }
+}
+
+/// Product of extent lengths; the empty product is 1.
+fn volume_of(extents: &[Extent]) -> u128 {
+    extents.iter().map(|e| e.len as u128).product()
 }
 
 /// Volume of `target \ ∪ others`, computed by iterated subtraction over a
 /// disjoint-fragment worklist.
 pub fn residual_volume(target: &BoxN, others: &[BoxN]) -> u128 {
-    if target.is_empty() {
-        return 0;
+    let mut residual = Residual::new(target.extents.iter().copied());
+    for other in others.iter().filter(|o| target.overlaps(o)) {
+        residual.subtract(|axis| other.extents[axis]);
     }
-    let mut fragments = vec![target.clone()];
-    for other in others {
-        if other.is_empty() || !target.overlaps(other) {
-            continue;
-        }
-        let mut next = Vec::with_capacity(fragments.len());
-        for frag in &fragments {
-            next.extend(frag.subtract(other));
-        }
-        fragments = next;
-        if fragments.is_empty() {
-            return 0;
-        }
-    }
-    fragments.iter().map(BoxN::volume).sum()
+    residual.volume()
 }
 
 /// Volume of `∪ boxes` (inclusion-free: computed by summing residuals of

@@ -32,5 +32,5 @@ pub use context::ExecutionContext;
 pub use cost::{FailureCost, FusionCost, LinearCost};
 pub use coverage::Coverage;
 pub use geometry::{residual_volume, union_volume, BoxN};
-pub use measure::{as_concrete, CountingMeasure, UtilityMeasure};
+pub use measure::{as_concrete, CountingMeasure, IntervalCarry, UtilityMeasure};
 pub use monetary::MonetaryCost;

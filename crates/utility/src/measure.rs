@@ -9,9 +9,83 @@
 //! (full) monotonicity.
 
 use crate::context::ExecutionContext;
+use crate::geometry::Residual;
 use qpo_catalog::{ProblemInstance, SourceRef};
 use qpo_interval::Interval;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// What a measure keeps between two evaluations of one candidate list so
+/// the second need not start over: how many executed plans are already
+/// folded in, and the fold's running state. Valid only while the history
+/// it was advanced over stays a prefix of the context's — `record` only
+/// appends; once [`ExecutionContext::retractions`] moves, drop every
+/// carry. The default is the fresh carry: nothing folded in.
+#[derive(Debug, Clone, Default)]
+pub struct IntervalCarry {
+    /// Length of the `executed()` prefix folded into `state`.
+    seen: usize,
+    state: CarryState,
+}
+
+/// The running state, one variant per resuming measure.
+#[derive(Debug, Clone, Default)]
+pub(crate) enum CarryState {
+    #[default]
+    Fresh,
+    /// Abstract coverage: the box-volume interval and the Bonferroni
+    /// accumulators `Σ_e hi(p∩e)` and `max_e lo(p∩e)`.
+    Overlap(Interval, f64, f64),
+    /// Concrete coverage: what is left of the plan's box.
+    Residual(Residual),
+    /// Caching costs: the interval as of `seen`, which stands until an
+    /// appended plan uses one of the candidates.
+    Standing(Interval),
+    /// [`Combined`](crate::Combined): one carry per component.
+    Pair(Box<(IntervalCarry, IntervalCarry)>),
+}
+
+impl IntervalCarry {
+    /// True iff nothing was ever folded in; a measure that does not
+    /// resume leaves every carry fresh.
+    pub fn is_fresh(&self) -> bool {
+        matches!(self.state, CarryState::Fresh)
+    }
+
+    /// The running state (built by `init` on a fresh carry) and the
+    /// executed plans not yet folded into it, now marked seen.
+    pub(crate) fn resume<'c>(
+        &mut self,
+        ctx: &'c ExecutionContext,
+        init: impl FnOnce() -> CarryState,
+    ) -> (&mut CarryState, &'c [Vec<usize>]) {
+        if self.is_fresh() {
+            self.state = init();
+        }
+        let unseen = &ctx.executed()[self.seen..];
+        self.seen = ctx.len();
+        (&mut self.state, unseen)
+    }
+
+    /// Resume for a measure whose interval for these candidates changes
+    /// only when an appended plan `disturbs` them: the carried interval
+    /// stands, or `from_scratch` replaces it.
+    pub(crate) fn stand_unless(
+        &mut self,
+        ctx: &ExecutionContext,
+        disturbs: impl Fn(&[usize]) -> bool,
+        from_scratch: impl FnOnce() -> Interval,
+    ) -> Interval {
+        let stale = self.is_fresh();
+        let init = || CarryState::Standing(Interval::ZERO);
+        let (CarryState::Standing(interval), unseen) = self.resume(ctx, init) else {
+            unreachable!("carry belongs to another measure");
+        };
+        if stale || unseen.iter().any(|e| disturbs(e)) {
+            *interval = from_scratch();
+        }
+        *interval
+    }
+}
 
 /// A utility measure `u(p | executed, Q)` over a [`ProblemInstance`].
 ///
@@ -58,6 +132,22 @@ pub trait UtilityMeasure: Sync {
         candidates: &[Vec<usize>],
         ctx: &ExecutionContext,
     ) -> Interval;
+
+    /// [`utility_interval`](UtilityMeasure::utility_interval), picking up
+    /// from the state an earlier call for the same `candidates` left in
+    /// `carry` (see [`IntervalCarry`]) and leaving its own. Must return
+    /// that method's bits; implementations get there by running one fold
+    /// step per executed plan from both entry points. The default starts
+    /// over and leaves the carry fresh.
+    fn resume_interval(
+        &self,
+        inst: &ProblemInstance,
+        candidates: &[Vec<usize>],
+        ctx: &ExecutionContext,
+        _carry: &mut IntervalCarry,
+    ) -> Interval {
+        self.utility_interval(inst, candidates, ctx)
+    }
 
     /// True iff utilities can never increase as more plans execute.
     fn diminishing_returns(&self) -> bool;
@@ -137,6 +227,15 @@ impl<M: UtilityMeasure + ?Sized> UtilityMeasure for &M {
     ) -> Interval {
         (**self).utility_interval(inst, candidates, ctx)
     }
+    fn resume_interval(
+        &self,
+        inst: &ProblemInstance,
+        candidates: &[Vec<usize>],
+        ctx: &ExecutionContext,
+        carry: &mut IntervalCarry,
+    ) -> Interval {
+        (**self).resume_interval(inst, candidates, ctx, carry)
+    }
     fn diminishing_returns(&self) -> bool {
         (**self).diminishing_returns()
     }
@@ -184,6 +283,15 @@ impl<M: UtilityMeasure + ?Sized> UtilityMeasure for Box<M> {
         ctx: &ExecutionContext,
     ) -> Interval {
         (**self).utility_interval(inst, candidates, ctx)
+    }
+    fn resume_interval(
+        &self,
+        inst: &ProblemInstance,
+        candidates: &[Vec<usize>],
+        ctx: &ExecutionContext,
+        carry: &mut IntervalCarry,
+    ) -> Interval {
+        (**self).resume_interval(inst, candidates, ctx, carry)
     }
     fn diminishing_returns(&self) -> bool {
         (**self).diminishing_returns()
@@ -252,7 +360,7 @@ impl<M: UtilityMeasure> CountingMeasure<M> {
         self.concrete_evals.load(Ordering::Relaxed)
     }
 
-    /// Abstract-plan (interval) evaluations so far.
+    /// Abstract-plan (interval) evaluations so far, resumed or not.
     pub fn interval_evals(&self) -> u64 {
         self.interval_evals.load(Ordering::Relaxed)
     }
@@ -294,6 +402,17 @@ impl<M: UtilityMeasure> UtilityMeasure for CountingMeasure<M> {
     ) -> Interval {
         self.interval_evals.fetch_add(1, Ordering::Relaxed);
         self.inner.utility_interval(inst, candidates, ctx)
+    }
+
+    fn resume_interval(
+        &self,
+        inst: &ProblemInstance,
+        candidates: &[Vec<usize>],
+        ctx: &ExecutionContext,
+        carry: &mut IntervalCarry,
+    ) -> Interval {
+        self.interval_evals.fetch_add(1, Ordering::Relaxed);
+        self.inner.resume_interval(inst, candidates, ctx, carry)
     }
 
     fn diminishing_returns(&self) -> bool {

@@ -5,7 +5,7 @@
 //! size, as in \[23\] (Yerneni et al., EDBT '98).
 
 use crate::context::ExecutionContext;
-use crate::measure::UtilityMeasure;
+use crate::measure::{IntervalCarry, UtilityMeasure};
 use qpo_catalog::ProblemInstance;
 use qpo_interval::Interval;
 
@@ -122,6 +122,21 @@ impl UtilityMeasure for MonetaryCost {
             "candidate plans may produce no tuples; fee/tuple undefined"
         );
         -(fee / out)
+    }
+
+    fn resume_interval(
+        &self,
+        inst: &ProblemInstance,
+        candidates: &[Vec<usize>],
+        ctx: &ExecutionContext,
+        carry: &mut IntervalCarry,
+    ) -> Interval {
+        // As for `FailureCost`: fees read the context through `is_cached`
+        // of the candidates only.
+        let disturbs = |e: &[usize]| !self.all_independent(inst, candidates, e);
+        carry.stand_unless(ctx, disturbs, || {
+            self.utility_interval(inst, candidates, ctx)
+        })
     }
 
     fn diminishing_returns(&self) -> bool {

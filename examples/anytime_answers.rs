@@ -87,12 +87,13 @@ fn run_case<M: UtilityMeasure>(
     if let Some(s) = streamer_work {
         println!(
             "streamer work: {} refinements, {} links created / {} recycled / {} invalidated, \
-             {} utility recomputations",
+             {} utility recomputations ({} resumed)",
             s.refinements,
             s.links_created,
             s.links_recycled,
             s.links_invalidated,
-            s.utility_recomputations
+            s.utility_recomputations,
+            s.utility_resumes
         );
     }
 }

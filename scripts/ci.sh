@@ -77,4 +77,10 @@ echo "==> source-backend bench smoke (release: sim/store/tcp answer equivalence)
 cargo build --release -p qpo-bench --bin bench-backends
 ./target/release/bench-backends --smoke
 
+echo "==> end-to-end benchmark: harness unit tests, then every workload and oracle at smoke size"
+# A package of its own (bench_e2e/Cargo.toml), so the workspace steps above
+# neither compile nor run it: a crate API change that breaks it shows here.
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path bench_e2e/Cargo.toml
+bash bench_e2e/run.sh --smoke
+
 echo "CI gate passed."

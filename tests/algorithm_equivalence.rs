@@ -126,6 +126,32 @@ fn exhaustive_emission_is_a_permutation() {
     }
 }
 
+/// Streamer recomputes a reset utility from the node's carry; the sequence
+/// it emits must still be the brute-force one, to the bit (coverage of a
+/// concrete plan is an exact volume over the universe volume, so Naive,
+/// PI and a resumed fold cannot differ by rounding).
+#[test]
+fn streamer_with_live_carries_matches_the_bruteforce_orderers() {
+    for seed in [3u64, 58, 401] {
+        let inst = instance(seed, 3, 4, 0.5);
+        let total = inst.plan_count();
+        let mut streamer = Streamer::new(&inst, &Coverage, &ByExpectedTuples).unwrap();
+        let emitted = streamer.order_k(total);
+        let stats = streamer.stats();
+        assert!(
+            stats.utility_resumes > 0 && stats.utility_resumes < stats.utility_recomputations,
+            "seed {seed}: carries never came into play: {stats:?}"
+        );
+        let bits = |ordering: Vec<OrderedPlan>| -> Vec<u64> {
+            ordering.iter().map(|o| o.utility.to_bits()).collect()
+        };
+        let streamer = bits(emitted);
+        assert_eq!(streamer.len(), total);
+        assert_eq!(streamer, bits(Naive::new(&inst, &Coverage).order_k(total)));
+        assert_eq!(streamer, bits(Pi::new(&inst, &Coverage).order_k(total)));
+    }
+}
+
 /// Heuristics change work done, never the utility sequence.
 #[test]
 fn heuristics_do_not_change_results() {
