@@ -7,15 +7,20 @@
 //!
 //! Reported per backend: live access attempts, access-latency p50/p95
 //! (virtual units — the simulator draws them, real backends map measured
-//! wall time at 1 unit/ms), failed plans, and the answer count.
+//! wall time at 1 unit/ms), failed plans, and the answer count. For the
+//! tcp path additionally: connections opened vs reused over those
+//! accesses (the keep-alive pool), and rows shipped per access under the
+//! query's binding patterns vs under a scan (the pushdown).
 //!
 //! Gates (all modes): every backend returns the answer set of the
 //! simulator *bit-identically*, emits the identical plan sequence, and
 //! fails no plan. `--smoke` is the CI entry point and additionally gates
 //! the tracing overhead: the traced tcp client's access p50 must stay
 //! within 5% (plus a 0.1-unit absolute floor) of an untraced client
-//! against the same server, and every traced access must carry a
-//! stitched remote span. `--merge` inserts a `"backends"` section into
+//! against the same server, every traced access must carry a stitched
+//! remote span, the tcp runs must open fewer connections than they make
+//! accesses, and a subgoal with a constant must ship fewer rows than a
+//! scan of its source. `--merge` inserts a `"backends"` section into
 //! BENCH_ordering.json, now including a `"remote_tracing"` block with
 //! network-vs-server p50/p95 from the stitched spans.
 //!
@@ -30,10 +35,13 @@
 //! `qpo-source-server` (CI spawns one) instead of an in-process server;
 //! `--trace` writes the traced run's JSONL journal for `trace-validate`.
 
-use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
+use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_POOL, MOVIE_UNIVERSE};
 use qpo_exec::{snapshot_relations, BackendRegistry, Mediator, StopCondition, Strategy};
 use qpo_obs::{Obs, ProfileIndex};
-use qpo_runtime::{MemProvider, RuntimePolicy, SourceServer, StoreBackend, TcpBackend};
+use qpo_runtime::{
+    AccessContext, BindingPattern, FaultConfig, MemProvider, RuntimePolicy, SourceBackend,
+    SourceGrid, SourceServer, StoreBackend, TcpBackend, SCAN_PATTERN,
+};
 use qpo_utility::LinearCost;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -67,6 +75,19 @@ struct RemoteMeasure {
     untraced_p50: f64,
 }
 
+/// What the access path saved on the tcp runs: the pool's tally over
+/// their accesses, and — probed once per bucket entry of the query — the
+/// rows a bound access ships against the rows a scan of the same source
+/// ships.
+struct AccessPathMeasure {
+    accesses: u64,
+    connections_opened: u64,
+    connections_reused: u64,
+    bound_sources: usize,
+    bound_rows_per_access: f64,
+    scan_rows_per_access: f64,
+}
+
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -91,7 +112,7 @@ fn main() {
     // One world, three access paths: the store and the server are seeded
     // from the mediator's own extensions, so any answer difference is a
     // backend bug, not a data difference.
-    let mediator = Mediator::new(movie_domain(), MOVIE_UNIVERSE, &["ford"]);
+    let mediator = Mediator::new(movie_domain(), MOVIE_UNIVERSE, &MOVIE_POOL);
     let relations = snapshot_relations(mediator.database());
 
     let store_dir = std::env::temp_dir().join(format!("qpo-bench-backends-{}", std::process::id()));
@@ -120,10 +141,11 @@ fn main() {
         }
     };
 
+    let tcp = Arc::new(TcpBackend::new(addr.clone()));
     let mediator = mediator.with_backends(
         BackendRegistry::new()
             .with("store", Arc::new(store))
-            .with("tcp", Arc::new(TcpBackend::new(addr.clone())))
+            .with("tcp", tcp.clone())
             .with(
                 "tcp-plain",
                 Arc::new(TcpBackend::new(addr).with_tracing(false)),
@@ -203,6 +225,70 @@ fn main() {
             failed = true;
         }
         results.push(m);
+    }
+
+    // ── Access path ────────────────────────────────────────────────────
+    // The pool's tally over the tcp runs above, then one probe per bucket
+    // entry of the query: what its access ships under the subgoal's
+    // binding pattern, and what a scan of the same source ships.
+    let [opened, reused] = tcp.connection_counters().expect("tcp holds connections");
+    let mut access_path = AccessPathMeasure {
+        accesses: results[2].attempts,
+        connections_opened: opened.get(),
+        connections_reused: reused.get(),
+        bound_sources: 0,
+        bound_rows_per_access: 0.0,
+        scan_rows_per_access: 0.0,
+    };
+    let prepared = mediator.prepare(&movie_query()).expect("query prepares");
+    let grid = SourceGrid::from_instance(&prepared.instance);
+    let faults = FaultConfig::disabled();
+    let (mut bound_rows, mut scan_rows) = (0usize, 0usize);
+    for (bucket, entries) in prepared.reformulation.buckets.iter().enumerate() {
+        for (index, entry) in entries.iter().enumerate() {
+            let pattern = BindingPattern::of_atom(&entry.atom).to_string();
+            if pattern == SCAN_PATTERN {
+                continue;
+            }
+            let rows_under = |pattern: &str| {
+                let ctx = AccessContext {
+                    pattern,
+                    run: 0,
+                    plan_seq: 0,
+                    attempt: 0,
+                    faults: &faults,
+                };
+                let reply = tcp
+                    .access(grid.service(bucket, index), &ctx)
+                    .unwrap_or_else(|e| panic!("probe {} under {pattern}: {e}", entry.source));
+                reply.tuples.map_or(0, |rows| rows.len())
+            };
+            access_path.bound_sources += 1;
+            bound_rows += rows_under(&pattern);
+            scan_rows += rows_under(SCAN_PATTERN);
+        }
+    }
+    if access_path.bound_sources > 0 {
+        let n = access_path.bound_sources as f64;
+        access_path.bound_rows_per_access = bound_rows as f64 / n;
+        access_path.scan_rows_per_access = scan_rows as f64 / n;
+    }
+    if smoke {
+        if access_path.connections_opened >= access_path.accesses {
+            eprintln!(
+                "FAIL: tcp opened {} connections for {} accesses — the pool is not reusing",
+                access_path.connections_opened, access_path.accesses
+            );
+            failed = true;
+        }
+        if access_path.bound_sources == 0 || bound_rows >= scan_rows {
+            eprintln!(
+                "FAIL: {} bound accesses shipped {bound_rows} rows vs {scan_rows} scanned \
+                 — constants are not riding the pattern",
+                access_path.bound_sources
+            );
+            failed = true;
+        }
     }
 
     // ── Remote tracing ─────────────────────────────────────────────────
@@ -298,6 +384,16 @@ fn main() {
         );
     }
     println!(
+        "tcp connections: opened {} reused {} accesses {}; rows per access: \
+         {:.1} bound vs {:.1} scan over {} bound sources",
+        access_path.connections_opened,
+        access_path.connections_reused,
+        access_path.accesses,
+        access_path.bound_rows_per_access,
+        access_path.scan_rows_per_access,
+        access_path.bound_sources,
+    );
+    println!(
         "remote  spans {:>3}  network p50 {:>9.3} / p95 {:>9.3}  \
          server p50 {:>9.3} / p95 {:>9.3}  traced p50 {:.3} vs untraced {:.3}",
         remote.spans,
@@ -311,7 +407,7 @@ fn main() {
 
     if let Some(path) = merge_path {
         let base = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let merged = merge_section(&base, &render_section(&results, &remote));
+        let merged = merge_section(&base, &render_section(&results, &remote, &access_path));
         std::fs::write(&path, merged).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("merged backends section into {path}");
     }
@@ -323,7 +419,11 @@ fn main() {
     }
 }
 
-fn render_section(results: &[BackendMeasure], remote: &RemoteMeasure) -> String {
+fn render_section(
+    results: &[BackendMeasure],
+    remote: &RemoteMeasure,
+    access_path: &AccessPathMeasure,
+) -> String {
     let mut s = String::from("\"backends\": {\n");
     let _ = writeln!(
         s,
@@ -367,9 +467,22 @@ fn render_section(results: &[BackendMeasure], remote: &RemoteMeasure) -> String 
     );
     let _ = writeln!(
         s,
+        "    \"access_path\": {{ \"tcp_accesses\": {}, \"connections_opened\": {}, \
+         \"connections_reused\": {}, \"bound_sources\": {}, \
+         \"rows_per_access_bound\": {:.1}, \"rows_per_access_scan\": {:.1} }},",
+        access_path.accesses,
+        access_path.connections_opened,
+        access_path.connections_reused,
+        access_path.bound_sources,
+        access_path.bound_rows_per_access,
+        access_path.scan_rows_per_access,
+    );
+    let _ = writeln!(
+        s,
         "    \"gate\": \"answers and plan order bit-identical to sim on every \
          backend; zero failed plans against live backends; traced tcp p50 \
-         within 5% (+0.1 units) of untraced\""
+         within 5% (+0.1 units) of untraced; tcp connections opened < accesses; \
+         bound accesses ship fewer rows than scans\""
     );
     s.push_str("  }");
     s

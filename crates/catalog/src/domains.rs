@@ -109,6 +109,12 @@ pub fn movie_domain() -> Catalog {
 /// The universe size (number of movies) the movie domain's extents live in.
 pub const MOVIE_UNIVERSE: u64 = 1000;
 
+/// The constant pool the standalone `qpo-source-server` seeds the movie
+/// world's extensions from (first attributes cycle through it). A client
+/// comparing its simulator against that server seeds the same pool; with
+/// three values, binding `ford` selects about a third of a source.
+pub const MOVIE_POOL: [&str; 3] = ["ford", "hanks", "blanchett"];
+
 /// Figure 1's sample query: reviews of movies starring Harrison Ford.
 pub fn movie_query() -> ConjunctiveQuery {
     parse_query("q(M, R) :- play_in(ford, M), review_of(R, M)").expect("movie query parses")

@@ -57,6 +57,140 @@ impl JoinPrefix {
     }
 }
 
+/// Evaluates `query` over per-atom row slices instead of a [`Database`]:
+/// body atom `i` reads exactly `slots[i]` (a missing slot reads as
+/// empty), whatever its predicate — so rows a source backend returned for
+/// one access join in place, uncopied, and one source feeding two atoms
+/// may hand each the rows its own constants selected. Each atom still
+/// applies its constants and repeated variables to every row it reads,
+/// so a slot may hold any superset of the matching rows, duplicates
+/// included. Runs the same pipeline as [`Database::evaluate`]: when every
+/// slot holds a superset of the rows a database stores under that atom's
+/// predicate that match it, the two return the same answers.
+///
+/// # Panics
+/// Panics if the query is unsafe.
+pub fn evaluate_slots(query: &ConjunctiveQuery, slots: &[&[Tuple]]) -> BTreeSet<Tuple> {
+    join_pipeline(query, None, |i| slots.get(i).copied().unwrap_or_default()).0
+}
+
+/// The hash-join pipeline behind [`Database::evaluate_seeded`] and
+/// [`evaluate_slots`], generic over where body atom `i` reads its rows
+/// (monomorphised per caller: the database probes its predicate map, the
+/// slot-fed path indexes a slice).
+fn join_pipeline<'t, I>(
+    query: &ConjunctiveQuery,
+    seed: Option<&JoinPrefix>,
+    rows_of: impl Fn(usize) -> I,
+) -> (BTreeSet<Tuple>, Vec<JoinPrefix>)
+where
+    I: IntoIterator<Item = &'t Tuple>,
+{
+    use crate::term::Term;
+
+    assert!(query.is_safe(), "cannot evaluate unsafe query {query}");
+    let start = seed.map_or(0, |s| s.len.min(query.body.len()));
+    // Each row binds exactly the variables seen in processed atoms.
+    let mut rows: Arc<Vec<Binding>> = match seed {
+        Some(s) if start > 0 => Arc::clone(&s.rows),
+        _ => Arc::new(vec![Binding::new()]),
+    };
+    let mut bound: BTreeSet<Arc<str>> = BTreeSet::new();
+    for atom in &query.body[..start] {
+        bound.extend(atom.variables());
+    }
+    let mut captured: Vec<JoinPrefix> = Vec::new();
+    for (offset, atom) in query.body[start..].iter().enumerate() {
+        // Short-circuit: an empty intermediate set stays empty, and
+        // stopping *before* the atom keeps the captured-prefix list
+        // identical whether or not this evaluation was seeded.
+        if rows.is_empty() {
+            break;
+        }
+        // Bindings each stored tuple induces on the atom's variables
+        // (None when the tuple violates the atom's constants or
+        // repeated variables).
+        let mut tuple_bindings: Vec<Binding> = Vec::new();
+        'tuples: for tuple in rows_of(start + offset) {
+            if tuple.len() != atom.arity() {
+                continue;
+            }
+            let mut binding = BTreeMap::new();
+            for (term, value) in atom.terms.iter().zip(tuple) {
+                match term {
+                    Term::Const(c) => {
+                        if c != value {
+                            continue 'tuples;
+                        }
+                    }
+                    Term::Var(v) => match binding.get(v.as_ref()) {
+                        Some(prev) if prev != value => continue 'tuples,
+                        Some(_) => {}
+                        None => {
+                            binding.insert(v.clone(), value.clone());
+                        }
+                    },
+                }
+            }
+            tuple_bindings.push(binding);
+        }
+        // Hash-join on the variables shared with the rows so far.
+        let shared: Vec<Arc<str>> = atom
+            .variables()
+            .into_iter()
+            .filter(|v| bound.contains(v))
+            .collect();
+        let mut index: BTreeMap<Vec<&Constant>, Vec<&Binding>> = BTreeMap::new();
+        for b in &tuple_bindings {
+            let key: Vec<&Constant> = shared
+                .iter()
+                .map(|v| b.get(v.as_ref()).expect("shared var bound by atom"))
+                .collect();
+            index.entry(key).or_default().push(b);
+        }
+        let mut next = Vec::new();
+        for row in rows.iter() {
+            let key: Vec<&Constant> = shared
+                .iter()
+                .map(|v| row.get(v.as_ref()).expect("shared var bound by row"))
+                .collect();
+            if let Some(matches) = index.get(&key) {
+                for m in matches {
+                    let mut merged = row.clone();
+                    for (k, v) in m.iter() {
+                        merged.insert(k.clone(), v.clone());
+                    }
+                    next.push(merged);
+                }
+            }
+        }
+        rows = Arc::new(next);
+        bound.extend(atom.variables());
+        captured.push(JoinPrefix {
+            len: start + offset + 1,
+            rows: Arc::clone(&rows),
+        });
+    }
+    let answers = rows
+        .iter()
+        .map(|row| {
+            query
+                .head
+                .terms
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => c.clone(),
+                    Term::Var(v) => row
+                        .get(v.as_ref())
+                        .cloned()
+                        .expect("safe query binds every head variable"),
+                })
+                .collect()
+        })
+        .collect();
+    (answers, captured)
+}
+
 /// An in-memory database: a set of ground facts per predicate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Database {
@@ -138,109 +272,7 @@ impl Database {
         query: &ConjunctiveQuery,
         seed: Option<&JoinPrefix>,
     ) -> (BTreeSet<Tuple>, Vec<JoinPrefix>) {
-        use crate::term::Term;
-
-        assert!(query.is_safe(), "cannot evaluate unsafe query {query}");
-        let start = seed.map_or(0, |s| s.len.min(query.body.len()));
-        // Each row binds exactly the variables seen in processed atoms.
-        let mut rows: Arc<Vec<Binding>> = match seed {
-            Some(s) if start > 0 => Arc::clone(&s.rows),
-            _ => Arc::new(vec![Binding::new()]),
-        };
-        let mut bound: BTreeSet<Arc<str>> = BTreeSet::new();
-        for atom in &query.body[..start] {
-            bound.extend(atom.variables());
-        }
-        let mut captured: Vec<JoinPrefix> = Vec::new();
-        for (offset, atom) in query.body[start..].iter().enumerate() {
-            // Short-circuit: an empty intermediate set stays empty, and
-            // stopping *before* the atom keeps the captured-prefix list
-            // identical whether or not this evaluation was seeded.
-            if rows.is_empty() {
-                break;
-            }
-            // Bindings each stored tuple induces on the atom's variables
-            // (None when the tuple violates the atom's constants or
-            // repeated variables).
-            let mut tuple_bindings: Vec<Binding> = Vec::new();
-            'tuples: for tuple in self.tuples(&atom.predicate) {
-                if tuple.len() != atom.arity() {
-                    continue;
-                }
-                let mut binding = BTreeMap::new();
-                for (term, value) in atom.terms.iter().zip(tuple) {
-                    match term {
-                        Term::Const(c) => {
-                            if c != value {
-                                continue 'tuples;
-                            }
-                        }
-                        Term::Var(v) => match binding.get(v.as_ref()) {
-                            Some(prev) if prev != value => continue 'tuples,
-                            Some(_) => {}
-                            None => {
-                                binding.insert(v.clone(), value.clone());
-                            }
-                        },
-                    }
-                }
-                tuple_bindings.push(binding);
-            }
-            // Hash-join on the variables shared with the rows so far.
-            let shared: Vec<Arc<str>> = atom
-                .variables()
-                .into_iter()
-                .filter(|v| bound.contains(v))
-                .collect();
-            let mut index: BTreeMap<Vec<&Constant>, Vec<&Binding>> = BTreeMap::new();
-            for b in &tuple_bindings {
-                let key: Vec<&Constant> = shared
-                    .iter()
-                    .map(|v| b.get(v.as_ref()).expect("shared var bound by atom"))
-                    .collect();
-                index.entry(key).or_default().push(b);
-            }
-            let mut next = Vec::new();
-            for row in rows.iter() {
-                let key: Vec<&Constant> = shared
-                    .iter()
-                    .map(|v| row.get(v.as_ref()).expect("shared var bound by row"))
-                    .collect();
-                if let Some(matches) = index.get(&key) {
-                    for m in matches {
-                        let mut merged = row.clone();
-                        for (k, v) in m.iter() {
-                            merged.insert(k.clone(), v.clone());
-                        }
-                        next.push(merged);
-                    }
-                }
-            }
-            rows = Arc::new(next);
-            bound.extend(atom.variables());
-            captured.push(JoinPrefix {
-                len: start + offset + 1,
-                rows: Arc::clone(&rows),
-            });
-        }
-        let answers = rows
-            .iter()
-            .map(|row| {
-                query
-                    .head
-                    .terms
-                    .iter()
-                    .map(|t| match t {
-                        Term::Const(c) => c.clone(),
-                        Term::Var(v) => row
-                            .get(v.as_ref())
-                            .cloned()
-                            .expect("safe query binds every head variable"),
-                    })
-                    .collect()
-            })
-            .collect();
-        (answers, captured)
+        join_pipeline(query, seed, |i| self.tuples(&query.body[i].predicate))
     }
 
     /// Reference implementation: backtracking join over the body atoms.

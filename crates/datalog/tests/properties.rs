@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use qpo_datalog::{
-    contains, equivalent, expand_plan, expansion::view_map, parse_query, Atom, ConjunctiveQuery,
-    Constant, Database, SourceDescription, Term,
+    contains, equivalent, evaluate_slots, expand_plan, expansion::view_map, parse_query, Atom,
+    ConjunctiveQuery, Constant, Database, SourceDescription, Term, Tuple,
 };
 
 /// Strategy: a random small conjunctive query over relations `r0..r2`
@@ -125,6 +125,49 @@ proptest! {
     #[test]
     fn hash_join_matches_naive(q in arb_query(), db in arb_db()) {
         prop_assert_eq!(db.evaluate(&q), db.evaluate_naive(&q), "query {}", q);
+    }
+
+    /// The slot-fed entry point runs the same pipeline: feeding atom `i`
+    /// the database's rows for its predicate — whole, doubled, or
+    /// pre-filtered by that atom's own constants (so one relation serving
+    /// two atoms hands each a different slice) — answers as the database
+    /// and the backtracking oracle do.
+    #[test]
+    fn slot_fed_join_matches_the_database(q in arb_query(), db in arb_db()) {
+        let whole: Vec<Vec<Tuple>> = q
+            .body
+            .iter()
+            .map(|a| db.tuples(&a.predicate).cloned().collect())
+            .collect();
+        let doubled: Vec<Vec<Tuple>> = whole
+            .iter()
+            .map(|rows| rows.iter().chain(rows).cloned().collect())
+            .collect();
+        let selected: Vec<Vec<Tuple>> = q
+            .body
+            .iter()
+            .zip(&whole)
+            .map(|(atom, rows)| {
+                rows.iter()
+                    .filter(|row| {
+                        atom.terms.iter().zip(*row).all(|(t, v)| match t {
+                            Term::Const(c) => c == v,
+                            Term::Var(_) => true,
+                        })
+                    })
+                    .cloned()
+                    .collect()
+            })
+            .collect();
+        let want = db.evaluate(&q);
+        prop_assert_eq!(&want, &db.evaluate_naive(&q));
+        for slots in [&whole, &doubled, &selected] {
+            let slices: Vec<&[Tuple]> = slots.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(&evaluate_slots(&q, &slices), &want, "query {}", q);
+        }
+        // A missing slot reads as the empty relation.
+        let short: Vec<&[Tuple]> = whole[..whole.len() - 1].iter().map(Vec::as_slice).collect();
+        prop_assert!(evaluate_slots(&q, &short).is_subset(&want));
     }
 
     /// Evaluation respects conjunction: adding a body atom can only shrink

@@ -9,10 +9,13 @@
 //! resolves a label and runs the exact concurrent pipeline of
 //! [`Mediator::run_concurrent`](crate::concurrent) on it: same
 //! reformulation, same ordering, same retry/feedback/divergence stack —
-//! only the access path changes. When the backend returns tuples
-//! (store and TCP do), join evaluation uses *those* tuples — slots a
-//! memo shortcut skipped fetching are refilled from a per-run fetch
-//! cache backed by the same backend, never from the extensions; when the
+//! only the access path changes. Each access goes out under the binding
+//! pattern of its subgoal ([`qpo_runtime::pattern`]: the constants the
+//! plan atom fixes), so a remote source ships only rows the plan can use.
+//! When the backend returns tuples (store and TCP do), the join reads
+//! *those* rows in place, slot `i` feeding body atom `i` — slots a memo
+//! shortcut skipped fetching are refilled from a per-run fetch cache
+//! backed by the same backend, never from the extensions; when the
 //! backend returns none for every slot (the simulator), evaluation falls
 //! back to the static extensions, which keeps every sim run
 //! bit-identical to [`Mediator::run_concurrent`].
@@ -25,11 +28,11 @@
 
 use crate::concurrent::{ConcurrentRun, MediatorEvaluator};
 use crate::mediator::{build_orderer_observed, Mediator, MediatorError, StopCondition, Strategy};
-use qpo_datalog::{ConjunctiveQuery, Database, Tuple};
+use qpo_datalog::{evaluate_slots, ConjunctiveQuery, Database, Tuple};
 use qpo_obs::{DivergenceMonitor, Obs};
 use qpo_runtime::{
-    declare_sources, observe_divergence, AccessContext, BackendError, Executor, FaultConfig,
-    PlanEvaluator, SimBackend, SourceBackend, SourceGrid, SourceHealth, SCAN_PATTERN,
+    declare_sources, observe_divergence, AccessContext, BackendError, BindingPattern, Executor,
+    FaultConfig, PlanEvaluator, SimBackend, SourceBackend, SourceGrid, SourceHealth,
 };
 use qpo_utility::UtilityMeasure;
 use std::collections::BTreeMap;
@@ -116,45 +119,90 @@ pub fn snapshot_relations(db: &Database) -> Vec<(String, Vec<Tuple>)> {
         .collect()
 }
 
+/// Rows by `(source, pattern)`.
+type FetchCache = BTreeMap<(Arc<str>, Arc<str>), Arc<Vec<Tuple>>>;
+
 /// The backend-aware [`PlanEvaluator`]: soundness and the simulated
 /// evaluation path delegate to the plain [`MediatorEvaluator`]; when the
 /// backend returned tuples for at least one bucket, evaluation joins
-/// *those* tuples instead of the static database. Slots with no rows
-/// attached (memo-resolved accesses) are served from a per-run fetch
-/// cache — refilled from the backend on a miss — never from the static
-/// extensions: a data-serving backend may hold different data, and
+/// *those* tuples, in place, instead of the static database. Slots with
+/// no rows attached (memo-resolved accesses) are served from a per-run
+/// fetch cache — refilled from the backend on a miss — never from the
+/// static extensions: a data-serving backend may hold different data, and
 /// joining extension rows for some buckets against backend rows for
 /// others would produce answers from a mixed world.
 pub(crate) struct BackendEvaluator<'a> {
-    pub(crate) base: MediatorEvaluator<'a>,
+    base: MediatorEvaluator<'a>,
     /// The backend the run's accesses go through — also the authority
     /// for rows the memo shortcut skipped fetching.
-    pub(crate) backend: Arc<dyn SourceBackend>,
-    pub(crate) grid: &'a SourceGrid,
-    pub(crate) faults: FaultConfig,
-    /// Rows seen (or re-fetched) this run, by source name.
-    pub(crate) fetch_cache: Mutex<BTreeMap<String, Arc<Vec<Tuple>>>>,
+    backend: Arc<dyn SourceBackend>,
+    grid: &'a SourceGrid,
+    faults: FaultConfig,
+    /// `patterns[bucket][index]`: the binding pattern of that bucket
+    /// entry's plan atom — what its access ships and is memoized under.
+    patterns: Vec<Vec<Arc<str>>>,
+    /// Rows seen (or re-fetched) this run, by `(source, pattern)`: one
+    /// source serving two subgoals with different constants is two
+    /// different row sets.
+    fetch_cache: Mutex<FetchCache>,
 }
 
-impl BackendEvaluator<'_> {
-    fn cache(&self) -> MutexGuard<'_, BTreeMap<String, Arc<Vec<Tuple>>>> {
+impl<'a> BackendEvaluator<'a> {
+    pub(crate) fn new(
+        base: MediatorEvaluator<'a>,
+        backend: Arc<dyn SourceBackend>,
+        grid: &'a SourceGrid,
+    ) -> Self {
+        let patterns = base
+            .reform
+            .buckets
+            .iter()
+            .map(|bucket| {
+                bucket
+                    .iter()
+                    .map(|entry| BindingPattern::of_atom(&entry.atom).to_string().into())
+                    .collect()
+            })
+            .collect();
+        BackendEvaluator {
+            base,
+            backend,
+            grid,
+            faults: FaultConfig::disabled(),
+            patterns,
+            fetch_cache: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// `(source, pattern)` of the access for `bucket` of `plan`.
+    fn cache_key(&self, plan: &[usize], bucket: usize) -> (Arc<str>, Arc<str>) {
+        let index = plan[bucket];
+        (
+            self.grid.service(bucket, index).name.clone(),
+            self.patterns[bucket][index].clone(),
+        )
+    }
+
+    fn cache(&self) -> MutexGuard<'_, FetchCache> {
         // Poison recovery: the cache only ever holds complete fetches.
         self.fetch_cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Rows for a slot the backend served no data for in this plan (a
     /// memo-resolved access): the run's fetch cache, or a direct backend
-    /// re-fetch on a miss (warm memos span runs; the cache does not). A
-    /// backend that cannot serve the relation right now degrades to the
-    /// empty relation — no answers from this plan — rather than
-    /// resurrecting extension rows the backend never held.
-    fn backend_rows(&self, plan: &[usize], bucket: usize, name: &str) -> Arc<Vec<Tuple>> {
-        if let Some(rows) = self.cache().get(name) {
+    /// re-fetch — under the same pattern the memoized access used — on a
+    /// miss (warm memos span runs; the cache does not). A backend that
+    /// cannot serve the relation right now degrades to the empty relation
+    /// — no answers from this plan — rather than resurrecting extension
+    /// rows the backend never held.
+    fn backend_rows(&self, plan: &[usize], bucket: usize) -> Arc<Vec<Tuple>> {
+        let svc = self.grid.service(bucket, plan[bucket]);
+        let key = self.cache_key(plan, bucket);
+        if let Some(rows) = self.cache().get(&key) {
             return rows.clone();
         }
-        let svc = self.grid.service(bucket, plan[bucket]);
         let ctx = AccessContext {
-            pattern: SCAN_PATTERN,
+            pattern: &key.1,
             run: 0,
             plan_seq: 0,
             attempt: 0,
@@ -162,11 +210,11 @@ impl BackendEvaluator<'_> {
         };
         match self.backend.access(svc, &ctx) {
             Ok(reply) => {
-                let rows = reply.tuples.unwrap_or_else(|| Arc::new(Vec::new()));
-                self.cache().insert(name.to_string(), rows.clone());
+                let rows = reply.tuples.unwrap_or_default();
+                self.cache().insert(key, rows.clone());
                 rows
             }
-            Err(_) => Arc::new(Vec::new()),
+            Err(_) => Arc::default(),
         }
     }
 }
@@ -180,6 +228,10 @@ impl PlanEvaluator for BackendEvaluator<'_> {
         self.base.evaluate(plan)
     }
 
+    fn access_pattern(&self, plan: &[usize], bucket: usize) -> &str {
+        &self.patterns[bucket][plan[bucket]]
+    }
+
     fn evaluate_fetched(&self, plan: &[usize], fetched: &[Option<Arc<Vec<Tuple>>>]) -> Vec<Tuple> {
         if fetched.iter().all(Option::is_none) {
             // The simulator (and fully memo-resolved plans): the static
@@ -187,28 +239,27 @@ impl PlanEvaluator for BackendEvaluator<'_> {
             // bit-identical to the pre-backend pipeline.
             return self.base.evaluate(plan);
         }
-        let sources = self.base.reform.plan_sources(plan);
-        let mut overlay = Database::new();
-        for (slot, name) in sources.iter().enumerate() {
-            let rows = match fetched.get(slot).and_then(Option::as_ref) {
-                Some(rows) => {
-                    self.cache()
-                        .entry(name.clone())
-                        .or_insert_with(|| rows.clone());
-                    rows.clone()
-                }
-                // Memo-resolved slot: the terminal outcome was cached but
-                // no live rows rode along. The backend (via the run's
-                // fetch cache) is the only authority for this world's
-                // rows — the static extensions may disagree with it.
-                None => self.backend_rows(plan, slot, name),
-            };
-            for t in rows.iter() {
-                overlay.insert(name, t.clone());
-            }
-        }
-        overlay
-            .evaluate(&self.base.reform.plan_query(plan))
+        let slots: Vec<Arc<Vec<Tuple>>> = (0..plan.len())
+            .map(
+                |bucket| match fetched.get(bucket).and_then(Option::as_ref) {
+                    Some(rows) => {
+                        self.cache()
+                            .entry(self.cache_key(plan, bucket))
+                            .or_insert_with(|| rows.clone());
+                        rows.clone()
+                    }
+                    // Memo-resolved slot: the terminal outcome was cached but
+                    // no live rows rode along. The backend (via the run's
+                    // fetch cache) is the only authority for this world's
+                    // rows — the static extensions may disagree with it.
+                    None => self.backend_rows(plan, bucket),
+                },
+            )
+            .collect();
+        // Slot `i` feeds body atom `i`, which applies its own constants
+        // to whatever superset of matching rows the backend shipped.
+        let slices: Vec<&[Tuple]> = slots.iter().map(|rows| rows.as_slice()).collect();
+        evaluate_slots(&self.base.reform.plan_query(plan), &slices)
             .into_iter()
             .collect()
     }
@@ -283,18 +334,16 @@ impl Mediator {
             )
             .inc();
         let grid = SourceGrid::from_instance(&prepared.instance);
-        let eval = BackendEvaluator {
-            base: MediatorEvaluator {
+        let eval = BackendEvaluator::new(
+            MediatorEvaluator {
                 reform: &prepared.reformulation,
                 db: self.database(),
                 view_map: self.catalog().view_map(),
                 soundness_errors: obs.registry.counter("qpo_soundness_test_errors_total", &[]),
             },
-            backend: Arc::clone(&backend),
-            grid: &grid,
-            faults: FaultConfig::disabled(),
-            fetch_cache: Mutex::new(BTreeMap::new()),
-        };
+            Arc::clone(&backend),
+            &grid,
+        );
         let runtime = Executor::new(&grid, &eval, policy)
             .with_backend(backend)
             .with_obs(obs)
@@ -475,18 +524,16 @@ mod tests {
         let sources = prepared.reformulation.plan_sources(&plan);
         store.put_relation(&sources[0], &[]).unwrap();
         let obs = Obs::new();
-        let eval = BackendEvaluator {
-            base: MediatorEvaluator {
+        let eval = BackendEvaluator::new(
+            MediatorEvaluator {
                 reform: &prepared.reformulation,
                 db: m.database(),
                 view_map: m.catalog().view_map(),
                 soundness_errors: obs.registry.counter("qpo_soundness_test_errors_total", &[]),
             },
-            backend: store.clone(),
-            grid: &grid,
-            faults: FaultConfig::disabled(),
-            fetch_cache: Mutex::new(BTreeMap::new()),
-        };
+            store.clone(),
+            &grid,
+        );
         // Slot 0 is memo-resolved (no rows rode along); the last slot
         // carries live backend rows.
         let mut fetched: Vec<Option<Arc<Vec<Tuple>>>> = vec![None; plan.len()];

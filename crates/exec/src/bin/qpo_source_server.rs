@@ -1,10 +1,10 @@
 //! `qpo-source-server` — a standalone source server speaking the
 //! `qpo_runtime::wire` protocol over loopback TCP.
 //!
-//! By default it seeds the movie domain's materialized extensions (the
-//! same `populate_sources(movie_domain(), ["ford"])` world every example
-//! and test uses), so a `TcpBackend` pointed at it returns answer sets
-//! bit-identical to the simulator. Pass `--dir` to serve (and persist
+//! By default it seeds the movie domain's materialized extensions
+//! (`populate_sources(movie_domain(), MOVIE_POOL)`), so a `TcpBackend`
+//! pointed at it returns answer sets bit-identical to the simulator of a
+//! mediator built over the same pool. Pass `--dir` to serve (and persist
 //! into) a `StoreBackend` directory instead of a memory provider.
 //!
 //! ```text
@@ -23,7 +23,7 @@
 //! dials a running tracing server, requests its span journal over the
 //! wire, prints the dump, and exits.
 
-use qpo_catalog::domains::movie_domain;
+use qpo_catalog::domains::{movie_domain, MOVIE_POOL};
 use qpo_exec::{populate_sources, snapshot_relations};
 use qpo_runtime::{fetch_server_trace, MemProvider, RelationProvider, SourceServer, StoreBackend};
 use std::process::ExitCode;
@@ -97,7 +97,7 @@ fn main() -> ExitCode {
 
     // Seed the canonical movie-domain extensions so remote answers match
     // the simulator's bit for bit.
-    let db = populate_sources(&movie_domain(), &["ford"]);
+    let db = populate_sources(&movie_domain(), &MOVIE_POOL);
     let relations = snapshot_relations(&db);
     let provider: Arc<dyn RelationProvider> = match &opts.dir {
         Some(dir) => {

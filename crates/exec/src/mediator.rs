@@ -298,19 +298,36 @@ impl Mediator {
     }
 
     /// Republishes the registry onto the observability bundle's backend
-    /// board: one `(label, kind, live epoch sampler)` entry per backend,
-    /// behind the introspection server's `/backends` endpoint. The
-    /// sampler holds the backend [`Arc`], so the listing tracks epoch
-    /// bumps (store reseeds, server restarts) without re-registration.
+    /// board: one `(label, kind, live epoch sampler, connection sampler)`
+    /// entry per backend, behind the introspection server's `/backends`
+    /// endpoint. The sampler holds the backend [`Arc`], so the listing
+    /// tracks epoch bumps (store reseeds, server restarts) without
+    /// re-registration. A networked backend's pool counters are also
+    /// adopted into the metric registry as
+    /// `qpo_backend_connections_{opened,reused}_total{backend=label}`.
     fn publish_backends(&self) {
         self.obs.backends.clear();
         for label in self.backends.labels() {
             if let Some(backend) = self.backends.get(label) {
-                let kind = backend.kind();
+                let connections = backend.connection_counters().map(|[opened, reused]| {
+                    let labels = [("backend", label)];
+                    for (name, counter) in [
+                        ("qpo_backend_connections_opened_total", &opened),
+                        ("qpo_backend_connections_reused_total", &reused),
+                    ] {
+                        self.obs.registry.adopt_counter(name, &labels, counter);
+                    }
+                    let sample: qpo_obs::backends::ConnectionsFn =
+                        Arc::new(move || (opened.get(), reused.get()));
+                    sample
+                });
                 let sampler = Arc::clone(&backend);
-                self.obs
-                    .backends
-                    .publish(label, kind, Arc::new(move || sampler.epoch()));
+                self.obs.backends.publish(
+                    label,
+                    backend.kind(),
+                    Arc::new(move || sampler.epoch()),
+                    connections,
+                );
             }
         }
     }

@@ -58,6 +58,8 @@ struct SessionBackend {
     grid: SourceGrid,
     faults: FaultConfig,
     fetched: BTreeMap<Arc<str>, Arc<Vec<Tuple>>>,
+    /// The backend data version `fetched` was filled under.
+    epoch: u64,
 }
 
 /// The per-session state of the tuple-level any-k stream, created lazily
@@ -256,11 +258,14 @@ impl<'s> QuerySession<'s> {
     /// Routes this session's join tuples through the backend registered
     /// under `label` on the mediator (see
     /// [`Mediator::with_backends`](crate::Mediator::with_backends)): each
-    /// plan's relations are fetched from the backend — once per source,
-    /// cached for the session — and evaluation joins the fetched rows
-    /// instead of the static extensions. Sources the backend cannot serve
-    /// (a typed [`BackendError`] — a session has no retry loop)
-    /// contribute an *empty* relation for the current plan, so it
+    /// plan's relations are fetched whole from the backend — once per
+    /// source and backend data version, cached for the session — and
+    /// evaluation joins the fetched rows instead of the static
+    /// extensions. A backend write is observed before the next plan pull
+    /// (the backend's epoch moved): the cache, and whatever an attached
+    /// [`ExecutionMemo`] holds from the old version, are dropped. Sources
+    /// the backend cannot serve (a typed [`BackendError`] — a session has
+    /// no retry loop) contribute an *empty* relation for the current plan, so it
     /// produces no answers but the session carries on, mirroring the
     /// concurrent path's graceful degradation; only *permanent* failures
     /// are cached, so a transiently unreachable source is retried by the
@@ -279,11 +284,33 @@ impl<'s> QuerySession<'s> {
         })?;
         self.backend = (backend.kind() != "sim").then(|| SessionBackend {
             grid: SourceGrid::from_instance(&self.prepared.instance),
+            epoch: backend.epoch(),
             backend,
             faults: FaultConfig::disabled(),
             fetched: BTreeMap::new(),
         });
+        self.sync_backend_epoch();
         Ok(self)
+    }
+
+    /// Observes the attached backend's data version: when it moved (a
+    /// store write, a restarted server), rows this session fetched and
+    /// work the shared memo holds from the old version are dropped, so
+    /// the next plan joins — and memoizes — the backend's current rows.
+    /// Runs when a backend or memo is attached and before every plan
+    /// pull; a no-op without a real backend.
+    fn sync_backend_epoch(&mut self) {
+        let Some(sess) = self.backend.as_mut() else {
+            return;
+        };
+        let epoch = sess.backend.epoch();
+        if sess.epoch != epoch {
+            sess.epoch = epoch;
+            sess.fetched.clear();
+        }
+        if let Some(memo) = &self.memo {
+            memo.sync_backend_epoch(epoch);
+        }
     }
 
     /// Builds the plan's evaluation database from the attached backend:
@@ -308,7 +335,21 @@ impl<'s> QuerySession<'s> {
                         attempt: 1,
                         faults: &sess.faults,
                     };
-                    match sess.backend.access(svc, &ctx) {
+                    let nothing_cached = sess.fetched.is_empty();
+                    let fetched = sess.backend.access(svc, &ctx);
+                    if nothing_cached {
+                        // A backend that learns its data version from
+                        // responses (tcp reports 0 until the first one)
+                        // only now knows it. With nothing cached yet that
+                        // is where the session starts, not a move: adopt
+                        // it here, or the next pull would throw away this
+                        // plan's rows and everything it memoizes.
+                        sess.epoch = sess.backend.epoch();
+                        if let Some(memo) = &self.memo {
+                            memo.sync_backend_epoch(sess.epoch);
+                        }
+                    }
+                    match fetched {
                         Ok(reply) => {
                             let rows = reply.tuples.unwrap_or_else(|| {
                                 Arc::new(self.db.tuples(&svc.name).cloned().collect())
@@ -352,6 +393,7 @@ impl<'s> QuerySession<'s> {
     /// as `subplan_reused` events.
     pub fn with_memo(mut self, memo: &ExecutionMemo) -> Self {
         self.memo = Some(memo.clone());
+        self.sync_backend_epoch();
         self
     }
 
@@ -472,6 +514,7 @@ impl<'s> QuerySession<'s> {
                 ],
             );
         }
+        self.sync_backend_epoch();
         let overlay = self.backend_overlay(&ordered.plan);
         let db = overlay.as_ref().unwrap_or(self.db);
         let (report, reused) = match &self.memo {
@@ -1033,6 +1076,93 @@ mod tests {
         let err = s.with_backend("nope").err().unwrap();
         assert!(matches!(err, MediatorError::Backend(_)), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_shared_memo_does_not_outlive_a_backend_write() {
+        use crate::backends::{snapshot_relations, BackendRegistry};
+        use qpo_runtime::StoreBackend;
+        let dir = std::env::temp_dir().join(format!("qpo-session-epoch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let m = mediator();
+        let store = Arc::new(StoreBackend::open(&dir).unwrap());
+        let relations = snapshot_relations(m.database());
+        for (name, rows) in &relations {
+            store.put_relation(name, rows).unwrap();
+        }
+        let m = m.with_backends(BackendRegistry::new().with("store", store.clone()));
+        let prepared = m.prepare(&movie_query()).unwrap();
+        let memo = ExecutionMemo::new();
+        let session = |memo: Option<&ExecutionMemo>| {
+            let s = QuerySession::new(&m, &prepared, &LinearCost, Strategy::Greedy)
+                .unwrap()
+                .with_backend("store")
+                .unwrap();
+            match memo {
+                Some(memo) => s.with_memo(memo),
+                None => s,
+            }
+            .drain(StopCondition::unbounded())
+        };
+        let before = session(Some(&memo));
+        assert!(!before.answers.is_empty());
+        assert!(
+            !memo.subplans.is_empty(),
+            "the first session memoized joins"
+        );
+        // A write between two sessions sharing the memo: every review
+        // source loses its rows, so no plan can answer any more.
+        for (name, _) in &relations {
+            if ["v4", "v5", "v6"].contains(&name.as_str()) {
+                store.put_relation(name, &[]).unwrap();
+            }
+        }
+        let after = session(Some(&memo));
+        assert_eq!(after.answers, session(None).answers, "memo vs fresh");
+        assert!(
+            after.answers.is_empty(),
+            "answers come from the rows written, not the prefixes memoized"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn learning_a_tcp_backends_epoch_is_not_a_write() {
+        use crate::backends::{snapshot_relations, BackendRegistry};
+        use qpo_runtime::{MemProvider, SourceBackend, SourceServer, TcpBackend};
+        let m = mediator();
+        let provider = MemProvider::new();
+        let relations = snapshot_relations(m.database());
+        for (name, rows) in &relations {
+            provider.insert(name.clone(), rows.clone());
+        }
+        let mut server = SourceServer::serve(Arc::new(provider), 0).unwrap();
+        let tcp = Arc::new(TcpBackend::new(server.addr().to_string()));
+        let m = m.with_backends(BackendRegistry::new().with("tcp", tcp.clone()));
+        let prepared = m.prepare(&movie_query()).unwrap();
+        let memo = ExecutionMemo::new();
+        assert_eq!(tcp.epoch(), 0, "no response observed yet");
+        let mut s = QuerySession::new(&m, &prepared, &LinearCost, Strategy::Greedy)
+            .unwrap()
+            .with_backend("tcp")
+            .unwrap()
+            .with_memo(&memo);
+        // The first response teaches the backend the server's epoch. That
+        // is the version the session started on: the next pull keeps the
+        // first plan's rows and the prefixes it memoized.
+        s.next_report().unwrap();
+        assert_ne!(tcp.epoch(), 0);
+        let memoized = memo.subplans.len();
+        assert!(memoized > 0, "the first plan memoized its joins");
+        s.next_report().unwrap();
+        assert!(memo.subplans.len() >= memoized, "nothing was wiped");
+        s.drain(StopCondition::unbounded());
+        assert_eq!(
+            server.requests_served(),
+            relations.len() as u64,
+            "every source fetched once"
+        );
+        server.stop();
     }
 
     #[test]

@@ -77,6 +77,9 @@ struct SubplanInner {
     /// emission order on the coordinator, so which prefixes land under
     /// the budget is deterministic.
     byte_budget: usize,
+    /// Backend data version the cached prefixes were joined from; see
+    /// [`SubplanMemo::sync_backend_epoch`].
+    backend_epoch: u64,
 }
 
 impl Default for SubplanInner {
@@ -88,6 +91,7 @@ impl Default for SubplanInner {
             stores: 0,
             bytes: 0,
             byte_budget: SubplanMemo::DEFAULT_BYTE_BUDGET,
+            backend_epoch: 0,
         }
     }
 }
@@ -122,6 +126,21 @@ impl SubplanMemo {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SubplanInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Declares the data version
+    /// ([`SourceBackend::epoch`](qpo_runtime::SourceBackend::epoch)) of
+    /// the backend whose rows the prefixes are joined from. A changed
+    /// epoch drops every cached prefix: it materializes rows of a world
+    /// the backend no longer serves, and seeding from it would answer
+    /// from that world.
+    pub fn sync_backend_epoch(&self, epoch: u64) {
+        let mut inner = self.lock();
+        if inner.backend_epoch != epoch {
+            inner.backend_epoch = epoch;
+            inner.entries.clear();
+            inner.bytes = 0;
+        }
     }
 
     /// The longest already-computed prefix of `query`'s body, if any.
@@ -221,6 +240,15 @@ impl ExecutionMemo {
     /// Approximate resident bytes across all three layers.
     pub fn approx_bytes(&self) -> usize {
         self.sources.approx_bytes() + self.subplans.approx_bytes() + self.levels.approx_bytes()
+    }
+
+    /// Declares the data version of the backend the memoized work came
+    /// from: when it moved, the source memo drops outcomes observed under
+    /// the old one and the subplan memo drops its prefixes. (The level
+    /// cache ranks over the static extensions, which have no epoch.)
+    pub fn sync_backend_epoch(&self, epoch: u64) {
+        self.sources.sync_backend_epoch(epoch);
+        self.subplans.sync_backend_epoch(epoch);
     }
 }
 

@@ -9,19 +9,25 @@
 //! fall back to an in-process [`SourceServer`] seeded from the same
 //! extensions.
 
-use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
+use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_POOL, MOVIE_UNIVERSE};
+use qpo_catalog::{Catalog, Extent, MediatedSchema, SchemaRelation, SourceStats};
+use qpo_datalog::{parse_query, SourceDescription};
 use qpo_exec::{snapshot_relations, BackendRegistry, Mediator, StopCondition, Strategy};
 use qpo_obs::{parse_json, validate_trace, Json, Obs, ProfileIndex};
 use qpo_runtime::{
-    AccessContext, AccessReply, BackendError, MemProvider, RemoteSpan, RetryPolicy, RuntimePolicy,
-    SimBackend, SourceBackend, SourceServer, SourceService, StoreBackend, TcpBackend,
+    AccessContext, AccessReply, BackendError, BindingPattern, FaultConfig, MemProvider, RemoteSpan,
+    RetryPolicy, RuntimePolicy, SimBackend, SourceBackend, SourceGrid, SourceServer, SourceService,
+    StoreBackend, TcpBackend, SCAN_PATTERN,
 };
 use qpo_utility::{Coverage, LinearCost};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// Seeded like the CI-spawned `qpo-source-server`, so the simulator and
+/// that server hold the same world.
 fn mediator() -> Mediator {
-    Mediator::new(movie_domain(), MOVIE_UNIVERSE, &["ford"])
+    Mediator::new(movie_domain(), MOVIE_UNIVERSE, &MOVIE_POOL)
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -426,4 +432,263 @@ fn legacy_servers_degrade_to_single_span_traces() {
     let profile = index.latest().expect("one run");
     profile.check().expect("single-span attribution");
     assert!(!profile.to_json().contains("\"remote\""));
+}
+
+/// One seeded world behind four access paths: the simulator, a store, a
+/// pattern-aware source server and a legacy one (strict decoder, every
+/// pattern read as a scan) — all in-process, never the CI server: the
+/// test reads the server's journal.
+struct Worlds {
+    m: Mediator,
+    tcp: Arc<TcpBackend>,
+    legacy: Arc<TcpBackend>,
+    server: SourceServer,
+    _legacy_server: SourceServer,
+    scan_rows: BTreeMap<String, usize>,
+    dir: PathBuf,
+}
+
+fn worlds(m: Mediator, tag: &str) -> Worlds {
+    let relations = snapshot_relations(m.database());
+    let dir = scratch_dir(tag);
+    let store = StoreBackend::open(&dir).unwrap();
+    let serve = |legacy: bool| {
+        let provider = MemProvider::new();
+        for (name, rows) in &relations {
+            provider.insert(name.clone(), rows.clone());
+        }
+        let provider = Arc::new(provider);
+        if legacy {
+            SourceServer::serve_legacy(provider, 0)
+        } else {
+            SourceServer::serve(provider, 0)
+        }
+        .expect("loopback bind")
+    };
+    for (name, rows) in &relations {
+        store.put_relation(name, rows).unwrap();
+    }
+    let (server, legacy_server) = (serve(false), serve(true));
+    let tcp = Arc::new(TcpBackend::new(server.addr().to_string()));
+    let legacy = Arc::new(TcpBackend::new(legacy_server.addr().to_string()));
+    let m = m.with_backends(
+        BackendRegistry::new()
+            .with("store", Arc::new(store))
+            .with("tcp", tcp.clone())
+            .with("legacy", legacy.clone()),
+    );
+    Worlds {
+        m,
+        tcp,
+        legacy,
+        server,
+        _legacy_server: legacy_server,
+        scan_rows: relations
+            .into_iter()
+            .map(|(name, rows)| (name, rows.len()))
+            .collect(),
+        dir,
+    }
+}
+
+impl Worlds {
+    /// Runs `text` on every access path and checks the pushdown contract
+    /// end to end. Returns how many accesses went out bound.
+    fn check(&self, text: &str) -> usize {
+        let query = parse_query(text).unwrap();
+        let run = |label: &str| {
+            self.m
+                .run_concurrent_on(
+                    label,
+                    &query,
+                    &LinearCost,
+                    Strategy::Greedy,
+                    StopCondition::unbounded(),
+                    RuntimePolicy::parallel(2),
+                )
+                .unwrap_or_else(|e| panic!("{text} on {label}: {e}"))
+        };
+        let served_before = self.server.requests_served();
+        let sim = run("sim");
+        for label in ["store", "tcp", "legacy"] {
+            let real = run(label);
+            assert_eq!(
+                sim.runtime.answers, real.runtime.answers,
+                "{text} on {label}"
+            );
+            assert_eq!(
+                sim.emitted_plans(),
+                real.emitted_plans(),
+                "{text} on {label}"
+            );
+            assert_eq!(real.failed(), 0, "{text} on {label}");
+        }
+        // What each source may be asked: the pattern of every bucket
+        // entry it appears in — constants of the subgoal, `scan` if none.
+        let prepared = self.m.prepare(&query).unwrap();
+        let grid = SourceGrid::from_instance(&prepared.instance);
+        let mut expected: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        let faults = FaultConfig::disabled();
+        for (bucket, entries) in prepared.reformulation.buckets.iter().enumerate() {
+            let goal = BindingPattern::of_atom(&prepared.query.body[bucket]);
+            let goal_is_bound = goal.to_string() != SCAN_PATTERN;
+            for (index, entry) in entries.iter().enumerate() {
+                let pattern = BindingPattern::of_atom(&entry.atom);
+                let text_form = pattern.to_string();
+                assert_eq!(
+                    text_form == SCAN_PATTERN,
+                    !goal_is_bound,
+                    "{text}: {}",
+                    entry.atom
+                );
+                let ctx = AccessContext {
+                    pattern: &text_form,
+                    run: 0,
+                    plan_seq: 0,
+                    attempt: 0,
+                    faults: &faults,
+                };
+                let svc = grid.service(bucket, index);
+                let scan = self.scan_rows[entry.source.as_ref()];
+                // The server ships exactly the matching rows — never more
+                // than a scan; the legacy server ignores the pattern and
+                // ships the superset.
+                let shipped = self.tcp.access(svc, &ctx).unwrap().tuples.unwrap();
+                assert!(shipped.iter().all(|row| pattern.matches(row)), "{text}");
+                assert!(shipped.len() <= scan, "{text}");
+                let superset = self.legacy.access(svc, &ctx).unwrap().tuples.unwrap();
+                assert_eq!(superset.len(), scan, "{text}");
+                expected
+                    .entry(entry.source.to_string())
+                    .or_default()
+                    .push(text_form);
+            }
+        }
+        let mut bound = 0;
+        for e in self.server.journal().entries() {
+            if e.request_seq <= served_before {
+                continue;
+            }
+            assert!(
+                expected[&e.source].contains(&e.pattern),
+                "{text}: {} asked under {:?}, expected one of {:?}",
+                e.source,
+                e.pattern,
+                expected[&e.source]
+            );
+            bound += usize::from(e.pattern != SCAN_PATTERN);
+        }
+        bound
+    }
+}
+
+impl Drop for Worlds {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+#[test]
+fn bound_constants_ride_the_pattern_on_the_movie_catalog() {
+    let w = worlds(mediator(), "push-movie");
+    let mut bound = 0;
+    for actor in ["A", "ford", "hanks", "nobody"] {
+        for reviewer in ["R", "blanchett", "ford", "7"] {
+            let head = [actor, reviewer, "M"]
+                .into_iter()
+                .filter(|t| t.starts_with(char::is_uppercase))
+                .collect::<Vec<_>>()
+                .join(", ");
+            let text = format!("q({head}) :- play_in({actor}, M), review_of({reviewer}, M)");
+            let n = w.check(&text);
+            assert_eq!(n == 0, actor == "A" && reviewer == "R", "{text}: {n} bound");
+            bound += n;
+        }
+    }
+    assert!(bound > 0);
+    // The server-side dump names both kinds of access.
+    let dump = w.server.journal().render_text();
+    assert!(dump.contains("pattern=bind;0=s4:ford"), "{dump}");
+    assert!(dump.contains("pattern=scan"), "{dump}");
+}
+
+#[test]
+fn bound_constants_ride_the_pattern_on_a_relation_catalog() {
+    // Two binary relations, two staggered fragment sources each; rows are
+    // `(pool value, item)`, so either column can be bound.
+    let schema =
+        MediatedSchema::with_relations((0..2).map(|j| SchemaRelation::new(format!("r{j}"), 2)));
+    let mut catalog = Catalog::new(schema);
+    for j in 0..2u64 {
+        for (i, suffix) in ["a", "b"].into_iter().enumerate() {
+            let view = format!("s{j}_{suffix}(A, X) :- r{j}(A, X)");
+            let stats = SourceStats::new()
+                .with_extent(Extent::new(10 * i as u64 + 3 * j, 40))
+                .with_access_cost(1.0 + (i as f64) + 2.0 * (j as f64));
+            catalog
+                .add_source(SourceDescription::new(parse_query(&view).unwrap()), stats)
+                .unwrap();
+        }
+    }
+    let w = worlds(Mediator::new(catalog, 100, &["k", "j", "m"]), "push-rel");
+    for first in ["A", "k", "m", "zz"] {
+        for second in ["B", "j", "k"] {
+            let head = [first, second, "X"]
+                .into_iter()
+                .filter(|t| t.starts_with(char::is_uppercase))
+                .collect::<Vec<_>>()
+                .join(", ");
+            let n = w.check(&format!("q({head}) :- r0({first}, X), r1({second}, X)"));
+            assert_eq!(n == 0, first == "A" && second == "B");
+        }
+    }
+    // Integer constants, one relation under two different constants, and
+    // a subgoal bound in both columns.
+    assert!(w.check("q(A, B) :- r0(A, 17), r1(B, 17)") > 0);
+    assert!(w.check("q(X, Y) :- r0(k, X), r0(j, Y)") > 0);
+    assert!(w.check("q() :- r0(k, 15), r1(B, 15)") > 0);
+}
+
+#[test]
+fn sequential_runs_share_pooled_connections() {
+    let m = mediator();
+    let (addr, _guard) = server_addr(&m);
+    let tcp = Arc::new(TcpBackend::new(addr));
+    let m = m.with_backends(BackendRegistry::new().with("tcp", tcp.clone()));
+    let workers = 2;
+    let mut attempts = 0;
+    for _ in 0..5 {
+        let run = m
+            .run_concurrent_on(
+                "tcp",
+                &movie_query(),
+                &LinearCost,
+                Strategy::Greedy,
+                StopCondition::unbounded(),
+                RuntimePolicy::parallel(workers),
+            )
+            .unwrap();
+        assert_eq!(run.failed(), 0);
+        assert_eq!(run.runtime.stats.transient_failures, 0);
+        attempts += run.runtime.stats.attempts;
+    }
+    // One socket per access in flight at once, however many runs.
+    let [opened, reused] = tcp.connection_counters().expect("tcp holds connections");
+    let (opened, reused) = (opened.get(), reused.get());
+    assert!(opened >= 1 && opened <= workers as u64, "opened {opened}");
+    assert_eq!(opened + reused, attempts, "every exchange dialed or reused");
+    // The same numbers answer "what is the pool doing" on the board and
+    // in the metric registry.
+    let board = qpo_obs::backends_text(&m.obs().backends);
+    assert!(
+        board.contains(&format!(
+            "tcp kind=tcp epoch={} connections_opened={opened} connections_reused={reused}",
+            tcp.epoch()
+        )),
+        "{board}"
+    );
+    let labels = [("backend", "tcp")];
+    let counter = |name| m.obs().registry.counter_value(name, &labels);
+    assert_eq!(counter("qpo_backend_connections_opened_total"), opened);
+    assert_eq!(counter("qpo_backend_connections_reused_total"), reused);
 }

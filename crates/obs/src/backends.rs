@@ -2,12 +2,13 @@
 //! `/backends` endpoint.
 //!
 //! The mediator publishes one entry per registered source backend —
-//! its label, its kind (`sim` / `store` / `tcp`), and a closure that
-//! samples the backend's current wire/data epoch on demand. The board
-//! lives in `qpo-obs` (which cannot depend on the runtime's backend
-//! traits) precisely because it stores only these three projections;
-//! the epoch closure keeps the endpoint live without the board ever
-//! holding a backend type.
+//! its label, its kind (`sim` / `store` / `tcp`), a closure that samples
+//! the backend's current wire/data epoch on demand, and — for backends
+//! that hold network connections — a second closure sampling their
+//! opened/reused connection tallies. The board lives in `qpo-obs` (which
+//! cannot depend on the runtime's backend traits) precisely because it
+//! stores only these projections; the closures keep the endpoint live
+//! without the board ever holding a backend type.
 //!
 //! [`backends_text`] is the offline renderer; the `/backends` endpoint
 //! serves its bytes verbatim, so a test can diff the two.
@@ -20,10 +21,15 @@ use std::sync::{Arc, Mutex};
 /// listing always shows the current epoch.
 pub type EpochFn = Arc<dyn Fn() -> u64 + Send + Sync>;
 
+/// The connection sampler a networked backend publishes: `(opened,
+/// reused)` at render time.
+pub type ConnectionsFn = Arc<dyn Fn() -> (u64, u64) + Send + Sync>;
+
 struct BackendEntry {
     label: String,
     kind: String,
     epoch: EpochFn,
+    connections: Option<ConnectionsFn>,
 }
 
 /// The live directory of published backends. Cloning shares the
@@ -48,13 +54,21 @@ impl BackendBoard {
     }
 
     /// Publishes (or republishes) a backend under its label. The epoch
-    /// closure is sampled at every render, never stored as a value.
-    pub fn publish(&self, label: &str, kind: &str, epoch: EpochFn) {
+    /// and connection closures (`None` for a backend without
+    /// connections) are sampled at every render, never stored as values.
+    pub fn publish(
+        &self,
+        label: &str,
+        kind: &str,
+        epoch: EpochFn,
+        connections: Option<ConnectionsFn>,
+    ) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let entry = BackendEntry {
             label: label.to_string(),
             kind: kind.to_string(),
             epoch,
+            connections,
         };
         match inner.iter_mut().find(|e| e.label == label) {
             Some(slot) => *slot = entry,
@@ -80,16 +94,25 @@ impl BackendBoard {
 }
 
 /// The `/backends` listing: one `label kind=… epoch=…` line per
-/// published backend, in publication order. The endpoint serves exactly
-/// these bytes.
+/// published backend, in publication order, with
+/// ` connections_opened=… connections_reused=…` appended for backends
+/// that hold connections. The endpoint serves exactly these bytes.
 pub fn backends_text(board: &BackendBoard) -> String {
-    let entries = board.snapshot();
+    let entries = board.inner.lock().unwrap_or_else(|e| e.into_inner());
     if entries.is_empty() {
         return "no backends published\n".to_string();
     }
     let mut out = String::new();
-    for (label, kind, epoch) in entries {
-        let _ = writeln!(out, "{label} kind={kind} epoch={epoch}");
+    for e in entries.iter() {
+        let _ = write!(out, "{} kind={} epoch={}", e.label, e.kind, (e.epoch)());
+        if let Some(sample) = &e.connections {
+            let (opened, reused) = sample();
+            let _ = write!(
+                out,
+                " connections_opened={opened} connections_reused={reused}"
+            );
+        }
+        out.push('\n');
     }
     out
 }
@@ -109,8 +132,9 @@ mod tests {
             "imdb",
             "tcp",
             Arc::new(move || sampled.load(Ordering::SeqCst)),
+            None,
         );
-        board.publish("dblp", "store", Arc::new(|| 0));
+        board.publish("dblp", "store", Arc::new(|| 0), None);
         assert_eq!(
             backends_text(&board),
             "imdb kind=tcp epoch=3\ndblp kind=store epoch=0\n"
@@ -119,11 +143,19 @@ mod tests {
         epoch.store(4, Ordering::SeqCst);
         assert!(backends_text(&board).starts_with("imdb kind=tcp epoch=4\n"));
         // Republishing under the same label replaces in place.
-        board.publish("imdb", "sim", Arc::new(|| 9));
+        board.publish("imdb", "sim", Arc::new(|| 9), None);
         assert_eq!(
             backends_text(&board),
             "imdb kind=sim epoch=9\ndblp kind=store epoch=0\n"
         );
+        // A networked backend's connection tallies render live, too.
+        let reused = Arc::new(AtomicU64::new(0));
+        let sampled = Arc::clone(&reused);
+        let connections: ConnectionsFn = Arc::new(move || (1, sampled.load(Ordering::SeqCst)));
+        board.publish("dblp", "tcp", Arc::new(|| 2), Some(connections));
+        reused.store(5, Ordering::SeqCst);
+        assert!(backends_text(&board)
+            .ends_with("dblp kind=tcp epoch=2 connections_opened=1 connections_reused=5\n"));
         board.clear();
         assert_eq!(backends_text(&board), "no backends published\n");
     }

@@ -280,6 +280,16 @@ impl Registry {
         inner.counters.entry(id).or_default().clone()
     }
 
+    /// Registers an existing counter handle under `(name, labels)`,
+    /// replacing any counter already there: a component that counts
+    /// before (or without) knowing a registry — a source backend's
+    /// connection pool — keeps its own handle and is adopted here.
+    pub fn adopt_counter(&self, name: &str, labels: &[(&str, &str)], counter: &Counter) {
+        let id = MetricId::new(name, labels);
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.counters.insert(id, counter.clone());
+    }
+
     /// Returns the gauge for `(name, labels)`, creating it on first use.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let id = MetricId::new(name, labels);

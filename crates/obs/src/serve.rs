@@ -363,7 +363,8 @@ mod tests {
         assert_eq!(traces, obs.journal.to_jsonl());
         let (_, _, _, sessions) = respond("/sessions", &obs);
         assert_eq!(sessions, obs.sessions.to_json());
-        obs.backends.publish("pi", "sim", std::sync::Arc::new(|| 7));
+        obs.backends
+            .publish("pi", "sim", std::sync::Arc::new(|| 7), None);
         let (_, _, ct, backends) = respond("/backends", &obs);
         assert_eq!(ct, "text/plain; charset=utf-8");
         assert_eq!(backends, backends_text(&obs.backends));

@@ -49,6 +49,7 @@
 use crate::policy::FaultConfig;
 use crate::source::{Access, SourceService};
 use qpo_datalog::Tuple;
+use qpo_obs::Counter;
 use std::fmt;
 use std::sync::Arc;
 
@@ -154,8 +155,11 @@ impl std::error::Error for BackendError {}
 /// and the fault configuration (which only [`SimBackend`] consults).
 #[derive(Debug, Clone, Copy)]
 pub struct AccessContext<'a> {
-    /// Binding pattern of the access (today always
-    /// [`crate::memo::SCAN_PATTERN`]).
+    /// Binding pattern of the access, in the canonical text of
+    /// [`crate::pattern`]: [`crate::pattern::SCAN_PATTERN`], or the
+    /// constants the plan's subgoal fixes. Superset-safe — a backend
+    /// must return every row matching it and may return more (the whole
+    /// relation included), because the join re-applies every constant.
     pub pattern: &'a str,
     /// Process-local identifier of the run performing the access.
     /// Propagated to tracing backends (the TCP backend's wire trace
@@ -219,6 +223,14 @@ pub trait SourceBackend: Send + Sync {
     /// pure backends.
     fn epoch(&self) -> u64 {
         0
+    }
+
+    /// Live `[opened, reused]` connection counters, for backends that
+    /// hold network connections — how many they dialed, and how many
+    /// exchanges rode a kept-alive one. `None` (the default) for backends
+    /// without connections.
+    fn connection_counters(&self) -> Option<[Counter; 2]> {
+        None
     }
 
     /// Performs one access attempt against `svc`. `Ok` carries the

@@ -74,6 +74,19 @@ pub trait PlanEvaluator: Sync {
         let _ = fetched;
         self.evaluate(plan)
     }
+
+    /// The binding pattern ([`crate::pattern`]) the access for `bucket`
+    /// of `plan` goes out under — the constants that subgoal of the plan
+    /// fixes. It is the access's identity everywhere: the backend request,
+    /// the [`SourceMemo`] key, and the rows
+    /// [`PlanEvaluator::evaluate_fetched`] is handed for that bucket are
+    /// all "this source under this pattern". The default scans, which
+    /// keeps every evaluator over a static database — and its memo keys
+    /// and traces — exactly as they were.
+    fn access_pattern(&self, plan: &[usize], bucket: usize) -> &str {
+        let _ = (plan, bucket);
+        SCAN_PATTERN
+    }
 }
 
 /// A hook into the coordinator's deterministic wave loop, called only
@@ -571,7 +584,14 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                 // window, favor plans overlapping the memo. Opt-in, and
                 // never across a strict dominance (gap > ε).
                 if let (Some(memo), Some(eps)) = (&self.memo, self.policy.reuse_epsilon) {
-                    reorder_for_reuse(&mut window, memo, eps);
+                    reorder_for_reuse(&mut window, eps, |plan| {
+                        plan.iter()
+                            .enumerate()
+                            .filter(|&(b, &i)| {
+                                memo.contains(b, i, self.eval.access_pattern(plan, b))
+                            })
+                            .count()
+                    });
                 }
                 let in_flight = window.len();
                 for ordered in window {
@@ -680,7 +700,8 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             .iter()
             .enumerate()
             .map(|(bucket, &index)| {
-                let Some(hit) = memo.lookup(bucket, index, SCAN_PATTERN) else {
+                let pattern = self.eval.access_pattern(&ordered.plan, bucket);
+                let Some(hit) = memo.lookup(bucket, index, pattern) else {
                     metrics.memo_misses.inc();
                     return None;
                 };
@@ -813,7 +834,8 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                 } else {
                     continue;
                 };
-                memo.store(a.bucket, a.index, SCAN_PATTERN, outcome);
+                let pattern = self.eval.access_pattern(&ordered.plan, a.bucket);
+                memo.store(a.bucket, a.index, pattern, outcome);
                 if journal.is_enabled() {
                     journal.record_at(
                         done,
@@ -949,8 +971,15 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                 continue;
             }
             let events = tracing.then_some(&mut trace);
-            let outcome =
-                access_with_retries(self.backend.as_ref(), svc, &self.policy, run, seq, events);
+            let outcome = access_with_retries(
+                self.backend.as_ref(),
+                svc,
+                self.eval.access_pattern(&ordered.plan, bucket),
+                &self.policy,
+                run,
+                seq,
+                events,
+            );
             accesses.push(outcome.access);
             fetched.push(outcome.tuples);
             backend_errors[0] += outcome.backend_errors[0];
@@ -1017,17 +1046,11 @@ fn replay_access(svc: &SourceService, hit: MemoHit) -> SourceAccess {
 
 /// Reorders one speculation window for memo overlap. Groups are maximal
 /// descending-utility prefixes whose members lie within `eps` of the
-/// group's best utility; inside a group, plans touching more memoized
-/// sources come first (stable, so exact ties keep the orderer's
-/// emission order). Group boundaries — strict dominances — are never
-/// crossed.
-fn reorder_for_reuse(window: &mut [OrderedPlan], memo: &SourceMemo, eps: f64) {
-    let overlap = |plan: &[usize]| {
-        plan.iter()
-            .enumerate()
-            .filter(|&(b, &i)| memo.contains(b, i, SCAN_PATTERN))
-            .count()
-    };
+/// group's best utility; inside a group, plans with a larger `overlap` —
+/// the number of their accesses the memo already holds — come first
+/// (stable, so exact ties keep the orderer's emission order). Group
+/// boundaries — strict dominances — are never crossed.
+fn reorder_for_reuse(window: &mut [OrderedPlan], eps: f64, overlap: impl Fn(&[usize]) -> usize) {
     let mut start = 0;
     while start < window.len() {
         let best = window[start].utility;
@@ -1072,8 +1095,8 @@ struct ResolvedAccess {
     backend_errors: [u64; 2],
 }
 
-/// Accesses one source through `backend` with the policy's retry
-/// discipline, accumulating backoffs and attempt latencies into one
+/// Accesses one source under `pattern` through `backend` with the
+/// policy's retry discipline, accumulating backoffs and attempt latencies into one
 /// virtual-time charge. When `events` is given, every resolved attempt is
 /// appended with its plan-relative virtual-time offset and outcome
 /// (`ok`/`timeout`/`transient`/`permanent`); attempts behind a typed
@@ -1084,6 +1107,7 @@ struct ResolvedAccess {
 fn access_with_retries(
     backend: &dyn SourceBackend,
     svc: &SourceService,
+    pattern: &str,
     policy: &RuntimePolicy,
     run: u64,
     seq: u64,
@@ -1135,7 +1159,7 @@ fn access_with_retries(
         let backoff = retry.backoff_before(attempt);
         latency += backoff;
         let ctx = AccessContext {
-            pattern: SCAN_PATTERN,
+            pattern,
             run,
             plan_seq: seq,
             attempt,
@@ -1633,7 +1657,13 @@ mod tests {
             mk(vec![2, 0], -1.08), // half overlap, near-tied with the head
             mk(vec![1, 1], -5.0),  // strictly dominated: must stay last
         ];
-        reorder_for_reuse(&mut window, &memo, 0.1);
+        let overlap = |plan: &[usize]| {
+            plan.iter()
+                .enumerate()
+                .filter(|&(b, &i)| memo.contains(b, i, SCAN_PATTERN))
+                .count()
+        };
+        reorder_for_reuse(&mut window, 0.1, overlap);
         let plans: Vec<_> = window.iter().map(|p| p.plan.clone()).collect();
         assert_eq!(
             plans,
@@ -1642,7 +1672,7 @@ mod tests {
         );
         // Without a tie, order is untouched.
         let mut window = vec![mk(vec![0, 0], -1.0), mk(vec![2, 1], -2.0)];
-        reorder_for_reuse(&mut window, &memo, 0.1);
+        reorder_for_reuse(&mut window, 0.1, overlap);
         assert_eq!(window[0].plan, vec![0, 0]);
     }
 
@@ -1669,13 +1699,21 @@ mod tests {
         // jittered draws exceed it; over many sequences some access must
         // record a timeout-induced retry.
         let timed_out = (0..50).any(|seq| {
-            let a = access_with_retries(&SimBackend, svc, &policy, 0, seq, None);
+            let a = access_with_retries(&SimBackend, svc, SCAN_PATTERN, &policy, 0, seq, None);
             a.access.transient_failures > 0
         });
         assert!(timed_out);
         // And an infinite timeout on a reliable source never retries.
         let policy = RuntimePolicy::serial().with_faults(FaultConfig::with_seed(4));
-        let a = access_with_retries(&SimBackend, grid.service(0, 2), &policy, 0, 0, None);
+        let a = access_with_retries(
+            &SimBackend,
+            grid.service(0, 2),
+            SCAN_PATTERN,
+            &policy,
+            0,
+            0,
+            None,
+        );
         assert_eq!((a.access.attempts, a.access.ok), (1, true));
         assert!(a.tuples.is_none(), "the simulator serves no data");
         assert_eq!(a.backend_errors, [0, 0]);
@@ -1731,7 +1769,15 @@ mod tests {
             down: None,
         };
         let mut events = Vec::new();
-        let a = access_with_retries(&backend, svc, &policy, 0, 0, Some(&mut events));
+        let a = access_with_retries(
+            &backend,
+            svc,
+            SCAN_PATTERN,
+            &policy,
+            0,
+            0,
+            Some(&mut events),
+        );
         assert!(a.access.ok, "third attempt succeeds");
         assert_eq!(a.access.attempts, 3);
         assert_eq!(a.access.transient_failures, 2);

@@ -43,6 +43,7 @@ pub mod executor;
 pub mod feedback;
 pub mod memo;
 pub mod net;
+pub mod pattern;
 pub mod policy;
 pub mod source;
 pub mod store;
@@ -57,11 +58,12 @@ pub use executor::{
     RuntimeRun, SourceAccess, WaveObserver,
 };
 pub use feedback::{declare_sources, observe_divergence, outcome_of, SourceHealth, SourceRecord};
-pub use memo::{MemoHit, MemoOutcome, SourceMemo, SCAN_PATTERN};
+pub use memo::{MemoHit, MemoOutcome, SourceMemo};
 pub use net::{
     fetch_server_trace, MemProvider, RelationProvider, ServerJournal, ServerSpanEntry,
     SourceServer, TcpBackend,
 };
+pub use pattern::{BindingPattern, SCAN_PATTERN};
 pub use policy::{FaultConfig, RetryPolicy, RuntimePolicy};
 pub use source::{Access, AccessOutcome, SourceGrid, SourceService};
 pub use store::StoreBackend;

@@ -46,11 +46,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// The binding pattern of a full extension scan — the only access mode
-/// the wave executor performs today. The key slot exists so bound-access
-/// memoization (per the paper's binding-pattern source descriptions) can
-/// share the same memo.
-pub const SCAN_PATTERN: &str = "scan";
+pub use crate::pattern::SCAN_PATTERN;
 
 /// A terminal access outcome worth remembering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,18 +12,51 @@
 //! `UNKNOWN_SOURCE` response is permanent: the server is healthy and
 //! simply does not host the relation.
 //!
-//! The server is deliberately minimal — serial accept loop, bounded
-//! frame reads, one thread — mirroring the `qpo-obs` introspection
-//! server's shutdown idiom (an atomic flag plus a throwaway wake-up
-//! connection, so `stop()` never blocks on `accept`).
+//! ## Connections
+//!
+//! Connections are persistent on both ends. [`TcpBackend`] keeps idle
+//! sockets in a take-or-connect pool shared across its clones: an access
+//! takes the most recently used idle socket (or dials), and hands it back
+//! only after a well-formed `Rows`/`UnknownSource` response — the proof
+//! that the stream is still frame-aligned and the server still willing.
+//! The server closes a connection it has not heard from for
+//! `SERVER_IO_TIMEOUT`, so a pooled socket going stale is normal
+//! operation, not a failure: an I/O error on a *reused* socket is retried
+//! once on a fresh one inside the same attempt (reads are idempotent);
+//! only an error on a fresh socket is the transient [`BackendError`]. The
+//! pool never holds more than one idle socket per access that was in
+//! flight at once. Both ends set `TCP_NODELAY` and write each frame in
+//! one piece ([`wire::write_frame`]).
+//!
+//! [`SourceServer`] accepts on one thread and serves each connection on
+//! its own, so a client that connects and goes silent occupies only its
+//! own thread until the idle timeout; a connection thread that ends
+//! (idle-out, hang-up, malformed frame) shuts its socket down, so the
+//! client's pooled socket fails fast instead of looking alive. `stop()`
+//! (and `Drop`) follows the `qpo-obs` introspection server's idiom — an
+//! atomic flag plus a throwaway wake-up connection, so it never blocks on
+//! `accept` — and then shuts down every live connection and joins its
+//! thread: a keep-alive client must see a stopped server as dead.
+//!
+//! ## Pushdown
+//!
+//! A request's binding pattern ([`crate::pattern`]) names the constants
+//! the plan's subgoal carries; [`respond`] filters the provider's shared
+//! relation by it and encodes the matching rows in place. The contract
+//! is superset-safe (every matching row, possibly more), so a legacy
+//! server — which reads every pattern as a scan — stays correct.
 //!
 //! ## Distributed tracing
 //!
 //! Requests from a tracing client carry a [`wire::TraceContext`]
 //! extension block (run / plan / source / attempt); the server times each
-//! request's receive→parse, provider lookup, and row-encode phases,
-//! journals them in a bounded in-process [`ServerJournal`] (dumped over
-//! the wire by [`wire::OP_TRACE`] or `qpo-source-server --metrics`), and
+//! request's receive→parse, provider lookup, and row-encode phases
+//! (the receive clock starts when the frame's length prefix has arrived —
+//! on a kept-alive connection the time before that is the client's idle
+//! time, not the server's work, and counting it would inflate the span
+//! past the latency the client measured), journals them in a bounded
+//! in-process [`ServerJournal`] (dumped over the wire by
+//! [`wire::OP_TRACE`] or `qpo-source-server --metrics`), and
 //! — only when the request carried a context — appends a
 //! [`wire::ServerSpan`] extension to the response. [`TcpBackend`] decodes
 //! that block into a virtual-unit [`RemoteSpan`] on the [`AccessReply`],
@@ -31,17 +64,20 @@
 //! Interop is two-sided: a legacy client's requests get byte-identical
 //! legacy responses, and a legacy (strict) server's "trailing bytes"
 //! rejection makes the client latch into legacy mode and resend the
-//! attempt plain — degrading to single-span client-side attribution.
+//! attempt plain — on another connection, since the strict server drops
+//! the one that carried the malformed request — degrading to single-span
+//! client-side attribution.
 
 use crate::backend::{AccessContext, AccessReply, BackendError, RemoteSpan, SourceBackend};
+use crate::pattern::{BindingPattern, SCAN_PATTERN};
 use crate::source::{Access, AccessOutcome, SourceService};
 use crate::store::StoreBackend;
 use crate::wire::{self, Request, Response};
 use qpo_datalog::Tuple;
+use qpo_obs::Counter;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -109,7 +145,8 @@ impl RelationProvider for MemProvider {
     }
 }
 
-/// Per-connection I/O timeout on the server side.
+/// Per-connection I/O timeout on the server side — also how long an idle
+/// kept-alive connection stays open.
 const SERVER_IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Bound on the server's in-process span journal (drop-oldest ring).
@@ -184,7 +221,15 @@ impl ServerJournal {
             let _ = write!(
                 out,
                 "seq={} source={} pattern={} recv={:.9} lookup={:.9} encode={:.9} total={:.9}",
-                e.request_seq, e.source, e.pattern, e.recv_parse, e.lookup, e.encode, e.total
+                e.request_seq,
+                e.source,
+                // A bound string constant may hold anything, newlines
+                // included; the dump stays one line per span.
+                e.pattern.escape_debug(),
+                e.recv_parse,
+                e.lookup,
+                e.encode,
+                e.total
             );
             match &e.ctx {
                 Some(c) => {
@@ -201,27 +246,36 @@ impl ServerJournal {
     }
 }
 
-/// A running loopback source server. Dropping it stops the accept loop.
+/// A running loopback source server. Dropping it stops the accept loop
+/// and every live connection.
 pub struct SourceServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
-    requests: Arc<AtomicU64>,
-    journal: Arc<ServerJournal>,
+    serving: Arc<Serving>,
+}
+
+/// What every connection thread of one server shares.
+struct Serving {
+    provider: Arc<dyn RelationProvider>,
+    requests: AtomicU64,
+    journal: ServerJournal,
+    legacy: bool,
 }
 
 impl SourceServer {
     /// Binds `127.0.0.1:port` (`port` 0 picks a free one) and serves
-    /// `provider` on a background thread.
+    /// `provider` on background threads: one accepting, one per live
+    /// connection.
     pub fn serve(provider: Arc<dyn RelationProvider>, port: u16) -> std::io::Result<SourceServer> {
         SourceServer::serve_mode(provider, port, false)
     }
 
     /// [`SourceServer::serve`] in *legacy* mode: requests are decoded
     /// with the strict pre-extension decoder (so trace contexts are
-    /// rejected as trailing bytes, exactly like a server predating the
-    /// span extension) and responses never carry span blocks. Exists for
-    /// the interop differential suites.
+    /// rejected as trailing bytes, and every binding pattern reads as a
+    /// scan, exactly like a server predating both) and responses never
+    /// carry span blocks. Exists for the interop differential suites.
     pub fn serve_legacy(
         provider: Arc<dyn RelationProvider>,
         port: u16,
@@ -237,33 +291,22 @@ impl SourceServer {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let requests = Arc::new(AtomicU64::new(0));
-        let journal = Arc::new(ServerJournal::default());
+        let serving = Arc::new(Serving {
+            provider,
+            requests: AtomicU64::new(0),
+            journal: ServerJournal::default(),
+            legacy,
+        });
         let flag = Arc::clone(&shutdown);
-        let served = Arc::clone(&requests);
-        let spans = Arc::clone(&journal);
+        let shared = Arc::clone(&serving);
         let handle = std::thread::Builder::new()
             .name("qpo-source-server".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = conn {
-                        // Serial service keeps the server trivially
-                        // correct; the executor's parallelism comes from
-                        // its own worker lanes, not the source.
-                        let _ =
-                            handle_connection(stream, provider.as_ref(), &served, &spans, legacy);
-                    }
-                }
-            })?;
+            .spawn(move || accept_loop(listener, &flag, &shared))?;
         Ok(SourceServer {
             addr,
             shutdown,
             handle: Some(handle),
-            requests,
-            journal,
+            serving,
         })
     }
 
@@ -274,25 +317,24 @@ impl SourceServer {
 
     /// Requests answered so far.
     pub fn requests_served(&self) -> u64 {
-        self.requests.load(Ordering::SeqCst)
+        self.serving.requests.load(Ordering::SeqCst)
     }
 
     /// The server's bounded span journal.
     pub fn journal(&self) -> &ServerJournal {
-        &self.journal
+        &self.serving.journal
     }
 
-    /// Stops the accept loop and joins the server thread. Idempotent.
+    /// Stops accepting, shuts down every live connection, and joins all
+    /// server threads. Idempotent.
     pub fn stop(&mut self) {
-        if self.handle.is_none() {
+        let Some(handle) = self.handle.take() else {
             return;
-        }
+        };
         self.shutdown.store(true, Ordering::SeqCst);
         // Unblock `accept` with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        let _ = handle.join();
     }
 }
 
@@ -302,44 +344,97 @@ impl Drop for SourceServer {
     }
 }
 
+/// Accepts until `shutdown` is raised, serving each connection on its
+/// own thread; on the way out closes the listener, shuts down every
+/// connection still open (a blocked read returns at once) and joins its
+/// thread, so joining this thread joins the whole server.
+///
+/// A connection thread that ends on its own — idle-out, peer hang-up,
+/// malformed frame — shuts its socket down itself: the handle kept in
+/// `live` is a second descriptor on the same socket, so merely dropping
+/// the thread's would send no FIN and a client's pooled socket would look
+/// alive until its read timed out.
+fn accept_loop(listener: TcpListener, shutdown: &AtomicBool, serving: &Arc<Serving>) {
+    // Each live connection: a handle on its socket to shut it down with,
+    // and its serving thread.
+    let mut live: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    for conn in listener.incoming() {
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        // Forget connections that ended on their own, so a long-lived
+        // server holds handles only for the ones still open.
+        live.retain(|(_, thread)| !thread.is_finished());
+        let Ok(mut stream) = conn else { continue };
+        let Ok(peer) = stream.try_clone() else {
+            continue;
+        };
+        let serving = Arc::clone(serving);
+        let spawned = std::thread::Builder::new()
+            .name("qpo-source-conn".into())
+            .spawn(move || {
+                let _ = handle_connection(&mut stream, &serving);
+                let _ = stream.shutdown(Shutdown::Both);
+            });
+        // A refused spawn drops the stream: that client sees a reset,
+        // which is a transient failure on its side.
+        if let Ok(thread) = spawned {
+            live.push((peer, thread));
+        }
+    }
+    drop(listener);
+    for (peer, thread) in live {
+        let _ = peer.shutdown(Shutdown::Both);
+        let _ = thread.join();
+    }
+}
+
 /// Serves one connection: any number of request frames until the peer
 /// closes, a frame is malformed, or a timeout fires. A malformed frame
 /// gets a transient-error response (best effort) and the connection is
 /// dropped — after garbage, frame alignment cannot be trusted.
 ///
-/// Each scan is phase-timed — receive→parse, provider lookup, row
-/// encode — and journalled; a request that carried a trace context gets
-/// the span appended to its response (never in `legacy` mode, which
-/// also decodes strictly, rejecting extended requests as trailing
-/// bytes). A one-byte [`wire::OP_TRACE`] payload dumps the journal as a
-/// raw text frame.
-fn handle_connection(
-    mut stream: TcpStream,
-    provider: &dyn RelationProvider,
-    served: &AtomicU64,
-    journal: &ServerJournal,
-    legacy: bool,
-) -> std::io::Result<()> {
+/// Each access is phase-timed — receive→parse (from the arrival of the
+/// frame's length prefix), provider lookup, row filter + encode — and
+/// journalled; a request that carried a trace context gets the span
+/// appended to its response (never in `legacy` mode, which also decodes
+/// strictly: extended requests are rejected as trailing bytes and every
+/// pattern reads as a scan). A one-byte [`wire::OP_TRACE`] payload dumps
+/// the journal as a raw text frame.
+fn handle_connection(stream: &mut TcpStream, serving: &Serving) -> std::io::Result<()> {
+    let Serving {
+        provider,
+        requests,
+        journal,
+        legacy,
+    } = serving;
+    let legacy = *legacy;
     stream.set_read_timeout(Some(SERVER_IO_TIMEOUT))?;
     stream.set_write_timeout(Some(SERVER_IO_TIMEOUT))?;
+    stream.set_nodelay(true)?;
+    let invalid = |e: wire::WireError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
     loop {
-        // The receive phase starts when the server is ready for the next
-        // frame: on a fresh connection (the tracing client's shape) this
-        // is transit + read + parse of the request.
+        // Waiting for the next frame's length prefix is the *client's*
+        // idle time on a kept-alive connection; the receive phase starts
+        // once it has arrived.
+        let Ok(len) = wire::read_frame_len(stream) else {
+            return Ok(()); // peer closed or idled out
+        };
         let start = Instant::now();
-        let payload = match wire::read_frame(&mut stream) {
-            Ok(p) => p,
-            Err(_) => return Ok(()), // peer closed, timed out, or hostile length
+        let Ok(payload) = wire::read_frame_payload(stream, len) else {
+            return Ok(()); // hostile length, truncated frame, or timeout
         };
         if !legacy && payload == [wire::OP_TRACE] {
             // Journal dump: one raw UTF-8 text frame, not a Response.
-            // Not counted as a served scan and not journalled itself.
-            wire::write_frame(&mut stream, journal.render_text().as_bytes())?;
-            stream.flush()?;
+            // Not counted as a served access and not journalled itself.
+            wire::write_frame(stream, journal.render_text().as_bytes())?;
             continue;
         }
         let decoded = if legacy {
-            wire::decode_request(&payload).map(|req| (req, None))
+            wire::decode_request(&payload).map(|mut req| {
+                req.pattern = SCAN_PATTERN.to_string();
+                (req, None)
+            })
         } else {
             wire::decode_request_ext(&payload)
         };
@@ -348,18 +443,21 @@ fn handle_connection(
             Err(e) => {
                 let resp = Response::Error(format!("malformed request: {e}"));
                 if let Ok(bytes) = wire::encode_response(&resp, provider.epoch()) {
-                    let _ = wire::write_frame(&mut stream, &bytes);
+                    let _ = wire::write_frame(stream, &bytes);
                 }
                 return Ok(());
             }
         };
         let recv_parse = start.elapsed().as_secs_f64();
-        let response = respond(&req, provider);
+        let relation = provider.relation(&req.source);
         let lookup = start.elapsed().as_secs_f64() - recv_parse;
-        served.fetch_add(1, Ordering::SeqCst);
-        let request_seq = served.load(Ordering::SeqCst);
-        let mut bytes = wire::encode_response(&response, provider.epoch())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let request_seq = requests.fetch_add(1, Ordering::SeqCst) + 1;
+        let mut bytes = respond(
+            &req,
+            relation.as_deref().map(Vec::as_slice),
+            provider.epoch(),
+        )
+        .map_err(invalid)?;
         let encode = start.elapsed().as_secs_f64() - recv_parse - lookup;
         // Clamp by construction: measured total can never undercut the
         // phase sum, so decoded spans always attribute soundly.
@@ -376,9 +474,7 @@ fn handle_connection(
                     total,
                     request_seq,
                 };
-                wire::append_server_span(&mut bytes, &span).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
+                wire::append_server_span(&mut bytes, &span).map_err(invalid)?;
             }
             journal.push(ServerSpanEntry {
                 request_seq,
@@ -391,8 +487,7 @@ fn handle_connection(
                 total,
             });
         }
-        wire::write_frame(&mut stream, &bytes)?;
-        stream.flush()?;
+        wire::write_frame(stream, &bytes)?;
     }
 }
 
@@ -405,19 +500,48 @@ pub fn fetch_server_trace(addr: &str, timeout: Duration) -> std::io::Result<Stri
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     wire::write_frame(&mut stream, &[wire::OP_TRACE])?;
-    stream.flush()?;
     let payload = wire::read_frame(&mut stream)?;
     String::from_utf8(payload).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidData, "trace dump is not UTF-8")
     })
 }
 
-/// Pure request → response mapping, split out so protocol tests can run
-/// without sockets (the `qpo-obs::serve` pattern).
-pub fn respond(req: &Request, provider: &dyn RelationProvider) -> Response {
-    match provider.relation(&req.source) {
-        Some(rows) => Response::Rows(rows.as_ref().clone()),
-        None => Response::UnknownSource(format!("source `{}` not hosted here", req.source)),
+/// Pure (request, looked-up relation) → response-payload mapping, split
+/// out so protocol tests can run without sockets (the `qpo-obs::serve`
+/// pattern). A hosted relation is filtered by the request's binding
+/// pattern and the matching rows are encoded straight from the
+/// provider's shared slice — no row is cloned; `None` (not hosted) is the
+/// permanent `UNKNOWN_SOURCE` response.
+pub fn respond(
+    req: &Request,
+    relation: Option<&[Tuple]>,
+    epoch: u64,
+) -> Result<Vec<u8>, wire::WireError> {
+    match relation {
+        Some(rows) => {
+            let pattern = BindingPattern::parse(&req.pattern);
+            wire::encode_rows(rows.iter().filter(|row| pattern.matches(row)), epoch)
+        }
+        None => {
+            let msg = format!("source `{}` not hosted here", req.source);
+            wire::encode_response(&Response::UnknownSource(msg), epoch)
+        }
+    }
+}
+
+/// Idle connections of one [`TcpBackend`] (and its clones), plus the
+/// opened-vs-reused tally.
+#[derive(Debug, Default)]
+struct ConnectionPool {
+    idle: Mutex<Vec<TcpStream>>,
+    opened: Counter,
+    reused: Counter,
+}
+
+impl ConnectionPool {
+    fn idle(&self) -> std::sync::MutexGuard<'_, Vec<TcpStream>> {
+        // Poison recovery: the critical sections are a push and a pop.
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -438,6 +562,8 @@ pub struct TcpBackend {
     /// trace-context extension as trailing bytes — a strict legacy
     /// server. Subsequent requests go out plain.
     server_is_legacy: Arc<AtomicBool>,
+    /// Kept-alive connections, shared across clones.
+    pool: Arc<ConnectionPool>,
 }
 
 impl TcpBackend {
@@ -451,6 +577,7 @@ impl TcpBackend {
             seen_epoch: Arc::new(AtomicU64::new(0)),
             trace: true,
             server_is_legacy: Arc::new(AtomicBool::new(false)),
+            pool: Arc::new(ConnectionPool::default()),
         }
     }
 
@@ -487,18 +614,8 @@ impl TcpBackend {
         self.server_is_legacy.load(Ordering::SeqCst)
     }
 
-    /// One full request/response exchange on a fresh connection. Folds
-    /// the response header's epoch into the high-water mark before
-    /// returning, so even error responses advance the observed version.
-    /// A strict legacy server rejecting `ctx` as trailing bytes latches
-    /// the legacy flag and resends the request plain within the same
-    /// attempt (the extra round-trip is charged to it).
-    fn exchange(
-        &self,
-        source: &str,
-        pattern: &str,
-        ctx: Option<&wire::TraceContext>,
-    ) -> Result<(Response, Option<wire::ServerSpan>), BackendError> {
+    /// Dials the server and configures the socket.
+    fn connect(&self) -> Result<TcpStream, BackendError> {
         let addr = self
             .addr
             .to_socket_addrs()
@@ -507,12 +624,56 @@ impl TcpBackend {
             .ok_or_else(|| {
                 BackendError::permanent(format!("`{}` resolves to nothing", self.addr))
             })?;
-        let mut stream = TcpStream::connect_timeout(&addr, self.io_timeout)
+        let stream = TcpStream::connect_timeout(&addr, self.io_timeout)
             .map_err(|e| BackendError::from_io(&e, "connect"))?;
         stream
             .set_read_timeout(Some(self.io_timeout))
             .and_then(|()| stream.set_write_timeout(Some(self.io_timeout)))
+            .and_then(|()| stream.set_nodelay(true))
             .map_err(|e| BackendError::from_io(&e, "configure socket"))?;
+        self.pool.opened.inc();
+        Ok(stream)
+    }
+
+    /// Sends one request frame and reads one response frame, on a pooled
+    /// connection when one is idle. The stream comes back with the
+    /// payload; the caller pools it once the payload proves well-formed.
+    fn round_trip(&self, request: &[u8]) -> Result<(Vec<u8>, TcpStream), BackendError> {
+        fn send_recv(stream: &mut TcpStream, request: &[u8]) -> Result<Vec<u8>, BackendError> {
+            wire::write_frame(stream, request)
+                .map_err(|e| BackendError::from_io(&e, "send request"))?;
+            wire::read_frame(stream).map_err(|e| BackendError::from_io(&e, "read response"))
+        }
+        let pooled = self.pool.idle().pop();
+        if let Some(mut stream) = pooled {
+            // A stale pooled socket (the server idled it out, or went
+            // away) is not a failed attempt: fall through and redo the
+            // exchange once on a fresh connection — reads are idempotent.
+            if let Ok(payload) = send_recv(&mut stream, request) {
+                self.pool.reused.inc();
+                return Ok((payload, stream));
+            }
+        }
+        let mut stream = self.connect()?;
+        let payload = send_recv(&mut stream, request)?;
+        Ok((payload, stream))
+    }
+
+    /// One full request/response exchange. Folds the response header's
+    /// epoch into the high-water mark before returning, so even error
+    /// responses advance the observed version. The connection returns to
+    /// the pool only after a well-formed `Rows`/`UnknownSource` response;
+    /// the server drops a connection it answered with `Error`. A strict
+    /// legacy server rejecting `ctx` as trailing bytes latches the legacy
+    /// flag and resends the request plain within the same attempt (the
+    /// extra round-trip is charged to it) — never on the rejected
+    /// connection, which was not pooled.
+    fn exchange(
+        &self,
+        source: &str,
+        pattern: &str,
+        ctx: Option<&wire::TraceContext>,
+    ) -> Result<(Response, Option<wire::ServerSpan>), BackendError> {
         let request = wire::encode_request_with(
             &Request {
                 source: source.to_string(),
@@ -521,16 +682,14 @@ impl TcpBackend {
             ctx,
         )
         .map_err(|e| BackendError::permanent(format!("encode request: {e}")))?;
-        wire::write_frame(&mut stream, &request)
-            .map_err(|e| BackendError::from_io(&e, "send request"))?;
-        let payload = wire::read_frame(&mut stream)
-            .map_err(|e| BackendError::from_io(&e, "read response"))?;
+        let (payload, stream) = self.round_trip(&request)?;
         let (resp, epoch, span) = wire::decode_response_ext(&payload)
             .map_err(|e| BackendError::transient(format!("malformed response: {e}")))?;
         self.seen_epoch.fetch_max(epoch, Ordering::SeqCst);
-        if ctx.is_some() {
-            if let Response::Error(msg) = &resp {
-                if msg.contains("trailing bytes") {
+        match &resp {
+            Response::Rows(_) | Response::UnknownSource(_) => self.pool.idle().push(stream),
+            Response::Error(msg) => {
+                if ctx.is_some() && msg.contains("trailing bytes") {
                     // A strict pre-extension server: downgrade for good
                     // and redo this attempt without the context.
                     self.server_is_legacy.store(true, Ordering::SeqCst);
@@ -569,6 +728,10 @@ impl SourceBackend for TcpBackend {
         self.seen_epoch.load(Ordering::SeqCst)
     }
 
+    fn connection_counters(&self) -> Option<[Counter; 2]> {
+        Some([self.pool.opened.clone(), self.pool.reused.clone()])
+    }
+
     fn access(
         &self,
         svc: &SourceService,
@@ -580,8 +743,15 @@ impl SourceBackend for TcpBackend {
             source: svc.name.to_string(),
             attempt: ctx.attempt,
         });
+        // A wire string holds at most `u16::MAX` bytes; a pattern past
+        // that (one huge constant) goes out as a scan — superset-safe.
+        let pattern = if ctx.pattern.len() > usize::from(u16::MAX) {
+            SCAN_PATTERN
+        } else {
+            ctx.pattern
+        };
         let start = Instant::now();
-        let result = self.exchange(svc.name.as_ref(), ctx.pattern, trace_ctx.as_ref());
+        let result = self.exchange(svc.name.as_ref(), pattern, trace_ctx.as_ref());
         let latency = start.elapsed().as_secs_f64() * self.latency_unit;
         match result {
             Ok((Response::Rows(rows), span)) => {
@@ -625,6 +795,7 @@ mod tests {
     use crate::source::SourceGrid;
     use qpo_catalog::{Extent, ProblemInstance, SourceStats};
     use qpo_datalog::Constant;
+    use std::io::Write;
 
     fn rows(items: &[i64]) -> Vec<Tuple> {
         items.iter().map(|&i| vec![Constant::Int(i)]).collect()
@@ -655,6 +826,12 @@ mod tests {
         SourceGrid::from_instance(&inst)
     }
 
+    /// `(opened, reused)` of the backend's pool.
+    fn connections(backend: &TcpBackend) -> (u64, u64) {
+        let [opened, reused] = backend.connection_counters().expect("tcp has connections");
+        (opened.get(), reused.get())
+    }
+
     fn ctx(faults: &FaultConfig) -> AccessContext<'_> {
         AccessContext {
             pattern: SCAN_PATTERN,
@@ -666,19 +843,36 @@ mod tests {
     }
 
     #[test]
-    fn respond_maps_hosted_and_unknown_sources() {
-        let p = provider();
-        let req = |source: &str| Request {
-            source: source.into(),
-            pattern: "scan".into(),
+    fn respond_filters_by_pattern_and_maps_unknown_sources() {
+        let hosted = rows(&[1, 2, 3]);
+        let answer = |pattern: &str, relation: Option<&[Tuple]>| {
+            let req = Request {
+                source: "v1".into(),
+                pattern: pattern.into(),
+            };
+            let bytes = respond(&req, relation, 7).unwrap();
+            wire::decode_response(&bytes).unwrap()
         };
         assert_eq!(
-            respond(&req("v1"), p.as_ref()),
-            Response::Rows(rows(&[1, 2, 3]))
+            answer("scan", Some(&hosted)),
+            (Response::Rows(rows(&[1, 2, 3])), 7)
+        );
+        assert_eq!(
+            answer("bind;0=i2", Some(&hosted)),
+            (Response::Rows(rows(&[2])), 7)
+        );
+        assert_eq!(
+            answer("bind;0=i9", Some(&hosted)),
+            (Response::Rows(Vec::new()), 7)
+        );
+        // Unparseable text is a scan: a superset, never an error.
+        assert_eq!(
+            answer("bind;0=", Some(&hosted)),
+            (Response::Rows(rows(&[1, 2, 3])), 7)
         );
         assert!(matches!(
-            respond(&req("nope"), p.as_ref()),
-            Response::UnknownSource(_)
+            answer("scan", None),
+            (Response::UnknownSource(msg), 7) if msg.contains("v1")
         ));
     }
 
@@ -821,7 +1015,101 @@ mod tests {
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].source, "v1");
         assert_eq!(entries[0].ctx.as_ref().map(|c| c.attempt), Some(0));
+        // A second access rides the kept-alive connection after a pause.
+        // The pause is the client's idle time: the server's receive clock
+        // starts at the next frame's length prefix, so the span neither
+        // contains it nor outgrows the latency the client charges.
+        let pause = Duration::from_millis(50);
+        std::thread::sleep(pause);
+        let reply = backend.access(grid.service(0, 0), &ctx(&faults)).unwrap();
+        assert_eq!(connections(&backend), (1, 1), "second access reused");
+        let remote = reply.remote.expect("span on the reused connection");
+        assert!(remote.total <= reply.access.latency, "{remote:?}");
+        let pause_units = pause.as_secs_f64() * 1000.0;
+        assert!(remote.recv_parse < pause_units / 2.0, "{remote:?}");
         server.stop();
+    }
+
+    #[test]
+    fn sequential_accesses_share_one_connection_across_clones() {
+        let mut server = SourceServer::serve(provider(), 0).unwrap();
+        let backend = TcpBackend::new(server.addr().to_string());
+        let grid = grid();
+        let faults = FaultConfig::disabled();
+        for i in 0..6 {
+            let b = backend.clone();
+            b.access(grid.service(0, i % 2), &ctx(&faults)).unwrap();
+            // UNKNOWN_SOURCE is a well-formed answer: the socket is kept.
+            b.access(grid.service(0, 2), &ctx(&faults)).unwrap_err();
+        }
+        assert_eq!(connections(&backend), (1, 11));
+        server.stop();
+    }
+
+    #[test]
+    fn the_real_server_idling_a_pooled_socket_out_costs_no_stall() {
+        let mut server = SourceServer::serve(provider(), 0).unwrap();
+        let backend = TcpBackend::new(server.addr().to_string());
+        let grid = grid();
+        let faults = FaultConfig::disabled();
+        backend.access(grid.service(0, 0), &ctx(&faults)).unwrap();
+        // The connection thread idles out and must send a FIN on its way:
+        // the pooled socket then fails fast instead of swallowing the
+        // request and blocking the read for the client's whole timeout.
+        std::thread::sleep(SERVER_IO_TIMEOUT + Duration::from_millis(300));
+        let start = Instant::now();
+        let reply = backend
+            .access(grid.service(0, 0), &ctx(&faults))
+            .expect("an idled-out socket is not a failed attempt");
+        assert!(
+            start.elapsed() < backend.io_timeout / 4,
+            "redialed at once, not after a read timeout: {:?}",
+            start.elapsed()
+        );
+        assert_eq!(reply.tuples.unwrap().as_ref(), &rows(&[1, 2, 3]));
+        assert_eq!(
+            connections(&backend),
+            (2, 0),
+            "redialed once; the stale reuse served nothing"
+        );
+        server.stop();
+    }
+
+    #[test]
+    fn a_silent_client_does_not_delay_another() {
+        let mut server = SourceServer::serve(provider(), 0).unwrap();
+        // Slow loris: connects, sends nothing, holds the connection.
+        let silent = TcpStream::connect(server.addr()).unwrap();
+        let backend = TcpBackend::new(server.addr().to_string());
+        let grid = grid();
+        let faults = FaultConfig::disabled();
+        let start = Instant::now();
+        backend.access(grid.service(0, 0), &ctx(&faults)).unwrap();
+        assert!(
+            start.elapsed() < SERVER_IO_TIMEOUT / 2,
+            "served while the silent client still holds its connection"
+        );
+        drop(silent);
+        server.stop();
+    }
+
+    #[test]
+    fn stop_kills_kept_alive_connections_promptly() {
+        let mut server = SourceServer::serve(provider(), 0).unwrap();
+        let backend =
+            TcpBackend::new(server.addr().to_string()).with_io_timeout(Duration::from_millis(500));
+        let grid = grid();
+        let faults = FaultConfig::disabled();
+        backend.access(grid.service(0, 0), &ctx(&faults)).unwrap();
+        // One idle connection is pooled client-side and open server-side;
+        // stop() must not wait out its idle timeout.
+        let start = Instant::now();
+        server.stop();
+        assert!(start.elapsed() < SERVER_IO_TIMEOUT / 2, "stop() is prompt");
+        let err = backend
+            .access(grid.service(0, 0), &ctx(&faults))
+            .unwrap_err();
+        assert_eq!(err.class, BackendErrorClass::Transient, "{}", err.message);
     }
 
     #[test]

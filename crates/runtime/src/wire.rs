@@ -4,13 +4,19 @@
 //! Deliberately tiny — one request shape, one response shape — so the
 //! whole codec is auditable and the robustness surface (truncated frames,
 //! garbage bytes, oversized lengths) is small enough to test exhaustively.
+//! Connections are persistent: a peer may send any number of request
+//! frames on one stream, each answered by one response frame, in order.
 //!
 //! ## Framing
 //!
 //! Every message is one *frame*: a `u32` big-endian payload length
 //! followed by that many payload bytes. Readers enforce
 //! [`MAX_FRAME_BYTES`] before allocating, so a hostile or corrupt length
-//! prefix cannot balloon memory.
+//! prefix cannot balloon memory. Writers hand the transport prefix and
+//! payload in *one* write: on a kept-alive socket a separate small
+//! prefix write followed by the payload is the write-write-read shape
+//! that Nagle's algorithm and delayed ACKs stall for tens of
+//! milliseconds.
 //!
 //! ## Payloads
 //!
@@ -19,6 +25,12 @@
 //! ```text
 //! [u8 op = 1] [u16 len][source name bytes] [u16 len][binding pattern bytes]
 //! ```
+//!
+//! The binding pattern is the canonical text of [`crate::pattern`]:
+//! `"scan"` asks for the whole relation, `bind;0=s4:ford` for the rows
+//! whose column 0 is `ford`. The contract is superset-safe — a server
+//! must return every matching row and may return more — so a server
+//! that ignores the field is still correct.
 //!
 //! Response (`status` byte, then the server's data epoch, then fields):
 //!
@@ -42,14 +54,14 @@
 
 use qpo_datalog::{Constant, Tuple};
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Hard ceiling on a frame's payload size. A length prefix above this is
 /// rejected before any allocation happens.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
-/// Protocol opcode for a scan request (the only request today; the slot
-/// exists so bound accesses can join the protocol without re-framing).
+/// Protocol opcode for a source-access request (a scan or a bound
+/// access — the request's binding pattern says which).
 pub const OP_SCAN: u8 = 1;
 
 /// Protocol opcode for a server-journal dump request. The payload is the
@@ -98,12 +110,12 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A source-access request: scan `source` under `pattern`.
+/// A source-access request: the rows of `source` matching `pattern`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Catalog name of the source relation.
     pub source: String,
-    /// Binding pattern (today always `"scan"`).
+    /// Binding pattern, in the canonical text of [`crate::pattern`].
     pub pattern: String,
 }
 
@@ -202,10 +214,11 @@ impl<'a> Reader<'a> {
         Ok(self.u64()? as i64)
     }
 
-    fn string(&mut self) -> Result<String, WireError> {
+    /// A length-prefixed string, validated in place and borrowed from
+    /// the payload: the caller copies it once, into the type it keeps.
+    fn string(&mut self) -> Result<&'a str, WireError> {
         let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Utf8)
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::Utf8)
     }
 
     fn remaining(&self) -> usize {
@@ -275,8 +288,8 @@ fn read_request_body(r: &mut Reader<'_>) -> Result<Request, WireError> {
         OP_SCAN => {}
         op => return Err(WireError::BadOp(op)),
     }
-    let source = r.string()?;
-    let pattern = r.string()?;
+    let source = r.string()?.to_string();
+    let pattern = r.string()?.to_string();
     Ok(Request { source, pattern })
 }
 
@@ -290,20 +303,34 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
     Ok(req)
 }
 
+/// Encodes an OK response payload straight from borrowed rows — the
+/// bytes [`encode_response`] produces for [`Response::Rows`] of the same
+/// rows, without first collecting them into an owned `Vec<Tuple>` (a
+/// server filters its provider's shared relation through this).
+pub fn encode_rows<'a>(
+    rows: impl IntoIterator<Item = &'a Tuple>,
+    epoch: u64,
+) -> Result<Vec<u8>, WireError> {
+    let mut out = vec![0];
+    out.extend_from_slice(&epoch.to_be_bytes());
+    let count_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let mut count = 0usize;
+    for row in rows {
+        put_tuple(&mut out, row)?;
+        count += 1;
+    }
+    let count = u32::try_from(count).map_err(|_| WireError::Oversized(count))?;
+    out[count_at..count_at + 4].copy_from_slice(&count.to_be_bytes());
+    Ok(out)
+}
+
 /// Encodes a response payload (no frame prefix). `epoch` is the server's
 /// data-version counter, carried in the header of every response.
 pub fn encode_response(resp: &Response, epoch: u64) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::new();
     match resp {
-        Response::Rows(rows) => {
-            out.push(0);
-            out.extend_from_slice(&epoch.to_be_bytes());
-            let count = u32::try_from(rows.len()).map_err(|_| WireError::Oversized(rows.len()))?;
-            out.extend_from_slice(&count.to_be_bytes());
-            for row in rows {
-                put_tuple(&mut out, row)?;
-            }
-        }
+        Response::Rows(rows) => return encode_rows(rows, epoch),
         Response::UnknownSource(msg) => {
             out.push(1);
             out.extend_from_slice(&epoch.to_be_bytes());
@@ -336,8 +363,8 @@ fn read_response_body(r: &mut Reader<'_>) -> Result<(Response, u64), WireError> 
             }
             Response::Rows(rows)
         }
-        1 => Response::UnknownSource(r.string()?),
-        2 => Response::Error(r.string()?),
+        1 => Response::UnknownSource(r.string()?.to_string()),
+        2 => Response::Error(r.string()?.to_string()),
         s => return Err(WireError::BadStatus(s)),
     };
     Ok((resp, epoch))
@@ -449,7 +476,7 @@ pub fn decode_request_ext(payload: &[u8]) -> Result<(Request, Option<TraceContex
             let mut b = Reader::new(body);
             let run = b.u64()?;
             let plan_seq = b.u64()?;
-            let source = b.string()?;
+            let source = b.string()?.to_string();
             let attempt = b.u32()?;
             b.finish()?;
             Some(TraceContext {
@@ -511,7 +538,7 @@ pub fn encode_relation(name: &str, rows: &[Tuple]) -> Result<Vec<u8>, WireError>
 /// Decodes one named-relation record (inverse of [`encode_relation`]).
 pub fn decode_relation(payload: &[u8]) -> Result<(String, Vec<Tuple>), WireError> {
     let mut r = Reader::new(payload);
-    let name = r.string()?;
+    let name = r.string()?.to_string();
     let count = r.u32()? as usize;
     if count > MAX_FRAME_BYTES {
         return Err(WireError::Oversized(count));
@@ -524,7 +551,11 @@ pub fn decode_relation(payload: &[u8]) -> Result<(String, Vec<Tuple>), WireError
     Ok((name, rows))
 }
 
-/// Writes one frame: `u32` big-endian payload length, then the payload.
+/// Writes one frame — `u32` big-endian payload length, then the payload
+/// — as a single vectored write (see the module docs on why not two):
+/// one syscall and one segment burst on a socket, without copying the
+/// payload behind its prefix. Whatever a short write leaves over follows
+/// with `write_all`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
@@ -532,9 +563,17 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
             WireError::Oversized(payload.len()).to_string(),
         ));
     }
-    let len = payload.len() as u32;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let prefix = (payload.len() as u32).to_be_bytes();
+    let sent = loop {
+        match w.write_vectored(&[IoSlice::new(&prefix), IoSlice::new(payload)]) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            result => break result?,
+        }
+    };
+    if sent < prefix.len() {
+        w.write_all(&prefix[sent..])?;
+    }
+    w.write_all(&payload[sent.saturating_sub(prefix.len())..])?;
     w.flush()
 }
 
@@ -543,9 +582,24 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 /// empty message, which callers treat as "peer closed"; EOF mid-frame is
 /// a truncation error.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
+    let len = read_frame_len(r)?;
+    read_frame_payload(r, len)
+}
+
+/// The first half of [`read_frame`]: blocks until a frame's length prefix
+/// has arrived and returns the announced payload length. Split out so a
+/// server on a kept-alive connection can start its receive clock *here*,
+/// after the peer's idle time and before the payload.
+pub fn read_frame_len(r: &mut impl Read) -> std::io::Result<usize> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf) as usize;
+    Ok(u32::from_be_bytes(len_buf) as usize)
+}
+
+/// The second half of [`read_frame`]: the `len` payload bytes announced
+/// by [`read_frame_len`], refused above [`MAX_FRAME_BYTES`] before any
+/// allocation.
+pub fn read_frame_payload(r: &mut impl Read, len: usize) -> std::io::Result<Vec<u8>> {
     if len > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,

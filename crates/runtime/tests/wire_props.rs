@@ -1,9 +1,12 @@
 //! Property tests for the source-server wire protocol: arbitrary
 //! requests/responses round-trip bit-exactly, and arbitrary byte soup
-//! never panics a decoder — it errors.
+//! never panics a decoder — it errors. Binding-pattern text, which rides
+//! the request's pattern field, round-trips canonically and its parser
+//! is total: byte soup reads as a scan.
 
 use proptest::prelude::*;
 use qpo_datalog::{Constant, Tuple};
+use qpo_runtime::pattern::{BindingPattern, SCAN_PATTERN};
 use qpo_runtime::wire::{
     decode_relation, decode_request, decode_request_ext, decode_response, decode_response_ext,
     encode_relation, encode_request, encode_request_with, encode_response, encode_response_with,
@@ -22,6 +25,27 @@ fn arb_constant() -> impl Strategy<Value = Constant> {
         any::<i64>().prop_map(Constant::Int).boxed(),
         arb_name(12).prop_map(|s| Constant::Str(s.into())).boxed(),
     ]
+}
+
+/// A string constant out of the characters a pattern's grammar uses
+/// itself, plus NUL, a space and multi-byte UTF-8 — everything the
+/// length prefix exists to make harmless.
+fn arb_hostile_string() -> impl Strategy<Value = String> {
+    const ALPHABET: &[char] = &[
+        'a', 'i', 's', '0', '9', ';', '=', ':', '-', ' ', '\0', '\n', 'é', '貓', '🎬',
+    ];
+    proptest::collection::vec(0usize..ALPHABET.len(), 0..10)
+        .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+}
+
+fn arb_bindings() -> impl Strategy<Value = Vec<(usize, Constant)>> {
+    let constant = prop_oneof![
+        any::<i64>().prop_map(Constant::Int).boxed(),
+        arb_hostile_string()
+            .prop_map(|s| Constant::Str(s.into()))
+            .boxed(),
+    ];
+    proptest::collection::vec((0usize..6, constant), 0..6)
 }
 
 fn arb_tuple() -> impl Strategy<Value = Tuple> {
@@ -128,6 +152,47 @@ proptest! {
             prop_assert_eq!(encode_response(&resp, epoch).expect("re-encodes"), bytes.clone());
         }
         let _ = decode_relation(&bytes);
+    }
+
+    #[test]
+    fn pattern_text_round_trips_canonically(bindings in arb_bindings()) {
+        let pattern = BindingPattern::new(bindings.clone());
+        let text = pattern.to_string();
+        prop_assert_eq!(&BindingPattern::parse(&text), &pattern, "{:?}", text);
+        prop_assert_eq!(text == SCAN_PATTERN, bindings.is_empty());
+        // Canonical: the same bindings (one per column, the first wins)
+        // in any order are the same bytes.
+        let mut distinct: Vec<(usize, Constant)> = Vec::new();
+        for binding in bindings {
+            if distinct.iter().all(|(column, _)| *column != binding.0) {
+                distinct.push(binding);
+            }
+        }
+        let reversed = BindingPattern::new(distinct.into_iter().rev());
+        prop_assert_eq!(reversed.to_string(), text.clone());
+        // And the text survives the request it rides in.
+        let req = Request { source: "v1".into(), pattern: text };
+        let bytes = encode_request(&req).expect("encodes");
+        prop_assert_eq!(decode_request(&bytes).expect("decodes"), req);
+    }
+
+    #[test]
+    fn pattern_parser_is_total(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        bindings in arb_bindings(),
+        cut in 0usize..80,
+    ) {
+        // Byte soup: never a panic, and what does not parse is a scan.
+        let soup = String::from_utf8_lossy(&bytes);
+        let parsed = BindingPattern::parse(&soup);
+        prop_assert!(parsed.to_string() == SCAN_PATTERN || soup.starts_with("bind;"));
+        let with_prefix = format!("bind;{soup}");
+        let _ = BindingPattern::parse(&with_prefix);
+        // Valid text cut anywhere (even inside a length-prefixed string
+        // or a multi-byte character) never panics the parser either.
+        let text = BindingPattern::new(bindings).to_string();
+        let cut = cut.min(text.len());
+        let _ = BindingPattern::parse(&String::from_utf8_lossy(&text.as_bytes()[..cut]));
     }
 
     #[test]

@@ -41,12 +41,20 @@ QPO_SOURCE_SERVER_ADDR="$(cat "$addr_file")" cargo test -q -p qpo-exec --test ba
 echo "==> distributed-tracing gate (traced run against the live server, validated end to end)"
 cargo build --release -p qpo-bench --bin bench-backends --bin trace-validate
 remote_trace="$(mktemp /tmp/qpo-remote-trace.XXXXXX.jsonl)"
-./target/release/bench-backends --smoke --tcp-addr "$(cat "$addr_file")" --trace "$remote_trace"
+smoke_out="$(./target/release/bench-backends --smoke --tcp-addr "$(cat "$addr_file")" --trace "$remote_trace")"
+echo "$smoke_out"
 ./target/release/trace-validate "$remote_trace"
 rm -f "$remote_trace"
+# Keep-alive: the run's accesses rode fewer connections than there were accesses.
+read -r opened accesses < <(sed -n 's/^tcp connections: opened \([0-9]*\) reused [0-9]* accesses \([0-9]*\).*/\1 \2/p' <<<"$smoke_out") || true
+[[ -n "${opened:-}" && "$opened" -lt "$accesses" ]] \
+  || { echo "tcp opened ${opened:-?} connections for ${accesses:-?} accesses: the pool is not reusing"; exit 1; }
 server_dump="$(./target/release/qpo-source-server --metrics "$(cat "$addr_file")")"
 [[ -n "$server_dump" ]] || { echo "server span journal is empty after a traced run"; exit 1; }
 echo "$server_dump" | tail -n 3
+# Pushdown: the movie query binds `ford`, so the server saw bound accesses.
+grep -q 'pattern=bind' <<<"$server_dump" \
+  || { echo "no pattern=bind line in the server journal: constants are not riding the pattern"; exit 1; }
 kill "$server_pid" 2>/dev/null || true
 rm -f "$addr_file"
 
