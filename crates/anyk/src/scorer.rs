@@ -36,6 +36,16 @@ pub trait TupleScorer {
     fn atom_bound(&self, bucket: usize, stats: &SourceStats) -> f64;
 }
 
+impl<T: TupleScorer + ?Sized> TupleScorer for &T {
+    fn atom_score(&self, bucket: usize, stats: &SourceStats, fact: &Tuple) -> f64 {
+        (**self).atom_score(bucket, stats, fact)
+    }
+
+    fn atom_bound(&self, bucket: usize, stats: &SourceStats) -> f64 {
+        (**self).atom_bound(bucket, stats)
+    }
+}
+
 /// Upper bound on the score of any tuple `plan` can produce: the sum of
 /// its sources' per-subgoal bounds (normalized so `-0.0` never leaks
 /// into comparisons).

@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
-use qpo_exec::{Mediator, StopCondition, Strategy};
+use qpo_exec::{Mediator, RunOptions, StopCondition, Strategy};
 use qpo_runtime::RuntimePolicy;
 use qpo_utility::Coverage;
 use std::time::Duration;
@@ -39,12 +39,13 @@ fn bench(c: &mut Criterion) {
             |b, &workers| {
                 b.iter(|| {
                     mediator
-                        .run_concurrent(
+                        .run(
                             &query,
                             &Coverage,
                             Strategy::Pi,
                             StopCondition::unbounded(),
                             RuntimePolicy::parallel(workers),
+                            &RunOptions::default(),
                         )
                         .unwrap()
                 })
@@ -68,12 +69,13 @@ fn bench(c: &mut Criterion) {
                 let policy = RuntimePolicy::parallel(workers).with_latency_scale(scale);
                 b.iter(|| {
                     mediator
-                        .run_concurrent(
+                        .run(
                             &query,
                             &Coverage,
                             Strategy::Pi,
                             StopCondition::unbounded(),
                             policy.clone(),
+                            &RunOptions::default(),
                         )
                         .unwrap()
                 })

@@ -116,7 +116,7 @@ fn main() {
 
     if let Some(path) = merge_path {
         let base = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let merged = merge_section(&base, &render_section(&results));
+        let merged = qpo_bench::merge_section(&base, "anyk", &render_section(&results));
         std::fs::write(&path, merged).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("merged anyk section into {path}");
     }
@@ -228,22 +228,4 @@ fn render_section(results: &[WorkloadResult]) -> String {
     );
     s.push_str("  }");
     s
-}
-
-/// Inserts (or refreshes) the `"anyk"` section before the final closing
-/// brace of a BENCH_ordering.json document.
-fn merge_section(base: &str, section: &str) -> String {
-    // Drop a previous anyk section if present: everything from the key to
-    // the end is ours (bench-ordering writes "summary" last, so a prior
-    // merge left `,\n  "anyk": {...}\n}` at the tail).
-    let base = match base.find(",\n  \"anyk\":") {
-        Some(i) => format!("{}\n}}\n", &base[..i]),
-        None => base.to_string(),
-    };
-    let trimmed = base.trim_end();
-    let without_brace = trimmed
-        .strip_suffix('}')
-        .expect("BENCH_ordering.json ends with a closing brace")
-        .trim_end();
-    format!("{without_brace},\n  {section}\n}}\n")
 }

@@ -36,7 +36,9 @@
 //! `--trace` writes the traced run's JSONL journal for `trace-validate`.
 
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_POOL, MOVIE_UNIVERSE};
-use qpo_exec::{snapshot_relations, BackendRegistry, Mediator, StopCondition, Strategy};
+use qpo_exec::{
+    snapshot_relations, BackendRegistry, Mediator, RunOptions, StopCondition, Strategy,
+};
 use qpo_obs::{Obs, ProfileIndex};
 use qpo_runtime::{
     AccessContext, BindingPattern, FaultConfig, MemProvider, RuntimePolicy, SourceBackend,
@@ -160,13 +162,16 @@ fn main() {
         let mut plans: Vec<Vec<usize>> = Vec::new();
         for rep in 0..REPEATS {
             let run = mediator
-                .run_concurrent_on(
-                    label,
+                .run(
                     &movie_query(),
                     &LinearCost,
                     Strategy::Greedy,
                     StopCondition::unbounded(),
                     RuntimePolicy::parallel(2),
+                    &RunOptions {
+                        backend: Some(label),
+                        ..RunOptions::default()
+                    },
                 )
                 .unwrap_or_else(|e| panic!("{label} run: {e}"));
             attempts += run.runtime.stats.attempts;
@@ -300,14 +305,17 @@ fn main() {
     let mut server_time: Vec<f64> = Vec::new();
     for _ in 0..REPEATS {
         let run = mediator
-            .run_concurrent_on_observed(
-                "tcp",
+            .run(
                 &movie_query(),
                 &LinearCost,
                 Strategy::Greedy,
                 StopCondition::unbounded(),
                 RuntimePolicy::parallel(2),
-                &obs,
+                &RunOptions {
+                    backend: Some("tcp"),
+                    obs: Some(&obs),
+                    ..RunOptions::default()
+                },
             )
             .unwrap_or_else(|e| panic!("traced tcp run: {e}"));
         for report in &run.runtime.reports {
@@ -407,7 +415,11 @@ fn main() {
 
     if let Some(path) = merge_path {
         let base = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let merged = merge_section(&base, &render_section(&results, &remote, &access_path));
+        let merged = qpo_bench::merge_section(
+            &base,
+            "backends",
+            &render_section(&results, &remote, &access_path),
+        );
         std::fs::write(&path, merged).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("merged backends section into {path}");
     }
@@ -486,20 +498,4 @@ fn render_section(
     );
     s.push_str("  }");
     s
-}
-
-/// Inserts (or refreshes) the `"backends"` section before the final
-/// closing brace of BENCH_ordering.json (after bench-sharing's merge, so
-/// `"backends"` lands last).
-fn merge_section(base: &str, section: &str) -> String {
-    let base = match base.find(",\n  \"backends\":") {
-        Some(i) => format!("{}\n}}\n", &base[..i]),
-        None => base.to_string(),
-    };
-    let trimmed = base.trim_end();
-    let without_brace = trimmed
-        .strip_suffix('}')
-        .expect("BENCH_ordering.json ends with a closing brace")
-        .trim_end();
-    format!("{without_brace},\n  {section}\n}}\n")
 }

@@ -37,7 +37,7 @@ use qpo_bench::{
     RunConfig,
 };
 use qpo_core::{Greedy, IDrips, KernelStats, PlanOrderer};
-use qpo_exec::{format_kernel_stats, Mediator, StopCondition, Strategy};
+use qpo_exec::{format_kernel_stats, Mediator, RunOptions, StopCondition, Strategy};
 use qpo_obs::{Histogram, HistogramSnapshot, Obs, ProfileIndex};
 use qpo_runtime::RuntimePolicy;
 use qpo_utility::CountingMeasure;
@@ -198,13 +198,16 @@ fn profiling_overhead() -> (f64, f64) {
         };
         let t = Instant::now();
         mediator
-            .run_concurrent_observed(
+            .run(
                 &query,
                 &measure,
                 Strategy::IDrips,
                 stop,
                 RuntimePolicy::parallel(4).with_lookahead(4),
-                &obs,
+                &RunOptions {
+                    obs: Some(&obs),
+                    ..RunOptions::default()
+                },
             )
             .expect("overhead run");
         let elapsed = t.elapsed().as_secs_f64() * 1e3;
@@ -271,13 +274,16 @@ fn profile_workload(w: &Workload) -> ProfiledWorkload {
         ..StopCondition::unbounded()
     };
     let run = mediator
-        .run_concurrent_observed(
+        .run(
             &query,
             &measure,
             Strategy::IDrips,
             stop,
             RuntimePolicy::parallel(4).with_lookahead(4),
-            &obs,
+            &RunOptions {
+                obs: Some(&obs),
+                ..RunOptions::default()
+            },
         )
         .unwrap_or_else(|e| panic!("{}: profile run: {e}", w.name));
     let index = ProfileIndex::from_journal(&obs.journal);

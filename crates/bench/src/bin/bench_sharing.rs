@@ -44,7 +44,7 @@
 //! scripts/bench.sh).
 
 use qpo_bench::synthetic_catalog_with_universe;
-use qpo_exec::{ExecutionMemo, Mediator, StopCondition, Strategy};
+use qpo_exec::{ExecutionMemo, Mediator, RunOptions, StopCondition, Strategy};
 use qpo_obs::Obs;
 use qpo_runtime::RuntimePolicy;
 use qpo_utility::Coverage;
@@ -148,7 +148,7 @@ fn main() {
 
     if let Some(path) = merge_path {
         let base = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let merged = merge_section(&base, &render_section(&results));
+        let merged = qpo_bench::merge_section(&base, "sharing", &render_section(&results));
         std::fs::write(&path, merged).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("merged sharing section into {path}");
     }
@@ -211,25 +211,29 @@ fn run_workload(
     // throwaway memo grows the allocator arena to the working-set size,
     // so none of the timed runs below pays the one-time growth cost.
     mediator
-        .run_concurrent_memoized(
+        .run(
             &query,
             &Coverage,
             Strategy::Streamer,
             StopCondition::unbounded(),
             policy(),
-            &ExecutionMemo::new(),
-            &Obs::new(),
+            &RunOptions {
+                memo: Some(&ExecutionMemo::new()),
+                obs: Some(&Obs::new()),
+                ..RunOptions::default()
+            },
         )
         .expect("warmup runs");
 
     let started = Instant::now();
     let baseline = mediator
-        .run_concurrent(
+        .run(
             &query,
             &Coverage,
             Strategy::Streamer,
             StopCondition::unbounded(),
             policy(),
+            &RunOptions::default(),
         )
         .expect("baseline runs");
     let off = measure(&baseline, started.elapsed().as_secs_f64() * 1e3, k);
@@ -238,14 +242,17 @@ fn run_workload(
     let memoized = |label: &str| {
         let started = Instant::now();
         let run = mediator
-            .run_concurrent_memoized(
+            .run(
                 &query,
                 &Coverage,
                 Strategy::Streamer,
                 StopCondition::unbounded(),
                 policy(),
-                &memo,
-                &Obs::new(),
+                &RunOptions {
+                    memo: Some(&memo),
+                    obs: Some(&Obs::new()),
+                    ..RunOptions::default()
+                },
             )
             .unwrap_or_else(|e| panic!("{label} memoized run: {e}"));
         let wall = started.elapsed().as_secs_f64() * 1e3;
@@ -331,20 +338,4 @@ fn render_section(results: &[WorkloadResult]) -> String {
     );
     s.push_str("  }");
     s
-}
-
-/// Inserts (or refreshes) the `"sharing"` section before the final
-/// closing brace of a BENCH_ordering.json document (after bench-anyk's
-/// merge, so `"sharing"` lands last).
-fn merge_section(base: &str, section: &str) -> String {
-    let base = match base.find(",\n  \"sharing\":") {
-        Some(i) => format!("{}\n}}\n", &base[..i]),
-        None => base.to_string(),
-    };
-    let trimmed = base.trim_end();
-    let without_brace = trimmed
-        .strip_suffix('}')
-        .expect("BENCH_ordering.json ends with a closing brace")
-        .trim_end();
-    format!("{without_brace},\n  {section}\n}}\n")
 }

@@ -64,14 +64,21 @@ impl JoinPrefix {
 /// may hand each the rows its own constants selected. Each atom still
 /// applies its constants and repeated variables to every row it reads,
 /// so a slot may hold any superset of the matching rows, duplicates
-/// included. Runs the same pipeline as [`Database::evaluate`]: when every
-/// slot holds a superset of the rows a database stores under that atom's
-/// predicate that match it, the two return the same answers.
+/// included. Runs the same pipeline as [`Database::evaluate_seeded`],
+/// `seed` and captured prefixes included (slots the seed covers are never
+/// read): when every slot holds a superset of the rows a database stores
+/// under that atom's predicate that match it, the two return the same
+/// answers — and, when each slot lists those rows once and in the
+/// database's order, the same prefixes.
 ///
 /// # Panics
 /// Panics if the query is unsafe.
-pub fn evaluate_slots(query: &ConjunctiveQuery, slots: &[&[Tuple]]) -> BTreeSet<Tuple> {
-    join_pipeline(query, None, |i| slots.get(i).copied().unwrap_or_default()).0
+pub fn evaluate_slots(
+    query: &ConjunctiveQuery,
+    seed: Option<&JoinPrefix>,
+    slots: &[&[Tuple]],
+) -> (BTreeSet<Tuple>, Vec<JoinPrefix>) {
+    join_pipeline(query, seed, |i| slots.get(i).copied().unwrap_or_default())
 }
 
 /// The hash-join pipeline behind [`Database::evaluate_seeded`] and

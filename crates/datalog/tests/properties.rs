@@ -161,13 +161,26 @@ proptest! {
             .collect();
         let want = db.evaluate(&q);
         prop_assert_eq!(&want, &db.evaluate_naive(&q));
+        let (_, captured) = db.evaluate_seeded(&q, None);
         for slots in [&whole, &doubled, &selected] {
             let slices: Vec<&[Tuple]> = slots.iter().map(Vec::as_slice).collect();
-            prop_assert_eq!(&evaluate_slots(&q, &slices), &want, "query {}", q);
+            prop_assert_eq!(&evaluate_slots(&q, None, &slices).0, &want, "query {}", q);
+            // Seeded at every captured prefix, the slot-fed join is the
+            // database's seeded join: answers and the prefixes captured
+            // past the seed (duplicate rows duplicate prefix rows, so the
+            // doubled slots are compared on answers only).
+            for seed in std::iter::once(None).chain(captured.iter().map(Some)) {
+                let (answers, prefixes) = evaluate_slots(&q, seed, &slices);
+                let (db_answers, db_prefixes) = db.evaluate_seeded(&q, seed);
+                prop_assert_eq!(&answers, &db_answers, "query {} seeded {:?}", q, seed.map(|s| s.len));
+                if !std::ptr::eq(slots, &doubled) {
+                    prop_assert_eq!(&prefixes, &db_prefixes, "query {}", q);
+                }
+            }
         }
         // A missing slot reads as the empty relation.
         let short: Vec<&[Tuple]> = whole[..whole.len() - 1].iter().map(Vec::as_slice).collect();
-        prop_assert!(evaluate_slots(&q, &short).is_subset(&want));
+        prop_assert!(evaluate_slots(&q, None, &short).0.is_subset(&want));
     }
 
     /// Evaluation respects conjunction: adding a body atom can only shrink

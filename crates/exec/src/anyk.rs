@@ -1,5 +1,5 @@
 //! Any-k answer streaming wired into the mediator: per-plan ranked
-//! enumeration, the cross-plan merge, and the concurrent executor hook.
+//! enumeration and the exact offline oracle.
 //!
 //! This module is the glue between `qpo-anyk`'s kernel and the serving
 //! layer. [`ranked_join_for_plan`] builds the lazy best-first enumerator
@@ -10,34 +10,18 @@
 //! — that the differential tests and the tuple-regret gauge compare the
 //! anytime stream against.
 //!
-//! [`Mediator::run_concurrent_anyk`] runs the wave-based speculative
-//! executor with an [`qpo_runtime::WaveObserver`] that attaches a plan's
-//! tuple stream to the [`AnyKMerge`] the moment the plan is scheduled
-//! (speculatively — its verdict is not in yet) and evicts it when the
-//! plan merges as unsound or failed, journalling `stream_attached`,
-//! `tuple_emitted`, and `stream_evicted` events on the same serial
-//! virtual clock as the plan lifecycle. Tuples are released only when
-//! their score strictly clears the best bound of every plan the orderer
-//! has not yet emitted, so the delivered stream is globally non-increasing
-//! and — because every decision reduces to deterministic encodings on the
-//! coordinator thread — byte-identical across worker counts.
+//! The cross-plan merge itself — attach when a plan is scheduled, evict
+//! when it merges unsound or failed, release only what strictly clears the
+//! best bound of every plan the orderer has not yet emitted — is the any-k
+//! part of [`crate::core`]'s hooks, shared by
+//! [`QuerySession::next_tuple`](crate::QuerySession::next_tuple) and
+//! [`Mediator::run`](crate::Mediator::run).
 
-use crate::concurrent::MediatorEvaluator;
-use crate::mediator::{build_orderer_observed, Mediator, MediatorError, StopCondition, Strategy};
-use crate::sharing::{
-    ExecutionMemo, PairedObserver, SharedEvaluator, SharingObserver, SharingState,
-};
-use qpo_anyk::{plan_bound, AnyKMerge, LevelCache, RankedJoin, RankedTuple, TupleScorer};
+use qpo_anyk::{LevelCache, RankedJoin, TupleScorer};
 use qpo_catalog::{ProblemInstance, SourceRef};
-use qpo_core::{utility_cmp, OrderedPlan};
+use qpo_core::utility_cmp;
 use qpo_datalog::{is_sound_plan, ConjunctiveQuery, Database, SourceDescription, Tuple};
-use qpo_obs::{encode_plan, Obs, Value};
 use qpo_reformulation::Reformulation;
-use qpo_runtime::{
-    Executor, PlanExecution, PlanStatus, RuntimePolicy, RuntimeRun, SourceGrid, SourceHealth,
-    WaveObserver,
-};
-use qpo_utility::UtilityMeasure;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -52,36 +36,34 @@ pub fn ranked_join_for_plan(
     scorer: &dyn TupleScorer,
     plan: &[usize],
 ) -> RankedJoin {
-    let plan_query = reform.plan_query(plan);
-    RankedJoin::new(db, &plan_query, |atom, fact| {
-        scorer.atom_score(atom, inst.stat(SourceRef::new(atom, plan[atom])), fact)
-    })
+    ranked_join(db, &reform.plan_query(plan), inst, scorer, plan, None)
 }
 
-/// [`ranked_join_for_plan`] through a shared [`LevelCache`]: plans that
-/// chose the same source for a bucket share that bucket's scored level
+/// [`ranked_join_for_plan`] over the already materialized `plan_query`,
+/// through a shared [`LevelCache`] when one is given: plans that chose
+/// the same source for a bucket share that bucket's scored level
 /// ([`Arc`]), instead of re-scanning, re-scoring, and re-sorting it. The
 /// key carries `(bucket, entry)` plus the rendered atom, so distinct
 /// choices never alias; the cache assumes one scorer per cache (see
-/// [`ExecutionMemo`]). The produced stream is bit-identical to the
-/// uncached enumerator's.
-pub(crate) fn ranked_join_for_plan_cached(
+/// [`ExecutionMemo`](crate::ExecutionMemo)). The produced stream is
+/// bit-identical to the uncached enumerator's.
+pub(crate) fn ranked_join(
     db: &Database,
-    reform: &Reformulation,
+    plan_query: &ConjunctiveQuery,
     inst: &ProblemInstance,
     scorer: &dyn TupleScorer,
     plan: &[usize],
-    cache: &LevelCache,
+    levels: Option<&LevelCache>,
 ) -> RankedJoin {
-    let plan_query = reform.plan_query(plan);
-    let body = plan_query.body.clone();
-    RankedJoin::with_cache(
-        db,
-        &plan_query,
-        |atom, fact| scorer.atom_score(atom, inst.stat(SourceRef::new(atom, plan[atom])), fact),
-        cache,
-        |ai| format!("b{ai}e{}|{}", plan[ai], body[ai]),
-    )
+    let score = |atom: usize, fact: &Tuple| {
+        scorer.atom_score(atom, inst.stat(SourceRef::new(atom, plan[atom])), fact)
+    };
+    match levels {
+        Some(cache) => RankedJoin::with_cache(db, plan_query, score, cache, |ai| {
+            format!("b{ai}e{}|{}", plan[ai], plan_query.body[ai])
+        }),
+        None => RankedJoin::new(db, plan_query, score),
+    }
 }
 
 /// The exact offline reference the anytime stream trails: drain every
@@ -102,320 +84,14 @@ pub fn offline_ranked_answers(
         if !is_sound_plan(&plan_query, view_map, &reform.query).unwrap_or(false) {
             continue;
         }
-        for (score, tuple) in ranked_join_for_plan(db, reform, inst, scorer, &plan).drain() {
-            match best.entry(tuple) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(score);
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    if utility_cmp(score, *o.get()) == Ordering::Greater {
-                        o.insert(score);
-                    }
-                }
+        for (score, tuple) in ranked_join(db, &plan_query, inst, scorer, &plan, None).drain() {
+            let best_score = best.entry(tuple).or_insert(score);
+            if utility_cmp(score, *best_score) == Ordering::Greater {
+                *best_score = score;
             }
         }
     }
     let mut out: Vec<(f64, Tuple)> = best.into_iter().map(|(t, s)| (s, t)).collect();
     out.sort_by(|a, b| utility_cmp(b.0, a.0).then_with(|| a.1.cmp(&b.1)));
     out
-}
-
-/// A concurrent any-k run: the runtime records plus the globally ranked
-/// tuple stream delivered along the way.
-#[derive(Debug, Clone)]
-pub struct AnyKRun {
-    /// Per-plan execution records, answers, and aggregate counters.
-    pub runtime: RuntimeRun,
-    /// Observed per-source reliability, aggregated over the run.
-    pub health: SourceHealth,
-    /// The globally ranked tuples, in delivery order (non-increasing
-    /// score). Includes tuples later retracted — consumers reconcile
-    /// through `retracted`, exactly like the journal does.
-    pub tuples: Vec<RankedTuple>,
-    /// Tuples delivered speculatively by plans that then merged as
-    /// unsound or failed, in delivery order.
-    pub retracted: Vec<RankedTuple>,
-}
-
-/// The [`WaveObserver`] that streams tuples out of a concurrent run. All
-/// callbacks run on the coordinator thread at serial virtual-clock
-/// timestamps, so everything it does is worker-count independent.
-struct AnyKObserver<'a> {
-    db: &'a Database,
-    reform: &'a Reformulation,
-    inst: &'a ProblemInstance,
-    scorer: &'a dyn TupleScorer,
-    obs: &'a Obs,
-    merge: AnyKMerge,
-    /// Score bounds of the plans the orderer has not emitted yet — the
-    /// release gate: a head is delivered only when it strictly clears the
-    /// best of these.
-    remaining: BTreeMap<Vec<usize>, f64>,
-    /// When set, per-plan enumerators build through the shared level
-    /// cache (coordinator-side, so hit counts stay deterministic).
-    levels: Option<&'a LevelCache>,
-    tuples: Vec<RankedTuple>,
-    retracted: Vec<RankedTuple>,
-}
-
-impl<'a> AnyKObserver<'a> {
-    fn new(
-        db: &'a Database,
-        reform: &'a Reformulation,
-        inst: &'a ProblemInstance,
-        scorer: &'a dyn TupleScorer,
-        obs: &'a Obs,
-    ) -> Self {
-        let remaining = inst
-            .all_plans()
-            .into_iter()
-            .map(|p| {
-                let b = plan_bound(scorer, inst, &p);
-                (p, b)
-            })
-            .collect();
-        AnyKObserver {
-            db,
-            reform,
-            inst,
-            scorer,
-            obs,
-            merge: AnyKMerge::new(),
-            remaining,
-            levels: None,
-            tuples: Vec::new(),
-            retracted: Vec::new(),
-        }
-    }
-
-    /// Builds per-plan enumerators through `cache` (see
-    /// [`ranked_join_for_plan_cached`]).
-    fn with_levels(mut self, cache: &'a LevelCache) -> Self {
-        self.levels = Some(cache);
-        self
-    }
-
-    /// Best bound over the not-yet-emitted plans, or `None` when every
-    /// plan is in (no release gate left).
-    fn bound(&self) -> Option<f64> {
-        self.remaining.values().copied().reduce(|a, b| {
-            if utility_cmp(b, a) == Ordering::Greater {
-                b
-            } else {
-                a
-            }
-        })
-    }
-
-    /// Delivers everything the current bound releases, journalling each
-    /// tuple at `vclock`.
-    fn drain(&mut self, vclock: f64) {
-        let bound = self.bound();
-        while let Some(rt) = self.merge.next_within(bound) {
-            if self.obs.journal.is_enabled() {
-                self.obs.journal.record_at(
-                    vclock,
-                    "tuple_emitted",
-                    vec![
-                        ("plan_seq", Value::U64(rt.plan_seq)),
-                        ("k", Value::U64(self.merge.delivered())),
-                        ("score", Value::F64(rt.score)),
-                        (
-                            "tuple",
-                            Value::Str(qpo_anyk::encode_tuple(&rt.tuple).into()),
-                        ),
-                    ],
-                );
-            }
-            self.tuples.push(rt);
-        }
-    }
-
-    /// Final drain after the run: no further plans can execute, so the
-    /// gate lifts and the rest of the attached streams flow out ranked.
-    fn finish(mut self, vclock: f64) -> (Vec<RankedTuple>, Vec<RankedTuple>) {
-        self.remaining.clear();
-        self.drain(vclock);
-        (self.tuples, self.retracted)
-    }
-}
-
-impl WaveObserver for AnyKObserver<'_> {
-    fn plan_scheduled(&mut self, seq: u64, ordered: &OrderedPlan, vclock: f64) {
-        self.remaining.remove(&ordered.plan);
-        let stream = match self.levels {
-            Some(cache) => ranked_join_for_plan_cached(
-                self.db,
-                self.reform,
-                self.inst,
-                self.scorer,
-                &ordered.plan,
-                cache,
-            ),
-            None => {
-                ranked_join_for_plan(self.db, self.reform, self.inst, self.scorer, &ordered.plan)
-            }
-        };
-        self.merge
-            .attach(seq, ordered.plan.clone(), Box::new(stream));
-        if self.obs.journal.is_enabled() {
-            self.obs.journal.record_at(
-                vclock,
-                "stream_attached",
-                vec![
-                    ("plan_seq", Value::U64(seq)),
-                    ("plan", Value::Str(encode_plan(&ordered.plan).into())),
-                ],
-            );
-        }
-        self.drain(vclock);
-    }
-
-    fn plan_merged(&mut self, report: &PlanExecution, vclock: f64) {
-        if !matches!(report.status, PlanStatus::Executed { .. }) {
-            let contributed = self.merge.evict(report.seq);
-            if self.obs.journal.is_enabled() {
-                self.obs.journal.record_at(
-                    vclock,
-                    "stream_evicted",
-                    vec![
-                        ("plan_seq", Value::U64(report.seq)),
-                        ("retracted", Value::U64(contributed.len() as u64)),
-                    ],
-                );
-            }
-            self.retracted.extend(contributed);
-        }
-        self.drain(vclock);
-    }
-}
-
-impl Mediator {
-    /// The tuple-streaming variant of [`Mediator::run_concurrent`]: same
-    /// ordering, same speculative wave execution, but every scheduled
-    /// plan's answers flow through a ranked per-plan enumerator into one
-    /// globally ranked any-k stream. Streams attach speculatively at
-    /// schedule time and are evicted — with their delivered tuples
-    /// journalled as retracted — when the plan merges unsound or failed.
-    ///
-    /// The delivered `tuples` sequence is non-increasing in score and,
-    /// with the journal enabled on `obs`, the trace (plan lifecycle plus
-    /// `stream_attached` / `tuple_emitted` / `stream_evicted`) is
-    /// byte-identical across worker counts.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_concurrent_anyk<M: UtilityMeasure>(
-        &self,
-        query: &ConjunctiveQuery,
-        measure: &M,
-        strategy: Strategy,
-        stop: StopCondition,
-        policy: RuntimePolicy,
-        scorer: &dyn TupleScorer,
-        obs: &Obs,
-    ) -> Result<AnyKRun, MediatorError> {
-        let prepared = self.prepare(query)?;
-        let mut orderer = build_orderer_observed(&prepared.instance, measure, strategy, obs)?;
-        obs.registry
-            .counter(
-                "qpo_mediator_runs_total",
-                &[("orderer", orderer.algorithm_name())],
-            )
-            .inc();
-        let grid = SourceGrid::from_instance(&prepared.instance);
-        let eval = MediatorEvaluator {
-            reform: &prepared.reformulation,
-            db: self.database(),
-            view_map: self.catalog().view_map(),
-            soundness_errors: obs.registry.counter("qpo_soundness_test_errors_total", &[]),
-        };
-        let mut observer = AnyKObserver::new(
-            self.database(),
-            &prepared.reformulation,
-            &prepared.instance,
-            scorer,
-            obs,
-        );
-        let runtime = Executor::new(&grid, &eval, policy)
-            .with_obs(obs)
-            .run_observed(orderer.as_mut(), stop.into(), &mut observer);
-        let (tuples, retracted) = observer.finish(obs.journal.clock());
-        let mut health = SourceHealth::new();
-        health.record_run(&runtime.reports);
-        Ok(AnyKRun {
-            runtime,
-            health,
-            tuples,
-            retracted,
-        })
-    }
-
-    /// The shared-execution variant of [`Mediator::run_concurrent_anyk`]:
-    /// source accesses replay from `memo.sources`, sound plans seed their
-    /// joins from `memo.subplans`, and per-plan enumerators share scored
-    /// levels through `memo.levels`. The delivered tuple stream — order,
-    /// scores, and retractions — is bit-identical to the unmemoized run's
-    /// and across worker counts; only the work (and, warm, the simulated
-    /// access attempts) shrinks. The memo must be scoped to one scorer
-    /// (see [`ExecutionMemo`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_concurrent_anyk_memoized<M: UtilityMeasure>(
-        &self,
-        query: &ConjunctiveQuery,
-        measure: &M,
-        strategy: Strategy,
-        stop: StopCondition,
-        policy: RuntimePolicy,
-        scorer: &dyn TupleScorer,
-        memo: &ExecutionMemo,
-        obs: &Obs,
-    ) -> Result<AnyKRun, MediatorError> {
-        let prepared = self.prepare(query)?;
-        let mut orderer = build_orderer_observed(&prepared.instance, measure, strategy, obs)?;
-        obs.registry
-            .counter(
-                "qpo_mediator_runs_total",
-                &[("orderer", orderer.algorithm_name())],
-            )
-            .inc();
-        let grid = SourceGrid::from_instance(&prepared.instance);
-        let state = Arc::new(SharingState::default());
-        let eval = SharedEvaluator {
-            inner: MediatorEvaluator {
-                reform: &prepared.reformulation,
-                db: self.database(),
-                view_map: self.catalog().view_map(),
-                soundness_errors: obs.registry.counter("qpo_soundness_test_errors_total", &[]),
-            },
-            state: Arc::clone(&state),
-        };
-        let mut sharing =
-            SharingObserver::new(&prepared.reformulation, memo, Arc::clone(&state), obs);
-        let mut anyk = AnyKObserver::new(
-            self.database(),
-            &prepared.reformulation,
-            &prepared.instance,
-            scorer,
-            obs,
-        )
-        .with_levels(&memo.levels);
-        let runtime = {
-            let mut paired = PairedObserver {
-                first: &mut sharing,
-                second: &mut anyk,
-            };
-            Executor::new(&grid, &eval, policy)
-                .with_obs(obs)
-                .with_source_memo(&memo.sources)
-                .run_observed(orderer.as_mut(), stop.into(), &mut paired)
-        };
-        let (tuples, retracted) = anyk.finish(obs.journal.clock());
-        let mut health = SourceHealth::new();
-        health.record_run(&runtime.reports);
-        Ok(AnyKRun {
-            runtime,
-            health,
-            tuples,
-            retracted,
-        })
-    }
 }

@@ -1,11 +1,16 @@
-//! Concurrent mediation: the serial mediator loop re-run on top of the
-//! `qpo-runtime` executor.
+//! Concurrent mediation: the mediator loop on top of the `qpo-runtime`
+//! wave executor.
 //!
-//! [`Mediator::run_concurrent`] orders plans exactly like
-//! [`Mediator::answer_until`] but executes them on a bounded pool of
-//! worker threads against *simulated remote sources* — with latency,
-//! retries, and injected failures — instead of directly against the
-//! in-memory extensions. Two properties tie the paths together:
+//! [`Mediator::run`] orders plans exactly like [`Mediator::answer_until`]
+//! but executes them on a bounded pool of worker threads against *remote
+//! sources* — the deterministic simulator by default, a registered store
+//! or TCP backend by label — with latency, retries, and injected
+//! failures, instead of directly against the in-memory extensions. It is
+//! the wave driver of the per-plan core ([`crate::core`]): the same step
+//! and the same hooks a [`QuerySession`](crate::QuerySession) pulls
+//! inline, so a backend, a shared-execution memo, and a ranked tuple
+//! stream compose in one call ([`RunOptions`]). Two properties tie the
+//! drivers together:
 //!
 //! - **Equivalence**: with faults disabled, any worker count and any
 //!   speculation depth yields the serial plan-emission order and answer
@@ -15,45 +20,44 @@
 //!   carries on, so a permanently-down source costs exactly the answers
 //!   only it could deliver.
 
-use crate::mediator::{Mediator, MediatorError, StopCondition, Strategy};
-use qpo_datalog::{is_sound_plan, ConjunctiveQuery, Database, SourceDescription, Tuple};
-use qpo_obs::{Counter, DivergenceMonitor, Obs};
-use qpo_reformulation::Reformulation;
-use qpo_runtime::{PlanEvaluator, RunBudget, RuntimePolicy, RuntimeRun, SourceHealth};
+use crate::core::{Hooks, PlanCore, WaveHooks};
+use crate::mediator::{build_orderer_observed, Mediator, MediatorError, StopCondition, Strategy};
+use crate::sharing::ExecutionMemo;
+use qpo_anyk::{RankedTuple, TupleScorer};
+use qpo_datalog::ConjunctiveQuery;
+use qpo_obs::{DivergenceMonitor, Obs};
+use qpo_runtime::{
+    declare_sources, observe_divergence, Executor, RuntimePolicy, RuntimeRun, SimBackend,
+    SourceBackend, SourceHealth,
+};
 use qpo_utility::UtilityMeasure;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Evaluates plans for the runtime by reformulating them into conjunctive
-/// queries over the mediator's materialized extensions — the same
-/// evaluation path the serial loop uses.
-pub(crate) struct MediatorEvaluator<'a> {
-    pub(crate) reform: &'a Reformulation,
-    pub(crate) db: &'a Database,
-    pub(crate) view_map: BTreeMap<Arc<str>, SourceDescription>,
-    pub(crate) soundness_errors: Counter,
-}
-
-impl PlanEvaluator for MediatorEvaluator<'_> {
-    fn is_sound(&self, plan: &[usize]) -> bool {
-        let plan_query = self.reform.plan_query(plan);
-        match is_sound_plan(&plan_query, &self.view_map, &self.reform.query) {
-            Ok(verdict) => verdict,
-            Err(_) => {
-                // The test errored rather than returning a verdict; treat
-                // the plan as unsound but count it instead of swallowing.
-                self.soundness_errors.inc();
-                false
-            }
-        }
-    }
-
-    fn evaluate(&self, plan: &[usize]) -> Vec<Tuple> {
-        self.db
-            .evaluate(&self.reform.plan_query(plan))
-            .into_iter()
-            .collect()
-    }
+/// What a [`Mediator::run`] composes on top of ordering and wave
+/// execution. The default is the plain simulated run on a private
+/// observability bundle.
+#[derive(Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// Label of the registered backend every source access dispatches
+    /// through (see [`Mediator::with_backends`] and [`crate::backends`]);
+    /// `None` is the simulator. A real backend's failures are classified,
+    /// retried and fed to the same feedback and divergence machinery as
+    /// simulated faults.
+    pub backend: Option<&'a str>,
+    /// Shared-execution memo (see [`crate::sharing`]): emission order,
+    /// statuses, utilities, answers and the tuple stream always match the
+    /// unmemoized run; only the work shrinks. Scope one memo to one
+    /// mediator and one scorer.
+    pub memo: Option<&'a ExecutionMemo>,
+    /// Streams every scheduled plan's answers through a ranked per-plan
+    /// enumerator into one globally ranked any-k stream
+    /// ([`ConcurrentRun::tuples`]), ranked over the extensions.
+    pub scorer: Option<&'a dyn TupleScorer>,
+    /// Shared observability bundle: metrics land on its registry and —
+    /// when its journal is enabled — the run appends a deterministic
+    /// plan-lifecycle trace (see [`qpo_runtime::Executor::run`] for the
+    /// clock contract).
+    pub obs: Option<&'a Obs>,
 }
 
 /// A concurrent mediation run: the runtime's records plus the per-source
@@ -70,6 +74,14 @@ pub struct ConcurrentRun {
     /// land on the run's [`Obs`] registry, bit-equal to
     /// [`DivergenceMonitor::from_events`] over the run's trace.
     pub divergence: DivergenceMonitor,
+    /// The globally ranked tuples, in delivery order (non-increasing
+    /// score); empty without a [`RunOptions::scorer`]. Includes tuples
+    /// later retracted — consumers reconcile through `retracted`, exactly
+    /// like the journal does.
+    pub tuples: Vec<RankedTuple>,
+    /// Tuples delivered speculatively by plans that then merged as
+    /// unsound or failed, in delivery order.
+    pub retracted: Vec<RankedTuple>,
 }
 
 impl ConcurrentRun {
@@ -94,44 +106,105 @@ impl ConcurrentRun {
     }
 }
 
-impl From<StopCondition> for RunBudget {
-    fn from(stop: StopCondition) -> RunBudget {
-        RunBudget {
-            enough_answers: stop.enough_answers,
-            max_plans: stop.max_plans,
-            max_cost: stop.max_cost,
-        }
-    }
-}
-
 impl Mediator {
     /// The concurrent, failure-aware variant of [`Mediator::answer_until`]:
     /// same reformulation, same ordering algorithm, but plans execute on
-    /// `policy.workers` threads against simulated flaky sources under
-    /// `policy.faults`, with `policy.retry` governing per-source retries.
+    /// `policy.workers` threads against (by default simulated) flaky
+    /// sources under `policy.faults`, with `policy.retry` governing
+    /// per-source retries, composed with whatever `opts` asks for.
     ///
     /// Plan outcomes feed back into the orderer, so with faults enabled a
     /// failed plan stops being credited (e.g. as cached) by later
     /// emissions — for Pi, Naive, and iDrips exactly; Streamer keeps the
-    /// optimistic assumption (see `PlanOrderer::observe`).
-    pub fn run_concurrent<M: UtilityMeasure>(
+    /// optimistic assumption (see `PlanOrderer::observe`). With a scorer,
+    /// streams attach speculatively at schedule time and are evicted —
+    /// their delivered tuples retracted — when the plan merges unsound or
+    /// failed; the stream and the trace are byte-identical across worker
+    /// counts.
+    pub fn run<M: UtilityMeasure>(
         &self,
         query: &ConjunctiveQuery,
         measure: &M,
         strategy: Strategy,
         stop: StopCondition,
         policy: RuntimePolicy,
+        opts: &RunOptions<'_>,
     ) -> Result<ConcurrentRun, MediatorError> {
-        self.run_concurrent_observed(query, measure, strategy, stop, policy, &Obs::new())
+        let private = Obs::new();
+        let obs = opts.obs.unwrap_or(&private);
+        let backend: Arc<dyn SourceBackend> = match opts.backend {
+            Some(label) => self.backend(label)?,
+            None => Arc::new(SimBackend),
+        };
+        let prepared = self.prepare(query)?;
+        let mut orderer = build_orderer_observed(&prepared.instance, measure, strategy, obs)?;
+        let runs = [("orderer", orderer.algorithm_name())];
+        obs.registry.counter("qpo_mediator_runs_total", &runs).inc();
+        let mut core = PlanCore::new(self, &prepared, obs);
+        core.serve_from(Arc::clone(&backend), obs);
+        let mut hooks = Hooks::new(obs);
+        if let Some(memo) = opts.memo {
+            // Work memoized under an older backend data version — prefixes
+            // as much as access outcomes — is stale before the run starts.
+            memo.sync_backend_epoch(backend.epoch());
+            core.share(memo);
+            hooks.share(memo);
+        }
+        if let Some(scorer) = opts.scorer {
+            hooks.stream(&prepared.instance, Box::new(scorer));
+        }
+        let mut executor = Executor::new(core.grid(), &core, policy)
+            .with_backend(backend)
+            .with_obs(obs);
+        if let Some(memo) = opts.memo {
+            executor = executor.with_source_memo(&memo.sources);
+        }
+        let mut wave = WaveHooks {
+            hooks,
+            core: &core,
+            tuples: Vec::new(),
+            retracted: Vec::new(),
+        };
+        let runtime = executor.run_observed(orderer.as_mut(), stop, &mut wave);
+        wave.finish(obs.journal.clock());
+        let mut health = SourceHealth::new();
+        health.record_run(&runtime.reports);
+        // The drift monitor consumes the reports in emission order, so
+        // its gauges are recomputable bit-for-bit from the journal. It
+        // sees only fresh access chains: memo replays carry `attempts ==
+        // 0` and are skipped, mirroring the trace.
+        let mut divergence = DivergenceMonitor::new(obs);
+        declare_sources(&mut divergence, core.grid());
+        for report in &runtime.reports {
+            observe_divergence(&mut divergence, report);
+        }
+        Ok(ConcurrentRun {
+            runtime,
+            health,
+            divergence,
+            tuples: wave.tuples,
+            retracted: wave.retracted,
+        })
     }
 
-    /// [`Mediator::run_concurrent`] with a shared observability bundle:
-    /// the ordering kernel's counters and the runtime's metrics land on
-    /// `obs.registry`, and — when `obs.journal` is enabled — the run
-    /// appends a deterministic plan-lifecycle trace (see
-    /// [`qpo_runtime::Executor::run`] for the clock contract).
-    pub fn run_concurrent_observed<M: UtilityMeasure>(
+    /// [`Mediator::run`] against the backend registered under `label`.
+    pub fn run_concurrent_on<M: UtilityMeasure>(
         &self,
+        label: &str,
+        query: &ConjunctiveQuery,
+        measure: &M,
+        strategy: Strategy,
+        stop: StopCondition,
+        policy: RuntimePolicy,
+    ) -> Result<ConcurrentRun, MediatorError> {
+        self.run_concurrent_on_observed(label, query, measure, strategy, stop, policy, &Obs::new())
+    }
+
+    /// [`Mediator::run_concurrent_on`] on a shared observability bundle.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_concurrent_on_observed<M: UtilityMeasure>(
+        &self,
+        label: &str,
         query: &ConjunctiveQuery,
         measure: &M,
         strategy: Strategy,
@@ -139,19 +212,32 @@ impl Mediator {
         policy: RuntimePolicy,
         obs: &Obs,
     ) -> Result<ConcurrentRun, MediatorError> {
-        // The simulator instantiation of the shared backend pipeline
-        // (see `crate::backends`): all-`None` fetched slots make
-        // `BackendEvaluator` evaluate against the static extensions, so
-        // this path is bit-identical to the pre-backend executor.
-        self.run_concurrent_with(
-            Arc::new(qpo_runtime::SimBackend),
-            query,
-            measure,
-            strategy,
-            stop,
-            policy,
-            obs,
-        )
+        let opts = RunOptions {
+            backend: Some(label),
+            obs: Some(obs),
+            ..RunOptions::default()
+        };
+        self.run(query, measure, strategy, stop, policy, &opts)
+    }
+
+    /// [`Mediator::run`] on the simulator with a shared-execution memo.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_concurrent_memoized<M: UtilityMeasure>(
+        &self,
+        query: &ConjunctiveQuery,
+        measure: &M,
+        strategy: Strategy,
+        stop: StopCondition,
+        policy: RuntimePolicy,
+        memo: &ExecutionMemo,
+        obs: &Obs,
+    ) -> Result<ConcurrentRun, MediatorError> {
+        let opts = RunOptions {
+            memo: Some(memo),
+            obs: Some(obs),
+            ..RunOptions::default()
+        };
+        self.run(query, measure, strategy, stop, policy, &opts)
     }
 }
 
@@ -170,12 +256,13 @@ mod tests {
     fn strategy_errors_surface_like_the_serial_path() {
         let m = mediator();
         let err = m
-            .run_concurrent(
+            .run(
                 &movie_query(),
                 &Coverage,
                 Strategy::Greedy,
                 StopCondition::unbounded(),
                 RuntimePolicy::serial(),
+                &RunOptions::default(),
             )
             .err()
             .unwrap();
@@ -186,13 +273,14 @@ mod tests {
     fn concurrent_run_reports_health_and_fees() {
         let m = mediator();
         let run = m
-            .run_concurrent(
+            .run(
                 &movie_query(),
                 &LinearCost,
                 Strategy::Greedy,
                 StopCondition::unbounded(),
                 RuntimePolicy::parallel(2)
                     .with_faults(FaultConfig::with_seed(11).with_extra_transient_rate(0.3)),
+                &RunOptions::default(),
             )
             .unwrap();
         assert_eq!(run.runtime.reports.len(), 9);
@@ -209,12 +297,13 @@ mod tests {
         // v1 is one of three sources in the first bucket of Figure 1.
         let faults = FaultConfig::with_seed(1).with_source_down("v1");
         let run = m
-            .run_concurrent(
+            .run(
                 &movie_query(),
                 &Coverage,
                 Strategy::Pi,
                 StopCondition::unbounded(),
                 RuntimePolicy::parallel(3).with_faults(faults),
+                &RunOptions::default(),
             )
             .unwrap();
         assert_eq!(run.runtime.reports.len(), 9, "run completes");

@@ -1,0 +1,778 @@
+//! The per-plan execution core and its hooks: what happens to *one* plan
+//! between the orderer and the answer set, implemented once and driven
+//! twice — pulled inline by [`QuerySession`](crate::QuerySession), fanned
+//! out to workers by the wave [`Executor`](qpo_runtime::Executor) under
+//! [`Mediator::run`](crate::Mediator::run).
+//!
+//! [`PlanCore`] owns the step itself: the soundness verdict (and the
+//! error behind a missing one), the rows each body atom reads — the
+//! static extensions, or a data-serving backend's rows under that
+//! subgoal's binding pattern through one epoch-aware `(source, pattern)`
+//! fetch cache — and the seeded, prefix-capturing join over them. It is
+//! the crate's only [`PlanEvaluator`].
+//!
+//! [`Hooks`] owns what surrounds the step on the coordinating thread: an
+//! optional *sharing* part (longest memoized prefix looked up when the
+//! plan is scheduled, captured prefixes promoted when it merges,
+//! `subplan_reused` and the memo counters) and an optional *any-k* part
+//! (score bounds of the plans not yet emitted, the plan's ranked stream
+//! attached at schedule and evicted at merge unless it executed, and the
+//! release gate). Release is a pull — [`Hooks::release`] hands out the
+//! next tuple the gate lets through — which the session returns one at a
+//! time and [`WaveHooks`], the crate's only [`WaveObserver`], loops until
+//! dry. Both parts consult and mutate shared state on the coordinating
+//! thread only (lookups in pop order, promotions in emission order), so
+//! a run stays bit-identical across worker counts.
+
+use crate::anyk::ranked_join;
+use crate::mediator::Mediator;
+use crate::sharing::ExecutionMemo;
+use qpo_anyk::{encode_tuple, plan_bound, AnyKMerge, RankedTuple, TupleScorer};
+use qpo_catalog::ProblemInstance;
+use qpo_core::{utility_cmp, OrderedPlan};
+use qpo_datalog::{
+    evaluate_slots, is_sound_plan, ConjunctiveQuery, Database, ExpansionError, JoinPrefix,
+    SourceDescription, Tuple,
+};
+use qpo_obs::{encode_plan, Counter, Gauge, Obs, Value};
+use qpo_reformulation::{PreparedQuery, Reformulation};
+use qpo_runtime::{
+    AccessContext, BackendErrorClass, BindingPattern, FaultConfig, PlanEvaluator, PlanExecution,
+    SourceBackend, SourceGrid, WaveObserver,
+};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+/// `source name → description`, the form plan expansion reads.
+pub(crate) type ViewMap = BTreeMap<Arc<str>, SourceDescription>;
+
+/// The rows one access returned, shared uncopied.
+type Rows = Arc<Vec<Tuple>>;
+
+/// Rows by `(source, pattern)` — one source serving two subgoals with
+/// different constants is two different row sets — and the backend data
+/// version they were fetched under.
+#[derive(Default)]
+struct FetchCache {
+    rows: BTreeMap<(Arc<str>, Arc<str>), Rows>,
+    epoch: u64,
+}
+
+/// A data-serving backend: the authority for every row the join reads.
+struct BackendRows {
+    backend: Arc<dyn SourceBackend>,
+    faults: FaultConfig,
+    cache: Mutex<FetchCache>,
+    /// `qpo_backend_errors_total{backend,class}`: `[transient, permanent]`.
+    errors: [Counter; 2],
+}
+
+/// Coordinator↔worker handoff of the wave driver: seeds stashed when a
+/// plan is scheduled and consumed by the worker's `evaluate`; captured
+/// prefixes travel back, with the plan query they are keyed under, and
+/// are promoted when it merges. Workers only ever touch their own plan's
+/// slots.
+#[derive(Default)]
+struct Handoff {
+    seeds: BTreeMap<Vec<usize>, JoinPrefix>,
+    computed: BTreeMap<Vec<usize>, (ConjunctiveQuery, Vec<JoinPrefix>)>,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Poison recovery: both guarded states only ever hold complete entries.
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The per-plan step; see the module docs.
+pub(crate) struct PlanCore<'a> {
+    pub(crate) reform: &'a Reformulation,
+    pub(crate) inst: &'a ProblemInstance,
+    pub(crate) db: &'a Database,
+    pub(crate) view_map: &'a ViewMap,
+    soundness_errors: Counter,
+    /// The source grid and `patterns[bucket][index]` — the binding pattern
+    /// of that bucket entry's plan atom, what its access ships and is
+    /// memoized under. Built on first use: a session on the extensions
+    /// makes no source access and never pays for either.
+    access: OnceLock<(SourceGrid, Vec<Vec<Arc<str>>>)>,
+    backend: Option<BackendRows>,
+    memo: Option<ExecutionMemo>,
+    handoff: Mutex<Handoff>,
+}
+
+impl<'a> PlanCore<'a> {
+    pub(crate) fn new(mediator: &'a Mediator, prepared: &'a PreparedQuery, obs: &Obs) -> Self {
+        PlanCore {
+            reform: &prepared.reformulation,
+            inst: &prepared.instance,
+            db: mediator.database(),
+            view_map: mediator.view_map(),
+            soundness_errors: obs.registry.counter("qpo_soundness_test_errors_total", &[]),
+            access: OnceLock::new(),
+            backend: None,
+            memo: None,
+            handoff: Mutex::default(),
+        }
+    }
+
+    /// Joins `backend`'s rows instead of the static extensions. The
+    /// simulator (any backend of kind `"sim"`) holds no data: it leaves
+    /// the core on the extensions, bit-identical to an unbackended one.
+    pub(crate) fn serve_from(&mut self, backend: Arc<dyn SourceBackend>, obs: &Obs) {
+        let kind = backend.kind();
+        self.backend = (kind != "sim").then(|| BackendRows {
+            errors: [BackendErrorClass::Transient, BackendErrorClass::Permanent].map(|class| {
+                let labels = [("backend", kind), ("class", class.label())];
+                obs.registry.counter("qpo_backend_errors_total", &labels)
+            }),
+            backend,
+            faults: FaultConfig::disabled(),
+            cache: Mutex::default(),
+        });
+    }
+
+    /// Keeps `memo` in step with the backend's data version (see
+    /// [`PlanCore::sync_epoch`]) and turns the wave handoff on.
+    pub(crate) fn share(&mut self, memo: &ExecutionMemo) {
+        self.memo = Some(memo.clone());
+    }
+
+    fn access(&self) -> &(SourceGrid, Vec<Vec<Arc<str>>>) {
+        self.access.get_or_init(|| {
+            let pattern = |entry: &qpo_reformulation::BucketEntry| {
+                BindingPattern::of_atom(&entry.atom).to_string().into()
+            };
+            let patterns = self.reform.buckets.iter();
+            (
+                SourceGrid::from_instance(self.inst),
+                patterns.map(|b| b.iter().map(pattern).collect()).collect(),
+            )
+        })
+    }
+
+    /// The source grid the prepared query induces.
+    pub(crate) fn grid(&self) -> &SourceGrid {
+        &self.access().0
+    }
+
+    /// The soundness verdict for `plan_query`, and the error when the
+    /// test itself failed (such a plan counts as unsound, and the error
+    /// on `qpo_soundness_test_errors_total`, instead of being swallowed).
+    pub(crate) fn soundness(
+        &self,
+        plan_query: &ConjunctiveQuery,
+    ) -> (bool, Option<ExpansionError>) {
+        match is_sound_plan(plan_query, self.view_map, &self.reform.query) {
+            Ok(verdict) => (verdict, None),
+            Err(e) => {
+                self.soundness_errors.inc();
+                (false, Some(e))
+            }
+        }
+    }
+
+    /// Observes the backend's data version: when it moved (a store write,
+    /// a restarted server), rows fetched and work the shared memo holds
+    /// from the old version are dropped, so the next plan joins — and
+    /// memoizes — the backend's current rows. A no-op on the extensions.
+    pub(crate) fn sync_epoch(&self) {
+        let Some(src) = &self.backend else { return };
+        let epoch = src.backend.epoch();
+        let mut cache = lock(&src.cache);
+        if cache.epoch != epoch {
+            cache.epoch = epoch;
+            cache.rows.clear();
+        }
+        if let Some(memo) = &self.memo {
+            memo.sync_backend_epoch(epoch);
+        }
+    }
+
+    /// Caches `rows` under `key`. A backend that learns its data version
+    /// from responses (tcp reports 0 until the first one) only knows it
+    /// once rows are in: with nothing cached yet that is the version this
+    /// core starts on, not a move — adopt it, or the next sync would
+    /// throw these rows and everything memoized from them away.
+    fn remember(&self, src: &BackendRows, key: (Arc<str>, Arc<str>), rows: &Rows) {
+        let mut cache = lock(&src.cache);
+        if cache.rows.is_empty() {
+            cache.epoch = src.backend.epoch();
+            if let Some(memo) = &self.memo {
+                memo.sync_backend_epoch(cache.epoch);
+            }
+        }
+        cache.rows.entry(key).or_insert_with(|| rows.clone());
+    }
+
+    /// The rows `bucket`'s atom of `plan` reads from a data-serving
+    /// backend, and whether the backend vouches for them: what the
+    /// executor `fetched` for this plan, else the cache, else one fetch
+    /// under the subgoal's pattern (a memo-resolved slot carries an
+    /// outcome, not rows). The backend is the only authority — a failed
+    /// fetch reads as the *empty* relation, never as extension rows the
+    /// backend may not hold; the error is counted, and only a permanent
+    /// one is cached, so a later plan retries a transiently unreachable
+    /// source. (A backend that serves no rows at all — a simulator behind
+    /// another kind — defers to the extensions.)
+    fn rows(
+        &self,
+        src: &BackendRows,
+        plan: &[usize],
+        bucket: usize,
+        fetched: Option<&Rows>,
+    ) -> (Rows, bool) {
+        let (grid, patterns) = self.access();
+        let svc = grid.service(bucket, plan[bucket]);
+        let key = (svc.name.clone(), patterns[bucket][plan[bucket]].clone());
+        if let Some(rows) = fetched {
+            self.remember(src, key, rows);
+            return (rows.clone(), true);
+        }
+        if let Some(rows) = lock(&src.cache).rows.get(&key) {
+            return (rows.clone(), true);
+        }
+        let ctx = AccessContext {
+            pattern: &key.1,
+            run: 0,
+            plan_seq: 0,
+            attempt: 0,
+            faults: &src.faults,
+        };
+        match src.backend.access(svc, &ctx) {
+            Ok(reply) => {
+                let rows = reply
+                    .tuples
+                    .unwrap_or_else(|| Arc::new(self.db.tuples(&svc.name).cloned().collect()));
+                self.remember(src, key, &rows);
+                (rows, true)
+            }
+            Err(e) => {
+                let rows = Arc::default();
+                let permanent = e.class == BackendErrorClass::Permanent;
+                src.errors[usize::from(permanent)].inc();
+                if permanent {
+                    self.remember(src, key, &rows);
+                }
+                (rows, false)
+            }
+        }
+    }
+
+    /// Joins `plan_query` from `seed`, returning its answers and the
+    /// prefixes captured past the seed: over the extensions, or over the
+    /// backend's rows in place — slot `i` feeds body atom `i`, which
+    /// applies its own constants to whatever superset was shipped; slots
+    /// the seed covers are never resolved. A join that read a failed
+    /// fetch captures nothing: its prefixes would memoize an outage.
+    pub(crate) fn join(
+        &self,
+        plan: &[usize],
+        plan_query: &ConjunctiveQuery,
+        fetched: &[Option<Rows>],
+        seed: Option<&JoinPrefix>,
+    ) -> (BTreeSet<Tuple>, Vec<JoinPrefix>) {
+        let Some(src) = &self.backend else {
+            return self.db.evaluate_seeded(plan_query, seed);
+        };
+        let covered = seed.map_or(0, |s| s.len);
+        let mut complete = true;
+        let slots: Vec<Rows> = (0..plan.len())
+            .map(|bucket| {
+                if bucket < covered {
+                    return Arc::default();
+                }
+                let live = fetched.get(bucket).and_then(Option::as_ref);
+                let (rows, ok) = self.rows(src, plan, bucket, live);
+                complete &= ok;
+                rows
+            })
+            .collect();
+        let slices: Vec<&[Tuple]> = slots.iter().map(|rows| rows.as_slice()).collect();
+        let (answers, captured) = evaluate_slots(plan_query, seed, &slices);
+        (answers, if complete { captured } else { Vec::new() })
+    }
+}
+
+impl PlanEvaluator for PlanCore<'_> {
+    fn is_sound(&self, plan: &[usize]) -> bool {
+        self.soundness(&self.reform.plan_query(plan)).0
+    }
+
+    fn evaluate(&self, plan: &[usize], fetched: &[Option<Rows>]) -> Vec<Tuple> {
+        let plan_query = self.reform.plan_query(plan);
+        let sharing = self.memo.is_some();
+        let seed = sharing
+            .then(|| lock(&self.handoff).seeds.remove(plan))
+            .flatten();
+        let (answers, captured) = self.join(plan, &plan_query, fetched, seed.as_ref());
+        if sharing {
+            let computed = (plan_query, captured);
+            lock(&self.handoff).computed.insert(plan.to_vec(), computed);
+        }
+        answers.into_iter().collect()
+    }
+
+    fn access_pattern(&self, plan: &[usize], bucket: usize) -> &str {
+        &self.access().1[bucket][plan[bucket]]
+    }
+}
+
+struct Sharing {
+    memo: ExecutionMemo,
+    hits: Counter,
+    misses: Counter,
+    bytes: Gauge,
+}
+
+struct Stream<'a> {
+    scorer: Box<dyn TupleScorer + 'a>,
+    merge: AnyKMerge,
+    /// Score bounds of the plans the orderer has not emitted yet.
+    remaining: BTreeMap<Vec<usize>, f64>,
+    /// The release gate: the best of `remaining`. A head is delivered
+    /// only when it strictly clears it; `None` when every plan is in.
+    gate: Option<f64>,
+}
+
+impl Stream<'_> {
+    fn close_gate(&mut self) {
+        let bounds = self.remaining.values().copied();
+        self.gate = bounds.max_by(|a, b| utility_cmp(*a, *b));
+    }
+}
+
+/// What surrounds the per-plan step on the coordinating thread; see the
+/// module docs.
+pub(crate) struct Hooks<'a> {
+    obs: &'a Obs,
+    sharing: Option<Sharing>,
+    stream: Option<Stream<'a>>,
+    /// Memoized lookups that hit: subplan prefixes plus shared any-k
+    /// levels.
+    pub(crate) memo_hits: u64,
+    /// Plans seeded from a memoized prefix.
+    pub(crate) reused: u64,
+}
+
+impl<'a> Hooks<'a> {
+    pub(crate) fn new(obs: &'a Obs) -> Self {
+        Hooks {
+            obs,
+            sharing: None,
+            stream: None,
+            memo_hits: 0,
+            reused: 0,
+        }
+    }
+
+    /// Turns the sharing part on over `memo`.
+    pub(crate) fn share(&mut self, memo: &ExecutionMemo) {
+        let labels = [("layer", "subplan")];
+        let registry = &self.obs.registry;
+        self.sharing = Some(Sharing {
+            memo: memo.clone(),
+            hits: registry.counter("qpo_memo_hits_total", &labels),
+            misses: registry.counter("qpo_memo_misses_total", &labels),
+            bytes: registry.gauge("qpo_memo_bytes", &labels),
+        });
+    }
+
+    /// Turns the any-k part on: every plan of the space starts behind the
+    /// gate at its score bound under `scorer`.
+    pub(crate) fn stream(&mut self, inst: &ProblemInstance, scorer: Box<dyn TupleScorer + 'a>) {
+        let remaining = inst
+            .all_plans()
+            .into_iter()
+            .map(|p| {
+                let b = plan_bound(scorer.as_ref(), inst, &p);
+                (p, b)
+            })
+            .collect();
+        let mut stream = Stream {
+            scorer,
+            merge: AnyKMerge::new(),
+            remaining,
+            gate: None,
+        };
+        stream.close_gate();
+        self.stream = Some(stream);
+    }
+
+    /// The any-k part's scorer, once streaming is on.
+    pub(crate) fn scorer(&self) -> Option<&dyn TupleScorer> {
+        self.stream.as_ref().map(|s| s.scorer.as_ref())
+    }
+
+    /// Tuples [`Hooks::release`] has handed out.
+    pub(crate) fn delivered(&self) -> u64 {
+        self.stream.as_ref().map_or(0, |s| s.merge.delivered())
+    }
+
+    /// A plan was popped and is about to execute (speculatively: its
+    /// verdict is not in yet). Returns the longest memoized prefix to seed
+    /// its join from (`subplan_reused`) and attaches its ranked stream to
+    /// the merge (`stream_attached`), journalled at `clock`.
+    pub(crate) fn scheduled(
+        &mut self,
+        core: &PlanCore<'_>,
+        seq: u64,
+        plan: &[usize],
+        plan_query: &ConjunctiveQuery,
+        clock: f64,
+    ) -> Option<JoinPrefix> {
+        let journal = &self.obs.journal;
+        let seed = self.sharing.as_ref().and_then(|s| {
+            let seed = s.memo.subplans.longest_prefix(plan_query);
+            match seed {
+                Some(_) => s.hits.inc(),
+                None => s.misses.inc(),
+            }
+            seed
+        });
+        if let Some(prefix) = &seed {
+            self.memo_hits += 1;
+            self.reused += 1;
+            if journal.is_enabled() {
+                journal.record_at(
+                    clock,
+                    "subplan_reused",
+                    vec![
+                        ("plan_seq", Value::U64(seq)),
+                        ("prefix_len", Value::U64(prefix.len as u64)),
+                    ],
+                );
+            }
+        }
+        if let Some(stream) = &mut self.stream {
+            stream.remaining.remove(plan);
+            stream.close_gate();
+            // Level-cache lookups stay on the coordinating thread, so
+            // hit counts are deterministic.
+            let levels = self.sharing.as_ref().map(|s| &s.memo.levels);
+            let before = levels.map_or(0, |l| l.hits());
+            let scorer = stream.scorer.as_ref();
+            let ranked = ranked_join(core.db, plan_query, core.inst, scorer, plan, levels);
+            self.memo_hits += levels.map_or(0, |l| l.hits()) - before;
+            stream.merge.attach(seq, plan.to_vec(), Box::new(ranked));
+            if journal.is_enabled() {
+                journal.record_at(
+                    clock,
+                    "stream_attached",
+                    vec![
+                        ("plan_seq", Value::U64(seq)),
+                        ("plan", Value::Str(encode_plan(plan).into())),
+                    ],
+                );
+            }
+        }
+        seed
+    }
+
+    /// A plan's outcome is final. Promotes the prefixes its join
+    /// `captured` into the memo; unless it `executed` (unsound, failed),
+    /// evicts its stream (`stream_evicted`) and returns the tuples that
+    /// stream had already delivered, in delivery order.
+    pub(crate) fn merged(
+        &mut self,
+        seq: u64,
+        executed: bool,
+        captured: Option<(&ConjunctiveQuery, &[JoinPrefix])>,
+        clock: f64,
+    ) -> Vec<RankedTuple> {
+        if let (Some(s), Some((plan_query, prefixes))) = (&self.sharing, captured) {
+            s.memo.subplans.store_all(plan_query, prefixes);
+            s.bytes.set(s.memo.subplans.approx_bytes() as f64);
+        }
+        let Some(stream) = self.stream.as_mut().filter(|_| !executed) else {
+            return Vec::new();
+        };
+        let contributed = stream.merge.evict(seq);
+        if self.obs.journal.is_enabled() {
+            self.obs.journal.record_at(
+                clock,
+                "stream_evicted",
+                vec![
+                    ("plan_seq", Value::U64(seq)),
+                    ("retracted", Value::U64(contributed.len() as u64)),
+                ],
+            );
+        }
+        contributed
+    }
+
+    /// The next tuple the gate lets out — the best undelivered head, if
+    /// it strictly clears the best bound of every plan not emitted yet —
+    /// journalled (`tuple_emitted`) at `clock`.
+    pub(crate) fn release(&mut self, clock: f64) -> Option<RankedTuple> {
+        let stream = self.stream.as_mut()?;
+        let rt = stream.merge.next_within(stream.gate)?;
+        if self.obs.journal.is_enabled() {
+            self.obs.journal.record_at(
+                clock,
+                "tuple_emitted",
+                vec![
+                    ("plan_seq", Value::U64(rt.plan_seq)),
+                    ("k", Value::U64(stream.merge.delivered())),
+                    ("score", Value::F64(rt.score)),
+                    ("tuple", Value::Str(encode_tuple(&rt.tuple).into())),
+                ],
+            );
+        }
+        Some(rt)
+    }
+
+    /// Whether plans are still behind the gate.
+    pub(crate) fn gated(&self) -> bool {
+        self.stream.as_ref().is_some_and(|s| s.gate.is_some())
+    }
+
+    /// No further plan can attach: lifts the gate, so the rest of the
+    /// attached streams flows out ranked.
+    pub(crate) fn lift_gate(&mut self) {
+        if let Some(stream) = &mut self.stream {
+            stream.remaining.clear();
+            stream.gate = None;
+        }
+    }
+}
+
+/// The wave driver's side of [`Hooks`]: carries seeds and captured
+/// prefixes across the core's coordinator↔worker handoff and drains the
+/// release gate after every callback — all on the coordinator, at serial
+/// virtual-clock timestamps, hence worker-count independent.
+pub(crate) struct WaveHooks<'c, 'a> {
+    pub(crate) hooks: Hooks<'a>,
+    pub(crate) core: &'c PlanCore<'a>,
+    /// The globally ranked tuples, in delivery order.
+    pub(crate) tuples: Vec<RankedTuple>,
+    /// Tuples delivered by plans that then merged unsound or failed.
+    pub(crate) retracted: Vec<RankedTuple>,
+}
+
+impl WaveHooks<'_, '_> {
+    fn idle(&self) -> bool {
+        self.hooks.sharing.is_none() && self.hooks.stream.is_none()
+    }
+
+    fn drain(&mut self, vclock: f64) {
+        while let Some(rt) = self.hooks.release(vclock) {
+            self.tuples.push(rt);
+        }
+    }
+
+    /// Final drain after the run: no further plan can execute.
+    pub(crate) fn finish(&mut self, vclock: f64) {
+        self.hooks.lift_gate();
+        self.drain(vclock);
+    }
+}
+
+impl WaveObserver for WaveHooks<'_, '_> {
+    fn plan_scheduled(&mut self, seq: u64, ordered: &OrderedPlan, vclock: f64) {
+        if self.idle() {
+            return;
+        }
+        let plan = &ordered.plan;
+        let plan_query = self.core.reform.plan_query(plan);
+        let seed = self
+            .hooks
+            .scheduled(self.core, seq, plan, &plan_query, vclock);
+        if let Some(seed) = seed {
+            lock(&self.core.handoff).seeds.insert(plan.clone(), seed);
+        }
+        self.drain(vclock);
+    }
+
+    fn plan_merged(&mut self, report: &PlanExecution, vclock: f64) {
+        if self.idle() {
+            return;
+        }
+        let plan = &report.ordered.plan;
+        let captured = {
+            let mut handoff = lock(&self.core.handoff);
+            handoff.seeds.remove(plan); // never ran: unsound or failed
+            handoff.computed.remove(plan)
+        };
+        let captured = captured.as_ref().map(|(q, p)| (q, p.as_slice()));
+        let evicted = self
+            .hooks
+            .merged(report.seq, report.executed(), captured, vclock);
+        self.retracted.extend(evicted);
+        self.drain(vclock);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backends::snapshot_relations;
+    use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
+    use qpo_runtime::{Access, AccessOutcome, AccessReply, BackendError, SourceService};
+    use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
+
+    /// An in-memory data-serving backend: a relation it does not hold is a
+    /// permanent error, and the first `outages` accesses of `flaky` fail
+    /// transiently.
+    struct RowsBackend {
+        relations: BTreeMap<String, Arc<Vec<Tuple>>>,
+        flaky: String,
+        outages: AtomicU32,
+        requests: AtomicU32,
+    }
+
+    impl RowsBackend {
+        fn seeded(m: &Mediator) -> Self {
+            RowsBackend {
+                relations: snapshot_relations(m.database())
+                    .into_iter()
+                    .map(|(name, rows)| (name, Arc::new(rows)))
+                    .collect(),
+                flaky: String::new(),
+                outages: AtomicU32::new(0),
+                requests: AtomicU32::new(0),
+            }
+        }
+    }
+
+    impl SourceBackend for RowsBackend {
+        fn kind(&self) -> &'static str {
+            "rows-test"
+        }
+
+        fn access(
+            &self,
+            svc: &SourceService,
+            ctx: &AccessContext<'_>,
+        ) -> Result<AccessReply, BackendError> {
+            assert_eq!(ctx.attempt, 0, "cache fills are first attempts");
+            self.requests.fetch_add(1, AtomicOrdering::Relaxed);
+            let down = |n: u32| n.checked_sub(1);
+            if *svc.name == *self.flaky
+                && self
+                    .outages
+                    .fetch_update(AtomicOrdering::Relaxed, AtomicOrdering::Relaxed, down)
+                    .is_ok()
+            {
+                return Err(BackendError::transient("connection reset"));
+            }
+            let rows = self
+                .relations
+                .get(&*svc.name)
+                .ok_or_else(|| BackendError::permanent(format!("no relation {}", svc.name)))?;
+            Ok(AccessReply {
+                access: Access {
+                    outcome: AccessOutcome::Success,
+                    latency: 1.0,
+                },
+                tuples: Some(rows.clone()),
+                remote: None,
+            })
+        }
+    }
+
+    fn mediator() -> Mediator {
+        Mediator::new(movie_domain(), MOVIE_UNIVERSE, &["ford"])
+    }
+
+    /// A plan of the movie query the extensions answer, and its sources.
+    fn answering_plan(m: &Mediator, prepared: &PreparedQuery) -> (Vec<usize>, Vec<String>) {
+        let core = PlanCore::new(m, prepared, m.obs());
+        let plan = prepared
+            .instance
+            .all_plans()
+            .into_iter()
+            .find(|p| !core.evaluate(p, &[]).is_empty())
+            .expect("some plan answers");
+        assert!(plan.len() >= 2, "needs a mixed fetched/memo-resolved plan");
+        let sources = prepared.reformulation.plan_sources(&plan);
+        (plan, sources)
+    }
+
+    fn errors(obs: &Obs, class: &str) -> u64 {
+        let labels = [("backend", "rows-test"), ("class", class)];
+        obs.registry
+            .counter_value("qpo_backend_errors_total", &labels)
+    }
+
+    #[test]
+    fn memo_resolved_slots_join_backend_rows_not_extensions() {
+        let m = mediator();
+        let prepared = m.prepare(&movie_query()).unwrap();
+        let (plan, sources) = answering_plan(&m, &prepared);
+        // The backend's world diverges from the extensions: the plan's
+        // first source is empty on the backend only.
+        let mut backend = RowsBackend::seeded(&m);
+        backend.relations.insert(sources[0].clone(), Arc::default());
+        let last = plan.len() - 1;
+        let live = backend.relations[&sources[last]].clone();
+        let mut core = PlanCore::new(&m, &prepared, m.obs());
+        core.serve_from(Arc::new(backend), m.obs());
+        // Slot 0 is memo-resolved (no rows rode along); the last slot
+        // carries live backend rows.
+        let mut fetched: Vec<Option<Arc<Vec<Tuple>>>> = vec![None; plan.len()];
+        fetched[last] = Some(live);
+        assert!(
+            core.evaluate(&plan, &fetched).is_empty(),
+            "memo-resolved slot must join the backend's (empty) rows, \
+             not the extensions'"
+        );
+    }
+
+    #[test]
+    fn a_failed_refetch_is_counted_and_a_later_plan_gets_the_rows() {
+        let m = mediator();
+        let obs = Obs::new();
+        let prepared = m.prepare(&movie_query()).unwrap();
+        let (plan, sources) = answering_plan(&m, &prepared);
+        let plan_query = prepared.reformulation.plan_query(&plan);
+        let mut backend = RowsBackend::seeded(&m);
+        backend.flaky = sources[0].clone();
+        backend.outages = AtomicU32::new(1);
+        let backend = Arc::new(backend);
+        let mut core = PlanCore::new(&m, &prepared, &obs);
+        core.serve_from(backend.clone(), &obs);
+        let reference = m.database().evaluate_seeded(&plan_query, None);
+        // Every slot is memo-resolved; the re-fetch of the first source
+        // hits the outage: no answers from this plan, nothing to memoize
+        // from it — and the error is on the counter, not swallowed.
+        let (answers, captured) = core.join(&plan, &plan_query, &[], None);
+        assert!(answers.is_empty() && captured.is_empty());
+        assert_eq!(
+            (errors(&obs, "transient"), errors(&obs, "permanent")),
+            (1, 0)
+        );
+        // A transient failure is not cached: the next plan joining that
+        // source fetches it again and, the backend healed, gets its rows.
+        assert_eq!(core.join(&plan, &plan_query, &[], None), reference);
+        assert_eq!(errors(&obs, "transient"), 1);
+        // By now every (source, pattern) is cached: no further request.
+        let requests = backend.requests.load(AtomicOrdering::Relaxed);
+        assert_eq!(core.join(&plan, &plan_query, &[], None), reference);
+        assert_eq!(backend.requests.load(AtomicOrdering::Relaxed), requests);
+    }
+
+    #[test]
+    fn a_permanent_failure_is_cached_as_empty_and_a_seed_skips_its_slots() {
+        let m = mediator();
+        let obs = Obs::new();
+        let prepared = m.prepare(&movie_query()).unwrap();
+        let (plan, sources) = answering_plan(&m, &prepared);
+        let plan_query = prepared.reformulation.plan_query(&plan);
+        let (reference, prefixes) = m.database().evaluate_seeded(&plan_query, None);
+        let mut backend = RowsBackend::seeded(&m);
+        backend.relations.remove(&sources[0]);
+        let backend = Arc::new(backend);
+        let mut core = PlanCore::new(&m, &prepared, &obs);
+        core.serve_from(backend.clone(), &obs);
+        for _ in 0..2 {
+            assert!(core.join(&plan, &plan_query, &[], None).0.is_empty());
+        }
+        assert_eq!(errors(&obs, "permanent"), 1, "asked once, then cached");
+        // A seed covering the missing source's atom never resolves it.
+        let requests = backend.requests.load(AtomicOrdering::Relaxed);
+        let (answers, captured) = core.join(&plan, &plan_query, &[], Some(&prefixes[0]));
+        assert_eq!(answers, reference);
+        assert_eq!(captured, prefixes[1..]);
+        assert_eq!(backend.requests.load(AtomicOrdering::Relaxed), requests);
+    }
+}

@@ -13,6 +13,7 @@
 pub mod anyk;
 pub mod backends;
 pub mod concurrent;
+mod core;
 pub mod extensions;
 pub mod mediator;
 pub mod pipeline;
@@ -20,9 +21,9 @@ pub mod profile;
 pub mod session;
 pub mod sharing;
 
-pub use anyk::{offline_ranked_answers, ranked_join_for_plan, AnyKRun};
+pub use anyk::{offline_ranked_answers, ranked_join_for_plan};
 pub use backends::{snapshot_relations, BackendRegistry};
-pub use concurrent::ConcurrentRun;
+pub use concurrent::{ConcurrentRun, RunOptions};
 pub use extensions::{populate_sources, try_populate_sources, ExtensionError};
 pub use mediator::{
     Mediator, MediatorError, MediatorRun, PlanReport, StopCondition, Strategy,

@@ -15,21 +15,20 @@
 //! answers unioned into the result. [`Mediator::answer`] and
 //! [`Mediator::answer_until`] are thin wrappers over one-shot sessions.
 
+use crate::core::ViewMap;
 use crate::extensions::populate_sources;
 use crate::session::QuerySession;
 use qpo_catalog::Catalog;
 use qpo_core::{
     ByExpectedTuples, Greedy, IDrips, OrderedPlan, OrdererError, Pi, PlanOrderer, Streamer,
 };
-use qpo_datalog::{
-    is_sound_plan, ConjunctiveQuery, Database, ExpansionError, SourceDescription, Tuple,
-};
+use qpo_datalog::{is_sound_plan, ConjunctiveQuery, Database, ExpansionError, Tuple};
 use qpo_obs::Obs;
 use qpo_reformulation::{
     reformulate, CacheStats, PreparedQuery, Reformulation, ReformulationCache, ReformulationError,
 };
 use qpo_utility::UtilityMeasure;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -91,51 +90,9 @@ pub struct PlanReport {
     pub cumulative: usize,
 }
 
-/// When an anytime mediation run should stop (§1: "query execution can
-/// then be aborted as soon as the user has found a satisfactory answer, or
-/// when allotted resource limits have been reached"). The run stops at the
-/// first satisfied condition; `None` fields never trigger.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StopCondition {
-    /// Stop once at least this many distinct answers have been produced.
-    pub enough_answers: Option<usize>,
-    /// Stop after emitting this many plans (sound or not).
-    pub max_plans: Option<usize>,
-    /// Stop once cumulative *negated utility* (i.e. cost, for cost-like
-    /// measures) of executed plans exceeds this budget. Only sound plans
-    /// are executed, so only they spend budget — a discarded candidate
-    /// costs nothing.
-    pub max_cost: Option<f64>,
-}
-
-impl StopCondition {
-    /// A condition that never stops early (bounded only by the plan space).
-    pub fn unbounded() -> Self {
-        StopCondition::default()
-    }
-
-    /// Stop after `n` distinct answers.
-    pub fn answers(n: usize) -> Self {
-        StopCondition {
-            enough_answers: Some(n),
-            ..StopCondition::default()
-        }
-    }
-
-    /// Stop after a cost budget is exhausted.
-    pub fn budget(cost: f64) -> Self {
-        StopCondition {
-            max_cost: Some(cost),
-            ..StopCondition::default()
-        }
-    }
-
-    pub(crate) fn satisfied(&self, answers: usize, plans: usize, spent: f64) -> bool {
-        self.enough_answers.is_some_and(|n| answers >= n)
-            || self.max_plans.is_some_and(|n| plans >= n)
-            || self.max_cost.is_some_and(|c| spent > c)
-    }
-}
+/// When an anytime mediation run should stop: the serial session and
+/// the wave executor share one stop type.
+pub use qpo_runtime::RunBudget as StopCondition;
 
 /// A full mediator run.
 #[derive(Debug, Clone)]
@@ -185,18 +142,8 @@ impl fmt::Display for MediatorError {
 impl std::error::Error for MediatorError {}
 
 /// Builds the orderer a strategy prescribes, surfacing applicability
-/// errors. Shared by the serial and concurrent execution paths.
-pub(crate) fn build_orderer<'a, M: UtilityMeasure>(
-    inst: &'a qpo_catalog::ProblemInstance,
-    measure: &'a M,
-    strategy: Strategy,
-) -> Result<Box<dyn PlanOrderer + 'a>, MediatorError> {
-    build_orderer_observed(inst, measure, strategy, &qpo_obs::Obs::new())
-}
-
-/// [`build_orderer`] with a shared observability bundle: the orderers that
-/// carry telemetry (iDrips' kernel, Streamer's link counters) register on
-/// `obs` instead of their private cells.
+/// errors. Shared by both drivers. The orderers that carry telemetry
+/// (iDrips' kernel, Streamer's link counters) register on `obs`.
 pub(crate) fn build_orderer_observed<'a, M: UtilityMeasure>(
     inst: &'a qpo_catalog::ProblemInstance,
     measure: &'a M,
@@ -216,13 +163,12 @@ pub(crate) fn build_orderer_observed<'a, M: UtilityMeasure>(
 }
 
 /// Soundness-tests `ordered` against the view definitions and, if sound,
-/// executes it against `db`, unioning into `answers`. The single
-/// report-building step shared by [`QuerySession`], the pipelined path,
-/// and the reference loop — so every path classifies and accounts plans
-/// identically.
+/// executes it against `db`, unioning into `answers`: the step of the
+/// pipelined path and of the reference loop the per-plan core
+/// ([`crate::core`]) is pinned against.
 pub(crate) fn execute_plan(
     reform: &Reformulation,
-    view_map: &BTreeMap<Arc<str>, SourceDescription>,
+    view_map: &ViewMap,
     db: &Database,
     answers: &mut BTreeSet<Tuple>,
     ordered: OrderedPlan,
@@ -263,6 +209,9 @@ pub(crate) fn execute_plan(
 #[derive(Clone)]
 pub struct Mediator {
     catalog: Arc<Catalog>,
+    // `catalog.view_map()` deep-clones every source description: built
+    // once here, borrowed by every session and run.
+    view_map: Arc<ViewMap>,
     db: Arc<Database>,
     cache: Arc<ReformulationCache>,
     backends: Arc<crate::backends::BackendRegistry>,
@@ -277,6 +226,7 @@ impl Mediator {
         let obs = Obs::new();
         let cache = ReformulationCache::new(DEFAULT_CACHE_CAPACITY, universe, 5.0).with_obs(&obs);
         let mediator = Mediator {
+            view_map: Arc::new(catalog.view_map()),
             catalog: Arc::new(catalog),
             db: Arc::new(db),
             cache: Arc::new(cache),
@@ -289,7 +239,7 @@ impl Mediator {
 
     /// Replaces the mediator's backend registry (default: only the
     /// simulator, under `"sim"`). Runs select a backend by label via
-    /// [`Mediator::run_concurrent_on`]; sessions via
+    /// [`RunOptions::backend`](crate::RunOptions::backend); sessions via
     /// [`QuerySession::with_backend`](crate::QuerySession::with_backend).
     pub fn with_backends(mut self, backends: crate::backends::BackendRegistry) -> Self {
         self.backends = Arc::new(backends);
@@ -335,6 +285,20 @@ impl Mediator {
     /// The registered source backends.
     pub fn backends(&self) -> &crate::backends::BackendRegistry {
         &self.backends
+    }
+
+    /// The backend registered under `label`, or the typed error every
+    /// entry point fails fast with.
+    pub(crate) fn backend(
+        &self,
+        label: &str,
+    ) -> Result<Arc<dyn qpo_runtime::SourceBackend>, MediatorError> {
+        self.backends.get(label).ok_or_else(|| {
+            MediatorError::Backend(qpo_runtime::BackendError::permanent(format!(
+                "no backend registered under label {label:?} (have {:?})",
+                self.backends.labels()
+            )))
+        })
     }
 
     /// Rebinds the mediator's telemetry to `obs`: session metrics, cache
@@ -412,6 +376,10 @@ impl Mediator {
         qpo_obs::serve::serve(&self.obs, port)
     }
 
+    pub(crate) fn view_map(&self) -> &ViewMap {
+        &self.view_map
+    }
+
     pub(crate) fn universe(&self) -> u64 {
         self.cache.universe()
     }
@@ -441,15 +409,7 @@ impl Mediator {
         strategy: Strategy,
         k: usize,
     ) -> Result<MediatorRun, MediatorError> {
-        self.answer_until(
-            query,
-            measure,
-            strategy,
-            StopCondition {
-                max_plans: Some(k),
-                ..StopCondition::default()
-            },
-        )
+        self.answer_until(query, measure, strategy, StopCondition::plans(k))
     }
 
     /// The anytime variant of [`Mediator::answer`]: keeps emitting and
@@ -489,8 +449,7 @@ impl Mediator {
         let inst = reform
             .problem_instance(&self.catalog, self.universe(), self.overhead())
             .map_err(MediatorError::Reformulation)?;
-        let mut orderer = build_orderer(&inst, measure, strategy)?;
-        let view_map = self.catalog.view_map();
+        let mut orderer = build_orderer_observed(&inst, measure, strategy, &Obs::new())?;
         let mut answers: BTreeSet<Tuple> = BTreeSet::new();
         let mut reports: Vec<PlanReport> = Vec::new();
         let mut spent = 0.0;
@@ -498,7 +457,7 @@ impl Mediator {
             let Some(ordered) = orderer.next_plan() else {
                 break;
             };
-            let report = execute_plan(&reform, &view_map, &self.db, &mut answers, ordered);
+            let report = execute_plan(&reform, &self.view_map, &self.db, &mut answers, ordered);
             if report.sound {
                 spent += -report.ordered.utility;
             }

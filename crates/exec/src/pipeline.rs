@@ -44,7 +44,6 @@ impl Mediator {
             Strategy::Pi => Box::new(Pi::new(inst, measure)),
         };
 
-        let view_map = self.catalog().view_map();
         let (tx, rx) = std::sync::mpsc::sync_channel::<OrderedPlan>(4);
         let run = std::thread::scope(|scope| {
             // Producer: emit plans as fast as the consumer drains them.
@@ -69,7 +68,7 @@ impl Mediator {
             while let Ok(ordered) = rx.recv() {
                 reports.push(execute_plan(
                     reform,
-                    &view_map,
+                    self.view_map(),
                     self.database(),
                     &mut answers,
                     ordered,

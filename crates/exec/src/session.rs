@@ -27,63 +27,21 @@
 //! live anytime curve and a regret gauge against the brute-force
 //! Definition 2.1 oracle, evaluated lazily over the same plan space.
 
-use crate::anyk::{offline_ranked_answers, ranked_join_for_plan, ranked_join_for_plan_cached};
+use crate::anyk::offline_ranked_answers;
+use crate::core::{Hooks, PlanCore};
 use crate::mediator::{
-    build_orderer_observed, execute_plan, Mediator, MediatorError, MediatorRun, PlanReport,
-    StopCondition, Strategy,
+    build_orderer_observed, Mediator, MediatorError, MediatorRun, PlanReport, StopCondition,
+    Strategy,
 };
-use crate::sharing::{execute_plan_memoized, ExecutionMemo};
-use qpo_anyk::{encode_tuple, plan_bound, AnyKMerge, CatalogScorer, RankedTuple, TupleScorer};
-use qpo_core::{utility_cmp, Naive, OrderedPlan, PlanOrderer, PlanOutcome};
-use qpo_datalog::{Database, SourceDescription, Tuple};
-use qpo_obs::{encode_plan, Counter, Histogram, Obs, QualitySnapshot, QualityTracker, Value};
+use crate::sharing::ExecutionMemo;
+use qpo_anyk::{CatalogScorer, RankedTuple, TupleScorer};
+use qpo_core::{Naive, OrderedPlan, PlanOrderer, PlanOutcome};
+use qpo_datalog::Tuple;
+use qpo_obs::{encode_plan, Histogram, Obs, QualitySnapshot, QualityTracker, Value};
 use qpo_reformulation::PreparedQuery;
-use qpo_runtime::{
-    AccessContext, BackendError, BackendErrorClass, FaultConfig, SourceBackend, SourceGrid,
-    SCAN_PATTERN,
-};
 use qpo_utility::UtilityMeasure;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 use std::time::Instant;
-
-/// The per-session state of a real source backend attached with
-/// [`QuerySession::with_backend`]: the resolved backend, the source grid
-/// the prepared query induces (names/buckets match the concurrent
-/// executor's), and a per-source fetch cache so each relation crosses
-/// the backend once per session, however many plans join it.
-struct SessionBackend {
-    backend: Arc<dyn SourceBackend>,
-    grid: SourceGrid,
-    faults: FaultConfig,
-    fetched: BTreeMap<Arc<str>, Arc<Vec<Tuple>>>,
-    /// The backend data version `fetched` was filled under.
-    epoch: u64,
-}
-
-/// The per-session state of the tuple-level any-k stream, created lazily
-/// on the first [`QuerySession::next_tuple`] pull.
-struct SessionAnyK<'s> {
-    scorer: Box<dyn TupleScorer + 's>,
-    merge: AnyKMerge,
-    /// Score bounds of the plans the orderer has not emitted yet — the
-    /// release gate for [`AnyKMerge::next_within`].
-    remaining: BTreeMap<Vec<usize>, f64>,
-    tuples_emitted: u64,
-}
-
-impl SessionAnyK<'_> {
-    fn bound(&self) -> Option<f64> {
-        self.remaining.values().copied().reduce(|a, b| {
-            if utility_cmp(b, a) == Ordering::Greater {
-                b
-            } else {
-                a
-            }
-        })
-    }
-}
 
 /// An open query-serving session: one prepared query, one orderer, and
 /// the accumulated answer set.
@@ -99,29 +57,31 @@ impl SessionAnyK<'_> {
 /// }
 /// ```
 ///
+/// A session is the *pull* driver of the per-plan core ([`crate::core`]):
+/// every plan goes hooks-scheduled → core → hooks-merged inline on the
+/// caller's thread, with no simulated source access. The session's own
+/// are the tick-per-emission journal clock, the [`PlanReport`]s, the
+/// board entry, the quality trackers and the stop condition.
+///
 /// Sound plans spend budget and are fed back to the orderer as
 /// [`PlanOutcome::succeeded`] (a no-op for every built-in orderer — their
 /// emission already assumes execution — but it keeps the feedback channel
-/// uniform with the concurrent runtime). Unsound plans spend nothing; with
-/// [`QuerySession::with_retract_unsound`] they are additionally reported
-/// as failures so context-sensitive orderers stop crediting them.
+/// uniform with the concurrent runtime). Unsound plans spend nothing.
 ///
 /// Beyond plan-at-a-time pulls, [`QuerySession::next_tuple`] serves the
-/// same session as a tuple-level any-k stream: globally ranked answers,
-/// delivered as soon as no unexecuted plan can beat them.
+/// same session as a tuple-level any-k stream.
 pub struct QuerySession<'s> {
+    mediator: &'s Mediator,
     prepared: &'s PreparedQuery,
-    db: &'s Database,
-    universe: u64,
-    view_map: BTreeMap<Arc<str>, SourceDescription>,
+    core: PlanCore<'s>,
+    hooks: Hooks<'s>,
     orderer: Box<dyn PlanOrderer + 's>,
     strategy: Strategy,
-    retract_unsound: bool,
     answers: BTreeSet<Tuple>,
     plans_emitted: usize,
     spent: f64,
     opened: Instant,
-    obs: Obs,
+    obs: &'s Obs,
     board_id: u64,
     quality: Option<QualityTracker>,
     // The Def. 2.1 oracle for regret is expensive (full argmax per round),
@@ -129,23 +89,13 @@ pub struct QuerySession<'s> {
     // observation and never consulted unless quality tracking is on.
     oracle_factory: Option<Box<dyn FnOnce() -> Box<dyn PlanOrderer + 's> + 's>>,
     oracle: Option<Box<dyn PlanOrderer + 's>>,
-    // Tuple-level any-k streaming state, built on the first `next_tuple`
-    // pull from the scorer pending below (or the catalog default).
-    anyk: Option<SessionAnyK<'s>>,
+    // The scorer the any-k part of the hooks starts with on the first
+    // `next_tuple` pull (None = the catalog default).
     pending_scorer: Option<Box<dyn TupleScorer + 's>>,
     tuple_quality: Option<QualityTracker>,
     // The offline exact ranked answer list (scores only), built lazily on
     // the first tuple-quality observation.
     tuple_oracle: Option<Vec<f64>>,
-    // A real source backend to pull join tuples from (None = the static
-    // extensions, the default and the `"sim"` label's behavior).
-    backends: crate::backends::BackendRegistry,
-    backend: Option<SessionBackend>,
-    // Shared-execution memo (None = every plan evaluates from scratch)
-    // plus the session-cumulative reuse counters surfaced on the board.
-    memo: Option<ExecutionMemo>,
-    memo_hits: u64,
-    subplans_reused: u64,
     // The running critical-path fold over the journalled per-plan costs
     // (a session "executes" plans serially, so the critical path is the
     // plain sum) and the costliest plan seen so far — the profile
@@ -154,7 +104,6 @@ pub struct QuerySession<'s> {
     bounding_plan: Option<(f64, String)>,
     time_to_first_plan: Histogram,
     time_to_plan: Histogram,
-    soundness_errors: Counter,
 }
 
 impl<'s> QuerySession<'s> {
@@ -185,31 +134,24 @@ impl<'s> QuerySession<'s> {
         let oracle_factory: Box<dyn FnOnce() -> Box<dyn PlanOrderer + 's> + 's> =
             Box::new(move || Box::new(Naive::new(inst, measure)));
         Ok(QuerySession {
+            mediator,
             prepared,
-            db: mediator.database(),
-            universe: mediator.universe(),
-            view_map: mediator.catalog().view_map(),
+            core: PlanCore::new(mediator, prepared, obs),
+            hooks: Hooks::new(obs),
             orderer,
             strategy,
-            retract_unsound: false,
             answers: BTreeSet::new(),
             plans_emitted: 0,
             spent: 0.0,
             opened: Instant::now(),
-            obs: obs.clone(),
+            obs,
             board_id,
             quality: None,
             oracle_factory: Some(oracle_factory),
             oracle: None,
-            anyk: None,
             pending_scorer: None,
             tuple_quality: None,
             tuple_oracle: None,
-            backends: mediator.backends().clone(),
-            backend: None,
-            memo: None,
-            memo_hits: 0,
-            subplans_reused: 0,
             critical_path: 0.0,
             bounding_plan: None,
             time_to_first_plan: obs
@@ -218,17 +160,7 @@ impl<'s> QuerySession<'s> {
             time_to_plan: obs
                 .registry
                 .histogram("qpo_session_time_to_plan_ms", &labels),
-            soundness_errors: obs.registry.counter("qpo_soundness_test_errors_total", &[]),
         })
-    }
-
-    /// Also report unsound plans to the orderer as [`PlanOutcome::failed`]
-    /// so context-sensitive orderers retract them. Off by default: the
-    /// reference mediator loop never fed outcomes back, and retraction
-    /// changes later utilities for context-dependent measures.
-    pub fn with_retract_unsound(mut self, retract: bool) -> Self {
-        self.retract_unsound = retract;
-        self
     }
 
     /// Enables live ordering-quality telemetry: an anytime curve (one
@@ -240,12 +172,8 @@ impl<'s> QuerySession<'s> {
     /// unused quality session costs nothing; with it on, each emission
     /// additionally pays one oracle argmax over the remaining plans.
     pub fn with_quality(mut self, enabled: bool) -> Self {
-        self.quality = if enabled {
-            let labels = [("strategy", self.strategy.label())];
-            Some(QualityTracker::registered(&self.obs.registry, &labels))
-        } else {
-            None
-        };
+        let labels = [("strategy", self.strategy.label())];
+        self.quality = enabled.then(|| QualityTracker::registered(&self.obs.registry, &labels));
         self
     }
 
@@ -257,143 +185,38 @@ impl<'s> QuerySession<'s> {
 
     /// Routes this session's join tuples through the backend registered
     /// under `label` on the mediator (see
-    /// [`Mediator::with_backends`](crate::Mediator::with_backends)): each
-    /// plan's relations are fetched whole from the backend — once per
-    /// source and backend data version, cached for the session — and
-    /// evaluation joins the fetched rows instead of the static
-    /// extensions. A backend write is observed before the next plan pull
-    /// (the backend's epoch moved): the cache, and whatever an attached
-    /// [`ExecutionMemo`] holds from the old version, are dropped. Sources
-    /// the backend cannot serve (a typed [`BackendError`] — a session has
-    /// no retry loop) contribute an *empty* relation for the current plan, so it
-    /// produces no answers but the session carries on, mirroring the
-    /// concurrent path's graceful degradation; only *permanent* failures
-    /// are cached, so a transiently unreachable source is retried by the
-    /// next plan that joins it. `"sim"` (and any backend
-    /// of kind `"sim"`) leaves the session on the extensions untouched —
-    /// the serial path stays bit-identical to an unbackended session.
-    /// Tuple-level any-k streaming always ranks over the extensions.
+    /// [`Mediator::with_backends`](crate::Mediator::with_backends) and
+    /// [`crate::backends`]): each subgoal is fetched under its binding
+    /// pattern, once per `(source, pattern)` and backend data version, and
+    /// the join reads the fetched rows in place. A backend write is
+    /// observed before the next plan pull: the fetched rows, and whatever
+    /// an attached [`ExecutionMemo`] holds from the old version, are
+    /// dropped. A session has no retry loop: a source the backend cannot
+    /// serve reads as empty for the current plan (a transient failure is
+    /// retried by the next plan that joins it). `"sim"` leaves the session
+    /// on the extensions, bit-identical to an unbackended one. Tuple-level
+    /// any-k streaming always ranks over the extensions.
     ///
     /// Fails fast when `label` is not registered.
     pub fn with_backend(mut self, label: &str) -> Result<Self, MediatorError> {
-        let backend = self.backends.get(label).ok_or_else(|| {
-            MediatorError::Backend(BackendError::permanent(format!(
-                "no backend registered under label {label:?} (have {:?})",
-                self.backends.labels()
-            )))
-        })?;
-        self.backend = (backend.kind() != "sim").then(|| SessionBackend {
-            grid: SourceGrid::from_instance(&self.prepared.instance),
-            epoch: backend.epoch(),
-            backend,
-            faults: FaultConfig::disabled(),
-            fetched: BTreeMap::new(),
-        });
-        self.sync_backend_epoch();
+        self.core
+            .serve_from(self.mediator.backend(label)?, self.obs);
+        self.core.sync_epoch();
         Ok(self)
     }
 
-    /// Observes the attached backend's data version: when it moved (a
-    /// store write, a restarted server), rows this session fetched and
-    /// work the shared memo holds from the old version are dropped, so
-    /// the next plan joins — and memoizes — the backend's current rows.
-    /// Runs when a backend or memo is attached and before every plan
-    /// pull; a no-op without a real backend.
-    fn sync_backend_epoch(&mut self) {
-        let Some(sess) = self.backend.as_mut() else {
-            return;
-        };
-        let epoch = sess.backend.epoch();
-        if sess.epoch != epoch {
-            sess.epoch = epoch;
-            sess.fetched.clear();
-        }
-        if let Some(memo) = &self.memo {
-            memo.sync_backend_epoch(epoch);
-        }
-    }
-
-    /// Builds the plan's evaluation database from the attached backend:
-    /// every source of `plan` resolves to its fetched rows (served from
-    /// the session cache after the first successful fetch; unfetchable
-    /// sources resolve to the empty relation for this plan, cached only
-    /// when the failure is permanent; backends that return no data — the
-    /// simulator — fall back to the extensions). `None` without an
-    /// attached real backend.
-    fn backend_overlay(&mut self, plan: &[usize]) -> Option<Database> {
-        let sess = self.backend.as_mut()?;
-        let mut overlay = Database::new();
-        for (bucket, &index) in plan.iter().enumerate() {
-            let svc = sess.grid.service(bucket, index);
-            let rows = match sess.fetched.get(&svc.name) {
-                Some(rows) => rows.clone(),
-                None => {
-                    let ctx = AccessContext {
-                        pattern: SCAN_PATTERN,
-                        run: 0,
-                        plan_seq: 0,
-                        attempt: 1,
-                        faults: &sess.faults,
-                    };
-                    let nothing_cached = sess.fetched.is_empty();
-                    let fetched = sess.backend.access(svc, &ctx);
-                    if nothing_cached {
-                        // A backend that learns its data version from
-                        // responses (tcp reports 0 until the first one)
-                        // only now knows it. With nothing cached yet that
-                        // is where the session starts, not a move: adopt
-                        // it here, or the next pull would throw away this
-                        // plan's rows and everything it memoizes.
-                        sess.epoch = sess.backend.epoch();
-                        if let Some(memo) = &self.memo {
-                            memo.sync_backend_epoch(sess.epoch);
-                        }
-                    }
-                    match fetched {
-                        Ok(reply) => {
-                            let rows = reply.tuples.unwrap_or_else(|| {
-                                Arc::new(self.db.tuples(&svc.name).cloned().collect())
-                            });
-                            sess.fetched.insert(svc.name.clone(), rows.clone());
-                            rows
-                        }
-                        // A failed fetch is not data. Permanent failures
-                        // (unknown source) cache as empty — retrying
-                        // cannot help — but transient ones (a flapping
-                        // server) stay uncached, so a later plan joining
-                        // this source retries it once the backend heals
-                        // instead of silently answering empty for the
-                        // rest of the session.
-                        Err(e) => {
-                            let rows: Arc<Vec<Tuple>> = Arc::new(Vec::new());
-                            if e.class == BackendErrorClass::Permanent {
-                                sess.fetched.insert(svc.name.clone(), rows.clone());
-                            }
-                            rows
-                        }
-                    }
-                }
-            };
-            for t in rows.iter() {
-                overlay.insert(svc.name.as_ref(), t.clone());
-            }
-        }
-        Some(overlay)
-    }
-
-    /// Attaches a shared-execution memo: sound plans seed their joins
-    /// from the longest memoized atom-prefix (and promote what they
-    /// compute), and the any-k stream builds its per-plan enumerators
-    /// through the shared level cache. Reports and answers are
-    /// bit-identical to an unmemoized session; only the work shrinks.
-    /// Clone one [`ExecutionMemo`] across the sessions of a serving
-    /// process to share partial joins between queries. Memo hits and
-    /// seeded plans are surfaced on the session board
-    /// (`memo_hits` / `subplans_reused` on `/sessions`) and journalled
-    /// as `subplan_reused` events.
+    /// Attaches a shared-execution memo: plans seed their joins from the
+    /// longest memoized atom-prefix (and promote what they compute), and
+    /// the any-k stream builds its per-plan enumerators through the
+    /// shared level cache. Reports and answers are bit-identical to an
+    /// unmemoized session; only the work shrinks. Clone one
+    /// [`ExecutionMemo`] across the sessions of a serving process to
+    /// share partial joins between queries. Hits and seeded plans show
+    /// on the session board and as `subplan_reused` events.
     pub fn with_memo(mut self, memo: &ExecutionMemo) -> Self {
-        self.memo = Some(memo.clone());
-        self.sync_backend_epoch();
+        self.core.share(memo);
+        self.hooks.share(memo);
+        self.core.sync_epoch();
         self
     }
 
@@ -401,12 +224,12 @@ impl<'s> QuerySession<'s> {
     /// levels) in this session. 0 unless [`QuerySession::with_memo`]
     /// attached a memo.
     pub fn memo_hits(&self) -> u64 {
-        self.memo_hits
+        self.hooks.memo_hits
     }
 
     /// Plans whose join was seeded from a memoized prefix.
     pub fn subplans_reused(&self) -> u64 {
-        self.subplans_reused
+        self.hooks.reused
     }
 
     /// Replaces the tuple scorer the any-k stream ranks answers with
@@ -414,7 +237,10 @@ impl<'s> QuerySession<'s> {
     /// called before the first [`QuerySession::next_tuple`] pull — the
     /// scorer is fixed once streaming starts.
     pub fn with_tuple_scorer(mut self, scorer: impl TupleScorer + 's) -> Self {
-        debug_assert!(self.anyk.is_none(), "scorer fixed once streaming starts");
+        debug_assert!(
+            self.hooks.scorer().is_none(),
+            "scorer fixed once streaming starts"
+        );
         self.pending_scorer = Some(Box::new(scorer));
         self
     }
@@ -425,17 +251,11 @@ impl<'s> QuerySession<'s> {
     /// exact ranked answer list ([`offline_ranked_answers`]). The oracle
     /// drains every sound plan once, lazily, on the first delivery.
     pub fn with_tuple_quality(mut self, enabled: bool) -> Self {
-        self.tuple_quality = if enabled {
-            let labels = [("strategy", self.strategy.label())];
-            Some(QualityTracker::registered_as(
-                &self.obs.registry,
-                &labels,
-                "qpo_session_tuple_mass",
-                "qpo_session_tuple_regret",
-            ))
-        } else {
-            None
-        };
+        let labels = [("strategy", self.strategy.label())];
+        self.tuple_quality = enabled.then(|| {
+            let (mass, regret) = ("qpo_session_tuple_mass", "qpo_session_tuple_regret");
+            QualityTracker::registered_as(&self.obs.registry, &labels, mass, regret)
+        });
         self
     }
 
@@ -447,17 +267,7 @@ impl<'s> QuerySession<'s> {
 
     /// Tuples delivered by [`QuerySession::next_tuple`] so far.
     pub fn tuples_emitted(&self) -> u64 {
-        self.anyk.as_ref().map_or(0, |a| a.tuples_emitted)
-    }
-
-    /// The strategy this session orders plans with.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// The prepared query this session serves.
-    pub fn prepared(&self) -> &PreparedQuery {
-        self.prepared
+        self.hooks.delivered()
     }
 
     /// Distinct answers accumulated so far.
@@ -485,27 +295,20 @@ impl<'s> QuerySession<'s> {
     /// ranked tuple stream to the session's any-k merge.
     pub fn next_report(&mut self) -> Option<PlanReport> {
         let ordered = self.orderer.next_plan()?;
-        let mut anyk = self.anyk.take();
-        let report = self.process_plan(ordered, anyk.as_mut());
-        self.anyk = anyk;
-        Some(report)
+        Some(self.process_plan(ordered))
     }
 
-    /// The emit → soundness-test → execute → journal → feedback step
-    /// shared by [`QuerySession::next_report`] and the tuple-streaming
-    /// pull loop. When `anyk` is live, the plan's ranked stream attaches
-    /// to the merge between its `plan_emitted` and terminal journal
-    /// events (unsound plans attach and evict immediately, journalling
-    /// both) — so the trace's stream events always land inside an open
-    /// plan span, mirroring the concurrent executor's speculative attach.
-    fn process_plan(
-        &mut self,
-        ordered: OrderedPlan,
-        anyk: Option<&mut SessionAnyK<'s>>,
-    ) -> PlanReport {
+    /// The emit → hooks-scheduled → core → hooks-merged → journal →
+    /// feedback step shared by [`QuerySession::next_report`] and the
+    /// tuple-streaming pull loop. What the hooks journal lands between the
+    /// plan's `plan_emitted` and terminal events, so the trace's memo and
+    /// stream events always sit inside an open plan span, mirroring the
+    /// concurrent executor's speculative attach.
+    fn process_plan(&mut self, ordered: OrderedPlan) -> PlanReport {
         let plan_seq = self.plans_emitted as u64;
-        if self.obs.journal.is_enabled() {
-            self.obs.journal.record(
+        let journal = &self.obs.journal;
+        if journal.is_enabled() {
+            journal.record(
                 "plan_emitted",
                 vec![
                     ("plan_seq", Value::U64(plan_seq)),
@@ -514,108 +317,50 @@ impl<'s> QuerySession<'s> {
                 ],
             );
         }
-        self.sync_backend_epoch();
-        let overlay = self.backend_overlay(&ordered.plan);
-        let db = overlay.as_ref().unwrap_or(self.db);
-        let (report, reused) = match &self.memo {
-            Some(memo) => execute_plan_memoized(
-                &self.prepared.reformulation,
-                &self.view_map,
-                db,
-                &mut self.answers,
-                ordered,
-                memo,
-            ),
-            None => (
-                execute_plan(
-                    &self.prepared.reformulation,
-                    &self.view_map,
-                    db,
-                    &mut self.answers,
-                    ordered,
-                ),
-                None,
-            ),
+        self.core.sync_epoch();
+        let reform = &self.prepared.reformulation;
+        let plan_query = reform.plan_query(&ordered.plan);
+        let clock = journal.clock();
+        let seed = self
+            .hooks
+            .scheduled(&self.core, plan_seq, &ordered.plan, &plan_query, clock);
+        let (sound, soundness_error) = self.core.soundness(&plan_query);
+        let mut new_tuples = 0;
+        let mut captured = Vec::new();
+        if sound {
+            let (tuples, prefixes) = self
+                .core
+                .join(&ordered.plan, &plan_query, &[], seed.as_ref());
+            captured = prefixes;
+            for t in tuples {
+                if self.answers.insert(t) {
+                    new_tuples += 1;
+                }
+            }
+        }
+        let promoted = sound.then_some((&plan_query, captured.as_slice()));
+        self.hooks.merged(plan_seq, sound, promoted, clock);
+        let report = PlanReport {
+            sources: reform.plan_sources(&ordered.plan),
+            ordered,
+            query: plan_query,
+            sound,
+            soundness_error,
+            new_tuples,
+            cumulative: self.answers.len(),
         };
-        if let Some(prefix_len) = reused {
-            self.memo_hits += 1;
-            self.subplans_reused += 1;
-            if self.obs.journal.is_enabled() {
-                self.obs.journal.record(
-                    "subplan_reused",
-                    vec![
-                        ("plan_seq", Value::U64(plan_seq)),
-                        ("prefix_len", Value::U64(prefix_len as u64)),
-                    ],
-                );
-            }
-        }
-        if let Some(anyk) = anyk {
-            anyk.remaining.remove(&report.ordered.plan);
-            let stream = match &self.memo {
-                Some(memo) => {
-                    let before = memo.levels.hits();
-                    let stream = ranked_join_for_plan_cached(
-                        self.db,
-                        &self.prepared.reformulation,
-                        &self.prepared.instance,
-                        anyk.scorer.as_ref(),
-                        &report.ordered.plan,
-                        &memo.levels,
-                    );
-                    self.memo_hits += memo.levels.hits() - before;
-                    stream
-                }
-                None => ranked_join_for_plan(
-                    self.db,
-                    &self.prepared.reformulation,
-                    &self.prepared.instance,
-                    anyk.scorer.as_ref(),
-                    &report.ordered.plan,
-                ),
-            };
-            anyk.merge
-                .attach(plan_seq, report.ordered.plan.clone(), Box::new(stream));
-            if self.obs.journal.is_enabled() {
-                self.obs.journal.record(
-                    "stream_attached",
-                    vec![
-                        ("plan_seq", Value::U64(plan_seq)),
-                        ("plan", Value::Str(encode_plan(&report.ordered.plan).into())),
-                    ],
-                );
-            }
-            if !report.sound {
-                let contributed = anyk.merge.evict(plan_seq);
-                if self.obs.journal.is_enabled() {
-                    self.obs.journal.record(
-                        "stream_evicted",
-                        vec![
-                            ("plan_seq", Value::U64(plan_seq)),
-                            ("retracted", Value::U64(contributed.len() as u64)),
-                        ],
-                    );
-                }
-            }
-        }
         self.plans_emitted += 1;
         let elapsed_ms = self.opened.elapsed().as_secs_f64() * 1e3;
         if self.plans_emitted == 1 {
             self.time_to_first_plan.record(elapsed_ms);
         }
         self.time_to_plan.record(elapsed_ms);
-        if report.soundness_error.is_some() {
-            self.soundness_errors.inc();
-        }
         if report.sound {
             self.spent += -report.ordered.utility;
             self.orderer.observe(&PlanOutcome::succeeded(
                 &report.ordered.plan,
                 report.new_tuples,
             ));
-        } else if self.retract_unsound {
-            self.orderer
-                .observe(&PlanOutcome::failed(&report.ordered.plan));
         }
         // The profile's per-plan "latency" in a session is the executed
         // cost: negated utility for sound plans (clamped at zero for
@@ -636,26 +381,19 @@ impl<'s> QuerySession<'s> {
         if bounds {
             self.bounding_plan = Some((plan_cost, encode_plan(&report.ordered.plan)));
         }
-        if self.obs.journal.is_enabled() {
+        if journal.is_enabled() {
+            let mut fields = vec![("plan_seq", Value::U64(plan_seq))];
             if report.sound {
-                self.obs.journal.record(
-                    "plan_completed",
-                    vec![
-                        ("plan_seq", Value::U64(plan_seq)),
-                        ("new_tuples", Value::U64(report.new_tuples as u64)),
-                        ("cumulative", Value::U64(report.cumulative as u64)),
-                        ("latency", Value::F64(plan_cost)),
-                    ],
-                );
-            } else {
-                self.obs.journal.record(
-                    "plan_unsound",
-                    vec![
-                        ("plan_seq", Value::U64(plan_seq)),
-                        ("latency", Value::F64(0.0)),
-                    ],
-                );
+                fields.push(("new_tuples", Value::U64(report.new_tuples as u64)));
+                fields.push(("cumulative", Value::U64(report.cumulative as u64)));
             }
+            fields.push(("latency", Value::F64(plan_cost)));
+            let kind = if report.sound {
+                "plan_completed"
+            } else {
+                "plan_unsound"
+            };
+            journal.record(kind, fields);
         }
         if let Some(tracker) = &mut self.quality {
             if self.oracle.is_none() {
@@ -672,8 +410,8 @@ impl<'s> QuerySession<'s> {
                 .and_then(|o| o.next_plan())
                 .map_or(0.0, |o| o.utility);
             let regret = tracker.observe(report.ordered.utility, self.spent, oracle_u);
-            if self.obs.journal.is_enabled() {
-                self.obs.journal.record(
+            if journal.is_enabled() {
+                journal.record(
                     "quality_sample",
                     vec![
                         ("plan_seq", Value::U64(plan_seq)),
@@ -686,29 +424,18 @@ impl<'s> QuerySession<'s> {
         }
         // One emission, one tick: the next round's kernel and lifecycle
         // events land at clock `plan_seq + 1`.
-        self.obs.journal.set_clock((plan_seq + 1) as f64);
-        let (emitted, answers, spent) = (plan_seq + 1, self.answers.len() as u64, self.spent);
-        let ttfp = (emitted == 1).then_some(elapsed_ms);
-        let (mass, regret) = match &self.quality {
-            Some(q) => (Some(q.mass()), Some(q.regret())),
-            None => (None, None),
-        };
-        let (memo_hits, subplans_reused) = (self.memo_hits, self.subplans_reused);
-        let critical_path = self.critical_path;
-        let bounding_plan = self.bounding_plan.as_ref().map(|(_, p)| p.clone());
+        journal.set_clock((plan_seq + 1) as f64);
+        let quality = self.quality.as_ref();
         self.obs.sessions.update(self.board_id, |e| {
-            e.plans_emitted = emitted;
-            e.answers = answers;
-            e.spent = spent;
-            if e.time_to_first_plan_ms.is_none() {
-                e.time_to_first_plan_ms = ttfp;
-            }
-            e.utility_mass = mass;
-            e.regret = regret;
-            e.memo_hits = memo_hits;
-            e.subplans_reused = subplans_reused;
-            e.critical_path = critical_path;
-            e.bounding_plan = bounding_plan;
+            e.plans_emitted = plan_seq + 1;
+            e.answers = self.answers.len() as u64;
+            e.spent = self.spent;
+            e.time_to_first_plan_ms.get_or_insert(elapsed_ms);
+            (e.utility_mass, e.regret) = quality.map(|q| (q.mass(), q.regret())).unzip();
+            e.memo_hits = self.hooks.memo_hits;
+            e.subplans_reused = self.hooks.reused;
+            e.critical_path = self.critical_path;
+            e.bounding_plan = self.bounding_plan.as_ref().map(|(_, p)| p.clone());
         });
         report
     }
@@ -725,60 +452,39 @@ impl<'s> QuerySession<'s> {
     /// Unsound plans attach and immediately evict their stream, so they
     /// contribute nothing; answers already delivered stay delivered.
     pub fn next_tuple(&mut self) -> Option<RankedTuple> {
-        self.ensure_anyk();
+        if self.hooks.scorer().is_none() {
+            let scorer = self
+                .pending_scorer
+                .take()
+                .unwrap_or_else(|| Box::new(CatalogScorer::new(self.mediator.universe())));
+            self.hooks.stream(&self.prepared.instance, scorer);
+        }
         loop {
-            let anyk = self.anyk.as_mut().expect("ensured above");
-            let bound = anyk.bound();
-            if let Some(rt) = anyk.merge.next_within(bound) {
-                anyk.tuples_emitted += 1;
-                let k = anyk.tuples_emitted;
-                if self.obs.journal.is_enabled() {
-                    self.obs.journal.record(
-                        "tuple_emitted",
-                        vec![
-                            ("plan_seq", Value::U64(rt.plan_seq)),
-                            ("k", Value::U64(k)),
-                            ("score", Value::F64(rt.score)),
-                            ("tuple", Value::Str(encode_tuple(&rt.tuple).into())),
-                        ],
-                    );
-                }
+            if let Some(rt) = self.hooks.release(self.obs.journal.clock()) {
+                let k = self.hooks.delivered();
                 self.observe_tuple_quality(k, &rt);
-                let (mass, regret, point) = match &self.tuple_quality {
-                    Some(q) => {
-                        let snap = q.snapshot();
-                        (
-                            Some(snap.mass),
-                            Some(snap.regret),
-                            snap.points.last().copied(),
-                        )
-                    }
-                    None => (None, None, None),
-                };
+                let snap = self.tuple_quality.as_ref().map(|q| q.snapshot());
                 self.obs.sessions.update(self.board_id, |e| {
                     e.tuples_emitted = k;
-                    e.tuple_mass = mass;
-                    e.tuple_regret = regret;
-                    if let Some(p) = point {
-                        e.tuple_curve.push(p);
-                    }
+                    e.tuple_mass = snap.as_ref().map(|s| s.mass);
+                    e.tuple_regret = snap.as_ref().map(|s| s.regret);
+                    e.tuple_curve
+                        .extend(snap.as_ref().and_then(|s| s.points.last()));
                 });
                 return Some(rt);
             }
-            bound?; // every plan attached, merge drained
+            if !self.hooks.gated() {
+                return None; // every plan attached, merge drained
+            }
             match self.orderer.next_plan() {
                 Some(ordered) => {
-                    let mut anyk = self.anyk.take();
-                    self.process_plan(ordered, anyk.as_mut());
-                    self.anyk = anyk;
+                    self.process_plan(ordered);
                 }
-                None => {
-                    // Defensive: the orderer is exhausted while bounds for
-                    // unseen plans remain (plans pulled before streaming
-                    // started, or an orderer that undercovers the space).
-                    // Nothing further can attach, so lift the gate.
-                    self.anyk.as_mut().expect("ensured above").remaining.clear();
-                }
+                // Defensive: the orderer is exhausted while bounds for
+                // unseen plans remain (plans pulled before streaming
+                // started, or an orderer that undercovers the space).
+                // Nothing further can attach, so lift the gate.
+                None => self.hooks.lift_gate(),
             }
         }
     }
@@ -789,57 +495,25 @@ impl<'s> QuerySession<'s> {
         Box::new(std::iter::from_fn(move || self.next_tuple()))
     }
 
-    fn ensure_anyk(&mut self) {
-        if self.anyk.is_some() {
-            return;
-        }
-        let scorer = self
-            .pending_scorer
-            .take()
-            .unwrap_or_else(|| Box::new(CatalogScorer::new(self.universe)));
-        let inst = &self.prepared.instance;
-        let remaining = inst
-            .all_plans()
-            .into_iter()
-            .map(|p| {
-                let b = plan_bound(scorer.as_ref(), inst, &p);
-                (p, b)
-            })
-            .collect();
-        self.anyk = Some(SessionAnyK {
-            scorer,
-            merge: AnyKMerge::new(),
-            remaining,
-            tuples_emitted: 0,
-        });
-    }
-
     /// Feeds one delivered tuple into the tuple-level quality tracker
     /// (no-op unless [`QuerySession::with_tuple_quality`] enabled it),
     /// journalling a `tuple_quality_sample` against the offline exact
     /// ranked list.
     fn observe_tuple_quality(&mut self, k: u64, rt: &RankedTuple) {
-        if self.tuple_quality.is_none() {
+        let Some(tracker) = &mut self.tuple_quality else {
             return;
-        }
-        if self.tuple_oracle.is_none() {
-            let anyk = self.anyk.as_ref().expect("streaming started");
+        };
+        let scores = self.tuple_oracle.get_or_insert_with(|| {
             let ranked = offline_ranked_answers(
-                self.db,
+                self.core.db,
                 &self.prepared.reformulation,
-                &self.view_map,
+                self.core.view_map,
                 &self.prepared.instance,
-                anyk.scorer.as_ref(),
+                self.hooks.scorer().expect("streaming started"),
             );
-            self.tuple_oracle = Some(ranked.into_iter().map(|(s, _)| s).collect());
-        }
-        let oracle_score = self
-            .tuple_oracle
-            .as_ref()
-            .and_then(|scores| scores.get((k - 1) as usize))
-            .copied()
-            .unwrap_or(0.0);
-        let tracker = self.tuple_quality.as_mut().expect("checked above");
+            ranked.into_iter().map(|(s, _)| s).collect()
+        });
+        let oracle_score = scores.get((k - 1) as usize).copied().unwrap_or(0.0);
         let regret = tracker.observe(rt.score, self.spent, oracle_score);
         if self.obs.journal.is_enabled() {
             self.obs.journal.record(
@@ -900,6 +574,7 @@ mod tests {
     use super::*;
     use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
     use qpo_utility::{Coverage, LinearCost};
+    use std::sync::Arc;
 
     fn mediator() -> Mediator {
         Mediator::new(movie_domain(), MOVIE_UNIVERSE, &["ford"])

@@ -15,36 +15,24 @@
 //!   rows by the *canonicalized atom prefix* of the plan's conjunctive
 //!   query (bucket-entry atoms carry unique variable prefixes, so the
 //!   rendered prefix is a faithful hash-consed identity). A later plan
-//!   sharing a prefix seeds its pipelined join from the longest match via
-//!   [`qpo_datalog::Database::evaluate_seeded`], which is bit-identical
-//!   to the unseeded evaluation;
+//!   sharing a prefix seeds its pipelined join from the longest match,
+//!   which is bit-identical to the unseeded evaluation;
 //! - **ranked levels** — [`qpo_anyk::LevelCache`] shares the per-atom
 //!   scored levels of any-k enumerators across plans choosing the same
 //!   source for a bucket.
 //!
-//! All memo consultation and promotion happens on the executor's
-//! coordinator thread — lookups at `plan_scheduled` (pop order),
-//! promotions at `plan_merged` (emission order) — so memoized runs remain
-//! bit-identical across worker counts, and the journal events
-//! (`memo_hit`, `memo_store`, `subplan_reused`) land on the serial
-//! virtual clock inside their plan's span.
+//! The memo is only the store. Consultation and promotion are the sharing
+//! part of [`crate::core`]'s hooks and happen on the coordinating thread
+//! — lookups when a plan is scheduled (pop order), promotions when it
+//! merges (emission order) — so memoized runs remain bit-identical across
+//! worker counts, and the journal events (`memo_hit`, `memo_store`,
+//! `subplan_reused`) land on the serial virtual clock inside their plan's
+//! span.
 
-use crate::concurrent::{ConcurrentRun, MediatorEvaluator};
-use crate::mediator::{
-    build_orderer_observed, Mediator, MediatorError, PlanReport, StopCondition, Strategy,
-};
 use qpo_anyk::LevelCache;
-use qpo_core::OrderedPlan;
-use qpo_datalog::{
-    is_sound_plan, ConjunctiveQuery, Database, JoinPrefix, SourceDescription, Tuple,
-};
-use qpo_obs::{Counter, Gauge, Obs, Value};
-use qpo_reformulation::Reformulation;
-use qpo_runtime::{
-    Executor, PlanEvaluator, PlanExecution, RuntimePolicy, SourceHealth, SourceMemo, WaveObserver,
-};
-use qpo_utility::UtilityMeasure;
-use std::collections::{BTreeMap, BTreeSet};
+use qpo_datalog::{ConjunctiveQuery, JoinPrefix};
+use qpo_runtime::SourceMemo;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// The canonical identity of a plan-query prefix: the first `len` body
@@ -63,7 +51,7 @@ fn prefix_key(query: &ConjunctiveQuery, len: usize) -> String {
     key
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SubplanInner {
     entries: BTreeMap<Arc<str>, JoinPrefix>,
     hits: u64,
@@ -72,28 +60,15 @@ struct SubplanInner {
     /// Running byte total, maintained at store time so [`SubplanMemo::approx_bytes`]
     /// is O(1) — it is polled after every plan merge for the gauge.
     bytes: usize,
-    /// Retention cap: stores that would push `bytes` past this are
-    /// refused (the lookup side just misses). Promotion happens in
-    /// emission order on the coordinator, so which prefixes land under
-    /// the budget is deterministic.
-    byte_budget: usize,
+    /// Retention cap (`None` = [`SubplanMemo::DEFAULT_BYTE_BUDGET`]):
+    /// stores that would push `bytes` past this are refused (the lookup
+    /// side just misses). Promotion happens in emission order on the
+    /// coordinator, so which prefixes land under the budget is
+    /// deterministic.
+    byte_budget: Option<usize>,
     /// Backend data version the cached prefixes were joined from; see
     /// [`SubplanMemo::sync_backend_epoch`].
     backend_epoch: u64,
-}
-
-impl Default for SubplanInner {
-    fn default() -> Self {
-        SubplanInner {
-            entries: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
-            stores: 0,
-            bytes: 0,
-            byte_budget: SubplanMemo::DEFAULT_BYTE_BUDGET,
-            backend_epoch: 0,
-        }
-    }
 }
 
 /// A session-scoped memo of materialized partial-join results, keyed by
@@ -121,7 +96,7 @@ impl SubplanMemo {
     /// exceed the cap are refused; existing entries are kept. Applies to
     /// every clone (the store is shared).
     pub fn set_byte_budget(&self, bytes: usize) {
-        self.lock().byte_budget = bytes;
+        self.lock().byte_budget = Some(bytes);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SubplanInner> {
@@ -174,7 +149,7 @@ impl SubplanMemo {
                 continue;
             }
             let cost = key.len() + p.approx_bytes();
-            if inner.bytes + cost > inner.byte_budget {
+            if inner.bytes + cost > inner.byte_budget.unwrap_or(Self::DEFAULT_BYTE_BUDGET) {
                 continue;
             }
             inner.bytes += cost;
@@ -249,257 +224,5 @@ impl ExecutionMemo {
     pub fn sync_backend_epoch(&self, epoch: u64) {
         self.sources.sync_backend_epoch(epoch);
         self.subplans.sync_backend_epoch(epoch);
-    }
-}
-
-/// [`crate::mediator::execute_plan`] with partial-join reuse: sound plans
-/// seed their pipelined join from the longest memoized atom-prefix and
-/// promote every newly materialized prefix back into the memo. Returns
-/// the report plus the reused prefix length (`None` on a memo miss or an
-/// unsound plan). Seeded evaluation is bit-identical to unseeded, so the
-/// report matches the unmemoized step exactly.
-pub(crate) fn execute_plan_memoized(
-    reform: &Reformulation,
-    view_map: &BTreeMap<Arc<str>, SourceDescription>,
-    db: &Database,
-    answers: &mut BTreeSet<Tuple>,
-    ordered: OrderedPlan,
-    memo: &ExecutionMemo,
-) -> (PlanReport, Option<usize>) {
-    let plan_query = reform.plan_query(&ordered.plan);
-    let sources = reform.plan_sources(&ordered.plan);
-    let (sound, soundness_error) = match is_sound_plan(&plan_query, view_map, &reform.query) {
-        Ok(verdict) => (verdict, None),
-        Err(e) => (false, Some(e)),
-    };
-    let mut new_tuples = 0;
-    let mut reused = None;
-    if sound {
-        let seed = memo.subplans.longest_prefix(&plan_query);
-        reused = seed.as_ref().map(|p| p.len);
-        let (tuples, captured) = db.evaluate_seeded(&plan_query, seed.as_ref());
-        memo.subplans.store_all(&plan_query, &captured);
-        for t in tuples {
-            if answers.insert(t) {
-                new_tuples += 1;
-            }
-        }
-    }
-    (
-        PlanReport {
-            ordered,
-            sources,
-            query: plan_query,
-            sound,
-            soundness_error,
-            new_tuples,
-            cumulative: answers.len(),
-        },
-        reused,
-    )
-}
-
-/// Coordinator↔worker handoff for the concurrent memoized path: seeds
-/// are stashed at `plan_scheduled` (coordinator, pop order) and consumed
-/// by the worker's `evaluate`; captured prefixes travel back and are
-/// promoted at `plan_merged` (coordinator, emission order). Workers only
-/// ever touch their own plan's slots, so the maps never race on a key.
-#[derive(Default)]
-pub(crate) struct SharingState {
-    seeds: Mutex<BTreeMap<Vec<usize>, JoinPrefix>>,
-    computed: Mutex<BTreeMap<Vec<usize>, Vec<JoinPrefix>>>,
-}
-
-/// A [`PlanEvaluator`] that evaluates through the subplan memo's seeds:
-/// identical verdicts and answers to [`MediatorEvaluator`], plus prefix
-/// capture for promotion.
-pub(crate) struct SharedEvaluator<'a> {
-    pub(crate) inner: MediatorEvaluator<'a>,
-    pub(crate) state: Arc<SharingState>,
-}
-
-impl PlanEvaluator for SharedEvaluator<'_> {
-    fn is_sound(&self, plan: &[usize]) -> bool {
-        self.inner.is_sound(plan)
-    }
-
-    fn evaluate(&self, plan: &[usize]) -> Vec<Tuple> {
-        let plan_query = self.inner.reform.plan_query(plan);
-        let seed = {
-            let mut seeds = self.state.seeds.lock().unwrap_or_else(|e| e.into_inner());
-            seeds.remove(plan)
-        };
-        let (answers, captured) = self.inner.db.evaluate_seeded(&plan_query, seed.as_ref());
-        self.state
-            .computed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(plan.to_vec(), captured);
-        answers.into_iter().collect()
-    }
-}
-
-/// The [`WaveObserver`] wiring the subplan memo into the wave executor.
-/// Both callbacks run on the coordinator thread, so lookup order (pop
-/// order) and promotion order (emission order) are worker-count
-/// independent — the property the differential tests pin down.
-pub(crate) struct SharingObserver<'a> {
-    reform: &'a Reformulation,
-    memo: &'a ExecutionMemo,
-    state: Arc<SharingState>,
-    obs: &'a Obs,
-    hits: Counter,
-    misses: Counter,
-    bytes: Gauge,
-    /// Plans seeded from a memoized prefix this run.
-    pub(crate) reused: u64,
-}
-
-impl<'a> SharingObserver<'a> {
-    pub(crate) fn new(
-        reform: &'a Reformulation,
-        memo: &'a ExecutionMemo,
-        state: Arc<SharingState>,
-        obs: &'a Obs,
-    ) -> Self {
-        let labels = [("layer", "subplan")];
-        SharingObserver {
-            reform,
-            memo,
-            state,
-            obs,
-            hits: obs.registry.counter("qpo_memo_hits_total", &labels),
-            misses: obs.registry.counter("qpo_memo_misses_total", &labels),
-            bytes: obs.registry.gauge("qpo_memo_bytes", &labels),
-            reused: 0,
-        }
-    }
-}
-
-impl WaveObserver for SharingObserver<'_> {
-    fn plan_scheduled(&mut self, seq: u64, ordered: &OrderedPlan, vclock: f64) {
-        let plan_query = self.reform.plan_query(&ordered.plan);
-        match self.memo.subplans.longest_prefix(&plan_query) {
-            Some(prefix) => {
-                self.hits.inc();
-                self.reused += 1;
-                if self.obs.journal.is_enabled() {
-                    self.obs.journal.record_at(
-                        vclock,
-                        "subplan_reused",
-                        vec![
-                            ("plan_seq", Value::U64(seq)),
-                            ("prefix_len", Value::U64(prefix.len as u64)),
-                        ],
-                    );
-                }
-                self.state
-                    .seeds
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(ordered.plan.clone(), prefix);
-            }
-            None => self.misses.inc(),
-        }
-    }
-
-    fn plan_merged(&mut self, report: &PlanExecution, _vclock: f64) {
-        let captured = {
-            let mut computed = self
-                .state
-                .computed
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            computed.remove(&report.ordered.plan)
-        };
-        if let Some(captured) = captured {
-            let plan_query = self.reform.plan_query(&report.ordered.plan);
-            self.memo.subplans.store_all(&plan_query, &captured);
-            self.bytes.set(self.memo.subplans.approx_bytes() as f64);
-        }
-    }
-}
-
-/// Forwards every callback to two observers, first then second — the
-/// composition the memoized any-k run uses (sharing bookkeeping, then
-/// stream attachment) so both see the same serial virtual clock.
-pub(crate) struct PairedObserver<'a> {
-    pub(crate) first: &'a mut dyn WaveObserver,
-    pub(crate) second: &'a mut dyn WaveObserver,
-}
-
-impl WaveObserver for PairedObserver<'_> {
-    fn plan_scheduled(&mut self, seq: u64, ordered: &OrderedPlan, vclock: f64) {
-        self.first.plan_scheduled(seq, ordered, vclock);
-        self.second.plan_scheduled(seq, ordered, vclock);
-    }
-
-    fn plan_merged(&mut self, report: &PlanExecution, vclock: f64) {
-        self.first.plan_merged(report, vclock);
-        self.second.plan_merged(report, vclock);
-    }
-}
-
-impl Mediator {
-    /// The shared-execution variant of [`Mediator::run_concurrent`]: same
-    /// ordering, same wave execution, but source accesses are served from
-    /// `memo.sources` after their first live outcome and sound plans seed
-    /// their joins from `memo.subplans`. With the memo empty ("cold") the
-    /// run is bit-identical to the unmemoized one except that repeated
-    /// source coordinates skip their simulated latency and fees; a warm
-    /// memo additionally serves across runs. Plan emission order,
-    /// statuses, utilities, and answers always match the unmemoized run —
-    /// the `memo_equivalence` differential tests pin this bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_concurrent_memoized<M: UtilityMeasure>(
-        &self,
-        query: &ConjunctiveQuery,
-        measure: &M,
-        strategy: Strategy,
-        stop: StopCondition,
-        policy: RuntimePolicy,
-        memo: &ExecutionMemo,
-        obs: &Obs,
-    ) -> Result<ConcurrentRun, MediatorError> {
-        let prepared = self.prepare(query)?;
-        let mut orderer = build_orderer_observed(&prepared.instance, measure, strategy, obs)?;
-        obs.registry
-            .counter(
-                "qpo_mediator_runs_total",
-                &[("orderer", orderer.algorithm_name())],
-            )
-            .inc();
-        let grid = qpo_runtime::SourceGrid::from_instance(&prepared.instance);
-        let state = Arc::new(SharingState::default());
-        let eval = SharedEvaluator {
-            inner: MediatorEvaluator {
-                reform: &prepared.reformulation,
-                db: self.database(),
-                view_map: self.catalog().view_map(),
-                soundness_errors: obs.registry.counter("qpo_soundness_test_errors_total", &[]),
-            },
-            state: Arc::clone(&state),
-        };
-        let mut observer =
-            SharingObserver::new(&prepared.reformulation, memo, Arc::clone(&state), obs);
-        let runtime = Executor::new(&grid, &eval, policy)
-            .with_obs(obs)
-            .with_source_memo(&memo.sources)
-            .run_observed(orderer.as_mut(), stop.into(), &mut observer);
-        let mut health = SourceHealth::new();
-        health.record_run(&runtime.reports);
-        // Drift estimation sees only fresh access chains: memo replays
-        // carry `attempts == 0` and are skipped by `observe_divergence`,
-        // mirroring the trace (replays journal no `source_attempt`s).
-        let mut divergence = qpo_obs::DivergenceMonitor::new(obs);
-        qpo_runtime::declare_sources(&mut divergence, &grid);
-        for report in &runtime.reports {
-            qpo_runtime::observe_divergence(&mut divergence, report);
-        }
-        Ok(ConcurrentRun {
-            runtime,
-            health,
-            divergence,
-        })
     }
 }

@@ -7,8 +7,8 @@
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
 use qpo_core::utility_cmp;
 use qpo_exec::{
-    offline_ranked_answers, CatalogScorer, Mediator, QuerySession, RankedTuple, StopCondition,
-    Strategy,
+    offline_ranked_answers, CatalogScorer, Mediator, QuerySession, RankedTuple, RunOptions,
+    StopCondition, Strategy,
 };
 use qpo_obs::Obs;
 use qpo_runtime::{FaultConfig, PlanStatus, RuntimePolicy};
@@ -146,14 +146,17 @@ fn concurrent_stream_matches_the_serial_session_stream() {
     let obs = Obs::new();
     let sc = scorer();
     let run = m
-        .run_concurrent_anyk(
+        .run(
             &movie_query(),
             &Coverage,
             Strategy::IDrips,
             StopCondition::unbounded(),
             RuntimePolicy::serial(),
-            &sc,
-            &obs,
+            &RunOptions {
+                scorer: Some(&sc),
+                obs: Some(&obs),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     assert!(run.retracted.is_empty(), "no faults, nothing retracts");
@@ -179,14 +182,17 @@ fn concurrent_stream_is_byte_identical_across_worker_counts() {
             let obs = Obs::with_trace();
             let sc = scorer();
             let run = m
-                .run_concurrent_anyk(
+                .run(
                     &movie_query(),
                     &Coverage,
                     Strategy::IDrips,
                     StopCondition::unbounded(),
                     RuntimePolicy::parallel(workers).with_lookahead(4),
-                    &sc,
-                    &obs,
+                    &RunOptions {
+                        scorer: Some(&sc),
+                        obs: Some(&obs),
+                        ..RunOptions::default()
+                    },
                 )
                 .unwrap();
             qpo_obs::validate_trace(&obs.journal.to_jsonl()).expect("trace validates");
@@ -214,7 +220,7 @@ fn failed_plan_streams_are_evicted_and_their_tuples_retracted() {
     let sc = scorer();
     let faults = FaultConfig::with_seed(1).with_source_down("v1");
     let run = m
-        .run_concurrent_anyk(
+        .run(
             &movie_query(),
             &Coverage,
             Strategy::Pi,
@@ -222,8 +228,11 @@ fn failed_plan_streams_are_evicted_and_their_tuples_retracted() {
             RuntimePolicy::parallel(3)
                 .with_lookahead(3)
                 .with_faults(faults),
-            &sc,
-            &obs,
+            &RunOptions {
+                scorer: Some(&sc),
+                obs: Some(&obs),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     let failed: Vec<u64> = run

@@ -12,7 +12,10 @@
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_POOL, MOVIE_UNIVERSE};
 use qpo_catalog::{Catalog, Extent, MediatedSchema, SchemaRelation, SourceStats};
 use qpo_datalog::{parse_query, SourceDescription};
-use qpo_exec::{snapshot_relations, BackendRegistry, Mediator, StopCondition, Strategy};
+use qpo_exec::{
+    snapshot_relations, BackendRegistry, CatalogScorer, ExecutionMemo, Mediator, QuerySession,
+    RunOptions, StopCondition, Strategy,
+};
 use qpo_obs::{parse_json, validate_trace, Json, Obs, ProfileIndex};
 use qpo_runtime::{
     AccessContext, AccessReply, BackendError, BindingPattern, FaultConfig, MemProvider, RemoteSpan,
@@ -691,4 +694,147 @@ fn sequential_runs_share_pooled_connections() {
     let counter = |name| m.obs().registry.counter_value(name, &labels);
     assert_eq!(counter("qpo_backend_connections_opened_total"), opened);
     assert_eq!(counter("qpo_backend_connections_reused_total"), reused);
+}
+
+#[test]
+fn ranked_stream_memo_and_tcp_compose_in_one_run() {
+    let m = mediator();
+    let (addr, _guard) = server_addr(&m);
+    let tcp = Arc::new(TcpBackend::new(addr));
+    let m = m.with_backends(BackendRegistry::new().with("tcp", tcp.clone()));
+    let scorer = CatalogScorer::new(MOVIE_UNIVERSE).with_jitter(0.25);
+    let run = |opts: &RunOptions<'_>| {
+        m.run(
+            &movie_query(),
+            &Coverage,
+            Strategy::IDrips,
+            StopCondition::unbounded(),
+            RuntimePolicy::parallel(2),
+            opts,
+        )
+        .unwrap()
+    };
+    let sim = run(&RunOptions {
+        scorer: Some(&scorer),
+        ..RunOptions::default()
+    });
+    assert!(!sim.tuples.is_empty() && !sim.runtime.answers.is_empty());
+    let memo = ExecutionMemo::new();
+    let composed = RunOptions {
+        backend: Some("tcp"),
+        memo: Some(&memo),
+        scorer: Some(&scorer),
+        obs: None,
+    };
+    let exchanges = || {
+        let [opened, reused] = tcp.connection_counters().expect("tcp holds connections");
+        opened.get() + reused.get()
+    };
+    let cold = run(&composed);
+    assert_eq!(cold.failed(), 0);
+    assert_eq!(cold.runtime.answers, sim.runtime.answers);
+    assert_eq!(cold.emitted_plans(), sim.emitted_plans());
+    assert_eq!(cold.tuples, sim.tuples, "ranked stream, scores to the bit");
+    assert!(cold.runtime.stats.attempts > 0 && cold.runtime.stats.memo_hits > 0);
+    assert_eq!(
+        exchanges(),
+        cold.runtime.stats.attempts,
+        "one exchange per live access"
+    );
+    // Warm: every coordinate replays from the source memo and every join
+    // from its memoized prefix — the server is not asked again, and what
+    // the first response taught about its epoch wiped nothing.
+    let live = exchanges();
+    let warm = run(&composed);
+    assert_eq!(warm.runtime.stats.attempts, 0, "warm run is all replay");
+    assert_eq!(exchanges(), live, "no live access for memoized coordinates");
+    assert_eq!(warm.runtime.answers, sim.runtime.answers);
+    assert_eq!(warm.tuples, sim.tuples);
+}
+
+#[test]
+fn a_tcp_backed_session_ships_bound_patterns_once_per_source_and_pattern() {
+    // An in-process server (never the CI one — the test reads its journal).
+    let m = mediator();
+    let provider = MemProvider::new();
+    let relations = snapshot_relations(m.database());
+    for (name, rows) in &relations {
+        provider.insert(name.clone(), rows.clone());
+    }
+    let server = SourceServer::serve(Arc::new(provider), 0).expect("loopback bind");
+    let tcp = Arc::new(TcpBackend::new(server.addr().to_string()));
+    let m = m.with_backends(BackendRegistry::new().with("tcp", tcp.clone()));
+    let prepared = m.prepare(&movie_query()).unwrap();
+    let plain = QuerySession::new(&m, &prepared, &LinearCost, Strategy::Greedy)
+        .unwrap()
+        .drain(StopCondition::unbounded());
+    let backed = QuerySession::new(&m, &prepared, &LinearCost, Strategy::Greedy)
+        .unwrap()
+        .with_backend("tcp")
+        .unwrap()
+        .drain(StopCondition::unbounded());
+    assert_eq!(backed.answers, plain.answers);
+    assert_eq!(backed.reports.len(), 9, "the full Figure 1 plan space");
+    // One request per (source, pattern) for the whole session, each under
+    // the pattern of the bucket entry it serves: `ford` rides along.
+    let mut expected: Vec<(String, String)> = Vec::new();
+    for entries in &prepared.reformulation.buckets {
+        for entry in entries {
+            let pattern = BindingPattern::of_atom(&entry.atom).to_string();
+            expected.push((entry.source.to_string(), pattern));
+        }
+    }
+    expected.sort();
+    expected.dedup();
+    let mut asked: Vec<(String, String)> = server
+        .journal()
+        .entries()
+        .into_iter()
+        .map(|e| (e.source, e.pattern))
+        .collect();
+    asked.sort();
+    assert_eq!(asked, expected, "no (source, pattern) asked twice");
+    assert!(
+        server
+            .journal()
+            .render_text()
+            .contains("pattern=bind;0=s4:ford"),
+        "{}",
+        server.journal().render_text()
+    );
+    // A bound access ships the matching rows only — a third of a source
+    // under MOVIE_POOL — never more than a scan.
+    let grid = SourceGrid::from_instance(&prepared.instance);
+    let faults = FaultConfig::disabled();
+    let scan_rows: BTreeMap<&str, usize> = relations
+        .iter()
+        .map(|(name, rows)| (name.as_str(), rows.len()))
+        .collect();
+    let mut bound = 0;
+    for (bucket, entries) in prepared.reformulation.buckets.iter().enumerate() {
+        for (index, entry) in entries.iter().enumerate() {
+            let pattern = BindingPattern::of_atom(&entry.atom);
+            let text = pattern.to_string();
+            let ctx = AccessContext {
+                pattern: &text,
+                run: 0,
+                plan_seq: 0,
+                attempt: 0,
+                faults: &faults,
+            };
+            let shipped = tcp.access(grid.service(bucket, index), &ctx).unwrap();
+            let shipped = shipped.tuples.unwrap().len();
+            let scan = scan_rows[entry.source.as_ref()];
+            assert!(shipped <= scan, "{}: {shipped} > {scan}", entry.source);
+            if text != SCAN_PATTERN {
+                assert!(
+                    shipped < scan,
+                    "{} under {text} shipped a scan",
+                    entry.source
+                );
+                bound += 1;
+            }
+        }
+    }
+    assert!(bound > 0, "the movie query binds `ford`");
 }

@@ -1,0 +1,159 @@
+//! One core, two drivers: every capability composes with every other and
+//! both drivers agree. Over the option cube backend ∈ {sim, store} × memo
+//! ∈ {off, cold, warm} × scorer ∈ {off, on}, a drained [`QuerySession`],
+//! [`Mediator::run`] at 1 and 3 workers, and the plain run (no option at
+//! all) return the same answers, emit the same plans in the same order,
+//! and — with a scorer — deliver the same ranked tuple sequence, scores
+//! compared to the f64 bit.
+
+use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_POOL, MOVIE_UNIVERSE};
+use qpo_datalog::Tuple;
+use qpo_exec::{
+    snapshot_relations, BackendRegistry, CatalogScorer, ExecutionMemo, Mediator, QuerySession,
+    RankedTuple, RunOptions, StopCondition, Strategy,
+};
+use qpo_runtime::{RuntimePolicy, StoreBackend};
+use qpo_utility::Coverage;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Memo {
+    Off,
+    Cold,
+    Warm,
+}
+
+/// What a driver hands back: emitted plans, answers, ranked stream.
+type Outcome = (Vec<Vec<usize>>, BTreeSet<Tuple>, Vec<(u64, Tuple)>);
+
+fn stream_key(tuples: &[RankedTuple]) -> Vec<(u64, Tuple)> {
+    tuples
+        .iter()
+        .map(|rt| (rt.score.to_bits(), rt.tuple.clone()))
+        .collect()
+}
+
+fn scorer() -> CatalogScorer {
+    CatalogScorer::new(MOVIE_UNIVERSE).with_jitter(0.25)
+}
+
+/// The wave driver on one cell of the cube.
+fn wave(
+    m: &Mediator,
+    backend: &str,
+    memo: Option<&ExecutionMemo>,
+    scored: bool,
+    workers: usize,
+) -> Outcome {
+    let sc = scorer();
+    let opts = RunOptions {
+        backend: Some(backend),
+        memo,
+        scorer: scored.then_some(&sc as _),
+        obs: None,
+    };
+    let run = m
+        .run(
+            &movie_query(),
+            &Coverage,
+            Strategy::IDrips,
+            StopCondition::unbounded(),
+            RuntimePolicy::parallel(workers),
+            &opts,
+        )
+        .unwrap();
+    assert_eq!(run.failed(), 0);
+    assert!(run.retracted.is_empty(), "no faults, nothing retracts");
+    let stream = stream_key(&run.tuples);
+    (run.emitted_plans(), run.runtime.answers, stream)
+}
+
+/// The pull driver on one cell: one session drained plan by plan and,
+/// with a scorer, a second one drained tuple by tuple.
+fn session(m: &Mediator, backend: &str, memo: Option<&ExecutionMemo>, scored: bool) -> Outcome {
+    let prepared = m.prepare(&movie_query()).unwrap();
+    let open = || {
+        let s = QuerySession::new(m, &prepared, &Coverage, Strategy::IDrips)
+            .unwrap()
+            .with_backend(backend)
+            .unwrap();
+        match memo {
+            Some(memo) => s.with_memo(memo),
+            None => s,
+        }
+    };
+    let mut by_plan = open();
+    let drained = by_plan.drain(StopCondition::unbounded());
+    let plans: Vec<Vec<usize>> = drained
+        .reports
+        .iter()
+        .map(|r| r.ordered.plan.clone())
+        .collect();
+    let mut stream = Vec::new();
+    if scored {
+        let mut by_tuple = open().with_tuple_scorer(scorer());
+        stream = stream_key(&by_tuple.stream_tuples().collect::<Vec<_>>());
+        assert_eq!(by_tuple.plans_emitted(), plans.len());
+        assert_eq!(by_tuple.answers(), &drained.answers);
+    }
+    (plans, drained.answers, stream)
+}
+
+#[test]
+fn every_cell_of_the_option_cube_agrees_on_both_drivers() {
+    let m = Mediator::new(movie_domain(), MOVIE_UNIVERSE, &MOVIE_POOL);
+    let dir = std::env::temp_dir().join(format!("qpo-compose-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = StoreBackend::open(&dir).unwrap();
+    for (name, rows) in snapshot_relations(m.database()) {
+        store.put_relation(&name, &rows).unwrap();
+    }
+    let m = m.with_backends(BackendRegistry::new().with("store", Arc::new(store)));
+    let plain = m
+        .run(
+            &movie_query(),
+            &Coverage,
+            Strategy::IDrips,
+            StopCondition::unbounded(),
+            RuntimePolicy::serial(),
+            &RunOptions::default(),
+        )
+        .unwrap();
+    assert!(!plain.runtime.answers.is_empty() && plain.tuples.is_empty());
+    let ranked = wave(&m, "sim", None, true, 1).2;
+    assert!(!ranked.is_empty());
+    for backend in ["sim", "store"] {
+        for memo in [Memo::Off, Memo::Cold, Memo::Warm] {
+            for scored in [false, true] {
+                let cell = format!("backend={backend} memo={memo:?} scorer={scored}");
+                // One memo per driver and worker count, so no run leans
+                // on work another one left behind; `Warm` runs each twice
+                // and keeps the second.
+                let run = |drive: &dyn Fn(Option<&ExecutionMemo>) -> Outcome| {
+                    let shared = ExecutionMemo::new();
+                    let memo_ref = (memo != Memo::Off).then_some(&shared);
+                    if memo == Memo::Warm {
+                        drive(memo_ref);
+                        assert!(!shared.subplans.is_empty(), "{cell}: nothing memoized");
+                    }
+                    drive(memo_ref)
+                };
+                let outcomes = [
+                    run(&|memo| session(&m, backend, memo, scored)),
+                    run(&|memo| wave(&m, backend, memo, scored, 1)),
+                    run(&|memo| wave(&m, backend, memo, scored, 3)),
+                ];
+                for (driver, (plans, answers, stream)) in
+                    ["session", "run@1", "run@3"].iter().zip(outcomes)
+                {
+                    assert_eq!(plans, plain.emitted_plans(), "{cell} {driver}: plan order");
+                    assert_eq!(answers, plain.runtime.answers, "{cell} {driver}: answers");
+                    let want = if scored { &ranked[..] } else { &[] };
+                    assert_eq!(stream, want, "{cell} {driver}: ranked stream");
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -10,7 +10,7 @@
 use qpo_catalog::domains::{
     camera_domain, camera_query, movie_domain, movie_query, CAMERA_UNIVERSE, MOVIE_UNIVERSE,
 };
-use qpo_exec::{Mediator, StopCondition, Strategy};
+use qpo_exec::{Mediator, RunOptions, StopCondition, Strategy};
 use qpo_runtime::{FaultConfig, PlanStatus, RetryPolicy, RuntimePolicy};
 use qpo_utility::{Coverage, FailureCost, LinearCost, UtilityMeasure};
 
@@ -35,7 +35,14 @@ fn assert_matches_serial<M: UtilityMeasure>(
         let policy = RuntimePolicy::parallel(workers).with_lookahead(lookahead);
         assert!(!policy.faults.enabled, "equivalence requires faults off");
         let run = m
-            .run_concurrent(query, measure, strategy, stop, policy)
+            .run(
+                query,
+                measure,
+                strategy,
+                stop,
+                policy,
+                &RunOptions::default(),
+            )
             .unwrap();
         assert_eq!(
             run.emitted_plans(),
@@ -136,12 +143,13 @@ fn answer_budget_is_serial_exact_without_speculation() {
     // exactly as in the serial loop. (Deeper speculation may legitimately
     // overrun an answer budget by up to lookahead − 1 plans.)
     let run = m
-        .run_concurrent(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
             stop,
             RuntimePolicy::parallel(4).with_lookahead(1),
+            &RunOptions::default(),
         )
         .unwrap();
     assert_eq!(run.runtime.reports.len(), serial.reports.len());
@@ -165,12 +173,13 @@ fn fixed_seed_replays_a_faulty_run_bit_for_bit() {
     let runs: Vec<_> = [1, 4, 4]
         .iter()
         .map(|&w| {
-            m.run_concurrent(
+            m.run(
                 &q,
                 &Coverage,
                 Strategy::Pi,
                 StopCondition::unbounded(),
                 policy(w),
+                &RunOptions::default(),
             )
             .unwrap()
         })
@@ -186,12 +195,13 @@ fn fixed_seed_replays_a_faulty_run_bit_for_bit() {
     assert_eq!(runs[0].runtime.answers, runs[1].runtime.answers);
     // A different seed produces a different failure trace.
     let other = m
-        .run_concurrent(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             policy(4).with_faults(FaultConfig::with_seed(7).with_extra_transient_rate(0.35)),
+            &RunOptions::default(),
         )
         .unwrap();
     assert_ne!(
@@ -217,12 +227,13 @@ fn flaky_sources_still_yield_the_full_answer_set() {
             ..RetryPolicy::standard()
         });
     let run = m
-        .run_concurrent(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             policy,
+            &RunOptions::default(),
         )
         .unwrap();
     assert!(

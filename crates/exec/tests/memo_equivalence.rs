@@ -10,7 +10,7 @@
 //! *recovered* by the memo, never the other way around.
 
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
-use qpo_exec::{CatalogScorer, ExecutionMemo, Mediator, StopCondition, Strategy};
+use qpo_exec::{CatalogScorer, ExecutionMemo, Mediator, RunOptions, StopCondition, Strategy};
 use qpo_obs::Obs;
 use qpo_runtime::{FaultConfig, PlanStatus, RetryPolicy, RuntimePolicy};
 use qpo_utility::{Coverage, LinearCost};
@@ -42,12 +42,13 @@ fn cold_memoized_run_matches_unmemoized_across_worker_counts() {
     let m = mediator();
     let q = movie_query();
     let baseline = m
-        .run_concurrent(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             RuntimePolicy::serial(),
+            &RunOptions::default(),
         )
         .unwrap();
     let mut memoized_reports = Vec::new();
@@ -125,29 +126,35 @@ fn memoized_anyk_stream_is_bit_identical() {
     let q = movie_query();
     let scorer = CatalogScorer::new(MOVIE_UNIVERSE);
     let baseline = m
-        .run_concurrent_anyk(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             RuntimePolicy::serial(),
-            &scorer,
-            &Obs::new(),
+            &RunOptions {
+                scorer: Some(&scorer),
+                obs: Some(&Obs::new()),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     assert!(!baseline.tuples.is_empty());
     let memo = ExecutionMemo::new();
     for workers in [1, 4, 8] {
         let run = m
-            .run_concurrent_anyk_memoized(
+            .run(
                 &q,
                 &Coverage,
                 Strategy::Pi,
                 StopCondition::unbounded(),
                 RuntimePolicy::parallel(workers).with_lookahead(2),
-                &scorer,
-                &memo,
-                &Obs::new(),
+                &RunOptions {
+                    scorer: Some(&scorer),
+                    memo: Some(&memo),
+                    obs: Some(&Obs::new()),
+                    ..RunOptions::default()
+                },
             )
             .unwrap();
         assert_eq!(
@@ -168,12 +175,13 @@ fn permanent_failures_replay_without_masking() {
     let faults = FaultConfig::with_seed(1).with_source_down("v1");
     let policy = |workers: usize| RuntimePolicy::parallel(workers).with_faults(faults.clone());
     let baseline = m
-        .run_concurrent(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             policy(3),
+            &RunOptions::default(),
         )
         .unwrap();
     assert!(baseline.failed() > 0, "v1 plans fail in the baseline");
@@ -228,12 +236,13 @@ fn exhausted_transient_retries_are_never_cached() {
             ..RetryPolicy::standard()
         });
     let baseline = m
-        .run_concurrent(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             policy.clone(),
+            &RunOptions::default(),
         )
         .unwrap();
     assert!(baseline.failed() > 0, "the seed actually fails plans");
@@ -301,12 +310,13 @@ fn subplan_byte_budget_bounds_retention_without_changing_results() {
     let m = mediator();
     let q = movie_query();
     let baseline = m
-        .run_concurrent(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             RuntimePolicy::serial(),
+            &RunOptions::default(),
         )
         .unwrap();
     let memo = ExecutionMemo::new();
@@ -342,12 +352,13 @@ fn reuse_aware_scheduling_preserves_the_run_semantics() {
     let m = mediator();
     let q = movie_query();
     let baseline = m
-        .run_concurrent(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             RuntimePolicy::serial(),
+            &RunOptions::default(),
         )
         .unwrap();
     let memo = ExecutionMemo::new();

@@ -20,7 +20,7 @@
 //!    the board carries the profile snapshot.
 
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
-use qpo_exec::{ConcurrentRun, Mediator, QuerySession, StopCondition, Strategy};
+use qpo_exec::{ConcurrentRun, Mediator, QuerySession, RunOptions, StopCondition, Strategy};
 use qpo_obs::{validate_trace, DivergenceConfig, DivergenceMonitor, Obs, ProfileIndex};
 use qpo_runtime::{FaultConfig, RetryPolicy, RuntimePolicy};
 use qpo_utility::{Coverage, LinearCost};
@@ -48,13 +48,16 @@ fn policy(workers: usize) -> RuntimePolicy {
 fn traced_run(workers: usize) -> (Obs, ConcurrentRun) {
     let obs = Obs::with_trace();
     let run = mediator()
-        .run_concurrent_observed(
+        .run(
             &movie_query(),
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             policy(workers),
-            &obs,
+            &RunOptions {
+                obs: Some(&obs),
+                ..RunOptions::default()
+            },
         )
         .expect("traced run");
     (obs, run)

@@ -13,7 +13,7 @@
 //!    exactly one of `plan_completed|plan_failed|plan_unsound`.
 
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
-use qpo_exec::{Mediator, StopCondition, Strategy};
+use qpo_exec::{Mediator, RunOptions, StopCondition, Strategy};
 use qpo_obs::{validate_trace, Obs};
 use qpo_runtime::{FaultConfig, RetryPolicy, RuntimePolicy};
 use qpo_utility::Coverage;
@@ -38,13 +38,16 @@ fn traced_run(workers: usize) -> Obs {
             ..RetryPolicy::standard()
         });
     mediator()
-        .run_concurrent_observed(
+        .run(
             &movie_query(),
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             policy,
-            &obs,
+            &RunOptions {
+                obs: Some(&obs),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     obs
@@ -124,7 +127,7 @@ fn disabled_journal_changes_nothing_and_records_nothing() {
     let obs = Obs::new();
     let traced = traced_run(4);
     mediator()
-        .run_concurrent_observed(
+        .run(
             &movie_query(),
             &Coverage,
             Strategy::Pi,
@@ -140,7 +143,10 @@ fn disabled_journal_changes_nothing_and_records_nothing() {
                     max_attempts: 2,
                     ..RetryPolicy::standard()
                 }),
-            &obs,
+            &RunOptions {
+                obs: Some(&obs),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     assert!(obs.journal.is_empty(), "journal off records nothing");

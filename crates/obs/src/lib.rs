@@ -44,7 +44,7 @@
 //!
 //! The [`Obs`] bundle ties a registry, a journal, and a session board
 //! together; every instrumented layer (`OrderingKernel`, the
-//! `qpo-runtime` executor, `Mediator::run_concurrent_observed`) accepts
+//! `qpo-runtime` executor, `Mediator::run` via `RunOptions::obs`) accepts
 //! one.
 //!
 //! ```

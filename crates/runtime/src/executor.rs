@@ -61,26 +61,18 @@ pub trait PlanEvaluator: Sync {
     fn is_sound(&self, plan: &[usize]) -> bool;
 
     /// Evaluates the plan's conjunctive query, returning its answers.
-    fn evaluate(&self, plan: &[usize]) -> Vec<Tuple>;
-
-    /// Evaluates the plan given the tuples the backend returned for each
-    /// bucket (`None` for buckets the backend holds no data for — the
-    /// simulator, and memo-resolved slots). The default ignores the
-    /// fetched data and evaluates against the implementation's own
-    /// database, which is exactly the simulated world's contract;
-    /// data-serving backends are handled by evaluators that override
-    /// this (qpo-exec's backend evaluator).
-    fn evaluate_fetched(&self, plan: &[usize], fetched: &[Option<Arc<Vec<Tuple>>>]) -> Vec<Tuple> {
-        let _ = fetched;
-        self.evaluate(plan)
-    }
+    /// `fetched[bucket]` holds the rows the backend returned for that
+    /// bucket's access — `None` for buckets it holds no data for (the
+    /// simulator) and for memo-resolved slots. An evaluator over a static
+    /// database ignores them, which is exactly the simulated world's
+    /// contract; qpo-exec's core joins them in place.
+    fn evaluate(&self, plan: &[usize], fetched: &[Option<Arc<Vec<Tuple>>>]) -> Vec<Tuple>;
 
     /// The binding pattern ([`crate::pattern`]) the access for `bucket`
     /// of `plan` goes out under — the constants that subgoal of the plan
     /// fixes. It is the access's identity everywhere: the backend request,
-    /// the [`SourceMemo`] key, and the rows
-    /// [`PlanEvaluator::evaluate_fetched`] is handed for that bucket are
-    /// all "this source under this pattern". The default scans, which
+    /// the [`SourceMemo`] key, and the rows [`PlanEvaluator::evaluate`]
+    /// is handed for that bucket are all "this source under this pattern". The default scans, which
     /// keeps every evaluator over a static database — and its memo keys
     /// and traces — exactly as they were.
     fn access_pattern(&self, plan: &[usize], bucket: usize) -> &str {
@@ -114,15 +106,19 @@ struct NoopObserver;
 
 impl WaveObserver for NoopObserver {}
 
-/// When the executor stops popping further plans. Mirrors the serial
-/// mediator's stop condition; see the module docs for speculation caveats.
+/// When a run stops popping further plans (§1: "query execution can then
+/// be aborted as soon as the user has found a satisfactory answer, or when
+/// allotted resource limits have been reached"): at the first satisfied
+/// condition; `None` fields never trigger. The serial session checks it
+/// before every pull; see the module docs for speculation caveats.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunBudget {
     /// Stop once at least this many distinct answers have been merged.
     pub enough_answers: Option<usize>,
     /// Stop after popping this many plans (sound or not).
     pub max_plans: Option<usize>,
-    /// Stop once cumulative negated utility of popped plans exceeds this.
+    /// Stop once cumulative negated utility (cost, for cost-like
+    /// measures) of popped plans exceeds this.
     pub max_cost: Option<f64>,
 }
 
@@ -148,7 +144,16 @@ impl RunBudget {
         }
     }
 
-    fn satisfied(&self, answers: usize, plans: usize, spent: f64) -> bool {
+    /// Stop after a cost budget is exhausted.
+    pub fn budget(cost: f64) -> Self {
+        RunBudget {
+            max_cost: Some(cost),
+            ..RunBudget::default()
+        }
+    }
+
+    /// Whether the run should stop given its answers, pops and spend.
+    pub fn satisfied(&self, answers: usize, plans: usize, spent: f64) -> bool {
         self.enough_answers.is_some_and(|n| answers >= n)
             || self.max_plans.is_some_and(|n| plans >= n)
             || self.max_cost.is_some_and(|c| spent > c)
@@ -438,11 +443,6 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         self
     }
 
-    /// The backend accesses run against.
-    pub fn backend(&self) -> &Arc<dyn SourceBackend> {
-        &self.backend
-    }
-
     /// Shares an observability bundle: run metrics land on its registry
     /// and, when its journal is enabled, every run appends plan-lifecycle
     /// events timestamped by the serial virtual clock.
@@ -464,11 +464,6 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
     /// The executor's observability bundle.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// The policy in effect.
-    pub fn policy(&self) -> &RuntimePolicy {
-        &self.policy
     }
 
     /// Runs the orderer to completion of `budget` (or plan-space
@@ -1001,7 +996,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             }
         });
         let tuples = if failure.is_none() {
-            self.eval.evaluate_fetched(&ordered.plan, &fetched)
+            self.eval.evaluate(&ordered.plan, &fetched)
         } else {
             Vec::new()
         };
@@ -1313,7 +1308,7 @@ mod tests {
             true
         }
 
-        fn evaluate(&self, plan: &[usize]) -> Vec<Tuple> {
+        fn evaluate(&self, plan: &[usize], _: &[Option<Arc<Vec<Tuple>>>]) -> Vec<Tuple> {
             let stats = self.inst.plan_stats(plan);
             let start = stats.iter().map(|s| s.extent.start).max().unwrap_or(0);
             let end = stats.iter().map(|s| s.extent.end()).min().unwrap_or(0);

@@ -66,15 +66,20 @@ fn main() {
     let full = serial.answers.len();
     println!("Serial reference run: 9 plans, {full} answers.\n");
 
+    let observed = RunOptions {
+        obs: Some(&obs),
+        ..RunOptions::default()
+    };
+
     // 1. Concurrent, faults off: the equivalence case.
     let calm = mediator
-        .run_concurrent_observed(
+        .run(
             &query,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             RuntimePolicy::parallel(4),
-            &obs,
+            &observed,
         )
         .expect("mediation succeeds");
     assert_eq!(calm.runtime.answers, serial.answers);
@@ -86,7 +91,7 @@ fn main() {
 
     // 2. Transient chaos: ≥ 25% of attempts fail, retries absorb it all.
     let flaky = mediator
-        .run_concurrent_observed(
+        .run(
             &query,
             &Coverage,
             Strategy::Pi,
@@ -97,7 +102,7 @@ fn main() {
                     max_attempts: 10,
                     ..RetryPolicy::standard()
                 }),
-            &obs,
+            &observed,
         )
         .expect("mediation succeeds");
     let s = &flaky.runtime.stats;
@@ -125,14 +130,14 @@ fn main() {
 
     // 3. v1 goes down for good: plans through it fail, the rest deliver.
     let degraded = mediator
-        .run_concurrent_observed(
+        .run(
             &query,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             RuntimePolicy::parallel(4)
                 .with_faults(FaultConfig::with_seed(7).with_source_down("v1")),
-            &obs,
+            &observed,
         )
         .expect("mediation succeeds");
     println!(
@@ -178,13 +183,16 @@ fn main() {
             .clone()
             .with_backends(BackendRegistry::new().with(backend.as_str(), real));
         let remote = mediator
-            .run_concurrent_on(
-                &backend,
+            .run(
                 &query,
                 &Coverage,
                 Strategy::Pi,
                 StopCondition::unbounded(),
                 RuntimePolicy::parallel(4),
+                &RunOptions {
+                    backend: Some(&backend),
+                    ..RunOptions::default()
+                },
             )
             .expect("backend mediation succeeds");
         assert_eq!(

@@ -161,13 +161,16 @@ fn main() {
         // waits to attribute — the in-memory sessions above run at
         // virtual time zero.
         mediator
-            .run_concurrent_observed(
+            .run(
                 &query,
                 &Coverage,
                 Strategy::IDrips,
                 StopCondition::answers(3),
                 RuntimePolicy::parallel(2).with_lookahead(2),
-                &obs,
+                &RunOptions {
+                    obs: Some(&obs),
+                    ..RunOptions::default()
+                },
             )
             .unwrap();
         let index = ProfileIndex::from_journal(&obs.journal);

@@ -15,14 +15,8 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> ordering-kernel equivalence tests"
-cargo test -q -p qpo-core --test kernel_equivalence
-
-echo "==> serving-layer session equivalence tests"
-cargo test -q -p qpo-exec --test session_equivalence
-
-echo "==> live introspection server smoke (std TcpStream client, byte-identity vs offline exporters)"
-cargo test -q -p qpo-exec --test introspection_server
+echo "==> non-test src lines per crate (ROADMAP: net line count is a tracked metric)"
+bash scripts/loc.sh
 
 echo "==> source-backend integration tests (against a live qpo-source-server)"
 cargo build --release -p qpo-exec --bin qpo-source-server

@@ -98,9 +98,9 @@ pub mod prelude {
     };
     pub use qpo_exec::{
         format_kernel_stats, offline_ranked_answers, ranked_join_for_plan, snapshot_relations,
-        AnyKRun, BackendRegistry, CacheStats, ConcurrentRun, ExecutionMemo, Mediator, MediatorRun,
-        PlanReport, PreparedQuery, QuerySession, ReformulationCache, StopCondition, Strategy,
-        SubplanMemo,
+        BackendRegistry, CacheStats, ConcurrentRun, ExecutionMemo, Mediator, MediatorRun,
+        PlanReport, PreparedQuery, QuerySession, ReformulationCache, RunOptions, StopCondition,
+        Strategy, SubplanMemo,
     };
     pub use qpo_interval::Interval;
     pub use qpo_obs::{
