@@ -7,23 +7,54 @@
 use crate::atom::Atom;
 use crate::query::ConjunctiveQuery;
 use crate::substitution::Substitution;
-use crate::term::Constant;
+use crate::term::{Constant, Term};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// A ground tuple.
 pub type Tuple = Vec<Constant>;
 
-/// One intermediate row of the hash-join pipeline: the variables bound by
-/// the processed body prefix, with their values.
-pub type Binding = BTreeMap<Arc<str>, Constant>;
+/// The intermediate rows of the hash-join pipeline after a body-atom
+/// prefix, as one flat row-major table: column `i` holds the `i`-th
+/// variable of the prefix in first-occurrence order, so a row needs no
+/// names and no allocation of its own. The prefix with no atoms is the
+/// single empty row (`width == 0`, `len() == 1`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrefixRows {
+    width: usize,
+    count: usize,
+    /// `count` rows of `width` values each.
+    values: Vec<Constant>,
+}
+
+impl PrefixRows {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The rows, in pipeline order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Constant]> {
+        // Not `chunks_exact`: a zero-width table still has `count` rows.
+        (0..self.count).map(|i| &self.values[i * self.width..(i + 1) * self.width])
+    }
+}
 
 /// Materialized state of the hash-join pipeline after folding in a prefix
 /// of a query's body atoms. Captured by [`Database::evaluate_seeded`] and
 /// reusable as the seed of any later query sharing the same atom prefix
 /// (same atoms, same order, same database): seeding is bit-identical to
 /// recomputing the prefix, because the pipeline is a deterministic
-/// function of `(database, atom prefix)`.
+/// function of `(database, atom prefix)` — row *order* included, which is
+/// why the join below emits rows in order and matches in slot order and
+/// only ever probes its hash index.
 ///
 /// Rows are behind an [`Arc`], so cloning a prefix — and keeping many of
 /// them in a memo — is cheap.
@@ -32,28 +63,24 @@ pub struct JoinPrefix {
     /// Number of body atoms folded into `rows`.
     pub len: usize,
     /// The intermediate rows after those atoms.
-    pub rows: Arc<Vec<Binding>>,
+    pub rows: Arc<PrefixRows>,
 }
 
 impl JoinPrefix {
-    /// Approximate resident bytes of the materialized rows, for memo
-    /// byte accounting. Every row binds the same variable set (the
-    /// variables of the folded atoms), so sampling the first row and
-    /// scaling by the row count is O(1) instead of a full walk —
-    /// prefixes can hold millions of rows and are measured at store
-    /// time under the memo lock.
+    /// Resident bytes of the materialized rows, for memo byte accounting:
+    /// the two headers, every stored value, and the payload of every
+    /// string value (counted per reference — strings are shared with the
+    /// source rows, so this is the most dropping the prefix can free).
+    /// One pass over the values; a prefix is measured once, when stored.
     pub fn approx_bytes(&self) -> usize {
-        let per_row = self
-            .rows
-            .first()
-            .map(|row| {
-                row.iter()
-                    .map(|(k, v)| k.len() + std::mem::size_of_val(v) + 16)
-                    .sum::<usize>()
-                    + std::mem::size_of::<Binding>()
-            })
-            .unwrap_or(0);
-        per_row * self.rows.len() + std::mem::size_of::<Self>()
+        let payload = |c: &Constant| match c {
+            Constant::Int(_) => 0,
+            Constant::Str(s) => s.len(),
+        };
+        std::mem::size_of::<Self>()
+            + std::mem::size_of::<PrefixRows>()
+            + std::mem::size_of_val(self.rows.values.as_slice())
+            + self.rows.values.iter().map(payload).sum::<usize>()
     }
 }
 
@@ -77,124 +104,172 @@ pub fn evaluate_slots(
     query: &ConjunctiveQuery,
     seed: Option<&JoinPrefix>,
     slots: &[&[Tuple]],
-) -> (BTreeSet<Tuple>, Vec<JoinPrefix>) {
+) -> (Vec<Tuple>, Vec<JoinPrefix>) {
     join_pipeline(query, seed, |i| slots.get(i).copied().unwrap_or_default())
+}
+
+/// How a body atom reads one position of a stored tuple. An atom is
+/// compiled into one slot per position, once per call, so matching a
+/// tuple is positional compares — no variable names, no map per tuple.
+enum Slot<'q> {
+    /// The value must equal this constant.
+    Const(&'q Constant),
+    /// The value must equal the tuple's own earlier position (a variable
+    /// repeated within the atom).
+    Repeat(usize),
+    /// The value joins this column of the rows so far (a variable an
+    /// earlier atom bound).
+    Key(usize),
+    /// The value becomes the next new column.
+    New,
+}
+
+/// Compiles `atom` against the variables bound so far, appending the
+/// variables it binds to `columns`.
+fn compile<'q>(atom: &'q Atom, columns: &mut Vec<&'q str>) -> Vec<Slot<'q>> {
+    let bound = columns.len();
+    let slot = |(position, term): (usize, &'q Term)| match term {
+        Term::Const(c) => Slot::Const(c),
+        Term::Var(v) => {
+            if let Some(earlier) = atom.terms[..position].iter().position(|t| t == term) {
+                Slot::Repeat(earlier)
+            } else if let Some(column) = columns[..bound].iter().position(|c| *c == &**v) {
+                Slot::Key(column)
+            } else {
+                columns.push(v);
+                Slot::New
+            }
+        }
+    };
+    atom.terms.iter().enumerate().map(slot).collect()
+}
+
+fn key_hash<'c>(hasher: &RandomState, key: impl Iterator<Item = &'c Constant>) -> usize {
+    let mut state = hasher.build_hasher();
+    key.for_each(|c| c.hash(&mut state));
+    state.finish() as usize
+}
+
+/// Hash-joins `rows` with the tuples of `source` the atom's `slots`
+/// admit: rows in order, each with its matches in `source` order. The
+/// index is bucket chains threaded through `next` in that order and keyed
+/// by hash alone — a probe walks one chain comparing positions, so
+/// neither side builds a key, and the index is never iterated.
+fn join_atom<'t>(
+    rows: &PrefixRows,
+    slots: &[Slot<'_>],
+    source: impl Iterator<Item = &'t Tuple>,
+    hasher: &RandomState,
+) -> PrefixRows {
+    const END: usize = usize::MAX;
+    let admits = |tuple: &&Tuple| {
+        let holds = |(slot, value): (&Slot<'_>, &Constant)| match slot {
+            Slot::Const(c) => *c == value,
+            Slot::Repeat(earlier) => tuple[*earlier] == *value,
+            Slot::Key(_) | Slot::New => true,
+        };
+        tuple.len() == slots.len() && slots.iter().zip(tuple.iter()).all(holds)
+    };
+    let admitted: Vec<&Tuple> = source.filter(admits).collect();
+    let (mut keys, mut fresh) = (Vec::new(), Vec::new());
+    for (position, slot) in slots.iter().enumerate() {
+        match slot {
+            Slot::Key(column) => keys.push((position, *column)),
+            Slot::New => fresh.push(position),
+            Slot::Const(_) | Slot::Repeat(_) => {}
+        }
+    }
+    let mask = (2 * admitted.len()).next_power_of_two() - 1;
+    let mut heads = vec![END; mask + 1];
+    let mut next = vec![END; admitted.len()];
+    for (i, tuple) in admitted.iter().enumerate().rev() {
+        let bucket = key_hash(hasher, keys.iter().map(|&(p, _)| &tuple[p])) & mask;
+        next[i] = std::mem::replace(&mut heads[bucket], i);
+    }
+    let mut out = PrefixRows {
+        width: rows.width + fresh.len(),
+        count: 0,
+        values: Vec::new(),
+    };
+    for row in rows.iter() {
+        let mut i = heads[key_hash(hasher, keys.iter().map(|&(_, c)| &row[c])) & mask];
+        while i != END {
+            let tuple = admitted[i];
+            if keys.iter().all(|&(p, c)| tuple[p] == row[c]) {
+                out.values.extend_from_slice(row);
+                out.values.extend(fresh.iter().map(|&p| tuple[p].clone()));
+                out.count += 1;
+            }
+            i = next[i];
+        }
+    }
+    out.values.shrink_to_fit();
+    out
 }
 
 /// The hash-join pipeline behind [`Database::evaluate_seeded`] and
 /// [`evaluate_slots`], generic over where body atom `i` reads its rows
 /// (monomorphised per caller: the database probes its predicate map, the
-/// slot-fed path indexes a slice).
+/// slot-fed path indexes a slice). Answers come back sorted and distinct.
 fn join_pipeline<'t, I>(
     query: &ConjunctiveQuery,
     seed: Option<&JoinPrefix>,
     rows_of: impl Fn(usize) -> I,
-) -> (BTreeSet<Tuple>, Vec<JoinPrefix>)
+) -> (Vec<Tuple>, Vec<JoinPrefix>)
 where
     I: IntoIterator<Item = &'t Tuple>,
 {
-    use crate::term::Term;
-
     assert!(query.is_safe(), "cannot evaluate unsafe query {query}");
     let start = seed.map_or(0, |s| s.len.min(query.body.len()));
-    // Each row binds exactly the variables seen in processed atoms.
-    let mut rows: Arc<Vec<Binding>> = match seed {
-        Some(s) if start > 0 => Arc::clone(&s.rows),
-        _ => Arc::new(vec![Binding::new()]),
-    };
-    let mut bound: BTreeSet<Arc<str>> = BTreeSet::new();
+    // The variable each column holds: those of the atoms folded in so
+    // far, in first-occurrence order.
+    let mut columns: Vec<&str> = Vec::new();
     for atom in &query.body[..start] {
-        bound.extend(atom.variables());
+        compile(atom, &mut columns);
     }
+    let mut rows = match seed {
+        Some(s) if start > 0 => Arc::clone(&s.rows),
+        _ => Arc::new(PrefixRows {
+            width: 0,
+            count: 1,
+            values: Vec::new(),
+        }),
+    };
+    assert_eq!(rows.width, columns.len(), "seed of another atom prefix");
+    let hasher = RandomState::new();
     let mut captured: Vec<JoinPrefix> = Vec::new();
-    for (offset, atom) in query.body[start..].iter().enumerate() {
+    for (i, atom) in query.body.iter().enumerate().skip(start) {
         // Short-circuit: an empty intermediate set stays empty, and
         // stopping *before* the atom keeps the captured-prefix list
         // identical whether or not this evaluation was seeded.
         if rows.is_empty() {
-            break;
+            return (Vec::new(), captured);
         }
-        // Bindings each stored tuple induces on the atom's variables
-        // (None when the tuple violates the atom's constants or
-        // repeated variables).
-        let mut tuple_bindings: Vec<Binding> = Vec::new();
-        'tuples: for tuple in rows_of(start + offset) {
-            if tuple.len() != atom.arity() {
-                continue;
-            }
-            let mut binding = BTreeMap::new();
-            for (term, value) in atom.terms.iter().zip(tuple) {
-                match term {
-                    Term::Const(c) => {
-                        if c != value {
-                            continue 'tuples;
-                        }
-                    }
-                    Term::Var(v) => match binding.get(v.as_ref()) {
-                        Some(prev) if prev != value => continue 'tuples,
-                        Some(_) => {}
-                        None => {
-                            binding.insert(v.clone(), value.clone());
-                        }
-                    },
-                }
-            }
-            tuple_bindings.push(binding);
-        }
-        // Hash-join on the variables shared with the rows so far.
-        let shared: Vec<Arc<str>> = atom
-            .variables()
-            .into_iter()
-            .filter(|v| bound.contains(v))
-            .collect();
-        let mut index: BTreeMap<Vec<&Constant>, Vec<&Binding>> = BTreeMap::new();
-        for b in &tuple_bindings {
-            let key: Vec<&Constant> = shared
-                .iter()
-                .map(|v| b.get(v.as_ref()).expect("shared var bound by atom"))
-                .collect();
-            index.entry(key).or_default().push(b);
-        }
-        let mut next = Vec::new();
-        for row in rows.iter() {
-            let key: Vec<&Constant> = shared
-                .iter()
-                .map(|v| row.get(v.as_ref()).expect("shared var bound by row"))
-                .collect();
-            if let Some(matches) = index.get(&key) {
-                for m in matches {
-                    let mut merged = row.clone();
-                    for (k, v) in m.iter() {
-                        merged.insert(k.clone(), v.clone());
-                    }
-                    next.push(merged);
-                }
-            }
-        }
-        rows = Arc::new(next);
-        bound.extend(atom.variables());
+        let slots = compile(atom, &mut columns);
+        rows = Arc::new(join_atom(&rows, &slots, rows_of(i).into_iter(), &hasher));
         captured.push(JoinPrefix {
-            len: start + offset + 1,
+            len: i + 1,
             rows: Arc::clone(&rows),
         });
     }
-    let answers = rows
-        .iter()
-        .map(|row| {
-            query
-                .head
-                .terms
-                .iter()
-                .map(|t| match t {
-                    Term::Const(c) => c.clone(),
-                    Term::Var(v) => row
-                        .get(v.as_ref())
-                        .cloned()
-                        .expect("safe query binds every head variable"),
-                })
-                .collect()
-        })
-        .collect();
+    // Compiled like a body atom, the head reads columns: safety makes
+    // every variable of it a `Key`.
+    let head = compile(&query.head, &mut columns);
+    let project = |row: &[Constant]| {
+        let mut tuple = Tuple::with_capacity(head.len());
+        for slot in &head {
+            tuple.push(match slot {
+                Slot::Const(c) => (*c).clone(),
+                Slot::Key(column) => row[*column].clone(),
+                Slot::Repeat(earlier) => tuple[*earlier].clone(),
+                Slot::New => unreachable!("safe query binds every head variable"),
+            });
+        }
+        tuple
+    };
+    let mut answers: Vec<Tuple> = rows.iter().map(project).collect();
+    answers.sort_unstable();
+    answers.dedup();
     (answers, captured)
 }
 
@@ -251,13 +326,15 @@ impl Database {
     /// Panics if the query is unsafe (an unbound head variable would make an
     /// answer non-ground).
     pub fn evaluate(&self, query: &ConjunctiveQuery) -> BTreeSet<Tuple> {
-        self.evaluate_seeded(query, None).0
+        self.evaluate_seeded(query, None).0.into_iter().collect()
     }
 
     /// [`Database::evaluate`], optionally seeded with the materialized
     /// state of a body-atom prefix, and returning the [`JoinPrefix`]
     /// captured after each processed atom (so callers can memoize them
-    /// for later plans sharing the prefix).
+    /// for later plans sharing the prefix). The answers are a sorted
+    /// vector of distinct tuples — the order a `BTreeSet` would iterate
+    /// them in — so a caller accumulating a union pays for one set only.
     ///
     /// A seed is only sound when it was captured — by this method, on
     /// this database — for a query whose first `seed.len` body atoms are
@@ -278,7 +355,7 @@ impl Database {
         &self,
         query: &ConjunctiveQuery,
         seed: Option<&JoinPrefix>,
-    ) -> (BTreeSet<Tuple>, Vec<JoinPrefix>) {
+    ) -> (Vec<Tuple>, Vec<JoinPrefix>) {
         join_pipeline(query, seed, |i| self.tuples(&query.body[i].predicate))
     }
 
@@ -297,8 +374,8 @@ impl Database {
                 .terms
                 .iter()
                 .map(|t| match subst.apply(t) {
-                    crate::term::Term::Const(c) => c,
-                    crate::term::Term::Var(v) => {
+                    Term::Const(c) => c,
+                    Term::Var(v) => {
                         unreachable!("safe query left head variable {v} unbound")
                     }
                 })
@@ -329,7 +406,7 @@ impl Database {
                 .terms
                 .iter()
                 .zip(tuple)
-                .all(|(pat, c)| ext.match_term(pat, &crate::term::Term::Const(c.clone())));
+                .all(|(pat, c)| ext.match_term(pat, &Term::Const(c.clone())));
             if ok {
                 self.join(body, idx + 1, &ext, emit);
             }
@@ -479,7 +556,10 @@ mod tests {
         ] {
             let q = parse_query(text).unwrap();
             let (reference, captured) = db.evaluate_seeded(&q, None);
-            assert_eq!(reference, db.evaluate(&q), "{text}");
+            assert!(
+                reference.iter().eq(&db.evaluate(&q)),
+                "{text}: sorted, distinct"
+            );
             for prefix in &captured {
                 let (seeded, rest) = db.evaluate_seeded(&q, Some(prefix));
                 assert_eq!(seeded, reference, "{text} seeded at {}", prefix.len);
@@ -503,10 +583,91 @@ mod tests {
             captured.iter().map(|p| p.len).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
-        assert!(captured[0].approx_bytes() > 0);
         // Cloning shares the Arc'd rows instead of copying them.
         let clone = captured[1].clone();
         assert!(Arc::ptr_eq(&clone.rows, &captured[1].rows));
+    }
+
+    /// Row order is part of the contract (seeds and memoized prefixes
+    /// are compared and reused bit for bit): rows in order, each with its
+    /// matches in slot order, columns in first-occurrence order.
+    #[test]
+    fn rows_keep_row_order_then_slot_order() {
+        let int = |rows: &[&[i64]]| -> Vec<Tuple> {
+            rows.iter()
+                .map(|r| r.iter().copied().map(Constant::Int).collect())
+                .collect()
+        };
+        let q = parse_query("q(X, Z) :- a(X, Y), b(Y, Z, Y), c(7)").unwrap();
+        let a = int(&[&[3, 1], &[1, 2], &[2, 1]]);
+        // Unsorted, with a duplicate, a repeat violation and a wrong arity.
+        let b = int(&[
+            &[1, 9, 1],
+            &[2, 5, 2],
+            &[1, 9, 2],
+            &[1, 4, 1],
+            &[1, 9, 1],
+            &[1, 4],
+        ]);
+        let c = int(&[&[7]]);
+        let (answers, captured) = evaluate_slots(&q, None, &[&a, &b, &c]);
+        let rows =
+            |p: &JoinPrefix| -> Vec<Tuple> { p.rows.iter().map(<[Constant]>::to_vec).collect() };
+        assert_eq!(rows(&captured[0]), a);
+        let joined = int(&[
+            &[3, 1, 9],
+            &[3, 1, 4],
+            &[3, 1, 9],
+            &[1, 2, 5],
+            &[2, 1, 9],
+            &[2, 1, 4],
+            &[2, 1, 9],
+        ]);
+        assert_eq!(rows(&captured[1]), joined);
+        assert_eq!(captured[1].rows.len(), 7);
+        // A ground atom adds no column and keeps every row.
+        assert_eq!(rows(&captured[2]), joined);
+        assert_eq!(
+            answers,
+            int(&[&[1, 5], &[2, 4], &[2, 9], &[3, 4], &[3, 9]]),
+            "sorted and distinct"
+        );
+    }
+
+    #[test]
+    fn zero_width_prefixes_still_count_their_rows() {
+        let mut db = Database::new();
+        db.insert("r", vec![Constant::Int(1)]);
+        db.insert("s", vec![Constant::Int(2)]);
+        let q = parse_query("q(ok) :- r(1), s(2)").unwrap();
+        let (answers, captured) = db.evaluate_seeded(&q, None);
+        assert_eq!(answers, vec![vec![Constant::str("ok")]]);
+        for p in &captured {
+            assert_eq!(p.rows.len(), 1);
+            assert!(p.rows.iter().eq([&[][..]]), "one empty row");
+        }
+        let miss = parse_query("q(ok) :- r(1), s(3)").unwrap();
+        assert!(db.evaluate(&miss).is_empty());
+    }
+
+    #[test]
+    fn approx_bytes_counts_every_value_and_string_payload() {
+        let headers = std::mem::size_of::<JoinPrefix>() + std::mem::size_of::<PrefixRows>();
+        let value = std::mem::size_of::<Constant>();
+        let mut db = Database::new();
+        for (k, name) in [(1, "a"), (2, "bcd"), (3, "ef")] {
+            db.insert("r", vec![Constant::Int(k), Constant::str(name)]);
+        }
+        let q = parse_query("q(K, N) :- r(K, N)").unwrap();
+        let (_, captured) = db.evaluate_seeded(&q, None);
+        assert_eq!(captured[0].approx_bytes(), headers + 6 * value + 6);
+        // Not an extrapolation from the first row: an empty prefix is its
+        // headers, and growing one string grows the total by that much.
+        let none = parse_query("q(K) :- r(K, zzz)").unwrap();
+        assert_eq!(db.evaluate_seeded(&none, None).1[0].approx_bytes(), headers);
+        db.insert("r", vec![Constant::Int(4), Constant::str("0123456789")]);
+        let (_, grown) = db.evaluate_seeded(&q, None);
+        assert_eq!(grown[0].approx_bytes(), headers + 8 * value + 16);
     }
 
     #[test]

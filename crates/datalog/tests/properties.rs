@@ -3,42 +3,91 @@
 use proptest::prelude::*;
 use qpo_datalog::{
     contains, equivalent, evaluate_slots, expand_plan, expansion::view_map, parse_query, Atom,
-    ConjunctiveQuery, Constant, Database, SourceDescription, Term, Tuple,
+    ConjunctiveQuery, Constant, Database, JoinPrefix, SourceDescription, Term, Tuple,
 };
 
-/// Strategy: a random small conjunctive query over relations `r0..r2`
-/// (binary) with variables `X0..X3` and occasional integer constants.
-fn arb_query() -> impl Strategy<Value = ConjunctiveQuery> {
-    let term = prop_oneof![
-        (0usize..4).prop_map(|i| Term::var(format!("X{i}"))),
-        (0i64..3).prop_map(Term::int),
-    ];
-    let atom = (0usize..3, proptest::collection::vec(term, 2))
-        .prop_map(|(r, ts)| Atom::new(format!("r{r}"), ts));
-    proptest::collection::vec(atom, 1..4).prop_map(|body| {
-        // Head: every variable of the body (safety by construction).
-        let mut vars = Vec::new();
-        for a in &body {
-            for v in a.variables() {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
-        }
-        let head = Atom::new("q", vars.into_iter().map(Term::Var).collect());
-        ConjunctiveQuery::new(head, body)
-    })
+/// Arity of relation `r{i}`.
+const ARITY: [usize; 4] = [1, 2, 2, 3];
+
+/// A ground value: a small integer or one of two strings.
+fn arb_constant() -> impl Strategy<Value = Constant> {
+    prop_oneof![
+        (0i64..4).prop_map(Constant::Int),
+        (0usize..2).prop_map(|i| Constant::str(["a", "b"][i])),
+    ]
 }
 
-/// Strategy: a random small ground database over `r0..r2` with values 0..4.
+/// One atom over `r0..r3` at its relation's arity, with variables
+/// `X0..X3` and occasional constants.
+fn arb_atom() -> impl Strategy<Value = Atom> {
+    // Two terms in three are variables.
+    let term = (0usize..6, arb_constant()).prop_map(|(i, c)| match i {
+        0..=3 => Term::var(format!("X{i}")),
+        _ => Term::Const(c),
+    });
+    (0usize..ARITY.len(), proptest::collection::vec(term, 3))
+        .prop_map(|(r, ts)| Atom::new(format!("r{r}"), ts[..ARITY[r]].to_vec()))
+}
+
+/// How a head is cut from a body: which of the body's variables it keeps
+/// (bit `i` of the mask for the `i`-th distinct one) and an optional
+/// constant, with the position it is inserted at.
+type HeadSpec = (u8, Option<(usize, Constant)>);
+
+fn arb_head() -> impl Strategy<Value = HeadSpec> {
+    // One head in three carries a constant.
+    let constant =
+        (0usize..3, 0usize..5, arb_constant()).prop_map(|(k, at, c)| (k == 0).then_some((at, c)));
+    (any::<u8>(), constant)
+}
+
+/// The query `q(..) :- body` whose head projects the body's variables as
+/// `spec` says — safe by construction, the empty body included.
+fn query_over(body: Vec<Atom>, spec: &HeadSpec) -> ConjunctiveQuery {
+    let mut query = ConjunctiveQuery::new(Atom::new("q", Vec::new()), body);
+    let kept = query.body_variables().into_iter().enumerate();
+    let mut head: Vec<Term> = kept
+        .filter(|(i, _)| spec.0 >> (i % 8) & 1 == 1)
+        .map(|(_, v)| Term::Var(v))
+        .collect();
+    if let Some((at, c)) = &spec.1 {
+        head.insert(at % (head.len() + 1), Term::Const(c.clone()));
+    }
+    query.head.terms = head;
+    query
+}
+
+/// Strategy: a random small conjunctive query of zero to three atoms
+/// with a projected head.
+fn arb_query() -> impl Strategy<Value = ConjunctiveQuery> {
+    (proptest::collection::vec(arb_atom(), 0..4), arb_head())
+        .prop_map(|(body, spec)| query_over(body, &spec))
+}
+
+/// Strategy: a random small ground database over `r0..r3`; about one
+/// fact in eight is stored at the wrong arity.
 fn arb_db() -> impl Strategy<Value = Database> {
-    proptest::collection::vec((0usize..3, 0i64..4, 0i64..4), 0..15).prop_map(|facts| {
+    let fact = (
+        0usize..ARITY.len(),
+        proptest::collection::vec(arb_constant(), 4),
+        0usize..8,
+    );
+    proptest::collection::vec(fact, 0..20).prop_map(|facts| {
         let mut db = Database::new();
-        for (r, a, b) in facts {
-            db.insert(format!("r{r}"), vec![Constant::Int(a), Constant::Int(b)]);
+        for (r, values, skew) in facts {
+            let arity = if skew == 0 { ARITY[r] + 1 } else { ARITY[r] };
+            db.insert(format!("r{r}"), values[..arity].to_vec());
         }
         db
     })
+}
+
+/// The rows each body atom of `q` reads when fed `db` whole.
+fn whole_slots(q: &ConjunctiveQuery, db: &Database) -> Vec<Vec<Tuple>> {
+    q.body
+        .iter()
+        .map(|a| db.tuples(&a.predicate).cloned().collect())
+        .collect()
 }
 
 proptest! {
@@ -95,14 +144,17 @@ proptest! {
         prop_assert!(equivalent(&q, &renamed));
     }
 
-    /// Identity views: expanding a plan over views `vR(A,B) :- rR(A,B)`
+    /// Identity views: expanding a plan over views `vR(A..) :- rR(A..)`
     /// yields a query equivalent to the plan with sources renamed back.
     #[test]
     fn identity_view_expansion_is_equivalent(q in arb_query()) {
-        let views: Vec<SourceDescription> = (0..3)
-            .map(|r| {
+        let views: Vec<SourceDescription> = ARITY
+            .iter()
+            .enumerate()
+            .map(|(r, &arity)| {
+                let args = ["A", "B", "C"][..arity].join(", ");
                 SourceDescription::new(
-                    parse_query(&format!("v{r}(A, B) :- r{r}(A, B)")).unwrap(),
+                    parse_query(&format!("v{r}({args}) :- r{r}({args})")).unwrap(),
                 )
             })
             .collect();
@@ -134,11 +186,7 @@ proptest! {
     /// and the backtracking oracle do.
     #[test]
     fn slot_fed_join_matches_the_database(q in arb_query(), db in arb_db()) {
-        let whole: Vec<Vec<Tuple>> = q
-            .body
-            .iter()
-            .map(|a| db.tuples(&a.predicate).cloned().collect())
-            .collect();
+        let whole = whole_slots(&q, &db);
         let doubled: Vec<Vec<Tuple>> = whole
             .iter()
             .map(|rows| rows.iter().chain(rows).cloned().collect())
@@ -159,12 +207,10 @@ proptest! {
                     .collect()
             })
             .collect();
-        let want = db.evaluate(&q);
-        prop_assert_eq!(&want, &db.evaluate_naive(&q));
-        let (_, captured) = db.evaluate_seeded(&q, None);
+        let (want, captured) = db.evaluate_seeded(&q, None);
+        prop_assert!(want.iter().eq(&db.evaluate_naive(&q)), "query {}: sorted, distinct", q);
         for slots in [&whole, &doubled, &selected] {
             let slices: Vec<&[Tuple]> = slots.iter().map(Vec::as_slice).collect();
-            prop_assert_eq!(&evaluate_slots(&q, None, &slices).0, &want, "query {}", q);
             // Seeded at every captured prefix, the slot-fed join is the
             // database's seeded join: answers and the prefixes captured
             // past the seed (duplicate rows duplicate prefix rows, so the
@@ -179,8 +225,47 @@ proptest! {
             }
         }
         // A missing slot reads as the empty relation.
-        let short: Vec<&[Tuple]> = whole[..whole.len() - 1].iter().map(Vec::as_slice).collect();
-        prop_assert!(evaluate_slots(&q, None, &short).0.is_subset(&want));
+        if let Some((_, fed)) = whole.split_last() {
+            let short: Vec<&[Tuple]> = fed.iter().map(Vec::as_slice).collect();
+            let (answers, _) = evaluate_slots(&q, None, &short);
+            prop_assert!(answers.iter().all(|t| want.contains(t)));
+        }
+    }
+
+    /// The hash-consing contract a partial-join memo relies on: the
+    /// state after a body prefix depends on that prefix alone. Two
+    /// queries sharing their first `n` atoms and differing after (other
+    /// tails, other heads) capture equal prefixes up to `n`, and seeding
+    /// either from the other's prefix returns exactly its unseeded
+    /// answers and tail prefixes.
+    #[test]
+    fn shared_prefixes_are_interchangeable(
+        shared in proptest::collection::vec(arb_atom(), 1..3),
+        tails in proptest::collection::vec(proptest::collection::vec(arb_atom(), 0..3), 2),
+        heads in proptest::collection::vec(arb_head(), 2),
+        db in arb_db(),
+    ) {
+        let n = shared.len();
+        let queries: Vec<ConjunctiveQuery> = tails
+            .iter()
+            .zip(&heads)
+            .map(|(tail, spec)| query_over([shared.as_slice(), tail].concat(), spec))
+            .collect();
+        let runs: Vec<_> = queries.iter().map(|q| db.evaluate_seeded(q, None)).collect();
+        let upto = |captured: &[JoinPrefix]| captured.iter().take(n).cloned().collect::<Vec<_>>();
+        prop_assert_eq!(upto(&runs[0].1), upto(&runs[1].1), "{} / {}", queries[0], queries[1]);
+        for (q, other) in [(0, 1), (1, 0)] {
+            let (answers, captured) = &runs[q];
+            for seed in runs[other].1.iter().take(n) {
+                let (seeded, tail) = db.evaluate_seeded(&queries[q], Some(seed));
+                prop_assert_eq!(&seeded, answers, "{} seeded at {}", queries[q], seed.len);
+                prop_assert_eq!(tail.as_slice(), &captured[seed.len..]);
+                // The slot-fed entry point honours the same contract.
+                let slots = whole_slots(&queries[q], &db);
+                let slices: Vec<&[Tuple]> = slots.iter().map(Vec::as_slice).collect();
+                prop_assert_eq!(evaluate_slots(&queries[q], Some(seed), &slices), (seeded, tail));
+            }
+        }
     }
 
     /// Evaluation respects conjunction: adding a body atom can only shrink
@@ -189,7 +274,8 @@ proptest! {
     fn extra_atoms_shrink_answers(q in arb_query(), db in arb_db(),
                                   r in 0usize..3, a in 0i64..4, b in 0i64..4) {
         let mut bigger = q.clone();
-        bigger.body.push(Atom::new(format!("r{r}"), vec![Term::int(a), Term::int(b)]));
+        let terms = [Term::int(a), Term::int(b)];
+        bigger.body.push(Atom::new(format!("r{r}"), terms[..ARITY[r]].to_vec()));
         let base = db.evaluate(&q);
         let constrained = db.evaluate(&bigger);
         prop_assert!(constrained.is_subset(&base));

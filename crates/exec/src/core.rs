@@ -40,7 +40,7 @@ use qpo_runtime::{
     AccessContext, BackendErrorClass, BindingPattern, FaultConfig, PlanEvaluator, PlanExecution,
     SourceBackend, SourceGrid, WaveObserver,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// `source name → description`, the form plan expansion reads.
@@ -67,15 +67,15 @@ struct BackendRows {
     errors: [Counter; 2],
 }
 
-/// Coordinator↔worker handoff of the wave driver: seeds stashed when a
-/// plan is scheduled and consumed by the worker's `evaluate`; captured
-/// prefixes travel back, with the plan query they are keyed under, and
-/// are promoted when it merges. Workers only ever touch their own plan's
-/// slots.
-#[derive(Default)]
-struct Handoff {
-    seeds: BTreeMap<Vec<usize>, JoinPrefix>,
-    computed: BTreeMap<Vec<usize>, (ConjunctiveQuery, Vec<JoinPrefix>)>,
+/// Coordinator↔worker handoff of the wave driver, one slot per plan in
+/// flight: the plan query, assembled by whoever touches the plan first;
+/// the seed stashed when the plan is scheduled and consumed by the
+/// worker's `evaluate`; the prefixes that join captured, promoted when
+/// the plan merges. Workers only ever touch their own plan's slot.
+struct Slot {
+    query: Arc<ConjunctiveQuery>,
+    seed: Option<JoinPrefix>,
+    captured: Option<Vec<JoinPrefix>>,
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -97,7 +97,7 @@ pub(crate) struct PlanCore<'a> {
     access: OnceLock<(SourceGrid, Vec<Vec<Arc<str>>>)>,
     backend: Option<BackendRows>,
     memo: Option<ExecutionMemo>,
-    handoff: Mutex<Handoff>,
+    handoff: Mutex<BTreeMap<Vec<usize>, Slot>>,
 }
 
 impl<'a> PlanCore<'a> {
@@ -258,9 +258,20 @@ impl<'a> PlanCore<'a> {
         }
     }
 
-    /// Joins `plan_query` from `seed`, returning its answers and the
-    /// prefixes captured past the seed: over the extensions, or over the
-    /// backend's rows in place — slot `i` feeds body atom `i`, which
+    /// Reads or updates `plan`'s handoff slot, opening it — and assembling
+    /// the plan query, once per plan — on first touch.
+    fn slot<R>(&self, plan: &[usize], touch: impl FnOnce(&mut Slot) -> R) -> R {
+        let mut handoff = lock(&self.handoff);
+        touch(handoff.entry(plan.to_vec()).or_insert_with(|| Slot {
+            query: Arc::new(self.reform.plan_query(plan)),
+            seed: None,
+            captured: None,
+        }))
+    }
+
+    /// Joins `plan_query` from `seed`, returning its answers (sorted,
+    /// distinct) and the prefixes captured past the seed: over the
+    /// extensions, or over the backend's rows in place — slot `i` feeds body atom `i`, which
     /// applies its own constants to whatever superset was shipped; slots
     /// the seed covers are never resolved. A join that read a failed
     /// fetch captures nothing: its prefixes would memoize an outage.
@@ -270,7 +281,7 @@ impl<'a> PlanCore<'a> {
         plan_query: &ConjunctiveQuery,
         fetched: &[Option<Rows>],
         seed: Option<&JoinPrefix>,
-    ) -> (BTreeSet<Tuple>, Vec<JoinPrefix>) {
+    ) -> (Vec<Tuple>, Vec<JoinPrefix>) {
         let Some(src) = &self.backend else {
             return self.db.evaluate_seeded(plan_query, seed);
         };
@@ -295,21 +306,17 @@ impl<'a> PlanCore<'a> {
 
 impl PlanEvaluator for PlanCore<'_> {
     fn is_sound(&self, plan: &[usize]) -> bool {
-        self.soundness(&self.reform.plan_query(plan)).0
+        let plan_query = self.slot(plan, |s| Arc::clone(&s.query));
+        self.soundness(&plan_query).0
     }
 
     fn evaluate(&self, plan: &[usize], fetched: &[Option<Rows>]) -> Vec<Tuple> {
-        let plan_query = self.reform.plan_query(plan);
-        let sharing = self.memo.is_some();
-        let seed = sharing
-            .then(|| lock(&self.handoff).seeds.remove(plan))
-            .flatten();
+        let (plan_query, seed) = self.slot(plan, |s| (Arc::clone(&s.query), s.seed.take()));
         let (answers, captured) = self.join(plan, &plan_query, fetched, seed.as_ref());
-        if sharing {
-            let computed = (plan_query, captured);
-            lock(&self.handoff).computed.insert(plan.to_vec(), computed);
+        if self.memo.is_some() {
+            self.slot(plan, |s| s.captured = Some(captured));
         }
-        answers.into_iter().collect()
+        answers
     }
 
     fn access_pattern(&self, plan: &[usize], bucket: usize) -> &str {
@@ -573,27 +580,23 @@ impl WaveObserver for WaveHooks<'_, '_> {
             return;
         }
         let plan = &ordered.plan;
-        let plan_query = self.core.reform.plan_query(plan);
+        let plan_query = self.core.slot(plan, |s| Arc::clone(&s.query));
         let seed = self
             .hooks
             .scheduled(self.core, seq, plan, &plan_query, vclock);
-        if let Some(seed) = seed {
-            lock(&self.core.handoff).seeds.insert(plan.clone(), seed);
-        }
+        self.core.slot(plan, |s| s.seed = seed);
         self.drain(vclock);
     }
 
     fn plan_merged(&mut self, report: &PlanExecution, vclock: f64) {
+        // Closes the slot whether or not the plan ever ran.
+        let slot = lock(&self.core.handoff).remove(&report.ordered.plan);
         if self.idle() {
             return;
         }
-        let plan = &report.ordered.plan;
-        let captured = {
-            let mut handoff = lock(&self.core.handoff);
-            handoff.seeds.remove(plan); // never ran: unsound or failed
-            handoff.computed.remove(plan)
-        };
-        let captured = captured.as_ref().map(|(q, p)| (q, p.as_slice()));
+        let captured = slot
+            .as_ref()
+            .and_then(|s| Some((&*s.query, s.captured.as_deref()?)));
         let evicted = self
             .hooks
             .merged(report.seq, report.executed(), captured, vclock);
@@ -692,6 +695,63 @@ mod tests {
         let labels = [("backend", "rows-test"), ("class", class)];
         obs.registry
             .counter_value("qpo_backend_errors_total", &labels)
+    }
+
+    /// The wave driver assembles a plan's query once: scheduling, the
+    /// soundness test and the join all read the one handoff slot, and the
+    /// merge closes it — seeded and captured prefixes riding along.
+    #[test]
+    fn the_wave_handoff_builds_one_plan_query_per_plan() {
+        use qpo_runtime::PlanStatus;
+        let m = mediator();
+        let prepared = m.prepare(&movie_query()).unwrap();
+        let (plan, _) = answering_plan(&m, &prepared);
+        let memo = ExecutionMemo::new();
+        let mut core = PlanCore::new(&m, &prepared, m.obs());
+        core.share(&memo);
+        let mut hooks = Hooks::new(m.obs());
+        hooks.share(&memo);
+        let mut wave = WaveHooks {
+            hooks,
+            core: &core,
+            tuples: Vec::new(),
+            retracted: Vec::new(),
+        };
+        let ordered = OrderedPlan {
+            plan: plan.clone(),
+            utility: -1.0,
+        };
+        let query_of = || Arc::clone(&lock(&core.handoff)[&plan].query);
+        let mut answers = Vec::new();
+        for seq in 0..2 {
+            wave.plan_scheduled(seq, &ordered, 0.0);
+            let assembled = query_of();
+            assert!(core.is_sound(&plan));
+            answers.push(core.evaluate(&plan, &[]));
+            assert!(Arc::ptr_eq(&assembled, &query_of()), "built once");
+            let report = PlanExecution {
+                seq,
+                ordered: ordered.clone(),
+                status: PlanStatus::Executed {
+                    tuples: answers[0].len(),
+                    new_tuples: 0,
+                    cumulative: 0,
+                },
+                accesses: Vec::new(),
+                latency: 0.0,
+                fees: 0.0,
+            };
+            wave.plan_merged(&report, 0.0);
+            assert!(lock(&core.handoff).is_empty(), "merge closes the slot");
+        }
+        // The first pass promoted what it captured; the second was seeded
+        // from it across the handoff and answered the same.
+        assert_eq!(
+            (memo.subplans.stores(), wave.hooks.reused),
+            (plan.len() as u64, 1)
+        );
+        assert_eq!(answers[0], answers[1]);
+        assert!(!answers[0].is_empty());
     }
 
     #[test]

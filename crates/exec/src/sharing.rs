@@ -226,3 +226,65 @@ impl ExecutionMemo {
         self.subplans.sync_backend_epoch(epoch);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Mediator;
+    use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
+
+    /// `approx_bytes()` is the sum, over the retained entries, of the key
+    /// and the prefix's exact bytes — and stays under a set budget.
+    #[test]
+    fn approx_bytes_is_the_exact_sum_over_retained_entries() {
+        let m = Mediator::new(movie_domain(), MOVIE_UNIVERSE, &["ford"]);
+        let prepared = m.prepare(&movie_query()).unwrap();
+        // Every plan's captured prefixes, in a fixed promotion order.
+        let runs: Vec<(ConjunctiveQuery, Vec<JoinPrefix>)> = (prepared.instance.all_plans().iter())
+            .map(|plan| {
+                let query = prepared.reformulation.plan_query(plan);
+                let (_, captured) = m.database().evaluate_seeded(&query, None);
+                (query, captured)
+            })
+            .collect();
+        let promote = |memo: &SubplanMemo| {
+            for (query, captured) in &runs {
+                memo.store_all(query, captured);
+            }
+        };
+        // What the memo holds, priced independently: an entry is retained
+        // iff a lookup of exactly that prefix finds that length.
+        let retained = |memo: &SubplanMemo| -> (usize, usize) {
+            let mut keys = std::collections::BTreeSet::new();
+            let mut bytes = 0;
+            for (query, captured) in &runs {
+                for p in captured {
+                    let mut prefix = query.clone();
+                    prefix.body.truncate(p.len);
+                    let found = memo.longest_prefix(&prefix).is_some_and(|f| f.len == p.len);
+                    let key = prefix_key(query, p.len);
+                    if found && keys.insert(key.clone()) {
+                        bytes += key.len() + p.approx_bytes();
+                    }
+                }
+            }
+            (keys.len(), bytes)
+        };
+        let unbounded = SubplanMemo::new();
+        promote(&unbounded);
+        let total = unbounded.approx_bytes();
+        assert_eq!(retained(&unbounded), (unbounded.len(), total));
+        assert!(total > 0);
+        // Half the room: some stores land, some are refused, and the
+        // running total is still exact and never over the cap.
+        let capped = SubplanMemo::new();
+        capped.set_byte_budget(total / 2);
+        promote(&capped);
+        assert!(!capped.is_empty() && capped.len() < unbounded.len());
+        assert_eq!(retained(&capped), (capped.len(), capped.approx_bytes()));
+        assert!(capped.approx_bytes() <= total / 2);
+        // A version bump empties it, bytes included.
+        capped.sync_backend_epoch(7);
+        assert_eq!((capped.len(), capped.approx_bytes()), (0, 0));
+    }
+}

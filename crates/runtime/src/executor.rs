@@ -60,8 +60,10 @@ pub trait PlanEvaluator: Sync {
     /// reported but never executed, mirroring the serial mediator).
     fn is_sound(&self, plan: &[usize]) -> bool;
 
-    /// Evaluates the plan's conjunctive query, returning its answers.
-    /// `fetched[bucket]` holds the rows the backend returned for that
+    /// Evaluates the plan's conjunctive query, returning its answers —
+    /// each once: the merge counts them as the plan's `tuples` and unions
+    /// them into the run's answer set as they come, with no set of the
+    /// plan's own in between. `fetched[bucket]` holds the rows the backend returned for that
     /// bucket's access — `None` for buckets it holds no data for (the
     /// simulator) and for memo-resolved slots. An evaluator over a static
     /// database ignores them, which is exactly the simulated world's
