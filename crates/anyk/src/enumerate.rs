@@ -248,25 +248,8 @@ struct Entry {
     path: Vec<usize>,
 }
 
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        utility_cmp(self.priority, other.priority).then_with(|| other.path.cmp(&self.path))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Entry {}
+heap_order!(Entry, |a, b| utility_cmp(a.priority, b.priority)
+    .then_with(|| b.path.cmp(&a.path)));
 
 /// Lazy best-first enumeration of one conjunctive query's answers.
 ///
@@ -293,27 +276,14 @@ impl RankedJoin {
     pub fn new(
         db: &Database,
         query: &ConjunctiveQuery,
-        mut atom_score: impl FnMut(usize, &Tuple) -> f64,
+        atom_score: impl FnMut(usize, &Tuple) -> f64,
     ) -> Self {
-        assert!(query.is_safe(), "cannot enumerate unsafe query {query}");
-        let mut levels = Vec::with_capacity(query.body.len());
-        let mut bound_vars: BTreeSet<Arc<str>> = BTreeSet::new();
-        for (ai, atom) in query.body.iter().enumerate() {
-            let shared: Vec<Arc<str>> = atom
-                .variables()
-                .into_iter()
-                .filter(|v| bound_vars.contains(v))
-                .collect();
-            levels.push(Arc::new(build_level(
-                db,
-                atom,
-                ai,
-                &shared,
-                &mut atom_score,
-            )));
-            bound_vars.extend(atom.variables());
-        }
-        Self::assemble(query, levels)
+        Self::build(
+            db,
+            query,
+            atom_score,
+            None::<(&LevelCache, fn(usize) -> String)>,
+        )
     }
 
     /// [`RankedJoin::new`] with level construction shared through a
@@ -327,9 +297,18 @@ impl RankedJoin {
     pub fn with_cache(
         db: &Database,
         query: &ConjunctiveQuery,
-        mut atom_score: impl FnMut(usize, &Tuple) -> f64,
+        atom_score: impl FnMut(usize, &Tuple) -> f64,
         cache: &LevelCache,
-        mut level_key: impl FnMut(usize) -> String,
+        level_key: impl FnMut(usize) -> String,
+    ) -> Self {
+        Self::build(db, query, atom_score, Some((cache, level_key)))
+    }
+
+    fn build(
+        db: &Database,
+        query: &ConjunctiveQuery,
+        mut atom_score: impl FnMut(usize, &Tuple) -> f64,
+        mut cache: Option<(&LevelCache, impl FnMut(usize) -> String)>,
     ) -> Self {
         assert!(query.is_safe(), "cannot enumerate unsafe query {query}");
         let mut levels = Vec::with_capacity(query.body.len());
@@ -340,15 +319,19 @@ impl RankedJoin {
                 .into_iter()
                 .filter(|v| bound_vars.contains(v))
                 .collect();
-            let mut key = level_key(ai);
-            key.push('|');
-            for v in &shared {
-                key.push_str(v);
-                key.push(',');
-            }
-            levels.push(
-                cache.get_or_build(key, || build_level(db, atom, ai, &shared, &mut atom_score)),
-            );
+            let mut build = || build_level(db, atom, ai, &shared, &mut atom_score);
+            levels.push(match &mut cache {
+                Some((cache, level_key)) => {
+                    let mut key = level_key(ai);
+                    key.push('|');
+                    for v in &shared {
+                        key.push_str(v);
+                        key.push(',');
+                    }
+                    cache.get_or_build(key, build)
+                }
+                None => Arc::new(build()),
+            });
             bound_vars.extend(atom.variables());
         }
         Self::assemble(query, levels)
@@ -403,6 +386,12 @@ impl RankedJoin {
                 path: vec![0],
             });
         }
+    }
+
+    /// Per body atom, the best fact score actually present at that level
+    /// (`-inf` for an empty one): what the release gate tightens to.
+    pub fn level_bounds(&self) -> impl Iterator<Item = f64> + '_ {
+        self.levels.iter().map(|l| l.max_score)
     }
 
     /// Drains the remaining stream into a vector (ranked order).

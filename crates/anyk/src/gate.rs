@@ -1,0 +1,184 @@
+//! The cross-plan release gate: the best score a plan still behind the
+//! gate could deliver, kept without enumerating the plan product.
+//!
+//! [`ReleaseGate`] holds one score bound per `(bucket, source)`. A plan's
+//! key is the left-to-right sum of its sources' entries `+ 0.0`, the
+//! association [`plan_bound`](crate::plan_bound) and
+//! [`RankedJoin`](crate::RankedJoin) sum scores in: float addition is
+//! monotone in each operand, so the key dominates every score of the plan
+//! while each entry dominates its level. Entries only fall, and keys are
+//! re-summed from the table, never patched (`key − old + new` can round
+//! below a real score).
+//!
+//! The gate is the best key over the plans still in, found by a lazy
+//! best-first walk of the product (Lawler successors): each bucket's
+//! sources are ranked once, and a frontier node `(ranks, free)` stands
+//! for the plans at `ranks` before bucket `free` and at or below from
+//! there on, keyed by an upper bound on them all. A popped node splits
+//! into its own plan and one child per free bucket; a key gone stale is
+//! re-derived (it was still an upper bound), a plan that left is dropped.
+//! Memory is O(plans that left + frontier).
+
+use qpo_core::utility_cmp;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, BinaryHeap};
+
+struct Node {
+    key: f64,
+    ranks: Vec<usize>,
+    /// First bucket whose rank may still grow; `ranks.len()` for a plan.
+    free: usize,
+}
+
+heap_order!(Node, |a, b| utility_cmp(a.key, b.key)
+    .then_with(|| a.free.cmp(&b.free)));
+
+/// The release gate over one plan space; see the module docs.
+pub struct ReleaseGate {
+    /// `bounds[bucket][source]`.
+    bounds: Vec<Vec<f64>>,
+    /// `order[bucket][rank]` = source, best starting bound first. Fixed:
+    /// frontier nodes keep their meaning while entries fall.
+    order: Vec<Vec<usize>>,
+    /// Plans that left, as rank vectors.
+    left: BTreeSet<Vec<usize>>,
+    frontier: BinaryHeap<Node>,
+}
+
+impl ReleaseGate {
+    /// Every plan of the product starts behind the gate.
+    pub fn new(bounds: Vec<Vec<f64>>) -> Self {
+        let ranked = |b: &Vec<f64>| {
+            let mut order: Vec<usize> = (0..b.len()).collect();
+            order.sort_by(|&x, &y| utility_cmp(b[y], b[x]));
+            order
+        };
+        let mut gate = ReleaseGate {
+            order: bounds.iter().map(ranked).collect(),
+            bounds,
+            left: BTreeSet::new(),
+            frontier: BinaryHeap::new(),
+        };
+        if gate.order.iter().all(|o| !o.is_empty()) {
+            gate.push(vec![0; gate.order.len()], 0);
+        }
+        gate
+    }
+
+    /// The best key among the plans the node `(ranks, free)` stands for.
+    fn key(&self, ranks: &[usize], free: usize) -> f64 {
+        let entry = |(b, &r): (usize, &usize)| {
+            let end = if b < free { r + 1 } else { self.order[b].len() };
+            let entries = self.order[b][r..end].iter().map(|&s| self.bounds[b][s]);
+            entries.fold(f64::NEG_INFINITY, f64::max)
+        };
+        ranks.iter().enumerate().map(entry).fold(0.0, |a, e| a + e) + 0.0
+    }
+
+    fn push(&mut self, ranks: Vec<usize>, free: usize) {
+        let key = self.key(&ranks, free);
+        self.frontier.push(Node { key, ranks, free });
+    }
+
+    /// Lowers the `(bucket, source)` entry to `bound`: what the rows that
+    /// source holds for that subgoal can still score. Entries only fall: a
+    /// bound above the entry is ignored. Panics on an entry out of range.
+    pub fn tighten(&mut self, bucket: usize, source: usize, bound: f64) {
+        let entry = &mut self.bounds[bucket][source];
+        *entry = entry.min(bound);
+    }
+
+    /// `plan` left the gate (it attached, or never will).
+    pub fn leave(&mut self, plan: &[usize]) {
+        let rank = |(b, s): (usize, &usize)| self.order[b].iter().position(|o| o == s);
+        if let Some(ranks) = plan.iter().enumerate().map(rank).collect() {
+            self.left.insert(ranks);
+        }
+    }
+
+    /// Plans that left so far.
+    pub fn left(&self) -> usize {
+        self.left.len()
+    }
+
+    /// No plan stays behind the gate.
+    pub fn lift(&mut self) {
+        self.frontier.clear();
+    }
+
+    /// The best key over the plans still in; `None` once all have left.
+    pub fn bound(&mut self) -> Option<f64> {
+        loop {
+            let top = self.frontier.peek()?;
+            let key = self.key(&top.ranks, top.free);
+            let stale = utility_cmp(key, top.key) == Ordering::Less;
+            let is_plan = top.free == top.ranks.len();
+            if !stale && is_plan && !self.left.contains(&top.ranks) {
+                return Some(key);
+            }
+            let Node { ranks, free, .. } = self.frontier.pop().expect("peeked above");
+            if stale {
+                self.frontier.push(Node { key, ranks, free });
+            } else if !is_plan {
+                for b in free..ranks.len() {
+                    if ranks[b] + 1 < self.order[b].len() {
+                        let mut child = ranks.clone();
+                        child[b] += 1;
+                        self.push(child, b);
+                    }
+                }
+                let own = ranks.len();
+                self.push(ranks, own);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_large_product_costs_a_small_frontier_not_the_product() {
+        // 6^8 = 1.68 M plans.
+        let table: Vec<Vec<f64>> = (0..8)
+            .map(|b| (0..6).map(|s| ((b * 7 + s * 3) % 11) as f64).collect())
+            .collect();
+        let best: f64 = table
+            .iter()
+            .map(|b| b.iter().fold(0.0, |a: f64, &x| a.max(x)))
+            .sum();
+        let mut gate = ReleaseGate::new(table);
+        assert_eq!(gate.bound(), Some(best));
+        // The best plan itself and one child per bucket.
+        assert_eq!(gate.frontier.len(), 1 + 8);
+        // A hundred plans leaving costs a frontier of that order, not 6^8.
+        for i in 0..100usize {
+            let plan: Vec<usize> = (0..8).map(|b| (i >> b) % 2 * (1 + (i + b) % 5)).collect();
+            gate.leave(&plan);
+            gate.tighten(i % 8, plan[i % 8], 0.5);
+            assert!(gate.bound().is_some());
+        }
+        assert!(
+            gate.frontier.len() <= 100 * 8 * 6,
+            "{}",
+            gate.frontier.len()
+        );
+    }
+
+    #[test]
+    fn degenerate_products() {
+        // No bucket: the one empty plan, at key 0.
+        let mut gate = ReleaseGate::new(Vec::new());
+        assert_eq!(gate.bound(), Some(0.0));
+        gate.leave(&[]);
+        assert_eq!(gate.bound(), None);
+        // An empty bucket: no plan at all.
+        assert_eq!(ReleaseGate::new(vec![vec![1.0], vec![]]).bound(), None);
+        // A lifted gate holds nothing back.
+        let mut gate = ReleaseGate::new(vec![vec![1.0, 2.0]]);
+        assert_eq!(gate.bound(), Some(2.0));
+        gate.lift();
+        assert_eq!(gate.bound(), None);
+    }
+}

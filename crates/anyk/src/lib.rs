@@ -21,10 +21,36 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// `Ord`, and what it requires, from one comparison of two heap entries
+/// (greater = popped first): floats by `utility_cmp`, ties by encodings.
+macro_rules! heap_order {
+    ($entry:ty, |$a:ident, $b:ident| $cmp:expr) => {
+        impl Ord for $entry {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                let ($a, $b) = (self, other);
+                $cmp
+            }
+        }
+        impl PartialOrd for $entry {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl PartialEq for $entry {
+            fn eq(&self, other: &Self) -> bool {
+                self.cmp(other) == std::cmp::Ordering::Equal
+            }
+        }
+        impl Eq for $entry {}
+    };
+}
+
 mod enumerate;
+mod gate;
 mod merge;
 mod scorer;
 
 pub use enumerate::{LevelCache, RankedJoin};
+pub use gate::ReleaseGate;
 pub use merge::{encode_tuple, AnyKMerge, RankedTuple, TupleStream, VecStream};
 pub use scorer::{plan_bound, CatalogScorer, TupleScorer};

@@ -118,28 +118,10 @@ struct HeadKey {
     plan_seq: u64,
 }
 
-impl Ord for HeadKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        utility_cmp(self.score, other.score)
-            .then_with(|| other.plan.cmp(&self.plan))
-            .then_with(|| other.tuple.cmp(&self.tuple))
-            .then_with(|| other.plan_seq.cmp(&self.plan_seq))
-    }
-}
-
-impl PartialOrd for HeadKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for HeadKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for HeadKey {}
+heap_order!(HeadKey, |a, b| utility_cmp(a.score, b.score)
+    .then_with(|| b.plan.cmp(&a.plan))
+    .then_with(|| b.tuple.cmp(&a.tuple))
+    .then_with(|| b.plan_seq.cmp(&a.plan_seq)));
 
 /// The k-way merge of per-plan ranked streams.
 #[derive(Default)]

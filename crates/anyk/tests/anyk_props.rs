@@ -1,13 +1,15 @@
 //! Property tests for the cross-plan any-k merge: global order, attach
 //! permutation invariance, and eviction surgical precision under
-//! arbitrary per-stream score sequences.
+//! arbitrary per-stream score sequences — and for the release gate: the
+//! lazy walk of the plan product against the brute-force maximum.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use qpo_anyk::{AnyKMerge, RankedTuple, TupleStream, VecStream};
+use qpo_anyk::{AnyKMerge, RankedTuple, ReleaseGate, TupleStream, VecStream};
 use qpo_core::utility_cmp;
 use qpo_datalog::{Constant, Tuple};
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 /// Builds one plan's stream from raw scores; the tuple payload encodes
 /// (plan id, item index) so every stream contributes distinct answers.
@@ -128,5 +130,85 @@ proptest! {
             .filter(|rt| !before.contains(rt))
             .collect();
         prop_assert_eq!(after, expected_tail);
+    }
+
+    /// Under any interleaving of tightenings and departures the gate is,
+    /// to the bit, the best key among the plans still in: it never rises,
+    /// never drops below a score such a plan can really produce, and is
+    /// gone exactly when the last plan is.
+    #[test]
+    fn gate_is_the_brute_force_maximum_over_the_plans_still_in(
+        table in pvec(pvec(-4.0f64..4.0, 1..4), 1..4),
+        slack in pvec(0.0f64..3.0, 9),
+        ops in pvec((0usize..1000, 0usize..1000, 0.0f64..1.0), 0..40),
+    ) {
+        // Real scores sit `slack` below the starting table, entry by entry.
+        let mut scores = table.clone();
+        for (b, bucket) in scores.iter_mut().enumerate() {
+            for (s, score) in bucket.iter_mut().enumerate() {
+                *score -= slack[3 * b + s];
+            }
+        }
+        let sum = |t: &[Vec<f64>], plan: &[usize]| {
+            plan.iter().enumerate().fold(0.0, |a, (b, &s)| a + t[b][s]) + 0.0
+        };
+        let best = |t: &[Vec<f64>], plans: &BTreeSet<Vec<usize>>| {
+            plans.iter().map(|p| sum(t, p)).max_by(|a, b| utility_cmp(*a, *b))
+        };
+        let mut plans: Vec<Vec<usize>> = vec![Vec::new()];
+        for bucket in &table {
+            plans = plans
+                .iter()
+                .flat_map(|p| (0..bucket.len()).map(move |s| [&p[..], &[s]].concat()))
+                .collect();
+        }
+        let mut within: BTreeSet<Vec<usize>> = plans.iter().cloned().collect();
+        let mut model = table.clone();
+        let mut gate = ReleaseGate::new(table);
+        let mut last = f64::INFINITY;
+        let mut check = |gate: &mut ReleaseGate,
+                         model: &[Vec<f64>],
+                         scores: &[Vec<f64>],
+                         within: &BTreeSet<Vec<usize>>| {
+            let got = gate.bound();
+            assert_eq!(got.map(f64::to_bits), best(model, within).map(f64::to_bits));
+            assert_eq!(got.is_none(), within.is_empty());
+            assert_eq!(gate.left() + within.len(), plans.len());
+            if let (Some(got), Some(real)) = (got, best(scores, within)) {
+                assert_ne!(utility_cmp(got, last), Ordering::Greater, "{last} rose to {got}");
+                assert_ne!(utility_cmp(got, real), Ordering::Less, "{got} under {real}");
+                last = got;
+            }
+        };
+        check(&mut gate, &model, &scores, &within);
+        for (pick, arg, frac) in ops {
+            let plan = &plans[arg % plans.len()];
+            let (b, s) = (pick % plan.len(), plan[pick % plan.len()]);
+            match pick % 5 {
+                // The plan attaches.
+                0 | 1 => {
+                    gate.leave(plan);
+                    within.remove(plan);
+                }
+                // One of its levels turns out to hold less than promised…
+                2 | 3 if model[b][s].is_finite() => {
+                    let to = scores[b][s] + frac * (model[b][s] - scores[b][s]);
+                    gate.tighten(b, s, to);
+                    model[b][s] = to.min(model[b][s]);
+                }
+                // …or nothing at all; a looser bound is not believed.
+                _ => {
+                    gate.tighten(b, s, model[b][s] + 1.0);
+                    gate.tighten(b, s, f64::NEG_INFINITY);
+                    (model[b][s], scores[b][s]) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+                }
+            }
+            check(&mut gate, &model, &scores, &within);
+        }
+        for plan in &plans {
+            gate.leave(plan);
+            within.remove(plan);
+            check(&mut gate, &model, &scores, &within);
+        }
     }
 }

@@ -151,7 +151,7 @@ impl Mediator {
             hooks.share(memo);
         }
         if let Some(scorer) = opts.scorer {
-            hooks.stream(&prepared.instance, Box::new(scorer));
+            hooks.stream(&prepared.instance, Box::new(scorer), &[]);
         }
         let mut executor = Executor::new(core.grid(), &core, policy)
             .with_backend(backend)

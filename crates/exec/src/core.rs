@@ -15,21 +15,23 @@
 //! optional *sharing* part (longest memoized prefix looked up when the
 //! plan is scheduled, captured prefixes promoted when it merges,
 //! `subplan_reused` and the memo counters) and an optional *any-k* part
-//! (score bounds of the plans not yet emitted, the plan's ranked stream
-//! attached at schedule and evicted at merge unless it executed, and the
-//! release gate). Release is a pull — [`Hooks::release`] hands out the
-//! next tuple the gate lets through — which the session returns one at a
-//! time and [`WaveHooks`], the crate's only [`WaveObserver`], loops until
-//! dry. Both parts consult and mutate shared state on the coordinating
-//! thread only (lookups in pop order, promotions in emission order), so
-//! a run stays bit-identical across worker counts.
+//! (the plan's ranked stream attached at schedule and evicted at merge
+//! unless it executed, the scored levels those streams share, and the
+//! release gate: a `(bucket, source)` table of score bounds each attach
+//! tightens to what the rows it read can still score). Release is a pull
+//! — [`Hooks::release`] hands out the next tuple the gate lets through —
+//! which the session returns one at a time and [`WaveHooks`], the crate's
+//! only [`WaveObserver`], loops until dry. Both parts consult and mutate
+//! shared state on the coordinating thread only (lookups in pop order,
+//! promotions and tightenings in emission order), so a run stays
+//! bit-identical across worker counts.
 
 use crate::anyk::ranked_join;
 use crate::mediator::Mediator;
 use crate::sharing::ExecutionMemo;
-use qpo_anyk::{encode_tuple, plan_bound, AnyKMerge, RankedTuple, TupleScorer};
+use qpo_anyk::{encode_tuple, AnyKMerge, LevelCache, RankedTuple, ReleaseGate, TupleScorer};
 use qpo_catalog::ProblemInstance;
-use qpo_core::{utility_cmp, OrderedPlan};
+use qpo_core::OrderedPlan;
 use qpo_datalog::{
     evaluate_slots, is_sound_plan, ConjunctiveQuery, Database, ExpansionError, JoinPrefix,
     SourceDescription, Tuple,
@@ -334,18 +336,13 @@ struct Sharing {
 struct Stream<'a> {
     scorer: Box<dyn TupleScorer + 'a>,
     merge: AnyKMerge,
-    /// Score bounds of the plans the orderer has not emitted yet.
-    remaining: BTreeMap<Vec<usize>, f64>,
-    /// The release gate: the best of `remaining`. A head is delivered
-    /// only when it strictly clears it; `None` when every plan is in.
-    gate: Option<f64>,
-}
-
-impl Stream<'_> {
-    fn close_gate(&mut self) {
-        let bounds = self.remaining.values().copied();
-        self.gate = bounds.max_by(|a, b| utility_cmp(*a, *b));
-    }
+    /// Holds a head back while a plan not emitted yet could beat it: an
+    /// entry starts at the catalog's `atom_bound`, and an attaching plan
+    /// lowers each `(bucket, source)` it reads to the best score there.
+    gate: ReleaseGate,
+    /// The scored levels of a stream without a shared memo, so a `(bucket,
+    /// source)` is scanned, scored and sorted once, not once per plan.
+    levels: LevelCache,
 }
 
 /// What surrounds the per-plan step on the coordinating thread; see the
@@ -385,24 +382,26 @@ impl<'a> Hooks<'a> {
     }
 
     /// Turns the any-k part on: every plan of the space starts behind the
-    /// gate at its score bound under `scorer`.
-    pub(crate) fn stream(&mut self, inst: &ProblemInstance, scorer: Box<dyn TupleScorer + 'a>) {
-        let remaining = inst
-            .all_plans()
-            .into_iter()
-            .map(|p| {
-                let b = plan_bound(scorer.as_ref(), inst, &p);
-                (p, b)
-            })
-            .collect();
-        let mut stream = Stream {
+    /// gate under `scorer`'s catalog bounds, except the `emitted` ones —
+    /// pulled before streaming began, they can never attach.
+    pub(crate) fn stream(
+        &mut self,
+        inst: &ProblemInstance,
+        scorer: Box<dyn TupleScorer + 'a>,
+        emitted: &[Vec<usize>],
+    ) {
+        let table = inst.buckets.iter().enumerate().map(|(b, bucket)| {
+            let bounds = bucket.iter().map(|stats| scorer.atom_bound(b, stats));
+            bounds.collect()
+        });
+        let mut gate = ReleaseGate::new(table.collect());
+        emitted.iter().for_each(|plan| gate.leave(plan));
+        self.stream = Some(Stream {
             scorer,
             merge: AnyKMerge::new(),
-            remaining,
-            gate: None,
-        };
-        stream.close_gate();
-        self.stream = Some(stream);
+            gate,
+            levels: LevelCache::new(),
+        });
     }
 
     /// The any-k part's scorer, once streaming is on.
@@ -451,15 +450,18 @@ impl<'a> Hooks<'a> {
             }
         }
         if let Some(stream) = &mut self.stream {
-            stream.remaining.remove(plan);
-            stream.close_gate();
-            // Level-cache lookups stay on the coordinating thread, so
-            // hit counts are deterministic.
-            let levels = self.sharing.as_ref().map(|s| &s.memo.levels);
-            let before = levels.map_or(0, |l| l.hits());
+            // Level-cache lookups stay on the coordinating thread, so hit
+            // counts are deterministic; only the memo's are memo hits.
+            let shared = self.sharing.as_ref().map(|s| &s.memo.levels);
+            let before = shared.map_or(0, |l| l.hits());
+            let levels = shared.unwrap_or(&stream.levels);
             let scorer = stream.scorer.as_ref();
-            let ranked = ranked_join(core.db, plan_query, core.inst, scorer, plan, levels);
-            self.memo_hits += levels.map_or(0, |l| l.hits()) - before;
+            let ranked = ranked_join(core.db, plan_query, core.inst, scorer, plan, Some(levels));
+            self.memo_hits += shared.map_or(0, |l| l.hits()) - before;
+            stream.gate.leave(plan);
+            for (bucket, bound) in ranked.level_bounds().enumerate() {
+                stream.gate.tighten(bucket, plan[bucket], bound);
+            }
             stream.merge.attach(seq, plan.to_vec(), Box::new(ranked));
             if journal.is_enabled() {
                 journal.record_at(
@@ -512,7 +514,12 @@ impl<'a> Hooks<'a> {
     /// journalled (`tuple_emitted`) at `clock`.
     pub(crate) fn release(&mut self, clock: f64) -> Option<RankedTuple> {
         let stream = self.stream.as_mut()?;
-        let rt = stream.merge.next_within(stream.gate)?;
+        let rt = stream.merge.next_within(stream.gate.bound())?;
+        if stream.merge.delivered() == 1 {
+            let name = "qpo_anyk_plans_before_first_tuple";
+            let plans = stream.gate.left() as f64;
+            self.obs.registry.histogram(name, &[]).record(plans);
+        }
         if self.obs.journal.is_enabled() {
             self.obs.journal.record_at(
                 clock,
@@ -529,16 +536,15 @@ impl<'a> Hooks<'a> {
     }
 
     /// Whether plans are still behind the gate.
-    pub(crate) fn gated(&self) -> bool {
-        self.stream.as_ref().is_some_and(|s| s.gate.is_some())
+    pub(crate) fn gated(&mut self) -> bool {
+        (self.stream.as_mut()).is_some_and(|s| s.gate.bound().is_some())
     }
 
     /// No further plan can attach: lifts the gate, so the rest of the
     /// attached streams flows out ranked.
     pub(crate) fn lift_gate(&mut self) {
         if let Some(stream) = &mut self.stream {
-            stream.remaining.clear();
-            stream.gate = None;
+            stream.gate.lift();
         }
     }
 }

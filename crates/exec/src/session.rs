@@ -92,6 +92,8 @@ pub struct QuerySession<'s> {
     // The scorer the any-k part of the hooks starts with on the first
     // `next_tuple` pull (None = the catalog default).
     pending_scorer: Option<Box<dyn TupleScorer + 's>>,
+    // Plans pulled before streaming began: the gate must not wait for them.
+    emitted_unstreamed: Vec<Vec<usize>>,
     tuple_quality: Option<QualityTracker>,
     // The offline exact ranked answer list (scores only), built lazily on
     // the first tuple-quality observation.
@@ -150,6 +152,7 @@ impl<'s> QuerySession<'s> {
             oracle_factory: Some(oracle_factory),
             oracle: None,
             pending_scorer: None,
+            emitted_unstreamed: Vec::new(),
             tuple_quality: None,
             tuple_oracle: None,
             critical_path: 0.0,
@@ -318,6 +321,9 @@ impl<'s> QuerySession<'s> {
             );
         }
         self.core.sync_epoch();
+        if self.hooks.scorer().is_none() {
+            self.emitted_unstreamed.push(ordered.plan.clone());
+        }
         let reform = &self.prepared.reformulation;
         let plan_query = reform.plan_query(&ordered.plan);
         let clock = journal.clock();
@@ -441,13 +447,16 @@ impl<'s> QuerySession<'s> {
     }
 
     /// Pulls the next answer of the globally ranked any-k stream: the
-    /// best undelivered tuple across every executed plan, delivered only
-    /// once its score strictly clears the best bound of every plan the
+    /// best undelivered tuple across every plan attached so far, delivered
+    /// only once its score strictly clears the bound of every plan the
     /// orderer has not emitted yet (so the stream is non-increasing even
-    /// though most of the plan space is still pending). Pulls — and fully
-    /// accounts, exactly like [`QuerySession::next_report`] — as many
-    /// plans as the gate requires; returns `None` when every plan is in
-    /// and the merge is drained.
+    /// though most of the plan space is still pending). A plan's bound sums,
+    /// per subgoal, the catalog's bound for its source — or, once an
+    /// attached plan has read that source, the best score among its rows.
+    /// Plans pulled by `next_report` before the first tuple pull never
+    /// attach and never hold the gate. Pulls — and fully accounts, exactly
+    /// like `next_report` — as many plans as the gate requires; returns
+    /// `None` when every plan is in and the merge is drained.
     ///
     /// Unsound plans attach and immediately evict their stream, so they
     /// contribute nothing; answers already delivered stay delivered.
@@ -457,7 +466,8 @@ impl<'s> QuerySession<'s> {
                 .pending_scorer
                 .take()
                 .unwrap_or_else(|| Box::new(CatalogScorer::new(self.mediator.universe())));
-            self.hooks.stream(&self.prepared.instance, scorer);
+            let emitted = &self.emitted_unstreamed;
+            self.hooks.stream(&self.prepared.instance, scorer, emitted);
         }
         loop {
             if let Some(rt) = self.hooks.release(self.obs.journal.clock()) {
@@ -466,6 +476,8 @@ impl<'s> QuerySession<'s> {
                 let snap = self.tuple_quality.as_ref().map(|q| q.snapshot());
                 self.obs.sessions.update(self.board_id, |e| {
                     e.tuples_emitted = k;
+                    let plans = self.plans_emitted as u64;
+                    e.plans_before_first_tuple.get_or_insert(plans);
                     e.tuple_mass = snap.as_ref().map(|s| s.mass);
                     e.tuple_regret = snap.as_ref().map(|s| s.regret);
                     e.tuple_curve
@@ -480,10 +492,9 @@ impl<'s> QuerySession<'s> {
                 Some(ordered) => {
                     self.process_plan(ordered);
                 }
-                // Defensive: the orderer is exhausted while bounds for
-                // unseen plans remain (plans pulled before streaming
-                // started, or an orderer that undercovers the space).
-                // Nothing further can attach, so lift the gate.
+                // Defensive: the orderer is exhausted while plans remain
+                // behind the gate (an orderer that undercovers the
+                // space). Nothing further can attach, so lift the gate.
                 None => self.hooks.lift_gate(),
             }
         }

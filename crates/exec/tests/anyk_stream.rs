@@ -4,11 +4,14 @@
 //! across worker counts, and retraction journals exactly the evicted
 //! stream's contributions.
 
+use qpo_anyk::{plan_bound, AnyKMerge};
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
+use qpo_catalog::{Catalog, GeneratorConfig, MediatedSchema, SchemaRelation};
 use qpo_core::utility_cmp;
+use qpo_datalog::{parse_query, SourceDescription};
 use qpo_exec::{
-    offline_ranked_answers, CatalogScorer, Mediator, QuerySession, RankedTuple, RunOptions,
-    StopCondition, Strategy,
+    offline_ranked_answers, ranked_join_for_plan, CatalogScorer, ExecutionMemo, Mediator,
+    QuerySession, RankedTuple, RunOptions, StopCondition, Strategy,
 };
 use qpo_obs::Obs;
 use qpo_runtime::{FaultConfig, PlanStatus, RuntimePolicy};
@@ -281,10 +284,158 @@ fn mixing_plan_pulls_with_tuple_pulls_stays_sound() {
         .with_tuple_scorer(scorer());
     let first = s.next_report().expect("plan space non-empty");
     assert!(first.sound);
-    let stream: Vec<RankedTuple> = s.stream_tuples().collect();
+    // That plan left the gate when streaming began: the first tuple does
+    // not wait for the orderer to run dry.
+    let head = s.next_tuple().expect("the later plans answer");
+    assert!(s.plans_emitted() < 9, "{} of 9 pulled", s.plans_emitted());
+    let stream: Vec<RankedTuple> = std::iter::once(head).chain(s.stream_tuples()).collect();
     for w in stream.windows(2) {
         assert_ne!(utility_cmp(w[1].score, w[0].score), Ordering::Greater);
     }
     let answers = s.answers().clone();
     assert!(stream.iter().all(|rt| answers.contains(&rt.tuple)));
 }
+
+const STAR_UNIVERSE: u64 = 40;
+
+/// The shape `bench_e2e`'s `anyk-stream` serves: a 3-subgoal star,
+/// 4 fragment views per subgoal, generated statistics.
+fn star_mediator(seed: u64) -> Mediator {
+    let inst = GeneratorConfig::new(3, 4)
+        .with_overlap_rate(0.3)
+        .with_seed(seed)
+        .with_universe(STAR_UNIVERSE)
+        .build();
+    let relations = (0..3).map(|b| SchemaRelation::new(format!("r{b}"), 2));
+    let mut catalog = Catalog::new(MediatedSchema::with_relations(relations));
+    for (b, bucket) in inst.buckets.iter().enumerate() {
+        for (i, stats) in bucket.iter().enumerate() {
+            let mut stats = stats.clone();
+            stats.name = None;
+            let view = parse_query(&format!("v{b}_{i}(A, B) :- r{b}(A, B)")).unwrap();
+            catalog
+                .add_source(SourceDescription::new(view), stats)
+                .unwrap();
+        }
+    }
+    Mediator::new(catalog, STAR_UNIVERSE, &["k"])
+}
+
+#[test]
+fn the_data_aware_gate_keeps_the_star_stream_exact_and_releases_sooner() {
+    let m = star_mediator(2002);
+    let query = parse_query("q(X0, X1, X2) :- r0(K, X0), r1(K, X1), r2(K, X2)").unwrap();
+    let prepared = m.prepare(&query).unwrap();
+    let (reform, inst) = (&prepared.reformulation, &prepared.instance);
+    assert_eq!(inst.plan_count(), 64);
+    let sc = CatalogScorer::new(STAR_UNIVERSE).with_jitter(0.25);
+    let view_map = m.catalog().view_map();
+    let oracle: Vec<(u64, qpo_datalog::Tuple)> =
+        offline_ranked_answers(m.database(), reform, &view_map, inst, &sc)
+            .into_iter()
+            .map(|(score, tuple)| (score.to_bits(), tuple))
+            .collect();
+    assert!(oracle.len() > 100);
+    let exact = |stream: Vec<RankedTuple>, what: &str| {
+        for w in stream.windows(2) {
+            assert_ne!(utility_cmp(w[1].score, w[0].score), Ordering::Greater);
+        }
+        let sorted: Vec<_> = rank_sorted(stream)
+            .into_iter()
+            .map(|rt| (rt.score.to_bits(), rt.tuple))
+            .collect();
+        assert!(sorted == oracle, "{what} differs from the offline oracle");
+    };
+
+    // The emission order: streaming, a memo and the driver never move it.
+    let emitted: Vec<Vec<usize>> = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips)
+        .unwrap()
+        .drain(StopCondition::unbounded())
+        .reports
+        .into_iter()
+        .map(|r| r.ordered.plan)
+        .collect();
+
+    // The session, without and with a memo (cold, then warm).
+    let memo = ExecutionMemo::new();
+    let mut first_tuple_at = Vec::new();
+    for memo in [None, Some(&memo), Some(&memo)] {
+        let obs = Obs::new();
+        let m = m.clone().with_obs(&obs);
+        let prepared = m.prepare(&query).unwrap();
+        let mut s = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips)
+            .unwrap()
+            .with_tuple_scorer(sc);
+        if let Some(memo) = memo {
+            s = s.with_memo(memo);
+        }
+        let head = s.next_tuple().expect("the star answers");
+        first_tuple_at.push(s.plans_emitted());
+        let board = obs.sessions.entries();
+        assert_eq!(
+            board[0].plans_before_first_tuple,
+            Some(first_tuple_at[0] as u64)
+        );
+        let stream: Vec<RankedTuple> = std::iter::once(head).chain(s.stream_tuples()).collect();
+        match memo {
+            None => assert_eq!(s.memo_hits(), 0, "private levels are not memo hits"),
+            Some(_) => assert!(s.memo_hits() > 0),
+        }
+        let registry = &obs.registry;
+        let recorded = registry.histogram("qpo_anyk_plans_before_first_tuple", &[]);
+        assert_eq!(
+            (recorded.count(), recorded.sum()),
+            (1, first_tuple_at[0] as f64)
+        );
+        exact(stream, "session stream");
+    }
+
+    // The wave driver, 1 and 3 workers, without and with a memo.
+    for (workers, memo) in [(1, None), (3, None), (1, Some(&memo)), (3, Some(&memo))] {
+        let opts = RunOptions {
+            scorer: Some(&sc),
+            memo,
+            ..RunOptions::default()
+        };
+        let policy = RuntimePolicy::parallel(workers).with_lookahead(workers);
+        let stop = StopCondition::unbounded();
+        let run = m
+            .run(&query, &Coverage, Strategy::IDrips, stop, policy, &opts)
+            .unwrap();
+        assert!(run.retracted.is_empty());
+        assert_eq!(run.emitted_plans(), emitted);
+        exact(run.tuples, "wave stream");
+    }
+
+    // What the catalog-only gate needed on the same emission order:
+    // every plan not attached yet holds the gate at its `plan_bound`.
+    let bounded = |plan: Vec<usize>| {
+        let bound = plan_bound(&sc, inst, &plan);
+        (plan, bound)
+    };
+    let mut remaining: std::collections::BTreeMap<Vec<usize>, f64> =
+        inst.all_plans().into_iter().map(bounded).collect();
+    let mut merge = AnyKMerge::new();
+    let mut catalog_only = 0;
+    for (seq, plan) in emitted.iter().enumerate() {
+        let gate = remaining
+            .values()
+            .copied()
+            .max_by(|a, b| utility_cmp(*a, *b));
+        if merge.next_within(gate).is_some() {
+            break;
+        }
+        remaining.remove(plan);
+        let ranked = ranked_join_for_plan(m.database(), reform, inst, &sc, plan);
+        merge.attach(seq as u64, plan.clone(), Box::new(ranked));
+        catalog_only += 1;
+    }
+    assert_eq!(first_tuple_at, [FIRST_TUPLE_AT; 3]);
+    assert!(
+        FIRST_TUPLE_AT < catalog_only,
+        "catalog-only gate released after {catalog_only} plans"
+    );
+}
+
+/// Plans the star session at seed 2002 pulls before its first tuple.
+const FIRST_TUPLE_AT: usize = 45;

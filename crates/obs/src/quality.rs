@@ -161,6 +161,9 @@ pub struct SessionEntry {
     /// Ranked answer tuples delivered by the any-k stream (0 unless the
     /// session serves tuples).
     pub tuples_emitted: u64,
+    /// Plans emitted when the any-k stream released its first tuple: why
+    /// that tuple came when it did (`None` before it).
+    pub plans_before_first_tuple: Option<u64>,
     /// Cumulative delivered tuple-score mass (tuple quality enabled only).
     pub tuple_mass: Option<f64>,
     /// Tuple-level regret against the offline exact sort of the full
@@ -227,6 +230,7 @@ impl SessionBoard {
                 utility_mass: None,
                 regret: None,
                 tuples_emitted: 0,
+                plans_before_first_tuple: None,
                 tuple_mass: None,
                 tuple_regret: None,
                 tuple_curve: Vec::new(),
@@ -296,6 +300,8 @@ impl SessionBoard {
             push_opt(&mut out, "utility_mass", e.utility_mass);
             push_opt(&mut out, "regret", e.regret);
             let _ = write!(out, ",\"tuples_emitted\":{}", e.tuples_emitted);
+            let before_first = e.plans_before_first_tuple.map(|p| p as f64);
+            push_opt(&mut out, "plans_before_first_tuple", before_first);
             push_opt(&mut out, "tuple_mass", e.tuple_mass);
             push_opt(&mut out, "tuple_regret", e.tuple_regret);
             // The curve renders compactly as [k, utility, mass, cost]

@@ -31,7 +31,7 @@ if [[ -z "$parent" ]]; then
   if git diff --quiet HEAD; then parent="HEAD~1"; else parent="HEAD"; fi
 fi
 
-tmp="$(mktemp -d /tmp/qpo-bench-pair.XXXXXX)"
+tmp="$(mktemp -d "${TMPDIR:-/tmp}/qpo-bench-pair.XXXXXX")"
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent"
 git archive "$parent" | tar -x -C "$tmp/parent"

@@ -67,7 +67,7 @@ echo "==> serving-cache bench smoke (release)"
 cargo build --release -p qpo-bench --bin bench-serving
 ./target/release/bench-serving --smoke
 
-echo "==> any-k streaming bench smoke (release)"
+echo "==> any-k streaming bench smoke (release; fig6-anyk-m4 must release its first tuple within 6 plans)"
 cargo build --release -p qpo-bench --bin bench-anyk
 ./target/release/bench-anyk --smoke
 
