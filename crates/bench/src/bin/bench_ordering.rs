@@ -20,10 +20,9 @@
 //! `--smoke` runs a reduced workload set and exits non-zero unless every
 //! context-free fig6-style workload shows the required ≥2× reduction in
 //! interval evaluations (timing is reported but never gated — CI boxes
-//! are noisy; eval counts are deterministic). The smoke run additionally
-//! gates profiling overhead: a traced mediation run (journal on, span
-//! tree reconstructed afterwards) must be at most 5% slower than the
-//! identical untraced run, best-of-N on both sides.
+//! are noisy; eval counts are deterministic; tracing overhead is
+//! `bench_e2e`'s `obs.trace_overhead_ratio`, reported on every traced
+//! run).
 //!
 //! The full run appends a `profile` section: each fig6 workload is
 //! executed end-to-end (bounded plan budget, deterministic faultless
@@ -157,78 +156,6 @@ fn main() {
         eprintln!("FAIL: Greedy beat the exact iDrips prefix on oracle regret");
         std::process::exit(1);
     }
-    if smoke {
-        let (untraced, traced) = profiling_overhead();
-        let bound = untraced * 1.05 + OVERHEAD_EPSILON_MS;
-        println!(
-            "\nprofiling overhead (best of {OVERHEAD_RUNS}): untraced {untraced:.2}ms, \
-             traced {traced:.2}ms (gate: <= {bound:.2}ms)"
-        );
-        if traced > bound {
-            eprintln!("FAIL: tracing overhead above the 5% profiling budget");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Timing runs per side of the profiling-overhead gate. Best-of-N is the
-/// workspace's standard defense against CI timer noise; the epsilon
-/// absorbs scheduler jitter that 5% of a tens-of-milliseconds run can't.
-const OVERHEAD_RUNS: usize = 7;
-const OVERHEAD_EPSILON_MS: f64 = 2.0;
-
-/// Best-of-N wall time of one bounded mediation run, untraced (journal
-/// disabled — recording is a no-op) and traced (journal on). Only the
-/// mediation itself is timed: span-tree reconstruction happens offline
-/// from the journal, so it is verified here but not charged against the
-/// instrumentation budget.
-fn profiling_overhead() -> (f64, f64) {
-    let (catalog, query) = synthetic_catalog_with_universe(3, 6, 0.3, PROFILE_SEED, 40);
-    let mediator = Mediator::new(catalog, 40, &["k"]);
-    let measure = MeasureKind::Coverage.build();
-    let stop = StopCondition {
-        max_plans: Some(60),
-        ..StopCondition::unbounded()
-    };
-    let run_once = |traced: bool| {
-        let obs = if traced {
-            Obs::with_trace()
-        } else {
-            Obs::new()
-        };
-        let t = Instant::now();
-        mediator
-            .run(
-                &query,
-                &measure,
-                Strategy::IDrips,
-                stop,
-                RuntimePolicy::parallel(4).with_lookahead(4),
-                &RunOptions {
-                    obs: Some(&obs),
-                    ..RunOptions::default()
-                },
-            )
-            .expect("overhead run");
-        let elapsed = t.elapsed().as_secs_f64() * 1e3;
-        if traced {
-            let index = ProfileIndex::from_journal(&obs.journal);
-            let run = index.latest().expect("traced run profiles");
-            run.check().expect("well-formed span tree");
-        }
-        elapsed
-    };
-    // Warm caches and the thread pool before timing, then interleave the
-    // two sides round by round so a sustained CPU-noise episode hits both
-    // equally instead of biasing whichever side runs second.
-    run_once(false);
-    run_once(true);
-    let (mut untraced, mut traced) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..OVERHEAD_RUNS {
-        untraced = untraced.min(run_once(false));
-        traced = traced.min(run_once(true));
-    }
-    (untraced, traced)
 }
 
 /// Where one executed fig6 workload's virtual time went (the `profile`

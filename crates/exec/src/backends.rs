@@ -8,15 +8,15 @@
 //! anything else implementing the trait. A run selects one by label
 //! ([`RunOptions::backend`](crate::RunOptions::backend)), a session with
 //! [`QuerySession::with_backend`](crate::QuerySession::with_backend);
-//! either way the same per-plan core ([`crate::core`]) does the work:
-//! same reformulation, same ordering — only the rows change. Each access
-//! goes out under the binding pattern of its subgoal
-//! ([`qpo_runtime::pattern`]: the constants the plan atom fixes), so a
-//! remote source ships only rows the plan can use, and the join reads
-//! *those* rows in place, slot `i` feeding body atom `i` — rows no live
-//! access of this plan carried (a session fetches nothing up front; a
-//! memo shortcut skips the fetch) come from one fetch cache backed by the
-//! same backend, never from the extensions. The simulator holds no data:
+//! either way the same loop and the same per-plan core ([`crate::core`])
+//! do the work: same reformulation, same ordering, same retries — only
+//! the rows change. Each access goes out under the binding pattern of its
+//! subgoal ([`qpo_runtime::pattern`]: the constants the plan atom fixes),
+//! so a remote source ships only rows the plan can use, and the join
+//! reads *those* rows in place, slot `i` feeding body atom `i` — rows no
+//! live access of this plan carried (a memo shortcut skips the fetch)
+//! come from one fetch cache backed by the same backend, never from the
+//! extensions. The simulator holds no data:
 //! under it evaluation stays on the static extensions, which keeps every
 //! sim run bit-identical to an unbackended one.
 //!
@@ -143,13 +143,16 @@ mod tests {
     fn unknown_label_is_a_typed_backend_error() {
         let m = mediator();
         let err = m
-            .run_concurrent_on(
-                "nope",
+            .run(
                 &movie_query(),
                 &LinearCost,
                 Strategy::Greedy,
                 StopCondition::unbounded(),
                 RuntimePolicy::serial(),
+                &RunOptions {
+                    backend: Some("nope"),
+                    ..RunOptions::default()
+                },
             )
             .err()
             .unwrap();
@@ -171,13 +174,16 @@ mod tests {
             )
             .unwrap();
         let b = m
-            .run_concurrent_on(
-                "sim",
+            .run(
                 &movie_query(),
                 &LinearCost,
                 Strategy::Greedy,
                 StopCondition::unbounded(),
                 RuntimePolicy::parallel(3),
+                &RunOptions {
+                    backend: Some("sim"),
+                    ..RunOptions::default()
+                },
             )
             .unwrap();
         assert_eq!(a.runtime.answers, b.runtime.answers);
@@ -214,13 +220,16 @@ mod tests {
             )
             .unwrap();
         let real = m
-            .run_concurrent_on(
-                "store",
+            .run(
                 &movie_query(),
                 &LinearCost,
                 Strategy::Greedy,
                 StopCondition::unbounded(),
                 RuntimePolicy::parallel(2),
+                &RunOptions {
+                    backend: Some("store"),
+                    ..RunOptions::default()
+                },
             )
             .unwrap();
         assert_eq!(sim.runtime.answers, real.runtime.answers);

@@ -1,16 +1,16 @@
-//! Concurrent mediation: the mediator loop on top of the `qpo-runtime`
-//! wave executor.
+//! Concurrent mediation: the mediator loop run to its budget on the
+//! `qpo-runtime` executor's worker pool.
 //!
 //! [`Mediator::run`] orders plans exactly like [`Mediator::answer_until`]
-//! but executes them on a bounded pool of worker threads against *remote
-//! sources* — the deterministic simulator by default, a registered store
-//! or TCP backend by label — with latency, retries, and injected
-//! failures, instead of directly against the in-memory extensions. It is
-//! the wave driver of the per-plan core ([`crate::core`]): the same step
-//! and the same hooks a [`QuerySession`](crate::QuerySession) pulls
-//! inline, so a backend, a shared-execution memo, and a ranked tuple
-//! stream compose in one call ([`RunOptions`]). Two properties tie the
-//! drivers together:
+//! but executes them in speculative waves on a bounded pool of worker
+//! threads against *remote sources* — the deterministic simulator by
+//! default, a registered store or TCP backend by label — with latency,
+//! retries, and injected failures. It is the same loop, the same per-plan
+//! core and the same hooks ([`crate::core`]) a
+//! [`QuerySession`](crate::QuerySession) steps inline one pull at a time,
+//! so a backend, a shared-execution memo, and a ranked tuple stream
+//! compose in one call ([`RunOptions`]). Two properties tie the two
+//! schedulers together:
 //!
 //! - **Equivalence**: with faults disabled, any worker count and any
 //!   speculation depth yields the serial plan-emission order and answer
@@ -27,8 +27,8 @@ use qpo_anyk::{RankedTuple, TupleScorer};
 use qpo_datalog::ConjunctiveQuery;
 use qpo_obs::{DivergenceMonitor, Obs};
 use qpo_runtime::{
-    declare_sources, observe_divergence, Executor, RuntimePolicy, RuntimeRun, SimBackend,
-    SourceBackend, SourceHealth,
+    declare_sources, observe_divergence, RuntimePolicy, RuntimeRun, SimBackend, SourceBackend,
+    SourceHealth,
 };
 use qpo_utility::UtilityMeasure;
 use std::sync::Arc;
@@ -153,18 +153,9 @@ impl Mediator {
         if let Some(scorer) = opts.scorer {
             hooks.stream(&prepared.instance, Box::new(scorer), &[]);
         }
-        let mut executor = Executor::new(core.grid(), &core, policy)
-            .with_backend(backend)
-            .with_obs(obs);
-        if let Some(memo) = opts.memo {
-            executor = executor.with_source_memo(&memo.sources);
-        }
-        let mut wave = WaveHooks {
-            hooks,
-            core: &core,
-            tuples: Vec::new(),
-            retracted: Vec::new(),
-        };
+        let executor = core.executor(Some(&backend), policy, obs);
+        // Eager release: the gate is drained after every callback.
+        let mut wave = WaveHooks::new(&mut hooks, &core, Some(Vec::new()));
         let runtime = executor.run_observed(orderer.as_mut(), stop, &mut wave);
         wave.finish(obs.journal.clock());
         let mut health = SourceHealth::new();
@@ -182,62 +173,9 @@ impl Mediator {
             runtime,
             health,
             divergence,
-            tuples: wave.tuples,
+            tuples: wave.tuples.unwrap_or_default(),
             retracted: wave.retracted,
         })
-    }
-
-    /// [`Mediator::run`] against the backend registered under `label`.
-    pub fn run_concurrent_on<M: UtilityMeasure>(
-        &self,
-        label: &str,
-        query: &ConjunctiveQuery,
-        measure: &M,
-        strategy: Strategy,
-        stop: StopCondition,
-        policy: RuntimePolicy,
-    ) -> Result<ConcurrentRun, MediatorError> {
-        self.run_concurrent_on_observed(label, query, measure, strategy, stop, policy, &Obs::new())
-    }
-
-    /// [`Mediator::run_concurrent_on`] on a shared observability bundle.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_concurrent_on_observed<M: UtilityMeasure>(
-        &self,
-        label: &str,
-        query: &ConjunctiveQuery,
-        measure: &M,
-        strategy: Strategy,
-        stop: StopCondition,
-        policy: RuntimePolicy,
-        obs: &Obs,
-    ) -> Result<ConcurrentRun, MediatorError> {
-        let opts = RunOptions {
-            backend: Some(label),
-            obs: Some(obs),
-            ..RunOptions::default()
-        };
-        self.run(query, measure, strategy, stop, policy, &opts)
-    }
-
-    /// [`Mediator::run`] on the simulator with a shared-execution memo.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_concurrent_memoized<M: UtilityMeasure>(
-        &self,
-        query: &ConjunctiveQuery,
-        measure: &M,
-        strategy: Strategy,
-        stop: StopCondition,
-        policy: RuntimePolicy,
-        memo: &ExecutionMemo,
-        obs: &Obs,
-    ) -> Result<ConcurrentRun, MediatorError> {
-        let opts = RunOptions {
-            memo: Some(memo),
-            obs: Some(obs),
-            ..RunOptions::default()
-        };
-        self.run(query, measure, strategy, stop, policy, &opts)
     }
 }
 

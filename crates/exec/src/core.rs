@@ -1,8 +1,8 @@
 //! The per-plan execution core and its hooks: what happens to *one* plan
-//! between the orderer and the answer set, implemented once and driven
-//! twice — pulled inline by [`QuerySession`](crate::QuerySession), fanned
-//! out to workers by the wave [`Executor`](qpo_runtime::Executor) under
-//! [`Mediator::run`](crate::Mediator::run).
+//! between the orderer and the answer set, implemented once and stepped
+//! by the one loop ([`Executor`](qpo_runtime::Executor)) — inline, one
+//! pull at a time, under a [`QuerySession`](crate::QuerySession); in
+//! waves on a worker pool under [`Mediator::run`](crate::Mediator::run).
 //!
 //! [`PlanCore`] owns the step itself: the soundness verdict (and the
 //! error behind a missing one), the rows each body atom reads — the
@@ -19,9 +19,12 @@
 //! unless it executed, the scored levels those streams share, and the
 //! release gate: a `(bucket, source)` table of score bounds each attach
 //! tightens to what the rows it read can still score). Release is a pull
-//! — [`Hooks::release`] hands out the next tuple the gate lets through —
-//! which the session returns one at a time and [`WaveHooks`], the crate's
-//! only [`WaveObserver`], loops until dry. Both parts consult and mutate
+//! — [`Hooks::release`] hands out the next tuple the gate lets through.
+//! [`WaveHooks`], the crate's only [`WaveObserver`], is what the loop
+//! calls when a plan is scheduled and when it merges; eager or lazy
+//! release is its caller's choice: a run hands it a vector and it drains
+//! the gate after every callback, a session hands it none and pulls one
+//! tuple at a time. Both parts consult and mutate
 //! shared state on the coordinating thread only (lookups in pop order,
 //! promotions and tightenings in emission order), so a run stays
 //! bit-identical across worker counts.
@@ -39,8 +42,8 @@ use qpo_datalog::{
 use qpo_obs::{encode_plan, Counter, Gauge, Obs, Value};
 use qpo_reformulation::{PreparedQuery, Reformulation};
 use qpo_runtime::{
-    AccessContext, BackendErrorClass, BindingPattern, FaultConfig, PlanEvaluator, PlanExecution,
-    SourceBackend, SourceGrid, WaveObserver,
+    AccessContext, BackendErrorClass, BindingPattern, Executor, FaultConfig, PlanEvaluator,
+    PlanExecution, RuntimePolicy, SourceBackend, SourceGrid, SourceMemo, WaveObserver,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -69,14 +72,15 @@ struct BackendRows {
     errors: [Counter; 2],
 }
 
-/// Coordinator↔worker handoff of the wave driver, one slot per plan in
-/// flight: the plan query, assembled by whoever touches the plan first;
-/// the seed stashed when the plan is scheduled and consumed by the
-/// worker's `evaluate`; the prefixes that join captured, promoted when
-/// the plan merges. Workers only ever touch their own plan's slot.
-struct Slot {
-    query: Arc<ConjunctiveQuery>,
+/// Coordinator↔worker handoff, one slot per plan in flight: the plan
+/// query, assembled by whoever touches the plan first; the seed stashed
+/// when the plan is scheduled and consumed by `evaluate`; the error of a
+/// soundness test that failed; the prefixes the join captured, promoted
+/// when the plan merges. Workers only ever touch their own plan's slot.
+pub(crate) struct Slot {
+    pub(crate) query: Arc<ConjunctiveQuery>,
     seed: Option<JoinPrefix>,
+    pub(crate) soundness_error: Option<ExpansionError>,
     captured: Option<Vec<JoinPrefix>>,
 }
 
@@ -117,10 +121,11 @@ impl<'a> PlanCore<'a> {
         }
     }
 
-    /// Joins `backend`'s rows instead of the static extensions. The
-    /// simulator (any backend of kind `"sim"`) holds no data: it leaves
-    /// the core on the extensions, bit-identical to an unbackended one.
-    pub(crate) fn serve_from(&mut self, backend: Arc<dyn SourceBackend>, obs: &Obs) {
+    /// Joins `backend`'s rows instead of the static extensions, and says
+    /// whether it does: the simulator (any backend of kind `"sim"`) holds
+    /// no data and leaves the core on the extensions, bit-identical to an
+    /// unbackended one.
+    pub(crate) fn serve_from(&mut self, backend: Arc<dyn SourceBackend>, obs: &Obs) -> bool {
         let kind = backend.kind();
         self.backend = (kind != "sim").then(|| BackendRows {
             errors: [BackendErrorClass::Transient, BackendErrorClass::Permanent].map(|class| {
@@ -131,12 +136,38 @@ impl<'a> PlanCore<'a> {
             faults: FaultConfig::disabled(),
             cache: Mutex::default(),
         });
+        self.backend.is_some()
     }
 
     /// Keeps `memo` in step with the backend's data version (see
-    /// [`PlanCore::sync_epoch`]) and turns the wave handoff on.
+    /// [`PlanCore::sync_epoch`]); joins hand their captured prefixes back.
     pub(crate) fn share(&mut self, memo: &ExecutionMemo) {
         self.memo = Some(memo.clone());
+    }
+
+    /// The source memo of the shared execution memo, if one is attached.
+    pub(crate) fn source_memo(&self) -> Option<&SourceMemo> {
+        self.memo.as_ref().map(|memo| &memo.sources)
+    }
+
+    /// The loop over this core: accesses go to `backend` through the
+    /// shared memo's source memo; without a backend there are none.
+    pub(crate) fn executor<'c>(
+        &'c self,
+        backend: Option<&Arc<dyn SourceBackend>>,
+        policy: RuntimePolicy,
+        obs: &'c Obs,
+    ) -> Executor<'c, Self> {
+        let Some(backend) = backend else {
+            return Executor::local(self, policy).with_obs(obs);
+        };
+        let executor = Executor::new(self.grid(), self, policy)
+            .with_backend(Arc::clone(backend))
+            .with_obs(obs);
+        match self.source_memo() {
+            Some(memo) => executor.with_source_memo(memo),
+            None => executor,
+        }
     }
 
     fn access(&self) -> &(SourceGrid, Vec<Vec<Arc<str>>>) {
@@ -264,9 +295,13 @@ impl<'a> PlanCore<'a> {
     /// the plan query, once per plan — on first touch.
     fn slot<R>(&self, plan: &[usize], touch: impl FnOnce(&mut Slot) -> R) -> R {
         let mut handoff = lock(&self.handoff);
+        if let Some(slot) = handoff.get_mut(plan) {
+            return touch(slot);
+        }
         touch(handoff.entry(plan.to_vec()).or_insert_with(|| Slot {
             query: Arc::new(self.reform.plan_query(plan)),
             seed: None,
+            soundness_error: None,
             captured: None,
         }))
     }
@@ -309,7 +344,11 @@ impl<'a> PlanCore<'a> {
 impl PlanEvaluator for PlanCore<'_> {
     fn is_sound(&self, plan: &[usize]) -> bool {
         let plan_query = self.slot(plan, |s| Arc::clone(&s.query));
-        self.soundness(&plan_query).0
+        let (sound, error) = self.soundness(&plan_query);
+        if error.is_some() {
+            self.slot(plan, |s| s.soundness_error = error);
+        }
+        sound
     }
 
     fn evaluate(&self, plan: &[usize], fetched: &[Option<Rows>]) -> Vec<Tuple> {
@@ -414,101 +453,6 @@ impl<'a> Hooks<'a> {
         self.stream.as_ref().map_or(0, |s| s.merge.delivered())
     }
 
-    /// A plan was popped and is about to execute (speculatively: its
-    /// verdict is not in yet). Returns the longest memoized prefix to seed
-    /// its join from (`subplan_reused`) and attaches its ranked stream to
-    /// the merge (`stream_attached`), journalled at `clock`.
-    pub(crate) fn scheduled(
-        &mut self,
-        core: &PlanCore<'_>,
-        seq: u64,
-        plan: &[usize],
-        plan_query: &ConjunctiveQuery,
-        clock: f64,
-    ) -> Option<JoinPrefix> {
-        let journal = &self.obs.journal;
-        let seed = self.sharing.as_ref().and_then(|s| {
-            let seed = s.memo.subplans.longest_prefix(plan_query);
-            match seed {
-                Some(_) => s.hits.inc(),
-                None => s.misses.inc(),
-            }
-            seed
-        });
-        if let Some(prefix) = &seed {
-            self.memo_hits += 1;
-            self.reused += 1;
-            if journal.is_enabled() {
-                journal.record_at(
-                    clock,
-                    "subplan_reused",
-                    vec![
-                        ("plan_seq", Value::U64(seq)),
-                        ("prefix_len", Value::U64(prefix.len as u64)),
-                    ],
-                );
-            }
-        }
-        if let Some(stream) = &mut self.stream {
-            // Level-cache lookups stay on the coordinating thread, so hit
-            // counts are deterministic; only the memo's are memo hits.
-            let shared = self.sharing.as_ref().map(|s| &s.memo.levels);
-            let before = shared.map_or(0, |l| l.hits());
-            let levels = shared.unwrap_or(&stream.levels);
-            let scorer = stream.scorer.as_ref();
-            let ranked = ranked_join(core.db, plan_query, core.inst, scorer, plan, Some(levels));
-            self.memo_hits += shared.map_or(0, |l| l.hits()) - before;
-            stream.gate.leave(plan);
-            for (bucket, bound) in ranked.level_bounds().enumerate() {
-                stream.gate.tighten(bucket, plan[bucket], bound);
-            }
-            stream.merge.attach(seq, plan.to_vec(), Box::new(ranked));
-            if journal.is_enabled() {
-                journal.record_at(
-                    clock,
-                    "stream_attached",
-                    vec![
-                        ("plan_seq", Value::U64(seq)),
-                        ("plan", Value::Str(encode_plan(plan).into())),
-                    ],
-                );
-            }
-        }
-        seed
-    }
-
-    /// A plan's outcome is final. Promotes the prefixes its join
-    /// `captured` into the memo; unless it `executed` (unsound, failed),
-    /// evicts its stream (`stream_evicted`) and returns the tuples that
-    /// stream had already delivered, in delivery order.
-    pub(crate) fn merged(
-        &mut self,
-        seq: u64,
-        executed: bool,
-        captured: Option<(&ConjunctiveQuery, &[JoinPrefix])>,
-        clock: f64,
-    ) -> Vec<RankedTuple> {
-        if let (Some(s), Some((plan_query, prefixes))) = (&self.sharing, captured) {
-            s.memo.subplans.store_all(plan_query, prefixes);
-            s.bytes.set(s.memo.subplans.approx_bytes() as f64);
-        }
-        let Some(stream) = self.stream.as_mut().filter(|_| !executed) else {
-            return Vec::new();
-        };
-        let contributed = stream.merge.evict(seq);
-        if self.obs.journal.is_enabled() {
-            self.obs.journal.record_at(
-                clock,
-                "stream_evicted",
-                vec![
-                    ("plan_seq", Value::U64(seq)),
-                    ("retracted", Value::U64(contributed.len() as u64)),
-                ],
-            );
-        }
-        contributed
-    }
-
     /// The next tuple the gate lets out — the best undelivered head, if
     /// it strictly clears the best bound of every plan not emitted yet —
     /// journalled (`tuple_emitted`) at `clock`.
@@ -549,27 +493,48 @@ impl<'a> Hooks<'a> {
     }
 }
 
-/// The wave driver's side of [`Hooks`]: carries seeds and captured
-/// prefixes across the core's coordinator↔worker handoff and drains the
-/// release gate after every callback — all on the coordinator, at serial
-/// virtual-clock timestamps, hence worker-count independent.
-pub(crate) struct WaveHooks<'c, 'a> {
-    pub(crate) hooks: Hooks<'a>,
-    pub(crate) core: &'c PlanCore<'a>,
-    /// The globally ranked tuples, in delivery order.
-    pub(crate) tuples: Vec<RankedTuple>,
+/// The loop's side of [`Hooks`]: carries seeds and captured prefixes
+/// across the core's coordinator↔worker handoff — all on the coordinator,
+/// at serial virtual-clock timestamps, hence worker-count independent.
+/// Borrowed per run, or per pull.
+pub(crate) struct WaveHooks<'h, 'a> {
+    pub(crate) hooks: &'h mut Hooks<'a>,
+    pub(crate) core: &'h PlanCore<'a>,
+    /// Eager release: the globally ranked tuples, in delivery order,
+    /// drained from the gate after every callback. `None` releases
+    /// nothing — the caller pulls [`Hooks::release`] itself.
+    pub(crate) tuples: Option<Vec<RankedTuple>>,
     /// Tuples delivered by plans that then merged unsound or failed.
     pub(crate) retracted: Vec<RankedTuple>,
+    /// The handoff slot of the plan merged last, closed.
+    pub(crate) closed: Option<Slot>,
 }
 
-impl WaveHooks<'_, '_> {
+impl<'h, 'a> WaveHooks<'h, 'a> {
+    pub(crate) fn new(
+        hooks: &'h mut Hooks<'a>,
+        core: &'h PlanCore<'a>,
+        tuples: Option<Vec<RankedTuple>>,
+    ) -> Self {
+        WaveHooks {
+            hooks,
+            core,
+            tuples,
+            retracted: Vec::new(),
+            closed: None,
+        }
+    }
+
     fn idle(&self) -> bool {
         self.hooks.sharing.is_none() && self.hooks.stream.is_none()
     }
 
     fn drain(&mut self, vclock: f64) {
+        let Some(tuples) = &mut self.tuples else {
+            return;
+        };
         while let Some(rt) = self.hooks.release(vclock) {
-            self.tuples.push(rt);
+            tuples.push(rt);
         }
     }
 
@@ -581,38 +546,106 @@ impl WaveHooks<'_, '_> {
 }
 
 impl WaveObserver for WaveHooks<'_, '_> {
+    /// A plan was popped and is about to execute (speculatively: its
+    /// verdict is not in yet): stashes the longest memoized prefix as its
+    /// join's seed (`subplan_reused`) and attaches its ranked stream to the
+    /// merge (`stream_attached`).
     fn plan_scheduled(&mut self, seq: u64, ordered: &OrderedPlan, vclock: f64) {
         if self.idle() {
             return;
         }
-        let plan = &ordered.plan;
-        let plan_query = self.core.slot(plan, |s| Arc::clone(&s.query));
-        let seed = self
-            .hooks
-            .scheduled(self.core, seq, plan, &plan_query, vclock);
-        self.core.slot(plan, |s| s.seed = seed);
+        let (hooks, core, plan) = (&mut *self.hooks, self.core, &ordered.plan);
+        let journal = &hooks.obs.journal;
+        let plan_query = core.slot(plan, |s| Arc::clone(&s.query));
+        let seed = hooks.sharing.as_ref().and_then(|s| {
+            let seed = s.memo.subplans.longest_prefix(&plan_query);
+            match seed {
+                Some(_) => s.hits.inc(),
+                None => s.misses.inc(),
+            }
+            seed
+        });
+        if let Some(prefix) = &seed {
+            hooks.memo_hits += 1;
+            hooks.reused += 1;
+            if journal.is_enabled() {
+                journal.record_at(
+                    vclock,
+                    "subplan_reused",
+                    vec![
+                        ("plan_seq", Value::U64(seq)),
+                        ("prefix_len", Value::U64(prefix.len as u64)),
+                    ],
+                );
+            }
+        }
+        core.slot(plan, |s| s.seed = seed);
+        if let Some(stream) = &mut hooks.stream {
+            // Level-cache lookups stay on the coordinating thread, so hit
+            // counts are deterministic; only the memo's are memo hits.
+            let shared = hooks.sharing.as_ref().map(|s| &s.memo.levels);
+            let before = shared.map_or(0, |l| l.hits());
+            let levels = shared.unwrap_or(&stream.levels);
+            let scorer = stream.scorer.as_ref();
+            let ranked = ranked_join(core.db, &plan_query, core.inst, scorer, plan, Some(levels));
+            hooks.memo_hits += shared.map_or(0, |l| l.hits()) - before;
+            stream.gate.leave(plan);
+            for (bucket, bound) in ranked.level_bounds().enumerate() {
+                stream.gate.tighten(bucket, plan[bucket], bound);
+            }
+            stream.merge.attach(seq, plan.to_vec(), Box::new(ranked));
+            if journal.is_enabled() {
+                journal.record_at(
+                    vclock,
+                    "stream_attached",
+                    vec![
+                        ("plan_seq", Value::U64(seq)),
+                        ("plan", Value::Str(encode_plan(plan).into())),
+                    ],
+                );
+            }
+        }
         self.drain(vclock);
     }
 
+    /// A plan's outcome is final: closes its slot (whether or not it ever
+    /// ran), promotes the prefixes its join captured into the memo and,
+    /// unless it executed (unsound, failed), evicts its stream
+    /// (`stream_evicted`), retracting what that stream had delivered.
     fn plan_merged(&mut self, report: &PlanExecution, vclock: f64) {
-        // Closes the slot whether or not the plan ever ran.
-        let slot = lock(&self.core.handoff).remove(&report.ordered.plan);
+        self.closed = lock(&self.core.handoff).remove(&report.ordered.plan);
         if self.idle() {
             return;
         }
-        let captured = slot
+        let hooks = &mut *self.hooks;
+        let captured = self
+            .closed
             .as_ref()
-            .and_then(|s| Some((&*s.query, s.captured.as_deref()?)));
-        let evicted = self
-            .hooks
-            .merged(report.seq, report.executed(), captured, vclock);
-        self.retracted.extend(evicted);
+            .and_then(|s| s.captured.as_ref().zip(Some(&s.query)));
+        if let (Some(s), Some((prefixes, plan_query))) = (&hooks.sharing, captured) {
+            s.memo.subplans.store_all(plan_query, prefixes);
+            s.bytes.set(s.memo.subplans.approx_bytes() as f64);
+        }
+        if let Some(stream) = hooks.stream.as_mut().filter(|_| !report.executed()) {
+            let contributed = stream.merge.evict(report.seq);
+            if hooks.obs.journal.is_enabled() {
+                hooks.obs.journal.record_at(
+                    vclock,
+                    "stream_evicted",
+                    vec![
+                        ("plan_seq", Value::U64(report.seq)),
+                        ("retracted", Value::U64(contributed.len() as u64)),
+                    ],
+                );
+            }
+            self.retracted.extend(contributed);
+        }
         self.drain(vclock);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backends::snapshot_relations;
     use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
@@ -621,16 +654,16 @@ mod tests {
 
     /// An in-memory data-serving backend: a relation it does not hold is a
     /// permanent error, and the first `outages` accesses of `flaky` fail
-    /// transiently.
-    struct RowsBackend {
-        relations: BTreeMap<String, Arc<Vec<Tuple>>>,
-        flaky: String,
-        outages: AtomicU32,
-        requests: AtomicU32,
+    /// transiently. Shared with the session's tests.
+    pub(crate) struct RowsBackend {
+        pub(crate) relations: BTreeMap<String, Arc<Vec<Tuple>>>,
+        pub(crate) flaky: String,
+        pub(crate) outages: AtomicU32,
+        pub(crate) requests: AtomicU32,
     }
 
     impl RowsBackend {
-        fn seeded(m: &Mediator) -> Self {
+        pub(crate) fn seeded(m: &Mediator) -> Self {
             RowsBackend {
                 relations: snapshot_relations(m.database())
                     .into_iter()
@@ -651,9 +684,8 @@ mod tests {
         fn access(
             &self,
             svc: &SourceService,
-            ctx: &AccessContext<'_>,
+            _: &AccessContext<'_>,
         ) -> Result<AccessReply, BackendError> {
-            assert_eq!(ctx.attempt, 0, "cache fills are first attempts");
             self.requests.fetch_add(1, AtomicOrdering::Relaxed);
             let down = |n: u32| n.checked_sub(1);
             if *svc.name == *self.flaky
@@ -717,12 +749,7 @@ mod tests {
         core.share(&memo);
         let mut hooks = Hooks::new(m.obs());
         hooks.share(&memo);
-        let mut wave = WaveHooks {
-            hooks,
-            core: &core,
-            tuples: Vec::new(),
-            retracted: Vec::new(),
-        };
+        let mut wave = WaveHooks::new(&mut hooks, &core, Some(Vec::new()));
         let ordered = OrderedPlan {
             plan: plan.clone(),
             utility: -1.0,

@@ -16,7 +16,6 @@ pub mod concurrent;
 mod core;
 pub mod extensions;
 pub mod mediator;
-pub mod pipeline;
 pub mod profile;
 pub mod session;
 pub mod sharing;

@@ -8,16 +8,19 @@
 //! in a bounded LRU keyed on the query's
 //! [`qpo_datalog::CanonicalQuery`], so structurally-identical queries
 //! (equal up to variable renaming and body order) prepare once and serve
-//! many times. Execution happens in a [`QuerySession`]: plans come out of
-//! a [`PlanOrderer`] in decreasing-utility order, each is tested for
-//! soundness as it pops out (unsound candidates are discarded, exactly the
-//! strategy of §2), executed against the source extensions, and its
-//! answers unioned into the result. [`Mediator::answer`] and
-//! [`Mediator::answer_until`] are thin wrappers over one-shot sessions.
+//! many times. Execution is one loop (`qpo_runtime::Executor`): plans
+//! come out of a [`PlanOrderer`] in decreasing-utility order, each is
+//! tested for soundness as it pops out (unsound candidates are discarded,
+//! exactly the strategy of §2), executed, and its answers unioned into the
+//! result. A [`QuerySession`] is that loop paused between pulls;
+//! [`Mediator::answer`] and [`Mediator::answer_until`] are thin wrappers
+//! over one-shot sessions.
 
+use crate::concurrent::{ConcurrentRun, RunOptions};
 use crate::core::ViewMap;
 use crate::extensions::populate_sources;
 use crate::session::QuerySession;
+use crate::sharing::ExecutionMemo;
 use qpo_catalog::Catalog;
 use qpo_core::{
     ByExpectedTuples, Greedy, IDrips, OrderedPlan, OrdererError, Pi, PlanOrderer, Streamer,
@@ -25,8 +28,9 @@ use qpo_core::{
 use qpo_datalog::{is_sound_plan, ConjunctiveQuery, Database, ExpansionError, Tuple};
 use qpo_obs::Obs;
 use qpo_reformulation::{
-    reformulate, CacheStats, PreparedQuery, Reformulation, ReformulationCache, ReformulationError,
+    reformulate, CacheStats, PreparedQuery, ReformulationCache, ReformulationError,
 };
+use qpo_runtime::{FailureReason, RuntimePolicy};
 use qpo_utility::UtilityMeasure;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -83,15 +87,19 @@ pub struct PlanReport {
     /// surfaced here — and counted on `qpo_soundness_test_errors_total` —
     /// instead of being silently swallowed.
     pub soundness_error: Option<ExpansionError>,
-    /// Tuples this plan produced that no earlier plan had (0 if unsound —
-    /// unsound plans are not executed).
+    /// Why the plan, though sound, never ran: a source was permanently
+    /// down, or kept failing until the retry budget ran out. The run
+    /// carries on; the orderer has been told.
+    pub failure: Option<FailureReason>,
+    /// Tuples this plan produced that no earlier plan had (0 if unsound or
+    /// failed — such plans are not executed).
     pub new_tuples: usize,
     /// Total distinct answers after this plan.
     pub cumulative: usize,
 }
 
-/// When an anytime mediation run should stop: the serial session and
-/// the wave executor share one stop type.
+/// When an anytime mediation run should stop: the one loop's budget,
+/// under either scheduler.
 pub use qpo_runtime::RunBudget as StopCondition;
 
 /// A full mediator run.
@@ -106,12 +114,13 @@ pub struct MediatorRun {
 impl MediatorRun {
     /// Number of sound plans executed.
     pub fn executed(&self) -> usize {
-        self.reports.iter().filter(|r| r.sound).count()
+        let ran = |r: &&PlanReport| r.sound && r.failure.is_none();
+        self.reports.iter().filter(ran).count()
     }
 
     /// Plans discarded by the soundness test.
     pub fn discarded(&self) -> usize {
-        self.reports.len() - self.executed()
+        self.reports.iter().filter(|r| !r.sound).count()
     }
 }
 
@@ -142,7 +151,7 @@ impl fmt::Display for MediatorError {
 impl std::error::Error for MediatorError {}
 
 /// Builds the orderer a strategy prescribes, surfacing applicability
-/// errors. Shared by both drivers. The orderers that carry telemetry
+/// errors. The orderers that carry telemetry
 /// (iDrips' kernel, Streamer's link counters) register on `obs`.
 pub(crate) fn build_orderer_observed<'a, M: UtilityMeasure>(
     inst: &'a qpo_catalog::ProblemInstance,
@@ -160,42 +169,6 @@ pub(crate) fn build_orderer_observed<'a, M: UtilityMeasure>(
         ),
         Strategy::Pi => Box::new(Pi::new(inst, measure)),
     })
-}
-
-/// Soundness-tests `ordered` against the view definitions and, if sound,
-/// executes it against `db`, unioning into `answers`: the step of the
-/// pipelined path and of the reference loop the per-plan core
-/// ([`crate::core`]) is pinned against.
-pub(crate) fn execute_plan(
-    reform: &Reformulation,
-    view_map: &ViewMap,
-    db: &Database,
-    answers: &mut BTreeSet<Tuple>,
-    ordered: OrderedPlan,
-) -> PlanReport {
-    let plan_query = reform.plan_query(&ordered.plan);
-    let sources = reform.plan_sources(&ordered.plan);
-    let (sound, soundness_error) = match is_sound_plan(&plan_query, view_map, &reform.query) {
-        Ok(verdict) => (verdict, None),
-        Err(e) => (false, Some(e)),
-    };
-    let mut new_tuples = 0;
-    if sound {
-        for t in db.evaluate(&plan_query) {
-            if answers.insert(t) {
-                new_tuples += 1;
-            }
-        }
-    }
-    PlanReport {
-        ordered,
-        sources,
-        query: plan_query,
-        sound,
-        soundness_error,
-        new_tuples,
-        cumulative: answers.len(),
-    }
 }
 
 /// A data integration mediator over a catalog with materialized source
@@ -354,10 +327,10 @@ impl Mediator {
     }
 
     /// The source-drift state recomputed from this mediator's journal
-    /// with the default config — the state of the *latest* traced
-    /// concurrent run, exactly what `/divergence` serves (empty when the
-    /// journal is disabled; serial sessions access no simulated sources,
-    /// so only concurrent runs contribute).
+    /// with the default config — the state of the *latest* traced run
+    /// that accessed sources, exactly what `/divergence` serves (empty
+    /// when the journal is disabled; a session without a backend accesses
+    /// none).
     pub fn divergence(&self) -> qpo_obs::DivergenceMonitor {
         qpo_obs::DivergenceMonitor::from_events(
             &self.obs.journal.events(),
@@ -431,13 +404,20 @@ impl Mediator {
         let mut session = QuerySession::new(self, &prepared, measure, strategy)?;
         Ok(session.drain(stop))
     }
+}
 
-    /// The pre-session mediator loop, kept verbatim (modulo the shared
-    /// [`execute_plan`] step) as a differential reference: it reformulates
-    /// directly — bypassing the canonicalized cache — and drives the
-    /// orderer inline, with no session machinery and no `observe`
-    /// feedback. The `session_equivalence` integration tests pin
-    /// [`Mediator::answer_until`] to this path bit for bit.
+// Kept for `bench_e2e/src/driver.rs`, which only a `benchmark` PR may
+// change and which is the only caller left outside this crate's tests of
+// the reference oracle and of the three `run_concurrent_*` forwarders:
+// hidden until that PR moves the driver to `Mediator::run` and takes them
+// out of the API (the oracle into test support).
+impl Mediator {
+    /// The pre-session mediator loop as a differential reference: it
+    /// reformulates directly — bypassing the canonicalized cache — and
+    /// drives the orderer inline, with no executor, no session machinery
+    /// and no `observe` feedback. The `session_equivalence` integration
+    /// tests pin [`Mediator::answer_until`] to this path bit for bit.
+    #[doc(hidden)]
     pub fn reference_answer_until<M: UtilityMeasure>(
         &self,
         query: &ConjunctiveQuery,
@@ -457,13 +437,87 @@ impl Mediator {
             let Some(ordered) = orderer.next_plan() else {
                 break;
             };
-            let report = execute_plan(&reform, &self.view_map, &self.db, &mut answers, ordered);
-            if report.sound {
-                spent += -report.ordered.utility;
+            let plan_query = reform.plan_query(&ordered.plan);
+            let (sound, soundness_error) =
+                match is_sound_plan(&plan_query, &self.view_map, &reform.query) {
+                    Ok(verdict) => (verdict, None),
+                    Err(e) => (false, Some(e)),
+                };
+            let mut new_tuples = 0;
+            if sound {
+                spent += -ordered.utility;
+                for t in self.db.evaluate(&plan_query) {
+                    new_tuples += usize::from(answers.insert(t));
+                }
             }
-            reports.push(report);
+            reports.push(PlanReport {
+                sources: reform.plan_sources(&ordered.plan),
+                ordered,
+                query: plan_query,
+                sound,
+                soundness_error,
+                failure: None,
+                new_tuples,
+                cumulative: answers.len(),
+            });
         }
         Ok(MediatorRun { reports, answers })
+    }
+
+    /// [`Mediator::run`] against the backend registered under `label`.
+    #[doc(hidden)]
+    pub fn run_concurrent_on<M: UtilityMeasure>(
+        &self,
+        label: &str,
+        query: &ConjunctiveQuery,
+        measure: &M,
+        strategy: Strategy,
+        stop: StopCondition,
+        policy: RuntimePolicy,
+    ) -> Result<ConcurrentRun, MediatorError> {
+        self.run_concurrent_on_observed(label, query, measure, strategy, stop, policy, &Obs::new())
+    }
+
+    /// [`Mediator::run_concurrent_on`] on a shared observability bundle.
+    #[doc(hidden)]
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_concurrent_on_observed<M: UtilityMeasure>(
+        &self,
+        label: &str,
+        query: &ConjunctiveQuery,
+        measure: &M,
+        strategy: Strategy,
+        stop: StopCondition,
+        policy: RuntimePolicy,
+        obs: &Obs,
+    ) -> Result<ConcurrentRun, MediatorError> {
+        let opts = RunOptions {
+            backend: Some(label),
+            obs: Some(obs),
+            ..RunOptions::default()
+        };
+        self.run(query, measure, strategy, stop, policy, &opts)
+    }
+
+    /// [`Mediator::run`] on the simulator with a shared-execution memo.
+    #[doc(hidden)]
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_concurrent_memoized<M: UtilityMeasure>(
+        &self,
+        query: &ConjunctiveQuery,
+        measure: &M,
+        strategy: Strategy,
+        stop: StopCondition,
+        policy: RuntimePolicy,
+        memo: &ExecutionMemo,
+        obs: &Obs,
+    ) -> Result<ConcurrentRun, MediatorError> {
+        let opts = RunOptions {
+            memo: Some(memo),
+            obs: Some(obs),
+            ..RunOptions::default()
+        };
+        self.run(query, measure, strategy, stop, policy, &opts)
     }
 }
 

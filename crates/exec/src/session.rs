@@ -8,6 +8,16 @@
 //! interaction model of §1 of the paper made explicit: the client decides
 //! after every plan whether the answers so far are satisfactory.
 //!
+//! A session *is* a run of the one execution loop
+//! ([`qpo_runtime::Executor`]) paused between pulls: a pull is one
+//! [`step`](qpo_runtime::Executor::step) at `lookahead = 1`, inline on the caller's
+//! thread. So a session pops, budgets, retries, fails, feeds back and
+//! traces exactly like [`Mediator::run`] under
+//! [`RuntimePolicy::serial`] — the same plan-lifecycle, `source_attempt`
+//! and memo events on the same serial virtual clock, which is why
+//! `/profile`, failure feedback and the drift recomputation work for
+//! pulled sessions too.
+//!
 //! Sessions report into the mediator's observability bundle:
 //! `qpo_sessions_total{strategy}` counts openings,
 //! `qpo_session_time_to_first_plan_ms{strategy}` and
@@ -15,36 +25,36 @@
 //! session open to the first / every plan report, and
 //! `qpo_soundness_test_errors_total` counts soundness tests that errored
 //! rather than returning a verdict (surfaced per plan on
-//! [`PlanReport::soundness_error`]).
-//!
-//! Each session also registers itself on the bundle's
-//! [`SessionBoard`](qpo_obs::SessionBoard) (the `/sessions` endpoint of
-//! the introspection server) and, when the journal is enabled, traces its
-//! plan lifecycle — `run_started`, `plan_emitted` (carrying the encoded
-//! plan), `plan_completed` / `plan_unsound` — on a deterministic virtual
-//! clock that ticks once per emission. With
+//! [`PlanReport::soundness_error`]). Each session also registers itself
+//! on the bundle's [`SessionBoard`](qpo_obs::SessionBoard) (the
+//! `/sessions` endpoint of the introspection server). With
 //! [`QuerySession::with_quality`] the session additionally maintains a
 //! live anytime curve and a regret gauge against the brute-force
 //! Definition 2.1 oracle, evaluated lazily over the same plan space.
 
 use crate::anyk::offline_ranked_answers;
-use crate::core::{Hooks, PlanCore};
+use crate::core::{Hooks, PlanCore, WaveHooks};
 use crate::mediator::{
     build_orderer_observed, Mediator, MediatorError, MediatorRun, PlanReport, StopCondition,
     Strategy,
 };
 use crate::sharing::ExecutionMemo;
 use qpo_anyk::{CatalogScorer, RankedTuple, TupleScorer};
-use qpo_core::{Naive, OrderedPlan, PlanOrderer, PlanOutcome};
+use qpo_core::{Naive, PlanOrderer};
 use qpo_datalog::Tuple;
 use qpo_obs::{encode_plan, Histogram, Obs, QualitySnapshot, QualityTracker, Value};
 use qpo_reformulation::PreparedQuery;
+use qpo_runtime::{PlanExecution, PlanStatus, RunState, RuntimePolicy, SourceBackend};
 use qpo_utility::UtilityMeasure;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Instant;
 
+/// What [`QuerySession::answers`] borrows before the first pull.
+static NO_ANSWERS: BTreeSet<Tuple> = BTreeSet::new();
+
 /// An open query-serving session: one prepared query, one orderer, and
-/// the accumulated answer set.
+/// the run accumulating its answers.
 ///
 /// The session borrows the mediator and the prepared query for its
 /// lifetime `'s`; the usual shape is
@@ -57,19 +67,18 @@ use std::time::Instant;
 /// }
 /// ```
 ///
-/// A session is the *pull* driver of the per-plan core ([`crate::core`]):
-/// every plan goes hooks-scheduled → core → hooks-merged inline on the
-/// caller's thread, with no simulated source access. The session's own
-/// are the tick-per-emission journal clock, the [`PlanReport`]s, the
-/// board entry, the quality trackers and the stop condition.
+/// The run begins at the first pull (so it sees the backend and memo the
+/// builder methods attached) and is sealed when the session drops. It
+/// executes against the backend [`QuerySession::with_backend`] attached
+/// or, without one, over the in-memory extensions with no source access:
+/// no attempts, every latency 0, the virtual clock never moves. The
+/// session's own are the [`PlanReport`]s, the board entry, the quality
+/// trackers, and *lazy* tuple release: where a [`Mediator::run`] drains
+/// the any-k gate after every plan, [`QuerySession::next_tuple`] pulls one
+/// tuple at a time.
 ///
-/// Sound plans spend budget and are fed back to the orderer as
-/// [`PlanOutcome::succeeded`] (a no-op for every built-in orderer — their
-/// emission already assumes execution — but it keeps the feedback channel
-/// uniform with the concurrent runtime). Unsound plans spend nothing.
-///
-/// Beyond plan-at-a-time pulls, [`QuerySession::next_tuple`] serves the
-/// same session as a tuple-level any-k stream.
+/// Attempted plans — executed or failed — spend budget and are fed back
+/// to the orderer by the loop; unsound plans spend nothing.
 pub struct QuerySession<'s> {
     mediator: &'s Mediator,
     prepared: &'s PreparedQuery,
@@ -77,9 +86,10 @@ pub struct QuerySession<'s> {
     hooks: Hooks<'s>,
     orderer: Box<dyn PlanOrderer + 's>,
     strategy: Strategy,
-    answers: BTreeSet<Tuple>,
-    plans_emitted: usize,
-    spent: f64,
+    // The remote world the run executes against, if one was attached.
+    backend: Option<Arc<dyn SourceBackend>>,
+    // The run, begun at the first pull.
+    run: Option<RunState>,
     opened: Instant,
     obs: &'s Obs,
     board_id: u64,
@@ -98,11 +108,8 @@ pub struct QuerySession<'s> {
     // The offline exact ranked answer list (scores only), built lazily on
     // the first tuple-quality observation.
     tuple_oracle: Option<Vec<f64>>,
-    // The running critical-path fold over the journalled per-plan costs
-    // (a session "executes" plans serially, so the critical path is the
-    // plain sum) and the costliest plan seen so far — the profile
-    // snapshot surfaced on the session board.
-    critical_path: f64,
+    // The slowest plan so far: with the run's clock, the profile snapshot
+    // surfaced on the session board.
     bounding_plan: Option<(f64, String)>,
     time_to_first_plan: Histogram,
     time_to_plan: Histogram,
@@ -125,13 +132,6 @@ impl<'s> QuerySession<'s> {
         let board_id = obs
             .sessions
             .open(strategy.label(), prepared.instance.plan_count() as u64);
-        if obs.journal.is_enabled() {
-            obs.journal.set_clock(0.0);
-            obs.journal.record(
-                "run_started",
-                vec![("strategy", Value::Str(strategy.label().into()))],
-            );
-        }
         let inst = &prepared.instance;
         let oracle_factory: Box<dyn FnOnce() -> Box<dyn PlanOrderer + 's> + 's> =
             Box::new(move || Box::new(Naive::new(inst, measure)));
@@ -142,9 +142,8 @@ impl<'s> QuerySession<'s> {
             hooks: Hooks::new(obs),
             orderer,
             strategy,
-            answers: BTreeSet::new(),
-            plans_emitted: 0,
-            spent: 0.0,
+            backend: None,
+            run: None,
             opened: Instant::now(),
             obs,
             board_id,
@@ -155,7 +154,6 @@ impl<'s> QuerySession<'s> {
             emitted_unstreamed: Vec::new(),
             tuple_quality: None,
             tuple_oracle: None,
-            critical_path: 0.0,
             bounding_plan: None,
             time_to_first_plan: obs
                 .registry
@@ -186,32 +184,44 @@ impl<'s> QuerySession<'s> {
         self.quality.as_ref().map(|q| q.snapshot())
     }
 
-    /// Routes this session's join tuples through the backend registered
-    /// under `label` on the mediator (see
+    /// Executes this session's plans against the backend registered under
+    /// `label` on the mediator (see
     /// [`Mediator::with_backends`](crate::Mediator::with_backends) and
-    /// [`crate::backends`]): each subgoal is fetched under its binding
-    /// pattern, once per `(source, pattern)` and backend data version, and
-    /// the join reads the fetched rows in place. A backend write is
+    /// [`crate::backends`]), exactly as
+    /// [`RunOptions::backend`](crate::RunOptions::backend) does for a run:
+    /// every source access goes out under its subgoal's binding pattern
+    /// with the standard retry discipline, a plan whose retries run out is
+    /// reported failed ([`PlanReport::failure`]) and fed back to the
+    /// orderer, and the trace carries the accesses on a moving clock. A
+    /// data-serving backend's rows are what the join reads, each `(source,
+    /// pattern)` fetched once per backend data version; a backend write is
     /// observed before the next plan pull: the fetched rows, and whatever
     /// an attached [`ExecutionMemo`] holds from the old version, are
-    /// dropped. A session has no retry loop: a source the backend cannot
-    /// serve reads as empty for the current plan (a transient failure is
-    /// retried by the next plan that joins it). `"sim"` leaves the session
-    /// on the extensions, bit-identical to an unbackended one. Tuple-level
-    /// any-k streaming always ranks over the extensions.
+    /// dropped. `"sim"` is the simulator: it serves no rows, so reports,
+    /// answers and the ranked stream stay bit-identical to an unbackended
+    /// session's. Tuple-level any-k streaming always ranks over the
+    /// extensions.
     ///
     /// Fails fast when `label` is not registered.
     pub fn with_backend(mut self, label: &str) -> Result<Self, MediatorError> {
-        self.core
-            .serve_from(self.mediator.backend(label)?, self.obs);
+        let backend = self.mediator.backend(label)?;
+        let serves_data = self.core.serve_from(Arc::clone(&backend), self.obs);
+        if serves_data && self.core.source_memo().is_none() {
+            // Each `(source, pattern)` is fetched once even when no memo
+            // is shared. The simulator serves no rows and, as under
+            // `Mediator::run`, pays every access unless one is.
+            self.core.share(&ExecutionMemo::new());
+        }
         self.core.sync_epoch();
+        self.backend = Some(backend);
         Ok(self)
     }
 
     /// Attaches a shared-execution memo: plans seed their joins from the
-    /// longest memoized atom-prefix (and promote what they compute), and
-    /// the any-k stream builds its per-plan enumerators through the
-    /// shared level cache. Reports and answers are bit-identical to an
+    /// longest memoized atom-prefix (and promote what they compute), the
+    /// any-k stream builds its per-plan enumerators through the shared
+    /// level cache, and — on a backend — source accesses replay from the
+    /// memo's outcomes. Reports and answers are bit-identical to an
     /// unmemoized session; only the work shrinks. Clone one
     /// [`ExecutionMemo`] across the sessions of a serving process to
     /// share partial joins between queries. Hits and seeded plans show
@@ -275,19 +285,19 @@ impl<'s> QuerySession<'s> {
 
     /// Distinct answers accumulated so far.
     pub fn answers(&self) -> &BTreeSet<Tuple> {
-        &self.answers
+        self.run.as_ref().map_or(&NO_ANSWERS, |run| &run.answers)
     }
 
     /// Plans emitted so far (sound or not).
     pub fn plans_emitted(&self) -> usize {
-        self.plans_emitted
+        self.run.as_ref().map_or(0, RunState::popped)
     }
 
-    /// Cost spent so far — negated utility, summed over *sound* plans
-    /// only (unsound candidates are discarded without execution and spend
-    /// nothing).
+    /// Cost spent so far — negated utility, summed over the plans that
+    /// were *attempted* (executed or failed); unsound candidates are
+    /// discarded without execution and spend nothing.
     pub fn spent(&self) -> f64 {
-        self.spent
+        self.run.as_ref().map_or(0.0, RunState::spent)
     }
 
     /// Pulls, soundness-tests, and (if sound) executes the next best
@@ -297,109 +307,59 @@ impl<'s> QuerySession<'s> {
     /// [`QuerySession::next_tuple`]), plans pulled here also attach their
     /// ranked tuple stream to the session's any-k merge.
     pub fn next_report(&mut self) -> Option<PlanReport> {
-        let ordered = self.orderer.next_plan()?;
-        Some(self.process_plan(ordered))
+        self.pull(StopCondition::unbounded())
     }
 
-    /// The emit → hooks-scheduled → core → hooks-merged → journal →
-    /// feedback step shared by [`QuerySession::next_report`] and the
-    /// tuple-streaming pull loop. What the hooks journal lands between the
-    /// plan's `plan_emitted` and terminal events, so the trace's memo and
-    /// stream events always sit inside an open plan span, mirroring the
-    /// concurrent executor's speculative attach.
-    fn process_plan(&mut self, ordered: OrderedPlan) -> PlanReport {
-        let plan_seq = self.plans_emitted as u64;
-        let journal = &self.obs.journal;
-        if journal.is_enabled() {
-            journal.record(
-                "plan_emitted",
-                vec![
-                    ("plan_seq", Value::U64(plan_seq)),
-                    ("plan", Value::Str(encode_plan(&ordered.plan).into())),
-                    ("utility", Value::F64(ordered.utility)),
-                ],
-            );
-        }
+    /// What a pull is: one step of the run — begun here, the first time —
+    /// under `budget`, then everything the session keeps per plan: the
+    /// report, its histograms, the quality sample, the board entry.
+    fn pull(&mut self, budget: StopCondition) -> Option<PlanReport> {
         self.core.sync_epoch();
+        // The executor view is rebuilt per pull: it borrows the core.
+        let policy = RuntimePolicy::serial();
+        let executor = self.core.executor(self.backend.as_ref(), policy, self.obs);
+        let run = self
+            .run
+            .get_or_insert_with(|| executor.begin(self.orderer.as_ref()));
+        // Lazy release: no tuple leaves the gate until `next_tuple` asks.
+        let mut wave = WaveHooks::new(&mut self.hooks, &self.core, None);
+        let execution = executor.step(run, self.orderer.as_mut(), budget, &mut wave)?;
+        let slot = wave.closed.expect("the merge closes the plan's slot");
+        let PlanExecution {
+            seq,
+            ordered,
+            status,
+            latency,
+            ..
+        } = execution;
         if self.hooks.scorer().is_none() {
             self.emitted_unstreamed.push(ordered.plan.clone());
         }
-        let reform = &self.prepared.reformulation;
-        let plan_query = reform.plan_query(&ordered.plan);
-        let clock = journal.clock();
-        let seed = self
-            .hooks
-            .scheduled(&self.core, plan_seq, &ordered.plan, &plan_query, clock);
-        let (sound, soundness_error) = self.core.soundness(&plan_query);
-        let mut new_tuples = 0;
-        let mut captured = Vec::new();
-        if sound {
-            let (tuples, prefixes) = self
-                .core
-                .join(&ordered.plan, &plan_query, &[], seed.as_ref());
-            captured = prefixes;
-            for t in tuples {
-                if self.answers.insert(t) {
-                    new_tuples += 1;
-                }
-            }
-        }
-        let promoted = sound.then_some((&plan_query, captured.as_slice()));
-        self.hooks.merged(plan_seq, sound, promoted, clock);
-        let report = PlanReport {
-            sources: reform.plan_sources(&ordered.plan),
-            ordered,
-            query: plan_query,
-            sound,
-            soundness_error,
-            new_tuples,
-            cumulative: self.answers.len(),
+        let sound = status != PlanStatus::Unsound;
+        let (new_tuples, failure) = match status {
+            PlanStatus::Executed { new_tuples, .. } => (new_tuples, None),
+            PlanStatus::Failed(reason) => (0, Some(reason)),
+            PlanStatus::Unsound => (0, None),
         };
-        self.plans_emitted += 1;
+        let report = PlanReport {
+            sources: self.prepared.reformulation.plan_sources(&ordered.plan),
+            ordered,
+            query: Arc::try_unwrap(slot.query).unwrap_or_else(|shared| (*shared).clone()),
+            sound,
+            soundness_error: slot.soundness_error,
+            failure,
+            new_tuples,
+            cumulative: run.answers.len(),
+        };
         let elapsed_ms = self.opened.elapsed().as_secs_f64() * 1e3;
-        if self.plans_emitted == 1 {
+        if seq == 0 {
             self.time_to_first_plan.record(elapsed_ms);
         }
         self.time_to_plan.record(elapsed_ms);
-        if report.sound {
-            self.spent += -report.ordered.utility;
-            self.orderer.observe(&PlanOutcome::succeeded(
-                &report.ordered.plan,
-                report.new_tuples,
-            ));
-        }
-        // The profile's per-plan "latency" in a session is the executed
-        // cost: negated utility for sound plans (clamped at zero for
-        // gain-like measures), nothing for discarded candidates. The
-        // value is journalled explicitly so the profile reconstruction
-        // re-sums the exact f64s this fold sums (never differences of
-        // clock readings).
-        let plan_cost = if report.sound {
-            (-report.ordered.utility).max(0.0)
-        } else {
-            0.0
-        };
-        self.critical_path += plan_cost;
-        let bounds = match &self.bounding_plan {
-            Some((best, _)) => plan_cost > *best,
-            None => report.sound,
-        };
-        if bounds {
-            self.bounding_plan = Some((plan_cost, encode_plan(&report.ordered.plan)));
-        }
-        if journal.is_enabled() {
-            let mut fields = vec![("plan_seq", Value::U64(plan_seq))];
-            if report.sound {
-                fields.push(("new_tuples", Value::U64(report.new_tuples as u64)));
-                fields.push(("cumulative", Value::U64(report.cumulative as u64)));
-            }
-            fields.push(("latency", Value::F64(plan_cost)));
-            let kind = if report.sound {
-                "plan_completed"
-            } else {
-                "plan_unsound"
-            };
-            journal.record(kind, fields);
+        // `RunProfile::critical_plan`'s rule: largest latency, earliest
+        // on ties, never a zero-latency plan.
+        if latency > self.bounding_plan.as_ref().map_or(0.0, |(l, _)| *l) {
+            self.bounding_plan = Some((latency, encode_plan(&report.ordered.plan)));
         }
         if let Some(tracker) = &mut self.quality {
             if self.oracle.is_none() {
@@ -415,12 +375,12 @@ impl<'s> QuerySession<'s> {
                 .as_mut()
                 .and_then(|o| o.next_plan())
                 .map_or(0.0, |o| o.utility);
-            let regret = tracker.observe(report.ordered.utility, self.spent, oracle_u);
-            if journal.is_enabled() {
-                journal.record(
+            let regret = tracker.observe(report.ordered.utility, run.spent(), oracle_u);
+            if self.obs.journal.is_enabled() {
+                self.obs.journal.record(
                     "quality_sample",
                     vec![
-                        ("plan_seq", Value::U64(plan_seq)),
+                        ("plan_seq", Value::U64(seq)),
                         ("utility", Value::F64(report.ordered.utility)),
                         ("mass", Value::F64(tracker.mass())),
                         ("regret", Value::F64(regret)),
@@ -428,22 +388,19 @@ impl<'s> QuerySession<'s> {
                 );
             }
         }
-        // One emission, one tick: the next round's kernel and lifecycle
-        // events land at clock `plan_seq + 1`.
-        journal.set_clock((plan_seq + 1) as f64);
         let quality = self.quality.as_ref();
         self.obs.sessions.update(self.board_id, |e| {
-            e.plans_emitted = plan_seq + 1;
-            e.answers = self.answers.len() as u64;
-            e.spent = self.spent;
+            e.plans_emitted = seq + 1;
+            e.answers = run.answers.len() as u64;
+            e.spent = run.spent();
             e.time_to_first_plan_ms.get_or_insert(elapsed_ms);
             (e.utility_mass, e.regret) = quality.map(|q| (q.mass(), q.regret())).unzip();
             e.memo_hits = self.hooks.memo_hits;
             e.subplans_reused = self.hooks.reused;
-            e.critical_path = self.critical_path;
+            e.critical_path = run.clock();
             e.bounding_plan = self.bounding_plan.as_ref().map(|(_, p)| p.clone());
         });
-        report
+        Some(report)
     }
 
     /// Pulls the next answer of the globally ranked any-k stream: the
@@ -454,9 +411,10 @@ impl<'s> QuerySession<'s> {
     /// per subgoal, the catalog's bound for its source — or, once an
     /// attached plan has read that source, the best score among its rows.
     /// Plans pulled by `next_report` before the first tuple pull never
-    /// attach and never hold the gate. Pulls — and fully accounts, exactly
-    /// like `next_report` — as many plans as the gate requires; returns
-    /// `None` when every plan is in and the merge is drained.
+    /// attach and never hold the gate. Release, else one more step of the
+    /// run — fully accounted, exactly like `next_report` — for as long as
+    /// the gate requires; returns `None` when every plan is in and the
+    /// merge is drained.
     ///
     /// Unsound plans attach and immediately evict their stream, so they
     /// contribute nothing; answers already delivered stay delivered.
@@ -470,13 +428,14 @@ impl<'s> QuerySession<'s> {
             self.hooks.stream(&self.prepared.instance, scorer, emitted);
         }
         loop {
-            if let Some(rt) = self.hooks.release(self.obs.journal.clock()) {
+            let clock = self.run.as_ref().map_or(0.0, RunState::clock);
+            if let Some(rt) = self.hooks.release(clock) {
                 let k = self.hooks.delivered();
                 self.observe_tuple_quality(k, &rt);
                 let snap = self.tuple_quality.as_ref().map(|q| q.snapshot());
                 self.obs.sessions.update(self.board_id, |e| {
                     e.tuples_emitted = k;
-                    let plans = self.plans_emitted as u64;
+                    let plans = self.plans_emitted() as u64;
                     e.plans_before_first_tuple.get_or_insert(plans);
                     e.tuple_mass = snap.as_ref().map(|s| s.mass);
                     e.tuple_regret = snap.as_ref().map(|s| s.regret);
@@ -488,14 +447,11 @@ impl<'s> QuerySession<'s> {
             if !self.hooks.gated() {
                 return None; // every plan attached, merge drained
             }
-            match self.orderer.next_plan() {
-                Some(ordered) => {
-                    self.process_plan(ordered);
-                }
+            if self.next_report().is_none() {
                 // Defensive: the orderer is exhausted while plans remain
                 // behind the gate (an orderer that undercovers the
                 // space). Nothing further can attach, so lift the gate.
-                None => self.hooks.lift_gate(),
+                self.hooks.lift_gate();
             }
         }
     }
@@ -511,6 +467,7 @@ impl<'s> QuerySession<'s> {
     /// journalling a `tuple_quality_sample` against the offline exact
     /// ranked list.
     fn observe_tuple_quality(&mut self, k: u64, rt: &RankedTuple) {
+        let spent = self.spent();
         let Some(tracker) = &mut self.tuple_quality else {
             return;
         };
@@ -525,7 +482,7 @@ impl<'s> QuerySession<'s> {
             ranked.into_iter().map(|(s, _)| s).collect()
         });
         let oracle_score = scores.get((k - 1) as usize).copied().unwrap_or(0.0);
-        let regret = tracker.observe(rt.score, self.spent, oracle_score);
+        let regret = tracker.observe(rt.score, spent, oracle_score);
         if self.obs.journal.is_enabled() {
             self.obs.journal.record(
                 "tuple_quality_sample",
@@ -539,42 +496,31 @@ impl<'s> QuerySession<'s> {
         }
     }
 
-    /// Pulls plans until `stop` is satisfied or the plan space is
-    /// exhausted, mirroring the classic mediator loop: the condition is
-    /// checked *before* each pull against the session-cumulative answer
-    /// count, emission count, and spent cost. Returns the reports emitted
-    /// by this call and a snapshot of the cumulative answer set.
+    /// Steps the run until `stop` is satisfied or the plan space is
+    /// exhausted: the condition is checked *before* each pop against the
+    /// session-cumulative answer count, emission count, and spent cost —
+    /// the loop's budget rule at `lookahead = 1`. Returns the reports
+    /// emitted by this call and a snapshot of the cumulative answer set.
     pub fn drain(&mut self, stop: StopCondition) -> MediatorRun {
         let mut reports = Vec::new();
-        while !stop.satisfied(self.answers.len(), self.plans_emitted, self.spent) {
-            match self.next_report() {
-                Some(report) => reports.push(report),
-                None => break,
-            }
+        while let Some(report) = self.pull(stop) {
+            reports.push(report);
         }
         MediatorRun {
             reports,
-            answers: self.answers.clone(),
+            answers: self.answers().clone(),
         }
     }
 }
 
 impl Drop for QuerySession<'_> {
-    /// Marks the session closed on the board (retained there for
-    /// post-mortem inspection until the closed-entry cap evicts it) and
-    /// seals the trace with a `run_finished` event whose `makespan` is
-    /// the session's critical-path fold — the same left-to-right sum the
-    /// profile reconstruction performs, hence bit-equal by construction.
+    /// Seals the run — its `run_finished` carries the serial clock as the
+    /// makespan, like any run's — and marks the session closed on the
+    /// board (retained there for post-mortem inspection until the
+    /// closed-entry cap evicts it).
     fn drop(&mut self) {
-        if self.obs.journal.is_enabled() {
-            self.obs.journal.record(
-                "run_finished",
-                vec![
-                    ("plans", Value::U64(self.plans_emitted as u64)),
-                    ("answers", Value::U64(self.answers.len() as u64)),
-                    ("makespan", Value::F64(self.critical_path)),
-                ],
-            );
+        if let Some(run) = &mut self.run {
+            run.finish();
         }
         self.obs.sessions.close(self.board_id);
     }
@@ -849,6 +795,88 @@ mod tests {
             "every source fetched once"
         );
         server.stop();
+    }
+
+    /// A session over a data-serving backend whose first plan's first
+    /// source fails its first `outages` accesses, then heals.
+    fn flaky_session(outages: u32, check: impl FnOnce(QuerySession<'_>, &str, &Obs)) {
+        use crate::backends::BackendRegistry;
+        use crate::core::tests::RowsBackend;
+        let obs = Obs::with_trace();
+        let m = mediator().with_obs(&obs);
+        let prepared = m.prepare(&movie_query()).unwrap();
+        let first = QuerySession::new(&m, &prepared, &LinearCost, Strategy::Greedy)
+            .unwrap()
+            .next_report()
+            .unwrap();
+        assert!(first.new_tuples > 0, "the extensions answer the first plan");
+        let mut backend = RowsBackend::seeded(&m);
+        backend.flaky = first.sources[0].clone();
+        backend.outages = outages.into();
+        let m = m.with_backends(BackendRegistry::new().with("rows", Arc::new(backend)));
+        let session = QuerySession::new(&m, &prepared, &LinearCost, Strategy::Greedy)
+            .unwrap()
+            .with_backend("rows")
+            .unwrap();
+        check(session, &first.sources[0], &obs);
+    }
+
+    #[test]
+    fn a_backend_outage_is_retried_within_the_pull() {
+        flaky_session(1, |mut s, _, obs| {
+            let plain = mediator()
+                .answer_until(
+                    &movie_query(),
+                    &LinearCost,
+                    Strategy::Greedy,
+                    StopCondition::unbounded(),
+                )
+                .unwrap();
+            let report = s.next_report().unwrap();
+            assert!(report.sound && report.failure.is_none());
+            assert_eq!(
+                report.new_tuples, plain.reports[0].new_tuples,
+                "the rows arrived on the second attempt"
+            );
+            assert_eq!(s.drain(StopCondition::unbounded()).answers, plain.answers);
+            drop(s);
+            let trace = qpo_obs::validate_trace(&obs.journal.to_jsonl()).unwrap();
+            assert_eq!(trace.count("plan_failed"), 0);
+            let errors = [("backend", "rows-test"), ("class", "transient")];
+            let errors = obs
+                .registry
+                .counter_value("qpo_backend_errors_total", &errors);
+            assert_eq!(errors, 1, "the outage is counted, not swallowed");
+        });
+    }
+
+    #[test]
+    fn exhausted_retries_fail_the_plan_and_the_session_carries_on() {
+        use qpo_runtime::{FailureReason, RetryPolicy};
+        flaky_session(RetryPolicy::standard().max_attempts, |mut s, flaky, obs| {
+            let failed = s.next_report().unwrap();
+            let reason = FailureReason::RetriesExhausted {
+                source: flaky.to_string(),
+            };
+            assert_eq!(failed.failure, Some(reason));
+            assert!(failed.sound, "a failed plan passed the soundness test");
+            assert_eq!((failed.new_tuples, failed.cumulative), (0, 0));
+            assert_eq!(s.spent(), -failed.ordered.utility, "an attempt is paid for");
+            // The backend has healed: the next pull proceeds, and a later
+            // plan through the same source gets its rows.
+            let rest = s.drain(StopCondition::unbounded());
+            assert!(rest.reports.iter().all(|r| r.failure.is_none()));
+            assert!(rest.reports.iter().any(|r| r.sources[0] == flaky));
+            assert!(!rest.answers.is_empty());
+            assert_eq!(rest.executed() + rest.discarded(), rest.reports.len());
+            drop(s);
+            // The orderer was told: the failure is retracted in the trace.
+            let trace = qpo_obs::validate_trace(&obs.journal.to_jsonl()).unwrap();
+            assert_eq!(
+                (trace.count("plan_failed"), trace.count("plan_retracted")),
+                (1, 1)
+            );
+        });
     }
 
     #[test]

@@ -72,13 +72,16 @@ fn answers_are_bit_identical_across_sim_store_and_tcp() {
             .with("tcp", Arc::new(TcpBackend::new(addr))),
     );
     let run = |label: &str| {
-        m.run_concurrent_on(
-            label,
+        m.run(
             &movie_query(),
             &LinearCost,
             Strategy::Greedy,
             StopCondition::unbounded(),
             RuntimePolicy::parallel(2),
+            &RunOptions {
+                backend: Some(label),
+                ..RunOptions::default()
+            },
         )
         .unwrap()
     };
@@ -108,13 +111,16 @@ fn store_survives_close_and_reopen() {
         let m2 = m
             .clone()
             .with_backends(BackendRegistry::new().with("store", Arc::new(store)));
-        m2.run_concurrent_on(
-            "store",
+        m2.run(
             &movie_query(),
             &Coverage,
             Strategy::Streamer,
             StopCondition::unbounded(),
             RuntimePolicy::serial(),
+            &RunOptions {
+                backend: Some("store"),
+                ..RunOptions::default()
+            },
         )
         .unwrap()
         .runtime
@@ -126,13 +132,16 @@ fn store_survives_close_and_reopen() {
     assert!(reopened.records() > 0, "reopen replays the log");
     let m = m.with_backends(BackendRegistry::new().with("store", Arc::new(reopened)));
     let after = m
-        .run_concurrent_on(
-            "store",
+        .run(
             &movie_query(),
             &Coverage,
             Strategy::Streamer,
             StopCondition::unbounded(),
             RuntimePolicy::serial(),
+            &RunOptions {
+                backend: Some("store"),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     assert_eq!(after.runtime.answers, baseline, "reopen preserves answers");
@@ -153,13 +162,16 @@ fn server_death_mid_serving_degrades_gracefully() {
     let retry = RetryPolicy::standard();
     assert!(retry.max_attempts > 1, "retries are what we are testing");
     let run = |m: &Mediator| {
-        m.run_concurrent_on(
-            "tcp",
+        m.run(
             &movie_query(),
             &LinearCost,
             Strategy::Greedy,
             StopCondition::unbounded(),
             RuntimePolicy::parallel(2).with_retry(retry),
+            &RunOptions {
+                backend: Some("tcp"),
+                ..RunOptions::default()
+            },
         )
         .unwrap()
     };
@@ -243,14 +255,17 @@ fn traced_sim_run(workers: usize) -> (String, String) {
     let m =
         mediator().with_backends(BackendRegistry::new().with("traced", Arc::new(TracedSimBackend)));
     let obs = Obs::with_trace();
-    m.run_concurrent_on_observed(
-        "traced",
+    m.run(
         &movie_query(),
         &LinearCost,
         Strategy::Greedy,
         StopCondition::unbounded(),
         RuntimePolicy::parallel(workers).with_lookahead(4),
-        &obs,
+        &RunOptions {
+            backend: Some("traced"),
+            obs: Some(&obs),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     let jsonl = obs.journal.to_jsonl();
@@ -291,14 +306,17 @@ fn tcp_runs_stitch_remote_spans_with_exact_attribution() {
     let (addr, _guard) = server_addr(&m);
     let m = m.with_backends(BackendRegistry::new().with("tcp", Arc::new(TcpBackend::new(addr))));
     let obs = Obs::with_trace();
-    m.run_concurrent_on_observed(
-        "tcp",
+    m.run(
         &movie_query(),
         &LinearCost,
         Strategy::Greedy,
         StopCondition::unbounded(),
         RuntimePolicy::parallel(2),
-        &obs,
+        &RunOptions {
+            backend: Some("tcp"),
+            obs: Some(&obs),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     let jsonl = obs.journal.to_jsonl();
@@ -339,14 +357,17 @@ fn killed_server_leaves_no_remote_spans_but_still_charges_latency() {
     let obs = Obs::with_trace();
     let retry = RetryPolicy::standard();
     let dead = m
-        .run_concurrent_on_observed(
-            "tcp",
+        .run(
             &movie_query(),
             &LinearCost,
             Strategy::Greedy,
             StopCondition::unbounded(),
             RuntimePolicy::parallel(2).with_retry(retry),
-            &obs,
+            &RunOptions {
+                backend: Some("tcp"),
+                obs: Some(&obs),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     assert_eq!(dead.executed(), 0, "no plan can answer");
@@ -390,14 +411,17 @@ fn legacy_servers_degrade_to_single_span_traces() {
     let m = m.with_backends(BackendRegistry::new().with("tcp", Arc::new(backend)));
     let obs = Obs::with_trace();
     let run = m
-        .run_concurrent_on_observed(
-            "tcp",
+        .run(
             &movie_query(),
             &LinearCost,
             Strategy::Greedy,
             StopCondition::unbounded(),
             RuntimePolicy::parallel(2),
-            &obs,
+            &RunOptions {
+                backend: Some("tcp"),
+                obs: Some(&obs),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     assert_eq!(run.failed(), 0, "legacy downgrade keeps the run whole");
@@ -501,13 +525,16 @@ impl Worlds {
         let query = parse_query(text).unwrap();
         let run = |label: &str| {
             self.m
-                .run_concurrent_on(
-                    label,
+                .run(
                     &query,
                     &LinearCost,
                     Strategy::Greedy,
                     StopCondition::unbounded(),
                     RuntimePolicy::parallel(2),
+                    &RunOptions {
+                        backend: Some(label),
+                        ..RunOptions::default()
+                    },
                 )
                 .unwrap_or_else(|e| panic!("{text} on {label}: {e}"))
         };
@@ -662,13 +689,16 @@ fn sequential_runs_share_pooled_connections() {
     let mut attempts = 0;
     for _ in 0..5 {
         let run = m
-            .run_concurrent_on(
-                "tcp",
+            .run(
                 &movie_query(),
                 &LinearCost,
                 Strategy::Greedy,
                 StopCondition::unbounded(),
                 RuntimePolicy::parallel(workers),
+                &RunOptions {
+                    backend: Some("tcp"),
+                    ..RunOptions::default()
+                },
             )
             .unwrap();
         assert_eq!(run.failed(), 0);

@@ -55,14 +55,17 @@ fn cold_memoized_run_matches_unmemoized_across_worker_counts() {
     for workers in [1, 4, 8] {
         let memo = ExecutionMemo::new(); // fresh: every run starts cold
         let run = m
-            .run_concurrent_memoized(
+            .run(
                 &q,
                 &Coverage,
                 Strategy::Pi,
                 StopCondition::unbounded(),
                 RuntimePolicy::parallel(workers).with_lookahead(3),
-                &memo,
-                &Obs::new(),
+                &RunOptions {
+                    memo: Some(&memo),
+                    obs: Some(&Obs::new()),
+                    ..RunOptions::default()
+                },
             )
             .unwrap();
         assert_eq!(
@@ -97,14 +100,17 @@ fn warm_memo_serves_a_second_run_without_live_accesses() {
     let q = movie_query();
     let memo = ExecutionMemo::new();
     let run = |workers: usize| {
-        m.run_concurrent_memoized(
+        m.run(
             &q,
             &LinearCost,
             Strategy::Greedy,
             StopCondition::unbounded(),
             RuntimePolicy::parallel(workers),
-            &memo,
-            &Obs::new(),
+            &RunOptions {
+                memo: Some(&memo),
+                obs: Some(&Obs::new()),
+                ..RunOptions::default()
+            },
         )
         .unwrap()
     };
@@ -187,14 +193,17 @@ fn permanent_failures_replay_without_masking() {
     assert!(baseline.failed() > 0, "v1 plans fail in the baseline");
     let memo = ExecutionMemo::new();
     let cold = m
-        .run_concurrent_memoized(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             policy(3),
-            &memo,
-            &Obs::new(),
+            &RunOptions {
+                memo: Some(&memo),
+                obs: Some(&Obs::new()),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     // Same failures, same survivors, same answers — the memo replays the
@@ -206,14 +215,17 @@ fn permanent_failures_replay_without_masking() {
     // feedback timing for context-sensitive measures, which is run
     // semantics — orthogonal to the memo.)
     let warm = m
-        .run_concurrent_memoized(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             policy(3),
-            &memo,
-            &Obs::new(),
+            &RunOptions {
+                memo: Some(&memo),
+                obs: Some(&Obs::new()),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     assert_eq!(observable(&warm), observable(&baseline));
@@ -248,14 +260,17 @@ fn exhausted_transient_retries_are_never_cached() {
     assert!(baseline.failed() > 0, "the seed actually fails plans");
     let memo = ExecutionMemo::new();
     let run = m
-        .run_concurrent_memoized(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             policy,
-            &memo,
-            &Obs::new(),
+            &RunOptions {
+                memo: Some(&memo),
+                obs: Some(&Obs::new()),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     let executed = |r: &qpo_exec::ConcurrentRun| -> Vec<Vec<usize>> {
@@ -284,14 +299,17 @@ fn memoized_trace_validates_with_memo_events() {
     let memo = ExecutionMemo::new();
     let obs = Obs::with_trace();
     for workers in [2, 4] {
-        m.run_concurrent_memoized(
+        m.run(
             &q,
             &Coverage,
             Strategy::Pi,
             StopCondition::unbounded(),
             RuntimePolicy::parallel(workers),
-            &memo,
-            &obs,
+            &RunOptions {
+                memo: Some(&memo),
+                obs: Some(&obs),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     }
@@ -323,14 +341,17 @@ fn subplan_byte_budget_bounds_retention_without_changing_results() {
     memo.subplans.set_byte_budget(1);
     for _ in 0..2 {
         let run = m
-            .run_concurrent_memoized(
+            .run(
                 &q,
                 &Coverage,
                 Strategy::Pi,
                 StopCondition::unbounded(),
                 RuntimePolicy::parallel(4),
-                &memo,
-                &Obs::new(),
+                &RunOptions {
+                    memo: Some(&memo),
+                    obs: Some(&Obs::new()),
+                    ..RunOptions::default()
+                },
             )
             .unwrap();
         assert_eq!(observable(&run), observable(&baseline));
@@ -363,7 +384,7 @@ fn reuse_aware_scheduling_preserves_the_run_semantics() {
         .unwrap();
     let memo = ExecutionMemo::new();
     let run = m
-        .run_concurrent_memoized(
+        .run(
             &q,
             &Coverage,
             Strategy::Pi,
@@ -371,8 +392,11 @@ fn reuse_aware_scheduling_preserves_the_run_semantics() {
             RuntimePolicy::parallel(4)
                 .with_lookahead(4)
                 .with_reuse_epsilon(1e-9),
-            &memo,
-            &Obs::new(),
+            &RunOptions {
+                memo: Some(&memo),
+                obs: Some(&Obs::new()),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
     let mut base_plans = baseline

@@ -14,10 +14,11 @@
 //!    gauges fed from the runtime's feedback path bit-equal an offline
 //!    [`DivergenceMonitor`] replay of the same trace (the PR 5 regret
 //!    gauge discipline).
-//! 4. **Session profiles** — a serial session's trace seals with a
-//!    `run_finished` whose makespan bit-equals both the session's spent
-//!    cost (for cost measures) and the reconstructed critical path, and
-//!    the board carries the profile snapshot.
+//! 4. **Session profiles** — a session is a run: its trace seals with a
+//!    `run_finished` whose makespan bit-equals the reconstructed critical
+//!    path and the run's serial clock — 0 over the extensions, where no
+//!    source is accessed, positive on the simulator — and the board
+//!    carries the profile snapshot.
 
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
 use qpo_exec::{ConcurrentRun, Mediator, QuerySession, RunOptions, StopCondition, Strategy};
@@ -186,32 +187,36 @@ fn injected_faults_surface_as_drift_events() {
 
 #[test]
 fn session_trace_seals_with_a_bit_equal_makespan() {
-    let obs = Obs::with_trace();
-    let m = mediator().with_obs(&obs);
-    let prepared = m.prepare(&movie_query()).unwrap();
-    let spent = {
-        let mut s = QuerySession::new(&m, &prepared, &LinearCost, Strategy::Greedy).unwrap();
-        while s.next_report().is_some() {}
-        s.spent()
-    }; // drop seals the trace
-    let index = ProfileIndex::from_jsonl(&obs.journal.to_jsonl()).unwrap();
-    let profile = index.latest().expect("the session traced a run");
-    profile.check().expect("session span tree is well-formed");
-    let makespan = profile.makespan.expect("drop journalled run_finished");
-    assert_eq!(profile.critical_path.to_bits(), makespan.to_bits());
-    // LinearCost utilities are negated costs, so the critical-path fold
-    // re-sums exactly what `spent` summed.
-    assert_eq!(profile.critical_path.to_bits(), spent.to_bits());
-    assert_eq!(profile.strategy.as_deref(), Some("greedy"));
-    // The board carries the profile snapshot.
-    let entries = obs.sessions.entries();
-    let entry = entries.last().unwrap();
-    assert_eq!(entry.critical_path.to_bits(), spent.to_bits());
-    let bounding = entry.bounding_plan.as_deref().expect("a costliest plan");
-    assert_eq!(
-        profile.critical_plan().map(|p| p.plan.as_str()),
-        Some(bounding),
-        "board and profile agree on the bounding plan"
-    );
-    validate_trace(&obs.journal.to_jsonl()).expect("session trace validates");
+    for backend in [None, Some("sim")] {
+        let obs = Obs::with_trace();
+        let m = mediator().with_obs(&obs);
+        let prepared = m.prepare(&movie_query()).unwrap();
+        {
+            let mut s = QuerySession::new(&m, &prepared, &LinearCost, Strategy::Greedy).unwrap();
+            if let Some(label) = backend {
+                s = s.with_backend(label).unwrap();
+            }
+            while s.next_report().is_some() {}
+        } // drop seals the trace
+        let index = ProfileIndex::from_jsonl(&obs.journal.to_jsonl()).unwrap();
+        let profile = index.latest().expect("the session traced a run");
+        profile.check().expect("session span tree is well-formed");
+        let makespan = profile.makespan.expect("drop journalled run_finished");
+        assert_eq!(profile.critical_path.to_bits(), makespan.to_bits());
+        // The run's serial clock is where the journal's clock was left.
+        assert_eq!(makespan.to_bits(), obs.journal.clock().to_bits());
+        assert_eq!(makespan > 0.0, backend.is_some(), "{backend:?}");
+        assert_eq!(profile.strategy.as_deref(), Some("greedy"));
+        // The board carries the profile snapshot.
+        let entries = obs.sessions.entries();
+        let entry = entries.last().unwrap();
+        assert_eq!(entry.critical_path.to_bits(), makespan.to_bits());
+        assert_eq!(entry.bounding_plan.is_some(), backend.is_some());
+        assert_eq!(
+            profile.critical_plan().map(|p| p.plan.as_str()),
+            entry.bounding_plan.as_deref(),
+            "board and profile agree on the bounding plan"
+        );
+        validate_trace(&obs.journal.to_jsonl()).expect("session trace validates");
+    }
 }

@@ -11,12 +11,22 @@
 //!    was actually skipped.
 //! 3. **Budget accounting** — `StopCondition::max_cost` charges only
 //!    sound (executed) plans; a catalog whose cheapest plans are unsound
-//!    (the Russian-movies trap of §2 of the paper) pins the regression.
+//!    (the Russian-movies trap of §2 of the paper) pins the regression —
+//!    and pins that [`Mediator::run`], at any speculation depth, stops at
+//!    the same plan.
+//! 4. **A session is a run** — a session on the simulator and a serial
+//!    [`Mediator::run`] are one loop: same plans, statuses and answers,
+//!    and the same trace, event for event, to the clock bit.
 
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
 use qpo_catalog::{Catalog, Extent, MediatedSchema, SchemaRelation, SourceStats};
 use qpo_datalog::{parse_query, SourceDescription};
-use qpo_exec::{Mediator, MediatorRun, QuerySession, StopCondition, Strategy};
+use qpo_exec::{
+    ExecutionMemo, Mediator, MediatorRun, PlanReport, QuerySession, RunOptions, StopCondition,
+    Strategy,
+};
+use qpo_obs::{Obs, ProfileIndex};
+use qpo_runtime::{PlanStatus, RuntimePolicy};
 use qpo_utility::{Coverage, FailureCost, LinearCost, UtilityMeasure};
 
 fn mediator() -> Mediator {
@@ -123,27 +133,6 @@ fn warm_cache_runs_match_cold_runs_and_skip_generation() {
     // The renamed query serves the shared prepared entry: identical plan
     // sequence, utilities, and (name-independent) answer tuples.
     assert_runs_identical("renamed hit", &cold, &via_rename);
-}
-
-#[test]
-fn pipelined_path_matches_the_reference_loop() {
-    let m = mediator();
-    let q = movie_query();
-    for k in [3, 9] {
-        let pip = m.answer_pipelined(&q, &Coverage, Strategy::Pi, k).unwrap();
-        let reference = m
-            .reference_answer_until(
-                &q,
-                &Coverage,
-                Strategy::Pi,
-                StopCondition {
-                    max_plans: Some(k),
-                    ..StopCondition::default()
-                },
-            )
-            .unwrap();
-        assert_runs_identical(&format!("pipelined k={k}"), &pip, &reference);
-    }
 }
 
 #[test]
@@ -283,6 +272,153 @@ fn max_cost_charges_only_executed_plans() {
         )
         .unwrap();
     assert_runs_identical("trap budget", &bounded, &reference);
+}
+
+#[test]
+fn a_cost_budget_stops_both_drivers_at_the_same_plan() {
+    let m = Mediator::new(trap_catalog(), 1000, &["ford", "hanks"]);
+    let q = parse_query("q(A) :- play_in(A, M), american(M)").unwrap();
+    let stop = StopCondition::unbounded();
+    let all = m.answer_until(&q, &LinearCost, Strategy::Greedy, stop);
+    let all = all.unwrap().reports;
+    let cost = |r: &PlanReport| -r.ordered.utility;
+    // What the first `n` plans cost nominally, and what they spend.
+    let nominal = |n: usize| all[..n].iter().map(cost).sum::<f64>();
+    let spent = |n: usize| all[..n].iter().filter(|r| r.sound).map(cost).sum::<f64>();
+    let first_sound = all.iter().position(|r| r.sound).unwrap();
+    assert!(first_sound > 0 && first_sound + 1 < all.len());
+    // Inside the unsound prefix's nominal cost, then either side of the
+    // first sound plan's cost.
+    let executed = cost(&all[first_sound]);
+    let budgets = [nominal(first_sound) / 2.0, executed * 0.9, executed * 1.1];
+    for budget in budgets {
+        // The serial rule: a plan pops while the *sound* plans before it
+        // have not overspent. Unsound ones never shorten the run.
+        let expected: Vec<Vec<usize>> = (0..all.len())
+            .take_while(|&n| spent(n) <= budget)
+            .map(|n| all[n].ordered.plan.clone())
+            .collect();
+        assert!(
+            nominal(expected.len() - 1) > budget,
+            "unsound plans would have overspent"
+        );
+        let stop = StopCondition::budget(budget);
+        let session = m.answer_until(&q, &LinearCost, Strategy::Greedy, stop);
+        let session: Vec<_> = session
+            .unwrap()
+            .reports
+            .into_iter()
+            .map(|r| r.ordered.plan)
+            .collect();
+        assert_eq!(session, expected, "session, budget {budget}");
+        for (workers, lookahead) in [(1, 1), (3, 3)] {
+            let policy = RuntimePolicy::parallel(workers).with_lookahead(lookahead);
+            let run = m
+                .run(
+                    &q,
+                    &LinearCost,
+                    Strategy::Greedy,
+                    stop,
+                    policy,
+                    &RunOptions::default(),
+                )
+                .unwrap();
+            assert_eq!(
+                run.emitted_plans(),
+                expected,
+                "run, budget {budget}, workers={workers} lookahead={lookahead}"
+            );
+        }
+    }
+}
+
+/// The trace minus what only one driver journals: the session's
+/// `quality_sample`s, the run's post-hoc `drift_detected`s.
+fn trace_key(obs: &Obs) -> Vec<(&'static str, u64, String)> {
+    let own = ["quality_sample", "drift_detected"];
+    let events = obs.journal.events().into_iter();
+    events
+        .filter(|e| !own.contains(&e.kind))
+        .map(|e| (e.kind, e.clock.to_bits(), format!("{:?}", e.fields)))
+        .collect()
+}
+
+#[test]
+fn a_session_on_the_simulator_is_a_serial_run() {
+    let stop = StopCondition {
+        max_plans: Some(7),
+        ..StopCondition::default()
+    };
+    for memoized in [false, true] {
+        let (session_obs, run_obs) = (Obs::with_trace(), Obs::with_trace());
+        let (session_memo, run_memo) = (ExecutionMemo::new(), ExecutionMemo::new());
+        let m = mediator().with_obs(&session_obs);
+        let prepared = m.prepare(&movie_query()).unwrap();
+        let mut session = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips)
+            .unwrap()
+            .with_quality(true)
+            .with_backend("sim")
+            .unwrap();
+        if memoized {
+            session = session.with_memo(&session_memo);
+        }
+        let pulled = session.drain(stop);
+        drop(session);
+        let run = mediator()
+            .run(
+                &movie_query(),
+                &Coverage,
+                Strategy::IDrips,
+                stop,
+                RuntimePolicy::serial(),
+                &RunOptions {
+                    memo: memoized.then_some(&run_memo),
+                    obs: Some(&run_obs),
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(pulled.reports.len(), 7);
+        assert_eq!(pulled.answers, run.runtime.answers);
+        for (p, r) in pulled.reports.iter().zip(&run.runtime.reports) {
+            assert_eq!(p.ordered.plan, r.ordered.plan);
+            assert_eq!(p.ordered.utility.to_bits(), r.ordered.utility.to_bits());
+            let status = match &r.status {
+                PlanStatus::Executed {
+                    new_tuples,
+                    cumulative,
+                    ..
+                } => (true, None, *new_tuples, *cumulative),
+                PlanStatus::Failed(reason) => (true, Some(reason.clone()), 0, p.cumulative),
+                PlanStatus::Unsound => (false, None, 0, p.cumulative),
+            };
+            assert_eq!(
+                (p.sound, p.failure.clone(), p.new_tuples, p.cumulative),
+                status
+            );
+        }
+        // One loop, one trace: every event — lifecycle, attempts, memo,
+        // kernel, the run's own markers — at the same clock bits.
+        let trace = trace_key(&session_obs);
+        assert_eq!(trace, trace_key(&run_obs), "memoized={memoized}");
+        let count = |kind: &str| trace.iter().filter(|(k, ..)| *k == kind).count();
+        assert!(count("source_attempt") > 0 && count("plan_completed") > 0);
+        assert_eq!(count("memo_hit") > 0 && count("memo_store") > 0, memoized);
+        // So `/profile` works for a pulled session: per-source attribution
+        // on a moving clock.
+        let index = ProfileIndex::from_journal(&session_obs.journal);
+        let profile = index.latest().unwrap();
+        profile.check().expect("the session's span tree is exact");
+        assert!(profile.critical_path > 0.0 && profile.dominant_source().is_some());
+        assert!(profile.plans.iter().any(|p| !p.sources.is_empty()));
+        assert_eq!(
+            profile.to_json(),
+            ProfileIndex::from_journal(&run_obs.journal)
+                .latest()
+                .unwrap()
+                .to_json()
+        );
+    }
 }
 
 #[test]

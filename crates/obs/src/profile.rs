@@ -34,9 +34,7 @@
 //! `run_finished` event — [`RunProfile::check`] and the differential
 //! tests pin that down to `f64::to_bits`.
 //!
-//! Session traces (emission-count clock) profile through the same code:
-//! their terminal events carry the plan's *cost* as the latency analog,
-//! so a session's critical path equals its cumulative spent cost.
+//! A pulled session is a run of the same loop and profiles as one.
 //!
 //! Renderers: [`RunProfile::render_text`] is the `EXPLAIN ANALYZE`-style
 //! aligned view answering "which plan chain bounded the run and which
@@ -141,8 +139,7 @@ pub struct PlanSpan {
     pub start: f64,
     /// Serial clock of the terminal event (equals `start` while open).
     pub end: f64,
-    /// The plan's charged latency (terminal event's `latency` field;
-    /// session traces carry the plan's cost here).
+    /// The plan's charged latency (terminal event's `latency` field).
     pub latency: f64,
     /// Schedule wait: time between emission and execution start, i.e.
     /// `(end - start) - latency`, clamped at zero.
@@ -178,9 +175,9 @@ impl PlanSpan {
 pub struct RunProfile {
     /// Zero-based run index within the journal.
     pub run: u64,
-    /// The session strategy, when the run was a serving session.
+    /// The orderer's algorithm name.
     pub strategy: Option<String>,
-    /// The executor lookahead, when the run was a concurrent run.
+    /// The executor lookahead.
     pub lookahead: Option<u64>,
     /// Kernel events before the first plan emission (orderer build).
     pub prepare_events: u64,
@@ -886,8 +883,7 @@ impl Builder {
 /// Final attribution for a closed plan span: schedule wait from the
 /// clock delta, then the critical decomposition of the charged latency
 /// into critical source, join, and self. Plans without source sub-spans
-/// keep their whole latency as self time (session traces: the plan's
-/// cost).
+/// keep their whole latency as self time.
 fn close_plan(p: &mut PlanSpan) {
     p.wait = ((p.end - p.start) - p.latency).max(0.0);
     if p.sources.is_empty() {

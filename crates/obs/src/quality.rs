@@ -176,12 +176,11 @@ pub struct SessionEntry {
     pub memo_hits: u64,
     /// Plans whose join was seeded from a memoized subplan prefix.
     pub subplans_reused: u64,
-    /// Profile snapshot: the session's critical-path length so far (the
-    /// left-to-right sum of executed plan costs, the same fold the trace
-    /// profile reconstructs).
+    /// Profile snapshot: the session's critical-path length so far — its
+    /// run's serial virtual clock (0 while no source is accessed).
     pub critical_path: f64,
-    /// Profile snapshot: the costliest executed plan so far (encoded
-    /// bucket-index form), `None` before the first sound plan.
+    /// Profile snapshot: the slowest plan so far (encoded bucket-index
+    /// form), `None` while every plan's latency is 0.
     pub bounding_plan: Option<String>,
     /// Whether the session has been dropped.
     pub closed: bool,

@@ -1,4 +1,4 @@
-//! The bounded-parallelism plan executor.
+//! The bounded-parallelism plan executor, as one steppable loop.
 //!
 //! ## Execution model
 //!
@@ -8,24 +8,40 @@
 //! outcome is known. Each pop optimistically assumes its predecessors
 //! execute (the same assumption the serial mediator makes), which is why,
 //! with faults disabled, any lookahead reproduces the serial ordering
-//! exactly. Worker threads simulate the source accesses (retries, backoff,
-//! timeouts) and evaluate the plan; the coordinator merges completions in
-//! emission order, so answers and per-plan novelty counts are
-//! deterministic. When a plan fails, the coordinator reports it back via
+//! exactly. The plans of one such *wave* perform their source accesses
+//! (retries, backoff, timeouts) and are evaluated — on the worker threads
+//! of [`Executor::run`]'s pool, or inline on the caller's thread when the
+//! run is stepped by hand; the coordinator merges completions in emission
+//! order, so answers and per-plan novelty counts are deterministic. When a
+//! plan fails, the coordinator reports it back via
 //! [`PlanOrderer::observe`] so later pops are conditioned on what actually
 //! ran.
+//!
+//! The loop is explicit: [`Executor::begin`] opens a [`RunState`],
+//! [`Executor::step`] advances it by one reported plan (popping and
+//! merging a whole wave when none is pending), [`RunState::finish`] seals
+//! it. [`Executor::run`] is `begin`, a scoped pool, `while let Some(..) =
+//! step`, `finish`; a pull-based session is the same run paused between
+//! pulls.
 //!
 //! ## Determinism
 //!
 //! Faults and latencies are pure functions of `(seed, source, plan
 //! sequence, attempt)` ([`crate::source`]), pops happen at fixed points
 //! (wave boundaries), and merging is by sequence number — so a run is a
-//! deterministic function of its inputs, independent of worker count and
-//! thread scheduling. Worker count changes wall time, nothing else.
+//! deterministic function of its inputs, independent of worker count,
+//! thread scheduling, and of where between steps it was paused. Worker
+//! count changes wall time, nothing else.
 //!
-//! ## Budget caveat under speculation
+//! ## The budget rule
 //!
-//! `max_plans` and `max_cost` are known at pop time and honored exactly.
+//! A plan is popped unless `budget.satisfied(answers, popped, spent +
+//! cost of the window popped so far)`. `spent` grows at *merge*, by the
+//! emission-time cost of every plan that was attempted (executed or
+//! failed) and by nothing for a discarded, unsound one — so `max_plans`
+//! is exact, `max_cost` is exact at wave boundaries and errs only toward
+//! a shorter window inside one (a popped plan is priced before its
+//! soundness verdict is in), and an unsound plan never shortens a run.
 //! `enough_answers` is only re-checked at wave boundaries (answers of
 //! in-flight plans are unknown), so a speculative run may execute up to
 //! `lookahead − 1` plans past the serial stopping point — the usual price
@@ -39,13 +55,13 @@ use crossbeam::channel;
 use qpo_core::{OrderedPlan, PlanOrderer, PlanOutcome};
 use qpo_datalog::Tuple;
 use qpo_obs::{Counter, Gauge, Histogram, Obs, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Process-wide run-id source for trace-context propagation: each
-/// [`Executor::run_observed`] call takes the next value, so backend
+/// [`Executor::begin`] call takes the next value, so backend
 /// requests from distinct runs (or distinct executors) carry distinct
 /// trace run ids over the wire. The id is propagation metadata only — it
 /// is never journalled, so traces stay a pure function of
@@ -111,8 +127,9 @@ impl WaveObserver for NoopObserver {}
 /// When a run stops popping further plans (§1: "query execution can then
 /// be aborted as soon as the user has found a satisfactory answer, or when
 /// allotted resource limits have been reached"): at the first satisfied
-/// condition; `None` fields never trigger. The serial session checks it
-/// before every pull; see the module docs for speculation caveats.
+/// condition; `None` fields never trigger. [`Executor::step`] checks it
+/// before every pop; see the module docs for the rule and its
+/// speculation caveats.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunBudget {
     /// Stop once at least this many distinct answers have been merged.
@@ -120,7 +137,8 @@ pub struct RunBudget {
     /// Stop after popping this many plans (sound or not).
     pub max_plans: Option<usize>,
     /// Stop once cumulative negated utility (cost, for cost-like
-    /// measures) of popped plans exceeds this.
+    /// measures) of attempted plans — executed or failed; discarded
+    /// unsound candidates spend nothing — exceeds this.
     pub max_cost: Option<f64>,
 }
 
@@ -368,24 +386,18 @@ struct RunMetrics {
     memo_misses: Counter,
     memo_bytes: Gauge,
     /// Backend infrastructure errors by class, labeled with the backend
-    /// kind: `[transient, permanent]`.
-    backend_errors: [Counter; 2],
+    /// kind: `[transient, permanent]`. `None` without a backend.
+    backend_errors: Option<[Counter; 2]>,
 }
 
 impl RunMetrics {
-    fn registered(obs: &Obs, backend: &'static str) -> Self {
+    fn registered(obs: &Obs, backend: Option<&'static str>) -> Self {
         let c = |name| obs.registry.counter(name, &[]);
         let status = |s| {
             obs.registry
                 .counter("qpo_runtime_plans_total", &[("status", s)])
         };
         let memo = |name| obs.registry.counter(name, &[("layer", "source")]);
-        let backend_error = |class| {
-            obs.registry.counter(
-                "qpo_backend_errors_total",
-                &[("backend", backend), ("class", class)],
-            )
-        };
         RunMetrics {
             attempts: c("qpo_runtime_attempts_total"),
             transient_failures: c("qpo_runtime_transient_failures_total"),
@@ -401,10 +413,93 @@ impl RunMetrics {
             memo_hits: memo("qpo_memo_hits_total"),
             memo_misses: memo("qpo_memo_misses_total"),
             memo_bytes: obs.registry.gauge("qpo_memo_bytes", &[("layer", "source")]),
-            backend_errors: [
-                backend_error(BackendErrorClass::Transient.label()),
-                backend_error(BackendErrorClass::Permanent.label()),
-            ],
+            backend_errors: backend.map(|kind| {
+                [BackendErrorClass::Transient, BackendErrorClass::Permanent].map(|class| {
+                    let labels = [("backend", kind), ("class", class.label())];
+                    obs.registry.counter("qpo_backend_errors_total", &labels)
+                })
+            }),
+        }
+    }
+}
+
+/// The worker pool of one [`Executor::run`]: jobs out, completions back.
+struct Pool {
+    jobs: channel::Sender<Job>,
+    done: channel::Receiver<Completion>,
+}
+
+/// A run between two steps: everything the loop carries from one pop to
+/// the next. [`Executor::begin`] opens it, [`Executor::step`] advances it,
+/// [`RunState::finish`] seals it; in between it can be held for as long
+/// as the caller likes — a pull-based session is exactly that.
+pub struct RunState {
+    /// Union of the merged plans' answers.
+    pub answers: BTreeSet<Tuple>,
+    /// Aggregate counters over the merged plans.
+    pub stats: RunStats,
+    /// Emission-time cost of the merged plans that were attempted.
+    spent: f64,
+    /// Plans popped so far; the next plan's sequence number.
+    popped: u64,
+    /// The serial virtual clock the journal (and the emission-delay
+    /// histogram) runs on; see [`Executor::run`].
+    vclock: f64,
+    /// Merged reports [`Executor::step`] has not returned yet.
+    ready: VecDeque<PlanExecution>,
+    /// Trace run id propagated to the backend; see `RUN_COUNTER`.
+    run: u64,
+    /// The bundle the run reports into: the executor's shared one, else a
+    /// private one.
+    obs: Obs,
+    metrics: RunMetrics,
+    finished: bool,
+}
+
+impl RunState {
+    /// Cost spent so far: negated emission-time utility, summed in
+    /// emission order over the merged plans that were attempted (executed
+    /// or failed). Unsound plans are discarded unexecuted and spend
+    /// nothing.
+    pub fn spent(&self) -> f64 {
+        self.spent
+    }
+
+    /// Plans popped from the orderer so far (sound or not).
+    pub fn popped(&self) -> usize {
+        self.popped as usize
+    }
+
+    /// The serial virtual clock: merged plan latencies summed in emission
+    /// order.
+    pub fn clock(&self) -> f64 {
+        self.vclock
+    }
+
+    /// Seals the run: mirrors the makespan and fee gauges and journals
+    /// `run_finished`. Idempotent.
+    pub fn finish(&mut self) {
+        if std::mem::replace(&mut self.finished, true) {
+            return;
+        }
+        self.metrics.virtual_time.set(self.stats.virtual_time);
+        self.metrics.fees.set(self.stats.fees);
+        if self.obs.journal.is_enabled() {
+            // End-of-run marker carrying the *serial-clock* makespan
+            // (plan latencies summed in emission order) — the quantity
+            // profile reconstruction's critical path must bit-equal.
+            // `stats.virtual_time` is the lane-scheduled makespan and
+            // legitimately varies with the worker count; the clock does
+            // not. With one worker the two coincide.
+            self.obs.journal.record_at(
+                self.vclock,
+                "run_finished",
+                vec![
+                    ("plans", Value::U64(self.popped)),
+                    ("answers", Value::U64(self.answers.len() as u64)),
+                    ("makespan", Value::F64(self.vclock)),
+                ],
+            );
         }
     }
 }
@@ -412,44 +507,59 @@ impl RunMetrics {
 /// The bounded-parallelism speculative executor. Borrows the source grid
 /// and evaluator; one executor can run many orderers.
 pub struct Executor<'a, E: PlanEvaluator> {
-    grid: &'a SourceGrid,
     eval: &'a E,
     policy: RuntimePolicy,
-    obs: Obs,
+    obs: Option<&'a Obs>,
     memo: Option<SourceMemo>,
-    backend: Arc<dyn SourceBackend>,
+    /// The remote world plans execute against; `None` for
+    /// [`Executor::local`].
+    sources: Option<(&'a SourceGrid, Arc<dyn SourceBackend>)>,
 }
 
 impl<'a, E: PlanEvaluator> Executor<'a, E> {
-    /// Creates an executor with a private observability bundle (metrics
-    /// still accumulate and can be read back via [`Executor::obs`]).
+    /// Creates an executor whose runs report into a private, unread
+    /// observability bundle unless [`Executor::with_obs`] shares one.
     /// Accesses run against [`SimBackend`] unless
     /// [`Executor::with_backend`] swaps in another world.
     pub fn new(grid: &'a SourceGrid, eval: &'a E, policy: RuntimePolicy) -> Self {
         Executor {
-            grid,
+            sources: Some((grid, Arc::new(SimBackend))),
+            ..Executor::local(eval, policy)
+        }
+    }
+
+    /// An executor with no remote world: the evaluator already holds every
+    /// row its plans read, so no source is accessed — no attempts, no
+    /// fees, every plan's latency 0 and the virtual clock never moves.
+    /// Ordering, soundness, merging, budgets and feedback are the same
+    /// loop.
+    pub fn local(eval: &'a E, policy: RuntimePolicy) -> Self {
+        Executor {
             eval,
             policy,
-            obs: Obs::new(),
+            obs: None,
             memo: None,
-            backend: Arc::new(SimBackend),
+            sources: None,
         }
     }
 
     /// Routes every source access through `backend` instead of the
     /// default deterministic simulator. Real backends report measured
     /// wall latency mapped onto the virtual-time axis, so traces keep
-    /// their structure but stop being replayable bit-for-bit.
+    /// their structure but stop being replayable bit-for-bit. (A
+    /// [`Executor::local`] one has no access to route.)
     pub fn with_backend(mut self, backend: Arc<dyn SourceBackend>) -> Self {
-        self.backend = backend;
+        if let Some((_, current)) = &mut self.sources {
+            *current = backend;
+        }
         self
     }
 
     /// Shares an observability bundle: run metrics land on its registry
     /// and, when its journal is enabled, every run appends plan-lifecycle
     /// events timestamped by the serial virtual clock.
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.obs = obs.clone();
+    pub fn with_obs(mut self, obs: &'a Obs) -> Self {
+        self.obs = Some(obs);
         self
     }
 
@@ -461,11 +571,6 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
     pub fn with_source_memo(mut self, memo: &SourceMemo) -> Self {
         self.memo = Some(memo.clone());
         self
-    }
-
-    /// The executor's observability bundle.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
     }
 
     /// Runs the orderer to completion of `budget` (or plan-space
@@ -492,16 +597,54 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         budget: RunBudget,
         observer: &mut dyn WaveObserver,
     ) -> RuntimeRun {
-        let workers = self.policy.workers.max(1);
-        let lookahead = self.policy.lookahead.max(1);
-        let metrics = RunMetrics::registered(&self.obs, self.backend.kind());
-        let journal = &self.obs.journal;
-        // Fresh trace run id for context propagation; see `RUN_COUNTER`.
-        let run = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
-        if let Some(memo) = &self.memo {
+        let mut state = self.begin(orderer);
+        let mut reports: Vec<PlanExecution> = Vec::new();
+        crossbeam::thread::scope(|s| {
+            let (jobs, job_rx) = channel::unbounded::<Job>();
+            let (done_tx, done) = channel::unbounded::<Completion>();
+            for _ in 0..self.policy.workers.max(1) {
+                let rx = job_rx.clone();
+                let tx = done_tx.clone();
+                s.spawn(move |_| {
+                    while let Ok(job) = rx.recv() {
+                        if tx.send(self.execute_job(job)).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(job_rx);
+            drop(done_tx);
+            // Dropped with the closure — on unwind too — which hangs up
+            // the job channel and lets the workers exit.
+            let pool = Pool { jobs, done };
+            while let Some(report) =
+                self.advance(&mut state, orderer, budget, observer, Some(&pool))
+            {
+                reports.push(report);
+            }
+        })
+        .expect("executor threads do not panic");
+        state.finish();
+        RuntimeRun {
+            reports,
+            answers: state.answers,
+            stats: state.stats,
+        }
+    }
+
+    /// Opens a run over `orderer`: takes a fresh trace run id, starts the
+    /// attached memo's run, and — when the journal is enabled — restarts
+    /// the virtual clock with a `run_started` marker and the catalog's
+    /// `source_declared` expectations.
+    pub fn begin(&self, orderer: &dyn PlanOrderer) -> RunState {
+        let obs = self.obs.cloned().unwrap_or_default();
+        let journal = &obs.journal;
+        let backend_kind = self.sources.as_ref().map(|(_, backend)| backend.kind());
+        if let (Some(memo), Some((_, backend))) = (&self.memo, &self.sources) {
             // Outcomes memoized under an older backend data version are
             // stale before the run even starts.
-            memo.sync_backend_epoch(self.backend.epoch());
+            memo.sync_backend_epoch(backend.epoch());
             memo.begin_run();
         }
         if journal.is_enabled() {
@@ -509,18 +652,16 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             // keys spans by (runs seen, plan_seq). Workers stay out of the
             // fields — they must not change the trace bytes.
             journal.set_clock(0.0);
-            journal.record(
-                "run_started",
-                vec![
-                    ("lookahead", Value::U64(lookahead as u64)),
-                    ("backend", Value::Str(self.backend.kind().into())),
-                ],
-            );
+            let lookahead = self.policy.lookahead.max(1) as u64;
+            let mut fields = vec![("lookahead", Value::U64(lookahead))];
+            fields.extend(backend_kind.map(|kind| ("backend", Value::Str(kind.into()))));
+            fields.push(("strategy", Value::Str(orderer.algorithm_name().into())));
+            journal.record("run_started", fields);
             // Catalog-declared expectations for every source the run can
             // touch, so drift detection can be recomputed from the trace
             // alone (qpo-obs::divergence): no catalog needed offline, and
             // the declared values are the same f64s the live monitor sees.
-            for svc in self.grid.iter() {
+            for svc in self.sources.iter().flat_map(|(grid, _)| grid.iter()) {
                 journal.record(
                     "source_declared",
                     vec![
@@ -535,144 +676,145 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                 );
             }
         }
-        crossbeam::thread::scope(|s| {
-            let (job_tx, job_rx) = channel::unbounded::<Job>();
-            let (done_tx, done_rx) = channel::unbounded::<Completion>();
-            for _ in 0..workers {
-                let rx = job_rx.clone();
-                let tx = done_tx.clone();
-                s.spawn(move |_| {
-                    while let Ok(job) = rx.recv() {
-                        if tx.send(self.execute_job(job)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(job_rx);
-            drop(done_tx);
+        RunState {
+            answers: BTreeSet::new(),
+            stats: RunStats::default(),
+            spent: 0.0,
+            popped: 0,
+            vclock: 0.0,
+            ready: VecDeque::new(),
+            run: RUN_COUNTER.fetch_add(1, Ordering::Relaxed),
+            metrics: RunMetrics::registered(&obs, backend_kind),
+            obs,
+            finished: false,
+        }
+    }
 
-            let mut answers: BTreeSet<Tuple> = BTreeSet::new();
-            let mut reports: Vec<PlanExecution> = Vec::new();
-            let mut stats = RunStats::default();
-            let mut spent = 0.0;
-            let mut seq: u64 = 0;
-            // The serial virtual clock the journal (and the emission-delay
-            // histogram) runs on; see the method docs.
-            let mut vclock = 0.0f64;
-            loop {
-                // Pop the next speculation window. `spent` and the pop
-                // count are exact here; `answers` lags by the in-flight
-                // window (see module docs).
-                let mut window: Vec<OrderedPlan> = Vec::new();
-                while window.len() < lookahead
-                    && !budget.satisfied(answers.len(), reports.len() + window.len(), spent)
-                {
-                    let Some(ordered) = orderer.next_plan() else {
-                        break;
-                    };
-                    spent += -ordered.utility;
-                    window.push(ordered);
-                }
-                if window.is_empty() {
-                    break;
-                }
-                // Reuse-aware scheduling: within ε-tie groups of the
-                // window, favor plans overlapping the memo. Opt-in, and
-                // never across a strict dominance (gap > ε).
-                if let (Some(memo), Some(eps)) = (&self.memo, self.policy.reuse_epsilon) {
-                    reorder_for_reuse(&mut window, eps, |plan| {
-                        plan.iter()
-                            .enumerate()
-                            .filter(|&(b, &i)| {
-                                memo.contains(b, i, self.eval.access_pattern(plan, b))
-                            })
-                            .count()
-                    });
-                }
-                let in_flight = window.len();
-                for ordered in window {
-                    if journal.is_enabled() {
-                        journal.record_at(
-                            vclock,
-                            "plan_emitted",
-                            vec![
-                                ("plan_seq", Value::U64(seq)),
-                                (
-                                    "plan",
-                                    Value::Str(qpo_obs::encode_plan(&ordered.plan).into()),
-                                ),
-                                ("utility", Value::F64(ordered.utility)),
-                            ],
-                        );
-                        journal.record_at(
-                            vclock,
-                            "plan_scheduled",
-                            vec![("plan_seq", Value::U64(seq))],
-                        );
-                    }
-                    let resolved =
-                        self.resolve_from_memo(seq, &ordered, vclock, &mut stats, &metrics);
-                    observer.plan_scheduled(seq, &ordered, vclock);
-                    assert!(
-                        job_tx
-                            .send(Job {
-                                seq,
-                                run,
-                                ordered,
-                                resolved,
-                            })
-                            .is_ok(),
-                        "workers outlive the coordinator loop"
-                    );
-                    seq += 1;
-                }
-                let mut wave: Vec<Completion> = (0..in_flight)
-                    .map(|_| done_rx.recv().expect("workers send one completion per job"))
-                    .collect();
-                wave.sort_by_key(|c| c.seq);
-                stats.virtual_time +=
-                    makespan(wave.iter().map(|c| plan_latency(&c.accesses)), workers);
-                for completion in wave {
-                    let report = self.merge(
-                        completion,
-                        orderer,
-                        &mut answers,
-                        &mut stats,
-                        &metrics,
-                        &mut vclock,
-                    );
-                    observer.plan_merged(&report, vclock);
-                    reports.push(report);
-                }
-            }
-            drop(job_tx);
-            metrics.virtual_time.set(stats.virtual_time);
-            metrics.fees.set(stats.fees);
+    /// Advances the run by one plan: returns the next merged plan's
+    /// record, or `None` once `budget` is satisfied or the plan space is
+    /// exhausted (a later call with a laxer budget resumes). When no
+    /// merged report is pending, pops the next speculation window under
+    /// the budget rule (module docs), executes it **inline on the calling
+    /// thread** and merges it in emission order; `observer` sees every
+    /// plan of the wave scheduled, then every one merged.
+    ///
+    /// With `lookahead > 1` a wave's reports are handed out one per call
+    /// while `state.answers`, `state.stats`, [`RunState::spent`] and the
+    /// clock already reflect the whole merged wave.
+    pub fn step(
+        &self,
+        state: &mut RunState,
+        orderer: &mut dyn PlanOrderer,
+        budget: RunBudget,
+        observer: &mut dyn WaveObserver,
+    ) -> Option<PlanExecution> {
+        self.advance(state, orderer, budget, observer, None)
+    }
+
+    /// [`Executor::step`], executing the wave on `pool` when there is one.
+    fn advance(
+        &self,
+        state: &mut RunState,
+        orderer: &mut dyn PlanOrderer,
+        budget: RunBudget,
+        observer: &mut dyn WaveObserver,
+        pool: Option<&Pool>,
+    ) -> Option<PlanExecution> {
+        if let Some(report) = state.ready.pop_front() {
+            return Some(report);
+        }
+        let lookahead = self.policy.lookahead.max(1);
+        // `spent` and the pop count are exact here; `answers` lags by the
+        // window in flight, and the window's own cost is provisional — an
+        // unsound plan in it will have spent nothing at merge.
+        let mut window: Vec<OrderedPlan> = Vec::new();
+        let mut priced = state.spent;
+        while window.len() < lookahead
+            && !budget.satisfied(
+                state.answers.len(),
+                state.popped as usize + window.len(),
+                priced,
+            )
+        {
+            let Some(ordered) = orderer.next_plan() else {
+                break;
+            };
+            priced += -ordered.utility;
+            window.push(ordered);
+        }
+        // Reuse-aware scheduling: within ε-tie groups of the window,
+        // favor plans overlapping the memo. Opt-in, and never across a
+        // strict dominance (gap > ε).
+        if let (Some(memo), Some(eps)) = (&self.memo, self.policy.reuse_epsilon) {
+            reorder_for_reuse(&mut window, eps, |plan| {
+                plan.iter()
+                    .enumerate()
+                    .filter(|&(b, &i)| memo.contains(b, i, self.eval.access_pattern(plan, b)))
+                    .count()
+            });
+        }
+        let vclock = state.vclock;
+        let mut jobs: Vec<Job> = Vec::with_capacity(window.len());
+        for ordered in window {
+            let seq = state.popped;
+            state.popped += 1;
+            let journal = &state.obs.journal;
             if journal.is_enabled() {
-                // End-of-run marker carrying the *serial-clock* makespan
-                // (plan latencies summed in emission order) — the quantity
-                // profile reconstruction's critical path must bit-equal.
-                // `stats.virtual_time` is the lane-scheduled makespan and
-                // legitimately varies with the worker count; `vclock` does
-                // not. With one worker the two coincide.
                 journal.record_at(
                     vclock,
-                    "run_finished",
+                    "plan_emitted",
                     vec![
-                        ("plans", Value::U64(reports.len() as u64)),
-                        ("answers", Value::U64(answers.len() as u64)),
-                        ("makespan", Value::F64(vclock)),
+                        ("plan_seq", Value::U64(seq)),
+                        (
+                            "plan",
+                            Value::Str(qpo_obs::encode_plan(&ordered.plan).into()),
+                        ),
+                        ("utility", Value::F64(ordered.utility)),
                     ],
                 );
+                journal.record_at(
+                    vclock,
+                    "plan_scheduled",
+                    vec![("plan_seq", Value::U64(seq))],
+                );
             }
-            RuntimeRun {
-                reports,
-                answers,
-                stats,
+            let resolved = self.resolve_from_memo(seq, &ordered, state);
+            observer.plan_scheduled(seq, &ordered, vclock);
+            jobs.push(Job {
+                seq,
+                run: state.run,
+                ordered,
+                resolved,
+            });
+        }
+        let mut wave: Vec<Completion> = match pool {
+            Some(pool) => {
+                let in_flight = jobs.len();
+                for job in jobs {
+                    assert!(
+                        pool.jobs.send(job).is_ok(),
+                        "workers outlive the coordinator loop"
+                    );
+                }
+                (0..in_flight)
+                    .map(|_| {
+                        pool.done
+                            .recv()
+                            .expect("workers send one completion per job")
+                    })
+                    .collect()
             }
-        })
-        .expect("executor threads do not panic")
+            None => jobs.into_iter().map(|job| self.execute_job(job)).collect(),
+        };
+        wave.sort_by_key(|c| c.seq);
+        let latencies = wave.iter().map(|c| plan_latency(&c.accesses));
+        state.stats.virtual_time += makespan(latencies, self.policy.workers);
+        for completion in wave {
+            let report = self.merge(completion, orderer, state);
+            observer.plan_merged(&report, state.vclock);
+            state.ready.push_back(report);
+        }
+        state.ready.pop_front()
     }
 
     /// Coordinator-side memo consult at dispatch time: resolves each of
@@ -684,14 +826,12 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         &self,
         seq: u64,
         ordered: &OrderedPlan,
-        vclock: f64,
-        stats: &mut RunStats,
-        metrics: &RunMetrics,
+        state: &mut RunState,
     ) -> Vec<Option<SourceAccess>> {
-        let Some(memo) = &self.memo else {
+        let (Some(memo), Some((grid, _))) = (&self.memo, &self.sources) else {
             return Vec::new();
         };
-        let journal = &self.obs.journal;
+        let journal = &state.obs.journal;
         ordered
             .plan
             .iter()
@@ -699,15 +839,15 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             .map(|(bucket, &index)| {
                 let pattern = self.eval.access_pattern(&ordered.plan, bucket);
                 let Some(hit) = memo.lookup(bucket, index, pattern) else {
-                    metrics.memo_misses.inc();
+                    state.metrics.memo_misses.inc();
                     return None;
                 };
-                stats.memo_hits += 1;
-                metrics.memo_hits.inc();
-                let svc = self.grid.service(bucket, index);
+                state.stats.memo_hits += 1;
+                state.metrics.memo_hits.inc();
+                let svc = grid.service(bucket, index);
                 if journal.is_enabled() {
                     journal.record_at(
-                        vclock,
+                        state.vclock,
                         "memo_hit",
                         vec![
                             ("plan_seq", Value::U64(seq)),
@@ -732,10 +872,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         &self,
         completion: Completion,
         orderer: &mut dyn PlanOrderer,
-        answers: &mut BTreeSet<Tuple>,
-        stats: &mut RunStats,
-        metrics: &RunMetrics,
-        vclock: &mut f64,
+        state: &mut RunState,
     ) -> PlanExecution {
         let Completion {
             seq,
@@ -747,10 +884,21 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             trace,
             backend_errors,
         } = completion;
-        let journal = &self.obs.journal;
+        let RunState {
+            answers,
+            stats,
+            spent,
+            vclock,
+            metrics,
+            obs,
+            ..
+        } = state;
+        let journal = &obs.journal;
+        let registry = &obs.registry;
         let latency = plan_latency(&accesses);
         let fees: f64 = accesses.iter().map(|a| a.fee).sum();
-        let backend_kind = self.backend.kind();
+        // Accesses only exist where sources do.
+        let backend_kind = self.sources.as_ref().map_or("", |(_, b)| b.kind());
         for a in &accesses {
             stats.attempts += u64::from(a.attempts);
             stats.transient_failures += u64::from(a.transient_failures);
@@ -761,15 +909,14 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             metrics
                 .retries_per_access
                 .record(f64::from(a.attempts) - 1.0);
-            self.obs
-                .registry
+            registry
                 .histogram(
                     "qpo_runtime_access_latency",
                     &[("source", &a.name), ("backend", backend_kind)],
                 )
                 .record(a.latency);
         }
-        for (class, &count) in metrics.backend_errors.iter().zip(&backend_errors) {
+        for (class, &count) in metrics.backend_errors.iter().flatten().zip(&backend_errors) {
             if count > 0 {
                 class.add(count);
             }
@@ -847,6 +994,12 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             }
             metrics.memo_bytes.set(memo.approx_bytes() as f64);
         }
+        // The budget's `spent`: an attempted plan costs what it was
+        // emitted at, whether it then executed or failed; a discarded one
+        // costs nothing.
+        if sound {
+            *spent += -ordered.utility;
+        }
         let status = if !sound {
             metrics.plans_unsound.inc();
             if journal.is_enabled() {
@@ -907,6 +1060,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                     ],
                 );
             }
+            // The one feedback call for a plan that ran, on every driver.
             orderer.observe(&PlanOutcome::succeeded(&ordered.plan, total));
             PlanStatus::Executed {
                 tuples: total,
@@ -926,11 +1080,11 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         }
     }
 
-    /// Runs on a worker thread: perform the plan's source accesses
-    /// through the backend, then evaluate it if everything succeeded.
-    /// Attempt-level trace events are collected here (relative to the
-    /// plan's start) and carried back to the coordinator, which is the
-    /// only thread that writes the journal.
+    /// Performs the plan's source accesses through the backend, then
+    /// evaluates it if everything succeeded — on a pool worker, or inline
+    /// on the stepping thread. Attempt-level trace events are collected
+    /// here (relative to the plan's start) and handed to the merge, the
+    /// only place that writes the journal.
     fn execute_job(&self, job: Job) -> Completion {
         let Job {
             seq,
@@ -938,49 +1092,41 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             ordered,
             resolved,
         } = job;
-        let tracing = self.obs.journal.is_enabled();
+        let tracing = self.obs.is_some_and(|obs| obs.journal.is_enabled());
         let mut trace: Vec<AttemptEvent> = Vec::new();
-        let sound = self.eval.is_sound(&ordered.plan);
-        if !sound {
-            return Completion {
-                seq,
-                ordered,
-                sound,
-                tuples: Vec::new(),
-                accesses: Vec::new(),
-                failure: None,
-                trace,
-                backend_errors: [0, 0],
-            };
-        }
-        let services = self.grid.plan_services(&ordered.plan);
-        let mut accesses: Vec<SourceAccess> = Vec::with_capacity(services.len());
-        let mut fetched: Vec<Option<Arc<Vec<Tuple>>>> = Vec::with_capacity(accesses.capacity());
+        let mut accesses: Vec<SourceAccess> = Vec::new();
+        let mut fetched: Vec<Option<Arc<Vec<Tuple>>>> = Vec::new();
         let mut backend_errors = [0u64; 2];
-        for (bucket, svc) in services.enumerate() {
-            // Slots the coordinator resolved from the memo are replayed
-            // as-is: zero attempts, zero latency, zero fee. The memo only
-            // vouches for the *outcome*; backend data for the bucket is
-            // re-fetched by the evaluator's own cache if it needs rows.
-            if let Some(Some(access)) = resolved.get(bucket) {
-                accesses.push(access.clone());
-                fetched.push(None);
-                continue;
+        let sound = self.eval.is_sound(&ordered.plan);
+        // Unsound plans are discarded unexecuted, and a local executor has
+        // no source to access.
+        if let (true, Some((grid, backend))) = (sound, &self.sources) {
+            for (bucket, svc) in grid.plan_services(&ordered.plan).enumerate() {
+                // Slots the coordinator resolved from the memo are replayed
+                // as-is: zero attempts, zero latency, zero fee. The memo
+                // only vouches for the *outcome*; backend data for the
+                // bucket is re-fetched by the evaluator's own cache if it
+                // needs rows.
+                if let Some(Some(access)) = resolved.get(bucket) {
+                    accesses.push(access.clone());
+                    fetched.push(None);
+                    continue;
+                }
+                let events = tracing.then_some(&mut trace);
+                let outcome = access_with_retries(
+                    backend.as_ref(),
+                    svc,
+                    self.eval.access_pattern(&ordered.plan, bucket),
+                    &self.policy,
+                    run,
+                    seq,
+                    events,
+                );
+                accesses.push(outcome.access);
+                fetched.push(outcome.tuples);
+                backend_errors[0] += outcome.backend_errors[0];
+                backend_errors[1] += outcome.backend_errors[1];
             }
-            let events = tracing.then_some(&mut trace);
-            let outcome = access_with_retries(
-                self.backend.as_ref(),
-                svc,
-                self.eval.access_pattern(&ordered.plan, bucket),
-                &self.policy,
-                run,
-                seq,
-                events,
-            );
-            accesses.push(outcome.access);
-            fetched.push(outcome.tuples);
-            backend_errors[0] += outcome.backend_errors[0];
-            backend_errors[1] += outcome.backend_errors[1];
         }
         if self.policy.latency_scale > 0.0 {
             let secs = plan_latency(&accesses) * self.policy.latency_scale;
@@ -997,7 +1143,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                 }
             }
         });
-        let tuples = if failure.is_none() {
+        let tuples = if sound && failure.is_none() {
             self.eval.evaluate(&ordered.plan, &fetched)
         } else {
             Vec::new()
@@ -1093,14 +1239,15 @@ struct ResolvedAccess {
 }
 
 /// Accesses one source under `pattern` through `backend` with the
-/// policy's retry discipline, accumulating backoffs and attempt latencies into one
-/// virtual-time charge. When `events` is given, every resolved attempt is
-/// appended with its plan-relative virtual-time offset and outcome
-/// (`ok`/`timeout`/`transient`/`permanent`); attempts behind a typed
-/// [`crate::backend::BackendError`] additionally carry its class and
-/// message. Backend errors never panic the retry loop: transient ones
-/// consume an attempt and back off like simulated transient faults,
-/// permanent ones fail the access like a permanently-down source.
+/// policy's retry discipline, accumulating backoffs and attempt latencies
+/// into one virtual-time charge. When `events` is given, every resolved
+/// attempt is appended with its plan-relative virtual-time offset and
+/// outcome (`ok`/`timeout`/`transient`/`permanent`); attempts behind a
+/// typed [`crate::backend::BackendError`] additionally carry its class and
+/// message. Backend errors never panic the retry loop: they map onto the
+/// simulator's outcome vocabulary — transient ones consume an attempt and
+/// back off like simulated transient faults, permanent ones fail the
+/// access like a permanently-down source.
 fn access_with_retries(
     backend: &dyn SourceBackend,
     svc: &SourceService,
@@ -1111,50 +1258,26 @@ fn access_with_retries(
     mut events: Option<&mut Vec<AttemptEvent>>,
 ) -> ResolvedAccess {
     let retry: &RetryPolicy = &policy.retry;
-    let mut latency = 0.0;
-    let mut transient_failures = 0u32;
-    let mut backend_errors = [0u64; 2];
-    let report = |attempts,
-                  ok,
-                  permanently_down,
-                  latency,
-                  transient_failures,
-                  remote: Option<(f64, f64)>| SourceAccess {
+    let timeout = retry.access_timeout;
+    let mut access = SourceAccess {
         bucket: svc.bucket,
         index: svc.index,
         name: svc.name.to_string(),
-        attempts,
-        transient_failures,
-        latency,
-        fee: if ok { svc.behavior.fee_per_access } else { 0.0 },
-        ok,
-        permanently_down,
-        remote_server: remote.map(|(server, _)| server),
-        remote_network: remote.map(|(_, network)| network),
+        attempts: 0,
+        transient_failures: 0,
+        latency: 0.0,
+        fee: 0.0,
+        ok: false,
+        permanently_down: false,
+        remote_server: None,
+        remote_network: None,
     };
-    let mut record = |attempt: u32,
-                      offset: f64,
-                      backoff: f64,
-                      charge: f64,
-                      outcome: &'static str,
-                      error: Option<(&'static str, String)>,
-                      remote: Option<RemoteSpan>| {
-        if let Some(events) = events.as_deref_mut() {
-            events.push(AttemptEvent {
-                source: svc.name.to_string(),
-                attempt,
-                offset,
-                backoff,
-                latency: charge,
-                outcome,
-                error,
-                remote,
-            });
-        }
-    };
+    let mut tuples = None;
+    let mut backend_errors = [0u64; 2];
     for attempt in 0..retry.max_attempts.max(1) {
         let backoff = retry.backoff_before(attempt);
-        latency += backoff;
+        access.attempts = attempt + 1;
+        access.latency += backoff;
         let ctx = AccessContext {
             pattern,
             run,
@@ -1162,129 +1285,59 @@ fn access_with_retries(
             attempt,
             faults: &policy.faults,
         };
-        let access = match backend.access(svc, &ctx) {
-            Ok(reply) => {
-                if reply.access.outcome == AccessOutcome::Success
-                    && reply.access.latency <= retry.access_timeout
-                {
-                    let charge = reply.access.latency;
-                    latency += charge;
-                    record(
-                        attempt + 1,
-                        latency,
-                        backoff,
-                        charge,
-                        "ok",
-                        None,
-                        reply.remote,
-                    );
-                    return ResolvedAccess {
-                        access: report(
-                            attempt + 1,
-                            true,
-                            false,
-                            latency,
-                            transient_failures,
-                            reply.remote.map(|r| (r.total, charge - r.total)),
-                        ),
-                        tuples: reply.tuples,
-                        backend_errors,
-                    };
+        // The attempt's outcome, the latency it is charged, whether it
+        // found the source down for good, and the typed error behind it.
+        // A success slower than the timeout is indistinguishable from a
+        // transient failure to the caller: charge the timeout, retry.
+        let (outcome, charge, down, error, reply) = match backend.access(svc, &ctx) {
+            Ok(reply) => match reply.access.outcome {
+                AccessOutcome::Success if reply.access.latency <= timeout => {
+                    ("ok", reply.access.latency, false, None, Some(reply))
                 }
-                reply.access
-            }
+                AccessOutcome::Success => ("timeout", timeout, false, None, None),
+                AccessOutcome::TransientFailure => {
+                    let charge = reply.access.latency.min(timeout);
+                    ("transient", charge, false, None, None)
+                }
+                AccessOutcome::PermanentFailure => ("permanent", 0.0, true, None, None),
+            },
             Err(err) => {
-                // An infrastructure failure maps onto the simulator's
-                // outcome vocabulary — transient consumes an attempt and
-                // retries, permanent fails the access — with the typed
-                // classification preserved on the attempt event.
-                let class = err.class;
-                backend_errors[match class {
-                    BackendErrorClass::Transient => 0,
-                    BackendErrorClass::Permanent => 1,
-                }] += 1;
-                let charge = err.latency.min(retry.access_timeout);
-                let detail = Some((class.label(), err.message));
-                match class {
-                    BackendErrorClass::Permanent => {
-                        latency += charge;
-                        record(
-                            attempt + 1,
-                            latency,
-                            backoff,
-                            charge,
-                            "permanent",
-                            detail,
-                            None,
-                        );
-                        return ResolvedAccess {
-                            access: report(
-                                attempt + 1,
-                                false,
-                                true,
-                                latency,
-                                transient_failures,
-                                None,
-                            ),
-                            tuples: None,
-                            backend_errors,
-                        };
-                    }
-                    BackendErrorClass::Transient => {
-                        latency += charge;
-                        record(
-                            attempt + 1,
-                            latency,
-                            backoff,
-                            charge,
-                            "transient",
-                            detail,
-                            None,
-                        );
-                        transient_failures += 1;
-                        continue;
-                    }
-                }
+                let down = err.class == BackendErrorClass::Permanent;
+                backend_errors[usize::from(down)] += 1;
+                let (label, charge) = (err.class.label(), err.latency.min(timeout));
+                (label, charge, down, Some((label, err.message)), None)
             }
         };
-        match access.outcome {
-            AccessOutcome::PermanentFailure => {
-                record(attempt + 1, latency, backoff, 0.0, "permanent", None, None);
-                return ResolvedAccess {
-                    access: report(attempt + 1, false, true, latency, transient_failures, None),
-                    tuples: None,
-                    backend_errors,
-                };
-            }
-            // A success slower than the timeout is indistinguishable from
-            // a transient failure to the caller: charge the timeout, retry.
-            AccessOutcome::Success | AccessOutcome::TransientFailure => {
-                let timed_out = matches!(access.outcome, AccessOutcome::Success);
-                let charge = access.latency.min(retry.access_timeout);
-                latency += charge;
-                record(
-                    attempt + 1,
-                    latency,
-                    backoff,
-                    charge,
-                    if timed_out { "timeout" } else { "transient" },
-                    None,
-                    None,
-                );
-                transient_failures += 1;
-            }
+        access.latency += charge;
+        if let Some(events) = events.as_deref_mut() {
+            events.push(AttemptEvent {
+                source: svc.name.to_string(),
+                attempt: access.attempts,
+                offset: access.latency,
+                backoff,
+                latency: charge,
+                outcome,
+                error,
+                remote: reply.as_ref().and_then(|r| r.remote),
+            });
         }
+        if let Some(reply) = reply {
+            access.ok = true;
+            access.fee = svc.behavior.fee_per_access;
+            access.remote_server = reply.remote.map(|r| r.total);
+            access.remote_network = reply.remote.map(|r| charge - r.total);
+            tuples = reply.tuples;
+            break;
+        }
+        access.permanently_down = down;
+        if down {
+            break;
+        }
+        access.transient_failures += 1;
     }
     ResolvedAccess {
-        access: report(
-            retry.max_attempts.max(1),
-            false,
-            false,
-            latency,
-            transient_failures,
-            None,
-        ),
-        tuples: None,
+        access,
+        tuples,
         backend_errors,
     }
 }
@@ -1472,6 +1525,74 @@ mod tests {
         let run = run_with(RuntimePolicy::serial(), RunBudget::answers(1));
         assert_eq!(run.reports.len(), 1, "first plan already yields answers");
         assert!(!run.answers.is_empty());
+    }
+
+    /// Stepping a run by hand — inline, one report per call, held for as
+    /// long as the caller likes after the `k`-th — is the uninterrupted
+    /// pool run: same reports, answers, counters and trace bytes.
+    #[test]
+    fn a_paused_run_resumes_to_the_uninterrupted_run() {
+        let inst = inst();
+        let grid = SourceGrid::from_instance(&inst);
+        let eval = ToyEval { inst: inst.clone() };
+        for (workers, lookahead) in [(1, 1), (1, 4), (3, 4)] {
+            let policy = RuntimePolicy::parallel(workers)
+                .with_lookahead(lookahead)
+                .with_faults(
+                    FaultConfig::with_seed(99)
+                        .with_extra_transient_rate(0.3)
+                        .with_source_down("w2"),
+                )
+                .with_retry(RetryPolicy {
+                    max_attempts: 2,
+                    ..RetryPolicy::standard()
+                });
+            let whole_obs = Obs::with_trace();
+            let whole = Executor::new(&grid, &eval, policy.clone())
+                .with_obs(&whole_obs)
+                .run(&mut Pi::new(&inst, &Coverage), RunBudget::unbounded());
+            assert!(whole.stats.transient_failures > 0 && whole.failed() > 0);
+            for k in [0, 1, 3, 5] {
+                let obs = Obs::with_trace();
+                let executor = Executor::new(&grid, &eval, policy.clone()).with_obs(&obs);
+                let mut orderer = Pi::new(&inst, &Coverage);
+                let mut state = executor.begin(&orderer);
+                let mut step = |state: &mut RunState| {
+                    executor.step(
+                        state,
+                        &mut orderer,
+                        RunBudget::unbounded(),
+                        &mut NoopObserver,
+                    )
+                };
+                let mut reports: Vec<PlanExecution> =
+                    (0..k).map_while(|_| step(&mut state)).collect();
+                assert_eq!(reports.len(), k, "paused after {k} plans");
+                assert!(
+                    state.popped() >= k,
+                    "a wave may be merged ahead of its reports"
+                );
+                reports.extend(std::iter::from_fn(|| step(&mut state)));
+                state.finish();
+                state.finish(); // idempotent: one `run_finished`
+                let label = format!("workers={workers} lookahead={lookahead} k={k}");
+                assert_eq!(reports, whole.reports, "{label}");
+                assert_eq!(state.answers, whole.answers, "{label}");
+                assert_eq!(state.stats, whole.stats, "{label}");
+                assert_eq!(state.spent(), {
+                    let attempted = whole
+                        .reports
+                        .iter()
+                        .filter(|r| r.status != PlanStatus::Unsound);
+                    attempted.fold(0.0, |spent, r| spent + -r.ordered.utility)
+                });
+                assert_eq!(
+                    obs.journal.to_jsonl(),
+                    whole_obs.journal.to_jsonl(),
+                    "{label}"
+                );
+            }
+        }
     }
 
     #[test]

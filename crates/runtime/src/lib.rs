@@ -13,10 +13,11 @@
 //! - [`policy`] — bounded parallelism, speculation depth, capped
 //!   exponential backoff retries, per-access timeouts, fault injection;
 //! - [`executor`] — a speculative bounded-parallel executor over any
-//!   [`PlanOrderer`](qpo_core::PlanOrderer): pops stay serial (utilities
-//!   are conditioned on emission order), execution fans out to worker
-//!   threads, completions merge back in emission order, and failures
-//!   degrade the run gracefully instead of aborting it;
+//!   [`PlanOrderer`](qpo_core::PlanOrderer), as one steppable loop: pops
+//!   stay serial (utilities are conditioned on emission order), a wave
+//!   executes on worker threads or inline on the stepping thread,
+//!   completions merge back in emission order, and failures degrade the
+//!   run gracefully instead of aborting it;
 //! - [`feedback`] — observed tuples and failures flow back into the
 //!   orderer's utility context ([`PlanOrderer::observe`]
 //!   (qpo_core::PlanOrderer::observe)), so subsequent emissions are
@@ -54,8 +55,8 @@ pub use backend::{
     SourceBackend,
 };
 pub use executor::{
-    Executor, FailureReason, PlanEvaluator, PlanExecution, PlanStatus, RunBudget, RunStats,
-    RuntimeRun, SourceAccess, WaveObserver,
+    Executor, FailureReason, PlanEvaluator, PlanExecution, PlanStatus, RunBudget, RunState,
+    RunStats, RuntimeRun, SourceAccess, WaveObserver,
 };
 pub use feedback::{declare_sources, observe_divergence, outcome_of, SourceHealth, SourceRecord};
 pub use memo::{MemoHit, MemoOutcome, SourceMemo};

@@ -21,9 +21,11 @@
 //! `subplans_reused` the `/sessions` endpoint exposes).
 //!
 //! With `--profile` it enables trace journaling and, after the demo,
-//! reconstructs the span-tree profile of every traced run from the
+//! reconstructs the span-tree profile of the pull-based session from the
 //! journal alone and prints the `EXPLAIN ANALYZE`-style report — the
-//! same text the `/profile` introspection endpoint serves.
+//! same text the `/profile` introspection endpoint serves. The session
+//! runs on the simulator backend, so there are (virtual) source
+//! latencies to attribute.
 
 use query_plan_ordering::prelude::*;
 
@@ -87,9 +89,14 @@ fn main() {
         prepared.plan_count(),
         prepared.canonical.query()
     );
+    // A session is a run: its trace is the journal's next `run_started`
+    // scope, opened at the first pull.
+    let session_run = mediator.profiles().runs().len();
     let mut session = QuerySession::new(&mediator, &prepared, &Coverage, Strategy::Pi)
         .unwrap()
-        .with_quality(true);
+        .with_quality(true)
+        .with_backend("sim")
+        .unwrap();
     while let Some(report) = session.next_report() {
         println!(
             "  plan {:?} via {:?}: {} new tuples ({} total)",
@@ -103,6 +110,8 @@ fn main() {
             break;
         }
     }
+    let quality = session.quality();
+    drop(session); // seals the run's trace and closes the board entry
 
     // ---- Shared-execution memo across sessions (opt-in) ----------------
     if with_memo {
@@ -140,7 +149,7 @@ fn main() {
         "sessions opened: {}",
         obs.registry.counter_total("qpo_sessions_total")
     );
-    if let Some(snap) = session.quality() {
+    if let Some(snap) = quality {
         println!(
             "session quality: utility mass {:.4}, oracle regret {:.6} over {} emissions",
             snap.mass,
@@ -156,25 +165,10 @@ fn main() {
     // ---- Span-tree profile, reconstructed from the trace (opt-in) -------
     if with_profile {
         println!("\n== span-tree profile (--profile)\n");
-        // Re-run the movie query on the concurrent executor so the trace
-        // has real (virtual) source latencies, retries, and schedule
-        // waits to attribute — the in-memory sessions above run at
-        // virtual time zero.
-        mediator
-            .run(
-                &query,
-                &Coverage,
-                Strategy::IDrips,
-                StopCondition::answers(3),
-                RuntimePolicy::parallel(2).with_lookahead(2),
-                &RunOptions {
-                    obs: Some(&obs),
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
+        // The session above ran on the simulator: its trace carries the
+        // (virtual) source latencies and attempts a profile attributes.
         let index = ProfileIndex::from_journal(&obs.journal);
-        let profile = index.latest().expect("the traced run profiles");
+        let profile = &index.runs()[session_run];
         profile
             .check()
             .expect("reconstructed span tree is well-formed");
@@ -182,14 +176,13 @@ fn main() {
         assert_eq!(
             profile.critical_path.to_bits(),
             makespan.to_bits(),
-            "reconstruction bit-equals the executor's reported makespan"
+            "reconstruction bit-equals the run's reported makespan"
         );
         println!("{}", profile.render_text());
     }
 
     // ---- Live introspection (opt-in) ------------------------------------
     if let Some(port) = serve_port {
-        drop(session); // close the board entry so /sessions shows the lifecycle
         let server = mediator
             .spawn_introspection(port)
             .expect("introspection server binds");

@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
-# Benchmark drivers, committed-baseline style: each bench writes a JSON
+# Benchmark drivers, committed-baseline style: the benches write one JSON
 # file at the repo root so future PRs can diff their numbers against this
 # PR's baseline.
 #
 # - bench-ordering: incremental kernel vs the preserved reference loop,
 #   with CountingMeasure eval counters (BENCH_ordering.json).
-# - bench-serving: the canonicalized reformulation cache under a mixed
-#   cold/repeated/renamed workload (BENCH_serving.json).
 # - bench-anyk: time-to-k-th-tuple of the any-k stream vs the
 #   plan-at-a-time ranked baseline, merged into BENCH_ordering.json as
 #   the "anyk" section (after bench-ordering rewrites the base file).
@@ -18,12 +16,10 @@
 #   BENCH_ordering.json as the "backends" section.
 #
 # Usage:
-#   scripts/bench.sh            # full workloads, rewrite both JSON files
+#   scripts/bench.sh            # full workloads, rewrite the JSON file
 #   scripts/bench.sh --smoke    # reduced ordering workloads, no file
 #                               # writes; exits non-zero if the >=2x
-#                               # eval-reduction gate fails (CI check;
-#                               # the serving smoke runs separately in
-#                               # scripts/ci.sh)
+#                               # eval-reduction gate fails (CI check)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,8 +44,4 @@ else
   cargo build --release -p qpo-bench --bin bench-backends
   echo "==> bench-backends --merge BENCH_ordering.json"
   ./target/release/bench-backends --merge BENCH_ordering.json
-  echo "==> cargo build --release -p qpo-bench --bin bench-serving"
-  cargo build --release -p qpo-bench --bin bench-serving
-  echo "==> bench-serving --out BENCH_serving.json"
-  ./target/release/bench-serving --out BENCH_serving.json
 fi

@@ -63,10 +63,6 @@ rm -f "$trace_file"
 echo "==> ordering-kernel bench smoke (release)"
 bash scripts/bench.sh --smoke
 
-echo "==> serving-cache bench smoke (release)"
-cargo build --release -p qpo-bench --bin bench-serving
-./target/release/bench-serving --smoke
-
 echo "==> any-k streaming bench smoke (release; fig6-anyk-m4 must release its first tuple within 6 plans)"
 cargo build --release -p qpo-bench --bin bench-anyk
 ./target/release/bench-anyk --smoke
