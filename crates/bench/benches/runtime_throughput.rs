@@ -4,8 +4,9 @@
 //! Two groups:
 //!
 //! - `runtime/simulated` — `latency_scale = 0`: pure simulation, measuring
-//!   the executor's own overhead (channels, waves, feedback) against the
-//!   serial mediator loop;
+//!   the executor's own overhead (waves, feedback) against the serial
+//!   mediator loop; nothing waits, so every worker count runs on the
+//!   calling thread and reads the same;
 //! - `runtime/latency` — a small positive `latency_scale` turns each
 //!   source access into a real sleep, so the bounded-parallel speedup of
 //!   2 and 4 workers over 1 becomes directly observable in wall time.

@@ -1,13 +1,13 @@
-//! Concurrent mediation: the mediator loop run to its budget on the
-//! `qpo-runtime` executor's worker pool.
+//! Concurrent mediation: the mediator loop run to its budget by the
+//! `qpo-runtime` executor, helper threads and all.
 //!
 //! [`Mediator::run`] orders plans exactly like [`Mediator::answer_until`]
-//! but executes them in speculative waves on a bounded pool of worker
-//! threads against *remote sources* — the deterministic simulator by
-//! default, a registered store or TCP backend by label — with latency,
-//! retries, and injected failures. It is the same loop, the same per-plan
-//! core and the same hooks ([`crate::core`]) a
-//! [`QuerySession`](crate::QuerySession) steps inline one pull at a time,
+//! but executes them in speculative waves, `policy.workers` at a time
+//! while their accesses wait, against *remote sources* — the
+//! deterministic simulator by default, a registered store or TCP backend
+//! by label — with latency, retries, and injected failures. It is the
+//! same loop, the same per-plan core and the same hooks ([`crate::core`])
+//! a [`QuerySession`](crate::QuerySession) steps inline one pull at a time,
 //! so a backend, a shared-execution memo, and a ranked tuple stream
 //! compose in one call ([`RunOptions`]). Two properties tie the two
 //! schedulers together:

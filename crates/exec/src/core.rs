@@ -2,7 +2,8 @@
 //! between the orderer and the answer set, implemented once and stepped
 //! by the one loop ([`Executor`](qpo_runtime::Executor)) — inline, one
 //! pull at a time, under a [`QuerySession`](crate::QuerySession); in
-//! waves on a worker pool under [`Mediator::run`](crate::Mediator::run).
+//! waves, with helper threads while accesses wait, under
+//! [`Mediator::run`](crate::Mediator::run).
 //!
 //! [`PlanCore`] owns the step itself: the soundness verdict (and the
 //! error behind a missing one), the rows each body atom reads — the
@@ -40,7 +41,7 @@ use qpo_datalog::{
     SourceDescription, Tuple,
 };
 use qpo_obs::{encode_plan, Counter, Gauge, Obs, Value};
-use qpo_reformulation::{PreparedQuery, Reformulation};
+use qpo_reformulation::PreparedQuery;
 use qpo_runtime::{
     AccessContext, BackendErrorClass, BindingPattern, Executor, FaultConfig, PlanEvaluator,
     PlanExecution, RuntimePolicy, SourceBackend, SourceGrid, SourceMemo, WaveObserver,
@@ -91,10 +92,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The per-plan step; see the module docs.
 pub(crate) struct PlanCore<'a> {
-    pub(crate) reform: &'a Reformulation,
-    pub(crate) inst: &'a ProblemInstance,
+    pub(crate) prepared: &'a PreparedQuery,
     pub(crate) db: &'a Database,
     pub(crate) view_map: &'a ViewMap,
+    soundness_tests: Counter,
     soundness_errors: Counter,
     /// The source grid and `patterns[bucket][index]` — the binding pattern
     /// of that bucket entry's plan atom, what its access ships and is
@@ -109,10 +110,10 @@ pub(crate) struct PlanCore<'a> {
 impl<'a> PlanCore<'a> {
     pub(crate) fn new(mediator: &'a Mediator, prepared: &'a PreparedQuery, obs: &Obs) -> Self {
         PlanCore {
-            reform: &prepared.reformulation,
-            inst: &prepared.instance,
+            prepared,
             db: mediator.database(),
             view_map: mediator.view_map(),
+            soundness_tests: obs.registry.counter("qpo_soundness_tests_total", &[]),
             soundness_errors: obs.registry.counter("qpo_soundness_test_errors_total", &[]),
             access: OnceLock::new(),
             backend: None,
@@ -175,9 +176,9 @@ impl<'a> PlanCore<'a> {
             let pattern = |entry: &qpo_reformulation::BucketEntry| {
                 BindingPattern::of_atom(&entry.atom).to_string().into()
             };
-            let patterns = self.reform.buckets.iter();
+            let patterns = self.prepared.reformulation.buckets.iter();
             (
-                SourceGrid::from_instance(self.inst),
+                SourceGrid::from_instance(&self.prepared.instance),
                 patterns.map(|b| b.iter().map(pattern).collect()).collect(),
             )
         })
@@ -186,22 +187,6 @@ impl<'a> PlanCore<'a> {
     /// The source grid the prepared query induces.
     pub(crate) fn grid(&self) -> &SourceGrid {
         &self.access().0
-    }
-
-    /// The soundness verdict for `plan_query`, and the error when the
-    /// test itself failed (such a plan counts as unsound, and the error
-    /// on `qpo_soundness_test_errors_total`, instead of being swallowed).
-    pub(crate) fn soundness(
-        &self,
-        plan_query: &ConjunctiveQuery,
-    ) -> (bool, Option<ExpansionError>) {
-        match is_sound_plan(plan_query, self.view_map, &self.reform.query) {
-            Ok(verdict) => (verdict, None),
-            Err(e) => {
-                self.soundness_errors.inc();
-                (false, Some(e))
-            }
-        }
     }
 
     /// Observes the backend's data version: when it moved (a store write,
@@ -299,7 +284,7 @@ impl<'a> PlanCore<'a> {
             return touch(slot);
         }
         touch(handoff.entry(plan.to_vec()).or_insert_with(|| Slot {
-            query: Arc::new(self.reform.plan_query(plan)),
+            query: Arc::new(self.prepared.reformulation.plan_query(plan)),
             seed: None,
             soundness_error: None,
             captured: None,
@@ -342,13 +327,22 @@ impl<'a> PlanCore<'a> {
 }
 
 impl PlanEvaluator for PlanCore<'_> {
+    /// The prepared query's verdict on `plan`: tested (and counted) the
+    /// first time any run or session over the entry asks, remembered by
+    /// it thereafter. A test that itself failed reads as unsound; its
+    /// error is reported and counted every time, remembered or not.
     fn is_sound(&self, plan: &[usize]) -> bool {
         let plan_query = self.slot(plan, |s| Arc::clone(&s.query));
-        let (sound, error) = self.soundness(&plan_query);
-        if error.is_some() {
-            self.slot(plan, |s| s.soundness_error = error);
-        }
-        sound
+        let query = &self.prepared.reformulation.query;
+        let verdict = self.prepared.verdict(plan, || {
+            self.soundness_tests.inc();
+            is_sound_plan(&plan_query, self.view_map, query)
+        });
+        verdict.unwrap_or_else(|error| {
+            self.soundness_errors.inc();
+            self.slot(plan, |s| s.soundness_error = Some(error));
+            false
+        })
     }
 
     fn evaluate(&self, plan: &[usize], fetched: &[Option<Rows>]) -> Vec<Tuple> {
@@ -587,7 +581,8 @@ impl WaveObserver for WaveHooks<'_, '_> {
             let before = shared.map_or(0, |l| l.hits());
             let levels = shared.unwrap_or(&stream.levels);
             let scorer = stream.scorer.as_ref();
-            let ranked = ranked_join(core.db, &plan_query, core.inst, scorer, plan, Some(levels));
+            let inst = &core.prepared.instance;
+            let ranked = ranked_join(core.db, &plan_query, inst, scorer, plan, Some(levels));
             hooks.memo_hits += shared.map_or(0, |l| l.hits()) - before;
             stream.gate.leave(plan);
             for (bucket, bound) in ranked.level_bounds().enumerate() {

@@ -525,6 +525,8 @@ impl Mediator {
 mod tests {
     use super::*;
     use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
+    use qpo_catalog::{Extent, MediatedSchema, SchemaRelation, SourceStats};
+    use qpo_datalog::SourceDescription;
     use qpo_utility::{Coverage, FailureCost, LinearCost};
 
     fn mediator() -> Mediator {
@@ -709,6 +711,160 @@ mod tests {
             .unwrap();
         assert!(!run.answers.is_empty());
         assert_eq!(clone.cache_stats().hits, 1, "clone hits the shared cache");
+    }
+
+    /// What the verdict memo must not change about a run: its reports
+    /// (plan, utility bits, status, soundness error, tuple counts), its
+    /// answers, and its trace (events without the journal-wide `seq`).
+    type Seen = (Vec<String>, BTreeSet<Tuple>, Vec<String>);
+
+    fn trace_since(obs: &Obs, start: usize) -> Vec<String> {
+        let events = obs.journal.events().into_iter().skip(start);
+        let line =
+            |e: qpo_obs::TraceEvent| format!("{} {:x} {:?}", e.kind, e.clock.to_bits(), e.fields);
+        events.map(line).collect()
+    }
+
+    /// `[soundness tests run, soundness tests that erred]` on `obs`.
+    fn soundness_counters(obs: &Obs) -> [u64; 2] {
+        [
+            "qpo_soundness_tests_total",
+            "qpo_soundness_test_errors_total",
+        ]
+        .map(|name| obs.registry.counter_value(name, &[]))
+    }
+
+    /// One two-worker `Mediator::run` on a tracing bundle of its own, and
+    /// that bundle's soundness counters.
+    fn traced_run(m: &Mediator, q: &ConjunctiveQuery) -> (Seen, [u64; 2]) {
+        let obs = Obs::with_trace();
+        let opts = RunOptions {
+            obs: Some(&obs),
+            ..RunOptions::default()
+        };
+        let (stop, policy) = (StopCondition::unbounded(), RuntimePolicy::parallel(2));
+        let run = m.run(q, &LinearCost, Strategy::Greedy, stop, policy, &opts);
+        let run = run.unwrap().runtime;
+        let line = |r: &qpo_runtime::PlanExecution| {
+            let bits = r.ordered.utility.to_bits();
+            format!("{:?} {bits:x} {:?}", r.ordered.plan, r.status)
+        };
+        let reports = run.reports.iter().map(line).collect();
+        let seen = (reports, run.answers, trace_since(&obs, 0));
+        (seen, soundness_counters(&obs))
+    }
+
+    /// One session drained on the mediator's own (tracing) bundle.
+    fn traced_session(m: &Mediator, q: &ConjunctiveQuery) -> Seen {
+        let start = m.obs().journal.events().len();
+        let stop = StopCondition::unbounded();
+        let run = m.answer_until(q, &LinearCost, Strategy::Greedy, stop);
+        let run = run.unwrap();
+        let line = |r: &PlanReport| {
+            let bits = r.ordered.utility.to_bits();
+            let outcome = (r.sound, &r.soundness_error, &r.failure);
+            let tuples = (r.new_tuples, r.cumulative);
+            format!("{:?} {bits:x} {outcome:?} {tuples:?}", r.ordered.plan)
+        };
+        let reports = run.reports.iter().map(line).collect();
+        (reports, run.answers, trace_since(m.obs(), start))
+    }
+
+    /// A second run and a second session over a shape the mediator has
+    /// served test no plan again and report what the first did. Returns
+    /// the session's view, and how many tests erred: an error is reported
+    /// and counted every time, remembered or not.
+    fn the_second_time_tests_nothing(
+        fresh: impl Fn() -> Mediator,
+        q: &ConjunctiveQuery,
+    ) -> (Seen, u64) {
+        let m = fresh();
+        let ((first, [tested, erred]), (second, again)) = (traced_run(&m, q), traced_run(&m, q));
+        assert!(tested > 0);
+        assert_eq!(again, [0, erred], "nothing tested twice; errors recounted");
+        assert_eq!(first, second);
+
+        let obs = Obs::with_trace();
+        let m = fresh().with_obs(&obs);
+        let first = traced_session(&m, q);
+        assert_eq!(soundness_counters(&obs), [tested, erred]);
+        assert_eq!(first, traced_session(&m, q));
+        assert_eq!(soundness_counters(&obs), [tested, 2 * erred]);
+        assert!(!first.2.is_empty(), "the sessions were traced");
+        (first, erred)
+    }
+
+    #[test]
+    fn a_served_shape_is_not_soundness_tested_again() {
+        let (seen, erred) = the_second_time_tests_nothing(mediator, &movie_query());
+        assert_eq!((seen.0.len(), erred), (9, 0));
+    }
+
+    #[test]
+    fn unsound_verdicts_are_remembered_too() {
+        // `session_equivalence.rs`'s trap: every plan through `u1` is
+        // unsound and, being cheap, emitted first.
+        let trap = || {
+            let relations = [("play_in", 2), ("american", 1), ("russian", 1)];
+            let relations = relations.map(|(name, arity)| SchemaRelation::new(name, arity));
+            let mut catalog = Catalog::new(MediatedSchema::with_relations(relations));
+            for (view, start, len, alpha, access) in [
+                ("u1(A) :- play_in(A, M), russian(M)", 0, 40, 0.5, 1.0),
+                ("u2(A, M) :- play_in(A, M), american(M)", 100, 400, 4.0, 8.0),
+                ("u3(M) :- american(M)", 100, 400, 2.0, 4.0),
+            ] {
+                let view = SourceDescription::new(qpo_datalog::parse_query(view).unwrap());
+                let stats = SourceStats::new()
+                    .with_extent(Extent::new(start, len))
+                    .with_transmission_cost(alpha)
+                    .with_access_cost(access);
+                catalog.add_source(view, stats).unwrap();
+            }
+            Mediator::new(catalog, 1000, &["ford", "hanks"])
+        };
+        let q = qpo_datalog::parse_query("q(A) :- play_in(A, M), american(M)").unwrap();
+        let (seen, erred) = the_second_time_tests_nothing(trap, &q);
+        assert_eq!(erred, 0);
+        assert!(seen.0[0].contains("(false, None, None)"), "{:?}", seen.0);
+        assert!(seen.0.iter().any(|r| r.contains("(true, None, None)")));
+    }
+
+    #[test]
+    fn a_soundness_test_that_errs_is_reported_and_counted_every_time() {
+        // The only way a test can err: the view map out of step with the
+        // catalog the buckets came from — here it has lost `v3`.
+        let erring = || {
+            let m = mediator();
+            let mut views = (*m.view_map).clone();
+            views.remove("v3").expect("the movie domain has v3");
+            Mediator {
+                view_map: Arc::new(views),
+                ..m
+            }
+        };
+        let (seen, erred) = the_second_time_tests_nothing(erring, &movie_query());
+        assert_eq!(erred, 3, "v3 × three review sources");
+        let reported = seen.0.iter().filter(|r| r.contains("Some(UnknownSource"));
+        assert_eq!(reported.count(), 3);
+    }
+
+    #[test]
+    fn an_evicted_shape_is_tested_again() {
+        let m = mediator().with_cache_capacity(1);
+        let tests = || soundness_counters(m.obs())[0];
+        let serve = |q: &ConjunctiveQuery| {
+            m.answer(q, &LinearCost, Strategy::Greedy, 9).unwrap();
+        };
+        serve(&movie_query());
+        let once = tests();
+        serve(&movie_query());
+        assert_eq!((once, tests()), (9, 9), "remembered while cached");
+        // Another shape takes the only cache slot; the first entry's
+        // verdicts go with it.
+        serve(&qpo_datalog::parse_query("q(M, R) :- play_in(hanks, M), review_of(R, M)").unwrap());
+        serve(&movie_query());
+        assert_eq!(tests(), 3 * once);
+        assert_eq!(m.cache_stats().evictions, 2);
     }
 
     #[test]

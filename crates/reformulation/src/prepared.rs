@@ -19,14 +19,20 @@
 
 use crate::assemble::{reformulate, Reformulation, ReformulationError};
 use qpo_catalog::{Catalog, ProblemInstance};
-use qpo_datalog::{CanonicalQuery, ConjunctiveQuery};
+use qpo_datalog::{CanonicalQuery, ConjunctiveQuery, ExpansionError};
 use qpo_obs::{Counter, Obs};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+/// By the plan's mixed-radix number: sound or not — a byte an entry — and
+/// the error of the rare test that itself failed.
+type Verdicts = (BTreeMap<u64, bool>, BTreeMap<u64, ExpansionError>);
+
 /// Everything the serving layer needs to order and execute plans for one
 /// query shape: the symbolic reformulation plus the numeric instance.
-/// Pure and immutable — share it freely across sessions and threads.
+/// Pure, and immutable but for a memo of another pure function — the
+/// verdicts of the plans tested so far ([`PreparedQuery::verdict`]) —
+/// so share it freely across sessions and threads.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     /// The representative query this entry was prepared from.
@@ -41,12 +47,47 @@ pub struct PreparedQuery {
     pub universe: u64,
     /// Access overhead `h` the instance was assembled with.
     pub overhead: f64,
+    /// For the plans tested so far only.
+    verdicts: Arc<Mutex<Verdicts>>,
 }
 
 impl PreparedQuery {
     /// Number of candidate plans in the instance's Cartesian product.
     pub fn plan_count(&self) -> usize {
         self.instance.plan_count()
+    }
+
+    /// The soundness verdict of `plan`: `test`ed — a pure function of the
+    /// entry and the plan — the first time a run or session over this
+    /// entry asks, answered from memory thereafter, the test's own error
+    /// included. (A plan space beyond 64 bits is tested every time.)
+    pub fn verdict(
+        &self,
+        plan: &[usize],
+        test: impl FnOnce() -> Result<bool, ExpansionError>,
+    ) -> Result<bool, ExpansionError> {
+        let sizes = self.instance.buckets.iter().map(|b| b.len() as u64);
+        let number = plan.iter().zip(sizes).try_fold(0u64, |n, (&i, size)| {
+            n.checked_mul(size)?.checked_add(i as u64)
+        });
+        let Some(number) = number else {
+            return test();
+        };
+        // Poison recovery: an update is whole-entry inserts, error first.
+        let verdicts = || self.verdicts.lock().unwrap_or_else(|e| e.into_inner());
+        let known = {
+            let (sound, errors) = &*verdicts();
+            let error = || errors.get(&number).cloned();
+            sound.get(&number).map(|&s| error().map_or(Ok(s), Err))
+        };
+        // Tested outside the lock; a racing thread stores the same verdict.
+        known.unwrap_or_else(|| {
+            let verdict = test();
+            let (sound, errors) = &mut *verdicts();
+            errors.extend(verdict.clone().err().map(|e| (number, e)));
+            sound.insert(number, matches!(verdict, Ok(true)));
+            verdict
+        })
     }
 }
 
@@ -67,6 +108,7 @@ pub fn prepare(
         instance,
         universe,
         overhead,
+        verdicts: Arc::default(),
     })
 }
 

@@ -9,20 +9,29 @@
 //! execute (the same assumption the serial mediator makes), which is why,
 //! with faults disabled, any lookahead reproduces the serial ordering
 //! exactly. The plans of one such *wave* perform their source accesses
-//! (retries, backoff, timeouts) and are evaluated — on the worker threads
-//! of [`Executor::run`]'s pool, or inline on the caller's thread when the
-//! run is stepped by hand; the coordinator merges completions in emission
-//! order, so answers and per-plan novelty counts are deterministic. When a
-//! plan fails, the coordinator reports it back via
-//! [`PlanOrderer::observe`] so later pops are conditioned on what actually
-//! ran.
+//! (retries, backoff, timeouts) and are evaluated; the coordinator merges
+//! completions in emission order, so answers and per-plan novelty counts
+//! are deterministic. When a plan fails, the coordinator reports it back
+//! via [`PlanOrderer::observe`] so later pops are conditioned on what
+//! actually ran.
+//!
+//! **Threads are for waiting.** A plan leaves the coordinating thread only
+//! if executing it *waits* — it calls a backend that does I/O (any but the
+//! simulator; memo-resolved slots included, whose rows the evaluator may
+//! still fetch), or sleeps a simulated latency (`latency_scale > 0` and a
+//! slot the memo did not resolve): a fact about the job and the policy,
+//! never a measured duration. Everything else runs on the coordinator in
+//! emission order — and in a wave that waits the coordinator is lane 0: it
+//! keeps the first waiting plan and [`Executor::run`] hands the others to
+//! at most `workers − 1` helper threads, spawned on first need. (What that
+//! gives up, and the ≈ 80 µs break-even of a hand-off: DESIGN.md.)
 //!
 //! The loop is explicit: [`Executor::begin`] opens a [`RunState`],
 //! [`Executor::step`] advances it by one reported plan (popping and
 //! merging a whole wave when none is pending), [`RunState::finish`] seals
-//! it. [`Executor::run`] is `begin`, a scoped pool, `while let Some(..) =
-//! step`, `finish`; a pull-based session is the same run paused between
-//! pulls.
+//! it. [`Executor::run`] is `begin`, `while let Some(..) = step`, `finish`
+//! inside a thread scope the helpers live in; a pull-based session is the
+//! same run paused between pulls.
 //!
 //! ## Determinism
 //!
@@ -55,7 +64,7 @@ use crossbeam::channel;
 use qpo_core::{OrderedPlan, PlanOrderer, PlanOutcome};
 use qpo_datalog::Tuple;
 use qpo_obs::{Counter, Gauge, Histogram, Obs, Value};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -100,7 +109,7 @@ pub trait PlanEvaluator: Sync {
 }
 
 /// A hook into the coordinator's deterministic wave loop, called only
-/// from the coordinator thread (never from workers): once when a plan is
+/// from the coordinator thread (never from helpers): once when a plan is
 /// popped and scheduled (speculatively — no outcome known yet) and once
 /// when its completion merges (outcome and answers final). Both calls
 /// carry the serial virtual clock, so anything the observer derives —
@@ -109,7 +118,7 @@ pub trait PlanEvaluator: Sync {
 /// across worker counts. `qpo-exec`'s any-k streaming attaches per-plan
 /// ranked tuple streams here.
 pub trait WaveObserver {
-    /// A plan was popped from the orderer and handed to the workers.
+    /// A plan was popped from the orderer and is about to execute.
     /// `vclock` is the serial virtual time of its `plan_scheduled` event.
     fn plan_scheduled(&mut self, _seq: u64, _ordered: &OrderedPlan, _vclock: f64) {}
 
@@ -329,7 +338,7 @@ struct Job {
     resolved: Vec<Option<SourceAccess>>,
 }
 
-/// One resolved source-access attempt, captured on the worker for the
+/// One resolved source-access attempt, captured by the job for the
 /// trace journal. `offset` is virtual time *relative to the plan's start*
 /// (each source is accessed in parallel, so offsets restart per source);
 /// the coordinator anchors it to the journal's serial clock at merge.
@@ -385,6 +394,9 @@ struct RunMetrics {
     memo_hits: Counter,
     memo_misses: Counter,
     memo_bytes: Gauge,
+    /// `qpo_runtime_access_latency{source,backend}` by `(bucket, index)`:
+    /// one registry walk per source the run touches, at its first access.
+    access_latency: BTreeMap<(usize, usize), Histogram>,
     /// Backend infrastructure errors by class, labeled with the backend
     /// kind: `[transient, permanent]`. `None` without a backend.
     backend_errors: Option<[Counter; 2]>,
@@ -413,6 +425,7 @@ impl RunMetrics {
             memo_hits: memo("qpo_memo_hits_total"),
             memo_misses: memo("qpo_memo_misses_total"),
             memo_bytes: obs.registry.gauge("qpo_memo_bytes", &[("layer", "source")]),
+            access_latency: BTreeMap::new(),
             backend_errors: backend.map(|kind| {
                 [BackendErrorClass::Transient, BackendErrorClass::Permanent].map(|class| {
                     let labels = [("backend", kind), ("class", class.label())];
@@ -423,9 +436,16 @@ impl RunMetrics {
     }
 }
 
-/// The worker pool of one [`Executor::run`]: jobs out, completions back.
-struct Pool {
+/// The helper threads of one [`Executor::run`], beside the coordinating
+/// thread: jobs out, completions back. None is spawned before a wave
+/// hands a job off.
+struct Pool<'p> {
+    /// Spawns one more helper inside the run's scope.
+    spawn: &'p dyn Fn(),
+    helpers: usize,
     jobs: channel::Sender<Job>,
+    /// The pool's own end of the job queue, to take a job back.
+    unclaimed: &'p channel::Receiver<Job>,
     done: channel::Receiver<Completion>,
 }
 
@@ -574,7 +594,8 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
     }
 
     /// Runs the orderer to completion of `budget` (or plan-space
-    /// exhaustion), executing plans on `policy.workers` threads.
+    /// exhaustion), up to `policy.workers` plans executing at once — on
+    /// this thread and, while accesses wait, on helpers (module docs).
     ///
     /// ## The two clocks
     ///
@@ -600,11 +621,10 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         let mut state = self.begin(orderer);
         let mut reports: Vec<PlanExecution> = Vec::new();
         crossbeam::thread::scope(|s| {
-            let (jobs, job_rx) = channel::unbounded::<Job>();
-            let (done_tx, done) = channel::unbounded::<Completion>();
-            for _ in 0..self.policy.workers.max(1) {
-                let rx = job_rx.clone();
-                let tx = done_tx.clone();
+            let (jobs, unclaimed) = channel::unbounded::<Job>();
+            let (completions, done) = channel::unbounded::<Completion>();
+            let spawn = || {
+                let (rx, tx) = (unclaimed.clone(), completions.clone());
                 s.spawn(move |_| {
                     while let Ok(job) = rx.recv() {
                         if tx.send(self.execute_job(job)).is_err() {
@@ -612,14 +632,18 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                         }
                     }
                 });
-            }
-            drop(job_rx);
-            drop(done_tx);
+            };
             // Dropped with the closure — on unwind too — which hangs up
-            // the job channel and lets the workers exit.
-            let pool = Pool { jobs, done };
+            // the job channel and lets helpers parked on it exit.
+            let mut pool = Pool {
+                spawn: &spawn,
+                helpers: 0,
+                jobs,
+                unclaimed: &unclaimed,
+                done,
+            };
             while let Some(report) =
-                self.advance(&mut state, orderer, budget, observer, Some(&pool))
+                self.advance(&mut state, orderer, budget, observer, Some(&mut pool))
             {
                 reports.push(report);
             }
@@ -718,7 +742,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         orderer: &mut dyn PlanOrderer,
         budget: RunBudget,
         observer: &mut dyn WaveObserver,
-        pool: Option<&Pool>,
+        pool: Option<&mut Pool<'_>>,
     ) -> Option<PlanExecution> {
         if let Some(report) = state.ready.pop_front() {
             return Some(report);
@@ -787,25 +811,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                 resolved,
             });
         }
-        let mut wave: Vec<Completion> = match pool {
-            Some(pool) => {
-                let in_flight = jobs.len();
-                for job in jobs {
-                    assert!(
-                        pool.jobs.send(job).is_ok(),
-                        "workers outlive the coordinator loop"
-                    );
-                }
-                (0..in_flight)
-                    .map(|_| {
-                        pool.done
-                            .recv()
-                            .expect("workers send one completion per job")
-                    })
-                    .collect()
-            }
-            None => jobs.into_iter().map(|job| self.execute_job(job)).collect(),
-        };
+        let mut wave = self.dispatch(jobs, pool);
         wave.sort_by_key(|c| c.seq);
         let latencies = wave.iter().map(|c| plan_latency(&c.accesses));
         state.stats.virtual_time += makespan(latencies, self.policy.workers);
@@ -815,6 +821,44 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             state.ready.push_back(report);
         }
         state.ready.pop_front()
+    }
+
+    /// Executes one wave under the dispatch rule (module docs): hands the
+    /// waiting jobs but the first to the pool's helpers, executes the rest
+    /// here in emission order, takes back what no helper has claimed by
+    /// then, and only then blocks on completions.
+    fn dispatch(&self, jobs: Vec<Job>, mut pool: Option<&mut Pool<'_>>) -> Vec<Completion> {
+        let total = jobs.len();
+        let io = matches!(&self.sources, Some((_, backend)) if backend.kind() != "sim");
+        let sleeps = self.sources.is_some() && self.policy.latency_scale > 0.0;
+        let waits = |job: &Job| {
+            io || (sleeps && job.resolved.iter().flatten().count() < job.ordered.plan.len())
+        };
+        let max_helpers = self.policy.workers.max(1) - 1;
+        let mut lane0_free = true;
+        let (handed, kept): (Vec<Job>, Vec<Job>) = jobs.into_iter().partition(|job| {
+            pool.is_some() && max_helpers > 0 && waits(job) && !std::mem::take(&mut lane0_free)
+        });
+        if let Some(pool) = &mut pool {
+            while pool.helpers < handed.len().min(max_helpers) {
+                (pool.spawn)();
+                pool.helpers += 1;
+            }
+            for job in handed {
+                assert!(pool.jobs.send(job).is_ok(), "the pool holds a receiver");
+            }
+        }
+        let mut wave: Vec<_> = kept.into_iter().map(|job| self.execute_job(job)).collect();
+        if let Some(pool) = pool {
+            while let Ok(job) = pool.unclaimed.try_recv() {
+                wave.push(self.execute_job(job));
+            }
+            while wave.len() < total {
+                let done = pool.done.recv();
+                wave.push(done.expect("helpers send one completion per job"));
+            }
+        }
+        wave
     }
 
     /// Coordinator-side memo consult at dispatch time: resolves each of
@@ -909,11 +953,10 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             metrics
                 .retries_per_access
                 .record(f64::from(a.attempts) - 1.0);
-            registry
-                .histogram(
-                    "qpo_runtime_access_latency",
-                    &[("source", &a.name), ("backend", backend_kind)],
-                )
+            let handle = metrics.access_latency.entry((a.bucket, a.index));
+            let labels = [("source", a.name.as_str()), ("backend", backend_kind)];
+            handle
+                .or_insert_with(|| registry.histogram("qpo_runtime_access_latency", &labels))
                 .record(a.latency);
         }
         for (class, &count) in metrics.backend_errors.iter().flatten().zip(&backend_errors) {
@@ -1081,10 +1124,10 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
     }
 
     /// Performs the plan's source accesses through the backend, then
-    /// evaluates it if everything succeeded — on a pool worker, or inline
-    /// on the stepping thread. Attempt-level trace events are collected
-    /// here (relative to the plan's start) and handed to the merge, the
-    /// only place that writes the journal.
+    /// evaluates it if everything succeeded — on the coordinating thread
+    /// or a helper. Attempt-level trace events are collected here
+    /// (relative to the plan's start) and handed to the merge, the only
+    /// place that writes the journal.
     fn execute_job(&self, job: Job) -> Completion {
         let Job {
             seq,
@@ -1350,6 +1393,9 @@ mod tests {
     use qpo_core::Pi;
     use qpo_datalog::Constant;
     use qpo_utility::Coverage;
+    use std::collections::HashSet;
+    use std::sync::{Condvar, Mutex};
+    use std::thread::{self, ThreadId};
 
     /// A toy integration system: a plan's answers are the items in the
     /// intersection of its sources' extents (the join of the coverage
@@ -1633,6 +1679,193 @@ mod tests {
         let run = Executor::new(&grid, &eval, policy).run(&mut probe, RunBudget::unbounded());
         assert_eq!(run.failed(), 2, "plans through w1 fail");
         assert_eq!(probe.failures_seen.get(), 2, "each failure observed once");
+    }
+
+    /// A reusable barrier whose wait fails the test instead of hanging it.
+    struct Rendezvous {
+        parties: usize,
+        /// Arrived so far, and how many times the barrier has opened.
+        state: Mutex<(usize, u64)>,
+        opened: Condvar,
+    }
+
+    impl Rendezvous {
+        fn of(parties: usize) -> Self {
+            Rendezvous {
+                parties,
+                state: Mutex::default(),
+                opened: Condvar::new(),
+            }
+        }
+
+        fn wait(&self) {
+            let mut state = self.state.lock().unwrap();
+            state.0 += 1;
+            if state.0 == self.parties {
+                *state = (0, state.1 + 1);
+                self.opened.notify_all();
+                return;
+            }
+            let turn = state.1;
+            let patience = Duration::from_secs(10);
+            let wait = self
+                .opened
+                .wait_timeout_while(state, patience, |s| s.1 == turn);
+            assert!(!wait.unwrap().1.timed_out(), "a lane never arrived");
+        }
+    }
+
+    /// [`ToyEval`], recording the thread each plan's job runs on; it can
+    /// hold every job at a rendezvous, or panic on one plan.
+    struct Recording {
+        toy: ToyEval,
+        threads: Mutex<Vec<ThreadId>>,
+        rendezvous: Option<Rendezvous>,
+        panic_on: Option<Vec<usize>>,
+    }
+
+    impl Recording {
+        fn new() -> Self {
+            Recording {
+                toy: ToyEval { inst: inst() },
+                threads: Mutex::default(),
+                rendezvous: None,
+                panic_on: None,
+            }
+        }
+
+        /// The distinct threads recorded so far, clearing the record.
+        fn take_threads(&self) -> HashSet<ThreadId> {
+            std::mem::take(&mut *self.threads.lock().unwrap())
+                .into_iter()
+                .collect()
+        }
+    }
+
+    impl PlanEvaluator for Recording {
+        fn is_sound(&self, plan: &[usize]) -> bool {
+            self.threads.lock().unwrap().push(thread::current().id());
+            assert_ne!(self.panic_on.as_deref(), Some(plan), "scripted panic");
+            if let Some(rendezvous) = &self.rendezvous {
+                rendezvous.wait();
+            }
+            true
+        }
+
+        fn evaluate(&self, plan: &[usize], fetched: &[Option<Arc<Vec<Tuple>>>]) -> Vec<Tuple> {
+            self.toy.evaluate(plan, fetched)
+        }
+    }
+
+    /// A backend that does I/O as far as the executor can tell, each
+    /// access optionally held at a rendezvous.
+    struct WaitingBackend(Option<Rendezvous>);
+
+    impl SourceBackend for WaitingBackend {
+        fn kind(&self) -> &'static str {
+            "waiting-test"
+        }
+
+        fn access(
+            &self,
+            _: &SourceService,
+            _: &AccessContext<'_>,
+        ) -> Result<crate::backend::AccessReply, crate::backend::BackendError> {
+            if let Some(rendezvous) = &self.0 {
+                rendezvous.wait();
+            }
+            Ok(crate::backend::AccessReply {
+                access: crate::source::Access {
+                    outcome: AccessOutcome::Success,
+                    latency: 1.0,
+                },
+                tuples: None,
+                remote: None,
+            })
+        }
+    }
+
+    #[test]
+    fn jobs_with_nothing_to_wait_for_run_on_the_calling_thread() {
+        let inst = inst();
+        let grid = SourceGrid::from_instance(&inst);
+        let eval = Recording::new();
+        let caller = HashSet::from([thread::current().id()]);
+        let policy = RuntimePolicy::parallel(4);
+        let memo = SourceMemo::new();
+        let simulated = Executor::new(&grid, &eval, policy.clone());
+        let memoized = Executor::new(&grid, &eval, policy.clone()).with_source_memo(&memo);
+        let local = Executor::local(&eval, policy);
+        for (label, executor) in [("sim", simulated), ("memo", memoized), ("local", local)] {
+            let run = executor.run(&mut Pi::new(&inst, &Coverage), RunBudget::unbounded());
+            assert_eq!(run.executed(), 6, "{label}");
+            assert_eq!(eval.take_threads(), caller, "{label}");
+        }
+    }
+
+    #[test]
+    fn the_coordinator_is_a_lane_and_helpers_number_workers_minus_one() {
+        let inst = inst();
+        let grid = SourceGrid::from_instance(&inst);
+        for (workers, plans) in [(2, 4), (2, 6), (3, 3), (3, 6)] {
+            // Every access of a wave meets every other: the wave's
+            // `workers` jobs are on `workers` threads at once, or time out.
+            let backend = Arc::new(WaitingBackend(Some(Rendezvous::of(workers))));
+            let eval = Recording::new();
+            let run = Executor::new(&grid, &eval, RuntimePolicy::parallel(workers))
+                .with_backend(backend)
+                .run(&mut Pi::new(&inst, &Coverage), RunBudget::plans(plans));
+            assert_eq!(run.executed(), plans);
+            let threads = eval.take_threads();
+            assert_eq!(threads.len(), workers, "workers={workers} plans={plans}");
+            assert!(threads.contains(&thread::current().id()), "lane 0");
+        }
+    }
+
+    #[test]
+    fn a_simulated_job_leaves_the_coordinator_only_to_sleep() {
+        let inst = inst();
+        let grid = SourceGrid::from_instance(&inst);
+        let caller = thread::current().id();
+        let memo = SourceMemo::new();
+        let policy = RuntimePolicy::parallel(2).with_latency_scale(1e-4);
+        // Cold: both plans of the wave have live slots, hence sleep. They
+        // meet at the rendezvous, so they are on two threads.
+        let mut eval = Recording::new();
+        eval.rendezvous = Some(Rendezvous::of(2));
+        let run = |eval: &Recording| {
+            Executor::new(&grid, eval, policy.clone())
+                .with_source_memo(&memo)
+                .run(&mut Pi::new(&inst, &Coverage), RunBudget::plans(2))
+        };
+        assert_eq!(run(&eval).stats.memo_hits, 0);
+        let threads = eval.take_threads();
+        assert!(threads.len() == 2 && threads.contains(&caller));
+        // Warm: the memo resolves every slot of the same wave — nothing to
+        // sleep on, nothing handed off.
+        eval.rendezvous = None;
+        assert_eq!(run(&eval).stats.memo_hits, 4);
+        assert_eq!(eval.take_threads(), HashSet::from([caller]));
+    }
+
+    #[test]
+    fn a_panic_on_the_coordinator_unwinds_out_of_run_past_the_helpers() {
+        let (outcome, unwound) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let inst = inst();
+            let grid = SourceGrid::from_instance(&inst);
+            let mut eval = Recording::new();
+            // The first plan popped: the wave's first waiting job, lane 0.
+            eval.panic_on = Pi::new(&inst, &Coverage).next_plan().map(|p| p.plan);
+            let executor = Executor::new(&grid, &eval, RuntimePolicy::parallel(2))
+                .with_backend(Arc::new(WaitingBackend(None)));
+            let run = std::panic::AssertUnwindSafe(|| {
+                executor.run(&mut Pi::new(&inst, &Coverage), RunBudget::unbounded())
+            });
+            let _ = outcome.send(std::panic::catch_unwind(run).is_err());
+        });
+        let patience = Duration::from_secs(10);
+        assert_eq!(unwound.recv_timeout(patience), Ok(true), "run hung");
     }
 
     fn run_memoized(policy: RuntimePolicy, budget: RunBudget, memo: &SourceMemo) -> RuntimeRun {

@@ -15,7 +15,7 @@
 //! - [`executor`] — a speculative bounded-parallel executor over any
 //!   [`PlanOrderer`](qpo_core::PlanOrderer), as one steppable loop: pops
 //!   stay serial (utilities are conditioned on emission order), a wave
-//!   executes on worker threads or inline on the stepping thread,
+//!   executes on the stepping thread, plus helpers while accesses wait,
 //!   completions merge back in emission order, and failures degrade the
 //!   run gracefully instead of aborting it;
 //! - [`feedback`] — observed tuples and failures flow back into the

@@ -79,15 +79,40 @@ struct MemoEntry {
     backend_epoch: u64,
 }
 
+/// What [`SourceMemo::approx_bytes`] charges one entry.
+fn entry_bytes(pattern: &str) -> usize {
+    std::mem::size_of::<(usize, usize, Arc<str>)>()
+        + pattern.len()
+        + std::mem::size_of::<MemoEntry>()
+}
+
 #[derive(Debug, Default)]
 struct MemoInner {
-    entries: BTreeMap<(usize, usize, Arc<str>), MemoEntry>,
+    /// `(bucket, index) → pattern → entry`, so a probe borrows its
+    /// pattern instead of allocating a key.
+    entries: BTreeMap<(usize, usize), BTreeMap<Arc<str>, MemoEntry>>,
+    /// Running [`entry_bytes`] total over `entries`.
+    bytes: usize,
     epoch: u64,
     run_token: u64,
     backend_epoch: u64,
     hits: u64,
     misses: u64,
     stores: u64,
+}
+
+impl MemoInner {
+    fn get(&self, bucket: usize, index: usize, pattern: &str) -> Option<&MemoEntry> {
+        let live = self.entries.get(&(bucket, index))?.get(pattern);
+        live.filter(|e| e.epoch == self.epoch)
+    }
+
+    fn retain(&mut self, keep: impl Fn(&MemoEntry) -> bool) {
+        let patterns = self.entries.values_mut();
+        patterns.for_each(|patterns| patterns.retain(|_, e| keep(e)));
+        let kept = self.entries.values().flat_map(BTreeMap::keys);
+        self.bytes = kept.map(|pattern| entry_bytes(pattern)).sum();
+    }
 }
 
 /// Cross-plan source-access memo, cheaply cloneable (shared interior).
@@ -126,57 +151,48 @@ impl SourceMemo {
             return;
         }
         inner.backend_epoch = epoch;
-        inner.entries.retain(|_, e| e.backend_epoch == epoch);
+        inner.retain(|e| e.backend_epoch == epoch);
     }
 
     /// Looks up the cached outcome for `(bucket, index, pattern)`,
     /// counting a hit or miss.
     pub fn lookup(&self, bucket: usize, index: usize, pattern: &str) -> Option<MemoHit> {
         let mut inner = self.lock();
-        let epoch = inner.epoch;
-        let token = inner.run_token;
-        match inner.entries.get(&(bucket, index, Arc::from(pattern))) {
-            Some(e) if e.epoch == epoch => {
-                let hit = MemoHit {
-                    outcome: e.outcome,
-                    warm: e.run_token != token,
-                };
-                inner.hits += 1;
-                Some(hit)
-            }
-            _ => {
-                inner.misses += 1;
-                None
-            }
+        let hit = inner.get(bucket, index, pattern).map(|e| MemoHit {
+            outcome: e.outcome,
+            warm: e.run_token != inner.run_token,
+        });
+        match hit {
+            Some(_) => inner.hits += 1,
+            None => inner.misses += 1,
         }
+        hit
     }
 
     /// Whether a live entry exists, without counting a hit or miss. Used
     /// by reuse-aware scheduling to score overlap without skewing the
     /// hit-rate statistics.
     pub fn contains(&self, bucket: usize, index: usize, pattern: &str) -> bool {
-        let inner = self.lock();
-        inner
-            .entries
-            .get(&(bucket, index, Arc::from(pattern)))
-            .is_some_and(|e| e.epoch == inner.epoch)
+        self.lock().get(bucket, index, pattern).is_some()
     }
 
     /// Stores a terminal outcome in the current epoch.
     pub fn store(&self, bucket: usize, index: usize, pattern: &str, outcome: MemoOutcome) {
         let mut inner = self.lock();
-        let epoch = inner.epoch;
-        let token = inner.run_token;
-        let backend_epoch = inner.backend_epoch;
-        inner.entries.insert(
-            (bucket, index, Arc::from(pattern)),
-            MemoEntry {
-                outcome,
-                epoch,
-                run_token: token,
-                backend_epoch,
-            },
-        );
+        let entry = MemoEntry {
+            outcome,
+            epoch: inner.epoch,
+            run_token: inner.run_token,
+            backend_epoch: inner.backend_epoch,
+        };
+        let patterns = inner.entries.entry((bucket, index)).or_default();
+        match patterns.get_mut(pattern) {
+            Some(stored) => *stored = entry,
+            None => {
+                patterns.insert(Arc::from(pattern), entry);
+                inner.bytes += entry_bytes(pattern);
+            }
+        }
         inner.stores += 1;
     }
 
@@ -187,7 +203,7 @@ impl SourceMemo {
         let mut inner = self.lock();
         inner.epoch += 1;
         let epoch = inner.epoch;
-        inner.entries.retain(|_, e| e.epoch == epoch);
+        inner.retain(|e| e.epoch == epoch);
     }
 
     /// The current invalidation epoch.
@@ -213,8 +229,8 @@ impl SourceMemo {
     /// Number of live cached entries.
     pub fn len(&self) -> usize {
         let inner = self.lock();
-        let epoch = inner.epoch;
-        inner.entries.values().filter(|e| e.epoch == epoch).count()
+        let entries = inner.entries.values().flat_map(BTreeMap::values);
+        entries.filter(|e| e.epoch == inner.epoch).count()
     }
 
     /// Whether the memo holds no live entries.
@@ -225,16 +241,7 @@ impl SourceMemo {
     /// Approximate resident bytes of the memo (keys plus entries), for
     /// the `qpo_memo_bytes` gauge.
     pub fn approx_bytes(&self) -> usize {
-        let inner = self.lock();
-        inner
-            .entries
-            .iter()
-            .map(|((_, _, pattern), _)| {
-                std::mem::size_of::<(usize, usize, Arc<str>)>()
-                    + pattern.len()
-                    + std::mem::size_of::<MemoEntry>()
-            })
-            .sum()
+        self.lock().bytes
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, MemoInner> {

@@ -126,8 +126,9 @@ impl Default for RetryPolicy {
 /// Everything the executor needs to know about *how* to run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimePolicy {
-    /// Worker threads executing plans (≥ 1). Affects wall time only, never
-    /// results.
+    /// Plans in flight at once (≥ 1), the coordinating thread included;
+    /// threads beyond it exist only while an access waits. Affects wall
+    /// time only, never results.
     pub workers: usize,
     /// Speculation depth: how many plans are popped from the orderer and
     /// put in flight before their outcomes are known (≥ 1). Pops within a

@@ -2,31 +2,34 @@
 # Paired end-to-end comparison of this checkout against its parent: the
 # protocol behind every `bench_e2e` claim in CHANGES.md / ROADMAP.md.
 #
-#   scripts/bench_pair.sh <workload> [--seed N] [--pairs 10] [--parent REV]
+#   scripts/bench_pair.sh <workload>... [--seed N] [--pairs 10] [--parent REV]
 #
 # Extracts REV (default: HEAD when the tree has uncommitted changes, else
-# HEAD~1) into a temporary directory, builds both sides once, then runs
+# HEAD~1) into a temporary directory — once, however many workloads are
+# named — builds both sides once, then, workload by workload, runs
 # `bash bench_e2e/run.sh --workload W --seed N --seconds 15 --trace 0`
 # in pairs, alternating which side goes first, so drift of the machine
-# lands on both sides alike. Prints, per end-to-end metric of
-# BENCHMARK.json, each side's quartiles and median, the change of the
-# median, and in how many pairs the change was better. A claimed gain
-# wants wins >= 9 of 10 and a median gain beyond the parent's q1..q3.
+# lands on both sides alike. Prints one table per workload: per
+# end-to-end metric of BENCHMARK.json, each side's quartiles and median,
+# the change of the median, and in how many pairs the change was better.
+# A claimed gain wants wins >= 9 of 10 and a median gain beyond the
+# parent's q1..q3.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-workload="${1:?usage: scripts/bench_pair.sh <workload> [--seed N] [--pairs 10] [--parent REV]}"
-shift
-seed=2002 pairs=10 parent=""
+usage='usage: scripts/bench_pair.sh <workload>... [--seed N] [--pairs 10] [--parent REV]'
+workloads=() seed=2002 pairs=10 parent=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --seed) seed="$2" ;;
-    --pairs) pairs="$2" ;;
-    --parent) parent="$2" ;;
-    *) echo "bench_pair: unknown argument \"$1\"" >&2; exit 2 ;;
+    --seed) seed="$2"; shift ;;
+    --pairs) pairs="$2"; shift ;;
+    --parent) parent="$2"; shift ;;
+    --*) echo "bench_pair: unknown argument \"$1\"" >&2; exit 2 ;;
+    *) workloads+=("$1") ;;
   esac
-  shift 2
+  shift
 done
+[[ ${#workloads[@]} -gt 0 ]] || { echo "$usage" >&2; exit 2; }
 if [[ -z "$parent" ]]; then
   if git diff --quiet HEAD; then parent="HEAD~1"; else parent="HEAD"; fi
 fi
@@ -35,10 +38,10 @@ tmp="$(mktemp -d "${TMPDIR:-/tmp}/qpo-bench-pair.XXXXXX")"
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent"
 git archive "$parent" | tar -x -C "$tmp/parent"
-echo "parent: $(git rev-parse --short "$parent") in $tmp/parent; change: working tree; $pairs pairs of $workload at seed $seed" >&2
+echo "parent: $(git rev-parse --short "$parent") in $tmp/parent; change: working tree; $pairs pairs of ${workloads[*]} at seed $seed" >&2
 
-# One run in directory $1; prints the JSON result line, fails on a wrong
-# or failing run.
+# One run of $workload in directory $1 (its first builds that side);
+# prints the JSON result line, fails on a wrong or failing run.
 run() {
   local line
   line="$(cd "$1" && env -u CARGO_TARGET_DIR bash bench_e2e/run.sh \
@@ -48,18 +51,6 @@ run() {
   echo "$line"
 }
 
-for i in $(seq 1 "$pairs"); do
-  # Odd pairs run the parent first, even pairs the change.
-  if ((i % 2)); then
-    run "$tmp/parent" >>"$tmp/parent.jsonl"
-    run "$PWD" >>"$tmp/change.jsonl"
-  else
-    run "$PWD" >>"$tmp/change.jsonl"
-    run "$tmp/parent" >>"$tmp/parent.jsonl"
-  fi
-  echo "pair $i/$pairs done" >&2
-done
-
 # `name better` per end-to-end metric, in BENCHMARK.json's order.
 metrics="$(awk '
   /"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
@@ -68,28 +59,47 @@ metrics="$(awk '
 
 values() { sed -n "s/.*\"$2\": {\"value\": \([^,}]*\).*/\1/p" "$1"; }
 
-printf '%-26s %-6s %-32s %-32s %9s %6s\n' metric better \
-  'parent q1 / median / q3' 'change q1 / median / q3' 'median' wins
-while read -r name better; do
-  paste <(values "$tmp/parent.jsonl" "$name") <(values "$tmp/change.jsonl" "$name") |
-    awk -v name="$name" -v better="$better" '
-      function quantile(v, n, q,    h, lo) {
-        h = (n - 1) * q; lo = int(h)
-        return lo + 1 >= n ? v[n] : v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1])
-      }
-      function sort(v, n,    i, j, t) {
-        for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) {
-          t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
+# The table of $workload: one line per end-to-end metric.
+table() {
+  echo "== $workload, seed $seed, $pairs pairs =="
+  printf '%-26s %-6s %-32s %-32s %9s %6s\n' metric better \
+    'parent q1 / median / q3' 'change q1 / median / q3' 'median' wins
+  while read -r name better; do
+    paste <(values "$tmp/parent.$workload.jsonl" "$name") <(values "$tmp/change.$workload.jsonl" "$name") |
+      awk -v name="$name" -v better="$better" '
+        function quantile(v, n, q,    h, lo) {
+          h = (n - 1) * q; lo = int(h)
+          return lo + 1 >= n ? v[n] : v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1])
         }
-      }
-      { n++; p[n] = $1; c[n] = $2
-        if (better == "lower" ? $2 < $1 : $2 > $1) wins++ }
-      END {
-        sort(p, n); sort(c, n)
-        pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
-        printf "%-26s %-6s %-32s %-32s %+8.1f%% %3d/%d\n", name, better,
-          sprintf("%.4g / %.4g / %.4g", quantile(p, n, 0.25), pm, quantile(p, n, 0.75)),
-          sprintf("%.4g / %.4g / %.4g", quantile(c, n, 0.25), cm, quantile(c, n, 0.75)),
-          pm ? 100 * (cm - pm) / pm : 0, wins, n
-      }'
-done <<<"$metrics"
+        function sort(v, n,    i, j, t) {
+          for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) {
+            t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
+          }
+        }
+        { n++; p[n] = $1; c[n] = $2
+          if (better == "lower" ? $2 < $1 : $2 > $1) wins++ }
+        END {
+          sort(p, n); sort(c, n)
+          pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
+          printf "%-26s %-6s %-32s %-32s %+8.1f%% %3d/%d\n", name, better,
+            sprintf("%.4g / %.4g / %.4g", quantile(p, n, 0.25), pm, quantile(p, n, 0.75)),
+            sprintf("%.4g / %.4g / %.4g", quantile(c, n, 0.25), cm, quantile(c, n, 0.75)),
+            pm ? 100 * (cm - pm) / pm : 0, wins, n
+        }'
+  done <<<"$metrics"
+}
+
+for workload in "${workloads[@]}"; do
+  for i in $(seq 1 "$pairs"); do
+    # Odd pairs run the parent first, even pairs the change.
+    if ((i % 2)); then
+      run "$tmp/parent" >>"$tmp/parent.$workload.jsonl"
+      run "$PWD" >>"$tmp/change.$workload.jsonl"
+    else
+      run "$PWD" >>"$tmp/change.$workload.jsonl"
+      run "$tmp/parent" >>"$tmp/parent.$workload.jsonl"
+    fi
+    echo "$workload: pair $i/$pairs done" >&2
+  done
+  table
+done
