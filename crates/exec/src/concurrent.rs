@@ -141,19 +141,19 @@ impl Mediator {
         let runs = [("orderer", orderer.algorithm_name())];
         obs.registry.counter("qpo_mediator_runs_total", &runs).inc();
         let mut core = PlanCore::new(self, &prepared, obs);
-        core.serve_from(Arc::clone(&backend), obs);
+        core.serve_from(backend);
         let mut hooks = Hooks::new(obs);
         if let Some(memo) = opts.memo {
-            // Work memoized under an older backend data version — prefixes
-            // as much as access outcomes — is stale before the run starts.
-            memo.sync_backend_epoch(backend.epoch());
             core.share(memo);
             hooks.share(memo);
+            // Work memoized under an older backend data version — prefixes
+            // as much as access outcomes — is stale before the run starts.
+            core.sync_epoch();
         }
         if let Some(scorer) = opts.scorer {
             hooks.stream(&prepared.instance, Box::new(scorer), &[]);
         }
-        let executor = core.executor(Some(&backend), policy, obs);
+        let executor = core.executor(policy, obs);
         // Eager release: the gate is drained after every callback.
         let mut wave = WaveHooks::new(&mut hooks, &core, Some(Vec::new()));
         let runtime = executor.run_observed(orderer.as_mut(), stop, &mut wave);

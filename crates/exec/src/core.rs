@@ -7,10 +7,11 @@
 //!
 //! [`PlanCore`] owns the step itself: the soundness verdict (and the
 //! error behind a missing one), the rows each body atom reads — the
-//! static extensions, or a data-serving backend's rows under that
-//! subgoal's binding pattern through one epoch-aware `(source, pattern)`
-//! fetch cache — and the seeded, prefix-capturing join over them. It is
-//! the crate's only [`PlanEvaluator`].
+//! static extensions, or what the loop hands it for that slot: the rows a
+//! data-serving backend returned under the subgoal's binding pattern, live
+//! or replayed from the [`SourceMemo`] entry beside their outcome — and
+//! the seeded, prefix-capturing join over them. It makes no access and
+//! keeps no rows of its own. It is the crate's only [`PlanEvaluator`].
 //!
 //! [`Hooks`] owns what surrounds the step on the coordinating thread: an
 //! optional *sharing* part (longest memoized prefix looked up when the
@@ -43,8 +44,8 @@ use qpo_datalog::{
 use qpo_obs::{encode_plan, Counter, Gauge, Obs, Value};
 use qpo_reformulation::PreparedQuery;
 use qpo_runtime::{
-    AccessContext, BackendErrorClass, BindingPattern, Executor, FaultConfig, PlanEvaluator,
-    PlanExecution, RuntimePolicy, SourceBackend, SourceGrid, SourceMemo, WaveObserver,
+    BindingPattern, Executor, PlanEvaluator, PlanExecution, RuntimePolicy, SourceBackend,
+    SourceGrid, SourceMemo, WaveObserver,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -54,24 +55,6 @@ pub(crate) type ViewMap = BTreeMap<Arc<str>, SourceDescription>;
 
 /// The rows one access returned, shared uncopied.
 type Rows = Arc<Vec<Tuple>>;
-
-/// Rows by `(source, pattern)` — one source serving two subgoals with
-/// different constants is two different row sets — and the backend data
-/// version they were fetched under.
-#[derive(Default)]
-struct FetchCache {
-    rows: BTreeMap<(Arc<str>, Arc<str>), Rows>,
-    epoch: u64,
-}
-
-/// A data-serving backend: the authority for every row the join reads.
-struct BackendRows {
-    backend: Arc<dyn SourceBackend>,
-    faults: FaultConfig,
-    cache: Mutex<FetchCache>,
-    /// `qpo_backend_errors_total{backend,class}`: `[transient, permanent]`.
-    errors: [Counter; 2],
-}
 
 /// Coordinator↔worker handoff, one slot per plan in flight: the plan
 /// query, assembled by whoever touches the plan first; the seed stashed
@@ -86,7 +69,7 @@ pub(crate) struct Slot {
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Poison recovery: both guarded states only ever hold complete entries.
+    // Poison recovery: the handoff map only ever holds complete entries.
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -102,7 +85,8 @@ pub(crate) struct PlanCore<'a> {
     /// memoized under. Built on first use: a session on the extensions
     /// makes no source access and never pays for either.
     access: OnceLock<(SourceGrid, Vec<Vec<Arc<str>>>)>,
-    backend: Option<BackendRows>,
+    /// The remote world the loop accesses for this core, if any.
+    backend: Option<Arc<dyn SourceBackend>>,
     memo: Option<ExecutionMemo>,
     handoff: Mutex<BTreeMap<Vec<usize>, Slot>>,
 }
@@ -122,22 +106,17 @@ impl<'a> PlanCore<'a> {
         }
     }
 
-    /// Joins `backend`'s rows instead of the static extensions, and says
-    /// whether it does: the simulator (any backend of kind `"sim"`) holds
-    /// no data and leaves the core on the extensions, bit-identical to an
-    /// unbackended one.
-    pub(crate) fn serve_from(&mut self, backend: Arc<dyn SourceBackend>, obs: &Obs) -> bool {
-        let kind = backend.kind();
-        self.backend = (kind != "sim").then(|| BackendRows {
-            errors: [BackendErrorClass::Transient, BackendErrorClass::Permanent].map(|class| {
-                let labels = [("backend", kind), ("class", class.label())];
-                obs.registry.counter("qpo_backend_errors_total", &labels)
-            }),
-            backend,
-            faults: FaultConfig::disabled(),
-            cache: Mutex::default(),
-        });
-        self.backend.is_some()
+    /// Executes against `backend`, joining its rows instead of the static
+    /// extensions, and says whether it does: the simulator (any backend of
+    /// kind `"sim"`) holds no data and leaves the core on the extensions,
+    /// bit-identical to an unbackended one.
+    pub(crate) fn serve_from(&mut self, backend: Arc<dyn SourceBackend>) -> bool {
+        self.backend = Some(backend);
+        self.serves_data()
+    }
+
+    fn serves_data(&self) -> bool {
+        (self.backend.as_ref()).is_some_and(|backend| backend.kind() != "sim")
     }
 
     /// Keeps `memo` in step with the backend's data version (see
@@ -151,15 +130,14 @@ impl<'a> PlanCore<'a> {
         self.memo.as_ref().map(|memo| &memo.sources)
     }
 
-    /// The loop over this core: accesses go to `backend` through the
+    /// The loop over this core: accesses go to its backend through the
     /// shared memo's source memo; without a backend there are none.
     pub(crate) fn executor<'c>(
         &'c self,
-        backend: Option<&Arc<dyn SourceBackend>>,
         policy: RuntimePolicy,
         obs: &'c Obs,
     ) -> Executor<'c, Self> {
-        let Some(backend) = backend else {
+        let Some(backend) = &self.backend else {
             return Executor::local(self, policy).with_obs(obs);
         };
         let executor = Executor::new(self.grid(), self, policy)
@@ -189,90 +167,13 @@ impl<'a> PlanCore<'a> {
         &self.access().0
     }
 
-    /// Observes the backend's data version: when it moved (a store write,
-    /// a restarted server), rows fetched and work the shared memo holds
-    /// from the old version are dropped, so the next plan joins — and
-    /// memoizes — the backend's current rows. A no-op on the extensions.
+    /// Syncs the shared memo to the backend's data version: when it moved
+    /// (a store write, a restarted server), the outcomes, rows and
+    /// prefixes memoized from the old version are dropped. Called on the
+    /// coordinating thread before a run and before every pull.
     pub(crate) fn sync_epoch(&self) {
-        let Some(src) = &self.backend else { return };
-        let epoch = src.backend.epoch();
-        let mut cache = lock(&src.cache);
-        if cache.epoch != epoch {
-            cache.epoch = epoch;
-            cache.rows.clear();
-        }
-        if let Some(memo) = &self.memo {
-            memo.sync_backend_epoch(epoch);
-        }
-    }
-
-    /// Caches `rows` under `key`. A backend that learns its data version
-    /// from responses (tcp reports 0 until the first one) only knows it
-    /// once rows are in: with nothing cached yet that is the version this
-    /// core starts on, not a move — adopt it, or the next sync would
-    /// throw these rows and everything memoized from them away.
-    fn remember(&self, src: &BackendRows, key: (Arc<str>, Arc<str>), rows: &Rows) {
-        let mut cache = lock(&src.cache);
-        if cache.rows.is_empty() {
-            cache.epoch = src.backend.epoch();
-            if let Some(memo) = &self.memo {
-                memo.sync_backend_epoch(cache.epoch);
-            }
-        }
-        cache.rows.entry(key).or_insert_with(|| rows.clone());
-    }
-
-    /// The rows `bucket`'s atom of `plan` reads from a data-serving
-    /// backend, and whether the backend vouches for them: what the
-    /// executor `fetched` for this plan, else the cache, else one fetch
-    /// under the subgoal's pattern (a memo-resolved slot carries an
-    /// outcome, not rows). The backend is the only authority — a failed
-    /// fetch reads as the *empty* relation, never as extension rows the
-    /// backend may not hold; the error is counted, and only a permanent
-    /// one is cached, so a later plan retries a transiently unreachable
-    /// source. (A backend that serves no rows at all — a simulator behind
-    /// another kind — defers to the extensions.)
-    fn rows(
-        &self,
-        src: &BackendRows,
-        plan: &[usize],
-        bucket: usize,
-        fetched: Option<&Rows>,
-    ) -> (Rows, bool) {
-        let (grid, patterns) = self.access();
-        let svc = grid.service(bucket, plan[bucket]);
-        let key = (svc.name.clone(), patterns[bucket][plan[bucket]].clone());
-        if let Some(rows) = fetched {
-            self.remember(src, key, rows);
-            return (rows.clone(), true);
-        }
-        if let Some(rows) = lock(&src.cache).rows.get(&key) {
-            return (rows.clone(), true);
-        }
-        let ctx = AccessContext {
-            pattern: &key.1,
-            run: 0,
-            plan_seq: 0,
-            attempt: 0,
-            faults: &src.faults,
-        };
-        match src.backend.access(svc, &ctx) {
-            Ok(reply) => {
-                let rows = reply
-                    .tuples
-                    .unwrap_or_else(|| Arc::new(self.db.tuples(&svc.name).cloned().collect()));
-                self.remember(src, key, &rows);
-                (rows, true)
-            }
-            Err(e) => {
-                let rows = Arc::default();
-                let permanent = e.class == BackendErrorClass::Permanent;
-                src.errors[usize::from(permanent)].inc();
-                if permanent {
-                    self.remember(src, key, &rows);
-                }
-                (rows, false)
-            }
+        if let (Some(backend), Some(memo)) = (&self.backend, &self.memo) {
+            memo.sync_backend_epoch(backend.epoch());
         }
     }
 
@@ -293,36 +194,32 @@ impl<'a> PlanCore<'a> {
 
     /// Joins `plan_query` from `seed`, returning its answers (sorted,
     /// distinct) and the prefixes captured past the seed: over the
-    /// extensions, or over the backend's rows in place — slot `i` feeds body atom `i`, which
-    /// applies its own constants to whatever superset was shipped; slots
-    /// the seed covers are never resolved. A join that read a failed
-    /// fetch captures nothing: its prefixes would memoize an outage.
+    /// extensions, or over the backend's rows in place — slot `i` feeds
+    /// body atom `i`, which applies its own constants to whatever superset
+    /// was shipped; slots the seed covers are never read. The backend is
+    /// the only authority: `fetched[bucket]` is what it returned for that
+    /// access, live or from the memo. (A backend that serves no rows for a
+    /// slot — a simulator behind another kind — defers to the extensions.)
     pub(crate) fn join(
         &self,
-        plan: &[usize],
         plan_query: &ConjunctiveQuery,
         fetched: &[Option<Rows>],
         seed: Option<&JoinPrefix>,
     ) -> (Vec<Tuple>, Vec<JoinPrefix>) {
-        let Some(src) = &self.backend else {
+        if !self.serves_data() {
             return self.db.evaluate_seeded(plan_query, seed);
-        };
+        }
         let covered = seed.map_or(0, |s| s.len);
-        let mut complete = true;
-        let slots: Vec<Rows> = (0..plan.len())
-            .map(|bucket| {
-                if bucket < covered {
-                    return Arc::default();
-                }
-                let live = fetched.get(bucket).and_then(Option::as_ref);
-                let (rows, ok) = self.rows(src, plan, bucket, live);
-                complete &= ok;
-                rows
+        let atoms = plan_query.body.iter().enumerate();
+        let slots: Vec<Rows> = atoms
+            .map(|(bucket, atom)| match fetched.get(bucket) {
+                _ if bucket < covered => Arc::default(),
+                Some(Some(rows)) => rows.clone(),
+                _ => Arc::new(self.db.tuples(&atom.predicate).cloned().collect()),
             })
             .collect();
         let slices: Vec<&[Tuple]> = slots.iter().map(|rows| rows.as_slice()).collect();
-        let (answers, captured) = evaluate_slots(plan_query, seed, &slices);
-        (answers, if complete { captured } else { Vec::new() })
+        evaluate_slots(plan_query, seed, &slices)
     }
 }
 
@@ -347,7 +244,7 @@ impl PlanEvaluator for PlanCore<'_> {
 
     fn evaluate(&self, plan: &[usize], fetched: &[Option<Rows>]) -> Vec<Tuple> {
         let (plan_query, seed) = self.slot(plan, |s| (Arc::clone(&s.query), s.seed.take()));
-        let (answers, captured) = self.join(plan, &plan_query, fetched, seed.as_ref());
+        let (answers, captured) = self.join(&plan_query, fetched, seed.as_ref());
         if self.memo.is_some() {
             self.slot(plan, |s| s.captured = Some(captured));
         }
@@ -618,6 +515,12 @@ impl WaveObserver for WaveHooks<'_, '_> {
             .as_ref()
             .and_then(|s| s.captured.as_ref().zip(Some(&s.query)));
         if let (Some(s), Some((prefixes, plan_query))) = (&hooks.sharing, captured) {
+            // A backend that learns its data version from replies knows it
+            // by now; the first prefix starts on it, as the source memo did
+            // storing this plan's outcomes — it is not a move to clear for.
+            if s.memo.subplans.is_empty() {
+                self.core.sync_epoch();
+            }
             s.memo.subplans.store_all(plan_query, prefixes);
             s.bytes.set(s.memo.subplans.approx_bytes() as f64);
         }
@@ -644,7 +547,9 @@ pub(crate) mod tests {
     use super::*;
     use crate::backends::snapshot_relations;
     use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
-    use qpo_runtime::{Access, AccessOutcome, AccessReply, BackendError, SourceService};
+    use qpo_runtime::{
+        Access, AccessContext, AccessOutcome, AccessReply, BackendError, SourceService,
+    };
     use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
 
     /// An in-memory data-serving backend: a relation it does not hold is a
@@ -782,85 +687,142 @@ pub(crate) mod tests {
         assert!(!answers[0].is_empty());
     }
 
-    #[test]
-    fn memo_resolved_slots_join_backend_rows_not_extensions() {
-        let m = mediator();
-        let prepared = m.prepare(&movie_query()).unwrap();
-        let (plan, sources) = answering_plan(&m, &prepared);
-        // The backend's world diverges from the extensions: the plan's
-        // first source is empty on the backend only.
-        let mut backend = RowsBackend::seeded(&m);
-        backend.relations.insert(sources[0].clone(), Arc::default());
-        let last = plan.len() - 1;
-        let live = backend.relations[&sources[last]].clone();
-        let mut core = PlanCore::new(&m, &prepared, m.obs());
-        core.serve_from(Arc::new(backend), m.obs());
-        // Slot 0 is memo-resolved (no rows rode along); the last slot
-        // carries live backend rows.
-        let mut fetched: Vec<Option<Arc<Vec<Tuple>>>> = vec![None; plan.len()];
-        fetched[last] = Some(live);
-        assert!(
-            core.evaluate(&plan, &fetched).is_empty(),
-            "memo-resolved slot must join the backend's (empty) rows, \
-             not the extensions'"
-        );
+    /// An orderer emitting a fixed plan sequence.
+    struct Script(std::vec::IntoIter<Vec<usize>>);
+
+    impl qpo_core::PlanOrderer for Script {
+        fn algorithm_name(&self) -> &'static str {
+            "script"
+        }
+
+        fn next_plan(&mut self) -> Option<OrderedPlan> {
+            let utility = -1.0;
+            self.0.next().map(|plan| OrderedPlan { plan, utility })
+        }
     }
 
-    #[test]
-    fn a_failed_refetch_is_counted_and_a_later_plan_gets_the_rows() {
-        let m = mediator();
-        let obs = Obs::new();
-        let prepared = m.prepare(&movie_query()).unwrap();
-        let (plan, sources) = answering_plan(&m, &prepared);
-        let plan_query = prepared.reformulation.plan_query(&plan);
-        let mut backend = RowsBackend::seeded(&m);
-        backend.flaky = sources[0].clone();
-        backend.outages = AtomicU32::new(1);
-        let backend = Arc::new(backend);
-        let mut core = PlanCore::new(&m, &prepared, &obs);
-        core.serve_from(backend.clone(), &obs);
-        let reference = m.database().evaluate_seeded(&plan_query, None);
-        // Every slot is memo-resolved; the re-fetch of the first source
-        // hits the outage: no answers from this plan, nothing to memoize
-        // from it — and the error is on the counter, not swallowed.
-        let (answers, captured) = core.join(&plan, &plan_query, &[], None);
-        assert!(answers.is_empty() && captured.is_empty());
-        assert_eq!(
-            (errors(&obs, "transient"), errors(&obs, "permanent")),
-            (1, 0)
-        );
-        // A transient failure is not cached: the next plan joining that
-        // source fetches it again and, the backend healed, gets its rows.
-        assert_eq!(core.join(&plan, &plan_query, &[], None), reference);
-        assert_eq!(errors(&obs, "transient"), 1);
-        // By now every (source, pattern) is cached: no further request.
+    /// The reports of `plan` run twice through the loop over `backend`
+    /// with a fresh memo: live, then with every slot memo-resolved.
+    fn live_then_replayed(
+        m: &Mediator,
+        prepared: &PreparedQuery,
+        plan: &[usize],
+        backend: Arc<RowsBackend>,
+    ) -> Vec<PlanExecution> {
+        let mut core = PlanCore::new(m, prepared, m.obs());
+        assert!(core.serve_from(backend.clone()));
+        core.share(&ExecutionMemo::new());
+        let mut twice = Script(vec![plan.to_vec(); 2].into_iter());
+        let run = core
+            .executor(RuntimePolicy::serial(), m.obs())
+            .run(&mut twice, qpo_runtime::RunBudget::unbounded());
         let requests = backend.requests.load(AtomicOrdering::Relaxed);
-        assert_eq!(core.join(&plan, &plan_query, &[], None), reference);
-        assert_eq!(backend.requests.load(AtomicOrdering::Relaxed), requests);
+        assert_eq!(requests as usize, plan.len(), "one live access per slot");
+        let replayed = &run.reports[1];
+        assert!(replayed.accesses.iter().all(|a| a.ok && a.attempts == 0));
+        run.reports
     }
 
     #[test]
-    fn a_permanent_failure_is_cached_as_empty_and_a_seed_skips_its_slots() {
+    fn a_memo_resolved_slot_joins_the_rows_stored_beside_its_outcome() {
+        use qpo_runtime::PlanStatus;
         let m = mediator();
-        let obs = Obs::new();
+        let prepared = m.prepare(&movie_query()).unwrap();
+        let (plan, sources) = answering_plan(&m, &prepared);
+        let tuples = |reports: Vec<PlanExecution>| -> Vec<usize> {
+            let tuples = |report: &PlanExecution| match report.status {
+                PlanStatus::Executed { tuples, .. } => tuples,
+                ref other => panic!("{other:?}"),
+            };
+            reports.iter().map(tuples).collect()
+        };
+        // A backend holding the extensions' rows: the replayed plan joins
+        // what the live one fetched.
+        let reference = PlanCore::new(&m, &prepared, m.obs()).evaluate(&plan, &[]);
+        let seeded = Arc::new(RowsBackend::seeded(&m));
+        let reports = live_then_replayed(&m, &prepared, &plan, seeded);
+        assert_eq!(tuples(reports), [reference.len(); 2]);
+        // The backend's world diverges from the extensions: the plan's
+        // first source is empty on the backend only. The memo-resolved
+        // slot must join the backend's (empty) rows, not the extensions'.
+        let mut diverged = RowsBackend::seeded(&m);
+        diverged
+            .relations
+            .insert(sources[0].clone(), Arc::default());
+        let reports = live_then_replayed(&m, &prepared, &plan, Arc::new(diverged));
+        assert_eq!(tuples(reports), [0, 0]);
+    }
+
+    #[test]
+    fn a_seed_covering_a_slot_never_reads_it() {
+        let m = mediator();
         let prepared = m.prepare(&movie_query()).unwrap();
         let (plan, sources) = answering_plan(&m, &prepared);
         let plan_query = prepared.reformulation.plan_query(&plan);
         let (reference, prefixes) = m.database().evaluate_seeded(&plan_query, None);
-        let mut backend = RowsBackend::seeded(&m);
-        backend.relations.remove(&sources[0]);
-        let backend = Arc::new(backend);
-        let mut core = PlanCore::new(&m, &prepared, &obs);
-        core.serve_from(backend.clone(), &obs);
-        for _ in 0..2 {
-            assert!(core.join(&plan, &plan_query, &[], None).0.is_empty());
-        }
-        assert_eq!(errors(&obs, "permanent"), 1, "asked once, then cached");
-        // A seed covering the missing source's atom never resolves it.
-        let requests = backend.requests.load(AtomicOrdering::Relaxed);
-        let (answers, captured) = core.join(&plan, &plan_query, &[], Some(&prefixes[0]));
+        let backend = RowsBackend::seeded(&m);
+        // Slot 0 was handed the empty relation; the others, their rows.
+        let mut fetched: Vec<Option<Rows>> = (sources.iter())
+            .map(|name| Some(backend.relations[name].clone()))
+            .collect();
+        fetched[0] = Some(Arc::default());
+        let mut core = PlanCore::new(&m, &prepared, m.obs());
+        core.serve_from(Arc::new(backend));
+        assert!(core.join(&plan_query, &fetched, None).0.is_empty());
+        let (answers, captured) = core.join(&plan_query, &fetched, Some(&prefixes[0]));
         assert_eq!(answers, reference);
         assert_eq!(captured, prefixes[1..]);
+    }
+
+    #[test]
+    fn a_warm_run_makes_no_request_and_backend_errors_are_counted_once() {
+        use crate::{BackendRegistry, RunOptions, StopCondition, Strategy};
+        let obs = Obs::new();
+        let m = mediator();
+        let prepared = m.prepare(&movie_query()).unwrap();
+        let (_, sources) = answering_plan(&m, &prepared);
+        let mut backend = RowsBackend::seeded(&m);
+        backend.flaky = sources[0].clone();
+        backend.outages = AtomicU32::new(1);
+        let backend = Arc::new(backend);
+        let m = m.with_backends(BackendRegistry::new().with("rows", backend.clone()));
+        // No prefix is kept, so nothing seeds a warm join: every slot of
+        // every plan reads the rows stored beside its memoized outcome.
+        let memo = ExecutionMemo::new();
+        memo.subplans.set_byte_budget(0);
+        let run = |opts: &RunOptions<'_>| {
+            let (measure, stop) = (qpo_utility::LinearCost, StopCondition::unbounded());
+            let policy = RuntimePolicy::serial();
+            m.run(
+                &movie_query(),
+                &measure,
+                Strategy::Greedy,
+                stop,
+                policy,
+                opts,
+            )
+            .unwrap()
+        };
+        let opts = RunOptions {
+            backend: Some("rows"),
+            memo: Some(&memo),
+            obs: Some(&obs),
+            ..RunOptions::default()
+        };
+        let plain = run(&RunOptions::default());
+        let cold = run(&opts);
+        // The one outage was met — and counted — inside the retry loop.
+        let counted = || (errors(&obs, "transient"), errors(&obs, "permanent"));
+        assert_eq!(counted(), (1, 0));
+        assert_eq!(cold.runtime.stats.transient_failures, 1);
+        let requests = backend.requests.load(AtomicOrdering::Relaxed);
+        let warm = run(&opts);
         assert_eq!(backend.requests.load(AtomicOrdering::Relaxed), requests);
+        assert_eq!(warm.runtime.stats.attempts, 0, "every slot replayed");
+        assert_eq!(counted(), (1, 0), "nothing counts errors but the loop");
+        for memoized in [&cold, &warm] {
+            assert_eq!(memoized.runtime.answers, plain.runtime.answers);
+            assert_eq!(memoized.failed(), 0);
+        }
     }
 }

@@ -44,7 +44,7 @@ use qpo_core::{Naive, PlanOrderer};
 use qpo_datalog::Tuple;
 use qpo_obs::{encode_plan, Histogram, Obs, QualitySnapshot, QualityTracker, Value};
 use qpo_reformulation::PreparedQuery;
-use qpo_runtime::{PlanExecution, PlanStatus, RunState, RuntimePolicy, SourceBackend};
+use qpo_runtime::{PlanExecution, PlanStatus, RunState, RuntimePolicy};
 use qpo_utility::UtilityMeasure;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -86,8 +86,6 @@ pub struct QuerySession<'s> {
     hooks: Hooks<'s>,
     orderer: Box<dyn PlanOrderer + 's>,
     strategy: Strategy,
-    // The remote world the run executes against, if one was attached.
-    backend: Option<Arc<dyn SourceBackend>>,
     // The run, begun at the first pull.
     run: Option<RunState>,
     opened: Instant,
@@ -142,7 +140,6 @@ impl<'s> QuerySession<'s> {
             hooks: Hooks::new(obs),
             orderer,
             strategy,
-            backend: None,
             run: None,
             opened: Instant::now(),
             obs,
@@ -193,27 +190,27 @@ impl<'s> QuerySession<'s> {
     /// with the standard retry discipline, a plan whose retries run out is
     /// reported failed ([`PlanReport::failure`]) and fed back to the
     /// orderer, and the trace carries the accesses on a moving clock. A
-    /// data-serving backend's rows are what the join reads, each `(source,
-    /// pattern)` fetched once per backend data version; a backend write is
-    /// observed before the next plan pull: the fetched rows, and whatever
-    /// an attached [`ExecutionMemo`] holds from the old version, are
-    /// dropped. `"sim"` is the simulator: it serves no rows, so reports,
-    /// answers and the ranked stream stay bit-identical to an unbackended
-    /// session's. Tuple-level any-k streaming always ranks over the
-    /// extensions.
+    /// data-serving backend's rows are what the join reads; they live in
+    /// the source memo beside the outcome of the access that fetched them
+    /// (the attached [`ExecutionMemo`]'s, else a private one), so each
+    /// `(source, pattern)` is fetched once per backend data version. A
+    /// backend write is observed before the next plan pull: whatever the
+    /// memo holds from the old version is dropped. `"sim"` is the
+    /// simulator: it serves no rows, so reports, answers and the ranked
+    /// stream stay bit-identical to an unbackended session's. Tuple-level
+    /// any-k streaming always ranks over the extensions.
     ///
     /// Fails fast when `label` is not registered.
     pub fn with_backend(mut self, label: &str) -> Result<Self, MediatorError> {
-        let backend = self.mediator.backend(label)?;
-        let serves_data = self.core.serve_from(Arc::clone(&backend), self.obs);
+        let serves_data = self.core.serve_from(self.mediator.backend(label)?);
         if serves_data && self.core.source_memo().is_none() {
-            // Each `(source, pattern)` is fetched once even when no memo
-            // is shared. The simulator serves no rows and, as under
-            // `Mediator::run`, pays every access unless one is.
+            // A private memo keeps each `(source, pattern)`'s rows, so
+            // each is fetched once even when no memo is shared. The
+            // simulator serves no rows and, as under `Mediator::run`,
+            // pays every access unless one is.
             self.core.share(&ExecutionMemo::new());
         }
         self.core.sync_epoch();
-        self.backend = Some(backend);
         Ok(self)
     }
 
@@ -317,7 +314,7 @@ impl<'s> QuerySession<'s> {
         self.core.sync_epoch();
         // The executor view is rebuilt per pull: it borrows the core.
         let policy = RuntimePolicy::serial();
-        let executor = self.core.executor(self.backend.as_ref(), policy, self.obs);
+        let executor = self.core.executor(policy, self.obs);
         let run = self
             .run
             .get_or_insert_with(|| executor.begin(self.orderer.as_ref()));

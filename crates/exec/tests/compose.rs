@@ -1,12 +1,17 @@
 //! One loop, two schedulers: every capability composes with every other
-//! and both agree. Over the option cube backend ∈ {sim, store, flaky} ×
-//! memo ∈ {off, cold, warm} × scorer ∈ {off, on}, a drained
+//! and both agree. Over the option cube backend ∈ {sim, store, flaky, tcp}
+//! × memo ∈ {off, cold, warm, warm rows} × scorer ∈ {off, on}, a drained
 //! [`QuerySession`], [`Mediator::run`] at 1 and 3 workers, and the plain
 //! run (no option at all) return the same answers, emit the same plans in
 //! the same order, and — with a scorer — deliver the same ranked tuple
 //! sequence, scores compared to the f64 bit. `flaky` is the store behind
 //! seeded transient outages that the retry discipline — one discipline,
-//! under either scheduler — always rides out.
+//! under either scheduler — always rides out; a memo-resolved slot joins
+//! the rows stored beside its outcome, so a warm run meets no outage at
+//! all — also when (`warm rows`) no memoized prefix seeds its joins and
+//! every slot of every plan is read. `tcp` is an in-process source server behind a client that learns
+//! the server's data version from its first reply: every memoized run
+//! starts on a fresh client, and a warm one makes no wire exchange.
 
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_POOL, MOVIE_UNIVERSE};
 use qpo_datalog::Tuple;
@@ -15,8 +20,8 @@ use qpo_exec::{
     RankedTuple, RunOptions, StopCondition, Strategy,
 };
 use qpo_runtime::{
-    AccessContext, AccessReply, BackendError, RuntimePolicy, SourceBackend, SourceService,
-    StoreBackend,
+    AccessContext, AccessReply, BackendError, MemProvider, RuntimePolicy, SourceBackend,
+    SourceServer, SourceService, StoreBackend, TcpBackend,
 };
 use qpo_utility::Coverage;
 use std::collections::BTreeSet;
@@ -28,6 +33,9 @@ enum Memo {
     Off,
     Cold,
     Warm,
+    /// Warm, with a subplan memo that refuses every prefix: nothing seeds
+    /// a join, so each one reads the rows the source memo kept.
+    WarmRows,
 }
 
 /// The store behind seeded outages: the first two attempts of an access
@@ -63,6 +71,10 @@ impl SourceBackend for Flaky {
         }
         self.store.access(svc, ctx)
     }
+}
+
+fn outages(flaky: &Flaky) -> u64 {
+    flaky.outages.load(Ordering::Relaxed)
 }
 
 /// What a driver hands back: emitted plans, answers, ranked stream.
@@ -155,8 +167,19 @@ fn every_cell_of_the_option_cube_agrees_on_both_drivers() {
         seed: 2002,
         outages: AtomicU64::new(0),
     });
+    let provider = MemProvider::new();
+    for (name, rows) in snapshot_relations(m.database()) {
+        provider.insert(name, rows);
+    }
+    let mut server = SourceServer::serve(Arc::new(provider), 0).unwrap();
     let backends = BackendRegistry::new().with("store", store);
-    let m = m.with_backends(backends.with("flaky", flaky.clone()));
+    let backends = backends.with("flaky", flaky.clone());
+    // A client that has seen no reply yet reports epoch 0.
+    let dial = || {
+        let tcp = Arc::new(TcpBackend::new(server.addr().to_string()));
+        m.clone().with_backends(backends.clone().with("tcp", tcp))
+    };
+    let m = dial();
     let plain = m
         .run(
             &movie_query(),
@@ -170,34 +193,40 @@ fn every_cell_of_the_option_cube_agrees_on_both_drivers() {
     assert!(!plain.runtime.answers.is_empty() && plain.tuples.is_empty());
     let ranked = wave(&m, "sim", None, true, 1).2;
     assert!(!ranked.is_empty());
-    for backend in ["sim", "store", "flaky"] {
-        for memo in [Memo::Off, Memo::Cold, Memo::Warm] {
-            // A slot the source memo resolves but whose rows this core
-            // never fetched — every slot of a warm run — is re-fetched by
-            // `PlanCore::rows` in one attempt, outside the retry loop: an
-            // outage there still reads as the empty relation (ROADMAP
-            // item 2, "left").
-            if (backend, memo) == ("flaky", Memo::Warm) {
-                continue;
-            }
+    for backend in ["sim", "store", "flaky", "tcp"] {
+        for memo in [Memo::Off, Memo::Cold, Memo::Warm, Memo::WarmRows] {
             for scored in [false, true] {
                 let cell = format!("backend={backend} memo={memo:?} scorer={scored}");
-                // One memo per driver and worker count, so no run leans
-                // on work another one left behind; `Warm` runs each twice
-                // and keeps the second.
-                let run = |drive: &dyn Fn(Option<&ExecutionMemo>) -> Outcome| {
-                    let shared = ExecutionMemo::new();
+                // One memo — and one tcp client, which learns the server's
+                // epoch while the memo fills — per driver and worker count,
+                // so no run leans on what another one left behind; `Warm`
+                // runs each twice and keeps the second, which reaches no
+                // source: not the flaky one, not the wire.
+                let run = |drive: &dyn Fn(&Mediator, Option<&ExecutionMemo>) -> Outcome| {
+                    let (m, shared) = (dial(), ExecutionMemo::new());
                     let memo_ref = (memo != Memo::Off).then_some(&shared);
-                    if memo == Memo::Warm {
-                        drive(memo_ref);
-                        assert!(!shared.subplans.is_empty(), "{cell}: nothing memoized");
+                    let warm = matches!(memo, Memo::Warm | Memo::WarmRows);
+                    if memo == Memo::WarmRows {
+                        shared.subplans.set_byte_budget(0);
                     }
-                    drive(memo_ref)
+                    if warm {
+                        drive(&m, memo_ref);
+                        let seeds = !shared.subplans.is_empty();
+                        assert_eq!(seeds, memo == Memo::Warm, "{cell}: prefixes memoized");
+                        assert!(!shared.sources.is_empty(), "{cell}: nothing memoized");
+                    }
+                    let before = (server.requests_served(), outages(&flaky));
+                    let outcome = drive(&m, memo_ref);
+                    if warm {
+                        let after = (server.requests_served(), outages(&flaky));
+                        assert_eq!(after, before, "{cell}: a warm run reached a source");
+                    }
+                    outcome
                 };
                 let outcomes = [
-                    run(&|memo| session(&m, backend, memo, scored)),
-                    run(&|memo| wave(&m, backend, memo, scored, 1)),
-                    run(&|memo| wave(&m, backend, memo, scored, 3)),
+                    run(&|m, memo| session(m, backend, memo, scored)),
+                    run(&|m, memo| wave(m, backend, memo, scored, 1)),
+                    run(&|m, memo| wave(m, backend, memo, scored, 3)),
                 ];
                 for (driver, (plans, answers, stream)) in
                     ["session", "run@1", "run@3"].iter().zip(outcomes)
@@ -210,6 +239,7 @@ fn every_cell_of_the_option_cube_agrees_on_both_drivers() {
             }
         }
     }
-    assert!(flaky.outages.load(Ordering::Relaxed) > 0, "outages fired");
+    assert!(outages(&flaky) > 0, "outages fired");
+    server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

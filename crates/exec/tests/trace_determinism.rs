@@ -11,12 +11,25 @@
 //!    executed/failed/unsound plans, retractions.
 //! 3. **Balance** — every plan span opened by `plan_emitted` is closed by
 //!    exactly one of `plan_completed|plan_failed|plan_unsound`.
+//! 4. **Determinism over a data backend** — a memoized run over a store,
+//!    cold then warm, traces the same bytes at any worker count: every
+//!    memo lookup, store and epoch move happens on the coordinating
+//!    thread, and a warm run replays rows as well as outcomes, so it
+//!    reaches the backend not once.
 
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
-use qpo_exec::{Mediator, RunOptions, StopCondition, Strategy};
+use qpo_exec::{
+    snapshot_relations, BackendRegistry, ExecutionMemo, Mediator, RunOptions, StopCondition,
+    Strategy,
+};
 use qpo_obs::{validate_trace, Obs};
-use qpo_runtime::{FaultConfig, RetryPolicy, RuntimePolicy};
+use qpo_runtime::{
+    AccessContext, AccessReply, BackendError, FaultConfig, RetryPolicy, RuntimePolicy,
+    SourceBackend, SourceService, StoreBackend,
+};
 use qpo_utility::Coverage;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn mediator() -> Mediator {
     Mediator::new(movie_domain(), MOVIE_UNIVERSE, &["ford"])
@@ -159,4 +172,86 @@ fn disabled_journal_changes_nothing_and_records_nothing() {
             .counter_value("qpo_runtime_attempts_total", &[]),
         "tracing does not perturb the run"
     );
+}
+
+/// A store that counts the accesses reaching it.
+struct CountedStore {
+    store: StoreBackend,
+    accesses: AtomicU64,
+}
+
+impl SourceBackend for CountedStore {
+    fn kind(&self) -> &'static str {
+        "store"
+    }
+
+    fn epoch(&self) -> u64 {
+        self.store.epoch()
+    }
+
+    fn access(
+        &self,
+        svc: &SourceService,
+        ctx: &AccessContext<'_>,
+    ) -> Result<AccessReply, BackendError> {
+        self.accesses.fetch_add(1, Ordering::Relaxed);
+        self.store.access(svc, ctx)
+    }
+}
+
+#[test]
+fn a_store_backed_memoized_trace_is_byte_identical_across_worker_counts() {
+    let dir = std::env::temp_dir().join(format!("qpo-trace-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let m = mediator();
+    // Measured latencies scaled to zero: the clock stays deterministic.
+    let store = StoreBackend::open(&dir).unwrap().with_latency_unit(0.0);
+    for (name, rows) in snapshot_relations(m.database()) {
+        store.put_relation(&name, &rows).unwrap();
+    }
+    let store = Arc::new(CountedStore {
+        store,
+        accesses: AtomicU64::new(0),
+    });
+    let m = m.with_backends(BackendRegistry::new().with("store", store.clone()));
+    let run = |workers: usize, opts: &RunOptions<'_>| {
+        let (stop, policy) = (StopCondition::unbounded(), RuntimePolicy::parallel(workers));
+        let policy = policy.with_lookahead(3);
+        m.run(&movie_query(), &Coverage, Strategy::Pi, stop, policy, opts)
+            .unwrap()
+    };
+    let plain = run(1, &RunOptions::default());
+    // Per worker count: one memo, a cold and a warm run, both traces. The
+    // subplan memo refuses every prefix, so nothing seeds a warm join: it
+    // reads every slot, from the rows stored beside the memoized outcome.
+    let traces = [1usize, 3].map(|workers| {
+        let memo = ExecutionMemo::new();
+        memo.subplans.set_byte_budget(0);
+        [false, true].map(|warm| {
+            let obs = Obs::with_trace();
+            let opts = RunOptions {
+                backend: Some("store"),
+                memo: Some(&memo),
+                obs: Some(&obs),
+                ..RunOptions::default()
+            };
+            let before = store.accesses.load(Ordering::Relaxed);
+            let memoized = run(workers, &opts);
+            let reached = store.accesses.load(Ordering::Relaxed) - before;
+            assert_eq!(memoized.runtime.answers, plain.runtime.answers);
+            assert_eq!(reached == 0, warm, "workers={workers} warm={warm}");
+            obs.journal.to_jsonl()
+        })
+    });
+    assert_eq!(traces[0], traces[1], "1 worker vs 3");
+    let [cold, warm] = traces[0].each_ref().map(|t| validate_trace(t).unwrap());
+    assert!(cold.count("source_attempt") > 0 && cold.count("memo_store") > 0);
+    assert_eq!(
+        warm.count("source_attempt"),
+        0,
+        "a warm run accesses nothing"
+    );
+    assert_eq!(warm.count("memo_store"), 0);
+    assert!(warm.count("memo_hit") > cold.count("memo_hit"));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,15 +16,16 @@
 //! actually ran.
 //!
 //! **Threads are for waiting.** A plan leaves the coordinating thread only
-//! if executing it *waits* — it calls a backend that does I/O (any but the
-//! simulator; memo-resolved slots included, whose rows the evaluator may
-//! still fetch), or sleeps a simulated latency (`latency_scale > 0` and a
-//! slot the memo did not resolve): a fact about the job and the policy,
-//! never a measured duration. Everything else runs on the coordinator in
-//! emission order — and in a wave that waits the coordinator is lane 0: it
-//! keeps the first waiting plan and [`Executor::run`] hands the others to
-//! at most `workers − 1` helper threads, spawned on first need. (What that
-//! gives up, and the ≈ 80 µs break-even of a hand-off: DESIGN.md.)
+//! if executing it *waits* — it has a slot the memo did not resolve, and
+//! that access calls a backend that does I/O (any but the simulator) or
+//! sleeps a simulated latency (`latency_scale > 0`): a fact about the job
+//! and the policy, never a measured duration. A memo-resolved slot waits
+//! for nothing — its rows ride along with its outcome — so a fully warm
+//! wave runs on the coordinator over any backend. What does not wait runs
+//! there in emission order — and in a wave that waits the coordinator is
+//! lane 0: it keeps the first waiting plan and [`Executor::run`] hands the
+//! others to at most `workers − 1` helper threads, spawned on first need.
+//! (What that gives up, and the ≈ 80 µs break-even of a hand-off: DESIGN.md.)
 //!
 //! The loop is explicit: [`Executor::begin`] opens a [`RunState`],
 //! [`Executor::step`] advances it by one reported plan (popping and
@@ -57,7 +58,7 @@
 //! of speculation. Use `lookahead = 1` for exact answer-budget parity.
 
 use crate::backend::{AccessContext, BackendErrorClass, RemoteSpan, SimBackend, SourceBackend};
-use crate::memo::{MemoHit, MemoOutcome, SourceMemo, SCAN_PATTERN};
+use crate::memo::{MemoOutcome, SourceMemo, SCAN_PATTERN};
 use crate::policy::{RetryPolicy, RuntimePolicy};
 use crate::source::{AccessOutcome, SourceGrid, SourceService};
 use crossbeam::channel;
@@ -68,6 +69,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The rows one access returned, shared uncopied.
+type Rows = Arc<Vec<Tuple>>;
 
 /// Process-wide run-id source for trace-context propagation: each
 /// [`Executor::begin`] call takes the next value, so backend
@@ -88,11 +92,12 @@ pub trait PlanEvaluator: Sync {
     /// Evaluates the plan's conjunctive query, returning its answers —
     /// each once: the merge counts them as the plan's `tuples` and unions
     /// them into the run's answer set as they come, with no set of the
-    /// plan's own in between. `fetched[bucket]` holds the rows the backend returned for that
-    /// bucket's access — `None` for buckets it holds no data for (the
-    /// simulator) and for memo-resolved slots. An evaluator over a static
-    /// database ignores them, which is exactly the simulated world's
-    /// contract; qpo-exec's core joins them in place.
+    /// plan's own in between. `fetched[bucket]` holds the rows the backend
+    /// returned for that bucket's access — live, or replayed from the
+    /// [`SourceMemo`] entry that resolved the slot — and is `None` only
+    /// where the backend holds no data (the simulator). An evaluator over
+    /// a static database ignores them, which is exactly the simulated
+    /// world's contract; qpo-exec's core joins them in place.
     fn evaluate(&self, plan: &[usize], fetched: &[Option<Arc<Vec<Tuple>>>]) -> Vec<Tuple>;
 
     /// The binding pattern ([`crate::pattern`]) the access for `bucket`
@@ -332,10 +337,10 @@ struct Job {
     /// Trace run id propagated to the backend on every access.
     run: u64,
     ordered: OrderedPlan,
-    /// Per-bucket accesses already resolved by the coordinator's memo
-    /// lookup (aligned with the plan; empty when no memo is attached).
-    /// Workers only perform the live accesses for the `None` slots.
-    resolved: Vec<Option<SourceAccess>>,
+    /// Per-bucket accesses the coordinator's memo lookup resolved, with
+    /// the rows stored beside them (aligned with the plan; empty without a
+    /// memo). Workers only perform the live accesses for the `None` slots.
+    resolved: Vec<Option<(SourceAccess, Option<Rows>)>>,
 }
 
 /// One resolved source-access attempt, captured by the job for the
@@ -369,6 +374,8 @@ struct Completion {
     sound: bool,
     tuples: Vec<Tuple>,
     accesses: Vec<SourceAccess>,
+    /// The rows each access returned, aligned with `accesses`.
+    fetched: Vec<Option<Rows>>,
     failure: Option<FailureReason>,
     /// Per-attempt records, populated only when the journal is enabled.
     trace: Vec<AttemptEvent>,
@@ -829,11 +836,11 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
     /// then, and only then blocks on completions.
     fn dispatch(&self, jobs: Vec<Job>, mut pool: Option<&mut Pool<'_>>) -> Vec<Completion> {
         let total = jobs.len();
-        let io = matches!(&self.sources, Some((_, backend)) if backend.kind() != "sim");
-        let sleeps = self.sources.is_some() && self.policy.latency_scale > 0.0;
-        let waits = |job: &Job| {
-            io || (sleeps && job.resolved.iter().flatten().count() < job.ordered.plan.len())
-        };
+        // A job waits iff it has a live access, and that access is slow.
+        let slow = matches!(&self.sources, Some((_, backend))
+            if backend.kind() != "sim" || self.policy.latency_scale > 0.0);
+        let waits =
+            |job: &Job| slow && job.resolved.iter().flatten().count() < job.ordered.plan.len();
         let max_helpers = self.policy.workers.max(1) - 1;
         let mut lane0_free = true;
         let (handed, kept): (Vec<Job>, Vec<Job>) = jobs.into_iter().partition(|job| {
@@ -871,7 +878,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         seq: u64,
         ordered: &OrderedPlan,
         state: &mut RunState,
-    ) -> Vec<Option<SourceAccess>> {
+    ) -> Vec<Option<(SourceAccess, Option<Rows>)>> {
         let (Some(memo), Some((grid, _))) = (&self.memo, &self.sources) else {
             return Vec::new();
         };
@@ -904,7 +911,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                         ],
                     );
                 }
-                Some(replay_access(svc, hit))
+                Some((replay_access(svc, hit.outcome), hit.rows))
             })
             .collect()
     }
@@ -924,6 +931,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             sound,
             tuples,
             accesses,
+            fetched,
             failure,
             trace,
             backend_errors,
@@ -1008,12 +1016,19 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         // plan's own terminal outcomes are stored into the fresh epoch —
         // so a permanently-down source costs exactly one real access.
         // Retries-exhausted transient failures are never stored: the
-        // catalog says those sources should be retried by later plans.
-        if let Some(memo) = &self.memo {
+        // catalog says those sources should be retried by later plans. A
+        // success is stored with the rows it returned.
+        if let (Some(memo), Some((_, backend))) = (&self.memo, &self.sources) {
             if accesses.iter().any(|a| a.attempts > 0 && !a.ok) {
                 memo.invalidate();
             }
-            for a in accesses.iter().filter(|a| a.attempts > 0) {
+            // A backend that learns its data version from replies (tcp:
+            // 0 until the first) knows it by now. For a memo holding
+            // nothing that is the version to start on, not a move.
+            if memo.is_empty() {
+                memo.sync_backend_epoch(backend.epoch());
+            }
+            for (a, rows) in accesses.iter().zip(fetched).filter(|(a, _)| a.attempts > 0) {
                 let outcome = if a.ok {
                     MemoOutcome::Success
                 } else if a.permanently_down {
@@ -1022,7 +1037,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                     continue;
                 };
                 let pattern = self.eval.access_pattern(&ordered.plan, a.bucket);
-                memo.store(a.bucket, a.index, pattern, outcome);
+                memo.store_rows(a.bucket, a.index, pattern, outcome, rows);
                 if journal.is_enabled() {
                     journal.record_at(
                         done,
@@ -1133,12 +1148,12 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             seq,
             run,
             ordered,
-            resolved,
+            mut resolved,
         } = job;
         let tracing = self.obs.is_some_and(|obs| obs.journal.is_enabled());
         let mut trace: Vec<AttemptEvent> = Vec::new();
         let mut accesses: Vec<SourceAccess> = Vec::new();
-        let mut fetched: Vec<Option<Arc<Vec<Tuple>>>> = Vec::new();
+        let mut fetched: Vec<Option<Rows>> = Vec::new();
         let mut backend_errors = [0u64; 2];
         let sound = self.eval.is_sound(&ordered.plan);
         // Unsound plans are discarded unexecuted, and a local executor has
@@ -1146,13 +1161,11 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         if let (true, Some((grid, backend))) = (sound, &self.sources) {
             for (bucket, svc) in grid.plan_services(&ordered.plan).enumerate() {
                 // Slots the coordinator resolved from the memo are replayed
-                // as-is: zero attempts, zero latency, zero fee. The memo
-                // only vouches for the *outcome*; backend data for the
-                // bucket is re-fetched by the evaluator's own cache if it
-                // needs rows.
-                if let Some(Some(access)) = resolved.get(bucket) {
-                    accesses.push(access.clone());
-                    fetched.push(None);
+                // as-is: zero attempts, zero latency, zero fee, and the
+                // rows the memoized access returned.
+                if let Some((access, rows)) = resolved.get_mut(bucket).and_then(Option::take) {
+                    accesses.push(access);
+                    fetched.push(rows);
                     continue;
                 }
                 let events = tracing.then_some(&mut trace);
@@ -1191,12 +1204,18 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         } else {
             Vec::new()
         };
+        // Only a memo keeps rows past the join. Without one they are freed
+        // here, on the thread that ran the job, not serially at merge.
+        if self.memo.is_none() {
+            fetched.clear();
+        }
         Completion {
             seq,
             ordered,
             sound,
             tuples,
             accesses,
+            fetched,
             failure,
             trace,
             backend_errors,
@@ -1214,7 +1233,7 @@ fn memo_outcome_label(outcome: MemoOutcome) -> &'static str {
 
 /// The access record a memo hit replays: the terminal outcome with zero
 /// attempts, zero latency, and zero fee — the whole point of the memo.
-fn replay_access(svc: &SourceService, hit: MemoHit) -> SourceAccess {
+fn replay_access(svc: &SourceService, outcome: MemoOutcome) -> SourceAccess {
     SourceAccess {
         bucket: svc.bucket,
         index: svc.index,
@@ -1223,8 +1242,8 @@ fn replay_access(svc: &SourceService, hit: MemoHit) -> SourceAccess {
         transient_failures: 0,
         latency: 0.0,
         fee: 0.0,
-        ok: hit.outcome == MemoOutcome::Success,
-        permanently_down: hit.outcome == MemoOutcome::PermanentFailure,
+        ok: outcome == MemoOutcome::Success,
+        permanently_down: outcome == MemoOutcome::PermanentFailure,
         remote_server: None,
         remote_network: None,
     }
@@ -1720,6 +1739,8 @@ mod tests {
     struct Recording {
         toy: ToyEval,
         threads: Mutex<Vec<ThreadId>>,
+        /// Per evaluated plan, how many of its slots came with rows.
+        slots_with_rows: Mutex<Vec<usize>>,
         rendezvous: Option<Rendezvous>,
         panic_on: Option<Vec<usize>>,
     }
@@ -1729,6 +1750,7 @@ mod tests {
             Recording {
                 toy: ToyEval { inst: inst() },
                 threads: Mutex::default(),
+                slots_with_rows: Mutex::default(),
                 rendezvous: None,
                 panic_on: None,
             }
@@ -1753,6 +1775,8 @@ mod tests {
         }
 
         fn evaluate(&self, plan: &[usize], fetched: &[Option<Arc<Vec<Tuple>>>]) -> Vec<Tuple> {
+            let with_rows = fetched.iter().flatten().count();
+            self.slots_with_rows.lock().unwrap().push(with_rows);
             self.toy.evaluate(plan, fetched)
         }
     }
@@ -1846,6 +1870,40 @@ mod tests {
         eval.rendezvous = None;
         assert_eq!(run(&eval).stats.memo_hits, 4);
         assert_eq!(eval.take_threads(), HashSet::from([caller]));
+    }
+
+    /// A memo-resolved slot waits for nothing — its rows are in the memo —
+    /// so a fully warm wave over a backend that does I/O never leaves the
+    /// calling thread, and the evaluator is handed rows in every slot
+    /// exactly as on the live run.
+    #[test]
+    fn a_fully_memo_resolved_wave_over_a_data_backend_stays_on_the_caller_with_its_rows() {
+        let inst = inst();
+        let grid = SourceGrid::from_instance(&inst);
+        let eval = Recording::new();
+        let memo = SourceMemo::new();
+        let backend = Arc::new(FlakyBackend {
+            flaky_attempts: 0,
+            down: None,
+        });
+        let run = || {
+            let run = Executor::new(&grid, &eval, RuntimePolicy::parallel(3))
+                .with_backend(backend.clone())
+                .with_source_memo(&memo)
+                .run(&mut Pi::new(&inst, &Coverage), RunBudget::unbounded());
+            assert_eq!(run.executed(), 6);
+            let seen = std::mem::take(&mut *eval.slots_with_rows.lock().unwrap());
+            assert_eq!(seen, [2; 6], "rows in both slots of every plan");
+            run
+        };
+        let cold = run();
+        assert!(cold.stats.attempts > 0 && memo.approx_bytes() > 0);
+        eval.take_threads();
+        let warm = run();
+        assert_eq!((warm.stats.attempts, warm.stats.memo_hits), (0, 12));
+        assert_eq!(warm.answers, cold.answers);
+        let caller = HashSet::from([thread::current().id()]);
+        assert_eq!(eval.take_threads(), caller, "nothing to wait for");
     }
 
     #[test]

@@ -4,18 +4,26 @@
 //! The paper's failure+cache utility measure already *believes* repeated
 //! accesses are near-free (§cache measure); this module makes that true
 //! at the physical layer. A [`SourceMemo`] caches the *terminal* outcome
-//! of each source access — success, or permanent failure — keyed on
-//! `(bucket, source index, binding pattern)`. When a later plan touches
-//! the same source, the wave executor serves the access from the memo
-//! without re-paying latency, retries, backoff, or fees.
+//! of each source access — success, or permanent failure — and, beside a
+//! success, the rows it returned, keyed on `(bucket, source index, binding
+//! pattern)`. When a later plan touches the same source, the wave executor
+//! serves the access — rows included — from the memo without re-paying
+//! latency, retries, backoff, or fees.
 //!
 //! ## What is (and is not) memoized
 //!
 //! Only *terminal* outcomes are cached:
 //!
 //! - **Success** — the source answered; later plans reuse it for free.
+//!   When the backend serves data (the simulator holds none), the entry
+//!   also holds the rows the access returned, [`Arc`]-shared with what
+//!   the backend handed back. The memo is their only owner between plans:
+//!   a hit's rows reach the evaluator exactly as a live access's do, so
+//!   no second row cache can disagree with the outcome. An entry holds at
+//!   most one row set and dies — rows included — with its outcome.
 //! - **Permanent failure** — the source is down; later plans fail the
-//!   access instantly instead of re-discovering the outage.
+//!   access instantly instead of re-discovering the outage. It carries no
+//!   rows: the plan fails before it joins.
 //!
 //! A retries-exhausted *transient* failure is deliberately never cached:
 //! the catalog says such a source should be retried, and a memoized
@@ -43,6 +51,7 @@
 //! outcomes are pure functions of `(seed, sources, plan order)` —
 //! byte-identical traces under any worker count.
 
+use qpo_datalog::{Constant, Tuple};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -58,10 +67,13 @@ pub enum MemoOutcome {
 }
 
 /// A memo lookup that hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoHit {
     /// The cached terminal outcome.
     pub outcome: MemoOutcome,
+    /// The rows stored beside a success; `None` when the backend served
+    /// none (the simulator) and for a permanent failure.
+    pub rows: Option<Arc<Vec<Tuple>>>,
     /// True when the entry was stored by an *earlier* run sharing this
     /// memo (a warm session). Journal consumers use this to distinguish
     /// hits that cannot be paired with a `memo_store` in the same trace
@@ -72,18 +84,32 @@ pub struct MemoHit {
 #[derive(Debug)]
 struct MemoEntry {
     outcome: MemoOutcome,
+    rows: Option<Arc<Vec<Tuple>>>,
     epoch: u64,
     run_token: u64,
     /// Backend data version this outcome was observed under; see
     /// [`SourceMemo::sync_backend_epoch`].
     backend_epoch: u64,
+    /// What [`SourceMemo::approx_bytes`] charges this entry.
+    bytes: usize,
 }
 
-/// What [`SourceMemo::approx_bytes`] charges one entry.
-fn entry_bytes(pattern: &str) -> usize {
+/// What [`SourceMemo::approx_bytes`] charges one entry: key, record, and
+/// its rows (every value plus string payloads), once however shared.
+fn entry_bytes(pattern: &str, rows: Option<&Arc<Vec<Tuple>>>) -> usize {
+    let payload = |c: &Constant| match c {
+        Constant::Int(_) => 0,
+        Constant::Str(s) => s.len(),
+    };
+    let row = |t: &Tuple| {
+        std::mem::size_of::<Tuple>()
+            + std::mem::size_of_val(t.as_slice())
+            + t.iter().map(payload).sum::<usize>()
+    };
     std::mem::size_of::<(usize, usize, Arc<str>)>()
         + pattern.len()
         + std::mem::size_of::<MemoEntry>()
+        + rows.map_or(0, |rows| rows.iter().map(row).sum())
 }
 
 #[derive(Debug, Default)]
@@ -91,7 +117,7 @@ struct MemoInner {
     /// `(bucket, index) → pattern → entry`, so a probe borrows its
     /// pattern instead of allocating a key.
     entries: BTreeMap<(usize, usize), BTreeMap<Arc<str>, MemoEntry>>,
-    /// Running [`entry_bytes`] total over `entries`.
+    /// Running total of the entries' `bytes`.
     bytes: usize,
     epoch: u64,
     run_token: u64,
@@ -110,8 +136,8 @@ impl MemoInner {
     fn retain(&mut self, keep: impl Fn(&MemoEntry) -> bool) {
         let patterns = self.entries.values_mut();
         patterns.for_each(|patterns| patterns.retain(|_, e| keep(e)));
-        let kept = self.entries.values().flat_map(BTreeMap::keys);
-        self.bytes = kept.map(|pattern| entry_bytes(pattern)).sum();
+        let kept = self.entries.values().flat_map(BTreeMap::values);
+        self.bytes = kept.map(|e| e.bytes).sum();
     }
 }
 
@@ -160,6 +186,7 @@ impl SourceMemo {
         let mut inner = self.lock();
         let hit = inner.get(bucket, index, pattern).map(|e| MemoHit {
             outcome: e.outcome,
+            rows: e.rows.clone(),
             warm: e.run_token != inner.run_token,
         });
         match hit {
@@ -176,23 +203,38 @@ impl SourceMemo {
         self.lock().get(bucket, index, pattern).is_some()
     }
 
-    /// Stores a terminal outcome in the current epoch.
+    /// Stores a terminal outcome in the current epoch, no rows beside it.
     pub fn store(&self, bucket: usize, index: usize, pattern: &str, outcome: MemoOutcome) {
+        self.store_rows(bucket, index, pattern, outcome, None);
+    }
+
+    /// Stores a terminal outcome in the current epoch and, beside a
+    /// success, the `rows` the access returned (shared, not copied).
+    pub fn store_rows(
+        &self,
+        bucket: usize,
+        index: usize,
+        pattern: &str,
+        outcome: MemoOutcome,
+        rows: Option<Arc<Vec<Tuple>>>,
+    ) {
         let mut inner = self.lock();
+        let rows = rows.filter(|_| outcome == MemoOutcome::Success);
         let entry = MemoEntry {
             outcome,
             epoch: inner.epoch,
             run_token: inner.run_token,
             backend_epoch: inner.backend_epoch,
+            bytes: entry_bytes(pattern, rows.as_ref()),
+            rows,
         };
+        inner.bytes += entry.bytes;
         let patterns = inner.entries.entry((bucket, index)).or_default();
-        match patterns.get_mut(pattern) {
-            Some(stored) => *stored = entry,
-            None => {
-                patterns.insert(Arc::from(pattern), entry);
-                inner.bytes += entry_bytes(pattern);
-            }
-        }
+        let replaced = match patterns.get_mut(pattern) {
+            Some(stored) => Some(std::mem::replace(stored, entry)),
+            None => patterns.insert(Arc::from(pattern), entry),
+        };
+        inner.bytes -= replaced.map_or(0, |old| old.bytes);
         inner.stores += 1;
     }
 
@@ -238,8 +280,8 @@ impl SourceMemo {
         self.len() == 0
     }
 
-    /// Approximate resident bytes of the memo (keys plus entries), for
-    /// the `qpo_memo_bytes` gauge.
+    /// Approximate resident bytes of the memo (keys, entries and the rows
+    /// they hold), for the `qpo_memo_bytes` gauge.
     pub fn approx_bytes(&self) -> usize {
         self.lock().bytes
     }
@@ -323,6 +365,56 @@ mod tests {
         memo.store(0, 0, SCAN_PATTERN, MemoOutcome::Success);
         memo.sync_backend_epoch(1); // same version: entries survive
         assert!(memo.contains(0, 0, SCAN_PATTERN));
+    }
+
+    fn rows() -> Arc<Vec<Tuple>> {
+        let row = |k, name| vec![Constant::Int(k), Constant::str(name)];
+        Arc::new(vec![row(1, "ford"), row(2, "hamill")])
+    }
+
+    #[test]
+    fn rows_ride_beside_a_success_shared_and_survive_begin_run() {
+        let memo = SourceMemo::new();
+        memo.begin_run();
+        let (bound, fetched) = ("bind;0=s4:ford", rows());
+        memo.store_rows(0, 0, bound, MemoOutcome::Success, Some(fetched.clone()));
+        memo.store(0, 1, SCAN_PATTERN, MemoOutcome::Success);
+        memo.begin_run();
+        let hit = memo.lookup(0, 0, bound).expect("stored");
+        assert!(hit.warm);
+        assert!(Arc::ptr_eq(hit.rows.as_ref().unwrap(), &fetched), "no copy");
+        assert_eq!(memo.lookup(0, 1, SCAN_PATTERN).unwrap().rows, None);
+        // A permanent failure vouches for no rows, whatever rode in.
+        memo.store_rows(1, 0, bound, MemoOutcome::PermanentFailure, Some(fetched));
+        assert_eq!(memo.lookup(1, 0, bound).unwrap().rows, None);
+    }
+
+    #[test]
+    fn rows_die_with_their_outcome_and_the_bytes_return() {
+        let bare = SourceMemo::new();
+        bare.store(0, 0, SCAN_PATTERN, MemoOutcome::Success);
+        let bare = bare.approx_bytes();
+        for kill in [SourceMemo::invalidate, |m: &SourceMemo| {
+            m.sync_backend_epoch(7)
+        }] {
+            let memo = SourceMemo::new();
+            let store = || memo.store_rows(0, 0, SCAN_PATTERN, MemoOutcome::Success, Some(rows()));
+            store();
+            let held = memo.approx_bytes();
+            let strings = "ford".len() + "hamill".len();
+            let values = 4 * std::mem::size_of::<Constant>();
+            let payload = 2 * std::mem::size_of::<Tuple>() + values + strings;
+            assert_eq!(held, bare + payload, "rows are charged, once");
+            // Overwriting the entry replaces its charge, not adds to it.
+            store();
+            assert_eq!(memo.approx_bytes(), held);
+            memo.store(0, 0, SCAN_PATTERN, MemoOutcome::Success);
+            assert_eq!(memo.approx_bytes(), bare);
+            store();
+            kill(&memo);
+            assert!(memo.lookup(0, 0, SCAN_PATTERN).is_none());
+            assert_eq!(memo.approx_bytes(), 0, "nothing left to charge");
+        }
     }
 
     #[test]

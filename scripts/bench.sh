@@ -8,9 +8,6 @@
 # - bench-anyk: time-to-k-th-tuple of the any-k stream vs the
 #   plan-at-a-time ranked baseline, merged into BENCH_ordering.json as
 #   the "anyk" section (after bench-ordering rewrites the base file).
-# - bench-sharing: cross-plan shared-execution memo on/off (live source
-#   accesses, tuple throughput, time-to-k-th-plan), merged into
-#   BENCH_ordering.json as the "sharing" section.
 # - bench-backends: the same query through the sim/store/tcp source
 #   backends (access p50/p95, answer equivalence), merged into
 #   BENCH_ordering.json as the "backends" section.
@@ -36,10 +33,6 @@ else
   cargo build --release -p qpo-bench --bin bench-anyk
   echo "==> bench-anyk --merge BENCH_ordering.json"
   ./target/release/bench-anyk --merge BENCH_ordering.json
-  echo "==> cargo build --release -p qpo-bench --bin bench-sharing"
-  cargo build --release -p qpo-bench --bin bench-sharing
-  echo "==> bench-sharing --merge BENCH_ordering.json"
-  ./target/release/bench-sharing --merge BENCH_ordering.json
   echo "==> cargo build --release -p qpo-bench --bin bench-backends"
   cargo build --release -p qpo-bench --bin bench-backends
   echo "==> bench-backends --merge BENCH_ordering.json"

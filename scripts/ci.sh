@@ -67,10 +67,6 @@ echo "==> any-k streaming bench smoke (release; fig6-anyk-m4 must release its fi
 cargo build --release -p qpo-bench --bin bench-anyk
 ./target/release/bench-anyk --smoke
 
-echo "==> shared-execution memo bench smoke (release)"
-cargo build --release -p qpo-bench --bin bench-sharing
-./target/release/bench-sharing --smoke
-
 echo "==> source-backend bench smoke (release: sim/store/tcp answer equivalence)"
 cargo build --release -p qpo-bench --bin bench-backends
 ./target/release/bench-backends --smoke
