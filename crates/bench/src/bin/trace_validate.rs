@@ -2,26 +2,29 @@
 //!
 //! Usage: `trace-validate <trace.jsonl>`
 //!
-//! Runs [`qpo_obs::validate_trace`] over the file — every line must parse
-//! as a JSON object with contiguous `seq`, a numeric (or null) `clock`,
-//! and a string `kind`; plan-lifecycle spans must open and close exactly
-//! once; and the virtual clock must be non-decreasing in seq order within
-//! each run (`run_started` markers restart it). The trace must also
-//! reconstruct into well-formed span-tree profiles: every run's
-//! [`qpo_obs::RunProfile`] passes its structural `check` (children nest,
-//! attribution sums exactly, critical path bounded by the reported
-//! makespan), and on runs that journalled a `run_finished` the
-//! reconstructed critical path bit-equals that makespan. Traces from
-//! traced TCP backends additionally pass the remote-span soundness rules
-//! (remote fields only on tcp runs, travelling together, server total
-//! bounded by the attempt latency, phases bounded by the total, network
-//! residual bit-exact). Exits non-zero
-//! (with the validator's message, which names the violating seq) on any
-//! violation, including unbalanced spans. On success prints the event
-//! total, the per-kind counts, and a one-line profile digest per run, so
-//! the CI log doubles as a trace digest.
+//! Decodes the file once ([`qpo_obs::read_jsonl`]) and hands the records
+//! to the validator, the profiler and the drift fold. Every line must be a
+//! JSON object with contiguous `seq`, a numeric (or null) `clock` and a
+//! string `kind`; every event must conform to the vocabulary
+//! (`qpo_obs::vocab`) and — stricter than `validate_trace` — be of a kind
+//! it lists, so an emitter that invents or misspells a kind fails the
+//! gate; plan-lifecycle spans must open and close exactly once; the
+//! virtual clock must be non-decreasing in seq order within each run
+//! (`run_started` markers restart it); remote spans must be sound (tcp
+//! runs only, five fields together, nested in the attempt latency). The
+//! records must also reconstruct into well-formed span-tree profiles:
+//! every run's [`qpo_obs::RunProfile`] passes its structural `check`
+//! (children nest, attribution sums exactly, network residual bit-exact,
+//! critical path bounded by the reported makespan), and on runs that
+//! journalled a `run_finished` the critical path bit-equals that makespan.
+//! Exits non-zero (with the validator's message, which names the violating
+//! line) on any violation, including unbalanced spans. On success prints
+//! the event total, the per-kind counts, how much of the vocabulary the
+//! trace exercised, a one-line profile digest per run and the drifting set
+//! of the latest run, so the CI log doubles as a trace digest.
 
-use qpo_obs::{validate_trace, ProfileIndex};
+use qpo_obs::vocab::{role_of, KINDS};
+use qpo_obs::{read_jsonl, validate_records, DivergenceConfig, DivergenceMonitor, ProfileIndex};
 
 fn main() {
     let path = std::env::args().nth(1).unwrap_or_else(|| {
@@ -32,10 +35,18 @@ fn main() {
         eprintln!("trace-validate: reading {path}: {e}");
         std::process::exit(2);
     });
-    let report = validate_trace(&jsonl).unwrap_or_else(|e| {
+    let report = read_jsonl(&jsonl).and_then(|records| {
+        let report = validate_records(&records)?;
+        Ok((report, ProfileIndex::from_records(&records)))
+    });
+    let (report, index) = report.unwrap_or_else(|e| {
         eprintln!("trace-validate: {path}: {e}");
         std::process::exit(1);
     });
+    if let Some(kind) = report.counts.keys().find(|k| role_of(k).is_none()) {
+        eprintln!("trace-validate: {path}: event kind \"{kind}\" is not in the vocabulary");
+        std::process::exit(1);
+    }
     if report.spans_opened != report.spans_closed {
         eprintln!(
             "trace-validate: {path}: {} plan spans opened but {} closed",
@@ -43,10 +54,6 @@ fn main() {
         );
         std::process::exit(1);
     }
-    let index = ProfileIndex::from_jsonl(&jsonl).unwrap_or_else(|e| {
-        eprintln!("trace-validate: {path}: profile reconstruction: {e}");
-        std::process::exit(1);
-    });
     for run in index.runs() {
         if let Err(e) = run.check() {
             eprintln!("trace-validate: {path}: span-tree invariant: {e}");
@@ -70,6 +77,11 @@ fn main() {
     for (kind, n) in &report.counts {
         println!("  {kind:<24} {n}");
     }
+    let exercised = report.counts.len();
+    println!(
+        "  {exercised} of {} vocabulary kinds exercised",
+        KINDS.len()
+    );
     for run in index.runs() {
         print!(
             "  profile run {}: {} plans, critical path {}",
@@ -93,4 +105,6 @@ fn main() {
             None => println!(" (no run_finished — truncated trace)"),
         }
     }
+    let drifting = DivergenceMonitor::from_profile(&index, DivergenceConfig::default()).drifting();
+    println!("  drifting (latest run): {drifting:?}");
 }

@@ -16,7 +16,7 @@ use qpo_exec::{
     snapshot_relations, BackendRegistry, CatalogScorer, ExecutionMemo, Mediator, QuerySession,
     RunOptions, StopCondition, Strategy,
 };
-use qpo_obs::{parse_json, validate_trace, Json, Obs, ProfileIndex};
+use qpo_obs::{parse_json, validate_trace, DivergenceMonitor, Json, Obs, ProfileIndex};
 use qpo_runtime::{
     AccessContext, AccessReply, BackendError, BindingPattern, FaultConfig, MemProvider, RemoteSpan,
     RetryPolicy, RuntimePolicy, SimBackend, SourceBackend, SourceGrid, SourceServer, SourceService,
@@ -306,24 +306,43 @@ fn tcp_runs_stitch_remote_spans_with_exact_attribution() {
     let (addr, _guard) = server_addr(&m);
     let m = m.with_backends(BackendRegistry::new().with("tcp", Arc::new(TcpBackend::new(addr))));
     let obs = Obs::with_trace();
-    m.run(
-        &movie_query(),
-        &LinearCost,
-        Strategy::Greedy,
-        StopCondition::unbounded(),
-        RuntimePolicy::parallel(2),
-        &RunOptions {
-            backend: Some("tcp"),
-            obs: Some(&obs),
-            ..RunOptions::default()
-        },
-    )
-    .unwrap();
+    let live = m
+        .run(
+            &movie_query(),
+            &LinearCost,
+            Strategy::Greedy,
+            StopCondition::unbounded(),
+            RuntimePolicy::parallel(2),
+            &RunOptions {
+                backend: Some("tcp"),
+                obs: Some(&obs),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
     let jsonl = obs.journal.to_jsonl();
     validate_trace(&jsonl).expect("remote span rules hold on a live run");
     let index = ProfileIndex::from_jsonl(&jsonl).unwrap();
     let run = index.latest().expect("one run");
     run.check().expect("stitched attribution is exact");
+    // The drift replay is a fold over these very spans: the JSONL replay,
+    // the fold of the profile and the live monitor agree to the bit,
+    // network/server split included.
+    let config = live.divergence.config();
+    let replayed = DivergenceMonitor::from_jsonl(&jsonl, config).unwrap();
+    let folded = DivergenceMonitor::from_profile(&index, config);
+    assert!(replayed.iter().any(|(_, d)| d.ewma_network.is_some()));
+    for other in [&folded, &live.divergence] {
+        assert_eq!(replayed.iter().count(), other.iter().count());
+        for ((name, d), (other_name, o)) in replayed.iter().zip(other.iter()) {
+            assert_eq!((name, d), (other_name, o));
+            let estimators = |d: &qpo_obs::SourceDrift| {
+                [d.ewma_latency, d.ewma_tuples, d.ewma_network, d.ewma_server]
+                    .map(|e| e.map(f64::to_bits))
+            };
+            assert_eq!(estimators(d), estimators(o), "{name}");
+        }
+    }
     let mut stitched = 0;
     for s in run.plans.iter().flat_map(|p| &p.sources) {
         if let Some(r) = &s.remote {

@@ -225,6 +225,64 @@ fn explain_answers_for_emitted_and_unknown_plans() {
 }
 
 #[test]
+fn explain_and_profile_number_runs_alike() {
+    // Two traced runs in one journal. `run=K` must name the same run on
+    // both endpoints: the plan /profile lists first for run K is the one
+    // /explain ranks first in run K.
+    let obs = Obs::with_trace();
+    let mediator = Mediator::new(movie_domain(), MOVIE_UNIVERSE, &["ford"]).with_obs(&obs);
+    let prepared = mediator.prepare(&movie_query()).unwrap();
+    let mut by_coverage =
+        QuerySession::new(&mediator, &prepared, &Coverage, Strategy::IDrips).unwrap();
+    while by_coverage.next_report().is_some() {}
+    drop(by_coverage);
+    let mut by_cost = QuerySession::new(
+        &mediator,
+        &prepared,
+        &qpo_utility::LinearCost,
+        Strategy::Greedy,
+    )
+    .unwrap();
+    while by_cost.next_report().is_some() {}
+    drop(by_cost);
+
+    let server = mediator.spawn_introspection(0).unwrap();
+    let addr = server.addr();
+    let mut first_plans = Vec::new();
+    for run in 0..2 {
+        let (status, body) = http_get(&addr, &format!("/profile?run={run}"));
+        assert!(status.contains("200"), "{status}");
+        let profile = String::from_utf8(body).unwrap();
+        let plan = profile
+            .split("\"plans\":[{\"seq\":0,\"plan\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .expect("the run emitted a plan")
+            .to_string();
+        let (status, body) = http_get(&addr, &format!("/explain?run={run}&plan={plan}"));
+        assert!(status.contains("200"), "{status}");
+        let explained = String::from_utf8(body).unwrap();
+        let expected =
+            format!("{{\"run\":{run},\"plan\":\"{plan}\",\"status\":\"emitted\",\"rank\":0,");
+        assert!(explained.starts_with(&expected), "run {run}: {explained}");
+        first_plans.push(plan);
+    }
+    assert_ne!(
+        first_plans[0], first_plans[1],
+        "the two runs order differently"
+    );
+    // The default is the latest run on both endpoints.
+    let (_, body) = http_get(&addr, &format!("/explain?plan={}", first_plans[1]));
+    let latest = String::from_utf8(body).unwrap();
+    assert!(
+        latest.starts_with("{\"run\":1,") && latest.contains("\"rank\":0"),
+        "{latest}"
+    );
+    let (status, _) = http_get(&addr, "/profile?run=2");
+    assert!(status.contains("404"), "{status}");
+}
+
+#[test]
 fn profile_endpoint_is_byte_identical_to_the_offline_renderers() {
     let (obs, mediator) = served_mediator();
     let index = qpo_obs::ProfileIndex::from_journal(&obs.journal);

@@ -16,6 +16,10 @@
 //!    memo lookup, store and epoch move happens on the coordinating
 //!    thread, and a warm run replays rows as well as outcomes, so it
 //!    reaches the backend not once.
+//! 5. **No dead vocabulary** — between them, this suite's kinds of traced
+//!    run emit every event kind `qpo_obs::vocab` lists and no other, and
+//!    every event conforms to its row (in `--release` too, where the
+//!    journal's emit-side assertion is compiled out).
 
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
 use qpo_exec::{
@@ -254,4 +258,97 @@ fn a_store_backed_memoized_trace_is_byte_identical_across_worker_counts() {
     assert_eq!(warm.count("memo_store"), 0);
     assert!(warm.count("memo_hit") > cold.count("memo_hit"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_vocabulary_kind_is_emitted_and_every_event_conforms() {
+    use qpo_catalog::{Catalog, Extent, MediatedSchema, SchemaRelation, SourceStats};
+    use qpo_datalog::{parse_query, SourceDescription};
+    use qpo_exec::{CatalogScorer, QuerySession};
+    fn traced(
+        m: &Mediator,
+        q: &qpo_datalog::ConjunctiveQuery,
+        strategy: Strategy,
+        policy: RuntimePolicy,
+        opts: RunOptions<'_>,
+    ) -> String {
+        let obs = Obs::with_trace();
+        let opts = RunOptions {
+            obs: Some(&obs),
+            ..opts
+        };
+        let stop = StopCondition::unbounded();
+        m.run(q, &Coverage, strategy, stop, policy, &opts).unwrap();
+        obs.journal.to_jsonl()
+    }
+    // The flaky simulator: retries, a failed and retracted plan, drift.
+    let mut traces = vec![traced_run(4).journal.to_jsonl()];
+    // A memoized pair, cold then warm: stores, hits, seeded prefixes.
+    let (m, memo) = (mediator(), ExecutionMemo::new());
+    for _ in 0..2 {
+        let opts = RunOptions {
+            memo: Some(&memo),
+            ..RunOptions::default()
+        };
+        let policy = RuntimePolicy::parallel(2).with_lookahead(3);
+        traces.push(traced(&m, &movie_query(), Strategy::Pi, policy, opts));
+    }
+    // An any-k run that evicts: `u1` answers `play_in` but over russian
+    // movies, so its plan is unsound and its stream attaches and goes.
+    let desc = |text: &str| SourceDescription::new(parse_query(text).unwrap());
+    let schema = [("play_in", 2), ("american", 1), ("russian", 1)];
+    let schema = schema.map(|(name, arity)| SchemaRelation::new(name, arity));
+    let mut catalog = Catalog::new(MediatedSchema::with_relations(schema));
+    for view in [
+        "u1(A) :- play_in(A, M), russian(M)",
+        "u2(A, M) :- play_in(A, M), american(M)",
+        "u3(M) :- american(M)",
+    ] {
+        let stats = SourceStats::new().with_extent(Extent::new(10, 40));
+        catalog.add_source(desc(view), stats).unwrap();
+    }
+    let trap = Mediator::new(catalog, 1000, &["ford", "hanks"]);
+    let q = parse_query("q(A) :- play_in(A, M), american(M)").unwrap();
+    let scorer = CatalogScorer::new(1000).with_jitter(0.25);
+    let opts = RunOptions {
+        scorer: Some(&scorer),
+        ..RunOptions::default()
+    };
+    traces.push(traced(
+        &trap,
+        &q,
+        Strategy::Pi,
+        RuntimePolicy::serial(),
+        opts,
+    ));
+    // A pulled iDrips session with both quality curves: kernel events and
+    // the session's own samples.
+    let obs = Obs::with_trace();
+    let m = mediator().with_obs(&obs);
+    let prepared = m.prepare(&movie_query()).unwrap();
+    let session = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips).unwrap();
+    let scorer = CatalogScorer::new(MOVIE_UNIVERSE).with_jitter(0.25);
+    let mut session = session
+        .with_quality(true)
+        .with_tuple_scorer(scorer)
+        .with_tuple_quality(true);
+    assert!(session.stream_tuples().count() > 0);
+    drop(session);
+    traces.push(obs.journal.to_jsonl());
+
+    let mut seen = std::collections::BTreeSet::new();
+    for trace in &traces {
+        // Validation includes conformance of every event to its row.
+        let report = validate_trace(trace).expect("a sound, conforming trace");
+        seen.extend(report.counts.into_keys());
+    }
+    let listed: Vec<&str> = qpo_obs::vocab::KINDS
+        .iter()
+        .map(|(kind, _)| *kind)
+        .collect();
+    let emitted: Vec<&str> = seen.iter().map(String::as_str).collect();
+    let dead: Vec<_> = listed.iter().filter(|k| !emitted.contains(k)).collect();
+    assert!(dead.is_empty(), "listed but never emitted: {dead:?}");
+    let unlisted: Vec<_> = emitted.iter().filter(|k| !listed.contains(k)).collect();
+    assert!(unlisted.is_empty(), "emitted but not listed: {unlisted:?}");
 }

@@ -27,7 +27,7 @@
 //! [`from_events`]: DivergenceMonitor::from_events
 
 use crate::journal::{push_f64, push_str, TraceEvent, Value};
-use crate::json::{parse_json, Json};
+use crate::profile::{ProfileIndex, SpanStatus};
 use crate::Obs;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -306,36 +306,55 @@ impl DivergenceMonitor {
     }
 
     /// Replays a trace's observation sequence through a fresh detached
-    /// monitor: `source_declared` events re-declare expectations, and
-    /// each plan terminal replays its access chains (reconstructed from
-    /// the `source_attempt` charges, which re-sum bit-exactly to the
-    /// runtime's own accumulation). The resulting estimator state — and
-    /// therefore every divergence value — bit-equals the live monitor
-    /// fed from the same run sequence with the same config.
+    /// monitor. The trace is reconstructed once, by the profiler
+    /// ([`ProfileIndex`]); see [`DivergenceMonitor::from_profile`] for the
+    /// fold. The resulting estimator state — and therefore every
+    /// divergence value — bit-equals the live monitor fed from the same
+    /// run with the same config.
     pub fn from_events(events: &[TraceEvent], config: DivergenceConfig) -> Self {
-        let mut replay = Replay::new(config);
-        for ev in events {
-            replay.observe(ev.kind, &EventFields(ev));
-        }
-        replay.monitor
+        DivergenceMonitor::from_profile(&ProfileIndex::from_events(events), config)
     }
 
     /// [`DivergenceMonitor::from_events`] over a JSONL trace file.
     pub fn from_jsonl(jsonl: &str, config: DivergenceConfig) -> Result<Self, String> {
-        let mut replay = Replay::new(config);
-        for (i, line) in jsonl.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let obj = parse_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let kind = obj
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("line {}: missing kind", i + 1))?
-                .to_string();
-            replay.observe(&kind, &LineFields(&obj));
+        let index = ProfileIndex::from_jsonl(jsonl)?;
+        Ok(DivergenceMonitor::from_profile(&index, config))
+    }
+
+    /// Folds a reconstructed journal into a fresh detached monitor: the
+    /// run's `source_declared` expectations, then, plan by plan in the
+    /// order their terminal events were journalled, each source span as
+    /// one [`AccessObservation`] (`total` and `network` were computed in
+    /// the runtime's own order, so the EWMAs fold bit-equal). The live
+    /// feedback path binds a fresh monitor to each run and later runs
+    /// overwrite the gauges, so a multi-run journal folds to its latest
+    /// run; a journal with no `run_started` folds everything it recorded.
+    /// A plan without a terminal event was never reported, so not observed.
+    pub fn from_profile(index: &ProfileIndex, config: DivergenceConfig) -> Self {
+        let mut monitor = DivergenceMonitor::with_config(&Obs::new(), config);
+        let run = index.latest_scope();
+        for (source, expected) in &run.declared {
+            monitor.declare(source, *expected);
         }
-        Ok(replay.monitor)
+        for plan in run.closed.iter().filter_map(|&i| run.plans.get(i)) {
+            let answers = plan.tuples.filter(|_| plan.status == SpanStatus::Completed);
+            for s in &plan.sources {
+                monitor.observe(
+                    &s.name,
+                    AccessObservation {
+                        attempts: s.attempts,
+                        transient_failures: s.transient,
+                        ok: s.outcome == "ok",
+                        permanently_down: s.outcome == "permanent",
+                        latency: s.total,
+                        tuples: answers.map(|t| t as f64),
+                        network: s.remote.as_ref().map(|r| r.network),
+                        server: s.remote.as_ref().map(|r| r.total),
+                    },
+                );
+            }
+        }
+        monitor
     }
 
     /// The monitor state as one JSON document (the `/divergence`
@@ -404,165 +423,10 @@ fn push_opt_f64(out: &mut String, v: Option<f64>) {
     }
 }
 
-/// Field access for the two replay inputs.
-trait ReplayFields {
-    fn u64(&self, name: &str) -> Option<u64>;
-    fn f64(&self, name: &str) -> Option<f64>;
-    fn str(&self, name: &str) -> Option<&str>;
-}
-
-struct EventFields<'a>(&'a TraceEvent);
-
-impl ReplayFields for EventFields<'_> {
-    fn u64(&self, name: &str) -> Option<u64> {
-        match self.0.fields.iter().find(|(k, _)| *k == name)? {
-            (_, Value::U64(n)) => Some(*n),
-            _ => None,
-        }
-    }
-    fn f64(&self, name: &str) -> Option<f64> {
-        match self.0.fields.iter().find(|(k, _)| *k == name)? {
-            (_, Value::F64(x)) => Some(*x),
-            _ => None,
-        }
-    }
-    fn str(&self, name: &str) -> Option<&str> {
-        match self.0.fields.iter().find(|(k, _)| *k == name)? {
-            (_, Value::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct LineFields<'a>(&'a Json);
-
-impl ReplayFields for LineFields<'_> {
-    fn u64(&self, name: &str) -> Option<u64> {
-        self.0.get(name)?.as_f64().map(|v| v as u64)
-    }
-    fn f64(&self, name: &str) -> Option<f64> {
-        self.0.get(name)?.as_f64()
-    }
-    fn str(&self, name: &str) -> Option<&str> {
-        self.0.get(name)?.as_str()
-    }
-}
-
-/// Reconstructed per-source chain state for the plan currently being
-/// replayed.
-#[derive(Default)]
-struct ChainState {
-    attempts: u64,
-    transient: u64,
-    latency: f64,
-    last_outcome: String,
-    /// Remote-span split of the attempt that carried one (at most one
-    /// per chain — the successful attempt): `(network, server)`,
-    /// recomputed from the journalled fields exactly as the live path
-    /// computed them, so the EWMA folds bit-equal.
-    remote: Option<(f64, f64)>,
-}
-
-/// Offline replay: rebuilds the exact observation sequence the live
-/// feedback path produced.
-struct Replay {
-    monitor: DivergenceMonitor,
-    /// Source chains of the plan under replay, keyed by `plan_seq`,
-    /// preserving first-attempt order within a plan.
-    pending: BTreeMap<u64, Vec<(String, ChainState)>>,
-}
-
-impl Replay {
-    fn new(config: DivergenceConfig) -> Self {
-        Replay {
-            monitor: DivergenceMonitor::with_config(&Obs::new(), config),
-            pending: BTreeMap::new(),
-        }
-    }
-
-    fn observe(&mut self, kind: &str, fields: &dyn ReplayFields) {
-        match kind {
-            "run_started" => {
-                // Estimators are per-run: the live feedback path binds a
-                // fresh monitor to each run, so a multi-run journal
-                // replays to the state (and gauge values) of its last
-                // run — exactly what the shared registry holds live,
-                // since later runs overwrite the gauges.
-                self.pending.clear();
-                self.monitor.sources.clear();
-                self.monitor.flagged.clear();
-            }
-            "source_declared" => {
-                if let Some(source) = fields.str("source") {
-                    self.monitor.declare(
-                        source,
-                        SourceExpectation {
-                            latency: fields.f64("latency").unwrap_or(0.0),
-                            transient_rate: fields.f64("transient_rate").unwrap_or(0.0),
-                            tuples: fields.f64("tuples").unwrap_or(0.0),
-                        },
-                    );
-                }
-            }
-            "source_attempt" => {
-                let (Some(seq), Some(source)) = (fields.u64("plan_seq"), fields.str("source"))
-                else {
-                    return;
-                };
-                let chains = self.pending.entry(seq).or_default();
-                let chain = match chains.iter_mut().find(|(n, _)| n == source) {
-                    Some((_, c)) => c,
-                    None => {
-                        chains.push((source.to_string(), ChainState::default()));
-                        &mut chains.last_mut().expect("just pushed").1
-                    }
-                };
-                let outcome = fields.str("outcome").unwrap_or("");
-                chain.attempts = chain.attempts.max(fields.u64("attempt").unwrap_or(0));
-                chain.transient += u64::from(outcome == "timeout" || outcome == "transient");
-                // Same charge order as the runtime's accumulation.
-                chain.latency += fields.f64("backoff").unwrap_or(0.0);
-                chain.latency += fields.f64("latency").unwrap_or(0.0);
-                if let Some(total) = fields.f64("remote_total") {
-                    // `network = attempt latency − server total`: the same
-                    // subtraction, over the same journalled f64s, that the
-                    // executor performed live.
-                    let charge = fields.f64("latency").unwrap_or(0.0);
-                    chain.remote = Some((charge - total, total));
-                }
-                chain.last_outcome = outcome.to_string();
-            }
-            "plan_completed" | "plan_failed" | "plan_unsound" => {
-                let Some(seq) = fields.u64("plan_seq") else {
-                    return;
-                };
-                let tuples = (kind == "plan_completed")
-                    .then(|| fields.u64("tuples").map(|t| t as f64))
-                    .flatten();
-                for (source, chain) in self.pending.remove(&seq).unwrap_or_default() {
-                    self.monitor.observe(
-                        &source,
-                        AccessObservation {
-                            attempts: chain.attempts,
-                            transient_failures: chain.transient,
-                            ok: chain.last_outcome == "ok",
-                            permanently_down: chain.last_outcome == "permanent",
-                            latency: chain.latency,
-                            tuples,
-                            network: chain.remote.map(|(network, _)| network),
-                            server: chain.remote.map(|(_, server)| server),
-                        },
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::Value;
     use crate::json::{parse_json, Json};
 
     fn chain_ok(latency: f64) -> AccessObservation {

@@ -22,7 +22,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::journal::{push_f64, push_str, TraceEvent, TraceJournal, Value};
+use crate::journal::{push_f64, push_str, Record, TraceEvent, TraceJournal};
+use crate::vocab::{role_of, Role};
 
 /// Renders a concrete plan (one source index per bucket) as the compact
 /// journal/URL form `"1,0,2"`.
@@ -208,9 +209,10 @@ impl Explanation {
 }
 
 /// An index over a recorded journal answering "why did plan p rank i /
-/// why was q never emitted", per run. Runs are numbered the way
-/// `validate_trace` numbers them: 0 before any `run_started` marker,
-/// then incremented at each marker.
+/// why was q never emitted", per run. Runs are numbered as the profiler
+/// and `validate_trace` number them: the zero-based index of the
+/// `run_started` marker. Events ahead of the first marker belong to no
+/// run and are not indexed.
 #[derive(Debug, Clone, Default)]
 pub struct ExplainIndex {
     emissions: BTreeMap<(u64, String), (u64, f64, f64)>,
@@ -218,75 +220,43 @@ pub struct ExplainIndex {
     runs: u64,
 }
 
-fn field<'a>(ev: &'a TraceEvent, name: &str) -> Option<&'a Value> {
-    ev.fields.iter().find(|(k, _)| *k == name).map(|(_, v)| v)
-}
-
-fn u64_field(ev: &TraceEvent, name: &str) -> Option<u64> {
-    match field(ev, name) {
-        Some(Value::U64(n)) => Some(*n),
-        _ => None,
-    }
-}
-
-fn f64_field(ev: &TraceEvent, name: &str) -> Option<f64> {
-    match field(ev, name) {
-        Some(Value::F64(x)) => Some(*x),
-        _ => None,
-    }
-}
-
-fn str_field<'a>(ev: &'a TraceEvent, name: &str) -> Option<&'a str> {
-    match field(ev, name) {
-        Some(Value::Str(s)) => Some(s),
-        _ => None,
-    }
-}
-
 impl ExplainIndex {
     /// Builds the index from recorded events (in seq order).
     pub fn from_events(events: &[TraceEvent]) -> Self {
         let mut index = ExplainIndex::default();
-        let mut run = 0u64;
-        for ev in events {
-            match ev.kind {
-                "run_started" => {
-                    run += 1;
-                    index.runs = run;
-                }
+        for rec in events.iter().map(Record::from) {
+            if role_of(&rec.kind) == Some(Role::RunOpen) {
+                index.runs += 1;
+            }
+            let Some(run) = index.runs.checked_sub(1) else {
+                continue;
+            };
+            match &*rec.kind {
                 "plan_emitted" => {
                     // Only emissions that carry the encoded plan are
                     // explainable; older producers omit it.
-                    if let Some(plan) = str_field(ev, "plan") {
-                        let rank = u64_field(ev, "plan_seq").unwrap_or(0);
-                        let utility = f64_field(ev, "utility").unwrap_or(f64::NAN);
+                    if let Some(plan) = rec.str("plan") {
+                        let rank = rec.u64("plan_seq").unwrap_or(0);
+                        let utility = rec.f64("utility").unwrap_or(f64::NAN);
                         index
                             .emissions
                             .entry((run, plan.to_string()))
-                            .or_insert((rank, utility, ev.clock));
+                            .or_insert((rank, utility, rec.clock));
                     }
                 }
                 "kernel_elimination" => {
                     let cert = (|| {
                         Some(EliminationCertificate {
-                            victim_id: u64_field(ev, "plan_id")?,
-                            champion_id: u64_field(ev, "champion_id")?,
-                            victim: parse_candidates(str_field(ev, "victim")?)?,
-                            champion: parse_candidates(str_field(ev, "champion")?)?,
-                            victim_interval: (
-                                f64_field(ev, "victim_lo")?,
-                                f64_field(ev, "victim_hi")?,
-                            ),
-                            champion_interval: (
-                                f64_field(ev, "champion_lo")?,
-                                f64_field(ev, "champion_hi")?,
-                            ),
-                            epoch: u64_field(ev, "epoch")?,
+                            victim_id: rec.u64("plan_id")?,
+                            champion_id: rec.u64("champion_id")?,
+                            victim: parse_candidates(rec.str("victim")?)?,
+                            champion: parse_candidates(rec.str("champion")?)?,
+                            victim_interval: (rec.f64("victim_lo")?, rec.f64("victim_hi")?),
+                            champion_interval: (rec.f64("champion_lo")?, rec.f64("champion_hi")?),
+                            epoch: rec.u64("epoch")?,
                         })
                     })();
-                    if let Some(cert) = cert {
-                        index.certificates.push((run, cert));
-                    }
+                    index.certificates.extend(cert.map(|c| (run, c)));
                 }
                 _ => {}
             }
@@ -299,12 +269,13 @@ impl ExplainIndex {
         ExplainIndex::from_events(&journal.events())
     }
 
-    /// Number of `run_started` markers seen (the latest run id).
+    /// Number of `run_started` markers seen; the latest run is
+    /// `runs() - 1`.
     pub fn runs(&self) -> u64 {
         self.runs
     }
 
-    /// Certificates recorded for `run`, in journal order.
+    /// Certificates recorded for `run` (zero-based), in journal order.
     pub fn certificates(&self, run: u64) -> Vec<EliminationCertificate> {
         self.certificates
             .iter()
@@ -313,9 +284,10 @@ impl ExplainIndex {
             .collect()
     }
 
-    /// Explains `plan` within `run`. An emission wins over a certificate:
-    /// iDrips may prune an abstract candidate set in one round yet emit a
-    /// refined plan from it later, and an emitted plan *was* ranked.
+    /// Explains `plan` within `run` (zero-based). An emission wins over a
+    /// certificate: iDrips may prune an abstract candidate set in one
+    /// round yet emit a refined plan from it later, and an emitted plan
+    /// *was* ranked.
     pub fn explain(&self, run: u64, plan: &[usize]) -> Explanation {
         if let Some(&(rank, utility, clock)) = self.emissions.get(&(run, encode_plan(plan))) {
             return Explanation::Emitted {
@@ -343,6 +315,7 @@ impl ExplainIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::Value;
 
     #[test]
     fn plan_and_candidate_encodings_round_trip() {
@@ -421,17 +394,20 @@ mod tests {
     #[test]
     fn index_answers_emitted_eliminated_and_unknown() {
         let index = ExplainIndex::from_journal(&journal_with_runs());
+        // One marker: one run, and it is run 0 — the profiler's number.
         assert_eq!(index.runs(), 1);
-        assert_eq!(index.certificates(1).len(), 1);
+        let profiled = crate::ProfileIndex::from_journal(&journal_with_runs());
+        assert_eq!(profiled.latest().map(|r| r.run), Some(0));
+        assert_eq!(index.certificates(0).len(), 1);
 
-        match index.explain(1, &[0, 1]) {
+        match index.explain(0, &[0, 1]) {
             Explanation::Emitted { rank, utility, .. } => {
                 assert_eq!(rank, 0);
                 assert_eq!(utility, 0.75);
             }
             other => panic!("expected emitted, got {other:?}"),
         }
-        match index.explain(1, &[1, 3]) {
+        match index.explain(0, &[1, 3]) {
             Explanation::Eliminated {
                 certificate,
                 matches,
@@ -441,12 +417,27 @@ mod tests {
             }
             other => panic!("expected eliminated, got {other:?}"),
         }
-        assert_eq!(index.explain(1, &[9, 9]), Explanation::Unknown);
-        assert_eq!(index.explain(2, &[0, 1]), Explanation::Unknown);
+        assert_eq!(index.explain(0, &[9, 9]), Explanation::Unknown);
+        assert_eq!(index.explain(1, &[0, 1]), Explanation::Unknown);
 
-        let json = index.explain(1, &[1, 3]).to_json(1, &[1, 3]);
-        assert!(json.starts_with("{\"run\":1,\"plan\":\"1,3\""));
+        let json = index.explain(0, &[1, 3]).to_json(0, &[1, 3]);
+        assert!(json.starts_with("{\"run\":0,\"plan\":\"1,3\""));
         assert!(json.contains("\"status\":\"eliminated\""));
         assert!(json.contains("\"certificate\":{"));
+    }
+
+    #[test]
+    fn events_ahead_of_the_first_marker_belong_to_no_run() {
+        let j = TraceJournal::enabled();
+        j.record(
+            "plan_emitted",
+            vec![
+                ("plan_seq", Value::U64(0)),
+                ("plan", Value::Str("0,1".into())),
+            ],
+        );
+        let index = ExplainIndex::from_journal(&j);
+        assert_eq!(index.runs(), 0);
+        assert_eq!(index.explain(0, &[0, 1]), Explanation::Unknown);
     }
 }

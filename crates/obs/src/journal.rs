@@ -24,14 +24,14 @@
 //! replay need the *un-truncated* run, and a capped journal is for
 //! long-lived serving sessions where only the recent tail matters.
 
-use std::borrow::Cow;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::borrow::{Borrow, Cow};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use crate::json::{parse_json, Json};
 use crate::registry::Counter;
+use crate::vocab::{fields_of, role_of, FieldSpec, FieldType, Role};
 
 /// A field value attached to a trace event.
 ///
@@ -66,12 +66,6 @@ pub struct TraceEvent {
     /// Event fields, serialized in insertion order.
     pub fields: Vec<(&'static str, Value)>,
 }
-
-/// Event kinds that open a plan-lifecycle span.
-pub const SPAN_OPEN_KINDS: &[&str] = &["plan_emitted"];
-/// Event kinds that close a plan-lifecycle span. `plan_retracted` is an
-/// annotation *after* a failure, not a closer.
-pub const SPAN_CLOSE_KINDS: &[&str] = &["plan_completed", "plan_failed", "plan_unsound"];
 
 #[derive(Debug, Default)]
 struct JournalInner {
@@ -197,17 +191,22 @@ impl TraceJournal {
         if !self.recording {
             return;
         }
+        debug_assert_conforms(kind, &fields);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let clock = inner.clock;
         inner.push(clock, kind, fields);
     }
 
     /// Appends an event at an explicit virtual time (does not move the
-    /// clock).
+    /// clock). In debug builds an event of a kind the
+    /// [vocabulary](crate::vocab) knows must [conform](Record::conforms)
+    /// to its row, so every test run checks every emitter against the
+    /// table; release builds check nothing.
     pub fn record_at(&self, clock: f64, kind: &'static str, fields: Vec<(&'static str, Value)>) {
         if !self.recording {
             return;
         }
+        debug_assert_conforms(kind, &fields);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.push(clock, kind, fields);
     }
@@ -276,6 +275,13 @@ impl TraceJournal {
     }
 }
 
+fn debug_assert_conforms(kind: &'static str, fields: &[(&'static str, Value)]) {
+    if cfg!(debug_assertions) {
+        let conforms = Record::live(0, 0.0, kind, fields).conforms();
+        assert_eq!(conforms, Ok(()), "emitter disagrees with the vocabulary");
+    }
+}
+
 pub(crate) fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
@@ -300,6 +306,192 @@ pub(crate) fn push_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// One decoded journal entry: the single view every reader
+/// ([`validate_trace`], the profiler, the drift replay, `explain`) folds,
+/// whether it came from a live [`TraceEvent`] (`Record::from`) or from a
+/// JSONL line ([`read_jsonl`]). Fields read by name *and* type: one
+/// journalled with another type reads as absent.
+#[derive(Debug, Clone)]
+pub struct Record<'a> {
+    /// The event's record index.
+    pub seq: u64,
+    /// Virtual time of the event; NaN where the JSONL carried `null`.
+    pub clock: f64,
+    /// Event kind.
+    pub kind: Cow<'a, str>,
+    /// 1-based JSONL line the record was read from; 0 for a live event.
+    line: usize,
+    fields: Fields<'a>,
+}
+
+#[derive(Debug, Clone)]
+enum Fields<'a> {
+    Event(&'a [(&'static str, Value)]),
+    Line(Vec<(String, Value)>),
+}
+
+impl<'a> From<&'a TraceEvent> for Record<'a> {
+    fn from(ev: &'a TraceEvent) -> Self {
+        Record::live(ev.seq, ev.clock, ev.kind, &ev.fields)
+    }
+}
+
+impl<'a> Record<'a> {
+    fn live(seq: u64, clock: f64, kind: &'a str, fields: &'a [(&'static str, Value)]) -> Self {
+        Record {
+            seq,
+            clock,
+            kind: Cow::Borrowed(kind),
+            line: 0,
+            fields: Fields::Event(fields),
+        }
+    }
+
+    /// The value journalled under `name` (the first, if repeated).
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        match &self.fields {
+            Fields::Event(f) => f.iter().find(|(k, _)| *k == name).map(|(_, v)| v),
+            Fields::Line(f) => f.iter().find(|(k, _)| k == name).map(|(_, v)| v),
+        }
+    }
+
+    /// The unsigned integer field `name`.
+    pub fn u64(&self, name: &str) -> Option<u64> {
+        match self.get(name)? {
+            Value::U64(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The floating-point field `name`. Finite values round-trip through
+    /// JSONL bit-exactly (the exporter writes shortest-roundtrip forms) —
+    /// what keeps every offline reconstruction equal to the live one.
+    pub fn f64(&self, name: &str) -> Option<f64> {
+        match self.get(name)? {
+            Value::F64(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// The string field `name`.
+    pub fn str(&self, name: &str) -> Option<&str> {
+        match self.get(name)? {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The flag field `name`.
+    pub fn bool(&self, name: &str) -> Option<bool> {
+        match self.get(name)? {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// `msg` prefixed with where the record sits: its JSONL line, or its
+    /// seq for a live event.
+    pub fn error(&self, msg: impl std::fmt::Display) -> String {
+        match self.line {
+            0 => format!("seq {}: {msg}", self.seq),
+            line => format!("line {line}: {msg}"),
+        }
+    }
+
+    /// Checks the record against the [vocabulary](crate::vocab): every
+    /// required field of its kind is there, and every listed field it
+    /// carries has the table's type. A required number must also be
+    /// finite — the exporter writes a non-finite one as `null`, which no
+    /// reader can use. Kinds outside the vocabulary conform.
+    pub fn conforms(&self) -> Result<(), String> {
+        for f in fields_of(&self.kind) {
+            let found = self.get(f.name);
+            let ok = match (found, f.ty) {
+                (None, _) => !f.required,
+                (Some(Value::F64(x)), FieldType::F64) => !f.required || x.is_finite(),
+                (Some(Value::U64(_)), FieldType::U64)
+                | (Some(Value::Str(_)), FieldType::Str)
+                | (Some(Value::Bool(_)), FieldType::Bool) => true,
+                _ => false,
+            };
+            if !ok {
+                let rule = if f.required { "requires" } else { "types" };
+                return Err(format!(
+                    "\"{}\" {rule} field \"{}\" as {:?}, found {found:?}",
+                    f.kind, f.name, f.ty
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Decodes a JSONL trace (the `/traces` format) into [`Record`]s — the one
+/// place a trace line is parsed, and the owner of the `line N: …` error
+/// text. Every non-empty line must be an object of scalars with an integer
+/// `seq`, a numeric or `null` `clock` and a string `kind`. A number under
+/// a field the vocabulary types `U64` must be an integer in `0..=2⁵³`:
+/// `"plan_seq":-1` or `0.5` is an error, never plan 0. Other numbers
+/// decode as F64, and `null` (how a non-finite number is written) as NaN.
+pub fn read_jsonl(jsonl: &str) -> Result<Vec<Record<'static>>, String> {
+    fn integer(n: f64) -> Option<u64> {
+        const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2⁵³
+        ((0.0..=MAX_EXACT).contains(&n) && n.fract() == 0.0).then_some(n as u64)
+    }
+    let mut records = Vec::new();
+    for (i, text) in jsonl.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
+        let line = i + 1;
+        let fail = |msg: String| format!("line {line}: {msg}");
+        let pairs = match parse_json(text) {
+            Ok(Json::Object(pairs)) => pairs,
+            Ok(other) => return Err(fail(format!("expected object, got {other:?}"))),
+            Err(e) => return Err(fail(e.to_string())),
+        };
+        let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        let seq = match get("seq") {
+            Some(Json::Number(n)) => integer(*n),
+            _ => None,
+        };
+        let seq = seq.ok_or_else(|| fail("missing integer \"seq\"".into()))?;
+        let clock = match get("clock") {
+            Some(Json::Number(n)) => *n,
+            Some(Json::Null) => f64::NAN,
+            _ => return Err(fail("missing numeric \"clock\"".into())),
+        };
+        let Some(Json::String(kind)) = get("kind").cloned() else {
+            return Err(fail("missing string \"kind\"".into()));
+        };
+        let mut fields = Vec::with_capacity(pairs.len().saturating_sub(3));
+        for (key, value) in pairs {
+            if matches!(key.as_str(), "seq" | "clock" | "kind") {
+                continue;
+            }
+            let is_id = || fields_of(&kind).any(|f| f.name == key && f.ty == FieldType::U64);
+            let value = match value {
+                Json::Number(n) if is_id() => Value::U64(integer(n).ok_or_else(|| {
+                    fail(format!(
+                        "\"{kind}\" field \"{key}\" is {n}, not an integer in 0..=2^53"
+                    ))
+                })?),
+                Json::Number(n) => Value::F64(n),
+                Json::Null => Value::F64(f64::NAN),
+                Json::String(s) => Value::Str(s.into()),
+                Json::Bool(b) => Value::Bool(b),
+                nested => return Err(fail(format!("field \"{key}\" is not a scalar: {nested:?}"))),
+            };
+            fields.push((key, value));
+        }
+        records.push(Record {
+            seq,
+            clock,
+            kind: Cow::Owned(kind),
+            line,
+            fields: Fields::Line(fields),
+        });
+    }
+    Ok(records)
 }
 
 /// What [`validate_trace`] found in a structurally sound trace.
@@ -328,375 +520,207 @@ enum SpanState {
     Closed,
 }
 
-/// Checks a JSONL trace for structural soundness: every line parses as an
-/// object carrying `seq`/`clock`/`kind`, `seq` is contiguous from 0, the
+/// Checks a JSONL trace for structural soundness: every line decodes
+/// ([`read_jsonl`]), `seq` is contiguous from 0, every event of a kind in
+/// the [vocabulary](crate::vocab) [conforms](Record::conforms) to it, the
 /// virtual clock is non-decreasing in seq order *within each run* (each
-/// `run_started` marker restarts the virtual clock; `null` clocks are
-/// skipped), and plan-lifecycle spans open before they close (no
-/// double-open, no double-close, no close without open). `plan_seq`
-/// restarts at 0 on each `run_started` marker, so spans are keyed by
-/// (run, plan); a journal may accumulate any number of runs. Returns
-/// per-kind counts and the open/close tally; callers asserting balance
-/// compare [`TraceReport::spans_opened`] with
-/// [`TraceReport::spans_closed`].
+/// `run_started` marker restarts it; `null` clocks are skipped), and
+/// plan-lifecycle spans open before they close (no double-open, no
+/// double-close, no close without open). `plan_seq` restarts at 0 on each
+/// `run_started` marker, so spans are keyed by (run, plan); a journal may
+/// accumulate any number of runs. Runs are numbered as everywhere else:
+/// the zero-based index of the `run_started` marker, events ahead of the
+/// first marker belonging to no run. Returns per-kind counts and the
+/// open/close tally; callers asserting balance compare
+/// [`TraceReport::spans_opened`] with [`TraceReport::spans_closed`].
 ///
-/// Tuple-stream events are checked too: `stream_attached` must land
-/// while its plan's span is open, `tuple_emitted` and `stream_evicted`
-/// after the plan's `plan_emitted` in the same run (the cross-plan merge
-/// may legitimately hold a plan's tuples back past its terminal event,
-/// so "span exists" rather than "span open" is the sound requirement),
-/// and `tuple_emitted` scores must be non-increasing within each run —
-/// the global any-k ranking guarantee, checked on the wire format.
+/// The span rules follow each kind's [`Role`]: an `InSpan` event
+/// (`stream_attached`, the memo events) must land while its plan's span
+/// is open, an `AfterEmission` event (`tuple_emitted`, `stream_evicted`)
+/// after the plan's `plan_emitted` in the same run — the cross-plan merge
+/// may legitimately hold a plan's tuples back past its terminal event.
+/// `tuple_emitted` scores must be non-increasing within each run (the
+/// global any-k ranking guarantee, checked on the wire format); a
+/// `memo_hit` must follow a `memo_store` for the same `source` earlier in
+/// the same run unless it carries `"warm":true` (the entry survives from
+/// a prior run sharing the memo); a run seals with at most one
+/// `run_finished`; an `error_class` is `transient` or `permanent`.
 ///
-/// Shared-execution memo events (`memo_hit`, `memo_store`,
-/// `subplan_reused`) must fall inside an *open* plan span — the
-/// coordinator journals them between a plan's emission and its terminal
-/// event. A `memo_hit` must additionally follow a `memo_store` for the
-/// same `source` earlier in the same run, unless it carries
-/// `"warm":true` (the entry survives from a prior run sharing the memo).
-///
-/// Remote spans (`remote_*` fields on `source_attempt`) are checked for
-/// soundness: they may only appear in runs whose `run_started` declares
-/// `"backend":"tcp"`, the five fields travel together
-/// (`remote_total`/`remote_recv`/`remote_lookup`/`remote_encode`
-/// numeric, `remote_seq` present), the server total never exceeds the
-/// attempt's client-observed `latency`, and the phase sum
-/// `remote_recv + remote_lookup + remote_encode` never exceeds
+/// Remote spans (`remote_*` fields on `source_attempt`) may only appear
+/// in runs whose `run_started` declares `"backend":"tcp"`, the five
+/// fields travel together, the server total never exceeds the attempt's
+/// client-observed `latency`, and the phase sum never exceeds
 /// `remote_total` — the clamp-by-construction invariants the runtime's
 /// decoder enforces, re-checked on the wire format.
+///
+/// Kinds outside the vocabulary pass unchecked here; the `trace-validate`
+/// gate refuses them.
 pub fn validate_trace(jsonl: &str) -> Result<TraceReport, String> {
+    validate_records(read_jsonl(jsonl)?)
+}
+
+/// [`validate_trace`] over already-decoded records.
+pub fn validate_records<'a, R: Borrow<Record<'a>>>(
+    records: impl IntoIterator<Item = R>,
+) -> Result<TraceReport, String> {
     let mut report = TraceReport::default();
-    let mut spans: BTreeMap<(u64, u64), SpanState> = BTreeMap::new();
-    let mut run: u64 = 0;
+    let mut spans: BTreeMap<(Option<u64>, u64), SpanState> = BTreeMap::new();
+    let mut run: Option<u64> = None;
     let mut last_clock = f64::NEG_INFINITY;
     let mut last_tuple_score: Option<f64> = None;
-    let mut stored_sources: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+    let mut stored_sources: BTreeSet<String> = BTreeSet::new();
     let mut run_finished_seen = false;
     let mut run_backend: Option<String> = None;
-    for (lineno, line) in jsonl.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let obj = match parse_json(line) {
-            Ok(Json::Object(pairs)) => pairs,
-            Ok(other) => {
-                return Err(format!(
-                    "line {}: expected object, got {other:?}",
-                    lineno + 1
-                ))
-            }
-            Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
-        };
-        let get = |key: &str| obj.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let seq = match get("seq") {
-            Some(Json::Number(n)) => *n as u64,
-            _ => return Err(format!("line {}: missing numeric \"seq\"", lineno + 1)),
-        };
+    for rec in records {
+        let rec = rec.borrow();
+        let (seq, kind) = (rec.seq, &*rec.kind);
         if seq != report.events {
-            return Err(format!(
-                "line {}: seq {} breaks contiguity (expected {})",
-                lineno + 1,
-                seq,
-                report.events
-            ));
+            let expected = report.events;
+            return Err(rec.error(format!("seq {seq} breaks contiguity (expected {expected})")));
         }
-        let clock = match get("clock") {
-            Some(Json::Number(n)) => Some(*n),
-            Some(Json::Null) => None,
-            _ => return Err(format!("line {}: missing numeric \"clock\"", lineno + 1)),
-        };
-        let kind = match get("kind") {
-            Some(Json::String(s)) => s.clone(),
-            _ => return Err(format!("line {}: missing string \"kind\"", lineno + 1)),
-        };
         report.events += 1;
-        *report.counts.entry(kind.clone()).or_insert(0) += 1;
-        if kind == "run_started" {
-            run += 1;
+        *report.counts.entry(kind.to_string()).or_insert(0) += 1;
+        let role = role_of(kind);
+        if role == Some(Role::RunOpen) {
             // A new run restarts the virtual clock; its own timestamp
             // opens the new monotone window, and the ranked tuple stream
             // starts over, and memo stores no longer vouch for hits.
+            run = Some(run.map_or(0, |r| r + 1));
             last_clock = f64::NEG_INFINITY;
             last_tuple_score = None;
             stored_sources.clear();
             run_finished_seen = false;
-            run_backend = match get("backend") {
-                Some(Json::String(s)) => Some(s.clone()),
-                _ => None,
-            };
+            run_backend = rec.str("backend").map(str::to_string);
         }
-        if let Some(t) = clock {
-            if t < last_clock {
+        let scope = || match run {
+            Some(r) => format!("run {r}"),
+            None => "the preamble (before any run_started)".to_string(),
+        };
+        if !rec.clock.is_nan() {
+            if rec.clock < last_clock {
                 return Err(format!(
-                    "seq {}: clock {t} decreases within run {run} (previous clock {last_clock})",
-                    seq
+                    "seq {seq}: clock {} decreases within {} (previous clock {last_clock})",
+                    rec.clock,
+                    scope()
                 ));
             }
-            last_clock = t;
+            last_clock = rec.clock;
         }
+        rec.conforms().map_err(|e| rec.error(e))?;
 
-        let is_open = SPAN_OPEN_KINDS.contains(&kind.as_str());
-        let is_close = SPAN_CLOSE_KINDS.contains(&kind.as_str());
-        if is_open || is_close {
-            let plan = match get("plan_seq") {
-                Some(Json::Number(n)) => *n as u64,
-                _ => {
-                    return Err(format!(
-                        "line {}: lifecycle event \"{kind}\" missing \"plan_seq\"",
-                        lineno + 1
-                    ))
+        // Span structure, by role. The table requires `plan_seq` of every
+        // kind with a span role, so conformance already vouched for it.
+        if let (Some(role), Some(plan)) = (role, rec.u64("plan_seq")) {
+            let state = spans.get(&(run, plan)).copied();
+            match (role, state) {
+                (Role::SpanOpen, None) => {
+                    spans.insert((run, plan), SpanState::Open);
+                    report.spans_opened += 1;
                 }
-            };
-            if is_open {
-                match spans.entry((run, plan)) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(SpanState::Open);
-                        report.spans_opened += 1;
-                    }
-                    Entry::Occupied(_) => {
-                        return Err(format!("line {}: plan {plan} emitted twice", lineno + 1))
-                    }
+                (Role::SpanOpen, Some(_)) => {
+                    return Err(rec.error(format!("plan {plan} emitted twice")))
                 }
-            } else {
-                match spans.get_mut(&(run, plan)) {
-                    Some(state @ SpanState::Open) => {
-                        *state = SpanState::Closed;
-                        report.spans_closed += 1;
-                    }
-                    Some(SpanState::Closed) => {
-                        return Err(format!(
-                            "line {}: plan {plan} closed twice (\"{kind}\")",
-                            lineno + 1
-                        ))
-                    }
-                    None => {
-                        return Err(format!(
-                            "line {}: \"{kind}\" for plan {plan} with no prior emission",
-                            lineno + 1
-                        ))
-                    }
+                (Role::SpanClose, Some(SpanState::Open)) => {
+                    spans.insert((run, plan), SpanState::Closed);
+                    report.spans_closed += 1;
                 }
+                (Role::SpanClose, Some(SpanState::Closed)) => {
+                    return Err(rec.error(format!("plan {plan} closed twice (\"{kind}\")")))
+                }
+                (Role::InSpan, Some(SpanState::Closed)) => {
+                    return Err(rec.error(format!(
+                        "\"{kind}\" for plan {plan} after its terminal event"
+                    )))
+                }
+                (Role::SpanClose | Role::InSpan | Role::AfterEmission, None) => {
+                    return Err(
+                        rec.error(format!("\"{kind}\" for plan {plan} with no prior emission"))
+                    )
+                }
+                _ => {}
             }
         }
 
-        if matches!(
-            kind.as_str(),
-            "tuple_emitted" | "stream_attached" | "stream_evicted"
-        ) {
-            let plan = match get("plan_seq") {
-                Some(Json::Number(n)) => *n as u64,
-                _ => {
-                    return Err(format!(
-                        "line {}: stream event \"{kind}\" missing \"plan_seq\"",
-                        lineno + 1
-                    ))
-                }
-            };
-            match spans.get(&(run, plan)) {
-                Some(SpanState::Open) => {}
-                Some(SpanState::Closed) if kind != "stream_attached" => {}
-                Some(SpanState::Closed) => {
-                    return Err(format!(
-                        "line {}: \"stream_attached\" for plan {plan} after its terminal event",
-                        lineno + 1
-                    ))
-                }
-                None => {
-                    return Err(format!(
-                        "line {}: \"{kind}\" for plan {plan} with no prior emission",
-                        lineno + 1
-                    ))
-                }
-            }
-            if kind == "tuple_emitted" {
-                let score = match get("score") {
-                    Some(Json::Number(n)) => *n + 0.0,
-                    _ => {
-                        return Err(format!(
-                            "line {}: \"tuple_emitted\" missing numeric \"score\"",
-                            lineno + 1
-                        ))
-                    }
-                };
-                if let Some(prev) = last_tuple_score {
+        match kind {
+            "tuple_emitted" => {
+                let score = rec.f64("score").map(|s| s + 0.0);
+                if let (Some(score), Some(prev)) = (score, last_tuple_score) {
                     if score.total_cmp(&prev) == std::cmp::Ordering::Greater {
                         return Err(format!(
-                            "seq {seq}: tuple score {score} increases within run {run} \
-                             (previous score {prev})"
+                            "seq {seq}: tuple score {score} increases within {} \
+                             (previous score {prev})",
+                            scope()
                         ));
                     }
                 }
-                last_tuple_score = Some(score);
+                last_tuple_score = score.or(last_tuple_score);
             }
-        }
-
-        if matches!(kind.as_str(), "memo_hit" | "memo_store" | "subplan_reused") {
-            let plan = match get("plan_seq") {
-                Some(Json::Number(n)) => *n as u64,
-                _ => {
-                    return Err(format!(
-                        "line {}: memo event \"{kind}\" missing \"plan_seq\"",
-                        lineno + 1
-                    ))
-                }
-            };
-            match spans.get(&(run, plan)) {
-                Some(SpanState::Open) => {}
-                Some(SpanState::Closed) => {
-                    return Err(format!(
-                        "line {}: \"{kind}\" for plan {plan} after its terminal event",
-                        lineno + 1
-                    ))
-                }
-                None => {
-                    return Err(format!(
-                        "line {}: \"{kind}\" for plan {plan} with no prior emission",
-                        lineno + 1
-                    ))
+            "memo_store" => stored_sources.extend(rec.str("source").map(str::to_string)),
+            "memo_hit" => {
+                let source = rec.str("source").unwrap_or_default();
+                if rec.bool("warm") != Some(true) && !stored_sources.contains(source) {
+                    return Err(rec.error(format!(
+                        "cold \"memo_hit\" on \"{source}\" without a prior \
+                         \"memo_store\" in {}",
+                        scope()
+                    )));
                 }
             }
-            if kind == "memo_hit" || kind == "memo_store" {
-                let source = match get("source") {
-                    Some(Json::String(s)) => s.clone(),
-                    _ => {
-                        return Err(format!(
-                            "line {}: memo event \"{kind}\" missing string \"source\"",
-                            lineno + 1
+            // `run_finished` carries the serial-clock makespan the
+            // profile's critical path must equal, at most once per run.
+            "run_finished" if run_finished_seen => {
+                return Err(rec.error(format!("second \"run_finished\" in {}", scope())));
+            }
+            "run_finished" => run_finished_seen = true,
+            "source_attempt" => {
+                if let Some(class) = rec.str("error_class") {
+                    if class != "transient" && class != "permanent" {
+                        return Err(rec.error(format!(
+                            "\"source_attempt\" carries invalid \"error_class\" {class:?} \
+                             (expected \"transient\" or \"permanent\")"
+                        )));
+                    }
+                }
+                let remote = |f: &FieldSpec| f.name.starts_with("remote_");
+                if fields_of(kind).any(|f| remote(f) && rec.get(f.name).is_some()) {
+                    if run_backend.as_deref() != Some("tcp") {
+                        return Err(rec.error(format!(
+                            "\"source_attempt\" carries remote-span fields but {} declares \
+                             backend {:?} (remote spans only ride tcp-backend attempts)",
+                            scope(),
+                            run_backend.as_deref().unwrap_or("<none>")
+                        )));
+                    }
+                    let missing = |field: &str| {
+                        rec.error(format!(
+                            "remote span missing numeric \"{field}\" \
+                             (the five remote_* fields travel together)"
                         ))
+                    };
+                    let num = |field: &str| {
+                        let finite = rec.f64(field).filter(|x| x.is_finite());
+                        finite.ok_or_else(|| missing(field))
+                    };
+                    let total = num("remote_total")?;
+                    let recv = num("remote_recv")?;
+                    let lookup = num("remote_lookup")?;
+                    let encode = num("remote_encode")?;
+                    rec.u64("remote_seq").ok_or_else(|| missing("remote_seq"))?;
+                    let latency = num("latency")?;
+                    if total > latency {
+                        return Err(rec.error(format!(
+                            "remote_total {total} exceeds the attempt's client latency {latency}"
+                        )));
                     }
-                };
-                if kind == "memo_store" {
-                    stored_sources.insert(source);
-                } else {
-                    let warm = matches!(get("warm"), Some(Json::Bool(true)));
-                    if !warm && !stored_sources.contains(&source) {
-                        return Err(format!(
-                            "line {}: cold \"memo_hit\" on \"{source}\" without a prior \
-                             \"memo_store\" in run {run}",
-                            lineno + 1
-                        ));
-                    }
-                }
-            }
-        }
-
-        // Profiling and drift events (PR 8): `run_finished` carries the
-        // serial-clock makespan the profile's critical path must equal,
-        // at most once per run; `source_declared` and `drift_detected`
-        // carry the fields the offline divergence recomputation needs.
-        if kind == "run_finished" {
-            if run_finished_seen {
-                return Err(format!(
-                    "line {}: second \"run_finished\" in run {run}",
-                    lineno + 1
-                ));
-            }
-            run_finished_seen = true;
-            if !matches!(get("makespan"), Some(Json::Number(_))) {
-                return Err(format!(
-                    "line {}: \"run_finished\" missing numeric \"makespan\"",
-                    lineno + 1
-                ));
-            }
-            if !matches!(get("plans"), Some(Json::Number(_))) {
-                return Err(format!(
-                    "line {}: \"run_finished\" missing numeric \"plans\"",
-                    lineno + 1
-                ));
-            }
-        }
-        // Backend-labeled attempts (PR 9): a `source_attempt` behind a
-        // typed backend error journals the classification; when present
-        // it must be one of the two classes the runtime defines.
-        if kind == "source_attempt" {
-            if let Some(class) = get("error_class") {
-                match class {
-                    Json::String(s) if s == "transient" || s == "permanent" => {}
-                    other => {
-                        return Err(format!(
-                            "line {}: \"source_attempt\" carries invalid \"error_class\" \
-                             {other:?} (expected \"transient\" or \"permanent\")",
-                            lineno + 1
-                        ));
+                    if recv + lookup + encode > total {
+                        return Err(rec.error(format!(
+                            "remote phase sum {} exceeds remote_total {total}",
+                            recv + lookup + encode
+                        )));
                     }
                 }
             }
-            // Remote-span soundness (PR 10): the clamp-by-construction
-            // invariants the runtime's wire decoder enforces, re-checked
-            // on the exported trace.
-            let remote_present = obj.iter().any(|(k, _)| k.starts_with("remote_"));
-            if remote_present {
-                if run_backend.as_deref() != Some("tcp") {
-                    return Err(format!(
-                        "line {}: \"source_attempt\" carries remote-span fields but run {run} \
-                         declares backend {:?} (remote spans only ride tcp-backend attempts)",
-                        lineno + 1,
-                        run_backend.as_deref().unwrap_or("<none>")
-                    ));
-                }
-                let num = |field: &str| match get(field) {
-                    Some(Json::Number(n)) => Ok(*n),
-                    _ => Err(format!(
-                        "line {}: remote span missing numeric \"{field}\" \
-                         (the five remote_* fields travel together)",
-                        lineno + 1
-                    )),
-                };
-                let total = num("remote_total")?;
-                let recv = num("remote_recv")?;
-                let lookup = num("remote_lookup")?;
-                let encode = num("remote_encode")?;
-                num("remote_seq")?;
-                let latency = num("latency")?;
-                if total > latency {
-                    return Err(format!(
-                        "line {}: remote_total {total} exceeds the attempt's client \
-                         latency {latency}",
-                        lineno + 1
-                    ));
-                }
-                if recv + lookup + encode > total {
-                    return Err(format!(
-                        "line {}: remote phase sum {} exceeds remote_total {total}",
-                        lineno + 1,
-                        recv + lookup + encode
-                    ));
-                }
-            }
-        }
-        if kind == "source_declared" {
-            if !matches!(get("source"), Some(Json::String(_))) {
-                return Err(format!(
-                    "line {}: \"source_declared\" missing string \"source\"",
-                    lineno + 1
-                ));
-            }
-            for field in ["latency", "transient_rate", "tuples"] {
-                if !matches!(get(field), Some(Json::Number(_))) {
-                    return Err(format!(
-                        "line {}: \"source_declared\" missing numeric \"{field}\"",
-                        lineno + 1
-                    ));
-                }
-            }
-        }
-        if kind == "drift_detected" {
-            for field in ["source", "stat"] {
-                if !matches!(get(field), Some(Json::String(_))) {
-                    return Err(format!(
-                        "line {}: \"drift_detected\" missing string \"{field}\"",
-                        lineno + 1
-                    ));
-                }
-            }
-            for field in ["value", "threshold"] {
-                if !matches!(get(field), Some(Json::Number(_))) {
-                    return Err(format!(
-                        "line {}: \"drift_detected\" missing numeric \"{field}\"",
-                        lineno + 1
-                    ));
-                }
-            }
+            _ => {}
         }
     }
     Ok(report)
@@ -830,7 +854,7 @@ mod tests {
         );
         let err = validate_trace(backwards).unwrap_err();
         assert!(err.contains("seq 2"), "names the violating seq: {err}");
-        assert!(err.contains("decreases within run 1"), "{err}");
+        assert!(err.contains("decreases within run 0"), "{err}");
 
         // Without an intervening run_started, a clock reset is an error.
         let reset_without_marker = concat!(
@@ -878,13 +902,7 @@ mod tests {
             "{\"seq\":2,\"clock\":0,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":2}\n",
         );
         let err = validate_trace(increasing).unwrap_err();
-        assert!(err.contains("increases within run"), "{err}");
-
-        let no_score = concat!(
-            "{\"seq\":0,\"clock\":0,\"kind\":\"plan_emitted\",\"plan_seq\":0}\n",
-            "{\"seq\":1,\"clock\":0,\"kind\":\"tuple_emitted\",\"plan_seq\":0}\n",
-        );
-        assert!(validate_trace(no_score).unwrap_err().contains("score"));
+        assert!(err.contains("increases within the preamble"), "{err}");
 
         // run_started resets the tuple-score window like the clock's.
         let two_runs = concat!(
@@ -920,14 +938,6 @@ mod tests {
         let err = validate_trace(bad_label).unwrap_err();
         assert!(err.contains("error_class"), "{err}");
         assert!(err.contains("line 2"), "{err}");
-
-        let wrong_type = concat!(
-            "{\"seq\":0,\"clock\":0,\"kind\":\"plan_emitted\",\"plan_seq\":0}\n",
-            "{\"seq\":1,\"clock\":0,\"kind\":\"source_attempt\",\"plan_seq\":0,\"source\":\"s0\",\"outcome\":\"transient\",\"error_class\":3}\n",
-        );
-        assert!(validate_trace(wrong_type)
-            .unwrap_err()
-            .contains("error_class"));
     }
 
     #[test]
@@ -994,12 +1004,148 @@ mod tests {
         assert!(validate_trace(after_close)
             .unwrap_err()
             .contains("after its terminal event"));
+    }
 
-        let no_source = concat!(
-            "{\"seq\":0,\"clock\":0,\"kind\":\"plan_emitted\",\"plan_seq\":0}\n",
-            "{\"seq\":1,\"clock\":0,\"kind\":\"memo_store\",\"plan_seq\":0}\n",
+    /// Renders one JSONL line from reserved keys and raw-JSON fields.
+    fn line(seq: usize, kind: &str, fields: &[(&str, String)]) -> String {
+        let mut out = format!("{{\"seq\":{seq},\"clock\":0,\"kind\":\"{kind}\"");
+        for (name, json) in fields {
+            let _ = write!(out, ",\"{name}\":{json}");
+        }
+        out + "}\n"
+    }
+
+    #[test]
+    fn every_vocabulary_row_is_enforced_field_by_field() {
+        // Values chosen so a fully populated event of any kind is sound in
+        // the context below: plan 0 is open, "transient" was stored (and is
+        // a legal error_class), all-zero remote spans nest in a tcp run.
+        let sound = |f: &FieldSpec| match f.ty {
+            FieldType::U64 | FieldType::F64 => "0".to_string(),
+            FieldType::Str => "\"transient\"".to_string(),
+            FieldType::Bool => "true".to_string(),
+        };
+        let mistyped = |f: &FieldSpec| match f.ty {
+            FieldType::Str | FieldType::Bool => "3".to_string(),
+            FieldType::U64 | FieldType::F64 => "\"x\"".to_string(),
+        };
+        for &(kind, role) in crate::vocab::KINDS {
+            let mut context = line(0, "run_started", &[("backend", "\"tcp\"".into())]);
+            if role != Role::SpanOpen {
+                context += &line(1, "plan_emitted", &[("plan_seq", "0".into())]);
+                let stored = [("plan_seq", "0".into()), ("source", "\"transient\"".into())];
+                context += &line(2, "memo_store", &stored);
+            }
+            let seq = context.lines().count();
+            let check = |fields: &[(&str, String)]| {
+                validate_trace(&(context.clone() + &line(seq, kind, fields)))
+            };
+            let with = |fields: &[(&'static str, String)], name: &str, json: Option<&str>| {
+                let swap = |(n, v): &(&'static str, String)| match (*n == name, json) {
+                    (true, None) => None,
+                    (true, Some(json)) => Some((*n, json.to_string())),
+                    (false, _) => Some((*n, v.clone())),
+                };
+                fields.iter().filter_map(swap).collect::<Vec<_>>()
+            };
+            let all: Vec<_> = fields_of(kind).map(|f| (f.name, sound(f))).collect();
+            check(&all).unwrap_or_else(|e| panic!("{kind}, every field: {e}"));
+            let required = fields_of(kind).filter(|f| f.required);
+            let minimal: Vec<_> = required.map(|f| (f.name, sound(f))).collect();
+            check(&minimal).unwrap_or_else(|e| panic!("{kind}, required fields: {e}"));
+            for f in fields_of(kind) {
+                let names = |result: Result<TraceReport, String>, what: &str| {
+                    let err = result.expect_err(what);
+                    let named = [kind, f.name].map(|n| err.contains(&format!("\"{n}\"")));
+                    assert_eq!(named, [true, true], "{kind}.{} {what}: {err}", f.name);
+                };
+                names(check(&with(&all, f.name, Some(&mistyped(f)))), "mistyped");
+                if f.required {
+                    names(check(&with(&minimal, f.name, None)), "dropped");
+                    // `null` is how the exporter writes a non-finite
+                    // number: as good as missing for a required field.
+                    names(check(&with(&minimal, f.name, Some("null"))), "nulled");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupted_id_is_rejected_not_aliased_to_another_plan() {
+        // `as u64` would read -1 and 0.5 as plan 0 and close *its* span.
+        for bad in ["-1", "0.5", "9007199254740994", "1e300"] {
+            let trace = line(0, "plan_emitted", &[("plan_seq", "0".into())])
+                + &line(1, "plan_completed", &[("plan_seq", bad.into())]);
+            let err = validate_trace(&trace).unwrap_err();
+            assert!(err.starts_with("line 2: "), "{bad}: {err}");
+            assert!(err.contains("plan_seq"), "{bad}: {err}");
+            assert!(read_jsonl(&trace).is_err(), "{bad}");
+        }
+        let bad_seq = "{\"seq\":-0.5,\"clock\":0,\"kind\":\"tick\"}\n";
+        assert!(validate_trace(bad_seq).unwrap_err().contains("seq"));
+        // 2⁵³ itself is exact and passes; fields of unlisted kinds stay
+        // untyped numbers.
+        let edge = line(
+            0,
+            "plan_emitted",
+            &[("plan_seq", "9007199254740992".into())],
+        ) + &line(1, "tick", &[("i", "-1".into())]);
+        let records = read_jsonl(&edge).expect("in range");
+        assert_eq!(records[0].u64("plan_seq"), Some(1 << 53));
+        assert_eq!(records[1].f64("i"), Some(-1.0));
+        validate_records(&records).expect("valid");
+    }
+
+    #[test]
+    fn records_read_alike_from_events_and_lines() {
+        let j = TraceJournal::enabled();
+        j.set_clock(1.5);
+        j.record(
+            "memo_hit",
+            vec![
+                ("plan_seq", Value::U64(3)),
+                ("source", Value::Str("v1".into())),
+                ("warm", Value::Bool(true)),
+            ],
         );
-        assert!(validate_trace(no_source).unwrap_err().contains("source"));
+        j.record(
+            "quality_sample",
+            vec![("regret", Value::F64(f64::INFINITY))],
+        );
+        let events = j.events();
+        let lines = read_jsonl(&j.to_jsonl()).unwrap();
+        for (ev, line) in events.iter().map(Record::from).zip(&lines) {
+            assert_eq!(
+                (ev.seq, ev.clock, &ev.kind),
+                (line.seq, line.clock, &line.kind)
+            );
+            assert_eq!(ev.get("source"), line.get("source"));
+        }
+        let hit = &lines[0];
+        assert_eq!(hit.u64("plan_seq"), Some(3));
+        assert_eq!(hit.str("source"), Some("v1"));
+        assert_eq!(hit.bool("warm"), Some(true));
+        assert_eq!(hit.f64("plan_seq"), None, "typed reads do not coerce");
+        assert_eq!(hit.error("boom"), "line 1: boom");
+        assert_eq!(Record::from(&events[0]).error("boom"), "seq 0: boom");
+        // A non-finite number is `null` on the wire and NaN coming back.
+        assert!(lines[1].f64("regret").is_some_and(f64::is_nan));
+    }
+
+    #[test]
+    fn emitters_are_checked_against_the_vocabulary_in_debug_builds_only() {
+        let emit = |kind: &'static str, fields: Vec<(&'static str, Value)>| {
+            std::panic::catch_unwind(|| TraceJournal::enabled().record(kind, fields)).is_ok()
+        };
+        assert!(emit("plan_emitted", vec![("plan_seq", Value::U64(0))]));
+        assert!(emit("tick", vec![]), "unlisted kinds pass");
+        // Release builds pay nothing and check nothing.
+        let unchecked = !cfg!(debug_assertions);
+        assert_eq!(emit("plan_emitted", vec![]), unchecked, "required field");
+        let mistyped = vec![("plan_seq", Value::U64(0)), ("utility", Value::U64(1))];
+        assert_eq!(emit("plan_emitted", mistyped), unchecked, "optional field");
+        // A disabled journal records nothing and checks nothing.
+        TraceJournal::default().record("plan_emitted", vec![]);
     }
 
     #[test]

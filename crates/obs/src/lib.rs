@@ -13,7 +13,12 @@
 //!   kernel events, timestamped by the executor's **virtual clock** so a
 //!   trace is bit-for-bit identical under any worker count (the
 //!   fixed-seed-replay guarantee of the runtime, extended to the trace
-//!   itself);
+//!   itself); [`Record`], the one decoded view every trace reader folds,
+//!   and [`read_jsonl`], the one place a trace line is parsed;
+//! - [`vocab`] — the journal's event vocabulary stated once, as data:
+//!   every kind's span role, every field's type and whether it is
+//!   required. The validator, the debug-build emit check and the
+//!   `trace-validate` gate are driven by it;
 //! - [`export`] — a JSONL rendering of the journal, a Prometheus-style
 //!   text exposition of the registry, and a human summary;
 //! - [`json`] — a minimal JSON reader used to validate traces
@@ -33,7 +38,8 @@
 //!   estimators ([`DivergenceMonitor`]) compared against the
 //!   catalog-declared behavior, exported as `qpo_source_divergence`
 //!   gauges and `drift_detected` journal events, recomputable bit-exact
-//!   from the trace;
+//!   from the trace — by folding the profile's spans, not by a second
+//!   reconstruction;
 //! - [`backends`] — the live backend directory ([`BackendBoard`]): the
 //!   mediator publishes each registered source backend's label, kind,
 //!   and a live epoch sampler, rendered by [`backends_text`];
@@ -75,6 +81,7 @@ pub mod profile;
 pub mod quality;
 pub mod registry;
 pub mod serve;
+pub mod vocab;
 
 pub use backends::{backends_text, BackendBoard};
 pub use divergence::{
@@ -85,7 +92,10 @@ pub use explain::{
     ExplainIndex, Explanation,
 };
 pub use export::{escape_label_value, prometheus_text, summary_text};
-pub use journal::{validate_trace, TraceEvent, TraceJournal, TraceReport, Value};
+pub use journal::{
+    read_jsonl, validate_records, validate_trace, Record, TraceEvent, TraceJournal, TraceReport,
+    Value,
+};
 pub use json::{parse_json, Json, JsonError};
 pub use profile::{PlanSpan, ProfileIndex, RemoteSpan, RunProfile, SourceSpan, SpanStatus};
 pub use quality::{QualityPoint, QualitySnapshot, QualityTracker, SessionBoard, SessionEntry};

@@ -42,8 +42,10 @@
 //! [`ProfileIndex::to_json`] are the machine form the introspection
 //! server's `/profile` endpoint serves byte-identically.
 
-use crate::journal::{push_f64, push_str, TraceEvent, TraceJournal, Value};
-use crate::json::{parse_json, Json};
+use crate::divergence::SourceExpectation;
+use crate::journal::{push_f64, push_str, read_jsonl, Record, TraceEvent, TraceJournal};
+use crate::vocab::{role_of, Role};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -76,7 +78,7 @@ pub struct RemoteSpan {
 /// One source's sub-span within a plan: the retry chain with its two
 /// charge kinds (backoff wait, attempt latency) re-summed in the order
 /// the runtime charged them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SourceSpan {
     /// Source name.
     pub name: String,
@@ -101,7 +103,7 @@ pub struct SourceSpan {
 }
 
 /// Terminal status of a profiled plan span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpanStatus {
     /// Executed and merged (`plan_completed`).
     Completed,
@@ -110,6 +112,7 @@ pub enum SpanStatus {
     /// Rejected by the soundness test (`plan_unsound`).
     Unsound,
     /// No terminal event in the trace (truncated journal).
+    #[default]
     Open,
 }
 
@@ -127,7 +130,7 @@ impl SpanStatus {
 
 /// One plan's span: schedule wait, per-source sub-spans, join and self
 /// time, with the exact latency the executor charged.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlanSpan {
     /// Emission sequence number within the run.
     pub seq: u64,
@@ -193,6 +196,13 @@ pub struct RunProfile {
     /// the same fold the executor's serial clock performs, so it
     /// bit-equals `makespan` on executor traces.
     pub critical_path: f64,
+    /// Indices into `plans` in the order their terminal events were
+    /// journalled — the order the runtime's feedback path saw them.
+    pub closed: Vec<usize>,
+    /// The catalog expectations the run declared (`source_declared`), in
+    /// journal order. Kept for the drift replay; neither renderer shows
+    /// them.
+    pub declared: Vec<(String, SourceExpectation)>,
 }
 
 impl RunProfile {
@@ -588,61 +598,22 @@ fn push_num(out: &mut String, v: f64) {
     }
 }
 
-/// All run profiles reconstructed from one journal.
+/// All run profiles reconstructed from one journal — the one span
+/// reconstruction: the drift replay
+/// ([`DivergenceMonitor::from_profile`](crate::DivergenceMonitor::from_profile))
+/// folds these spans rather than re-deriving access chains.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileIndex {
     runs: Vec<RunProfile>,
-}
-
-/// Field access shared by the two replay paths: live [`TraceEvent`]s and
-/// JSONL lines parsed back through [`parse_json`]. F64 fields round-trip
-/// bit-exactly (the exporter writes shortest-roundtrip forms), which is
-/// what keeps the offline reconstruction equal to the live one.
-enum Fields<'a> {
-    Event(&'a TraceEvent),
-    Line(&'a Json),
-}
-
-impl Fields<'_> {
-    fn u64(&self, name: &str) -> Option<u64> {
-        match self {
-            Fields::Event(ev) => match ev.fields.iter().find(|(k, _)| *k == name)? {
-                (_, Value::U64(n)) => Some(*n),
-                _ => None,
-            },
-            Fields::Line(obj) => obj.get(name)?.as_f64().map(|v| v as u64),
-        }
-    }
-
-    fn f64(&self, name: &str) -> Option<f64> {
-        match self {
-            Fields::Event(ev) => match ev.fields.iter().find(|(k, _)| *k == name)? {
-                (_, Value::F64(x)) => Some(*x),
-                _ => None,
-            },
-            Fields::Line(obj) => obj.get(name)?.as_f64(),
-        }
-    }
-
-    fn str(&self, name: &str) -> Option<&str> {
-        match self {
-            Fields::Event(ev) => match ev.fields.iter().find(|(k, _)| *k == name)? {
-                (_, Value::Str(s)) => Some(s),
-                _ => None,
-            },
-            Fields::Line(obj) => obj.get(name)?.as_str(),
-        }
-    }
+    /// What the journal recorded ahead of its first `run_started` marker,
+    /// reconstructed like a run but belonging to none.
+    preamble: RunProfile,
 }
 
 impl ProfileIndex {
     /// Replays recorded events (in journal order) into run profiles.
     pub fn from_events(events: &[TraceEvent]) -> Self {
-        let mut b = Builder::default();
-        for ev in events {
-            b.observe(ev.kind, ev.clock, &Fields::Event(ev));
-        }
-        b.finish()
+        ProfileIndex::from_records(events.iter().map(Record::from))
     }
 
     /// Replays a live journal.
@@ -650,31 +621,26 @@ impl ProfileIndex {
         ProfileIndex::from_events(&journal.events())
     }
 
-    /// Replays a JSONL trace file (the `/traces` format). Malformed
-    /// lines or missing reserved keys are errors — run `validate_trace`
-    /// first for the full structural diagnosis.
+    /// Replays a JSONL trace file (the `/traces` format). Lines that do
+    /// not decode ([`read_jsonl`]) are errors — run `validate_trace` for
+    /// the full structural diagnosis.
     pub fn from_jsonl(jsonl: &str) -> Result<Self, String> {
-        let mut b = Builder::default();
-        for (i, line) in jsonl.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let obj = parse_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let kind = obj
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("line {}: missing kind", i + 1))?
-                .to_string();
-            let clock = obj
-                .get("clock")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("line {}: missing clock", i + 1))?;
-            b.observe(&kind, clock, &Fields::Line(&obj));
-        }
-        Ok(b.finish())
+        Ok(ProfileIndex::from_records(read_jsonl(jsonl)?))
     }
 
-    /// The reconstructed runs, in journal order.
+    /// Replays decoded records (in journal order) into run profiles.
+    pub fn from_records<'a, R: Borrow<Record<'a>>>(records: impl IntoIterator<Item = R>) -> Self {
+        let mut b = Builder::default();
+        for rec in records {
+            b.observe(rec.borrow());
+        }
+        b.flush();
+        b.index
+    }
+
+    /// The reconstructed runs, in journal order. A run's number — here,
+    /// in `/profile?run=`, `/explain?run=` and the validator's messages —
+    /// is the zero-based index of its `run_started` marker.
     pub fn runs(&self) -> &[RunProfile] {
         &self.runs
     }
@@ -687,6 +653,13 @@ impl ProfileIndex {
     /// The most recent run.
     pub fn latest(&self) -> Option<&RunProfile> {
         self.runs.last()
+    }
+
+    /// The scope a live drift monitor's state corresponds to: the latest
+    /// run (each run binds a fresh monitor), or, in a journal without a
+    /// `run_started` marker, everything it recorded.
+    pub(crate) fn latest_scope(&self) -> &RunProfile {
+        self.latest().unwrap_or(&self.preamble)
     }
 
     /// All runs as one JSON document: `{"runs":[…]}`.
@@ -706,177 +679,180 @@ impl ProfileIndex {
 /// Incremental profile reconstruction over one journal.
 #[derive(Default)]
 struct Builder {
-    runs: Vec<RunProfile>,
-    current: Option<RunProfile>,
-    /// plan_seq → index into the current run's `plans`.
-    index: BTreeMap<u64, usize>,
+    index: ProfileIndex,
+    /// The scope under reconstruction: the preamble until the first
+    /// `run_started` marker, then the run that marker opened.
+    current: RunProfile,
+    in_run: bool,
+    /// plan_seq → index into the current scope's `plans`, while the span
+    /// is open.
+    open: BTreeMap<u64, usize>,
     /// Kernel events seen before any `run_started` (orderer build work
     /// journalled ahead of the run scope); absorbed by the next run.
     pending_prepare: u64,
 }
 
 impl Builder {
-    fn observe(&mut self, kind: &str, clock: f64, fields: &Fields<'_>) {
-        if kind == "run_started" {
-            self.flush();
-            let mut run = RunProfile {
-                run: self.runs.len() as u64,
-                strategy: fields.str("strategy").map(str::to_string),
-                lookahead: fields.u64("lookahead"),
-                ..RunProfile::default()
-            };
-            run.prepare_events = self.pending_prepare;
-            self.pending_prepare = 0;
-            self.current = Some(run);
-            return;
-        }
-        if kind.starts_with("kernel_") {
-            match &mut self.current {
-                Some(run) if run.plans.is_empty() => run.prepare_events += 1,
-                Some(run) => run.ordering_events += 1,
-                None => self.pending_prepare += 1,
+    fn observe(&mut self, rec: &Record<'_>) {
+        let kind = &*rec.kind;
+        let run = &mut self.current;
+        match role_of(kind).unwrap_or(Role::Free) {
+            Role::RunOpen => {
+                self.flush();
+                self.in_run = true;
+                self.current = RunProfile {
+                    run: self.index.runs.len() as u64,
+                    strategy: rec.str("strategy").map(str::to_string),
+                    lookahead: rec.u64("lookahead"),
+                    prepare_events: std::mem::take(&mut self.pending_prepare),
+                    ..RunProfile::default()
+                };
             }
-            return;
-        }
-        let Some(run) = &mut self.current else {
-            return;
-        };
-        match kind {
-            "plan_emitted" => {
-                let seq = fields.u64("plan_seq").unwrap_or(run.plans.len() as u64);
-                self.index.insert(seq, run.plans.len());
-                run.plans.push(PlanSpan {
-                    seq,
-                    plan: fields.str("plan").unwrap_or_default().to_string(),
-                    utility: fields.f64("utility").unwrap_or(0.0),
-                    start: clock,
-                    end: clock,
-                    latency: 0.0,
-                    wait: 0.0,
-                    join: 0.0,
-                    self_time: 0.0,
-                    status: SpanStatus::Open,
-                    memo_hits: 0,
-                    reused_prefix: None,
-                    tuples: None,
-                    sources: Vec::new(),
-                    critical_source: None,
-                });
+            Role::Ordering if !self.in_run => self.pending_prepare += 1,
+            Role::Ordering if run.plans.is_empty() => run.prepare_events += 1,
+            Role::Ordering => run.ordering_events += 1,
+            Role::SpanOpen => {
+                let seq = rec.u64("plan_seq").unwrap_or(run.plans.len() as u64);
+                self.open_span(seq, rec);
             }
-            "memo_hit" => {
-                if let Some(p) = self.plan_mut(fields) {
-                    p.memo_hits += 1;
-                }
-            }
-            "subplan_reused" => {
-                let prefix = fields.u64("prefix_len");
-                if let Some(p) = self.plan_mut(fields) {
-                    p.reused_prefix = prefix.or(Some(0));
-                }
-            }
-            "source_attempt" => {
-                let attempt = fields.u64("attempt").unwrap_or(0);
-                let backoff = fields.f64("backoff").unwrap_or(0.0);
-                let charge = fields.f64("latency").unwrap_or(0.0);
-                let outcome = fields.str("outcome").unwrap_or("").to_string();
-                let name = fields.str("source").unwrap_or("").to_string();
-                // The network residual repeats the executor's live
-                // subtraction (charge − server total) on the journalled
-                // f64s, so the stitched attribution is bit-exact.
-                let remote = fields.f64("remote_total").map(|total| RemoteSpan {
-                    recv_parse: fields.f64("remote_recv").unwrap_or(0.0),
-                    lookup: fields.f64("remote_lookup").unwrap_or(0.0),
-                    encode: fields.f64("remote_encode").unwrap_or(0.0),
-                    total,
-                    charge,
-                    network: charge - total,
-                    server_seq: fields.u64("remote_seq").unwrap_or(0),
-                });
-                if let Some(p) = self.plan_mut(fields) {
-                    let s = match p.sources.iter_mut().find(|s| s.name == name) {
-                        Some(s) => s,
-                        None => {
-                            p.sources.push(SourceSpan {
-                                name,
-                                attempts: 0,
-                                transient: 0,
-                                backoff: 0.0,
-                                attempt_time: 0.0,
-                                total: 0.0,
-                                outcome: String::new(),
-                                remote: None,
-                            });
-                            p.sources.last_mut().expect("just pushed")
-                        }
+            Role::SpanClose => {
+                let closed = rec.u64("plan_seq").and_then(|seq| self.open.remove(&seq));
+                if let Some(i) = closed {
+                    let p = &mut run.plans[i];
+                    p.end = rec.clock;
+                    p.latency = rec.f64("latency").unwrap_or(0.0);
+                    p.tuples = rec.u64("tuples");
+                    p.status = match kind {
+                        "plan_completed" => SpanStatus::Completed,
+                        "plan_failed" => SpanStatus::Failed,
+                        _ => SpanStatus::Unsound,
                     };
-                    s.attempts = s.attempts.max(attempt);
-                    s.transient += u64::from(outcome == "timeout" || outcome == "transient");
-                    s.backoff += backoff;
-                    s.attempt_time += charge;
-                    // Charge order matters for bit-equality with the
-                    // runtime's own per-access accumulation.
-                    s.total += backoff;
-                    s.total += charge;
-                    s.outcome = outcome;
-                    if let Some(r) = remote {
-                        s.remote = Some(r);
+                    close_plan(p);
+                    run.closed.push(i);
+                }
+            }
+            _ => match kind {
+                "memo_hit" => {
+                    if let Some(p) = self.span_mut(rec) {
+                        p.memo_hits += 1;
                     }
                 }
-            }
-            "plan_completed" | "plan_failed" | "plan_unsound" => {
-                let latency = fields.f64("latency").unwrap_or(0.0);
-                let tuples = fields.u64("tuples");
-                let status = match kind {
-                    "plan_completed" => SpanStatus::Completed,
-                    "plan_failed" => SpanStatus::Failed,
-                    _ => SpanStatus::Unsound,
-                };
-                if let Some(p) = self.plan_mut(fields) {
-                    p.end = clock;
-                    p.latency = latency;
-                    p.status = status;
-                    p.tuples = tuples;
-                    close_plan(p);
+                "subplan_reused" => {
+                    let prefix = rec.u64("prefix_len");
+                    if let Some(p) = self.span_mut(rec) {
+                        p.reused_prefix = prefix.or(Some(0));
+                    }
                 }
-            }
-            // First seal wins. A session abandoned mid-stream seals its
-            // trace on drop, which can land *after* a newer run already
-            // started and sealed (e.g. `drop(session)` late in an
-            // example); that stray event must not overwrite the current
-            // run's own makespan and answer count.
-            "run_finished" if run.makespan.is_none() && run.answers.is_none() => {
-                run.makespan = fields.f64("makespan");
-                run.answers = fields.u64("answers");
-            }
-            _ => {}
+                "source_attempt" => self.attempt(rec),
+                "source_declared" => {
+                    if let Some(source) = rec.str("source") {
+                        let expected = SourceExpectation {
+                            latency: rec.f64("latency").unwrap_or(0.0),
+                            transient_rate: rec.f64("transient_rate").unwrap_or(0.0),
+                            tuples: rec.f64("tuples").unwrap_or(0.0),
+                        };
+                        run.declared.push((source.to_string(), expected));
+                    }
+                }
+                // First seal wins. A session abandoned mid-stream seals its
+                // trace on drop, which can land *after* a newer run already
+                // started and sealed (e.g. `drop(session)` late in an
+                // example); that stray event must not overwrite the current
+                // run's own makespan and answer count.
+                "run_finished" if run.makespan.is_none() && run.answers.is_none() => {
+                    run.makespan = rec.f64("makespan");
+                    run.answers = rec.u64("answers");
+                }
+                _ => {}
+            },
         }
     }
 
-    fn plan_mut(&mut self, fields: &Fields<'_>) -> Option<&mut PlanSpan> {
-        let run = self.current.as_mut()?;
-        let seq = fields.u64("plan_seq")?;
-        run.plans.get_mut(*self.index.get(&seq)?)
+    /// One attempt of a plan's retry chain against a source: the one place
+    /// a chain is folded (max attempt, transient count, backoff-then-charge
+    /// sum, last outcome, remote split). An attempt for a plan the scope
+    /// has not seen emitted opens the span implicitly, so no journalled
+    /// access is lost to the drift replay.
+    fn attempt(&mut self, rec: &Record<'_>) {
+        let (Some(seq), Some(name)) = (rec.u64("plan_seq"), rec.str("source")) else {
+            return;
+        };
+        let i = match self.open.get(&seq) {
+            Some(&i) => i,
+            None => self.open_span(seq, rec),
+        };
+        let sources = &mut self.current.plans[i].sources;
+        let j = sources.iter().position(|s| s.name == name);
+        let j = j.unwrap_or_else(|| {
+            sources.push(SourceSpan {
+                name: name.to_string(),
+                ..SourceSpan::default()
+            });
+            sources.len() - 1
+        });
+        let s = &mut sources[j];
+        let backoff = rec.f64("backoff").unwrap_or(0.0);
+        let charge = rec.f64("latency").unwrap_or(0.0);
+        let outcome = rec.str("outcome").unwrap_or("");
+        s.attempts = s.attempts.max(rec.u64("attempt").unwrap_or(0));
+        s.transient += u64::from(outcome == "timeout" || outcome == "transient");
+        s.backoff += backoff;
+        s.attempt_time += charge;
+        // Charge order matters for bit-equality with the runtime's own
+        // per-access accumulation.
+        s.total += backoff;
+        s.total += charge;
+        s.outcome = outcome.to_string();
+        // The network residual repeats the executor's live subtraction
+        // (charge − server total) on the journalled f64s, so the stitched
+        // attribution is bit-exact.
+        if let Some(total) = rec.f64("remote_total") {
+            s.remote = Some(RemoteSpan {
+                recv_parse: rec.f64("remote_recv").unwrap_or(0.0),
+                lookup: rec.f64("remote_lookup").unwrap_or(0.0),
+                encode: rec.f64("remote_encode").unwrap_or(0.0),
+                total,
+                charge,
+                network: charge - total,
+                server_seq: rec.u64("remote_seq").unwrap_or(0),
+            });
+        }
     }
 
+    /// Opens the span of plan `seq` at `rec`'s clock; returns its index.
+    fn open_span(&mut self, seq: u64, rec: &Record<'_>) -> usize {
+        let plans = &mut self.current.plans;
+        self.open.insert(seq, plans.len());
+        plans.push(PlanSpan {
+            seq,
+            plan: rec.str("plan").unwrap_or_default().to_string(),
+            utility: rec.f64("utility").unwrap_or(0.0),
+            start: rec.clock,
+            end: rec.clock,
+            ..PlanSpan::default()
+        });
+        plans.len() - 1
+    }
+
+    fn span_mut(&mut self, rec: &Record<'_>) -> Option<&mut PlanSpan> {
+        let i = *self.open.get(&rec.u64("plan_seq")?)?;
+        self.current.plans.get_mut(i)
+    }
+
+    /// Seals the scope under reconstruction.
     fn flush(&mut self) {
-        if let Some(mut run) = self.current.take() {
-            // The same left-to-right fold the executor's serial clock
-            // performs, hence bit-equal to its reported makespan.
-            let mut cp = 0.0f64;
-            for p in &run.plans {
-                cp += p.latency;
-            }
-            run.critical_path = cp;
-            self.runs.push(run);
+        let mut scope = std::mem::take(&mut self.current);
+        // The same left-to-right fold the executor's serial clock
+        // performs, hence bit-equal to its reported makespan.
+        for p in &scope.plans {
+            scope.critical_path += p.latency;
         }
-        self.index.clear();
-    }
-
-    fn finish(mut self) -> ProfileIndex {
-        self.flush();
-        // run_finished fields were parked on the builder via plan-less
-        // events; nothing further to do here.
-        ProfileIndex { runs: self.runs }
+        if self.in_run {
+            self.index.runs.push(scope);
+        } else {
+            self.index.preamble = scope;
+        }
+        self.open.clear();
     }
 }
 
@@ -907,13 +883,14 @@ fn close_plan(p: &mut PlanSpan) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::Value;
 
     /// A two-plan run journalled the way the executor does: plan 0 has a
     /// retried source and a fast one, plan 1 hits the memo and runs
     /// source-free (charged latency 0).
     fn fixture() -> TraceJournal {
         let j = TraceJournal::enabled();
-        j.record("kernel_seeded", vec![("buckets", Value::U64(3))]);
+        j.record("kernel_cache_hit", vec![("bucket", Value::U64(3))]);
         j.record("run_started", vec![("lookahead", Value::U64(2))]);
         j.record("kernel_refinement", vec![("frontier", Value::U64(1))]);
         j.record(
@@ -1255,6 +1232,50 @@ mod tests {
         }
         assert!(!run.to_json().contains("\"remote\""));
         assert!(!run.render_text().contains(" server="));
+    }
+
+    #[test]
+    fn a_corrupted_plan_id_is_an_error_not_a_merged_span() {
+        // Read with `as u64`, plan -1 or 0.5 would charge plan 0's span.
+        let jsonl = fixture().to_jsonl();
+        let attempt = "\"kind\":\"source_attempt\",\"plan_seq\":0,";
+        assert!(jsonl.contains(attempt));
+        for bad in ["-1", "0.5"] {
+            let corrupted = jsonl.replacen(
+                attempt,
+                &format!("\"kind\":\"source_attempt\",\"plan_seq\":{bad},"),
+                1,
+            );
+            let err = ProfileIndex::from_jsonl(&corrupted).unwrap_err();
+            assert!(err.contains("line ") && err.contains("plan_seq"), "{err}");
+        }
+    }
+
+    #[test]
+    fn accesses_outside_an_emitted_span_are_kept_for_the_drift_replay() {
+        // Before any run_started, and for a plan never emitted: the
+        // access is no run's, so no profile shows it, but it is not lost.
+        let j = TraceJournal::enabled();
+        for latency in [2.0, 3.0] {
+            j.record(
+                "source_attempt",
+                vec![
+                    ("plan_seq", Value::U64(0)),
+                    ("source", Value::Str("v1".into())),
+                    ("attempt", Value::U64(1)),
+                    ("latency", Value::F64(latency)),
+                    ("outcome", Value::Str("ok".into())),
+                ],
+            );
+            j.record("plan_completed", vec![("plan_seq", Value::U64(0))]);
+        }
+        let index = ProfileIndex::from_journal(&j);
+        assert!(index.runs().is_empty());
+        assert_eq!(index.to_json(), "{\"runs\":[]}");
+        let scope = index.latest_scope();
+        // A closed span's number is free again: two chains, not one.
+        assert_eq!(scope.closed, vec![0, 1]);
+        assert_eq!(scope.plans[1].sources[0].total, 3.0);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   [`crate::explain`] (`run` defaults to the journal's latest run);
 //! - `/profile` and `/profile?run=N[&format=text]` — the span-tree
 //!   profile of [`crate::profile`], reconstructed from the journal,
-//!   byte-identical to the offline renderers;
+//!   byte-identical to the offline renderers; `N` is the same number on
+//!   both endpoints, the zero-based index of the `run_started` marker;
 //! - `/divergence` — the source-drift recomputation of
 //!   [`crate::divergence`] over the journal (default config), the same
 //!   bytes [`DivergenceMonitor::to_json`] renders offline;
@@ -251,7 +252,8 @@ fn bad_request(usage: &str) -> (u16, &'static str, &'static str, String) {
 }
 
 fn explain_response(query: &str, obs: &Obs) -> (u16, &'static str, &'static str, String) {
-    const USAGE: &str = "usage: /explain?run=N&plan=i,j,k (run defaults to the latest)";
+    const USAGE: &str =
+        "usage: /explain?run=N&plan=i,j,k (runs count from 0 as in /profile; default: the latest)";
     let mut run: Option<u64> = None;
     let mut plan: Option<Vec<usize>> = None;
     for pair in query.split('&').filter(|p| !p.is_empty()) {
@@ -273,13 +275,14 @@ fn explain_response(query: &str, obs: &Obs) -> (u16, &'static str, &'static str,
         return bad_request(USAGE);
     };
     let index = ExplainIndex::from_journal(&obs.journal);
-    let run = run.unwrap_or_else(|| index.runs());
+    let run = run.unwrap_or_else(|| index.runs().saturating_sub(1));
     let body = index.explain(run, &plan).to_json(run, &plan);
     (200, "OK", "application/json; charset=utf-8", body)
 }
 
 fn profile_response(query: &str, obs: &Obs) -> (u16, &'static str, &'static str, String) {
-    const USAGE: &str = "usage: /profile[?run=N][&format=text] (run defaults to the latest)";
+    const USAGE: &str =
+        "usage: /profile[?run=N][&format=text] (runs count from 0; default: the latest)";
     let mut run: Option<u64> = None;
     let mut text = false;
     for pair in query.split('&').filter(|p| !p.is_empty()) {

@@ -293,6 +293,32 @@ proptest! {
     }
 
     #[test]
+    fn a_corrupted_id_never_validates_and_never_panics(
+        runs in Traces,
+        pick in 0.0..1.0f64,
+        magnitude in 1u64..1_000_000,
+        shape in 0usize..3,
+    ) {
+        // Read with `as u64`, a negative or fractional id aliases to a
+        // neighbouring plan and silently charges *its* span; the line
+        // reader must refuse it instead, for every consumer.
+        let jsonl = journal_runs(&runs).to_jsonl();
+        let ids: Vec<usize> = jsonl.match_indices("\"plan_seq\":").map(|(i, _)| i).collect();
+        if !ids.is_empty() {
+            let at = ids[(pick * ids.len() as f64) as usize % ids.len()] + "\"plan_seq\":".len();
+            let end = at + jsonl[at..].find([',', '}']).expect("the value ends");
+            let bad = match shape {
+                0 => format!("-{magnitude}"),
+                1 => format!("{magnitude}.5"),
+                _ => format!("{magnitude}e16"),
+            };
+            let corrupted = format!("{}{bad}{}", &jsonl[..at], &jsonl[end..]);
+            prop_assert!(validate_trace(&corrupted).is_err(), "{bad} validated");
+            prop_assert!(ProfileIndex::from_jsonl(&corrupted).is_err(), "{bad} profiled");
+        }
+    }
+
+    #[test]
     fn rendered_profiles_parse_and_name_every_plan(runs in Traces) {
         let journal = journal_runs(&runs);
         let index = ProfileIndex::from_journal(&journal);
