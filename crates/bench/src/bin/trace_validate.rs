@@ -6,9 +6,10 @@
 //! to the validator, the profiler and the drift fold. Every line must be a
 //! JSON object with contiguous `seq`, a numeric (or null) `clock` and a
 //! string `kind`; every event must conform to the vocabulary
-//! (`qpo_obs::vocab`) and — stricter than `validate_trace` — be of a kind
-//! it lists, so an emitter that invents or misspells a kind fails the
-//! gate; plan-lifecycle spans must open and close exactly once; the
+//! (`qpo_obs::vocab`) and — [`qpo_obs::validate_records_strict`], stricter
+//! than `validate_trace` — be of a kind it lists, so an emitter that
+//! invents or misspells a kind fails the gate; plan-lifecycle spans must
+//! open and close exactly once; the
 //! virtual clock must be non-decreasing in seq order within each run
 //! (`run_started` markers restart it); remote spans must be sound (tcp
 //! runs only, five fields together, nested in the attempt latency). The
@@ -23,8 +24,10 @@
 //! trace exercised, a one-line profile digest per run and the drifting set
 //! of the latest run, so the CI log doubles as a trace digest.
 
-use qpo_obs::vocab::{role_of, KINDS};
-use qpo_obs::{read_jsonl, validate_records, DivergenceConfig, DivergenceMonitor, ProfileIndex};
+use qpo_obs::vocab::KINDS;
+use qpo_obs::{
+    read_jsonl, validate_records_strict, DivergenceConfig, DivergenceMonitor, ProfileIndex,
+};
 
 fn main() {
     let path = std::env::args().nth(1).unwrap_or_else(|| {
@@ -36,17 +39,13 @@ fn main() {
         std::process::exit(2);
     });
     let report = read_jsonl(&jsonl).and_then(|records| {
-        let report = validate_records(&records)?;
+        let report = validate_records_strict(&records)?;
         Ok((report, ProfileIndex::from_records(&records)))
     });
     let (report, index) = report.unwrap_or_else(|e| {
         eprintln!("trace-validate: {path}: {e}");
         std::process::exit(1);
     });
-    if let Some(kind) = report.counts.keys().find(|k| role_of(k).is_none()) {
-        eprintln!("trace-validate: {path}: event kind \"{kind}\" is not in the vocabulary");
-        std::process::exit(1);
-    }
     if report.spans_opened != report.spans_closed {
         eprintln!(
             "trace-validate: {path}: {} plan spans opened but {} closed",

@@ -23,24 +23,10 @@ pub fn synthetic_catalog(
     overlap: f64,
     seed: u64,
 ) -> (Catalog, ConjunctiveQuery) {
-    synthetic_catalog_with_universe(query_len, bucket_size, overlap, seed, 200)
-}
-
-/// [`synthetic_catalog`] with an explicit universe size. Source extents
-/// scale with the universe, and a star query's answers are the product
-/// of its sources' item sets — so deep queries may want a smaller
-/// universe to keep materialization proportionate.
-pub fn synthetic_catalog_with_universe(
-    query_len: usize,
-    bucket_size: usize,
-    overlap: f64,
-    seed: u64,
-    universe: u64,
-) -> (Catalog, ConjunctiveQuery) {
     let inst = GeneratorConfig::new(query_len, bucket_size)
         .with_overlap_rate(overlap)
         .with_seed(seed)
-        .with_universe(universe)
+        .with_universe(200)
         .build();
     let schema = MediatedSchema::with_relations(
         (0..query_len).map(|b| SchemaRelation::new(format!("r{b}"), 2)),

@@ -227,9 +227,9 @@ pub fn all_experiments() -> Vec<Experiment> {
 pub fn run_experiment(exp: &Experiment, threads: usize) -> Vec<ResultRow> {
     let queue: Mutex<Vec<RunConfig>> = Mutex::new(exp.configs.clone());
     let rows: Mutex<Vec<ResultRow>> = Mutex::new(Vec::new());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads.max(1) {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let Some(cfg) = queue.lock().expect("queue lock").pop() else {
                     break;
                 };
@@ -238,8 +238,7 @@ pub fn run_experiment(exp: &Experiment, threads: usize) -> Vec<ResultRow> {
                 }
             });
         }
-    })
-    .expect("worker threads never panic");
+    });
     let mut rows = rows.into_inner().expect("rows lock");
     rows.sort_by(|a, b| {
         (

@@ -248,22 +248,6 @@ pub fn run_config(cfg: &RunConfig) -> Option<Vec<ResultRow>> {
     Some(rows)
 }
 
-/// Orders `k` plans on a pre-built instance (criterion benches use this so
-/// instance generation — the paper's excluded bucket-creation step — stays
-/// outside the timed region). Returns the number of plans emitted, or
-/// `None` if the algorithm is inapplicable to the measure.
-pub fn order_k_on(
-    inst: &ProblemInstance,
-    measure: MeasureKind,
-    algorithm: AlgorithmKind,
-    heuristic: HeuristicKind,
-    k: usize,
-) -> Option<usize> {
-    let m = measure.build();
-    let mut orderer = algorithm.build(inst, &m, heuristic)?;
-    Some(orderer.order_k(k).len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,10 +6,11 @@
 //! Def. 2.1 oracle, so any drift (reordered sums, a different oracle,
 //! an off-by-one prefix) shows up as a changed bit pattern here.
 
-use qpo_bench::{ordering_regret, synthetic_catalog};
+use qpo_bench::{ordering_regret, synthetic_catalog, AlgorithmKind, MeasureKind, RunConfig};
+use qpo_core::{ByExpectedTuples, Greedy, IDrips, PlanOrderer};
 use qpo_exec::{Mediator, QuerySession, Strategy};
 use qpo_obs::Obs;
-use qpo_utility::Coverage;
+use qpo_utility::{Coverage, LinearCost};
 
 #[test]
 fn live_session_regret_bit_equals_the_offline_recomputation() {
@@ -75,4 +76,25 @@ fn prefix_sessions_agree_with_prefix_recomputations() {
         session.quality().unwrap().regret.to_bits(),
         offline.to_bits()
     );
+}
+
+#[test]
+fn greedy_never_beats_the_exact_prefix_on_a_fully_monotone_measure() {
+    // Greedy (per-bucket argmax, no dominance) and iDrips are both exact
+    // on `LinearCost`, so both prefixes sit at ~0 regret against the
+    // Def. 2.1 oracle; a negative gap would mean the regret accounting
+    // itself is broken.
+    let inst = RunConfig::new("regret", MeasureKind::Linear, AlgorithmKind::IDrips, 8).instance();
+    let regret = |orderer: &mut dyn PlanOrderer| {
+        let utilities: Vec<f64> = orderer.order_k(60).iter().map(|o| o.utility).collect();
+        assert_eq!(utilities.len(), 60);
+        ordering_regret(&inst, &LinearCost, &utilities)
+    };
+    let idrips = regret(&mut IDrips::new(&inst, &LinearCost, ByExpectedTuples));
+    let greedy = regret(&mut Greedy::new(&inst, &LinearCost).unwrap());
+    assert!(
+        greedy - idrips >= -1e-9,
+        "greedy {greedy} vs idrips {idrips}"
+    );
+    assert!(idrips.abs() < 1e-9 && greedy.abs() < 1e-9);
 }

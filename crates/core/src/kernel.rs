@@ -26,15 +26,12 @@
 //!    into the entry's [`IntervalCarry`]. Only a `retract` — the history
 //!    is no longer an extension of what the carries saw — drops the table.
 //!
-//! Wide evaluation rounds (many pending intervals, as in iDrips' first
-//! round over a large space frontier) are fanned out over a bounded
-//! scoped-thread pool with a deterministic merge, so the emitted order is
-//! bit-for-bit identical to the serial kernel — and, by construction, to
-//! [`reference_find_best`]: the champion rule eliminates *exactly* the
-//! plans the pairwise sweep eliminates (see `eliminates`' invariants),
-//! caching only short-circuits recomputation of pure functions, and a
-//! resumed evaluation returns the bits a from-scratch one would (the
-//! measure's contract).
+//! The kernel runs on the calling thread, and the emitted order is
+//! bit-for-bit identical to [`reference_find_best`]'s by construction:
+//! the champion rule eliminates *exactly* the plans the pairwise sweep
+//! eliminates (see `eliminates`' invariants), caching only short-circuits
+//! recomputation of pure functions, and a resumed evaluation returns the
+//! bits a from-scratch one would (the measure's contract).
 
 use crate::abstraction::{AbstractionHeuristic, AbstractionTree, NodeId};
 use crate::drips::DripsOutcome;
@@ -80,7 +77,7 @@ pub struct KernelStats {
     pub tree_builds: u64,
     /// Abstraction trees reused from the hash-cons table.
     pub tree_cache_hits: u64,
-    /// Evaluation rounds that ran on the scoped-thread pool.
+    /// Always 0 — kept for the frozen harness (`bench_e2e` reads it).
     pub parallel_batches: u64,
 }
 
@@ -109,7 +106,6 @@ struct KernelMetrics {
     interval_cache_hits: Counter,
     tree_builds: Counter,
     tree_cache_hits: Counter,
-    parallel_batches: Counter,
     /// Width (`hi − lo`) of every freshly evaluated utility interval — how
     /// abstract the plans the kernel actually touches are.
     interval_width: Histogram,
@@ -129,7 +125,6 @@ impl KernelMetrics {
             interval_cache_hits: c("qpo_kernel_interval_cache_hits_total"),
             tree_builds: c("qpo_kernel_tree_builds_total"),
             tree_cache_hits: c("qpo_kernel_tree_cache_hits_total"),
-            parallel_batches: c("qpo_kernel_parallel_batches_total"),
             interval_width: obs.registry.histogram("qpo_kernel_interval_width", &[]),
         }
     }
@@ -146,7 +141,7 @@ impl KernelMetrics {
             interval_cache_hits: self.interval_cache_hits.get(),
             tree_builds: self.tree_builds.get(),
             tree_cache_hits: self.tree_cache_hits.get(),
-            parallel_batches: self.parallel_batches.get(),
+            parallel_batches: 0,
         }
     }
 }
@@ -244,8 +239,7 @@ struct MemoEntry {
 }
 
 /// The reusable state of the incremental kernel: hash-consed abstraction
-/// trees, the interval memo table, the worker budget, and the accumulated
-/// [`KernelStats`].
+/// trees, the interval memo table, and the accumulated [`KernelStats`].
 ///
 /// A kernel instance must be driven with a fixed `(instance, measure,
 /// heuristic)` triple and a single [`ExecutionContext`] lineage (the one
@@ -263,8 +257,6 @@ pub struct OrderingKernel {
     retractions: u64,
     metrics: KernelMetrics,
     journal: TraceJournal,
-    max_workers: usize,
-    parallel_threshold: usize,
     record_certificates: bool,
     certificates: Vec<EliminationCertificate>,
 }
@@ -276,17 +268,14 @@ impl Default for OrderingKernel {
 }
 
 impl OrderingKernel {
-    /// A fresh kernel with empty caches and a hardware-sized worker cap.
+    /// A fresh kernel with empty caches.
     pub fn new() -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         OrderingKernel {
             trees: HashMap::new(),
             intervals: HashMap::new(),
             retractions: 0,
             metrics: KernelMetrics::registered(&Obs::new()),
             journal: TraceJournal::default(),
-            max_workers: cores.min(8),
-            parallel_threshold: 32,
             record_certificates: false,
             certificates: Vec::new(),
         }
@@ -298,18 +287,6 @@ impl OrderingKernel {
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.metrics = KernelMetrics::registered(obs);
         self.journal = obs.journal.clone();
-        self
-    }
-
-    /// Caps the evaluation worker pool (1 disables parallel evaluation).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.max_workers = workers.max(1);
-        self
-    }
-
-    /// Pending-evaluation count at which a round fans out to the pool.
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold.max(2);
         self
     }
 
@@ -448,7 +425,7 @@ impl OrderingKernel {
 
         loop {
             self.metrics.rounds.inc();
-            // (a) evaluate pending utilities (memoized, possibly parallel).
+            // (a) evaluate pending utilities (memoized).
             self.evaluate(inst, measure, ctx, &mut plans, &pending);
             for &id in &pending {
                 if !plans[id].is_concrete() {
@@ -666,11 +643,7 @@ impl OrderingKernel {
 
     /// Resolves the pending plans' utility intervals. A memo entry of this
     /// epoch answers outright; one of an earlier epoch resumes from its
-    /// carry, here on the coordinator (folding in a few appended plans is
-    /// cheaper than handing the work to a thread). What is left starts
-    /// from scratch — serially, or over a bounded scoped-thread pool when
-    /// the batch is wide. Results merge in ascending id order, so the
-    /// outcome is deterministic regardless of scheduling.
+    /// carry. What is left starts from scratch and is memoized.
     fn evaluate<M: UtilityMeasure + ?Sized>(
         &mut self,
         inst: &ProblemInstance,
@@ -698,7 +671,7 @@ impl OrderingKernel {
                     plans[id].utility = Some(entry.interval);
                 }
                 // (A fresh carry means the measure does not resume: its
-                // evaluation starts over below, where it can fan out.)
+                // evaluation starts over below.)
                 Some(entry) if !entry.carry.is_fresh() => {
                     self.metrics.interval_evals.inc();
                     self.metrics.interval_resumes.inc();
@@ -713,54 +686,18 @@ impl OrderingKernel {
         }
         self.metrics.interval_evals.add(misses.len() as u64);
 
-        let from_scratch = |cands: &[Vec<usize>]| {
+        for id in misses {
             let mut carry = IntervalCarry::default();
-            let interval = measure.resume_interval(inst, cands, ctx, &mut carry);
-            MemoEntry {
+            let interval = measure.resume_interval(inst, &plans[id].cands, ctx, &mut carry);
+            self.metrics
+                .interval_width
+                .record(interval.hi() - interval.lo());
+            plans[id].utility = Some(interval);
+            let fresh = MemoEntry {
                 interval,
                 epoch,
                 carry,
-            }
-        };
-        // Fan out only for wide batches on a multi-worker budget; aim for
-        // ≥8 evaluations per worker so thread setup amortizes, but never
-        // fall back to a single worker once the batch crossed the
-        // threshold (tests pin small thresholds to exercise this path).
-        let results: Vec<(usize, MemoEntry)> =
-            if misses.len() >= self.parallel_threshold && self.max_workers > 1 {
-                let workers = self.max_workers.min(misses.len().div_ceil(8)).max(2);
-                self.metrics.parallel_batches.inc();
-                let chunk = misses.len().div_ceil(workers);
-                let shared: &[PoolPlan] = plans;
-                let from_scratch = &from_scratch;
-                crossbeam::thread::scope(|s| {
-                    let handles: Vec<_> = misses
-                        .chunks(chunk)
-                        .map(|ids| {
-                            s.spawn(move |_| {
-                                ids.iter()
-                                    .map(|&id| (id, from_scratch(&shared[id].cands)))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("evaluation workers never panic"))
-                        .collect()
-                })
-                .expect("evaluation scope never panics")
-            } else {
-                misses
-                    .iter()
-                    .map(|&id| (id, from_scratch(&plans[id].cands)))
-                    .collect()
             };
-
-        for (id, fresh) in results {
-            let iv = fresh.interval;
-            self.metrics.interval_width.record(iv.hi() - iv.lo());
-            plans[id].utility = Some(iv);
             self.intervals.insert(plans[id].cands.clone(), fresh);
         }
     }
@@ -768,10 +705,10 @@ impl OrderingKernel {
 
 /// The pre-optimization kernel, kept as the differential-testing oracle:
 /// a full O(n²) pairwise dominance sweep per round, fresh abstraction
-/// trees per call, serial evaluation, no memoization. Its only change
-/// from the original is `total_cmp` in the max-scans, so a degenerate
-/// measure cannot panic the orderer mid-stream (the incremental kernel
-/// uses the same total order in its heap).
+/// trees per call, no memoization. Its only change from the original is
+/// `total_cmp` in the max-scans, so a degenerate measure cannot panic the
+/// orderer mid-stream (the incremental kernel uses the same total order
+/// in its heap).
 pub fn reference_find_best<M, H>(
     inst: &ProblemInstance,
     measure: &M,
@@ -1098,26 +1035,6 @@ mod tests {
         let slow = reference_find_best(&inst, &m, &ctx, &spaces, &ByExpectedTuples);
         let fast = kernel.find_best(&inst, &m, &ctx, &spaces, &ByExpectedTuples);
         assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn parallel_evaluation_is_deterministic() {
-        let inst = GeneratorConfig::new(3, 8).with_seed(11).build();
-        let ctx = ExecutionContext::new();
-        let spaces = [full_space(&inst)];
-        // Force the parallel path for every round with ≥ 2 pending evals.
-        let mut wide = OrderingKernel::new()
-            .with_parallel_threshold(2)
-            .with_workers(4);
-        let mut serial = OrderingKernel::new().with_workers(1);
-        let a = wide.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
-        let b = serial.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
-        assert_eq!(a, b);
-        assert!(
-            wide.stats().parallel_batches > 0,
-            "the threaded path must actually run under a forced threshold"
-        );
-        assert_eq!(serial.stats().parallel_batches, 0);
     }
 
     #[test]

@@ -46,12 +46,11 @@ pub fn format_kernel_stats(stats: &KernelStats) -> String {
         "  evals saved        {:>8}  ({saved_pct:.1}% of demand)",
         stats.evals_saved()
     );
-    let _ = writeln!(
+    let _ = write!(
         out,
         "  trees built        {:>8}  ({} cache hits)",
         stats.tree_builds, stats.tree_cache_hits
     );
-    let _ = write!(out, "  parallel batches   {:>8}", stats.parallel_batches);
     out
 }
 
@@ -167,7 +166,7 @@ mod tests {
             interval_cache_hits: 75,
             tree_builds: 4,
             tree_cache_hits: 16,
-            parallel_batches: 2,
+            parallel_batches: 0,
         };
         let text = format_kernel_stats(&stats);
         for needle in [
@@ -185,7 +184,6 @@ mod tests {
             "75.0% of demand",
             "trees built",
             "16 cache hits",
-            "parallel batches",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

@@ -16,7 +16,10 @@ use qpo_exec::{
     snapshot_relations, BackendRegistry, CatalogScorer, ExecutionMemo, Mediator, QuerySession,
     RunOptions, StopCondition, Strategy,
 };
-use qpo_obs::{parse_json, validate_trace, DivergenceMonitor, Json, Obs, ProfileIndex};
+use qpo_obs::{
+    parse_json, read_jsonl, validate_records_strict, validate_trace, DivergenceMonitor, Json, Obs,
+    ProfileIndex,
+};
 use qpo_runtime::{
     AccessContext, AccessReply, BackendError, BindingPattern, FaultConfig, MemProvider, RemoteSpan,
     RetryPolicy, RuntimePolicy, SimBackend, SourceBackend, SourceGrid, SourceServer, SourceService,
@@ -321,10 +324,19 @@ fn tcp_runs_stitch_remote_spans_with_exact_attribution() {
         )
         .unwrap();
     let jsonl = obs.journal.to_jsonl();
-    validate_trace(&jsonl).expect("remote span rules hold on a live run");
-    let index = ProfileIndex::from_jsonl(&jsonl).unwrap();
+    // What the `trace-validate` gate asks of a trace file, in process —
+    // under CI on the journal of a run against the spawned server.
+    let records = read_jsonl(&jsonl).unwrap();
+    let report = validate_records_strict(&records)
+        .expect("remote span rules hold on a live run, every kind is in the vocabulary");
+    assert_eq!(report.spans_opened, report.spans_closed);
+    let index = ProfileIndex::from_records(&records);
     let run = index.latest().expect("one run");
     run.check().expect("stitched attribution is exact");
+    assert_eq!(
+        run.makespan.map(f64::to_bits),
+        Some(run.critical_path.to_bits())
+    );
     // The drift replay is a fold over these very spans: the JSONL replay,
     // the fold of the profile and the live monitor agree to the bit,
     // network/server split included.

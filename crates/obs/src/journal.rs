@@ -553,10 +553,22 @@ enum SpanState {
 /// `remote_total` — the clamp-by-construction invariants the runtime's
 /// decoder enforces, re-checked on the wire format.
 ///
-/// Kinds outside the vocabulary pass unchecked here; the `trace-validate`
-/// gate refuses them.
+/// Kinds outside the vocabulary pass unchecked here;
+/// [`validate_records_strict`] refuses them.
 pub fn validate_trace(jsonl: &str) -> Result<TraceReport, String> {
     validate_records(read_jsonl(jsonl)?)
+}
+
+/// [`validate_records`], additionally refusing any event kind the
+/// [vocabulary](crate::vocab) does not list (an invented or misspelt one).
+pub fn validate_records_strict<'a, R: Borrow<Record<'a>>>(
+    records: impl IntoIterator<Item = R>,
+) -> Result<TraceReport, String> {
+    let report = validate_records(records)?;
+    match report.counts.keys().find(|k| role_of(k).is_none()) {
+        Some(kind) => Err(format!("event kind \"{kind}\" is not in the vocabulary")),
+        None => Ok(report),
+    }
 }
 
 /// [`validate_trace`] over already-decoded records.
@@ -1094,6 +1106,8 @@ mod tests {
         assert_eq!(records[0].u64("plan_seq"), Some(1 << 53));
         assert_eq!(records[1].f64("i"), Some(-1.0));
         validate_records(&records).expect("valid");
+        let err = validate_records_strict(&records).unwrap_err();
+        assert!(err.contains("\"tick\" is not in the vocabulary"), "{err}");
     }
 
     #[test]

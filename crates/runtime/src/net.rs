@@ -557,7 +557,6 @@ pub struct TcpBackend {
     io_timeout: Duration,
     latency_unit: f64,
     seen_epoch: Arc<AtomicU64>,
-    trace: bool,
     /// Latched (shared across clones) when the server rejects a
     /// trace-context extension as trailing bytes — a strict legacy
     /// server. Subsequent requests go out plain.
@@ -568,14 +567,13 @@ pub struct TcpBackend {
 
 impl TcpBackend {
     /// A backend dialing `addr` (e.g. `"127.0.0.1:7171"`) with a 2 s I/O
-    /// timeout, one virtual unit per millisecond, and tracing on.
+    /// timeout and one virtual unit per millisecond.
     pub fn new(addr: impl Into<String>) -> Self {
         TcpBackend {
             addr: addr.into(),
             io_timeout: Duration::from_secs(2),
             latency_unit: 1000.0,
             seen_epoch: Arc::new(AtomicU64::new(0)),
-            trace: true,
             server_is_legacy: Arc::new(AtomicBool::new(false)),
             pool: Arc::new(ConnectionPool::default()),
         }
@@ -591,15 +589,6 @@ impl TcpBackend {
     /// `1000.0`).
     pub fn with_latency_unit(mut self, units_per_second: f64) -> Self {
         self.latency_unit = units_per_second.max(0.0);
-        self
-    }
-
-    /// Enables or disables trace-context propagation (default on).
-    /// Disabled, the backend sends byte-identical legacy requests and
-    /// never reports remote spans — the untraced baseline the overhead
-    /// gate compares against.
-    pub fn with_tracing(mut self, enabled: bool) -> Self {
-        self.trace = enabled;
         self
     }
 
@@ -737,7 +726,7 @@ impl SourceBackend for TcpBackend {
         svc: &SourceService,
         ctx: &AccessContext<'_>,
     ) -> Result<AccessReply, BackendError> {
-        let trace_ctx = (self.trace && !self.server_is_legacy()).then(|| wire::TraceContext {
+        let trace_ctx = (!self.server_is_legacy()).then(|| wire::TraceContext {
             run: ctx.run,
             plan_seq: ctx.plan_seq,
             source: svc.name.to_string(),
@@ -1115,11 +1104,19 @@ mod tests {
     #[test]
     fn untraced_client_gets_no_span_and_the_server_journals_anyway() {
         let mut server = SourceServer::serve(provider(), 0).unwrap();
-        let backend = TcpBackend::new(server.addr().to_string()).with_tracing(false);
-        let grid = grid();
-        let faults = FaultConfig::disabled();
-        let reply = backend.access(grid.service(0, 0), &ctx(&faults)).unwrap();
-        assert!(reply.remote.is_none());
+        // A pre-tracing client: one request frame with no context.
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        let req = wire::encode_request(&Request {
+            source: "v1".into(),
+            pattern: "scan".into(),
+        })
+        .unwrap();
+        wire::write_frame(&mut s, &req).unwrap();
+        let reply = wire::read_frame(&mut s).unwrap();
+        let (resp, _, span) = wire::decode_response_ext(&reply).unwrap();
+        assert_eq!(resp, Response::Rows(rows(&[1, 2, 3])));
+        assert!(span.is_none());
+        drop(s);
         let entries = server.journal().entries();
         assert_eq!(entries.len(), 1);
         assert!(entries[0].ctx.is_none());
