@@ -190,12 +190,6 @@ impl AnyKMerge {
         self.delivered_count
     }
 
-    /// Score of the best live head, after discarding stale heap keys.
-    pub fn peek_score(&mut self) -> Option<f64> {
-        self.skim();
-        self.heap.peek().map(|k| k.score)
-    }
-
     /// Delivers the best live head if its score strictly clears `bound`
     /// (`None` = nothing outstanding, always deliver). Returns `None`
     /// when every attached stream is exhausted or the bound holds the

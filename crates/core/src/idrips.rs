@@ -53,8 +53,8 @@ impl<'a, M: UtilityMeasure + ?Sized, H: AbstractionHeuristic> IDrips<'a, M, H> {
     }
 
     /// Switches to the pre-optimization O(n²) reference kernel (fresh
-    /// trees every round, no caches, serial evaluation). Used by the
-    /// differential tests and the `bench_ordering` baseline runs.
+    /// trees every round, no caches, serial evaluation): the oracle the
+    /// differential tests compare against.
     pub fn with_reference_kernel(mut self) -> Self {
         self.use_reference = true;
         self
@@ -62,31 +62,13 @@ impl<'a, M: UtilityMeasure + ?Sized, H: AbstractionHeuristic> IDrips<'a, M, H> {
 
     /// Wires the underlying kernel to a shared observability bundle: its
     /// `qpo_kernel_*` counters land on `obs.registry` and its refinement /
-    /// elimination / champion / cache events go to `obs.journal`.
+    /// elimination / champion / cache events go to `obs.journal` — each
+    /// `kernel_elimination` event is a certificate
+    /// ([`qpo_obs::EliminationCertificate::from_record`]) that
+    /// [`crate::verify_certificates`] replays against the emitted plans.
     pub fn with_obs(mut self, obs: &qpo_obs::Obs) -> Self {
         self.kernel = std::mem::take(&mut self.kernel).with_obs(obs);
         self
-    }
-
-    /// Keeps an [`qpo_obs::EliminationCertificate`] for every dominance
-    /// elimination the kernel performs (no effect under the reference
-    /// kernel, which predates provenance). Recording never changes what
-    /// is emitted.
-    pub fn with_certificates(mut self, record: bool) -> Self {
-        self.kernel = std::mem::take(&mut self.kernel).with_certificates(record);
-        self
-    }
-
-    /// Certificates accumulated so far, in elimination order.
-    pub fn certificates(&self) -> &[qpo_obs::EliminationCertificate] {
-        self.kernel.certificates()
-    }
-
-    /// Drains the accumulated certificates — pair with
-    /// [`crate::verify_certificates`] and the emitted plans to replay
-    /// every dominance decision.
-    pub fn take_certificates(&mut self) -> Vec<qpo_obs::EliminationCertificate> {
-        self.kernel.take_certificates()
     }
 
     /// Counter snapshot from the incremental kernel (all zeros when the

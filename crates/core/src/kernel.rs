@@ -257,8 +257,6 @@ pub struct OrderingKernel {
     retractions: u64,
     metrics: KernelMetrics,
     journal: TraceJournal,
-    record_certificates: bool,
-    certificates: Vec<EliminationCertificate>,
 }
 
 impl Default for OrderingKernel {
@@ -276,8 +274,6 @@ impl OrderingKernel {
             retractions: 0,
             metrics: KernelMetrics::registered(&Obs::new()),
             journal: TraceJournal::default(),
-            record_certificates: false,
-            certificates: Vec::new(),
         }
     }
 
@@ -288,29 +284,6 @@ impl OrderingKernel {
         self.metrics = KernelMetrics::registered(obs);
         self.journal = obs.journal.clone();
         self
-    }
-
-    /// Record an [`EliminationCertificate`] for every dominance
-    /// elimination (off by default — the recording itself never changes
-    /// what is emitted, only whether provenance is kept). Retrieve with
-    /// [`certificates`](Self::certificates) /
-    /// [`take_certificates`](Self::take_certificates), check with
-    /// [`verify_certificates`].
-    pub fn with_certificates(mut self, record: bool) -> Self {
-        self.record_certificates = record;
-        self
-    }
-
-    /// Certificates accumulated so far (empty unless
-    /// [`with_certificates`](Self::with_certificates) was enabled), in
-    /// elimination order.
-    pub fn certificates(&self) -> &[EliminationCertificate] {
-        &self.certificates
-    }
-
-    /// Drains the accumulated certificates.
-    pub fn take_certificates(&mut self) -> Vec<EliminationCertificate> {
-        std::mem::take(&mut self.certificates)
     }
 
     /// Snapshot of the accumulated counters.
@@ -585,9 +558,10 @@ impl OrderingKernel {
 
     /// Eliminates plan `id`, dominated by `champ` at context `epoch`.
     /// Before the victim's candidate storage is freed, its provenance is
-    /// captured: a full [`EliminationCertificate`] when certificate
-    /// recording is on, and a journal event carrying the same fields when
-    /// tracing is on — either is enough to replay the comparison.
+    /// captured when tracing is on: a `kernel_elimination` event carrying
+    /// every field of an [`EliminationCertificate`]
+    /// ([`EliminationCertificate::from_record`] reads it back), which is
+    /// enough to replay the comparison.
     fn kill(
         &mut self,
         plans: &mut [PoolPlan],
@@ -621,17 +595,6 @@ impl OrderingKernel {
                     ("epoch", Value::U64(epoch)),
                 ],
             );
-        }
-        if self.record_certificates {
-            self.certificates.push(EliminationCertificate {
-                victim_id: id as u64,
-                champion_id: champ as u64,
-                victim: plans[id].cands.clone(),
-                champion: plans[champ].cands.clone(),
-                victim_interval: (victim_u.lo(), victim_u.hi()),
-                champion_interval: (champ_u.lo(), champ_u.hi()),
-                epoch,
-            });
         }
         let p = &mut plans[id];
         p.alive = false;
@@ -1037,17 +1000,28 @@ mod tests {
         assert_eq!(fast, slow);
     }
 
+    /// Every elimination `obs`'s journal holds, as the certificate its
+    /// event decodes to.
+    fn journalled_certificates(obs: &Obs) -> Vec<EliminationCertificate> {
+        let events = obs.journal.events();
+        let kills = events.iter().filter(|e| e.kind == "kernel_elimination");
+        kills
+            .map(|e| EliminationCertificate::from_record(&e.into()).expect("every field present"))
+            .collect()
+    }
+
     #[test]
     fn certificates_record_every_elimination_and_verify() {
         let inst = GeneratorConfig::new(3, 6).with_seed(2).build();
         let ctx = ExecutionContext::new();
         let spaces = [full_space(&inst)];
         let mut plain = OrderingKernel::new();
-        let mut certified = OrderingKernel::new().with_certificates(true);
+        let obs = Obs::with_trace();
+        let mut certified = OrderingKernel::new().with_obs(&obs);
         let expected = plain.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
         let got = certified.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
         assert_eq!(got, expected, "recording provenance never changes emission");
-        let certs = certified.take_certificates();
+        let certs = journalled_certificates(&obs);
         assert_eq!(
             certs.len() as u64,
             certified.stats().eliminations,
@@ -1060,7 +1034,6 @@ mod tests {
         }
         let verified = verify_certificates(&inst, &Coverage, &[], &certs).expect("all replay");
         assert_eq!(verified, certs.len());
-        assert!(certified.certificates().is_empty(), "take drains");
     }
 
     #[test]
@@ -1068,9 +1041,10 @@ mod tests {
         let inst = GeneratorConfig::new(3, 6).with_seed(2).build();
         let ctx = ExecutionContext::new();
         let spaces = [full_space(&inst)];
-        let mut kernel = OrderingKernel::new().with_certificates(true);
+        let obs = Obs::with_trace();
+        let mut kernel = OrderingKernel::new().with_obs(&obs);
         kernel.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
-        let certs = kernel.take_certificates();
+        let certs = journalled_certificates(&obs);
 
         // Inflate the victim's upper bound past the champion's lower
         // bound: the dominance comparison no longer holds.
@@ -1101,7 +1075,8 @@ mod tests {
         let spaces = [full_space(&inst)];
         let measure = FailureCost::with_caching();
         let mut ctx = ExecutionContext::new();
-        let mut kernel = OrderingKernel::new().with_certificates(true);
+        let obs = Obs::with_trace();
+        let mut kernel = OrderingKernel::new().with_obs(&obs);
         let mut emissions: Vec<Vec<usize>> = Vec::new();
         for _ in 0..3 {
             let out = kernel
@@ -1110,7 +1085,7 @@ mod tests {
             ctx.record(&out.plan);
             emissions.push(out.plan);
         }
-        let certs = kernel.take_certificates();
+        let certs = journalled_certificates(&obs);
         assert!(
             certs.iter().any(|c| c.epoch > 0),
             "later rounds eliminate at non-zero epochs"

@@ -21,6 +21,7 @@ use qpo_core::{
     verify_ordering, ByExpectedTuples, ByExtentMidpoint, IDrips, OrderedPlan, PlanOrderer,
     PlanOutcome, RandomKey,
 };
+use qpo_obs::{EliminationCertificate, Obs};
 use qpo_utility::{
     CountingMeasure, Coverage, FailureCost, FusionCost, LinearCost, MonetaryCost, UtilityMeasure,
 };
@@ -254,7 +255,7 @@ fn instrumentation_does_not_change_emissions() {
     // Full qpo-obs instrumentation — shared registry *and* an enabled
     // trace journal — must be observationally invisible: bit-for-bit the
     // same emissions as an uninstrumented run, for every measure.
-    let obs = qpo_obs::Obs::with_trace();
+    let obs = Obs::with_trace();
     for seed in [0u64, 23] {
         let inst = GeneratorConfig::new(3, 4).with_seed(seed).build();
         for (name, m) in all_measures() {
@@ -276,10 +277,20 @@ fn instrumentation_does_not_change_emissions() {
     );
 }
 
+/// Every elimination `obs`'s journal holds, as the certificate its event
+/// decodes to — the journal is the kernel's only record of one.
+fn journalled_certificates(obs: &Obs) -> Vec<EliminationCertificate> {
+    let events = obs.journal.events();
+    let kills = events.iter().filter(|e| e.kind == "kernel_elimination");
+    kills
+        .map(|e| EliminationCertificate::from_record(&e.into()).expect("every field present"))
+        .collect()
+}
+
 #[test]
 fn certificate_recording_does_not_change_emissions() {
-    // Dominance provenance must be pure bookkeeping: with certificate
-    // recording on, every measure still emits bit-for-bit the same
+    // Dominance provenance must be pure bookkeeping: with the journal
+    // recording, every measure still emits bit-for-bit the same
     // sequence, and each recorded certificate replays cleanly against the
     // emissions that preceded it.
     for seed in [0u64, 23] {
@@ -287,11 +298,11 @@ fn certificate_recording_does_not_change_emissions() {
         for (name, m) in all_measures() {
             let label = format!("seed {seed}, certified {name}");
             let plain = IDrips::new(&inst, m.as_ref(), ByExpectedTuples).order_k(usize::MAX);
-            let mut certified =
-                IDrips::new(&inst, m.as_ref(), ByExpectedTuples).with_certificates(true);
+            let obs = Obs::with_trace();
+            let mut certified = IDrips::new(&inst, m.as_ref(), ByExpectedTuples).with_obs(&obs);
             let emitted = certified.order_k(usize::MAX);
             assert_same_sequence(&label, &emitted, &plain);
-            let certs = certified.take_certificates();
+            let certs = journalled_certificates(&obs);
             assert!(!certs.is_empty(), "{label}: no eliminations recorded");
             let plans: Vec<Vec<usize>> = emitted.iter().map(|o| o.plan.clone()).collect();
             let checked = qpo_core::verify_certificates(&inst, m.as_ref(), &plans, &certs)
@@ -314,10 +325,11 @@ fn fig6_coverage_run_verifies_every_certificate() {
         .with_overlap_rate(0.3)
         .with_seed(0)
         .build();
-    let mut alg = IDrips::new(&inst, &Coverage, ByExpectedTuples).with_certificates(true);
+    let obs = Obs::with_trace();
+    let mut alg = IDrips::new(&inst, &Coverage, ByExpectedTuples).with_obs(&obs);
     let emitted = alg.order_k(100);
     assert_eq!(emitted.len(), 100);
-    let certs = alg.take_certificates();
+    let certs = journalled_certificates(&obs);
     assert!(
         certs.len() > 100,
         "a 12³-plan space should eliminate far more than it emits (got {})",

@@ -8,7 +8,7 @@
 //! into) a `StoreBackend` directory instead of a memory provider.
 //!
 //! ```text
-//! qpo-source-server [--port N] [--dir PATH] [--addr-file PATH] [--quiet] [--legacy]
+//! qpo-source-server [--port N] [--dir PATH] [--addr-file PATH] [--quiet]
 //! qpo-source-server --metrics ADDR
 //! ```
 //!
@@ -17,11 +17,9 @@
 //! with `--addr-file`, written to a file CI scripts can poll. The server
 //! runs until killed.
 //!
-//! `--legacy` serves the pre-tracing protocol (strict decoding, no span
-//! blocks, no `TRACE` op) — the downgrade target the differential tests
-//! pin. `--metrics ADDR` is a one-shot client instead of a server: it
-//! dials a running tracing server, requests its span journal over the
-//! wire, prints the dump, and exits.
+//! `--metrics ADDR` is a one-shot client instead of a server: it dials a
+//! running server, requests its span journal over the wire, prints the
+//! dump, and exits.
 
 use qpo_catalog::domains::{movie_domain, MOVIE_POOL};
 use qpo_exec::{populate_sources, snapshot_relations};
@@ -35,7 +33,6 @@ struct Options {
     dir: Option<String>,
     addr_file: Option<String>,
     quiet: bool,
-    legacy: bool,
     metrics: Option<String>,
 }
 
@@ -45,7 +42,6 @@ fn parse_args() -> Result<Options, String> {
         dir: None,
         addr_file: None,
         quiet: false,
-        legacy: false,
         metrics: None,
     };
     let mut args = std::env::args().skip(1);
@@ -58,11 +54,10 @@ fn parse_args() -> Result<Options, String> {
             "--dir" => opts.dir = Some(args.next().ok_or("--dir needs a value")?),
             "--addr-file" => opts.addr_file = Some(args.next().ok_or("--addr-file needs a value")?),
             "--quiet" => opts.quiet = true,
-            "--legacy" => opts.legacy = true,
             "--metrics" => opts.metrics = Some(args.next().ok_or("--metrics needs an address")?),
             "--help" | "-h" => {
                 println!(
-                    "usage: qpo-source-server [--port N] [--dir PATH] [--addr-file PATH] [--quiet] [--legacy]\n       qpo-source-server --metrics ADDR"
+                    "usage: qpo-source-server [--port N] [--dir PATH] [--addr-file PATH] [--quiet]\n       qpo-source-server --metrics ADDR"
                 );
                 std::process::exit(0);
             }
@@ -133,11 +128,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let server = match if opts.legacy {
-        SourceServer::serve_legacy(provider, opts.port)
-    } else {
-        SourceServer::serve(provider, opts.port)
-    } {
+    let server = match SourceServer::serve(provider, opts.port) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("qpo-source-server: bind failed: {e}");

@@ -28,7 +28,6 @@ use qpo_datalog::ConjunctiveQuery;
 use qpo_obs::{DivergenceMonitor, Obs};
 use qpo_runtime::{
     declare_sources, observe_divergence, RuntimePolicy, RuntimeRun, SimBackend, SourceBackend,
-    SourceHealth,
 };
 use qpo_utility::UtilityMeasure;
 use std::sync::Arc;
@@ -61,15 +60,14 @@ pub struct RunOptions<'a> {
 }
 
 /// A concurrent mediation run: the runtime's records plus the per-source
-/// health observed along the way.
+/// drift observed along the way.
 #[derive(Debug, Clone)]
 pub struct ConcurrentRun {
     /// Per-plan execution records, answers, and aggregate counters.
     pub runtime: RuntimeRun,
-    /// Observed per-source reliability, aggregated over the run.
-    pub health: SourceHealth,
-    /// The source-drift monitor fed from this run's access chains: EWMA
-    /// latency, failure rates, and answer counts confronted with the
+    /// The source-drift monitor fed from this run's access chains: per
+    /// source, attempts, transient failures, successes and permanent
+    /// failures, and EWMA latency and answer counts confronted with the
     /// catalog's declared behavior. Its `qpo_source_divergence` gauges
     /// land on the run's [`Obs`] registry, bit-equal to
     /// [`DivergenceMonitor::from_events`] over the run's trace.
@@ -158,8 +156,6 @@ impl Mediator {
         let mut wave = WaveHooks::new(&mut hooks, &core, Some(Vec::new()));
         let runtime = executor.run_observed(orderer.as_mut(), stop, &mut wave);
         wave.finish(obs.journal.clock());
-        let mut health = SourceHealth::new();
-        health.record_run(&runtime.reports);
         // The drift monitor consumes the reports in emission order, so
         // its gauges are recomputable bit-for-bit from the journal. It
         // sees only fresh access chains: memo replays carry `attempts ==
@@ -171,7 +167,6 @@ impl Mediator {
         }
         Ok(ConcurrentRun {
             runtime,
-            health,
             divergence,
             tuples: wave.tuples.unwrap_or_default(),
             retracted: wave.retracted,
@@ -208,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_run_reports_health_and_fees() {
+    fn concurrent_run_reports_per_source_counts_and_fees() {
         let m = mediator();
         let run = m
             .run(
@@ -223,10 +218,26 @@ mod tests {
             .unwrap();
         assert_eq!(run.runtime.reports.len(), 9);
         assert!(run.runtime.stats.attempts >= 9 * 2, "2 sources per plan");
-        assert!(run.health.iter().count() > 0);
-        for ((b, i), rec) in run.health.iter() {
-            assert!(rec.attempts > 0, "source ({b}, {i}) was accessed");
+        // Per-source counts live on the drift monitor, fed from the same
+        // reports: every source was accessed, and the counts add up.
+        let drifts: Vec<_> = run.divergence.iter().collect();
+        assert_eq!(drifts.len(), 6, "3 + 3 sources behind the movie query");
+        for (name, drift) in &drifts {
+            assert!(drift.attempts > 0, "source {name} was accessed");
         }
+        let sum =
+            |f: fn(&qpo_obs::SourceDrift) -> u64| -> u64 { drifts.iter().map(|(_, d)| f(d)).sum() };
+        let stats = &run.runtime.stats;
+        assert_eq!(sum(|d| d.attempts), stats.attempts);
+        assert_eq!(sum(|d| d.transient_failures), stats.transient_failures);
+        assert!(stats.transient_failures > 0, "the injected faults fired");
+        let chains = run.runtime.reports.iter().map(|r| r.accesses.len() as u64);
+        assert_eq!(
+            sum(|d| d.successes),
+            chains.sum::<u64>(),
+            "retries absorbed them"
+        );
+        assert_eq!(sum(|d| d.permanent_failures), 0);
     }
 
     #[test]
@@ -251,6 +262,10 @@ mod tests {
             if let PlanStatus::Failed(reason) = &r.status {
                 assert!(format!("{reason:?}").contains("v1"));
             }
+        }
+        for (name, drift) in run.divergence.iter() {
+            let down = drift.permanent_failures > 0;
+            assert_eq!(down, name == "v1", "{name}: {drift:?}");
         }
     }
 }

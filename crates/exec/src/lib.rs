@@ -28,7 +28,7 @@ pub use mediator::{
     Mediator, MediatorError, MediatorRun, PlanReport, StopCondition, Strategy,
     DEFAULT_CACHE_CAPACITY,
 };
-pub use profile::{estimate_extent, estimate_tuples, format_kernel_stats, profile_catalog};
+pub use profile::format_kernel_stats;
 pub use qpo_anyk::{CatalogScorer, LevelCache, RankedJoin, RankedTuple, TupleScorer};
 pub use qpo_reformulation::{CacheStats, PreparedQuery, ReformulationCache};
 pub use qpo_runtime::SourceMemo;

@@ -1,17 +1,9 @@
-//! Statistics estimation and kernel-profile reporting.
-//!
-//! Two kinds of measurement live here. First, *source statistics*: the
-//! paper assumes `n_i` and coverage extents are known to the mediator; in
-//! practice they are profiled from the actual source contents
-//! ([`profile_catalog`]). Second, *ordering-kernel counters*: the
-//! incremental kernel behind iDrips tallies its work
-//! ([`KernelStats`]) — refinements, dominance checks, cache traffic,
-//! interval evaluations saved — and [`format_kernel_stats`] renders that
-//! tally for the examples and the bench runner.
+//! Kernel-profile reporting: the incremental kernel behind iDrips tallies
+//! its work ([`KernelStats`]) — refinements, dominance checks, cache
+//! traffic, interval evaluations saved — and [`format_kernel_stats`]
+//! renders that tally for the examples.
 
-use qpo_catalog::{Catalog, Extent};
 use qpo_core::KernelStats;
-use qpo_datalog::{Constant, Database};
 use std::fmt::Write as _;
 
 /// Renders the ordering kernel's counters as an aligned multi-line block
@@ -54,105 +46,9 @@ pub fn format_kernel_stats(stats: &KernelStats) -> String {
     out
 }
 
-/// Measured cardinality of a source relation.
-pub fn estimate_tuples(db: &Database, source: &str) -> f64 {
-    db.cardinality(source) as f64
-}
-
-/// Measured extent of a source relation: the `[min, max+1)` range of the
-/// integer item ids in its *last* attribute (the join-attribute convention
-/// of [`crate::extensions`]). Sources without integer ids get the empty
-/// extent.
-pub fn estimate_extent(db: &Database, source: &str) -> Extent {
-    let mut min = u64::MAX;
-    let mut max = 0u64;
-    let mut seen = false;
-    for tuple in db.tuples(source) {
-        if let Some(Constant::Int(v)) = tuple.last() {
-            if *v >= 0 {
-                let v = *v as u64;
-                min = min.min(v);
-                max = max.max(v);
-                seen = true;
-            }
-        }
-    }
-    if seen {
-        Extent::new(min, max - min + 1)
-    } else {
-        Extent::EMPTY
-    }
-}
-
-/// Returns a copy of `catalog` with each source's `tuples` and `extent`
-/// replaced by measurements from `db`. Cost parameters (`α`, fees, failure
-/// probabilities, access costs) are kept — they cannot be profiled from
-/// contents alone.
-pub fn profile_catalog(catalog: &Catalog, db: &Database) -> Catalog {
-    let mut profiled = Catalog::new(catalog.schema.clone());
-    for entry in catalog.iter() {
-        let name = entry.description.name().clone();
-        let mut stats = entry.stats.clone();
-        stats.tuples = estimate_tuples(db, &name);
-        let measured = estimate_extent(db, &name);
-        if !measured.is_empty() {
-            stats.extent = measured;
-        }
-        profiled
-            .add_source(entry.description.clone(), stats)
-            .expect("profiled copy of a valid catalog stays valid");
-    }
-    profiled
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extensions::populate_sources;
-    use qpo_catalog::domains::movie_domain;
-
-    #[test]
-    fn profiling_recovers_the_configured_statistics() {
-        let catalog = movie_domain();
-        let db = populate_sources(&catalog, &["ford", "hanks"]);
-        let profiled = profile_catalog(&catalog, &db);
-        assert_eq!(profiled.len(), catalog.len());
-        for entry in catalog.iter() {
-            let name = entry.description.name();
-            let p = &profiled.source(name).unwrap().stats;
-            // The populator emits exactly one tuple per extent item, so
-            // measurement reproduces the configuration.
-            assert_eq!(p.tuples, entry.stats.extent.len as f64, "{name}");
-            assert_eq!(p.extent, entry.stats.extent, "{name}");
-            // Unprofilable fields survive.
-            assert_eq!(p.transmission_cost, entry.stats.transmission_cost);
-            assert_eq!(p.failure_prob, entry.stats.failure_prob);
-        }
-    }
-
-    #[test]
-    fn empty_source_measures_zero() {
-        let catalog = movie_domain();
-        let db = Database::new();
-        assert_eq!(estimate_tuples(&db, "v1"), 0.0);
-        assert!(estimate_extent(&db, "v1").is_empty());
-        let profiled = profile_catalog(&catalog, &db);
-        assert_eq!(profiled.source("v1").unwrap().stats.tuples, 0.0);
-        // Extent falls back to the configured one when nothing measured.
-        assert_eq!(
-            profiled.source("v1").unwrap().stats.extent,
-            catalog.source("v1").unwrap().stats.extent
-        );
-    }
-
-    #[test]
-    fn non_integer_ids_yield_empty_extent() {
-        let mut db = Database::new();
-        db.insert("v", vec![Constant::str("a"), Constant::str("b")]);
-        assert!(estimate_extent(&db, "v").is_empty());
-        assert_eq!(estimate_tuples(&db, "v"), 1.0);
-    }
-
     #[test]
     fn kernel_stats_format_includes_every_counter() {
         let stats = KernelStats {
@@ -191,14 +87,5 @@ mod tests {
         // Zero demand must not divide by zero.
         let empty = format_kernel_stats(&KernelStats::default());
         assert!(empty.contains("0.0% of demand"));
-    }
-
-    #[test]
-    fn extent_spans_min_to_max() {
-        let mut db = Database::new();
-        for v in [10i64, 12, 17] {
-            db.insert("v", vec![Constant::Int(v)]);
-        }
-        assert_eq!(estimate_extent(&db, "v"), Extent::new(10, 8));
     }
 }

@@ -17,8 +17,7 @@ use qpo_exec::{
     RunOptions, StopCondition, Strategy,
 };
 use qpo_obs::{
-    parse_json, read_jsonl, validate_records_strict, validate_trace, DivergenceMonitor, Json, Obs,
-    ProfileIndex,
+    read_jsonl, validate_records_strict, validate_trace, DivergenceMonitor, Obs, ProfileIndex,
 };
 use qpo_runtime::{
     AccessContext, AccessReply, BackendError, BindingPattern, FaultConfig, MemProvider, RemoteSpan,
@@ -429,79 +428,35 @@ fn killed_server_leaves_no_remote_spans_but_still_charges_latency() {
         .all(|s| s.remote.is_none()));
 }
 
-#[test]
-fn legacy_servers_degrade_to_single_span_traces() {
-    let m = mediator();
-    let provider = MemProvider::new();
-    for (name, rows) in snapshot_relations(m.database()) {
-        provider.insert(name, rows);
+/// A source that ignores the pattern: every access goes out as a scan.
+/// The contract is superset-safe, so nothing downstream may notice.
+struct IgnoresPattern(TcpBackend);
+
+impl SourceBackend for IgnoresPattern {
+    fn kind(&self) -> &'static str {
+        self.0.kind()
     }
-    let server = SourceServer::serve_legacy(Arc::new(provider), 0).expect("loopback bind");
-    let backend = TcpBackend::new(server.addr().to_string());
-    let latch = backend.clone();
-    let m = m.with_backends(BackendRegistry::new().with("tcp", Arc::new(backend)));
-    let obs = Obs::with_trace();
-    let run = m
-        .run(
-            &movie_query(),
-            &LinearCost,
-            Strategy::Greedy,
-            StopCondition::unbounded(),
-            RuntimePolicy::parallel(2),
-            &RunOptions {
-                backend: Some("tcp"),
-                obs: Some(&obs),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-    assert_eq!(run.failed(), 0, "legacy downgrade keeps the run whole");
-    assert!(!run.runtime.answers.is_empty());
-    assert!(latch.server_is_legacy(), "the client latched the downgrade");
-    // The differential pin: against a legacy server, every journalled
-    // source_attempt carries exactly the pre-tracing field set — the
-    // byte shape older tooling parses.
-    let jsonl = obs.journal.to_jsonl();
-    validate_trace(&jsonl).expect("legacy-shaped trace validates");
-    let mut attempts = 0;
-    for line in jsonl.lines().filter(|l| !l.is_empty()) {
-        let obj = parse_json(line).expect("well-formed");
-        if obj.get("kind").and_then(Json::as_str) != Some("source_attempt") {
-            continue;
-        }
-        attempts += 1;
-        let Json::Object(pairs) = &obj else {
-            panic!("events are objects")
-        };
-        let mut keys: Vec<&str> = pairs
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .filter(|k| !matches!(*k, "seq" | "clock" | "kind"))
-            .collect();
-        keys.sort_unstable();
-        assert_eq!(
-            keys,
-            ["attempt", "backoff", "latency", "outcome", "plan_seq", "source"],
-            "legacy runs journal the single-span field set only"
-        );
+
+    fn access(
+        &self,
+        svc: &SourceService,
+        ctx: &AccessContext<'_>,
+    ) -> Result<AccessReply, BackendError> {
+        let pattern = SCAN_PATTERN;
+        self.0.access(svc, &AccessContext { pattern, ..*ctx })
     }
-    assert!(attempts > 0, "the run accessed sources");
-    let index = ProfileIndex::from_jsonl(&jsonl).unwrap();
-    let profile = index.latest().expect("one run");
-    profile.check().expect("single-span attribution");
-    assert!(!profile.to_json().contains("\"remote\""));
 }
 
 /// One seeded world behind four access paths: the simulator, a store, a
-/// pattern-aware source server and a legacy one (strict decoder, every
-/// pattern read as a scan) — all in-process, never the CI server: the
-/// test reads the server's journal.
+/// source server, and a second one behind a client that ignores every
+/// pattern — all in-process, never the CI server: the test reads the
+/// first server's journal.
 struct Worlds {
     m: Mediator,
     tcp: Arc<TcpBackend>,
-    legacy: Arc<TcpBackend>,
+    scans: Arc<IgnoresPattern>,
     server: SourceServer,
-    _legacy_server: SourceServer,
+    _scanned_server: SourceServer,
     scan_rows: BTreeMap<String, usize>,
     dir: PathBuf,
 }
@@ -510,37 +465,32 @@ fn worlds(m: Mediator, tag: &str) -> Worlds {
     let relations = snapshot_relations(m.database());
     let dir = scratch_dir(tag);
     let store = StoreBackend::open(&dir).unwrap();
-    let serve = |legacy: bool| {
+    let serve = || {
         let provider = MemProvider::new();
         for (name, rows) in &relations {
             provider.insert(name.clone(), rows.clone());
         }
-        let provider = Arc::new(provider);
-        if legacy {
-            SourceServer::serve_legacy(provider, 0)
-        } else {
-            SourceServer::serve(provider, 0)
-        }
-        .expect("loopback bind")
+        SourceServer::serve(Arc::new(provider), 0).expect("loopback bind")
     };
     for (name, rows) in &relations {
         store.put_relation(name, rows).unwrap();
     }
-    let (server, legacy_server) = (serve(false), serve(true));
+    let (server, scanned_server) = (serve(), serve());
     let tcp = Arc::new(TcpBackend::new(server.addr().to_string()));
-    let legacy = Arc::new(TcpBackend::new(legacy_server.addr().to_string()));
+    let scanned = TcpBackend::new(scanned_server.addr().to_string());
+    let scans = Arc::new(IgnoresPattern(scanned));
     let m = m.with_backends(
         BackendRegistry::new()
             .with("store", Arc::new(store))
             .with("tcp", tcp.clone())
-            .with("legacy", legacy.clone()),
+            .with("scans", scans.clone()),
     );
     Worlds {
         m,
         tcp,
-        legacy,
+        scans,
         server,
-        _legacy_server: legacy_server,
+        _scanned_server: scanned_server,
         scan_rows: relations
             .into_iter()
             .map(|(name, rows)| (name, rows.len()))
@@ -571,7 +521,7 @@ impl Worlds {
         };
         let served_before = self.server.requests_served();
         let sim = run("sim");
-        for label in ["store", "tcp", "legacy"] {
+        for label in ["store", "tcp", "scans"] {
             let real = run(label);
             assert_eq!(
                 sim.runtime.answers, real.runtime.answers,
@@ -612,12 +562,12 @@ impl Worlds {
                 let svc = grid.service(bucket, index);
                 let scan = self.scan_rows[entry.source.as_ref()];
                 // The server ships exactly the matching rows — never more
-                // than a scan; the legacy server ignores the pattern and
-                // ships the superset.
+                // than a scan; a source that ignores the pattern ships
+                // the superset.
                 let shipped = self.tcp.access(svc, &ctx).unwrap().tuples.unwrap();
                 assert!(shipped.iter().all(|row| pattern.matches(row)), "{text}");
                 assert!(shipped.len() <= scan, "{text}");
-                let superset = self.legacy.access(svc, &ctx).unwrap().tuples.unwrap();
+                let superset = self.scans.access(svc, &ctx).unwrap().tuples.unwrap();
                 assert_eq!(superset.len(), scan, "{text}");
                 expected
                     .entry(entry.source.to_string())

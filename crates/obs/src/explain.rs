@@ -1,8 +1,8 @@
 //! Dominance provenance: elimination certificates and the `explain(plan)`
 //! query.
 //!
-//! When the ordering kernel prunes an abstract plan it now leaves behind
-//! an [`EliminationCertificate`] — the eliminated candidate set, the
+//! When the ordering kernel prunes an abstract plan it journals an
+//! [`EliminationCertificate`] — the eliminated candidate set, the
 //! champion that dominated it, both utility intervals, and the context
 //! epoch the comparison happened at. A certificate is *independently
 //! checkable*: [`EliminationCertificate::comparison_holds`] replays the
@@ -101,6 +101,21 @@ pub struct EliminationCertificate {
 }
 
 impl EliminationCertificate {
+    /// The certificate a `kernel_elimination` record carries (`None` if a
+    /// field is missing or mistyped) — the kernel's only record of one; a
+    /// live event's `F64` fields keep their bits.
+    pub fn from_record(rec: &Record<'_>) -> Option<Self> {
+        Some(EliminationCertificate {
+            victim_id: rec.u64("plan_id")?,
+            champion_id: rec.u64("champion_id")?,
+            victim: parse_candidates(rec.str("victim")?)?,
+            champion: parse_candidates(rec.str("champion")?)?,
+            victim_interval: (rec.f64("victim_lo")?, rec.f64("victim_hi")?),
+            champion_interval: (rec.f64("champion_lo")?, rec.f64("champion_hi")?),
+            epoch: rec.u64("epoch")?,
+        })
+    }
+
     /// Replays the dominance comparison from the recorded numbers alone:
     /// `champion.lo > victim.hi`, or a boundary tie broken toward the
     /// smaller pool id. This must mirror the kernel's `eliminates`
@@ -245,17 +260,7 @@ impl ExplainIndex {
                     }
                 }
                 "kernel_elimination" => {
-                    let cert = (|| {
-                        Some(EliminationCertificate {
-                            victim_id: rec.u64("plan_id")?,
-                            champion_id: rec.u64("champion_id")?,
-                            victim: parse_candidates(rec.str("victim")?)?,
-                            champion: parse_candidates(rec.str("champion")?)?,
-                            victim_interval: (rec.f64("victim_lo")?, rec.f64("victim_hi")?),
-                            champion_interval: (rec.f64("champion_lo")?, rec.f64("champion_hi")?),
-                            epoch: rec.u64("epoch")?,
-                        })
-                    })();
+                    let cert = EliminationCertificate::from_record(&rec);
                     index.certificates.extend(cert.map(|c| (run, c)));
                 }
                 _ => {}

@@ -17,9 +17,8 @@
 //!
 //! **Threads are for waiting.** A plan leaves the coordinating thread only
 //! if executing it *waits* — it has a slot the memo did not resolve, and
-//! that access calls a backend that does I/O (any but the simulator) or
-//! sleeps a simulated latency (`latency_scale > 0`): a fact about the job
-//! and the policy, never a measured duration. A memo-resolved slot waits
+//! that access calls a backend that does I/O (any but the simulator): a
+//! fact about the job, never a measured duration. A memo-resolved slot waits
 //! for nothing — its rows ride along with its outcome — so a fully warm
 //! wave runs on the coordinator over any backend. What does not wait runs
 //! there in emission order — and in a wave that waits the coordinator is
@@ -68,7 +67,6 @@ use qpo_obs::{Counter, Gauge, Histogram, Obs, Value};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The rows one access returned, shared uncopied.
 type Rows = Arc<Vec<Tuple>>;
@@ -773,17 +771,6 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             priced += -ordered.utility;
             window.push(ordered);
         }
-        // Reuse-aware scheduling: within ε-tie groups of the window,
-        // favor plans overlapping the memo. Opt-in, and never across a
-        // strict dominance (gap > ε).
-        if let (Some(memo), Some(eps)) = (&self.memo, self.policy.reuse_epsilon) {
-            reorder_for_reuse(&mut window, eps, |plan| {
-                plan.iter()
-                    .enumerate()
-                    .filter(|&(b, &i)| memo.contains(b, i, self.eval.access_pattern(plan, b)))
-                    .count()
-            });
-        }
         let vclock = state.vclock;
         let mut jobs: Vec<Job> = Vec::with_capacity(window.len());
         for ordered in window {
@@ -837,8 +824,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
     fn dispatch(&self, jobs: Vec<Job>, mut pool: Option<&mut Pool<'_>>) -> Vec<Completion> {
         let total = jobs.len();
         // A job waits iff it has a live access, and that access is slow.
-        let slow = matches!(&self.sources, Some((_, backend))
-            if backend.kind() != "sim" || self.policy.latency_scale > 0.0);
+        let slow = matches!(&self.sources, Some((_, backend)) if backend.kind() != "sim");
         let waits =
             |job: &Job| slow && job.resolved.iter().flatten().count() < job.ordered.plan.len();
         let max_helpers = self.policy.workers.max(1) - 1;
@@ -1184,10 +1170,6 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                 backend_errors[1] += outcome.backend_errors[1];
             }
         }
-        if self.policy.latency_scale > 0.0 {
-            let secs = plan_latency(&accesses) * self.policy.latency_scale;
-            std::thread::sleep(Duration::from_secs_f64(secs));
-        }
         let failure = accesses.iter().find(|a| !a.ok).map(|a| {
             if a.permanently_down {
                 FailureReason::PermanentlyDown {
@@ -1246,27 +1228,6 @@ fn replay_access(svc: &SourceService, outcome: MemoOutcome) -> SourceAccess {
         permanently_down: outcome == MemoOutcome::PermanentFailure,
         remote_server: None,
         remote_network: None,
-    }
-}
-
-/// Reorders one speculation window for memo overlap. Groups are maximal
-/// descending-utility prefixes whose members lie within `eps` of the
-/// group's best utility; inside a group, plans with a larger `overlap` —
-/// the number of their accesses the memo already holds — come first
-/// (stable, so exact ties keep the orderer's emission order). Group
-/// boundaries — strict dominances — are never crossed.
-fn reorder_for_reuse(window: &mut [OrderedPlan], eps: f64, overlap: impl Fn(&[usize]) -> usize) {
-    let mut start = 0;
-    while start < window.len() {
-        let best = window[start].utility;
-        let mut end = start + 1;
-        while end < window.len() && (best - window[end].utility).abs() <= eps {
-            end += 1;
-        }
-        if end - start > 1 {
-            window[start..end].sort_by_key(|p| std::cmp::Reverse(overlap(&p.plan)));
-        }
-        start = end;
     }
 }
 
@@ -1415,6 +1376,7 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::{Condvar, Mutex};
     use std::thread::{self, ThreadId};
+    use std::time::Duration;
 
     /// A toy integration system: a plan's answers are the items in the
     /// intersection of its sources' extents (the join of the coverage
@@ -1847,28 +1809,28 @@ mod tests {
     }
 
     #[test]
-    fn a_simulated_job_leaves_the_coordinator_only_to_sleep() {
+    fn a_job_leaves_the_coordinator_only_to_wait_on_a_live_access() {
         let inst = inst();
         let grid = SourceGrid::from_instance(&inst);
         let caller = thread::current().id();
         let memo = SourceMemo::new();
-        let policy = RuntimePolicy::parallel(2).with_latency_scale(1e-4);
-        // Cold: both plans of the wave have live slots, hence sleep. They
-        // meet at the rendezvous, so they are on two threads.
-        let mut eval = Recording::new();
-        eval.rendezvous = Some(Rendezvous::of(2));
-        let run = |eval: &Recording| {
-            Executor::new(&grid, eval, policy.clone())
+        let eval = Recording::new();
+        // Each live access waits for one by the wave's other plan.
+        let backend = Arc::new(WaitingBackend(Some(Rendezvous::of(2))));
+        let run = || {
+            Executor::new(&grid, &eval, RuntimePolicy::parallel(2))
+                .with_backend(backend.clone())
                 .with_source_memo(&memo)
                 .run(&mut Pi::new(&inst, &Coverage), RunBudget::plans(2))
         };
-        assert_eq!(run(&eval).stats.memo_hits, 0);
+        // Cold: both plans of the wave have live slots, hence wait — on
+        // two threads, or the rendezvous times out.
+        assert_eq!(run().stats.memo_hits, 0);
         let threads = eval.take_threads();
         assert!(threads.len() == 2 && threads.contains(&caller));
         // Warm: the memo resolves every slot of the same wave — nothing to
-        // sleep on, nothing handed off.
-        eval.rendezvous = None;
-        assert_eq!(run(&eval).stats.memo_hits, 4);
+        // wait for, nothing handed off, over the same I/O backend.
+        assert_eq!(run().stats.memo_hits, 4);
         assert_eq!(eval.take_threads(), HashSet::from([caller]));
     }
 
@@ -2052,37 +2014,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn reuse_reordering_stays_within_epsilon_groups() {
-        let mk = |plan: Vec<usize>, utility: f64| OrderedPlan { plan, utility };
-        let memo = SourceMemo::new();
-        memo.store(0, 2, SCAN_PATTERN, MemoOutcome::Success);
-        memo.store(1, 1, SCAN_PATTERN, MemoOutcome::Success);
-        let mut window = vec![
-            mk(vec![0, 0], -1.0),
-            mk(vec![2, 1], -1.05), // full overlap, near-tied with the head
-            mk(vec![2, 0], -1.08), // half overlap, near-tied with the head
-            mk(vec![1, 1], -5.0),  // strictly dominated: must stay last
-        ];
-        let overlap = |plan: &[usize]| {
-            plan.iter()
-                .enumerate()
-                .filter(|&(b, &i)| memo.contains(b, i, SCAN_PATTERN))
-                .count()
-        };
-        reorder_for_reuse(&mut window, 0.1, overlap);
-        let plans: Vec<_> = window.iter().map(|p| p.plan.clone()).collect();
-        assert_eq!(
-            plans,
-            vec![vec![2, 1], vec![2, 0], vec![0, 0], vec![1, 1]],
-            "overlap decides within the ε group; dominance is never crossed"
-        );
-        // Without a tie, order is untouched.
-        let mut window = vec![mk(vec![0, 0], -1.0), mk(vec![2, 1], -2.0)];
-        reorder_for_reuse(&mut window, 0.1, overlap);
-        assert_eq!(window[0].plan, vec![0, 0]);
     }
 
     #[test]

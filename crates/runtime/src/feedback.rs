@@ -1,31 +1,14 @@
-//! Feedback: folding observed execution outcomes back into ordering and
-//! monitoring state.
+//! Feedback: folding observed execution outcomes back into monitoring
+//! state.
 //!
 //! The executor already reports each plan's outcome to the orderer (see
-//! [`crate::executor`]); this module adds the pieces *around* that wire:
-//! converting run records into [`PlanOutcome`]s for replay, and a
-//! [`SourceHealth`] monitor that aggregates per-source observations —
-//! the empirical counterpart of the catalog's failure probabilities, and
-//! the place where cataloged statistics can be confronted with reality.
+//! [`crate::executor`]); this module feeds the same run records to the
+//! [`DivergenceMonitor`] — per source, the attempts, failures and
+//! latencies observed, confronted with the catalog's declared behavior.
 
 use crate::executor::{PlanExecution, PlanStatus};
 use crate::source::SourceGrid;
-use qpo_core::PlanOutcome;
 use qpo_obs::{AccessObservation, DivergenceMonitor, SourceExpectation};
-use std::collections::BTreeMap;
-
-/// The [`PlanOutcome`] a run record corresponds to, or `None` for unsound
-/// plans (they were never executed, and the serial mediator likewise skips
-/// them without feedback).
-pub fn outcome_of(report: &PlanExecution) -> Option<PlanOutcome> {
-    match &report.status {
-        PlanStatus::Executed { tuples, .. } => {
-            Some(PlanOutcome::succeeded(&report.ordered.plan, *tuples))
-        }
-        PlanStatus::Failed(_) => Some(PlanOutcome::failed(&report.ordered.plan)),
-        PlanStatus::Unsound => None,
-    }
-}
 
 /// Declares every grid source's catalog expectations to the drift
 /// monitor — the same f64s the executor journals as `source_declared`
@@ -71,184 +54,5 @@ pub fn observe_divergence(monitor: &mut DivergenceMonitor, report: &PlanExecutio
                 server: a.remote_server,
             },
         );
-    }
-}
-
-/// Observed reliability of one source.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SourceRecord {
-    /// Access attempts observed.
-    pub attempts: u64,
-    /// Attempts that failed transiently.
-    pub transient_failures: u64,
-    /// Accesses that ultimately succeeded.
-    pub successes: u64,
-    /// Whether the source was ever seen permanently down.
-    pub seen_permanently_down: bool,
-}
-
-impl SourceRecord {
-    /// Observed per-attempt transient failure rate, or `None` before any
-    /// attempt has been seen.
-    pub fn observed_transient_rate(&self) -> Option<f64> {
-        (self.attempts > 0).then(|| self.transient_failures as f64 / self.attempts as f64)
-    }
-}
-
-/// Aggregates per-source observations across a run — keyed by `(bucket,
-/// index)`, the coordinates plans are written in.
-#[derive(Debug, Clone, Default)]
-pub struct SourceHealth {
-    records: BTreeMap<(usize, usize), SourceRecord>,
-}
-
-impl SourceHealth {
-    /// An empty monitor.
-    pub fn new() -> Self {
-        SourceHealth::default()
-    }
-
-    /// Folds one plan's access records in.
-    pub fn record(&mut self, report: &PlanExecution) {
-        for a in &report.accesses {
-            let rec = self.records.entry((a.bucket, a.index)).or_default();
-            rec.attempts += u64::from(a.attempts);
-            rec.transient_failures += u64::from(a.transient_failures);
-            rec.successes += u64::from(a.ok);
-            rec.seen_permanently_down |= a.permanently_down;
-        }
-    }
-
-    /// Folds a whole run in.
-    pub fn record_run<'a>(&mut self, reports: impl IntoIterator<Item = &'a PlanExecution>) {
-        for r in reports {
-            self.record(r);
-        }
-    }
-
-    /// The record of one source, if it was ever accessed.
-    pub fn source(&self, bucket: usize, index: usize) -> Option<&SourceRecord> {
-        self.records.get(&(bucket, index))
-    }
-
-    /// Iterates `((bucket, index), record)` in coordinate order.
-    pub fn iter(&self) -> impl Iterator<Item = (&(usize, usize), &SourceRecord)> {
-        self.records.iter()
-    }
-
-    /// Sources observed failing more often than `threshold` per attempt,
-    /// plus every source seen permanently down.
-    pub fn suspects(&self, threshold: f64) -> Vec<(usize, usize)> {
-        self.records
-            .iter()
-            .filter(|(_, r)| {
-                r.seen_permanently_down
-                    || r.observed_transient_rate().is_some_and(|f| f > threshold)
-            })
-            .map(|(&k, _)| k)
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::executor::{FailureReason, SourceAccess};
-    use qpo_core::{OrderedPlan, OutcomeStatus};
-
-    fn access(bucket: usize, index: usize, attempts: u32, fails: u32, ok: bool) -> SourceAccess {
-        SourceAccess {
-            bucket,
-            index,
-            name: format!("b{bucket}s{index}"),
-            attempts,
-            transient_failures: fails,
-            latency: 1.0,
-            fee: 0.0,
-            ok,
-            permanently_down: false,
-            remote_server: None,
-            remote_network: None,
-        }
-    }
-
-    fn report(plan: &[usize], status: PlanStatus, accesses: Vec<SourceAccess>) -> PlanExecution {
-        PlanExecution {
-            seq: 0,
-            ordered: OrderedPlan {
-                plan: plan.to_vec(),
-                utility: -1.0,
-            },
-            status,
-            accesses,
-            latency: 1.0,
-            fees: 0.0,
-        }
-    }
-
-    #[test]
-    fn outcome_conversion_covers_every_status() {
-        let ex = report(
-            &[0, 1],
-            PlanStatus::Executed {
-                tuples: 7,
-                new_tuples: 3,
-                cumulative: 10,
-            },
-            vec![],
-        );
-        let o = outcome_of(&ex).unwrap();
-        assert_eq!(o.plan, vec![0, 1]);
-        assert_eq!(o.status, OutcomeStatus::Succeeded { tuples: 7 });
-
-        let failed = report(
-            &[2, 0],
-            PlanStatus::Failed(FailureReason::RetriesExhausted {
-                source: "v1".into(),
-            }),
-            vec![],
-        );
-        assert!(outcome_of(&failed).unwrap().is_failure());
-        assert!(outcome_of(&report(&[1, 1], PlanStatus::Unsound, vec![])).is_none());
-    }
-
-    #[test]
-    fn health_aggregates_across_plans() {
-        let mut health = SourceHealth::new();
-        health.record_run(&[
-            report(
-                &[0, 0],
-                PlanStatus::Unsound,
-                vec![access(0, 0, 3, 2, true), access(1, 0, 1, 0, true)],
-            ),
-            report(
-                &[0, 1],
-                PlanStatus::Unsound,
-                vec![access(0, 0, 1, 0, true), access(1, 1, 4, 4, false)],
-            ),
-        ]);
-        let v = health.source(0, 0).unwrap();
-        assert_eq!((v.attempts, v.transient_failures, v.successes), (4, 2, 2));
-        assert_eq!(v.observed_transient_rate(), Some(0.5));
-        assert!(health.source(9, 9).is_none());
-        assert_eq!(health.iter().count(), 3);
-        // Only the source failing every attempt is suspect at 0.6.
-        assert_eq!(health.suspects(0.6), vec![(1, 1)]);
-        assert_eq!(health.suspects(0.4), vec![(0, 0), (1, 1)]);
-    }
-
-    #[test]
-    fn permanent_downs_are_always_suspect() {
-        let mut health = SourceHealth::new();
-        let mut a = access(0, 2, 1, 0, false);
-        a.permanently_down = true;
-        health.record(&report(&[2, 0], PlanStatus::Unsound, vec![a]));
-        assert_eq!(health.suspects(1.0), vec![(0, 2)]);
-        assert!(health.source(0, 2).unwrap().seen_permanently_down);
-    }
-
-    #[test]
-    fn rate_is_none_before_observations() {
-        assert_eq!(SourceRecord::default().observed_transient_rate(), None);
     }
 }

@@ -18,10 +18,10 @@
 //!   executes on the stepping thread, plus helpers while accesses wait,
 //!   completions merge back in emission order, and failures degrade the
 //!   run gracefully instead of aborting it;
-//! - [`feedback`] — observed tuples and failures flow back into the
-//!   orderer's utility context ([`PlanOrderer::observe`]
-//!   (qpo_core::PlanOrderer::observe)), so subsequent emissions are
-//!   conditioned on what actually executed, not on what was assumed;
+//! - [`feedback`] — the executor reports each outcome to the orderer
+//!   ([`PlanOrderer::observe`](qpo_core::PlanOrderer::observe)), so
+//!   subsequent emissions are conditioned on what actually executed;
+//!   this module feeds the same records to the per-source drift monitor;
 //! - [`backend`] — the [`SourceBackend`] trait the executor dispatches
 //!   every access through: the deterministic simulator ([`SimBackend`],
 //!   the default), a persistent indexed store ([`store::StoreBackend`]),
@@ -58,7 +58,7 @@ pub use executor::{
     Executor, FailureReason, PlanEvaluator, PlanExecution, PlanStatus, RunBudget, RunState,
     RunStats, RuntimeRun, SourceAccess, WaveObserver,
 };
-pub use feedback::{declare_sources, observe_divergence, outcome_of, SourceHealth, SourceRecord};
+pub use feedback::{declare_sources, observe_divergence};
 pub use memo::{MemoHit, MemoOutcome, SourceMemo};
 pub use net::{
     fetch_server_trace, MemProvider, RelationProvider, ServerJournal, ServerSpanEntry,

@@ -196,13 +196,6 @@ impl SourceMemo {
         hit
     }
 
-    /// Whether a live entry exists, without counting a hit or miss. Used
-    /// by reuse-aware scheduling to score overlap without skewing the
-    /// hit-rate statistics.
-    pub fn contains(&self, bucket: usize, index: usize, pattern: &str) -> bool {
-        self.lock().get(bucket, index, pattern).is_some()
-    }
-
     /// Stores a terminal outcome in the current epoch, no rows beside it.
     pub fn store(&self, bucket: usize, index: usize, pattern: &str, outcome: MemoOutcome) {
         self.store_rows(bucket, index, pattern, outcome, None);
@@ -330,24 +323,14 @@ mod tests {
     fn invalidate_drops_older_epochs() {
         let memo = SourceMemo::new();
         memo.store(0, 0, SCAN_PATTERN, MemoOutcome::Success);
-        assert!(memo.contains(0, 0, SCAN_PATTERN));
+        assert!(memo.lookup(0, 0, SCAN_PATTERN).is_some());
         memo.invalidate();
         assert_eq!(memo.epoch(), 1);
-        assert!(!memo.contains(0, 0, SCAN_PATTERN));
         assert!(memo.lookup(0, 0, SCAN_PATTERN).is_none());
         assert!(memo.is_empty());
         // Post-bump stores land in the new epoch and survive.
         memo.store(0, 0, SCAN_PATTERN, MemoOutcome::PermanentFailure);
-        assert!(memo.contains(0, 0, SCAN_PATTERN));
-    }
-
-    #[test]
-    fn contains_does_not_count_hits() {
-        let memo = SourceMemo::new();
-        memo.store(1, 1, SCAN_PATTERN, MemoOutcome::Success);
-        assert!(memo.contains(1, 1, SCAN_PATTERN));
-        assert!(!memo.contains(1, 2, SCAN_PATTERN));
-        assert_eq!((memo.hits(), memo.misses()), (0, 0));
+        assert!(memo.lookup(0, 0, SCAN_PATTERN).is_some());
     }
 
     #[test]
@@ -364,7 +347,7 @@ mod tests {
         assert_eq!(memo.epoch(), 0);
         memo.store(0, 0, SCAN_PATTERN, MemoOutcome::Success);
         memo.sync_backend_epoch(1); // same version: entries survive
-        assert!(memo.contains(0, 0, SCAN_PATTERN));
+        assert!(memo.lookup(0, 0, SCAN_PATTERN).is_some());
     }
 
     fn rows() -> Arc<Vec<Tuple>> {

@@ -43,12 +43,12 @@
 //! A request's binding pattern ([`crate::pattern`]) names the constants
 //! the plan's subgoal carries; [`respond`] filters the provider's shared
 //! relation by it and encodes the matching rows in place. The contract
-//! is superset-safe (every matching row, possibly more), so a legacy
-//! server — which reads every pattern as a scan — stays correct.
+//! is superset-safe (every matching row, possibly more), so a source
+//! that ignores the pattern stays correct.
 //!
 //! ## Distributed tracing
 //!
-//! Requests from a tracing client carry a [`wire::TraceContext`]
+//! Every request [`TcpBackend`] sends carries a [`wire::TraceContext`]
 //! extension block (run / plan / source / attempt); the server times each
 //! request's receive→parse, provider lookup, and row-encode phases
 //! (the receive clock starts when the frame's length prefix has arrived —
@@ -61,12 +61,10 @@
 //! [`wire::ServerSpan`] extension to the response. [`TcpBackend`] decodes
 //! that block into a virtual-unit [`RemoteSpan`] on the [`AccessReply`],
 //! clamped so `phase sum ≤ total ≤ client latency` holds bit-exactly.
-//! Interop is two-sided: a legacy client's requests get byte-identical
-//! legacy responses, and a legacy (strict) server's "trailing bytes"
-//! rejection makes the client latch into legacy mode and resend the
-//! attempt plain — on another connection, since the strict server drops
-//! the one that carried the malformed request — degrading to single-span
-//! client-side attribution.
+//! There is one dialect: a request without a context block is legal
+//! input and is answered without a span, and a peer that rejects a
+//! request — whatever its reason — is a transient [`BackendError`] under
+//! the executor's retry discipline, like any other malformed peer.
 
 use crate::backend::{AccessContext, AccessReply, BackendError, RemoteSpan, SourceBackend};
 use crate::pattern::{BindingPattern, SCAN_PATTERN};
@@ -260,7 +258,6 @@ struct Serving {
     provider: Arc<dyn RelationProvider>,
     requests: AtomicU64,
     journal: ServerJournal,
-    legacy: bool,
 }
 
 impl SourceServer {
@@ -268,26 +265,6 @@ impl SourceServer {
     /// `provider` on background threads: one accepting, one per live
     /// connection.
     pub fn serve(provider: Arc<dyn RelationProvider>, port: u16) -> std::io::Result<SourceServer> {
-        SourceServer::serve_mode(provider, port, false)
-    }
-
-    /// [`SourceServer::serve`] in *legacy* mode: requests are decoded
-    /// with the strict pre-extension decoder (so trace contexts are
-    /// rejected as trailing bytes, and every binding pattern reads as a
-    /// scan, exactly like a server predating both) and responses never
-    /// carry span blocks. Exists for the interop differential suites.
-    pub fn serve_legacy(
-        provider: Arc<dyn RelationProvider>,
-        port: u16,
-    ) -> std::io::Result<SourceServer> {
-        SourceServer::serve_mode(provider, port, true)
-    }
-
-    fn serve_mode(
-        provider: Arc<dyn RelationProvider>,
-        port: u16,
-        legacy: bool,
-    ) -> std::io::Result<SourceServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -295,7 +272,6 @@ impl SourceServer {
             provider,
             requests: AtomicU64::new(0),
             journal: ServerJournal::default(),
-            legacy,
         });
         let flag = Arc::clone(&shutdown);
         let shared = Arc::clone(&serving);
@@ -397,18 +373,14 @@ fn accept_loop(listener: TcpListener, shutdown: &AtomicBool, serving: &Arc<Servi
 /// Each access is phase-timed — receive→parse (from the arrival of the
 /// frame's length prefix), provider lookup, row filter + encode — and
 /// journalled; a request that carried a trace context gets the span
-/// appended to its response (never in `legacy` mode, which also decodes
-/// strictly: extended requests are rejected as trailing bytes and every
-/// pattern reads as a scan). A one-byte [`wire::OP_TRACE`] payload dumps
+/// appended to its response. A one-byte [`wire::OP_TRACE`] payload dumps
 /// the journal as a raw text frame.
 fn handle_connection(stream: &mut TcpStream, serving: &Serving) -> std::io::Result<()> {
     let Serving {
         provider,
         requests,
         journal,
-        legacy,
     } = serving;
-    let legacy = *legacy;
     stream.set_read_timeout(Some(SERVER_IO_TIMEOUT))?;
     stream.set_write_timeout(Some(SERVER_IO_TIMEOUT))?;
     stream.set_nodelay(true)?;
@@ -424,25 +396,17 @@ fn handle_connection(stream: &mut TcpStream, serving: &Serving) -> std::io::Resu
         let Ok(payload) = wire::read_frame_payload(stream, len) else {
             return Ok(()); // hostile length, truncated frame, or timeout
         };
-        if !legacy && payload == [wire::OP_TRACE] {
+        if payload == [wire::OP_TRACE] {
             // Journal dump: one raw UTF-8 text frame, not a Response.
             // Not counted as a served access and not journalled itself.
             wire::write_frame(stream, journal.render_text().as_bytes())?;
             continue;
         }
-        let decoded = if legacy {
-            wire::decode_request(&payload).map(|mut req| {
-                req.pattern = SCAN_PATTERN.to_string();
-                (req, None)
-            })
-        } else {
-            wire::decode_request_ext(&payload)
-        };
-        let (req, ctx) = match decoded {
+        let (req, ctx) = match wire::decode_request(&payload) {
             Ok(d) => d,
             Err(e) => {
                 let resp = Response::Error(format!("malformed request: {e}"));
-                if let Ok(bytes) = wire::encode_response(&resp, provider.epoch()) {
+                if let Ok(bytes) = wire::encode_response(&resp, provider.epoch(), None) {
                     let _ = wire::write_frame(stream, &bytes);
                 }
                 return Ok(());
@@ -465,36 +429,33 @@ fn handle_connection(stream: &mut TcpStream, serving: &Serving) -> std::io::Resu
             .elapsed()
             .as_secs_f64()
             .max(recv_parse + lookup + encode);
-        if !legacy {
-            if ctx.is_some() {
-                let span = wire::ServerSpan {
-                    recv_parse,
-                    lookup,
-                    encode,
-                    total,
-                    request_seq,
-                };
-                wire::append_server_span(&mut bytes, &span).map_err(invalid)?;
-            }
-            journal.push(ServerSpanEntry {
-                request_seq,
-                source: req.source,
-                pattern: req.pattern,
-                ctx,
+        if ctx.is_some() {
+            let span = wire::ServerSpan {
                 recv_parse,
                 lookup,
                 encode,
                 total,
-            });
+                request_seq,
+            };
+            wire::append_server_span(&mut bytes, &span).map_err(invalid)?;
         }
+        journal.push(ServerSpanEntry {
+            request_seq,
+            source: req.source,
+            pattern: req.pattern,
+            ctx,
+            recv_parse,
+            lookup,
+            encode,
+            total,
+        });
         wire::write_frame(stream, &bytes)?;
     }
 }
 
 /// Dials `addr` and requests the server's span journal with a one-byte
 /// [`wire::OP_TRACE`] frame, returning the text dump — the client side
-/// of `qpo-source-server --metrics`. Legacy servers treat the probe as a
-/// malformed request, so this errors rather than hanging.
+/// of `qpo-source-server --metrics`.
 pub fn fetch_server_trace(addr: &str, timeout: Duration) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(timeout))?;
@@ -524,7 +485,7 @@ pub fn respond(
         }
         None => {
             let msg = format!("source `{}` not hosted here", req.source);
-            wire::encode_response(&Response::UnknownSource(msg), epoch)
+            wire::encode_response(&Response::UnknownSource(msg), epoch, None)
         }
     }
 }
@@ -557,10 +518,6 @@ pub struct TcpBackend {
     io_timeout: Duration,
     latency_unit: f64,
     seen_epoch: Arc<AtomicU64>,
-    /// Latched (shared across clones) when the server rejects a
-    /// trace-context extension as trailing bytes — a strict legacy
-    /// server. Subsequent requests go out plain.
-    server_is_legacy: Arc<AtomicBool>,
     /// Kept-alive connections, shared across clones.
     pool: Arc<ConnectionPool>,
 }
@@ -574,7 +531,6 @@ impl TcpBackend {
             io_timeout: Duration::from_secs(2),
             latency_unit: 1000.0,
             seen_epoch: Arc::new(AtomicU64::new(0)),
-            server_is_legacy: Arc::new(AtomicBool::new(false)),
             pool: Arc::new(ConnectionPool::default()),
         }
     }
@@ -595,12 +551,6 @@ impl TcpBackend {
     /// The server address this backend dials.
     pub fn addr(&self) -> &str {
         &self.addr
-    }
-
-    /// Whether the backend has latched into legacy mode after a strict
-    /// server rejected a trace context.
-    pub fn server_is_legacy(&self) -> bool {
-        self.server_is_legacy.load(Ordering::SeqCst)
     }
 
     /// Dials the server and configures the socket.
@@ -652,39 +602,26 @@ impl TcpBackend {
     /// epoch into the high-water mark before returning, so even error
     /// responses advance the observed version. The connection returns to
     /// the pool only after a well-formed `Rows`/`UnknownSource` response;
-    /// the server drops a connection it answered with `Error`. A strict
-    /// legacy server rejecting `ctx` as trailing bytes latches the legacy
-    /// flag and resends the request plain within the same attempt (the
-    /// extra round-trip is charged to it) — never on the rejected
-    /// connection, which was not pooled.
+    /// the server drops a connection it answered with `Error`.
     fn exchange(
         &self,
-        source: &str,
         pattern: &str,
-        ctx: Option<&wire::TraceContext>,
+        ctx: &wire::TraceContext,
     ) -> Result<(Response, Option<wire::ServerSpan>), BackendError> {
-        let request = wire::encode_request_with(
+        let request = wire::encode_request(
             &Request {
-                source: source.to_string(),
+                source: ctx.source.clone(),
                 pattern: pattern.to_string(),
             },
-            ctx,
+            Some(ctx),
         )
         .map_err(|e| BackendError::permanent(format!("encode request: {e}")))?;
         let (payload, stream) = self.round_trip(&request)?;
-        let (resp, epoch, span) = wire::decode_response_ext(&payload)
+        let (resp, epoch, span) = wire::decode_response(&payload)
             .map_err(|e| BackendError::transient(format!("malformed response: {e}")))?;
         self.seen_epoch.fetch_max(epoch, Ordering::SeqCst);
-        match &resp {
-            Response::Rows(_) | Response::UnknownSource(_) => self.pool.idle().push(stream),
-            Response::Error(msg) => {
-                if ctx.is_some() && msg.contains("trailing bytes") {
-                    // A strict pre-extension server: downgrade for good
-                    // and redo this attempt without the context.
-                    self.server_is_legacy.store(true, Ordering::SeqCst);
-                    return self.exchange(source, pattern, None);
-                }
-            }
+        if matches!(resp, Response::Rows(_) | Response::UnknownSource(_)) {
+            self.pool.idle().push(stream);
         }
         Ok((resp, span))
     }
@@ -726,12 +663,12 @@ impl SourceBackend for TcpBackend {
         svc: &SourceService,
         ctx: &AccessContext<'_>,
     ) -> Result<AccessReply, BackendError> {
-        let trace_ctx = (!self.server_is_legacy()).then(|| wire::TraceContext {
+        let trace_ctx = wire::TraceContext {
             run: ctx.run,
             plan_seq: ctx.plan_seq,
             source: svc.name.to_string(),
             attempt: ctx.attempt,
-        });
+        };
         // A wire string holds at most `u16::MAX` bytes; a pattern past
         // that (one huge constant) goes out as a scan — superset-safe.
         let pattern = if ctx.pattern.len() > usize::from(u16::MAX) {
@@ -740,7 +677,7 @@ impl SourceBackend for TcpBackend {
             ctx.pattern
         };
         let start = Instant::now();
-        let result = self.exchange(svc.name.as_ref(), pattern, trace_ctx.as_ref());
+        let result = self.exchange(pattern, &trace_ctx);
         let latency = start.elapsed().as_secs_f64() * self.latency_unit;
         match result {
             Ok((Response::Rows(rows), span)) => {
@@ -783,7 +720,9 @@ mod tests {
     use crate::policy::FaultConfig;
     use crate::source::SourceGrid;
     use qpo_catalog::{Extent, ProblemInstance, SourceStats};
+    use qpo_core::Pi;
     use qpo_datalog::Constant;
+    use qpo_utility::Coverage;
     use std::io::Write;
 
     fn rows(items: &[i64]) -> Vec<Tuple> {
@@ -800,19 +739,22 @@ mod tests {
         Arc::new(p)
     }
 
-    fn grid() -> SourceGrid {
+    fn inst() -> ProblemInstance {
         let src = |name: &str| {
             SourceStats::new()
                 .with_name(name)
                 .with_extent(Extent::new(0, 3))
         };
-        let inst = ProblemInstance::new(
+        ProblemInstance::new(
             0.0,
             vec![10],
             vec![vec![src("v1"), src("w1"), src("missing")]],
         )
-        .unwrap();
-        SourceGrid::from_instance(&inst)
+        .unwrap()
+    }
+
+    fn grid() -> SourceGrid {
+        SourceGrid::from_instance(&inst())
     }
 
     /// `(opened, reused)` of the backend's pool.
@@ -840,7 +782,9 @@ mod tests {
                 pattern: pattern.into(),
             };
             let bytes = respond(&req, relation, 7).unwrap();
-            wire::decode_response(&bytes).unwrap()
+            let (resp, epoch, span) = wire::decode_response(&bytes).unwrap();
+            assert!(span.is_none(), "the span is the connection loop's to add");
+            (resp, epoch)
         };
         assert_eq!(
             answer("scan", Some(&hosted)),
@@ -942,14 +886,13 @@ mod tests {
         let mut server = SourceServer::serve(provider(), 0).unwrap();
         let mut s = TcpStream::connect(server.addr()).unwrap();
         for _ in 0..3 {
-            let req = wire::encode_request(&Request {
+            let req = Request {
                 source: "v1".into(),
                 pattern: "scan".into(),
-            })
-            .unwrap();
-            wire::write_frame(&mut s, &req).unwrap();
+            };
+            wire::write_frame(&mut s, &wire::encode_request(&req, None).unwrap()).unwrap();
             let reply = wire::read_frame(&mut s).unwrap();
-            let (resp, epoch) = wire::decode_response(&reply).unwrap();
+            let (resp, epoch, _) = wire::decode_response(&reply).unwrap();
             assert_eq!(resp, Response::Rows(rows(&[1, 2, 3])));
             assert_eq!(epoch, 2, "two fixture inserts");
         }
@@ -998,7 +941,6 @@ mod tests {
         assert!(phases <= remote.total, "{remote:?}");
         assert!(remote.total <= reply.access.latency, "{remote:?}");
         assert!(remote.server_seq >= 1);
-        assert!(!backend.server_is_legacy());
         // The server journalled the span with its trace context.
         let entries = server.journal().entries();
         assert_eq!(entries.len(), 1);
@@ -1101,51 +1043,123 @@ mod tests {
         assert_eq!(err.class, BackendErrorClass::Transient, "{}", err.message);
     }
 
+    /// What the one decoder does with each shape of context block, seen
+    /// from outside a live server — which keeps serving the next
+    /// connection whatever the last one sent.
     #[test]
-    fn untraced_client_gets_no_span_and_the_server_journals_anyway() {
+    fn hostile_context_blocks_get_their_documented_outcome_and_the_server_keeps_serving() {
         let mut server = SourceServer::serve(provider(), 0).unwrap();
-        // A pre-tracing client: one request frame with no context.
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        let req = wire::encode_request(&Request {
+        let req = Request {
             source: "v1".into(),
             pattern: "scan".into(),
-        })
-        .unwrap();
-        wire::write_frame(&mut s, &req).unwrap();
-        let reply = wire::read_frame(&mut s).unwrap();
-        let (resp, _, span) = wire::decode_response_ext(&reply).unwrap();
-        assert_eq!(resp, Response::Rows(rows(&[1, 2, 3])));
-        assert!(span.is_none());
-        drop(s);
-        let entries = server.journal().entries();
-        assert_eq!(entries.len(), 1);
-        assert!(entries[0].ctx.is_none());
+        };
+        let context = |attempt| wire::TraceContext {
+            run: 1,
+            plan_seq: 2,
+            source: "v1".into(),
+            attempt,
+        };
+        let plain = wire::encode_request(&req, None).unwrap();
+        let traced = wire::encode_request(&req, Some(&context(5))).unwrap();
+        let unknown_tag = [&plain[..], &[0xEE, 0, 2, 9, 9]].concat();
+        let mut duplicate = traced.clone();
+        wire::append_trace_context(&mut duplicate, &context(6)).unwrap();
+        // Expected: `None` = error response + dropped connection;
+        // `Some(attempt)` = rows, journalled with that context's attempt
+        // (or with no context), and a span exactly when there is one.
+        let cases = [
+            ("no context: rows, no span", plain.clone(), Some(None)),
+            (
+                "truncated context: rejected",
+                traced[..traced.len() - 3].to_vec(),
+                None,
+            ),
+            ("unknown tag: skipped", unknown_tag, Some(None)),
+            ("duplicate context: first wins", duplicate, Some(Some(5))),
+        ];
+        for (label, payload, expected) in cases {
+            let journalled = server.journal().total();
+            let mut s = TcpStream::connect(server.addr()).unwrap();
+            wire::write_frame(&mut s, &payload).unwrap();
+            let reply = wire::read_frame(&mut s).unwrap();
+            let (resp, _, span) = wire::decode_response(&reply).unwrap();
+            match expected {
+                None => {
+                    assert!(
+                        matches!(&resp, Response::Error(msg) if msg.contains("malformed")),
+                        "{label}: {resp:?}"
+                    );
+                    assert!(wire::read_frame(&mut s).is_err(), "{label}: still open");
+                    assert_eq!(server.journal().total(), journalled, "{label}");
+                }
+                Some(attempt) => {
+                    assert_eq!(resp, Response::Rows(rows(&[1, 2, 3])), "{label}");
+                    assert_eq!(span.is_some(), attempt.is_some(), "{label}");
+                    let entry = server.journal().entries().pop().expect("journalled");
+                    assert_eq!(entry.ctx.map(|c| c.attempt), attempt, "{label}");
+                }
+            }
+        }
         server.stop();
     }
 
+    /// A peer that refuses every request — here in the words a strict
+    /// pre-extension decoder would use — is a malformed peer like any
+    /// other: each attempt is one frame and one transient failure, and
+    /// the plan fails typed once the retries are spent.
     #[test]
-    fn legacy_server_downgrades_the_client_within_one_attempt() {
-        let mut server = SourceServer::serve_legacy(provider(), 0).unwrap();
-        let backend = TcpBackend::new(server.addr().to_string());
-        let grid = grid();
-        let faults = FaultConfig::disabled();
-        // First traced attempt: the strict server rejects the extension,
-        // the client latches legacy and resends plain — the attempt
-        // still succeeds, with no remote span.
-        let reply = backend.access(grid.service(0, 0), &ctx(&faults)).unwrap();
-        assert_eq!(reply.access.outcome, AccessOutcome::Success);
-        assert!(reply.remote.is_none());
-        assert!(backend.server_is_legacy());
-        // Clones share the latch: subsequent requests go out plain from
-        // the start (one request frame each, no rejected preamble).
-        let before = server.requests_served();
-        let reply = backend
-            .clone()
-            .access(grid.service(0, 1), &ctx(&faults))
-            .unwrap();
-        assert!(reply.remote.is_none());
-        assert_eq!(server.requests_served(), before + 1);
-        server.stop();
+    fn a_peer_that_rejects_every_request_costs_max_attempts_and_a_typed_failure() {
+        use crate::executor::{Executor, FailureReason, PlanEvaluator, PlanStatus, RunBudget};
+        use crate::policy::{RetryPolicy, RuntimePolicy};
+
+        struct NoRows;
+        impl PlanEvaluator for NoRows {
+            fn is_sound(&self, _: &[usize]) -> bool {
+                true
+            }
+            fn evaluate(&self, _: &[usize], _: &[Option<Arc<Vec<Tuple>>>]) -> Vec<Tuple> {
+                Vec::new()
+            }
+        }
+
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Answers each connection's first frame and hangs up; a connection
+        // that sends no frame ends the thread. Returns the frames it saw.
+        let rejecting = std::thread::spawn(move || {
+            let text = "malformed request: 23 trailing bytes after message";
+            let rejection = wire::encode_response(&Response::Error(text.into()), 0, None).unwrap();
+            let mut frames = 0u32;
+            for conn in listener.incoming() {
+                let mut stream = conn.unwrap();
+                if wire::read_frame(&mut stream).is_err() {
+                    break;
+                }
+                frames += 1;
+                wire::write_frame(&mut stream, &rejection).unwrap();
+            }
+            frames
+        });
+        let inst = inst();
+        let grid = SourceGrid::from_instance(&inst);
+        let retry = RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::standard()
+        };
+        let run = Executor::new(&grid, &NoRows, RuntimePolicy::serial().with_retry(retry))
+            .with_backend(Arc::new(TcpBackend::new(addr.to_string())))
+            .run(&mut Pi::new(&inst, &Coverage), RunBudget::plans(1));
+        assert_eq!((run.stats.attempts, run.stats.transient_failures), (3, 3));
+        assert!(matches!(
+            run.reports[0].status,
+            PlanStatus::Failed(FailureReason::RetriesExhausted { .. })
+        ));
+        drop(TcpStream::connect(addr).unwrap());
+        assert_eq!(
+            rejecting.join().unwrap(),
+            3,
+            "one frame per attempt: no resend"
+        );
     }
 
     #[test]

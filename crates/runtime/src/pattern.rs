@@ -24,7 +24,7 @@
 //!
 //! A backend handed a pattern must return *every* row matching it and
 //! may return more. The join applies each atom's constants to every row
-//! it reads regardless, so a server that predates patterns, a text that
+//! it reads regardless, so a source that ignores patterns, a text that
 //! does not parse ([`BindingPattern::parse`] is total and degrades to
 //! [`SCAN_PATTERN`]), and the zero-copy in-process store all answer with
 //! the whole relation and nothing changes but the bytes shipped.

@@ -139,32 +139,17 @@ pub struct RuntimePolicy {
     pub retry: RetryPolicy,
     /// Fault injection.
     pub faults: FaultConfig,
-    /// Wall seconds per virtual time unit that workers actually sleep
-    /// (0.0 = pure simulation; benches use a small positive scale to make
-    /// parallel speedup observable).
-    pub latency_scale: f64,
-    /// Reuse-aware scheduling tolerance. When set (and a source memo is
-    /// attached), plans inside one speculation window whose utilities lie
-    /// within `ε` of the window group's best are re-sequenced to maximize
-    /// memo overlap with already-executed plans. `None` (the default)
-    /// disables reordering entirely, preserving the orderer's emission
-    /// order bit-for-bit. Reordering never crosses a strict utility
-    /// dominance (a gap larger than `ε`), so the paper's ordering
-    /// guarantees are untouched.
-    pub reuse_epsilon: Option<f64>,
 }
 
 impl RuntimePolicy {
     /// Serial-equivalent defaults: one worker, no speculation, standard
-    /// retries, faults off, no real sleeping.
+    /// retries, faults off.
     pub fn serial() -> Self {
         RuntimePolicy {
             workers: 1,
             lookahead: 1,
             retry: RetryPolicy::standard(),
             faults: FaultConfig::disabled(),
-            latency_scale: 0.0,
-            reuse_epsilon: None,
         }
     }
 
@@ -193,20 +178,6 @@ impl RuntimePolicy {
     /// Replaces the speculation depth (≥ 1 enforced).
     pub fn with_lookahead(mut self, lookahead: usize) -> Self {
         self.lookahead = lookahead.max(1);
-        self
-    }
-
-    /// Replaces the wall-seconds-per-virtual-unit scale (negative values
-    /// are treated as 0, i.e. pure simulation).
-    pub fn with_latency_scale(mut self, scale: f64) -> Self {
-        self.latency_scale = scale.max(0.0);
-        self
-    }
-
-    /// Enables reuse-aware scheduling with tolerance `ε` (negative values
-    /// are treated as 0, i.e. exact ties only).
-    pub fn with_reuse_epsilon(mut self, epsilon: f64) -> Self {
-        self.reuse_epsilon = Some(epsilon.max(0.0));
         self
     }
 }

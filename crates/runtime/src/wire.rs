@@ -1,9 +1,10 @@
 //! The source-server wire protocol: length-prefixed binary frames over a
 //! byte stream.
 //!
-//! Deliberately tiny — one request shape, one response shape — so the
-//! whole codec is auditable and the robustness surface (truncated frames,
-//! garbage bytes, oversized lengths) is small enough to test exhaustively.
+//! Deliberately tiny — one request shape, one response shape, one
+//! decoder and one encoder for each — so the whole codec is auditable and
+//! the robustness surface (truncated frames, garbage bytes, oversized
+//! lengths) is small enough to test exhaustively.
 //! Connections are persistent: a peer may send any number of request
 //! frames on one stream, each answered by one response frame, in order.
 //!
@@ -49,8 +50,20 @@
 //!
 //! A row is `[u16 arity]` followed by tagged constants: tag `0` is a
 //! big-endian `i64`, tag `1` is a `u16`-length-prefixed UTF-8 string.
-//! Decoders reject unknown tags, truncated fields, and trailing bytes, so
-//! every byte of a frame is accounted for.
+//!
+//! ## Extension blocks
+//!
+//! A message body may be followed by optional, order-independent blocks,
+//! `[u8 tag][u16 len][len bytes]` each. Two are defined: a request's
+//! [`TraceContext`] (tag [`EXT_TRACE_CONTEXT`]; this tree's client always
+//! sends one) and a response's [`ServerSpan`] (tag [`EXT_SERVER_SPAN`];
+//! the server appends one exactly when the request carried a context).
+//! Both are optional on input: a message without its block decodes to
+//! `None`. Of several blocks with one tag the first wins, a block with
+//! an unknown tag is skipped — so the protocol can grow without
+//! re-framing — and bytes after the body that do not make up whole
+//! blocks are [`WireError::Truncated`]. Decoders reject unknown constant
+//! tags and truncated fields, so every byte of a frame is accounted for.
 
 use qpo_datalog::{Constant, Tuple};
 use std::fmt;
@@ -133,8 +146,7 @@ pub enum Response {
 /// Client trace context propagated on a request as an optional trailing
 /// extension block (tag [`EXT_TRACE_CONTEXT`]): which run, plan, and
 /// attempt this access serves. Servers echo it into their own journal and
-/// — only when it is present — attach a [`ServerSpan`] to the response,
-/// so legacy clients receive byte-identical responses.
+/// — only when it is present — attach a [`ServerSpan`] to the response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceContext {
     /// Client-process run identifier (not journalled; disambiguates
@@ -274,33 +286,48 @@ fn read_tuple(r: &mut Reader<'_>) -> Result<Tuple, WireError> {
     Ok(tuple)
 }
 
-/// Encodes a request payload (no frame prefix).
-pub fn encode_request(req: &Request) -> Result<Vec<u8>, WireError> {
+/// Encodes a request payload (no frame prefix), followed by `ctx`'s
+/// extension block when there is one.
+pub fn encode_request(req: &Request, ctx: Option<&TraceContext>) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::with_capacity(5 + req.source.len() + req.pattern.len());
     out.push(OP_SCAN);
     put_string(&mut out, &req.source)?;
     put_string(&mut out, &req.pattern)?;
+    if let Some(ctx) = ctx {
+        append_trace_context(&mut out, ctx)?;
+    }
     Ok(out)
 }
 
-fn read_request_body(r: &mut Reader<'_>) -> Result<Request, WireError> {
+/// Decodes a request payload and its optional [`TraceContext`] block,
+/// rejecting unknown opcodes and truncation (see the module docs on
+/// extension blocks).
+pub fn decode_request(payload: &[u8]) -> Result<(Request, Option<TraceContext>), WireError> {
+    let mut r = Reader::new(payload);
     match r.u8()? {
         OP_SCAN => {}
         op => return Err(WireError::BadOp(op)),
     }
     let source = r.string()?.to_string();
     let pattern = r.string()?.to_string();
-    Ok(Request { source, pattern })
-}
-
-/// Decodes a request payload, rejecting unknown opcodes, truncation, and
-/// trailing bytes (extension blocks included — this is the strict legacy
-/// decoder; see [`decode_request_ext`]).
-pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut r = Reader::new(payload);
-    let req = read_request_body(&mut r)?;
-    r.finish()?;
-    Ok(req)
+    let ctx = match find_ext(&mut r, EXT_TRACE_CONTEXT)? {
+        None => None,
+        Some(body) => {
+            let mut b = Reader::new(body);
+            let run = b.u64()?;
+            let plan_seq = b.u64()?;
+            let source = b.string()?.to_string();
+            let attempt = b.u32()?;
+            b.finish()?;
+            Some(TraceContext {
+                run,
+                plan_seq,
+                source,
+                attempt,
+            })
+        }
+    };
+    Ok((Request { source, pattern }, ctx))
 }
 
 /// Encodes an OK response payload straight from borrowed rows — the
@@ -325,12 +352,17 @@ pub fn encode_rows<'a>(
     Ok(out)
 }
 
-/// Encodes a response payload (no frame prefix). `epoch` is the server's
+/// Encodes a response payload (no frame prefix), followed by `span`'s
+/// extension block when there is one. `epoch` is the server's
 /// data-version counter, carried in the header of every response.
-pub fn encode_response(resp: &Response, epoch: u64) -> Result<Vec<u8>, WireError> {
+pub fn encode_response(
+    resp: &Response,
+    epoch: u64,
+    span: Option<&ServerSpan>,
+) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::new();
     match resp {
-        Response::Rows(rows) => return encode_rows(rows, epoch),
+        Response::Rows(rows) => out = encode_rows(rows, epoch)?,
         Response::UnknownSource(msg) => {
             out.push(1);
             out.extend_from_slice(&epoch.to_be_bytes());
@@ -342,10 +374,17 @@ pub fn encode_response(resp: &Response, epoch: u64) -> Result<Vec<u8>, WireError
             put_string(&mut out, msg)?;
         }
     }
+    if let Some(span) = span {
+        append_server_span(&mut out, span)?;
+    }
     Ok(out)
 }
 
-fn read_response_body(r: &mut Reader<'_>) -> Result<(Response, u64), WireError> {
+/// Decodes a response payload into `(response, server epoch, optional
+/// [`ServerSpan`] block)`, rejecting unknown statuses and truncation (see
+/// the module docs on extension blocks).
+pub fn decode_response(payload: &[u8]) -> Result<(Response, u64, Option<ServerSpan>), WireError> {
+    let mut r = Reader::new(payload);
     let status = r.u8()?;
     if status > 2 {
         return Err(WireError::BadStatus(status));
@@ -359,7 +398,7 @@ fn read_response_body(r: &mut Reader<'_>) -> Result<(Response, u64), WireError> 
             }
             let mut rows = Vec::with_capacity(count.min(4096));
             for _ in 0..count {
-                rows.push(read_tuple(r)?);
+                rows.push(read_tuple(&mut r)?);
             }
             Response::Rows(rows)
         }
@@ -367,27 +406,27 @@ fn read_response_body(r: &mut Reader<'_>) -> Result<(Response, u64), WireError> 
         2 => Response::Error(r.string()?.to_string()),
         s => return Err(WireError::BadStatus(s)),
     };
-    Ok((resp, epoch))
+    let span = match find_ext(&mut r, EXT_SERVER_SPAN)? {
+        None => None,
+        Some(body) => {
+            let mut b = Reader::new(body);
+            let recv_parse = f64::from_bits(b.u64()?);
+            let lookup = f64::from_bits(b.u64()?);
+            let encode = f64::from_bits(b.u64()?);
+            let total = f64::from_bits(b.u64()?);
+            let request_seq = b.u64()?;
+            b.finish()?;
+            Some(ServerSpan {
+                recv_parse,
+                lookup,
+                encode,
+                total,
+                request_seq,
+            })
+        }
+    };
+    Ok((resp, epoch, span))
 }
-
-/// Decodes a response payload into `(response, server epoch)`, rejecting
-/// unknown statuses, truncation, and trailing bytes (extension blocks
-/// included — this is the strict legacy decoder; see
-/// [`decode_response_ext`]).
-pub fn decode_response(payload: &[u8]) -> Result<(Response, u64), WireError> {
-    let mut r = Reader::new(payload);
-    let (resp, epoch) = read_response_body(&mut r)?;
-    r.finish()?;
-    Ok((resp, epoch))
-}
-
-// ---------------------------------------------------------------------
-// Extension blocks: optional, length-prefixed, order-independent blobs
-// trailing a message body — `[u8 tag][u16 len][len bytes]` each. Strict
-// decoders reject them as trailing bytes (the legacy behavior the
-// interop tests pin); the `_ext` decoders skip unknown tags, so the
-// protocol can grow without re-framing.
-// ---------------------------------------------------------------------
 
 fn put_ext(out: &mut Vec<u8>, tag: u8, body: &[u8]) -> Result<(), WireError> {
     let len = u16::try_from(body.len()).map_err(|_| WireError::Oversized(body.len()))?;
@@ -435,91 +474,6 @@ pub fn append_server_span(out: &mut Vec<u8>, span: &ServerSpan) -> Result<(), Wi
     }
     body.extend_from_slice(&span.request_seq.to_be_bytes());
     put_ext(out, EXT_SERVER_SPAN, &body)
-}
-
-/// [`encode_request`] plus an optional trace-context extension block
-/// (`None` produces the legacy bytes exactly).
-pub fn encode_request_with(
-    req: &Request,
-    ctx: Option<&TraceContext>,
-) -> Result<Vec<u8>, WireError> {
-    let mut out = encode_request(req)?;
-    if let Some(ctx) = ctx {
-        append_trace_context(&mut out, ctx)?;
-    }
-    Ok(out)
-}
-
-/// [`encode_response`] plus an optional server-span extension block
-/// (`None` produces the legacy bytes exactly).
-pub fn encode_response_with(
-    resp: &Response,
-    epoch: u64,
-    span: Option<&ServerSpan>,
-) -> Result<Vec<u8>, WireError> {
-    let mut out = encode_response(resp, epoch)?;
-    if let Some(span) = span {
-        append_server_span(&mut out, span)?;
-    }
-    Ok(out)
-}
-
-/// Decodes a request and its optional [`TraceContext`]. A legacy payload
-/// (no extension blocks) decodes with `None`; unknown extension tags are
-/// skipped.
-pub fn decode_request_ext(payload: &[u8]) -> Result<(Request, Option<TraceContext>), WireError> {
-    let mut r = Reader::new(payload);
-    let req = read_request_body(&mut r)?;
-    let ctx = match find_ext(&mut r, EXT_TRACE_CONTEXT)? {
-        None => None,
-        Some(body) => {
-            let mut b = Reader::new(body);
-            let run = b.u64()?;
-            let plan_seq = b.u64()?;
-            let source = b.string()?.to_string();
-            let attempt = b.u32()?;
-            b.finish()?;
-            Some(TraceContext {
-                run,
-                plan_seq,
-                source,
-                attempt,
-            })
-        }
-    };
-    r.finish()?;
-    Ok((req, ctx))
-}
-
-/// Decodes a response, its epoch, and its optional [`ServerSpan`]. A
-/// legacy payload (no extension blocks) decodes with `None`; unknown
-/// extension tags are skipped.
-pub fn decode_response_ext(
-    payload: &[u8],
-) -> Result<(Response, u64, Option<ServerSpan>), WireError> {
-    let mut r = Reader::new(payload);
-    let (resp, epoch) = read_response_body(&mut r)?;
-    let span = match find_ext(&mut r, EXT_SERVER_SPAN)? {
-        None => None,
-        Some(body) => {
-            let mut b = Reader::new(body);
-            let recv_parse = f64::from_bits(b.u64()?);
-            let lookup = f64::from_bits(b.u64()?);
-            let encode = f64::from_bits(b.u64()?);
-            let total = f64::from_bits(b.u64()?);
-            let request_seq = b.u64()?;
-            b.finish()?;
-            Some(ServerSpan {
-                recv_parse,
-                lookup,
-                encode,
-                total,
-                request_seq,
-            })
-        }
-    };
-    r.finish()?;
-    Ok((resp, epoch, span))
 }
 
 /// Encodes one named relation — the record format of the store's log
@@ -619,14 +573,35 @@ mod tests {
         items.iter().map(|&i| Constant::Int(i)).collect()
     }
 
+    fn ctx() -> TraceContext {
+        TraceContext {
+            run: 7,
+            plan_seq: 3,
+            source: "v2".into(),
+            attempt: 2,
+        }
+    }
+
+    fn span() -> ServerSpan {
+        ServerSpan {
+            recv_parse: 1e-5,
+            lookup: 3e-5,
+            encode: 2e-5,
+            total: 9e-5,
+            request_seq: 41,
+        }
+    }
+
     #[test]
     fn request_round_trips() {
         let req = Request {
             source: "v3".into(),
             pattern: "scan".into(),
         };
-        let bytes = encode_request(&req).unwrap();
-        assert_eq!(decode_request(&bytes).unwrap(), req);
+        for ctx in [None, Some(ctx())] {
+            let bytes = encode_request(&req, ctx.as_ref()).unwrap();
+            assert_eq!(decode_request(&bytes).unwrap(), (req.clone(), ctx));
+        }
     }
 
     #[test]
@@ -643,8 +618,13 @@ mod tests {
         ];
         for (i, resp) in cases.into_iter().enumerate() {
             let epoch = i as u64 * 1000 + 7;
-            let bytes = encode_response(&resp, epoch).unwrap();
-            assert_eq!(decode_response(&bytes).unwrap(), (resp, epoch));
+            for span in [None, Some(span())] {
+                let bytes = encode_response(&resp, epoch, span.as_ref()).unwrap();
+                assert_eq!(
+                    decode_response(&bytes).unwrap(),
+                    (resp.clone(), epoch, span)
+                );
+            }
         }
     }
 
@@ -654,13 +634,13 @@ mod tests {
             source: "movies".into(),
             pattern: "scan".into(),
         };
-        let bytes = encode_request(&req).unwrap();
+        let bytes = encode_request(&req, None).unwrap();
         for cut in 0..bytes.len() {
             let err = decode_request(&bytes[..cut]).unwrap_err();
             assert_eq!(err, WireError::Truncated, "cut at {cut}");
         }
         let resp = Response::Rows(vec![row(&[1]), vec![Constant::Str("x".into())]]);
-        let bytes = encode_response(&resp, 42).unwrap();
+        let bytes = encode_response(&resp, 42, None).unwrap();
         for cut in 0..bytes.len() {
             assert_eq!(
                 decode_response(&bytes[..cut]).unwrap_err(),
@@ -675,7 +655,7 @@ mod tests {
         assert_eq!(decode_request(&[9]).unwrap_err(), WireError::BadOp(9));
         assert_eq!(decode_response(&[7]).unwrap_err(), WireError::BadStatus(7));
         // Bad constant tag inside a row.
-        let mut bytes = encode_response(&Response::Rows(vec![row(&[5])]), 3).unwrap();
+        let mut bytes = encode_response(&Response::Rows(vec![row(&[5])]), 3, None).unwrap();
         let tag_at = bytes.len() - 9; // tag byte precedes the 8-byte int
         bytes[tag_at] = 0xEE;
         assert_eq!(
@@ -683,7 +663,7 @@ mod tests {
             WireError::BadTag(0xEE)
         );
         // Invalid UTF-8 in a string field.
-        let mut bytes = encode_response(&Response::Error("ab".into()), 3).unwrap();
+        let mut bytes = encode_response(&Response::Error("ab".into()), 3, None).unwrap();
         let n = bytes.len();
         bytes[n - 1] = 0xFF;
         bytes[n - 2] = 0xFE;
@@ -692,14 +672,24 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = encode_request(&Request {
+        let req = Request {
             source: "v1".into(),
             pattern: "scan".into(),
-        })
-        .unwrap();
-        bytes.extend_from_slice(&[0, 0, 0]);
+        };
+        let body = encode_request(&req, None).unwrap();
+        // Fewer stray bytes than a block header, or a block cut short.
+        for stray in [&[0u8][..], &[0, 0], &[0xEE, 0, 2, 9]] {
+            let bytes = [&body[..], stray].concat();
+            assert_eq!(decode_request(&bytes).unwrap_err(), WireError::Truncated);
+        }
+        // A whole block with a tag nobody defined is skipped.
+        let bytes = [&body[..], &[0, 0, 0]].concat();
+        assert_eq!(decode_request(&bytes).unwrap(), (req, None));
+        // Store records carry no blocks: every byte is the record's.
+        let mut record = encode_relation("v1", &[row(&[1])]).unwrap();
+        record.extend_from_slice(&[0, 0, 0]);
         assert_eq!(
-            decode_request(&bytes).unwrap_err(),
+            decode_relation(&record).unwrap_err(),
             WireError::TrailingBytes(3)
         );
     }
@@ -745,84 +735,22 @@ mod tests {
             pattern: "scan".into(),
         };
         assert!(matches!(
-            encode_request(&req).unwrap_err(),
+            encode_request(&req, None).unwrap_err(),
             WireError::Oversized(70_000)
         ));
-    }
-
-    fn ctx() -> TraceContext {
-        TraceContext {
-            run: 7,
-            plan_seq: 3,
-            source: "v2".into(),
-            attempt: 2,
-        }
-    }
-
-    fn span() -> ServerSpan {
-        ServerSpan {
-            recv_parse: 1e-5,
-            lookup: 3e-5,
-            encode: 2e-5,
-            total: 9e-5,
-            request_seq: 41,
-        }
-    }
-
-    #[test]
-    fn trace_context_rides_a_request_and_legacy_requests_decode_without_one() {
-        let req = Request {
-            source: "v2".into(),
-            pattern: "scan".into(),
-        };
-        let bytes = encode_request_with(&req, Some(&ctx())).unwrap();
-        assert_eq!(
-            decode_request_ext(&bytes).unwrap(),
-            (req.clone(), Some(ctx()))
-        );
-        // The strict legacy decoder sees the block as trailing bytes —
-        // exactly how an old server reports an extended request.
-        assert!(matches!(
-            decode_request(&bytes).unwrap_err(),
-            WireError::TrailingBytes(_)
-        ));
-        // No context: the bytes are the legacy bytes, both decoders agree.
-        let plain = encode_request_with(&req, None).unwrap();
-        assert_eq!(plain, encode_request(&req).unwrap());
-        assert_eq!(decode_request_ext(&plain).unwrap(), (req, None));
-    }
-
-    #[test]
-    fn server_span_rides_a_response_and_legacy_responses_decode_without_one() {
-        let resp = Response::Rows(vec![row(&[1, 2])]);
-        let bytes = encode_response_with(&resp, 5, Some(&span())).unwrap();
-        assert_eq!(
-            decode_response_ext(&bytes).unwrap(),
-            (resp.clone(), 5, Some(span()))
-        );
-        assert!(matches!(
-            decode_response(&bytes).unwrap_err(),
-            WireError::TrailingBytes(_)
-        ));
-        let plain = encode_response_with(&resp, 5, None).unwrap();
-        assert_eq!(plain, encode_response(&resp, 5).unwrap());
-        assert_eq!(decode_response_ext(&plain).unwrap(), (resp, 5, None));
     }
 
     #[test]
     fn unknown_extension_tags_are_skipped_not_rejected() {
         let resp = Response::Error("x".into());
-        let mut bytes = encode_response(&resp, 1).unwrap();
+        let mut bytes = encode_response(&resp, 1, None).unwrap();
         // A future extension this decoder has never heard of…
         bytes.push(0xEE);
         bytes.extend_from_slice(&3u16.to_be_bytes());
         bytes.extend_from_slice(&[9, 9, 9]);
         // …then a span block after it.
         append_server_span(&mut bytes, &span()).unwrap();
-        assert_eq!(
-            decode_response_ext(&bytes).unwrap(),
-            (resp, 1, Some(span()))
-        );
+        assert_eq!(decode_response(&bytes).unwrap(), (resp, 1, Some(span())));
     }
 
     #[test]
@@ -831,10 +759,10 @@ mod tests {
             source: "v1".into(),
             pattern: "scan".into(),
         };
-        let bytes = encode_request_with(&req, Some(&ctx())).unwrap();
-        let base = encode_request(&req).unwrap().len();
+        let bytes = encode_request(&req, Some(&ctx())).unwrap();
+        let base = encode_request(&req, None).unwrap().len();
         for cut in base + 1..bytes.len() {
-            assert!(decode_request_ext(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(decode_request(&bytes[..cut]).is_err(), "cut at {cut}");
         }
     }
 }

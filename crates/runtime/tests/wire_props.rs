@@ -1,5 +1,6 @@
 //! Property tests for the source-server wire protocol: arbitrary
-//! requests/responses round-trip bit-exactly, and arbitrary byte soup
+//! requests/responses — with and without their optional extension block
+//! — round-trip bit-exactly, and arbitrary byte soup
 //! never panics a decoder — it errors. Binding-pattern text, which rides
 //! the request's pattern field, round-trips canonically and its parser
 //! is total: byte soup reads as a scan.
@@ -8,9 +9,8 @@ use proptest::prelude::*;
 use qpo_datalog::{Constant, Tuple};
 use qpo_runtime::pattern::{BindingPattern, SCAN_PATTERN};
 use qpo_runtime::wire::{
-    decode_relation, decode_request, decode_request_ext, decode_response, decode_response_ext,
-    encode_relation, encode_request, encode_request_with, encode_response, encode_response_with,
-    read_frame, write_frame, Request, Response, ServerSpan, TraceContext,
+    decode_relation, decode_request, decode_response, encode_relation, encode_request,
+    encode_response, read_frame, write_frame, Request, Response, ServerSpan, TraceContext,
 };
 
 /// An ASCII identifier-ish string (the shim has no regex strategies).
@@ -66,15 +66,20 @@ fn arb_response() -> impl Strategy<Value = Response> {
     ]
 }
 
-fn arb_trace_context() -> impl Strategy<Value = TraceContext> {
-    (any::<u64>(), any::<u64>(), arb_name(16), any::<u32>()).prop_map(
-        |(run, plan_seq, source, attempt)| TraceContext {
-            run,
-            plan_seq,
-            source,
-            attempt,
-        },
+/// The optional context block of a request: absent half the time.
+fn arb_trace_context() -> impl Strategy<Value = Option<TraceContext>> {
+    (
+        any::<bool>(),
+        (any::<u64>(), any::<u64>(), arb_name(16), any::<u32>()),
     )
+        .prop_map(|(present, (run, plan_seq, source, attempt))| {
+            present.then_some(TraceContext {
+                run,
+                plan_seq,
+                source,
+                attempt,
+            })
+        })
 }
 
 /// Finite non-negative phase times, the only values servers measure.
@@ -105,15 +110,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn requests_round_trip(req in arb_request()) {
-        let bytes = encode_request(&req).expect("encodes");
-        prop_assert_eq!(decode_request(&bytes).expect("decodes"), req);
+    fn requests_round_trip(req in arb_request(), ctx in arb_trace_context()) {
+        let bytes = encode_request(&req, ctx.as_ref()).expect("encodes");
+        prop_assert_eq!(decode_request(&bytes).expect("decodes"), (req, ctx));
     }
 
     #[test]
-    fn responses_round_trip(resp in arb_response(), epoch in any::<u64>()) {
-        let bytes = encode_response(&resp, epoch).expect("encodes");
-        prop_assert_eq!(decode_response(&bytes).expect("decodes"), (resp, epoch));
+    fn responses_round_trip(
+        resp in arb_response(),
+        epoch in any::<u64>(),
+        span in arb_server_span(),
+        spanned in any::<bool>(),
+    ) {
+        let span = spanned.then_some(span);
+        let bytes = encode_response(&resp, epoch, span.as_ref()).expect("encodes");
+        prop_assert_eq!(decode_response(&bytes).expect("decodes"), (resp, epoch, span));
     }
 
     #[test]
@@ -129,27 +140,38 @@ proptest! {
 
     #[test]
     fn framed_messages_survive_the_byte_stream(resp in arb_response(), epoch in any::<u64>()) {
-        let payload = encode_response(&resp, epoch).expect("encodes");
+        let payload = encode_response(&resp, epoch, None).expect("encodes");
         let mut stream = Vec::new();
         write_frame(&mut stream, &payload).expect("frames");
         write_frame(&mut stream, &payload).expect("frames again");
         let mut reader = stream.as_slice();
         for _ in 0..2 {
             let got = read_frame(&mut reader).expect("unframes");
-            prop_assert_eq!(decode_response(&got).expect("decodes"), (resp.clone(), epoch));
+            prop_assert_eq!(decode_response(&got).expect("decodes"), (resp.clone(), epoch, None));
         }
     }
 
     #[test]
     fn garbage_never_panics_the_decoders(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         // Errors are fine; panics are not. A decode that happens to
-        // succeed must re-encode to the same bytes (the format is
-        // canonical: no padding, no alternative encodings).
-        if let Ok(req) = decode_request(&bytes) {
-            prop_assert_eq!(encode_request(&req).expect("re-encodes"), bytes.clone());
+        // succeed re-encodes to bytes that decode to the same message and
+        // are no longer than the input (bodies have no padding and no
+        // alternative encodings; skipped or repeated blocks only shrink).
+        if let Ok((req, ctx)) = decode_request(&bytes) {
+            let again = encode_request(&req, ctx.as_ref()).expect("re-encodes");
+            prop_assert!(again.len() <= bytes.len());
+            prop_assert_eq!(decode_request(&again).expect("decodes"), (req, ctx));
         }
-        if let Ok((resp, epoch)) = decode_response(&bytes) {
-            prop_assert_eq!(encode_response(&resp, epoch).expect("re-encodes"), bytes.clone());
+        if let Ok((resp, epoch, span)) = decode_response(&bytes) {
+            let again = encode_response(&resp, epoch, span.as_ref()).expect("re-encodes");
+            prop_assert!(again.len() <= bytes.len());
+            let (resp2, epoch2, span2) = decode_response(&again).expect("decodes");
+            prop_assert_eq!((resp2, epoch2), (resp, epoch));
+            // Garbage may decode to NaN phases: compare spans by bits.
+            let bits = |s: Option<ServerSpan>| {
+                s.map(|s| [s.recv_parse, s.lookup, s.encode, s.total].map(f64::to_bits))
+            };
+            prop_assert_eq!(bits(span2), bits(span));
         }
         let _ = decode_relation(&bytes);
     }
@@ -172,8 +194,8 @@ proptest! {
         prop_assert_eq!(reversed.to_string(), text.clone());
         // And the text survives the request it rides in.
         let req = Request { source: "v1".into(), pattern: text };
-        let bytes = encode_request(&req).expect("encodes");
-        prop_assert_eq!(decode_request(&bytes).expect("decodes"), req);
+        let bytes = encode_request(&req, None).expect("encodes");
+        prop_assert_eq!(decode_request(&bytes).expect("decodes"), (req, None));
     }
 
     #[test]
@@ -197,28 +219,10 @@ proptest! {
 
     #[test]
     fn truncations_error_cleanly(resp in arb_response(), epoch in any::<u64>(), cut in 0usize..64) {
-        let bytes = encode_response(&resp, epoch).expect("encodes");
+        let bytes = encode_response(&resp, epoch, None).expect("encodes");
         if cut < bytes.len() {
             prop_assert!(decode_response(&bytes[..cut]).is_err());
         }
-    }
-
-    #[test]
-    fn traced_requests_round_trip_and_strict_decoders_reject_them(
-        req in arb_request(),
-        ctx in arb_trace_context(),
-    ) {
-        let bytes = encode_request_with(&req, Some(&ctx)).expect("encodes");
-        let (got, got_ctx) = decode_request_ext(&bytes).expect("decodes");
-        prop_assert_eq!(got, req.clone());
-        prop_assert_eq!(got_ctx, Some(ctx));
-        // A legacy (strict) server sees the context as trailing bytes —
-        // the downgrade signal the client latches on.
-        prop_assert!(decode_request(&bytes).is_err());
-        // And a plain request decodes through the ext path with no
-        // context, so tracing servers accept legacy clients unchanged.
-        let plain = encode_request(&req).expect("encodes");
-        prop_assert_eq!(decode_request_ext(&plain).expect("decodes"), (req, None));
     }
 
     #[test]
@@ -227,8 +231,8 @@ proptest! {
         epoch in any::<u64>(),
         span in arb_server_span(),
     ) {
-        let bytes = encode_response_with(&resp, epoch, Some(&span)).expect("encodes");
-        let (got, got_epoch, got_span) = decode_response_ext(&bytes).expect("decodes");
+        let bytes = encode_response(&resp, epoch, Some(&span)).expect("encodes");
+        let (got, got_epoch, got_span) = decode_response(&bytes).expect("decodes");
         prop_assert_eq!(got, resp.clone());
         prop_assert_eq!(got_epoch, epoch);
         let got_span = got_span.expect("span rides along");
@@ -238,21 +242,5 @@ proptest! {
         prop_assert_eq!(got_span.encode.to_bits(), span.encode.to_bits());
         prop_assert_eq!(got_span.total.to_bits(), span.total.to_bits());
         prop_assert_eq!(got_span.request_seq, span.request_seq);
-        // The strict decoder rejects the extended payload rather than
-        // misreading it.
-        prop_assert!(decode_response(&bytes).is_err());
-    }
-
-    #[test]
-    fn legacy_responses_decode_through_the_ext_path(
-        resp in arb_response(),
-        epoch in any::<u64>(),
-    ) {
-        // A legacy server's plain response must decode on a tracing
-        // client with no span — the graceful-degradation contract.
-        let bytes = encode_response(&resp, epoch).expect("encodes");
-        let (got, got_epoch, span) = decode_response_ext(&bytes).expect("decodes");
-        prop_assert_eq!((got, got_epoch), (resp, epoch));
-        prop_assert!(span.is_none());
     }
 }

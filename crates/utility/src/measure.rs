@@ -89,9 +89,9 @@ impl IntervalCarry {
 
 /// A utility measure `u(p | executed, Q)` over a [`ProblemInstance`].
 ///
-/// Measures are `Sync`: the ordering kernel fans pending interval
-/// evaluations out over a scoped thread pool, sharing one `&M` across
-/// workers, so any internal state must be thread-safe (plain data or
+/// An orderer drives its measure from one thread (pops are serial), so
+/// the trait asks for no thread-safety; a measure shared by orderers on
+/// several threads must be `Sync` on its own account (plain data or
 /// atomics — see [`CountingMeasure`]).
 ///
 /// # Soundness contracts
@@ -117,7 +117,7 @@ impl IntervalCarry {
 ///   `true`, then replacing a source by one with a higher
 ///   [`source_preference`](UtilityMeasure::source_preference) in any plan,
 ///   under any context, must not lower the plan's utility.
-pub trait UtilityMeasure: Sync {
+pub trait UtilityMeasure {
     /// Short identifier used in logs and experiment tables.
     fn name(&self) -> &'static str;
 
@@ -337,8 +337,8 @@ pub fn as_concrete(candidates: &[Vec<usize>]) -> Option<Vec<usize>> {
 /// Decorator counting evaluations — the "number of plans evaluated" metric
 /// the paper's discussion of Figure 6 relies on.
 ///
-/// Counters are atomic so the decorator stays [`Sync`] and counts remain
-/// exact when the ordering kernel evaluates intervals on worker threads.
+/// Counters are atomic so the decorator is [`Sync`] when its inner measure
+/// is, and counts stay exact when orderers on several threads share one.
 pub struct CountingMeasure<M> {
     inner: M,
     concrete_evals: AtomicU64,

@@ -120,11 +120,11 @@ fn main() {
         "retries recover the full answer set"
     );
     println!("    Observed per-source failure rates (catalog says 0.0–0.2 + 0.25 injected):");
-    for ((bucket, index), rec) in flaky.health.iter() {
+    for (name, drift) in flaky.divergence.iter() {
         println!(
-            "      bucket {bucket} source {index}: {:>5.1}% over {} attempts",
-            rec.observed_transient_rate().unwrap_or(0.0) * 100.0,
-            rec.attempts
+            "      source {name}: {:>5.1}% over {} attempts",
+            drift.transient_failures as f64 / drift.attempts.max(1) as f64 * 100.0,
+            drift.attempts
         );
     }
 

@@ -4,11 +4,14 @@
 # tracks the net line count; this puts the number in every CI log. Three
 # rows after `total`, not added into it so the series stays comparable,
 # count the same way what lives outside `src/*.rs`: the bins, any cargo
-# benches, and the first-party shims.
+# benches, and the first-party shims. A last row, `builders`, is the
+# option count: `pub fn with_*` / `pub fn set_*` in the same non-test
+# `src` lines — each one a value somebody can set independently.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Non-test lines of the given files matching $pat (unset: every line).
 count() {
-  awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n+0}' "$@" </dev/null
+  awk -v pat="${pat:-}" 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat{n++} END{print n+0}' "$@" </dev/null
 }
 total=0
 for dir in crates/*/; do
@@ -22,3 +25,4 @@ shopt -s nullglob
 printf '%-14s %6d\n' bins "$(count crates/*/src/bin/*.rs)"
 printf '%-14s %6d\n' benches "$(count crates/*/benches/*.rs)"
 printf '%-14s %6d\n' shims "$(count shims/*/src/*.rs)"
+printf '%-14s %6d\n' builders "$(pat='pub fn (with|set)_' count crates/*/src/*.rs)"

@@ -115,8 +115,8 @@ pub mod prelude {
     };
     pub use qpo_runtime::{
         BackendError, BackendErrorClass, FaultConfig, MemProvider, PlanStatus, RelationProvider,
-        RetryPolicy, RunBudget, RuntimePolicy, SimBackend, SourceBackend, SourceHealth,
-        SourceServer, StoreBackend, TcpBackend,
+        RetryPolicy, RunBudget, RuntimePolicy, SimBackend, SourceBackend, SourceServer,
+        StoreBackend, TcpBackend,
     };
     pub use qpo_utility::{
         Combined, CountingMeasure, Coverage, ExecutionContext, FailureCost, FusionCost, LinearCost,
