@@ -11,17 +11,56 @@ use crate::term::{Constant, Term};
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A ground tuple.
 pub type Tuple = Vec<Constant>;
+
+/// The one hasher of rows, under the join's bucket index and the executor's
+/// answer union: multiply-rotate over 8-byte words, under half SipHash's
+/// cost on a short row. Keyed once per process, as rows arrive from remote
+/// sources; `finish` folds the high half into the low bits `join_atom` masks.
+#[derive(Debug, Clone, Copy)]
+pub struct RowHasher(u64);
+
+impl Default for RowHasher {
+    fn default() -> Self {
+        static KEY: OnceLock<u64> = OnceLock::new();
+        RowHasher(*KEY.get_or_init(|| RandomState::new().hash_one(0u8)))
+    }
+}
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // A short last word is padded with its length: `ab` is not `ab\0`.
+        for chunk in bytes.chunks(8) {
+            let mut word = [chunk.len() as u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let wide = u128::from(self.0) * 0x9e37_79b9_7f4a_7c15_u128;
+        (wide as u64) ^ ((wide >> 64) as u64)
+    }
+}
 
 /// The intermediate rows of the hash-join pipeline after a body-atom
 /// prefix, as one flat row-major table: column `i` holds the `i`-th
 /// variable of the prefix in first-occurrence order, so a row needs no
 /// names and no allocation of its own. The prefix with no atoms is the
-/// single empty row (`width == 0`, `len() == 1`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// single empty row (`width == 0`, `len() == 1`). A plan's answers leave
+/// the pipeline in the same shape: one row per match, duplicates kept.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefixRows {
     width: usize,
     count: usize,
@@ -30,6 +69,17 @@ pub struct PrefixRows {
 }
 
 impl PrefixRows {
+    /// `count` rows of `width` values each, row-major; panics unless
+    /// `values` holds exactly that many.
+    pub fn new(width: usize, count: usize, values: Vec<Constant>) -> Self {
+        assert_eq!(values.len(), width * count, "not {count} rows of {width}");
+        PrefixRows {
+            width,
+            count,
+            values,
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.count
@@ -91,12 +141,12 @@ impl JoinPrefix {
 /// may hand each the rows its own constants selected. Each atom still
 /// applies its constants and repeated variables to every row it reads,
 /// so a slot may hold any superset of the matching rows, duplicates
-/// included. Runs the same pipeline as [`Database::evaluate_seeded`],
+/// included. Runs the same pipeline as [`Database::evaluate_rows`],
 /// `seed` and captured prefixes included (slots the seed covers are never
 /// read): when every slot holds a superset of the rows a database stores
 /// under that atom's predicate that match it, the two return the same
-/// answers — and, when each slot lists those rows once and in the
-/// database's order, the same prefixes.
+/// answer *set* — and, when each slot lists those rows once and in the
+/// database's order, the same rows and the same prefixes.
 ///
 /// # Panics
 /// Panics if the query is unsafe.
@@ -104,7 +154,7 @@ pub fn evaluate_slots(
     query: &ConjunctiveQuery,
     seed: Option<&JoinPrefix>,
     slots: &[&[Tuple]],
-) -> (Vec<Tuple>, Vec<JoinPrefix>) {
+) -> (PrefixRows, Vec<JoinPrefix>) {
     join_pipeline(query, seed, |i| slots.get(i).copied().unwrap_or_default())
 }
 
@@ -144,8 +194,7 @@ fn compile<'q>(atom: &'q Atom, columns: &mut Vec<&'q str>) -> Vec<Slot<'q>> {
     atom.terms.iter().enumerate().map(slot).collect()
 }
 
-fn key_hash<'c>(hasher: &RandomState, key: impl Iterator<Item = &'c Constant>) -> usize {
-    let mut state = hasher.build_hasher();
+fn key_hash<'c>(mut state: RowHasher, key: impl Iterator<Item = &'c Constant>) -> usize {
     key.for_each(|c| c.hash(&mut state));
     state.finish() as usize
 }
@@ -159,7 +208,7 @@ fn join_atom<'t>(
     rows: &PrefixRows,
     slots: &[Slot<'_>],
     source: impl Iterator<Item = &'t Tuple>,
-    hasher: &RandomState,
+    hasher: RowHasher,
 ) -> PrefixRows {
     const END: usize = usize::MAX;
     let admits = |tuple: &&Tuple| {
@@ -186,11 +235,7 @@ fn join_atom<'t>(
         let bucket = key_hash(hasher, keys.iter().map(|&(p, _)| &tuple[p])) & mask;
         next[i] = std::mem::replace(&mut heads[bucket], i);
     }
-    let mut out = PrefixRows {
-        width: rows.width + fresh.len(),
-        count: 0,
-        values: Vec::new(),
-    };
+    let mut out = PrefixRows::new(rows.width + fresh.len(), 0, Vec::new());
     for row in rows.iter() {
         let mut i = heads[key_hash(hasher, keys.iter().map(|&(_, c)| &row[c])) & mask];
         while i != END {
@@ -207,15 +252,17 @@ fn join_atom<'t>(
     out
 }
 
-/// The hash-join pipeline behind [`Database::evaluate_seeded`] and
+/// The hash-join pipeline behind [`Database::evaluate_rows`] and
 /// [`evaluate_slots`], generic over where body atom `i` reads its rows
 /// (monomorphised per caller: the database probes its predicate map, the
-/// slot-fed path indexes a slice). Answers come back sorted and distinct.
+/// slot-fed path indexes a slice). The answers are the head projected
+/// from every row the last atom left, in that order: nothing here sorts,
+/// compares for order or drops a duplicate.
 fn join_pipeline<'t, I>(
     query: &ConjunctiveQuery,
     seed: Option<&JoinPrefix>,
     rows_of: impl Fn(usize) -> I,
-) -> (Vec<Tuple>, Vec<JoinPrefix>)
+) -> (PrefixRows, Vec<JoinPrefix>)
 where
     I: IntoIterator<Item = &'t Tuple>,
 {
@@ -229,48 +276,41 @@ where
     }
     let mut rows = match seed {
         Some(s) if start > 0 => Arc::clone(&s.rows),
-        _ => Arc::new(PrefixRows {
-            width: 0,
-            count: 1,
-            values: Vec::new(),
-        }),
+        _ => Arc::new(PrefixRows::new(0, 1, Vec::new())),
     };
     assert_eq!(rows.width, columns.len(), "seed of another atom prefix");
-    let hasher = RandomState::new();
+    let hasher = RowHasher::default();
     let mut captured: Vec<JoinPrefix> = Vec::new();
     for (i, atom) in query.body.iter().enumerate().skip(start) {
         // Short-circuit: an empty intermediate set stays empty, and
         // stopping *before* the atom keeps the captured-prefix list
         // identical whether or not this evaluation was seeded.
         if rows.is_empty() {
-            return (Vec::new(), captured);
+            break;
         }
         let slots = compile(atom, &mut columns);
-        rows = Arc::new(join_atom(&rows, &slots, rows_of(i).into_iter(), &hasher));
+        rows = Arc::new(join_atom(&rows, &slots, rows_of(i).into_iter(), hasher));
         captured.push(JoinPrefix {
             len: i + 1,
             rows: Arc::clone(&rows),
         });
     }
     // Compiled like a body atom, the head reads columns: safety makes
-    // every variable of it a `Key`.
+    // every variable of it a `Key` (or the loop left no row to project).
     let head = compile(&query.head, &mut columns);
-    let project = |row: &[Constant]| {
-        let mut tuple = Tuple::with_capacity(head.len());
+    let mut values: Vec<Constant> = Vec::with_capacity(head.len() * rows.count);
+    for row in rows.iter() {
+        let base = values.len();
         for slot in &head {
-            tuple.push(match slot {
+            values.push(match slot {
                 Slot::Const(c) => (*c).clone(),
                 Slot::Key(column) => row[*column].clone(),
-                Slot::Repeat(earlier) => tuple[*earlier].clone(),
+                Slot::Repeat(earlier) => values[base + earlier].clone(),
                 Slot::New => unreachable!("safe query binds every head variable"),
             });
         }
-        tuple
-    };
-    let mut answers: Vec<Tuple> = rows.iter().map(project).collect();
-    answers.sort_unstable();
-    answers.dedup();
-    (answers, captured)
+    }
+    (PrefixRows::new(head.len(), rows.count, values), captured)
 }
 
 /// An in-memory database: a set of ground facts per predicate.
@@ -334,7 +374,8 @@ impl Database {
     /// captured after each processed atom (so callers can memoize them
     /// for later plans sharing the prefix). The answers are a sorted
     /// vector of distinct tuples — the order a `BTreeSet` would iterate
-    /// them in — so a caller accumulating a union pays for one set only.
+    /// them in: [`Database::evaluate_rows`] plus one sort at this edge,
+    /// for callers that compare or replay answer lists.
     ///
     /// A seed is only sound when it was captured — by this method, on
     /// this database — for a query whose first `seed.len` body atoms are
@@ -356,6 +397,21 @@ impl Database {
         query: &ConjunctiveQuery,
         seed: Option<&JoinPrefix>,
     ) -> (Vec<Tuple>, Vec<JoinPrefix>) {
+        let (rows, captured) = self.evaluate_rows(query, seed);
+        let mut answers: Vec<Tuple> = rows.iter().map(<[Constant]>::to_vec).collect();
+        answers.sort_unstable();
+        answers.dedup();
+        (answers, captured)
+    }
+
+    /// [`Database::evaluate_seeded`] before its sort — same seeds, same
+    /// prefixes: the head's rows as they leave the join, one per match in
+    /// pipeline order, in one flat table. What the executor's merge hashes.
+    pub fn evaluate_rows(
+        &self,
+        query: &ConjunctiveQuery,
+        seed: Option<&JoinPrefix>,
+    ) -> (PrefixRows, Vec<JoinPrefix>) {
         join_pipeline(query, seed, |i| self.tuples(&query.body[i].predicate))
     }
 
@@ -418,6 +474,8 @@ impl Database {
 mod tests {
     use super::*;
     use crate::parse::parse_query;
+    use std::collections::HashMap;
+    use std::hash::BuildHasherDefault;
 
     fn movie_db() -> Database {
         let mut db = Database::new();
@@ -560,9 +618,13 @@ mod tests {
                 reference.iter().eq(&db.evaluate(&q)),
                 "{text}: sorted, distinct"
             );
+            // The flat rows under it: one per match, in pipeline order.
+            let (flat, _) = db.evaluate_rows(&q, None);
+            assert_eq!(flat.len(), captured.last().map_or(0, |p| p.rows.len()));
             for prefix in &captured {
                 let (seeded, rest) = db.evaluate_seeded(&q, Some(prefix));
                 assert_eq!(seeded, reference, "{text} seeded at {}", prefix.len);
+                assert_eq!(db.evaluate_rows(&q, Some(prefix)).0, flat, "{text}");
                 // The re-captured suffix matches the original's tail.
                 let tail: Vec<_> = captured.iter().filter(|p| p.len > prefix.len).collect();
                 assert_eq!(rest.len(), tail.len());
@@ -627,11 +689,89 @@ mod tests {
         assert_eq!(captured[1].rows.len(), 7);
         // A ground atom adds no column and keeps every row.
         assert_eq!(rows(&captured[2]), joined);
+        // The head's rows leave as the join left them: rows in order,
+        // matches in slot order, duplicates kept.
+        let flat = int(&[
+            &[3, 9],
+            &[3, 4],
+            &[3, 9],
+            &[1, 5],
+            &[2, 9],
+            &[2, 4],
+            &[2, 9],
+        ]);
+        assert_eq!(answers, PrefixRows::new(2, 7, flat.concat()));
+        // The order is enforced at `evaluate_seeded`'s edge, once.
+        let mut db = Database::new();
+        for (predicate, tuples) in [("a", a), ("b", b), ("c", c)] {
+            for tuple in tuples {
+                db.insert(predicate, tuple);
+            }
+        }
         assert_eq!(
-            answers,
+            db.evaluate_seeded(&q, None).0,
             int(&[&[1, 5], &[2, 4], &[2, 9], &[3, 4], &[3, 9]]),
             "sorted and distinct"
         );
+    }
+
+    /// Keys of the shapes remote rows take, `n` distinct of each.
+    fn key_families(n: usize) -> Vec<(String, Vec<Tuple>)> {
+        let ints = |f: &dyn Fn(i64) -> Tuple| (0..n as i64).map(f).collect::<Vec<Tuple>>();
+        let mut families = vec![("ints".to_string(), ints(&|i| vec![Constant::Int(i)]))];
+        for k in [1, 3, 8, 12, 16, 20] {
+            let strided = ints(&|i| vec![Constant::Int(i << k)]);
+            families.push((format!("stride 2^{k}"), strided));
+        }
+        for prefix in ["m", "movie_", "a_shared_prefix_of_three_words_"] {
+            let named = ints(&|i| vec![Constant::str(format!("{prefix}{i}"))]);
+            families.push((format!("strings {prefix}*"), named));
+        }
+        let mixed = ints(&|i| {
+            let name = Constant::str(format!("s{}", i / 64));
+            vec![Constant::Int(i % 64), name, Constant::Int(i << 16)]
+        });
+        families.push(("mixed rows".to_string(), mixed));
+        families
+    }
+
+    /// The longest chain `join_atom` threads over `tuples` keyed on every
+    /// position (a bucket is `key_hash` under its mask), and the most keys
+    /// sharing one of a `HashMap`'s 128 tags (the hash's top seven bits;
+    /// its low bits pick the bucket, as the chains' do).
+    fn spread(tuples: &[Tuple], hasher: RowHasher) -> (usize, usize) {
+        let mask = (2 * tuples.len()).next_power_of_two() - 1;
+        let (mut chains, mut tags) = (vec![0usize; mask + 1], [0usize; 128]);
+        for tuple in tuples {
+            chains[key_hash(hasher, tuple.iter()) & mask] += 1;
+            let mut state = hasher;
+            tuple.hash(&mut state);
+            tags[(state.finish() >> 57) as usize] += 1;
+        }
+        let most = |loads: &[usize]| loads.iter().copied().max().unwrap();
+        (most(&chains), most(&tags))
+    }
+
+    /// Rows arrive from remote sources, so the hasher meets keys nobody
+    /// here chose: sequential ids, ids strided by a power of two, names
+    /// sharing a prefix, mixed rows. Under each, `join_atom`'s chains
+    /// (which mask the *low* bits) and a `HashMap`'s tags stay within a
+    /// small constant of what a random function gives, and the union map
+    /// finds every row under its borrowed form.
+    #[test]
+    fn row_hasher_spreads_the_keys_sources_send() {
+        let n = 4096;
+        for (family, tuples) in key_families(n) {
+            // A random function: 4096 keys in 8192 buckets chain 5 or 6
+            // deep, and put 32 keys under a tag on average.
+            let (longest, crowded) = spread(&tuples, RowHasher::default());
+            assert!(longest <= 12, "{family}: a chain of {longest}");
+            assert!(crowded <= 3 * n / 128, "{family}: {crowded} keys a tag");
+            let mut union: HashMap<Tuple, u64, BuildHasherDefault<RowHasher>> = HashMap::default();
+            union.extend(tuples.iter().map(|t| (t.clone(), 0)));
+            assert_eq!(union.len(), n, "{family}");
+            assert!(tuples.iter().all(|t| union.contains_key(t.as_slice())));
+        }
     }
 
     #[test]

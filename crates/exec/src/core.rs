@@ -39,7 +39,7 @@ use qpo_catalog::ProblemInstance;
 use qpo_core::OrderedPlan;
 use qpo_datalog::{
     evaluate_slots, is_sound_plan, ConjunctiveQuery, Database, ExpansionError, JoinPrefix,
-    SourceDescription, Tuple,
+    PrefixRows, SourceDescription, Tuple,
 };
 use qpo_obs::{encode_plan, Counter, Gauge, Obs, Value};
 use qpo_reformulation::PreparedQuery;
@@ -192,8 +192,8 @@ impl<'a> PlanCore<'a> {
         }))
     }
 
-    /// Joins `plan_query` from `seed`, returning its answers (sorted,
-    /// distinct) and the prefixes captured past the seed: over the
+    /// Joins `plan_query` from `seed`, returning its answers (flat, as they
+    /// leave the join) and the prefixes captured past the seed: over the
     /// extensions, or over the backend's rows in place — slot `i` feeds
     /// body atom `i`, which applies its own constants to whatever superset
     /// was shipped; slots the seed covers are never read. The backend is
@@ -205,9 +205,9 @@ impl<'a> PlanCore<'a> {
         plan_query: &ConjunctiveQuery,
         fetched: &[Option<Rows>],
         seed: Option<&JoinPrefix>,
-    ) -> (Vec<Tuple>, Vec<JoinPrefix>) {
+    ) -> (PrefixRows, Vec<JoinPrefix>) {
         if !self.serves_data() {
-            return self.db.evaluate_seeded(plan_query, seed);
+            return self.db.evaluate_rows(plan_query, seed);
         }
         let covered = seed.map_or(0, |s| s.len);
         let atoms = plan_query.body.iter().enumerate();
@@ -242,7 +242,7 @@ impl PlanEvaluator for PlanCore<'_> {
         })
     }
 
-    fn evaluate(&self, plan: &[usize], fetched: &[Option<Rows>]) -> Vec<Tuple> {
+    fn evaluate(&self, plan: &[usize], fetched: &[Option<Rows>]) -> PrefixRows {
         let (plan_query, seed) = self.slot(plan, |s| (Arc::clone(&s.query), s.seed.take()));
         let (answers, captured) = self.join(&plan_query, fetched, seed.as_ref());
         if self.memo.is_some() {
@@ -629,6 +629,11 @@ pub(crate) mod tests {
         (plan, sources)
     }
 
+    /// The flat rows of a join as the set `Database::evaluate` returns.
+    fn as_set(rows: &PrefixRows) -> std::collections::BTreeSet<Tuple> {
+        rows.iter().map(<[_]>::to_vec).collect()
+    }
+
     fn errors(obs: &Obs, class: &str) -> u64 {
         let labels = [("backend", "rows-test"), ("class", class)];
         obs.registry
@@ -655,18 +660,22 @@ pub(crate) mod tests {
             utility: -1.0,
         };
         let query_of = || Arc::clone(&lock(&core.handoff)[&plan].query);
+        let reference = m
+            .database()
+            .evaluate(&prepared.reformulation.plan_query(&plan));
         let mut answers = Vec::new();
         for seq in 0..2 {
             wave.plan_scheduled(seq, &ordered, 0.0);
             let assembled = query_of();
             assert!(core.is_sound(&plan));
             answers.push(core.evaluate(&plan, &[]));
+            assert_eq!(as_set(&answers[seq as usize]), reference);
             assert!(Arc::ptr_eq(&assembled, &query_of()), "built once");
             let report = PlanExecution {
                 seq,
                 ordered: ordered.clone(),
                 status: PlanStatus::Executed {
-                    tuples: answers[0].len(),
+                    tuples: reference.len(),
                     new_tuples: 0,
                     cumulative: 0,
                 },
@@ -683,8 +692,8 @@ pub(crate) mod tests {
             (memo.subplans.stores(), wave.hooks.reused),
             (plan.len() as u64, 1)
         );
-        assert_eq!(answers[0], answers[1]);
-        assert!(!answers[0].is_empty());
+        assert_eq!(answers[0], answers[1], "seeded: the same rows, in order");
+        assert!(!reference.is_empty());
     }
 
     /// An orderer emitting a fixed plan sequence.
@@ -738,7 +747,9 @@ pub(crate) mod tests {
         };
         // A backend holding the extensions' rows: the replayed plan joins
         // what the live one fetched.
-        let reference = PlanCore::new(&m, &prepared, m.obs()).evaluate(&plan, &[]);
+        let reference = m
+            .database()
+            .evaluate(&prepared.reformulation.plan_query(&plan));
         let seeded = Arc::new(RowsBackend::seeded(&m));
         let reports = live_then_replayed(&m, &prepared, &plan, seeded);
         assert_eq!(tuples(reports), [reference.len(); 2]);
@@ -759,7 +770,8 @@ pub(crate) mod tests {
         let prepared = m.prepare(&movie_query()).unwrap();
         let (plan, sources) = answering_plan(&m, &prepared);
         let plan_query = prepared.reformulation.plan_query(&plan);
-        let (reference, prefixes) = m.database().evaluate_seeded(&plan_query, None);
+        let reference = m.database().evaluate(&plan_query);
+        let (_, prefixes) = m.database().evaluate_rows(&plan_query, None);
         let backend = RowsBackend::seeded(&m);
         // Slot 0 was handed the empty relation; the others, their rows.
         let mut fetched: Vec<Option<Rows>> = (sources.iter())
@@ -770,7 +782,7 @@ pub(crate) mod tests {
         core.serve_from(Arc::new(backend));
         assert!(core.join(&plan_query, &fetched, None).0.is_empty());
         let (answers, captured) = core.join(&plan_query, &fetched, Some(&prefixes[0]));
-        assert_eq!(answers, reference);
+        assert_eq!(as_set(&answers), reference);
         assert_eq!(captured, prefixes[1..]);
     }
 

@@ -47,11 +47,8 @@ use qpo_reformulation::PreparedQuery;
 use qpo_runtime::{PlanExecution, PlanStatus, RunState, RuntimePolicy};
 use qpo_utility::UtilityMeasure;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// What [`QuerySession::answers`] borrows before the first pull.
-static NO_ANSWERS: BTreeSet<Tuple> = BTreeSet::new();
 
 /// An open query-serving session: one prepared query, one orderer, and
 /// the run accumulating its answers.
@@ -88,6 +85,9 @@ pub struct QuerySession<'s> {
     strategy: Strategy,
     // The run, begun at the first pull.
     run: Option<RunState>,
+    // The run's answers in order, for `answers()`: built on first ask,
+    // dropped by the next merge — a session that never asks never sorts.
+    sorted: OnceLock<BTreeSet<Tuple>>,
     opened: Instant,
     obs: &'s Obs,
     board_id: u64,
@@ -141,6 +141,7 @@ impl<'s> QuerySession<'s> {
             orderer,
             strategy,
             run: None,
+            sorted: OnceLock::new(),
             opened: Instant::now(),
             obs,
             board_id,
@@ -280,9 +281,11 @@ impl<'s> QuerySession<'s> {
         self.hooks.delivered()
     }
 
-    /// Distinct answers accumulated so far.
+    /// Distinct answers accumulated so far. The run keeps them hashed;
+    /// the sorted view is built on the first call after a merge.
     pub fn answers(&self) -> &BTreeSet<Tuple> {
-        self.run.as_ref().map_or(&NO_ANSWERS, |run| &run.answers)
+        self.sorted
+            .get_or_init(|| self.run.as_ref().map(RunState::answers).unwrap_or_default())
     }
 
     /// Plans emitted so far (sound or not).
@@ -321,6 +324,7 @@ impl<'s> QuerySession<'s> {
         // Lazy release: no tuple leaves the gate until `next_tuple` asks.
         let mut wave = WaveHooks::new(&mut self.hooks, &self.core, None);
         let execution = executor.step(run, self.orderer.as_mut(), budget, &mut wave)?;
+        self.sorted.take();
         let slot = wave.closed.expect("the merge closes the plan's slot");
         let PlanExecution {
             seq,
@@ -346,7 +350,7 @@ impl<'s> QuerySession<'s> {
             soundness_error: slot.soundness_error,
             failure,
             new_tuples,
-            cumulative: run.answers.len(),
+            cumulative: run.answer_count(),
         };
         let elapsed_ms = self.opened.elapsed().as_secs_f64() * 1e3;
         if seq == 0 {
@@ -388,7 +392,7 @@ impl<'s> QuerySession<'s> {
         let quality = self.quality.as_ref();
         self.obs.sessions.update(self.board_id, |e| {
             e.plans_emitted = seq + 1;
-            e.answers = run.answers.len() as u64;
+            e.answers = run.answer_count() as u64;
             e.spent = run.spent();
             e.time_to_first_plan_ms.get_or_insert(elapsed_ms);
             (e.utility_mass, e.regret) = quality.map(|q| (q.mass(), q.regret())).unzip();
@@ -505,7 +509,7 @@ impl<'s> QuerySession<'s> {
         }
         MediatorRun {
             reports,
-            answers: self.answers().clone(),
+            answers: self.run.as_ref().map(RunState::answers).unwrap_or_default(),
         }
     }
 }

@@ -62,9 +62,10 @@ use crate::policy::{RetryPolicy, RuntimePolicy};
 use crate::source::{AccessOutcome, SourceGrid, SourceService};
 use crossbeam::channel;
 use qpo_core::{OrderedPlan, PlanOrderer, PlanOutcome};
-use qpo_datalog::Tuple;
+use qpo_datalog::{PrefixRows, RowHasher, Tuple};
 use qpo_obs::{Counter, Gauge, Histogram, Obs, Value};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -87,16 +88,18 @@ pub trait PlanEvaluator: Sync {
     /// reported but never executed, mirroring the serial mediator).
     fn is_sound(&self, plan: &[usize]) -> bool;
 
-    /// Evaluates the plan's conjunctive query, returning its answers —
-    /// each once: the merge counts them as the plan's `tuples` and unions
-    /// them into the run's answer set as they come, with no set of the
-    /// plan's own in between. `fetched[bucket]` holds the rows the backend
-    /// returned for that bucket's access — live, or replayed from the
-    /// [`SourceMemo`] entry that resolved the slot — and is `None` only
-    /// where the backend holds no data (the simulator). An evaluator over
-    /// a static database ignores them, which is exactly the simulated
-    /// world's contract; qpo-exec's core joins them in place.
-    fn evaluate(&self, plan: &[usize], fetched: &[Option<Arc<Vec<Tuple>>>]) -> Vec<Tuple>;
+    /// Evaluates the plan's conjunctive query, returning its answers as
+    /// one flat table, in any order, duplicates allowed: the merge hashes
+    /// each row into the run's union and counts it towards the plan's
+    /// `tuples` once — the entry is stamped with the plan — so no evaluator
+    /// sorts, dedups or builds a set of the plan's own. `fetched[bucket]`
+    /// holds the rows the backend returned for that bucket's access —
+    /// live, or replayed from the [`SourceMemo`] entry that resolved the
+    /// slot — and is `None` only where the backend holds no data (the
+    /// simulator). An evaluator over a static database ignores them, which
+    /// is exactly the simulated world's contract; qpo-exec's core joins
+    /// them in place.
+    fn evaluate(&self, plan: &[usize], fetched: &[Option<Arc<Vec<Tuple>>>]) -> PrefixRows;
 
     /// The binding pattern ([`crate::pattern`]) the access for `bucket`
     /// of `plan` goes out under — the constants that subgoal of the plan
@@ -370,7 +373,7 @@ struct Completion {
     seq: u64,
     ordered: OrderedPlan,
     sound: bool,
-    tuples: Vec<Tuple>,
+    tuples: PrefixRows,
     accesses: Vec<SourceAccess>,
     /// The rows each access returned, aligned with `accesses`.
     fetched: Vec<Option<Rows>>,
@@ -459,8 +462,9 @@ struct Pool<'p> {
 /// [`RunState::finish`] seals it; in between it can be held for as long
 /// as the caller likes — a pull-based session is exactly that.
 pub struct RunState {
-    /// Union of the merged plans' answers.
-    pub answers: BTreeSet<Tuple>,
+    /// Union of the merged plans' answers, each under the `seq` of the
+    /// last plan that derived it. Its iteration order is never observed.
+    union: HashMap<Tuple, u64, BuildHasherDefault<RowHasher>>,
     /// Aggregate counters over the merged plans.
     pub stats: RunStats,
     /// Emission-time cost of the merged plans that were attempted.
@@ -482,6 +486,16 @@ pub struct RunState {
 }
 
 impl RunState {
+    /// The distinct answers merged so far, sorted: a copy, built per call.
+    pub fn answers(&self) -> BTreeSet<Tuple> {
+        self.union.keys().cloned().collect()
+    }
+
+    /// How many distinct answers have been merged.
+    pub fn answer_count(&self) -> usize {
+        self.union.len()
+    }
+
     /// Cost spent so far: negated emission-time utility, summed in
     /// emission order over the merged plans that were attempted (executed
     /// or failed). Unsound plans are discarded unexecuted and spend
@@ -521,7 +535,7 @@ impl RunState {
                 "run_finished",
                 vec![
                     ("plans", Value::U64(self.popped)),
-                    ("answers", Value::U64(self.answers.len() as u64)),
+                    ("answers", Value::U64(self.union.len() as u64)),
                     ("makespan", Value::F64(self.vclock)),
                 ],
             );
@@ -655,9 +669,10 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         })
         .expect("executor threads do not panic");
         state.finish();
+        // The public type is a tree: the run's one sort, at its boundary.
         RuntimeRun {
             reports,
-            answers: state.answers,
+            answers: state.union.into_keys().collect(),
             stats: state.stats,
         }
     }
@@ -706,7 +721,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             }
         }
         RunState {
-            answers: BTreeSet::new(),
+            union: HashMap::default(),
             stats: RunStats::default(),
             spent: 0.0,
             popped: 0,
@@ -728,8 +743,8 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
     /// plan of the wave scheduled, then every one merged.
     ///
     /// With `lookahead > 1` a wave's reports are handed out one per call
-    /// while `state.answers`, `state.stats`, [`RunState::spent`] and the
-    /// clock already reflect the whole merged wave.
+    /// while [`RunState::answers`], `state.stats`, [`RunState::spent`] and
+    /// the clock already reflect the whole merged wave.
     pub fn step(
         &self,
         state: &mut RunState,
@@ -760,7 +775,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         let mut priced = state.spent;
         while window.len() < lookahead
             && !budget.satisfied(
-                state.answers.len(),
+                state.answer_count(),
                 state.popped as usize + window.len(),
                 priced,
             )
@@ -923,7 +938,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             backend_errors,
         } = completion;
         let RunState {
-            answers,
+            union,
             stats,
             spent,
             vclock,
@@ -1082,12 +1097,17 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             }
             PlanStatus::Failed(reason)
         } else {
-            let total = tuples.len();
-            let mut new_tuples = 0;
-            for t in tuples {
-                if answers.insert(t) {
-                    new_tuples += 1;
-                }
+            // Probed with the borrowed row: only a new answer allocates.
+            // `seen` is the stamp the row had — none, an earlier plan's,
+            // or (a duplicate within this plan) `seq` itself.
+            let (mut total, mut new_tuples) = (0, 0);
+            for row in tuples.iter() {
+                let seen = match union.get_mut(row) {
+                    Some(stamp) => Some(std::mem::replace(stamp, seq)),
+                    None => union.insert(row.to_vec(), seq),
+                };
+                total += usize::from(seen != Some(seq));
+                new_tuples += usize::from(seen.is_none());
             }
             metrics.plans_executed.inc();
             metrics.emission_delay.record(done);
@@ -1099,7 +1119,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                         ("plan_seq", Value::U64(seq)),
                         ("tuples", Value::U64(total as u64)),
                         ("new_tuples", Value::U64(new_tuples as u64)),
-                        ("cumulative", Value::U64(answers.len() as u64)),
+                        ("cumulative", Value::U64(union.len() as u64)),
                         ("latency", Value::F64(latency)),
                     ],
                 );
@@ -1109,7 +1129,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             PlanStatus::Executed {
                 tuples: total,
                 new_tuples,
-                cumulative: answers.len(),
+                cumulative: union.len(),
             }
         };
         *vclock += latency;
@@ -1184,7 +1204,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         let tuples = if sound && failure.is_none() {
             self.eval.evaluate(&ordered.plan, &fetched)
         } else {
-            Vec::new()
+            PrefixRows::default()
         };
         // Only a memo keeps rows past the join. Without one they are freed
         // here, on the thread that ran the job, not serially at merge.
@@ -1390,13 +1410,12 @@ mod tests {
             true
         }
 
-        fn evaluate(&self, plan: &[usize], _: &[Option<Arc<Vec<Tuple>>>]) -> Vec<Tuple> {
+        fn evaluate(&self, plan: &[usize], _: &[Option<Arc<Vec<Tuple>>>]) -> PrefixRows {
             let stats = self.inst.plan_stats(plan);
             let start = stats.iter().map(|s| s.extent.start).max().unwrap_or(0);
             let end = stats.iter().map(|s| s.extent.end()).min().unwrap_or(0);
-            (start..end)
-                .map(|x| vec![Constant::Int(x as i64)])
-                .collect()
+            let items: Vec<Constant> = (start..end).map(|x| Constant::Int(x as i64)).collect();
+            PrefixRows::new(1, items.len(), items)
         }
     }
 
@@ -1604,7 +1623,7 @@ mod tests {
                 state.finish(); // idempotent: one `run_finished`
                 let label = format!("workers={workers} lookahead={lookahead} k={k}");
                 assert_eq!(reports, whole.reports, "{label}");
-                assert_eq!(state.answers, whole.answers, "{label}");
+                assert_eq!(state.answers(), whole.answers, "{label}");
                 assert_eq!(state.stats, whole.stats, "{label}");
                 assert_eq!(state.spent(), {
                     let attempted = whole
@@ -1736,7 +1755,7 @@ mod tests {
             true
         }
 
-        fn evaluate(&self, plan: &[usize], fetched: &[Option<Arc<Vec<Tuple>>>]) -> Vec<Tuple> {
+        fn evaluate(&self, plan: &[usize], fetched: &[Option<Arc<Vec<Tuple>>>]) -> PrefixRows {
             let with_rows = fetched.iter().flatten().count();
             self.slots_with_rows.lock().unwrap().push(with_rows);
             self.toy.evaluate(plan, fetched)

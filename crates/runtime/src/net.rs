@@ -1117,8 +1117,12 @@ mod tests {
             fn is_sound(&self, _: &[usize]) -> bool {
                 true
             }
-            fn evaluate(&self, _: &[usize], _: &[Option<Arc<Vec<Tuple>>>]) -> Vec<Tuple> {
-                Vec::new()
+            fn evaluate(
+                &self,
+                _: &[usize],
+                _: &[Option<Arc<Vec<Tuple>>>],
+            ) -> qpo_datalog::PrefixRows {
+                Default::default()
             }
         }
 

@@ -3,6 +3,7 @@
 # protocol behind every `bench_e2e` claim in CHANGES.md / ROADMAP.md.
 #
 #   scripts/bench_pair.sh <workload>... [--seed N] [--pairs 10] [--parent REV]
+#                         [--claim <metric>@<workload>]
 #
 # Extracts REV (default: HEAD when the tree has uncommitted changes, else
 # HEAD~1) into a temporary directory — once, however many workloads are
@@ -13,17 +14,21 @@
 # end-to-end metric of BENCHMARK.json, each side's quartiles and median,
 # the change of the median, and in how many pairs the change was better.
 # A claimed gain wants wins >= 9 of 10 and a median gain beyond the
-# parent's q1..q3.
+# parent's q1..q3: `--claim query_ms_p50@share-warm` makes that the exit
+# status — 1 unless that row meets it, and 1 if any other row's median is
+# worse than the parent's by more than the metric's BENCHMARK.json bound.
+# Either way the row says so in a last column.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage='usage: scripts/bench_pair.sh <workload>... [--seed N] [--pairs 10] [--parent REV]'
-workloads=() seed=2002 pairs=10 parent=""
+usage='usage: scripts/bench_pair.sh <workload>... [--seed N] [--pairs 10] [--parent REV] [--claim <metric>@<workload>]'
+workloads=() seed=2002 pairs=10 parent="" claim=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --seed) seed="$2"; shift ;;
     --pairs) pairs="$2"; shift ;;
     --parent) parent="$2"; shift ;;
+    --claim) claim="$2"; shift ;;
     --*) echo "bench_pair: unknown argument \"$1\"" >&2; exit 2 ;;
     *) workloads+=("$1") ;;
   esac
@@ -32,6 +37,17 @@ done
 [[ ${#workloads[@]} -gt 0 ]] || { echo "$usage" >&2; exit 2; }
 if [[ -z "$parent" ]]; then
   if git diff --quiet HEAD; then parent="HEAD~1"; else parent="HEAD"; fi
+fi
+
+# `name better bound` per end-to-end metric, in BENCHMARK.json's order.
+metrics="$(awk '
+  /"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+  on && /"name"/ { gsub(/[",]/, ""); name = $2 }
+  on && /"better"/ { gsub(/[",]/, ""); better = $2 }
+  on && /"bound"/ { gsub(/[",]/, ""); print name, better, $2 }' BENCHMARK.json)"
+if [[ -n "$claim" ]]; then
+  grep -q "^${claim%@*} " <<<"$metrics" && [[ " ${workloads[*]} " == *" ${claim#*@} "* ]] \
+    || { echo "bench_pair: --claim $claim names no end-to-end metric of a workload being run" >&2; exit 2; }
 fi
 
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/qpo-bench-pair.XXXXXX")"
@@ -51,22 +67,19 @@ run() {
   echo "$line"
 }
 
-# `name better` per end-to-end metric, in BENCHMARK.json's order.
-metrics="$(awk '
-  /"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
-  on && /"name"/ { gsub(/[",]/, ""); name = $2 }
-  on && /"better"/ { gsub(/[",]/, ""); print name, $2 }' BENCHMARK.json)"
-
 values() { sed -n "s/.*\"$2\": {\"value\": \([^,}]*\).*/\1/p" "$1"; }
 
-# The table of $workload: one line per end-to-end metric.
+# The table of $workload: one line per end-to-end metric. A row that
+# fails the protocol — the claimed one not met, another worse than its
+# bound — says so and is counted in $tmp/failed.
 table() {
   echo "== $workload, seed $seed, $pairs pairs =="
   printf '%-26s %-6s %-32s %-32s %9s %6s\n' metric better \
     'parent q1 / median / q3' 'change q1 / median / q3' 'median' wins
-  while read -r name better; do
+  while read -r name better bound; do
     paste <(values "$tmp/parent.$workload.jsonl" "$name") <(values "$tmp/change.$workload.jsonl" "$name") |
-      awk -v name="$name" -v better="$better" '
+      awk -v name="$name" -v better="$better" -v bound="$bound" \
+        -v claimed="$([[ "$claim" == "$name@$workload" ]] && echo 1)" -v failed="$tmp/failed" '
         function quantile(v, n, q,    h, lo) {
           h = (n - 1) * q; lo = int(h)
           return lo + 1 >= n ? v[n] : v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1])
@@ -81,10 +94,15 @@ table() {
         END {
           sort(p, n); sort(c, n)
           pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
-          printf "%-26s %-6s %-32s %-32s %+8.1f%% %3d/%d\n", name, better,
-            sprintf("%.4g / %.4g / %.4g", quantile(p, n, 0.25), pm, quantile(p, n, 0.75)),
+          p1 = quantile(p, n, 0.25); p3 = quantile(p, n, 0.75)
+          gain = better == "lower" ? pm - cm : cm - pm
+          if (claimed) verdict = 10 * wins >= 9 * n && gain > p3 - p1 ? "  claim met" : "  CLAIM NOT MET"
+          else if (pm && -gain / pm > bound) verdict = "  WORSE THAN BOUND " bound
+          if (verdict ~ /[A-Z]/) print name >> failed
+          printf "%-26s %-6s %-32s %-32s %+8.1f%% %3d/%d%s\n", name, better,
+            sprintf("%.4g / %.4g / %.4g", p1, pm, p3),
             sprintf("%.4g / %.4g / %.4g", quantile(c, n, 0.25), cm, quantile(c, n, 0.75)),
-            pm ? 100 * (cm - pm) / pm : 0, wins, n
+            pm ? 100 * (cm - pm) / pm : 0, wins, n, verdict
         }'
   done <<<"$metrics"
 }
@@ -103,3 +121,7 @@ for workload in "${workloads[@]}"; do
   done
   table
 done
+if [[ -n "$claim" && -s "$tmp/failed" ]]; then
+  echo "bench_pair: --claim $claim: $(wc -l <"$tmp/failed") row(s) fail the protocol" >&2
+  exit 1
+fi
