@@ -180,11 +180,6 @@ impl AnyKMerge {
             .unwrap_or_default()
     }
 
-    /// Number of streams currently attached (delivering or pending).
-    pub fn live_streams(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Tuples delivered so far across all streams.
     pub fn delivered(&self) -> u64 {
         self.delivered_count
@@ -319,7 +314,7 @@ mod tests {
         let rest: Vec<RankedTuple> = std::iter::from_fn(|| m.next_within(None)).collect();
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].tuple, t(4));
-        assert_eq!(m.live_streams(), 1);
+        assert_eq!(m.evict(1).len(), 1, "the drained stream stays attached");
         assert!(m.evict(42).is_empty(), "unknown seq is a no-op");
     }
 

@@ -25,9 +25,7 @@
 //! of the latest run, so the CI log doubles as a trace digest.
 
 use qpo_obs::vocab::KINDS;
-use qpo_obs::{
-    read_jsonl, validate_records_strict, DivergenceConfig, DivergenceMonitor, ProfileIndex,
-};
+use qpo_obs::{read_jsonl, validate_records_strict, DivergenceMonitor, ProfileIndex};
 
 fn main() {
     let path = std::env::args().nth(1).unwrap_or_else(|| {
@@ -104,6 +102,6 @@ fn main() {
             None => println!(" (no run_finished — truncated trace)"),
         }
     }
-    let drifting = DivergenceMonitor::from_profile(&index, DivergenceConfig::default()).drifting();
+    let drifting = DivergenceMonitor::from_profile(&index).drifting();
     println!("  drifting (latest run): {drifting:?}");
 }

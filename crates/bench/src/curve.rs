@@ -109,11 +109,11 @@ pub fn answers_curve(query_len: usize, bucket_size: usize, seed: u64) -> Vec<Cur
 /// Definition 2.1 oracle over the same instance: oracle prefix mass minus
 /// emitted mass after `utilities.len()` emissions.
 ///
-/// This is the *offline recomputation* of the live
-/// `qpo_session_regret{strategy}` gauge: both sides accumulate `mass +=
-/// utility` and `oracle_mass += oracle_utility` strictly left-to-right
-/// from `0.0`, with the same blind [`Naive`] oracle, so on a fixed-seed
-/// workload the two agree to f64 *bit equality* — the cross-check the
+/// The workspace's one measure of ordering quality, and an offline one:
+/// the blind [`Naive`] oracle enumerates the whole plan space, which is
+/// what the paper's orderers exist to avoid, so no session computes it
+/// live. Both masses accumulate strictly left-to-right from `0.0`. Every
+/// shipped exact strategy scores zero on it, which the
 /// `regret_crosscheck` test pins down.
 pub fn ordering_regret<M: UtilityMeasure + ?Sized>(
     inst: &ProblemInstance,

@@ -61,14 +61,6 @@ impl SourceBehavior {
     pub fn expected_attempts(&self) -> f64 {
         1.0 / (1.0 - self.transient_failure_rate)
     }
-
-    /// Returns the model with its transient failure rate replaced (clamped
-    /// to `[0, 1)`), for fault-injection experiments that stress sources
-    /// beyond their cataloged reliability.
-    pub fn with_transient_failure_rate(mut self, rate: f64) -> Self {
-        self.transient_failure_rate = rate.clamp(0.0, 1.0 - f64::EPSILON);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -92,25 +84,5 @@ mod tests {
         assert_eq!(b.fee_per_access, 5.0, "0.1 fee × 50 tuples");
         assert_eq!(b.expected_latency(), 30.0, "5 + 0.5 × 50");
         assert!((b.expected_attempts() - 4.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn failure_rate_override_clamps() {
-        let b = SourceBehavior::from_stats(&SourceStats::new());
-        assert_eq!(
-            b.clone()
-                .with_transient_failure_rate(0.4)
-                .transient_failure_rate,
-            0.4
-        );
-        assert_eq!(
-            b.clone()
-                .with_transient_failure_rate(-3.0)
-                .transient_failure_rate,
-            0.0
-        );
-        let clamped = b.with_transient_failure_rate(7.0);
-        assert!(clamped.transient_failure_rate < 1.0);
-        assert!(clamped.expected_attempts().is_finite());
     }
 }

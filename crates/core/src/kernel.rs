@@ -291,14 +291,6 @@ impl OrderingKernel {
         self.metrics.stats()
     }
 
-    /// Drops both caches (keeps the stats). Callers never *need* this for
-    /// correctness — epochs and the retraction count handle invalidation —
-    /// but it bounds memory for very long runs.
-    pub fn clear_caches(&mut self) {
-        self.trees.clear();
-        self.intervals.clear();
-    }
-
     /// Entries currently held by the (tree, interval) caches.
     pub fn cache_sizes(&self) -> (usize, usize) {
         let trees = self.trees.values().map(HashMap::len).sum();
@@ -1094,28 +1086,5 @@ mod tests {
         // Without the emissions the later epochs are unreachable.
         let err = verify_certificates(&inst, &measure, &[], &certs).unwrap_err();
         assert!(err.reason.contains("unreachable"), "{err}");
-    }
-
-    #[test]
-    fn clear_caches_resets_tables_but_keeps_stats() {
-        let inst = GeneratorConfig::new(2, 4).with_seed(1).build();
-        let ctx = ExecutionContext::new();
-        let mut kernel = OrderingKernel::new();
-        kernel
-            .find_best(
-                &inst,
-                &Coverage,
-                &ctx,
-                &[full_space(&inst)],
-                &ByExpectedTuples,
-            )
-            .unwrap();
-        assert!(kernel.cache_sizes().0 > 0);
-        let stats = kernel.stats();
-        kernel.clear_caches();
-        assert_eq!(kernel.cache_sizes(), (0, 0));
-        assert_eq!(kernel.stats(), stats);
-        assert!(stats.rounds > 0 && stats.interval_evals > 0);
-        assert_eq!(stats.evals_saved(), stats.interval_cache_hits);
     }
 }

@@ -7,8 +7,7 @@
 //! catalog statistics of the source the plan picked for that bucket.
 //! [`offline_ranked_answers`] is the exact offline oracle — every sound
 //! plan fully drained, deduplicated at each tuple's maximum score, sorted
-//! — that the differential tests and the tuple-regret gauge compare the
-//! anytime stream against.
+//! — that the anytime stream must equal, prefix by prefix.
 //!
 //! The cross-plan merge itself — attach when a plan is scheduled, evict
 //! when it merges unsound or failed, release only what strictly clears the
@@ -69,8 +68,8 @@ pub(crate) fn ranked_join(
 /// The exact offline reference the anytime stream trails: drain every
 /// *sound* plan's [`RankedJoin`] completely, keep each distinct answer at
 /// its maximum score, and sort non-increasing (ties on the smaller
-/// tuple). The differential tests pin the sorted any-k stream to this
-/// list, and the session's tuple-regret gauge measures distance from it.
+/// tuple). The any-k stream's contract is this list: the differential
+/// tests pin every delivered prefix to it.
 pub fn offline_ranked_answers(
     db: &Database,
     reform: &Reformulation,

@@ -113,7 +113,7 @@ impl Mediator {
     ///
     /// Plan outcomes feed back into the orderer, so with faults enabled a
     /// failed plan stops being credited (e.g. as cached) by later
-    /// emissions — for Pi, Naive, and iDrips exactly; Streamer keeps the
+    /// emissions — for Pi and iDrips exactly; Streamer keeps the
     /// optimistic assumption (see `PlanOrderer::observe`). With a scorer,
     /// streams attach speculatively at schedule time and are evicted —
     /// their delivered tuples retracted — when the plan merges unsound or

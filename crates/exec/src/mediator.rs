@@ -326,16 +326,13 @@ impl Mediator {
         qpo_obs::ProfileIndex::from_journal(&self.obs.journal)
     }
 
-    /// The source-drift state recomputed from this mediator's journal
-    /// with the default config — the state of the *latest* traced run
+    /// The source-drift state recomputed from this mediator's journal —
+    /// the state of the *latest* traced run
     /// that accessed sources, exactly what `/divergence` serves (empty
     /// when the journal is disabled; a session without a backend accesses
     /// none).
     pub fn divergence(&self) -> qpo_obs::DivergenceMonitor {
-        qpo_obs::DivergenceMonitor::from_events(
-            &self.obs.journal.events(),
-            qpo_obs::DivergenceConfig::default(),
-        )
+        qpo_obs::DivergenceMonitor::from_events(&self.obs.journal.events())
     }
 
     /// Starts the dependency-free introspection server over this

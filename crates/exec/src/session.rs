@@ -27,12 +27,8 @@
 //! rather than returning a verdict (surfaced per plan on
 //! [`PlanReport::soundness_error`]). Each session also registers itself
 //! on the bundle's [`SessionBoard`](qpo_obs::SessionBoard) (the
-//! `/sessions` endpoint of the introspection server). With
-//! [`QuerySession::with_quality`] the session additionally maintains a
-//! live anytime curve and a regret gauge against the brute-force
-//! Definition 2.1 oracle, evaluated lazily over the same plan space.
+//! `/sessions` endpoint of the introspection server).
 
-use crate::anyk::offline_ranked_answers;
 use crate::core::{Hooks, PlanCore, WaveHooks};
 use crate::mediator::{
     build_orderer_observed, Mediator, MediatorError, MediatorRun, PlanReport, StopCondition,
@@ -40,9 +36,9 @@ use crate::mediator::{
 };
 use crate::sharing::ExecutionMemo;
 use qpo_anyk::{CatalogScorer, RankedTuple, TupleScorer};
-use qpo_core::{Naive, PlanOrderer};
+use qpo_core::PlanOrderer;
 use qpo_datalog::Tuple;
-use qpo_obs::{encode_plan, Histogram, Obs, QualitySnapshot, QualityTracker, Value};
+use qpo_obs::{encode_plan, Histogram, Obs};
 use qpo_reformulation::PreparedQuery;
 use qpo_runtime::{PlanExecution, PlanStatus, RunState, RuntimePolicy};
 use qpo_utility::UtilityMeasure;
@@ -69,8 +65,8 @@ use std::time::Instant;
 /// executes against the backend [`QuerySession::with_backend`] attached
 /// or, without one, over the in-memory extensions with no source access:
 /// no attempts, every latency 0, the virtual clock never moves. The
-/// session's own are the [`PlanReport`]s, the board entry, the quality
-/// trackers, and *lazy* tuple release: where a [`Mediator::run`] drains
+/// session's own are the [`PlanReport`]s, the board entry, and *lazy*
+/// tuple release: where a [`Mediator::run`] drains
 /// the any-k gate after every plan, [`QuerySession::next_tuple`] pulls one
 /// tuple at a time.
 ///
@@ -82,7 +78,6 @@ pub struct QuerySession<'s> {
     core: PlanCore<'s>,
     hooks: Hooks<'s>,
     orderer: Box<dyn PlanOrderer + 's>,
-    strategy: Strategy,
     // The run, begun at the first pull.
     run: Option<RunState>,
     // The run's answers in order, for `answers()`: built on first ask,
@@ -91,21 +86,11 @@ pub struct QuerySession<'s> {
     opened: Instant,
     obs: &'s Obs,
     board_id: u64,
-    quality: Option<QualityTracker>,
-    // The Def. 2.1 oracle for regret is expensive (full argmax per round),
-    // so it is built lazily from this factory on the first quality
-    // observation and never consulted unless quality tracking is on.
-    oracle_factory: Option<Box<dyn FnOnce() -> Box<dyn PlanOrderer + 's> + 's>>,
-    oracle: Option<Box<dyn PlanOrderer + 's>>,
     // The scorer the any-k part of the hooks starts with on the first
     // `next_tuple` pull (None = the catalog default).
     pending_scorer: Option<Box<dyn TupleScorer + 's>>,
     // Plans pulled before streaming began: the gate must not wait for them.
     emitted_unstreamed: Vec<Vec<usize>>,
-    tuple_quality: Option<QualityTracker>,
-    // The offline exact ranked answer list (scores only), built lazily on
-    // the first tuple-quality observation.
-    tuple_oracle: Option<Vec<f64>>,
     // The slowest plan so far: with the run's clock, the profile snapshot
     // surfaced on the session board.
     bounding_plan: Option<(f64, String)>,
@@ -130,28 +115,19 @@ impl<'s> QuerySession<'s> {
         let board_id = obs
             .sessions
             .open(strategy.label(), prepared.instance.plan_count() as u64);
-        let inst = &prepared.instance;
-        let oracle_factory: Box<dyn FnOnce() -> Box<dyn PlanOrderer + 's> + 's> =
-            Box::new(move || Box::new(Naive::new(inst, measure)));
         Ok(QuerySession {
             mediator,
             prepared,
             core: PlanCore::new(mediator, prepared, obs),
             hooks: Hooks::new(obs),
             orderer,
-            strategy,
             run: None,
             sorted: OnceLock::new(),
             opened: Instant::now(),
             obs,
             board_id,
-            quality: None,
-            oracle_factory: Some(oracle_factory),
-            oracle: None,
             pending_scorer: None,
             emitted_unstreamed: Vec::new(),
-            tuple_quality: None,
-            tuple_oracle: None,
             bounding_plan: None,
             time_to_first_plan: obs
                 .registry
@@ -160,26 +136,6 @@ impl<'s> QuerySession<'s> {
                 .registry
                 .histogram("qpo_session_time_to_plan_ms", &labels),
         })
-    }
-
-    /// Enables live ordering-quality telemetry: an anytime curve (one
-    /// [`qpo_obs::QualityPoint`] per emission) plus
-    /// `qpo_session_utility_mass{strategy}` and
-    /// `qpo_session_regret{strategy}` gauges against the exact
-    /// Definition 2.1 oracle over the same plan space. The oracle is
-    /// brute-force and instantiated lazily on the first emission, so an
-    /// unused quality session costs nothing; with it on, each emission
-    /// additionally pays one oracle argmax over the remaining plans.
-    pub fn with_quality(mut self, enabled: bool) -> Self {
-        let labels = [("strategy", self.strategy.label())];
-        self.quality = enabled.then(|| QualityTracker::registered(&self.obs.registry, &labels));
-        self
-    }
-
-    /// Snapshot of the quality state, or `None` unless
-    /// [`with_quality`](Self::with_quality) enabled tracking.
-    pub fn quality(&self) -> Option<QualitySnapshot> {
-        self.quality.as_ref().map(|q| q.snapshot())
     }
 
     /// Executes this session's plans against the backend registered under
@@ -256,26 +212,6 @@ impl<'s> QuerySession<'s> {
         self
     }
 
-    /// Enables tuple-level quality telemetry: an anytime curve (one point
-    /// per delivered tuple) plus `qpo_session_tuple_mass{strategy}` and
-    /// `qpo_session_tuple_regret{strategy}` gauges against the offline
-    /// exact ranked answer list ([`offline_ranked_answers`]). The oracle
-    /// drains every sound plan once, lazily, on the first delivery.
-    pub fn with_tuple_quality(mut self, enabled: bool) -> Self {
-        let labels = [("strategy", self.strategy.label())];
-        self.tuple_quality = enabled.then(|| {
-            let (mass, regret) = ("qpo_session_tuple_mass", "qpo_session_tuple_regret");
-            QualityTracker::registered_as(&self.obs.registry, &labels, mass, regret)
-        });
-        self
-    }
-
-    /// Snapshot of the tuple-level quality state, or `None` unless
-    /// [`with_tuple_quality`](Self::with_tuple_quality) enabled tracking.
-    pub fn tuple_quality(&self) -> Option<QualitySnapshot> {
-        self.tuple_quality.as_ref().map(|q| q.snapshot())
-    }
-
     /// Tuples delivered by [`QuerySession::next_tuple`] so far.
     pub fn tuples_emitted(&self) -> u64 {
         self.hooks.delivered()
@@ -312,7 +248,7 @@ impl<'s> QuerySession<'s> {
 
     /// What a pull is: one step of the run — begun here, the first time —
     /// under `budget`, then everything the session keeps per plan: the
-    /// report, its histograms, the quality sample, the board entry.
+    /// report, its histograms, the board entry.
     fn pull(&mut self, budget: StopCondition) -> Option<PlanReport> {
         self.core.sync_epoch();
         // The executor view is rebuilt per pull: it borrows the core.
@@ -362,40 +298,11 @@ impl<'s> QuerySession<'s> {
         if latency > self.bounding_plan.as_ref().map_or(0.0, |(l, _)| *l) {
             self.bounding_plan = Some((latency, encode_plan(&report.ordered.plan)));
         }
-        if let Some(tracker) = &mut self.quality {
-            if self.oracle.is_none() {
-                let factory = self.oracle_factory.take().expect("oracle built only once");
-                self.oracle = Some(factory());
-            }
-            // The oracle runs blind — it never sees execution outcomes —
-            // so its prefix is the exact Def. 2.1 ordering of the plan
-            // space, the same reference `qpo-bench`'s `ordering_regret`
-            // recomputes offline.
-            let oracle_u = self
-                .oracle
-                .as_mut()
-                .and_then(|o| o.next_plan())
-                .map_or(0.0, |o| o.utility);
-            let regret = tracker.observe(report.ordered.utility, run.spent(), oracle_u);
-            if self.obs.journal.is_enabled() {
-                self.obs.journal.record(
-                    "quality_sample",
-                    vec![
-                        ("plan_seq", Value::U64(seq)),
-                        ("utility", Value::F64(report.ordered.utility)),
-                        ("mass", Value::F64(tracker.mass())),
-                        ("regret", Value::F64(regret)),
-                    ],
-                );
-            }
-        }
-        let quality = self.quality.as_ref();
         self.obs.sessions.update(self.board_id, |e| {
             e.plans_emitted = seq + 1;
             e.answers = run.answer_count() as u64;
             e.spent = run.spent();
             e.time_to_first_plan_ms.get_or_insert(elapsed_ms);
-            (e.utility_mass, e.regret) = quality.map(|q| (q.mass(), q.regret())).unzip();
             e.memo_hits = self.hooks.memo_hits;
             e.subplans_reused = self.hooks.reused;
             e.critical_path = run.clock();
@@ -432,16 +339,10 @@ impl<'s> QuerySession<'s> {
             let clock = self.run.as_ref().map_or(0.0, RunState::clock);
             if let Some(rt) = self.hooks.release(clock) {
                 let k = self.hooks.delivered();
-                self.observe_tuple_quality(k, &rt);
-                let snap = self.tuple_quality.as_ref().map(|q| q.snapshot());
                 self.obs.sessions.update(self.board_id, |e| {
                     e.tuples_emitted = k;
                     let plans = self.plans_emitted() as u64;
                     e.plans_before_first_tuple.get_or_insert(plans);
-                    e.tuple_mass = snap.as_ref().map(|s| s.mass);
-                    e.tuple_regret = snap.as_ref().map(|s| s.regret);
-                    e.tuple_curve
-                        .extend(snap.as_ref().and_then(|s| s.points.last()));
                 });
                 return Some(rt);
             }
@@ -461,40 +362,6 @@ impl<'s> QuerySession<'s> {
     /// ranked anytime answer stream.
     pub fn stream_tuples(&mut self) -> Box<dyn Iterator<Item = RankedTuple> + '_> {
         Box::new(std::iter::from_fn(move || self.next_tuple()))
-    }
-
-    /// Feeds one delivered tuple into the tuple-level quality tracker
-    /// (no-op unless [`QuerySession::with_tuple_quality`] enabled it),
-    /// journalling a `tuple_quality_sample` against the offline exact
-    /// ranked list.
-    fn observe_tuple_quality(&mut self, k: u64, rt: &RankedTuple) {
-        let spent = self.spent();
-        let Some(tracker) = &mut self.tuple_quality else {
-            return;
-        };
-        let scores = self.tuple_oracle.get_or_insert_with(|| {
-            let ranked = offline_ranked_answers(
-                self.core.db,
-                &self.prepared.reformulation,
-                self.core.view_map,
-                &self.prepared.instance,
-                self.hooks.scorer().expect("streaming started"),
-            );
-            ranked.into_iter().map(|(s, _)| s).collect()
-        });
-        let oracle_score = scores.get((k - 1) as usize).copied().unwrap_or(0.0);
-        let regret = tracker.observe(rt.score, spent, oracle_score);
-        if self.obs.journal.is_enabled() {
-            self.obs.journal.record(
-                "tuple_quality_sample",
-                vec![
-                    ("k", Value::U64(k)),
-                    ("score", Value::F64(rt.score)),
-                    ("mass", Value::F64(tracker.mass())),
-                    ("regret", Value::F64(regret)),
-                ],
-            );
-        }
     }
 
     /// Steps the run until `stop` is satisfied or the plan space is
@@ -602,34 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn quality_tracking_matches_the_oracle_on_an_exact_orderer() {
-        let obs = qpo_obs::Obs::new();
-        let m = mediator().with_obs(&obs);
-        let prepared = m.prepare(&movie_query()).unwrap();
-        let mut s = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips)
-            .unwrap()
-            .with_quality(true);
-        let mut utilities = Vec::new();
-        while let Some(r) = s.next_report() {
-            utilities.push(r.ordered.utility);
-        }
-        let snap = s.quality().expect("quality tracking enabled");
-        assert_eq!(snap.points.len(), 9);
-        let mass: f64 = utilities.iter().copied().fold(0.0, |a, u| a + u);
-        assert_eq!(snap.mass.to_bits(), mass.to_bits(), "left-to-right sum");
-        // iDrips is itself exact, so it trails the Def. 2.1 oracle by
-        // nothing (modulo per-position evaluation noise).
-        assert!(snap.regret.abs() < 1e-9, "regret {}", snap.regret);
-        // The gauge mirrors the snapshot bit for bit.
-        let g = obs
-            .registry
-            .gauge("qpo_session_regret", &[("strategy", "idrips")]);
-        assert_eq!(g.get().to_bits(), snap.regret.to_bits());
-        // The curve's cost column tracks the session's spent().
-        assert_eq!(snap.points.last().unwrap().cost, s.spent());
-    }
-
-    #[test]
     fn sessions_register_on_the_board_and_close_on_drop() {
         let obs = qpo_obs::Obs::new();
         let m = mediator().with_obs(&obs);
@@ -646,7 +485,6 @@ mod tests {
             assert_eq!(e.plans_emitted, 2);
             assert!(e.time_to_first_plan_ms.is_some());
             assert!(!e.closed);
-            assert_eq!(e.utility_mass, None, "quality off by default");
         }
         let entries = obs.sessions.entries();
         assert!(entries[0].closed, "drop closes the board entry");
@@ -657,9 +495,7 @@ mod tests {
         let obs = qpo_obs::Obs::with_trace();
         let m = mediator().with_obs(&obs);
         let prepared = m.prepare(&movie_query()).unwrap();
-        let mut s = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips)
-            .unwrap()
-            .with_quality(true);
+        let mut s = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips).unwrap();
         while s.next_report().is_some() {}
         drop(s);
         let jsonl = obs.journal.to_jsonl();
@@ -667,7 +503,6 @@ mod tests {
         assert_eq!(report.spans_opened, 9);
         assert_eq!(report.spans_closed, 9);
         assert_eq!(report.counts["run_started"], 1);
-        assert_eq!(report.counts["quality_sample"], 9);
         assert!(
             jsonl.contains("\"plan\":\""),
             "plan_emitted carries the plan"

@@ -339,9 +339,8 @@ fn tcp_runs_stitch_remote_spans_with_exact_attribution() {
     // The drift replay is a fold over these very spans: the JSONL replay,
     // the fold of the profile and the live monitor agree to the bit,
     // network/server split included.
-    let config = live.divergence.config();
-    let replayed = DivergenceMonitor::from_jsonl(&jsonl, config).unwrap();
-    let folded = DivergenceMonitor::from_profile(&index, config);
+    let replayed = DivergenceMonitor::from_jsonl(&jsonl).unwrap();
+    let folded = DivergenceMonitor::from_profile(&index);
     assert!(replayed.iter().any(|(_, d)| d.ewma_network.is_some()));
     for other in [&folded, &live.divergence] {
         assert_eq!(replayed.iter().count(), other.iter().count());

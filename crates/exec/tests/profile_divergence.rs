@@ -22,7 +22,7 @@
 
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
 use qpo_exec::{ConcurrentRun, Mediator, QuerySession, RunOptions, StopCondition, Strategy};
-use qpo_obs::{validate_trace, DivergenceConfig, DivergenceMonitor, Obs, ProfileIndex};
+use qpo_obs::{validate_trace, DivergenceMonitor, Obs, ProfileIndex};
 use qpo_runtime::{FaultConfig, RetryPolicy, RuntimePolicy};
 use qpo_utility::{Coverage, LinearCost};
 
@@ -136,10 +136,8 @@ fn profile_attributes_a_bounding_plan_and_dominant_source() {
 fn live_divergence_gauges_bit_equal_offline_recomputation() {
     let (obs, run) = traced_run(4);
     let jsonl = obs.journal.to_jsonl();
-    let offline = DivergenceMonitor::from_jsonl(&jsonl, DivergenceConfig::default())
-        .expect("replayable trace");
-    let from_events =
-        DivergenceMonitor::from_events(&obs.journal.events(), run.divergence.config());
+    let offline = DivergenceMonitor::from_jsonl(&jsonl).expect("replayable trace");
+    let from_events = DivergenceMonitor::from_events(&obs.journal.events());
     // The offline replay reconstructs the live estimator state exactly.
     let live: Vec<_> = run.divergence.iter().collect();
     let replayed: Vec<_> = offline.iter().collect();

@@ -332,10 +332,10 @@ fn a_cost_budget_stops_both_drivers_at_the_same_plan() {
     }
 }
 
-/// The trace minus what only one driver journals: the session's
-/// `quality_sample`s, the run's post-hoc `drift_detected`s.
+/// The trace minus what only one driver journals: the run's post-hoc
+/// `drift_detected`s.
 fn trace_key(obs: &Obs) -> Vec<(&'static str, u64, String)> {
-    let own = ["quality_sample", "drift_detected"];
+    let own = ["drift_detected"];
     let events = obs.journal.events().into_iter();
     events
         .filter(|e| !own.contains(&e.kind))
@@ -356,7 +356,6 @@ fn a_session_on_the_simulator_is_a_serial_run() {
         let prepared = m.prepare(&movie_query()).unwrap();
         let mut session = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips)
             .unwrap()
-            .with_quality(true)
             .with_backend("sim")
             .unwrap();
         if memoized {

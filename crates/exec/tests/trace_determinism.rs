@@ -321,17 +321,14 @@ fn every_vocabulary_kind_is_emitted_and_every_event_conforms() {
         RuntimePolicy::serial(),
         opts,
     ));
-    // A pulled iDrips session with both quality curves: kernel events and
-    // the session's own samples.
+    // A pulled iDrips session streaming tuples: kernel events and the
+    // tuple lifecycle.
     let obs = Obs::with_trace();
     let m = mediator().with_obs(&obs);
     let prepared = m.prepare(&movie_query()).unwrap();
     let session = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips).unwrap();
     let scorer = CatalogScorer::new(MOVIE_UNIVERSE).with_jitter(0.25);
-    let mut session = session
-        .with_quality(true)
-        .with_tuple_scorer(scorer)
-        .with_tuple_quality(true);
+    let mut session = session.with_tuple_scorer(scorer);
     assert!(session.stream_tuples().count() > 0);
     drop(session);
     traces.push(obs.journal.to_jsonl());

@@ -7,14 +7,13 @@
 //! (EWMA latency, transient/permanent failure rates, answer counts) and
 //! exports the divergence from the declared [`SourceExpectation`] as
 //! `qpo_source_divergence{source,stat}` gauges, journalling a
-//! `drift_detected` event whenever a stat first crosses the configured
-//! threshold. ROADMAP item 5's re-planning triggers consume exactly
-//! these signals.
+//! `drift_detected` event whenever a stat first crosses [`THRESHOLD`].
+//! ROADMAP item 2's re-planning triggers consume exactly these signals.
 //!
 //! ## Determinism discipline
 //!
-//! Like PR 5's regret gauge, every gauge value must be *recomputable
-//! from the trace alone, bit for bit*. Two properties make that hold:
+//! Every gauge value must be *recomputable from the trace alone, bit
+//! for bit*. Two properties make that hold:
 //!
 //! 1. the executor journals each run's catalog expectations
 //!    (`source_declared`) and each access chain's exact charges
@@ -42,25 +41,6 @@ pub struct SourceExpectation {
     pub transient_rate: f64,
     /// Declared extent size (expected tuples behind the source).
     pub tuples: f64,
-}
-
-/// Tuning knobs of the monitor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DivergenceConfig {
-    /// EWMA weight of the newest observation (0 < alpha ≤ 1).
-    pub alpha: f64,
-    /// Absolute divergence at which `drift_detected` fires per
-    /// `(source, stat)` (each pair fires once per crossing episode).
-    pub threshold: f64,
-}
-
-impl Default for DivergenceConfig {
-    fn default() -> Self {
-        DivergenceConfig {
-            alpha: 0.2,
-            threshold: 0.5,
-        }
-    }
 }
 
 /// One completed access chain, as observed by the runtime (or replayed
@@ -117,6 +97,13 @@ pub struct SourceDrift {
     /// EWMA of the server-reported total on traced accesses.
     pub ewma_server: Option<f64>,
 }
+
+/// EWMA weight of the newest observation.
+pub const ALPHA: f64 = 0.2;
+
+/// Absolute divergence at which `drift_detected` fires per
+/// `(source, stat)` (each pair fires once per crossing episode).
+pub const THRESHOLD: f64 = 0.5;
 
 /// The stats a [`SourceDrift`] exports, in gauge-label order.
 pub const DIVERGENCE_STATS: &[&str] = &["latency", "permanent_rate", "transient_rate", "tuples"];
@@ -178,7 +165,6 @@ fn relative(observed: f64, expected: f64) -> f64 {
 /// [`DivergenceMonitor::from_jsonl`] — both produce bit-equal state.
 #[derive(Debug, Clone)]
 pub struct DivergenceMonitor {
-    config: DivergenceConfig,
     obs: Obs,
     sources: BTreeMap<String, SourceDrift>,
     /// `(source, stat)` pairs currently beyond the threshold; an event
@@ -190,13 +176,7 @@ impl DivergenceMonitor {
     /// A monitor exporting gauges (and drift events, when the journal
     /// records) onto `obs`.
     pub fn new(obs: &Obs) -> Self {
-        DivergenceMonitor::with_config(obs, DivergenceConfig::default())
-    }
-
-    /// [`DivergenceMonitor::new`] with explicit tuning.
-    pub fn with_config(obs: &Obs, config: DivergenceConfig) -> Self {
         DivergenceMonitor {
-            config,
             obs: obs.clone(),
             sources: BTreeMap::new(),
             flagged: BTreeSet::new(),
@@ -206,11 +186,6 @@ impl DivergenceMonitor {
     /// A monitor on a private bundle (offline recomputation).
     pub fn detached() -> Self {
         DivergenceMonitor::new(&Obs::new())
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> DivergenceConfig {
-        self.config
     }
 
     /// Declares (or re-declares) a source's catalog expectations.
@@ -224,7 +199,6 @@ impl DivergenceMonitor {
     /// left-to-right, refreshing the `qpo_source_divergence` gauges, and
     /// journalling `drift_detected` on threshold crossings.
     pub fn observe(&mut self, source: &str, obs: AccessObservation) {
-        let alpha = self.config.alpha;
         let drift = self.sources.entry(source.to_string()).or_default();
         drift.accesses += 1;
         drift.attempts += obs.attempts;
@@ -233,24 +207,24 @@ impl DivergenceMonitor {
         drift.permanent_failures += u64::from(obs.permanently_down);
         drift.ewma_latency = Some(match drift.ewma_latency {
             None => obs.latency,
-            Some(prev) => prev + alpha * (obs.latency - prev),
+            Some(prev) => prev + ALPHA * (obs.latency - prev),
         });
         if let Some(tuples) = obs.tuples {
             drift.ewma_tuples = Some(match drift.ewma_tuples {
                 None => tuples,
-                Some(prev) => prev + alpha * (tuples - prev),
+                Some(prev) => prev + ALPHA * (tuples - prev),
             });
         }
         if let Some(network) = obs.network {
             drift.ewma_network = Some(match drift.ewma_network {
                 None => network,
-                Some(prev) => prev + alpha * (network - prev),
+                Some(prev) => prev + ALPHA * (network - prev),
             });
         }
         if let Some(server) = obs.server {
             drift.ewma_server = Some(match drift.ewma_server {
                 None => server,
-                Some(prev) => prev + alpha * (server - prev),
+                Some(prev) => prev + ALPHA * (server - prev),
             });
         }
         let divergences = drift.divergences();
@@ -263,7 +237,7 @@ impl DivergenceMonitor {
                 )
                 .set(value);
             let key = (source.to_string(), stat);
-            if value.abs() > self.config.threshold {
+            if value.abs() > THRESHOLD {
                 if self.flagged.insert(key) && self.obs.journal.is_enabled() {
                     self.obs.journal.record(
                         "drift_detected",
@@ -271,7 +245,7 @@ impl DivergenceMonitor {
                             ("source", Value::Str(source.to_string().into())),
                             ("stat", Value::Str(stat.into())),
                             ("value", Value::F64(value)),
-                            ("threshold", Value::F64(self.config.threshold)),
+                            ("threshold", Value::F64(THRESHOLD)),
                         ],
                     );
                 }
@@ -297,7 +271,7 @@ impl DivergenceMonitor {
         let mut out = Vec::new();
         for (name, drift) in &self.sources {
             for (stat, value) in drift.divergences() {
-                if value.abs() > self.config.threshold {
+                if value.abs() > THRESHOLD {
                     out.push((name.clone(), stat, value));
                 }
             }
@@ -310,15 +284,15 @@ impl DivergenceMonitor {
     /// ([`ProfileIndex`]); see [`DivergenceMonitor::from_profile`] for the
     /// fold. The resulting estimator state — and therefore every
     /// divergence value — bit-equals the live monitor fed from the same
-    /// run with the same config.
-    pub fn from_events(events: &[TraceEvent], config: DivergenceConfig) -> Self {
-        DivergenceMonitor::from_profile(&ProfileIndex::from_events(events), config)
+    /// run.
+    pub fn from_events(events: &[TraceEvent]) -> Self {
+        DivergenceMonitor::from_profile(&ProfileIndex::from_events(events))
     }
 
     /// [`DivergenceMonitor::from_events`] over a JSONL trace file.
-    pub fn from_jsonl(jsonl: &str, config: DivergenceConfig) -> Result<Self, String> {
+    pub fn from_jsonl(jsonl: &str) -> Result<Self, String> {
         let index = ProfileIndex::from_jsonl(jsonl)?;
-        Ok(DivergenceMonitor::from_profile(&index, config))
+        Ok(DivergenceMonitor::from_profile(&index))
     }
 
     /// Folds a reconstructed journal into a fresh detached monitor: the
@@ -330,8 +304,8 @@ impl DivergenceMonitor {
     /// overwrite the gauges, so a multi-run journal folds to its latest
     /// run; a journal with no `run_started` folds everything it recorded.
     /// A plan without a terminal event was never reported, so not observed.
-    pub fn from_profile(index: &ProfileIndex, config: DivergenceConfig) -> Self {
-        let mut monitor = DivergenceMonitor::with_config(&Obs::new(), config);
+    pub fn from_profile(index: &ProfileIndex) -> Self {
+        let mut monitor = DivergenceMonitor::detached();
         let run = index.latest_scope();
         for (source, expected) in &run.declared {
             monitor.declare(source, *expected);
@@ -643,8 +617,7 @@ mod tests {
                 },
             );
         }
-        let replayed =
-            DivergenceMonitor::from_events(&obs.journal.events(), DivergenceConfig::default());
+        let replayed = DivergenceMonitor::from_events(&obs.journal.events());
         let (r, l) = (replayed.source("s").unwrap(), live.source("s").unwrap());
         assert_eq!(
             r.ewma_network.unwrap().to_bits(),
@@ -692,14 +665,11 @@ mod tests {
                 ],
             );
         }
-        let replayed =
-            DivergenceMonitor::from_events(&obs.journal.events(), DivergenceConfig::default());
+        let replayed = DivergenceMonitor::from_events(&obs.journal.events());
         let d = replayed.source("s").unwrap();
         assert_eq!(d.accesses, 1, "first run's estimators were reset");
         assert_eq!(d.ewma_latency, Some(3.0));
-        let from_jsonl =
-            DivergenceMonitor::from_jsonl(&obs.journal.to_jsonl(), DivergenceConfig::default())
-                .unwrap();
+        let from_jsonl = DivergenceMonitor::from_jsonl(&obs.journal.to_jsonl()).unwrap();
         assert_eq!(
             d,
             from_jsonl.source("s").unwrap(),

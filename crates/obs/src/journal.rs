@@ -1123,8 +1123,8 @@ mod tests {
             ],
         );
         j.record(
-            "quality_sample",
-            vec![("regret", Value::F64(f64::INFINITY))],
+            "source_attempt",
+            vec![("latency", Value::F64(f64::INFINITY))],
         );
         let events = j.events();
         let lines = read_jsonl(&j.to_jsonl()).unwrap();
@@ -1143,7 +1143,7 @@ mod tests {
         assert_eq!(hit.error("boom"), "line 1: boom");
         assert_eq!(Record::from(&events[0]).error("boom"), "seq 0: boom");
         // A non-finite number is `null` on the wire and NaN coming back.
-        assert!(lines[1].f64("regret").is_some_and(f64::is_nan));
+        assert!(lines[1].f64("latency").is_some_and(f64::is_nan));
     }
 
     #[test]

@@ -23,9 +23,7 @@
 //!   text exposition of the registry, and a human summary;
 //! - [`json`] — a minimal JSON reader used to validate traces
 //!   ([`validate_trace`]) without pulling in serde;
-//! - [`quality`] — per-session ordering-quality telemetry: the online
-//!   anytime curve ([`QualityTracker`]) and the live session directory
-//!   ([`SessionBoard`]);
+//! - [`sessions`] — the live session directory ([`SessionBoard`]);
 //! - [`explain`] — dominance provenance: [`EliminationCertificate`]s
 //!   recorded by the ordering kernel and the [`ExplainIndex`] answering
 //!   "why did plan p rank i / why was q never emitted";
@@ -78,15 +76,13 @@ pub mod export;
 pub mod journal;
 pub mod json;
 pub mod profile;
-pub mod quality;
 pub mod registry;
 pub mod serve;
+pub mod sessions;
 pub mod vocab;
 
 pub use backends::{backends_text, BackendBoard};
-pub use divergence::{
-    AccessObservation, DivergenceConfig, DivergenceMonitor, SourceDrift, SourceExpectation,
-};
+pub use divergence::{AccessObservation, DivergenceMonitor, SourceDrift, SourceExpectation};
 pub use explain::{
     encode_candidates, encode_plan, parse_candidates, parse_plan, EliminationCertificate,
     ExplainIndex, Explanation,
@@ -98,9 +94,9 @@ pub use journal::{
 };
 pub use json::{parse_json, Json, JsonError};
 pub use profile::{PlanSpan, ProfileIndex, RemoteSpan, RunProfile, SourceSpan, SpanStatus};
-pub use quality::{QualityPoint, QualitySnapshot, QualityTracker, SessionBoard, SessionEntry};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use serve::IntrospectionServer;
+pub use sessions::{SessionBoard, SessionEntry};
 
 /// The observability bundle handed to instrumented layers: one shared
 /// metrics registry plus one (possibly disabled) trace journal.

@@ -40,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::backends::backends_text;
-use crate::divergence::{DivergenceConfig, DivergenceMonitor};
+use crate::divergence::DivergenceMonitor;
 use crate::explain::{parse_plan, ExplainIndex};
 use crate::export::prometheus_text;
 use crate::profile::ProfileIndex;
@@ -229,8 +229,7 @@ pub(crate) fn respond(target: &str, obs: &Obs) -> (u16, &'static str, &'static s
             200,
             "OK",
             "application/json; charset=utf-8",
-            DivergenceMonitor::from_events(&obs.journal.events(), DivergenceConfig::default())
-                .to_json(),
+            DivergenceMonitor::from_events(&obs.journal.events()).to_json(),
         ),
         _ => (
             404,

@@ -89,8 +89,6 @@ pub const KINDS: &[(&str, Role)] = &[
     ("plan_failed", Role::SpanClose),
     ("plan_unsound", Role::SpanClose),
     ("plan_retracted", Role::Free),
-    ("quality_sample", Role::Free),
-    ("tuple_quality_sample", Role::Free),
     ("drift_detected", Role::Free),
     ("run_finished", Role::Free),
     ("kernel_cache_hit", Role::Ordering),
@@ -154,14 +152,6 @@ pub const FIELDS: &[FieldSpec] = &[
     field("plan_unsound", "plan_seq", U64, REQUIRED),
     field("plan_unsound", "latency", F64, OPTIONAL),
     field("plan_retracted", "plan_seq", U64, OPTIONAL),
-    field("quality_sample", "plan_seq", U64, OPTIONAL),
-    field("quality_sample", "utility", F64, OPTIONAL),
-    field("quality_sample", "mass", F64, OPTIONAL),
-    field("quality_sample", "regret", F64, OPTIONAL),
-    field("tuple_quality_sample", "k", U64, OPTIONAL),
-    field("tuple_quality_sample", "score", F64, OPTIONAL),
-    field("tuple_quality_sample", "mass", F64, OPTIONAL),
-    field("tuple_quality_sample", "regret", F64, OPTIONAL),
     field("drift_detected", "source", Str, REQUIRED),
     field("drift_detected", "stat", Str, REQUIRED),
     field("drift_detected", "value", F64, REQUIRED),

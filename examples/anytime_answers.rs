@@ -5,8 +5,8 @@
 //! size) and measures, for each algorithm, the wall-clock time and the
 //! number of plan evaluations needed to emit the 1st, 10th and 100th best
 //! plan under plan coverage and under cost-with-source-failure. Then
-//! switches to the movie domain and streams the globally ranked any-k
-//! tuple stream with its live quality curve.
+//! switches to the movie domain, streams the globally ranked any-k tuple
+//! stream and checks it against the offline exact ranking.
 //!
 //! Run with: `cargo run --release --example anytime_answers [bucket_size]`
 
@@ -100,41 +100,51 @@ fn run_case<M: UtilityMeasure>(
 
 /// Streams the globally ranked tuple stream of the movie mediator: the
 /// any-k layer delivers the best answers first, pulling plans lazily
-/// only when the next tuple needs them, and the tuple-quality tracker
-/// reports cumulative score mass and regret against the offline exact
-/// ranked list as the stream advances.
+/// only when the next tuple needs them. The stream's contract is the
+/// offline exact ranking: every delivered score equals, bit for bit, the
+/// score at the same rank of `offline_ranked_answers`.
 fn stream_ranked_tuples() {
     println!("\n== any-k: globally ranked tuple stream (movie domain) ==");
     let mediator = Mediator::new(movie_domain(), MOVIE_UNIVERSE, &["ford"]);
     let prepared = mediator.prepare(&movie_query()).unwrap();
+    let scorer = CatalogScorer::new(MOVIE_UNIVERSE).with_jitter(0.25);
     let mut session = QuerySession::new(&mediator, &prepared, &Coverage, Strategy::IDrips)
         .unwrap()
-        .with_tuple_scorer(CatalogScorer::new(MOVIE_UNIVERSE).with_jitter(0.25))
-        .with_tuple_quality(true);
-    println!(
-        "{:<4} {:>8} {:>7} {:>10} {:>10}  tuple",
-        "k", "score", "plans", "mass", "regret"
-    );
-    let mut shown = 0usize;
+        .with_tuple_scorer(scorer);
+    println!("{:<4} {:>8} {:>7}  tuple", "k", "score", "plans");
+    let mut scores = Vec::new();
     while let Some(rt) = session.next_tuple() {
-        shown += 1;
-        let plans = session.plans_emitted();
-        let quality = session.tuple_quality().expect("tuple quality enabled");
-        if shown <= 8 {
+        scores.push(rt.score);
+        if scores.len() <= 8 {
+            let plans = session.plans_emitted();
             println!(
-                "{:<4} {:>8.3} {:>7} {:>10.3} {:>10.6}  {:?}",
-                shown, rt.score, plans, quality.mass, quality.regret, rt.tuple
+                "{:<4} {:>8.3} {:>7}  {:?}",
+                scores.len(),
+                rt.score,
+                plans,
+                rt.tuple
             );
         }
     }
-    let quality = session.tuple_quality().expect("tuple quality enabled");
-    println!(
-        "... {shown} tuples total over {} plans; final mass {:.3}, regret vs offline \
-         exact sort {:.6} (an exact stream trails the oracle by nothing)",
-        session.plans_emitted(),
-        quality.mass,
-        quality.regret
+    let offline = offline_ranked_answers(
+        mediator.database(),
+        &prepared.reformulation,
+        &mediator.catalog().view_map(),
+        &prepared.instance,
+        &scorer,
     );
+    let exact = scores.len() <= offline.len()
+        && scores
+            .iter()
+            .zip(&offline)
+            .all(|(s, (o, _))| s.to_bits() == o.to_bits());
+    println!(
+        "... {} tuples total over {} plans; scores equal the offline exact ranking's \
+         prefix bit for bit: {exact}",
+        scores.len(),
+        session.plans_emitted()
+    );
+    assert!(exact, "the any-k stream left the exact ranking");
 }
 
 fn main() {

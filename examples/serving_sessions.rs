@@ -94,7 +94,6 @@ fn main() {
     let session_run = mediator.profiles().runs().len();
     let mut session = QuerySession::new(&mediator, &prepared, &Coverage, Strategy::Pi)
         .unwrap()
-        .with_quality(true)
         .with_backend("sim")
         .unwrap();
     while let Some(report) = session.next_report() {
@@ -110,7 +109,6 @@ fn main() {
             break;
         }
     }
-    let quality = session.quality();
     drop(session); // seals the run's trace and closes the board entry
 
     // ---- Shared-execution memo across sessions (opt-in) ----------------
@@ -149,14 +147,6 @@ fn main() {
         "sessions opened: {}",
         obs.registry.counter_total("qpo_sessions_total")
     );
-    if let Some(snap) = quality {
-        println!(
-            "session quality: utility mass {:.4}, oracle regret {:.6} over {} emissions",
-            snap.mass,
-            snap.regret,
-            snap.points.len()
-        );
-    }
     assert_eq!(
         stats.generations, 1,
         "one query shape: plan generation ran exactly once"

@@ -12,6 +12,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> every example, once, with default arguments"
+# Clippy compiles the examples; only running them catches a panic.
+cargo build --release --examples -p query-plan-ordering
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  ./target/release/examples/"$name" > /dev/null \
+    || { echo "example $name exited non-zero"; exit 1; }
+done
+
 echo "==> cargo test"
 cargo test -q --workspace
 
@@ -45,7 +54,6 @@ kill "$server_pid" 2>/dev/null || true
 rm -f "$addr_file"
 
 echo "==> trace journal validation gate"
-cargo build --release --example flaky_sources -p query-plan-ordering
 cargo build --release -p qpo-bench --bin trace-validate
 trace_file="$(mktemp /tmp/qpo-trace.XXXXXX.jsonl)"
 ./target/release/examples/flaky_sources --trace "$trace_file" > /dev/null

@@ -26,8 +26,7 @@
 //!   speculative executor with retry, timeout, and outcome feedback;
 //! - [`obs`] — first-party telemetry: a metrics registry, a deterministic
 //!   virtual-clock trace journal, JSONL / Prometheus / human exporters,
-//!   ordering-quality (anytime curve + oracle regret) tracking,
-//!   dominance-elimination certificates with an `explain` index, an
+//!   a live session directory, dominance-elimination certificates with an `explain` index, an
 //!   `EXPLAIN ANALYZE`-style span-tree profiler reconstructed from the
 //!   trace, per-source drift detection against catalog expectations, and
 //!   a dependency-free live introspection server;
@@ -105,10 +104,9 @@ pub mod prelude {
     pub use qpo_interval::Interval;
     pub use qpo_obs::{
         encode_plan, parse_plan, prometheus_text, summary_text, validate_trace, AccessObservation,
-        DivergenceConfig, DivergenceMonitor, EliminationCertificate, ExplainIndex, Explanation,
-        IntrospectionServer, Obs, PlanSpan, ProfileIndex, QualityPoint, QualitySnapshot,
-        QualityTracker, RunProfile, SessionBoard, SessionEntry, SourceDrift, SourceExpectation,
-        SourceSpan, SpanStatus, TraceJournal,
+        DivergenceMonitor, EliminationCertificate, ExplainIndex, Explanation, IntrospectionServer,
+        Obs, PlanSpan, ProfileIndex, RunProfile, SessionBoard, SessionEntry, SourceDrift,
+        SourceExpectation, SourceSpan, SpanStatus, TraceJournal,
     };
     pub use qpo_reformulation::{
         create_buckets, enumerate_sound_plans, minicon_plan_spaces, reformulate, Reformulation,
