@@ -8,7 +8,7 @@
 //! all: it works for *every* utility measure, caching included.
 
 use crate::abstraction::AbstractionHeuristic;
-use crate::kernel::{reference_find_best, KernelStats, OrderingKernel};
+use crate::kernel::{KernelStats, OrderingKernel};
 use crate::orderer::{OrderedPlan, PlanOrderer, PlanOutcome};
 use crate::planspace::{full_space, remove_plan, PlanSpace};
 use qpo_catalog::ProblemInstance;
@@ -19,11 +19,8 @@ use qpo_utility::{ExecutionContext, UtilityMeasure};
 /// Owns a long-lived [`OrderingKernel`], so the per-emission Drips runs
 /// share hash-consed abstraction trees and (epoch-guarded) memoized
 /// utility intervals — the cross-round reuse §5.2's "redoes dominance
-/// work" remark invites. [`with_reference_kernel`] switches to the
-/// pre-optimization textbook loop for differential testing and
-/// benchmarking; both produce bit-for-bit identical emissions.
-///
-/// [`with_reference_kernel`]: IDrips::with_reference_kernel
+/// work" remark invites. `crates/core/tests/kernel_equivalence.rs` pins
+/// its emissions bit for bit to the textbook loop's, re-run per emission.
 pub struct IDrips<'a, M: UtilityMeasure + ?Sized, H> {
     inst: &'a ProblemInstance,
     measure: &'a M,
@@ -31,7 +28,6 @@ pub struct IDrips<'a, M: UtilityMeasure + ?Sized, H> {
     ctx: ExecutionContext,
     spaces: Vec<PlanSpace>,
     kernel: OrderingKernel,
-    use_reference: bool,
     total_refinements: usize,
     emitted: usize,
 }
@@ -46,33 +42,23 @@ impl<'a, M: UtilityMeasure + ?Sized, H: AbstractionHeuristic> IDrips<'a, M, H> {
             ctx: ExecutionContext::new(),
             spaces: vec![full_space(inst)],
             kernel: OrderingKernel::new(),
-            use_reference: false,
             total_refinements: 0,
             emitted: 0,
         }
-    }
-
-    /// Switches to the pre-optimization O(n²) reference kernel (fresh
-    /// trees every round, no caches, serial evaluation): the oracle the
-    /// differential tests compare against.
-    pub fn with_reference_kernel(mut self) -> Self {
-        self.use_reference = true;
-        self
     }
 
     /// Wires the underlying kernel to a shared observability bundle: its
     /// `qpo_kernel_*` counters land on `obs.registry` and its refinement /
     /// elimination / champion / cache events go to `obs.journal` — each
     /// `kernel_elimination` event is a certificate
-    /// ([`qpo_obs::EliminationCertificate::from_record`]) that
-    /// [`crate::verify_certificates`] replays against the emitted plans.
+    /// ([`qpo_obs::EliminationCertificate::from_record`]) whose intervals
+    /// re-derive from the measure given the plans emitted before it.
     pub fn with_obs(mut self, obs: &qpo_obs::Obs) -> Self {
         self.kernel = std::mem::take(&mut self.kernel).with_obs(obs);
         self
     }
 
-    /// Counter snapshot from the incremental kernel (all zeros when the
-    /// reference kernel drives this orderer).
+    /// Counter snapshot from the kernel.
     pub fn kernel_stats(&self) -> KernelStats {
         self.kernel.stats()
     }
@@ -99,23 +85,13 @@ impl<M: UtilityMeasure + ?Sized, H: AbstractionHeuristic> PlanOrderer for IDrips
     }
 
     fn next_plan(&mut self) -> Option<OrderedPlan> {
-        let outcome = if self.use_reference {
-            reference_find_best(
-                self.inst,
-                self.measure,
-                &self.ctx,
-                &self.spaces,
-                &self.heuristic,
-            )
-        } else {
-            self.kernel.find_best(
-                self.inst,
-                self.measure,
-                &self.ctx,
-                &self.spaces,
-                &self.heuristic,
-            )
-        }?;
+        let outcome = self.kernel.find_best(
+            self.inst,
+            self.measure,
+            &self.ctx,
+            &self.spaces,
+            &self.heuristic,
+        )?;
         self.total_refinements += outcome.refinements;
         let space = self.spaces.swap_remove(outcome.space);
         self.spaces.extend(remove_plan(&space, &outcome.plan));

@@ -1,7 +1,16 @@
-//! The incremental ordering kernel behind Drips and iDrips.
+//! Drips (§5.1), as the incremental kernel iDrips re-runs per emission.
 //!
-//! The textbook Drips loop (kept verbatim as [`reference_find_best`], the
-//! differential-testing oracle) redoes three kinds of work every round:
+//! Drips abstracts each bucket into a hierarchy of abstract sources, starts
+//! from the top abstract plan, and repeatedly (a) evaluates utility
+//! intervals, (b) eliminates dominated plans (`l_p ≥ h_q` ⇒ drop `q`), and
+//! (c) refines the most promising abstract plan by replacing one abstract
+//! source with its children — until the surviving nondominated plan is
+//! concrete. Most concrete plans are pruned away inside eliminated abstract
+//! plans without ever being evaluated. [`OrderingKernel::find_best`] is
+//! that search; [`crate::IDrips`] iterates it over shrinking plan spaces.
+//!
+//! The textbook loop (kept as the differential-testing oracle in
+//! `crates/core/tests/support`) redoes three kinds of work every round:
 //!
 //! 1. **O(n²) dominance sweeps** — every alive plan is compared against
 //!    every other, although the only plan that can eliminate anything is
@@ -27,23 +36,21 @@
 //!    is no longer an extension of what the carries saw — drops the table.
 //!
 //! The kernel runs on the calling thread, and the emitted order is
-//! bit-for-bit identical to [`reference_find_best`]'s by construction:
+//! bit-for-bit identical to the textbook loop's by construction:
 //! the champion rule eliminates *exactly* the plans the pairwise sweep
 //! eliminates (see `eliminates`' invariants), caching only short-circuits
 //! recomputation of pure functions, and a resumed evaluation returns the
 //! bits a from-scratch one would (the measure's contract).
 
 use crate::abstraction::{AbstractionHeuristic, AbstractionTree, NodeId};
-use crate::drips::DripsOutcome;
 use crate::planspace::PlanSpace;
 use qpo_catalog::ProblemInstance;
 use qpo_interval::Interval;
-use qpo_obs::{
-    encode_candidates, Counter, EliminationCertificate, Histogram, Obs, TraceJournal, Value,
-};
+use qpo_obs::{encode_candidates, Counter, Histogram, Obs, TraceJournal, Value};
 use qpo_utility::{as_concrete, ExecutionContext, IntervalCarry, UtilityMeasure};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Counters the kernel accumulates across [`OrderingKernel::find_best`]
@@ -146,7 +153,40 @@ impl KernelMetrics {
     }
 }
 
-/// A plan in the refinement pool: one abstraction-tree node per bucket.
+/// Outcome of a Drips search: the best concrete plan across the spaces.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DripsOutcome {
+    /// Index of the plan space the winner came from.
+    pub space: usize,
+    /// The winning concrete plan.
+    pub plan: Vec<usize>,
+    /// Its exact utility under the search context.
+    pub utility: f64,
+    /// Number of refinement steps performed.
+    pub refinements: usize,
+}
+
+/// A plan built — as a space's root or a refined parent's child — but
+/// not yet evaluated, so not yet in the pool.
+#[derive(Debug)]
+struct Built {
+    space: usize,
+    nodes: Vec<NodeId>,
+    cands: Vec<Vec<usize>>,
+}
+
+/// One batch of plans on its way into the pool: the plans built, their
+/// intervals and the indices among them that missed the memo. Kept
+/// across rounds, so a refinement allocates no scratch.
+#[derive(Debug, Default)]
+struct Batch {
+    built: Vec<Built>,
+    utilities: Vec<Interval>,
+    misses: Vec<usize>,
+}
+
+/// A plan in the refinement pool: one abstraction-tree node per bucket,
+/// and its utility interval — the pool holds only evaluated plans.
 #[derive(Debug, Clone)]
 struct PoolPlan {
     /// Which plan space this plan belongs to (iDrips runs Drips over
@@ -156,7 +196,7 @@ struct PoolPlan {
     nodes: Vec<NodeId>,
     /// Candidate indices per bucket (materialized from the nodes).
     cands: Vec<Vec<usize>>,
-    utility: Option<Interval>,
+    utility: Interval,
     alive: bool,
 }
 
@@ -177,6 +217,9 @@ impl PoolPlan {
 /// be eliminated: an eliminator would need `lo > champion.hi ≥
 /// champion.lo` (contradicting maximality) or an equal `lo` with a
 /// smaller id (contradicting the tie-break).
+///
+/// A certificate's replay, [`qpo_obs::EliminationCertificate::comparison_holds`],
+/// must agree with it on every input; a unit test below pins the two.
 fn eliminates(p: (Interval, usize), q: (Interval, usize)) -> bool {
     let (up, idp) = p;
     let (uq, idq) = q;
@@ -257,6 +300,7 @@ pub struct OrderingKernel {
     retractions: u64,
     metrics: KernelMetrics,
     journal: TraceJournal,
+    batch: Batch,
 }
 
 impl Default for OrderingKernel {
@@ -274,6 +318,7 @@ impl OrderingKernel {
             retractions: 0,
             metrics: KernelMetrics::registered(&Obs::new()),
             journal: TraceJournal::default(),
+            batch: Batch::default(),
         }
     }
 
@@ -289,12 +334,6 @@ impl OrderingKernel {
     /// Snapshot of the accumulated counters.
     pub fn stats(&self) -> KernelStats {
         self.metrics.stats()
-    }
-
-    /// Entries currently held by the (tree, interval) caches.
-    pub fn cache_sizes(&self) -> (usize, usize) {
-        let trees = self.trees.values().map(HashMap::len).sum();
-        (trees, self.intervals.len())
     }
 
     fn tree<H: AbstractionHeuristic + ?Sized>(
@@ -326,8 +365,7 @@ impl OrderingKernel {
 
     /// Runs Drips over the given plan spaces under `ctx`, returning the
     /// best concrete plan across all of them (or `None` when there are no
-    /// spaces). Emits exactly the `(space, plan, utility)` the reference
-    /// kernel emits; only the work done to find it differs.
+    /// spaces).
     pub fn find_best<M, H>(
         &mut self,
         inst: &ProblemInstance,
@@ -366,73 +404,62 @@ impl OrderingKernel {
             })
             .collect();
 
-        let mut plans: Vec<PoolPlan> = Vec::with_capacity(spaces.len());
-        for (s, space_trees) in trees.iter().enumerate() {
+        let roots = trees.iter().enumerate().map(|(space, space_trees)| {
             let nodes: Vec<NodeId> = space_trees.iter().map(|t| t.root()).collect();
-            let cands: Vec<Vec<usize>> = space_trees
+            let cands = space_trees
                 .iter()
                 .zip(&nodes)
                 .map(|(t, &n)| t.indices(n).to_vec())
                 .collect();
-            plans.push(PoolPlan {
-                space: s,
+            Built {
+                space,
                 nodes,
                 cands,
-                utility: None,
-                alive: true,
-            });
-        }
-
-        let mut pending: Vec<usize> = (0..plans.len()).collect();
-        let mut frontier: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(plans.len());
+            }
+        });
+        self.batch.built.extend(roots);
+        let mut plans: Vec<PoolPlan> = Vec::with_capacity(spaces.len());
+        let mut frontier: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(spaces.len());
         let mut champion: Option<usize> = None;
         let mut refinements = 0usize;
 
         loop {
             self.metrics.rounds.inc();
-            // (a) evaluate pending utilities (memoized).
-            self.evaluate(inst, measure, ctx, &mut plans, &pending);
-            for &id in &pending {
+            // (a) evaluate the built plans into the pool (memoized) and
+            // queue the abstract ones for refinement.
+            let pending = self.evaluate(inst, measure, ctx, &mut plans);
+            for id in pending.clone() {
                 if !plans[id].is_concrete() {
-                    frontier.push(HeapEntry::new(
-                        plans[id].utility.expect("evaluated above").hi(),
-                        id,
-                    ));
+                    frontier.push(HeapEntry::new(plans[id].utility.hi(), id));
                 }
             }
 
             // (b) update the champion, then eliminate against it.
             let prev = champion;
-            if !champion.is_some_and(|c| plans[c].alive) {
+            let key = |id: usize| (plans[id].utility, id);
+            let champ = match champion.filter(|&c| plans[c].alive) {
+                // Alive plans never change, so the champion can only be
+                // dethroned by one of the fresh plans.
+                Some(c) => pending.clone().fold(c, |c, id| {
+                    if champion_beats(key(id), key(c)) {
+                        id
+                    } else {
+                        c
+                    }
+                }),
                 // The previous champion was refined away (or this is the
                 // first round): recompute from scratch.
-                champion = (0..plans.len())
+                None => (0..plans.len())
                     .filter(|&id| plans[id].alive)
-                    .max_by(|&a, &b| {
-                        let ua = plans[a].utility.expect("evaluated above");
-                        let ub = plans[b].utility.expect("evaluated above");
-                        if champion_beats((ua, a), (ub, b)) {
-                            Ordering::Greater
-                        } else {
-                            Ordering::Less
-                        }
-                    });
-            } else {
-                // Alive plans never change, so the champion can only be
-                // dethroned by one of the freshly evaluated plans.
-                for &id in &pending {
-                    let c = champion.expect("set above");
-                    let uc = plans[c].utility.expect("champion is evaluated");
-                    let uq = plans[id].utility.expect("evaluated above");
-                    if champion_beats((uq, id), (uc, c)) {
-                        champion = Some(id);
-                    }
-                }
-            }
-            let champ = champion.expect("non-empty pool has a champion");
-            let champ_u = plans[champ].utility.expect("champion is evaluated");
-            if prev != champion {
-                // New champion: its reach is unknown, sweep everything.
+                    .reduce(|a, b| if champion_beats(key(a), key(b)) { a } else { b })
+                    .expect("the champion is never eliminated, so a plan stays alive"),
+            };
+            champion = Some(champ);
+            let champ_u = plans[champ].utility;
+            // A new champion's reach is unknown: sweep everything. The
+            // same champion was already withstood by every survivor: only
+            // the fresh plans need checking.
+            let checked = if prev != champion {
                 self.metrics.champion_sweeps.inc();
                 if self.journal.is_enabled() {
                     self.journal.record(
@@ -443,42 +470,26 @@ impl OrderingKernel {
                         ],
                     );
                 }
-                // The champion is fixed across the sweep: encode its
-                // candidate sets once and let every elimination event
-                // copy the bytes instead of re-formatting them.
-                let champ_enc = self
-                    .journal
-                    .is_enabled()
-                    .then(|| encode_candidates(&plans[champ].cands));
-                for id in 0..plans.len() {
-                    if id == champ || !plans[id].alive {
-                        continue;
-                    }
-                    self.metrics.dominance_checks.inc();
-                    let uq = plans[id].utility.expect("alive plans are evaluated");
-                    if eliminates((champ_u, champ), (uq, id)) {
-                        self.kill(&mut plans, id, champ, epoch, champ_enc.as_deref());
-                    }
-                }
+                0..plans.len()
             } else {
-                // Same champion: every surviving plan already withstood
-                // it; only the fresh plans need checking.
-                let champ_enc = self
-                    .journal
-                    .is_enabled()
-                    .then(|| encode_candidates(&plans[champ].cands));
-                for &id in &pending {
-                    if id == champ || !plans[id].alive {
-                        continue;
-                    }
-                    self.metrics.dominance_checks.inc();
-                    let uq = plans[id].utility.expect("evaluated above");
-                    if eliminates((champ_u, champ), (uq, id)) {
-                        self.kill(&mut plans, id, champ, epoch, champ_enc.as_deref());
-                    }
+                pending.clone()
+            };
+            // The champion is fixed across the sweep: encode its
+            // candidate sets once and let every elimination event copy
+            // the bytes instead of re-formatting them.
+            let champ_enc = self
+                .journal
+                .is_enabled()
+                .then(|| encode_candidates(&plans[champ].cands));
+            for id in checked {
+                if id == champ || !plans[id].alive {
+                    continue;
+                }
+                self.metrics.dominance_checks.inc();
+                if eliminates((champ_u, champ), (plans[id].utility, id)) {
+                    self.kill(&mut plans, id, champ, epoch, champ_enc.as_deref());
                 }
             }
-            pending.clear();
 
             // (c) refine the most promising abstract survivor; when the
             // frontier runs dry every survivor is concrete and the
@@ -496,7 +507,7 @@ impl OrderingKernel {
                 return Some(DripsOutcome {
                     space: winner.space,
                     plan,
-                    utility: winner.utility.expect("champion is evaluated").lo(),
+                    utility: champ_u.lo(),
                     refinements,
                 });
             };
@@ -513,46 +524,37 @@ impl OrderingKernel {
             }
             // Split the widest abstract bucket: replace its node by the
             // children, one child plan each.
-            let parent = std::mem::replace(
-                &mut plans[target_id],
-                PoolPlan {
-                    space: 0,
-                    nodes: Vec::new(),
-                    cands: Vec::new(),
-                    utility: None,
-                    alive: false,
-                },
-            );
-            if champion == Some(target_id) {
-                champion = None; // force a recompute next round
-            }
-            let bucket = (0..parent.nodes.len())
-                .filter(|&b| parent.cands[b].len() > 1)
-                .max_by_key(|&b| parent.cands[b].len())
+            let parent = &mut plans[target_id];
+            parent.alive = false;
+            let space = parent.space;
+            let nodes = std::mem::take(&mut parent.nodes);
+            let cands = std::mem::take(&mut parent.cands);
+            let bucket = (0..nodes.len())
+                .filter(|&b| cands[b].len() > 1)
+                .max_by_key(|&b| cands[b].len())
                 .expect("abstract plan has a non-singleton bucket");
-            let tree = &trees[parent.space][bucket];
-            for &child in tree.children(parent.nodes[bucket]) {
-                let mut nodes = parent.nodes.clone();
+            let tree = &trees[space][bucket];
+            let children = tree.children(nodes[bucket]).iter().map(|&child| {
+                let mut nodes = nodes.clone();
                 nodes[bucket] = child;
-                let mut cands = parent.cands.clone();
+                let mut cands = cands.clone();
                 cands[bucket] = tree.indices(child).to_vec();
-                pending.push(plans.len());
-                plans.push(PoolPlan {
-                    space: parent.space,
+                Built {
+                    space,
                     nodes,
                     cands,
-                    utility: None,
-                    alive: true,
-                });
-            }
+                }
+            });
+            self.batch.built.extend(children);
         }
     }
 
     /// Eliminates plan `id`, dominated by `champ` at context `epoch`.
     /// Before the victim's candidate storage is freed, its provenance is
-    /// captured when tracing is on: a `kernel_elimination` event carrying
-    /// every field of an [`EliminationCertificate`]
-    /// ([`EliminationCertificate::from_record`] reads it back), which is
+    /// captured when tracing is on (`champ_enc`, the champion's encoded
+    /// candidate sets, is then `Some`): a `kernel_elimination` event
+    /// carrying every field of an [`qpo_obs::EliminationCertificate`]
+    /// (`EliminationCertificate::from_record` reads it back), which is
     /// enough to replay the comparison.
     fn kill(
         &mut self,
@@ -563,13 +565,8 @@ impl OrderingKernel {
         champ_enc: Option<&str>,
     ) {
         self.metrics.eliminations.inc();
-        let champ_u = plans[champ].utility.expect("champion is evaluated");
-        let victim_u = plans[id].utility.expect("victims are evaluated");
-        if self.journal.is_enabled() {
-            let champion_enc = match champ_enc {
-                Some(s) => s.to_owned(),
-                None => encode_candidates(&plans[champ].cands),
-            };
+        if let Some(champion_enc) = champ_enc {
+            let (champ_u, victim_u) = (plans[champ].utility, plans[id].utility);
             self.journal.record(
                 "kernel_elimination",
                 vec![
@@ -579,7 +576,7 @@ impl OrderingKernel {
                         "victim",
                         Value::Str(encode_candidates(&plans[id].cands).into()),
                     ),
-                    ("champion", Value::Str(champion_enc.into())),
+                    ("champion", Value::Str(champion_enc.to_owned().into())),
                     ("victim_lo", Value::F64(victim_u.lo())),
                     ("victim_hi", Value::F64(victim_u.hi())),
                     ("champion_lo", Value::F64(champ_u.lo())),
@@ -596,22 +593,29 @@ impl OrderingKernel {
         p.cands = Vec::new();
     }
 
-    /// Resolves the pending plans' utility intervals. A memo entry of this
-    /// epoch answers outright; one of an earlier epoch resumes from its
-    /// carry. What is left starts from scratch and is memoized.
+    /// Evaluates the built batch and appends it to the pool, alive,
+    /// returning the new ids. A memo entry of this epoch answers outright;
+    /// one of an earlier epoch resumes from its carry — both in batch
+    /// order. What is left then starts from scratch and is memoized.
     fn evaluate<M: UtilityMeasure + ?Sized>(
         &mut self,
         inst: &ProblemInstance,
         measure: &M,
         ctx: &ExecutionContext,
-        plans: &mut [PoolPlan],
-        pending: &[usize],
-    ) {
+        plans: &mut Vec<PoolPlan>,
+    ) -> Range<usize> {
+        let first = plans.len();
         let epoch = ctx.epoch();
         let context_free = measure.context_free();
-        let mut misses: Vec<usize> = Vec::with_capacity(pending.len());
-        for &id in pending {
-            match self.intervals.get_mut(&plans[id].cands) {
+        let Batch {
+            built,
+            utilities,
+            misses,
+        } = &mut self.batch;
+        // A miss holds `ZERO` until the second pass overwrites it.
+        utilities.resize(built.len(), Interval::ZERO);
+        for (i, plan) in built.iter().enumerate() {
+            match self.intervals.get_mut(&plan.cands) {
                 Some(entry) if context_free || entry.epoch == epoch => {
                     self.metrics.interval_cache_hits.inc();
                     if self.journal.is_enabled() {
@@ -619,298 +623,57 @@ impl OrderingKernel {
                             "kernel_cache_hit",
                             vec![
                                 ("cache", Value::Str("interval".into())),
-                                ("plan_id", Value::U64(id as u64)),
+                                ("plan_id", Value::U64((first + i) as u64)),
                             ],
                         );
                     }
-                    plans[id].utility = Some(entry.interval);
+                    utilities[i] = entry.interval;
                 }
                 // (A fresh carry means the measure does not resume: its
                 // evaluation starts over below.)
                 Some(entry) if !entry.carry.is_fresh() => {
                     self.metrics.interval_evals.inc();
                     self.metrics.interval_resumes.inc();
-                    let iv = measure.resume_interval(inst, &plans[id].cands, ctx, &mut entry.carry);
+                    let iv = measure.resume_interval(inst, &plan.cands, ctx, &mut entry.carry);
                     entry.interval = iv;
                     entry.epoch = epoch;
                     self.metrics.interval_width.record(iv.hi() - iv.lo());
-                    plans[id].utility = Some(iv);
+                    utilities[i] = iv;
                 }
-                _ => misses.push(id),
+                _ => misses.push(i),
             }
         }
         self.metrics.interval_evals.add(misses.len() as u64);
 
-        for id in misses {
+        for i in misses.drain(..) {
+            let cands = &built[i].cands;
             let mut carry = IntervalCarry::default();
-            let interval = measure.resume_interval(inst, &plans[id].cands, ctx, &mut carry);
+            let interval = measure.resume_interval(inst, cands, ctx, &mut carry);
             self.metrics
                 .interval_width
                 .record(interval.hi() - interval.lo());
-            plans[id].utility = Some(interval);
+            utilities[i] = interval;
             let fresh = MemoEntry {
                 interval,
                 epoch,
                 carry,
             };
-            self.intervals.insert(plans[id].cands.clone(), fresh);
+            self.intervals.insert(cands.clone(), fresh);
         }
-    }
-}
-
-/// The pre-optimization kernel, kept as the differential-testing oracle:
-/// a full O(n²) pairwise dominance sweep per round, fresh abstraction
-/// trees per call, no memoization. Its only change from the original is
-/// `total_cmp` in the max-scans, so a degenerate measure cannot panic the
-/// orderer mid-stream (the incremental kernel uses the same total order
-/// in its heap).
-pub fn reference_find_best<M, H>(
-    inst: &ProblemInstance,
-    measure: &M,
-    ctx: &ExecutionContext,
-    spaces: &[PlanSpace],
-    heuristic: &H,
-) -> Option<DripsOutcome>
-where
-    M: UtilityMeasure + ?Sized,
-    H: AbstractionHeuristic + ?Sized,
-{
-    if spaces.is_empty() {
-        return None;
-    }
-    struct RefPlan {
-        space: usize,
-        nodes: Vec<NodeId>,
-        cands: Vec<Vec<usize>>,
-        utility: Option<Interval>,
-        alive: bool,
-        id: usize,
-    }
-    impl RefPlan {
-        fn is_concrete(&self) -> bool {
-            self.cands.iter().all(|c| c.len() == 1)
-        }
-    }
-    // One tree per (space, bucket), rebuilt fresh per call ("reabstracts
-    // the sources in the new plan spaces", §5.2).
-    let trees: Vec<Vec<AbstractionTree>> = spaces
-        .iter()
-        .map(|space| {
-            space
-                .iter()
-                .enumerate()
-                .map(|(b, cands)| AbstractionTree::build(inst, b, cands, heuristic))
-                .collect()
-        })
-        .collect();
-
-    let mut pool: Vec<RefPlan> = Vec::new();
-    for (s, space_trees) in trees.iter().enumerate() {
-        let nodes: Vec<NodeId> = space_trees.iter().map(AbstractionTree::root).collect();
-        let cands: Vec<Vec<usize>> = space_trees
-            .iter()
-            .zip(&nodes)
-            .map(|(t, &n)| t.indices(n).to_vec())
-            .collect();
-        pool.push(RefPlan {
-            space: s,
-            nodes,
-            cands,
-            utility: None,
-            alive: true,
-            id: pool.len(),
-        });
-    }
-
-    let mut next_id = pool.len();
-    let mut refinements = 0usize;
-    loop {
-        pool.retain(|p| p.alive);
-        for p in pool.iter_mut().filter(|p| p.alive && p.utility.is_none()) {
-            p.utility = Some(measure.utility_interval(inst, &p.cands, ctx));
-        }
-        let snapshot: Vec<(usize, Interval)> = pool
-            .iter()
-            .filter(|p| p.alive)
-            .map(|p| (p.id, p.utility.expect("evaluated above")))
-            .collect();
-        for p in pool.iter_mut().filter(|p| p.alive) {
-            let uq = p.utility.expect("evaluated above");
-            if snapshot
-                .iter()
-                .any(|&(id, up)| id != p.id && eliminates((up, id), (uq, p.id)))
-            {
-                p.alive = false;
-            }
-        }
-        let target = pool
-            .iter()
-            .filter(|p| p.alive && !p.is_concrete())
-            .max_by(|a, b| {
-                let ua = a.utility.expect("evaluated above").hi();
-                let ub = b.utility.expect("evaluated above").hi();
-                ua.total_cmp(&ub).then(b.id.cmp(&a.id))
-            })
-            .map(|p| p.id);
-        let Some(target_id) = target else {
-            let winner = pool
-                .iter()
-                .filter(|p| p.alive)
-                .max_by(|a, b| {
-                    let ua = a.utility.expect("evaluated above").lo();
-                    let ub = b.utility.expect("evaluated above").lo();
-                    ua.total_cmp(&ub).then(b.id.cmp(&a.id))
-                })
-                .expect("pool never empties: elimination spares a maximum");
-            let plan = as_concrete(&winner.cands).expect("winner is concrete");
-            return Some(DripsOutcome {
-                space: winner.space,
-                plan,
-                utility: winner.utility.expect("evaluated above").lo(),
-                refinements,
-            });
-        };
-        refinements += 1;
-        let pos = pool
-            .iter()
-            .position(|p| p.id == target_id)
-            .expect("target is in the pool");
-        let parent = pool.swap_remove(pos);
-        let bucket = (0..parent.nodes.len())
-            .filter(|&b| parent.cands[b].len() > 1)
-            .max_by_key(|&b| parent.cands[b].len())
-            .expect("abstract plan has a non-singleton bucket");
-        let tree = &trees[parent.space][bucket];
-        for &child in tree.children(parent.nodes[bucket]) {
-            let mut nodes = parent.nodes.clone();
-            nodes[bucket] = child;
-            let mut cands = parent.cands.clone();
-            cands[bucket] = tree.indices(child).to_vec();
-            pool.push(RefPlan {
-                space: parent.space,
-                nodes,
-                cands,
-                utility: None,
-                alive: true,
-                id: next_id,
-            });
-            next_id += 1;
-        }
-    }
-}
-
-/// A certificate that failed verification: its position in the checked
-/// slice and what went wrong.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CertificateError {
-    /// Index into the certificate slice handed to [`verify_certificates`].
-    pub index: usize,
-    /// Human-readable mismatch description.
-    pub reason: String,
-}
-
-impl std::fmt::Display for CertificateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "certificate {}: {}", self.index, self.reason)
-    }
-}
-
-impl std::error::Error for CertificateError {}
-
-/// Independently re-checks every elimination certificate against the
-/// problem instance: (1) the recorded dominance comparison holds under
-/// the kernel's own `eliminates` predicate *and* under the certificate's
-/// dependency-free replay ([`EliminationCertificate::comparison_holds`]),
-/// and (2) both utility intervals re-derive bit-for-bit from `measure`.
-///
-/// `emissions` is the sequence of plans recorded as executed, in order —
-/// an iDrips run's emitted plans. Certificates carry the context epoch
-/// they were decided at; the verifier replays the execution context by
-/// recording emissions until it reaches each certificate's epoch, so
-/// context-sensitive measures verify exactly. (Runs that *retracted*
-/// plans move the epoch without a corresponding emission and cannot be
-/// replayed this way; such certificates report an unreachable epoch.)
-///
-/// Returns the number of certificates verified (all of them) or the
-/// first mismatch.
-pub fn verify_certificates<M: UtilityMeasure + ?Sized>(
-    inst: &ProblemInstance,
-    measure: &M,
-    emissions: &[Vec<usize>],
-    certs: &[EliminationCertificate],
-) -> Result<usize, CertificateError> {
-    let mut ctx = ExecutionContext::new();
-    let mut next = 0usize;
-    for (index, cert) in certs.iter().enumerate() {
-        let fail = |reason: String| CertificateError { index, reason };
-        // A verifier must reject malformed input, not panic on it.
-        for (what, (lo, hi)) in [
-            ("victim", cert.victim_interval),
-            ("champion", cert.champion_interval),
-        ] {
-            if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
-                return Err(fail(format!("{what} interval [{lo}, {hi}] is malformed")));
-            }
-        }
-        // (1) the comparison itself, via both implementations.
-        let champ_u = Interval::new(cert.champion_interval.0, cert.champion_interval.1);
-        let victim_u = Interval::new(cert.victim_interval.0, cert.victim_interval.1);
-        let by_kernel = eliminates(
-            (champ_u, cert.champion_id as usize),
-            (victim_u, cert.victim_id as usize),
+        plans.extend(
+            built
+                .drain(..)
+                .zip(utilities.drain(..))
+                .map(|(b, utility)| PoolPlan {
+                    space: b.space,
+                    nodes: b.nodes,
+                    cands: b.cands,
+                    utility,
+                    alive: true,
+                }),
         );
-        if !by_kernel {
-            return Err(fail(format!(
-                "recorded intervals do not dominate: champion [{}, {}] (id {}) vs victim [{}, {}] (id {})",
-                champ_u.lo(), champ_u.hi(), cert.champion_id,
-                victim_u.lo(), victim_u.hi(), cert.victim_id,
-            )));
-        }
-        if !cert.comparison_holds() {
-            return Err(fail(
-                "certificate replay disagrees with the kernel's eliminates predicate".into(),
-            ));
-        }
-        // (2) the intervals re-derive from the measure at the recorded
-        // epoch.
-        while ctx.epoch() < cert.epoch {
-            let Some(plan) = emissions.get(next) else {
-                return Err(fail(format!(
-                    "epoch {} unreachable from {} emissions",
-                    cert.epoch,
-                    emissions.len()
-                )));
-            };
-            ctx.record(plan);
-            next += 1;
-        }
-        if ctx.epoch() != cert.epoch {
-            return Err(fail(format!(
-                "epoch {} behind the replayed context ({})",
-                cert.epoch,
-                ctx.epoch()
-            )));
-        }
-        for (what, cands, recorded) in [
-            ("victim", &cert.victim, victim_u),
-            ("champion", &cert.champion, champ_u),
-        ] {
-            let redone = measure.utility_interval(inst, cands, &ctx);
-            if redone.lo().to_bits() != recorded.lo().to_bits()
-                || redone.hi().to_bits() != recorded.hi().to_bits()
-            {
-                return Err(fail(format!(
-                    "{what} interval mismatch at epoch {}: recorded [{}, {}], re-derived [{}, {}]",
-                    cert.epoch,
-                    recorded.lo(),
-                    recorded.hi(),
-                    redone.lo(),
-                    redone.hi(),
-                )));
-            }
-        }
+        first..plans.len()
     }
-    Ok(certs.len())
 }
 
 #[cfg(test)]
@@ -918,8 +681,39 @@ mod tests {
     use super::*;
     use crate::abstraction::ByExpectedTuples;
     use crate::planspace::full_space;
-    use qpo_catalog::GeneratorConfig;
-    use qpo_utility::{CountingMeasure, Coverage, FailureCost};
+    use qpo_catalog::{Extent, GeneratorConfig, SourceStats};
+    use qpo_obs::EliminationCertificate;
+    use qpo_utility::{CountingMeasure, Coverage, FailureCost, MonetaryCost};
+
+    /// One Drips search on a fresh kernel.
+    fn find_best<M: UtilityMeasure + ?Sized>(
+        inst: &ProblemInstance,
+        m: &M,
+        ctx: &ExecutionContext,
+        spaces: &[PlanSpace],
+    ) -> Option<DripsOutcome> {
+        OrderingKernel::new().find_best(inst, m, ctx, spaces, &ByExpectedTuples)
+    }
+
+    fn coverage_inst() -> ProblemInstance {
+        let src = |s, l| SourceStats::new().with_extent(Extent::new(s, l));
+        ProblemInstance::new(
+            1.0,
+            vec![20, 20],
+            vec![
+                vec![src(0, 8), src(5, 8), src(14, 6)],
+                vec![src(0, 10), src(9, 10), src(3, 4)],
+            ],
+        )
+        .unwrap()
+    }
+
+    fn brute_best<M: UtilityMeasure>(inst: &ProblemInstance, m: &M, ctx: &ExecutionContext) -> f64 {
+        inst.all_plans()
+            .iter()
+            .map(|p| m.utility(inst, p, ctx))
+            .fold(f64::MIN, f64::max)
+    }
 
     #[test]
     fn heap_entry_order_matches_ieee_with_id_tiebreak() {
@@ -933,16 +727,133 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_reference_agree_on_a_single_space() {
-        for seed in 0..8u64 {
+    fn eliminates_is_the_certificate_replay() {
+        // Every interval over these bounds: signed zeros, equal lower
+        // bounds, and bounds that touch.
+        let bounds = [-1.0, -0.0, 0.0, 0.5, 1.0];
+        let intervals: Vec<Interval> = bounds
+            .iter()
+            .flat_map(|&lo| {
+                bounds
+                    .iter()
+                    .filter(move |&&hi| lo <= hi)
+                    .map(move |&hi| (lo, hi))
+            })
+            .map(|(lo, hi)| Interval::new(lo, hi))
+            .collect();
+        for &c in &intervals {
+            for &v in &intervals {
+                for (ic, iv) in [(0usize, 1usize), (1, 0), (3, 3)] {
+                    let cert = EliminationCertificate {
+                        victim_id: iv as u64,
+                        champion_id: ic as u64,
+                        victim: Vec::new(),
+                        champion: Vec::new(),
+                        victim_interval: (v.lo(), v.hi()),
+                        champion_interval: (c.lo(), c.hi()),
+                        epoch: 0,
+                    };
+                    assert_eq!(
+                        eliminates((c, ic), (v, iv)),
+                        cert.comparison_holds(),
+                        "champion {c:?} #{ic} vs victim {v:?} #{iv}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn finds_the_best_plan_for_coverage() {
+        let inst = coverage_inst();
+        let ctx = ExecutionContext::new();
+        let out = find_best(&inst, &Coverage, &ctx, &[full_space(&inst)]).unwrap();
+        assert_eq!(out.utility, brute_best(&inst, &Coverage, &ctx));
+        assert_eq!(out.space, 0);
+    }
+
+    #[test]
+    fn finds_best_across_measures_on_generated_instances() {
+        for seed in 0..5u64 {
             let inst = GeneratorConfig::new(3, 6).with_seed(seed).build();
             let ctx = ExecutionContext::new();
             let spaces = [full_space(&inst)];
-            let mut kernel = OrderingKernel::new();
-            let fast = kernel.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
-            let slow = reference_find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
-            assert_eq!(fast, slow, "seed {seed}");
+            let cov = find_best(&inst, &Coverage, &ctx, &spaces).unwrap();
+            assert!(
+                (cov.utility - brute_best(&inst, &Coverage, &ctx)).abs() < 1e-12,
+                "seed {seed} coverage"
+            );
+            let fc = FailureCost::without_caching();
+            let out = find_best(&inst, &fc, &ctx, &spaces).unwrap();
+            assert!(
+                (out.utility - brute_best(&inst, &fc, &ctx)).abs() < 1e-9,
+                "seed {seed} failure-cost"
+            );
+            let mc = MonetaryCost::without_caching();
+            let out = find_best(&inst, &mc, &ctx, &spaces).unwrap();
+            assert!(
+                (out.utility - brute_best(&inst, &mc, &ctx)).abs() < 1e-9,
+                "seed {seed} monetary"
+            );
         }
+    }
+
+    #[test]
+    fn respects_the_execution_context() {
+        let inst = coverage_inst();
+        let spaces = [full_space(&inst)];
+        let mut ctx = ExecutionContext::new();
+        let first = find_best(&inst, &Coverage, &ctx, &spaces).unwrap();
+        ctx.record(&first.plan);
+        // The best plan given the first was executed: brute-force check.
+        let second = find_best(&inst, &Coverage, &ctx, &spaces).unwrap();
+        assert!((second.utility - brute_best(&inst, &Coverage, &ctx)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn evaluates_fewer_plans_than_brute_force_when_abstraction_helps() {
+        // Many similar sources: abstraction prunes aggressively.
+        let inst = GeneratorConfig::new(3, 12).with_seed(11).build();
+        let m = CountingMeasure::new(FailureCost::without_caching());
+        let ctx = ExecutionContext::new();
+        find_best(&inst, &m, &ctx, &[full_space(&inst)]).unwrap();
+        let total = m.total_evals();
+        assert!(
+            (total as usize) < inst.plan_count(),
+            "Drips evaluated {total} ≥ {} plans",
+            inst.plan_count()
+        );
+    }
+
+    #[test]
+    fn searches_multiple_spaces() {
+        let inst = coverage_inst();
+        let ctx = ExecutionContext::new();
+        // Two disjoint sub-spaces; best plan must carry the right space id.
+        let spaces = [
+            vec![vec![0], vec![0, 1, 2]],
+            vec![vec![1, 2], vec![0, 1, 2]],
+        ];
+        let out = find_best(&inst, &Coverage, &ctx, &spaces).unwrap();
+        assert!((out.utility - brute_best(&inst, &Coverage, &ctx)).abs() < 1e-12);
+        assert!(out.space < 2);
+        // Empty space list → None.
+        assert!(find_best(&inst, &Coverage, &ctx, &[]).is_none());
+    }
+
+    #[test]
+    fn tie_handling_never_eliminates_all() {
+        // All sources identical: every plan ties; Drips must still return one.
+        let src = || SourceStats::new().with_extent(Extent::new(0, 5));
+        let inst = ProblemInstance::new(
+            0.0,
+            vec![10, 10],
+            vec![vec![src(), src(), src(), src()], vec![src(), src()]],
+        )
+        .unwrap();
+        let ctx = ExecutionContext::new();
+        let out = find_best(&inst, &Coverage, &ctx, &[full_space(&inst)]).unwrap();
+        assert_eq!(out.utility, 0.25);
     }
 
     #[test]
@@ -965,126 +876,5 @@ mod tests {
         let stats = kernel.stats();
         assert!(stats.interval_cache_hits >= evals_after_first);
         assert!(stats.tree_cache_hits > 0);
-        let (t, i) = kernel.cache_sizes();
-        assert!(t > 0 && i > 0);
-    }
-
-    #[test]
-    fn context_epoch_invalidates_the_interval_cache() {
-        let inst = GeneratorConfig::new(2, 4).with_seed(3).build();
-        let spaces = [full_space(&inst)];
-        let m = CountingMeasure::new(FailureCost::with_caching());
-        let mut ctx = ExecutionContext::new();
-        let mut kernel = OrderingKernel::new();
-        let first = kernel
-            .find_best(&inst, &m, &ctx, &spaces, &ByExpectedTuples)
-            .unwrap();
-        let before = m.interval_evals();
-        ctx.record(&first.plan);
-        kernel.find_best(&inst, &m, &ctx, &spaces, &ByExpectedTuples);
-        assert!(
-            m.interval_evals() > before,
-            "context-sensitive measure re-evaluates after record"
-        );
-        // And the re-evaluated result matches the reference kernel.
-        let slow = reference_find_best(&inst, &m, &ctx, &spaces, &ByExpectedTuples);
-        let fast = kernel.find_best(&inst, &m, &ctx, &spaces, &ByExpectedTuples);
-        assert_eq!(fast, slow);
-    }
-
-    /// Every elimination `obs`'s journal holds, as the certificate its
-    /// event decodes to.
-    fn journalled_certificates(obs: &Obs) -> Vec<EliminationCertificate> {
-        let events = obs.journal.events();
-        let kills = events.iter().filter(|e| e.kind == "kernel_elimination");
-        kills
-            .map(|e| EliminationCertificate::from_record(&e.into()).expect("every field present"))
-            .collect()
-    }
-
-    #[test]
-    fn certificates_record_every_elimination_and_verify() {
-        let inst = GeneratorConfig::new(3, 6).with_seed(2).build();
-        let ctx = ExecutionContext::new();
-        let spaces = [full_space(&inst)];
-        let mut plain = OrderingKernel::new();
-        let obs = Obs::with_trace();
-        let mut certified = OrderingKernel::new().with_obs(&obs);
-        let expected = plain.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
-        let got = certified.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
-        assert_eq!(got, expected, "recording provenance never changes emission");
-        let certs = journalled_certificates(&obs);
-        assert_eq!(
-            certs.len() as u64,
-            certified.stats().eliminations,
-            "one certificate per elimination"
-        );
-        assert!(!certs.is_empty(), "dominance prunes something at 3×6");
-        for cert in &certs {
-            assert!(cert.comparison_holds());
-            assert!(!cert.victim.is_empty() && !cert.champion.is_empty());
-        }
-        let verified = verify_certificates(&inst, &Coverage, &[], &certs).expect("all replay");
-        assert_eq!(verified, certs.len());
-    }
-
-    #[test]
-    fn verify_rejects_tampered_certificates() {
-        let inst = GeneratorConfig::new(3, 6).with_seed(2).build();
-        let ctx = ExecutionContext::new();
-        let spaces = [full_space(&inst)];
-        let obs = Obs::with_trace();
-        let mut kernel = OrderingKernel::new().with_obs(&obs);
-        kernel.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
-        let certs = journalled_certificates(&obs);
-
-        // Inflate the victim's upper bound past the champion's lower
-        // bound: the dominance comparison no longer holds.
-        let mut broken = certs.clone();
-        broken[0].victim_interval.1 = broken[0].champion_interval.0 + 1.0;
-        broken[0].victim_interval.0 = broken[0].victim_interval.1.min(broken[0].victim_interval.0);
-        let err = verify_certificates(&inst, &Coverage, &[], &broken).unwrap_err();
-        assert_eq!(err.index, 0);
-        assert!(err.reason.contains("do not dominate"), "{err}");
-
-        // Nudge a recorded bound slightly downward: the comparison still
-        // holds, but the bit-for-bit re-derivation catches it.
-        let mut nudged = certs;
-        nudged[0].victim_interval.0 -= 1e-9;
-        let err = verify_certificates(&inst, &Coverage, &[], &nudged).unwrap_err();
-        assert!(err.reason.contains("interval mismatch"), "{err}");
-
-        // And malformed intervals are rejected, not panicked on.
-        let mut malformed = nudged;
-        malformed[0].champion_interval = (1.0, 0.0);
-        let err = verify_certificates(&inst, &Coverage, &[], &malformed).unwrap_err();
-        assert!(err.reason.contains("malformed"), "{err}");
-    }
-
-    #[test]
-    fn verify_replays_context_sensitive_epochs_from_emissions() {
-        let inst = GeneratorConfig::new(2, 4).with_seed(3).build();
-        let spaces = [full_space(&inst)];
-        let measure = FailureCost::with_caching();
-        let mut ctx = ExecutionContext::new();
-        let obs = Obs::with_trace();
-        let mut kernel = OrderingKernel::new().with_obs(&obs);
-        let mut emissions: Vec<Vec<usize>> = Vec::new();
-        for _ in 0..3 {
-            let out = kernel
-                .find_best(&inst, &measure, &ctx, &spaces, &ByExpectedTuples)
-                .expect("space is non-empty");
-            ctx.record(&out.plan);
-            emissions.push(out.plan);
-        }
-        let certs = journalled_certificates(&obs);
-        assert!(
-            certs.iter().any(|c| c.epoch > 0),
-            "later rounds eliminate at non-zero epochs"
-        );
-        verify_certificates(&inst, &measure, &emissions, &certs).expect("epoch replay verifies");
-        // Without the emissions the later epochs are unreachable.
-        let err = verify_certificates(&inst, &measure, &[], &certs).unwrap_err();
-        assert!(err.reason.contains("unreachable"), "{err}");
     }
 }

@@ -10,7 +10,7 @@
 //! | Algorithm | Section | Requires | Character |
 //! |-----------|---------|----------|-----------|
 //! | [`Greedy`] | §4 | full monotonicity | per-bucket argmax + space splitting; no plan enumeration |
-//! | [`Drips`]  | §5.1 | — | abstraction refinement; finds only the *first* plan |
+//! | [`OrderingKernel::find_best`] | §5.1 | — | Drips: abstraction refinement; finds only the *first* plan |
 //! | [`IDrips`] | §5.2 | — | re-runs Drips per emission; works for every measure |
 //! | [`Streamer`] | §5.2 | diminishing returns | single abstraction + dominance-graph recycling |
 //! | [`Pi`] | §6 | — | independence-aware brute force (the paper's baseline) |
@@ -44,8 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod abstraction;
-pub mod advice;
-pub mod drips;
 pub mod greedy;
 pub mod idrips;
 pub mod kernel;
@@ -59,14 +57,10 @@ pub use abstraction::{
     AbstractionHeuristic, AbstractionTree, ByExpectedTuples, ByExtentMidpoint, ByTransmissionCost,
     NodeId, RandomKey,
 };
-pub use advice::{advise, AlgorithmAdvice, Recommended};
-pub use drips::{find_best, Drips, DripsOutcome};
 pub use greedy::Greedy;
 pub use idrips::IDrips;
-pub use kernel::{
-    reference_find_best, verify_certificates, CertificateError, KernelStats, OrderingKernel,
-};
-pub use merged::{merge_greedys, merge_streamers, MergedOrderer};
+pub use kernel::{DripsOutcome, KernelStats, OrderingKernel};
+pub use merged::{merge_streamers, MergedOrderer};
 pub use orderer::{
     utility_cmp, verify_ordering, OrderedPlan, OrdererError, OutcomeStatus, PlanOrderer,
     PlanOutcome,

@@ -99,27 +99,6 @@ where
     Ok(MergedOrderer::new(orderers))
 }
 
-/// Builds one [`crate::Greedy`] per plan-space instance and merges them —
-/// the monotone-measure counterpart of [`merge_streamers`]. Requires the
-/// measure to be context-free (for merge correctness) and fully monotonic
-/// on every instance (for Greedy's applicability).
-pub fn merge_greedys<'a, M>(
-    instances: &'a [ProblemInstance],
-    measure: &'a M,
-) -> Result<MergedOrderer<'a>, OrdererError>
-where
-    M: UtilityMeasure,
-{
-    if !measure.context_free() {
-        return Err(OrdererError::ContextDependent(measure.name()));
-    }
-    let mut orderers: Vec<Box<dyn PlanOrderer + 'a>> = Vec::with_capacity(instances.len());
-    for inst in instances {
-        orderers.push(Box::new(crate::Greedy::new(inst, measure)?));
-    }
-    Ok(MergedOrderer::new(orderers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,29 +161,5 @@ mod tests {
         let mut merged = MergedOrderer::new(Vec::new());
         assert_eq!(merged.spaces(), 0);
         assert!(merged.next_plan().is_none());
-    }
-
-    #[test]
-    fn merged_greedys_match_merged_streamers() {
-        use qpo_utility::LinearCost;
-        let insts = instances();
-        let g: Vec<f64> = merge_greedys(&insts, &LinearCost)
-            .unwrap()
-            .order_k(20)
-            .into_iter()
-            .map(|(_, p)| p.utility)
-            .collect();
-        let s: Vec<f64> = merge_streamers(&insts, &LinearCost, &ByExpectedTuples)
-            .unwrap()
-            .order_k(20)
-            .into_iter()
-            .map(|(_, p)| p.utility)
-            .collect();
-        assert_eq!(g.len(), s.len());
-        for (a, b) in g.iter().zip(&s) {
-            assert!((a - b).abs() < 1e-12, "{g:?} vs {s:?}");
-        }
-        // Coverage is context-dependent → rejected.
-        assert!(merge_greedys(&insts, &Coverage).is_err());
     }
 }

@@ -3,11 +3,12 @@
 //! The optimized kernel (champion dominance, heap frontier, tree/interval
 //! caches) must be *observationally identical* to the pre-optimization
 //! textbook loop it replaced — same plans, same utilities, same order,
-//! bit for bit. Three oracles pin that down:
+//! bit for bit. Three oracles pin that down, the first and the certificate
+//! verifier living in `support/` (test support; none of it ships):
 //!
-//! 1. `reference_find_best`, the preserved original kernel, via
-//!    `IDrips::with_reference_kernel()` — exact `(plan, utility)` sequence
-//!    equality, per emission.
+//! 1. `support::reference_find_best`, the preserved original kernel, via
+//!    `support::ReferenceIDrips` (iDrips re-running it per emission) —
+//!    exact `(plan, utility)` sequence equality, per emission.
 //! 2. Exhaustive enumeration (`verify_ordering`) — the emitted sequence is
 //!    a correct utility ordering in its own right.
 //! 3. `CountingMeasure` — the caches actually *save* measure evaluations
@@ -16,15 +17,19 @@
 //!    just wrong) — resuming from their carries after an append, starting
 //!    over after a retract.
 
+mod support;
+
 use qpo_catalog::{GeneratorConfig, ProblemInstance, StatRange};
 use qpo_core::{
-    verify_ordering, ByExpectedTuples, ByExtentMidpoint, IDrips, OrderedPlan, PlanOrderer,
-    PlanOutcome, RandomKey,
+    full_space, verify_ordering, ByExpectedTuples, ByExtentMidpoint, IDrips, OrderedPlan,
+    OrderingKernel, PlanOrderer, PlanOutcome, RandomKey,
 };
 use qpo_obs::{EliminationCertificate, Obs};
 use qpo_utility::{
-    CountingMeasure, Coverage, FailureCost, FusionCost, LinearCost, MonetaryCost, UtilityMeasure,
+    CountingMeasure, Coverage, ExecutionContext, FailureCost, FusionCost, LinearCost, MonetaryCost,
+    UtilityMeasure,
 };
+use support::{reference_find_best, verify_certificates, ReferenceIDrips};
 
 /// The four measure families of §3, both caching variants where they
 /// exist. Boxed so one loop covers them all.
@@ -62,9 +67,8 @@ fn full_orderings_match_the_reference_kernel_for_every_measure() {
         for (name, m) in all_measures() {
             let label = format!("seed {seed}, measure {name}");
             let fast = IDrips::new(&inst, m.as_ref(), ByExpectedTuples).order_k(usize::MAX);
-            let slow = IDrips::new(&inst, m.as_ref(), ByExpectedTuples)
-                .with_reference_kernel()
-                .order_k(usize::MAX);
+            let slow =
+                ReferenceIDrips::new(&inst, m.as_ref(), ByExpectedTuples).order_k(usize::MAX);
             assert_eq!(fast.len(), inst.plan_count(), "{label}: incomplete");
             assert_same_sequence(&label, &fast, &slow);
         }
@@ -89,14 +93,10 @@ fn equivalence_survives_alternative_heuristics() {
     // kernels must track each other under every grouping.
     let inst = GeneratorConfig::new(3, 5).with_seed(42).build();
     let fast = IDrips::new(&inst, &Coverage, ByExtentMidpoint).order_k(20);
-    let slow = IDrips::new(&inst, &Coverage, ByExtentMidpoint)
-        .with_reference_kernel()
-        .order_k(20);
+    let slow = ReferenceIDrips::new(&inst, &Coverage, ByExtentMidpoint).order_k(20);
     assert_same_sequence("by-extent-midpoint", &fast, &slow);
     let fast = IDrips::new(&inst, &Coverage, RandomKey { seed: 9 }).order_k(20);
-    let slow = IDrips::new(&inst, &Coverage, RandomKey { seed: 9 })
-        .with_reference_kernel()
-        .order_k(20);
+    let slow = ReferenceIDrips::new(&inst, &Coverage, RandomKey { seed: 9 }).order_k(20);
     assert_same_sequence("random-key", &fast, &slow);
 }
 
@@ -115,7 +115,7 @@ fn equivalence_survives_observed_failures() {
     ];
     for (name, m) in measures {
         let mut fast = IDrips::new(&inst, m.as_ref(), ByExpectedTuples);
-        let mut slow = IDrips::new(&inst, m.as_ref(), ByExpectedTuples).with_reference_kernel();
+        let mut slow = ReferenceIDrips::new(&inst, m.as_ref(), ByExpectedTuples);
         for step in 0..inst.plan_count() {
             let a = fast.next_plan().expect("fast kernel exhausted early");
             let b = slow.next_plan().expect("reference kernel exhausted early");
@@ -188,9 +188,7 @@ fn tie_heavy_instances_match_exactly() {
     )
     .unwrap();
     let fast = IDrips::new(&inst, &Coverage, ByExpectedTuples).order_k(usize::MAX);
-    let slow = IDrips::new(&inst, &Coverage, ByExpectedTuples)
-        .with_reference_kernel()
-        .order_k(usize::MAX);
+    let slow = ReferenceIDrips::new(&inst, &Coverage, ByExpectedTuples).order_k(usize::MAX);
     assert_eq!(fast.len(), 9);
     assert_same_sequence("all-tied", &fast, &slow);
 }
@@ -222,9 +220,7 @@ fn caches_save_evaluations_without_changing_results() {
         let slow_m = CountingMeasure::new(measure);
         let mut fast = IDrips::new(inst, &fast_m, ByExpectedTuples);
         let a = fast.order_k(k);
-        let b = IDrips::new(inst, &slow_m, ByExpectedTuples)
-            .with_reference_kernel()
-            .order_k(k);
+        let b = ReferenceIDrips::new(inst, &slow_m, ByExpectedTuples).order_k(k);
         assert_same_sequence(name, &a, &b);
         let fast_evals = fast_m.interval_evals();
         let slow_evals = slow_m.interval_evals();
@@ -305,7 +301,7 @@ fn certificate_recording_does_not_change_emissions() {
             let certs = journalled_certificates(&obs);
             assert!(!certs.is_empty(), "{label}: no eliminations recorded");
             let plans: Vec<Vec<usize>> = emitted.iter().map(|o| o.plan.clone()).collect();
-            let checked = qpo_core::verify_certificates(&inst, m.as_ref(), &plans, &certs)
+            let checked = verify_certificates(&inst, m.as_ref(), &plans, &certs)
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_eq!(
                 checked,
@@ -336,7 +332,7 @@ fn fig6_coverage_run_verifies_every_certificate() {
         certs.len()
     );
     let plans: Vec<Vec<usize>> = emitted.iter().map(|o| o.plan.clone()).collect();
-    let checked = qpo_core::verify_certificates(&inst, &Coverage, &plans, &certs)
+    let checked = verify_certificates(&inst, &Coverage, &plans, &certs)
         .expect("every elimination certificate must replay without mismatch");
     assert_eq!(checked, certs.len());
     // Each certificate is also independently checkable without the
@@ -367,10 +363,132 @@ fn context_sensitive_measures_reevaluate_on_every_epoch() {
     // re-running matches a fresh reference run over the same history.
     alg.observe(&PlanOutcome::failed(&first.plan));
     let rest = alg.order_k(usize::MAX);
-    let mut oracle = IDrips::new(&inst, &m, ByExpectedTuples).with_reference_kernel();
+    let mut oracle = ReferenceIDrips::new(&inst, &m, ByExpectedTuples);
     let o_first = oracle.next_plan().unwrap();
     oracle.next_plan().unwrap();
     oracle.observe(&PlanOutcome::failed(&o_first.plan));
     let o_rest = oracle.order_k(usize::MAX);
     assert_same_sequence("post-retract", &rest, &o_rest);
+}
+
+#[test]
+fn kernel_and_reference_agree_on_a_single_space() {
+    for seed in 0..8u64 {
+        let inst = GeneratorConfig::new(3, 6).with_seed(seed).build();
+        let ctx = ExecutionContext::new();
+        let spaces = [full_space(&inst)];
+        let mut kernel = OrderingKernel::new();
+        let fast = kernel.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
+        let slow = reference_find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
+        assert_eq!(fast, slow, "seed {seed}");
+    }
+}
+
+#[test]
+fn context_epoch_invalidates_the_interval_cache() {
+    let inst = GeneratorConfig::new(2, 4).with_seed(3).build();
+    let spaces = [full_space(&inst)];
+    let m = CountingMeasure::new(FailureCost::with_caching());
+    let mut ctx = ExecutionContext::new();
+    let mut kernel = OrderingKernel::new();
+    let first = kernel
+        .find_best(&inst, &m, &ctx, &spaces, &ByExpectedTuples)
+        .unwrap();
+    let before = m.interval_evals();
+    ctx.record(&first.plan);
+    kernel.find_best(&inst, &m, &ctx, &spaces, &ByExpectedTuples);
+    assert!(
+        m.interval_evals() > before,
+        "context-sensitive measure re-evaluates after record"
+    );
+    // And the re-evaluated result matches the reference kernel.
+    let slow = reference_find_best(&inst, &m, &ctx, &spaces, &ByExpectedTuples);
+    let fast = kernel.find_best(&inst, &m, &ctx, &spaces, &ByExpectedTuples);
+    assert_eq!(fast, slow);
+}
+
+#[test]
+fn certificates_record_every_elimination_and_verify() {
+    let inst = GeneratorConfig::new(3, 6).with_seed(2).build();
+    let ctx = ExecutionContext::new();
+    let spaces = [full_space(&inst)];
+    let mut plain = OrderingKernel::new();
+    let obs = Obs::with_trace();
+    let mut certified = OrderingKernel::new().with_obs(&obs);
+    let expected = plain.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
+    let got = certified.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
+    assert_eq!(got, expected, "recording provenance never changes emission");
+    let certs = journalled_certificates(&obs);
+    assert_eq!(
+        certs.len() as u64,
+        certified.stats().eliminations,
+        "one certificate per elimination"
+    );
+    assert!(!certs.is_empty(), "dominance prunes something at 3×6");
+    for cert in &certs {
+        assert!(cert.comparison_holds());
+        assert!(!cert.victim.is_empty() && !cert.champion.is_empty());
+    }
+    let verified = verify_certificates(&inst, &Coverage, &[], &certs).expect("all replay");
+    assert_eq!(verified, certs.len());
+}
+
+#[test]
+fn verify_rejects_tampered_certificates() {
+    let inst = GeneratorConfig::new(3, 6).with_seed(2).build();
+    let ctx = ExecutionContext::new();
+    let spaces = [full_space(&inst)];
+    let obs = Obs::with_trace();
+    let mut kernel = OrderingKernel::new().with_obs(&obs);
+    kernel.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples);
+    let certs = journalled_certificates(&obs);
+
+    // Inflate the victim's upper bound past the champion's lower
+    // bound: the dominance comparison no longer holds.
+    let mut broken = certs.clone();
+    broken[0].victim_interval.1 = broken[0].champion_interval.0 + 1.0;
+    broken[0].victim_interval.0 = broken[0].victim_interval.1.min(broken[0].victim_interval.0);
+    let err = verify_certificates(&inst, &Coverage, &[], &broken).unwrap_err();
+    assert_eq!(err.index, 0);
+    assert!(err.reason.contains("do not dominate"), "{err}");
+
+    // Nudge a recorded bound slightly downward: the comparison still
+    // holds, but the bit-for-bit re-derivation catches it.
+    let mut nudged = certs;
+    nudged[0].victim_interval.0 -= 1e-9;
+    let err = verify_certificates(&inst, &Coverage, &[], &nudged).unwrap_err();
+    assert!(err.reason.contains("interval mismatch"), "{err}");
+
+    // And malformed intervals are rejected, not panicked on.
+    let mut malformed = nudged;
+    malformed[0].champion_interval = (1.0, 0.0);
+    let err = verify_certificates(&inst, &Coverage, &[], &malformed).unwrap_err();
+    assert!(err.reason.contains("malformed"), "{err}");
+}
+
+#[test]
+fn verify_replays_context_sensitive_epochs_from_emissions() {
+    let inst = GeneratorConfig::new(2, 4).with_seed(3).build();
+    let spaces = [full_space(&inst)];
+    let measure = FailureCost::with_caching();
+    let mut ctx = ExecutionContext::new();
+    let obs = Obs::with_trace();
+    let mut kernel = OrderingKernel::new().with_obs(&obs);
+    let mut emissions: Vec<Vec<usize>> = Vec::new();
+    for _ in 0..3 {
+        let out = kernel
+            .find_best(&inst, &measure, &ctx, &spaces, &ByExpectedTuples)
+            .expect("space is non-empty");
+        ctx.record(&out.plan);
+        emissions.push(out.plan);
+    }
+    let certs = journalled_certificates(&obs);
+    assert!(
+        certs.iter().any(|c| c.epoch > 0),
+        "later rounds eliminate at non-zero epochs"
+    );
+    verify_certificates(&inst, &measure, &emissions, &certs).expect("epoch replay verifies");
+    // Without the emissions the later epochs are unreachable.
+    let err = verify_certificates(&inst, &measure, &[], &certs).unwrap_err();
+    assert!(err.reason.contains("unreachable"), "{err}");
 }

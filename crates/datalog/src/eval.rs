@@ -1,4 +1,4 @@
-//! Naive evaluation of conjunctive queries over ground databases.
+//! Evaluation of conjunctive queries over ground databases.
 //!
 //! Used by tests (to cross-check containment decisions against actual
 //! semantics) and by the `qpo-exec` mediator (to execute expanded plans over
@@ -6,7 +6,6 @@
 
 use crate::atom::Atom;
 use crate::query::ConjunctiveQuery;
-use crate::substitution::Substitution;
 use crate::term::{Constant, Term};
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet};
@@ -358,9 +357,8 @@ impl Database {
     /// Implemented as a pipeline of hash joins: body atoms are processed in
     /// order, each joined against the intermediate binding set on the
     /// variables they share with it — `O(rows + tuples)` per atom instead
-    /// of the backtracking search's worst-case product. The semantics are
-    /// identical to [`Database::evaluate_naive`], which is kept for
-    /// cross-checking.
+    /// of the backtracking search's worst-case product, which
+    /// `crates/datalog/tests/support` keeps as the property-tested oracle.
     ///
     /// # Panics
     /// Panics if the query is unsafe (an unbound head variable would make an
@@ -413,60 +411,6 @@ impl Database {
         seed: Option<&JoinPrefix>,
     ) -> (PrefixRows, Vec<JoinPrefix>) {
         join_pipeline(query, seed, |i| self.tuples(&query.body[i].predicate))
-    }
-
-    /// Reference implementation: backtracking join over the body atoms.
-    /// Exponentially slower than [`Database::evaluate`] on wide joins; kept
-    /// as the oracle the hash-join path is property-tested against.
-    ///
-    /// # Panics
-    /// Panics if the query is unsafe.
-    pub fn evaluate_naive(&self, query: &ConjunctiveQuery) -> BTreeSet<Tuple> {
-        assert!(query.is_safe(), "cannot evaluate unsafe query {query}");
-        let mut answers = BTreeSet::new();
-        self.join(&query.body, 0, &Substitution::new(), &mut |subst| {
-            let tuple = query
-                .head
-                .terms
-                .iter()
-                .map(|t| match subst.apply(t) {
-                    Term::Const(c) => c,
-                    Term::Var(v) => {
-                        unreachable!("safe query left head variable {v} unbound")
-                    }
-                })
-                .collect();
-            answers.insert(tuple);
-        });
-        answers
-    }
-
-    /// Backtracking join over the body atoms.
-    fn join(
-        &self,
-        body: &[Atom],
-        idx: usize,
-        subst: &Substitution,
-        emit: &mut dyn FnMut(&Substitution),
-    ) {
-        let Some(atom) = body.get(idx) else {
-            emit(subst);
-            return;
-        };
-        for tuple in self.tuples(&atom.predicate) {
-            if tuple.len() != atom.arity() {
-                continue;
-            }
-            let mut ext = subst.clone();
-            let ok = atom
-                .terms
-                .iter()
-                .zip(tuple)
-                .all(|(pat, c)| ext.match_term(pat, &Term::Const(c.clone())));
-            if ok {
-                self.join(body, idx + 1, &ext, emit);
-            }
-        }
     }
 }
 
@@ -566,21 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_matches_naive_on_movie_db() {
-        let db = movie_db();
-        for text in [
-            "q(M) :- play_in(ford, M)",
-            "q(M, R) :- play_in(ford, M), review_of(R, M)",
-            "q(A, M, R) :- play_in(A, M), review_of(R, M), american(M)",
-            "q() :-",
-            "q(M) :- play_in(nobody, M)",
-        ] {
-            let q = parse_query(text).unwrap();
-            assert_eq!(db.evaluate(&q), db.evaluate_naive(&q), "{text}");
-        }
-    }
-
-    #[test]
     fn hash_join_handles_cartesian_products() {
         // Atoms sharing no variables degenerate to a cross product.
         let mut db = Database::new();
@@ -589,8 +518,8 @@ mod tests {
         db.insert("b", vec![Constant::Int(7)]);
         let q = parse_query("q(X, Y) :- a(X), b(Y)").unwrap();
         let ans = db.evaluate(&q);
-        assert_eq!(ans.len(), 2);
-        assert_eq!(ans, db.evaluate_naive(&q));
+        let want = |x| vec![Constant::Int(x), Constant::Int(7)];
+        assert_eq!(ans, BTreeSet::from([want(1), want(2)]));
     }
 
     #[test]
@@ -599,8 +528,10 @@ mod tests {
         db.insert("r", vec![Constant::Int(1)]);
         let q = parse_query("q(X, tag) :- r(X)").unwrap();
         let ans = db.evaluate(&q);
-        assert!(ans.contains(&vec![Constant::Int(1), Constant::str("tag")]));
-        assert_eq!(ans, db.evaluate_naive(&q));
+        assert_eq!(
+            ans,
+            BTreeSet::from([vec![Constant::Int(1), Constant::str("tag")]])
+        );
     }
 
     #[test]

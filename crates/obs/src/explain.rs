@@ -6,9 +6,9 @@
 //! champion that dominated it, both utility intervals, and the context
 //! epoch the comparison happened at. A certificate is *independently
 //! checkable*: [`EliminationCertificate::comparison_holds`] replays the
-//! interval comparison from the recorded numbers alone, and the kernel
-//! side (`qpo_core::verify_certificates`) re-derives the intervals
-//! themselves from the problem instance.
+//! interval comparison from the recorded numbers alone, and `qpo-core`'s
+//! test-support verifier (`crates/core/tests/support`) re-derives the
+//! intervals themselves from the problem instance.
 //!
 //! [`ExplainIndex`] turns a recorded journal into an answerable query:
 //! "why did plan p rank i" (it was emitted, here is its rank, utility,

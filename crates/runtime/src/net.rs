@@ -30,13 +30,15 @@
 //!
 //! [`SourceServer`] accepts on one thread and serves each connection on
 //! its own, so a client that connects and goes silent occupies only its
-//! own thread until the idle timeout; a connection thread that ends
-//! (idle-out, hang-up, malformed frame) shuts its socket down, so the
-//! client's pooled socket fails fast instead of looking alive. `stop()`
-//! (and `Drop`) follows the `qpo-obs` introspection server's idiom — an
-//! atomic flag plus a throwaway wake-up connection, so it never blocks on
-//! `accept` — and then shuts down every live connection and joins its
-//! thread: a keep-alive client must see a stopped server as dead.
+//! own thread until the idle timeout, and at most `MAX_CONNECTIONS` of
+//! them are served at once (one past the cap is dropped unserved); a
+//! connection thread that ends (idle-out, hang-up, malformed frame) shuts
+//! its socket down, so the client's pooled socket fails fast instead of
+//! looking alive. `stop()` (and `Drop`) follows the `qpo-obs`
+//! introspection server's idiom — an atomic flag plus a throwaway wake-up
+//! connection, so it never blocks on `accept` — and then shuts down every
+//! live connection and joins its thread: a keep-alive client must see a
+//! stopped server as dead.
 //!
 //! ## Pushdown
 //!
@@ -149,6 +151,11 @@ const SERVER_IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Bound on the server's in-process span journal (drop-oldest ring).
 pub const SERVER_JOURNAL_CAP: usize = 512;
+
+/// Bound on the connections a [`SourceServer`] serves at once, one thread
+/// each. A connection accepted beyond it is dropped unserved: its client
+/// sees a reset, a transient error under the ordinary retries.
+const MAX_CONNECTIONS: usize = 64;
 
 /// One served scan request in the server's span journal: its phase
 /// timings (wall seconds) and, when the client propagated one, its trace
@@ -342,6 +349,9 @@ fn accept_loop(listener: TcpListener, shutdown: &AtomicBool, serving: &Arc<Servi
         // server holds handles only for the ones still open.
         live.retain(|(_, thread)| !thread.is_finished());
         let Ok(mut stream) = conn else { continue };
+        if live.len() >= MAX_CONNECTIONS {
+            continue; // dropped unserved
+        }
         let Ok(peer) = stream.try_clone() else {
             continue;
         };
@@ -723,7 +733,7 @@ mod tests {
     use qpo_core::Pi;
     use qpo_datalog::Constant;
     use qpo_utility::Coverage;
-    use std::io::Write;
+    use std::io::{Read, Write};
 
     fn rows(items: &[i64]) -> Vec<Tuple> {
         items.iter().map(|&i| vec![Constant::Int(i)]).collect()
@@ -899,6 +909,43 @@ mod tests {
         drop(s);
         server.stop();
         assert_eq!(server.requests_served(), 3);
+    }
+
+    #[test]
+    fn connections_past_the_cap_are_dropped_unserved() {
+        let mut server = SourceServer::serve(provider(), 0).unwrap();
+        let addr = server.addr();
+        // Idle sockets hold their threads for `SERVER_IO_TIMEOUT` (2 s);
+        // everything below runs well inside it.
+        let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let mut extra = TcpStream::connect(addr).unwrap();
+        extra
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let read = extra.read(&mut [0u8; 1]);
+        assert_eq!(read.ok(), Some(0), "past the cap: EOF, not an idle wait");
+        assert_eq!(server.requests_served(), 0);
+        // One idle client leaves; once its thread ends a new one is served.
+        drop(idle.pop());
+        let scan = Request {
+            source: "v1".into(),
+            pattern: "scan".into(),
+        };
+        let scan = wire::encode_request(&scan, None).unwrap();
+        let served = (0..50).any(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            let Ok(mut s) = TcpStream::connect(addr) else {
+                return false;
+            };
+            s.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+            wire::write_frame(&mut s, &scan).is_ok() && wire::read_frame(&mut s).is_ok()
+        });
+        assert!(served, "a freed slot serves a new client");
+        assert_eq!(server.requests_served(), 1);
+        drop(idle);
+        server.stop();
     }
 
     #[test]

@@ -6,21 +6,27 @@
 # count the same way what lives outside `src/*.rs`: the bins, any cargo
 # benches, and the first-party shims. A last row, `builders`, is the
 # option count: `pub fn with_*` / `pub fn set_*` in the same non-test
-# `src` lines — each one a value somebody can set independently.
+# `src` lines — each one a value somebody can set independently. The
+# crate rows and `total` carry a second column: how many of those lines
+# call `.unwrap(` / `.expect(` (ROADMAP item 6's panic audit).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # Non-test lines of the given files matching $pat (unset: every line).
 count() {
   awk -v pat="${pat:-}" 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat{n++} END{print n+0}' "$@" </dev/null
 }
+panics='[.](unwrap|expect)[(]'
 total=0
+total_panics=0
 for dir in crates/*/; do
   c="$(basename "$dir")"
   n="$(count "crates/$c"/src/*.rs)"
-  printf '%-14s %6d\n' "$c" "$n"
+  e="$(pat="$panics" count "crates/$c"/src/*.rs)"
+  printf '%-14s %6d %6d\n' "$c" "$n" "$e"
   total=$((total + n))
+  total_panics=$((total_panics + e))
 done
-printf '%-14s %6d\n' total "$total"
+printf '%-14s %6d %6d\n' total "$total" "$total_panics"
 shopt -s nullglob
 printf '%-14s %6d\n' bins "$(count crates/*/src/bin/*.rs)"
 printf '%-14s %6d\n' benches "$(count crates/*/benches/*.rs)"

@@ -85,10 +85,9 @@ pub mod prelude {
         SourceRef, SourceStats, StatRange,
     };
     pub use qpo_core::{
-        advise, find_best, full_space, reference_find_best, remove_plan, verify_certificates,
-        verify_ordering, AbstractionHeuristic, ByExpectedTuples, ByExtentMidpoint,
-        ByTransmissionCost, CertificateError, Drips, Greedy, IDrips, KernelStats, Naive,
-        OrderedPlan, OrdererError, OrderingKernel, Pi, PlanOrderer, PlanSpace, RandomKey, Streamer,
+        full_space, remove_plan, verify_ordering, AbstractionHeuristic, ByExpectedTuples,
+        ByExtentMidpoint, ByTransmissionCost, Greedy, IDrips, KernelStats, Naive, OrderedPlan,
+        OrdererError, OrderingKernel, Pi, PlanOrderer, PlanSpace, RandomKey, Streamer,
         StreamerStats,
     };
     pub use qpo_datalog::{
