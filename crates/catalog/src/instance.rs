@@ -133,16 +133,6 @@ impl ProblemInstance {
         self.buckets.iter().map(Vec::len).product()
     }
 
-    /// Total number of sources across buckets.
-    pub fn source_count(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum()
-    }
-
-    /// The largest bucket size (the paper's `m`).
-    pub fn max_bucket_size(&self) -> usize {
-        self.buckets.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Enumerates every concrete plan in lexicographic order. Intended for
     /// tests and brute-force baselines only.
     pub fn all_plans(&self) -> Vec<Vec<usize>> {
@@ -185,8 +175,6 @@ mod tests {
         let i = inst();
         assert_eq!(i.query_len(), 2);
         assert_eq!(i.plan_count(), 6);
-        assert_eq!(i.source_count(), 5);
-        assert_eq!(i.max_bucket_size(), 3);
         assert_eq!(i.stat(SourceRef::new(0, 2)).tuples, 30.0);
         assert_eq!(SourceRef::new(0, 2).to_string(), "b0s2");
     }

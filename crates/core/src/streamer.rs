@@ -185,53 +185,6 @@ impl<'a, M: UtilityMeasure + ?Sized> Streamer<'a, M> {
         self.metrics.stats()
     }
 
-    /// Current dominance-graph size (nodes, links).
-    pub fn graph_size(&self) -> (usize, usize) {
-        (self.nodes.len(), self.links.len())
-    }
-
-    /// Renders the current dominance graph in Graphviz DOT format: one node
-    /// per plan (doubly-outlined when abstract, annotated with its utility
-    /// interval when known) and one edge per dominance link, labelled with
-    /// the size of its `E(p,q)` recycling set. Figure 4 of the paper, live.
-    pub fn dominance_graph_dot(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("digraph dominance {\n  rankdir=LR;\n");
-        for (id, node) in &self.nodes {
-            let cands: Vec<String> = node
-                .cands
-                .iter()
-                .map(|c| {
-                    let xs: Vec<String> = c.iter().map(usize::to_string).collect();
-                    format!("{{{}}}", xs.join(","))
-                })
-                .collect();
-            let utility = match node.utility {
-                Some(u) => format!("\\n{u}"),
-                None => "\\nnil".to_string(),
-            };
-            let shape = if node.is_concrete() { "box" } else { "ellipse" };
-            writeln!(
-                out,
-                "  n{id} [shape={shape}, label=\"{}{utility}\"];",
-                cands.join("×")
-            )
-            .expect("writing to a String cannot fail");
-        }
-        for link in &self.links {
-            writeln!(
-                out,
-                "  n{} -> n{} [label=\"|E|={}\"];",
-                link.from,
-                link.to,
-                link.removed.len()
-            )
-            .expect("writing to a String cannot fail");
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Ids with no incoming dominance link.
     fn nondominated(&self) -> Vec<usize> {
         let dominated: BTreeSet<usize> = self.links.iter().map(|l| l.to).collect();
@@ -540,8 +493,7 @@ mod tests {
         assert!(st.links_created > 0);
         assert!(st.links_recycled > 0, "no links recycled: {st:?}");
         assert!(st.refinements > 0);
-        let (n, l) = alg.graph_size();
-        assert!(n > 0 && l > 0);
+        assert!(!alg.nodes.is_empty() && !alg.links.is_empty());
     }
 
     #[test]
@@ -553,22 +505,6 @@ mod tests {
         let mut alg = Streamer::new(&inst, &m, &ByExpectedTuples).unwrap();
         alg.order_k(36);
         assert_eq!(alg.stats().links_invalidated, 0);
-    }
-
-    #[test]
-    fn dot_dump_reflects_the_graph() {
-        let inst = GeneratorConfig::new(2, 4).with_seed(12).build();
-        let mut alg = Streamer::new(&inst, &Coverage, &ByExpectedTuples).unwrap();
-        let initial = alg.dominance_graph_dot();
-        assert!(initial.starts_with("digraph dominance {"));
-        assert!(initial.contains("{0,1,2,3}"), "top plan present: {initial}");
-        assert!(initial.contains("nil"), "utility not yet computed");
-        alg.order_k(3);
-        let later = alg.dominance_graph_dot();
-        let (nodes, links) = alg.graph_size();
-        assert_eq!(later.matches("shape=").count(), nodes);
-        assert_eq!(later.matches(" -> ").count(), links);
-        assert!(later.ends_with("}\n"));
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl Atom {
         seen
     }
 
-    /// True iff every argument is a constant.
-    pub fn is_ground(&self) -> bool {
-        self.terms.iter().all(|t| !t.is_var())
-    }
-
     /// Applies a substitution to every argument.
     pub fn apply(&self, subst: &Substitution) -> Atom {
         Atom {
@@ -89,13 +84,6 @@ mod tests {
         assert_eq!(vars.len(), 2);
         assert_eq!(vars[0].as_ref(), "A");
         assert_eq!(vars[1].as_ref(), "M");
-    }
-
-    #[test]
-    fn groundness() {
-        assert!(!atom().is_ground());
-        assert!(Atom::new("r", vec![Term::int(1), Term::str("x")]).is_ground());
-        assert!(Atom::new("r", vec![]).is_ground());
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl ConjunctiveQuery {
         }
         self.apply(&subst)
     }
-
-    /// Set of predicate names used in the body.
-    pub fn body_predicates(&self) -> BTreeSet<Arc<str>> {
-        self.body.iter().map(|a| a.predicate.clone()).collect()
-    }
 }
 
 impl fmt::Display for ConjunctiveQuery {
@@ -171,16 +166,6 @@ mod tests {
         // No shared variables with the original.
         let orig: BTreeSet<_> = q.all_variables().into_iter().collect();
         assert!(r.all_variables().iter().all(|v| !orig.contains(v)));
-    }
-
-    #[test]
-    fn body_predicates() {
-        let preds: Vec<_> = figure1_query()
-            .body_predicates()
-            .iter()
-            .map(|p| p.to_string())
-            .collect();
-        assert_eq!(preds, vec!["play_in", "review_of"]);
     }
 
     #[test]

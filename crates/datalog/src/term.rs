@@ -75,22 +75,6 @@ impl Term {
         Term::Const(Constant::Int(v))
     }
 
-    /// Returns the variable name, if this term is a variable.
-    pub fn as_var(&self) -> Option<&Arc<str>> {
-        match self {
-            Term::Var(v) => Some(v),
-            Term::Const(_) => None,
-        }
-    }
-
-    /// Returns the constant, if this term is a constant.
-    pub fn as_const(&self) -> Option<&Constant> {
-        match self {
-            Term::Var(_) => None,
-            Term::Const(c) => Some(c),
-        }
-    }
-
     /// True iff this term is a variable.
     pub fn is_var(&self) -> bool {
         matches!(self, Term::Var(_))
@@ -120,16 +104,14 @@ mod tests {
     fn constructors_and_accessors() {
         let v = Term::var("X");
         assert!(v.is_var());
-        assert_eq!(v.as_var().map(|s| s.as_ref()), Some("X"));
-        assert_eq!(v.as_const(), None);
+        assert_eq!(v, Term::Var("X".into()));
 
         let c = Term::int(7);
         assert!(!c.is_var());
-        assert_eq!(c.as_const(), Some(&Constant::Int(7)));
-        assert_eq!(c.as_var(), None);
+        assert_eq!(c, Term::Const(Constant::Int(7)));
 
         let s = Term::str("ford");
-        assert_eq!(s.as_const(), Some(&Constant::str("ford")));
+        assert_eq!(s, Term::Const(Constant::str("ford")));
     }
 
     #[test]

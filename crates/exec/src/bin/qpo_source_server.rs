@@ -18,8 +18,8 @@
 //! runs until killed.
 //!
 //! `--metrics ADDR` is a one-shot client instead of a server: it dials a
-//! running server, requests its span journal over the wire, prints the
-//! dump, and exits.
+//! running server, prints its span journal — JSONL, one `server_span`
+//! event per served scan, a trace `qpo_obs::read_jsonl` reads — and exits.
 
 use qpo_catalog::domains::{movie_domain, MOVIE_POOL};
 use qpo_exec::{populate_sources, snapshot_relations};

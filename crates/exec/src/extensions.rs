@@ -13,7 +13,7 @@
 //! pool, so selections like `play_in(ford, M)` keep a predictable subset.
 
 use qpo_catalog::Catalog;
-use qpo_datalog::{Constant, Database, Tuple};
+use qpo_datalog::{Constant, Database};
 use std::fmt;
 
 /// Why a catalog could not be materialized, or a materialized tuple could
@@ -37,11 +37,6 @@ pub enum ExtensionError {
         /// The extent length that overflowed `start + len`.
         len: u64,
     },
-    /// A tuple's item-id attribute holds a non-integer constant.
-    MalformedItemId {
-        /// The constant found where an item id was expected.
-        found: String,
-    },
 }
 
 impl fmt::Display for ExtensionError {
@@ -55,9 +50,6 @@ impl fmt::Display for ExtensionError {
                 f,
                 "source `{source}` extent [{start}, {start}+{len}) overflows u64"
             ),
-            ExtensionError::MalformedItemId { found } => {
-                write!(f, "expected an integer item id, got {found}")
-            }
         }
     }
 }
@@ -120,20 +112,6 @@ pub fn populate_sources(catalog: &Catalog, pool: &[&str]) -> Database {
     }
 }
 
-/// Decodes the item id (the last attribute) of a materialized tuple. The
-/// typed-error counterpart of matching on [`Constant::Int`] directly.
-pub fn item_id(tuple: &Tuple) -> Result<u64, ExtensionError> {
-    match tuple.last() {
-        Some(Constant::Int(v)) => Ok(*v as u64),
-        Some(other) => Err(ExtensionError::MalformedItemId {
-            found: other.to_string(),
-        }),
-        None => Err(ExtensionError::MalformedItemId {
-            found: "an empty tuple".to_string(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,18 +145,11 @@ mod tests {
         let db = populate_sources(&catalog, &["ford"]);
         let extent = catalog.source("v1").unwrap().stats.extent;
         for t in db.tuples("v1") {
-            let id = item_id(t).expect("materialized tuples carry item ids");
-            assert!(id >= extent.start && id < extent.end());
+            let Some(Constant::Int(id)) = t.last() else {
+                panic!("materialized tuples carry item ids: {t:?}");
+            };
+            assert!((extent.start..extent.end()).contains(&(*id as u64)));
         }
-    }
-
-    #[test]
-    fn item_id_reports_malformed_tuples_as_typed_errors() {
-        let err = item_id(&vec![Constant::str("not-an-id")]).unwrap_err();
-        assert!(matches!(err, ExtensionError::MalformedItemId { .. }));
-        assert!(err.to_string().contains("not-an-id"), "{err}");
-        let err = item_id(&Vec::new()).unwrap_err();
-        assert!(err.to_string().contains("empty tuple"), "{err}");
     }
 
     #[test]

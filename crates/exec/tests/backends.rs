@@ -446,6 +446,11 @@ impl SourceBackend for IgnoresPattern {
     }
 }
 
+/// A source server's span journal, decoded as any trace is.
+fn server_spans(server: &SourceServer) -> Vec<qpo_obs::Record<'static>> {
+    qpo_obs::read_jsonl(&server.journal().to_jsonl()).expect("the journal reads back")
+}
+
 /// One seeded world behind four access paths: the simulator, a store, a
 /// source server, and a second one behind a client that ignores every
 /// pattern — all in-process, never the CI server: the test reads the
@@ -575,18 +580,17 @@ impl Worlds {
             }
         }
         let mut bound = 0;
-        for e in self.server.journal().entries() {
-            if e.request_seq <= served_before {
+        for e in server_spans(&self.server) {
+            if e.u64("request_seq").unwrap() <= served_before {
                 continue;
             }
+            let (source, pattern) = (e.str("source").unwrap(), e.str("pattern").unwrap());
             assert!(
-                expected[&e.source].contains(&e.pattern),
-                "{text}: {} asked under {:?}, expected one of {:?}",
-                e.source,
-                e.pattern,
-                expected[&e.source]
+                expected[source].iter().any(|p| p == pattern),
+                "{text}: {source} asked under {pattern:?}, expected one of {:?}",
+                expected[source]
             );
-            bound += usize::from(e.pattern != SCAN_PATTERN);
+            bound += usize::from(pattern != SCAN_PATTERN);
         }
         bound
     }
@@ -617,9 +621,9 @@ fn bound_constants_ride_the_pattern_on_the_movie_catalog() {
     }
     assert!(bound > 0);
     // The server-side dump names both kinds of access.
-    let dump = w.server.journal().render_text();
-    assert!(dump.contains("pattern=bind;0=s4:ford"), "{dump}");
-    assert!(dump.contains("pattern=scan"), "{dump}");
+    let dump = w.server.journal().to_jsonl();
+    assert!(dump.contains(r#""pattern":"bind;0=s4:ford""#), "{dump}");
+    assert!(dump.contains(r#""pattern":"scan""#), "{dump}");
 }
 
 #[test]
@@ -796,22 +800,19 @@ fn a_tcp_backed_session_ships_bound_patterns_once_per_source_and_pattern() {
     }
     expected.sort();
     expected.dedup();
-    let mut asked: Vec<(String, String)> = server
-        .journal()
-        .entries()
-        .into_iter()
-        .map(|e| (e.source, e.pattern))
+    let mut asked: Vec<(String, String)> = server_spans(&server)
+        .iter()
+        .map(|e| {
+            (
+                e.str("source").unwrap().into(),
+                e.str("pattern").unwrap().into(),
+            )
+        })
         .collect();
     asked.sort();
     assert_eq!(asked, expected, "no (source, pattern) asked twice");
-    assert!(
-        server
-            .journal()
-            .render_text()
-            .contains("pattern=bind;0=s4:ford"),
-        "{}",
-        server.journal().render_text()
-    );
+    let dump = server.journal().to_jsonl();
+    assert!(dump.contains(r#""pattern":"bind;0=s4:ford""#), "{dump}");
     // A bound access ships the matching rows only — a third of a source
     // under MOVIE_POOL — never more than a scan.
     let grid = SourceGrid::from_instance(&prepared.instance);

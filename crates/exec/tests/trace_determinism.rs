@@ -17,9 +17,10 @@
 //!    thread, and a warm run replays rows as well as outcomes, so it
 //!    reaches the backend not once.
 //! 5. **No dead vocabulary** — between them, this suite's kinds of traced
-//!    run emit every event kind `qpo_obs::vocab` lists and no other, and
-//!    every event conforms to its row (in `--release` too, where the
-//!    journal's emit-side assertion is compiled out).
+//!    run and a source server's own journal emit every event kind
+//!    `qpo_obs::vocab` lists and no other, and every event conforms to its
+//!    row (in `--release` too, where the journal's emit-side assertion is
+//!    compiled out).
 
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
 use qpo_exec::{
@@ -28,8 +29,8 @@ use qpo_exec::{
 };
 use qpo_obs::{validate_trace, Obs};
 use qpo_runtime::{
-    AccessContext, AccessReply, BackendError, FaultConfig, RetryPolicy, RuntimePolicy,
-    SourceBackend, SourceService, StoreBackend,
+    AccessContext, AccessReply, BackendError, FaultConfig, MemProvider, RetryPolicy, RuntimePolicy,
+    SourceBackend, SourceServer, SourceService, StoreBackend, TcpBackend,
 };
 use qpo_utility::Coverage;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -332,6 +333,21 @@ fn every_vocabulary_kind_is_emitted_and_every_event_conforms() {
     assert!(session.stream_tuples().count() > 0);
     drop(session);
     traces.push(obs.journal.to_jsonl());
+    // A tcp run: remote spans on the client, and the server's own journal.
+    let provider = MemProvider::new();
+    for (name, rows) in snapshot_relations(m.database()) {
+        provider.insert(name, rows);
+    }
+    let server = SourceServer::serve(Arc::new(provider), 0).unwrap();
+    let tcp = Arc::new(TcpBackend::new(server.addr().to_string()));
+    let m = mediator().with_backends(BackendRegistry::new().with("tcp", tcp));
+    let opts = RunOptions {
+        backend: Some("tcp"),
+        ..RunOptions::default()
+    };
+    let policy = RuntimePolicy::serial();
+    traces.push(traced(&m, &movie_query(), Strategy::Pi, policy, opts));
+    traces.push(server.journal().to_jsonl());
 
     let mut seen = std::collections::BTreeSet::new();
     for trace in &traces {

@@ -99,18 +99,6 @@ impl Interval {
         self.lo <= v && v <= self.hi
     }
 
-    /// True iff `other ⊆ self`.
-    #[inline]
-    pub fn contains_interval(self, other: Interval) -> bool {
-        self.lo <= other.lo && other.hi <= self.hi
-    }
-
-    /// True iff the two intervals share at least one point.
-    #[inline]
-    pub fn intersects(self, other: Interval) -> bool {
-        self.lo <= other.hi && other.lo <= self.hi
-    }
-
     /// The intersection, or `None` if the intervals are disjoint.
     #[inline]
     pub fn intersection(self, other: Interval) -> Option<Interval> {
@@ -132,11 +120,6 @@ impl Interval {
         }
     }
 
-    /// Hull of an iterator of intervals; `None` for an empty iterator.
-    pub fn hull_all<I: IntoIterator<Item = Interval>>(iter: I) -> Option<Interval> {
-        iter.into_iter().reduce(Interval::hull)
-    }
-
     /// Dominance in the Drips sense: every value in `self` is ≥ every value
     /// in `other`, i.e. `self.lo ≥ other.hi`.
     ///
@@ -146,12 +129,6 @@ impl Interval {
     #[inline]
     pub fn dominates(self, other: Interval) -> bool {
         self.lo >= other.hi
-    }
-
-    /// Strict dominance: `self.lo > other.hi`.
-    #[inline]
-    pub fn strictly_dominates(self, other: Interval) -> bool {
-        self.lo > other.hi
     }
 
     /// Pointwise minimum: `[min(a.lo,b.lo), min(a.hi,b.hi)]`.
@@ -331,11 +308,6 @@ mod tests {
         let a = iv(0.0, 2.0);
         assert!(a.contains(0.0) && a.contains(2.0) && a.contains(1.0));
         assert!(!a.contains(-0.1) && !a.contains(2.1));
-        assert!(a.contains_interval(iv(0.5, 1.5)));
-        assert!(a.contains_interval(a));
-        assert!(!a.contains_interval(iv(0.5, 2.5)));
-        assert!(a.intersects(iv(2.0, 3.0)), "touching intervals intersect");
-        assert!(!a.intersects(iv(2.1, 3.0)));
         assert_eq!(a.intersection(iv(1.0, 3.0)), Some(iv(1.0, 2.0)));
         assert_eq!(a.intersection(iv(3.0, 4.0)), None);
     }
@@ -343,18 +315,11 @@ mod tests {
     #[test]
     fn hull_ops() {
         assert_eq!(iv(0.0, 1.0).hull(iv(2.0, 3.0)), iv(0.0, 3.0));
-        assert_eq!(
-            Interval::hull_all([iv(1.0, 2.0), iv(-1.0, 0.0), iv(1.5, 4.0)]),
-            Some(iv(-1.0, 4.0))
-        );
-        assert_eq!(Interval::hull_all(std::iter::empty()), None);
     }
 
     #[test]
     fn dominance() {
         assert!(iv(3.0, 4.0).dominates(iv(1.0, 3.0)), "l_p == h_q dominates");
-        assert!(!iv(3.0, 4.0).strictly_dominates(iv(1.0, 3.0)));
-        assert!(iv(3.1, 4.0).strictly_dominates(iv(1.0, 3.0)));
         assert!(
             !iv(2.0, 4.0).dominates(iv(1.0, 3.0)),
             "overlap: no dominance"
@@ -434,7 +399,8 @@ mod tests {
         #[test]
         fn hull_contains_both(a in arb_interval(), b in arb_interval()) {
             let h = a.hull(b);
-            prop_assert!(h.contains_interval(a) && h.contains_interval(b));
+            let ends = [a.lo(), a.hi(), b.lo(), b.hi()];
+            prop_assert!(ends.iter().all(|&x| h.contains(x)));
         }
 
         #[test]
@@ -448,7 +414,6 @@ mod tests {
         #[test]
         fn intersection_symmetric(a in arb_interval(), b in arb_interval()) {
             prop_assert_eq!(a.intersection(b), b.intersection(a));
-            prop_assert_eq!(a.intersects(b), b.intersects(a));
         }
 
         #[test]

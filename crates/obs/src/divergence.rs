@@ -25,11 +25,11 @@
 //!
 //! [`from_events`]: DivergenceMonitor::from_events
 
-use crate::journal::{push_f64, push_str, TraceEvent, Value};
+use crate::journal::{TraceEvent, Value};
+use crate::json::Json;
 use crate::profile::{ProfileIndex, SpanStatus};
 use crate::Obs;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 
 /// Catalog-declared behavior of one source, reduced to the three stats
 /// the monitor checks (the runtime derives these from `SourceBehavior`).
@@ -205,27 +205,18 @@ impl DivergenceMonitor {
         drift.transient_failures += obs.transient_failures;
         drift.successes += u64::from(obs.ok);
         drift.permanent_failures += u64::from(obs.permanently_down);
-        drift.ewma_latency = Some(match drift.ewma_latency {
-            None => obs.latency,
-            Some(prev) => prev + ALPHA * (obs.latency - prev),
-        });
-        if let Some(tuples) = obs.tuples {
-            drift.ewma_tuples = Some(match drift.ewma_tuples {
-                None => tuples,
-                Some(prev) => prev + ALPHA * (tuples - prev),
-            });
-        }
-        if let Some(network) = obs.network {
-            drift.ewma_network = Some(match drift.ewma_network {
-                None => network,
-                Some(prev) => prev + ALPHA * (network - prev),
-            });
-        }
-        if let Some(server) = obs.server {
-            drift.ewma_server = Some(match drift.ewma_server {
-                None => server,
-                Some(prev) => prev + ALPHA * (server - prev),
-            });
+        // The first observation seeds an estimator; each later one folds
+        // in with weight `ALPHA`.
+        let ewma = |prev: Option<f64>, x: f64| Some(prev.map_or(x, |p| p + ALPHA * (x - p)));
+        drift.ewma_latency = ewma(drift.ewma_latency, obs.latency);
+        for (estimate, x) in [
+            (&mut drift.ewma_tuples, obs.tuples),
+            (&mut drift.ewma_network, obs.network),
+            (&mut drift.ewma_server, obs.server),
+        ] {
+            if let Some(x) = x {
+                *estimate = ewma(*estimate, x);
+            }
         }
         let divergences = drift.divergences();
         for (stat, value) in divergences {
@@ -335,65 +326,43 @@ impl DivergenceMonitor {
     /// endpoint serves these bytes): per-source estimators with their
     /// expectations and current divergences, plus the drifting set.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"sources\":[");
-        for (i, (name, d)) in self.sources.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"source\":");
-            push_str(&mut out, name);
-            out.push_str(",\"expected\":{\"latency\":");
-            push_f64(&mut out, d.expected.latency);
-            out.push_str(",\"transient_rate\":");
-            push_f64(&mut out, d.expected.transient_rate);
-            out.push_str(",\"tuples\":");
-            push_f64(&mut out, d.expected.tuples);
-            let _ = write!(
-                out,
-                "}},\"accesses\":{},\"attempts\":{},\"transient_failures\":{},\"successes\":{},\"permanent_failures\":{}",
-                d.accesses, d.attempts, d.transient_failures, d.successes, d.permanent_failures
-            );
-            out.push_str(",\"ewma_latency\":");
-            push_opt_f64(&mut out, d.ewma_latency);
-            out.push_str(",\"ewma_tuples\":");
-            push_opt_f64(&mut out, d.ewma_tuples);
-            out.push_str(",\"ewma_network\":");
-            push_opt_f64(&mut out, d.ewma_network);
-            out.push_str(",\"ewma_server\":");
-            push_opt_f64(&mut out, d.ewma_server);
-            out.push_str(",\"divergence\":{");
-            for (j, (stat, value)) in d.divergences().into_iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                push_str(&mut out, stat);
-                out.push(':');
-                push_f64(&mut out, value);
-            }
-            out.push_str("}}");
-        }
-        out.push_str("],\"drifting\":[");
-        for (i, (name, stat, value)) in self.drifting().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"source\":");
-            push_str(&mut out, &name);
-            out.push_str(",\"stat\":");
-            push_str(&mut out, stat);
-            out.push_str(",\"value\":");
-            push_f64(&mut out, value);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn push_opt_f64(out: &mut String, v: Option<f64>) {
-    match v {
-        Some(v) => push_f64(out, v),
-        None => out.push_str("null"),
+        let sources = self.sources.iter().map(|(name, d)| {
+            let expected = Json::object([
+                ("latency", d.expected.latency.into()),
+                ("transient_rate", d.expected.transient_rate.into()),
+                ("tuples", d.expected.tuples.into()),
+            ]);
+            let divergence = d.divergences().into_iter();
+            Json::object([
+                ("source", name.as_str().into()),
+                ("expected", expected),
+                ("accesses", d.accesses.into()),
+                ("attempts", d.attempts.into()),
+                ("transient_failures", d.transient_failures.into()),
+                ("successes", d.successes.into()),
+                ("permanent_failures", d.permanent_failures.into()),
+                ("ewma_latency", d.ewma_latency.into()),
+                ("ewma_tuples", d.ewma_tuples.into()),
+                ("ewma_network", d.ewma_network.into()),
+                ("ewma_server", d.ewma_server.into()),
+                (
+                    "divergence",
+                    Json::object(divergence.map(|(k, v)| (k, v.into()))),
+                ),
+            ])
+        });
+        let drifting = self.drifting().into_iter().map(|(name, stat, value)| {
+            Json::object([
+                ("source", name.into()),
+                ("stat", stat.into()),
+                ("value", value.into()),
+            ])
+        });
+        let doc = [
+            ("sources", sources.collect()),
+            ("drifting", drifting.collect()),
+        ];
+        Json::object(doc).to_string()
     }
 }
 

@@ -1,5 +1,5 @@
-//! Dominance provenance: elimination certificates and the `explain(plan)`
-//! query.
+//! Dominance provenance: elimination certificates and the answer to
+//! `explain(plan)`.
 //!
 //! When the ordering kernel prunes an abstract plan it journals an
 //! [`EliminationCertificate`] — the eliminated candidate set, the
@@ -10,20 +10,20 @@
 //! test-support verifier (`crates/core/tests/support`) re-derives the
 //! intervals themselves from the problem instance.
 //!
-//! [`ExplainIndex`] turns a recorded journal into an answerable query:
-//! "why did plan p rank i" (it was emitted, here is its rank, utility,
-//! and virtual time) and "why was q never emitted" (here is the
+//! The profiler's one reconstruction keeps each run's certificates beside
+//! its plan spans, and [`RunProfile::explain`](crate::RunProfile::explain)
+//! answers "why did plan p rank i" (it was emitted, here is its rank,
+//! utility, and virtual time) and "why was q never emitted" (here is the
 //! certificate of the dominance comparison that pruned the abstract
-//! candidate set containing q). This module is dependency-free — plans
-//! are bucket-index vectors and intervals are `(lo, hi)` pairs — so the
-//! producing kernel stays the only crate that knows what a utility
-//! measure is.
+//! candidate set containing q) as an [`Explanation`]. This module is
+//! dependency-free — plans are bucket-index vectors and intervals are
+//! `(lo, hi)` pairs — so the producing kernel stays the only crate that
+//! knows what a utility measure is.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::journal::{push_f64, push_str, Record, TraceEvent, TraceJournal};
-use crate::vocab::{role_of, Role};
+use crate::journal::Record;
+use crate::json::Json;
 
 /// Renders a concrete plan (one source index per bucket) as the compact
 /// journal/URL form `"1,0,2"`.
@@ -100,20 +100,54 @@ pub struct EliminationCertificate {
     pub epoch: u64,
 }
 
+/// A `kernel_elimination` record with its candidate sets still encoded.
+/// A profile rebuild keeps one per elimination, tens of thousands on a
+/// large journal, and `explain` [`decode`](Self::decode)s them only when
+/// it reads them: parsing each set at rebuild time doubled the rebuild.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EncodedCertificate {
+    ids: (u64, u64),
+    candidates: (String, String),
+    intervals: ((f64, f64), (f64, f64)),
+    epoch: u64,
+}
+
+impl EncodedCertificate {
+    /// The fields of a `kernel_elimination` record (`None` if one is
+    /// missing or mistyped); a live event's `F64` fields keep their bits.
+    pub fn from_record(rec: &Record<'_>) -> Option<Self> {
+        Some(EncodedCertificate {
+            ids: (rec.u64("plan_id")?, rec.u64("champion_id")?),
+            candidates: (rec.str("victim")?.into(), rec.str("champion")?.into()),
+            intervals: (
+                (rec.f64("victim_lo")?, rec.f64("victim_hi")?),
+                (rec.f64("champion_lo")?, rec.f64("champion_hi")?),
+            ),
+            epoch: rec.u64("epoch")?,
+        })
+    }
+
+    /// The certificate, its candidate sets parsed (`None` if one does not
+    /// parse).
+    pub fn decode(&self) -> Option<EliminationCertificate> {
+        Some(EliminationCertificate {
+            victim_id: self.ids.0,
+            champion_id: self.ids.1,
+            victim: parse_candidates(&self.candidates.0)?,
+            champion: parse_candidates(&self.candidates.1)?,
+            victim_interval: self.intervals.0,
+            champion_interval: self.intervals.1,
+            epoch: self.epoch,
+        })
+    }
+}
+
 impl EliminationCertificate {
     /// The certificate a `kernel_elimination` record carries (`None` if a
     /// field is missing or mistyped) — the kernel's only record of one; a
     /// live event's `F64` fields keep their bits.
     pub fn from_record(rec: &Record<'_>) -> Option<Self> {
-        Some(EliminationCertificate {
-            victim_id: rec.u64("plan_id")?,
-            champion_id: rec.u64("champion_id")?,
-            victim: parse_candidates(rec.str("victim")?)?,
-            champion: parse_candidates(rec.str("champion")?)?,
-            victim_interval: (rec.f64("victim_lo")?, rec.f64("victim_hi")?),
-            champion_interval: (rec.f64("champion_lo")?, rec.f64("champion_hi")?),
-            epoch: rec.u64("epoch")?,
-        })
+        EncodedCertificate::from_record(rec)?.decode()
     }
 
     /// Replays the dominance comparison from the recorded numbers alone:
@@ -139,26 +173,20 @@ impl EliminationCertificate {
 
     /// Renders the certificate as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"victim_id\":{},\"champion_id\":{}",
-            self.victim_id, self.champion_id
-        );
-        out.push_str(",\"victim\":");
-        push_str(&mut out, &encode_candidates(&self.victim));
-        out.push_str(",\"champion\":");
-        push_str(&mut out, &encode_candidates(&self.champion));
-        out.push_str(",\"victim_interval\":[");
-        push_f64(&mut out, self.victim_interval.0);
-        out.push(',');
-        push_f64(&mut out, self.victim_interval.1);
-        out.push_str("],\"champion_interval\":[");
-        push_f64(&mut out, self.champion_interval.0);
-        out.push(',');
-        push_f64(&mut out, self.champion_interval.1);
-        let _ = write!(out, "],\"epoch\":{}}}", self.epoch);
-        out
+        self.json().to_string()
+    }
+
+    fn json(&self) -> Json {
+        let interval = |(lo, hi): (f64, f64)| Json::from_iter([lo.into(), hi.into()]);
+        Json::object([
+            ("victim_id", self.victim_id.into()),
+            ("champion_id", self.champion_id.into()),
+            ("victim", encode_candidates(&self.victim).into()),
+            ("champion", encode_candidates(&self.champion).into()),
+            ("victim_interval", interval(self.victim_interval)),
+            ("champion_interval", interval(self.champion_interval)),
+            ("epoch", self.epoch.into()),
+        ])
     }
 }
 
@@ -192,135 +220,36 @@ pub enum Explanation {
 impl Explanation {
     /// Renders the explanation for (`run`, `plan`) as one JSON object.
     pub fn to_json(&self, run: u64, plan: &[usize]) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"run\":{run},\"plan\":");
-        push_str(&mut out, &encode_plan(plan));
+        let mut fields: Vec<(&str, Json)> =
+            vec![("run", run.into()), ("plan", encode_plan(plan).into())];
         match self {
             Explanation::Emitted {
                 rank,
                 utility,
                 clock,
-            } => {
-                let _ = write!(out, ",\"status\":\"emitted\",\"rank\":{rank},\"utility\":");
-                push_f64(&mut out, *utility);
-                out.push_str(",\"clock\":");
-                push_f64(&mut out, *clock);
-                out.push('}');
-            }
+            } => fields.extend([
+                ("status", "emitted".into()),
+                ("rank", (*rank).into()),
+                ("utility", (*utility).into()),
+                ("clock", (*clock).into()),
+            ]),
             Explanation::Eliminated {
                 certificate,
                 matches,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"status\":\"eliminated\",\"matches\":{matches},\"certificate\":{}}}",
-                    certificate.to_json()
-                );
-            }
-            Explanation::Unknown => out.push_str(",\"status\":\"unknown\"}"),
+            } => fields.extend([
+                ("status", "eliminated".into()),
+                ("matches", (*matches).into()),
+                ("certificate", certificate.json()),
+            ]),
+            Explanation::Unknown => fields.push(("status", "unknown".into())),
         }
-        out
-    }
-}
-
-/// An index over a recorded journal answering "why did plan p rank i /
-/// why was q never emitted", per run. Runs are numbered as the profiler
-/// and `validate_trace` number them: the zero-based index of the
-/// `run_started` marker. Events ahead of the first marker belong to no
-/// run and are not indexed.
-#[derive(Debug, Clone, Default)]
-pub struct ExplainIndex {
-    emissions: BTreeMap<(u64, String), (u64, f64, f64)>,
-    certificates: Vec<(u64, EliminationCertificate)>,
-    runs: u64,
-}
-
-impl ExplainIndex {
-    /// Builds the index from recorded events (in seq order).
-    pub fn from_events(events: &[TraceEvent]) -> Self {
-        let mut index = ExplainIndex::default();
-        for rec in events.iter().map(Record::from) {
-            if role_of(&rec.kind) == Some(Role::RunOpen) {
-                index.runs += 1;
-            }
-            let Some(run) = index.runs.checked_sub(1) else {
-                continue;
-            };
-            match &*rec.kind {
-                "plan_emitted" => {
-                    // Only emissions that carry the encoded plan are
-                    // explainable; older producers omit it.
-                    if let Some(plan) = rec.str("plan") {
-                        let rank = rec.u64("plan_seq").unwrap_or(0);
-                        let utility = rec.f64("utility").unwrap_or(f64::NAN);
-                        index
-                            .emissions
-                            .entry((run, plan.to_string()))
-                            .or_insert((rank, utility, rec.clock));
-                    }
-                }
-                "kernel_elimination" => {
-                    let cert = EliminationCertificate::from_record(&rec);
-                    index.certificates.extend(cert.map(|c| (run, c)));
-                }
-                _ => {}
-            }
-        }
-        index
-    }
-
-    /// Builds the index straight from a journal.
-    pub fn from_journal(journal: &TraceJournal) -> Self {
-        ExplainIndex::from_events(&journal.events())
-    }
-
-    /// Number of `run_started` markers seen; the latest run is
-    /// `runs() - 1`.
-    pub fn runs(&self) -> u64 {
-        self.runs
-    }
-
-    /// Certificates recorded for `run` (zero-based), in journal order.
-    pub fn certificates(&self, run: u64) -> Vec<EliminationCertificate> {
-        self.certificates
-            .iter()
-            .filter(|(r, _)| *r == run)
-            .map(|(_, c)| c.clone())
-            .collect()
-    }
-
-    /// Explains `plan` within `run` (zero-based). An emission wins over a
-    /// certificate: iDrips may prune an abstract candidate set in one
-    /// round yet emit a refined plan from it later, and an emitted plan
-    /// *was* ranked.
-    pub fn explain(&self, run: u64, plan: &[usize]) -> Explanation {
-        if let Some(&(rank, utility, clock)) = self.emissions.get(&(run, encode_plan(plan))) {
-            return Explanation::Emitted {
-                rank,
-                utility,
-                clock,
-            };
-        }
-        let covering: Vec<&EliminationCertificate> = self
-            .certificates
-            .iter()
-            .filter(|(r, c)| *r == run && c.covers(plan))
-            .map(|(_, c)| c)
-            .collect();
-        match covering.last() {
-            Some(cert) => Explanation::Eliminated {
-                certificate: (*cert).clone(),
-                matches: covering.len() as u64,
-            },
-            None => Explanation::Unknown,
-        }
+        Json::object(fields).to_string()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::Value;
 
     #[test]
     fn plan_and_candidate_encodings_round_trip() {
@@ -365,84 +294,5 @@ mod tests {
         assert!(json.contains("\"victim\":\"0,1|3\""));
         assert!(json.contains("\"champion_interval\":[0.5,0.9]"));
         assert!(json.contains("\"epoch\":3"));
-    }
-
-    fn journal_with_runs() -> TraceJournal {
-        let j = TraceJournal::enabled();
-        j.set_clock(0.0);
-        j.record("run_started", vec![("lookahead", Value::U64(1))]);
-        j.record(
-            "plan_emitted",
-            vec![
-                ("plan_seq", Value::U64(0)),
-                ("plan", Value::Str("0,1".into())),
-                ("utility", Value::F64(0.75)),
-            ],
-        );
-        j.record(
-            "kernel_elimination",
-            vec![
-                ("plan_id", Value::U64(7)),
-                ("champion_id", Value::U64(2)),
-                ("victim", Value::Str("0,1|3".into())),
-                ("champion", Value::Str("2|0,1".into())),
-                ("victim_lo", Value::F64(0.1)),
-                ("victim_hi", Value::F64(0.4)),
-                ("champion_lo", Value::F64(0.5)),
-                ("champion_hi", Value::F64(0.9)),
-                ("epoch", Value::U64(3)),
-            ],
-        );
-        j
-    }
-
-    #[test]
-    fn index_answers_emitted_eliminated_and_unknown() {
-        let index = ExplainIndex::from_journal(&journal_with_runs());
-        // One marker: one run, and it is run 0 — the profiler's number.
-        assert_eq!(index.runs(), 1);
-        let profiled = crate::ProfileIndex::from_journal(&journal_with_runs());
-        assert_eq!(profiled.latest().map(|r| r.run), Some(0));
-        assert_eq!(index.certificates(0).len(), 1);
-
-        match index.explain(0, &[0, 1]) {
-            Explanation::Emitted { rank, utility, .. } => {
-                assert_eq!(rank, 0);
-                assert_eq!(utility, 0.75);
-            }
-            other => panic!("expected emitted, got {other:?}"),
-        }
-        match index.explain(0, &[1, 3]) {
-            Explanation::Eliminated {
-                certificate,
-                matches,
-            } => {
-                assert_eq!(matches, 1);
-                assert!(certificate.comparison_holds());
-            }
-            other => panic!("expected eliminated, got {other:?}"),
-        }
-        assert_eq!(index.explain(0, &[9, 9]), Explanation::Unknown);
-        assert_eq!(index.explain(1, &[0, 1]), Explanation::Unknown);
-
-        let json = index.explain(0, &[1, 3]).to_json(0, &[1, 3]);
-        assert!(json.starts_with("{\"run\":0,\"plan\":\"1,3\""));
-        assert!(json.contains("\"status\":\"eliminated\""));
-        assert!(json.contains("\"certificate\":{"));
-    }
-
-    #[test]
-    fn events_ahead_of_the_first_marker_belong_to_no_run() {
-        let j = TraceJournal::enabled();
-        j.record(
-            "plan_emitted",
-            vec![
-                ("plan_seq", Value::U64(0)),
-                ("plan", Value::Str("0,1".into())),
-            ],
-        );
-        let index = ExplainIndex::from_journal(&j);
-        assert_eq!(index.runs(), 0);
-        assert_eq!(index.explain(0, &[0, 1]), Explanation::Unknown);
     }
 }

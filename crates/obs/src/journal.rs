@@ -16,21 +16,20 @@
 //!
 //! [`TraceJournal::enabled_with_capacity`] caps retained events with
 //! ring-buffer semantics: once full, each append drops the oldest event
-//! and bumps the drop tally (exported as `qpo_trace_events_dropped_total`
-//! when wired through [`crate::Obs::with_trace_capacity`]). Sequence
-//! numbers keep counting across drops, so a truncated export no longer
-//! starts at seq 0 and [`validate_trace`]'s contiguity check rejects it —
-//! by design: profile reconstruction ([`crate::profile`]) and divergence
-//! replay need the *un-truncated* run, and a capped journal is for
-//! long-lived serving sessions where only the recent tail matters.
+//! and bumps [`TraceJournal::dropped`]. Sequence numbers keep counting
+//! across drops, so a truncated export no longer starts at seq 0 and
+//! [`validate_trace`]'s contiguity check rejects it — by design: profile
+//! reconstruction ([`crate::profile`]) and divergence replay need the
+//! *un-truncated* run. The source server's span journal is one
+//! (`qpo_runtime::net::SERVER_JOURNAL_CAP`): a long-lived process where only
+//! the recent tail matters.
 
 use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::json::{parse_json, Json};
-use crate::registry::Counter;
+use crate::json::{parse_json, push_f64, push_str, Json};
 use crate::vocab::{fields_of, role_of, FieldSpec, FieldType, Role};
 
 /// A field value attached to a trace event.
@@ -77,8 +76,6 @@ struct JournalInner {
     cap: Option<usize>,
     /// Events dropped to honor the cap.
     dropped: u64,
-    /// Registry counter mirroring `dropped`, when one is wired.
-    dropped_counter: Option<Counter>,
 }
 
 impl JournalInner {
@@ -95,9 +92,6 @@ impl JournalInner {
             while self.events.len() > cap {
                 self.events.pop_front();
                 self.dropped += 1;
-                if let Some(counter) = &self.dropped_counter {
-                    counter.inc();
-                }
             }
         }
     }
@@ -133,34 +127,12 @@ impl TraceJournal {
         journal
     }
 
-    /// The retention cap, when one was set.
-    pub fn capacity(&self) -> Option<usize> {
-        if !self.recording {
-            return None;
-        }
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).cap
-    }
-
     /// Events dropped so far to honor the cap (0 for unbounded journals).
     pub fn dropped(&self) -> u64 {
         if !self.recording {
             return 0;
         }
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).dropped
-    }
-
-    /// Mirrors every future drop onto `counter` (the
-    /// `qpo_trace_events_dropped_total` metric, when wired through
-    /// [`crate::Obs::with_trace_capacity`]). Drops that already happened
-    /// are back-filled so the counter and [`dropped`](Self::dropped)
-    /// agree from the moment of wiring.
-    pub fn set_dropped_counter(&self, counter: Counter) {
-        if !self.recording {
-            return;
-        }
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        counter.add(inner.dropped);
-        inner.dropped_counter = Some(counter);
     }
 
     /// Whether [`record`](Self::record) stores anything. Checking this is
@@ -230,16 +202,13 @@ impl TraceJournal {
 
     /// Copies of all retained events, in order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        if !self.recording {
-            return Vec::new();
-        }
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .events
-            .iter()
-            .cloned()
-            .collect()
+        self.with_events(|events| events.iter().cloned().collect())
+    }
+
+    /// Runs `f` over the retained events, in order, without copying them.
+    /// Recorders wait on the journal's lock until it returns.
+    pub(crate) fn with_events<R>(&self, f: impl FnOnce(&VecDeque<TraceEvent>) -> R) -> R {
+        f(&self.inner.lock().unwrap_or_else(|e| e.into_inner()).events)
     }
 
     /// Serializes the journal as JSON Lines: one object per event with
@@ -250,24 +219,20 @@ impl TraceJournal {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in self.events() {
-            out.push('{');
-            let _ = write!(out, "\"seq\":{}", ev.seq);
-            out.push_str(",\"clock\":");
-            push_f64(&mut out, ev.clock);
-            let _ = write!(out, ",\"kind\":");
-            push_str(&mut out, ev.kind);
+            let _ = write!(out, "{{\"seq\":{},\"clock\":", ev.seq);
+            let _ = push_f64(&mut out, ev.clock);
+            out.push_str(",\"kind\":");
+            let _ = push_str(&mut out, ev.kind);
             for (k, v) in &ev.fields {
                 out.push(',');
-                push_str(&mut out, k);
+                let _ = push_str(&mut out, k);
                 out.push(':');
-                match v {
-                    Value::U64(n) => {
-                        let _ = write!(out, "{n}");
-                    }
+                let _ = match v {
+                    Value::U64(n) => write!(out, "{n}"),
                     Value::F64(x) => push_f64(&mut out, *x),
                     Value::Str(s) => push_str(&mut out, s),
-                    Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                }
+                    Value::Bool(b) => write!(out, "{b}"),
+                };
             }
             out.push_str("}\n");
         }
@@ -282,37 +247,11 @@ fn debug_assert_conforms(kind: &'static str, fields: &[(&'static str, Value)]) {
     }
 }
 
-pub(crate) fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-pub(crate) fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// One decoded journal entry: the single view every reader
-/// ([`validate_trace`], the profiler, the drift replay, `explain`) folds,
-/// whether it came from a live [`TraceEvent`] (`Record::from`) or from a
-/// JSONL line ([`read_jsonl`]). Fields read by name *and* type: one
-/// journalled with another type reads as absent.
+/// ([`validate_trace`], and the profiler behind the drift replay and
+/// `explain`) folds, whether it came from a live [`TraceEvent`]
+/// (`Record::from`) or from a JSONL line ([`read_jsonl`]). Fields read by
+/// name *and* type: one journalled with another type reads as absent.
 #[derive(Debug, Clone)]
 pub struct Record<'a> {
     /// The event's record index.
@@ -1165,7 +1104,6 @@ mod tests {
     #[test]
     fn capped_journal_drops_oldest_and_keeps_counting() {
         let j = TraceJournal::enabled_with_capacity(3);
-        assert_eq!(j.capacity(), Some(3));
         for i in 0..5u64 {
             j.record("tick", vec![("i", Value::U64(i))]);
         }
@@ -1184,29 +1122,6 @@ mod tests {
         fresh.record("plan_completed", vec![("plan_seq", Value::U64(0))]);
         assert!(validate_trace(&fresh.to_jsonl()).is_ok());
         assert_eq!(fresh.dropped(), 0);
-    }
-
-    #[test]
-    fn dropped_counter_mirrors_the_tally() {
-        let j = TraceJournal::enabled_with_capacity(1);
-        j.record("a", vec![]);
-        j.record("b", vec![]); // drops "a" before the counter is wired
-        let counter = Counter::detached();
-        j.set_dropped_counter(counter.clone());
-        assert_eq!(counter.get(), 1, "wiring back-fills earlier drops");
-        j.record("c", vec![]);
-        j.record("d", vec![]);
-        assert_eq!(counter.get(), 3);
-        assert_eq!(j.dropped(), 3);
-        let obs = crate::Obs::with_trace_capacity(1);
-        obs.journal.record("a", vec![]);
-        obs.journal.record("b", vec![]);
-        assert_eq!(
-            obs.registry
-                .counter("qpo_trace_events_dropped_total", &[])
-                .get(),
-            1
-        );
     }
 
     #[test]

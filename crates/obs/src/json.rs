@@ -1,21 +1,23 @@
-//! A minimal JSON reader, just large enough to validate the trace files
-//! this workspace writes. The offline build has no serde; the exporters
-//! hand-roll their output, and this module closes the loop so tests and
-//! the CI gate can parse it back.
+//! The one JSON value type: a minimal reader ([`parse_json`]) for the trace
+//! files and documents this workspace writes, and the one writer (`Json`'s
+//! `Display`) every served document goes through. The offline build has
+//! no serde.
 //!
 //! Intentional simplifications: numbers are `f64`, objects are ordered
 //! `(key, value)` vectors (duplicate keys are preserved, first match
 //! wins in [`Json::get`]), and `\uXXXX` escapes outside the BMP must be
 //! paired surrogates.
 
-/// A parsed JSON value.
+use std::fmt::{self, Write as _};
+
+/// A JSON value, as parsed or as written.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (lossy: i64/u64 beyond 2⁵³ round).
+    /// Any number (lossy: integers beyond 2⁵³ round).
     Number(f64),
     /// A string with escapes resolved.
     String(String),
@@ -49,6 +51,101 @@ impl Json {
             _ => None,
         }
     }
+
+    /// An object from `(key, value)` pairs, in order.
+    pub(crate) fn object<'a>(pairs: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+}
+
+/// The writer: compact JSON, keys in order, strings escaped by `push_str`
+/// and numbers in `push_f64`'s shortest round-trip form, a non-finite one
+/// as `null`. An integer is a `Number` too, so it is exact up to 2⁵³ —
+/// the bound [`read_jsonl`](crate::read_jsonl) enforces on journalled ids.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Number(n) => push_f64(f, *n),
+            Json::String(s) => push_str(f, s),
+            Json::Array(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(f, "{}{item}", if i > 0 { "," } else { "" })?;
+                }
+                f.write_char(']')
+            }
+            Json::Object(pairs) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    f.write_str(if i > 0 { "," } else { "" })?;
+                    push_str(f, key)?;
+                    write!(f, ":{value}")?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// `Json` from the scalars the serializers hold.
+macro_rules! from_scalar {
+    ($($t:ty => |$v:ident| $json:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from($v: $t) -> Self {
+                $json
+            }
+        }
+    )*};
+}
+
+from_scalar! {
+    f64 => |n| Json::Number(n),
+    u64 => |n| Json::Number(n as f64),
+    bool => |b| Json::Bool(b),
+    &str => |s| Json::String(s.to_string()),
+    String => |s| Json::String(s),
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl FromIterator<Json> for Json {
+    fn from_iter<I: IntoIterator<Item = Json>>(items: I) -> Self {
+        Json::Array(items.into_iter().collect())
+    }
+}
+
+/// Writes `v` in its shortest round-trip form, or `null` when it is not
+/// finite.
+pub(crate) fn push_f64(out: &mut impl fmt::Write, v: f64) -> fmt::Result {
+    if v.is_finite() {
+        write!(out, "{v}")
+    } else {
+        out.write_str("null")
+    }
+}
+
+/// Writes `s` as a JSON string: quotes, backslashes and control
+/// characters escaped, everything else raw.
+pub(crate) fn push_str(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
 }
 
 /// A parse failure: byte offset plus message.

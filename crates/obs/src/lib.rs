@@ -21,12 +21,14 @@
 //!   `trace-validate` gate are driven by it;
 //! - [`export`] — a JSONL rendering of the journal, a Prometheus-style
 //!   text exposition of the registry, and a human summary;
-//! - [`json`] — a minimal JSON reader used to validate traces
-//!   ([`validate_trace`]) without pulling in serde;
+//! - [`json`] — the one JSON value type: a minimal reader used to
+//!   validate traces ([`validate_trace`]) and the one writer every served
+//!   document goes through, without pulling in serde;
 //! - [`sessions`] — the live session directory ([`SessionBoard`]);
 //! - [`explain`] — dominance provenance: [`EliminationCertificate`]s
-//!   recorded by the ordering kernel and the [`ExplainIndex`] answering
-//!   "why did plan p rank i / why was q never emitted";
+//!   recorded by the ordering kernel and the [`Explanation`] that
+//!   [`RunProfile::explain`] gives for "why did plan p rank i / why was q
+//!   never emitted";
 //! - [`profile`] — post-hoc profiling: the [`ProfileIndex`] rebuilds a
 //!   hierarchical span tree per run from the journal alone (prepare /
 //!   ordering / per-plan wait / per-source attempt+backoff / join), with
@@ -85,7 +87,7 @@ pub use backends::{backends_text, BackendBoard};
 pub use divergence::{AccessObservation, DivergenceMonitor, SourceDrift, SourceExpectation};
 pub use explain::{
     encode_candidates, encode_plan, parse_candidates, parse_plan, EliminationCertificate,
-    ExplainIndex, Explanation,
+    Explanation,
 };
 pub use export::{escape_label_value, prometheus_text, summary_text};
 pub use journal::{
@@ -136,24 +138,5 @@ impl Obs {
             sessions: SessionBoard::new(),
             backends: BackendBoard::new(),
         }
-    }
-
-    /// [`Obs::with_trace`] with a bounded journal: at most `cap` events
-    /// are retained (ring buffer, oldest dropped first) and every drop
-    /// bumps the `qpo_trace_events_dropped_total` counter. Truncation is
-    /// detectable offline — dropped events leave a seq gap that
-    /// [`validate_trace`] rejects — so long-lived serving sessions can
-    /// cap memory while profile reconstruction keeps requiring an
-    /// un-truncated run.
-    pub fn with_trace_capacity(cap: usize) -> Self {
-        let obs = Obs {
-            registry: Registry::new(),
-            journal: TraceJournal::enabled_with_capacity(cap),
-            sessions: SessionBoard::new(),
-            backends: BackendBoard::new(),
-        };
-        obs.journal
-            .set_dropped_counter(obs.registry.counter("qpo_trace_events_dropped_total", &[]));
-        obs
     }
 }

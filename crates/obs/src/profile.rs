@@ -41,9 +41,15 @@
 //! source dominated it"; [`RunProfile::to_json`] and
 //! [`ProfileIndex::to_json`] are the machine form the introspection
 //! server's `/profile` endpoint serves byte-identically.
+//!
+//! Each run also keeps the kernel's elimination certificates, so
+//! [`RunProfile::explain`] — the `/explain` endpoint — answers from the
+//! same reconstruction.
 
 use crate::divergence::SourceExpectation;
-use crate::journal::{push_f64, push_str, read_jsonl, Record, TraceEvent, TraceJournal};
+use crate::explain::{encode_plan, EncodedCertificate, Explanation};
+use crate::journal::{read_jsonl, Record, TraceEvent, TraceJournal};
+use crate::json::Json;
 use crate::vocab::{role_of, Role};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -203,6 +209,9 @@ pub struct RunProfile {
     /// journal order. Kept for the drift replay; neither renderer shows
     /// them.
     pub declared: Vec<(String, SourceExpectation)>,
+    /// The kernel's elimination certificates, in journal order. Read by
+    /// [`RunProfile::explain`]; neither renderer shows them.
+    pub certificates: Vec<EncodedCertificate>,
 }
 
 impl RunProfile {
@@ -328,134 +337,110 @@ impl RunProfile {
         Ok(())
     }
 
-    /// The machine-readable profile, hand-rolled like every exporter in
-    /// this crate (the `/profile?run=…` endpoint serves these bytes).
+    /// Why `plan` ranked where it did in this run, or why it never went
+    /// out. An emission wins over a certificate: iDrips may prune an
+    /// abstract candidate set in one round yet emit a refined plan from it
+    /// later, and an emitted plan *was* ranked. The first span whose
+    /// journalled `plan` matches answers (a span journalled without one
+    /// cannot); otherwise the last certificate covering the plan, with the
+    /// count of those that do.
+    pub fn explain(&self, plan: &[usize]) -> Explanation {
+        let encoded = encode_plan(plan);
+        let emitted = self
+            .plans
+            .iter()
+            .find(|p| !p.plan.is_empty() && p.plan == encoded);
+        if let Some(p) = emitted {
+            return Explanation::Emitted {
+                rank: p.seq,
+                utility: p.utility,
+                clock: p.start,
+            };
+        }
+        let mut covering: Vec<_> = self
+            .certificates
+            .iter()
+            .filter_map(EncodedCertificate::decode)
+            .filter(|c| c.covers(plan))
+            .collect();
+        let matches = covering.len() as u64;
+        match covering.pop() {
+            Some(certificate) => Explanation::Eliminated {
+                certificate,
+                matches,
+            },
+            None => Explanation::Unknown,
+        }
+    }
+
+    /// The machine-readable profile (the `/profile?run=…` endpoint serves
+    /// these bytes).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"run\":{}", self.run);
-        out.push_str(",\"strategy\":");
-        match &self.strategy {
-            Some(s) => push_str(&mut out, s),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"lookahead\":");
-        match self.lookahead {
-            Some(n) => {
-                let _ = write!(out, "{n}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\"prepare_events\":{},\"ordering_events\":{}",
-            self.prepare_events, self.ordering_events
-        );
-        out.push_str(",\"makespan\":");
-        match self.makespan {
-            Some(m) => push_f64(&mut out, m),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"answers\":");
-        match self.answers {
-            Some(a) => {
-                let _ = write!(out, "{a}");
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"critical_path\":");
-        push_f64(&mut out, self.critical_path);
-        out.push_str(",\"bounding_plan\":");
-        match self.critical_plan() {
-            Some(p) => push_str(&mut out, &p.plan),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"dominant_source\":");
-        match self.dominant_source() {
-            Some((name, total)) => {
-                out.push_str("{\"source\":");
-                push_str(&mut out, &name);
-                out.push_str(",\"total\":");
-                push_f64(&mut out, total);
-                out.push('}');
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"plans\":[");
-        for (i, p) in self.plans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"seq\":{},\"plan\":", p.seq);
-            push_str(&mut out, &p.plan);
-            out.push_str(",\"utility\":");
-            push_f64(&mut out, p.utility);
-            let _ = write!(out, ",\"status\":\"{}\"", p.status.label());
-            out.push_str(",\"start\":");
-            push_f64(&mut out, p.start);
-            out.push_str(",\"end\":");
-            push_f64(&mut out, p.end);
-            out.push_str(",\"wait\":");
-            push_f64(&mut out, p.wait);
-            out.push_str(",\"latency\":");
-            push_f64(&mut out, p.latency);
-            out.push_str(",\"join\":");
-            push_f64(&mut out, p.join);
-            out.push_str(",\"self\":");
-            push_f64(&mut out, p.self_time);
-            let _ = write!(out, ",\"memo_hits\":{}", p.memo_hits);
-            out.push_str(",\"reused_prefix\":");
-            match p.reused_prefix {
-                Some(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"tuples\":");
-            match p.tuples {
-                Some(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"sources\":[");
-            for (j, s) in p.sources.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"source\":");
-                push_str(&mut out, &s.name);
-                let _ = write!(
-                    out,
-                    ",\"attempts\":{},\"transient\":{}",
-                    s.attempts, s.transient
-                );
-                out.push_str(",\"backoff\":");
-                push_f64(&mut out, s.backoff);
-                out.push_str(",\"attempt_time\":");
-                push_f64(&mut out, s.attempt_time);
-                out.push_str(",\"total\":");
-                push_f64(&mut out, s.total);
-                out.push_str(",\"outcome\":");
-                push_str(&mut out, &s.outcome);
+        self.json().to_string()
+    }
+
+    fn json(&self) -> Json {
+        let plans = self.plans.iter().map(|p| {
+            let sources = p.sources.iter().enumerate().map(|(j, s)| {
+                let mut fields: Vec<(&str, Json)> = vec![
+                    ("source", s.name.as_str().into()),
+                    ("attempts", s.attempts.into()),
+                    ("transient", s.transient.into()),
+                    ("backoff", s.backoff.into()),
+                    ("attempt_time", s.attempt_time.into()),
+                    ("total", s.total.into()),
+                    ("outcome", s.outcome.as_str().into()),
+                ];
                 if let Some(r) = &s.remote {
-                    out.push_str(",\"remote\":{\"total\":");
-                    push_f64(&mut out, r.total);
-                    out.push_str(",\"recv_parse\":");
-                    push_f64(&mut out, r.recv_parse);
-                    out.push_str(",\"lookup\":");
-                    push_f64(&mut out, r.lookup);
-                    out.push_str(",\"encode\":");
-                    push_f64(&mut out, r.encode);
-                    out.push_str(",\"network\":");
-                    push_f64(&mut out, r.network);
-                    let _ = write!(out, ",\"server_seq\":{}}}", r.server_seq);
+                    let remote = Json::object([
+                        ("total", r.total.into()),
+                        ("recv_parse", r.recv_parse.into()),
+                        ("lookup", r.lookup.into()),
+                        ("encode", r.encode.into()),
+                        ("network", r.network.into()),
+                        ("server_seq", r.server_seq.into()),
+                    ]);
+                    fields.push(("remote", remote));
                 }
-                let _ = write!(out, ",\"critical\":{}}}", p.critical_source == Some(j));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+                fields.push(("critical", (p.critical_source == Some(j)).into()));
+                Json::object(fields)
+            });
+            Json::object([
+                ("seq", p.seq.into()),
+                ("plan", p.plan.as_str().into()),
+                ("utility", p.utility.into()),
+                ("status", p.status.label().into()),
+                ("start", p.start.into()),
+                ("end", p.end.into()),
+                ("wait", p.wait.into()),
+                ("latency", p.latency.into()),
+                ("join", p.join.into()),
+                ("self", p.self_time.into()),
+                ("memo_hits", p.memo_hits.into()),
+                ("reused_prefix", p.reused_prefix.into()),
+                ("tuples", p.tuples.into()),
+                ("sources", sources.collect()),
+            ])
+        });
+        let dominant = self
+            .dominant_source()
+            .map(|(name, total)| Json::object([("source", name.into()), ("total", total.into())]));
+        Json::object([
+            ("run", self.run.into()),
+            ("strategy", self.strategy.as_deref().into()),
+            ("lookahead", self.lookahead.into()),
+            ("prepare_events", self.prepare_events.into()),
+            ("ordering_events", self.ordering_events.into()),
+            ("makespan", self.makespan.into()),
+            ("answers", self.answers.into()),
+            ("critical_path", self.critical_path.into()),
+            (
+                "bounding_plan",
+                self.critical_plan().map(|p| p.plan.as_str()).into(),
+            ),
+            ("dominant_source", dominant.into()),
+            ("plans", plans.collect()),
+        ])
     }
 
     /// The `EXPLAIN ANALYZE`-style aligned text view: run header, the
@@ -581,9 +566,8 @@ impl RunProfile {
     }
 }
 
-/// Shortest-roundtrip number rendering shared by the text renderer (the
-/// JSON side uses the journal's `push_f64`, which renders identically
-/// for finite values).
+/// Shortest-roundtrip number rendering for the text renderer (the JSON
+/// writer renders finite values identically).
 fn num(v: f64) -> String {
     let mut s = String::new();
     push_num(&mut s, v);
@@ -616,9 +600,9 @@ impl ProfileIndex {
         ProfileIndex::from_records(events.iter().map(Record::from))
     }
 
-    /// Replays a live journal.
+    /// Replays a live journal in place, without copying its events.
     pub fn from_journal(journal: &TraceJournal) -> Self {
-        ProfileIndex::from_events(&journal.events())
+        journal.with_events(|events| ProfileIndex::from_records(events.iter().map(Record::from)))
     }
 
     /// Replays a JSONL trace file (the `/traces` format). Lines that do
@@ -664,15 +648,8 @@ impl ProfileIndex {
 
     /// All runs as one JSON document: `{"runs":[…]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"runs\":[");
-        for (i, r) in self.runs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_json());
-        }
-        out.push_str("]}");
-        out
+        let runs = self.runs.iter().map(RunProfile::json).collect();
+        Json::object([("runs", runs)]).to_string()
     }
 }
 
@@ -696,6 +673,12 @@ impl Builder {
     fn observe(&mut self, rec: &Record<'_>) {
         let kind = &*rec.kind;
         let run = &mut self.current;
+        if kind == "kernel_elimination" {
+            // The scope at hand keeps it, the preamble included (which
+            // `explain` never reads).
+            run.certificates
+                .extend(EncodedCertificate::from_record(rec));
+        }
         match role_of(kind).unwrap_or(Role::Free) {
             Role::RunOpen => {
                 self.flush();
@@ -1276,6 +1259,78 @@ mod tests {
         // A closed span's number is free again: two chains, not one.
         assert_eq!(scope.closed, vec![0, 1]);
         assert_eq!(scope.plans[1].sources[0].total, 3.0);
+    }
+
+    /// One run: plan 0,1 emitted, a plan-less emission, and one
+    /// certificate pruning the candidate sets {0,1} × {3}.
+    fn explained() -> TraceJournal {
+        let j = TraceJournal::enabled();
+        j.record("run_started", vec![("lookahead", Value::U64(1))]);
+        j.record(
+            "plan_emitted",
+            vec![
+                ("plan_seq", Value::U64(0)),
+                ("plan", Value::Str("0,1".into())),
+                ("utility", Value::F64(0.75)),
+            ],
+        );
+        j.record("plan_emitted", vec![("plan_seq", Value::U64(1))]);
+        j.record(
+            "kernel_elimination",
+            vec![
+                ("plan_id", Value::U64(7)),
+                ("champion_id", Value::U64(2)),
+                ("victim", Value::Str("0,1|3".into())),
+                ("champion", Value::Str("2|0,1".into())),
+                ("victim_lo", Value::F64(0.1)),
+                ("victim_hi", Value::F64(0.4)),
+                ("champion_lo", Value::F64(0.5)),
+                ("champion_hi", Value::F64(0.9)),
+                ("epoch", Value::U64(3)),
+            ],
+        );
+        j
+    }
+
+    #[test]
+    fn explain_answers_emitted_eliminated_and_unknown() {
+        let index = ProfileIndex::from_journal(&explained());
+        assert_eq!(index.runs().len(), 1);
+        let run = index.latest().unwrap();
+        assert_eq!(run.certificates.len(), 1);
+        match run.explain(&[0, 1]) {
+            Explanation::Emitted { rank, utility, .. } => assert_eq!((rank, utility), (0, 0.75)),
+            other => panic!("expected emitted, got {other:?}"),
+        }
+        match run.explain(&[1, 3]) {
+            Explanation::Eliminated {
+                certificate,
+                matches,
+            } => {
+                assert_eq!(matches, 1);
+                assert!(certificate.comparison_holds());
+            }
+            other => panic!("expected eliminated, got {other:?}"),
+        }
+        assert_eq!(run.explain(&[9, 9]), Explanation::Unknown);
+        assert_eq!(run.explain(&[]), Explanation::Unknown, "a plan-less span");
+        let json = run.explain(&[1, 3]).to_json(0, &[1, 3]);
+        assert!(json.starts_with("{\"run\":0,\"plan\":\"1,3\""), "{json}");
+        assert!(json.contains("\"status\":\"eliminated\""), "{json}");
+        assert!(json.contains("\"certificate\":{"), "{json}");
+        // Certificates stay out of the rendered profile.
+        assert!(!run.to_json().contains("victim"));
+        let offline = ProfileIndex::from_jsonl(&explained().to_jsonl()).unwrap();
+        assert_eq!(offline, index);
+    }
+
+    #[test]
+    fn certificates_ahead_of_the_first_marker_belong_to_no_run() {
+        let j = explained();
+        let events = j.events();
+        let index = ProfileIndex::from_events(&events[1..]);
+        assert!(index.runs().is_empty());
+        assert_eq!(index.latest_scope().certificates.len(), 1);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! - `/traces` — the JSONL journal, byte-identical to
 //!   [`TraceJournal::to_jsonl`](crate::TraceJournal::to_jsonl);
 //! - `/sessions` — the live session board as JSON;
-//! - `/explain?run=N&plan=i,j,k` — the dominance-provenance query of
-//!   [`crate::explain`] (`run` defaults to the journal's latest run);
+//! - `/explain?run=N&plan=i,j,k` — the dominance-provenance query,
+//!   [`RunProfile::explain`](crate::RunProfile::explain) over the same
+//!   reconstruction as `/profile` (`run` defaults to the journal's latest
+//!   run);
 //! - `/profile` and `/profile?run=N[&format=text]` — the span-tree
 //!   profile of [`crate::profile`], reconstructed from the journal,
 //!   byte-identical to the offline renderers; `N` is the same number on
@@ -27,21 +29,24 @@
 //! without being routed).
 //!
 //! [`DivergenceMonitor::to_json`]: crate::divergence::DivergenceMonitor::to_json
-//! The server runs one accept-loop thread and handles connections
-//! serially — introspection traffic is a human with a browser or a
-//! scraper on a schedule, not the query path — and every response is a
-//! pure function of the observed state at request time.
+//!
+//! The server accepts on one thread and serves each connection on its
+//! own, at most `MAX_CONNECTIONS` at once (one past the cap is dropped
+//! unserved). A request head must arrive within `HEAD_DEADLINE` of the
+//! accept, however it trickles in, so a slow client holds only its own
+//! thread and only that long. Every response is a pure function of the
+//! observed state at request time.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::backends::backends_text;
 use crate::divergence::DivergenceMonitor;
-use crate::explain::{parse_plan, ExplainIndex};
+use crate::explain::{parse_plan, Explanation};
 use crate::export::prometheus_text;
 use crate::profile::ProfileIndex;
 use crate::Obs;
@@ -49,6 +54,12 @@ use crate::Obs;
 /// Upper bound on the request head; anything larger is rejected with a
 /// 400 before routing.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// Bound on the connections served at once, one thread each.
+const MAX_CONNECTIONS: usize = 16;
+
+/// How long a client has, from the accept, to send its whole request head.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
 
 /// A running introspection server. Dropping (or calling
 /// [`IntrospectionServer::stop`]) shuts the accept loop down.
@@ -93,13 +104,25 @@ pub fn serve(obs: &Obs, port: u16) -> io::Result<IntrospectionServer> {
     let handle = std::thread::Builder::new()
         .name("qpo-introspection".into())
         .spawn(move || {
+            let mut live: Vec<JoinHandle<()>> = Vec::new();
             for stream in listener.incoming() {
                 if flag.load(Ordering::SeqCst) {
                     break;
                 }
-                if let Ok(stream) = stream {
-                    handle_connection(stream, &obs);
+                live.retain(|thread| !thread.is_finished());
+                let Ok(stream) = stream else { continue };
+                if live.len() >= MAX_CONNECTIONS {
+                    continue; // dropped unserved
                 }
+                let obs = obs.clone();
+                let spawned = std::thread::Builder::new()
+                    .name("qpo-introspection-conn".into())
+                    .spawn(move || handle_connection(stream, &obs));
+                live.extend(spawned.ok());
+            }
+            // The head deadline and the write timeout bound each one.
+            for thread in live {
+                let _ = thread.join();
             }
         })?;
     Ok(IntrospectionServer {
@@ -109,17 +132,28 @@ pub fn serve(obs: &Obs, port: u16) -> io::Result<IntrospectionServer> {
     })
 }
 
+/// One read that returns by `deadline`: past it, a timeout error.
+fn read_by(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> io::Result<usize> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(io::ErrorKind::TimedOut.into());
+    }
+    stream.set_read_timeout(Some(left))?;
+    stream.read(buf)
+}
+
 fn handle_connection(mut stream: TcpStream, obs: &Obs) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+    let deadline = Instant::now() + HEAD_DEADLINE;
+    let _ = stream.set_write_timeout(Some(HEAD_DEADLINE));
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
-    // Read until the end of the request head, bounded: introspection
+    // Read until the end of the request head, bounded in bytes and by one
+    // deadline for the whole head, not a timeout per read: introspection
     // requests carry no body, and a head that exceeds the cap without
     // terminating is rejected rather than routed.
     let mut terminated = false;
     loop {
-        match stream.read(&mut chunk) {
+        match read_by(&mut stream, &mut chunk, deadline) {
             Ok(0) => break,
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
@@ -140,26 +174,11 @@ fn handle_connection(mut stream: TcpStream, obs: &Obs) {
     let target = parts.next().unwrap_or("");
     let too_large = !terminated && buf.len() > MAX_HEAD_BYTES;
     let (status, reason, content_type, body) = if too_large {
-        (
-            400,
-            "Bad Request",
-            "text/plain; charset=utf-8",
-            "request head too large\n".to_string(),
-        )
+        fail(400, "Bad Request", "request head too large")
     } else if method != "GET" {
-        (
-            405,
-            "Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "only GET is supported\n".to_string(),
-        )
+        fail(405, "Method Not Allowed", "only GET is supported")
     } else if !target.starts_with('/') {
-        (
-            400,
-            "Bad Request",
-            "text/plain; charset=utf-8",
-            "malformed request target\n".to_string(),
-        )
+        fail(400, "Bad Request", "malformed request target")
     } else {
         respond(target, obs)
     };
@@ -172,12 +191,12 @@ fn handle_connection(mut stream: TcpStream, obs: &Obs) {
     let _ = stream.flush();
     if too_large {
         // Lingering close: drain what the client keeps sending (bounded
-        // by the read timeout and a byte cap) so closing the socket with
+        // by a second deadline and a byte cap) so closing the socket with
         // unread data doesn't reset the connection and discard the 400
         // we just wrote.
-        let mut sink = [0u8; 1024];
-        let mut drained = 0usize;
-        while let Ok(n) = stream.read(&mut sink) {
+        let (mut sink, mut drained) = ([0u8; 1024], 0usize);
+        let deadline = Instant::now() + HEAD_DEADLINE;
+        while let Ok(n) = read_by(&mut stream, &mut sink, deadline) {
             if n == 0 {
                 break;
             }
@@ -189,68 +208,48 @@ fn handle_connection(mut stream: TcpStream, obs: &Obs) {
     }
 }
 
-/// Routes one request target to `(status, reason, content-type, body)`.
-/// Split out (and crate-public) so tests can exercise routing without a
-/// socket.
-pub(crate) fn respond(target: &str, obs: &Obs) -> (u16, &'static str, &'static str, String) {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
+/// `(status, reason, content-type, body)`.
+type Response = (u16, &'static str, &'static str, String);
+
+const TEXT: &str = "text/plain; charset=utf-8";
+const JSON: &str = "application/json; charset=utf-8";
+
+fn ok(content_type: &'static str, body: String) -> Response {
+    (200, "OK", content_type, body)
+}
+
+fn fail(status: u16, reason: &'static str, message: &str) -> Response {
+    (status, reason, TEXT, format!("{message}\n"))
+}
+
+/// Routes one request target to its response. Split out (and
+/// crate-public) so tests can exercise routing without a socket.
+pub(crate) fn respond(target: &str, obs: &Obs) -> Response {
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
     match path {
-        "/healthz" => (200, "OK", "text/plain; charset=utf-8", "ok\n".to_string()),
-        "/metrics" => (
-            200,
-            "OK",
+        "/healthz" => ok(TEXT, "ok\n".to_string()),
+        "/metrics" => ok(
             "text/plain; version=0.0.4; charset=utf-8",
             prometheus_text(&obs.registry),
         ),
-        "/traces" => (
-            200,
-            "OK",
-            "application/jsonl; charset=utf-8",
-            obs.journal.to_jsonl(),
-        ),
-        "/sessions" => (
-            200,
-            "OK",
-            "application/json; charset=utf-8",
-            obs.sessions.to_json(),
-        ),
+        "/traces" => ok("application/jsonl; charset=utf-8", obs.journal.to_jsonl()),
+        "/sessions" => ok(JSON, obs.sessions.to_json()),
         "/explain" => explain_response(query, obs),
         "/profile" => profile_response(query, obs),
-        "/backends" => (
-            200,
-            "OK",
-            "text/plain; charset=utf-8",
-            backends_text(&obs.backends),
-        ),
-        "/divergence" => (
-            200,
-            "OK",
-            "application/json; charset=utf-8",
+        "/backends" => ok(TEXT, backends_text(&obs.backends)),
+        "/divergence" => ok(
+            JSON,
             DivergenceMonitor::from_events(&obs.journal.events()).to_json(),
         ),
-        _ => (
+        _ => fail(
             404,
             "Not Found",
-            "text/plain; charset=utf-8",
-            "unknown path; try /healthz /metrics /traces /sessions /explain /profile /divergence /backends\n"
-                .to_string(),
+            "unknown path; try /healthz /metrics /traces /sessions /explain /profile /divergence /backends",
         ),
     }
 }
 
-fn bad_request(usage: &str) -> (u16, &'static str, &'static str, String) {
-    (
-        400,
-        "Bad Request",
-        "text/plain; charset=utf-8",
-        format!("{usage}\n"),
-    )
-}
-
-fn explain_response(query: &str, obs: &Obs) -> (u16, &'static str, &'static str, String) {
+fn explain_response(query: &str, obs: &Obs) -> Response {
     const USAGE: &str =
         "usage: /explain?run=N&plan=i,j,k (runs count from 0 as in /profile; default: the latest)";
     let mut run: Option<u64> = None;
@@ -261,25 +260,27 @@ fn explain_response(query: &str, obs: &Obs) -> (u16, &'static str, &'static str,
         match pair.split_once('=') {
             Some(("run", v)) => match v.parse() {
                 Ok(n) => run = Some(n),
-                Err(_) => return bad_request(USAGE),
+                Err(_) => return fail(400, "Bad Request", USAGE),
             },
             Some(("plan", v)) => match parse_plan(v) {
                 Some(p) => plan = Some(p),
-                None => return bad_request(USAGE),
+                None => return fail(400, "Bad Request", USAGE),
             },
-            _ => return bad_request(USAGE),
+            _ => return fail(400, "Bad Request", USAGE),
         }
     }
     let Some(plan) = plan else {
-        return bad_request(USAGE);
+        return fail(400, "Bad Request", USAGE);
     };
-    let index = ExplainIndex::from_journal(&obs.journal);
-    let run = run.unwrap_or_else(|| index.runs().saturating_sub(1));
-    let body = index.explain(run, &plan).to_json(run, &plan);
-    (200, "OK", "application/json; charset=utf-8", body)
+    let index = ProfileIndex::from_journal(&obs.journal);
+    let run = run.unwrap_or((index.runs().len() as u64).saturating_sub(1));
+    let explanation = index
+        .run(run)
+        .map_or(Explanation::Unknown, |r| r.explain(&plan));
+    ok(JSON, explanation.to_json(run, &plan))
 }
 
-fn profile_response(query: &str, obs: &Obs) -> (u16, &'static str, &'static str, String) {
+fn profile_response(query: &str, obs: &Obs) -> Response {
     const USAGE: &str =
         "usage: /profile[?run=N][&format=text] (runs count from 0; default: the latest)";
     let mut run: Option<u64> = None;
@@ -288,48 +289,25 @@ fn profile_response(query: &str, obs: &Obs) -> (u16, &'static str, &'static str,
         match pair.split_once('=') {
             Some(("run", v)) => match v.parse() {
                 Ok(n) => run = Some(n),
-                Err(_) => return bad_request(USAGE),
+                Err(_) => return fail(400, "Bad Request", USAGE),
             },
             Some(("format", "text")) => text = true,
             Some(("format", "json")) => text = false,
-            _ => return bad_request(USAGE),
+            _ => return fail(400, "Bad Request", USAGE),
         }
     }
     let index = ProfileIndex::from_journal(&obs.journal);
     if run.is_none() && !text {
-        return (
-            200,
-            "OK",
-            "application/json; charset=utf-8",
-            index.to_json(),
-        );
+        return ok(JSON, index.to_json());
     }
     let profile = match run {
         Some(n) => index.run(n),
         None => index.latest(),
     };
-    let Some(profile) = profile else {
-        return (
-            404,
-            "Not Found",
-            "text/plain; charset=utf-8",
-            "no such run in the journal\n".to_string(),
-        );
-    };
-    if text {
-        (
-            200,
-            "OK",
-            "text/plain; charset=utf-8",
-            profile.render_text(),
-        )
-    } else {
-        (
-            200,
-            "OK",
-            "application/json; charset=utf-8",
-            profile.to_json(),
-        )
+    match profile {
+        None => fail(404, "Not Found", "no such run in the journal"),
+        Some(profile) if text => ok(TEXT, profile.render_text()),
+        Some(profile) => ok(JSON, profile.to_json()),
     }
 }
 
@@ -378,6 +356,60 @@ mod tests {
         assert_eq!(status, 400);
         let (status, _, _, _) = respond("/nope", &obs);
         assert_eq!(status, 404);
+    }
+
+    #[test]
+    fn a_slow_client_neither_stalls_others_nor_outlives_the_deadline() {
+        let obs = sample_obs();
+        let server = serve(&obs, 0).expect("bind ephemeral");
+        let addr = server.addr();
+        // A byte every 100 ms of a head that never ends; it says when the
+        // server is reading its head. Returns how long the server took to
+        // cut it off.
+        let (reading, being_read) = std::sync::mpsc::channel();
+        let slow = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_millis(100)))
+                .unwrap();
+            let start = Instant::now();
+            let head = b"GET /healthz HTTP/1.1\r\nX-Slow: ".iter();
+            for (i, byte) in head.chain([b'a'; 64].iter()).enumerate() {
+                if i == 2 {
+                    let _ = reading.send(());
+                }
+                let cut = match stream
+                    .write_all(&[*byte])
+                    .and_then(|()| stream.read(&mut [0u8; 1]))
+                {
+                    Ok(0) => true,
+                    Ok(_) => false,
+                    Err(e) => !matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ),
+                };
+                if cut {
+                    return Some(start.elapsed());
+                }
+            }
+            None
+        });
+        being_read.recv().expect("the slow client started");
+        let start = Instant::now();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.ends_with("\r\n\r\nok\n"), "{response}");
+        assert!(
+            start.elapsed() < Duration::from_millis(500),
+            "{:?}",
+            start.elapsed()
+        );
+        let cut = slow.join().unwrap().expect("the slow client is cut off");
+        assert!(cut >= HEAD_DEADLINE - Duration::from_millis(200), "{cut:?}");
+        assert!(cut < HEAD_DEADLINE + Duration::from_secs(1), "{cut:?}");
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! open (and recently closed) query sessions with their progress.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::journal::{push_f64, push_str};
+use crate::json::Json;
 
 /// One session's row on the [`SessionBoard`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SessionEntry {
     /// Board-assigned session id (1-based, monotone per board).
     pub id: u64,
@@ -82,17 +81,7 @@ impl SessionBoard {
                 id,
                 strategy: strategy.to_string(),
                 plan_space,
-                plans_emitted: 0,
-                answers: 0,
-                spent: 0.0,
-                time_to_first_plan_ms: None,
-                tuples_emitted: 0,
-                plans_before_first_tuple: None,
-                memo_hits: 0,
-                subplans_reused: 0,
-                critical_path: 0.0,
-                bounding_plan: None,
-                closed: false,
+                ..SessionEntry::default()
             },
         );
         id
@@ -135,51 +124,28 @@ impl SessionBoard {
     /// Renders the retained entries as one JSON object:
     /// `{"sessions":[{...},...]}` (a pure function of board state).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"sessions\":[");
-        for (i, e) in self.entries().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"id\":{}", e.id);
-            out.push_str(",\"strategy\":");
-            push_str(&mut out, &e.strategy);
-            let _ = write!(
-                out,
-                ",\"plan_space\":{},\"plans_emitted\":{},\"answers\":{}",
-                e.plan_space, e.plans_emitted, e.answers
-            );
-            out.push_str(",\"spent\":");
-            push_f64(&mut out, e.spent);
-            push_opt(&mut out, "time_to_first_plan_ms", e.time_to_first_plan_ms);
-            let _ = write!(out, ",\"tuples_emitted\":{}", e.tuples_emitted);
-            let before_first = e.plans_before_first_tuple.map(|p| p as f64);
-            push_opt(&mut out, "plans_before_first_tuple", before_first);
-            let _ = write!(
-                out,
-                ",\"memo_hits\":{},\"subplans_reused\":{}",
-                e.memo_hits, e.subplans_reused
-            );
-            out.push_str(",\"critical_path\":");
-            push_f64(&mut out, e.critical_path);
-            out.push_str(",\"bounding_plan\":");
-            match &e.bounding_plan {
-                Some(p) => push_str(&mut out, p),
-                None => out.push_str("null"),
-            }
-            let _ = write!(out, ",\"closed\":{}}}", e.closed);
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn push_opt(out: &mut String, key: &str, v: Option<f64>) {
-    out.push(',');
-    push_str(out, key);
-    out.push(':');
-    match v {
-        Some(x) => push_f64(out, x),
-        None => out.push_str("null"),
+        let sessions = self.entries().into_iter().map(|e| {
+            Json::object([
+                ("id", e.id.into()),
+                ("strategy", e.strategy.into()),
+                ("plan_space", e.plan_space.into()),
+                ("plans_emitted", e.plans_emitted.into()),
+                ("answers", e.answers.into()),
+                ("spent", e.spent.into()),
+                ("time_to_first_plan_ms", e.time_to_first_plan_ms.into()),
+                ("tuples_emitted", e.tuples_emitted.into()),
+                (
+                    "plans_before_first_tuple",
+                    e.plans_before_first_tuple.into(),
+                ),
+                ("memo_hits", e.memo_hits.into()),
+                ("subplans_reused", e.subplans_reused.into()),
+                ("critical_path", e.critical_path.into()),
+                ("bounding_plan", e.bounding_plan.into()),
+                ("closed", e.closed.into()),
+            ])
+        });
+        Json::object([("sessions", sessions.collect())]).to_string()
     }
 }
 

@@ -85,6 +85,7 @@ pub const KINDS: &[(&str, Role)] = &[
     ("tuple_emitted", Role::AfterEmission),
     ("stream_evicted", Role::AfterEmission),
     ("source_attempt", Role::Free),
+    ("server_span", Role::Free),
     ("plan_completed", Role::SpanClose),
     ("plan_failed", Role::SpanClose),
     ("plan_unsound", Role::SpanClose),
@@ -140,6 +141,16 @@ pub const FIELDS: &[FieldSpec] = &[
     field("source_attempt", "remote_seq", U64, OPTIONAL),
     field("source_attempt", "error_class", Str, OPTIONAL),
     field("source_attempt", "error", Str, OPTIONAL),
+    field("server_span", "request_seq", U64, REQUIRED),
+    field("server_span", "source", Str, REQUIRED),
+    field("server_span", "pattern", Str, REQUIRED),
+    field("server_span", "recv", F64, REQUIRED),
+    field("server_span", "lookup", F64, REQUIRED),
+    field("server_span", "encode", F64, REQUIRED),
+    field("server_span", "total", F64, REQUIRED),
+    field("server_span", "run", U64, OPTIONAL),
+    field("server_span", "plan_seq", U64, OPTIONAL),
+    field("server_span", "attempt", U64, OPTIONAL),
     field("plan_completed", "plan_seq", U64, REQUIRED),
     field("plan_completed", "tuples", U64, OPTIONAL),
     field("plan_completed", "new_tuples", U64, OPTIONAL),

@@ -1,63 +1,25 @@
-//! Property tests for the trace-file JSON reader: malformed input must
-//! produce [`JsonError`]s, never panics, and everything the workspace's
-//! hand-rolled writers emit must read back exactly.
+//! Property tests for the one JSON type: malformed input must produce
+//! [`JsonError`]s, never panics, and whatever `Json`'s writer (its
+//! `Display`) prints must read back exactly — numbers to the bit.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use qpo_obs::json::{parse_json, Json};
 use rand::Rng;
-use std::fmt::Write as _;
 
-/// Serializes a [`Json`] value with the exact escaping discipline the
-/// journal's writers use (`push_str`/`push_f64` in `journal.rs`), so the
-/// round-trip property pins reader and writers to each other.
-fn write_json(out: &mut String, v: &Json) {
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(true) => out.push_str("true"),
-        Json::Bool(false) => out.push_str("false"),
-        Json::Number(n) => {
-            let _ = write!(out, "{n}");
+/// `a == b` with numbers compared by `to_bits`, so `-0.0` is not `0.0`.
+fn same_bits(a: &Json, b: &Json) -> bool {
+    match (a, b) {
+        (Json::Number(x), Json::Number(y)) => x.to_bits() == y.to_bits(),
+        (Json::Array(xs), Json::Array(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
         }
-        Json::String(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
+        (Json::Object(xs), Json::Object(ys)) => {
+            let pair =
+                |((k, x), (l, y)): (&(String, Json), &(String, Json))| k == l && same_bits(x, y);
+            xs.len() == ys.len() && xs.iter().zip(ys).all(pair)
         }
-        Json::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json(out, item);
-            }
-            out.push(']');
-        }
-        Json::Object(pairs) => {
-            out.push('{');
-            for (i, (k, val)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json(out, &Json::String(k.clone()));
-                out.push(':');
-                write_json(out, val);
-            }
-            out.push('}');
-        }
+        _ => a == b,
     }
 }
 
@@ -65,18 +27,32 @@ fn gen_string(rng: &mut TestRng) -> String {
     // Escape-relevant characters, control bytes, and multi-byte UTF-8
     // (including an astral char, which the writer emits raw and the
     // reader must slice on byte offsets without panicking).
-    const SOUP: &[char] = &[
-        'a', 'b', 'z', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'é', 'π', '🦀', ' ', '/',
-    ];
+    let soup: Vec<char> = "abz\"\\\n\r\t\u{0}\u{1}\u{1f}\u{7f}éπ🦀\u{10ffff} /"
+        .chars()
+        .collect();
     let n = rng.gen_range(0usize..12);
-    (0..n).map(|_| SOUP[rng.gen_range(0..SOUP.len())]).collect()
+    (0..n).map(|_| soup[rng.gen_range(0..soup.len())]).collect()
 }
 
+/// Finite numbers only: any bit pattern that is one, signed zeros, and
+/// the extremes of the exponent range.
 fn gen_number(rng: &mut TestRng) -> f64 {
-    match rng.gen_range(0u32..4) {
+    const EDGES: [f64; 6] = [
+        -0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        -1e300,
+        9007199254740993.0,
+    ];
+    match rng.gen_range(0u32..6) {
         0 => rng.gen_range(-1.0e9..1.0e9f64),
         1 => rng.gen_range(-1000i64..1000) as f64,
         2 => 2f64.powi(rng.gen_range(-60i32..60)),
+        3 => Some(f64::from_bits(rng.gen::<u64>()))
+            .filter(|x| x.is_finite())
+            .unwrap_or(0.0),
+        4 => EDGES[rng.gen_range(0..EDGES.len())],
         _ => 0.0,
     }
 }
@@ -163,8 +139,7 @@ proptest! {
 
     #[test]
     fn truncated_documents_never_panic(doc in JsonTree, cut in 0.0..1.0f64) {
-        let mut text = String::new();
-        write_json(&mut text, &doc);
+        let text = doc.to_string();
         // Truncate at an arbitrary char boundary: mid-literal, mid-escape,
         // mid-number. The reader must error or (for a prefix that happens
         // to be complete, e.g. a cut-short number) parse cleanly.
@@ -179,21 +154,18 @@ proptest! {
 
     #[test]
     fn writer_output_reads_back_exactly(doc in JsonTree) {
-        let mut text = String::new();
-        write_json(&mut text, &doc);
+        let text = doc.to_string();
         let parsed = parse_json(&text);
-        prop_assert_eq!(parsed.as_ref(), Ok(&doc), "from {}", text);
+        let exact = parsed.as_ref().is_ok_and(|p| same_bits(p, &doc));
+        prop_assert!(exact, "{:?} from {}", parsed, text);
         // And the round-trip is a fixed point: re-serializing the parsed
         // value reproduces the bytes.
-        let mut again = String::new();
-        write_json(&mut again, parsed.as_ref().unwrap());
-        prop_assert_eq!(again, text);
+        prop_assert_eq!(parsed.unwrap().to_string(), text);
     }
 
     #[test]
     fn trailing_garbage_is_rejected(doc in JsonTree, tail in json_soup()) {
-        let mut text = String::new();
-        write_json(&mut text, &doc);
+        let mut text = doc.to_string();
         let trimmed_tail = tail.trim();
         text.push(' ');
         text.push_str(trimmed_tail);
@@ -204,5 +176,14 @@ proptest! {
             // `parse_json` reads exactly one document.
             prop_assert!(parse_json(&text).is_err(), "accepted {}", text);
         }
+    }
+}
+
+#[test]
+fn a_non_finite_number_prints_null() {
+    for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(Json::Number(x).to_string(), "null");
+        let doc = Json::Array(vec![Json::Number(x), Json::Number(1.5)]);
+        assert_eq!(doc.to_string(), "[null,1.5]");
     }
 }

@@ -60,10 +60,7 @@ pub use executor::{
 };
 pub use feedback::{declare_sources, observe_divergence};
 pub use memo::{MemoHit, MemoOutcome, SourceMemo};
-pub use net::{
-    fetch_server_trace, MemProvider, RelationProvider, ServerJournal, ServerSpanEntry,
-    SourceServer, TcpBackend,
-};
+pub use net::{fetch_server_trace, MemProvider, RelationProvider, SourceServer, TcpBackend};
 pub use pattern::{BindingPattern, SCAN_PATTERN};
 pub use policy::{FaultConfig, RetryPolicy, RuntimePolicy};
 pub use source::{Access, AccessOutcome, SourceGrid, SourceService};

@@ -56,9 +56,11 @@
 //! (the receive clock starts when the frame's length prefix has arrived —
 //! on a kept-alive connection the time before that is the client's idle
 //! time, not the server's work, and counting it would inflate the span
-//! past the latency the client measured), journals them in a bounded
-//! in-process [`ServerJournal`] (dumped over the wire by
-//! [`wire::OP_TRACE`] or `qpo-source-server --metrics`), and
+//! past the latency the client measured), journals them as one
+//! `server_span` event in a capped [`TraceJournal`] of
+//! [`SERVER_JOURNAL_CAP`] events (dumped as JSONL over the wire by
+//! [`wire::OP_TRACE`] or `qpo-source-server --metrics`, and read back by
+//! [`qpo_obs::read_jsonl`] like every other trace), and
 //! — only when the request carried a context — appends a
 //! [`wire::ServerSpan`] extension to the response. [`TcpBackend`] decodes
 //! that block into a virtual-unit [`RemoteSpan`] on the [`AccessReply`],
@@ -74,9 +76,8 @@ use crate::source::{Access, AccessOutcome, SourceService};
 use crate::store::StoreBackend;
 use crate::wire::{self, Request, Response};
 use qpo_datalog::Tuple;
-use qpo_obs::Counter;
-use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
+use qpo_obs::{Counter, TraceJournal, Value};
+use std::collections::BTreeMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -149,107 +150,14 @@ impl RelationProvider for MemProvider {
 /// kept-alive connection stays open.
 const SERVER_IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Bound on the server's in-process span journal (drop-oldest ring).
+/// Bound on the server's span journal: it keeps the newest this many
+/// served scans.
 pub const SERVER_JOURNAL_CAP: usize = 512;
 
 /// Bound on the connections a [`SourceServer`] serves at once, one thread
 /// each. A connection accepted beyond it is dropped unserved: its client
 /// sees a reset, a transient error under the ordinary retries.
 const MAX_CONNECTIONS: usize = 64;
-
-/// One served scan request in the server's span journal: its phase
-/// timings (wall seconds) and, when the client propagated one, its trace
-/// context.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerSpanEntry {
-    /// The server's monotone request counter at this request.
-    pub request_seq: u64,
-    /// Requested source relation.
-    pub source: String,
-    /// Requested binding pattern.
-    pub pattern: String,
-    /// The client's trace context, when the request carried one.
-    pub ctx: Option<wire::TraceContext>,
-    /// Frame receive + request parse time (seconds).
-    pub recv_parse: f64,
-    /// Provider lookup time (seconds).
-    pub lookup: f64,
-    /// Row encode time (seconds).
-    pub encode: f64,
-    /// Total request residence time, `≥` the phase sum (seconds).
-    pub total: f64,
-}
-
-/// The server's bounded in-process span journal: the last
-/// [`SERVER_JOURNAL_CAP`] served scans, drop-oldest. Dumped as text over
-/// the wire by [`wire::OP_TRACE`] and by `qpo-source-server --metrics`.
-#[derive(Debug, Default)]
-pub struct ServerJournal {
-    entries: Mutex<VecDeque<ServerSpanEntry>>,
-    total: AtomicU64,
-}
-
-impl ServerJournal {
-    fn push(&self, entry: ServerSpanEntry) {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if entries.len() == SERVER_JOURNAL_CAP {
-            entries.pop_front();
-        }
-        entries.push_back(entry);
-        self.total.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Spans journalled over the server's lifetime (retained or dropped).
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::SeqCst)
-    }
-
-    /// The retained entries, oldest first.
-    pub fn entries(&self) -> Vec<ServerSpanEntry> {
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Text dump: one header line, then one line per retained span.
-    pub fn render_text(&self) -> String {
-        let entries = self.entries();
-        let mut out = format!(
-            "source-server spans: total {}, retained {} (cap {SERVER_JOURNAL_CAP})\n",
-            self.total(),
-            entries.len()
-        );
-        for e in &entries {
-            let _ = write!(
-                out,
-                "seq={} source={} pattern={} recv={:.9} lookup={:.9} encode={:.9} total={:.9}",
-                e.request_seq,
-                e.source,
-                // A bound string constant may hold anything, newlines
-                // included; the dump stays one line per span.
-                e.pattern.escape_debug(),
-                e.recv_parse,
-                e.lookup,
-                e.encode,
-                e.total
-            );
-            match &e.ctx {
-                Some(c) => {
-                    let _ = writeln!(
-                        out,
-                        " run={} plan={} attempt={}",
-                        c.run, c.plan_seq, c.attempt
-                    );
-                }
-                None => out.push('\n'),
-            }
-        }
-        out
-    }
-}
 
 /// A running loopback source server. Dropping it stops the accept loop
 /// and every live connection.
@@ -264,7 +172,7 @@ pub struct SourceServer {
 struct Serving {
     provider: Arc<dyn RelationProvider>,
     requests: AtomicU64,
-    journal: ServerJournal,
+    journal: TraceJournal,
 }
 
 impl SourceServer {
@@ -278,7 +186,7 @@ impl SourceServer {
         let serving = Arc::new(Serving {
             provider,
             requests: AtomicU64::new(0),
-            journal: ServerJournal::default(),
+            journal: TraceJournal::enabled_with_capacity(SERVER_JOURNAL_CAP),
         });
         let flag = Arc::clone(&shutdown);
         let shared = Arc::clone(&serving);
@@ -303,8 +211,10 @@ impl SourceServer {
         self.serving.requests.load(Ordering::SeqCst)
     }
 
-    /// The server's bounded span journal.
-    pub fn journal(&self) -> &ServerJournal {
+    /// The server's span journal: one `server_span` event per served
+    /// scan, the newest [`SERVER_JOURNAL_CAP`] of them; `len() + dropped()`
+    /// is the lifetime count.
+    pub fn journal(&self) -> &TraceJournal {
         &self.serving.journal
     }
 
@@ -384,7 +294,7 @@ fn accept_loop(listener: TcpListener, shutdown: &AtomicBool, serving: &Arc<Servi
 /// frame's length prefix), provider lookup, row filter + encode — and
 /// journalled; a request that carried a trace context gets the span
 /// appended to its response. A one-byte [`wire::OP_TRACE`] payload dumps
-/// the journal as a raw text frame.
+/// the journal as a raw JSONL frame.
 fn handle_connection(stream: &mut TcpStream, serving: &Serving) -> std::io::Result<()> {
     let Serving {
         provider,
@@ -407,9 +317,9 @@ fn handle_connection(stream: &mut TcpStream, serving: &Serving) -> std::io::Resu
             return Ok(()); // hostile length, truncated frame, or timeout
         };
         if payload == [wire::OP_TRACE] {
-            // Journal dump: one raw UTF-8 text frame, not a Response.
-            // Not counted as a served access and not journalled itself.
-            wire::write_frame(stream, journal.render_text().as_bytes())?;
+            // Journal dump: one raw JSONL frame, not a Response. Not
+            // counted as a served access and not journalled itself.
+            wire::write_frame(stream, journal.to_jsonl().as_bytes())?;
             continue;
         }
         let (req, ctx) = match wire::decode_request(&payload) {
@@ -449,22 +359,29 @@ fn handle_connection(stream: &mut TcpStream, serving: &Serving) -> std::io::Resu
             };
             wire::append_server_span(&mut bytes, &span).map_err(invalid)?;
         }
-        journal.push(ServerSpanEntry {
-            request_seq,
-            source: req.source,
-            pattern: req.pattern,
-            ctx,
-            recv_parse,
-            lookup,
-            encode,
-            total,
-        });
+        let mut fields = vec![
+            ("request_seq", Value::U64(request_seq)),
+            ("source", Value::Str(req.source.into())),
+            ("pattern", Value::Str(req.pattern.into())),
+            ("recv", Value::F64(recv_parse)),
+            ("lookup", Value::F64(lookup)),
+            ("encode", Value::F64(encode)),
+            ("total", Value::F64(total)),
+        ];
+        if let Some(c) = ctx {
+            fields.extend([
+                ("run", Value::U64(c.run)),
+                ("plan_seq", Value::U64(c.plan_seq)),
+                ("attempt", Value::U64(c.attempt.into())),
+            ]);
+        }
+        journal.record("server_span", fields);
         wire::write_frame(stream, &bytes)?;
     }
 }
 
 /// Dials `addr` and requests the server's span journal with a one-byte
-/// [`wire::OP_TRACE`] frame, returning the text dump — the client side
+/// [`wire::OP_TRACE`] frame, returning the JSONL dump — the client side
 /// of `qpo-source-server --metrics`.
 pub fn fetch_server_trace(addr: &str, timeout: Duration) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
@@ -732,6 +649,7 @@ mod tests {
     use qpo_catalog::{Extent, ProblemInstance, SourceStats};
     use qpo_core::Pi;
     use qpo_datalog::Constant;
+    use qpo_obs::{read_jsonl, validate_records_strict, Record};
     use qpo_utility::Coverage;
     use std::io::{Read, Write};
 
@@ -765,6 +683,11 @@ mod tests {
 
     fn grid() -> SourceGrid {
         SourceGrid::from_instance(&inst())
+    }
+
+    /// The server's span journal, decoded as any trace is.
+    fn spans(server: &SourceServer) -> Vec<Record<'static>> {
+        read_jsonl(&server.journal().to_jsonl()).expect("the journal reads back")
     }
 
     /// `(opened, reused)` of the backend's pool.
@@ -989,10 +912,10 @@ mod tests {
         assert!(remote.total <= reply.access.latency, "{remote:?}");
         assert!(remote.server_seq >= 1);
         // The server journalled the span with its trace context.
-        let entries = server.journal().entries();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].source, "v1");
-        assert_eq!(entries[0].ctx.as_ref().map(|c| c.attempt), Some(0));
+        let spans = spans(&server);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].str("source"), Some("v1"));
+        assert_eq!(spans[0].u64("attempt"), Some(0));
         // A second access rides the kept-alive connection after a pause.
         // The pause is the client's idle time: the server's receive clock
         // starts at the next frame's length prefix, so the span neither
@@ -1125,7 +1048,7 @@ mod tests {
             ("duplicate context: first wins", duplicate, Some(Some(5))),
         ];
         for (label, payload, expected) in cases {
-            let journalled = server.journal().total();
+            let journalled = server.journal().len();
             let mut s = TcpStream::connect(server.addr()).unwrap();
             wire::write_frame(&mut s, &payload).unwrap();
             let reply = wire::read_frame(&mut s).unwrap();
@@ -1137,13 +1060,13 @@ mod tests {
                         "{label}: {resp:?}"
                     );
                     assert!(wire::read_frame(&mut s).is_err(), "{label}: still open");
-                    assert_eq!(server.journal().total(), journalled, "{label}");
+                    assert_eq!(server.journal().len(), journalled, "{label}");
                 }
                 Some(attempt) => {
                     assert_eq!(resp, Response::Rows(rows(&[1, 2, 3])), "{label}");
                     assert_eq!(span.is_some(), attempt.is_some(), "{label}");
-                    let entry = server.journal().entries().pop().expect("journalled");
-                    assert_eq!(entry.ctx.map(|c| c.attempt), attempt, "{label}");
+                    let span = spans(&server).pop().expect("journalled");
+                    assert_eq!(span.u64("attempt"), attempt, "{label}");
                 }
             }
         }
@@ -1214,51 +1137,40 @@ mod tests {
     }
 
     #[test]
-    fn op_trace_dumps_the_server_journal_over_the_wire() {
+    fn op_trace_dumps_the_server_journal_as_a_valid_trace() {
         let mut server = SourceServer::serve(provider(), 0).unwrap();
         let backend = TcpBackend::new(server.addr().to_string());
         let grid = grid();
         let faults = FaultConfig::disabled();
+        // Two traced accesses through the backend around one untraced
+        // request sent by hand.
         backend.access(grid.service(0, 0), &ctx(&faults)).unwrap();
         let mut s = TcpStream::connect(server.addr()).unwrap();
+        let bound = Request {
+            source: "w1".into(),
+            pattern: "bind;0=s4:ford".into(),
+        };
+        wire::write_frame(&mut s, &wire::encode_request(&bound, None).unwrap()).unwrap();
+        wire::read_frame(&mut s).unwrap();
+        backend.access(grid.service(0, 1), &ctx(&faults)).unwrap();
         wire::write_frame(&mut s, &[wire::OP_TRACE]).unwrap();
-        let frame = wire::read_frame(&mut s).unwrap();
-        let text = String::from_utf8(frame).expect("journal dump is UTF-8");
-        assert_eq!(text, server.journal().render_text());
-        assert!(text.starts_with("source-server spans: total 1"), "{text}");
-        assert!(text.contains("source=v1"), "{text}");
-        assert!(text.contains("run=0 plan=0 attempt=0"), "{text}");
-        // The dump is not a scan: the served counter is untouched.
-        assert_eq!(server.requests_served(), 1);
+        let dump = String::from_utf8(wire::read_frame(&mut s).unwrap()).expect("UTF-8");
+        assert_eq!(dump, server.journal().to_jsonl());
+        let records = read_jsonl(&dump).expect("the dump is JSONL");
+        let report = validate_records_strict(&records).expect("the dump is a valid trace");
+        assert_eq!((report.events, report.count("server_span")), (3, 3));
+        let seqs: Vec<_> = records.iter().map(|r| r.u64("request_seq")).collect();
+        assert_eq!(seqs, [Some(1), Some(2), Some(3)]);
+        // The trace context rides exactly the requests that carried one.
+        let context = |r: &Record| ["run", "plan_seq", "attempt"].map(|f| r.u64(f).is_some());
+        let contexts: Vec<_> = records.iter().map(context).collect();
+        assert_eq!(contexts, [[true; 3], [false; 3], [true; 3]]);
+        assert_eq!(records[1].str("pattern"), Some("bind;0=s4:ford"));
+        // The dump is not a scan: the served counter is untouched, and it
+        // is the journal's lifetime count.
+        let journal = server.journal();
+        assert_eq!(server.requests_served(), 3);
+        assert_eq!(journal.len() as u64 + journal.dropped(), 3);
         server.stop();
-    }
-
-    #[test]
-    fn server_journal_drops_oldest_beyond_the_cap() {
-        let journal = ServerJournal::default();
-        for i in 0..SERVER_JOURNAL_CAP as u64 + 3 {
-            journal.push(ServerSpanEntry {
-                request_seq: i + 1,
-                source: "v1".into(),
-                pattern: "scan".into(),
-                ctx: None,
-                recv_parse: 0.0,
-                lookup: 0.0,
-                encode: 0.0,
-                total: 0.0,
-            });
-        }
-        let entries = journal.entries();
-        assert_eq!(entries.len(), SERVER_JOURNAL_CAP);
-        assert_eq!(entries[0].request_seq, 4, "oldest three dropped");
-        assert_eq!(journal.total(), SERVER_JOURNAL_CAP as u64 + 3);
-        let text = journal.render_text();
-        assert!(
-            text.starts_with(&format!(
-                "source-server spans: total {}, retained {SERVER_JOURNAL_CAP}",
-                SERVER_JOURNAL_CAP + 3
-            )),
-            "{text}"
-        );
     }
 }

@@ -165,11 +165,6 @@ impl SourceGrid {
         plan.iter().enumerate().map(|(b, &i)| self.service(b, i))
     }
 
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// All services, flattened.
     pub fn iter(&self) -> impl Iterator<Item = &SourceService> {
         self.buckets.iter().flatten()
@@ -207,7 +202,6 @@ mod tests {
     #[test]
     fn grid_wraps_every_source_with_names() {
         let grid = SourceGrid::from_instance(&inst());
-        assert_eq!(grid.bucket_count(), 2);
         assert_eq!(grid.iter().count(), 4);
         assert_eq!(grid.service(0, 1).name.as_ref(), "v2");
         assert_eq!(grid.service(1, 1).name.as_ref(), "b1s1", "unnamed fallback");

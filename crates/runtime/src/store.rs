@@ -205,11 +205,6 @@ impl StoreBackend {
         self.lock().index.get(name).cloned()
     }
 
-    /// Names of all relations held, sorted.
-    pub fn relation_names(&self) -> Vec<String> {
-        self.lock().index.keys().cloned().collect()
-    }
-
     /// Number of relations held.
     pub fn len(&self) -> usize {
         self.lock().index.len()
@@ -307,7 +302,7 @@ mod tests {
         store.put_relation("v2", &rows(&[4])).unwrap();
         assert_eq!(store.len(), 2);
         assert_eq!(store.relation("v1").unwrap().as_ref(), &rows(&[1, 2, 3]));
-        assert_eq!(store.relation_names(), vec!["v1", "v2"]);
+        assert_eq!(store.relation("v2").unwrap().as_ref(), &rows(&[4]));
         assert!(store.relation("v9").is_none());
         assert_eq!(store.records(), 2);
         let _ = std::fs::remove_dir_all(&dir);

@@ -43,13 +43,14 @@ QPO_SOURCE_SERVER_ADDR="$(cat "$addr_file")" cargo test -q -p qpo-exec --test ba
 
 echo "==> distributed-tracing gate (the server's side of the suite's traced runs)"
 # The suite above validated its traced tcp journal in process; what only
-# the server can show is its own span journal.
+# the server can show is its own span journal, a JSONL trace.
 server_dump="$(./target/release/qpo-source-server --metrics "$(cat "$addr_file")")"
-[[ -n "$server_dump" ]] || { echo "server span journal is empty after a traced run"; exit 1; }
+grep -q '"kind":"server_span"' <<<"$server_dump" \
+  || { echo "no server_span event in the server journal after a traced run"; exit 1; }
 echo "$server_dump" | tail -n 3
 # Pushdown: the movie query binds `ford`, so the server saw bound accesses.
-grep -q 'pattern=bind' <<<"$server_dump" \
-  || { echo "no pattern=bind line in the server journal: constants are not riding the pattern"; exit 1; }
+grep -qF '"pattern":"bind;0=s4:ford"' <<<"$server_dump" \
+  || { echo "no bound ford access in the server journal: constants are not riding the pattern"; exit 1; }
 kill "$server_pid" 2>/dev/null || true
 rm -f "$addr_file"
 

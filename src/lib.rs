@@ -103,9 +103,9 @@ pub mod prelude {
     pub use qpo_interval::Interval;
     pub use qpo_obs::{
         encode_plan, parse_plan, prometheus_text, summary_text, validate_trace, AccessObservation,
-        DivergenceMonitor, EliminationCertificate, ExplainIndex, Explanation, IntrospectionServer,
-        Obs, PlanSpan, ProfileIndex, RunProfile, SessionBoard, SessionEntry, SourceDrift,
-        SourceExpectation, SourceSpan, SpanStatus, TraceJournal,
+        DivergenceMonitor, EliminationCertificate, Explanation, IntrospectionServer, Obs, PlanSpan,
+        ProfileIndex, RunProfile, SessionBoard, SessionEntry, SourceDrift, SourceExpectation,
+        SourceSpan, SpanStatus, TraceJournal,
     };
     pub use qpo_reformulation::{
         create_buckets, enumerate_sound_plans, minicon_plan_spaces, reformulate, Reformulation,
