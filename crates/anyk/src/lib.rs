@@ -5,13 +5,13 @@
 //! non-increasing score order without materializing the join
 //! ([`RankedJoin`], the Tziavelis-style any-k frontier), and lazily
 //! merges the per-plan streams into one globally ranked anytime stream
-//! ([`AnyKMerge`]) that plans join speculatively and leave again when
-//! retracted as unsound. Scores come from a pluggable [`TupleScorer`];
-//! the default [`CatalogScorer`] derives per-source weights from the same
-//! catalog statistics the plan orderers consume.
+//! ([`AnyKMerge`]) that plans join as they are scheduled and leave,
+//! before delivering anything, when unsound or failed. Scores come from a
+//! pluggable [`TupleScorer`]; the default [`CatalogScorer`] derives
+//! per-source weights from the catalog statistics the orderers consume.
 //!
-//! The serving integration — `QuerySession::next_tuple`, the concurrent
-//! executor hook, tuple-quality telemetry, and journal events — lives in
+//! The serving integration — `QuerySession::next_tuple`, the executor
+//! hooks, tuple-quality telemetry, and journal events — lives in
 //! `qpo-exec` and `qpo-obs`; this crate is the dependency-light kernel
 //! (datalog + catalog + the core comparison helper) those layers build
 //! on. Everything here is deterministic by construction: all float

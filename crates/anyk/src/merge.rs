@@ -2,10 +2,11 @@
 //!
 //! [`AnyKMerge`] owns one ranked tuple stream per attached plan and a
 //! binary heap keyed on each stream's current head score. Streams attach
-//! as plans come live (speculatively, in the executor's emission order)
-//! and detach by [`AnyKMerge::evict`] when a plan turns out unsound or
-//! failed — eviction drops the stream's pending tuples and returns the
-//! tuples it already contributed, so callers can journal the retraction.
+//! as plans come live (in the executor's emission order) and detach by
+//! [`AnyKMerge::evict`] when a plan turns out unsound or failed — eviction
+//! drops the stream's pending tuples. The caller releases only between
+//! plans, once every attached plan's outcome is in, so an evicted stream
+//! has delivered nothing and a delivered tuple is final.
 //!
 //! Emission is bound-gated: [`AnyKMerge::next_within`] delivers the best
 //! live head only when its score strictly clears the caller's bound on
@@ -105,8 +106,6 @@ struct Slot {
     stream: Box<dyn TupleStream>,
     /// Buffered head (the stream's next undelivered tuple).
     head: Option<(f64, Tuple)>,
-    /// Tuples this stream delivered, in delivery order.
-    contributed: Vec<RankedTuple>,
 }
 
 /// Heap key for one stream's current head. `Ord` is "greater = delivered
@@ -129,9 +128,7 @@ pub struct AnyKMerge {
     slots: BTreeMap<u64, Slot>,
     heap: BinaryHeap<HeadKey>,
     /// Global projection dedup: a tuple is delivered once, by the
-    /// best-ranked stream that reaches it first. Kept across evictions —
-    /// a retracted delivery does not re-open the slot (consumers
-    /// reconcile through the eviction's contributed list instead).
+    /// best-ranked stream that reaches it first.
     delivered: BTreeSet<Tuple>,
     delivered_count: u64,
 }
@@ -156,28 +153,15 @@ impl AnyKMerge {
                 plan_seq,
             });
         }
-        self.slots.insert(
-            plan_seq,
-            Slot {
-                plan,
-                stream,
-                head,
-                contributed: Vec::new(),
-            },
-        );
+        self.slots.insert(plan_seq, Slot { plan, stream, head });
     }
 
     /// Evicts the stream attached under `plan_seq`: its pending tuples
-    /// (head and everything still inside the stream) are dropped, and the
-    /// tuples it already delivered are returned in delivery order so the
-    /// caller can journal the retraction. No-op (empty vec) for unknown
-    /// sequence numbers.
-    pub fn evict(&mut self, plan_seq: u64) -> Vec<RankedTuple> {
+    /// (head and everything still inside the stream) are dropped. No-op
+    /// for unknown sequence numbers.
+    pub fn evict(&mut self, plan_seq: u64) {
         // Stale heap keys for the removed slot are skipped lazily on pop.
-        self.slots
-            .remove(&plan_seq)
-            .map(|slot| slot.contributed)
-            .unwrap_or_default()
+        self.slots.remove(&plan_seq);
     }
 
     /// Tuples delivered so far across all streams.
@@ -217,15 +201,13 @@ impl AnyKMerge {
             if !self.delivered.insert(top.tuple.clone()) {
                 continue; // another plan already delivered this answer
             }
-            let ranked = RankedTuple {
+            self.delivered_count += 1;
+            return Some(RankedTuple {
                 score: top.score,
                 plan_seq: top.plan_seq,
                 plan: slot.plan.clone(),
                 tuple: top.tuple,
-            };
-            slot.contributed.push(ranked.clone());
-            self.delivered_count += 1;
-            return Some(ranked);
+            });
         }
     }
 
@@ -301,21 +283,17 @@ mod tests {
     }
 
     #[test]
-    fn eviction_returns_contributions_and_drops_pending() {
+    fn eviction_drops_pending() {
         let mut m = AnyKMerge::new();
         m.attach(0, vec![0], stream(&[(5.0, 1), (3.0, 2), (1.0, 3)]));
         m.attach(1, vec![1], stream(&[(4.0, 4)]));
-        let first = m.next_within(None).unwrap();
-        assert_eq!((first.score, first.plan_seq), (5.0, 0));
-        let contributed = m.evict(0);
-        assert_eq!(contributed.len(), 1);
-        assert_eq!(contributed[0].tuple, t(1));
-        // Pending tuples (3.0, 1.0) of the evicted stream never surface.
+        m.evict(0);
+        // An unknown seq is a no-op; the evicted stream's tuples (5.0,
+        // 3.0, 1.0) never surface.
+        m.evict(42);
         let rest: Vec<RankedTuple> = std::iter::from_fn(|| m.next_within(None)).collect();
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].tuple, t(4));
-        assert_eq!(m.evict(1).len(), 1, "the drained stream stays attached");
-        assert!(m.evict(42).is_empty(), "unknown seq is a no-op");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests for the cross-plan any-k merge: global order, attach
-//! permutation invariance, and eviction surgical precision under
+//! permutation invariance, and eviction's surgical precision under
 //! arbitrary per-stream score sequences — and for the release gate: the
 //! lazy walk of the plan product against the brute-force maximum.
 
@@ -85,8 +85,7 @@ proptest! {
     }
 
     /// Evicting one stream removes exactly its pending tuples: the other
-    /// streams' deliveries are untouched and the eviction returns exactly
-    /// what the victim had already contributed.
+    /// streams' deliveries are untouched.
     #[test]
     fn eviction_removes_exactly_the_victims_pending(
         streams in pvec(scores(), 2..5),
@@ -105,14 +104,7 @@ proptest! {
                 None => break,
             }
         }
-        let contributed = merge.evict(victim as u64);
-        // The eviction reports exactly the victim's deliveries so far.
-        let victims_delivered: Vec<RankedTuple> = before
-            .iter()
-            .filter(|rt| rt.plan_seq == victim as u64)
-            .cloned()
-            .collect();
-        prop_assert_eq!(contributed, victims_delivered);
+        merge.evict(victim as u64);
         // The rest of the stream carries no victim tuples and matches the
         // victim-free run's tail exactly.
         let after: Vec<RankedTuple> = std::iter::from_fn(|| merge.next_within(None)).collect();

@@ -5,12 +5,11 @@
 //! Decodes the file once ([`qpo_obs::read_jsonl`]) and hands the records
 //! to the validator, the profiler and the drift fold. Every line must be a
 //! JSON object with contiguous `seq`, a numeric (or null) `clock` and a
-//! string `kind`; every event must conform to the vocabulary
-//! (`qpo_obs::vocab`) and — [`qpo_obs::validate_records_strict`], stricter
-//! than `validate_trace` — be of a kind it lists, so an emitter that
-//! invents or misspells a kind fails the gate; plan-lifecycle spans must
-//! open and close exactly once; the
-//! virtual clock must be non-decreasing in seq order within each run
+//! string `kind`; every event must be of a kind the vocabulary
+//! (`qpo_obs::vocab`) lists — an emitter that invents or misspells a kind
+//! fails the gate — and conform to its row; plan-lifecycle spans must open
+//! and close exactly once; a `tuple_emitted` must follow its plan's
+//! `plan_completed`; the virtual clock must be non-decreasing in seq order within each run
 //! (`run_started` markers restart it); remote spans must be sound (tcp
 //! runs only, five fields together, nested in the attempt latency). The
 //! records must also reconstruct into well-formed span-tree profiles:
@@ -25,7 +24,7 @@
 //! of the latest run, so the CI log doubles as a trace digest.
 
 use qpo_obs::vocab::KINDS;
-use qpo_obs::{read_jsonl, validate_records_strict, DivergenceMonitor, ProfileIndex};
+use qpo_obs::{read_jsonl, validate_records, DivergenceMonitor, ProfileIndex};
 
 fn main() {
     let path = std::env::args().nth(1).unwrap_or_else(|| {
@@ -37,7 +36,7 @@ fn main() {
         std::process::exit(2);
     });
     let report = read_jsonl(&jsonl).and_then(|records| {
-        let report = validate_records_strict(&records)?;
+        let report = validate_records(&records)?;
         Ok((report, ProfileIndex::from_records(&records)))
     });
     let (report, index) = report.unwrap_or_else(|e| {

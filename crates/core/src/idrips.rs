@@ -28,7 +28,6 @@ pub struct IDrips<'a, M: UtilityMeasure + ?Sized, H> {
     ctx: ExecutionContext,
     spaces: Vec<PlanSpace>,
     kernel: OrderingKernel,
-    total_refinements: usize,
     emitted: usize,
 }
 
@@ -42,7 +41,6 @@ impl<'a, M: UtilityMeasure + ?Sized, H: AbstractionHeuristic> IDrips<'a, M, H> {
             ctx: ExecutionContext::new(),
             spaces: vec![full_space(inst)],
             kernel: OrderingKernel::new(),
-            total_refinements: 0,
             emitted: 0,
         }
     }
@@ -68,11 +66,6 @@ impl<'a, M: UtilityMeasure + ?Sized, H: AbstractionHeuristic> IDrips<'a, M, H> {
         self.spaces.len()
     }
 
-    /// Refinement steps performed across all rounds so far.
-    pub fn total_refinements(&self) -> usize {
-        self.total_refinements
-    }
-
     /// Plans emitted so far.
     pub fn emitted(&self) -> usize {
         self.emitted
@@ -92,7 +85,6 @@ impl<M: UtilityMeasure + ?Sized, H: AbstractionHeuristic> PlanOrderer for IDrips
             &self.spaces,
             &self.heuristic,
         )?;
-        self.total_refinements += outcome.refinements;
         let space = self.spaces.swap_remove(outcome.space);
         self.spaces.extend(remove_plan(&space, &outcome.plan));
         self.ctx.record(&outcome.plan);
@@ -215,7 +207,7 @@ mod tests {
         let inst = GeneratorConfig::new(2, 6).with_seed(17).build();
         let mut alg = IDrips::new(&inst, &Coverage, ByExpectedTuples);
         alg.order_k(3);
-        assert!(alg.total_refinements() > 0);
+        assert!(alg.kernel_stats().refinements > 0);
         assert!(alg.frontier_size() <= 3 * inst.query_len());
         assert_eq!(alg.algorithm_name(), "idrips");
     }

@@ -8,9 +8,10 @@
 //! by label — with latency, retries, and injected failures. It is the
 //! same loop, the same per-plan core and the same hooks ([`crate::core`])
 //! a [`QuerySession`](crate::QuerySession) steps inline one pull at a time,
-//! so a backend, a shared-execution memo, and a ranked tuple stream
-//! compose in one call ([`RunOptions`]). Two properties tie the two
-//! schedulers together:
+//! so a backend and a shared-execution memo compose in one call
+//! ([`RunOptions`]); the ranked tuple stream is the session's pull
+//! ([`QuerySession::next_tuple`](crate::QuerySession::next_tuple)). Two
+//! properties tie the two schedulers together:
 //!
 //! - **Equivalence**: with faults disabled, any worker count and any
 //!   speculation depth yields the serial plan-emission order and answer
@@ -23,12 +24,9 @@
 use crate::core::{Hooks, PlanCore, WaveHooks};
 use crate::mediator::{build_orderer_observed, Mediator, MediatorError, StopCondition, Strategy};
 use crate::sharing::ExecutionMemo;
-use qpo_anyk::{RankedTuple, TupleScorer};
 use qpo_datalog::ConjunctiveQuery;
-use qpo_obs::{DivergenceMonitor, Obs};
-use qpo_runtime::{
-    declare_sources, observe_divergence, RuntimePolicy, RuntimeRun, SimBackend, SourceBackend,
-};
+use qpo_obs::Obs;
+use qpo_runtime::{RuntimePolicy, RuntimeRun, SimBackend, SourceBackend};
 use qpo_utility::UtilityMeasure;
 use std::sync::Arc;
 
@@ -44,14 +42,10 @@ pub struct RunOptions<'a> {
     /// simulated faults.
     pub backend: Option<&'a str>,
     /// Shared-execution memo (see [`crate::sharing`]): emission order,
-    /// statuses, utilities, answers and the tuple stream always match the
-    /// unmemoized run; only the work shrinks. Scope one memo to one
-    /// mediator and one scorer.
+    /// statuses, utilities and answers always match the unmemoized run;
+    /// only the work shrinks. Scope one memo to one mediator (and, for
+    /// sessions streaming tuples, one scorer).
     pub memo: Option<&'a ExecutionMemo>,
-    /// Streams every scheduled plan's answers through a ranked per-plan
-    /// enumerator into one globally ranked any-k stream
-    /// ([`ConcurrentRun::tuples`]), ranked over the extensions.
-    pub scorer: Option<&'a dyn TupleScorer>,
     /// Shared observability bundle: metrics land on its registry and —
     /// when its journal is enabled — the run appends a deterministic
     /// plan-lifecycle trace (see [`qpo_runtime::Executor::run`] for the
@@ -59,27 +53,12 @@ pub struct RunOptions<'a> {
     pub obs: Option<&'a Obs>,
 }
 
-/// A concurrent mediation run: the runtime's records plus the per-source
-/// drift observed along the way.
+/// A concurrent mediation run.
 #[derive(Debug, Clone)]
 pub struct ConcurrentRun {
-    /// Per-plan execution records, answers, and aggregate counters.
+    /// Per-plan execution records, answers, aggregate counters and the
+    /// source drift the loop folded as plans merged.
     pub runtime: RuntimeRun,
-    /// The source-drift monitor fed from this run's access chains: per
-    /// source, attempts, transient failures, successes and permanent
-    /// failures, and EWMA latency and answer counts confronted with the
-    /// catalog's declared behavior. Its `qpo_source_divergence` gauges
-    /// land on the run's [`Obs`] registry, bit-equal to
-    /// [`DivergenceMonitor::from_events`] over the run's trace.
-    pub divergence: DivergenceMonitor,
-    /// The globally ranked tuples, in delivery order (non-increasing
-    /// score); empty without a [`RunOptions::scorer`]. Includes tuples
-    /// later retracted — consumers reconcile through `retracted`, exactly
-    /// like the journal does.
-    pub tuples: Vec<RankedTuple>,
-    /// Tuples delivered speculatively by plans that then merged as
-    /// unsound or failed, in delivery order.
-    pub retracted: Vec<RankedTuple>,
 }
 
 impl ConcurrentRun {
@@ -114,11 +93,8 @@ impl Mediator {
     /// Plan outcomes feed back into the orderer, so with faults enabled a
     /// failed plan stops being credited (e.g. as cached) by later
     /// emissions — for Pi and iDrips exactly; Streamer keeps the
-    /// optimistic assumption (see `PlanOrderer::observe`). With a scorer,
-    /// streams attach speculatively at schedule time and are evicted —
-    /// their delivered tuples retracted — when the plan merges unsound or
-    /// failed; the stream and the trace are byte-identical across worker
-    /// counts.
+    /// optimistic assumption (see `PlanOrderer::observe`). The trace is
+    /// byte-identical across worker counts.
     pub fn run<M: UtilityMeasure>(
         &self,
         query: &ConjunctiveQuery,
@@ -148,29 +124,10 @@ impl Mediator {
             // as much as access outcomes — is stale before the run starts.
             core.sync_epoch();
         }
-        if let Some(scorer) = opts.scorer {
-            hooks.stream(&prepared.instance, Box::new(scorer), &[]);
-        }
         let executor = core.executor(policy, obs);
-        // Eager release: the gate is drained after every callback.
-        let mut wave = WaveHooks::new(&mut hooks, &core, Some(Vec::new()));
+        let mut wave = WaveHooks::new(&mut hooks, &core);
         let runtime = executor.run_observed(orderer.as_mut(), stop, &mut wave);
-        wave.finish(obs.journal.clock());
-        // The drift monitor consumes the reports in emission order, so
-        // its gauges are recomputable bit-for-bit from the journal. It
-        // sees only fresh access chains: memo replays carry `attempts ==
-        // 0` and are skipped, mirroring the trace.
-        let mut divergence = DivergenceMonitor::new(obs);
-        declare_sources(&mut divergence, core.grid());
-        for report in &runtime.reports {
-            observe_divergence(&mut divergence, report);
-        }
-        Ok(ConcurrentRun {
-            runtime,
-            divergence,
-            tuples: wave.tuples.unwrap_or_default(),
-            retracted: wave.retracted,
-        })
+        Ok(ConcurrentRun { runtime })
     }
 }
 
@@ -220,7 +177,7 @@ mod tests {
         assert!(run.runtime.stats.attempts >= 9 * 2, "2 sources per plan");
         // Per-source counts live on the drift monitor, fed from the same
         // reports: every source was accessed, and the counts add up.
-        let drifts: Vec<_> = run.divergence.iter().collect();
+        let drifts: Vec<_> = run.runtime.divergence.iter().collect();
         assert_eq!(drifts.len(), 6, "3 + 3 sources behind the movie query");
         for (name, drift) in &drifts {
             assert!(drift.attempts > 0, "source {name} was accessed");
@@ -263,7 +220,7 @@ mod tests {
                 assert!(format!("{reason:?}").contains("v1"));
             }
         }
-        for (name, drift) in run.divergence.iter() {
+        for (name, drift) in run.runtime.divergence.iter() {
             let down = drift.permanent_failures > 0;
             assert_eq!(down, name == "v1", "{name}: {drift:?}");
         }

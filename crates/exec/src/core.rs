@@ -20,16 +20,15 @@
 //! (the plan's ranked stream attached at schedule and evicted at merge
 //! unless it executed, the scored levels those streams share, and the
 //! release gate: a `(bucket, source)` table of score bounds each attach
-//! tightens to what the rows it read can still score). Release is a pull
-//! — [`Hooks::release`] hands out the next tuple the gate lets through.
-//! [`WaveHooks`], the crate's only [`WaveObserver`], is what the loop
-//! calls when a plan is scheduled and when it merges; eager or lazy
-//! release is its caller's choice: a run hands it a vector and it drains
-//! the gate after every callback, a session hands it none and pulls one
-//! tuple at a time. Both parts consult and mutate
-//! shared state on the coordinating thread only (lookups in pop order,
-//! promotions and tightenings in emission order), so a run stays
-//! bit-identical across worker counts.
+//! tightens to what the rows it read can still score). Only a
+//! [`QuerySession`](crate::QuerySession) streams, and release is its pull:
+//! [`Hooks::release`] hands out the next tuple the gate lets through,
+//! between steps, so every attached plan has merged and a released tuple
+//! is never retracted. [`WaveHooks`], the crate's only [`WaveObserver`], is
+//! what the loop calls when a plan is scheduled and when it merges. Both
+//! parts consult and mutate shared state on the coordinating thread only
+//! (lookups in pop order, promotions and tightenings in emission order),
+//! so a run stays bit-identical across worker counts.
 
 use crate::anyk::ranked_join;
 use crate::mediator::Mediator;
@@ -311,9 +310,10 @@ impl<'a> Hooks<'a> {
         });
     }
 
-    /// Turns the any-k part on: every plan of the space starts behind the
-    /// gate under `scorer`'s catalog bounds, except the `emitted` ones —
-    /// pulled before streaming began, they can never attach.
+    /// Turns the any-k part on — a session's first tuple pull does: every
+    /// plan of the space starts behind the gate under `scorer`'s catalog
+    /// bounds, except the `emitted` ones — pulled before streaming began,
+    /// they can never attach.
     pub(crate) fn stream(
         &mut self,
         inst: &ProblemInstance,
@@ -391,27 +391,15 @@ impl<'a> Hooks<'a> {
 pub(crate) struct WaveHooks<'h, 'a> {
     pub(crate) hooks: &'h mut Hooks<'a>,
     pub(crate) core: &'h PlanCore<'a>,
-    /// Eager release: the globally ranked tuples, in delivery order,
-    /// drained from the gate after every callback. `None` releases
-    /// nothing — the caller pulls [`Hooks::release`] itself.
-    pub(crate) tuples: Option<Vec<RankedTuple>>,
-    /// Tuples delivered by plans that then merged unsound or failed.
-    pub(crate) retracted: Vec<RankedTuple>,
     /// The handoff slot of the plan merged last, closed.
     pub(crate) closed: Option<Slot>,
 }
 
 impl<'h, 'a> WaveHooks<'h, 'a> {
-    pub(crate) fn new(
-        hooks: &'h mut Hooks<'a>,
-        core: &'h PlanCore<'a>,
-        tuples: Option<Vec<RankedTuple>>,
-    ) -> Self {
+    pub(crate) fn new(hooks: &'h mut Hooks<'a>, core: &'h PlanCore<'a>) -> Self {
         WaveHooks {
             hooks,
             core,
-            tuples,
-            retracted: Vec::new(),
             closed: None,
         }
     }
@@ -419,28 +407,13 @@ impl<'h, 'a> WaveHooks<'h, 'a> {
     fn idle(&self) -> bool {
         self.hooks.sharing.is_none() && self.hooks.stream.is_none()
     }
-
-    fn drain(&mut self, vclock: f64) {
-        let Some(tuples) = &mut self.tuples else {
-            return;
-        };
-        while let Some(rt) = self.hooks.release(vclock) {
-            tuples.push(rt);
-        }
-    }
-
-    /// Final drain after the run: no further plan can execute.
-    pub(crate) fn finish(&mut self, vclock: f64) {
-        self.hooks.lift_gate();
-        self.drain(vclock);
-    }
 }
 
 impl WaveObserver for WaveHooks<'_, '_> {
-    /// A plan was popped and is about to execute (speculatively: its
-    /// verdict is not in yet): stashes the longest memoized prefix as its
-    /// join's seed (`subplan_reused`) and attaches its ranked stream to the
-    /// merge (`stream_attached`).
+    /// A plan was popped and is about to execute (its verdict is not in
+    /// yet): stashes the longest memoized prefix as its join's seed
+    /// (`subplan_reused`) and attaches its ranked stream to the merge
+    /// (`stream_attached`).
     fn plan_scheduled(&mut self, seq: u64, ordered: &OrderedPlan, vclock: f64) {
         if self.idle() {
             return;
@@ -497,13 +470,13 @@ impl WaveObserver for WaveHooks<'_, '_> {
                 );
             }
         }
-        self.drain(vclock);
     }
 
     /// A plan's outcome is final: closes its slot (whether or not it ever
     /// ran), promotes the prefixes its join captured into the memo and,
     /// unless it executed (unsound, failed), evicts its stream
-    /// (`stream_evicted`), retracting what that stream had delivered.
+    /// (`stream_evicted`) — which, released only between steps, has
+    /// delivered nothing.
     fn plan_merged(&mut self, report: &PlanExecution, vclock: f64) {
         self.closed = lock(&self.core.handoff).remove(&report.ordered.plan);
         if self.idle() {
@@ -525,20 +498,13 @@ impl WaveObserver for WaveHooks<'_, '_> {
             s.bytes.set(s.memo.subplans.approx_bytes() as f64);
         }
         if let Some(stream) = hooks.stream.as_mut().filter(|_| !report.executed()) {
-            let contributed = stream.merge.evict(report.seq);
-            if hooks.obs.journal.is_enabled() {
-                hooks.obs.journal.record_at(
-                    vclock,
-                    "stream_evicted",
-                    vec![
-                        ("plan_seq", Value::U64(report.seq)),
-                        ("retracted", Value::U64(contributed.len() as u64)),
-                    ],
-                );
+            stream.merge.evict(report.seq);
+            let journal = &hooks.obs.journal;
+            if journal.is_enabled() {
+                let fields = vec![("plan_seq", Value::U64(report.seq))];
+                journal.record_at(vclock, "stream_evicted", fields);
             }
-            self.retracted.extend(contributed);
         }
-        self.drain(vclock);
     }
 }
 
@@ -654,7 +620,7 @@ pub(crate) mod tests {
         core.share(&memo);
         let mut hooks = Hooks::new(m.obs());
         hooks.share(&memo);
-        let mut wave = WaveHooks::new(&mut hooks, &core, Some(Vec::new()));
+        let mut wave = WaveHooks::new(&mut hooks, &core);
         let ordered = OrderedPlan {
             plan: plan.clone(),
             utility: -1.0,
@@ -819,7 +785,6 @@ pub(crate) mod tests {
             backend: Some("rows"),
             memo: Some(&memo),
             obs: Some(&obs),
-            ..RunOptions::default()
         };
         let plain = run(&RunOptions::default());
         let cold = run(&opts);

@@ -13,10 +13,10 @@
 //! [`step`](qpo_runtime::Executor::step) at `lookahead = 1`, inline on the caller's
 //! thread. So a session pops, budgets, retries, fails, feeds back and
 //! traces exactly like [`Mediator::run`] under
-//! [`RuntimePolicy::serial`] — the same plan-lifecycle, `source_attempt`
-//! and memo events on the same serial virtual clock, which is why
-//! `/profile`, failure feedback and the drift recomputation work for
-//! pulled sessions too.
+//! [`RuntimePolicy::serial`] — the same plan-lifecycle, `source_attempt`,
+//! memo and drift events on the same serial virtual clock, which is why
+//! `/profile`, failure feedback and `/divergence` work for pulled
+//! sessions too.
 //!
 //! Sessions report into the mediator's observability bundle:
 //! `qpo_sessions_total{strategy}` counts openings,
@@ -65,10 +65,9 @@ use std::time::Instant;
 /// executes against the backend [`QuerySession::with_backend`] attached
 /// or, without one, over the in-memory extensions with no source access:
 /// no attempts, every latency 0, the virtual clock never moves. The
-/// session's own are the [`PlanReport`]s, the board entry, and *lazy*
-/// tuple release: where a [`Mediator::run`] drains
-/// the any-k gate after every plan, [`QuerySession::next_tuple`] pulls one
-/// tuple at a time.
+/// session's own are the [`PlanReport`]s, the board entry, and the ranked
+/// tuple stream: [`QuerySession::next_tuple`] is the one place a ranked
+/// tuple leaves the system, and a tuple it delivers is final.
 ///
 /// Attempted plans — executed or failed — spend budget and are fed back
 /// to the orderer by the loop; unsound plans spend nothing.
@@ -257,8 +256,9 @@ impl<'s> QuerySession<'s> {
         let run = self
             .run
             .get_or_insert_with(|| executor.begin(self.orderer.as_ref()));
-        // Lazy release: no tuple leaves the gate until `next_tuple` asks.
-        let mut wave = WaveHooks::new(&mut self.hooks, &self.core, None);
+        // No tuple leaves the gate inside a step: only `next_tuple`
+        // releases, between steps.
+        let mut wave = WaveHooks::new(&mut self.hooks, &self.core);
         let execution = executor.step(run, self.orderer.as_mut(), budget, &mut wave)?;
         self.sorted.take();
         let slot = wave.closed.expect("the merge closes the plan's slot");
@@ -324,8 +324,11 @@ impl<'s> QuerySession<'s> {
     /// the gate requires; returns `None` when every plan is in and the
     /// merge is drained.
     ///
-    /// Unsound plans attach and immediately evict their stream, so they
-    /// contribute nothing; answers already delivered stay delivered.
+    /// A pull is one step at lookahead 1: a plan's stream attaches when it
+    /// is scheduled and, unless the plan executes (unsound, failed), is
+    /// evicted when it merges — both inside the step, while release
+    /// happens only between steps. So an evicted stream has delivered
+    /// nothing, and no delivered tuple is ever retracted.
     pub fn next_tuple(&mut self) -> Option<RankedTuple> {
         if self.hooks.scorer().is_none() {
             let scorer = self

@@ -1,22 +1,26 @@
-//! Differential and determinism tests for the any-k tuple stream: the
-//! sorted stream bit-equals the plan-at-a-time answer multiset, the live
-//! stream is globally non-increasing, the emitted order is byte-identical
-//! across worker counts, and retraction journals exactly the evicted
-//! stream's contributions.
+//! Differential tests for the any-k tuple stream, which a session's
+//! `next_tuple` is the one source of: the sorted stream bit-equals the
+//! plan-at-a-time answer multiset, the live stream is globally
+//! non-increasing, and a plan that fails or is unsound is evicted before
+//! its stream delivers anything — a delivered tuple is final.
 
 use qpo_anyk::{plan_bound, AnyKMerge};
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
 use qpo_catalog::{Catalog, GeneratorConfig, MediatedSchema, SchemaRelation};
 use qpo_core::utility_cmp;
-use qpo_datalog::{parse_query, SourceDescription};
+use qpo_datalog::{parse_query, SourceDescription, Tuple};
 use qpo_exec::{
-    offline_ranked_answers, ranked_join_for_plan, CatalogScorer, ExecutionMemo, Mediator,
-    QuerySession, RankedTuple, RunOptions, StopCondition, Strategy,
+    offline_ranked_answers, ranked_join_for_plan, snapshot_relations, BackendRegistry,
+    CatalogScorer, ExecutionMemo, Mediator, QuerySession, RankedTuple, StopCondition, Strategy,
 };
 use qpo_obs::Obs;
-use qpo_runtime::{FaultConfig, PlanStatus, RuntimePolicy};
+use qpo_runtime::{
+    Access, AccessContext, AccessOutcome, AccessReply, BackendError, SourceBackend, SourceService,
+};
 use qpo_utility::{Coverage, LinearCost};
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn mediator() -> Mediator {
     Mediator::new(movie_domain(), MOVIE_UNIVERSE, &["ford"])
@@ -128,133 +132,82 @@ fn session_traces_with_tuples_validate_and_reach_the_board() {
     assert_eq!(report.counts["tuple_emitted"] as u64, delivered);
 }
 
-#[test]
-fn concurrent_stream_matches_the_serial_session_stream() {
-    let m = mediator();
-    let obs = Obs::new();
-    let sc = scorer();
-    let run = m
-        .run(
-            &movie_query(),
-            &Coverage,
-            Strategy::IDrips,
-            StopCondition::unbounded(),
-            RuntimePolicy::serial(),
-            &RunOptions {
-                scorer: Some(&sc),
-                obs: Some(&obs),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-    assert!(run.retracted.is_empty(), "no faults, nothing retracts");
-    let prepared = m.prepare(&movie_query()).unwrap();
-    let mut s = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips)
-        .unwrap()
-        .with_tuple_scorer(scorer());
-    let serial: Vec<RankedTuple> = s.stream_tuples().collect();
-    let key = |v: &[RankedTuple]| -> Vec<(u64, Vec<qpo_datalog::Constant>)> {
-        v.iter()
-            .map(|rt| (rt.score.to_bits(), rt.tuple.clone()))
-            .collect()
-    };
-    assert_eq!(key(&run.tuples), key(&serial));
-}
+/// Serves the extensions' rows, except `v1`'s: that source is gone for
+/// good.
+struct V1Down(BTreeMap<String, Arc<Vec<Tuple>>>);
 
-#[test]
-fn concurrent_stream_is_byte_identical_across_worker_counts() {
-    let runs: Vec<(Vec<RankedTuple>, String)> = [1usize, 4, 8]
-        .into_iter()
-        .map(|workers| {
-            let m = mediator();
-            let obs = Obs::with_trace();
-            let sc = scorer();
-            let run = m
-                .run(
-                    &movie_query(),
-                    &Coverage,
-                    Strategy::IDrips,
-                    StopCondition::unbounded(),
-                    RuntimePolicy::parallel(workers).with_lookahead(4),
-                    &RunOptions {
-                        scorer: Some(&sc),
-                        obs: Some(&obs),
-                        ..RunOptions::default()
-                    },
-                )
-                .unwrap();
-            qpo_obs::validate_trace(&obs.journal.to_jsonl()).expect("trace validates");
-            (run.tuples, obs.journal.to_jsonl())
+impl SourceBackend for V1Down {
+    fn kind(&self) -> &'static str {
+        "v1-down"
+    }
+
+    fn access(
+        &self,
+        svc: &SourceService,
+        _: &AccessContext<'_>,
+    ) -> Result<AccessReply, BackendError> {
+        if &*svc.name == "v1" {
+            return Err(BackendError::permanent("v1 is gone"));
+        }
+        Ok(AccessReply {
+            access: Access {
+                outcome: AccessOutcome::Success,
+                latency: 1.0,
+            },
+            tuples: Some(self.0.get(&*svc.name).cloned().unwrap_or_default()),
+            remote: None,
         })
-        .collect();
-    let key = |v: &[RankedTuple]| -> Vec<(u64, u64, Vec<usize>)> {
-        v.iter()
-            .map(|rt| (rt.score.to_bits(), rt.plan_seq, rt.plan.clone()))
-            .collect()
-    };
-    assert!(!runs[0].0.is_empty());
-    assert!(runs[0].1.contains("tuple_emitted"));
-    assert!(runs[0].1.contains("stream_attached"));
-    for (tuples, jsonl) in &runs[1..] {
-        assert_eq!(key(tuples), key(&runs[0].0), "emission order differs");
-        assert_eq!(jsonl, &runs[0].1, "trace bytes differ across workers");
     }
 }
 
 #[test]
-fn failed_plan_streams_are_evicted_and_their_tuples_retracted() {
-    let m = mediator();
+fn failed_plan_streams_are_evicted_before_they_deliver() {
     let obs = Obs::with_trace();
-    let sc = scorer();
-    let faults = FaultConfig::with_seed(1).with_source_down("v1");
-    let run = m
-        .run(
-            &movie_query(),
-            &Coverage,
-            Strategy::Pi,
-            StopCondition::unbounded(),
-            RuntimePolicy::parallel(3)
-                .with_lookahead(3)
-                .with_faults(faults),
-            &RunOptions {
-                scorer: Some(&sc),
-                obs: Some(&obs),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-    let failed: Vec<u64> = run
-        .runtime
-        .reports
-        .iter()
-        .filter(|r| !matches!(r.status, PlanStatus::Executed { .. }))
-        .map(|r| r.seq)
-        .collect();
-    assert!(!failed.is_empty(), "v1 plans fail");
+    let m = mediator().with_obs(&obs);
+    let rows = snapshot_relations(m.database()).into_iter();
+    let rows = rows.map(|(name, rows)| (name, Arc::new(rows))).collect();
+    let m = m.with_backends(BackendRegistry::new().with("v1-down", Arc::new(V1Down(rows))));
+    let prepared = m.prepare(&movie_query()).unwrap();
+    let mut s = QuerySession::new(&m, &prepared, &Coverage, Strategy::Pi)
+        .unwrap()
+        .with_backend("v1-down")
+        .unwrap()
+        .with_tuple_scorer(scorer());
+    let stream: Vec<RankedTuple> = s.stream_tuples().collect();
+    let answers = s.answers().clone();
+    drop(s);
     let jsonl = obs.journal.to_jsonl();
-    qpo_obs::validate_trace(&jsonl).expect("faulted trace validates");
-    assert_eq!(
-        jsonl.matches("\"kind\":\"stream_evicted\"").count(),
-        failed.len(),
-        "one eviction per failed plan"
-    );
-    // Retractions are attributed to failed plans only, and every tuple
-    // still live in the final stream comes from a surviving plan.
-    assert!(run.retracted.iter().all(|rt| failed.contains(&rt.plan_seq)));
-    assert!(run
-        .tuples
+    qpo_obs::validate_trace(&jsonl).expect("the faulted session's trace validates");
+    let records = qpo_obs::read_jsonl(&jsonl).unwrap();
+    // `(plan_seq, seq)` of every event of `kind`.
+    let events = |kind: &str| -> Vec<(u64, u64)> {
+        let of_kind = records.iter().filter(|r| &*r.kind == kind);
+        of_kind
+            .map(|r| (r.u64("plan_seq").unwrap(), r.seq))
+            .collect()
+    };
+    let (failed, evicted) = (events("plan_failed"), events("stream_evicted"));
+    assert!(!failed.is_empty(), "plans through v1 fail");
+    for &(plan, at) in &failed {
+        let evictions: Vec<u64> = evicted
+            .iter()
+            .filter(|e| e.0 == plan)
+            .map(|e| e.1)
+            .collect();
+        assert_eq!(evictions.len(), 1, "one eviction for failed plan {plan}");
+        assert!(
+            evictions[0] > at,
+            "plan {plan} evicted after its plan_failed"
+        );
+    }
+    assert_eq!(evicted.len(), failed.len() + events("plan_unsound").len());
+    // What was delivered stays delivered: no failed plan's tuple is in the
+    // stream, and every tuple in it is an answer of the run.
+    assert!(!stream.is_empty());
+    assert!(stream
         .iter()
-        .filter(|rt| !run.retracted.contains(rt))
-        .all(|rt| !failed.contains(&rt.plan_seq)));
-    // The deterministic answers all arrive despite the faults: union of
-    // surviving plans equals the runtime's answer set.
-    let live: std::collections::BTreeSet<_> = run
-        .tuples
-        .iter()
-        .filter(|rt| !run.retracted.contains(rt))
-        .map(|rt| rt.tuple.clone())
-        .collect();
-    assert!(live.iter().all(|t| run.runtime.answers.contains(t)));
+        .all(|rt| failed.iter().all(|f| f.0 != rt.plan_seq)));
+    assert!(stream.iter().all(|rt| answers.contains(&rt.tuple)));
 }
 
 #[test]
@@ -332,7 +285,7 @@ fn the_data_aware_gate_keeps_the_star_stream_exact_and_releases_sooner() {
         assert!(sorted == oracle, "{what} differs from the offline oracle");
     };
 
-    // The emission order: streaming, a memo and the driver never move it.
+    // The emission order the catalog-only gate below replays.
     let emitted: Vec<Vec<usize>> = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips)
         .unwrap()
         .drain(StopCondition::unbounded())
@@ -373,23 +326,6 @@ fn the_data_aware_gate_keeps_the_star_stream_exact_and_releases_sooner() {
             (1, first_tuple_at[0] as f64)
         );
         exact(stream, "session stream");
-    }
-
-    // The wave driver, 1 and 3 workers, without and with a memo.
-    for (workers, memo) in [(1, None), (3, None), (1, Some(&memo)), (3, Some(&memo))] {
-        let opts = RunOptions {
-            scorer: Some(&sc),
-            memo,
-            ..RunOptions::default()
-        };
-        let policy = RuntimePolicy::parallel(workers).with_lookahead(workers);
-        let stop = StopCondition::unbounded();
-        let run = m
-            .run(&query, &Coverage, Strategy::IDrips, stop, policy, &opts)
-            .unwrap();
-        assert!(run.retracted.is_empty());
-        assert_eq!(run.emitted_plans(), emitted);
-        exact(run.tuples, "wave stream");
     }
 
     // What the catalog-only gate needed on the same emission order:

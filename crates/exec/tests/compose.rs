@@ -1,10 +1,11 @@
 //! One loop, two schedulers: every capability composes with every other
 //! and both agree. Over the option cube backend ∈ {sim, store, flaky, tcp}
-//! × memo ∈ {off, cold, warm, warm rows} × scorer ∈ {off, on}, a drained
-//! [`QuerySession`], [`Mediator::run`] at 1 and 3 workers, and the plain
-//! run (no option at all) return the same answers, emit the same plans in
-//! the same order, and — with a scorer — deliver the same ranked tuple
-//! sequence, scores compared to the f64 bit. `flaky` is the store behind
+//! × memo ∈ {off, cold, warm, warm rows}, a drained [`QuerySession`],
+//! [`Mediator::run`] at 1 and 3 workers, and the plain run (no option at
+//! all) return the same answers and emit the same plans in the same order;
+//! the scorer dimension is the session's — a second session pulled tuple
+//! by tuple delivers, in every cell, the ranked sequence a session on the
+//! simulator does, scores compared to the f64 bit. `flaky` is the store behind
 //! seeded transient outages that the retry discipline — one discipline,
 //! under either scheduler — always rides out; a memo-resolved slot joins
 //! the rows stored beside its outcome, so a warm run meets no outage at
@@ -91,19 +92,11 @@ fn scorer() -> CatalogScorer {
     CatalogScorer::new(MOVIE_UNIVERSE).with_jitter(0.25)
 }
 
-/// The wave driver on one cell of the cube.
-fn wave(
-    m: &Mediator,
-    backend: &str,
-    memo: Option<&ExecutionMemo>,
-    scored: bool,
-    workers: usize,
-) -> Outcome {
-    let sc = scorer();
+/// The wave driver on one cell of the cube; it streams no tuples.
+fn wave(m: &Mediator, backend: &str, memo: Option<&ExecutionMemo>, workers: usize) -> Outcome {
     let opts = RunOptions {
         backend: Some(backend),
         memo,
-        scorer: scored.then_some(&sc as _),
         obs: None,
     };
     let run = m
@@ -117,14 +110,12 @@ fn wave(
         )
         .unwrap();
     assert_eq!(run.failed(), 0);
-    assert!(run.retracted.is_empty(), "no faults, nothing retracts");
-    let stream = stream_key(&run.tuples);
-    (run.emitted_plans(), run.runtime.answers, stream)
+    (run.emitted_plans(), run.runtime.answers, Vec::new())
 }
 
-/// The pull driver on one cell: one session drained plan by plan and,
-/// with a scorer, a second one drained tuple by tuple.
-fn session(m: &Mediator, backend: &str, memo: Option<&ExecutionMemo>, scored: bool) -> Outcome {
+/// The pull driver on one cell: one session drained plan by plan and a
+/// second one, with a scorer, drained tuple by tuple.
+fn session(m: &Mediator, backend: &str, memo: Option<&ExecutionMemo>) -> Outcome {
     let prepared = m.prepare(&movie_query()).unwrap();
     let open = || {
         let s = QuerySession::new(m, &prepared, &Coverage, Strategy::IDrips)
@@ -143,13 +134,10 @@ fn session(m: &Mediator, backend: &str, memo: Option<&ExecutionMemo>, scored: bo
         .iter()
         .map(|r| r.ordered.plan.clone())
         .collect();
-    let mut stream = Vec::new();
-    if scored {
-        let mut by_tuple = open().with_tuple_scorer(scorer());
-        stream = stream_key(&by_tuple.stream_tuples().collect::<Vec<_>>());
-        assert_eq!(by_tuple.plans_emitted(), plans.len());
-        assert_eq!(by_tuple.answers(), &drained.answers);
-    }
+    let mut by_tuple = open().with_tuple_scorer(scorer());
+    let stream = stream_key(&by_tuple.stream_tuples().collect::<Vec<_>>());
+    assert_eq!(by_tuple.plans_emitted(), plans.len());
+    assert_eq!(by_tuple.answers(), &drained.answers);
     (plans, drained.answers, stream)
 }
 
@@ -190,52 +178,54 @@ fn every_cell_of_the_option_cube_agrees_on_both_drivers() {
             &RunOptions::default(),
         )
         .unwrap();
-    assert!(!plain.runtime.answers.is_empty() && plain.tuples.is_empty());
-    let ranked = wave(&m, "sim", None, true, 1).2;
+    assert!(!plain.runtime.answers.is_empty());
+    let ranked = session(&m, "sim", None).2;
     assert!(!ranked.is_empty());
     for backend in ["sim", "store", "flaky", "tcp"] {
         for memo in [Memo::Off, Memo::Cold, Memo::Warm, Memo::WarmRows] {
-            for scored in [false, true] {
-                let cell = format!("backend={backend} memo={memo:?} scorer={scored}");
-                // One memo — and one tcp client, which learns the server's
-                // epoch while the memo fills — per driver and worker count,
-                // so no run leans on what another one left behind; `Warm`
-                // runs each twice and keeps the second, which reaches no
-                // source: not the flaky one, not the wire.
-                let run = |drive: &dyn Fn(&Mediator, Option<&ExecutionMemo>) -> Outcome| {
-                    let (m, shared) = (dial(), ExecutionMemo::new());
-                    let memo_ref = (memo != Memo::Off).then_some(&shared);
-                    let warm = matches!(memo, Memo::Warm | Memo::WarmRows);
-                    if memo == Memo::WarmRows {
-                        shared.subplans.set_byte_budget(0);
-                    }
-                    if warm {
-                        drive(&m, memo_ref);
-                        let seeds = !shared.subplans.is_empty();
-                        assert_eq!(seeds, memo == Memo::Warm, "{cell}: prefixes memoized");
-                        assert!(!shared.sources.is_empty(), "{cell}: nothing memoized");
-                    }
-                    let before = (server.requests_served(), outages(&flaky));
-                    let outcome = drive(&m, memo_ref);
-                    if warm {
-                        let after = (server.requests_served(), outages(&flaky));
-                        assert_eq!(after, before, "{cell}: a warm run reached a source");
-                    }
-                    outcome
-                };
-                let outcomes = [
-                    run(&|m, memo| session(m, backend, memo, scored)),
-                    run(&|m, memo| wave(m, backend, memo, scored, 1)),
-                    run(&|m, memo| wave(m, backend, memo, scored, 3)),
-                ];
-                for (driver, (plans, answers, stream)) in
-                    ["session", "run@1", "run@3"].iter().zip(outcomes)
-                {
-                    assert_eq!(plans, plain.emitted_plans(), "{cell} {driver}: plan order");
-                    assert_eq!(answers, plain.runtime.answers, "{cell} {driver}: answers");
-                    let want = if scored { &ranked[..] } else { &[] };
-                    assert_eq!(stream, want, "{cell} {driver}: ranked stream");
+            let cell = format!("backend={backend} memo={memo:?}");
+            // One memo — and one tcp client, which learns the server's
+            // epoch while the memo fills — per driver and worker count, so
+            // no run leans on what another one left behind; `Warm` runs
+            // each twice and keeps the second, which reaches no source:
+            // not the flaky one, not the wire.
+            let run = |drive: &dyn Fn(&Mediator, Option<&ExecutionMemo>) -> Outcome| {
+                let (m, shared) = (dial(), ExecutionMemo::new());
+                let memo_ref = (memo != Memo::Off).then_some(&shared);
+                let warm = matches!(memo, Memo::Warm | Memo::WarmRows);
+                if memo == Memo::WarmRows {
+                    shared.subplans.set_byte_budget(0);
                 }
+                if warm {
+                    drive(&m, memo_ref);
+                    let seeds = !shared.subplans.is_empty();
+                    assert_eq!(seeds, memo == Memo::Warm, "{cell}: prefixes memoized");
+                    assert!(!shared.sources.is_empty(), "{cell}: nothing memoized");
+                }
+                let before = (server.requests_served(), outages(&flaky));
+                let outcome = drive(&m, memo_ref);
+                if warm {
+                    let after = (server.requests_served(), outages(&flaky));
+                    assert_eq!(after, before, "{cell}: a warm run reached a source");
+                }
+                outcome
+            };
+            let outcomes = [
+                run(&|m, memo| session(m, backend, memo)),
+                run(&|m, memo| wave(m, backend, memo, 1)),
+                run(&|m, memo| wave(m, backend, memo, 3)),
+            ];
+            for (driver, (plans, answers, stream)) in
+                ["session", "run@1", "run@3"].iter().zip(outcomes)
+            {
+                assert_eq!(plans, plain.emitted_plans(), "{cell} {driver}: plan order");
+                assert_eq!(answers, plain.runtime.answers, "{cell} {driver}: answers");
+                let want = if *driver == "session" {
+                    &ranked[..]
+                } else {
+                    &[]
+                };
+                assert_eq!(stream, want, "{cell} {driver}: ranked stream");
             }
         }
     }

@@ -11,7 +11,7 @@
 //!    two lengths are `to_bits`-equal (and equal the lane-scheduled
 //!    `stats.virtual_time` when there is one lane).
 //! 3. **Divergence recomputation** — the live `qpo_source_divergence`
-//!    gauges fed from the runtime's feedback path bit-equal an offline
+//!    gauges the loop folds as plans merge bit-equal an offline
 //!    [`DivergenceMonitor`] replay of the same trace (the PR 5 regret
 //!    gauge discipline).
 //! 4. **Session profiles** — a session is a run: its trace seals with a
@@ -138,11 +138,15 @@ fn live_divergence_gauges_bit_equal_offline_recomputation() {
     let jsonl = obs.journal.to_jsonl();
     let offline = DivergenceMonitor::from_jsonl(&jsonl).expect("replayable trace");
     let from_events = DivergenceMonitor::from_events(&obs.journal.events());
-    // The offline replay reconstructs the live estimator state exactly.
-    let live: Vec<_> = run.divergence.iter().collect();
+    let folded = DivergenceMonitor::from_profile(&ProfileIndex::from_journal(&obs.journal));
+    // The offline replay reconstructs the live estimator state exactly:
+    // the loop folds plans as they merge, the replay in the order of
+    // their terminal events — the same order.
+    let live: Vec<_> = run.runtime.divergence.iter().collect();
     let replayed: Vec<_> = offline.iter().collect();
     assert_eq!(live, replayed, "estimator state is a function of the trace");
     assert_eq!(replayed, from_events.iter().collect::<Vec<_>>());
+    assert_eq!(replayed, folded.iter().collect::<Vec<_>>());
     // And every gauge the live monitor exported carries the same bits.
     let mut stats_checked = 0;
     for (source, drift) in offline.iter() {
@@ -167,7 +171,7 @@ fn injected_faults_surface_as_drift_events() {
     let (obs, run) = traced_run(4);
     // The scenario injects 0.35 extra transient rate and downs v1 — both
     // well past the default 0.5 threshold somewhere.
-    let drifting = run.divergence.drifting();
+    let drifting = run.runtime.divergence.drifting();
     assert!(!drifting.is_empty(), "injected faults are detected");
     assert!(
         drifting

@@ -332,13 +332,10 @@ fn a_cost_budget_stops_both_drivers_at_the_same_plan() {
     }
 }
 
-/// The trace minus what only one driver journals: the run's post-hoc
-/// `drift_detected`s.
+/// The whole trace, event by event: kind, clock bits and fields.
 fn trace_key(obs: &Obs) -> Vec<(&'static str, u64, String)> {
-    let own = ["drift_detected"];
     let events = obs.journal.events().into_iter();
     events
-        .filter(|e| !own.contains(&e.kind))
         .map(|e| (e.kind, e.clock.to_bits(), format!("{:?}", e.fields)))
         .collect()
 }
@@ -397,7 +394,7 @@ fn a_session_on_the_simulator_is_a_serial_run() {
             );
         }
         // One loop, one trace: every event — lifecycle, attempts, memo,
-        // kernel, the run's own markers — at the same clock bits.
+        // kernel, drift, the run's own markers — at the same clock bits.
         let trace = trace_key(&session_obs);
         assert_eq!(trace, trace_key(&run_obs), "memoized={memoized}");
         let count = |kind: &str| trace.iter().filter(|(k, ..)| *k == kind).count();

@@ -238,7 +238,6 @@ fn a_store_backed_memoized_trace_is_byte_identical_across_worker_counts() {
                 backend: Some("store"),
                 memo: Some(&memo),
                 obs: Some(&obs),
-                ..RunOptions::default()
             };
             let before = store.accesses.load(Ordering::Relaxed);
             let memoized = run(workers, &opts);
@@ -294,8 +293,9 @@ fn every_vocabulary_kind_is_emitted_and_every_event_conforms() {
         let policy = RuntimePolicy::parallel(2).with_lookahead(3);
         traces.push(traced(&m, &movie_query(), Strategy::Pi, policy, opts));
     }
-    // An any-k run that evicts: `u1` answers `play_in` but over russian
-    // movies, so its plan is unsound and its stream attaches and goes.
+    // An any-k session that evicts: `u1` answers `play_in` but over
+    // russian movies, so its plan is unsound and its stream attaches and
+    // goes.
     let desc = |text: &str| SourceDescription::new(parse_query(text).unwrap());
     let schema = [("play_in", 2), ("american", 1), ("russian", 1)];
     let schema = schema.map(|(name, arity)| SchemaRelation::new(name, arity));
@@ -310,29 +310,27 @@ fn every_vocabulary_kind_is_emitted_and_every_event_conforms() {
     }
     let trap = Mediator::new(catalog, 1000, &["ford", "hanks"]);
     let q = parse_query("q(A) :- play_in(A, M), american(M)").unwrap();
-    let scorer = CatalogScorer::new(1000).with_jitter(0.25);
-    let opts = RunOptions {
-        scorer: Some(&scorer),
-        ..RunOptions::default()
+    let streamed = |m: &Mediator, q: &qpo_datalog::ConjunctiveQuery, strategy, universe| {
+        let obs = Obs::with_trace();
+        let m = m.clone().with_obs(&obs);
+        let prepared = m.prepare(q).unwrap();
+        let session = QuerySession::new(&m, &prepared, &Coverage, strategy).unwrap();
+        let scorer = CatalogScorer::new(universe).with_jitter(0.25);
+        let mut session = session.with_tuple_scorer(scorer);
+        assert!(session.stream_tuples().count() > 0);
+        drop(session);
+        obs.journal.to_jsonl()
     };
-    traces.push(traced(
-        &trap,
-        &q,
-        Strategy::Pi,
-        RuntimePolicy::serial(),
-        opts,
-    ));
+    traces.push(streamed(&trap, &q, Strategy::Pi, 1000));
     // A pulled iDrips session streaming tuples: kernel events and the
     // tuple lifecycle.
-    let obs = Obs::with_trace();
-    let m = mediator().with_obs(&obs);
-    let prepared = m.prepare(&movie_query()).unwrap();
-    let session = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips).unwrap();
-    let scorer = CatalogScorer::new(MOVIE_UNIVERSE).with_jitter(0.25);
-    let mut session = session.with_tuple_scorer(scorer);
-    assert!(session.stream_tuples().count() > 0);
-    drop(session);
-    traces.push(obs.journal.to_jsonl());
+    let m = mediator();
+    traces.push(streamed(
+        &m,
+        &movie_query(),
+        Strategy::IDrips,
+        MOVIE_UNIVERSE,
+    ));
     // A tcp run: remote spans on the client, and the server's own journal.
     let provider = MemProvider::new();
     for (name, rows) in snapshot_relations(m.database()) {

@@ -8,7 +8,7 @@
 //! exports the divergence from the declared [`SourceExpectation`] as
 //! `qpo_source_divergence{source,stat}` gauges, journalling a
 //! `drift_detected` event whenever a stat first crosses [`THRESHOLD`].
-//! ROADMAP item 2's re-planning triggers consume exactly these signals.
+//! ROADMAP item 5's re-planning trigger is to consume exactly these signals.
 //!
 //! ## Determinism discipline
 //!
@@ -160,8 +160,8 @@ fn relative(observed: f64, expected: f64) -> f64 {
 }
 
 /// The drift monitor: per-source estimators, divergence gauges, and the
-/// `drift_detected` journal hook. Feed it live from the runtime's
-/// feedback path, or replay a trace through [`DivergenceMonitor::from_events`] /
+/// `drift_detected` journal hook. The executor feeds one per run as its
+/// plans merge, or replay a trace through [`DivergenceMonitor::from_events`] /
 /// [`DivergenceMonitor::from_jsonl`] — both produce bit-equal state.
 #[derive(Debug, Clone)]
 pub struct DivergenceMonitor {
@@ -290,8 +290,8 @@ impl DivergenceMonitor {
     /// run's `source_declared` expectations, then, plan by plan in the
     /// order their terminal events were journalled, each source span as
     /// one [`AccessObservation`] (`total` and `network` were computed in
-    /// the runtime's own order, so the EWMAs fold bit-equal). The live
-    /// feedback path binds a fresh monitor to each run and later runs
+    /// the runtime's own order, so the EWMAs fold bit-equal). The loop
+    /// binds a fresh monitor to each run and later runs
     /// overwrite the gauges, so a multi-run journal folds to its latest
     /// run; a journal with no `run_started` folds everything it recorded.
     /// A plan without a terminal event was never reported, so not observed.

@@ -456,12 +456,13 @@ impl TraceReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SpanState {
     Open,
-    Closed,
+    /// Closed; `true` when by `plan_completed` (its tuples may leave).
+    Closed(bool),
 }
 
 /// Checks a JSONL trace for structural soundness: every line decodes
-/// ([`read_jsonl`]), `seq` is contiguous from 0, every event of a kind in
-/// the [vocabulary](crate::vocab) [conforms](Record::conforms) to it, the
+/// ([`read_jsonl`]), `seq` is contiguous from 0, every event is of a kind
+/// the [vocabulary](crate::vocab) lists and [conforms](Record::conforms) to it, the
 /// virtual clock is non-decreasing in seq order *within each run* (each
 /// `run_started` marker restarts it; `null` clocks are skipped), and
 /// plan-lifecycle spans open before they close (no double-open, no
@@ -475,9 +476,9 @@ enum SpanState {
 ///
 /// The span rules follow each kind's [`Role`]: an `InSpan` event
 /// (`stream_attached`, the memo events) must land while its plan's span
-/// is open, an `AfterEmission` event (`tuple_emitted`, `stream_evicted`)
-/// after the plan's `plan_emitted` in the same run — the cross-plan merge
-/// may legitimately hold a plan's tuples back past its terminal event.
+/// is open, an `AfterEmission` event (`stream_evicted`) after the plan's
+/// `plan_emitted` in the same run, and a `tuple_emitted` after its plan's
+/// `plan_completed` — a tuple leaves once its plan executed, for good.
 /// `tuple_emitted` scores must be non-increasing within each run (the
 /// global any-k ranking guarantee, checked on the wire format); a
 /// `memo_hit` must follow a `memo_store` for the same `source` earlier in
@@ -491,23 +492,8 @@ enum SpanState {
 /// client-observed `latency`, and the phase sum never exceeds
 /// `remote_total` — the clamp-by-construction invariants the runtime's
 /// decoder enforces, re-checked on the wire format.
-///
-/// Kinds outside the vocabulary pass unchecked here;
-/// [`validate_records_strict`] refuses them.
 pub fn validate_trace(jsonl: &str) -> Result<TraceReport, String> {
     validate_records(read_jsonl(jsonl)?)
-}
-
-/// [`validate_records`], additionally refusing any event kind the
-/// [vocabulary](crate::vocab) does not list (an invented or misspelt one).
-pub fn validate_records_strict<'a, R: Borrow<Record<'a>>>(
-    records: impl IntoIterator<Item = R>,
-) -> Result<TraceReport, String> {
-    let report = validate_records(records)?;
-    match report.counts.keys().find(|k| role_of(k).is_none()) {
-        Some(kind) => Err(format!("event kind \"{kind}\" is not in the vocabulary")),
-        None => Ok(report),
-    }
 }
 
 /// [`validate_trace`] over already-decoded records.
@@ -531,8 +517,9 @@ pub fn validate_records<'a, R: Borrow<Record<'a>>>(
         }
         report.events += 1;
         *report.counts.entry(kind.to_string()).or_insert(0) += 1;
-        let role = role_of(kind);
-        if role == Some(Role::RunOpen) {
+        let role = role_of(kind)
+            .ok_or_else(|| rec.error(format!("event kind \"{kind}\" is not in the vocabulary")))?;
+        if role == Role::RunOpen {
             // A new run restarts the virtual clock; its own timestamp
             // opens the new monotone window, and the ranked tuple stream
             // starts over, and memo stores no longer vouch for hits.
@@ -561,7 +548,7 @@ pub fn validate_records<'a, R: Borrow<Record<'a>>>(
 
         // Span structure, by role. The table requires `plan_seq` of every
         // kind with a span role, so conformance already vouched for it.
-        if let (Some(role), Some(plan)) = (role, rec.u64("plan_seq")) {
+        if let Some(plan) = rec.u64("plan_seq") {
             let state = spans.get(&(run, plan)).copied();
             match (role, state) {
                 (Role::SpanOpen, None) => {
@@ -572,13 +559,13 @@ pub fn validate_records<'a, R: Borrow<Record<'a>>>(
                     return Err(rec.error(format!("plan {plan} emitted twice")))
                 }
                 (Role::SpanClose, Some(SpanState::Open)) => {
-                    spans.insert((run, plan), SpanState::Closed);
+                    spans.insert((run, plan), SpanState::Closed(kind == "plan_completed"));
                     report.spans_closed += 1;
                 }
-                (Role::SpanClose, Some(SpanState::Closed)) => {
+                (Role::SpanClose, Some(SpanState::Closed(_))) => {
                     return Err(rec.error(format!("plan {plan} closed twice (\"{kind}\")")))
                 }
-                (Role::InSpan, Some(SpanState::Closed)) => {
+                (Role::InSpan, Some(SpanState::Closed(_))) => {
                     return Err(rec.error(format!(
                         "\"{kind}\" for plan {plan} after its terminal event"
                     )))
@@ -594,6 +581,11 @@ pub fn validate_records<'a, R: Borrow<Record<'a>>>(
 
         match kind {
             "tuple_emitted" => {
+                let plan = rec.u64("plan_seq").unwrap_or_default();
+                if spans.get(&(run, plan)) != Some(&SpanState::Closed(true)) {
+                    let early = format!("\"{kind}\" for plan {plan} before its \"plan_completed\"");
+                    return Err(rec.error(early));
+                }
                 let score = rec.f64("score").map(|s| s + 0.0);
                 if let (Some(score), Some(prev)) = (score, last_tuple_score) {
                     if score.total_cmp(&prev) == std::cmp::Ordering::Greater {
@@ -773,8 +765,8 @@ mod tests {
             .contains("emitted twice"));
 
         let gap = concat!(
-            "{\"seq\":0,\"clock\":0,\"kind\":\"a\"}\n",
-            "{\"seq\":2,\"clock\":0,\"kind\":\"b\"}\n",
+            "{\"seq\":0,\"clock\":0,\"kind\":\"plan_scheduled\"}\n",
+            "{\"seq\":2,\"clock\":0,\"kind\":\"plan_scheduled\"}\n",
         );
         assert!(validate_trace(gap).unwrap_err().contains("contiguity"));
 
@@ -790,18 +782,18 @@ mod tests {
         // null — all fine as long as they never decrease within a run.
         let ok = concat!(
             "{\"seq\":0,\"clock\":0,\"kind\":\"run_started\"}\n",
-            "{\"seq\":1,\"clock\":1.5,\"kind\":\"a\"}\n",
-            "{\"seq\":2,\"clock\":null,\"kind\":\"b\"}\n",
-            "{\"seq\":3,\"clock\":1.5,\"kind\":\"c\"}\n",
+            "{\"seq\":1,\"clock\":1.5,\"kind\":\"plan_scheduled\"}\n",
+            "{\"seq\":2,\"clock\":null,\"kind\":\"plan_scheduled\"}\n",
+            "{\"seq\":3,\"clock\":1.5,\"kind\":\"plan_scheduled\"}\n",
             "{\"seq\":4,\"clock\":0,\"kind\":\"run_started\"}\n",
-            "{\"seq\":5,\"clock\":0.25,\"kind\":\"d\"}\n",
+            "{\"seq\":5,\"clock\":0.25,\"kind\":\"plan_scheduled\"}\n",
         );
         assert!(validate_trace(ok).is_ok());
 
         let backwards = concat!(
             "{\"seq\":0,\"clock\":0,\"kind\":\"run_started\"}\n",
-            "{\"seq\":1,\"clock\":2,\"kind\":\"a\"}\n",
-            "{\"seq\":2,\"clock\":1,\"kind\":\"b\"}\n",
+            "{\"seq\":1,\"clock\":2,\"kind\":\"plan_scheduled\"}\n",
+            "{\"seq\":2,\"clock\":1,\"kind\":\"plan_scheduled\"}\n",
         );
         let err = validate_trace(backwards).unwrap_err();
         assert!(err.contains("seq 2"), "names the violating seq: {err}");
@@ -809,28 +801,53 @@ mod tests {
 
         // Without an intervening run_started, a clock reset is an error.
         let reset_without_marker = concat!(
-            "{\"seq\":0,\"clock\":3,\"kind\":\"a\"}\n",
-            "{\"seq\":1,\"clock\":0,\"kind\":\"b\"}\n",
+            "{\"seq\":0,\"clock\":3,\"kind\":\"plan_scheduled\"}\n",
+            "{\"seq\":1,\"clock\":0,\"kind\":\"plan_scheduled\"}\n",
         );
         assert!(validate_trace(reset_without_marker).is_err());
     }
 
     #[test]
     fn validate_checks_tuple_stream_events() {
-        // A plan attaches while open, completes, and its held-back tuple
-        // emits after the terminal event — legal under cross-plan gating.
+        // Plan 0 attaches while open and completes; its tuples are released
+        // after that, across later plans' spans. Plan 1 attaches, fails and
+        // is evicted, having delivered nothing.
         let ok = concat!(
+            "{\"seq\":0,\"clock\":0,\"kind\":\"run_started\"}\n",
+            "{\"seq\":1,\"clock\":0,\"kind\":\"plan_emitted\",\"plan_seq\":0}\n",
+            "{\"seq\":2,\"clock\":0,\"kind\":\"stream_attached\",\"plan_seq\":0}\n",
+            "{\"seq\":3,\"clock\":1,\"kind\":\"plan_completed\",\"plan_seq\":0}\n",
+            "{\"seq\":4,\"clock\":1,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":2.5}\n",
+            "{\"seq\":5,\"clock\":1,\"kind\":\"plan_emitted\",\"plan_seq\":1}\n",
+            "{\"seq\":6,\"clock\":1,\"kind\":\"stream_attached\",\"plan_seq\":1}\n",
+            "{\"seq\":7,\"clock\":2,\"kind\":\"plan_failed\",\"plan_seq\":1}\n",
+            "{\"seq\":8,\"clock\":2,\"kind\":\"stream_evicted\",\"plan_seq\":1}\n",
+            "{\"seq\":9,\"clock\":2,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":2.5}\n",
+            "{\"seq\":10,\"clock\":3,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":1}\n",
+        );
+        let report = validate_trace(ok).expect("tuple lifecycle is sound");
+        assert_eq!(report.count("tuple_emitted"), 3);
+
+        // A delivered tuple is final, so it may only leave once its plan
+        // has executed: not while the plan is still open...
+        let early = concat!(
             "{\"seq\":0,\"clock\":0,\"kind\":\"run_started\"}\n",
             "{\"seq\":1,\"clock\":0,\"kind\":\"plan_emitted\",\"plan_seq\":0}\n",
             "{\"seq\":2,\"clock\":0,\"kind\":\"stream_attached\",\"plan_seq\":0}\n",
             "{\"seq\":3,\"clock\":1,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":2.5}\n",
             "{\"seq\":4,\"clock\":1,\"kind\":\"plan_completed\",\"plan_seq\":0}\n",
-            "{\"seq\":5,\"clock\":2,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":2.5}\n",
-            "{\"seq\":6,\"clock\":3,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":1}\n",
-            "{\"seq\":7,\"clock\":3,\"kind\":\"stream_evicted\",\"plan_seq\":0}\n",
         );
-        let report = validate_trace(ok).expect("tuple lifecycle is sound");
-        assert_eq!(report.count("tuple_emitted"), 3);
+        let err = validate_trace(early).unwrap_err();
+        assert!(err.contains("line 4"), "{err}");
+        assert!(err.contains("before its \"plan_completed\""), "{err}");
+        // ...and never for a plan that failed.
+        let failed = concat!(
+            "{\"seq\":0,\"clock\":0,\"kind\":\"plan_emitted\",\"plan_seq\":0}\n",
+            "{\"seq\":1,\"clock\":0,\"kind\":\"plan_failed\",\"plan_seq\":0}\n",
+            "{\"seq\":2,\"clock\":0,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":1}\n",
+        );
+        let err = validate_trace(failed).unwrap_err();
+        assert!(err.contains("before its \"plan_completed\""), "{err}");
 
         let no_plan =
             "{\"seq\":0,\"clock\":0,\"kind\":\"tuple_emitted\",\"plan_seq\":1,\"score\":1}\n";
@@ -849,8 +866,9 @@ mod tests {
 
         let increasing = concat!(
             "{\"seq\":0,\"clock\":0,\"kind\":\"plan_emitted\",\"plan_seq\":0}\n",
-            "{\"seq\":1,\"clock\":0,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":1}\n",
-            "{\"seq\":2,\"clock\":0,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":2}\n",
+            "{\"seq\":1,\"clock\":0,\"kind\":\"plan_completed\",\"plan_seq\":0}\n",
+            "{\"seq\":2,\"clock\":0,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":1}\n",
+            "{\"seq\":3,\"clock\":0,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":2}\n",
         );
         let err = validate_trace(increasing).unwrap_err();
         assert!(err.contains("increases within the preamble"), "{err}");
@@ -859,10 +877,12 @@ mod tests {
         let two_runs = concat!(
             "{\"seq\":0,\"clock\":0,\"kind\":\"run_started\"}\n",
             "{\"seq\":1,\"clock\":0,\"kind\":\"plan_emitted\",\"plan_seq\":0}\n",
-            "{\"seq\":2,\"clock\":0,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":1}\n",
-            "{\"seq\":3,\"clock\":0,\"kind\":\"run_started\"}\n",
-            "{\"seq\":4,\"clock\":0,\"kind\":\"plan_emitted\",\"plan_seq\":0}\n",
-            "{\"seq\":5,\"clock\":0,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":9}\n",
+            "{\"seq\":2,\"clock\":0,\"kind\":\"plan_completed\",\"plan_seq\":0}\n",
+            "{\"seq\":3,\"clock\":0,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":1}\n",
+            "{\"seq\":4,\"clock\":0,\"kind\":\"run_started\"}\n",
+            "{\"seq\":5,\"clock\":0,\"kind\":\"plan_emitted\",\"plan_seq\":0}\n",
+            "{\"seq\":6,\"clock\":0,\"kind\":\"plan_completed\",\"plan_seq\":0}\n",
+            "{\"seq\":7,\"clock\":0,\"kind\":\"tuple_emitted\",\"plan_seq\":0,\"score\":9}\n",
         );
         assert!(validate_trace(two_runs).is_ok());
     }
@@ -969,8 +989,9 @@ mod tests {
     #[test]
     fn every_vocabulary_row_is_enforced_field_by_field() {
         // Values chosen so a fully populated event of any kind is sound in
-        // the context below: plan 0 is open, "transient" was stored (and is
-        // a legal error_class), all-zero remote spans nest in a tcp run.
+        // the context below: plan 0 is open (completed, for a tuple),
+        // "transient" was stored (and is a legal error_class), all-zero
+        // remote spans nest in a tcp run.
         let sound = |f: &FieldSpec| match f.ty {
             FieldType::U64 | FieldType::F64 => "0".to_string(),
             FieldType::Str => "\"transient\"".to_string(),
@@ -986,6 +1007,10 @@ mod tests {
                 context += &line(1, "plan_emitted", &[("plan_seq", "0".into())]);
                 let stored = [("plan_seq", "0".into()), ("source", "\"transient\"".into())];
                 context += &line(2, "memo_store", &stored);
+            }
+            if kind == "tuple_emitted" {
+                // A tuple leaves only once its plan has executed.
+                context += &line(3, "plan_completed", &[("plan_seq", "0".into())]);
             }
             let seq = context.lines().count();
             let check = |fields: &[(&str, String)]| {
@@ -1044,8 +1069,8 @@ mod tests {
         let records = read_jsonl(&edge).expect("in range");
         assert_eq!(records[0].u64("plan_seq"), Some(1 << 53));
         assert_eq!(records[1].f64("i"), Some(-1.0));
-        validate_records(&records).expect("valid");
-        let err = validate_records_strict(&records).unwrap_err();
+        validate_records(&records[..1]).expect("valid");
+        let err = validate_records(&records).unwrap_err();
         assert!(err.contains("\"tick\" is not in the vocabulary"), "{err}");
     }
 

@@ -91,8 +91,8 @@ pub use explain::{
 };
 pub use export::{escape_label_value, prometheus_text, summary_text};
 pub use journal::{
-    read_jsonl, validate_records, validate_records_strict, validate_trace, Record, TraceEvent,
-    TraceJournal, TraceReport, Value,
+    read_jsonl, validate_records, validate_trace, Record, TraceEvent, TraceJournal, TraceReport,
+    Value,
 };
 pub use json::{parse_json, Json, JsonError};
 pub use profile::{PlanSpan, ProfileIndex, RemoteSpan, RunProfile, SourceSpan, SpanStatus};

@@ -203,7 +203,7 @@ pub struct RunProfile {
     /// bit-equals `makespan` on executor traces.
     pub critical_path: f64,
     /// Indices into `plans` in the order their terminal events were
-    /// journalled — the order the runtime's feedback path saw them.
+    /// journalled — the order the loop merged them in.
     pub closed: Vec<usize>,
     /// The catalog expectations the run declared (`source_declared`), in
     /// journal order. Kept for the drift replay; neither renderer shows

@@ -9,8 +9,8 @@
 //! DESIGN.md § Observability, which mirrors them by hand).
 //!
 //! *Required* means exactly "a trace without it is rejected"; every other
-//! listed field is optional but typed. Fields and kinds the tables do not
-//! list (tests' `"tick"`) pass unchecked.
+//! listed field is optional but typed. Unlisted fields pass unchecked; the
+//! validator refuses an unlisted kind (tests' `"tick"`).
 
 /// Wire type of an event field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,8 +36,8 @@ pub enum Role {
     SpanClose,
     /// Legal only while the plan span named by `plan_seq` is open.
     InSpan,
-    /// Legal once the plan named by `plan_seq` was emitted, open or not
-    /// (the cross-plan merge may hold a plan's tuples past its terminal).
+    /// Legal once the plan named by `plan_seq` was emitted, open or not;
+    /// a `tuple_emitted` only once that plan completed.
     AfterEmission,
     /// Ordering-kernel work: prepare time before a run's first emission,
     /// ordering time after it.
@@ -127,7 +127,6 @@ pub const FIELDS: &[FieldSpec] = &[
     field("tuple_emitted", "score", F64, REQUIRED),
     field("tuple_emitted", "tuple", Str, OPTIONAL),
     field("stream_evicted", "plan_seq", U64, REQUIRED),
-    field("stream_evicted", "retracted", U64, OPTIONAL),
     field("source_attempt", "plan_seq", U64, OPTIONAL),
     field("source_attempt", "source", Str, OPTIONAL),
     field("source_attempt", "attempt", U64, OPTIONAL),

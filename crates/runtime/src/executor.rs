@@ -63,7 +63,7 @@ use crate::source::{AccessOutcome, SourceGrid, SourceService};
 use crossbeam::channel;
 use qpo_core::{OrderedPlan, PlanOrderer, PlanOutcome};
 use qpo_datalog::{PrefixRows, RowHasher, Tuple};
-use qpo_obs::{Counter, Gauge, Histogram, Obs, Value};
+use qpo_obs::{Counter, DivergenceMonitor, Gauge, Histogram, Obs, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -319,6 +319,8 @@ pub struct RuntimeRun {
     pub answers: BTreeSet<Tuple>,
     /// Aggregate counters.
     pub stats: RunStats,
+    /// The run's source drift, folded by the loop as plans merged.
+    pub divergence: DivergenceMonitor,
 }
 
 impl RuntimeRun {
@@ -467,6 +469,11 @@ pub struct RunState {
     union: HashMap<Tuple, u64, BuildHasherDefault<RowHasher>>,
     /// Aggregate counters over the merged plans.
     pub stats: RunStats,
+    /// The run's drift monitor: [`Executor::begin`] declares each grid
+    /// source's catalog expectations, and each merge folds in the plan's
+    /// fresh access chains once the clock has moved past it. A local
+    /// executor declares and observes nothing.
+    divergence: DivergenceMonitor,
     /// Emission-time cost of the merged plans that were attempted.
     spent: f64,
     /// Plans popped so far; the next plan's sequence number.
@@ -674,13 +681,15 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             reports,
             answers: state.union.into_keys().collect(),
             stats: state.stats,
+            divergence: state.divergence,
         }
     }
 
     /// Opens a run over `orderer`: takes a fresh trace run id, starts the
-    /// attached memo's run, and — when the journal is enabled — restarts
-    /// the virtual clock with a `run_started` marker and the catalog's
-    /// `source_declared` expectations.
+    /// attached memo's run, declares the catalog's expectations to the
+    /// run's drift monitor and — when the journal is enabled — restarts
+    /// the virtual clock with a `run_started` marker and journals the same
+    /// expectations as `source_declared`.
     pub fn begin(&self, orderer: &dyn PlanOrderer) -> RunState {
         let obs = self.obs.cloned().unwrap_or_default();
         let journal = &obs.journal;
@@ -701,21 +710,27 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             fields.extend(backend_kind.map(|kind| ("backend", Value::Str(kind.into()))));
             fields.push(("strategy", Value::Str(orderer.algorithm_name().into())));
             journal.record("run_started", fields);
-            // Catalog-declared expectations for every source the run can
-            // touch, so drift detection can be recomputed from the trace
-            // alone (qpo-obs::divergence): no catalog needed offline, and
-            // the declared values are the same f64s the live monitor sees.
-            for svc in self.sources.iter().flat_map(|(grid, _)| grid.iter()) {
+        }
+        // Catalog-declared expectations for every source the run can
+        // touch, so drift detection can be recomputed from the trace alone
+        // (qpo-obs::divergence): no catalog needed offline, and the
+        // journalled values are the f64s the live monitor is declared.
+        let mut divergence = DivergenceMonitor::new(&obs);
+        for svc in self.sources.iter().flat_map(|(grid, _)| grid.iter()) {
+            let expected = qpo_obs::SourceExpectation {
+                latency: svc.behavior.expected_latency(),
+                transient_rate: svc.behavior.transient_failure_rate,
+                tuples: svc.behavior.expected_tuples,
+            };
+            divergence.declare(&svc.name, expected);
+            if journal.is_enabled() {
                 journal.record(
                     "source_declared",
                     vec![
                         ("source", Value::Str(svc.name.to_string().into())),
-                        ("latency", Value::F64(svc.behavior.expected_latency())),
-                        (
-                            "transient_rate",
-                            Value::F64(svc.behavior.transient_failure_rate),
-                        ),
-                        ("tuples", Value::F64(svc.behavior.expected_tuples)),
+                        ("latency", Value::F64(expected.latency)),
+                        ("transient_rate", Value::F64(expected.transient_rate)),
+                        ("tuples", Value::F64(expected.tuples)),
                     ],
                 );
             }
@@ -723,6 +738,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         RunState {
             union: HashMap::default(),
             stats: RunStats::default(),
+            divergence,
             spent: 0.0,
             popped: 0,
             vclock: 0.0,
@@ -917,9 +933,9 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             .collect()
     }
 
-    /// Folds one completion into the run, reporting the outcome back to
-    /// the orderer, mirroring counters onto the registry, journalling the
-    /// plan's lifecycle, and advancing the serial virtual clock.
+    /// Folds one completion into the run: the outcome fed back to the
+    /// orderer, counters mirrored onto the registry, the plan's lifecycle
+    /// journalled, the serial virtual clock advanced, the drift monitor fed.
     fn merge(
         &self,
         completion: Completion,
@@ -940,6 +956,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         let RunState {
             union,
             stats,
+            divergence,
             spent,
             vclock,
             metrics,
@@ -1134,6 +1151,25 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         };
         *vclock += latency;
         journal.set_clock(*vclock);
+        // Fresh access chains only: a memo replay (`attempts == 0`) observes
+        // the memo, and journals no `source_attempt` for the replay either.
+        let answers = match &status {
+            PlanStatus::Executed { tuples, .. } => Some(*tuples as f64),
+            _ => None,
+        };
+        for a in accesses.iter().filter(|a| a.attempts > 0) {
+            let observed = qpo_obs::AccessObservation {
+                attempts: u64::from(a.attempts),
+                transient_failures: u64::from(a.transient_failures),
+                ok: a.ok,
+                permanently_down: a.permanently_down,
+                latency: a.latency,
+                tuples: answers,
+                network: a.remote_network,
+                server: a.remote_server,
+            };
+            divergence.observe(&a.name, observed);
+        }
         PlanExecution {
             seq,
             ordered,

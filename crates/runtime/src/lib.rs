@@ -17,11 +17,11 @@
 //!   stay serial (utilities are conditioned on emission order), a wave
 //!   executes on the stepping thread, plus helpers while accesses wait,
 //!   completions merge back in emission order, and failures degrade the
-//!   run gracefully instead of aborting it;
-//! - [`feedback`] — the executor reports each outcome to the orderer
-//!   ([`PlanOrderer::observe`](qpo_core::PlanOrderer::observe)), so
-//!   subsequent emissions are conditioned on what actually executed;
-//!   this module feeds the same records to the per-source drift monitor;
+//!   run gracefully instead of aborting it. Each merge reports the outcome
+//!   to the orderer ([`PlanOrderer::observe`](qpo_core::PlanOrderer::observe)),
+//!   so subsequent emissions are conditioned on what actually executed,
+//!   and folds the plan's access chains into the run's per-source drift
+//!   monitor;
 //! - [`backend`] — the [`SourceBackend`] trait the executor dispatches
 //!   every access through: the deterministic simulator ([`SimBackend`],
 //!   the default), a persistent indexed store ([`store::StoreBackend`]),
@@ -41,7 +41,6 @@
 
 pub mod backend;
 pub mod executor;
-pub mod feedback;
 pub mod memo;
 pub mod net;
 pub mod pattern;
@@ -58,7 +57,6 @@ pub use executor::{
     Executor, FailureReason, PlanEvaluator, PlanExecution, PlanStatus, RunBudget, RunState,
     RunStats, RuntimeRun, SourceAccess, WaveObserver,
 };
-pub use feedback::{declare_sources, observe_divergence};
 pub use memo::{MemoHit, MemoOutcome, SourceMemo};
 pub use net::{fetch_server_trace, MemProvider, RelationProvider, SourceServer, TcpBackend};
 pub use pattern::{BindingPattern, SCAN_PATTERN};

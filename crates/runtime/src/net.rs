@@ -649,7 +649,7 @@ mod tests {
     use qpo_catalog::{Extent, ProblemInstance, SourceStats};
     use qpo_core::Pi;
     use qpo_datalog::Constant;
-    use qpo_obs::{read_jsonl, validate_records_strict, Record};
+    use qpo_obs::{read_jsonl, validate_records, Record};
     use qpo_utility::Coverage;
     use std::io::{Read, Write};
 
@@ -1157,7 +1157,7 @@ mod tests {
         let dump = String::from_utf8(wire::read_frame(&mut s).unwrap()).expect("UTF-8");
         assert_eq!(dump, server.journal().to_jsonl());
         let records = read_jsonl(&dump).expect("the dump is JSONL");
-        let report = validate_records_strict(&records).expect("the dump is a valid trace");
+        let report = validate_records(&records).expect("the dump is a valid trace");
         assert_eq!((report.events, report.count("server_span")), (3, 3));
         let seqs: Vec<_> = records.iter().map(|r| r.u64("request_seq")).collect();
         assert_eq!(seqs, [Some(1), Some(2), Some(3)]);

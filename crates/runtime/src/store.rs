@@ -4,9 +4,9 @@
 //! (`segment-NNNNNN.log`). Each record is one wire-framed
 //! [`crate::wire::encode_relation`] payload — a full snapshot of one
 //! relation. On open the segments are replayed in order and the *latest*
-//! record per relation wins, rebuilding the in-memory index; a torn tail
-//! frame (crash mid-append) is detected and the segment is truncated back
-//! to the last whole record, so recovery is last-good-record *and*
+//! record per relation wins, rebuilding the in-memory index; a torn or
+//! garbled tail (crash mid-append) is detected and the segment is truncated
+//! back to the last whole record, so recovery is last-good-record *and*
 //! records appended after the reopen land at a frame-aligned offset,
 //! keeping them reachable on every later replay. [`StoreBackend::flush`]
 //! fsyncs the active segment, making everything before it durable.
@@ -30,6 +30,7 @@ use crate::wire;
 use qpo_datalog::Tuple;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
+use std::io::ErrorKind::{InvalidData, UnexpectedEof};
 use std::io::{BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,9 +72,9 @@ fn segment_path(dir: &Path, segment: u64) -> PathBuf {
 }
 
 /// Replays one segment file into the index, stopping (without error) at a
-/// torn tail frame. Returns the number of whole records applied and the
-/// byte offset just past the last whole record — the offset the segment
-/// must be truncated to before it can take further appends.
+/// torn or garbled tail. Returns the number of whole records applied and
+/// the byte offset just past the last whole record — the offset the
+/// segment must be truncated to before it can take further appends.
 fn replay_segment(
     path: &Path,
     index: &mut BTreeMap<String, Arc<Vec<Tuple>>>,
@@ -84,8 +85,9 @@ fn replay_segment(
     loop {
         let payload = match wire::read_frame(&mut reader) {
             Ok(p) => p,
-            // Torn tail (crash mid-append) or clean end: stop replaying.
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
+            // Torn tail (crash mid-append), clean end, or a length prefix
+            // past `MAX_FRAME_BYTES` (garbage, like a garbled payload): stop.
+            Err(e) if matches!(e.kind(), UnexpectedEof | InvalidData) => break,
             Err(e) => return Err(e),
         };
         let (name, rows) = match wire::decode_relation(&payload) {
@@ -359,6 +361,91 @@ mod tests {
             &rows(&[9]),
             "post-recovery appends replay"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every prefix of a segment is what a crash mid-append can leave:
+    /// opening it must recover exactly the whole records before the cut,
+    /// and a record appended after that reopen must survive the next one.
+    #[test]
+    fn a_segment_cut_at_any_byte_recovers_its_whole_records() {
+        let records = [
+            ("v1", rows(&[1, 2])),
+            ("v2", rows(&[3])),
+            ("v1", rows(&[9])),
+        ];
+        let source = scratch("cut-source");
+        {
+            let store = StoreBackend::open(&source).unwrap();
+            for (name, rows) in &records {
+                store.put_relation(name, rows).unwrap();
+            }
+            store.flush().unwrap();
+        }
+        let bytes = std::fs::read(segment_path(&source, 0)).unwrap();
+        // Byte offsets where each record ends.
+        let mut ends = Vec::new();
+        for (name, rows) in &records {
+            let frame = 4 + wire::encode_relation(name, rows).unwrap().len();
+            ends.push(ends.last().copied().unwrap_or(0) + frame);
+        }
+        assert_eq!(ends.last(), Some(&bytes.len()));
+        let dir = scratch("cut");
+        for cut in 0..=bytes.len() {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(segment_path(&dir, 0), &bytes[..cut]).unwrap();
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            let mut expected = BTreeMap::new();
+            for (name, rows) in &records[..whole] {
+                expected.insert(name.to_string(), rows.clone());
+            }
+            let store = StoreBackend::open(&dir).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            assert_eq!(store.records(), whole as u64, "cut {cut}");
+            let held = |store: &StoreBackend| {
+                let index = &store.lock().index;
+                let index = index
+                    .iter()
+                    .map(|(name, rows)| (name.clone(), rows.to_vec()));
+                index.collect::<BTreeMap<_, _>>()
+            };
+            assert_eq!(held(&store), expected, "cut {cut}");
+            store.put_relation("after", &rows(&[7])).unwrap();
+            store.flush().unwrap();
+            drop(store);
+            expected.insert("after".to_string(), rows(&[7]));
+            assert_eq!(
+                held(&StoreBackend::open(&dir).unwrap()),
+                expected,
+                "cut {cut}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&source);
+    }
+
+    #[test]
+    fn an_oversized_length_prefix_is_a_garbled_tail() {
+        let dir = scratch("oversized");
+        {
+            let store = StoreBackend::open(&dir).unwrap();
+            store.put_relation("v1", &rows(&[1])).unwrap();
+            store.flush().unwrap();
+        }
+        let path = segment_path(&dir, 0);
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        let len = wire::MAX_FRAME_BYTES as u32 + 1;
+        file.write_all(&len.to_be_bytes()).unwrap();
+        file.write_all(&[0xAB; 16]).unwrap();
+        drop(file);
+        let store = StoreBackend::open(&dir).expect("a garbled tail is cut, not fatal");
+        assert_eq!((store.len(), store.records()), (1, 1));
+        store.put_relation("v2", &rows(&[2])).unwrap();
+        store.flush().unwrap();
+        drop(store);
+        let store = StoreBackend::open(&dir).unwrap();
+        assert_eq!(store.relation("v2").unwrap().as_ref(), &rows(&[2]));
+        assert_eq!(store.records(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,12 @@
 //! switches to the movie domain, streams the globally ranked any-k tuple
 //! stream and checks it against the offline exact ranking.
 //!
-//! Run with: `cargo run --release --example anytime_answers [bucket_size]`
+//! Run with:
+//! `cargo run --release --example anytime_answers [bucket_size] [--trace out.jsonl]`
+//!
+//! `--trace <path>` journals the any-k session and writes its trace as
+//! JSONL, with the tuple lifecycle (`stream_attached`, `tuple_emitted`)
+//! that only a session emits.
 
 use query_plan_ordering::prelude::*;
 use std::time::Instant;
@@ -103,9 +108,13 @@ fn run_case<M: UtilityMeasure>(
 /// only when the next tuple needs them. The stream's contract is the
 /// offline exact ranking: every delivered score equals, bit for bit, the
 /// score at the same rank of `offline_ranked_answers`.
-fn stream_ranked_tuples() {
+fn stream_ranked_tuples(trace_path: Option<&str>) {
     println!("\n== any-k: globally ranked tuple stream (movie domain) ==");
-    let mediator = Mediator::new(movie_domain(), MOVIE_UNIVERSE, &["ford"]);
+    let obs = match trace_path {
+        Some(_) => Obs::with_trace(),
+        None => Obs::new(),
+    };
+    let mediator = Mediator::new(movie_domain(), MOVIE_UNIVERSE, &["ford"]).with_obs(&obs);
     let prepared = mediator.prepare(&movie_query()).unwrap();
     let scorer = CatalogScorer::new(MOVIE_UNIVERSE).with_jitter(0.25);
     let mut session = QuerySession::new(&mediator, &prepared, &Coverage, Strategy::IDrips)
@@ -145,13 +154,28 @@ fn stream_ranked_tuples() {
         session.plans_emitted()
     );
     assert!(exact, "the any-k stream left the exact ranking");
+    drop(session); // seals the run
+    if let Some(path) = trace_path {
+        let jsonl = obs.journal.to_jsonl();
+        std::fs::write(path, &jsonl).expect("trace file is writable");
+        let report = validate_trace(&jsonl).expect("journal validates");
+        println!(
+            "trace: {} events ({} tuples emitted) -> {path}",
+            report.events,
+            report.count("tuple_emitted")
+        );
+    }
 }
 
 fn main() {
-    let bucket_size: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(12);
+    let mut args = std::env::args().skip(1);
+    let (mut bucket_size, mut trace_path) = (12usize, None);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--trace" => trace_path = Some(args.next().expect("--trace takes a path")),
+            other => bucket_size = other.parse().unwrap_or(bucket_size),
+        }
+    }
 
     let inst = GeneratorConfig::new(3, bucket_size)
         .with_seed(42)
@@ -184,5 +208,5 @@ fn main() {
          gains shrink for the monetary measure."
     );
 
-    stream_ranked_tuples();
+    stream_ranked_tuples(trace_path.as_deref());
 }

@@ -120,7 +120,7 @@ fn main() {
         "retries recover the full answer set"
     );
     println!("    Observed per-source failure rates (catalog says 0.0–0.2 + 0.25 injected):");
-    for (name, drift) in flaky.divergence.iter() {
+    for (name, drift) in flaky.runtime.divergence.iter() {
         println!(
             "      source {name}: {:>5.1}% over {} attempts",
             drift.transient_failures as f64 / drift.attempts.max(1) as f64 * 100.0,

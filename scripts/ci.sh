@@ -59,6 +59,11 @@ cargo build --release -p qpo-bench --bin trace-validate
 trace_file="$(mktemp /tmp/qpo-trace.XXXXXX.jsonl)"
 ./target/release/examples/flaky_sources --trace "$trace_file" > /dev/null
 ./target/release/trace-validate "$trace_file"
+# Sessions are the only emitter of `stream_attached` and `tuple_emitted`.
+./target/release/examples/anytime_answers --trace "$trace_file" > /dev/null
+./target/release/trace-validate "$trace_file"
+grep -q '"kind":"tuple_emitted"' "$trace_file" \
+  || { echo "no tuple_emitted event in the any-k session's trace"; exit 1; }
 rm -f "$trace_file"
 
 echo "==> end-to-end benchmark: harness unit tests, then every workload and oracle at smoke size"
