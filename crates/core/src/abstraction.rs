@@ -202,6 +202,11 @@ impl AbstractionTree {
     pub fn width(&self, id: NodeId) -> usize {
         self.nodes[id].indices.len()
     }
+
+    /// Number of nodes; node ids are `0..node_count()`.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! that search; [`crate::IDrips`] iterates it over shrinking plan spaces.
 //!
 //! The textbook loop (kept as the differential-testing oracle in
-//! `crates/core/tests/support`) redoes three kinds of work every round:
+//! `crates/core/tests/support`) redoes four kinds of work every round:
 //!
 //! 1. **O(n²) dominance sweeps** — every alive plan is compared against
 //!    every other, although the only plan that can eliminate anything is
@@ -34,6 +34,12 @@
 //!    [`UtilityMeasure::resume_interval`] folds just the appended plans
 //!    into the entry's [`IntervalCarry`]. Only a `retract` — the history
 //!    is no longer an extension of what the carries saw — drops the table.
+//! 4. **Per-plan allocation** — every plan it builds owns its candidate
+//!    sets, and every memo lookup hashes them. The kernel gives each tree
+//!    node a kernel-wide candidate-set id when the tree is built, keeps a
+//!    plan as its node ids in one flat arena, and keys the memo on the
+//!    plan's set ids; a memo entry materializes the candidate sets once,
+//!    on first sight, and plans read them from there.
 //!
 //! The kernel runs on the calling thread, and the emitted order is
 //! bit-for-bit identical to the textbook loop's by construction:
@@ -48,8 +54,9 @@ use qpo_catalog::ProblemInstance;
 use qpo_interval::Interval;
 use qpo_obs::{encode_candidates, Counter, Histogram, Obs, TraceJournal, Value};
 use qpo_utility::{as_concrete, ExecutionContext, IntervalCarry, UtilityMeasure};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -166,44 +173,32 @@ pub struct DripsOutcome {
     pub refinements: usize,
 }
 
-/// A plan built — as a space's root or a refined parent's child — but
-/// not yet evaluated, so not yet in the pool.
-#[derive(Debug)]
-struct Built {
-    space: usize,
-    nodes: Vec<NodeId>,
-    cands: Vec<Vec<usize>>,
-}
-
-/// One batch of plans on its way into the pool: the plans built, their
-/// intervals and the indices among them that missed the memo. Kept
-/// across rounds, so a refinement allocates no scratch.
+/// Plans built — as spaces' roots or a refined parent's children — but
+/// not yet evaluated, so not yet in the pool: plan `i` is `spaces[i]`
+/// and the `dims` node ids at `nodes[i * dims..]`. Kept across rounds
+/// with the memo-key scratch, so a refinement allocates nothing.
 #[derive(Debug, Default)]
 struct Batch {
-    built: Vec<Built>,
-    utilities: Vec<Interval>,
-    misses: Vec<usize>,
+    spaces: Vec<usize>,
+    nodes: Vec<NodeId>,
+    key: Vec<u32>,
 }
 
-/// A plan in the refinement pool: one abstraction-tree node per bucket,
-/// and its utility interval — the pool holds only evaluated plans.
+/// A plan in the refinement pool — the pool holds only evaluated plans.
+/// Its node per bucket lives in the pool's flat node arena, its
+/// candidate sets in its memo entry.
 #[derive(Debug, Clone)]
 struct PoolPlan {
     /// Which plan space this plan belongs to (iDrips runs Drips over
     /// several spaces at once).
     space: usize,
-    /// Node per bucket, into that space's trees.
-    nodes: Vec<NodeId>,
-    /// Candidate indices per bucket (materialized from the nodes).
-    cands: Vec<Vec<usize>>,
+    /// Index of its memo entry.
+    entry: usize,
+    /// The bucket a refinement splits: the widest abstract one, the last
+    /// among equals; `None` for a concrete plan.
+    split: Option<usize>,
     utility: Interval,
     alive: bool,
-}
-
-impl PoolPlan {
-    fn is_concrete(&self) -> bool {
-        self.cands.iter().all(|c| c.len() == 1)
-    }
 }
 
 /// Decides whether `p` eliminates `q` (Drips' dominance with a
@@ -235,50 +230,56 @@ fn champion_beats(a: (Interval, usize), b: (Interval, usize)) -> bool {
     ua.lo() > ub.lo() || (ua.lo() == ub.lo() && ida < idb)
 }
 
-/// Max-heap entry for refinement-target selection: maximum upper bound
-/// first, smallest id on ties. The `hi` key is normalized (`-0.0 → +0.0`)
-/// so `total_cmp` agrees with the IEEE comparisons of the reference
-/// kernel; `total_cmp` keeps the order total (no panic) even if a
-/// degenerate measure ever smuggled a NaN past [`Interval`]'s constructor.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    hi: f64,
-    id: usize,
+/// Max-heap key for refinement-target selection: maximum upper bound
+/// first, smallest id on ties. `hi` is normalized (`-0.0 → +0.0`), so the
+/// order agrees with the IEEE comparisons of the reference kernel, and
+/// mapped to the integer whose order is [`f64::total_cmp`]'s, so it stays
+/// total (no panic) even if a degenerate measure ever smuggled a NaN past
+/// [`Interval`]'s constructor.
+fn heap_key(hi: f64, id: usize) -> (i64, Reverse<usize>) {
+    // +0.0 normalizes -0.0 and leaves every other value unchanged.
+    let bits = (hi + 0.0).to_bits() as i64;
+    (bits ^ (((bits >> 63) as u64) >> 1) as i64, Reverse(id))
 }
 
-impl HeapEntry {
-    fn new(hi: f64, id: usize) -> Self {
-        // +0.0 normalizes -0.0 and leaves every other value unchanged.
-        HeapEntry { hi: hi + 0.0, id }
-    }
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.hi
-            .total_cmp(&other.hi)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-/// A memoized utility interval: valid as is at `epoch`, resumable from
-/// `carry` at a later epoch of the same append-only history.
+/// A memoized utility interval of the candidate sets `cands`: valid as
+/// is at `epoch`, resumable from `carry` at a later epoch of the same
+/// append-only history.
 #[derive(Debug)]
 struct MemoEntry {
+    cands: Vec<Vec<usize>>,
     interval: Interval,
     epoch: u64,
     carry: IntervalCarry,
+}
+
+/// An abstraction tree and the kernel-wide candidate-set id of each of
+/// its nodes.
+#[derive(Debug)]
+struct SetTree {
+    tree: AbstractionTree,
+    ids: Vec<u32>,
+}
+
+/// A multiplicative (Fx-style) hasher for the memo index. Its keys are
+/// set ids the kernel hands out itself, so it need not resist
+/// adversarial collisions the way the default SipHash does.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let mixed = self.0.rotate_left(5) ^ u64::from_le_bytes(word);
+            self.0 = mixed.wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The reusable state of the incremental kernel: hash-consed abstraction
@@ -293,8 +294,14 @@ struct MemoEntry {
 #[derive(Debug)]
 pub struct OrderingKernel {
     /// Bucket → candidate set → tree (nested so a lookup borrows `cands`).
-    trees: HashMap<usize, HashMap<Vec<usize>, Arc<AbstractionTree>>>,
-    intervals: HashMap<Vec<Vec<usize>>, MemoEntry>,
+    trees: HashMap<usize, HashMap<Vec<usize>, Arc<SetTree>>>,
+    /// `(bucket, candidate set)` → its kernel-wide id, for every node of
+    /// every tree built so far.
+    set_ids: HashMap<(usize, Vec<usize>), u32>,
+    /// The interval memo: a slab of entries, and an index from a plan's
+    /// set ids (one per bucket) to its entry.
+    memo: Vec<MemoEntry>,
+    index: HashMap<Box<[u32]>, u32, BuildHasherDefault<IdHasher>>,
     /// [`ExecutionContext::retractions`] the memoized carries were built
     /// under: while it stands still, the history only grew by appends.
     retractions: u64,
@@ -314,7 +321,9 @@ impl OrderingKernel {
     pub fn new() -> Self {
         OrderingKernel {
             trees: HashMap::new(),
-            intervals: HashMap::new(),
+            set_ids: HashMap::new(),
+            memo: Vec::new(),
+            index: HashMap::default(),
             retractions: 0,
             metrics: KernelMetrics::registered(&Obs::new()),
             journal: TraceJournal::default(),
@@ -342,7 +351,7 @@ impl OrderingKernel {
         bucket: usize,
         cands: &[usize],
         heuristic: &H,
-    ) -> Arc<AbstractionTree> {
+    ) -> Arc<SetTree> {
         let table = self.trees.entry(bucket).or_default();
         if let Some(t) = table.get(cands) {
             self.metrics.tree_cache_hits.inc();
@@ -358,7 +367,18 @@ impl OrderingKernel {
             return Arc::clone(t);
         }
         self.metrics.tree_builds.inc();
-        let t = Arc::new(AbstractionTree::build(inst, bucket, cands, heuristic));
+        let tree = AbstractionTree::build(inst, bucket, cands, heuristic);
+        let ids = (0..tree.node_count()).map(|n| {
+            let next = self.set_ids.len() as u32;
+            *self
+                .set_ids
+                .entry((bucket, tree.indices(n).to_vec()))
+                .or_insert(next)
+        });
+        let t = Arc::new(SetTree {
+            ids: ids.collect(),
+            tree,
+        });
         table.insert(cands.to_vec(), Arc::clone(&t));
         t
     }
@@ -385,7 +405,8 @@ impl OrderingKernel {
         // resume across appends; a retraction since the last call means
         // their carries folded in a plan that is gone.
         if !measure.context_free() && self.retractions != ctx.retractions() {
-            self.intervals.clear();
+            self.memo.clear();
+            self.index.clear();
             self.retractions = ctx.retractions();
         }
         // The context is fixed for the whole call; every certificate
@@ -393,7 +414,7 @@ impl OrderingKernel {
         let epoch = ctx.epoch();
 
         // One (hash-consed) tree per (space, bucket).
-        let trees: Vec<Vec<Arc<AbstractionTree>>> = spaces
+        let trees: Vec<Vec<Arc<SetTree>>> = spaces
             .iter()
             .map(|space| {
                 space
@@ -404,22 +425,17 @@ impl OrderingKernel {
             })
             .collect();
 
-        let roots = trees.iter().enumerate().map(|(space, space_trees)| {
-            let nodes: Vec<NodeId> = space_trees.iter().map(|t| t.root()).collect();
-            let cands = space_trees
-                .iter()
-                .zip(&nodes)
-                .map(|(t, &n)| t.indices(n).to_vec())
-                .collect();
-            Built {
-                space,
-                nodes,
-                cands,
-            }
-        });
-        self.batch.built.extend(roots);
+        self.batch.spaces.extend(0..trees.len());
+        self.batch
+            .nodes
+            .extend(trees.iter().flatten().map(|t| t.tree.root()));
+        // Every space has one bucket per subgoal; plan `id`'s nodes are
+        // `nodes[id * dims..][..dims]`.
+        let dims = spaces[0].len();
+        let mut nodes: Vec<NodeId> = Vec::with_capacity(spaces.len() * dims);
         let mut plans: Vec<PoolPlan> = Vec::with_capacity(spaces.len());
-        let mut frontier: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(spaces.len());
+        let mut frontier: BinaryHeap<(i64, Reverse<usize>)> =
+            BinaryHeap::with_capacity(spaces.len());
         let mut champion: Option<usize> = None;
         let mut refinements = 0usize;
 
@@ -427,31 +443,26 @@ impl OrderingKernel {
             self.metrics.rounds.inc();
             // (a) evaluate the built plans into the pool (memoized) and
             // queue the abstract ones for refinement.
-            let pending = self.evaluate(inst, measure, ctx, &mut plans);
+            let pending = self.evaluate(inst, measure, ctx, &trees, &mut plans, &mut nodes);
             for id in pending.clone() {
-                if !plans[id].is_concrete() {
-                    frontier.push(HeapEntry::new(plans[id].utility.hi(), id));
+                if plans[id].split.is_some() {
+                    frontier.push(heap_key(plans[id].utility.hi(), id));
                 }
             }
 
             // (b) update the champion, then eliminate against it.
             let prev = champion;
             let key = |id: usize| (plans[id].utility, id);
+            let better = |a, b| if champion_beats(key(a), key(b)) { a } else { b };
             let champ = match champion.filter(|&c| plans[c].alive) {
                 // Alive plans never change, so the champion can only be
                 // dethroned by one of the fresh plans.
-                Some(c) => pending.clone().fold(c, |c, id| {
-                    if champion_beats(key(id), key(c)) {
-                        id
-                    } else {
-                        c
-                    }
-                }),
+                Some(c) => pending.clone().fold(c, |c, id| better(id, c)),
                 // The previous champion was refined away (or this is the
                 // first round): recompute from scratch.
                 None => (0..plans.len())
                     .filter(|&id| plans[id].alive)
-                    .reduce(|a, b| if champion_beats(key(a), key(b)) { a } else { b })
+                    .reduce(better)
                     .expect("the champion is never eliminated, so a plan stays alive"),
             };
             champion = Some(champ);
@@ -480,7 +491,7 @@ impl OrderingKernel {
             let champ_enc = self
                 .journal
                 .is_enabled()
-                .then(|| encode_candidates(&plans[champ].cands));
+                .then(|| encode_candidates(&self.memo[plans[champ].entry].cands));
             for id in checked {
                 if id == champ || !plans[id].alive {
                     continue;
@@ -495,15 +506,18 @@ impl OrderingKernel {
             // frontier runs dry every survivor is concrete and the
             // champion — max lower bound, smallest id — is the winner.
             let target = loop {
-                match frontier.pop() {
-                    Some(e) if plans[e.id].alive => break Some(e.id),
-                    Some(_) => continue, // stale: eliminated or refined
-                    None => break None,
+                let Some((_, Reverse(id))) = frontier.pop() else {
+                    break None;
+                };
+                // Entries of eliminated or refined plans are stale.
+                if let (true, Some(bucket)) = (plans[id].alive, plans[id].split) {
+                    break Some((id, bucket));
                 }
             };
-            let Some(target_id) = target else {
+            let Some((target_id, bucket)) = target else {
                 let winner = &plans[champ];
-                let plan = as_concrete(&winner.cands).expect("survivors are concrete");
+                let cands = &self.memo[winner.entry].cands;
+                let plan = as_concrete(cands).expect("survivors are concrete");
                 return Some(DripsOutcome {
                     space: winner.space,
                     plan,
@@ -522,37 +536,25 @@ impl OrderingKernel {
                     ],
                 );
             }
-            // Split the widest abstract bucket: replace its node by the
+            // Split the plan's split bucket: replace its node by the
             // children, one child plan each.
             let parent = &mut plans[target_id];
             parent.alive = false;
             let space = parent.space;
-            let nodes = std::mem::take(&mut parent.nodes);
-            let cands = std::mem::take(&mut parent.cands);
-            let bucket = (0..nodes.len())
-                .filter(|&b| cands[b].len() > 1)
-                .max_by_key(|&b| cands[b].len())
-                .expect("abstract plan has a non-singleton bucket");
-            let tree = &trees[space][bucket];
-            let children = tree.children(nodes[bucket]).iter().map(|&child| {
-                let mut nodes = nodes.clone();
-                nodes[bucket] = child;
-                let mut cands = cands.clone();
-                cands[bucket] = tree.indices(child).to_vec();
-                Built {
-                    space,
-                    nodes,
-                    cands,
-                }
-            });
-            self.batch.built.extend(children);
+            let parent_nodes = &nodes[target_id * dims..][..dims];
+            for &child in trees[space][bucket].tree.children(parent_nodes[bucket]) {
+                self.batch.spaces.push(space);
+                let at = self.batch.nodes.len();
+                self.batch.nodes.extend_from_slice(parent_nodes);
+                self.batch.nodes[at + bucket] = child;
+            }
         }
     }
 
     /// Eliminates plan `id`, dominated by `champ` at context `epoch`.
-    /// Before the victim's candidate storage is freed, its provenance is
-    /// captured when tracing is on (`champ_enc`, the champion's encoded
-    /// candidate sets, is then `Some`): a `kernel_elimination` event
+    /// Its provenance is captured when tracing is on (`champ_enc`, the
+    /// champion's encoded candidate sets, is then `Some`): a
+    /// `kernel_elimination` event
     /// carrying every field of an [`qpo_obs::EliminationCertificate`]
     /// (`EliminationCertificate::from_record` reads it back), which is
     /// enough to replay the comparison.
@@ -567,15 +569,13 @@ impl OrderingKernel {
         self.metrics.eliminations.inc();
         if let Some(champion_enc) = champ_enc {
             let (champ_u, victim_u) = (plans[champ].utility, plans[id].utility);
+            let victim_enc = encode_candidates(&self.memo[plans[id].entry].cands);
             self.journal.record(
                 "kernel_elimination",
                 vec![
                     ("plan_id", Value::U64(id as u64)),
                     ("champion_id", Value::U64(champ as u64)),
-                    (
-                        "victim",
-                        Value::Str(encode_candidates(&plans[id].cands).into()),
-                    ),
+                    ("victim", Value::Str(victim_enc.into())),
                     ("champion", Value::Str(champion_enc.to_owned().into())),
                     ("victim_lo", Value::F64(victim_u.lo())),
                     ("victim_hi", Value::F64(victim_u.hi())),
@@ -585,93 +585,87 @@ impl OrderingKernel {
                 ],
             );
         }
-        let p = &mut plans[id];
-        p.alive = false;
-        // Dead plans are only ever read for their (utility, id) pair;
-        // free the candidate storage eagerly.
-        p.nodes = Vec::new();
-        p.cands = Vec::new();
+        plans[id].alive = false;
     }
 
     /// Evaluates the built batch and appends it to the pool, alive,
     /// returning the new ids. A memo entry of this epoch answers outright;
-    /// one of an earlier epoch resumes from its carry — both in batch
-    /// order. What is left then starts from scratch and is memoized.
+    /// one of an earlier epoch resumes from its carry; a plan whose set
+    /// ids were never seen gets an entry, its candidate sets materialized
+    /// here once, and starts from scratch.
     fn evaluate<M: UtilityMeasure + ?Sized>(
         &mut self,
         inst: &ProblemInstance,
         measure: &M,
         ctx: &ExecutionContext,
+        trees: &[Vec<Arc<SetTree>>],
         plans: &mut Vec<PoolPlan>,
+        nodes: &mut Vec<NodeId>,
     ) -> Range<usize> {
         let first = plans.len();
         let epoch = ctx.epoch();
         let context_free = measure.context_free();
+        let dims = trees[0].len();
         let Batch {
-            built,
-            utilities,
-            misses,
+            spaces,
+            nodes: built,
+            key,
         } = &mut self.batch;
-        // A miss holds `ZERO` until the second pass overwrites it.
-        utilities.resize(built.len(), Interval::ZERO);
-        for (i, plan) in built.iter().enumerate() {
-            match self.intervals.get_mut(&plan.cands) {
-                Some(entry) if context_free || entry.epoch == epoch => {
-                    self.metrics.interval_cache_hits.inc();
-                    if self.journal.is_enabled() {
-                        self.journal.record(
-                            "kernel_cache_hit",
-                            vec![
-                                ("cache", Value::Str("interval".into())),
-                                ("plan_id", Value::U64((first + i) as u64)),
-                            ],
-                        );
-                    }
-                    utilities[i] = entry.interval;
+        for (i, &space) in spaces.iter().enumerate() {
+            let plan_nodes = &built[i * dims..][..dims];
+            let space_trees = plan_nodes.iter().zip(&trees[space]);
+            key.clear();
+            key.extend(space_trees.clone().map(|(&n, t)| t.ids[n]));
+            let known = self.index.get(key.as_slice()).map(|&e| e as usize);
+            let entry = known.unwrap_or_else(|| {
+                let cands = space_trees.map(|(&n, t)| t.tree.indices(n).to_vec());
+                self.index
+                    .insert(key.as_slice().into(), self.memo.len() as u32);
+                self.memo.push(MemoEntry {
+                    cands: cands.collect(),
+                    interval: Interval::ZERO,
+                    epoch,
+                    carry: IntervalCarry::default(),
+                });
+                self.memo.len() - 1
+            });
+            let memo = &mut self.memo[entry];
+            if known.is_some() && (context_free || memo.epoch == epoch) {
+                self.metrics.interval_cache_hits.inc();
+                if self.journal.is_enabled() {
+                    self.journal.record(
+                        "kernel_cache_hit",
+                        vec![
+                            ("cache", Value::Str("interval".into())),
+                            ("plan_id", Value::U64((first + i) as u64)),
+                        ],
+                    );
                 }
-                // (A fresh carry means the measure does not resume: its
-                // evaluation starts over below.)
-                Some(entry) if !entry.carry.is_fresh() => {
-                    self.metrics.interval_evals.inc();
+            } else {
+                // (A fresh carry — a new entry's, or one of a measure
+                // that does not resume — starts over.)
+                self.metrics.interval_evals.inc();
+                if !memo.carry.is_fresh() {
                     self.metrics.interval_resumes.inc();
-                    let iv = measure.resume_interval(inst, &plan.cands, ctx, &mut entry.carry);
-                    entry.interval = iv;
-                    entry.epoch = epoch;
-                    self.metrics.interval_width.record(iv.hi() - iv.lo());
-                    utilities[i] = iv;
                 }
-                _ => misses.push(i),
+                let iv = measure.resume_interval(inst, &memo.cands, ctx, &mut memo.carry);
+                memo.interval = iv;
+                memo.epoch = epoch;
+                self.metrics.interval_width.record(iv.hi() - iv.lo());
             }
+            let width = |b: usize| memo.cands[b].len();
+            plans.push(PoolPlan {
+                space,
+                entry,
+                split: (0..dims)
+                    .filter(|&b| width(b) > 1)
+                    .max_by_key(|&b| width(b)),
+                utility: memo.interval,
+                alive: true,
+            });
         }
-        self.metrics.interval_evals.add(misses.len() as u64);
-
-        for i in misses.drain(..) {
-            let cands = &built[i].cands;
-            let mut carry = IntervalCarry::default();
-            let interval = measure.resume_interval(inst, cands, ctx, &mut carry);
-            self.metrics
-                .interval_width
-                .record(interval.hi() - interval.lo());
-            utilities[i] = interval;
-            let fresh = MemoEntry {
-                interval,
-                epoch,
-                carry,
-            };
-            self.intervals.insert(cands.clone(), fresh);
-        }
-        plans.extend(
-            built
-                .drain(..)
-                .zip(utilities.drain(..))
-                .map(|(b, utility)| PoolPlan {
-                    space: b.space,
-                    nodes: b.nodes,
-                    cands: b.cands,
-                    utility,
-                    alive: true,
-                }),
-        );
+        nodes.append(built);
+        spaces.clear();
         first..plans.len()
     }
 }
@@ -717,13 +711,31 @@ mod tests {
 
     #[test]
     fn heap_entry_order_matches_ieee_with_id_tiebreak() {
-        let a = HeapEntry::new(1.0, 3);
-        let b = HeapEntry::new(1.0, 5);
-        assert!(a > b, "equal hi: smaller id wins");
-        assert!(HeapEntry::new(2.0, 9) > HeapEntry::new(1.0, 0));
+        assert!(
+            heap_key(1.0, 3) > heap_key(1.0, 5),
+            "equal hi: smaller id wins"
+        );
+        assert!(heap_key(2.0, 9) > heap_key(1.0, 0));
         // -0.0 normalizes to +0.0, so ties still break on id.
-        assert!(HeapEntry::new(-0.0, 1) > HeapEntry::new(0.0, 2));
-        assert!(HeapEntry::new(0.0, 1) > HeapEntry::new(-0.0, 2));
+        assert!(heap_key(-0.0, 1) > heap_key(0.0, 2));
+        assert!(heap_key(0.0, 1) > heap_key(-0.0, 2));
+        // Otherwise the key orders exactly as `total_cmp` does.
+        let values = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -1e-300,
+            0.0,
+            1e-300,
+            0.5,
+            3.0,
+            f64::NAN,
+        ];
+        for a in values {
+            for b in values {
+                let (ka, kb) = (heap_key(a, 0).0, heap_key(b, 0).0);
+                assert_eq!(ka.cmp(&kb), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]
@@ -876,5 +888,43 @@ mod tests {
         let stats = kernel.stats();
         assert!(stats.interval_cache_hits >= evals_after_first);
         assert!(stats.tree_cache_hits > 0);
+    }
+
+    #[test]
+    fn memo_keys_rederive_their_candidate_sets() {
+        // The `order-coverage` shape: 3 buckets × 5 sources over a
+        // universe of 12 per axis, extents overlapping. Ordered to
+        // exhaustion the way iDrips does, so trees are built for many
+        // different spaces and their set ids must never collide.
+        let src = |b: u64, j: u64| {
+            SourceStats::new().with_extent(Extent::new((2 * j + b) % 6, 4 + (j + 2 * b) % 4))
+        };
+        let buckets = (0..3)
+            .map(|b| (0..5).map(|j| src(b, j)).collect())
+            .collect();
+        let inst = ProblemInstance::new(1.0, vec![12; 3], buckets).unwrap();
+        let mut kernel = OrderingKernel::new();
+        let mut ctx = ExecutionContext::new();
+        let mut spaces = vec![full_space(&inst)];
+        while let Some(out) = kernel.find_best(&inst, &Coverage, &ctx, &spaces, &ByExpectedTuples) {
+            let space = spaces.swap_remove(out.space);
+            spaces.extend(crate::planspace::remove_plan(&space, &out.plan));
+            ctx.record(&out.plan);
+        }
+        assert_eq!(ctx.len(), inst.plan_count());
+
+        assert_eq!(kernel.memo.len(), kernel.index.len());
+        let sets: HashMap<u32, &(usize, Vec<usize>)> =
+            kernel.set_ids.iter().map(|(set, &id)| (id, set)).collect();
+        assert_eq!(sets.len(), kernel.set_ids.len(), "set ids are distinct");
+        let mut seen = std::collections::HashSet::new();
+        for (key, &entry) in &kernel.index {
+            let cands = &kernel.memo[entry as usize].cands;
+            assert_eq!(key.len(), cands.len());
+            for (b, id) in key.iter().enumerate() {
+                assert_eq!(sets[id], &(b, cands[b].clone()), "key {key:?}, bucket {b}");
+            }
+            assert!(seen.insert(cands), "two keys share {cands:?}");
+        }
     }
 }

@@ -175,6 +175,26 @@ fn appends_resume_carries_and_a_retract_discards_them() {
 }
 
 #[test]
+fn order_coverage_shape_matches_the_reference_kernel() {
+    // The benchmark's `order-coverage` shape: 3 buckets × 5 sources over
+    // a universe of 12 per axis, extents overlapping. Sixty emissions
+    // split the space into many sub-spaces, whose trees share the
+    // kernel's candidate-set ids.
+    use qpo_catalog::{Extent, SourceStats};
+    let src = |b: u64, j: u64| {
+        SourceStats::new().with_extent(Extent::new((2 * j + b) % 6, 4 + (j + 2 * b) % 4))
+    };
+    let buckets = (0..3)
+        .map(|b| (0..5).map(|j| src(b, j)).collect())
+        .collect();
+    let inst = ProblemInstance::new(1.0, vec![12; 3], buckets).unwrap();
+    let fast = IDrips::new(&inst, &Coverage, ByExpectedTuples).order_k(60);
+    let slow = ReferenceIDrips::new(&inst, &Coverage, ByExpectedTuples).order_k(60);
+    assert_eq!(fast.len(), 60);
+    assert_same_sequence("order-coverage shape", &fast, &slow);
+}
+
+#[test]
 fn tie_heavy_instances_match_exactly() {
     // All-identical sources: every interval ties, so emission order is
     // decided purely by the deterministic tie-breaks — the part of the

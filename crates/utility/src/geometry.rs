@@ -73,24 +73,24 @@ impl BoxN {
     }
 }
 
-/// Appends to `out` disjoint fragments (`frag.len()` extents each) that
-/// exactly cover `frag \ other`; `other` yields the subtrahend's extent on
-/// an axis. `frag` must be non-empty on every axis.
-fn subtract_into(frag: &[Extent], other: impl Fn(usize) -> Extent, out: &mut Vec<Extent>) {
-    let inter = |axis: usize| frag[axis].intersect(other(axis));
-    if (0..frag.len()).any(|axis| inter(axis).is_empty()) {
-        out.extend_from_slice(frag);
-        return;
-    }
+/// Appends to `fragments` disjoint fragments that exactly cover the
+/// fragment at `fragments[at..at + dims]` minus the box `other` yields the
+/// extents of, leaving the fragment itself in place. The fragment must be
+/// non-empty on every axis and overlap that box.
+fn cut_into(fragments: &mut Vec<Extent>, at: usize, dims: usize, other: impl Fn(usize) -> Extent) {
     // Peel the region outside the intersection one axis at a time: a
-    // fragment cut on `axis` matches the intersection on the axes before
-    // it and `frag` on the axes after it.
-    for axis in 0..frag.len() {
-        for piece in frag[axis].subtract(inter(axis)) {
+    // piece cut on `axis` matches the intersection on the axes before it
+    // and the fragment on the axes after it.
+    for axis in 0..dims {
+        let extent = fragments[at + axis];
+        for piece in extent.subtract(other(axis)) {
             if !piece.is_empty() {
-                out.extend((0..axis).map(inter));
-                out.push(piece);
-                out.extend_from_slice(&frag[axis + 1..]);
+                for before in 0..axis {
+                    let inter = fragments[at + before].intersect(other(before));
+                    fragments.push(inter);
+                }
+                fragments.push(piece);
+                fragments.extend_from_within(at + axis + 1..at + dims);
             }
         }
     }
@@ -122,17 +122,31 @@ impl Residual {
 
     /// The fold step: removes the box whose extent on each axis `other`
     /// yields. Callers that know the box misses the whole target skip the
-    /// call (it would copy every fragment unchanged).
+    /// call (it would test every fragment and keep each one).
     pub(crate) fn subtract(&mut self, other: impl Fn(usize) -> Extent) {
         if self.dims == 0 {
             self.fragments.clear(); // the point minus the point
             return;
         }
-        let mut next = Vec::with_capacity(self.fragments.len());
-        for frag in self.fragments.chunks(self.dims) {
-            subtract_into(frag, &other, &mut next);
+        // In place: the fragments `other` misses are compacted to the
+        // front, the pieces of the ones it cuts are appended behind the
+        // old fragments, and the cut originals are then dropped.
+        let (dims, old) = (self.dims, self.fragments.len());
+        let mut kept = 0;
+        for at in (0..old).step_by(dims) {
+            let frag = &self.fragments[at..at + dims];
+            if frag
+                .iter()
+                .enumerate()
+                .any(|(axis, e)| !e.overlaps(other(axis)))
+            {
+                self.fragments.copy_within(at..at + dims, kept);
+                kept += dims;
+            } else {
+                cut_into(&mut self.fragments, at, dims, &other);
+            }
         }
-        self.fragments = next;
+        self.fragments.drain(kept..old);
     }
 
     /// Volume still uncovered.

@@ -21,6 +21,9 @@ for example in examples/*.rs; do
     || { echo "example $name exited non-zero"; exit 1; }
 done
 
+echo "==> every experiment of the harness, once (the only caller of Streamer/PI/iDrips at m 16, k 100)"
+cargo run -q --release -p qpo-bench --bin regen-experiments > /dev/null
+
 echo "==> cargo test"
 cargo test -q --workspace
 
