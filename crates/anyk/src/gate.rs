@@ -18,11 +18,18 @@
 //! into its own plan and one child per free bucket; a key gone stale is
 //! re-derived (it was still an upper bound), a plan that left is dropped.
 //! Memory is O(plans that left + frontier).
+//!
+//! The same walk is a schedule: [`ReleaseGate::pop`] hands out the best
+//! plan still in, which then leaves, and [`ScoreBoundOrder`] is a
+//! [`PlanOrderer`] over an owned gate's pops. On a table no attach has
+//! tightened, keys are bit-equal to `plan_bound`, a context-free sum: that
+//! order is Greedy's (§4) over the bound, up to ties.
 
-use qpo_core::utility_cmp;
+use qpo_core::{utility_cmp, OrderedPlan, PlanOrderer, PlanOutcome};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 
+#[derive(Clone)]
 struct Node {
     key: f64,
     ranks: Vec<usize>,
@@ -34,6 +41,7 @@ heap_order!(Node, |a, b| utility_cmp(a.key, b.key)
     .then_with(|| a.free.cmp(&b.free)));
 
 /// The release gate over one plan space; see the module docs.
+#[derive(Clone)]
 pub struct ReleaseGate {
     /// `bounds[bucket][source]`.
     bounds: Vec<Vec<f64>>,
@@ -101,9 +109,20 @@ impl ReleaseGate {
         self.left.len()
     }
 
-    /// No plan stays behind the gate.
-    pub fn lift(&mut self) {
-        self.frontier.clear();
+    /// The best plan still in, as one source per bucket, with its key
+    /// ([`ReleaseGate::bound`]); the plan then leaves. `None` once all
+    /// have left.
+    pub fn pop(&mut self) -> Option<(Vec<usize>, f64)> {
+        let key = self.bound()?;
+        // `bound` leaves the plan it keys on top of the frontier.
+        let ranks = self.frontier.pop()?.ranks;
+        let plan = ranks
+            .iter()
+            .enumerate()
+            .map(|(b, &r)| self.order[b][r])
+            .collect();
+        self.left.insert(ranks);
+        Some((plan, key))
     }
 
     /// The best key over the plans still in; `None` once all have left.
@@ -132,6 +151,34 @@ impl ReleaseGate {
             }
         }
     }
+}
+
+/// Plans best-first by score bound: the pops of an owned [`ReleaseGate`],
+/// each plan's utility its key. A tuple stream schedules by it, over an
+/// untightened copy of its gate: the plans whose tuples could score
+/// highest are pulled first.
+pub struct ScoreBoundOrder(ReleaseGate);
+
+impl ScoreBoundOrder {
+    /// Schedules the plans still behind `gate`.
+    pub fn new(gate: ReleaseGate) -> Self {
+        ScoreBoundOrder(gate)
+    }
+}
+
+impl PlanOrderer for ScoreBoundOrder {
+    fn algorithm_name(&self) -> &'static str {
+        "score-bound"
+    }
+
+    fn next_plan(&mut self) -> Option<OrderedPlan> {
+        let (plan, utility) = self.0.pop()?;
+        Some(OrderedPlan { plan, utility })
+    }
+
+    /// A plan's bound does not depend on what ran before it, so a failure
+    /// changes no utility: nothing to retract.
+    fn observe(&mut self, _outcome: &PlanOutcome) {}
 }
 
 #[cfg(test)]
@@ -174,11 +221,11 @@ mod tests {
         gate.leave(&[]);
         assert_eq!(gate.bound(), None);
         // An empty bucket: no plan at all.
-        assert_eq!(ReleaseGate::new(vec![vec![1.0], vec![]]).bound(), None);
-        // A lifted gate holds nothing back.
+        assert_eq!(ReleaseGate::new(vec![vec![1.0], vec![]]).pop(), None);
+        // One bucket: its sources, best first.
         let mut gate = ReleaseGate::new(vec![vec![1.0, 2.0]]);
-        assert_eq!(gate.bound(), Some(2.0));
-        gate.lift();
-        assert_eq!(gate.bound(), None);
+        assert_eq!(gate.pop(), Some((vec![1], 2.0)));
+        assert_eq!(gate.pop(), Some((vec![0], 1.0)));
+        assert_eq!((gate.pop(), gate.left()), (None, 2));
     }
 }

@@ -13,10 +13,12 @@
 //! The serving integration — `QuerySession::next_tuple`, the executor
 //! hooks, tuple-quality telemetry, and journal events — lives in
 //! `qpo-exec` and `qpo-obs`; this crate is the dependency-light kernel
-//! (datalog + catalog + the core comparison helper) those layers build
-//! on. Everything here is deterministic by construction: all float
-//! comparisons run through [`qpo_core::utility_cmp`] and all ties break
-//! on encodings, never on attach order, wall-clock, or worker count.
+//! (datalog + catalog + the core comparison helper and orderer trait)
+//! those layers build on. The release gate's walk doubles as a tuple
+//! stream's plan schedule ([`ScoreBoundOrder`]). Everything here is
+//! deterministic by construction: all float comparisons run through
+//! [`qpo_core::utility_cmp`] and all ties break on encodings, never on
+//! attach order, wall-clock, or worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +53,6 @@ mod merge;
 mod scorer;
 
 pub use enumerate::{LevelCache, RankedJoin};
-pub use gate::ReleaseGate;
+pub use gate::{ReleaseGate, ScoreBoundOrder};
 pub use merge::{encode_tuple, AnyKMerge, RankedTuple, TupleStream, VecStream};
 pub use scorer::{plan_bound, CatalogScorer, TupleScorer};

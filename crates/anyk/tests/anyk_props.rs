@@ -1,11 +1,16 @@
 //! Property tests for the cross-plan any-k merge: global order, attach
 //! permutation invariance, and eviction's surgical precision under
 //! arbitrary per-stream score sequences — and for the release gate: the
-//! lazy walk of the plan product against the brute-force maximum.
+//! lazy walk of the plan product against the brute-force maximum, and
+//! the same walk as a best-bound-first schedule.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use qpo_anyk::{AnyKMerge, RankedTuple, ReleaseGate, TupleStream, VecStream};
+use qpo_anyk::{
+    plan_bound, AnyKMerge, CatalogScorer, RankedTuple, ReleaseGate, TupleScorer, TupleStream,
+    VecStream,
+};
+use qpo_catalog::GeneratorConfig;
 use qpo_core::utility_cmp;
 use qpo_datalog::{Constant, Tuple};
 use std::cmp::Ordering;
@@ -201,6 +206,42 @@ proptest! {
             gate.leave(plan);
             within.remove(plan);
             check(&mut gate, &model, &scores, &within);
+        }
+    }
+
+    /// The gate's walk is a schedule: on a generated instance's catalog
+    /// bounds, `pop` hands out every plan still in exactly once, keys
+    /// non-increasing and each bit-equal to the plan's `plan_bound`, and
+    /// never a plan that left before.
+    #[test]
+    fn pop_drains_every_plan_still_in_once_best_bound_first(
+        seed in 0u64..1000,
+        shape in (1usize..4, 1usize..5),
+        jitter in 0.0f64..0.5,
+        gone in pvec(0usize..1000, 0..6),
+    ) {
+        let inst = GeneratorConfig::new(shape.0, shape.1).with_seed(seed).build();
+        let scorer = CatalogScorer::new(100).with_jitter(jitter);
+        let table = inst.buckets.iter().enumerate().map(|(b, bucket)| {
+            bucket.iter().map(|stats| scorer.atom_bound(b, stats)).collect()
+        });
+        let plans = inst.all_plans();
+        let gone: BTreeSet<Vec<usize>> =
+            gone.iter().map(|&i| plans[i % plans.len()].clone()).collect();
+        let mut gate = ReleaseGate::new(table.collect());
+        gone.iter().for_each(|plan| gate.leave(plan));
+        let popped: Vec<(Vec<usize>, f64)> = std::iter::from_fn(|| gate.pop()).collect();
+        let distinct: BTreeSet<Vec<usize>> = popped.iter().map(|(p, _)| p.clone()).collect();
+        prop_assert_eq!(distinct.len(), popped.len(), "a plan popped twice");
+        let still_in: BTreeSet<Vec<usize>> =
+            plans.iter().filter(|p| !gone.contains(*p)).cloned().collect();
+        prop_assert_eq!(distinct, still_in);
+        prop_assert_eq!(gate.left(), plans.len());
+        for (plan, key) in &popped {
+            prop_assert_eq!(key.to_bits(), plan_bound(&scorer, &inst, plan).to_bits());
+        }
+        for w in popped.windows(2) {
+            prop_assert_ne!(utility_cmp(w[1].1, w[0].1), Ordering::Greater);
         }
     }
 }

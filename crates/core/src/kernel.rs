@@ -105,10 +105,10 @@ impl KernelStats {
 }
 
 /// Live metric handles behind [`KernelStats`], plus the interval-width
-/// histogram. Registered on a private registry by default so a bare
-/// kernel still counts; [`OrderingKernel::with_obs`] re-homes them onto a
+/// histogram. Detached by default (registered nowhere) so a bare kernel
+/// still counts; [`OrderingKernel::with_obs`] re-homes them onto a
 /// shared registry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct KernelMetrics {
     rounds: Counter,
     refinements: Counter,
@@ -325,7 +325,7 @@ impl OrderingKernel {
             memo: Vec::new(),
             index: HashMap::default(),
             retractions: 0,
-            metrics: KernelMetrics::registered(&Obs::new()),
+            metrics: KernelMetrics::default(),
             journal: TraceJournal::default(),
             batch: Batch::default(),
         }

@@ -48,8 +48,9 @@ pub struct StreamerStats {
     pub utility_resumes: usize,
 }
 
-/// Live metric handles behind [`StreamerStats`].
-#[derive(Debug, Clone)]
+/// Live metric handles behind [`StreamerStats`]; detached (registered
+/// nowhere) until [`Streamer::with_obs`].
+#[derive(Debug, Clone, Default)]
 struct StreamerMetrics {
     refinements: Counter,
     links_created: Counter,
@@ -169,7 +170,7 @@ impl<'a, M: UtilityMeasure + ?Sized> Streamer<'a, M> {
             links: Vec::new(),
             link_set: BTreeSet::new(),
             next_id: 1,
-            metrics: StreamerMetrics::registered(&Obs::new()),
+            metrics: StreamerMetrics::default(),
         })
     }
 

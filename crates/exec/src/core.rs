@@ -21,7 +21,8 @@
 //! unless it executed, the scored levels those streams share, and the
 //! release gate: a `(bucket, source)` table of score bounds each attach
 //! tightens to what the rows it read can still score). Only a
-//! [`QuerySession`](crate::QuerySession) streams, and release is its pull:
+//! [`QuerySession`](crate::QuerySession) streams; an untightened copy of
+//! the gate is its plan schedule from then on, and release is its pull:
 //! [`Hooks::release`] hands out the next tuple the gate lets through,
 //! between steps, so every attached plan has merged and a released tuple
 //! is never retracted. [`WaveHooks`], the crate's only [`WaveObserver`], is
@@ -313,25 +314,29 @@ impl<'a> Hooks<'a> {
     /// Turns the any-k part on — a session's first tuple pull does: every
     /// plan of the space starts behind the gate under `scorer`'s catalog
     /// bounds, except the `emitted` ones — pulled before streaming began,
-    /// they can never attach.
+    /// they can never attach. Returns an untightened copy of that gate:
+    /// the plans still behind it, for the session to schedule best-first
+    /// by bound.
     pub(crate) fn stream(
         &mut self,
         inst: &ProblemInstance,
         scorer: Box<dyn TupleScorer + 'a>,
         emitted: &[Vec<usize>],
-    ) {
+    ) -> ReleaseGate {
         let table = inst.buckets.iter().enumerate().map(|(b, bucket)| {
             let bounds = bucket.iter().map(|stats| scorer.atom_bound(b, stats));
             bounds.collect()
         });
         let mut gate = ReleaseGate::new(table.collect());
         emitted.iter().for_each(|plan| gate.leave(plan));
+        let schedule = gate.clone();
         self.stream = Some(Stream {
             scorer,
             merge: AnyKMerge::new(),
             gate,
             levels: LevelCache::new(),
         });
+        schedule
     }
 
     /// The any-k part's scorer, once streaming is on.
@@ -373,14 +378,6 @@ impl<'a> Hooks<'a> {
     /// Whether plans are still behind the gate.
     pub(crate) fn gated(&mut self) -> bool {
         (self.stream.as_mut()).is_some_and(|s| s.gate.bound().is_some())
-    }
-
-    /// No further plan can attach: lifts the gate, so the rest of the
-    /// attached streams flows out ranked.
-    pub(crate) fn lift_gate(&mut self) {
-        if let Some(stream) = &mut self.stream {
-            stream.gate.lift();
-        }
     }
 }
 

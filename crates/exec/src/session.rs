@@ -35,7 +35,7 @@ use crate::mediator::{
     Strategy,
 };
 use crate::sharing::ExecutionMemo;
-use qpo_anyk::{CatalogScorer, RankedTuple, TupleScorer};
+use qpo_anyk::{CatalogScorer, RankedTuple, ScoreBoundOrder, TupleScorer};
 use qpo_core::PlanOrderer;
 use qpo_datalog::Tuple;
 use qpo_obs::{encode_plan, Histogram, Obs};
@@ -76,6 +76,8 @@ pub struct QuerySession<'s> {
     prepared: &'s PreparedQuery,
     core: PlanCore<'s>,
     hooks: Hooks<'s>,
+    // The strategy's orderer; the score-bound schedule once streaming
+    // starts.
     orderer: Box<dyn PlanOrderer + 's>,
     // The run, begun at the first pull.
     run: Option<RunState>,
@@ -88,7 +90,8 @@ pub struct QuerySession<'s> {
     // The scorer the any-k part of the hooks starts with on the first
     // `next_tuple` pull (None = the catalog default).
     pending_scorer: Option<Box<dyn TupleScorer + 's>>,
-    // Plans pulled before streaming began: the gate must not wait for them.
+    // Plans pulled before streaming began: the gate must not wait for
+    // them, nor the schedule pull them again.
     emitted_unstreamed: Vec<Vec<usize>>,
     // The slowest plan so far: with the run's clock, the profile snapshot
     // surfaced on the session board.
@@ -239,8 +242,9 @@ impl<'s> QuerySession<'s> {
     /// plan. Returns `None` when the plan space is exhausted.
     ///
     /// Once tuple streaming has started (see
-    /// [`QuerySession::next_tuple`]), plans pulled here also attach their
-    /// ranked tuple stream to the session's any-k merge.
+    /// [`QuerySession::next_tuple`]), plans pulled here come from its
+    /// score-bound schedule and attach their ranked tuple stream to the
+    /// session's any-k merge.
     pub fn next_report(&mut self) -> Option<PlanReport> {
         self.pull(StopCondition::unbounded())
     }
@@ -313,16 +317,25 @@ impl<'s> QuerySession<'s> {
 
     /// Pulls the next answer of the globally ranked any-k stream: the
     /// best undelivered tuple across every plan attached so far, delivered
-    /// only once its score strictly clears the bound of every plan the
-    /// orderer has not emitted yet (so the stream is non-increasing even
-    /// though most of the plan space is still pending). A plan's bound sums,
-    /// per subgoal, the catalog's bound for its source — or, once an
-    /// attached plan has read that source, the best score among its rows.
-    /// Plans pulled by `next_report` before the first tuple pull never
-    /// attach and never hold the gate. Release, else one more step of the
-    /// run — fully accounted, exactly like `next_report` — for as long as
-    /// the gate requires; returns `None` when every plan is in and the
-    /// merge is drained.
+    /// only once its score strictly clears the bound of every plan not
+    /// pulled yet (so the stream is non-increasing even though most of the
+    /// plan space is still pending). A plan's bound sums, per subgoal, the
+    /// catalog's bound for its source — or, once an attached plan has read
+    /// that source, the best score among its rows. Plans pulled by
+    /// `next_report` before the first tuple pull never attach and never
+    /// hold the gate. Release, else one more step of the run — fully
+    /// accounted, exactly like `next_report` — for as long as the gate
+    /// requires; returns `None` when every plan is in and the merge is
+    /// drained.
+    ///
+    /// The first tuple pull also changes what schedules the session's
+    /// plans: from then on — here and in `next_report` — the next plan is
+    /// the one with the best catalog bound among those not pulled yet
+    /// (the orderer's `algorithm_name` is `"score-bound"`, and a report's
+    /// utility is that bound): the plans whose tuples could score highest
+    /// run first. The measure and strategy the session was opened with
+    /// order only the plans pulled before it, and every session that
+    /// never streams.
     ///
     /// A pull is one step at lookahead 1: a plan's stream attaches when it
     /// is scheduled and, unless the plan executes (unsound, failed), is
@@ -336,7 +349,8 @@ impl<'s> QuerySession<'s> {
                 .take()
                 .unwrap_or_else(|| Box::new(CatalogScorer::new(self.mediator.universe())));
             let emitted = &self.emitted_unstreamed;
-            self.hooks.stream(&self.prepared.instance, scorer, emitted);
+            let gate = self.hooks.stream(&self.prepared.instance, scorer, emitted);
+            self.orderer = Box::new(ScoreBoundOrder::new(gate));
         }
         loop {
             let clock = self.run.as_ref().map_or(0.0, RunState::clock);
@@ -352,12 +366,9 @@ impl<'s> QuerySession<'s> {
             if !self.hooks.gated() {
                 return None; // every plan attached, merge drained
             }
-            if self.next_report().is_none() {
-                // Defensive: the orderer is exhausted while plans remain
-                // behind the gate (an orderer that undercovers the
-                // space). Nothing further can attach, so lift the gate.
-                self.hooks.lift_gate();
-            }
+            // The schedule walks the gate's own plans: while one is
+            // behind the gate, there is a plan to pull.
+            self.next_report()?;
         }
     }
 

@@ -4,14 +4,15 @@
 //! non-increasing, and a plan that fails or is unsound is evicted before
 //! its stream delivers anything — a delivered tuple is final.
 
-use qpo_anyk::{plan_bound, AnyKMerge};
+use qpo_anyk::{plan_bound, AnyKMerge, ReleaseGate, ScoreBoundOrder, TupleScorer};
 use qpo_catalog::domains::{movie_domain, movie_query, MOVIE_UNIVERSE};
 use qpo_catalog::{Catalog, GeneratorConfig, MediatedSchema, SchemaRelation};
-use qpo_core::utility_cmp;
-use qpo_datalog::{parse_query, SourceDescription, Tuple};
+use qpo_core::{utility_cmp, PlanOrderer};
+use qpo_datalog::{is_sound_plan, parse_query, SourceDescription, Tuple};
 use qpo_exec::{
     offline_ranked_answers, ranked_join_for_plan, snapshot_relations, BackendRegistry,
-    CatalogScorer, ExecutionMemo, Mediator, QuerySession, RankedTuple, StopCondition, Strategy,
+    CatalogScorer, ExecutionMemo, Mediator, PreparedQuery, QuerySession, RankedTuple,
+    StopCondition, Strategy,
 };
 use qpo_obs::Obs;
 use qpo_runtime::{
@@ -88,26 +89,68 @@ fn serial_stream_bit_equals_the_plan_level_answer_multiset() {
     }
 }
 
+/// The plans a traced session pulled, in order, as `plan_emitted` encodes
+/// them.
+fn pulled(obs: &Obs) -> Vec<String> {
+    let jsonl = obs.journal.to_jsonl();
+    let records = qpo_obs::read_jsonl(&jsonl).unwrap();
+    let emitted = records.iter().filter(|r| r.kind == "plan_emitted");
+    emitted
+        .map(|r| r.str("plan").unwrap().to_string())
+        .collect()
+}
+
+/// `offline_ranked_answers` over every plan but `skip`: each other sound
+/// plan drained, each tuple kept at its best score, as `(bits, tuple)`.
+fn oracle_without(m: &Mediator, prepared: &PreparedQuery, skip: &[Vec<usize>]) -> Ranked {
+    let (reform, inst) = (&prepared.reformulation, &prepared.instance);
+    let view_map = m.catalog().view_map();
+    let mut best: BTreeMap<Tuple, f64> = BTreeMap::new();
+    for plan in inst.all_plans() {
+        let sound = is_sound_plan(&reform.plan_query(&plan), &view_map, &reform.query);
+        if skip.contains(&plan) || !sound.unwrap_or(false) {
+            continue;
+        }
+        let mut ranked = ranked_join_for_plan(m.database(), reform, inst, &scorer(), &plan);
+        for (score, tuple) in ranked.drain() {
+            let kept = best.entry(tuple).or_insert(score);
+            if utility_cmp(score, *kept) == Ordering::Greater {
+                *kept = score;
+            }
+        }
+    }
+    let mut ranked: Vec<(f64, Tuple)> = best.into_iter().map(|(t, s)| (s, t)).collect();
+    ranked.sort_by(|a, b| utility_cmp(b.0, a.0).then_with(|| a.1.cmp(&b.1)));
+    ranked.into_iter().map(|(s, t)| (s.to_bits(), t)).collect()
+}
+
+type Ranked = Vec<(u64, Tuple)>;
+
 #[test]
 fn session_stream_is_deterministic_across_orderers_modulo_sorting() {
-    // Different plan orders deliver the same ranked answer list once
-    // sorted — ordering changes latency, not content.
+    // Whatever the schedule, a sorted stream is the offline ranked list
+    // over the plans it attached — ordering changes latency, not content.
+    // A stream schedules by bound whatever the strategy, so the two
+    // schedules differ in what was pulled before streaming began (and
+    // never attaches).
     let m = mediator();
     let prepared = m.prepare(&movie_query()).unwrap();
-    let mut a = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips)
-        .unwrap()
-        .with_tuple_scorer(scorer());
-    let mut b = QuerySession::new(&m, &prepared, &Coverage, Strategy::Pi)
-        .unwrap()
-        .with_tuple_scorer(scorer());
-    let sa = rank_sorted(a.stream_tuples().collect());
-    let sb = rank_sorted(b.stream_tuples().collect());
-    let key = |v: &[RankedTuple]| -> Vec<(u64, Vec<qpo_datalog::Constant>)> {
-        v.iter()
-            .map(|rt| (rt.score.to_bits(), rt.tuple.clone()))
-            .collect()
+    let session = |strategy, before: usize| {
+        let obs = Obs::with_trace();
+        let m = m.clone().with_obs(&obs);
+        let mut s = QuerySession::new(&m, &prepared, &Coverage, strategy)
+            .unwrap()
+            .with_tuple_scorer(scorer());
+        let early: Vec<Vec<usize>> = (0..before)
+            .map(|_| s.next_report().unwrap().ordered.plan)
+            .collect();
+        let sorted = rank_sorted(s.stream_tuples().collect()).into_iter();
+        let stream: Ranked = sorted.map(|rt| (rt.score.to_bits(), rt.tuple)).collect();
+        drop(s);
+        assert_eq!(stream, oracle_without(&m, &prepared, &early));
+        pulled(&obs)
     };
-    assert_eq!(key(&sa), key(&sb));
+    assert_ne!(session(Strategy::IDrips, 0), session(Strategy::Pi, 2));
 }
 
 #[test]
@@ -213,9 +256,11 @@ fn failed_plan_streams_are_evicted_before_they_deliver() {
 #[test]
 fn mixing_plan_pulls_with_tuple_pulls_stays_sound() {
     // Pull one plan the classic way first, then stream: the pre-stream
-    // plan is not in the merge, but the stream still terminates and
-    // everything it delivers is a real answer.
-    let m = mediator();
+    // plan is not in the merge and the bound schedule never pulls it
+    // again, but the stream still terminates and everything it delivers
+    // is a real answer.
+    let obs = Obs::with_trace();
+    let m = mediator().with_obs(&obs);
     let prepared = m.prepare(&movie_query()).unwrap();
     let mut s = QuerySession::new(&m, &prepared, &LinearCost, Strategy::Greedy)
         .unwrap()
@@ -232,6 +277,12 @@ fn mixing_plan_pulls_with_tuple_pulls_stays_sound() {
     }
     let answers = s.answers().clone();
     assert!(stream.iter().all(|rt| answers.contains(&rt.tuple)));
+    assert_eq!(s.plans_emitted(), 9, "every plan pulled, none twice");
+    drop(s);
+    let pulled = pulled(&obs);
+    let first = qpo_obs::encode_plan(&first.ordered.plan);
+    assert_eq!(pulled[0], first);
+    assert!(!pulled[1..].contains(&first), "{pulled:?}");
 }
 
 const STAR_UNIVERSE: u64 = 40;
@@ -285,18 +336,22 @@ fn the_data_aware_gate_keeps_the_star_stream_exact_and_releases_sooner() {
         assert!(sorted == oracle, "{what} differs from the offline oracle");
     };
 
-    // The emission order the catalog-only gate below replays.
-    let emitted: Vec<Vec<usize>> = QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips)
-        .unwrap()
-        .drain(StopCondition::unbounded())
-        .reports
+    // The emission order the catalog-only gate below replays: a streaming
+    // session schedules best-first by catalog bound, whatever strategy it
+    // was opened with.
+    let table = inst.buckets.iter().enumerate().map(|(b, bucket)| {
+        let bounds = bucket.iter().map(|stats| sc.atom_bound(b, stats));
+        bounds.collect()
+    });
+    let emitted: Vec<Vec<usize>> = ScoreBoundOrder::new(ReleaseGate::new(table.collect()))
+        .order_k(inst.plan_count())
         .into_iter()
-        .map(|r| r.ordered.plan)
+        .map(|o| o.plan)
         .collect();
 
     // The session, without and with a memo (cold, then warm).
     let memo = ExecutionMemo::new();
-    let mut first_tuple_at = Vec::new();
+    let (mut first_tuple_at, mut hundred_at) = (Vec::new(), Vec::new());
     for memo in [None, Some(&memo), Some(&memo)] {
         let obs = Obs::new();
         let m = m.clone().with_obs(&obs);
@@ -314,7 +369,10 @@ fn the_data_aware_gate_keeps_the_star_stream_exact_and_releases_sooner() {
             board[0].plans_before_first_tuple,
             Some(first_tuple_at[0] as u64)
         );
-        let stream: Vec<RankedTuple> = std::iter::once(head).chain(s.stream_tuples()).collect();
+        let mut stream = vec![head];
+        stream.extend(s.stream_tuples().take(99));
+        hundred_at.push(s.plans_emitted());
+        stream.extend(s.stream_tuples());
         match memo {
             None => assert_eq!(s.memo_hits(), 0, "private levels are not memo hits"),
             Some(_) => assert!(s.memo_hits() > 0),
@@ -352,11 +410,17 @@ fn the_data_aware_gate_keeps_the_star_stream_exact_and_releases_sooner() {
         catalog_only += 1;
     }
     assert_eq!(first_tuple_at, [FIRST_TUPLE_AT; 3]);
+    assert_eq!(hundred_at, [HUNDRED_TUPLES_AT; 3]);
     assert!(
         FIRST_TUPLE_AT < catalog_only,
         "catalog-only gate released after {catalog_only} plans"
     );
 }
 
-/// Plans the star session at seed 2002 pulls before its first tuple.
-const FIRST_TUPLE_AT: usize = 45;
+/// Plans the star session at seed 2002 pulls before its first tuple
+/// (45 when it pulled them in Coverage + iDrips order).
+const FIRST_TUPLE_AT: usize = 2;
+
+/// Plans the star session at seed 2002 pulls for its first 100 tuples,
+/// what `bench_e2e`'s `anyk-stream` asks of a query.
+const HUNDRED_TUPLES_AT: usize = 10;

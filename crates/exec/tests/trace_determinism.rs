@@ -322,8 +322,8 @@ fn every_vocabulary_kind_is_emitted_and_every_event_conforms() {
         obs.journal.to_jsonl()
     };
     traces.push(streamed(&trap, &q, Strategy::Pi, 1000));
-    // A pulled iDrips session streaming tuples: kernel events and the
-    // tuple lifecycle.
+    // A session streaming tuples: the tuple lifecycle. It schedules its
+    // plans by score bound, so the kernel does not run…
     let m = mediator();
     traces.push(streamed(
         &m,
@@ -331,6 +331,14 @@ fn every_vocabulary_kind_is_emitted_and_every_event_conforms() {
         Strategy::IDrips,
         MOVIE_UNIVERSE,
     ));
+    // …but it does in a pulled iDrips plan session: the kernel's events.
+    let obs = Obs::with_trace();
+    let observed = m.clone().with_obs(&obs);
+    let prepared = observed.prepare(&movie_query()).unwrap();
+    let mut session = QuerySession::new(&observed, &prepared, &Coverage, Strategy::IDrips).unwrap();
+    while session.next_report().is_some() {}
+    drop(session);
+    traces.push(obs.journal.to_jsonl());
     // A tcp run: remote spans on the client, and the server's own journal.
     let provider = MemProvider::new();
     for (name, rows) in snapshot_relations(m.database()) {

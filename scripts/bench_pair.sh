@@ -12,7 +12,8 @@
 # in pairs, alternating which side goes first, so drift of the machine
 # lands on both sides alike. Prints one table per workload: per
 # end-to-end metric of BENCHMARK.json, each side's quartiles and median,
-# the change of the median, and in how many pairs the change was better.
+# the change of the median, and in how many pairs the change was better,
+# then each side's median `attempted` (queries served).
 # A claimed gain wants wins >= 9 of 10 and a median gain beyond the
 # parent's q1..q3: `--claim query_ms_p50@share-warm` makes that the exit
 # status — 1 unless that row meets it, and 1 if any other row's median is
@@ -69,6 +70,12 @@ run() {
 
 values() { sed -n "s/.*\"$2\": {\"value\": \([^,}]*\).*/\1/p" "$1"; }
 
+# The median of the result lines' `attempted` (queries served) in $1.
+attempted() {
+  sed -n 's/.*"attempted": \([0-9]*\).*/\1/p' "$1" | sort -n |
+    awk '{ v[NR] = $1 } END { print NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+
 # The table of $workload: one line per end-to-end metric. A row that
 # fails the protocol — the claimed one not met, another worse than its
 # bound — says so and is counted in $tmp/failed.
@@ -105,6 +112,9 @@ table() {
             pm ? 100 * (cm - pm) / pm : 0, wins, n, verdict
         }'
   done <<<"$metrics"
+  # A side that serves more queries keeps a longer sample log: read a
+  # `peak_rss_mb` move beside these.
+  echo "attempted (queries served), median: parent $(attempted "$tmp/parent.$workload.jsonl"), change $(attempted "$tmp/change.$workload.jsonl")"
 }
 
 for workload in "${workloads[@]}"; do

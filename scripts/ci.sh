@@ -67,6 +67,9 @@ trace_file="$(mktemp /tmp/qpo-trace.XXXXXX.jsonl)"
 ./target/release/trace-validate "$trace_file"
 grep -q '"kind":"tuple_emitted"' "$trace_file" \
   || { echo "no tuple_emitted event in the any-k session's trace"; exit 1; }
+# A session that streams from its first pull schedules by score bound.
+grep -q '"strategy":"score-bound"' "$trace_file" \
+  || { echo "the any-k session did not schedule its plans by score bound"; exit 1; }
 rm -f "$trace_file"
 
 echo "==> end-to-end benchmark: harness unit tests, then every workload and oracle at smoke size"

@@ -105,6 +105,93 @@ proptest! {
     }
 }
 
+/// A context-free measure summing one entry per `(bucket, source)` — the
+/// shape of `plan_bound` — so it is fully monotone and Greedy (§4) exact.
+struct Additive(Vec<Vec<f64>>);
+
+impl UtilityMeasure for Additive {
+    fn name(&self) -> &'static str {
+        "additive"
+    }
+
+    fn utility(&self, _: &ProblemInstance, plan: &[usize], _: &ExecutionContext) -> f64 {
+        plan.iter()
+            .enumerate()
+            .fold(0.0, |a, (b, &s)| a + self.0[b][s])
+            + 0.0
+    }
+
+    fn utility_interval(
+        &self,
+        _: &ProblemInstance,
+        candidates: &[Vec<usize>],
+        _: &ExecutionContext,
+    ) -> Interval {
+        let entries = |b: usize| candidates[b].iter().map(move |&s| self.0[b][s]);
+        let (lo, hi) = (0..candidates.len()).fold((0.0, 0.0), |(lo, hi), b| {
+            let min = entries(b).fold(f64::INFINITY, f64::min);
+            (lo + min, hi + entries(b).fold(f64::NEG_INFINITY, f64::max))
+        });
+        Interval::new(lo + 0.0, hi + 0.0)
+    }
+
+    fn diminishing_returns(&self) -> bool {
+        true
+    }
+
+    fn context_free(&self) -> bool {
+        true
+    }
+
+    fn monotone_subgoals(&self, inst: &ProblemInstance) -> Vec<bool> {
+        vec![true; inst.query_len()]
+    }
+
+    fn source_preference(&self, _: &ProblemInstance, source: SourceRef) -> f64 {
+        self.0[source.bucket][source.index]
+    }
+
+    fn independent(&self, _: &ProblemInstance, _: &[usize], _: &[usize]) -> bool {
+        true
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A tuple stream's schedule — the release gate's walk over the
+    /// catalog's score bounds — is Greedy's order over the same table:
+    /// utilities bit-equal, plans equal wherever the utility is not tied,
+    /// and exact under Definition 2.1.
+    #[test]
+    fn the_score_bound_schedule_is_greedy_over_the_bound(
+        seed in 0u64..1000,
+        m in 2usize..5,
+        jitter in 0.0f64..0.5,
+    ) {
+        use query_plan_ordering::anyk::{ReleaseGate, ScoreBoundOrder};
+        let inst = instance(seed, 3, m, 0.3);
+        let scorer = CatalogScorer::new(100).with_jitter(jitter);
+        let table: Vec<Vec<f64>> = (inst.buckets.iter().enumerate())
+            .map(|(b, bucket)| bucket.iter().map(|s| scorer.atom_bound(b, s)).collect())
+            .collect();
+        let total = inst.plan_count();
+        let order = ScoreBoundOrder::new(ReleaseGate::new(table.clone())).order_k(total);
+        let measure = Additive(table);
+        let greedy = Greedy::new(&inst, &measure).unwrap().order_k(total);
+        prop_assert_eq!(order.len(), total);
+        verify_ordering(&inst, &measure, &order, 0.0).unwrap();
+        let bits = |o: &OrderedPlan| o.utility.to_bits();
+        for (i, (got, want)) in order.iter().zip(&greedy).enumerate() {
+            prop_assert_eq!(bits(got), bits(want), "utility {}", i);
+            let tied = |j: usize| greedy.get(j).is_some_and(|o| bits(o) == bits(want));
+            if (i == 0 || !tied(i - 1)) && !tied(i + 1) {
+                prop_assert_eq!(&got.plan, &want.plan, "untied plan {}", i);
+            }
+        }
+    }
+}
+
 /// Exhausting the plan space emits every plan exactly once, whatever the
 /// algorithm.
 #[test]
