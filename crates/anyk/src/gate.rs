@@ -27,6 +27,7 @@
 
 use qpo_core::{utility_cmp, OrderedPlan, PlanOrderer, PlanOutcome};
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeSet, BinaryHeap};
 
 #[derive(Clone)]
@@ -73,18 +74,19 @@ impl ReleaseGate {
         gate
     }
 
-    /// The best key among the plans the node `(ranks, free)` stands for.
-    fn key(&self, ranks: &[usize], free: usize) -> f64 {
+    /// The best key among the plans the node `(ranks, free)` stands for,
+    /// on the table `bounds` ranked by `order`.
+    fn key(bounds: &[Vec<f64>], order: &[Vec<usize>], ranks: &[usize], free: usize) -> f64 {
         let entry = |(b, &r): (usize, &usize)| {
-            let end = if b < free { r + 1 } else { self.order[b].len() };
-            let entries = self.order[b][r..end].iter().map(|&s| self.bounds[b][s]);
+            let end = if b < free { r + 1 } else { order[b].len() };
+            let entries = order[b][r..end].iter().map(|&s| bounds[b][s]);
             entries.fold(f64::NEG_INFINITY, f64::max)
         };
         ranks.iter().enumerate().map(entry).fold(0.0, |a, e| a + e) + 0.0
     }
 
     fn push(&mut self, ranks: Vec<usize>, free: usize) {
-        let key = self.key(&ranks, free);
+        let key = Self::key(&self.bounds, &self.order, &ranks, free);
         self.frontier.push(Node { key, ranks, free });
     }
 
@@ -128,14 +130,14 @@ impl ReleaseGate {
     /// The best key over the plans still in; `None` once all have left.
     pub fn bound(&mut self) -> Option<f64> {
         loop {
-            let top = self.frontier.peek()?;
-            let key = self.key(&top.ranks, top.free);
+            let top = self.frontier.peek_mut()?;
+            let key = Self::key(&self.bounds, &self.order, &top.ranks, top.free);
             let stale = utility_cmp(key, top.key) == Ordering::Less;
             let is_plan = top.free == top.ranks.len();
             if !stale && is_plan && !self.left.contains(&top.ranks) {
                 return Some(key);
             }
-            let Node { ranks, free, .. } = self.frontier.pop().expect("peeked above");
+            let Node { ranks, free, .. } = PeekMut::pop(top);
             if stale {
                 self.frontier.push(Node { key, ranks, free });
             } else if !is_plan {

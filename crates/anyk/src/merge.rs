@@ -23,6 +23,7 @@
 use qpo_core::utility_cmp;
 use qpo_datalog::{Constant, Tuple};
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt::Write as _;
 
@@ -175,15 +176,11 @@ impl AnyKMerge {
     /// stream back.
     pub fn next_within(&mut self, bound: Option<f64>) -> Option<RankedTuple> {
         loop {
-            self.skim();
-            let top = self.heap.peek()?;
-            if let Some(b) = bound {
-                if utility_cmp(top.score, b) != Ordering::Greater {
-                    return None;
-                }
+            let (top, slot) = skim(&mut self.heap, &mut self.slots)?;
+            if bound.is_some_and(|b| utility_cmp(top.score, b) != Ordering::Greater) {
+                return None;
             }
-            let top = self.heap.pop().expect("peeked above");
-            let slot = self.slots.get_mut(&top.plan_seq).expect("skimmed to live");
+            let top = PeekMut::pop(top);
             // Advance the stream and re-key its new head.
             slot.head = slot.stream.next().map(|(s, t)| (s + 0.0, t));
             if let Some((score, tuple)) = &slot.head {
@@ -210,21 +207,27 @@ impl AnyKMerge {
             });
         }
     }
+}
 
-    /// Drops heap keys whose slot was evicted or whose head moved on.
-    fn skim(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            let live = self.slots.get(&top.plan_seq).is_some_and(|slot| {
-                slot.head
-                    .as_ref()
-                    .is_some_and(|(s, t)| s.to_bits() == top.score.to_bits() && *t == top.tuple)
-            });
-            if live {
-                return;
-            }
-            self.heap.pop();
+/// Drops heap keys whose slot was evicted or whose head moved on; the live
+/// top, if any, with its slot.
+fn skim<'h, 's>(
+    heap: &'h mut BinaryHeap<HeadKey>,
+    slots: &'s mut BTreeMap<u64, Slot>,
+) -> Option<(PeekMut<'h, HeadKey>, &'s mut Slot)> {
+    while let Some(top) = heap.peek() {
+        let live = slots.get(&top.plan_seq).is_some_and(|slot| {
+            slot.head
+                .as_ref()
+                .is_some_and(|(s, t)| s.to_bits() == top.score.to_bits() && *t == top.tuple)
+        });
+        if live {
+            break;
         }
+        heap.pop();
     }
+    let top = heap.peek_mut()?;
+    slots.get_mut(&top.plan_seq).map(|slot| (top, slot))
 }
 
 #[cfg(test)]

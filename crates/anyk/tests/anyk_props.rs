@@ -1,20 +1,24 @@
 //! Property tests for the cross-plan any-k merge: global order, attach
 //! permutation invariance, and eviction's surgical precision under
-//! arbitrary per-stream score sequences — and for the release gate: the
-//! lazy walk of the plan product against the brute-force maximum, and
-//! the same walk as a best-bound-first schedule.
+//! arbitrary per-stream score sequences — for the release gate: the lazy
+//! walk of the plan product against the brute-force maximum, and the same
+//! walk as a best-bound-first schedule — and for the positional ranked
+//! join against its named-row twin (`support`).
+
+mod support;
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use qpo_anyk::{
-    plan_bound, AnyKMerge, CatalogScorer, RankedTuple, ReleaseGate, TupleScorer, TupleStream,
-    VecStream,
+    plan_bound, AnyKMerge, CatalogScorer, LevelCache, RankedJoin, RankedTuple, ReleaseGate,
+    TupleScorer, TupleStream, VecStream,
 };
 use qpo_catalog::GeneratorConfig;
 use qpo_core::utility_cmp;
-use qpo_datalog::{Constant, Tuple};
+use qpo_datalog::{Atom, ConjunctiveQuery, Constant, Database, Term, Tuple};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
+use support::ReferenceJoin;
 
 /// Builds one plan's stream from raw scores; the tuple payload encodes
 /// (plan id, item index) so every stream contributes distinct answers.
@@ -44,6 +48,82 @@ fn drain_in_order(streams: &[Vec<f64>], order: &[usize]) -> Vec<RankedTuple> {
 
 fn scores() -> impl Strategy<Value = Vec<f64>> {
     pvec(-100.0f64..100.0, 0..8)
+}
+
+/// Value code → value: three ints and three strings.
+fn value(code: u8) -> Constant {
+    match code {
+        0..=2 => Constant::int(i64::from(code)),
+        _ => Constant::str(["a", "b", "c"][usize::from(code - 3) % 3]),
+    }
+}
+
+/// Variable names, drawn so a fresh variable's name often sorts against
+/// its first occurrence (`r(Y, X)`).
+const VARS: [&str; 5] = ["Y", "X", "W", "B", "Z"];
+
+/// Term code → term: a variable below 5, else one of three constants.
+fn term(code: u8) -> Term {
+    match code {
+        0..=4 => Term::var(VARS[usize::from(code)]),
+        _ => Term::Const(value((code - 5) * 2)),
+    }
+}
+
+/// Relations `r0..r2`: an arity (1–3) each, facts at that arity, and a few
+/// at the wrong one.
+type Relations = Vec<(usize, Vec<Vec<u8>>, Vec<Vec<u8>>)>;
+
+fn relations() -> impl Strategy<Value = Relations> {
+    let facts = pvec(pvec(0u8..6, 3), 0..10);
+    pvec((1usize..4, facts, pvec(pvec(0u8..6, 4), 0..3)), 3)
+}
+
+fn database(relations: &Relations) -> Database {
+    let mut db = Database::new();
+    for (r, (arity, facts, odd)) in relations.iter().enumerate() {
+        let wrong = arity % 3 + 1;
+        let sized = facts.iter().map(|f| &f[..*arity]);
+        for fact in sized.chain(odd.iter().map(|f| &f[..wrong])) {
+            db.insert(format!("r{r}"), fact.iter().copied().map(value).collect());
+        }
+    }
+    db
+}
+
+/// A safe query over `relations`: body atoms of the relations' arities
+/// (constants, repeated variables), and a head of body variables and
+/// constants (projected, repeated, or empty).
+fn query(relations: &Relations, body: &[(usize, Vec<u8>)], head: &[u8]) -> ConjunctiveQuery {
+    let body: Vec<Atom> = (body.iter())
+        .map(|(r, codes)| {
+            let terms = codes[..relations[*r].0].iter().copied().map(term);
+            Atom::new(format!("r{r}"), terms.collect())
+        })
+        .collect();
+    let vars: Vec<Term> = (body.iter().flat_map(Atom::variables))
+        .map(Term::Var)
+        .collect();
+    let head = (head.iter()).map(|&c| match vars.get(usize::from(c) % vars.len().max(1)) {
+        Some(v) if c < 5 => v.clone(),
+        _ => Term::Const(value(c % 6)),
+    });
+    ConjunctiveQuery::new(Atom::new("q", head.collect()), body)
+}
+
+/// Few-valued scores per `(atom, fact)`: ties are the rule, not the exception.
+fn tied_score(levels: &[f64]) -> impl Fn(usize, &Tuple) -> f64 + '_ {
+    move |ai, fact| {
+        let weight = |c: &Constant| match c {
+            Constant::Int(i) => *i as usize,
+            Constant::Str(s) => s.len() + usize::from(s.as_bytes()[0]),
+        };
+        levels[(ai + fact.iter().map(weight).sum::<usize>()) % levels.len()]
+    }
+}
+
+fn bits(stream: Vec<(f64, Tuple)>) -> Vec<(u64, Tuple)> {
+    stream.into_iter().map(|(s, t)| (s.to_bits(), t)).collect()
 }
 
 proptest! {
@@ -243,5 +323,38 @@ proptest! {
         for w in popped.windows(2) {
             prop_assert_ne!(utility_cmp(w[1].1, w[0].1), Ordering::Greater);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The positional join is its named-row twin, bit for bit: the same
+    /// `(score, tuple)` stream and the same level bounds, uncached and
+    /// twice through one cache (the second build reads every level from
+    /// it). Ties inside a group break on the fresh values in variable-name
+    /// order, which first-occurrence order would reorder.
+    #[test]
+    fn positional_levels_match_the_named_row_twin(
+        rels in relations(),
+        body in pvec((0usize..3, pvec(0u8..8, 3)), 0..4),
+        head in pvec(0u8..8, 0..4),
+        levels in pvec(prop_oneof![Just(0.0), Just(0.5), Just(1.0), Just(-1.0)], 1..3),
+    ) {
+        let (db, q) = (database(&rels), query(&rels, &body, &head));
+        let score = tied_score(&levels);
+        let mut twin = ReferenceJoin::new(&db, &q, &score);
+        let bounds: Vec<u64> = twin.level_bounds().into_iter().map(f64::to_bits).collect();
+        let want = bits(twin.by_ref().collect());
+        let key = |ai: usize| ai.to_string();
+        let cache = LevelCache::new();
+        for (cache, run) in [(&LevelCache::new(), "uncached"), (&cache, "cold"), (&cache, "warm")] {
+            let mut join = RankedJoin::new(&db, &q, &score, cache, key);
+            let got: Vec<u64> = join.level_bounds().map(f64::to_bits).collect();
+            prop_assert_eq!(&got, &bounds, "{} {}", run, q);
+            prop_assert_eq!(bits(join.drain()), want.clone(), "{} {} over {:?}", run, q, db);
+        }
+        let levels = q.body.len() as u64;
+        prop_assert_eq!((cache.misses(), cache.hits()), (levels, levels), "{}", q);
     }
 }

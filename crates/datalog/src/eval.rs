@@ -160,9 +160,10 @@ pub fn evaluate_slots(
 /// How a body atom reads one position of a stored tuple. An atom is
 /// compiled into one slot per position, once per call, so matching a
 /// tuple is positional compares — no variable names, no map per tuple.
-enum Slot<'q> {
+/// The join and `qpo-anyk`'s ranked levels both read facts through it.
+pub enum Slot {
     /// The value must equal this constant.
-    Const(&'q Constant),
+    Const(Constant),
     /// The value must equal the tuple's own earlier position (a variable
     /// repeated within the atom).
     Repeat(usize),
@@ -173,12 +174,12 @@ enum Slot<'q> {
     New,
 }
 
-/// Compiles `atom` against the variables bound so far, appending the
-/// variables it binds to `columns`.
-fn compile<'q>(atom: &'q Atom, columns: &mut Vec<&'q str>) -> Vec<Slot<'q>> {
+/// Compiles `atom` against the variables bound so far (`columns`, one per
+/// column), appending the variables it binds to `columns`.
+pub fn compile<'q>(atom: &'q Atom, columns: &mut Vec<&'q str>) -> Vec<Slot> {
     let bound = columns.len();
     let slot = |(position, term): (usize, &'q Term)| match term {
-        Term::Const(c) => Slot::Const(c),
+        Term::Const(c) => Slot::Const(c.clone()),
         Term::Var(v) => {
             if let Some(earlier) = atom.terms[..position].iter().position(|t| t == term) {
                 Slot::Repeat(earlier)
@@ -193,6 +194,29 @@ fn compile<'q>(atom: &'q Atom, columns: &mut Vec<&'q str>) -> Vec<Slot<'q>> {
     atom.terms.iter().enumerate().map(slot).collect()
 }
 
+/// Whether `tuple` fits an atom compiled to `slots`: arity, constants, repeats.
+pub fn admits(slots: &[Slot], tuple: &[Constant]) -> bool {
+    let holds = |(slot, value): (&Slot, &Constant)| match slot {
+        Slot::Const(c) => c == value,
+        Slot::Repeat(earlier) => tuple[*earlier] == *value,
+        Slot::Key(_) | Slot::New => true,
+    };
+    tuple.len() == slots.len() && slots.iter().zip(tuple).all(holds)
+}
+
+/// Appends to `out` a compiled `head`'s values for one `row` of its columns.
+pub fn project(head: &[Slot], row: &[Constant], out: &mut Vec<Constant>) {
+    let base = out.len();
+    for slot in head {
+        out.push(match slot {
+            Slot::Const(c) => c.clone(),
+            Slot::Key(column) => row[*column].clone(),
+            Slot::Repeat(earlier) => out[base + earlier].clone(),
+            Slot::New => unreachable!("safe query binds every head variable"),
+        });
+    }
+}
+
 fn key_hash<'c>(mut state: RowHasher, key: impl Iterator<Item = &'c Constant>) -> usize {
     key.for_each(|c| c.hash(&mut state));
     state.finish() as usize
@@ -205,20 +229,12 @@ fn key_hash<'c>(mut state: RowHasher, key: impl Iterator<Item = &'c Constant>) -
 /// neither side builds a key, and the index is never iterated.
 fn join_atom<'t>(
     rows: &PrefixRows,
-    slots: &[Slot<'_>],
+    slots: &[Slot],
     source: impl Iterator<Item = &'t Tuple>,
     hasher: RowHasher,
 ) -> PrefixRows {
     const END: usize = usize::MAX;
-    let admits = |tuple: &&Tuple| {
-        let holds = |(slot, value): (&Slot<'_>, &Constant)| match slot {
-            Slot::Const(c) => *c == value,
-            Slot::Repeat(earlier) => tuple[*earlier] == *value,
-            Slot::Key(_) | Slot::New => true,
-        };
-        tuple.len() == slots.len() && slots.iter().zip(tuple.iter()).all(holds)
-    };
-    let admitted: Vec<&Tuple> = source.filter(admits).collect();
+    let admitted: Vec<&Tuple> = source.filter(|tuple| admits(slots, tuple)).collect();
     let (mut keys, mut fresh) = (Vec::new(), Vec::new());
     for (position, slot) in slots.iter().enumerate() {
         match slot {
@@ -298,17 +314,7 @@ where
     // every variable of it a `Key` (or the loop left no row to project).
     let head = compile(&query.head, &mut columns);
     let mut values: Vec<Constant> = Vec::with_capacity(head.len() * rows.count);
-    for row in rows.iter() {
-        let base = values.len();
-        for slot in &head {
-            values.push(match slot {
-                Slot::Const(c) => (*c).clone(),
-                Slot::Key(column) => row[*column].clone(),
-                Slot::Repeat(earlier) => values[base + earlier].clone(),
-                Slot::New => unreachable!("safe query binds every head variable"),
-            });
-        }
-    }
+    rows.iter().for_each(|row| project(&head, row, &mut values));
     (PrefixRows::new(head.len(), rows.count, values), captured)
 }
 

@@ -35,41 +35,40 @@ pub fn ranked_join_for_plan(
     scorer: &dyn TupleScorer,
     plan: &[usize],
 ) -> RankedJoin {
-    ranked_join(db, &reform.plan_query(plan), inst, scorer, plan, None)
+    let plan_query = reform.plan_query(plan);
+    ranked_join(db, &plan_query, inst, scorer, plan, &LevelCache::new())
 }
 
 /// [`ranked_join_for_plan`] over the already materialized `plan_query`,
-/// through a shared [`LevelCache`] when one is given: plans that chose
-/// the same source for a bucket share that bucket's scored level
-/// ([`Arc`]), instead of re-scanning, re-scoring, and re-sorting it. The
-/// key carries `(bucket, entry)` plus the rendered atom, so distinct
-/// choices never alias; the cache assumes one scorer per cache (see
-/// [`ExecutionMemo`](crate::ExecutionMemo)). The produced stream is
-/// bit-identical to the uncached enumerator's.
+/// reading its levels through `levels`: plans that chose the same source
+/// for a bucket share that bucket's scored level ([`Arc`]), instead of
+/// re-scanning, re-scoring, and re-sorting it. The key carries `(bucket,
+/// entry)` plus the rendered atom (the cache appends the shared
+/// variables), so distinct choices never alias; the cache assumes one
+/// scorer per cache (see [`ExecutionMemo`](crate::ExecutionMemo)). The
+/// stream is bit-identical whether a level hits or is built.
 pub(crate) fn ranked_join(
     db: &Database,
     plan_query: &ConjunctiveQuery,
     inst: &ProblemInstance,
     scorer: &dyn TupleScorer,
     plan: &[usize],
-    levels: Option<&LevelCache>,
+    levels: &LevelCache,
 ) -> RankedJoin {
     let score = |atom: usize, fact: &Tuple| {
         scorer.atom_score(atom, inst.stat(SourceRef::new(atom, plan[atom])), fact)
     };
-    match levels {
-        Some(cache) => RankedJoin::with_cache(db, plan_query, score, cache, |ai| {
-            format!("b{ai}e{}|{}", plan[ai], plan_query.body[ai])
-        }),
-        None => RankedJoin::new(db, plan_query, score),
-    }
+    RankedJoin::new(db, plan_query, score, levels, |ai| {
+        format!("b{ai}e{}|{}", plan[ai], plan_query.body[ai])
+    })
 }
 
 /// The exact offline reference the anytime stream trails: drain every
 /// *sound* plan's [`RankedJoin`] completely, keep each distinct answer at
 /// its maximum score, and sort non-increasing (ties on the smaller
 /// tuple). The any-k stream's contract is this list: the differential
-/// tests pin every delivered prefix to it.
+/// tests pin every delivered prefix to it. The plans share one
+/// [`LevelCache`]: one scorer for the whole call.
 pub fn offline_ranked_answers(
     db: &Database,
     reform: &Reformulation,
@@ -78,12 +77,13 @@ pub fn offline_ranked_answers(
     scorer: &dyn TupleScorer,
 ) -> Vec<(f64, Tuple)> {
     let mut best: BTreeMap<Tuple, f64> = BTreeMap::new();
+    let levels = LevelCache::new();
     for plan in inst.all_plans() {
         let plan_query = reform.plan_query(&plan);
         if !is_sound_plan(&plan_query, view_map, &reform.query).unwrap_or(false) {
             continue;
         }
-        for (score, tuple) in ranked_join(db, &plan_query, inst, scorer, &plan, None).drain() {
+        for (score, tuple) in ranked_join(db, &plan_query, inst, scorer, &plan, &levels).drain() {
             let best_score = best.entry(tuple).or_insert(score);
             if utility_cmp(score, *best_score) == Ordering::Greater {
                 *best_score = score;

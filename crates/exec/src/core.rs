@@ -449,7 +449,7 @@ impl WaveObserver for WaveHooks<'_, '_> {
             let levels = shared.unwrap_or(&stream.levels);
             let scorer = stream.scorer.as_ref();
             let inst = &core.prepared.instance;
-            let ranked = ranked_join(core.db, &plan_query, inst, scorer, plan, Some(levels));
+            let ranked = ranked_join(core.db, &plan_query, inst, scorer, plan, levels);
             hooks.memo_hits += shared.map_or(0, |l| l.hits()) - before;
             stream.gate.leave(plan);
             for (bucket, bound) in ranked.level_bounds().enumerate() {

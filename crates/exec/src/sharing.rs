@@ -17,9 +17,9 @@
 //!   rendered prefix is a faithful hash-consed identity). A later plan
 //!   sharing a prefix seeds its pipelined join from the longest match,
 //!   which is bit-identical to the unseeded evaluation;
-//! - **ranked levels** — [`qpo_anyk::LevelCache`] shares the per-atom
+//! - **ranked levels** — [`qpo_anyk::LevelCache`] shares the positional
 //!   scored levels of any-k enumerators across plans choosing the same
-//!   source for a bucket.
+//!   source for a bucket; without a memo, a stream keeps its own cache.
 //!
 //! The memo is only the store. Consultation and promotion are the sharing
 //! part of [`crate::core`]'s hooks and happen on the coordinating thread
