@@ -14,7 +14,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod behavior;
 pub mod catalog;
 pub mod domains;
 pub mod extent;
@@ -23,7 +22,6 @@ pub mod instance;
 pub mod schema;
 pub mod stats;
 
-pub use behavior::SourceBehavior;
 pub use catalog::{Catalog, CatalogError};
 pub use extent::Extent;
 pub use generator::{GeneratorConfig, StatRange};

@@ -117,6 +117,13 @@ impl SourceStats {
     pub fn expected_attempts(&self) -> f64 {
         1.0 / (1.0 - self.failure_prob)
     }
+
+    /// Expected latency of one successful access, in virtual time (the
+    /// unit of the cost measures): `c_i + α_i · n_i`. The runtime's
+    /// simulated sources jitter their draws around it.
+    pub fn expected_latency(&self) -> f64 {
+        self.access_cost + self.transmission_cost * self.tuples
+    }
 }
 
 impl Default for SourceStats {
@@ -163,6 +170,15 @@ mod tests {
                 .expected_attempts(),
             2.0
         );
+    }
+
+    #[test]
+    fn expected_latency() {
+        let s = SourceStats::new()
+            .with_extent(Extent::new(0, 50))
+            .with_access_cost(5.0)
+            .with_transmission_cost(0.5);
+        assert_eq!(s.expected_latency(), 30.0, "5 + 0.5 × 50");
     }
 
     #[test]

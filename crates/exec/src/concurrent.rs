@@ -6,9 +6,10 @@
 //! while their accesses wait, against *remote sources* — the
 //! deterministic simulator by default, a registered store or TCP backend
 //! by label — with latency, retries, and injected failures. It is the
-//! same loop, the same per-plan core and the same hooks ([`crate::core`])
-//! a [`QuerySession`](crate::QuerySession) steps inline one pull at a time,
-//! so a backend and a shared-execution memo compose in one call
+//! same loop, the same per-plan core and the same hooks ([`crate::core`],
+//! the loop's observer) a [`QuerySession`](crate::QuerySession) steps
+//! inline one pull at a time; nothing beside the loop syncs a data
+//! version. So a backend and a shared-execution memo compose in one call
 //! ([`RunOptions`]); the ranked tuple stream is the session's pull
 //! ([`QuerySession::next_tuple`](crate::QuerySession::next_tuple)). Two
 //! properties tie the two schedulers together:
@@ -21,7 +22,7 @@
 //!   carries on, so a permanently-down source costs exactly the answers
 //!   only it could deliver.
 
-use crate::core::{Hooks, PlanCore, WaveHooks};
+use crate::core::{Hooks, PlanCore};
 use crate::mediator::{build_orderer_observed, Mediator, MediatorError, StopCondition, Strategy};
 use crate::sharing::ExecutionMemo;
 use qpo_datalog::ConjunctiveQuery;
@@ -116,17 +117,13 @@ impl Mediator {
         obs.registry.counter("qpo_mediator_runs_total", &runs).inc();
         let mut core = PlanCore::new(self, &prepared, obs);
         core.serve_from(backend);
-        let mut hooks = Hooks::new(obs);
+        let mut hooks = Hooks::new(obs, self.database(), &prepared);
         if let Some(memo) = opts.memo {
-            core.share(memo);
+            core.memo = Some(memo.sources.clone());
             hooks.share(memo);
-            // Work memoized under an older backend data version — prefixes
-            // as much as access outcomes — is stale before the run starts.
-            core.sync_epoch();
         }
         let executor = core.executor(policy, obs);
-        let mut wave = WaveHooks::new(&mut hooks, &core);
-        let runtime = executor.run_observed(orderer.as_mut(), stop, &mut wave);
+        let runtime = executor.run_observed(orderer.as_mut(), stop, &mut hooks);
         Ok(ConcurrentRun { runtime })
     }
 }

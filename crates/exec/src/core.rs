@@ -5,37 +5,42 @@
 //! waves, with helper threads while accesses wait, under
 //! [`Mediator::run`](crate::Mediator::run).
 //!
+//! A plan's own state is its [`Ticket`], which travels with it: created
+//! at the pop, filled by the hooks at schedule, carried by the plan's job
+//! to whichever thread executes it, and back to the hooks at merge.
+//!
 //! [`PlanCore`] owns the step itself: the soundness verdict (and the
 //! error behind a missing one), the rows each body atom reads — the
 //! static extensions, or what the loop hands it for that slot: the rows a
 //! data-serving backend returned under the subgoal's binding pattern, live
 //! or replayed from the [`SourceMemo`] entry beside their outcome — and
-//! the seeded, prefix-capturing join over them. It makes no access and
-//! keeps no rows of its own. It is the crate's only [`PlanEvaluator`].
+//! the seeded join over them. It makes no access and keeps no rows or
+//! plans of its own, only the [`SourceMemo`] the loop consults. It is the
+//! crate's only [`PlanEvaluator`].
 //!
-//! [`Hooks`] owns what surrounds the step on the coordinating thread: an
-//! optional *sharing* part (longest memoized prefix looked up when the
-//! plan is scheduled, captured prefixes promoted when it merges,
-//! `subplan_reused` and the memo counters) and an optional *any-k* part
-//! (the plan's ranked stream attached at schedule and evicted at merge
-//! unless it executed, the scored levels those streams share, and the
-//! release gate: a `(bucket, source)` table of score bounds each attach
-//! tightens to what the rows it read can still score). Only a
-//! [`QuerySession`](crate::QuerySession) streams; an untightened copy of
-//! the gate is its plan schedule from then on, and release is its pull:
-//! [`Hooks::release`] hands out the next tuple the gate lets through,
-//! between steps, so every attached plan has merged and a released tuple
-//! is never retracted. [`WaveHooks`], the crate's only [`WaveObserver`], is
-//! what the loop calls when a plan is scheduled and when it merges. Both
-//! parts consult and mutate shared state on the coordinating thread only
-//! (lookups in pop order, promotions and tightenings in emission order),
-//! so a run stays bit-identical across worker counts.
+//! [`Hooks`] own what surrounds the step on the coordinating thread, and
+//! are the crate's only [`WaveObserver`]: an optional *sharing* part
+//! (longest memoized prefix looked up when the plan is scheduled,
+//! captured prefixes promoted when it merges, `subplan_reused` and the
+//! memo counters) and an optional *any-k* part (the plan's ranked stream
+//! attached at schedule and evicted at merge unless it executed, the
+//! scored levels those streams share, and the release gate: a `(bucket,
+//! source)` table of score bounds each attach tightens to what the rows it
+//! read can still score). Only a [`QuerySession`](crate::QuerySession)
+//! streams; an untightened copy of the gate is its plan schedule from
+//! then on, and release is its pull: [`Hooks::release`] hands out the next
+//! tuple the gate lets through, between steps, so every attached plan has
+//! merged and a released tuple is never retracted. Both parts consult and
+//! mutate shared state on the coordinating thread only (lookups in pop
+//! order, promotions and tightenings in emission order), so a run stays
+//! bit-identical across worker counts. Only the loop reads the backend's
+//! data version; the sharing part keeps the subplan memo on the source
+//! memo's.
 
 use crate::anyk::ranked_join;
 use crate::mediator::Mediator;
-use crate::sharing::ExecutionMemo;
+use crate::sharing::{ExecutionMemo, SubplanMemo};
 use qpo_anyk::{encode_tuple, AnyKMerge, LevelCache, RankedTuple, ReleaseGate, TupleScorer};
-use qpo_catalog::ProblemInstance;
 use qpo_core::OrderedPlan;
 use qpo_datalog::{
     evaluate_slots, is_sound_plan, ConjunctiveQuery, Database, ExpansionError, JoinPrefix,
@@ -48,7 +53,7 @@ use qpo_runtime::{
     SourceGrid, SourceMemo, WaveObserver,
 };
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// `source name → description`, the form plan expansion reads.
 pub(crate) type ViewMap = BTreeMap<Arc<str>, SourceDescription>;
@@ -56,21 +61,26 @@ pub(crate) type ViewMap = BTreeMap<Arc<str>, SourceDescription>;
 /// The rows one access returned, shared uncopied.
 type Rows = Arc<Vec<Tuple>>;
 
-/// Coordinator↔worker handoff, one slot per plan in flight: the plan
-/// query, assembled by whoever touches the plan first; the seed stashed
-/// when the plan is scheduled and consumed by `evaluate`; the error of a
-/// soundness test that failed; the prefixes the join captured, promoted
-/// when the plan merges. Workers only ever touch their own plan's slot.
-pub(crate) struct Slot {
-    pub(crate) query: Arc<ConjunctiveQuery>,
+/// One plan's state from pop to merge ([`PlanEvaluator::Ticket`]).
+#[derive(Default)]
+pub(crate) struct Ticket {
+    /// The plan query, assembled by whoever needs it first: the hooks at
+    /// schedule, else the soundness test on the executing thread.
+    pub(crate) query: Option<ConjunctiveQuery>,
+    /// The memoized prefix the join starts from, until it does.
     seed: Option<JoinPrefix>,
+    /// The error of a soundness test that itself failed.
     pub(crate) soundness_error: Option<ExpansionError>,
+    /// The prefixes the join captured past the seed, once the sharing part
+    /// asked for them (`Some`) at schedule.
     captured: Option<Vec<JoinPrefix>>,
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Poison recovery: the handoff map only ever holds complete entries.
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
+impl Ticket {
+    /// The plan query, assembled on first ask.
+    fn query(&mut self, prepared: &PreparedQuery, plan: &[usize]) -> &ConjunctiveQuery {
+        (self.query).get_or_insert_with(|| prepared.reformulation.plan_query(plan))
+    }
 }
 
 /// The per-plan step; see the module docs.
@@ -87,8 +97,8 @@ pub(crate) struct PlanCore<'a> {
     access: OnceLock<(SourceGrid, Vec<Vec<Arc<str>>>)>,
     /// The remote world the loop accesses for this core, if any.
     backend: Option<Arc<dyn SourceBackend>>,
-    memo: Option<ExecutionMemo>,
-    handoff: Mutex<BTreeMap<Vec<usize>, Slot>>,
+    /// The source memo the loop consults on the backend's accesses.
+    pub(crate) memo: Option<SourceMemo>,
 }
 
 impl<'a> PlanCore<'a> {
@@ -102,7 +112,6 @@ impl<'a> PlanCore<'a> {
             access: OnceLock::new(),
             backend: None,
             memo: None,
-            handoff: Mutex::default(),
         }
     }
 
@@ -119,19 +128,8 @@ impl<'a> PlanCore<'a> {
         (self.backend.as_ref()).is_some_and(|backend| backend.kind() != "sim")
     }
 
-    /// Keeps `memo` in step with the backend's data version (see
-    /// [`PlanCore::sync_epoch`]); joins hand their captured prefixes back.
-    pub(crate) fn share(&mut self, memo: &ExecutionMemo) {
-        self.memo = Some(memo.clone());
-    }
-
-    /// The source memo of the shared execution memo, if one is attached.
-    pub(crate) fn source_memo(&self) -> Option<&SourceMemo> {
-        self.memo.as_ref().map(|memo| &memo.sources)
-    }
-
-    /// The loop over this core: accesses go to its backend through the
-    /// shared memo's source memo; without a backend there are none.
+    /// The loop over this core: accesses go to its backend through its
+    /// source memo; without a backend there are none.
     pub(crate) fn executor<'c>(
         &'c self,
         policy: RuntimePolicy,
@@ -140,10 +138,10 @@ impl<'a> PlanCore<'a> {
         let Some(backend) = &self.backend else {
             return Executor::local(self, policy).with_obs(obs);
         };
-        let executor = Executor::new(self.grid(), self, policy)
+        let executor = Executor::new(&self.access().0, self, policy)
             .with_backend(Arc::clone(backend))
             .with_obs(obs);
-        match self.source_memo() {
+        match &self.memo {
             Some(memo) => executor.with_source_memo(memo),
             None => executor,
         }
@@ -160,36 +158,6 @@ impl<'a> PlanCore<'a> {
                 patterns.map(|b| b.iter().map(pattern).collect()).collect(),
             )
         })
-    }
-
-    /// The source grid the prepared query induces.
-    pub(crate) fn grid(&self) -> &SourceGrid {
-        &self.access().0
-    }
-
-    /// Syncs the shared memo to the backend's data version: when it moved
-    /// (a store write, a restarted server), the outcomes, rows and
-    /// prefixes memoized from the old version are dropped. Called on the
-    /// coordinating thread before a run and before every pull.
-    pub(crate) fn sync_epoch(&self) {
-        if let (Some(backend), Some(memo)) = (&self.backend, &self.memo) {
-            memo.sync_backend_epoch(backend.epoch());
-        }
-    }
-
-    /// Reads or updates `plan`'s handoff slot, opening it — and assembling
-    /// the plan query, once per plan — on first touch.
-    fn slot<R>(&self, plan: &[usize], touch: impl FnOnce(&mut Slot) -> R) -> R {
-        let mut handoff = lock(&self.handoff);
-        if let Some(slot) = handoff.get_mut(plan) {
-            return touch(slot);
-        }
-        touch(handoff.entry(plan.to_vec()).or_insert_with(|| Slot {
-            query: Arc::new(self.prepared.reformulation.plan_query(plan)),
-            seed: None,
-            soundness_error: None,
-            captured: None,
-        }))
     }
 
     /// Joins `plan_query` from `seed`, returning its answers (flat, as they
@@ -224,29 +192,37 @@ impl<'a> PlanCore<'a> {
 }
 
 impl PlanEvaluator for PlanCore<'_> {
+    type Ticket = Ticket;
+
     /// The prepared query's verdict on `plan`: tested (and counted) the
     /// first time any run or session over the entry asks, remembered by
     /// it thereafter. A test that itself failed reads as unsound; its
     /// error is reported and counted every time, remembered or not.
-    fn is_sound(&self, plan: &[usize]) -> bool {
-        let plan_query = self.slot(plan, |s| Arc::clone(&s.query));
+    fn is_sound(&self, plan: &[usize], ticket: &mut Ticket) -> bool {
+        let plan_query = ticket.query(self.prepared, plan);
         let query = &self.prepared.reformulation.query;
         let verdict = self.prepared.verdict(plan, || {
             self.soundness_tests.inc();
-            is_sound_plan(&plan_query, self.view_map, query)
+            is_sound_plan(plan_query, self.view_map, query)
         });
         verdict.unwrap_or_else(|error| {
             self.soundness_errors.inc();
-            self.slot(plan, |s| s.soundness_error = Some(error));
+            ticket.soundness_error = Some(error);
             false
         })
     }
 
-    fn evaluate(&self, plan: &[usize], fetched: &[Option<Rows>]) -> PrefixRows {
-        let (plan_query, seed) = self.slot(plan, |s| (Arc::clone(&s.query), s.seed.take()));
-        let (answers, captured) = self.join(&plan_query, fetched, seed.as_ref());
-        if self.memo.is_some() {
-            self.slot(plan, |s| s.captured = Some(captured));
+    fn evaluate(
+        &self,
+        plan: &[usize],
+        fetched: &[Option<Rows>],
+        ticket: &mut Ticket,
+    ) -> PrefixRows {
+        let seed = ticket.seed.take();
+        let plan_query = ticket.query(self.prepared, plan);
+        let (answers, prefixes) = self.join(plan_query, fetched, seed.as_ref());
+        if let Some(captured) = &mut ticket.captured {
+            *captured = prefixes;
         }
         answers
     }
@@ -261,6 +237,17 @@ struct Sharing {
     hits: Counter,
     misses: Counter,
     bytes: Gauge,
+}
+
+impl Sharing {
+    /// The subplan memo, first kept on the data version the loop synced
+    /// the source memo to: prefixes of an older version's rows are dropped.
+    fn subplans(&self) -> &SubplanMemo {
+        let memo = &self.memo;
+        memo.subplans
+            .sync_backend_epoch(memo.sources.backend_epoch());
+        &memo.subplans
+    }
 }
 
 struct Stream<'a> {
@@ -279,6 +266,8 @@ struct Stream<'a> {
 /// module docs.
 pub(crate) struct Hooks<'a> {
     obs: &'a Obs,
+    db: &'a Database,
+    prepared: &'a PreparedQuery,
     sharing: Option<Sharing>,
     stream: Option<Stream<'a>>,
     /// Memoized lookups that hit: subplan prefixes plus shared any-k
@@ -286,16 +275,21 @@ pub(crate) struct Hooks<'a> {
     pub(crate) memo_hits: u64,
     /// Plans seeded from a memoized prefix.
     pub(crate) reused: u64,
+    /// The ticket of the plan merged last, for a session to report from.
+    pub(crate) merged: Option<Ticket>,
 }
 
 impl<'a> Hooks<'a> {
-    pub(crate) fn new(obs: &'a Obs) -> Self {
+    pub(crate) fn new(obs: &'a Obs, db: &'a Database, prepared: &'a PreparedQuery) -> Self {
         Hooks {
             obs,
+            db,
+            prepared,
             sharing: None,
             stream: None,
             memo_hits: 0,
             reused: 0,
+            merged: None,
         }
     }
 
@@ -319,11 +313,11 @@ impl<'a> Hooks<'a> {
     /// by bound.
     pub(crate) fn stream(
         &mut self,
-        inst: &ProblemInstance,
         scorer: Box<dyn TupleScorer + 'a>,
         emitted: &[Vec<usize>],
     ) -> ReleaseGate {
-        let table = inst.buckets.iter().enumerate().map(|(b, bucket)| {
+        let buckets = self.prepared.instance.buckets.iter().enumerate();
+        let table = buckets.map(|(b, bucket)| {
             let bounds = bucket.iter().map(|stats| scorer.atom_bound(b, stats));
             bounds.collect()
         });
@@ -381,45 +375,27 @@ impl<'a> Hooks<'a> {
     }
 }
 
-/// The loop's side of [`Hooks`]: carries seeds and captured prefixes
-/// across the core's coordinator↔worker handoff — all on the coordinator,
-/// at serial virtual-clock timestamps, hence worker-count independent.
-/// Borrowed per run, or per pull.
-pub(crate) struct WaveHooks<'h, 'a> {
-    pub(crate) hooks: &'h mut Hooks<'a>,
-    pub(crate) core: &'h PlanCore<'a>,
-    /// The handoff slot of the plan merged last, closed.
-    pub(crate) closed: Option<Slot>,
-}
-
-impl<'h, 'a> WaveHooks<'h, 'a> {
-    pub(crate) fn new(hooks: &'h mut Hooks<'a>, core: &'h PlanCore<'a>) -> Self {
-        WaveHooks {
-            hooks,
-            core,
-            closed: None,
-        }
-    }
-
-    fn idle(&self) -> bool {
-        self.hooks.sharing.is_none() && self.hooks.stream.is_none()
-    }
-}
-
-impl WaveObserver for WaveHooks<'_, '_> {
+impl WaveObserver<Ticket> for Hooks<'_> {
     /// A plan was popped and is about to execute (its verdict is not in
-    /// yet): stashes the longest memoized prefix as its join's seed
-    /// (`subplan_reused`) and attaches its ranked stream to the merge
-    /// (`stream_attached`).
-    fn plan_scheduled(&mut self, seq: u64, ordered: &OrderedPlan, vclock: f64) {
-        if self.idle() {
+    /// yet): assembles its plan query into the ticket, seeds its join from
+    /// the longest memoized prefix (`subplan_reused`) and asks for what it
+    /// captures, and attaches its ranked stream (`stream_attached`). With
+    /// both parts off the ticket leaves empty.
+    fn plan_scheduled(
+        &mut self,
+        seq: u64,
+        ordered: &OrderedPlan,
+        ticket: &mut Ticket,
+        vclock: f64,
+    ) {
+        if self.sharing.is_none() && self.stream.is_none() {
             return;
         }
-        let (hooks, core, plan) = (&mut *self.hooks, self.core, &ordered.plan);
-        let journal = &hooks.obs.journal;
-        let plan_query = core.slot(plan, |s| Arc::clone(&s.query));
-        let seed = hooks.sharing.as_ref().and_then(|s| {
-            let seed = s.memo.subplans.longest_prefix(&plan_query);
+        let (obs, plan) = (self.obs, &ordered.plan);
+        let journal = &obs.journal;
+        let plan_query = ticket.query(self.prepared, plan);
+        let seed = self.sharing.as_ref().and_then(|s| {
+            let seed = s.subplans().longest_prefix(plan_query);
             match seed {
                 Some(_) => s.hits.inc(),
                 None => s.misses.inc(),
@@ -427,8 +403,8 @@ impl WaveObserver for WaveHooks<'_, '_> {
             seed
         });
         if let Some(prefix) = &seed {
-            hooks.memo_hits += 1;
-            hooks.reused += 1;
+            self.memo_hits += 1;
+            self.reused += 1;
             if journal.is_enabled() {
                 journal.record_at(
                     vclock,
@@ -440,17 +416,16 @@ impl WaveObserver for WaveHooks<'_, '_> {
                 );
             }
         }
-        core.slot(plan, |s| s.seed = seed);
-        if let Some(stream) = &mut hooks.stream {
+        if let Some(stream) = &mut self.stream {
             // Level-cache lookups stay on the coordinating thread, so hit
             // counts are deterministic; only the memo's are memo hits.
-            let shared = hooks.sharing.as_ref().map(|s| &s.memo.levels);
+            let shared = self.sharing.as_ref().map(|s| &s.memo.levels);
             let before = shared.map_or(0, |l| l.hits());
             let levels = shared.unwrap_or(&stream.levels);
             let scorer = stream.scorer.as_ref();
-            let inst = &core.prepared.instance;
-            let ranked = ranked_join(core.db, &plan_query, inst, scorer, plan, levels);
-            hooks.memo_hits += shared.map_or(0, |l| l.hits()) - before;
+            let inst = &self.prepared.instance;
+            let ranked = ranked_join(self.db, plan_query, inst, scorer, plan, levels);
+            self.memo_hits += shared.map_or(0, |l| l.hits()) - before;
             stream.gate.leave(plan);
             for (bucket, bound) in ranked.level_bounds().enumerate() {
                 stream.gate.tighten(bucket, plan[bucket], bound);
@@ -467,41 +442,31 @@ impl WaveObserver for WaveHooks<'_, '_> {
                 );
             }
         }
+        ticket.seed = seed;
+        ticket.captured = self.sharing.as_ref().map(|_| Vec::new());
     }
 
-    /// A plan's outcome is final: closes its slot (whether or not it ever
-    /// ran), promotes the prefixes its join captured into the memo and,
-    /// unless it executed (unsound, failed), evicts its stream
-    /// (`stream_evicted`) — which, released only between steps, has
-    /// delivered nothing.
-    fn plan_merged(&mut self, report: &PlanExecution, vclock: f64) {
-        self.closed = lock(&self.core.handoff).remove(&report.ordered.plan);
-        if self.idle() {
-            return;
-        }
-        let hooks = &mut *self.hooks;
-        let captured = self
-            .closed
-            .as_ref()
-            .and_then(|s| s.captured.as_ref().zip(Some(&s.query)));
-        if let (Some(s), Some((prefixes, plan_query))) = (&hooks.sharing, captured) {
-            // A backend that learns its data version from replies knows it
-            // by now; the first prefix starts on it, as the source memo did
-            // storing this plan's outcomes — it is not a move to clear for.
-            if s.memo.subplans.is_empty() {
-                self.core.sync_epoch();
-            }
-            s.memo.subplans.store_all(plan_query, prefixes);
+    /// A plan's outcome is final: promotes the prefixes its join captured
+    /// into the memo, unless it executed (unsound, failed) evicts its
+    /// stream (`stream_evicted`) — which, released only between steps, has
+    /// delivered nothing — and keeps its ticket as the one merged last.
+    fn plan_merged(&mut self, report: &PlanExecution, mut ticket: Ticket, vclock: f64) {
+        let captured = ticket.captured.take();
+        if let (Some(s), Some(prefixes), Some(plan_query)) =
+            (&self.sharing, captured, &ticket.query)
+        {
+            s.subplans().store_all(plan_query, &prefixes);
             s.bytes.set(s.memo.subplans.approx_bytes() as f64);
         }
-        if let Some(stream) = hooks.stream.as_mut().filter(|_| !report.executed()) {
+        if let Some(stream) = self.stream.as_mut().filter(|_| !report.executed()) {
             stream.merge.evict(report.seq);
-            let journal = &hooks.obs.journal;
+            let journal = &self.obs.journal;
             if journal.is_enabled() {
                 let fields = vec![("plan_seq", Value::U64(report.seq))];
                 journal.record_at(vclock, "stream_evicted", fields);
             }
         }
+        self.merged = Some(ticket);
     }
 }
 
@@ -513,16 +478,20 @@ pub(crate) mod tests {
     use qpo_runtime::{
         Access, AccessContext, AccessOutcome, AccessReply, BackendError, SourceService,
     };
-    use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering as AtomicOrdering};
 
     /// An in-memory data-serving backend: a relation it does not hold is a
-    /// permanent error, and the first `outages` accesses of `flaky` fail
-    /// transiently. Shared with the session's tests.
+    /// permanent error, the first `outages` accesses of `flaky` fail
+    /// transiently, and the first access for a plan numbered `moves_at` or
+    /// later moves its data version from 0 to 1. Shared with the session's
+    /// tests.
     pub(crate) struct RowsBackend {
         pub(crate) relations: BTreeMap<String, Arc<Vec<Tuple>>>,
         pub(crate) flaky: String,
         pub(crate) outages: AtomicU32,
         pub(crate) requests: AtomicU32,
+        pub(crate) moves_at: Option<u64>,
+        epoch: AtomicU64,
     }
 
     impl RowsBackend {
@@ -535,6 +504,8 @@ pub(crate) mod tests {
                 flaky: String::new(),
                 outages: AtomicU32::new(0),
                 requests: AtomicU32::new(0),
+                moves_at: None,
+                epoch: AtomicU64::new(0),
             }
         }
     }
@@ -544,12 +515,19 @@ pub(crate) mod tests {
             "rows-test"
         }
 
+        fn epoch(&self) -> u64 {
+            self.epoch.load(AtomicOrdering::Relaxed)
+        }
+
         fn access(
             &self,
             svc: &SourceService,
-            _: &AccessContext<'_>,
+            ctx: &AccessContext<'_>,
         ) -> Result<AccessReply, BackendError> {
             self.requests.fetch_add(1, AtomicOrdering::Relaxed);
+            if self.moves_at.is_some_and(|at| ctx.plan_seq >= at) {
+                self.epoch.store(1, AtomicOrdering::Relaxed);
+            }
             let down = |n: u32| n.checked_sub(1);
             if *svc.name == *self.flaky
                 && self
@@ -585,7 +563,7 @@ pub(crate) mod tests {
             .instance
             .all_plans()
             .into_iter()
-            .find(|p| !core.evaluate(p, &[]).is_empty())
+            .find(|p| !core.evaluate(p, &[], &mut Ticket::default()).is_empty())
             .expect("some plan answers");
         assert!(plan.len() >= 2, "needs a mixed fetched/memo-resolved plan");
         let sources = prepared.reformulation.plan_sources(&plan);
@@ -603,37 +581,44 @@ pub(crate) mod tests {
             .counter_value("qpo_backend_errors_total", &labels)
     }
 
-    /// The wave driver assembles a plan's query once: scheduling, the
-    /// soundness test and the join all read the one handoff slot, and the
-    /// merge closes it — seeded and captured prefixes riding along.
+    /// A plan's state rides in its ticket: the hooks assemble its plan
+    /// query once, at schedule, and ask for its prefixes; the soundness
+    /// test and the join read that one query; the seed and the capture
+    /// ride along; and the merge leaves the ticket with the hooks, the
+    /// capture promoted. The core has no per-plan state to keep.
     #[test]
-    fn the_wave_handoff_builds_one_plan_query_per_plan() {
+    fn a_ticket_carries_one_plan_query_its_seed_and_its_capture() {
         use qpo_runtime::PlanStatus;
         let m = mediator();
         let prepared = m.prepare(&movie_query()).unwrap();
         let (plan, _) = answering_plan(&m, &prepared);
         let memo = ExecutionMemo::new();
-        let mut core = PlanCore::new(&m, &prepared, m.obs());
-        core.share(&memo);
-        let mut hooks = Hooks::new(m.obs());
+        let core = PlanCore::new(&m, &prepared, m.obs());
+        let mut hooks = Hooks::new(m.obs(), m.database(), &prepared);
         hooks.share(&memo);
-        let mut wave = WaveHooks::new(&mut hooks, &core);
         let ordered = OrderedPlan {
             plan: plan.clone(),
             utility: -1.0,
         };
-        let query_of = || Arc::clone(&lock(&core.handoff)[&plan].query);
+        let body = |ticket: &Ticket| ticket.query.as_ref().map(|q| q.body.as_ptr());
         let reference = m
             .database()
             .evaluate(&prepared.reformulation.plan_query(&plan));
         let mut answers = Vec::new();
         for seq in 0..2 {
-            wave.plan_scheduled(seq, &ordered, 0.0);
-            let assembled = query_of();
-            assert!(core.is_sound(&plan));
-            answers.push(core.evaluate(&plan, &[]));
+            let mut ticket = Ticket::default();
+            hooks.plan_scheduled(seq, &ordered, &mut ticket, 0.0);
+            let assembled = body(&ticket);
+            assert!(assembled.is_some(), "assembled at schedule");
+            assert_eq!(ticket.seed.is_some(), seq == 1, "seeded on the second pass");
+            assert_eq!(ticket.captured.as_deref(), Some(&[][..]), "capture asked");
+            assert!(core.is_sound(&plan, &mut ticket));
+            answers.push(core.evaluate(&plan, &[], &mut ticket));
             assert_eq!(as_set(&answers[seq as usize]), reference);
-            assert!(Arc::ptr_eq(&assembled, &query_of()), "built once");
+            assert_eq!(body(&ticket), assembled, "built once");
+            if seq == 0 {
+                assert_eq!(ticket.captured.as_ref().map(Vec::len), Some(plan.len()));
+            }
             let report = PlanExecution {
                 seq,
                 ordered: ordered.clone(),
@@ -646,17 +631,27 @@ pub(crate) mod tests {
                 latency: 0.0,
                 fees: 0.0,
             };
-            wave.plan_merged(&report, 0.0);
-            assert!(lock(&core.handoff).is_empty(), "merge closes the slot");
+            hooks.plan_merged(&report, ticket, 0.0);
+            let merged = hooks.merged.take().unwrap();
+            assert_eq!(body(&merged), assembled, "the query comes back with it");
+            assert!(merged.captured.is_none(), "promoted, not kept");
         }
         // The first pass promoted what it captured; the second was seeded
-        // from it across the handoff and answered the same.
+        // from it through its ticket and answered the same.
         assert_eq!(
-            (memo.subplans.stores(), wave.hooks.reused),
+            (memo.subplans.stores(), hooks.reused),
             (plan.len() as u64, 1)
         );
         assert_eq!(answers[0], answers[1], "seeded: the same rows, in order");
         assert!(!reference.is_empty());
+        // With the hooks idle nothing asks: the executing thread assembles
+        // the query, and no prefix is kept.
+        let mut bare = Ticket::default();
+        Hooks::new(m.obs(), m.database(), &prepared).plan_scheduled(0, &ordered, &mut bare, 0.0);
+        assert!(bare.query.is_none());
+        assert!(core.is_sound(&plan, &mut bare) && bare.query.is_some());
+        core.evaluate(&plan, &[], &mut bare);
+        assert!(bare.captured.is_none());
     }
 
     /// An orderer emitting a fixed plan sequence.
@@ -683,7 +678,7 @@ pub(crate) mod tests {
     ) -> Vec<PlanExecution> {
         let mut core = PlanCore::new(m, prepared, m.obs());
         assert!(core.serve_from(backend.clone()));
-        core.share(&ExecutionMemo::new());
+        core.memo = Some(SourceMemo::new());
         let mut twice = Script(vec![plan.to_vec(); 2].into_iter());
         let run = core
             .executor(RuntimePolicy::serial(), m.obs())
@@ -798,5 +793,65 @@ pub(crate) mod tests {
             assert_eq!(memoized.runtime.answers, plain.runtime.answers);
             assert_eq!(memoized.failed(), 0);
         }
+    }
+
+    /// A backend's data version moves inside one run, on the first access
+    /// of plan 1. The loop reads the version at the top of every wave, so
+    /// the memo is cleared before the next plan looks anything up: no
+    /// later plan replays an entry stored before the move.
+    #[test]
+    fn a_data_version_moving_mid_run_clears_the_memo_at_the_next_wave() {
+        use crate::{BackendRegistry, RunOptions, StopCondition, Strategy};
+        let obs = Obs::with_trace();
+        let m = mediator();
+        let mut backend = RowsBackend::seeded(&m);
+        backend.moves_at = Some(1);
+        let backend = Arc::new(backend);
+        let m = m.with_backends(BackendRegistry::new().with("rows", backend.clone()));
+        let memo = ExecutionMemo::new();
+        let opts = RunOptions {
+            backend: Some("rows"),
+            memo: Some(&memo),
+            obs: Some(&obs),
+        };
+        let (measure, stop) = (qpo_utility::LinearCost, StopCondition::unbounded());
+        let policy = RuntimePolicy::serial();
+        m.run(
+            &movie_query(),
+            &measure,
+            Strategy::Greedy,
+            stop,
+            policy,
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(backend.epoch(), 1, "the version moved");
+        let trace = obs.journal.to_jsonl();
+        qpo_obs::validate_trace(&trace).unwrap();
+        // The plan whose access moved the version, and per source the plan
+        // that stored it last, as the journal goes.
+        let mut moved = None;
+        let mut stored: BTreeMap<String, u64> = BTreeMap::new();
+        let mut hits_after = 0;
+        for rec in qpo_obs::read_jsonl(&trace).unwrap() {
+            let (Some(seq), Some(source)) = (rec.u64("plan_seq"), rec.str("source")) else {
+                continue;
+            };
+            match &*rec.kind {
+                "source_attempt" if seq >= 1 => moved = moved.or(Some(seq)),
+                "memo_store" => drop(stored.insert(source.to_string(), seq)),
+                "memo_hit" if moved.is_some_and(|moved| seq > moved) => {
+                    let at = stored[source];
+                    assert!(
+                        at >= moved.unwrap(),
+                        "plan {seq} replays {source} from plan {at}"
+                    );
+                    hits_after += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(moved.is_some());
+        assert!(hits_after > 0, "what was stored after the move is served");
     }
 }

@@ -10,8 +10,10 @@
 //!
 //! A session *is* a run of the one execution loop
 //! ([`qpo_runtime::Executor`]) paused between pulls: a pull is one
-//! [`step`](qpo_runtime::Executor::step) at `lookahead = 1`, inline on the caller's
-//! thread. So a session pops, budgets, retries, fails, feeds back and
+//! [`step`](qpo_runtime::Executor::step) at `lookahead = 1`, inline on the
+//! caller's thread, with the session's hooks as the step's observer — the
+//! merged plan's ticket (its query, a soundness error) comes back in
+//! them. So a session pops, budgets, retries, fails, feeds back and
 //! traces exactly like [`Mediator::run`] under
 //! [`RuntimePolicy::serial`] — the same plan-lifecycle, `source_attempt`,
 //! memo and drift events on the same serial virtual clock, which is why
@@ -29,7 +31,7 @@
 //! on the bundle's [`SessionBoard`](qpo_obs::SessionBoard) (the
 //! `/sessions` endpoint of the introspection server).
 
-use crate::core::{Hooks, PlanCore, WaveHooks};
+use crate::core::{Hooks, PlanCore};
 use crate::mediator::{
     build_orderer_observed, Mediator, MediatorError, MediatorRun, PlanReport, StopCondition,
     Strategy,
@@ -40,10 +42,10 @@ use qpo_core::PlanOrderer;
 use qpo_datalog::Tuple;
 use qpo_obs::{encode_plan, Histogram, Obs};
 use qpo_reformulation::PreparedQuery;
-use qpo_runtime::{PlanExecution, PlanStatus, RunState, RuntimePolicy};
+use qpo_runtime::{PlanExecution, PlanStatus, RunState, RuntimePolicy, SourceMemo};
 use qpo_utility::UtilityMeasure;
 use std::collections::BTreeSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// An open query-serving session: one prepared query, one orderer, and
@@ -121,7 +123,7 @@ impl<'s> QuerySession<'s> {
             mediator,
             prepared,
             core: PlanCore::new(mediator, prepared, obs),
-            hooks: Hooks::new(obs),
+            hooks: Hooks::new(obs, mediator.database(), prepared),
             orderer,
             run: None,
             sorted: OnceLock::new(),
@@ -152,9 +154,8 @@ impl<'s> QuerySession<'s> {
     /// data-serving backend's rows are what the join reads; they live in
     /// the source memo beside the outcome of the access that fetched them
     /// (the attached [`ExecutionMemo`]'s, else a private one), so each
-    /// `(source, pattern)` is fetched once per backend data version. A
-    /// backend write is observed before the next plan pull: whatever the
-    /// memo holds from the old version is dropped. `"sim"` is the
+    /// `(source, pattern)` is fetched once per backend data version: the
+    /// loop clears that memo at its first wave after a backend write. `"sim"` is the
     /// simulator: it serves no rows, so reports, answers and the ranked
     /// stream stay bit-identical to an unbackended session's. Tuple-level
     /// any-k streaming always ranks over the extensions.
@@ -162,14 +163,12 @@ impl<'s> QuerySession<'s> {
     /// Fails fast when `label` is not registered.
     pub fn with_backend(mut self, label: &str) -> Result<Self, MediatorError> {
         let serves_data = self.core.serve_from(self.mediator.backend(label)?);
-        if serves_data && self.core.source_memo().is_none() {
-            // A private memo keeps each `(source, pattern)`'s rows, so
-            // each is fetched once even when no memo is shared. The
-            // simulator serves no rows and, as under `Mediator::run`,
-            // pays every access unless one is.
-            self.core.share(&ExecutionMemo::new());
+        if serves_data && self.core.memo.is_none() {
+            // A private source memo: each `(source, pattern)` is fetched
+            // once. The simulator serves no rows and, as under
+            // `Mediator::run`, pays every access unless a memo is shared.
+            self.core.memo = Some(SourceMemo::new());
         }
-        self.core.sync_epoch();
         Ok(self)
     }
 
@@ -183,9 +182,8 @@ impl<'s> QuerySession<'s> {
     /// share partial joins between queries. Hits and seeded plans show
     /// on the session board and as `subplan_reused` events.
     pub fn with_memo(mut self, memo: &ExecutionMemo) -> Self {
-        self.core.share(memo);
+        self.core.memo = Some(memo.sources.clone());
         self.hooks.share(memo);
-        self.core.sync_epoch();
         self
     }
 
@@ -253,7 +251,6 @@ impl<'s> QuerySession<'s> {
     /// under `budget`, then everything the session keeps per plan: the
     /// report, its histograms, the board entry.
     fn pull(&mut self, budget: StopCondition) -> Option<PlanReport> {
-        self.core.sync_epoch();
         // The executor view is rebuilt per pull: it borrows the core.
         let policy = RuntimePolicy::serial();
         let executor = self.core.executor(policy, self.obs);
@@ -262,10 +259,10 @@ impl<'s> QuerySession<'s> {
             .get_or_insert_with(|| executor.begin(self.orderer.as_ref()));
         // No tuple leaves the gate inside a step: only `next_tuple`
         // releases, between steps.
-        let mut wave = WaveHooks::new(&mut self.hooks, &self.core);
-        let execution = executor.step(run, self.orderer.as_mut(), budget, &mut wave)?;
+        let execution = executor.step(run, self.orderer.as_mut(), budget, &mut self.hooks)?;
         self.sorted.take();
-        let slot = wave.closed.expect("the merge closes the plan's slot");
+        // At lookahead 1 the step merged exactly this plan.
+        let ticket = self.hooks.merged.take().unwrap_or_default();
         let PlanExecution {
             seq,
             ordered,
@@ -282,12 +279,14 @@ impl<'s> QuerySession<'s> {
             PlanStatus::Failed(reason) => (0, Some(reason)),
             PlanStatus::Unsound => (0, None),
         };
+        let query =
+            (ticket.query).unwrap_or_else(|| self.prepared.reformulation.plan_query(&ordered.plan));
         let report = PlanReport {
             sources: self.prepared.reformulation.plan_sources(&ordered.plan),
             ordered,
-            query: Arc::try_unwrap(slot.query).unwrap_or_else(|shared| (*shared).clone()),
+            query,
             sound,
-            soundness_error: slot.soundness_error,
+            soundness_error: ticket.soundness_error,
             failure,
             new_tuples,
             cumulative: run.answer_count(),
@@ -348,8 +347,7 @@ impl<'s> QuerySession<'s> {
                 .pending_scorer
                 .take()
                 .unwrap_or_else(|| Box::new(CatalogScorer::new(self.mediator.universe())));
-            let emitted = &self.emitted_unstreamed;
-            let gate = self.hooks.stream(&self.prepared.instance, scorer, emitted);
+            let gate = self.hooks.stream(scorer, &self.emitted_unstreamed);
             self.orderer = Box::new(ScoreBoundOrder::new(gate));
         }
         loop {
@@ -720,12 +718,9 @@ mod tests {
             assert!(!rest.answers.is_empty());
             assert_eq!(rest.executed() + rest.discarded(), rest.reports.len());
             drop(s);
-            // The orderer was told: the failure is retracted in the trace.
+            // The failure is in the trace, once.
             let trace = qpo_obs::validate_trace(&obs.journal.to_jsonl()).unwrap();
-            assert_eq!(
-                (trace.count("plan_failed"), trace.count("plan_retracted")),
-                (1, 1)
-            );
+            assert_eq!(trace.count("plan_failed"), 1);
         });
     }
 

@@ -22,12 +22,12 @@
 //!   source for a bucket; without a memo, a stream keeps its own cache.
 //!
 //! The memo is only the store. Consultation and promotion are the sharing
-//! part of [`crate::core`]'s hooks and happen on the coordinating thread
-//! — lookups when a plan is scheduled (pop order), promotions when it
-//! merges (emission order) — so memoized runs remain bit-identical across
-//! worker counts, and the journal events (`memo_hit`, `memo_store`,
-//! `subplan_reused`) land on the serial virtual clock inside their plan's
-//! span.
+//! part of [`crate::core`]'s hooks, on the coordinating thread: lookups at
+//! schedule (pop order), promotions at merge (emission order), each on the
+//! source memo's data version, which only the loop syncs. So memoized runs
+//! stay bit-identical across worker counts, and the journal events
+//! (`memo_hit`, `memo_store`, `subplan_reused`) land on the serial virtual
+//! clock inside their plan's span.
 
 use qpo_anyk::LevelCache;
 use qpo_datalog::{ConjunctiveQuery, JoinPrefix};
@@ -105,10 +105,9 @@ impl SubplanMemo {
 
     /// Declares the data version
     /// ([`SourceBackend::epoch`](qpo_runtime::SourceBackend::epoch)) of
-    /// the backend whose rows the prefixes are joined from. A changed
-    /// epoch drops every cached prefix: it materializes rows of a world
-    /// the backend no longer serves, and seeding from it would answer
-    /// from that world.
+    /// the rows the prefixes are joined from — the hooks pass the source
+    /// memo's. A changed epoch drops every cached prefix: seeding from a
+    /// world the backend no longer serves would answer from that world.
     pub fn sync_backend_epoch(&self, epoch: u64) {
         let mut inner = self.lock();
         if inner.backend_epoch != epoch {
@@ -215,15 +214,6 @@ impl ExecutionMemo {
     /// Approximate resident bytes across all three layers.
     pub fn approx_bytes(&self) -> usize {
         self.sources.approx_bytes() + self.subplans.approx_bytes() + self.levels.approx_bytes()
-    }
-
-    /// Declares the data version of the backend the memoized work came
-    /// from: when it moved, the source memo drops outcomes observed under
-    /// the old one and the subplan memo drops its prefixes. (The level
-    /// cache ranks over the static extensions, which have no epoch.)
-    pub fn sync_backend_epoch(&self, epoch: u64) {
-        self.sources.sync_backend_epoch(epoch);
-        self.subplans.sync_backend_epoch(epoch);
     }
 }
 

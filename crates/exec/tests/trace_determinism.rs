@@ -105,8 +105,6 @@ fn trace_validates_and_spans_balance() {
         report.spans_closed,
         report.count("plan_completed") + report.count("plan_failed") + report.count("plan_unsound")
     );
-    // Retraction is an annotation on failed plans, never a span closer.
-    assert_eq!(report.count("plan_retracted"), report.count("plan_failed"));
 }
 
 #[test]

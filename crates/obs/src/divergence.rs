@@ -32,7 +32,8 @@ use crate::Obs;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Catalog-declared behavior of one source, reduced to the three stats
-/// the monitor checks (the runtime derives these from `SourceBehavior`).
+/// the monitor checks (the runtime reads them off the source's
+/// `SourceStats`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SourceExpectation {
     /// Expected access latency (base plus per-tuple transmission).

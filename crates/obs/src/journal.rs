@@ -488,10 +488,12 @@ enum SpanState {
 ///
 /// Remote spans (`remote_*` fields on `source_attempt`) may only appear
 /// in runs whose `run_started` declares `"backend":"tcp"`, the five
-/// fields travel together, the server total never exceeds the attempt's
-/// client-observed `latency`, and the phase sum never exceeds
-/// `remote_total` — the clamp-by-construction invariants the runtime's
-/// decoder enforces, re-checked on the wire format.
+/// fields travel together, no phase (nor the total) is negative, the
+/// server total never exceeds the attempt's client-observed `latency`,
+/// and the phase sum never exceeds `remote_total` — the
+/// clamp-by-construction invariants the runtime's decoder enforces,
+/// re-checked on the wire format. This is the one place they are checked:
+/// the profile builder derives the network residual from them.
 pub fn validate_trace(jsonl: &str) -> Result<TraceReport, String> {
     validate_records(read_jsonl(jsonl)?)
 }
@@ -650,6 +652,9 @@ pub fn validate_records<'a, R: Borrow<Record<'a>>>(
                     let encode = num("remote_encode")?;
                     rec.u64("remote_seq").ok_or_else(|| missing("remote_seq"))?;
                     let latency = num("latency")?;
+                    if [total, recv, lookup, encode].iter().any(|x| *x < 0.0) {
+                        return Err(rec.error("remote span has a negative phase"));
+                    }
                     if total > latency {
                         return Err(rec.error(format!(
                             "remote_total {total} exceeds the attempt's client latency {latency}"
@@ -727,11 +732,11 @@ mod tests {
         let j = TraceJournal::enabled();
         for (kind, plan) in [
             ("plan_emitted", 0),
-            ("plan_scheduled", 0),
+            ("subplan_reused", 0),
             ("plan_emitted", 1),
             ("source_attempt", 1),
             ("plan_failed", 1),
-            ("plan_retracted", 1),
+            ("stream_evicted", 1),
             ("plan_completed", 0),
         ] {
             j.record(kind, vec![("plan_seq", Value::U64(plan))]);
@@ -745,7 +750,7 @@ mod tests {
         assert_eq!(report.events, 7);
         assert_eq!(report.spans_opened, 2);
         assert_eq!(report.spans_closed, 2);
-        assert_eq!(report.count("plan_retracted"), 1);
+        assert_eq!(report.count("plan_failed"), 1);
         assert_eq!(report.count("no_such_kind"), 0);
     }
 
@@ -765,8 +770,8 @@ mod tests {
             .contains("emitted twice"));
 
         let gap = concat!(
-            "{\"seq\":0,\"clock\":0,\"kind\":\"plan_scheduled\"}\n",
-            "{\"seq\":2,\"clock\":0,\"kind\":\"plan_scheduled\"}\n",
+            "{\"seq\":0,\"clock\":0,\"kind\":\"source_attempt\"}\n",
+            "{\"seq\":2,\"clock\":0,\"kind\":\"source_attempt\"}\n",
         );
         assert!(validate_trace(gap).unwrap_err().contains("contiguity"));
 
@@ -782,18 +787,18 @@ mod tests {
         // null — all fine as long as they never decrease within a run.
         let ok = concat!(
             "{\"seq\":0,\"clock\":0,\"kind\":\"run_started\"}\n",
-            "{\"seq\":1,\"clock\":1.5,\"kind\":\"plan_scheduled\"}\n",
-            "{\"seq\":2,\"clock\":null,\"kind\":\"plan_scheduled\"}\n",
-            "{\"seq\":3,\"clock\":1.5,\"kind\":\"plan_scheduled\"}\n",
+            "{\"seq\":1,\"clock\":1.5,\"kind\":\"source_attempt\"}\n",
+            "{\"seq\":2,\"clock\":null,\"kind\":\"source_attempt\"}\n",
+            "{\"seq\":3,\"clock\":1.5,\"kind\":\"source_attempt\"}\n",
             "{\"seq\":4,\"clock\":0,\"kind\":\"run_started\"}\n",
-            "{\"seq\":5,\"clock\":0.25,\"kind\":\"plan_scheduled\"}\n",
+            "{\"seq\":5,\"clock\":0.25,\"kind\":\"source_attempt\"}\n",
         );
         assert!(validate_trace(ok).is_ok());
 
         let backwards = concat!(
             "{\"seq\":0,\"clock\":0,\"kind\":\"run_started\"}\n",
-            "{\"seq\":1,\"clock\":2,\"kind\":\"plan_scheduled\"}\n",
-            "{\"seq\":2,\"clock\":1,\"kind\":\"plan_scheduled\"}\n",
+            "{\"seq\":1,\"clock\":2,\"kind\":\"source_attempt\"}\n",
+            "{\"seq\":2,\"clock\":1,\"kind\":\"source_attempt\"}\n",
         );
         let err = validate_trace(backwards).unwrap_err();
         assert!(err.contains("seq 2"), "names the violating seq: {err}");
@@ -801,8 +806,8 @@ mod tests {
 
         // Without an intervening run_started, a clock reset is an error.
         let reset_without_marker = concat!(
-            "{\"seq\":0,\"clock\":3,\"kind\":\"plan_scheduled\"}\n",
-            "{\"seq\":1,\"clock\":0,\"kind\":\"plan_scheduled\"}\n",
+            "{\"seq\":0,\"clock\":3,\"kind\":\"source_attempt\"}\n",
+            "{\"seq\":1,\"clock\":0,\"kind\":\"source_attempt\"}\n",
         );
         assert!(validate_trace(reset_without_marker).is_err());
     }
@@ -1191,6 +1196,18 @@ mod tests {
              \"remote_encode\":0.5,\"remote_seq\":7}",
         );
         assert!(validate_trace(&overfull).unwrap_err().contains("phase sum"));
+
+        // A negative phase cannot be a measured duration, even when the
+        // sum still fits under the total.
+        let negative = tcp_run(
+            "{\"seq\":2,\"clock\":1,\"kind\":\"source_attempt\",\"plan_seq\":0,\
+             \"source\":\"s0\",\"attempt\":1,\"backoff\":0,\"latency\":2.0,\"outcome\":\"ok\",\
+             \"remote_total\":1.0,\"remote_recv\":-0.5,\"remote_lookup\":0.5,\
+             \"remote_encode\":0.5,\"remote_seq\":7}",
+        );
+        let err = validate_trace(&negative).unwrap_err();
+        assert!(err.contains("negative phase"), "{err}");
+        assert!(err.contains("line 3"), "{err}");
 
         // The five fields travel together.
         let partial = tcp_run(

@@ -77,7 +77,6 @@ pub const KINDS: &[(&str, Role)] = &[
     ("run_started", Role::RunOpen),
     ("source_declared", Role::Free),
     ("plan_emitted", Role::SpanOpen),
-    ("plan_scheduled", Role::Free),
     ("memo_hit", Role::InSpan),
     ("memo_store", Role::InSpan),
     ("subplan_reused", Role::InSpan),
@@ -89,7 +88,6 @@ pub const KINDS: &[(&str, Role)] = &[
     ("plan_completed", Role::SpanClose),
     ("plan_failed", Role::SpanClose),
     ("plan_unsound", Role::SpanClose),
-    ("plan_retracted", Role::Free),
     ("drift_detected", Role::Free),
     ("run_finished", Role::Free),
     ("kernel_cache_hit", Role::Ordering),
@@ -110,7 +108,6 @@ pub const FIELDS: &[FieldSpec] = &[
     field("plan_emitted", "plan_seq", U64, REQUIRED),
     field("plan_emitted", "plan", Str, OPTIONAL),
     field("plan_emitted", "utility", F64, OPTIONAL),
-    field("plan_scheduled", "plan_seq", U64, OPTIONAL),
     field("memo_hit", "plan_seq", U64, REQUIRED),
     field("memo_hit", "source", Str, REQUIRED),
     field("memo_hit", "outcome", Str, OPTIONAL),
@@ -161,7 +158,6 @@ pub const FIELDS: &[FieldSpec] = &[
     field("plan_failed", "latency", F64, OPTIONAL),
     field("plan_unsound", "plan_seq", U64, REQUIRED),
     field("plan_unsound", "latency", F64, OPTIONAL),
-    field("plan_retracted", "plan_seq", U64, OPTIONAL),
     field("drift_detected", "source", Str, REQUIRED),
     field("drift_detected", "stat", Str, REQUIRED),
     field("drift_detected", "value", F64, REQUIRED),

@@ -31,7 +31,9 @@
 //! merging a whole wave when none is pending), [`RunState::finish`] seals
 //! it. [`Executor::run`] is `begin`, `while let Some(..) = step`, `finish`
 //! inside a thread scope the helpers live in; a pull-based session is the
-//! same run paused between pulls.
+//! same run paused between pulls. A plan's own state rides in its job as
+//! its [`PlanEvaluator::Ticket`], and the top of every wave is the one
+//! place the backend's data version is read (the attached memo is synced).
 //!
 //! ## Determinism
 //!
@@ -84,9 +86,14 @@ static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// runtime is generic over this so it does not depend on any particular
 /// mediator. Implementations must be cheap to call from worker threads.
 pub trait PlanEvaluator: Sync {
+    /// A plan's own state from pop to merge: created at the pop, filled by
+    /// the observer at schedule, carried by the plan's job to where it runs
+    /// (`is_sound` and `evaluate` fill it in place), back at merge.
+    type Ticket: Default + Send;
+
     /// Whether the plan passes the soundness test (unsound plans are
     /// reported but never executed, mirroring the serial mediator).
-    fn is_sound(&self, plan: &[usize]) -> bool;
+    fn is_sound(&self, plan: &[usize], ticket: &mut Self::Ticket) -> bool;
 
     /// Evaluates the plan's conjunctive query, returning its answers as
     /// one flat table, in any order, duplicates allowed: the merge hashes
@@ -99,7 +106,12 @@ pub trait PlanEvaluator: Sync {
     /// simulator). An evaluator over a static database ignores them, which
     /// is exactly the simulated world's contract; qpo-exec's core joins
     /// them in place.
-    fn evaluate(&self, plan: &[usize], fetched: &[Option<Arc<Vec<Tuple>>>]) -> PrefixRows;
+    fn evaluate(
+        &self,
+        plan: &[usize],
+        fetched: &[Option<Arc<Vec<Tuple>>>],
+        ticket: &mut Self::Ticket,
+    ) -> PrefixRows;
 
     /// The binding pattern ([`crate::pattern`]) the access for `bucket`
     /// of `plan` goes out under — the constants that subgoal of the plan
@@ -116,28 +128,28 @@ pub trait PlanEvaluator: Sync {
 
 /// A hook into the coordinator's deterministic wave loop, called only
 /// from the coordinator thread (never from helpers): once when a plan is
-/// popped and scheduled (speculatively — no outcome known yet) and once
-/// when its completion merges (outcome and answers final). Both calls
-/// carry the serial virtual clock, so anything the observer derives —
-/// attached tuple streams, journal events, progress gauges — stays a
-/// pure function of `(seed, sources, plan order)` and is byte-identical
-/// across worker counts. `qpo-exec`'s any-k streaming attaches per-plan
-/// ranked tuple streams here.
-pub trait WaveObserver {
-    /// A plan was popped from the orderer and is about to execute.
-    /// `vclock` is the serial virtual time of its `plan_scheduled` event.
-    fn plan_scheduled(&mut self, _seq: u64, _ordered: &OrderedPlan, _vclock: f64) {}
+/// popped and scheduled (speculatively — no outcome known yet), with its
+/// ticket `T` ([`PlanEvaluator::Ticket`]) to fill, and once when its
+/// completion merges (outcome and answers final), with the ticket back.
+/// Both calls carry the serial virtual clock, so anything the observer
+/// derives — attached tuple streams, journal events, progress gauges —
+/// stays a pure function of `(seed, sources, plan order)` and is
+/// byte-identical across worker counts.
+pub trait WaveObserver<T> {
+    /// A plan was popped from the orderer and is about to execute, at the
+    /// serial virtual time of its `plan_emitted` event.
+    fn plan_scheduled(&mut self, _: u64, _: &OrderedPlan, _: &mut T, _vclock: f64) {}
 
     /// A plan's completion merged into the run. `vclock` is the serial
     /// virtual time *after* the plan's latency (its terminal event's
     /// timestamp).
-    fn plan_merged(&mut self, _report: &PlanExecution, _vclock: f64) {}
+    fn plan_merged(&mut self, _report: &PlanExecution, _ticket: T, _vclock: f64) {}
 }
 
 /// The do-nothing observer [`Executor::run`] uses.
 struct NoopObserver;
 
-impl WaveObserver for NoopObserver {}
+impl<T> WaveObserver<T> for NoopObserver {}
 
 /// When a run stops popping further plans (§1: "query execution can then
 /// be aborted as soon as the user has found a satisfactory answer, or when
@@ -335,7 +347,7 @@ impl RuntimeRun {
     }
 }
 
-struct Job {
+struct Job<E: PlanEvaluator> {
     seq: u64,
     /// Trace run id propagated to the backend on every access.
     run: u64,
@@ -344,6 +356,7 @@ struct Job {
     /// the rows stored beside them (aligned with the plan; empty without a
     /// memo). Workers only perform the live accesses for the `None` slots.
     resolved: Vec<Option<(SourceAccess, Option<Rows>)>>,
+    ticket: E::Ticket,
 }
 
 /// One resolved source-access attempt, captured by the job for the
@@ -371,9 +384,10 @@ struct AttemptEvent {
     remote: Option<RemoteSpan>,
 }
 
-struct Completion {
+struct Completion<E: PlanEvaluator> {
     seq: u64,
     ordered: OrderedPlan,
+    ticket: E::Ticket,
     sound: bool,
     tuples: PrefixRows,
     accesses: Vec<SourceAccess>,
@@ -449,14 +463,14 @@ impl RunMetrics {
 /// The helper threads of one [`Executor::run`], beside the coordinating
 /// thread: jobs out, completions back. None is spawned before a wave
 /// hands a job off.
-struct Pool<'p> {
+struct Pool<'p, E: PlanEvaluator> {
     /// Spawns one more helper inside the run's scope.
     spawn: &'p dyn Fn(),
     helpers: usize,
-    jobs: channel::Sender<Job>,
+    jobs: channel::Sender<Job<E>>,
     /// The pool's own end of the job queue, to take a job back.
-    unclaimed: &'p channel::Receiver<Job>,
-    done: channel::Receiver<Completion>,
+    unclaimed: &'p channel::Receiver<Job<E>>,
+    done: channel::Receiver<Completion<E>>,
 }
 
 /// A run between two steps: everything the loop carries from one pop to
@@ -642,13 +656,13 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         &self,
         orderer: &mut dyn PlanOrderer,
         budget: RunBudget,
-        observer: &mut dyn WaveObserver,
+        observer: &mut dyn WaveObserver<E::Ticket>,
     ) -> RuntimeRun {
         let mut state = self.begin(orderer);
         let mut reports: Vec<PlanExecution> = Vec::new();
         crossbeam::thread::scope(|s| {
-            let (jobs, unclaimed) = channel::unbounded::<Job>();
-            let (completions, done) = channel::unbounded::<Completion>();
+            let (jobs, unclaimed) = channel::unbounded::<Job<E>>();
+            let (completions, done) = channel::unbounded::<Completion<E>>();
             let spawn = || {
                 let (rx, tx) = (unclaimed.clone(), completions.clone());
                 s.spawn(move |_| {
@@ -674,7 +688,8 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                 reports.push(report);
             }
         })
-        .expect("executor threads do not panic");
+        // A helper's panic is the run's: it resumes here, on the caller.
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         state.finish();
         // The public type is a tree: the run's one sort, at its boundary.
         RuntimeRun {
@@ -694,10 +709,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         let obs = self.obs.cloned().unwrap_or_default();
         let journal = &obs.journal;
         let backend_kind = self.sources.as_ref().map(|(_, backend)| backend.kind());
-        if let (Some(memo), Some((_, backend))) = (&self.memo, &self.sources) {
-            // Outcomes memoized under an older backend data version are
-            // stale before the run even starts.
-            memo.sync_backend_epoch(backend.epoch());
+        if let (Some(memo), Some(_)) = (&self.memo, &self.sources) {
             memo.begin_run();
         }
         if journal.is_enabled() {
@@ -718,9 +730,9 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         let mut divergence = DivergenceMonitor::new(&obs);
         for svc in self.sources.iter().flat_map(|(grid, _)| grid.iter()) {
             let expected = qpo_obs::SourceExpectation {
-                latency: svc.behavior.expected_latency(),
-                transient_rate: svc.behavior.transient_failure_rate,
-                tuples: svc.behavior.expected_tuples,
+                latency: svc.stats.expected_latency(),
+                transient_rate: svc.stats.failure_prob,
+                tuples: svc.stats.tuples,
             };
             divergence.declare(&svc.name, expected);
             if journal.is_enabled() {
@@ -766,7 +778,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         state: &mut RunState,
         orderer: &mut dyn PlanOrderer,
         budget: RunBudget,
-        observer: &mut dyn WaveObserver,
+        observer: &mut dyn WaveObserver<E::Ticket>,
     ) -> Option<PlanExecution> {
         self.advance(state, orderer, budget, observer, None)
     }
@@ -777,11 +789,15 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         state: &mut RunState,
         orderer: &mut dyn PlanOrderer,
         budget: RunBudget,
-        observer: &mut dyn WaveObserver,
-        pool: Option<&mut Pool<'_>>,
+        observer: &mut dyn WaveObserver<E::Ticket>,
+        pool: Option<&mut Pool<'_, E>>,
     ) -> Option<PlanExecution> {
         if let Some(report) = state.ready.pop_front() {
             return Some(report);
+        }
+        // The one read of the backend's data version: a move clears the memo.
+        if let (Some(memo), Some((_, backend))) = (&self.memo, &self.sources) {
+            memo.sync_backend_epoch(backend.epoch());
         }
         let lookahead = self.policy.lookahead.max(1);
         // `spent` and the pop count are exact here; `answers` lags by the
@@ -803,7 +819,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             window.push(ordered);
         }
         let vclock = state.vclock;
-        let mut jobs: Vec<Job> = Vec::with_capacity(window.len());
+        let mut jobs: Vec<Job<E>> = Vec::with_capacity(window.len());
         for ordered in window {
             let seq = state.popped;
             state.popped += 1;
@@ -821,19 +837,16 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                         ("utility", Value::F64(ordered.utility)),
                     ],
                 );
-                journal.record_at(
-                    vclock,
-                    "plan_scheduled",
-                    vec![("plan_seq", Value::U64(seq))],
-                );
             }
             let resolved = self.resolve_from_memo(seq, &ordered, state);
-            observer.plan_scheduled(seq, &ordered, vclock);
+            let mut ticket = E::Ticket::default();
+            observer.plan_scheduled(seq, &ordered, &mut ticket, vclock);
             jobs.push(Job {
                 seq,
                 run: state.run,
                 ordered,
                 resolved,
+                ticket,
             });
         }
         let mut wave = self.dispatch(jobs, pool);
@@ -841,8 +854,8 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         let latencies = wave.iter().map(|c| plan_latency(&c.accesses));
         state.stats.virtual_time += makespan(latencies, self.policy.workers);
         for completion in wave {
-            let report = self.merge(completion, orderer, state);
-            observer.plan_merged(&report, state.vclock);
+            let (report, ticket) = self.merge(completion, orderer, state);
+            observer.plan_merged(&report, ticket, state.vclock);
             state.ready.push_back(report);
         }
         state.ready.pop_front()
@@ -852,15 +865,19 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
     /// waiting jobs but the first to the pool's helpers, executes the rest
     /// here in emission order, takes back what no helper has claimed by
     /// then, and only then blocks on completions.
-    fn dispatch(&self, jobs: Vec<Job>, mut pool: Option<&mut Pool<'_>>) -> Vec<Completion> {
+    fn dispatch(
+        &self,
+        jobs: Vec<Job<E>>,
+        mut pool: Option<&mut Pool<'_, E>>,
+    ) -> Vec<Completion<E>> {
         let total = jobs.len();
         // A job waits iff it has a live access, and that access is slow.
         let slow = matches!(&self.sources, Some((_, backend)) if backend.kind() != "sim");
         let waits =
-            |job: &Job| slow && job.resolved.iter().flatten().count() < job.ordered.plan.len();
+            |job: &Job<_>| slow && job.resolved.iter().flatten().count() < job.ordered.plan.len();
         let max_helpers = self.policy.workers.max(1) - 1;
         let mut lane0_free = true;
-        let (handed, kept): (Vec<Job>, Vec<Job>) = jobs.into_iter().partition(|job| {
+        let (handed, kept): (Vec<_>, Vec<_>) = jobs.into_iter().partition(|job| {
             pool.is_some() && max_helpers > 0 && waits(job) && !std::mem::take(&mut lane0_free)
         });
         if let Some(pool) = &mut pool {
@@ -877,10 +894,8 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             while let Ok(job) = pool.unclaimed.try_recv() {
                 wave.push(self.execute_job(job));
             }
-            while wave.len() < total {
-                let done = pool.done.recv();
-                wave.push(done.expect("helpers send one completion per job"));
-            }
+            // Helpers send one completion per job they claimed.
+            wave.extend(pool.done.iter().take(total - wave.len()));
         }
         wave
     }
@@ -938,13 +953,14 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
     /// journalled, the serial virtual clock advanced, the drift monitor fed.
     fn merge(
         &self,
-        completion: Completion,
+        completion: Completion<E>,
         orderer: &mut dyn PlanOrderer,
         state: &mut RunState,
-    ) -> PlanExecution {
+    ) -> (PlanExecution, E::Ticket) {
         let Completion {
             seq,
             ordered,
+            ticket,
             sound,
             tuples,
             accesses,
@@ -1109,9 +1125,6 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                 );
             }
             orderer.observe(&PlanOutcome::failed(&ordered.plan));
-            if journal.is_enabled() {
-                journal.record_at(done, "plan_retracted", vec![("plan_seq", Value::U64(seq))]);
-            }
             PlanStatus::Failed(reason)
         } else {
             // Probed with the borrowed row: only a new answer allocates.
@@ -1170,14 +1183,15 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             };
             divergence.observe(&a.name, observed);
         }
-        PlanExecution {
+        let report = PlanExecution {
             seq,
             ordered,
             status,
             accesses,
             latency,
             fees,
-        }
+        };
+        (report, ticket)
     }
 
     /// Performs the plan's source accesses through the backend, then
@@ -1185,19 +1199,20 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
     /// or a helper. Attempt-level trace events are collected here
     /// (relative to the plan's start) and handed to the merge, the only
     /// place that writes the journal.
-    fn execute_job(&self, job: Job) -> Completion {
+    fn execute_job(&self, job: Job<E>) -> Completion<E> {
         let Job {
             seq,
             run,
             ordered,
             mut resolved,
+            mut ticket,
         } = job;
         let tracing = self.obs.is_some_and(|obs| obs.journal.is_enabled());
         let mut trace: Vec<AttemptEvent> = Vec::new();
         let mut accesses: Vec<SourceAccess> = Vec::new();
         let mut fetched: Vec<Option<Rows>> = Vec::new();
         let mut backend_errors = [0u64; 2];
-        let sound = self.eval.is_sound(&ordered.plan);
+        let sound = self.eval.is_sound(&ordered.plan, &mut ticket);
         // Unsound plans are discarded unexecuted, and a local executor has
         // no source to access.
         if let (true, Some((grid, backend))) = (sound, &self.sources) {
@@ -1227,18 +1242,14 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             }
         }
         let failure = accesses.iter().find(|a| !a.ok).map(|a| {
-            if a.permanently_down {
-                FailureReason::PermanentlyDown {
-                    source: a.name.clone(),
-                }
-            } else {
-                FailureReason::RetriesExhausted {
-                    source: a.name.clone(),
-                }
+            let source = a.name.clone();
+            match a.permanently_down {
+                true => FailureReason::PermanentlyDown { source },
+                false => FailureReason::RetriesExhausted { source },
             }
         });
         let tuples = if sound && failure.is_none() {
-            self.eval.evaluate(&ordered.plan, &fetched)
+            self.eval.evaluate(&ordered.plan, &fetched, &mut ticket)
         } else {
             PrefixRows::default()
         };
@@ -1250,6 +1261,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         Completion {
             seq,
             ordered,
+            ticket,
             sound,
             tuples,
             accesses,
@@ -1269,9 +1281,9 @@ fn memo_outcome_label(outcome: MemoOutcome) -> &'static str {
     }
 }
 
-/// The access record a memo hit replays: the terminal outcome with zero
-/// attempts, zero latency, and zero fee — the whole point of the memo.
-fn replay_access(svc: &SourceService, outcome: MemoOutcome) -> SourceAccess {
+/// The record of an access to `svc` before its first attempt: nothing
+/// tried, charged or learned yet.
+fn unattempted(svc: &SourceService) -> SourceAccess {
     SourceAccess {
         bucket: svc.bucket,
         index: svc.index,
@@ -1280,10 +1292,20 @@ fn replay_access(svc: &SourceService, outcome: MemoOutcome) -> SourceAccess {
         transient_failures: 0,
         latency: 0.0,
         fee: 0.0,
-        ok: outcome == MemoOutcome::Success,
-        permanently_down: outcome == MemoOutcome::PermanentFailure,
+        ok: false,
+        permanently_down: false,
         remote_server: None,
         remote_network: None,
+    }
+}
+
+/// The access record a memo hit replays: the terminal outcome with zero
+/// attempts, zero latency, and zero fee — the whole point of the memo.
+fn replay_access(svc: &SourceService, outcome: MemoOutcome) -> SourceAccess {
+    SourceAccess {
+        ok: outcome == MemoOutcome::Success,
+        permanently_down: outcome == MemoOutcome::PermanentFailure,
+        ..unattempted(svc)
     }
 }
 
@@ -1298,11 +1320,9 @@ fn plan_latency(accesses: &[SourceAccess]) -> f64 {
 fn makespan(latencies: impl Iterator<Item = f64>, workers: usize) -> f64 {
     let mut lanes = vec![0.0f64; workers.max(1)];
     for lat in latencies {
-        let lane = lanes
-            .iter_mut()
-            .min_by(|a, b| a.total_cmp(b))
-            .expect("at least one lane");
-        *lane += lat;
+        if let Some(lane) = lanes.iter_mut().min_by(|a, b| a.total_cmp(b)) {
+            *lane += lat;
+        }
     }
     lanes.into_iter().fold(0.0, f64::max)
 }
@@ -1338,19 +1358,7 @@ fn access_with_retries(
 ) -> ResolvedAccess {
     let retry: &RetryPolicy = &policy.retry;
     let timeout = retry.access_timeout;
-    let mut access = SourceAccess {
-        bucket: svc.bucket,
-        index: svc.index,
-        name: svc.name.to_string(),
-        attempts: 0,
-        transient_failures: 0,
-        latency: 0.0,
-        fee: 0.0,
-        ok: false,
-        permanently_down: false,
-        remote_server: None,
-        remote_network: None,
-    };
+    let mut access = unattempted(svc);
     let mut tuples = None;
     let mut backend_errors = [0u64; 2];
     for attempt in 0..retry.max_attempts.max(1) {
@@ -1402,7 +1410,7 @@ fn access_with_retries(
         }
         if let Some(reply) = reply {
             access.ok = true;
-            access.fee = svc.behavior.fee_per_access;
+            access.fee = svc.stats.fee_per_tuple * svc.stats.tuples;
             access.remote_server = reply.remote.map(|r| r.total);
             access.remote_network = reply.remote.map(|r| charge - r.total);
             tuples = reply.tuples;
@@ -1442,11 +1450,18 @@ mod tests {
     }
 
     impl PlanEvaluator for ToyEval {
-        fn is_sound(&self, _plan: &[usize]) -> bool {
+        type Ticket = ();
+
+        fn is_sound(&self, _plan: &[usize], _: &mut ()) -> bool {
             true
         }
 
-        fn evaluate(&self, plan: &[usize], _: &[Option<Arc<Vec<Tuple>>>]) -> PrefixRows {
+        fn evaluate(
+            &self,
+            plan: &[usize],
+            _: &[Option<Arc<Vec<Tuple>>>],
+            _: &mut (),
+        ) -> PrefixRows {
             let stats = self.inst.plan_stats(plan);
             let start = stats.iter().map(|s| s.extent.start).max().unwrap_or(0);
             let end = stats.iter().map(|s| s.extent.end()).min().unwrap_or(0);
@@ -1782,7 +1797,9 @@ mod tests {
     }
 
     impl PlanEvaluator for Recording {
-        fn is_sound(&self, plan: &[usize]) -> bool {
+        type Ticket = ();
+
+        fn is_sound(&self, plan: &[usize], _: &mut ()) -> bool {
             self.threads.lock().unwrap().push(thread::current().id());
             assert_ne!(self.panic_on.as_deref(), Some(plan), "scripted panic");
             if let Some(rendezvous) = &self.rendezvous {
@@ -1791,10 +1808,15 @@ mod tests {
             true
         }
 
-        fn evaluate(&self, plan: &[usize], fetched: &[Option<Arc<Vec<Tuple>>>]) -> PrefixRows {
+        fn evaluate(
+            &self,
+            plan: &[usize],
+            fetched: &[Option<Arc<Vec<Tuple>>>],
+            _: &mut (),
+        ) -> PrefixRows {
             let with_rows = fetched.iter().flatten().count();
             self.slots_with_rows.lock().unwrap().push(with_rows);
-            self.toy.evaluate(plan, fetched)
+            self.toy.evaluate(plan, fetched, &mut ())
         }
     }
 
@@ -2087,7 +2109,7 @@ mod tests {
         let policy = RuntimePolicy::serial()
             .with_faults(FaultConfig::with_seed(4))
             .with_retry(RetryPolicy {
-                access_timeout: svc.behavior.expected_latency() * 0.9,
+                access_timeout: svc.stats.expected_latency() * 0.9,
                 ..RetryPolicy::standard()
             });
         // With the timeout below the expected latency, roughly half of the

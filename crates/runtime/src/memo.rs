@@ -36,12 +36,17 @@
 //! `ExecutionContext` (qpo-core), whose epoch bumps whenever observed
 //! outcomes retract assumed state. When a plan fails from *live* (non-
 //! memoized) accesses the executor calls [`SourceMemo::invalidate`]: the
-//! epoch bumps and every cached entry from older epochs is dropped, so
-//! post-failure plans re-verify sources instead of trusting stale
-//! successes. Outcomes of the failing plan itself are stored *after* the
-//! bump, which is why a permanently-down source costs exactly one real
-//! access per epoch. Plans that fail purely from memoized outcomes do not
-//! bump the epoch — nothing new was observed.
+//! epoch bumps and the memo is cleared, so post-failure plans re-verify
+//! sources instead of trusting stale successes. Outcomes of the failing
+//! plan itself are stored *after* the bump, which is why a
+//! permanently-down source costs exactly one real access per epoch. Plans
+//! that fail purely from memoized outcomes do not bump the epoch — nothing
+//! new was observed.
+//!
+//! A move of the backend's data version clears the memo the same way
+//! ([`SourceMemo::sync_backend_epoch`]); only the executor's loop reads
+//! that version, at the top of every wave, so no memo serves rows across
+//! a move, even inside one run. Whatever the memo holds is current.
 //!
 //! ## Determinism
 //!
@@ -81,15 +86,12 @@ pub struct MemoHit {
     pub warm: bool,
 }
 
+/// One memoized outcome; no epoch, as a bump of either kind clears all.
 #[derive(Debug)]
 struct MemoEntry {
     outcome: MemoOutcome,
     rows: Option<Arc<Vec<Tuple>>>,
-    epoch: u64,
     run_token: u64,
-    /// Backend data version this outcome was observed under; see
-    /// [`SourceMemo::sync_backend_epoch`].
-    backend_epoch: u64,
     /// What [`SourceMemo::approx_bytes`] charges this entry.
     bytes: usize,
 }
@@ -127,20 +129,6 @@ struct MemoInner {
     stores: u64,
 }
 
-impl MemoInner {
-    fn get(&self, bucket: usize, index: usize, pattern: &str) -> Option<&MemoEntry> {
-        let live = self.entries.get(&(bucket, index))?.get(pattern);
-        live.filter(|e| e.epoch == self.epoch)
-    }
-
-    fn retain(&mut self, keep: impl Fn(&MemoEntry) -> bool) {
-        let patterns = self.entries.values_mut();
-        patterns.for_each(|patterns| patterns.retain(|_, e| keep(e)));
-        let kept = self.entries.values().flat_map(BTreeMap::values);
-        self.bytes = kept.map(|e| e.bytes).sum();
-    }
-}
-
 /// Cross-plan source-access memo, cheaply cloneable (shared interior).
 ///
 /// One memo is scoped to one *session* — a sequence of runs over the same
@@ -164,27 +152,32 @@ impl SourceMemo {
     }
 
     /// Declares the backend's current data version
-    /// ([`crate::backend::SourceBackend::epoch`]). A changed epoch drops
-    /// every cached outcome observed under the old one — a store write or
-    /// a restarted server invalidates terminal outcomes the same way a
-    /// live failure does, without touching the failure-driven
-    /// [`SourceMemo::epoch`] discipline. The executor calls this at the
-    /// start of each run; `SimBackend`'s epoch is constant `0`, so purely
-    /// simulated sessions are unaffected.
+    /// ([`crate::backend::SourceBackend::epoch`]). A changed epoch clears
+    /// the memo — a store write or a restarted server invalidates terminal
+    /// outcomes the same way a live failure does, without touching the
+    /// failure-driven [`SourceMemo::epoch`] count. The executor calls this
+    /// at the top of every wave; `SimBackend`'s epoch is constant `0`, so
+    /// purely simulated sessions are unaffected.
     pub fn sync_backend_epoch(&self, epoch: u64) {
         let mut inner = self.lock();
-        if inner.backend_epoch == epoch {
-            return;
+        if inner.backend_epoch != epoch {
+            inner.backend_epoch = epoch;
+            inner.entries.clear();
+            inner.bytes = 0;
         }
-        inner.backend_epoch = epoch;
-        inner.retain(|e| e.backend_epoch == epoch);
+    }
+
+    /// The backend data version the memo's entries were observed under.
+    pub fn backend_epoch(&self) -> u64 {
+        self.lock().backend_epoch
     }
 
     /// Looks up the cached outcome for `(bucket, index, pattern)`,
     /// counting a hit or miss.
     pub fn lookup(&self, bucket: usize, index: usize, pattern: &str) -> Option<MemoHit> {
         let mut inner = self.lock();
-        let hit = inner.get(bucket, index, pattern).map(|e| MemoHit {
+        let patterns = inner.entries.get(&(bucket, index));
+        let hit = patterns.and_then(|p| p.get(pattern)).map(|e| MemoHit {
             outcome: e.outcome,
             rows: e.rows.clone(),
             warm: e.run_token != inner.run_token,
@@ -215,9 +208,7 @@ impl SourceMemo {
         let rows = rows.filter(|_| outcome == MemoOutcome::Success);
         let entry = MemoEntry {
             outcome,
-            epoch: inner.epoch,
             run_token: inner.run_token,
-            backend_epoch: inner.backend_epoch,
             bytes: entry_bytes(pattern, rows.as_ref()),
             rows,
         };
@@ -231,17 +222,17 @@ impl SourceMemo {
         inner.stores += 1;
     }
 
-    /// Bumps the epoch and drops every entry from older epochs. Called by
-    /// the executor when a plan fails from live accesses, mirroring the
-    /// `ExecutionContext` retract feedback.
+    /// Bumps the epoch and clears the memo. Called by the executor when a
+    /// plan fails from live accesses, mirroring the `ExecutionContext`
+    /// retract feedback.
     pub fn invalidate(&self) {
         let mut inner = self.lock();
         inner.epoch += 1;
-        let epoch = inner.epoch;
-        inner.retain(|e| e.epoch == epoch);
+        inner.entries.clear();
+        inner.bytes = 0;
     }
 
-    /// The current invalidation epoch.
+    /// The current invalidation epoch: how many bumps so far.
     pub fn epoch(&self) -> u64 {
         self.lock().epoch
     }
@@ -261,14 +252,12 @@ impl SourceMemo {
         self.lock().stores
     }
 
-    /// Number of live cached entries.
+    /// Number of cached entries.
     pub fn len(&self) -> usize {
-        let inner = self.lock();
-        let entries = inner.entries.values().flat_map(BTreeMap::values);
-        entries.filter(|e| e.epoch == inner.epoch).count()
+        self.lock().entries.values().map(BTreeMap::len).sum()
     }
 
-    /// Whether the memo holds no live entries.
+    /// Whether the memo holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

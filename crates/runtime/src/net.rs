@@ -1084,13 +1084,15 @@ mod tests {
 
         struct NoRows;
         impl PlanEvaluator for NoRows {
-            fn is_sound(&self, _: &[usize]) -> bool {
+            type Ticket = ();
+            fn is_sound(&self, _: &[usize], _: &mut ()) -> bool {
                 true
             }
             fn evaluate(
                 &self,
                 _: &[usize],
                 _: &[Option<Arc<Vec<Tuple>>>],
+                _: &mut (),
             ) -> qpo_datalog::PrefixRows {
                 Default::default()
             }

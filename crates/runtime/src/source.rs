@@ -8,8 +8,12 @@
 //! can assert on exact failure traces.
 
 use crate::policy::FaultConfig;
-use qpo_catalog::{ProblemInstance, SourceBehavior};
+use qpo_catalog::{ProblemInstance, SourceStats};
 use std::sync::Arc;
+
+/// Symmetric latency noise as a fraction of the access latency: an access
+/// draws its latency uniformly from `expected · [1 − j, 1 + j]`.
+const JITTER: f64 = 0.2;
 
 /// What one simulated access attempt did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,8 +44,8 @@ pub struct SourceService {
     pub index: usize,
     /// Source name (from the catalog, or `b<bucket>s<index>` if unnamed).
     pub name: Arc<str>,
-    /// The derived behavior model.
-    pub behavior: SourceBehavior,
+    /// The catalog statistics its accesses are drawn from and charged by.
+    pub stats: SourceStats,
 }
 
 /// SplitMix64: the standard 64-bit finalizer; full-period, well mixed.
@@ -79,7 +83,7 @@ impl SourceService {
             bucket,
             index,
             name,
-            behavior: SourceBehavior::from_stats(stats),
+            stats: stats.clone(),
         }
     }
 
@@ -99,7 +103,7 @@ impl SourceService {
         if !faults.enabled {
             return 0.0;
         }
-        (self.behavior.transient_failure_rate + faults.extra_transient_rate()).min(0.999)
+        (self.stats.failure_prob + faults.extra_transient_rate()).min(0.999)
     }
 
     /// Simulates one access attempt. Pure: equal arguments give equal
@@ -111,9 +115,8 @@ impl SourceService {
                 latency: 0.0,
             };
         }
-        let jitter = self.behavior.latency_jitter;
         let u_latency = unit(self.roll(faults, plan_seq, attempt, 1));
-        let latency = self.behavior.expected_latency() * (1.0 - jitter + 2.0 * jitter * u_latency);
+        let latency = self.stats.expected_latency() * (1.0 - JITTER + 2.0 * JITTER * u_latency);
         let rate = self.effective_transient_rate(faults);
         let failed = rate > 0.0 && unit(self.roll(faults, plan_seq, attempt, 2)) < rate;
         Access {
@@ -291,8 +294,8 @@ mod tests {
     fn latency_is_jittered_around_the_expectation() {
         let grid = SourceGrid::from_instance(&inst());
         let svc = grid.service(0, 0);
-        let expected = svc.behavior.expected_latency();
-        let j = svc.behavior.latency_jitter;
+        let expected = svc.stats.expected_latency();
+        let j = JITTER;
         let faults = FaultConfig::with_seed(9);
         let mut distinct = std::collections::BTreeSet::new();
         for seq in 0..50 {

@@ -20,11 +20,13 @@ struct Scripted {
 }
 
 impl PlanEvaluator for Scripted {
-    fn is_sound(&self, _: &[usize]) -> bool {
+    type Ticket = ();
+
+    fn is_sound(&self, _: &[usize], _: &mut ()) -> bool {
         true
     }
 
-    fn evaluate(&self, plan: &[usize], _: &[Option<Arc<Vec<Tuple>>>]) -> PrefixRows {
+    fn evaluate(&self, plan: &[usize], _: &[Option<Arc<Vec<Tuple>>>], _: &mut ()) -> PrefixRows {
         let rows = &self.rows[plan[0]];
         PrefixRows::new(self.width, rows.len(), rows.concat())
     }
@@ -50,7 +52,7 @@ impl PlanOrderer for InOrder {
 /// Sees nothing.
 struct Silent;
 
-impl qpo_runtime::WaveObserver for Silent {}
+impl qpo_runtime::WaveObserver<()> for Silent {}
 
 /// A value from a pool small enough that rows repeat — inside a plan
 /// and across plans — and mixed enough to cross `Int` with `Str`.
