@@ -353,6 +353,9 @@ fn tcp_runs_stitch_remote_spans_with_exact_attribution() {
     }
     let mut stitched = 0;
     for s in run.plans.iter().flat_map(|p| &p.sources) {
+        // Every reply carries the server's span, so every chain that
+        // ended in a reply's rows is stitched.
+        assert_eq!(s.remote.is_some(), s.outcome == "ok", "{s:?}");
         if let Some(r) = &s.remote {
             assert!(r.total <= r.charge, "server span nests in the charge");
             assert!(r.recv_parse + r.lookup + r.encode <= r.total);
@@ -360,7 +363,7 @@ fn tcp_runs_stitch_remote_spans_with_exact_attribution() {
             stitched += 1;
         }
     }
-    assert!(stitched > 0, "a tracing server attaches spans");
+    assert!(stitched > 0, "the server's replies carry spans");
     // The text renderer surfaces the decomposition.
     assert!(
         run.render_text().contains(" server="),
@@ -398,7 +401,7 @@ fn killed_server_leaves_no_remote_spans_but_still_charges_latency() {
         )
         .unwrap();
     assert_eq!(dead.executed(), 0, "no plan can answer");
-    // Failed attempts never carry a span block, so the access records
+    // Failed attempts never carry a server span, so the access records
     // and the journal both degrade to single-span attribution — while
     // the client-side latency (connect attempts + backoff) stays
     // charged.

@@ -16,14 +16,15 @@
 //!                              └ remote: network + server {recv, lookup, encode}
 //! ```
 //!
-//! When a source chain's successful attempt carried a server span block
-//! over the wire (tcp backends against a tracing `qpo-source-server`),
-//! the executor journals it as `remote_*` fields and this module
-//! stitches a [`RemoteSpan`] child under the attempt: the charged
-//! latency decomposes into a server portion (with its receive/parse,
+//! When a source chain's successful attempt came back with a server span
+//! (tcp backends: every `qpo-source-server` reply carries one), the
+//! executor journals it as `remote_*` fields and this module stitches a
+//! [`RemoteSpan`] child under the attempt: the charged latency
+//! decomposes into a server portion (with its receive/parse,
 //! provider-lookup, and row-encode phases) and a `network` residual that
-//! bit-equals `charge − server_total`. Legacy servers send no block and
-//! the chain degrades to the single-span attribution above.
+//! bit-equals `charge − server_total`. Backends without a server (sim,
+//! store) journal no span, and the chain keeps the single-span
+//! attribution above.
 //!
 //! Per-plan attribution is **exact, not differenced**: the runtime
 //! journals each attempt's `backoff` and `latency` charges and each
@@ -55,13 +56,12 @@ use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// The server-side span block stitched under a source chain's successful
+/// The server-side span stitched under a source chain's successful
 /// attempt, journalled by the executor as `remote_*` fields when the
-/// backend's wire reply carried one (tcp backends against a tracing
-/// server). All times are in the run's virtual units; `network` is the
-/// client-observed residual `charge − total`, reproduced here with the
-/// same single f64 subtraction the executor performed live so the
-/// attribution is exact to the bit.
+/// backend's reply carried one (tcp backends). All times are in the
+/// run's virtual units; `network` is the client-observed residual
+/// `charge − total`, reproduced here with the same single f64
+/// subtraction the executor performed live, exact to the bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemoteSpan {
     /// Server time from frame receipt to request parse.
@@ -102,9 +102,9 @@ pub struct SourceSpan {
     pub total: f64,
     /// Outcome of the final attempt (`ok`/`timeout`/`transient`/`permanent`).
     pub outcome: String,
-    /// The server span block from the successful attempt, when the wire
-    /// reply carried one. At most one per chain: only an `ok` attempt
-    /// ends the chain, and only `ok` replies carry a span block.
+    /// The server span from the successful attempt, when its reply
+    /// carried one. At most one per chain: only an `ok` attempt ends the
+    /// chain, and only `ok` attempts journal a span.
     pub remote: Option<RemoteSpan>,
 }
 
@@ -1157,7 +1157,7 @@ mod tests {
 
     #[test]
     fn chains_without_remote_fields_stay_single_span() {
-        // The legacy degradation: no remote_* fields, no stitched child.
+        // A backend without a server: no remote_* fields, no stitched child.
         let index = ProfileIndex::from_journal(&fixture());
         let run = index.latest().unwrap();
         for p in run.plans.iter() {

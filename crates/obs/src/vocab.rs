@@ -144,9 +144,9 @@ pub const FIELDS: &[FieldSpec] = &[
     field("server_span", "lookup", F64, REQUIRED),
     field("server_span", "encode", F64, REQUIRED),
     field("server_span", "total", F64, REQUIRED),
-    field("server_span", "run", U64, OPTIONAL),
-    field("server_span", "plan_seq", U64, OPTIONAL),
-    field("server_span", "attempt", U64, OPTIONAL),
+    field("server_span", "run", U64, REQUIRED),
+    field("server_span", "plan_seq", U64, REQUIRED),
+    field("server_span", "attempt", U64, REQUIRED),
     field("plan_completed", "plan_seq", U64, REQUIRED),
     field("plan_completed", "tuples", U64, OPTIONAL),
     field("plan_completed", "new_tuples", U64, OPTIONAL),

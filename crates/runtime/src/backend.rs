@@ -175,21 +175,22 @@ pub struct AccessContext<'a> {
     pub faults: &'a FaultConfig,
 }
 
-/// Server-side timing of one remote access, decoded from the wire's
-/// span-block extension and mapped onto the client's virtual-time axis
-/// (the backend's `latency_unit` scaling, same as the client latency).
-/// By construction `recv_parse + lookup + encode ≤ total ≤` the attempt's
-/// charged client latency, so `client latency − total` is a non-negative
-/// network residual.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Server-side timing of one remote access. On the wire it is the span
+/// field of every reply ([`crate::wire::Reply`]), in wall seconds; on an
+/// [`AccessReply`] it is mapped onto the client's virtual-time axis (the
+/// backend's `latency_unit` scaling, same as the client latency) and
+/// clamped so `recv_parse + lookup + encode ≤ total ≤` the attempt's
+/// charged client latency, making `client latency − total` a
+/// non-negative network residual.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RemoteSpan {
-    /// Server frame receive + request parse time (virtual units).
+    /// Server frame receive + request parse time.
     pub recv_parse: f64,
-    /// Server provider lookup time (virtual units).
+    /// Server provider lookup time.
     pub lookup: f64,
-    /// Server row encode time (virtual units).
+    /// Server row encode time.
     pub encode: f64,
-    /// Total server residence time, `≥` the phase sum (virtual units).
+    /// Total server residence time, `≥` the phase sum.
     pub total: f64,
     /// The server's monotone request counter at this request.
     pub server_seq: u64,
@@ -206,9 +207,9 @@ pub struct AccessReply {
     pub access: Access,
     /// The source relation's tuples, when the backend serves data.
     pub tuples: Option<Arc<Vec<Tuple>>>,
-    /// Server-side span of the attempt, when the backend speaks the wire
-    /// protocol's span-block extension (only [`crate::net::TcpBackend`]
-    /// today). `None` degrades to single-span client-side attribution.
+    /// Server-side span of the attempt, when the backend is a server
+    /// that times its replies (only [`crate::net::TcpBackend`] today).
+    /// `None` degrades to single-span client-side attribution.
     pub remote: Option<RemoteSpan>,
 }
 

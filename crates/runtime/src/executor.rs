@@ -230,8 +230,8 @@ pub struct SourceAccess {
     /// Whether the source was permanently down.
     pub permanently_down: bool,
     /// Server-side total of the successful attempt in virtual units, when
-    /// the backend returned a remote span (traced TCP server). `None` for
-    /// simulated, untraced, legacy-server, and failed accesses.
+    /// the backend returned a remote span (a TCP server). `None` for
+    /// simulated, store-backed, and failed accesses.
     pub remote_server: Option<f64>,
     /// Network residual of the successful attempt: client-observed attempt
     /// latency minus the server-reported total. Present iff

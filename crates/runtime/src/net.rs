@@ -50,9 +50,10 @@
 //!
 //! ## Distributed tracing
 //!
-//! Every request [`TcpBackend`] sends carries a [`wire::TraceContext`]
-//! extension block (run / plan / source / attempt); the server times each
-//! request's receive→parse, provider lookup, and row-encode phases
+//! Every request carries its trace context (run / plan / attempt) and
+//! every reply the server's span, as fixed fields ([`crate::wire`]). The
+//! server times each request's receive→parse, provider lookup, and
+//! row-encode phases
 //! (the receive clock starts when the frame's length prefix has arrived —
 //! on a kept-alive connection the time before that is the client's idle
 //! time, not the server's work, and counting it would inflate the span
@@ -60,21 +61,20 @@
 //! `server_span` event in a capped [`TraceJournal`] of
 //! [`SERVER_JOURNAL_CAP`] events (dumped as JSONL over the wire by
 //! [`wire::OP_TRACE`] or `qpo-source-server --metrics`, and read back by
-//! [`qpo_obs::read_jsonl`] like every other trace), and
-//! — only when the request carried a context — appends a
-//! [`wire::ServerSpan`] extension to the response. [`TcpBackend`] decodes
-//! that block into a virtual-unit [`RemoteSpan`] on the [`AccessReply`],
-//! clamped so `phase sum ≤ total ≤ client latency` holds bit-exactly.
-//! There is one dialect: a request without a context block is legal
-//! input and is answered without a span, and a peer that rejects a
-//! request — whatever its reason — is a transient [`BackendError`] under
-//! the executor's retry discipline, like any other malformed peer.
+//! [`qpo_obs::read_jsonl`] like every other trace), and stamps the span
+//! into the reply. [`TcpBackend`] maps it onto the virtual-time axis as
+//! the [`RemoteSpan`] of the [`AccessReply`], clamped so `phase sum ≤
+//! total ≤ client latency` holds bit-exactly. There is one dialect: a
+//! request the server cannot decode gets an `ERROR` reply and a dropped
+//! connection, and a peer that rejects a request — whatever its reason —
+//! is a transient [`BackendError`] under the executor's retry discipline,
+//! like any other malformed peer.
 
 use crate::backend::{AccessContext, AccessReply, BackendError, RemoteSpan, SourceBackend};
 use crate::pattern::{BindingPattern, SCAN_PATTERN};
 use crate::source::{Access, AccessOutcome, SourceService};
 use crate::store::StoreBackend;
-use crate::wire::{self, Request, Response};
+use crate::wire::{self, Reply, Request, Response};
 use qpo_datalog::Tuple;
 use qpo_obs::{Counter, TraceJournal, Value};
 use std::collections::BTreeMap;
@@ -291,10 +291,10 @@ fn accept_loop(listener: TcpListener, shutdown: &AtomicBool, serving: &Arc<Servi
 /// dropped — after garbage, frame alignment cannot be trusted.
 ///
 /// Each access is phase-timed — receive→parse (from the arrival of the
-/// frame's length prefix), provider lookup, row filter + encode — and
-/// journalled; a request that carried a trace context gets the span
-/// appended to its response. A one-byte [`wire::OP_TRACE`] payload dumps
-/// the journal as a raw JSONL frame.
+/// frame's length prefix), provider lookup, row filter + encode —,
+/// journalled with the request's trace context, and stamped into its
+/// reply. A one-byte [`wire::OP_TRACE`] payload dumps the journal as a raw
+/// JSONL frame.
 fn handle_connection(stream: &mut TcpStream, serving: &Serving) -> std::io::Result<()> {
     let Serving {
         provider,
@@ -322,18 +322,18 @@ fn handle_connection(stream: &mut TcpStream, serving: &Serving) -> std::io::Resu
             wire::write_frame(stream, journal.to_jsonl().as_bytes())?;
             continue;
         }
-        let (req, ctx) = match wire::decode_request(&payload) {
-            Ok(d) => d,
+        let req = match wire::decode_request(&payload) {
+            Ok(req) => req,
             Err(e) => {
                 let resp = Response::Error(format!("malformed request: {e}"));
-                if let Ok(bytes) = wire::encode_response(&resp, provider.epoch(), None) {
+                if let Ok(bytes) = wire::encode_response(&resp, provider.epoch()) {
                     let _ = wire::write_frame(stream, &bytes);
                 }
                 return Ok(());
             }
         };
         let recv_parse = start.elapsed().as_secs_f64();
-        let relation = provider.relation(&req.source);
+        let relation = provider.relation(req.source);
         let lookup = start.elapsed().as_secs_f64() - recv_parse;
         let request_seq = requests.fetch_add(1, Ordering::SeqCst) + 1;
         let mut bytes = respond(
@@ -349,33 +349,29 @@ fn handle_connection(stream: &mut TcpStream, serving: &Serving) -> std::io::Resu
             .elapsed()
             .as_secs_f64()
             .max(recv_parse + lookup + encode);
-        if ctx.is_some() {
-            let span = wire::ServerSpan {
-                recv_parse,
-                lookup,
-                encode,
-                total,
-                request_seq,
-            };
-            wire::append_server_span(&mut bytes, &span).map_err(invalid)?;
-        }
-        let mut fields = vec![
-            ("request_seq", Value::U64(request_seq)),
-            ("source", Value::Str(req.source.into())),
-            ("pattern", Value::Str(req.pattern.into())),
-            ("recv", Value::F64(recv_parse)),
-            ("lookup", Value::F64(lookup)),
-            ("encode", Value::F64(encode)),
-            ("total", Value::F64(total)),
-        ];
-        if let Some(c) = ctx {
-            fields.extend([
-                ("run", Value::U64(c.run)),
-                ("plan_seq", Value::U64(c.plan_seq)),
-                ("attempt", Value::U64(c.attempt.into())),
-            ]);
-        }
-        journal.record("server_span", fields);
+        let span = RemoteSpan {
+            recv_parse,
+            lookup,
+            encode,
+            total,
+            server_seq: request_seq,
+        };
+        wire::stamp_span(&mut bytes, &span).map_err(invalid)?;
+        journal.record(
+            "server_span",
+            vec![
+                ("request_seq", Value::U64(request_seq)),
+                ("source", Value::Str(req.source.to_owned().into())),
+                ("pattern", Value::Str(req.pattern.to_owned().into())),
+                ("recv", Value::F64(recv_parse)),
+                ("lookup", Value::F64(lookup)),
+                ("encode", Value::F64(encode)),
+                ("total", Value::F64(total)),
+                ("run", Value::U64(req.run)),
+                ("plan_seq", Value::U64(req.plan_seq)),
+                ("attempt", Value::U64(req.attempt.into())),
+            ],
+        );
         wire::write_frame(stream, &bytes)?;
     }
 }
@@ -399,20 +395,21 @@ pub fn fetch_server_trace(addr: &str, timeout: Duration) -> std::io::Result<Stri
 /// pattern). A hosted relation is filtered by the request's binding
 /// pattern and the matching rows are encoded straight from the
 /// provider's shared slice — no row is cloned; `None` (not hosted) is the
-/// permanent `UNKNOWN_SOURCE` response.
+/// permanent `UNKNOWN_SOURCE` response. The span is left for the caller
+/// to stamp.
 pub fn respond(
-    req: &Request,
+    req: &Request<'_>,
     relation: Option<&[Tuple]>,
     epoch: u64,
 ) -> Result<Vec<u8>, wire::WireError> {
     match relation {
         Some(rows) => {
-            let pattern = BindingPattern::parse(&req.pattern);
+            let pattern = BindingPattern::parse(req.pattern);
             wire::encode_rows(rows.iter().filter(|row| pattern.matches(row)), epoch)
         }
         None => {
             let msg = format!("source `{}` not hosted here", req.source);
-            wire::encode_response(&Response::UnknownSource(msg), epoch, None)
+            wire::encode_response(&Response::UnknownSource(msg), epoch)
         }
     }
 }
@@ -530,33 +527,26 @@ impl TcpBackend {
     /// responses advance the observed version. The connection returns to
     /// the pool only after a well-formed `Rows`/`UnknownSource` response;
     /// the server drops a connection it answered with `Error`.
-    fn exchange(
-        &self,
-        pattern: &str,
-        ctx: &wire::TraceContext,
-    ) -> Result<(Response, Option<wire::ServerSpan>), BackendError> {
-        let request = wire::encode_request(
-            &Request {
-                source: ctx.source.clone(),
-                pattern: pattern.to_string(),
-            },
-            Some(ctx),
-        )
-        .map_err(|e| BackendError::permanent(format!("encode request: {e}")))?;
+    fn exchange(&self, req: &Request<'_>) -> Result<Reply, BackendError> {
+        let request = wire::encode_request(req)
+            .map_err(|e| BackendError::permanent(format!("encode request: {e}")))?;
         let (payload, stream) = self.round_trip(&request)?;
-        let (resp, epoch, span) = wire::decode_response(&payload)
+        let reply = wire::decode_response(&payload)
             .map_err(|e| BackendError::transient(format!("malformed response: {e}")))?;
-        self.seen_epoch.fetch_max(epoch, Ordering::SeqCst);
-        if matches!(resp, Response::Rows(_) | Response::UnknownSource(_)) {
+        self.seen_epoch.fetch_max(reply.epoch, Ordering::SeqCst);
+        if matches!(
+            reply.response,
+            Response::Rows(_) | Response::UnknownSource(_)
+        ) {
             self.pool.idle().push(stream);
         }
-        Ok((resp, span))
+        Ok(reply)
     }
 
-    /// Maps a wire span (wall seconds) onto the virtual-time axis,
+    /// Maps a reply's span (wall seconds) onto the virtual-time axis,
     /// re-clamping after scaling so `phase sum ≤ total` survives f64
     /// rounding, and hostile values (negatives, NaN) degrade to zeros.
-    fn remote_from_wire(&self, span: &wire::ServerSpan) -> RemoteSpan {
+    fn remote_from_wire(&self, span: &RemoteSpan) -> RemoteSpan {
         let unit = self.latency_unit;
         let recv_parse = (span.recv_parse * unit).max(0.0);
         let lookup = (span.lookup * unit).max(0.0);
@@ -567,7 +557,7 @@ impl TcpBackend {
             lookup,
             encode,
             total,
-            server_seq: span.request_seq,
+            server_seq: span.server_seq,
         }
     }
 }
@@ -590,12 +580,6 @@ impl SourceBackend for TcpBackend {
         svc: &SourceService,
         ctx: &AccessContext<'_>,
     ) -> Result<AccessReply, BackendError> {
-        let trace_ctx = wire::TraceContext {
-            run: ctx.run,
-            plan_seq: ctx.plan_seq,
-            source: svc.name.to_string(),
-            attempt: ctx.attempt,
-        };
         // A wire string holds at most `u16::MAX` bytes; a pattern past
         // that (one huge constant) goes out as a scan — superset-safe.
         let pattern = if ctx.pattern.len() > usize::from(u16::MAX) {
@@ -603,34 +587,43 @@ impl SourceBackend for TcpBackend {
         } else {
             ctx.pattern
         };
+        let request = Request {
+            source: &svc.name,
+            pattern,
+            run: ctx.run,
+            plan_seq: ctx.plan_seq,
+            attempt: ctx.attempt,
+        };
         let start = Instant::now();
-        let result = self.exchange(pattern, &trace_ctx);
+        let result = self.exchange(&request);
         let latency = start.elapsed().as_secs_f64() * self.latency_unit;
         match result {
-            Ok((Response::Rows(rows), span)) => {
-                let remote = span.map(|s| self.remote_from_wire(&s));
+            Ok(Reply {
+                response: Response::Rows(rows),
+                span,
+                ..
+            }) => {
+                let remote = self.remote_from_wire(&span);
                 // Final clamp of the chain `phase sum ≤ server total ≤
                 // client latency`: the attempt's network residual
                 // (`latency − total`) is non-negative by construction.
-                let latency = match &remote {
-                    Some(r) => latency.max(r.total),
-                    None => latency,
-                };
                 Ok(AccessReply {
                     access: Access {
                         outcome: AccessOutcome::Success,
-                        latency,
+                        latency: latency.max(remote.total),
                     },
                     tuples: Some(Arc::new(rows)),
-                    remote,
+                    remote: Some(remote),
                 })
             }
-            Ok((Response::UnknownSource(msg), _)) => {
-                Err(BackendError::permanent(msg).with_latency(latency))
-            }
-            Ok((Response::Error(msg), _)) => {
-                Err(BackendError::transient(msg).with_latency(latency))
-            }
+            Ok(Reply {
+                response: Response::UnknownSource(msg),
+                ..
+            }) => Err(BackendError::permanent(msg).with_latency(latency)),
+            Ok(Reply {
+                response: Response::Error(msg),
+                ..
+            }) => Err(BackendError::transient(msg).with_latency(latency)),
             Err(e) => {
                 let latency = latency.max(e.latency);
                 Err(e.with_latency(latency))
@@ -696,6 +689,18 @@ mod tests {
         (opened.get(), reused.get())
     }
 
+    /// A request for `source` under `pattern`, as plan 2's attempt 5 of
+    /// run 1.
+    fn request<'a>(source: &'a str, pattern: &'a str) -> Request<'a> {
+        Request {
+            source,
+            pattern,
+            run: 1,
+            plan_seq: 2,
+            attempt: 5,
+        }
+    }
+
     fn ctx(faults: &FaultConfig) -> AccessContext<'_> {
         AccessContext {
             pattern: SCAN_PATTERN,
@@ -710,14 +715,11 @@ mod tests {
     fn respond_filters_by_pattern_and_maps_unknown_sources() {
         let hosted = rows(&[1, 2, 3]);
         let answer = |pattern: &str, relation: Option<&[Tuple]>| {
-            let req = Request {
-                source: "v1".into(),
-                pattern: pattern.into(),
-            };
-            let bytes = respond(&req, relation, 7).unwrap();
-            let (resp, epoch, span) = wire::decode_response(&bytes).unwrap();
-            assert!(span.is_none(), "the span is the connection loop's to add");
-            (resp, epoch)
+            let bytes = respond(&request("v1", pattern), relation, 7).unwrap();
+            let reply = wire::decode_response(&bytes).unwrap();
+            let unstamped = RemoteSpan::default();
+            assert_eq!(reply.span, unstamped, "the connection loop stamps it");
+            (reply.response, reply.epoch)
         };
         assert_eq!(
             answer("scan", Some(&hosted)),
@@ -789,7 +791,7 @@ mod tests {
             let mut s = TcpStream::connect(addr).unwrap();
             wire::write_frame(&mut s, &[0xde, 0xad, 0xbe, 0xef]).unwrap();
             let reply = wire::read_frame(&mut s).unwrap();
-            match wire::decode_response(&reply).unwrap().0 {
+            match wire::decode_response(&reply).unwrap().response {
                 Response::Error(msg) => assert!(msg.contains("malformed")),
                 other => panic!("expected transient error, got {other:?}"),
             }
@@ -818,16 +820,13 @@ mod tests {
     fn multiple_requests_reuse_one_connection() {
         let mut server = SourceServer::serve(provider(), 0).unwrap();
         let mut s = TcpStream::connect(server.addr()).unwrap();
-        for _ in 0..3 {
-            let req = Request {
-                source: "v1".into(),
-                pattern: "scan".into(),
-            };
-            wire::write_frame(&mut s, &wire::encode_request(&req, None).unwrap()).unwrap();
-            let reply = wire::read_frame(&mut s).unwrap();
-            let (resp, epoch, _) = wire::decode_response(&reply).unwrap();
-            assert_eq!(resp, Response::Rows(rows(&[1, 2, 3])));
-            assert_eq!(epoch, 2, "two fixture inserts");
+        let scan = wire::encode_request(&request("v1", "scan")).unwrap();
+        for seq in 1..=3 {
+            wire::write_frame(&mut s, &scan).unwrap();
+            let reply = wire::decode_response(&wire::read_frame(&mut s).unwrap()).unwrap();
+            assert_eq!(reply.response, Response::Rows(rows(&[1, 2, 3])));
+            assert_eq!(reply.epoch, 2, "two fixture inserts");
+            assert_eq!(reply.span.server_seq, seq, "every reply is stamped");
         }
         drop(s);
         server.stop();
@@ -852,11 +851,7 @@ mod tests {
         assert_eq!(server.requests_served(), 0);
         // One idle client leaves; once its thread ends a new one is served.
         drop(idle.pop());
-        let scan = Request {
-            source: "v1".into(),
-            pattern: "scan".into(),
-        };
-        let scan = wire::encode_request(&scan, None).unwrap();
+        let scan = wire::encode_request(&request("v1", "scan")).unwrap();
         let served = (0..50).any(|_| {
             std::thread::sleep(Duration::from_millis(10));
             let Ok(mut s) = TcpStream::connect(addr) else {
@@ -1013,70 +1008,56 @@ mod tests {
         assert_eq!(err.class, BackendErrorClass::Transient, "{}", err.message);
     }
 
-    /// What the one decoder does with each shape of context block, seen
-    /// from outside a live server — which keeps serving the next
-    /// connection whatever the last one sent.
+    /// What the one decoder does with each malformed request, seen from
+    /// outside a live server — which keeps serving the next connection
+    /// whatever the last one sent.
     #[test]
-    fn hostile_context_blocks_get_their_documented_outcome_and_the_server_keeps_serving() {
+    fn hostile_requests_get_their_documented_outcome_and_the_server_keeps_serving() {
         let mut server = SourceServer::serve(provider(), 0).unwrap();
-        let req = Request {
-            source: "v1".into(),
-            pattern: "scan".into(),
-        };
-        let context = |attempt| wire::TraceContext {
-            run: 1,
-            plan_seq: 2,
-            source: "v1".into(),
-            attempt,
-        };
-        let plain = wire::encode_request(&req, None).unwrap();
-        let traced = wire::encode_request(&req, Some(&context(5))).unwrap();
-        let unknown_tag = [&plain[..], &[0xEE, 0, 2, 9, 9]].concat();
-        let mut duplicate = traced.clone();
-        wire::append_trace_context(&mut duplicate, &context(6)).unwrap();
-        // Expected: `None` = error response + dropped connection;
-        // `Some(attempt)` = rows, journalled with that context's attempt
-        // (or with no context), and a span exactly when there is one.
+        let traced = wire::encode_request(&request("v1", "scan")).unwrap();
+        // The same access without a trace context: `[op][source][pattern]`.
+        let untraced = [&[wire::OP_SCAN, 0, 2][..], b"v1", &[0, 4], b"scan"].concat();
         let cases = [
-            ("no context: rows, no span", plain.clone(), Some(None)),
+            ("well-formed: rows and a stamped span", traced.clone(), true),
+            ("no trace context: rejected", untraced, false),
             (
-                "truncated context: rejected",
-                traced[..traced.len() - 3].to_vec(),
-                None,
+                "cut inside the context: rejected",
+                traced[..12].to_vec(),
+                false,
             ),
-            ("unknown tag: skipped", unknown_tag, Some(None)),
-            ("duplicate context: first wins", duplicate, Some(Some(5))),
+            (
+                "a trailing tagged block: rejected",
+                [&traced[..], &[0x10, 0, 2, 9, 9]].concat(),
+                false,
+            ),
         ];
-        for (label, payload, expected) in cases {
+        for (label, payload, served) in cases {
             let journalled = server.journal().len();
             let mut s = TcpStream::connect(server.addr()).unwrap();
             wire::write_frame(&mut s, &payload).unwrap();
-            let reply = wire::read_frame(&mut s).unwrap();
-            let (resp, _, span) = wire::decode_response(&reply).unwrap();
-            match expected {
-                None => {
-                    assert!(
-                        matches!(&resp, Response::Error(msg) if msg.contains("malformed")),
-                        "{label}: {resp:?}"
-                    );
-                    assert!(wire::read_frame(&mut s).is_err(), "{label}: still open");
-                    assert_eq!(server.journal().len(), journalled, "{label}");
-                }
-                Some(attempt) => {
-                    assert_eq!(resp, Response::Rows(rows(&[1, 2, 3])), "{label}");
-                    assert_eq!(span.is_some(), attempt.is_some(), "{label}");
-                    let span = spans(&server).pop().expect("journalled");
-                    assert_eq!(span.u64("attempt"), attempt, "{label}");
-                }
+            let reply = wire::decode_response(&wire::read_frame(&mut s).unwrap()).unwrap();
+            if served {
+                assert_eq!(reply.response, Response::Rows(rows(&[1, 2, 3])), "{label}");
+                let span = spans(&server).pop().expect("journalled");
+                assert_eq!(span.u64("attempt"), Some(5), "{label}");
+                assert_eq!(span.u64("request_seq"), Some(reply.span.server_seq));
+            } else {
+                assert!(
+                    matches!(&reply.response, Response::Error(msg) if msg.contains("malformed")),
+                    "{label}: {reply:?}"
+                );
+                assert_eq!(reply.span, RemoteSpan::default(), "{label}: nothing timed");
+                assert!(wire::read_frame(&mut s).is_err(), "{label}: still open");
+                assert_eq!(server.journal().len(), journalled, "{label}");
             }
         }
         server.stop();
     }
 
-    /// A peer that refuses every request — here in the words a strict
-    /// pre-extension decoder would use — is a malformed peer like any
-    /// other: each attempt is one frame and one transient failure, and
-    /// the plan fails typed once the retries are spent.
+    /// A peer that refuses every request — here in the words a decoder
+    /// of another layout would use — is a malformed peer like any other:
+    /// each attempt is one frame and one transient failure, and the plan
+    /// fails typed once the retries are spent.
     #[test]
     fn a_peer_that_rejects_every_request_costs_max_attempts_and_a_typed_failure() {
         use crate::executor::{Executor, FailureReason, PlanEvaluator, PlanStatus, RunBudget};
@@ -1104,7 +1085,7 @@ mod tests {
         // that sends no frame ends the thread. Returns the frames it saw.
         let rejecting = std::thread::spawn(move || {
             let text = "malformed request: 23 trailing bytes after message";
-            let rejection = wire::encode_response(&Response::Error(text.into()), 0, None).unwrap();
+            let rejection = wire::encode_response(&Response::Error(text.into()), 0).unwrap();
             let mut frames = 0u32;
             for conn in listener.incoming() {
                 let mut stream = conn.unwrap();
@@ -1144,15 +1125,12 @@ mod tests {
         let backend = TcpBackend::new(server.addr().to_string());
         let grid = grid();
         let faults = FaultConfig::disabled();
-        // Two traced accesses through the backend around one untraced
-        // request sent by hand.
+        // Two accesses through the backend around one request sent by
+        // hand.
         backend.access(grid.service(0, 0), &ctx(&faults)).unwrap();
         let mut s = TcpStream::connect(server.addr()).unwrap();
-        let bound = Request {
-            source: "w1".into(),
-            pattern: "bind;0=s4:ford".into(),
-        };
-        wire::write_frame(&mut s, &wire::encode_request(&bound, None).unwrap()).unwrap();
+        let bound = request("w1", "bind;0=s4:ford");
+        wire::write_frame(&mut s, &wire::encode_request(&bound).unwrap()).unwrap();
         wire::read_frame(&mut s).unwrap();
         backend.access(grid.service(0, 1), &ctx(&faults)).unwrap();
         wire::write_frame(&mut s, &[wire::OP_TRACE]).unwrap();
@@ -1163,10 +1141,13 @@ mod tests {
         assert_eq!((report.events, report.count("server_span")), (3, 3));
         let seqs: Vec<_> = records.iter().map(|r| r.u64("request_seq")).collect();
         assert_eq!(seqs, [Some(1), Some(2), Some(3)]);
-        // The trace context rides exactly the requests that carried one.
-        let context = |r: &Record| ["run", "plan_seq", "attempt"].map(|f| r.u64(f).is_some());
+        // Each request's trace context is journalled as it was sent.
+        let context = |r: &Record| ["run", "plan_seq", "attempt"].map(|f| r.u64(f));
         let contexts: Vec<_> = records.iter().map(context).collect();
-        assert_eq!(contexts, [[true; 3], [false; 3], [true; 3]]);
+        assert_eq!(
+            contexts,
+            [[Some(0); 3], [Some(1), Some(2), Some(5)], [Some(0); 3]]
+        );
         assert_eq!(records[1].str("pattern"), Some("bind;0=s4:ford"));
         // The dump is not a scan: the served counter is untouched, and it
         // is the journal's lifetime count.

@@ -21,50 +21,53 @@
 //!
 //! ## Payloads
 //!
-//! Request (`op` byte then fields):
+//! Request (`op` byte, the client's trace context, then the access):
 //!
 //! ```text
-//! [u8 op = 1] [u16 len][source name bytes] [u16 len][binding pattern bytes]
+//! [u8 op = 1] [u64 run] [u64 plan_seq] [u32 attempt]
+//!             [u16 len][source name bytes] [u16 len][binding pattern bytes]
 //! ```
 //!
+//! The trace context names the run, plan and attempt the access serves;
+//! it rides every request, and the server journals it beside its span.
 //! The binding pattern is the canonical text of [`crate::pattern`]:
 //! `"scan"` asks for the whole relation, `bind;0=s4:ford` for the rows
 //! whose column 0 is `ford`. The contract is superset-safe — a server
 //! must return every matching row and may return more — so a server
 //! that ignores the field is still correct.
 //!
-//! Response (`status` byte, then the server's data epoch, then fields):
+//! Reply (`status` byte, the server's data epoch and span, then the body):
 //!
 //! ```text
-//! [u8 0 = OK]             [u64 epoch] [u32 row count] rows…
-//! [u8 1 = UNKNOWN_SOURCE] [u64 epoch] [u16 len][message bytes]  (permanent)
-//! [u8 2 = ERROR]          [u64 epoch] [u16 len][message bytes]  (transient)
+//! [u8 status] [u64 epoch] [f64 recv_parse] [f64 lookup] [f64 encode]
+//!             [f64 total] [u64 request_seq] body
+//! status 0 = OK              body = [u32 row count] rows…
+//! status 1 = UNKNOWN_SOURCE  body = [u16 len][message bytes]  (permanent)
+//! status 2 = ERROR           body = [u16 len][message bytes]  (transient)
 //! ```
 //!
 //! The epoch is the server's monotone data-version counter
 //! ([`crate::net::RelationProvider::epoch`]): it rides on *every*
-//! response so a [`crate::net::TcpBackend`] can surface it through
+//! reply so a [`crate::net::TcpBackend`] can surface it through
 //! [`crate::backend::SourceBackend::epoch`] and the source memo can
 //! invalidate outcomes cached against a world the server no longer
 //! serves — no manual version bookkeeping on the client.
 //!
+//! The span is how the server spent its wall time on the request, in
+//! seconds as `f64::to_bits` (so it round-trips bit-exactly), and the
+//! server's request counter. The encoders write it as zeros; the server
+//! times the encode too, so it stamps the measured span into the encoded
+//! reply afterwards ([`stamp_span`]). A reply to a request the server
+//! could not decode keeps the zeros.
+//!
 //! A row is `[u16 arity]` followed by tagged constants: tag `0` is a
 //! big-endian `i64`, tag `1` is a `u16`-length-prefixed UTF-8 string.
 //!
-//! ## Extension blocks
-//!
-//! A message body may be followed by optional, order-independent blocks,
-//! `[u8 tag][u16 len][len bytes]` each. Two are defined: a request's
-//! [`TraceContext`] (tag [`EXT_TRACE_CONTEXT`]; this tree's client always
-//! sends one) and a response's [`ServerSpan`] (tag [`EXT_SERVER_SPAN`];
-//! the server appends one exactly when the request carried a context).
-//! Both are optional on input: a message without its block decodes to
-//! `None`. Of several blocks with one tag the first wins, a block with
-//! an unknown tag is skipped — so the protocol can grow without
-//! re-framing — and bytes after the body that do not make up whole
-//! blocks are [`WireError::Truncated`]. Decoders reject unknown constant
-//! tags and truncated fields, so every byte of a frame is accounted for.
+//! Every field is always present, so a message has exactly one encoding.
+//! Decoders reject unknown opcodes, statuses and constant tags, truncated
+//! fields and trailing bytes, so every byte of a frame is accounted for.
 
+use crate::backend::RemoteSpan;
 use qpo_datalog::{Constant, Tuple};
 use std::fmt;
 use std::io::{IoSlice, Read, Write};
@@ -82,11 +85,11 @@ pub const OP_SCAN: u8 = 1;
 /// [`Response`]) rendering the server's bounded span journal.
 pub const OP_TRACE: u8 = 2;
 
-/// Extension tag for a request's [`TraceContext`] block.
-pub const EXT_TRACE_CONTEXT: u8 = 0x10;
+/// Where a reply's span starts: after the status byte and the epoch.
+const SPAN_AT: usize = 9;
 
-/// Extension tag for a response's [`ServerSpan`] block.
-pub const EXT_SERVER_SPAN: u8 = 0x11;
+/// A span's encoded size: four `f64` phases and the request counter.
+const SPAN_BYTES: usize = 40;
 
 /// What went wrong decoding a payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,13 +126,22 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A source-access request: the rows of `source` matching `pattern`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+/// A source-access request: the rows of `source` matching `pattern`, and
+/// the client's trace context. A decoded request borrows its strings from
+/// the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Request<'a> {
     /// Catalog name of the source relation.
-    pub source: String,
+    pub source: &'a str,
     /// Binding pattern, in the canonical text of [`crate::pattern`].
-    pub pattern: String,
+    pub pattern: &'a str,
+    /// Client-process run identifier (not journalled by the client;
+    /// disambiguates concurrent runs in the *server's* journal).
+    pub run: u64,
+    /// Emission sequence number of the plan the access serves.
+    pub plan_seq: u64,
+    /// Zero-based attempt number within the access retry chain.
+    pub attempt: u32,
 }
 
 /// A source-access response.
@@ -143,41 +155,16 @@ pub enum Response {
     Error(String),
 }
 
-/// Client trace context propagated on a request as an optional trailing
-/// extension block (tag [`EXT_TRACE_CONTEXT`]): which run, plan, and
-/// attempt this access serves. Servers echo it into their own journal and
-/// — only when it is present — attach a [`ServerSpan`] to the response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceContext {
-    /// Client-process run identifier (not journalled; disambiguates
-    /// concurrent runs in the *server's* journal only).
-    pub run: u64,
-    /// Emission sequence number of the plan the access serves.
-    pub plan_seq: u64,
-    /// Catalog name of the source being accessed.
-    pub source: String,
-    /// 1-based attempt number within the access retry chain.
-    pub attempt: u32,
-}
-
-/// Server-side span block riding a response as an optional trailing
-/// extension (tag [`EXT_SERVER_SPAN`]): how the server spent its wall
-/// time on this request, plus its monotone request counter. All phase
-/// durations are wall-clock seconds encoded as `f64::to_bits` big-endian;
-/// the server clamps `total ≥ recv_parse + lookup + encode` at
-/// construction so decoded blocks always attribute soundly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerSpan {
-    /// Frame receive + request parse time (seconds).
-    pub recv_parse: f64,
-    /// Provider lookup time: store index probe or mem scan (seconds).
-    pub lookup: f64,
-    /// Row encode time (seconds).
-    pub encode: f64,
-    /// Total server residence time, `≥` the phase sum (seconds).
-    pub total: f64,
-    /// The server's monotone request counter at this request.
-    pub request_seq: u64,
+/// A decoded reply: what the server answered, its data epoch, and its
+/// span of the request (wall seconds; zeros when it stamped none).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Reply {
+    /// The answer itself.
+    pub response: Response,
+    /// The server's data-version counter.
+    pub epoch: u64,
+    /// How the server spent its time on the request.
+    pub span: RemoteSpan,
 }
 
 /// Bounds-checked little reader over a payload.
@@ -233,10 +220,6 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.take(len)?).map_err(|_| WireError::Utf8)
     }
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     fn finish(self) -> Result<(), WireError> {
         let left = self.buf.len() - self.pos;
         if left == 0 {
@@ -286,60 +269,54 @@ fn read_tuple(r: &mut Reader<'_>) -> Result<Tuple, WireError> {
     Ok(tuple)
 }
 
-/// Encodes a request payload (no frame prefix), followed by `ctx`'s
-/// extension block when there is one.
-pub fn encode_request(req: &Request, ctx: Option<&TraceContext>) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::with_capacity(5 + req.source.len() + req.pattern.len());
+/// Encodes a request payload (no frame prefix).
+pub fn encode_request(req: &Request<'_>) -> Result<Vec<u8>, WireError> {
+    let mut out = Vec::with_capacity(25 + req.source.len() + req.pattern.len());
     out.push(OP_SCAN);
-    put_string(&mut out, &req.source)?;
-    put_string(&mut out, &req.pattern)?;
-    if let Some(ctx) = ctx {
-        append_trace_context(&mut out, ctx)?;
-    }
+    out.extend_from_slice(&req.run.to_be_bytes());
+    out.extend_from_slice(&req.plan_seq.to_be_bytes());
+    out.extend_from_slice(&req.attempt.to_be_bytes());
+    put_string(&mut out, req.source)?;
+    put_string(&mut out, req.pattern)?;
     Ok(out)
 }
 
-/// Decodes a request payload and its optional [`TraceContext`] block,
-/// rejecting unknown opcodes and truncation (see the module docs on
-/// extension blocks).
-pub fn decode_request(payload: &[u8]) -> Result<(Request, Option<TraceContext>), WireError> {
+/// Decodes a request payload, rejecting unknown opcodes, truncation and
+/// trailing bytes.
+pub fn decode_request(payload: &[u8]) -> Result<Request<'_>, WireError> {
     let mut r = Reader::new(payload);
     match r.u8()? {
         OP_SCAN => {}
         op => return Err(WireError::BadOp(op)),
     }
-    let source = r.string()?.to_string();
-    let pattern = r.string()?.to_string();
-    let ctx = match find_ext(&mut r, EXT_TRACE_CONTEXT)? {
-        None => None,
-        Some(body) => {
-            let mut b = Reader::new(body);
-            let run = b.u64()?;
-            let plan_seq = b.u64()?;
-            let source = b.string()?.to_string();
-            let attempt = b.u32()?;
-            b.finish()?;
-            Some(TraceContext {
-                run,
-                plan_seq,
-                source,
-                attempt,
-            })
-        }
+    let req = Request {
+        run: r.u64()?,
+        plan_seq: r.u64()?,
+        attempt: r.u32()?,
+        source: r.string()?,
+        pattern: r.string()?,
     };
-    Ok((Request { source, pattern }, ctx))
+    r.finish()?;
+    Ok(req)
 }
 
-/// Encodes an OK response payload straight from borrowed rows — the
-/// bytes [`encode_response`] produces for [`Response::Rows`] of the same
-/// rows, without first collecting them into an owned `Vec<Tuple>` (a
-/// server filters its provider's shared relation through this).
+/// A reply's status byte, epoch and zeroed span.
+fn put_header(out: &mut Vec<u8>, status: u8, epoch: u64) {
+    out.push(status);
+    out.extend_from_slice(&epoch.to_be_bytes());
+    out.extend_from_slice(&[0; SPAN_BYTES]);
+}
+
+/// Encodes an OK reply payload straight from borrowed rows — the bytes
+/// [`encode_response`] produces for [`Response::Rows`] of the same rows,
+/// without first collecting them into an owned `Vec<Tuple>` (a server
+/// filters its provider's shared relation through this).
 pub fn encode_rows<'a>(
     rows: impl IntoIterator<Item = &'a Tuple>,
     epoch: u64,
 ) -> Result<Vec<u8>, WireError> {
-    let mut out = vec![0];
-    out.extend_from_slice(&epoch.to_be_bytes());
+    let mut out = Vec::new();
+    put_header(&mut out, 0, epoch);
     let count_at = out.len();
     out.extend_from_slice(&[0; 4]);
     let mut count = 0usize;
@@ -352,45 +329,56 @@ pub fn encode_rows<'a>(
     Ok(out)
 }
 
-/// Encodes a response payload (no frame prefix), followed by `span`'s
-/// extension block when there is one. `epoch` is the server's
-/// data-version counter, carried in the header of every response.
-pub fn encode_response(
-    resp: &Response,
-    epoch: u64,
-    span: Option<&ServerSpan>,
-) -> Result<Vec<u8>, WireError> {
+/// Encodes a reply payload (no frame prefix) with a zeroed span. `epoch`
+/// is the server's data-version counter, carried by every reply.
+pub fn encode_response(resp: &Response, epoch: u64) -> Result<Vec<u8>, WireError> {
+    let (status, msg) = match resp {
+        Response::Rows(rows) => return encode_rows(rows, epoch),
+        Response::UnknownSource(msg) => (1, msg),
+        Response::Error(msg) => (2, msg),
+    };
     let mut out = Vec::new();
-    match resp {
-        Response::Rows(rows) => out = encode_rows(rows, epoch)?,
-        Response::UnknownSource(msg) => {
-            out.push(1);
-            out.extend_from_slice(&epoch.to_be_bytes());
-            put_string(&mut out, msg)?;
-        }
-        Response::Error(msg) => {
-            out.push(2);
-            out.extend_from_slice(&epoch.to_be_bytes());
-            put_string(&mut out, msg)?;
-        }
-    }
-    if let Some(span) = span {
-        append_server_span(&mut out, span)?;
-    }
+    put_header(&mut out, status, epoch);
+    put_string(&mut out, msg)?;
     Ok(out)
 }
 
-/// Decodes a response payload into `(response, server epoch, optional
-/// [`ServerSpan`] block)`, rejecting unknown statuses and truncation (see
-/// the module docs on extension blocks).
-pub fn decode_response(payload: &[u8]) -> Result<(Response, u64, Option<ServerSpan>), WireError> {
+/// Writes `span` into an encoded reply's span field. `Truncated` if
+/// `reply` is too short to be one.
+pub fn stamp_span(reply: &mut [u8], span: &RemoteSpan) -> Result<(), WireError> {
+    let field = reply
+        .get_mut(SPAN_AT..SPAN_AT + SPAN_BYTES)
+        .ok_or(WireError::Truncated)?;
+    let words = [
+        span.recv_parse.to_bits(),
+        span.lookup.to_bits(),
+        span.encode.to_bits(),
+        span.total.to_bits(),
+        span.server_seq,
+    ];
+    for (bytes, word) in field.chunks_exact_mut(8).zip(words) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Ok(())
+}
+
+/// Decodes a reply payload, rejecting unknown statuses, truncation and
+/// trailing bytes.
+pub fn decode_response(payload: &[u8]) -> Result<Reply, WireError> {
     let mut r = Reader::new(payload);
     let status = r.u8()?;
     if status > 2 {
         return Err(WireError::BadStatus(status));
     }
     let epoch = r.u64()?;
-    let resp = match status {
+    let span = RemoteSpan {
+        recv_parse: f64::from_bits(r.u64()?),
+        lookup: f64::from_bits(r.u64()?),
+        encode: f64::from_bits(r.u64()?),
+        total: f64::from_bits(r.u64()?),
+        server_seq: r.u64()?,
+    };
+    let response = match status {
         0 => {
             let count = r.u32()? as usize;
             if count > MAX_FRAME_BYTES {
@@ -403,77 +391,14 @@ pub fn decode_response(payload: &[u8]) -> Result<(Response, u64, Option<ServerSp
             Response::Rows(rows)
         }
         1 => Response::UnknownSource(r.string()?.to_string()),
-        2 => Response::Error(r.string()?.to_string()),
-        s => return Err(WireError::BadStatus(s)),
+        _ => Response::Error(r.string()?.to_string()),
     };
-    let span = match find_ext(&mut r, EXT_SERVER_SPAN)? {
-        None => None,
-        Some(body) => {
-            let mut b = Reader::new(body);
-            let recv_parse = f64::from_bits(b.u64()?);
-            let lookup = f64::from_bits(b.u64()?);
-            let encode = f64::from_bits(b.u64()?);
-            let total = f64::from_bits(b.u64()?);
-            let request_seq = b.u64()?;
-            b.finish()?;
-            Some(ServerSpan {
-                recv_parse,
-                lookup,
-                encode,
-                total,
-                request_seq,
-            })
-        }
-    };
-    Ok((resp, epoch, span))
-}
-
-fn put_ext(out: &mut Vec<u8>, tag: u8, body: &[u8]) -> Result<(), WireError> {
-    let len = u16::try_from(body.len()).map_err(|_| WireError::Oversized(body.len()))?;
-    out.push(tag);
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(body);
-    Ok(())
-}
-
-/// Scans the extension blocks after a message body, returning the bytes
-/// of the first block tagged `want` (unknown tags are skipped; a
-/// truncated block is an error).
-fn find_ext<'a>(r: &mut Reader<'a>, want: u8) -> Result<Option<&'a [u8]>, WireError> {
-    let mut found = None;
-    while r.remaining() > 0 {
-        let tag = r.u8()?;
-        let len = r.u16()? as usize;
-        let body = r.take(len)?;
-        if tag == want && found.is_none() {
-            found = Some(body);
-        }
-    }
-    Ok(found)
-}
-
-/// Appends a [`TraceContext`] extension block to an encoded request
-/// payload.
-pub fn append_trace_context(out: &mut Vec<u8>, ctx: &TraceContext) -> Result<(), WireError> {
-    let mut body = Vec::with_capacity(22 + ctx.source.len());
-    body.extend_from_slice(&ctx.run.to_be_bytes());
-    body.extend_from_slice(&ctx.plan_seq.to_be_bytes());
-    put_string(&mut body, &ctx.source)?;
-    body.extend_from_slice(&ctx.attempt.to_be_bytes());
-    put_ext(out, EXT_TRACE_CONTEXT, &body)
-}
-
-/// Appends a [`ServerSpan`] extension block to an encoded response
-/// payload (the response body is encoded *before* the span exists — the
-/// encode phase is part of what the span times — so the block is
-/// appended, never interleaved).
-pub fn append_server_span(out: &mut Vec<u8>, span: &ServerSpan) -> Result<(), WireError> {
-    let mut body = Vec::with_capacity(40);
-    for v in [span.recv_parse, span.lookup, span.encode, span.total] {
-        body.extend_from_slice(&v.to_bits().to_be_bytes());
-    }
-    body.extend_from_slice(&span.request_seq.to_be_bytes());
-    put_ext(out, EXT_SERVER_SPAN, &body)
+    r.finish()?;
+    Ok(Reply {
+        response,
+        epoch,
+        span,
+    })
 }
 
 /// Encodes one named relation — the record format of the store's log
@@ -573,39 +498,38 @@ mod tests {
         items.iter().map(|&i| Constant::Int(i)).collect()
     }
 
-    fn ctx() -> TraceContext {
-        TraceContext {
+    fn scan(source: &str) -> Request<'_> {
+        Request {
+            source,
+            pattern: "scan",
             run: 7,
             plan_seq: 3,
-            source: "v2".into(),
             attempt: 2,
         }
     }
 
-    fn span() -> ServerSpan {
-        ServerSpan {
+    fn span() -> RemoteSpan {
+        RemoteSpan {
             recv_parse: 1e-5,
             lookup: 3e-5,
             encode: 2e-5,
             total: 9e-5,
-            request_seq: 41,
+            server_seq: 41,
         }
     }
 
     #[test]
     fn request_round_trips() {
         let req = Request {
-            source: "v3".into(),
-            pattern: "scan".into(),
+            pattern: "bind;0=s4:ford",
+            ..scan("v3")
         };
-        for ctx in [None, Some(ctx())] {
-            let bytes = encode_request(&req, ctx.as_ref()).unwrap();
-            assert_eq!(decode_request(&bytes).unwrap(), (req.clone(), ctx));
-        }
+        let bytes = encode_request(&req).unwrap();
+        assert_eq!(decode_request(&bytes).unwrap(), req);
     }
 
     #[test]
-    fn responses_round_trip() {
+    fn responses_round_trip_and_carry_the_stamped_span() {
         let cases = [
             Response::Rows(vec![
                 row(&[1, 2]),
@@ -616,31 +540,33 @@ mod tests {
             Response::UnknownSource("v9".into()),
             Response::Error("mid-restart".into()),
         ];
-        for (i, resp) in cases.into_iter().enumerate() {
+        for (i, response) in cases.into_iter().enumerate() {
             let epoch = i as u64 * 1000 + 7;
-            for span in [None, Some(span())] {
-                let bytes = encode_response(&resp, epoch, span.as_ref()).unwrap();
-                assert_eq!(
-                    decode_response(&bytes).unwrap(),
-                    (resp.clone(), epoch, span)
-                );
-            }
+            let mut bytes = encode_response(&response, epoch).unwrap();
+            let reply = |span| Reply {
+                response: response.clone(),
+                epoch,
+                span,
+            };
+            assert_eq!(
+                decode_response(&bytes).unwrap(),
+                reply(RemoteSpan::default())
+            );
+            stamp_span(&mut bytes, &span()).unwrap();
+            assert_eq!(decode_response(&bytes).unwrap(), reply(span()));
         }
     }
 
     #[test]
     fn truncated_payloads_are_rejected_at_every_prefix() {
-        let req = Request {
-            source: "movies".into(),
-            pattern: "scan".into(),
-        };
-        let bytes = encode_request(&req, None).unwrap();
+        let bytes = encode_request(&scan("movies")).unwrap();
         for cut in 0..bytes.len() {
             let err = decode_request(&bytes[..cut]).unwrap_err();
             assert_eq!(err, WireError::Truncated, "cut at {cut}");
         }
         let resp = Response::Rows(vec![row(&[1]), vec![Constant::Str("x".into())]]);
-        let bytes = encode_response(&resp, 42, None).unwrap();
+        let mut bytes = encode_response(&resp, 42).unwrap();
+        stamp_span(&mut bytes, &span()).unwrap();
         for cut in 0..bytes.len() {
             assert_eq!(
                 decode_response(&bytes[..cut]).unwrap_err(),
@@ -648,6 +574,9 @@ mod tests {
                 "cut at {cut}"
             );
         }
+        // Too short to hold a span: nothing to stamp.
+        let mut short = bytes[..SPAN_AT + SPAN_BYTES - 1].to_vec();
+        assert_eq!(stamp_span(&mut short, &span()), Err(WireError::Truncated));
     }
 
     #[test]
@@ -655,7 +584,7 @@ mod tests {
         assert_eq!(decode_request(&[9]).unwrap_err(), WireError::BadOp(9));
         assert_eq!(decode_response(&[7]).unwrap_err(), WireError::BadStatus(7));
         // Bad constant tag inside a row.
-        let mut bytes = encode_response(&Response::Rows(vec![row(&[5])]), 3, None).unwrap();
+        let mut bytes = encode_response(&Response::Rows(vec![row(&[5])]), 3).unwrap();
         let tag_at = bytes.len() - 9; // tag byte precedes the 8-byte int
         bytes[tag_at] = 0xEE;
         assert_eq!(
@@ -663,7 +592,7 @@ mod tests {
             WireError::BadTag(0xEE)
         );
         // Invalid UTF-8 in a string field.
-        let mut bytes = encode_response(&Response::Error("ab".into()), 3, None).unwrap();
+        let mut bytes = encode_response(&Response::Error("ab".into()), 3).unwrap();
         let n = bytes.len();
         bytes[n - 1] = 0xFF;
         bytes[n - 2] = 0xFE;
@@ -672,20 +601,21 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let req = Request {
-            source: "v1".into(),
-            pattern: "scan".into(),
-        };
-        let body = encode_request(&req, None).unwrap();
-        // Fewer stray bytes than a block header, or a block cut short.
-        for stray in [&[0u8][..], &[0, 0], &[0xEE, 0, 2, 9]] {
+        let body = encode_request(&scan("v1")).unwrap();
+        // Stray bytes, or a whole tagged block: nothing follows a message.
+        for stray in [&[0u8][..], &[0, 0, 0], &[0x10, 0, 2, 9, 9]] {
             let bytes = [&body[..], stray].concat();
-            assert_eq!(decode_request(&bytes).unwrap_err(), WireError::Truncated);
+            assert_eq!(
+                decode_request(&bytes).unwrap_err(),
+                WireError::TrailingBytes(stray.len())
+            );
         }
-        // A whole block with a tag nobody defined is skipped.
-        let bytes = [&body[..], &[0, 0, 0]].concat();
-        assert_eq!(decode_request(&bytes).unwrap(), (req, None));
-        // Store records carry no blocks: every byte is the record's.
+        let reply = encode_response(&Response::Error("x".into()), 1).unwrap();
+        let bytes = [&reply[..], &[0x11, 0, 0]].concat();
+        assert_eq!(
+            decode_response(&bytes).unwrap_err(),
+            WireError::TrailingBytes(3)
+        );
         let mut record = encode_relation("v1", &[row(&[1])]).unwrap();
         record.extend_from_slice(&[0, 0, 0]);
         assert_eq!(
@@ -730,39 +660,10 @@ mod tests {
 
     #[test]
     fn oversized_strings_fail_to_encode() {
-        let req = Request {
-            source: "v".repeat(70_000),
-            pattern: "scan".into(),
-        };
+        let source = "v".repeat(70_000);
         assert!(matches!(
-            encode_request(&req, None).unwrap_err(),
+            encode_request(&scan(&source)).unwrap_err(),
             WireError::Oversized(70_000)
         ));
-    }
-
-    #[test]
-    fn unknown_extension_tags_are_skipped_not_rejected() {
-        let resp = Response::Error("x".into());
-        let mut bytes = encode_response(&resp, 1, None).unwrap();
-        // A future extension this decoder has never heard of…
-        bytes.push(0xEE);
-        bytes.extend_from_slice(&3u16.to_be_bytes());
-        bytes.extend_from_slice(&[9, 9, 9]);
-        // …then a span block after it.
-        append_server_span(&mut bytes, &span()).unwrap();
-        assert_eq!(decode_response(&bytes).unwrap(), (resp, 1, Some(span())));
-    }
-
-    #[test]
-    fn truncated_extension_blocks_error_cleanly() {
-        let req = Request {
-            source: "v1".into(),
-            pattern: "scan".into(),
-        };
-        let bytes = encode_request(&req, Some(&ctx())).unwrap();
-        let base = encode_request(&req, None).unwrap().len();
-        for cut in base + 1..bytes.len() {
-            assert!(decode_request(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
     }
 }

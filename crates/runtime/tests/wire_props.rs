@@ -1,17 +1,19 @@
-//! Property tests for the source-server wire protocol: arbitrary
-//! requests/responses — with and without their optional extension block
-//! — round-trip bit-exactly, and arbitrary byte soup
-//! never panics a decoder — it errors. Binding-pattern text, which rides
-//! the request's pattern field, round-trips canonically and its parser
-//! is total: byte soup reads as a scan.
+//! Property tests for the source-server wire protocol: arbitrary requests
+//! and replies — trace context and span included — round-trip
+//! bit-exactly, and arbitrary byte soup never panics a decoder — it
+//! errors, or it is the one encoding of what it decodes to.
+//! Binding-pattern text, which rides the request's pattern field,
+//! round-trips canonically and its parser is total: byte soup reads as a
+//! scan.
 
 use proptest::prelude::*;
 use qpo_datalog::{Constant, Tuple};
 use qpo_runtime::pattern::{BindingPattern, SCAN_PATTERN};
 use qpo_runtime::wire::{
     decode_relation, decode_request, decode_response, encode_relation, encode_request,
-    encode_response, read_frame, write_frame, Request, Response, ServerSpan, TraceContext,
+    encode_response, read_frame, stamp_span, write_frame, Reply, Request, Response,
 };
+use qpo_runtime::RemoteSpan;
 
 /// An ASCII identifier-ish string (the shim has no regex strategies).
 fn arb_name(max_len: usize) -> impl Strategy<Value = String> {
@@ -52,8 +54,28 @@ fn arb_tuple() -> impl Strategy<Value = Tuple> {
     proptest::collection::vec(arb_constant(), 0..5)
 }
 
-fn arb_request() -> impl Strategy<Value = Request> {
-    (arb_name(16), arb_name(8)).prop_map(|(source, pattern)| Request { source, pattern })
+/// A request's owned parts: source, pattern and trace context.
+type RequestParts = (String, String, u64, u64, u32);
+
+fn arb_request() -> impl Strategy<Value = RequestParts> {
+    (
+        arb_name(16),
+        arb_name(8),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u32>(),
+    )
+}
+
+fn request(parts: &RequestParts) -> Request<'_> {
+    let (source, pattern, run, plan_seq, attempt) = parts;
+    Request {
+        source,
+        pattern,
+        run: *run,
+        plan_seq: *plan_seq,
+        attempt: *attempt,
+    }
 }
 
 fn arb_response() -> impl Strategy<Value = Response> {
@@ -66,28 +88,12 @@ fn arb_response() -> impl Strategy<Value = Response> {
     ]
 }
 
-/// The optional context block of a request: absent half the time.
-fn arb_trace_context() -> impl Strategy<Value = Option<TraceContext>> {
-    (
-        any::<bool>(),
-        (any::<u64>(), any::<u64>(), arb_name(16), any::<u32>()),
-    )
-        .prop_map(|(present, (run, plan_seq, source, attempt))| {
-            present.then_some(TraceContext {
-                run,
-                plan_seq,
-                source,
-                attempt,
-            })
-        })
-}
-
 /// Finite non-negative phase times, the only values servers measure.
 fn arb_phase() -> impl Strategy<Value = f64> {
     (0u32..1_000_000).prop_map(|micros| f64::from(micros) * 1e-6)
 }
 
-fn arb_server_span() -> impl Strategy<Value = ServerSpan> {
+fn arb_server_span() -> impl Strategy<Value = RemoteSpan> {
     (
         arb_phase(),
         arb_phase(),
@@ -96,12 +102,12 @@ fn arb_server_span() -> impl Strategy<Value = ServerSpan> {
         any::<u64>(),
     )
         .prop_map(
-            |(recv_parse, lookup, encode, slack, request_seq)| ServerSpan {
+            |(recv_parse, lookup, encode, slack, server_seq)| RemoteSpan {
                 recv_parse,
                 lookup,
                 encode,
                 total: recv_parse + lookup + encode + slack,
-                request_seq,
+                server_seq,
             },
         )
 }
@@ -110,21 +116,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn requests_round_trip(req in arb_request(), ctx in arb_trace_context()) {
-        let bytes = encode_request(&req, ctx.as_ref()).expect("encodes");
-        prop_assert_eq!(decode_request(&bytes).expect("decodes"), (req, ctx));
+    fn requests_round_trip(parts in arb_request()) {
+        let req = request(&parts);
+        let bytes = encode_request(&req).expect("encodes");
+        prop_assert_eq!(decode_request(&bytes).expect("decodes"), req);
     }
 
     #[test]
-    fn responses_round_trip(
-        resp in arb_response(),
+    fn replies_round_trip_bit_exactly(
+        response in arb_response(),
         epoch in any::<u64>(),
         span in arb_server_span(),
-        spanned in any::<bool>(),
     ) {
-        let span = spanned.then_some(span);
-        let bytes = encode_response(&resp, epoch, span.as_ref()).expect("encodes");
-        prop_assert_eq!(decode_response(&bytes).expect("decodes"), (resp, epoch, span));
+        let mut bytes = encode_response(&response, epoch).expect("encodes");
+        stamp_span(&mut bytes, &span).expect("a reply has a span field");
+        let reply = decode_response(&bytes).expect("decodes");
+        prop_assert_eq!(&reply, &Reply { response, epoch, span });
+        // f64 phases travel as to_bits, so equality is exact.
+        let bits = |s: RemoteSpan| [s.recv_parse, s.lookup, s.encode, s.total].map(f64::to_bits);
+        prop_assert_eq!(bits(reply.span), bits(span));
     }
 
     #[test]
@@ -140,38 +150,31 @@ proptest! {
 
     #[test]
     fn framed_messages_survive_the_byte_stream(resp in arb_response(), epoch in any::<u64>()) {
-        let payload = encode_response(&resp, epoch, None).expect("encodes");
+        let payload = encode_response(&resp, epoch).expect("encodes");
         let mut stream = Vec::new();
         write_frame(&mut stream, &payload).expect("frames");
         write_frame(&mut stream, &payload).expect("frames again");
         let mut reader = stream.as_slice();
         for _ in 0..2 {
             let got = read_frame(&mut reader).expect("unframes");
-            prop_assert_eq!(decode_response(&got).expect("decodes"), (resp.clone(), epoch, None));
+            let reply = decode_response(&got).expect("decodes");
+            prop_assert_eq!((reply.response, reply.epoch), (resp.clone(), epoch));
         }
     }
 
     #[test]
     fn garbage_never_panics_the_decoders(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         // Errors are fine; panics are not. A decode that happens to
-        // succeed re-encodes to bytes that decode to the same message and
-        // are no longer than the input (bodies have no padding and no
-        // alternative encodings; skipped or repeated blocks only shrink).
-        if let Ok((req, ctx)) = decode_request(&bytes) {
-            let again = encode_request(&req, ctx.as_ref()).expect("re-encodes");
-            prop_assert!(again.len() <= bytes.len());
-            prop_assert_eq!(decode_request(&again).expect("decodes"), (req, ctx));
+        // succeed re-encodes to exactly the input: every field is always
+        // present and has one encoding (NaN phases included — spans travel
+        // as raw bits).
+        if let Ok(req) = decode_request(&bytes) {
+            prop_assert_eq!(encode_request(&req).expect("re-encodes"), bytes.clone());
         }
-        if let Ok((resp, epoch, span)) = decode_response(&bytes) {
-            let again = encode_response(&resp, epoch, span.as_ref()).expect("re-encodes");
-            prop_assert!(again.len() <= bytes.len());
-            let (resp2, epoch2, span2) = decode_response(&again).expect("decodes");
-            prop_assert_eq!((resp2, epoch2), (resp, epoch));
-            // Garbage may decode to NaN phases: compare spans by bits.
-            let bits = |s: Option<ServerSpan>| {
-                s.map(|s| [s.recv_parse, s.lookup, s.encode, s.total].map(f64::to_bits))
-            };
-            prop_assert_eq!(bits(span2), bits(span));
+        if let Ok(reply) = decode_response(&bytes) {
+            let mut again = encode_response(&reply.response, reply.epoch).expect("re-encodes");
+            stamp_span(&mut again, &reply.span).expect("a reply has a span field");
+            prop_assert_eq!(again, bytes.clone());
         }
         let _ = decode_relation(&bytes);
     }
@@ -193,9 +196,9 @@ proptest! {
         let reversed = BindingPattern::new(distinct.into_iter().rev());
         prop_assert_eq!(reversed.to_string(), text.clone());
         // And the text survives the request it rides in.
-        let req = Request { source: "v1".into(), pattern: text };
-        let bytes = encode_request(&req, None).expect("encodes");
-        prop_assert_eq!(decode_request(&bytes).expect("decodes"), (req, None));
+        let req = Request { source: "v1", pattern: &text, run: 0, plan_seq: 0, attempt: 0 };
+        let bytes = encode_request(&req).expect("encodes");
+        prop_assert_eq!(decode_request(&bytes).expect("decodes"), req);
     }
 
     #[test]
@@ -218,29 +221,19 @@ proptest! {
     }
 
     #[test]
-    fn truncations_error_cleanly(resp in arb_response(), epoch in any::<u64>(), cut in 0usize..64) {
-        let bytes = encode_response(&resp, epoch, None).expect("encodes");
+    fn truncations_error_cleanly(
+        parts in arb_request(),
+        resp in arb_response(),
+        epoch in any::<u64>(),
+        cut in 0usize..96,
+    ) {
+        let bytes = encode_request(&request(&parts)).expect("encodes");
+        if cut < bytes.len() {
+            prop_assert!(decode_request(&bytes[..cut]).is_err());
+        }
+        let bytes = encode_response(&resp, epoch).expect("encodes");
         if cut < bytes.len() {
             prop_assert!(decode_response(&bytes[..cut]).is_err());
         }
-    }
-
-    #[test]
-    fn span_block_responses_round_trip_bit_exactly(
-        resp in arb_response(),
-        epoch in any::<u64>(),
-        span in arb_server_span(),
-    ) {
-        let bytes = encode_response(&resp, epoch, Some(&span)).expect("encodes");
-        let (got, got_epoch, got_span) = decode_response(&bytes).expect("decodes");
-        prop_assert_eq!(got, resp.clone());
-        prop_assert_eq!(got_epoch, epoch);
-        let got_span = got_span.expect("span rides along");
-        // f64 phases travel as to_bits, so equality is exact.
-        prop_assert_eq!(got_span.recv_parse.to_bits(), span.recv_parse.to_bits());
-        prop_assert_eq!(got_span.lookup.to_bits(), span.lookup.to_bits());
-        prop_assert_eq!(got_span.encode.to_bits(), span.encode.to_bits());
-        prop_assert_eq!(got_span.total.to_bits(), span.total.to_bits());
-        prop_assert_eq!(got_span.request_seq, span.request_seq);
     }
 }
