@@ -19,8 +19,10 @@ use qpo_utility::{ExecutionContext, UtilityMeasure};
 /// Owns a long-lived [`OrderingKernel`], so the per-emission Drips runs
 /// share hash-consed abstraction trees and (epoch-guarded) memoized
 /// utility intervals — the cross-round reuse §5.2's "redoes dominance
-/// work" remark invites. `crates/core/tests/kernel_equivalence.rs` pins
-/// its emissions bit for bit to the textbook loop's, re-run per emission.
+/// work" remark invites — and late in the order answers by brute force
+/// (the kernel's floor). `crates/core/tests/kernel_equivalence.rs` pins
+/// its emitted utilities bit for bit to the textbook loop's, re-run per
+/// emission, and its plans up to the first tied maximum.
 pub struct IDrips<'a, M: UtilityMeasure + ?Sized, H> {
     inst: &'a ProblemInstance,
     measure: &'a M,

@@ -27,10 +27,10 @@
 //!    over plan spaces that mostly did not change (§5.2 calls this out as
 //!    deliberate redundancy). The kernel hash-conses abstraction trees
 //!    keyed on `(bucket, candidate set)` and memoizes utility intervals
-//!    keyed on the candidate sets. An entry answers outright at the
-//!    [`ExecutionContext::epoch`] it was computed at (always, for
-//!    [`context_free`](UtilityMeasure::context_free) measures); later it
-//!    is *resumed*: `record` only appends to the history, so
+//!    keyed on the candidate sets. An entry answers outright while the
+//!    history holds just the executed plans it was computed over (always,
+//!    for [`context_free`](UtilityMeasure::context_free) measures); later
+//!    it is *resumed*: `record` only appends to the history, so
 //!    [`UtilityMeasure::resume_interval`] folds just the appended plans
 //!    into the entry's [`IntervalCarry`]. Only a `retract` — the history
 //!    is no longer an extension of what the carries saw — drops the table.
@@ -40,13 +40,29 @@
 //!    plan as its node ids in one flat arena, and keys the memo on the
 //!    plan's set ids; a memo entry materializes the candidate sets once,
 //!    on first sight, and plans read them from there.
+//! 5. **Abstraction that no longer prunes** — late in an iDrips order the
+//!    spaces have fragmented and the intervals stay wide, so a search
+//!    touches about as many plans, abstract ones included, as remain.
+//!    The kernel keeps a *floor* (PI's move): once the pool the previous
+//!    call built has reached the number of concrete plans remaining
+//!    across `spaces`, the call builds no tree and evaluates every
+//!    remaining plan instead, through the same memo entries and carries
+//!    (keyed on leaf set ids from a flat table), and returns the maximum,
+//!    ties going to the smallest plan (PI's rule). A plan whose unseen
+//!    executed plans are all `independent` of it keeps its utility as a
+//!    cache hit, so the floor evaluates no more than PI would. A kernel's
+//!    first call always runs Drips.
 //!
-//! The kernel runs on the calling thread, and the emitted order is
-//! bit-for-bit identical to the textbook loop's by construction:
-//! the champion rule eliminates *exactly* the plans the pairwise sweep
-//! eliminates (see `eliminates`' invariants), caching only short-circuits
-//! recomputation of pure functions, and a resumed evaluation returns the
-//! bits a from-scratch one would (the measure's contract).
+//! The kernel runs on the calling thread. Its emitted utilities are
+//! bit-for-bit the textbook loop's by construction: the champion rule
+//! eliminates *exactly* the plans the pairwise sweep eliminates (see
+//! `eliminates`' invariants), caching only short-circuits recomputation
+//! of pure functions, a resumed evaluation returns the bits a
+//! from-scratch one would (the measure's contract), and a floor call
+//! takes the maximum of the very point intervals Drips' concrete
+//! survivors would carry. So is the emitted plan, except where the
+//! maximum is shared: a floor call breaks that tie on the plan encoding,
+//! Drips on its pool order — either way a Def. 2.1 argmax.
 
 use crate::abstraction::{AbstractionHeuristic, AbstractionTree, NodeId};
 use crate::planspace::PlanSpace;
@@ -91,6 +107,10 @@ pub struct KernelStats {
     pub tree_builds: u64,
     /// Abstraction trees reused from the hash-cons table.
     pub tree_cache_hits: u64,
+    /// Calls answered by the floor: every remaining plan evaluated, no
+    /// tree built, nothing refined or eliminated. Their evaluations and
+    /// cache hits count into `interval_evals` / `interval_cache_hits`.
+    pub floor_calls: u64,
     /// Always 0 — kept for the frozen harness (`bench_e2e` reads it).
     pub parallel_batches: u64,
 }
@@ -120,6 +140,7 @@ struct KernelMetrics {
     interval_cache_hits: Counter,
     tree_builds: Counter,
     tree_cache_hits: Counter,
+    floor_calls: Counter,
     /// Width (`hi − lo`) of every freshly evaluated utility interval — how
     /// abstract the plans the kernel actually touches are.
     interval_width: Histogram,
@@ -139,8 +160,45 @@ impl KernelMetrics {
             interval_cache_hits: c("qpo_kernel_interval_cache_hits_total"),
             tree_builds: c("qpo_kernel_tree_builds_total"),
             tree_cache_hits: c("qpo_kernel_tree_cache_hits_total"),
+            floor_calls: c("qpo_kernel_floor_calls_total"),
             interval_width: obs.registry.histogram("qpo_kernel_interval_width", &[]),
         }
+    }
+
+    /// Counts (and journals) an interval answered without calling the
+    /// measure; `plan_id` is the plan's number in this call.
+    fn cache_hit(&self, journal: &TraceJournal, plan_id: usize) {
+        self.interval_cache_hits.inc();
+        if journal.is_enabled() {
+            journal.record(
+                "kernel_cache_hit",
+                vec![
+                    ("cache", Value::Str("interval".into())),
+                    ("plan_id", Value::U64(plan_id as u64)),
+                ],
+            );
+        }
+    }
+
+    /// Brings `memo` up to date with `ctx` through the measure, folding
+    /// into its carry only the executed plans it has not seen (a fresh
+    /// carry — a new entry's, or one of a measure that does not resume —
+    /// starts over).
+    fn resume<M: UtilityMeasure + ?Sized>(
+        &self,
+        memo: &mut MemoEntry,
+        inst: &ProblemInstance,
+        measure: &M,
+        ctx: &ExecutionContext,
+    ) {
+        self.interval_evals.inc();
+        if !memo.carry.is_fresh() {
+            self.interval_resumes.inc();
+        }
+        let iv = measure.resume_interval(inst, &memo.cands, ctx, &mut memo.carry);
+        memo.interval = iv;
+        memo.seen = ctx.len();
+        self.interval_width.record(iv.hi() - iv.lo());
     }
 
     fn stats(&self) -> KernelStats {
@@ -155,6 +213,7 @@ impl KernelMetrics {
             interval_cache_hits: self.interval_cache_hits.get(),
             tree_builds: self.tree_builds.get(),
             tree_cache_hits: self.tree_cache_hits.get(),
+            floor_calls: self.floor_calls.get(),
             parallel_batches: 0,
         }
     }
@@ -243,14 +302,41 @@ fn heap_key(hi: f64, id: usize) -> (i64, Reverse<usize>) {
 }
 
 /// A memoized utility interval of the candidate sets `cands`: valid as
-/// is at `epoch`, resumable from `carry` at a later epoch of the same
-/// append-only history.
+/// is while the context holds the `seen` executed plans it accounts for,
+/// resumable from `carry` once more are appended.
 #[derive(Debug)]
 struct MemoEntry {
     cands: Vec<Vec<usize>>,
     interval: Interval,
-    epoch: u64,
+    seen: usize,
     carry: IntervalCarry,
+}
+
+/// The interval memo: a slab of entries, and an index from a plan's set
+/// ids (one per bucket) to its entry.
+#[derive(Debug, Default)]
+struct Memo {
+    entries: Vec<MemoEntry>,
+    index: IdMap<Box<[u32]>, u32>,
+}
+
+impl Memo {
+    /// The entry of the plan whose set ids are `key`, and whether it was
+    /// there before: a new one materializes `cands()` and starts from a
+    /// fresh carry.
+    fn entry(&mut self, key: &[u32], cands: impl FnOnce() -> Vec<Vec<usize>>) -> (usize, bool) {
+        if let Some(&e) = self.index.get(key) {
+            return (e as usize, true);
+        }
+        self.index.insert(key.into(), self.entries.len() as u32);
+        self.entries.push(MemoEntry {
+            cands: cands(),
+            interval: Interval::ZERO,
+            seen: 0,
+            carry: IntervalCarry::default(),
+        });
+        (self.entries.len() - 1, false)
+    }
 }
 
 /// An abstraction tree and the kernel-wide candidate-set id of each of
@@ -282,26 +368,35 @@ impl Hasher for IdHasher {
     }
 }
 
+/// A hash map under [`IdHasher`]: every kernel table is keyed on values
+/// the kernel builds itself.
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 /// The reusable state of the incremental kernel: hash-consed abstraction
 /// trees, the interval memo table, and the accumulated [`KernelStats`].
 ///
 /// A kernel instance must be driven with a fixed `(instance, measure,
 /// heuristic)` triple and a single [`ExecutionContext`] lineage (the one
 /// an orderer owns and mutates) — the caches key on candidate sets, the
-/// context epoch and its retraction count only. [`IDrips`](crate::IDrips)
-/// owns one kernel per orderer, which satisfies both conditions by
-/// construction.
+/// context's history length and its retraction count only.
+/// [`IDrips`](crate::IDrips) owns one kernel per orderer, which satisfies
+/// both conditions by construction.
 #[derive(Debug)]
 pub struct OrderingKernel {
     /// Bucket → candidate set → tree (nested so a lookup borrows `cands`).
-    trees: HashMap<usize, HashMap<Vec<usize>, Arc<SetTree>>>,
+    trees: IdMap<usize, IdMap<Vec<usize>, Arc<SetTree>>>,
     /// `(bucket, candidate set)` → its kernel-wide id, for every node of
-    /// every tree built so far.
-    set_ids: HashMap<(usize, Vec<usize>), u32>,
-    /// The interval memo: a slab of entries, and an index from a plan's
-    /// set ids (one per bucket) to its entry.
-    memo: Vec<MemoEntry>,
-    index: HashMap<Box<[u32]>, u32, BuildHasherDefault<IdHasher>>,
+    /// every tree built so far and every leaf the floor keyed.
+    set_ids: IdMap<(usize, Vec<usize>), u32>,
+    /// The set id of bucket `b`'s singleton `{s}` at `b * leaf_stride +
+    /// s` (`u32::MAX` until assigned): the floor's keys, read without
+    /// hashing a candidate set. Sized on the first floor call.
+    leaf_ids: Vec<u32>,
+    leaf_stride: usize,
+    memo: Memo,
+    /// The plans the last call put in its pool (Drips) or enumerated
+    /// (the floor): the floor answers once this reaches what remains.
+    last_pool: usize,
     /// [`ExecutionContext::retractions`] the memoized carries were built
     /// under: while it stands still, the history only grew by appends.
     retractions: u64,
@@ -320,10 +415,12 @@ impl OrderingKernel {
     /// A fresh kernel with empty caches.
     pub fn new() -> Self {
         OrderingKernel {
-            trees: HashMap::new(),
-            set_ids: HashMap::new(),
-            memo: Vec::new(),
-            index: HashMap::default(),
+            trees: IdMap::default(),
+            set_ids: IdMap::default(),
+            leaf_ids: Vec::new(),
+            leaf_stride: 0,
+            memo: Memo::default(),
+            last_pool: 0,
             retractions: 0,
             metrics: KernelMetrics::default(),
             journal: TraceJournal::default(),
@@ -383,9 +480,10 @@ impl OrderingKernel {
         t
     }
 
-    /// Runs Drips over the given plan spaces under `ctx`, returning the
-    /// best concrete plan across all of them (or `None` when there are no
-    /// spaces).
+    /// Runs Drips over the given plan spaces under `ctx` — or, once the
+    /// last call's pool has reached the plans remaining, the floor (module
+    /// doc, point 5) — returning the best concrete plan across all of them
+    /// (or `None` when there are no spaces).
     pub fn find_best<M, H>(
         &mut self,
         inst: &ProblemInstance,
@@ -405,9 +503,11 @@ impl OrderingKernel {
         // resume across appends; a retraction since the last call means
         // their carries folded in a plan that is gone.
         if !measure.context_free() && self.retractions != ctx.retractions() {
-            self.memo.clear();
-            self.index.clear();
+            self.memo = Memo::default();
             self.retractions = ctx.retractions();
+        }
+        if self.floor_reached(spaces) {
+            return Some(self.floor(inst, measure, ctx, spaces));
         }
         // The context is fixed for the whole call; every certificate
         // recorded below replays against this epoch.
@@ -491,7 +591,7 @@ impl OrderingKernel {
             let champ_enc = self
                 .journal
                 .is_enabled()
-                .then(|| encode_candidates(&self.memo[plans[champ].entry].cands));
+                .then(|| encode_candidates(&self.memo.entries[plans[champ].entry].cands));
             for id in checked {
                 if id == champ || !plans[id].alive {
                     continue;
@@ -515,8 +615,9 @@ impl OrderingKernel {
                 }
             };
             let Some((target_id, bucket)) = target else {
+                self.last_pool = plans.len();
                 let winner = &plans[champ];
-                let cands = &self.memo[winner.entry].cands;
+                let cands = &self.memo.entries[winner.entry].cands;
                 let plan = as_concrete(cands).expect("survivors are concrete");
                 return Some(DripsOutcome {
                     space: winner.space,
@@ -569,7 +670,7 @@ impl OrderingKernel {
         self.metrics.eliminations.inc();
         if let Some(champion_enc) = champ_enc {
             let (champ_u, victim_u) = (plans[champ].utility, plans[id].utility);
-            let victim_enc = encode_candidates(&self.memo[plans[id].entry].cands);
+            let victim_enc = encode_candidates(&self.memo.entries[plans[id].entry].cands);
             self.journal.record(
                 "kernel_elimination",
                 vec![
@@ -589,10 +690,10 @@ impl OrderingKernel {
     }
 
     /// Evaluates the built batch and appends it to the pool, alive,
-    /// returning the new ids. A memo entry of this epoch answers outright;
-    /// one of an earlier epoch resumes from its carry; a plan whose set
-    /// ids were never seen gets an entry, its candidate sets materialized
-    /// here once, and starts from scratch.
+    /// returning the new ids. A memo entry that already accounts for every
+    /// executed plan answers outright; an older one resumes from its
+    /// carry; a plan whose set ids were never seen gets an entry, its
+    /// candidate sets materialized here once, and starts from scratch.
     fn evaluate<M: UtilityMeasure + ?Sized>(
         &mut self,
         inst: &ProblemInstance,
@@ -603,7 +704,6 @@ impl OrderingKernel {
         nodes: &mut Vec<NodeId>,
     ) -> Range<usize> {
         let first = plans.len();
-        let epoch = ctx.epoch();
         let context_free = measure.context_free();
         let dims = trees[0].len();
         let Batch {
@@ -616,42 +716,16 @@ impl OrderingKernel {
             let space_trees = plan_nodes.iter().zip(&trees[space]);
             key.clear();
             key.extend(space_trees.clone().map(|(&n, t)| t.ids[n]));
-            let known = self.index.get(key.as_slice()).map(|&e| e as usize);
-            let entry = known.unwrap_or_else(|| {
-                let cands = space_trees.map(|(&n, t)| t.tree.indices(n).to_vec());
-                self.index
-                    .insert(key.as_slice().into(), self.memo.len() as u32);
-                self.memo.push(MemoEntry {
-                    cands: cands.collect(),
-                    interval: Interval::ZERO,
-                    epoch,
-                    carry: IntervalCarry::default(),
-                });
-                self.memo.len() - 1
+            let (entry, known) = self.memo.entry(key, || {
+                space_trees
+                    .map(|(&n, t)| t.tree.indices(n).to_vec())
+                    .collect()
             });
-            let memo = &mut self.memo[entry];
-            if known.is_some() && (context_free || memo.epoch == epoch) {
-                self.metrics.interval_cache_hits.inc();
-                if self.journal.is_enabled() {
-                    self.journal.record(
-                        "kernel_cache_hit",
-                        vec![
-                            ("cache", Value::Str("interval".into())),
-                            ("plan_id", Value::U64((first + i) as u64)),
-                        ],
-                    );
-                }
+            let memo = &mut self.memo.entries[entry];
+            if known && (context_free || memo.seen == ctx.len()) {
+                self.metrics.cache_hit(&self.journal, first + i);
             } else {
-                // (A fresh carry — a new entry's, or one of a measure
-                // that does not resume — starts over.)
-                self.metrics.interval_evals.inc();
-                if !memo.carry.is_fresh() {
-                    self.metrics.interval_resumes.inc();
-                }
-                let iv = measure.resume_interval(inst, &memo.cands, ctx, &mut memo.carry);
-                memo.interval = iv;
-                memo.epoch = epoch;
-                self.metrics.interval_width.record(iv.hi() - iv.lo());
+                self.metrics.resume(memo, inst, measure, ctx);
             }
             let width = |b: usize| memo.cands[b].len();
             plans.push(PoolPlan {
@@ -667,6 +741,121 @@ impl OrderingKernel {
         nodes.append(built);
         spaces.clear();
         first..plans.len()
+    }
+
+    /// True once the last call's pool has reached the concrete plans
+    /// remaining across `spaces` — never on a kernel's first call, whose
+    /// last pool is empty.
+    fn floor_reached(&self, spaces: &[PlanSpace]) -> bool {
+        let mut left = self.last_pool;
+        spaces.iter().all(|space| {
+            let size = space.iter().try_fold(1usize, |n, c| n.checked_mul(c.len()));
+            match size.and_then(|size| left.checked_sub(size)) {
+                Some(rest) => {
+                    left = rest;
+                    true
+                }
+                None => false,
+            }
+        })
+    }
+
+    /// Answers a call by brute force (module doc, point 5): every plan of
+    /// every space in turn, each valued by [`OrderingKernel::point`]; the
+    /// maximum wins, the smallest plan among equals (PI's rule).
+    fn floor<M: UtilityMeasure + ?Sized>(
+        &mut self,
+        inst: &ProblemInstance,
+        measure: &M,
+        ctx: &ExecutionContext,
+        spaces: &[PlanSpace],
+    ) -> DripsOutcome {
+        self.metrics.floor_calls.inc();
+        if self.leaf_ids.is_empty() {
+            self.leaf_stride = inst.buckets.iter().map(Vec::len).max().unwrap_or(0);
+            self.leaf_ids = vec![u32::MAX; inst.buckets.len() * self.leaf_stride];
+        }
+        let dims = spaces[0].len();
+        let mut best = DripsOutcome {
+            space: 0,
+            plan: Vec::with_capacity(dims),
+            utility: f64::NEG_INFINITY,
+            refinements: 0,
+        };
+        let (mut plan, mut at) = (vec![0; dims], vec![0; dims]);
+        let mut pool = 0;
+        for (space_id, space) in spaces.iter().enumerate() {
+            // An odometer over the space, the last bucket turning fastest.
+            at.fill(0);
+            loop {
+                for (b, source) in plan.iter_mut().enumerate() {
+                    *source = space[b][at[b]];
+                }
+                let utility = self.point(inst, measure, ctx, &plan, pool);
+                pool += 1;
+                let order = crate::utility_cmp(utility, best.utility);
+                if order.then_with(|| best.plan.as_slice().cmp(&plan)).is_gt() {
+                    best.space = space_id;
+                    best.plan.clone_from(&plan);
+                    best.utility = utility;
+                }
+                let Some(b) = (0..dims).rev().find(|&b| at[b] + 1 < space[b].len()) else {
+                    break;
+                };
+                at[b] += 1;
+                at[b + 1..].fill(0);
+            }
+        }
+        self.last_pool = pool;
+        best
+    }
+
+    /// The utility of the concrete `plan` under `ctx`, the point interval
+    /// of its memo entry (`plan_id` numbers it for the journal). An entry
+    /// stands — a cache hit — when every executed plan it has not seen is
+    /// `independent` of `plan`; otherwise it resumes from its carry.
+    fn point<M: UtilityMeasure + ?Sized>(
+        &mut self,
+        inst: &ProblemInstance,
+        measure: &M,
+        ctx: &ExecutionContext,
+        plan: &[usize],
+        plan_id: usize,
+    ) -> f64 {
+        let mut key = std::mem::take(&mut self.batch.key);
+        key.clear();
+        key.extend(plan.iter().enumerate().map(|(b, &s)| self.leaf_id(b, s)));
+        let (entry, known) = self
+            .memo
+            .entry(&key, || plan.iter().map(|&s| vec![s]).collect());
+        self.batch.key = key;
+        let memo = &mut self.memo.entries[entry];
+        // A context-free memo survives retractions, so its `seen` may run
+        // past the history; it stands regardless.
+        let stands = measure.context_free()
+            || ctx
+                .executed()
+                .get(memo.seen..)
+                .is_some_and(|unseen| unseen.iter().all(|e| measure.independent(inst, plan, e)));
+        if known && stands {
+            memo.seen = ctx.len();
+            self.metrics.cache_hit(&self.journal, plan_id);
+        } else {
+            self.metrics.resume(memo, inst, measure, ctx);
+        }
+        memo.interval.lo()
+    }
+
+    /// The set id of bucket `bucket`'s singleton `{source}`, interned in
+    /// `set_ids` (where a tree's leaf may already have put it) on first
+    /// sight and read from the flat table after.
+    fn leaf_id(&mut self, bucket: usize, source: usize) -> u32 {
+        let slot = bucket * self.leaf_stride + source;
+        if self.leaf_ids[slot] == u32::MAX {
+            let next = self.set_ids.len() as u32;
+            self.leaf_ids[slot] = *self.set_ids.entry((bucket, vec![source])).or_insert(next);
+        }
+        self.leaf_ids[slot]
     }
 }
 
@@ -913,13 +1102,13 @@ mod tests {
         }
         assert_eq!(ctx.len(), inst.plan_count());
 
-        assert_eq!(kernel.memo.len(), kernel.index.len());
+        assert_eq!(kernel.memo.entries.len(), kernel.memo.index.len());
         let sets: HashMap<u32, &(usize, Vec<usize>)> =
             kernel.set_ids.iter().map(|(set, &id)| (id, set)).collect();
         assert_eq!(sets.len(), kernel.set_ids.len(), "set ids are distinct");
         let mut seen = std::collections::HashSet::new();
-        for (key, &entry) in &kernel.index {
-            let cands = &kernel.memo[entry as usize].cands;
+        for (key, &entry) in &kernel.memo.index {
+            let cands = &kernel.memo.entries[entry as usize].cands;
             assert_eq!(key.len(), cands.len());
             for (b, id) in key.iter().enumerate() {
                 assert_eq!(sets[id], &(b, cands[b].clone()), "key {key:?}, bucket {b}");

@@ -10,7 +10,7 @@
 //! | Algorithm | Section | Requires | Character |
 //! |-----------|---------|----------|-----------|
 //! | [`Greedy`] | §4 | full monotonicity | per-bucket argmax + space splitting; no plan enumeration |
-//! | [`OrderingKernel::find_best`] | §5.1 | — | Drips: abstraction refinement; finds only the *first* plan |
+//! | [`OrderingKernel::find_best`] | §5.1 | — | Drips: abstraction refinement; finds only the *first* plan; brute force (PI's move) once its last pool reached the plans remaining |
 //! | [`IDrips`] | §5.2 | — | re-runs Drips per emission; works for every measure |
 //! | [`Streamer`] | §5.2 | diminishing returns | single abstraction + dominance-graph recycling |
 //! | [`Pi`] | §6 | — | independence-aware brute force (the paper's baseline) |

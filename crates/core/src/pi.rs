@@ -16,8 +16,9 @@ pub struct Pi<'a, M: UtilityMeasure + ?Sized> {
     inst: &'a ProblemInstance,
     measure: &'a M,
     ctx: ExecutionContext,
-    /// `(plan, cached utility)`; `None` = needs recomputation.
-    plans: Vec<(Vec<usize>, Option<f64>)>,
+    /// `(plan, cached utility, stale)`; a stale utility needs
+    /// recomputation.
+    plans: Vec<(Vec<usize>, f64, bool)>,
 }
 
 impl<'a, M: UtilityMeasure + ?Sized> Pi<'a, M> {
@@ -28,7 +29,11 @@ impl<'a, M: UtilityMeasure + ?Sized> Pi<'a, M> {
             inst,
             measure,
             ctx: ExecutionContext::new(),
-            plans: inst.all_plans().into_iter().map(|p| (p, None)).collect(),
+            plans: inst
+                .all_plans()
+                .into_iter()
+                .map(|p| (p, 0.0, true))
+                .collect(),
         }
     }
 
@@ -47,28 +52,26 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Pi<'_, M> {
         if self.plans.is_empty() {
             return None;
         }
-        for (plan, utility) in &mut self.plans {
-            if utility.is_none() {
-                *utility = Some(self.measure.utility(self.inst, plan, &self.ctx));
+        for (plan, utility, stale) in &mut self.plans {
+            if *stale {
+                *utility = self.measure.utility(self.inst, plan, &self.ctx);
+                *stale = false;
             }
         }
         let best = self
             .plans
             .iter()
             .enumerate()
-            .max_by(|(_, (pa, ua)), (_, (pb, ub))| {
-                let ua = ua.expect("computed above");
-                let ub = ub.expect("computed above");
-                crate::utility_cmp(ua, ub).then_with(|| pb.cmp(pa)) // ties → smaller plan wins
+            .max_by(|(_, (pa, ua, _)), (_, (pb, ub, _))| {
+                crate::utility_cmp(*ua, *ub).then_with(|| pb.cmp(pa)) // ties → smaller plan wins
             })
             .map(|(i, _)| i)
             .expect("non-empty plan list");
-        let (plan, utility) = self.plans.swap_remove(best);
-        let utility = utility.expect("computed above");
+        let (plan, utility, _) = self.plans.swap_remove(best);
         // Invalidate only plans that depend on the emitted one.
-        for (p, u) in &mut self.plans {
+        for (p, _, stale) in &mut self.plans {
             if !self.measure.independent(self.inst, p, &plan) {
-                *u = None;
+                *stale = true;
             }
         }
         self.ctx.record(&plan);
@@ -79,9 +82,9 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Pi<'_, M> {
         if outcome.is_failure() && self.ctx.retract(&outcome.plan) {
             // The retracted plan's operations are no longer in the context;
             // utilities that conditioned on them are stale.
-            for (p, u) in &mut self.plans {
+            for (p, _, stale) in &mut self.plans {
                 if !self.measure.independent(self.inst, p, &outcome.plan) {
-                    *u = None;
+                    *stale = true;
                 }
             }
         }

@@ -22,6 +22,7 @@ pub fn format_kernel_stats(stats: &KernelStats) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "ordering kernel:");
     let _ = writeln!(out, "  search rounds      {:>8}", stats.rounds);
+    let _ = writeln!(out, "  floor calls        {:>8}", stats.floor_calls);
     let _ = writeln!(out, "  refinements        {:>8}", stats.refinements);
     let _ = writeln!(
         out,
@@ -62,12 +63,15 @@ mod tests {
             interval_cache_hits: 75,
             tree_builds: 4,
             tree_cache_hits: 16,
+            floor_calls: 5,
             parallel_batches: 0,
         };
         let text = format_kernel_stats(&stats);
         for needle in [
             "search rounds",
             "12",
+            "floor calls",
+            "5",
             "refinements",
             "dominance checks",
             "40",

@@ -99,15 +99,12 @@ impl UtilityMeasure for MonetaryCost {
         }
     }
 
+    /// The point of the singleton interval, so the two agree bit for bit
+    /// (the trait's contract): `fee · (1/out)` as interval division
+    /// rounds it, which may sit an ulp from `fee / out`.
     fn utility(&self, inst: &ProblemInstance, plan: &[usize], ctx: &ExecutionContext) -> f64 {
         let singles: Vec<Vec<usize>> = plan.iter().map(|&i| vec![i]).collect();
-        let (fee, out) = self.fee_and_output(inst, &singles, ctx);
-        debug_assert!(fee.is_point() && out.is_point());
-        assert!(
-            out.lo() > 0.0,
-            "plan produces no tuples; fee/tuple undefined"
-        );
-        -fee.lo() / out.lo()
+        self.utility_interval(inst, &singles, ctx).lo()
     }
 
     fn utility_interval(
@@ -219,10 +216,11 @@ mod tests {
     fn hand_computed_ratio() {
         let inst = inst();
         let ctx = ExecutionContext::new();
-        // plan [0,0]: fee = 0.5·10 + 0.2·(10·50/100) = 5 + 1 = 6; out = 5.
+        // plan [0,0]: fee = 0.5·10 + 0.2·(10·50/100) = 5 + 1 = 6; out = 5,
+        // divided as the interval divides: 6 · (1/5), an ulp past 1.2.
         assert_eq!(
             MonetaryCost::without_caching().utility(&inst, &[0, 0], &ctx),
-            -1.2
+            -(6.0 * (1.0 / 5.0))
         );
         // plan [1,0]: fee = 0.1·40 + 0.2·(40·50/100) = 4 + 4 = 8; out = 20.
         assert_eq!(
