@@ -12,7 +12,7 @@
 //! The cross-plan merge itself — attach when a plan is scheduled, evict
 //! when it merges unsound or failed, release only what strictly clears the
 //! best bound of every plan the orderer has not yet emitted — is the any-k
-//! part of [`crate::core`]'s hooks, shared by
+//! part of the `core` module's hooks, shared by
 //! [`QuerySession::next_tuple`](crate::QuerySession::next_tuple) and
 //! [`Mediator::run`](crate::Mediator::run).
 

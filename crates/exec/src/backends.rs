@@ -8,7 +8,7 @@
 //! anything else implementing the trait. A run selects one by label
 //! ([`RunOptions::backend`](crate::RunOptions::backend)), a session with
 //! [`QuerySession::with_backend`](crate::QuerySession::with_backend);
-//! either way the same loop and the same per-plan core ([`crate::core`])
+//! either way the same loop and the same per-plan core (the `core` module)
 //! do the work: same reformulation, same ordering, same retries — only
 //! the rows change. Each access goes out under the binding pattern of its
 //! subgoal ([`qpo_runtime::pattern`]: the constants the plan atom fixes),

@@ -149,7 +149,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // Serve until killed; the accept loop runs on the server's thread.
+    // Serve until killed: the server accepts and serves on threads of its
+    // own (`qpo_obs::serve::ConnectionServer`).
     loop {
         std::thread::park();
     }

@@ -6,7 +6,7 @@
 //! while their accesses wait, against *remote sources* — the
 //! deterministic simulator by default, a registered store or TCP backend
 //! by label — with latency, retries, and injected failures. It is the
-//! same loop, the same per-plan core and the same hooks ([`crate::core`],
+//! same loop, the same per-plan core and the same hooks (the `core` module,
 //! the loop's observer) a [`QuerySession`](crate::QuerySession) steps
 //! inline one pull at a time; nothing beside the loop syncs a data
 //! version. So a backend and a shared-execution memo compose in one call

@@ -22,7 +22,7 @@
 //!   source for a bucket; without a memo, a stream keeps its own cache.
 //!
 //! The memo is only the store. Consultation and promotion are the sharing
-//! part of [`crate::core`]'s hooks, on the coordinating thread: lookups at
+//! part of the `core` module's hooks, on the coordinating thread: lookups at
 //! schedule (pop order), promotions at merge (emission order), each on the
 //! source memo's data version, which only the loop syncs. So memoized runs
 //! stay bit-identical across worker counts, and the journal events

@@ -46,7 +46,7 @@
 //! - [`serve`] — a dependency-free introspection server
 //!   ([`serve::serve`]) exposing `/metrics`, `/traces`, `/sessions`,
 //!   `/explain`, `/profile`, `/divergence`, `/backends`, and
-//!   `/healthz` over `std::net::TcpListener`.
+//!   `/healthz`, on the workspace's one accept loop ([`ConnectionServer`]).
 //!
 //! The [`Obs`] bundle ties a registry, a journal, and a session board
 //! together; every instrumented layer (`OrderingKernel`, the
@@ -97,7 +97,7 @@ pub use journal::{
 pub use json::{parse_json, Json, JsonError};
 pub use profile::{PlanSpan, ProfileIndex, RemoteSpan, RunProfile, SourceSpan, SpanStatus};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
-pub use serve::IntrospectionServer;
+pub use serve::{ConnectionServer, IntrospectionServer};
 pub use sessions::{SessionBoard, SessionEntry};
 
 /// The observability bundle handed to instrumented layers: one shared

@@ -30,15 +30,15 @@
 //!
 //! [`DivergenceMonitor::to_json`]: crate::divergence::DivergenceMonitor::to_json
 //!
-//! The server accepts on one thread and serves each connection on its
-//! own, at most `MAX_CONNECTIONS` at once (one past the cap is dropped
-//! unserved). A request head must arrive within `HEAD_DEADLINE` of the
-//! accept, however it trickles in, so a slow client holds only its own
-//! thread and only that long. Every response is a pure function of the
-//! observed state at request time.
+//! It runs on [`ConnectionServer`], the one accept loop of the workspace
+//! (`qpo-runtime`'s source server runs on it too), at most
+//! `MAX_CONNECTIONS` connections at once. A request head must arrive
+//! within `HEAD_DEADLINE` of the accept, however it trickles in
+//! ([`read_by`]). Every response is a pure function of the observed state
+//! at request time.
 
 use std::io::{self, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -61,79 +61,91 @@ const MAX_CONNECTIONS: usize = 16;
 /// How long a client has, from the accept, to send its whole request head.
 const HEAD_DEADLINE: Duration = Duration::from_secs(2);
 
-/// A running introspection server. Dropping (or calling
-/// [`IntrospectionServer::stop`]) shuts the accept loop down.
+/// A running loopback server, one thread accepting and one per live
+/// connection. Dropping it (or [`ConnectionServer::stop`]) stops them all.
 #[derive(Debug)]
-pub struct IntrospectionServer {
+pub struct ConnectionServer {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    /// The stop flag and the accepting thread, until stopped.
+    running: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
 }
 
-impl IntrospectionServer {
+/// The introspection server: a [`ConnectionServer`] running [`serve`]'s handler.
+pub type IntrospectionServer = ConnectionServer;
+
+impl ConnectionServer {
+    /// Binds `127.0.0.1:port` (0: an ephemeral port) and runs `handler` on
+    /// each connection, at most `cap` at once (one past it is dropped
+    /// unserved), on threads named `name` (accepting) and `name-conn`.
+    pub fn bind<H>(port: u16, cap: usize, name: &str, handler: H) -> io::Result<Self>
+    where
+        H: Fn(&mut TcpStream) + Send + Sync + 'static,
+    {
+        let listener = TcpListener::bind(("127.0.0.1", port))?;
+        let addr = listener.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&shutdown);
+        let (conn_name, handler) = (format!("{name}-conn"), Arc::new(handler));
+        let accepting = spawn(name.into(), move || {
+            let mut live: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+            let stopping = || flag.load(Ordering::SeqCst);
+            for conn in listener.incoming().take_while(|_| !stopping()) {
+                live.retain(|(_, thread)| !thread.is_finished());
+                let Ok(mut stream) = conn else { continue };
+                if live.len() >= cap {
+                    continue; // dropped unserved
+                }
+                let Ok(peer) = stream.try_clone() else {
+                    continue;
+                };
+                let handler = Arc::clone(&handler);
+                // `peer`, kept to stop it with, holds the socket open: only
+                // a shutdown sends the client its FIN.
+                let spawned = spawn(conn_name.clone(), move || {
+                    handler(&mut stream);
+                    let _ = stream.shutdown(Shutdown::Both);
+                });
+                live.extend(spawned.ok().map(|thread| (peer, thread)));
+            }
+            drop(listener);
+            for (peer, thread) in live {
+                let _ = peer.shutdown(Shutdown::Both); // a blocked read returns
+                let _ = thread.join();
+            }
+        })?;
+        let running = Some((shutdown, accepting));
+        Ok(ConnectionServer { addr, running })
+    }
+
     /// The bound address (the OS-assigned port when started on port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Stops the accept loop and joins the server thread. Idempotent.
+    /// Stops accepting, shuts down every live connection, and joins all
+    /// server threads. Idempotent.
     pub fn stop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.shutdown.store(true, Ordering::SeqCst);
+        if let Some((shutdown, accepting)) = self.running.take() {
+            shutdown.store(true, Ordering::SeqCst);
             // Unblock the accept call with one throwaway connection.
             let _ = TcpStream::connect(self.addr);
-            let _ = handle.join();
+            let _ = accepting.join();
         }
     }
 }
 
-impl Drop for IntrospectionServer {
+impl Drop for ConnectionServer {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
-/// Starts the introspection server on `127.0.0.1:port` (0 asks the OS
-/// for an ephemeral port) serving the given observability bundle.
-pub fn serve(obs: &Obs, port: u16) -> io::Result<IntrospectionServer> {
-    let listener = TcpListener::bind(("127.0.0.1", port))?;
-    let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let obs = obs.clone();
-    let flag = Arc::clone(&shutdown);
-    let handle = std::thread::Builder::new()
-        .name("qpo-introspection".into())
-        .spawn(move || {
-            let mut live: Vec<JoinHandle<()>> = Vec::new();
-            for stream in listener.incoming() {
-                if flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                live.retain(|thread| !thread.is_finished());
-                let Ok(stream) = stream else { continue };
-                if live.len() >= MAX_CONNECTIONS {
-                    continue; // dropped unserved
-                }
-                let obs = obs.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("qpo-introspection-conn".into())
-                    .spawn(move || handle_connection(stream, &obs));
-                live.extend(spawned.ok());
-            }
-            // The head deadline and the write timeout bound each one.
-            for thread in live {
-                let _ = thread.join();
-            }
-        })?;
-    Ok(IntrospectionServer {
-        addr,
-        shutdown,
-        handle: Some(handle),
-    })
+fn spawn(name: String, f: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(f)
 }
 
 /// One read that returns by `deadline`: past it, a timeout error.
-fn read_by(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> io::Result<usize> {
+pub fn read_by(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> io::Result<usize> {
     let left = deadline.saturating_duration_since(Instant::now());
     if left.is_zero() {
         return Err(io::ErrorKind::TimedOut.into());
@@ -142,7 +154,16 @@ fn read_by(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> io::Res
     stream.read(buf)
 }
 
-fn handle_connection(mut stream: TcpStream, obs: &Obs) {
+/// Starts the introspection server on `127.0.0.1:port` (0 asks the OS
+/// for an ephemeral port) serving the given observability bundle.
+pub fn serve(obs: &Obs, port: u16) -> io::Result<IntrospectionServer> {
+    let obs = obs.clone();
+    ConnectionServer::bind(port, MAX_CONNECTIONS, "qpo-introspection", move |stream| {
+        handle_connection(stream, &obs)
+    })
+}
+
+fn handle_connection(stream: &mut TcpStream, obs: &Obs) {
     let deadline = Instant::now() + HEAD_DEADLINE;
     let _ = stream.set_write_timeout(Some(HEAD_DEADLINE));
     let mut buf = Vec::new();
@@ -152,21 +173,13 @@ fn handle_connection(mut stream: TcpStream, obs: &Obs) {
     // requests carry no body, and a head that exceeds the cap without
     // terminating is rejected rather than routed.
     let mut terminated = false;
-    loop {
-        match read_by(&mut stream, &mut chunk, deadline) {
+    while !terminated && buf.len() <= MAX_HEAD_BYTES {
+        match read_by(stream, &mut chunk, deadline) {
             Ok(0) => break,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if buf.windows(4).any(|w| w == b"\r\n\r\n") {
-                    terminated = true;
-                    break;
-                }
-                if buf.len() > MAX_HEAD_BYTES {
-                    break;
-                }
-            }
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(_) => return,
         }
+        terminated = buf.windows(4).any(|w| w == b"\r\n\r\n");
     }
     let head = String::from_utf8_lossy(&buf);
     let mut parts = head.lines().next().unwrap_or("").split_whitespace();
@@ -194,12 +207,8 @@ fn handle_connection(mut stream: TcpStream, obs: &Obs) {
         // by a second deadline and a byte cap) so closing the socket with
         // unread data doesn't reset the connection and discard the 400
         // we just wrote.
-        let (mut sink, mut drained) = ([0u8; 1024], 0usize);
-        let deadline = Instant::now() + HEAD_DEADLINE;
-        while let Ok(n) = read_by(&mut stream, &mut sink, deadline) {
-            if n == 0 {
-                break;
-            }
+        let (deadline, mut drained) = (Instant::now() + HEAD_DEADLINE, 0);
+        while let Ok(n @ 1..) = read_by(stream, &mut chunk, deadline) {
             drained += n;
             if drained > 64 * MAX_HEAD_BYTES {
                 break;
@@ -410,6 +419,54 @@ mod tests {
         let cut = slow.join().unwrap().expect("the slow client is cut off");
         assert!(cut >= HEAD_DEADLINE - Duration::from_millis(200), "{cut:?}");
         assert!(cut < HEAD_DEADLINE + Duration::from_secs(1), "{cut:?}");
+    }
+
+    #[test]
+    fn stop_does_not_wait_out_a_silent_client() {
+        let mut server = serve(&sample_obs(), 0).expect("bind ephemeral");
+        let silent = TcpStream::connect(server.addr()).unwrap();
+        // Let the server take the connection and block reading its head.
+        std::thread::sleep(Duration::from_millis(100));
+        let start = Instant::now();
+        server.stop();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+        drop(silent);
+    }
+
+    #[test]
+    fn connections_past_the_cap_are_dropped_unserved() {
+        let server = serve(&sample_obs(), 0).expect("bind ephemeral");
+        let addr = server.addr();
+        // Silent clients hold their threads for `HEAD_DEADLINE` (2 s);
+        // everything below runs well inside it.
+        let mut silent: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let mut extra = TcpStream::connect(addr).unwrap();
+        extra
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let read = extra.read(&mut [0u8; 1]);
+        assert_eq!(read.ok(), Some(0), "past the cap: EOF, not a head wait");
+        // One silent client leaves; once its thread ends a new one is
+        // served.
+        drop(silent.pop());
+        let served = (0..50).any(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            let Ok(mut stream) = TcpStream::connect(addr) else {
+                return false;
+            };
+            let mut response = String::new();
+            stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").is_ok()
+                && stream.read_to_string(&mut response).is_ok()
+                && response.ends_with("\r\n\r\nok\n")
+        });
+        assert!(served, "a freed slot serves a new client");
+        drop(silent);
     }
 
     #[test]

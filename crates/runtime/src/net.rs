@@ -28,17 +28,12 @@
 //! flight at once. Both ends set `TCP_NODELAY` and write each frame in
 //! one piece ([`wire::write_frame`]).
 //!
-//! [`SourceServer`] accepts on one thread and serves each connection on
-//! its own, so a client that connects and goes silent occupies only its
-//! own thread until the idle timeout, and at most `MAX_CONNECTIONS` of
-//! them are served at once (one past the cap is dropped unserved); a
-//! connection thread that ends (idle-out, hang-up, malformed frame) shuts
-//! its socket down, so the client's pooled socket fails fast instead of
-//! looking alive. `stop()` (and `Drop`) follows the `qpo-obs`
-//! introspection server's idiom — an atomic flag plus a throwaway wake-up
-//! connection, so it never blocks on `accept` — and then shuts down every
-//! live connection and joins its thread: a keep-alive client must see a
-//! stopped server as dead.
+//! [`SourceServer`] runs on `qpo-obs`'s one accept loop
+//! ([`ConnectionServer`]), at most `MAX_CONNECTIONS` connections at once.
+//! Its own policy: a connection idle for `SERVER_IO_TIMEOUT` is closed,
+//! and a frame must arrive whole within as long of its length prefix
+//! ([`read_by`]), so a client that trickles a frame holds its thread only
+//! that long.
 //!
 //! ## Pushdown
 //!
@@ -76,12 +71,12 @@ use crate::source::{Access, AccessOutcome, SourceService};
 use crate::store::StoreBackend;
 use crate::wire::{self, Reply, Request, Response};
 use qpo_datalog::Tuple;
+use qpo_obs::serve::{read_by, ConnectionServer};
 use qpo_obs::{Counter, TraceJournal, Value};
 use std::collections::BTreeMap;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Something that can answer "the current tuples of relation `name`" —
@@ -146,8 +141,8 @@ impl RelationProvider for MemProvider {
     }
 }
 
-/// Per-connection I/O timeout on the server side — also how long an idle
-/// kept-alive connection stays open.
+/// Per-connection I/O bound on the server side: how long a kept-alive
+/// connection may idle, and how long a frame may take after its prefix.
 const SERVER_IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Bound on the server's span journal: it keeps the newest this many
@@ -162,9 +157,7 @@ const MAX_CONNECTIONS: usize = 64;
 /// A running loopback source server. Dropping it stops the accept loop
 /// and every live connection.
 pub struct SourceServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    server: ConnectionServer,
     serving: Arc<Serving>,
 }
 
@@ -180,30 +173,21 @@ impl SourceServer {
     /// `provider` on background threads: one accepting, one per live
     /// connection.
     pub fn serve(provider: Arc<dyn RelationProvider>, port: u16) -> std::io::Result<SourceServer> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let serving = Arc::new(Serving {
             provider,
             requests: AtomicU64::new(0),
             journal: TraceJournal::enabled_with_capacity(SERVER_JOURNAL_CAP),
         });
-        let flag = Arc::clone(&shutdown);
         let shared = Arc::clone(&serving);
-        let handle = std::thread::Builder::new()
-            .name("qpo-source-server".into())
-            .spawn(move || accept_loop(listener, &flag, &shared))?;
-        Ok(SourceServer {
-            addr,
-            shutdown,
-            handle: Some(handle),
-            serving,
-        })
+        let server = ConnectionServer::bind(port, MAX_CONNECTIONS, "qpo-source", move |stream| {
+            let _ = handle_connection(stream, &shared);
+        })?;
+        Ok(SourceServer { server, serving })
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Requests answered so far.
@@ -221,74 +205,24 @@ impl SourceServer {
     /// Stops accepting, shuts down every live connection, and joins all
     /// server threads. Idempotent.
     pub fn stop(&mut self) {
-        let Some(handle) = self.handle.take() else {
-            return;
-        };
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock `accept` with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        let _ = handle.join();
+        self.server.stop();
     }
 }
 
-impl Drop for SourceServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
+/// A reader whose every read returns by its deadline ([`read_by`]).
+struct ReadBy<'a>(&'a mut TcpStream, Instant);
 
-/// Accepts until `shutdown` is raised, serving each connection on its
-/// own thread; on the way out closes the listener, shuts down every
-/// connection still open (a blocked read returns at once) and joins its
-/// thread, so joining this thread joins the whole server.
-///
-/// A connection thread that ends on its own — idle-out, peer hang-up,
-/// malformed frame — shuts its socket down itself: the handle kept in
-/// `live` is a second descriptor on the same socket, so merely dropping
-/// the thread's would send no FIN and a client's pooled socket would look
-/// alive until its read timed out.
-fn accept_loop(listener: TcpListener, shutdown: &AtomicBool, serving: &Arc<Serving>) {
-    // Each live connection: a handle on its socket to shut it down with,
-    // and its serving thread.
-    let mut live: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
-    for conn in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // Forget connections that ended on their own, so a long-lived
-        // server holds handles only for the ones still open.
-        live.retain(|(_, thread)| !thread.is_finished());
-        let Ok(mut stream) = conn else { continue };
-        if live.len() >= MAX_CONNECTIONS {
-            continue; // dropped unserved
-        }
-        let Ok(peer) = stream.try_clone() else {
-            continue;
-        };
-        let serving = Arc::clone(serving);
-        let spawned = std::thread::Builder::new()
-            .name("qpo-source-conn".into())
-            .spawn(move || {
-                let _ = handle_connection(&mut stream, &serving);
-                let _ = stream.shutdown(Shutdown::Both);
-            });
-        // A refused spawn drops the stream: that client sees a reset,
-        // which is a transient failure on its side.
-        if let Ok(thread) = spawned {
-            live.push((peer, thread));
-        }
-    }
-    drop(listener);
-    for (peer, thread) in live {
-        let _ = peer.shutdown(Shutdown::Both);
-        let _ = thread.join();
+impl std::io::Read for ReadBy<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        read_by(self.0, buf, self.1)
     }
 }
 
 /// Serves one connection: any number of request frames until the peer
-/// closes, a frame is malformed, or a timeout fires. A malformed frame
-/// gets a transient-error response (best effort) and the connection is
-/// dropped — after garbage, frame alignment cannot be trusted.
+/// closes, a frame is malformed, or a `SERVER_IO_TIMEOUT` deadline
+/// passes (idle, or on a frame's payload). A malformed frame gets a
+/// transient-error response (best effort) and the connection is dropped —
+/// after garbage, frame alignment cannot be trusted.
 ///
 /// Each access is phase-timed — receive→parse (from the arrival of the
 /// frame's length prefix), provider lookup, row filter + encode —,
@@ -301,7 +235,6 @@ fn handle_connection(stream: &mut TcpStream, serving: &Serving) -> std::io::Resu
         requests,
         journal,
     } = serving;
-    stream.set_read_timeout(Some(SERVER_IO_TIMEOUT))?;
     stream.set_write_timeout(Some(SERVER_IO_TIMEOUT))?;
     stream.set_nodelay(true)?;
     let invalid = |e: wire::WireError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
@@ -309,12 +242,14 @@ fn handle_connection(stream: &mut TcpStream, serving: &Serving) -> std::io::Resu
         // Waiting for the next frame's length prefix is the *client's*
         // idle time on a kept-alive connection; the receive phase starts
         // once it has arrived.
-        let Ok(len) = wire::read_frame_len(stream) else {
+        let idle_until = Instant::now() + SERVER_IO_TIMEOUT;
+        let Ok(len) = wire::read_frame_len(&mut ReadBy(stream, idle_until)) else {
             return Ok(()); // peer closed or idled out
         };
         let start = Instant::now();
-        let Ok(payload) = wire::read_frame_payload(stream, len) else {
-            return Ok(()); // hostile length, truncated frame, or timeout
+        let whole_by = start + SERVER_IO_TIMEOUT;
+        let Ok(payload) = wire::read_frame_payload(&mut ReadBy(stream, whole_by), len) else {
+            return Ok(()); // hostile length, truncated frame, or deadline
         };
         if payload == [wire::OP_TRACE] {
             // Journal dump: one raw JSONL frame, not a Response. Not
@@ -645,6 +580,7 @@ mod tests {
     use qpo_obs::{read_jsonl, validate_records, Record};
     use qpo_utility::Coverage;
     use std::io::{Read, Write};
+    use std::net::TcpListener;
 
     fn rows(items: &[i64]) -> Vec<Tuple> {
         items.iter().map(|&i| vec![Constant::Int(i)]).collect()
@@ -863,6 +799,38 @@ mod tests {
         assert!(served, "a freed slot serves a new client");
         assert_eq!(server.requests_served(), 1);
         drop(idle);
+        server.stop();
+    }
+
+    #[test]
+    fn a_trickled_frame_is_cut_off_at_the_deadline() {
+        let mut server = SourceServer::serve(provider(), 0).unwrap();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        // Half a second between bytes stays under the idle timeout, so
+        // only a deadline on the whole frame cuts this client off.
+        s.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let start = Instant::now();
+        s.write_all(&64u32.to_be_bytes()).unwrap();
+        let cut = (0..64).any(|_| {
+            let sent = s.write_all(&[1]);
+            sent.is_err()
+                || match s.read(&mut [0u8; 1]) {
+                    Ok(_) => true,
+                    Err(e) => !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ),
+                }
+                || start.elapsed() > SERVER_IO_TIMEOUT + Duration::from_secs(1)
+        });
+        assert!(cut, "the trickle ran its whole frame");
+        assert!(
+            start.elapsed() < SERVER_IO_TIMEOUT + Duration::from_secs(1),
+            "cut off after {:?}",
+            start.elapsed()
+        );
+        assert_eq!(server.requests_served(), 0);
         server.stop();
     }
 

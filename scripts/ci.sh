@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (warnings are errors; the shims stand in for third-party crates)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest --exclude rand --exclude crossbeam
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
