@@ -268,12 +268,18 @@ pub fn run_experiment(exp: &Experiment, threads: usize) -> Vec<ResultRow> {
 pub fn format_table(rows: &[ResultRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<16} {:<10} {:>4} {:>3} {:>4} {:>6} {:>4} {:>10} {:>10} {:>9}\n",
+        "{:<16} {:<10} {:>4} {:>3} {:>4} {:>6} {:>4} {:>10} {:>10} {:>9} handover\n",
         "measure", "algorithm", "m", "n", "ov", "k", "emit", "millis", "evals", "heuristic"
     ));
     for r in rows {
-        out.push_str(&format!(
-            "{:<16} {:<10} {:>4} {:>3} {:>4.1} {:>6} {:>4} {:>10.3} {:>10} {:>9}\n",
+        // iDrips rows: the call brute force took over at, `-` if never.
+        let handover = match (r.algorithm, r.handover) {
+            ("idrips", Some(call)) => call.to_string(),
+            ("idrips", None) => "-".into(),
+            _ => String::new(),
+        };
+        let line = format!(
+            "{:<16} {:<10} {:>4} {:>3} {:>4.1} {:>6} {:>4} {:>10.3} {:>10} {:>9} {:>8}",
             r.measure,
             r.algorithm,
             r.bucket_size,
@@ -283,8 +289,11 @@ pub fn format_table(rows: &[ResultRow]) -> String {
             r.emitted,
             r.millis,
             r.evals,
-            r.heuristic
-        ));
+            r.heuristic,
+            handover
+        );
+        out.push_str(line.trim_end());
+        out.push('\n');
     }
     out
 }

@@ -213,6 +213,9 @@ pub struct ResultRow {
     pub millis: f64,
     /// Utility evaluations performed (abstract + concrete).
     pub evals: u64,
+    /// iDrips only: the call at which it handed its remaining plans to
+    /// brute force, if it had by the `k`-th plan.
+    pub handover: Option<usize>,
 }
 
 /// Runs one configuration, returning one row per requested `k` (or `None`
@@ -220,7 +223,17 @@ pub struct ResultRow {
 pub fn run_config(cfg: &RunConfig) -> Option<Vec<ResultRow>> {
     let inst = cfg.instance();
     let measure = CountingMeasure::new(cfg.measure.build());
-    let mut orderer = cfg.algorithm.build(&inst, &measure, cfg.heuristic)?;
+    // iDrips is built here, not boxed, so its hand-over call stays readable.
+    let mut idrips = (cfg.algorithm == AlgorithmKind::IDrips)
+        .then(|| IDrips::new(&inst, &measure, cfg.heuristic.build()));
+    let mut boxed = match idrips {
+        Some(_) => None,
+        None => Some(cfg.algorithm.build(&inst, &measure, cfg.heuristic)?),
+    };
+    let orderer: &mut dyn PlanOrderer = match (&mut idrips, &mut boxed) {
+        (Some(o), _) => o,
+        (None, o) => o.as_deref_mut()?,
+    };
     let mut rows = Vec::with_capacity(cfg.ks.len());
     let mut emitted = 0usize;
     let start = Instant::now();
@@ -243,7 +256,12 @@ pub fn run_config(cfg: &RunConfig) -> Option<Vec<ResultRow>> {
             emitted: emitted.min(k),
             millis: start.elapsed().as_secs_f64() * 1e3,
             evals: measure.total_evals(),
+            handover: None,
         });
+    }
+    let handover = idrips.and_then(|o| o.handed_over_at());
+    for row in &mut rows {
+        row.handover = handover.filter(|&call| call <= row.emitted);
     }
     Some(rows)
 }

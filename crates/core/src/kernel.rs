@@ -40,29 +40,15 @@
 //!    plan as its node ids in one flat arena, and keys the memo on the
 //!    plan's set ids; a memo entry materializes the candidate sets once,
 //!    on first sight, and plans read them from there.
-//! 5. **Abstraction that no longer prunes** — late in an iDrips order the
-//!    spaces have fragmented and the intervals stay wide, so a search
-//!    touches about as many plans, abstract ones included, as remain.
-//!    The kernel keeps a *floor* (PI's move): once the pool the previous
-//!    call built has reached the number of concrete plans remaining
-//!    across `spaces`, the call builds no tree and evaluates every
-//!    remaining plan instead, through the same memo entries and carries
-//!    (keyed on leaf set ids from a flat table), and returns the maximum,
-//!    ties going to the smallest plan (PI's rule). A plan whose unseen
-//!    executed plans are all `independent` of it keeps its utility as a
-//!    cache hit, so the floor evaluates no more than PI would. A kernel's
-//!    first call always runs Drips.
 //!
-//! The kernel runs on the calling thread. Its emitted utilities are
-//! bit-for-bit the textbook loop's by construction: the champion rule
-//! eliminates *exactly* the plans the pairwise sweep eliminates (see
-//! `eliminates`' invariants), caching only short-circuits recomputation
-//! of pure functions, a resumed evaluation returns the bits a
-//! from-scratch one would (the measure's contract), and a floor call
-//! takes the maximum of the very point intervals Drips' concrete
-//! survivors would carry. So is the emitted plan, except where the
-//! maximum is shared: a floor call breaks that tie on the plan encoding,
-//! Drips on its pool order — either way a Def. 2.1 argmax.
+//! The kernel runs on the calling thread. Its outcomes are bit-for-bit
+//! the textbook loop's by construction: the champion rule eliminates
+//! *exactly* the plans the pairwise sweep eliminates (see `eliminates`'
+//! invariants), caching only short-circuits recomputation of pure
+//! functions, and a resumed evaluation returns the bits a from-scratch
+//! one would (the measure's contract). Late in an order, when
+//! abstraction no longer prunes, [`crate::IDrips`] stops calling the
+//! kernel and hands its remaining plans to [`crate::Pi`].
 
 use crate::abstraction::{AbstractionHeuristic, AbstractionTree, NodeId};
 use crate::planspace::PlanSpace;
@@ -107,9 +93,9 @@ pub struct KernelStats {
     pub tree_builds: u64,
     /// Abstraction trees reused from the hash-cons table.
     pub tree_cache_hits: u64,
-    /// Calls answered by the floor: every remaining plan evaluated, no
-    /// tree built, nothing refined or eliminated. Their evaluations and
-    /// cache hits count into `interval_evals` / `interval_cache_hits`.
+    /// Calls answered by the [`Pi`](crate::Pi) an [`IDrips`](crate::IDrips)
+    /// hands its remaining plans to. Their evaluations count into
+    /// `interval_evals`; a row that stands is no cache hit.
     pub floor_calls: u64,
     /// Always 0 — kept for the frozen harness (`bench_e2e` reads it).
     pub parallel_batches: u64,
@@ -163,42 +149,6 @@ impl KernelMetrics {
             floor_calls: c("qpo_kernel_floor_calls_total"),
             interval_width: obs.registry.histogram("qpo_kernel_interval_width", &[]),
         }
-    }
-
-    /// Counts (and journals) an interval answered without calling the
-    /// measure; `plan_id` is the plan's number in this call.
-    fn cache_hit(&self, journal: &TraceJournal, plan_id: usize) {
-        self.interval_cache_hits.inc();
-        if journal.is_enabled() {
-            journal.record(
-                "kernel_cache_hit",
-                vec![
-                    ("cache", Value::Str("interval".into())),
-                    ("plan_id", Value::U64(plan_id as u64)),
-                ],
-            );
-        }
-    }
-
-    /// Brings `memo` up to date with `ctx` through the measure, folding
-    /// into its carry only the executed plans it has not seen (a fresh
-    /// carry — a new entry's, or one of a measure that does not resume —
-    /// starts over).
-    fn resume<M: UtilityMeasure + ?Sized>(
-        &self,
-        memo: &mut MemoEntry,
-        inst: &ProblemInstance,
-        measure: &M,
-        ctx: &ExecutionContext,
-    ) {
-        self.interval_evals.inc();
-        if !memo.carry.is_fresh() {
-            self.interval_resumes.inc();
-        }
-        let iv = measure.resume_interval(inst, &memo.cands, ctx, &mut memo.carry);
-        memo.interval = iv;
-        memo.seen = ctx.len();
-        self.interval_width.record(iv.hi() - iv.lo());
     }
 
     fn stats(&self) -> KernelStats {
@@ -320,25 +270,6 @@ struct Memo {
     index: IdMap<Box<[u32]>, u32>,
 }
 
-impl Memo {
-    /// The entry of the plan whose set ids are `key`, and whether it was
-    /// there before: a new one materializes `cands()` and starts from a
-    /// fresh carry.
-    fn entry(&mut self, key: &[u32], cands: impl FnOnce() -> Vec<Vec<usize>>) -> (usize, bool) {
-        if let Some(&e) = self.index.get(key) {
-            return (e as usize, true);
-        }
-        self.index.insert(key.into(), self.entries.len() as u32);
-        self.entries.push(MemoEntry {
-            cands: cands(),
-            interval: Interval::ZERO,
-            seen: 0,
-            carry: IntervalCarry::default(),
-        });
-        (self.entries.len() - 1, false)
-    }
-}
-
 /// An abstraction tree and the kernel-wide candidate-set id of each of
 /// its nodes.
 #[derive(Debug)]
@@ -386,17 +317,11 @@ pub struct OrderingKernel {
     /// Bucket → candidate set → tree (nested so a lookup borrows `cands`).
     trees: IdMap<usize, IdMap<Vec<usize>, Arc<SetTree>>>,
     /// `(bucket, candidate set)` → its kernel-wide id, for every node of
-    /// every tree built so far and every leaf the floor keyed.
+    /// every tree built so far.
     set_ids: IdMap<(usize, Vec<usize>), u32>,
-    /// The set id of bucket `b`'s singleton `{s}` at `b * leaf_stride +
-    /// s` (`u32::MAX` until assigned): the floor's keys, read without
-    /// hashing a candidate set. Sized on the first floor call.
-    leaf_ids: Vec<u32>,
-    leaf_stride: usize,
     memo: Memo,
-    /// The plans the last call put in its pool (Drips) or enumerated
-    /// (the floor): the floor answers once this reaches what remains.
-    last_pool: usize,
+    /// Evaluations this kernel made, whatever registry `metrics` shares.
+    pub(crate) evaluations: u64,
     /// [`ExecutionContext::retractions`] the memoized carries were built
     /// under: while it stands still, the history only grew by appends.
     retractions: u64,
@@ -417,10 +342,8 @@ impl OrderingKernel {
         OrderingKernel {
             trees: IdMap::default(),
             set_ids: IdMap::default(),
-            leaf_ids: Vec::new(),
-            leaf_stride: 0,
             memo: Memo::default(),
-            last_pool: 0,
+            evaluations: 0,
             retractions: 0,
             metrics: KernelMetrics::default(),
             journal: TraceJournal::default(),
@@ -480,10 +403,9 @@ impl OrderingKernel {
         t
     }
 
-    /// Runs Drips over the given plan spaces under `ctx` — or, once the
-    /// last call's pool has reached the plans remaining, the floor (module
-    /// doc, point 5) — returning the best concrete plan across all of them
-    /// (or `None` when there are no spaces).
+    /// Runs Drips over the given plan spaces under `ctx`, returning the
+    /// best concrete plan across all of them (or `None` when there are no
+    /// spaces).
     pub fn find_best<M, H>(
         &mut self,
         inst: &ProblemInstance,
@@ -505,9 +427,6 @@ impl OrderingKernel {
         if !measure.context_free() && self.retractions != ctx.retractions() {
             self.memo = Memo::default();
             self.retractions = ctx.retractions();
-        }
-        if self.floor_reached(spaces) {
-            return Some(self.floor(inst, measure, ctx, spaces));
         }
         // The context is fixed for the whole call; every certificate
         // recorded below replays against this epoch.
@@ -615,7 +534,6 @@ impl OrderingKernel {
                 }
             };
             let Some((target_id, bucket)) = target else {
-                self.last_pool = plans.len();
                 let winner = &plans[champ];
                 let cands = &self.memo.entries[winner.entry].cands;
                 let plan = as_concrete(cands).expect("survivors are concrete");
@@ -716,16 +634,42 @@ impl OrderingKernel {
             let space_trees = plan_nodes.iter().zip(&trees[space]);
             key.clear();
             key.extend(space_trees.clone().map(|(&n, t)| t.ids[n]));
-            let (entry, known) = self.memo.entry(key, || {
-                space_trees
-                    .map(|(&n, t)| t.tree.indices(n).to_vec())
-                    .collect()
+            let Memo { entries, index } = &mut self.memo;
+            let known = index.get(key.as_slice()).map(|&e| e as usize);
+            let entry = known.unwrap_or_else(|| {
+                index.insert(key.as_slice().into(), entries.len() as u32);
+                entries.push(MemoEntry {
+                    cands: space_trees
+                        .map(|(&n, t)| t.tree.indices(n).to_vec())
+                        .collect(),
+                    interval: Interval::ZERO,
+                    seen: 0,
+                    carry: IntervalCarry::default(),
+                });
+                entries.len() - 1
             });
-            let memo = &mut self.memo.entries[entry];
-            if known && (context_free || memo.seen == ctx.len()) {
-                self.metrics.cache_hit(&self.journal, first + i);
+            let memo = &mut entries[entry];
+            if known.is_some() && (context_free || memo.seen == ctx.len()) {
+                self.metrics.interval_cache_hits.inc();
+                if self.journal.is_enabled() {
+                    self.journal.record(
+                        "kernel_cache_hit",
+                        vec![
+                            ("cache", Value::Str("interval".into())),
+                            ("plan_id", Value::U64((first + i) as u64)),
+                        ],
+                    );
+                }
             } else {
-                self.metrics.resume(memo, inst, measure, ctx);
+                self.evaluations += 1;
+                self.metrics.interval_evals.inc();
+                if !memo.carry.is_fresh() {
+                    self.metrics.interval_resumes.inc();
+                }
+                let iv = measure.resume_interval(inst, &memo.cands, ctx, &mut memo.carry);
+                memo.interval = iv;
+                memo.seen = ctx.len();
+                self.metrics.interval_width.record(iv.hi() - iv.lo());
             }
             let width = |b: usize| memo.cands[b].len();
             plans.push(PoolPlan {
@@ -743,119 +687,11 @@ impl OrderingKernel {
         first..plans.len()
     }
 
-    /// True once the last call's pool has reached the concrete plans
-    /// remaining across `spaces` — never on a kernel's first call, whose
-    /// last pool is empty.
-    fn floor_reached(&self, spaces: &[PlanSpace]) -> bool {
-        let mut left = self.last_pool;
-        spaces.iter().all(|space| {
-            let size = space.iter().try_fold(1usize, |n, c| n.checked_mul(c.len()));
-            match size.and_then(|size| left.checked_sub(size)) {
-                Some(rest) => {
-                    left = rest;
-                    true
-                }
-                None => false,
-            }
-        })
-    }
-
-    /// Answers a call by brute force (module doc, point 5): every plan of
-    /// every space in turn, each valued by [`OrderingKernel::point`]; the
-    /// maximum wins, the smallest plan among equals (PI's rule).
-    fn floor<M: UtilityMeasure + ?Sized>(
-        &mut self,
-        inst: &ProblemInstance,
-        measure: &M,
-        ctx: &ExecutionContext,
-        spaces: &[PlanSpace],
-    ) -> DripsOutcome {
+    /// Counts one call [`Pi`](crate::Pi) answered for an orderer of this
+    /// kernel, and the `evaluations` it made.
+    pub(crate) fn count_brute_force(&self, evaluations: u64) {
         self.metrics.floor_calls.inc();
-        if self.leaf_ids.is_empty() {
-            self.leaf_stride = inst.buckets.iter().map(Vec::len).max().unwrap_or(0);
-            self.leaf_ids = vec![u32::MAX; inst.buckets.len() * self.leaf_stride];
-        }
-        let dims = spaces[0].len();
-        let mut best = DripsOutcome {
-            space: 0,
-            plan: Vec::with_capacity(dims),
-            utility: f64::NEG_INFINITY,
-            refinements: 0,
-        };
-        let (mut plan, mut at) = (vec![0; dims], vec![0; dims]);
-        let mut pool = 0;
-        for (space_id, space) in spaces.iter().enumerate() {
-            // An odometer over the space, the last bucket turning fastest.
-            at.fill(0);
-            loop {
-                for (b, source) in plan.iter_mut().enumerate() {
-                    *source = space[b][at[b]];
-                }
-                let utility = self.point(inst, measure, ctx, &plan, pool);
-                pool += 1;
-                let order = crate::utility_cmp(utility, best.utility);
-                if order.then_with(|| best.plan.as_slice().cmp(&plan)).is_gt() {
-                    best.space = space_id;
-                    best.plan.clone_from(&plan);
-                    best.utility = utility;
-                }
-                let Some(b) = (0..dims).rev().find(|&b| at[b] + 1 < space[b].len()) else {
-                    break;
-                };
-                at[b] += 1;
-                at[b + 1..].fill(0);
-            }
-        }
-        self.last_pool = pool;
-        best
-    }
-
-    /// The utility of the concrete `plan` under `ctx`, the point interval
-    /// of its memo entry (`plan_id` numbers it for the journal). An entry
-    /// stands — a cache hit — when every executed plan it has not seen is
-    /// `independent` of `plan`; otherwise it resumes from its carry.
-    fn point<M: UtilityMeasure + ?Sized>(
-        &mut self,
-        inst: &ProblemInstance,
-        measure: &M,
-        ctx: &ExecutionContext,
-        plan: &[usize],
-        plan_id: usize,
-    ) -> f64 {
-        let mut key = std::mem::take(&mut self.batch.key);
-        key.clear();
-        key.extend(plan.iter().enumerate().map(|(b, &s)| self.leaf_id(b, s)));
-        let (entry, known) = self
-            .memo
-            .entry(&key, || plan.iter().map(|&s| vec![s]).collect());
-        self.batch.key = key;
-        let memo = &mut self.memo.entries[entry];
-        // A context-free memo survives retractions, so its `seen` may run
-        // past the history; it stands regardless.
-        let stands = measure.context_free()
-            || ctx
-                .executed()
-                .get(memo.seen..)
-                .is_some_and(|unseen| unseen.iter().all(|e| measure.independent(inst, plan, e)));
-        if known && stands {
-            memo.seen = ctx.len();
-            self.metrics.cache_hit(&self.journal, plan_id);
-        } else {
-            self.metrics.resume(memo, inst, measure, ctx);
-        }
-        memo.interval.lo()
-    }
-
-    /// The set id of bucket `bucket`'s singleton `{source}`, interned in
-    /// `set_ids` (where a tree's leaf may already have put it) on first
-    /// sight and read from the flat table after.
-    fn leaf_id(&mut self, bucket: usize, source: usize) -> u32 {
-        let slot = bucket * self.leaf_stride + source;
-        if self.leaf_ids[slot] == u32::MAX {
-            let next = self.set_ids.len() as u32;
-            self.leaf_ids[slot] = *self.set_ids.entry((bucket, vec![source])).or_insert(next);
-        }
-        self.leaf_ids[slot]
+        self.metrics.interval_evals.add(evaluations);
     }
 }
 

@@ -10,10 +10,10 @@
 //! | Algorithm | Section | Requires | Character |
 //! |-----------|---------|----------|-----------|
 //! | [`Greedy`] | §4 | full monotonicity | per-bucket argmax + space splitting; no plan enumeration |
-//! | [`OrderingKernel::find_best`] | §5.1 | — | Drips: abstraction refinement; finds only the *first* plan; brute force (PI's move) once its last pool reached the plans remaining |
-//! | [`IDrips`] | §5.2 | — | re-runs Drips per emission; works for every measure |
+//! | [`OrderingKernel::find_best`] | §5.1 | — | Drips: abstraction refinement; finds only the *first* plan |
+//! | [`IDrips`] | §5.2 | — | re-runs Drips per emission, then hands its remaining plans to [`Pi`] by a rent-or-buy rule; works for every measure |
 //! | [`Streamer`] | §5.2 | diminishing returns | single abstraction + dominance-graph recycling |
-//! | [`Pi`] | §6 | — | independence-aware brute force (the paper's baseline) |
+//! | [`Pi`] | §6 | — | independence-aware brute force (the paper's baseline), re-valuing rows from their measure carries |
 //! | [`Naive`] | — | — | full recomputation brute force (sanity baseline) |
 //!
 //! All orderers implement [`PlanOrderer`] and produce *identical utility
@@ -68,3 +68,11 @@ pub use orderer::{
 pub use pi::{Naive, Pi};
 pub use planspace::{full_space, remove_plan, space_contains, space_size, PlanSpace};
 pub use streamer::{Streamer, StreamerStats};
+
+#[cfg(test)]
+// Unit tests reach the oracles in `tests/support`, which name this crate.
+extern crate self as qpo_core;
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../tests/support/mod.rs"]
+mod support;

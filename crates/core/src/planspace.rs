@@ -24,6 +24,16 @@ pub fn space_size(space: &PlanSpace) -> usize {
     space.iter().map(Vec::len).product()
 }
 
+/// Every plan of the space, the last bucket turning fastest.
+pub(crate) fn space_plans(space: &PlanSpace) -> Vec<Vec<usize>> {
+    space.iter().fold(vec![Vec::new()], |plans, cands| {
+        let next = plans
+            .iter()
+            .flat_map(|p| cands.iter().map(|&s| [p, &[s][..]].concat()));
+        next.collect()
+    })
+}
+
 /// True iff the plan lies in the space.
 pub fn space_contains(space: &PlanSpace, plan: &[usize]) -> bool {
     plan.len() == space.len()

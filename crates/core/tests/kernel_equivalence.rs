@@ -1,13 +1,13 @@
 //! Differential tests for the incremental ordering kernel.
 //!
 //! The optimized kernel (champion dominance, heap frontier, tree/interval
-//! caches, the brute-force floor) must be *observationally equivalent*
-//! to the pre-optimization textbook loop it replaced — the same utilities,
-//! bit for bit, at every step, and the same plans up to the first step
-//! whose maximum is shared: there the floor breaks the tie on the plan
-//! encoding where Drips breaks it on its pool order. Three oracles pin
-//! that down, the first and the certificate verifier living in
-//! `support/` (test support; none of it ships):
+//! caches) and iDrips over it, with its hand-over to `Pi`, must be
+//! *observationally equivalent* to the pre-optimization textbook loop
+//! they replaced — the same utilities, bit for bit, at every step, and
+//! the same plans up to the first step whose maximum is shared: there
+//! `Pi` breaks the tie on the plan encoding where Drips breaks it on its
+//! pool order. Three oracles pin that down, the first and the certificate
+//! verifier living in `support/` (test support; none of it ships):
 //!
 //! 1. `support::reference_find_best`, the preserved original kernel, via
 //!    `support::ReferenceIDrips` (iDrips re-running it per emission) —
@@ -25,45 +25,18 @@ mod support;
 
 use qpo_catalog::{GeneratorConfig, ProblemInstance, StatRange};
 use qpo_core::{
-    full_space, verify_ordering, ByExpectedTuples, ByExtentMidpoint, IDrips, OrderedPlan,
-    OrderingKernel, PlanOrderer, PlanOutcome, RandomKey,
+    full_space, verify_ordering, ByExpectedTuples, ByExtentMidpoint, IDrips, Naive, OrderedPlan,
+    OrderingKernel, Pi, PlanOrderer, PlanOutcome, RandomKey,
 };
 use qpo_obs::{EliminationCertificate, Obs};
 use qpo_utility::{
     CountingMeasure, Coverage, ExecutionContext, FailureCost, FusionCost, LinearCost, MonetaryCost,
     UtilityMeasure,
 };
-use support::{reference_find_best, verify_certificates, ReferenceIDrips};
-
-/// The four measure families of §3, both caching variants where they
-/// exist. Boxed so one loop covers them all.
-fn all_measures() -> Vec<(&'static str, Box<dyn UtilityMeasure>)> {
-    vec![
-        ("coverage", Box::new(Coverage)),
-        ("failure-nocache", Box::new(FailureCost::without_caching())),
-        ("failure-cache", Box::new(FailureCost::with_caching())),
-        (
-            "monetary-nocache",
-            Box::new(MonetaryCost::without_caching()),
-        ),
-        ("monetary-cache", Box::new(MonetaryCost::with_caching())),
-        ("fusion", Box::new(FusionCost)),
-    ]
-}
-
-/// True iff the maximum utility among `remaining` under `ctx` is shared
-/// by two or more plans — a step where the floor and Drips may pick
-/// different argmaxes.
-fn tied_max<M: UtilityMeasure + ?Sized>(
-    inst: &ProblemInstance,
-    m: &M,
-    ctx: &ExecutionContext,
-    remaining: &[Vec<usize>],
-) -> bool {
-    let utilities: Vec<f64> = remaining.iter().map(|p| m.utility(inst, p, ctx)).collect();
-    let max = utilities.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    utilities.iter().filter(|&&u| u == max).count() >= 2
-}
+use support::{
+    all_measures, assert_same_steps, reference_find_best, tied_max, verify_certificates,
+    ReferenceIDrips,
+};
 
 /// Follows two failure-free orderings of `inst` from the start: utility
 /// bits equal at every step, plans equal up to the first step whose
@@ -207,32 +180,8 @@ fn equivalence_survives_observed_failures() {
     for (name, m) in measures {
         let mut fast = IDrips::new(&inst, m.as_ref(), ByExpectedTuples);
         let mut slow = ReferenceIDrips::new(&inst, m.as_ref(), ByExpectedTuples);
-        // The fast side's history: what it emitted, failures retracted.
-        let mut ctx = ExecutionContext::new();
-        let mut remaining = inst.all_plans();
-        let mut tied = false;
-        for step in 0..inst.plan_count() {
-            let a = fast.next_plan().expect("fast kernel exhausted early");
-            let b = slow.next_plan().expect("reference kernel exhausted early");
-            tied = tied || tied_max(&inst, m.as_ref(), &ctx, &remaining);
-            if !tied {
-                assert_eq!(a.plan, b.plan, "{name}, untied step {step}");
-            }
-            assert_eq!(
-                a.utility.to_bits(),
-                b.utility.to_bits(),
-                "{name}, step {step}"
-            );
-            remaining.retain(|p| *p != a.plan);
-            ctx.record(&a.plan);
-            if step % 2 == 0 {
-                fast.observe(&PlanOutcome::failed(&a.plan));
-                slow.observe(&PlanOutcome::failed(&b.plan));
-                ctx.retract(&a.plan);
-            }
-        }
-        assert_eq!(fast.next_plan(), None);
-        assert_eq!(slow.next_plan(), None);
+        let fails = |step| (step % 2 == 0).then_some(step);
+        assert_same_steps(name, &inst, m.as_ref(), &mut fast, &mut slow, fails);
     }
 }
 
@@ -300,30 +249,71 @@ fn tie_heavy_instances_match_exactly() {
 
 #[test]
 fn the_floor_answers_late_calls_and_breaks_ties_on_the_smallest_plan() {
-    // Late in an order-coverage run Drips' pool reaches the plans that
-    // remain, and from then on the floor answers every call.
+    // Late in an order-coverage run iDrips hands its remaining plans to
+    // `Pi`, which answers every call from then on.
     let inst = order_coverage_shape();
     let mut alg = IDrips::new(&inst, &Coverage, ByExpectedTuples);
     alg.order_k(60);
     let floor_calls = alg.kernel_stats().floor_calls;
     assert!(
         floor_calls > 0 && floor_calls < 60,
-        "{floor_calls} of 60 calls answered by the floor"
+        "{floor_calls} of 60 calls answered by brute force"
     );
-    // All tied after the first plan: the first call runs Drips, every
-    // later one the floor, which takes the smallest remaining plan.
+    assert_eq!(alg.handed_over_at(), Some(61 - floor_calls as usize));
+    // All tied after the first plan: the first two calls run Drips, and
+    // the rent-or-buy rule hands over at the third; `Pi` takes the
+    // smallest remaining plan at every later call.
     let inst = all_tied();
     let mut alg = IDrips::new(&inst, &Coverage, ByExpectedTuples);
-    let first = alg.next_plan().expect("nine plans");
-    assert_eq!(alg.kernel_stats().floor_calls, 0, "a first call runs Drips");
+    let drips = alg.order_k(2);
+    assert_eq!(
+        alg.kernel_stats().floor_calls,
+        0,
+        "the first calls run Drips"
+    );
     let rest = alg.order_k(usize::MAX);
-    assert_eq!(alg.kernel_stats().floor_calls, 8);
+    assert_eq!(alg.kernel_stats().floor_calls, 7);
+    assert_eq!(alg.handed_over_at(), Some(3));
     let mut smallest_first = inst.all_plans();
-    smallest_first.retain(|p| *p != first.plan);
+    smallest_first.retain(|p| drips.iter().all(|o| o.plan != *p));
     smallest_first.sort();
     let plans: Vec<Vec<usize>> = rest.iter().map(|o| o.plan.clone()).collect();
     assert_eq!(plans, smallest_first);
     assert!(rest.iter().all(|o| o.utility.to_bits() == 0.0f64.to_bits()));
+}
+
+#[test]
+fn pi_carries_change_no_bit() {
+    // `Pi` values a row from its carry, `Naive` every plan from scratch
+    // through `utility`: the same plans and utility bits at every step,
+    // every third plan observed failed two pops late, after `Pi`'s
+    // carries have folded it in (so the retraction must drop them).
+    let mut instances = vec![("order-coverage shape".to_string(), order_coverage_shape())];
+    for seed in [0u64, 7, 23] {
+        let inst = GeneratorConfig::new(3, 4).with_seed(seed).build();
+        instances.push((format!("seed {seed}"), inst));
+    }
+    for (shape, inst) in &instances {
+        for (name, m) in all_measures() {
+            let mut pi = Pi::new(inst, m.as_ref());
+            let mut naive = Naive::new(inst, m.as_ref());
+            let mut plans = Vec::new();
+            for step in 0..inst.plan_count() {
+                let label = format!("{shape}, {name}, step {step}");
+                let a = pi.next_plan().expect("Pi exhausted early");
+                let b = naive.next_plan().expect("Naive exhausted early");
+                assert_eq!(a.plan, b.plan, "{label}");
+                assert_eq!(a.utility.to_bits(), b.utility.to_bits(), "{label}");
+                plans.push(a.plan);
+                if step >= 2 && (step - 2) % 3 == 0 {
+                    let failed = PlanOutcome::failed(&plans[step - 2]);
+                    pi.observe(&failed);
+                    naive.observe(&failed);
+                }
+            }
+            assert_eq!(pi.next_plan(), None);
+        }
+    }
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //!   [`OrderingKernel`](qpo_core::OrderingKernel) replaced;
 //! - [`ReferenceIDrips`] — iDrips over it: one fresh search per emission;
 //! - [`verify_certificates`] — replays journalled elimination certificates
-//!   against the problem instance.
+//!   against the problem instance;
+//! - [`assert_same_steps`] — steps an orderer beside a reference one under
+//!   the equivalence contract, over the measures of [`all_measures`].
 
 use qpo_catalog::ProblemInstance;
 use qpo_core::{
@@ -14,7 +16,92 @@ use qpo_core::{
 };
 use qpo_interval::Interval;
 use qpo_obs::EliminationCertificate;
-use qpo_utility::{as_concrete, ExecutionContext, UtilityMeasure};
+use qpo_utility::{
+    as_concrete, Coverage, ExecutionContext, FailureCost, FusionCost, MonetaryCost, UtilityMeasure,
+};
+
+/// The four measure families of §3, both caching variants where they
+/// exist. Boxed so one loop covers them all.
+pub fn all_measures() -> Vec<(&'static str, Box<dyn UtilityMeasure>)> {
+    vec![
+        ("coverage", Box::new(Coverage)),
+        ("failure-nocache", Box::new(FailureCost::without_caching())),
+        ("failure-cache", Box::new(FailureCost::with_caching())),
+        (
+            "monetary-nocache",
+            Box::new(MonetaryCost::without_caching()),
+        ),
+        ("monetary-cache", Box::new(MonetaryCost::with_caching())),
+        ("fusion", Box::new(FusionCost)),
+    ]
+}
+
+/// True iff the maximum utility among `remaining` under `ctx` is shared
+/// by two or more plans — a step where brute force and Drips may pick
+/// different argmaxes.
+pub fn tied_max<M: UtilityMeasure + ?Sized>(
+    inst: &ProblemInstance,
+    m: &M,
+    ctx: &ExecutionContext,
+    remaining: &[Vec<usize>],
+) -> bool {
+    let utilities: Vec<f64> = remaining.iter().map(|p| m.utility(inst, p, ctx)).collect();
+    let max = utilities.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    utilities.iter().filter(|&&u| u == max).count() >= 2
+}
+
+/// Steps `fast` and `slow` over `inst` to exhaustion; after step `s`
+/// (from 0) each is told that the plan it emitted at step `fails(s)`, if
+/// any, failed:
+/// utility bits equal at every step, plans equal up to the first step
+/// whose maximum is tied. While the two have emitted the same plans they
+/// share a history, so the first step whose plans differ is the one to
+/// check for a tie. Returns `fast`'s plans.
+pub fn assert_same_steps<M: UtilityMeasure + ?Sized>(
+    label: &str,
+    inst: &ProblemInstance,
+    m: &M,
+    fast: &mut dyn PlanOrderer,
+    slow: &mut dyn PlanOrderer,
+    fails: impl Fn(usize) -> Option<usize>,
+) -> Vec<OrderedPlan> {
+    let (mut ctx, mut remaining) = (ExecutionContext::new(), inst.all_plans());
+    let mut diverged = false;
+    let (mut emitted, mut reference) = (Vec::new(), Vec::new());
+    for step in 0..inst.plan_count() {
+        let a = fast.next_plan().expect("fast orderer exhausted early");
+        let b = slow.next_plan().expect("reference orderer exhausted early");
+        assert_eq!(
+            a.utility.to_bits(),
+            b.utility.to_bits(),
+            "{label}: utilities diverge at step {step}: {} vs {}",
+            a.utility,
+            b.utility
+        );
+        if !diverged && a.plan != b.plan {
+            let tied = tied_max(inst, m, &ctx, &remaining);
+            assert!(tied, "{label}: untied plans diverge at step {step}");
+            diverged = true;
+        }
+        remaining.retain(|p| *p != a.plan);
+        ctx.record(&a.plan);
+        emitted.push(a);
+        reference.push(b.plan);
+        if let Some(failed) = fails(step) {
+            let (a, b) = (&emitted[failed].plan, &reference[failed]);
+            fast.observe(&PlanOutcome::failed(a));
+            slow.observe(&PlanOutcome::failed(b));
+            ctx.retract(a);
+        }
+    }
+    assert_eq!(
+        fast.next_plan(),
+        None,
+        "{label}: fast orderer not exhausted"
+    );
+    assert_eq!(slow.next_plan(), None, "{label}: reference not exhausted");
+    emitted
+}
 
 /// Drips' dominance with the kernel's deterministic tie-break: `p`
 /// eliminates `q` when `p.lo > q.hi`, or when they touch and `p` has the
@@ -300,6 +387,17 @@ impl<'a, M: UtilityMeasure + ?Sized, H: AbstractionHeuristic> ReferenceIDrips<'a
             heuristic,
             ctx: ExecutionContext::new(),
             spaces: vec![qpo_core::full_space(inst)],
+        }
+    }
+}
+
+impl<M: UtilityMeasure + ?Sized, H: Clone> Clone for ReferenceIDrips<'_, M, H> {
+    fn clone(&self) -> Self {
+        ReferenceIDrips {
+            heuristic: self.heuristic.clone(),
+            ctx: self.ctx.clone(),
+            spaces: self.spaces.clone(),
+            ..*self
         }
     }
 }

@@ -22,7 +22,7 @@ pub fn format_kernel_stats(stats: &KernelStats) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "ordering kernel:");
     let _ = writeln!(out, "  search rounds      {:>8}", stats.rounds);
-    let _ = writeln!(out, "  floor calls        {:>8}", stats.floor_calls);
+    let _ = writeln!(out, "  brute-force calls  {:>8}", stats.floor_calls);
     let _ = writeln!(out, "  refinements        {:>8}", stats.refinements);
     let _ = writeln!(
         out,
@@ -70,7 +70,7 @@ mod tests {
         for needle in [
             "search rounds",
             "12",
-            "floor calls",
+            "brute-force calls",
             "5",
             "refinements",
             "dominance checks",
