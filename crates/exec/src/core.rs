@@ -16,7 +16,11 @@
 //! or replayed from the [`SourceMemo`] entry beside their outcome — and
 //! the seeded join over them. It makes no access and keeps no rows or
 //! plans of its own, only the [`SourceMemo`] the loop consults. It is the
-//! crate's only [`PlanEvaluator`].
+//! crate's only [`PlanEvaluator`]. A plan scheduled *deferred* — one a
+//! session's `next_tuple` pulls for its ranked stream — is not joined in
+//! its step: its ticket keeps the row handles its accesses fetched, and
+//! [`PlanCore::join_deferred`] joins it from them when the session's
+//! answer set is read.
 //!
 //! [`Hooks`] own what surrounds the step on the coordinating thread, and
 //! are the crate's only [`WaveObserver`]: an optional *sharing* part
@@ -74,6 +78,9 @@ pub(crate) struct Ticket {
     /// The prefixes the join captured past the seed, once the sharing part
     /// asked for them (`Some`) at schedule.
     captured: Option<Vec<JoinPrefix>>,
+    /// `Some` once the hooks scheduled the plan deferred: `evaluate` keeps
+    /// the rows its accesses fetched here instead of joining them.
+    deferred: Option<Vec<Option<Rows>>>,
 }
 
 impl Ticket {
@@ -189,6 +196,15 @@ impl<'a> PlanCore<'a> {
         let slices: Vec<&[Tuple]> = slots.iter().map(|rows| rows.as_slice()).collect();
         evaluate_slots(plan_query, seed, &slices)
     }
+
+    /// Joins an executed plan `evaluate` left unjoined, from what its
+    /// ticket kept: the plan query, the memo seed and the rows its own
+    /// accesses fetched. So it answers what the join in its step would
+    /// have, whatever the memo or the backend's data version did since.
+    pub(crate) fn join_deferred(&self, plan: &[usize], mut ticket: Ticket) -> PrefixRows {
+        let fetched = ticket.deferred.take().unwrap_or_default();
+        (self.evaluate(plan, &fetched, &mut ticket)).unwrap_or_default()
+    }
 }
 
 impl PlanEvaluator for PlanCore<'_> {
@@ -212,19 +228,25 @@ impl PlanEvaluator for PlanCore<'_> {
         })
     }
 
+    /// Joins the plan — or, scheduled deferred, keeps the handles of the
+    /// rows it fetched in its ticket and answers "not joined".
     fn evaluate(
         &self,
         plan: &[usize],
         fetched: &[Option<Rows>],
         ticket: &mut Ticket,
-    ) -> PrefixRows {
+    ) -> Option<PrefixRows> {
+        if let Some(kept) = &mut ticket.deferred {
+            *kept = fetched.to_vec();
+            return None;
+        }
         let seed = ticket.seed.take();
         let plan_query = ticket.query(self.prepared, plan);
         let (answers, prefixes) = self.join(plan_query, fetched, seed.as_ref());
         if let Some(captured) = &mut ticket.captured {
             *captured = prefixes;
         }
-        answers
+        Some(answers)
     }
 
     fn access_pattern(&self, plan: &[usize], bucket: usize) -> &str {
@@ -277,6 +299,9 @@ pub(crate) struct Hooks<'a> {
     pub(crate) reused: u64,
     /// The ticket of the plan merged last, for a session to report from.
     pub(crate) merged: Option<Ticket>,
+    /// Schedule plans deferred: a session's `next_tuple` sets it for the
+    /// plans it pulls for its stream.
+    pub(crate) defer: bool,
 }
 
 impl<'a> Hooks<'a> {
@@ -290,6 +315,7 @@ impl<'a> Hooks<'a> {
             memo_hits: 0,
             reused: 0,
             merged: None,
+            defer: false,
         }
     }
 
@@ -380,7 +406,9 @@ impl WaveObserver<Ticket> for Hooks<'_> {
     /// yet): assembles its plan query into the ticket, seeds its join from
     /// the longest memoized prefix (`subplan_reused`) and asks for what it
     /// captures, and attaches its ranked stream (`stream_attached`). With
-    /// both parts off the ticket leaves empty.
+    /// both parts off the ticket leaves empty. Scheduled deferred, the
+    /// plan keeps its seed but asks for no capture: joined later, its
+    /// prefixes may be of rows an older data version served.
     fn plan_scheduled(
         &mut self,
         seq: u64,
@@ -443,7 +471,11 @@ impl WaveObserver<Ticket> for Hooks<'_> {
             }
         }
         ticket.seed = seed;
-        ticket.captured = self.sharing.as_ref().map(|_| Vec::new());
+        if self.defer {
+            ticket.deferred = Some(Vec::new());
+        } else {
+            ticket.captured = self.sharing.as_ref().map(|_| Vec::new());
+        }
     }
 
     /// A plan's outcome is final: promotes the prefixes its join captured
@@ -563,7 +595,9 @@ pub(crate) mod tests {
             .instance
             .all_plans()
             .into_iter()
-            .find(|p| !core.evaluate(p, &[], &mut Ticket::default()).is_empty())
+            .find(|p| {
+                (core.evaluate(p, &[], &mut Ticket::default())).is_some_and(|a| !a.is_empty())
+            })
             .expect("some plan answers");
         assert!(plan.len() >= 2, "needs a mixed fetched/memo-resolved plan");
         let sources = prepared.reformulation.plan_sources(&plan);
@@ -613,7 +647,7 @@ pub(crate) mod tests {
             assert_eq!(ticket.seed.is_some(), seq == 1, "seeded on the second pass");
             assert_eq!(ticket.captured.as_deref(), Some(&[][..]), "capture asked");
             assert!(core.is_sound(&plan, &mut ticket));
-            answers.push(core.evaluate(&plan, &[], &mut ticket));
+            answers.push(core.evaluate(&plan, &[], &mut ticket).unwrap());
             assert_eq!(as_set(&answers[seq as usize]), reference);
             assert_eq!(body(&ticket), assembled, "built once");
             if seq == 0 {

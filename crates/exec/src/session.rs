@@ -20,6 +20,19 @@
 //! `/profile`, failure feedback and `/divergence` work for pulled
 //! sessions too.
 //!
+//! A plan [`QuerySession::next_tuple`] pulls for its ranked stream is
+//! joined once, by its stream: the step runs its soundness test, its
+//! source accesses, the source memo, the stream attach and the release
+//! gate as any step does, but not the plan's join, and puts none of its
+//! rows in the run's answer set. The session keeps the plan's ticket
+//! (plan query, memo seed, the rows its accesses fetched) and joins it
+//! into the answer set — in emission order, with the plan's own rows —
+//! the next time that set is read: by [`QuerySession::answers`],
+//! [`QuerySession::drain`] or an explicit [`QuerySession::next_report`].
+//! Until then its `plan_completed` carries no tuple counts, the run's
+//! `run_finished` no answer count, and the board's `answers` counts only
+//! the answers joined.
+//!
 //! Sessions report into the mediator's observability bundle:
 //! `qpo_sessions_total{strategy}` counts openings,
 //! `qpo_session_time_to_first_plan_ms{strategy}` and
@@ -31,7 +44,7 @@
 //! on the bundle's [`SessionBoard`](qpo_obs::SessionBoard) (the
 //! `/sessions` endpoint of the introspection server).
 
-use crate::core::{Hooks, PlanCore};
+use crate::core::{Hooks, PlanCore, Ticket};
 use crate::mediator::{
     build_orderer_observed, Mediator, MediatorError, MediatorRun, PlanReport, StopCondition,
     Strategy,
@@ -45,7 +58,6 @@ use qpo_reformulation::PreparedQuery;
 use qpo_runtime::{PlanExecution, PlanStatus, RunState, RuntimePolicy, SourceMemo};
 use qpo_utility::UtilityMeasure;
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// An open query-serving session: one prepared query, one orderer, and
@@ -84,8 +96,12 @@ pub struct QuerySession<'s> {
     // The run, begun at the first pull.
     run: Option<RunState>,
     // The run's answers in order, for `answers()`: built on first ask,
-    // dropped by the next merge — a session that never asks never sorts.
-    sorted: OnceLock<BTreeSet<Tuple>>,
+    // dropped by the next step or join — a session that never asks never
+    // sorts.
+    sorted: Option<BTreeSet<Tuple>>,
+    // The executed plans `next_tuple` pulled and did not join yet, in
+    // emission order: `(seq, plan, ticket)`.
+    deferred: Vec<(u64, Vec<usize>, Ticket)>,
     opened: Instant,
     obs: &'s Obs,
     board_id: u64,
@@ -126,7 +142,8 @@ impl<'s> QuerySession<'s> {
             hooks: Hooks::new(obs, mediator.database(), prepared),
             orderer,
             run: None,
-            sorted: OnceLock::new(),
+            sorted: None,
+            deferred: Vec::new(),
             opened: Instant::now(),
             obs,
             board_id,
@@ -217,11 +234,34 @@ impl<'s> QuerySession<'s> {
         self.hooks.delivered()
     }
 
-    /// Distinct answers accumulated so far. The run keeps them hashed;
-    /// the sorted view is built on the first call after a merge.
-    pub fn answers(&self) -> &BTreeSet<Tuple> {
-        self.sorted
-            .get_or_init(|| self.run.as_ref().map(RunState::answers).unwrap_or_default())
+    /// Distinct answers accumulated so far: every executed plan's,
+    /// exactly. Plans [`QuerySession::next_tuple`] pulled and did not join
+    /// are joined first, in emission order, each at most once. The run
+    /// keeps the answers hashed; the sorted view is built on the first
+    /// call after a step or a join.
+    pub fn answers(&mut self) -> &BTreeSet<Tuple> {
+        self.join_deferred();
+        let run = self.run.as_ref();
+        (self.sorted).get_or_insert_with(|| run.map(RunState::answers).unwrap_or_default())
+    }
+
+    /// Joins the plans `next_tuple` left unjoined into the run's answer
+    /// set, in emission order, and puts the count on the board.
+    fn join_deferred(&mut self) {
+        let Some(run) = &mut self.run else {
+            return;
+        };
+        if self.deferred.is_empty() {
+            return;
+        }
+        for (seq, plan, ticket) in self.deferred.drain(..) {
+            run.insert_answers(seq, &self.core.join_deferred(&plan, ticket));
+        }
+        self.sorted = None;
+        let answers = run.answer_count() as u64;
+        self.obs
+            .sessions
+            .update(self.board_id, |e| e.answers = answers);
     }
 
     /// Plans emitted so far (sound or not).
@@ -236,43 +276,27 @@ impl<'s> QuerySession<'s> {
         self.run.as_ref().map_or(0.0, RunState::spent)
     }
 
-    /// Pulls, soundness-tests, and (if sound) executes the next best
-    /// plan. Returns `None` when the plan space is exhausted.
+    /// Pulls, soundness-tests, and (if sound) executes and joins the next
+    /// best plan. Returns `None` when the plan space is exhausted.
     ///
     /// Once tuple streaming has started (see
     /// [`QuerySession::next_tuple`]), plans pulled here come from its
     /// score-bound schedule and attach their ranked tuple stream to the
-    /// session's any-k merge.
+    /// session's any-k merge; the plans `next_tuple` left unjoined are
+    /// joined first, so the report's `new_tuples` and `cumulative` are
+    /// exact.
     pub fn next_report(&mut self) -> Option<PlanReport> {
+        self.join_deferred();
         self.pull(StopCondition::unbounded())
     }
 
-    /// What a pull is: one step of the run — begun here, the first time —
-    /// under `budget`, then everything the session keeps per plan: the
-    /// report, its histograms, the board entry.
+    /// What a pull is: one [`QuerySession::step`] under `budget`, which
+    /// joins its plan, and the plan's report.
     fn pull(&mut self, budget: StopCondition) -> Option<PlanReport> {
-        // The executor view is rebuilt per pull: it borrows the core.
-        let policy = RuntimePolicy::serial();
-        let executor = self.core.executor(policy, self.obs);
-        let run = self
-            .run
-            .get_or_insert_with(|| executor.begin(self.orderer.as_ref()));
-        // No tuple leaves the gate inside a step: only `next_tuple`
-        // releases, between steps.
-        let execution = executor.step(run, self.orderer.as_mut(), budget, &mut self.hooks)?;
-        self.sorted.take();
-        // At lookahead 1 the step merged exactly this plan.
-        let ticket = self.hooks.merged.take().unwrap_or_default();
+        let (execution, ticket) = self.step(budget, false)?;
         let PlanExecution {
-            seq,
-            ordered,
-            status,
-            latency,
-            ..
+            ordered, status, ..
         } = execution;
-        if self.hooks.scorer().is_none() {
-            self.emitted_unstreamed.push(ordered.plan.clone());
-        }
         let sound = status != PlanStatus::Unsound;
         let (new_tuples, failure) = match status {
             PlanStatus::Executed { new_tuples, .. } => (new_tuples, None),
@@ -281,7 +305,7 @@ impl<'s> QuerySession<'s> {
         };
         let query =
             (ticket.query).unwrap_or_else(|| self.prepared.reformulation.plan_query(&ordered.plan));
-        let report = PlanReport {
+        Some(PlanReport {
             sources: self.prepared.reformulation.plan_sources(&ordered.plan),
             ordered,
             query,
@@ -289,8 +313,32 @@ impl<'s> QuerySession<'s> {
             soundness_error: ticket.soundness_error,
             failure,
             new_tuples,
-            cumulative: run.answer_count(),
-        };
+            cumulative: self.run.as_ref().map_or(0, RunState::answer_count),
+        })
+    }
+
+    /// One step of the run — begun here, the first time — under `budget`,
+    /// with the plan scheduled deferred if `defer`, then everything the
+    /// session keeps per plan: its histograms and the board entry. Returns
+    /// the plan's execution and its ticket.
+    fn step(&mut self, budget: StopCondition, defer: bool) -> Option<(PlanExecution, Ticket)> {
+        // The executor view is rebuilt per pull: it borrows the core.
+        let policy = RuntimePolicy::serial();
+        let executor = self.core.executor(policy, self.obs);
+        let run = self
+            .run
+            .get_or_insert_with(|| executor.begin(self.orderer.as_ref()));
+        self.hooks.defer = defer;
+        // No tuple leaves the gate inside a step: only `next_tuple`
+        // releases, between steps.
+        let execution = executor.step(run, self.orderer.as_mut(), budget, &mut self.hooks)?;
+        self.sorted = None;
+        // At lookahead 1 the step merged exactly this plan.
+        let ticket = self.hooks.merged.take().unwrap_or_default();
+        let (seq, latency, plan) = (execution.seq, execution.latency, &execution.ordered.plan);
+        if self.hooks.scorer().is_none() {
+            self.emitted_unstreamed.push(plan.clone());
+        }
         let elapsed_ms = self.opened.elapsed().as_secs_f64() * 1e3;
         if seq == 0 {
             self.time_to_first_plan.record(elapsed_ms);
@@ -299,7 +347,7 @@ impl<'s> QuerySession<'s> {
         // `RunProfile::critical_plan`'s rule: largest latency, earliest
         // on ties, never a zero-latency plan.
         if latency > self.bounding_plan.as_ref().map_or(0.0, |(l, _)| *l) {
-            self.bounding_plan = Some((latency, encode_plan(&report.ordered.plan)));
+            self.bounding_plan = Some((latency, encode_plan(plan)));
         }
         self.obs.sessions.update(self.board_id, |e| {
             e.plans_emitted = seq + 1;
@@ -311,7 +359,7 @@ impl<'s> QuerySession<'s> {
             e.critical_path = run.clock();
             e.bounding_plan = self.bounding_plan.as_ref().map(|(_, p)| p.clone());
         });
-        Some(report)
+        Some((execution, ticket))
     }
 
     /// Pulls the next answer of the globally ranked any-k stream: the
@@ -341,6 +389,12 @@ impl<'s> QuerySession<'s> {
     /// evicted when it merges — both inside the step, while release
     /// happens only between steps. So an evicted stream has delivered
     /// nothing, and no delivered tuple is ever retracted.
+    ///
+    /// The plans pulled here are joined once, by their ranked streams: the
+    /// step does not also join them into the answer set, and the session
+    /// keeps what each executed plan fetched until
+    /// [`QuerySession::answers`], [`QuerySession::drain`] or
+    /// [`QuerySession::next_report`] joins it (module docs).
     pub fn next_tuple(&mut self) -> Option<RankedTuple> {
         if self.hooks.scorer().is_none() {
             let scorer = self
@@ -366,7 +420,11 @@ impl<'s> QuerySession<'s> {
             }
             // The schedule walks the gate's own plans: while one is
             // behind the gate, there is a plan to pull.
-            self.next_report()?;
+            let (execution, ticket) = self.step(StopCondition::unbounded(), true)?;
+            if execution.executed() {
+                let PlanExecution { seq, ordered, .. } = execution;
+                self.deferred.push((seq, ordered.plan, ticket));
+            }
         }
     }
 
@@ -379,9 +437,12 @@ impl<'s> QuerySession<'s> {
     /// Steps the run until `stop` is satisfied or the plan space is
     /// exhausted: the condition is checked *before* each pop against the
     /// session-cumulative answer count, emission count, and spent cost —
-    /// the loop's budget rule at `lookahead = 1`. Returns the reports
-    /// emitted by this call and a snapshot of the cumulative answer set.
+    /// the loop's budget rule at `lookahead = 1`, after the plans
+    /// [`QuerySession::next_tuple`] left unjoined are joined. Returns the
+    /// reports emitted by this call and a snapshot of the cumulative
+    /// answer set.
     pub fn drain(&mut self, stop: StopCondition) -> MediatorRun {
+        self.join_deferred();
         let mut reports = Vec::new();
         while let Some(report) = self.pull(stop) {
             reports.push(report);
@@ -722,6 +783,111 @@ mod tests {
             let trace = qpo_obs::validate_trace(&obs.journal.to_jsonl()).unwrap();
             assert_eq!(trace.count("plan_failed"), 1);
         });
+    }
+
+    /// Session A streams `k` tuples and reads `answers()` once, at the
+    /// end; session B reads it after every tuple, which joins each plan as
+    /// soon as it is pulled, as the eager path would. `open(i)` opens
+    /// the `i`-th of the `SESSIONS` sessions, each on a backend of its own
+    /// where one keeps state.
+    fn joined_late_equals_joined_at_once<'a>(open: impl Fn(usize) -> QuerySession<'a>) {
+        for (i, k) in [1, 4, usize::MAX].into_iter().enumerate() {
+            let open = |j| open(4 * i + j);
+            let (mut late, mut at_once) = (open(0), open(1));
+            let streamed: Vec<RankedTuple> = late.stream_tuples().take(k).collect();
+            let mut joined = Vec::new();
+            while joined.len() < k {
+                let Some(rt) = at_once.next_tuple() else {
+                    break;
+                };
+                joined.push(rt);
+                at_once.answers();
+            }
+            assert!(!streamed.is_empty());
+            assert_eq!(streamed, joined, "k={k}: the ranked stream");
+            assert_eq!(late.plans_emitted(), at_once.plans_emitted(), "k={k}");
+            let answers = late.answers().clone();
+            assert_eq!(&answers, at_once.answers(), "k={k}: joined late vs at once");
+            assert!(streamed.iter().all(|rt| answers.contains(&rt.tuple)));
+            // The first report after the stream counts every answer.
+            let (mut after, mut reference) = (open(2), open(3));
+            after.stream_tuples().take(k).for_each(drop);
+            reference.stream_tuples().take(k).for_each(drop);
+            if let Some(report) = after.next_report() {
+                assert_eq!(report.cumulative, after.answers().len(), "k={k}");
+                reference.answers();
+                let eager = reference.next_report().unwrap();
+                assert_eq!(report.new_tuples, eager.new_tuples, "k={k}");
+                assert_eq!(report.cumulative, eager.cumulative, "k={k}");
+            }
+        }
+    }
+
+    /// Sessions `joined_late_equals_joined_at_once` opens.
+    const SESSIONS: usize = 12;
+
+    #[test]
+    fn a_streamed_plan_joined_late_adds_what_it_would_have_at_once() {
+        use crate::backends::{snapshot_relations, BackendRegistry};
+        use crate::core::tests::RowsBackend;
+        use qpo_runtime::{RetryPolicy, SourceBackend, StoreBackend};
+        fn stream<'a>(m: &'a Mediator, prepared: &'a PreparedQuery) -> QuerySession<'a> {
+            QuerySession::new(m, prepared, &LinearCost, Strategy::Greedy).unwrap()
+        }
+        let m = mediator();
+        let prepared = m.prepare(&movie_query()).unwrap();
+        // Over the extensions.
+        joined_late_equals_joined_at_once(|_| stream(&m, &prepared));
+        // Over a store that serves more than the extensions: each relation
+        // has one more row, its first with a fresh last value. A plan
+        // joined late joins the rows it fetched, so a whole stream read
+        // late answers what a drained session over the store does.
+        let dir = std::env::temp_dir().join(format!("qpo-session-late-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = StoreBackend::open(&dir).unwrap();
+        for (name, mut rows) in snapshot_relations(m.database()) {
+            let mut extra = rows[0].clone();
+            *extra.last_mut().unwrap() = qpo_datalog::Constant::str("late");
+            rows.push(extra);
+            store.put_relation(&name, &rows).unwrap();
+        }
+        let stored = m
+            .clone()
+            .with_backends(BackendRegistry::new().with("store", Arc::new(store)));
+        let open = |_| stream(&stored, &prepared).with_backend("store").unwrap();
+        joined_late_equals_joined_at_once(open);
+        let mut late = open(0);
+        late.stream_tuples().for_each(drop);
+        let drained = open(0).drain(StopCondition::unbounded()).answers;
+        assert_eq!(late.answers(), &drained);
+        let extensions = stream(&m, &prepared).drain(StopCondition::unbounded());
+        assert!(drained.is_superset(&extensions.answers) && drained != extensions.answers);
+        let _ = std::fs::remove_dir_all(&dir);
+        // Over rows whose data version moves at plan 1 and whose `flaky`
+        // source fails one plan outright, which invalidates the source
+        // memo: each source in turn, so the failure lands after plans
+        // whose join waits. Every session gets a fresh backend.
+        let sources = RowsBackend::seeded(&m).relations.into_keys();
+        for flaky in sources {
+            let rows = |_| {
+                let mut backend = RowsBackend::seeded(&m);
+                backend.flaky = flaky.clone();
+                backend.outages = RetryPolicy::standard().max_attempts.into();
+                backend.moves_at = Some(1);
+                Arc::new(backend)
+            };
+            let backends: Vec<Arc<RowsBackend>> = (0..SESSIONS).map(rows).collect();
+            let labels: Vec<String> = (0..SESSIONS).map(|i| i.to_string()).collect();
+            let registry = (labels.iter().zip(&backends))
+                .fold(BackendRegistry::new(), |r, (label, b)| {
+                    r.with(label, b.clone())
+                });
+            let m = m.clone().with_backends(registry);
+            let open = |i: usize| stream(&m, &prepared).with_backend(&labels[i]).unwrap();
+            joined_late_equals_joined_at_once(open);
+            let whole = &backends[8];
+            assert_eq!(whole.epoch(), 1, "{flaky}: the version moved");
+        }
     }
 
     #[test]

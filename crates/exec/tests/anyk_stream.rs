@@ -424,3 +424,51 @@ const FIRST_TUPLE_AT: usize = 2;
 /// Plans the star session at seed 2002 pulls for its first 100 tuples,
 /// what `bench_e2e`'s `anyk-stream` asks of a query.
 const HUNDRED_TUPLES_AT: usize = 10;
+
+/// The 100-tuple star query `bench_e2e`'s `anyk-stream` serves: its
+/// plans are joined once, by their ranked streams. No `plan_completed`
+/// carries tuple counts and `run_finished` no answer count, until
+/// `answers()` joins them all — once: a session that read it once seals
+/// its run with the answer count, so a second read had nothing to join.
+#[test]
+fn a_streamed_plan_is_joined_only_when_the_answers_are_read() {
+    let obs = Obs::with_trace();
+    let m = star_mediator(2002).with_obs(&obs);
+    let query = parse_query("q(X0, X1, X2) :- r0(K, X0), r1(K, X1), r2(K, X2)").unwrap();
+    let prepared = m.prepare(&query).unwrap();
+    let open = || {
+        let sc = CatalogScorer::new(STAR_UNIVERSE).with_jitter(0.25);
+        QuerySession::new(&m, &prepared, &Coverage, Strategy::IDrips)
+            .unwrap()
+            .with_tuple_scorer(sc)
+    };
+    let mut streamed = open();
+    assert_eq!(streamed.stream_tuples().take(100).count(), 100);
+    drop(streamed);
+    let mut read = open();
+    let stream: Vec<RankedTuple> = read.stream_tuples().take(100).collect();
+    let answers = read.answers().clone();
+    assert_eq!(read.answers(), &answers, "a second read joins nothing new");
+    assert!(stream.iter().all(|rt| answers.contains(&rt.tuple)));
+    drop(read);
+    let jsonl = obs.journal.to_jsonl();
+    qpo_obs::validate_trace(&jsonl).expect("the streamed trace validates");
+    let records = qpo_obs::read_jsonl(&jsonl).unwrap();
+    let completed = records.iter().filter(|r| &*r.kind == "plan_completed");
+    let mut plans = 0;
+    for record in completed {
+        plans += 1;
+        for field in ["tuples", "new_tuples", "cumulative"] {
+            assert!(
+                record.get(field).is_none(),
+                "plan_completed carries {field}"
+            );
+        }
+    }
+    assert_eq!(plans, 2 * HUNDRED_TUPLES_AT, "every pulled plan executed");
+    let sealed: Vec<Option<u64>> = (records.iter())
+        .filter(|r| &*r.kind == "run_finished")
+        .map(|r| r.u64("answers"))
+        .collect();
+    assert_eq!(sealed, [None, Some(answers.len() as u64)]);
+}

@@ -148,6 +148,9 @@ pub const FIELDS: &[FieldSpec] = &[
     field("server_span", "plan_seq", U64, REQUIRED),
     field("server_span", "attempt", U64, REQUIRED),
     field("plan_completed", "plan_seq", U64, REQUIRED),
+    // The three counts are absent for a plan merged unjoined: one a
+    // session's `next_tuple` pulled for its ranked stream, whose rows
+    // reach the answer set only when the session's answers are read.
     field("plan_completed", "tuples", U64, OPTIONAL),
     field("plan_completed", "new_tuples", U64, OPTIONAL),
     field("plan_completed", "cumulative", U64, OPTIONAL),
@@ -163,6 +166,7 @@ pub const FIELDS: &[FieldSpec] = &[
     field("drift_detected", "value", F64, REQUIRED),
     field("drift_detected", "threshold", F64, REQUIRED),
     field("run_finished", "plans", U64, REQUIRED),
+    // Absent while an executed plan of the run is still unjoined.
     field("run_finished", "answers", U64, OPTIONAL),
     field("run_finished", "makespan", F64, REQUIRED),
     field("kernel_cache_hit", "cache", Str, OPTIONAL),

@@ -97,21 +97,27 @@ pub trait PlanEvaluator: Sync {
 
     /// Evaluates the plan's conjunctive query, returning its answers as
     /// one flat table, in any order, duplicates allowed: the merge hashes
-    /// each row into the run's union and counts it towards the plan's
-    /// `tuples` once — the entry is stamped with the plan — so no evaluator
-    /// sorts, dedups or builds a set of the plan's own. `fetched[bucket]`
-    /// holds the rows the backend returned for that bucket's access —
-    /// live, or replayed from the [`SourceMemo`] entry that resolved the
-    /// slot — and is `None` only where the backend holds no data (the
-    /// simulator). An evaluator over a static database ignores them, which
-    /// is exactly the simulated world's contract; qpo-exec's core joins
-    /// them in place.
+    /// each row into the run's union ([`RunState::insert_answers`]) and
+    /// counts it towards the plan's `tuples` once — the entry is stamped
+    /// with the plan — so no evaluator sorts, dedups or builds a set of the
+    /// plan's own. `fetched[bucket]` holds the rows the backend returned
+    /// for that bucket's access — live, or replayed from the
+    /// [`SourceMemo`] entry that resolved the slot — and is `None` only
+    /// where the backend holds no data (the simulator). An evaluator over
+    /// a static database ignores them, which is exactly the simulated
+    /// world's contract; qpo-exec's core joins them in place.
+    ///
+    /// `None` answers "not joined": the plan executed, but whoever drives
+    /// the run joins it later and hands its rows to
+    /// [`RunState::insert_answers`] then. The merge inserts nothing for
+    /// it, reports it [`PlanStatus::Executed`] without counts, and the run
+    /// counts it unjoined until that call.
     fn evaluate(
         &self,
         plan: &[usize],
         fetched: &[Option<Arc<Vec<Tuple>>>],
         ticket: &mut Self::Ticket,
-    ) -> PrefixRows;
+    ) -> Option<PrefixRows>;
 
     /// The binding pattern ([`crate::pattern`]) the access for `bucket`
     /// of `plan` goes out under — the constants that subgoal of the plan
@@ -257,7 +263,10 @@ pub enum FailureReason {
 /// What happened to one popped plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanStatus {
-    /// Executed successfully.
+    /// Executed successfully. For a plan the evaluator did not join
+    /// ([`PlanEvaluator::evaluate`] answered `None`) the counts are not
+    /// known at merge: `tuples` and `new_tuples` are 0 and `cumulative` is
+    /// the answers joined so far.
     Executed {
         /// Answers this plan returned (new or not).
         tuples: usize,
@@ -389,7 +398,8 @@ struct Completion<E: PlanEvaluator> {
     ordered: OrderedPlan,
     ticket: E::Ticket,
     sound: bool,
-    tuples: PrefixRows,
+    /// The plan's answers; `None` unless it executed and was joined.
+    tuples: Option<PrefixRows>,
     accesses: Vec<SourceAccess>,
     /// The rows each access returned, aligned with `accesses`.
     fetched: Vec<Option<Rows>>,
@@ -481,6 +491,9 @@ pub struct RunState {
     /// Union of the merged plans' answers, each under the `seq` of the
     /// last plan that derived it. Its iteration order is never observed.
     union: HashMap<Tuple, u64, BuildHasherDefault<RowHasher>>,
+    /// Executed plans whose rows are not in the union yet: their
+    /// evaluator answered "not joined".
+    unjoined: BTreeSet<u64>,
     /// Aggregate counters over the merged plans.
     pub stats: RunStats,
     /// The run's drift monitor: [`Executor::begin`] declares each grid
@@ -507,14 +520,39 @@ pub struct RunState {
 }
 
 impl RunState {
-    /// The distinct answers merged so far, sorted: a copy, built per call.
+    /// The distinct answers in the union so far — those of every plan
+    /// joined — sorted: a copy, built per call.
     pub fn answers(&self) -> BTreeSet<Tuple> {
         self.union.keys().cloned().collect()
     }
 
-    /// How many distinct answers have been merged.
+    /// How many distinct answers are in the union so far.
     pub fn answer_count(&self) -> usize {
         self.union.len()
+    }
+
+    /// Hashes plan `seq`'s rows into the union — the one place an answer
+    /// enters it — and returns the plan's `(tuples, new_tuples)`. Probed
+    /// with the borrowed row, so only a new answer allocates; each entry is
+    /// stamped with the last plan that derived it, so a row the plan
+    /// derives twice counts once. The merge calls it for every plan it
+    /// joined; for a plan whose evaluator answered "not joined", whoever
+    /// drives the run calls it once with the rows it joined later — in
+    /// emission order — and the run counts that plan joined from then on.
+    pub fn insert_answers(&mut self, seq: u64, rows: &PrefixRows) -> (usize, usize) {
+        self.unjoined.remove(&seq);
+        let (mut total, mut new_tuples) = (0, 0);
+        for row in rows.iter() {
+            // `seen` is the stamp the row had — none, an earlier plan's,
+            // or (a duplicate within this plan) `seq` itself.
+            let seen = match self.union.get_mut(row) {
+                Some(stamp) => Some(std::mem::replace(stamp, seq)),
+                None => self.union.insert(row.to_vec(), seq),
+            };
+            total += usize::from(seen != Some(seq));
+            new_tuples += usize::from(seen.is_none());
+        }
+        (total, new_tuples)
     }
 
     /// Cost spent so far: negated emission-time utility, summed in
@@ -537,7 +575,8 @@ impl RunState {
     }
 
     /// Seals the run: mirrors the makespan and fee gauges and journals
-    /// `run_finished`. Idempotent.
+    /// `run_finished` — with the answer count only if every executed plan
+    /// was joined. Idempotent.
     pub fn finish(&mut self) {
         if std::mem::replace(&mut self.finished, true) {
             return;
@@ -551,15 +590,14 @@ impl RunState {
             // `stats.virtual_time` is the lane-scheduled makespan and
             // legitimately varies with the worker count; the clock does
             // not. With one worker the two coincide.
-            self.obs.journal.record_at(
-                self.vclock,
-                "run_finished",
-                vec![
-                    ("plans", Value::U64(self.popped)),
-                    ("answers", Value::U64(self.union.len() as u64)),
-                    ("makespan", Value::F64(self.vclock)),
-                ],
-            );
+            let mut fields = vec![("plans", Value::U64(self.popped))];
+            if self.unjoined.is_empty() {
+                fields.push(("answers", Value::U64(self.union.len() as u64)));
+            }
+            fields.push(("makespan", Value::F64(self.vclock)));
+            self.obs
+                .journal
+                .record_at(self.vclock, "run_finished", fields);
         }
     }
 }
@@ -749,6 +787,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         }
         RunState {
             union: HashMap::default(),
+            unjoined: BTreeSet::new(),
             stats: RunStats::default(),
             divergence,
             spent: 0.0,
@@ -969,8 +1008,10 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             trace,
             backend_errors,
         } = completion;
+        let joined = tuples.map(|rows| state.insert_answers(seq, &rows));
         let RunState {
             union,
+            unjoined,
             stats,
             divergence,
             spent,
@@ -1127,32 +1168,25 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
             orderer.observe(&PlanOutcome::failed(&ordered.plan));
             PlanStatus::Failed(reason)
         } else {
-            // Probed with the borrowed row: only a new answer allocates.
-            // `seen` is the stamp the row had — none, an earlier plan's,
-            // or (a duplicate within this plan) `seq` itself.
-            let (mut total, mut new_tuples) = (0, 0);
-            for row in tuples.iter() {
-                let seen = match union.get_mut(row) {
-                    Some(stamp) => Some(std::mem::replace(stamp, seq)),
-                    None => union.insert(row.to_vec(), seq),
-                };
-                total += usize::from(seen != Some(seq));
-                new_tuples += usize::from(seen.is_none());
-            }
+            // An unjoined plan has no counts yet, in the report or the
+            // journal.
+            let (total, new_tuples) = joined.unwrap_or_else(|| {
+                unjoined.insert(seq);
+                (0, 0)
+            });
             metrics.plans_executed.inc();
             metrics.emission_delay.record(done);
             if journal.is_enabled() {
-                journal.record_at(
-                    done,
-                    "plan_completed",
-                    vec![
-                        ("plan_seq", Value::U64(seq)),
+                let mut fields = vec![("plan_seq", Value::U64(seq))];
+                if joined.is_some() {
+                    fields.extend([
                         ("tuples", Value::U64(total as u64)),
                         ("new_tuples", Value::U64(new_tuples as u64)),
                         ("cumulative", Value::U64(union.len() as u64)),
-                        ("latency", Value::F64(latency)),
-                    ],
-                );
+                    ]);
+                }
+                fields.push(("latency", Value::F64(latency)));
+                journal.record_at(done, "plan_completed", fields);
             }
             // The one feedback call for a plan that ran, on every driver.
             orderer.observe(&PlanOutcome::succeeded(&ordered.plan, total));
@@ -1166,10 +1200,8 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         journal.set_clock(*vclock);
         // Fresh access chains only: a memo replay (`attempts == 0`) observes
         // the memo, and journals no `source_attempt` for the replay either.
-        let answers = match &status {
-            PlanStatus::Executed { tuples, .. } => Some(*tuples as f64),
-            _ => None,
-        };
+        // Only a joined plan has a tuple count to observe.
+        let answers = joined.map(|(tuples, _)| tuples as f64);
         for a in accesses.iter().filter(|a| a.attempts > 0) {
             let observed = qpo_obs::AccessObservation {
                 attempts: u64::from(a.attempts),
@@ -1251,7 +1283,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         let tuples = if sound && failure.is_none() {
             self.eval.evaluate(&ordered.plan, &fetched, &mut ticket)
         } else {
-            PrefixRows::default()
+            None
         };
         // Only a memo keeps rows past the join. Without one they are freed
         // here, on the thread that ran the job, not serially at merge.
@@ -1461,12 +1493,12 @@ mod tests {
             plan: &[usize],
             _: &[Option<Arc<Vec<Tuple>>>],
             _: &mut (),
-        ) -> PrefixRows {
+        ) -> Option<PrefixRows> {
             let stats = self.inst.plan_stats(plan);
             let start = stats.iter().map(|s| s.extent.start).max().unwrap_or(0);
             let end = stats.iter().map(|s| s.extent.end()).min().unwrap_or(0);
             let items: Vec<Constant> = (start..end).map(|x| Constant::Int(x as i64)).collect();
-            PrefixRows::new(1, items.len(), items)
+            Some(PrefixRows::new(1, items.len(), items))
         }
     }
 
@@ -1813,7 +1845,7 @@ mod tests {
             plan: &[usize],
             fetched: &[Option<Arc<Vec<Tuple>>>],
             _: &mut (),
-        ) -> PrefixRows {
+        ) -> Option<PrefixRows> {
             let with_rows = fetched.iter().flatten().count();
             self.slots_with_rows.lock().unwrap().push(with_rows);
             self.toy.evaluate(plan, fetched, &mut ())

@@ -1042,8 +1042,8 @@ mod tests {
                 _: &[usize],
                 _: &[Option<Arc<Vec<Tuple>>>],
                 _: &mut (),
-            ) -> qpo_datalog::PrefixRows {
-                Default::default()
+            ) -> Option<qpo_datalog::PrefixRows> {
+                Some(Default::default())
             }
         }
 

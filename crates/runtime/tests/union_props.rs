@@ -26,9 +26,14 @@ impl PlanEvaluator for Scripted {
         true
     }
 
-    fn evaluate(&self, plan: &[usize], _: &[Option<Arc<Vec<Tuple>>>], _: &mut ()) -> PrefixRows {
+    fn evaluate(
+        &self,
+        plan: &[usize],
+        _: &[Option<Arc<Vec<Tuple>>>],
+        _: &mut (),
+    ) -> Option<PrefixRows> {
         let rows = &self.rows[plan[0]];
-        PrefixRows::new(self.width, rows.len(), rows.concat())
+        Some(PrefixRows::new(self.width, rows.len(), rows.concat()))
     }
 }
 

@@ -73,6 +73,13 @@ grep -q '"kind":"tuple_emitted"' "$trace_file" \
 # A session that streams from its first pull schedules by score bound.
 grep -q '"strategy":"score-bound"' "$trace_file" \
   || { echo "the any-k session did not schedule its plans by score bound"; exit 1; }
+# It streams from its first pull, so its plans are joined once, by their
+# ranked streams: none is joined at merge, none counts tuples there.
+grep -q '"kind":"plan_completed"' "$trace_file" \
+  || { echo "no plan_completed event in the any-k session's trace"; exit 1; }
+if grep '"kind":"plan_completed"' "$trace_file" | grep -q '"new_tuples"'; then
+  echo "a streamed plan was joined at merge (plan_completed carries new_tuples)"; exit 1
+fi
 rm -f "$trace_file"
 
 echo "==> end-to-end benchmark: harness unit tests, then every workload and oracle at smoke size"
