@@ -7,8 +7,12 @@
 //! up here as a changed row, not just as time. A row moves only on
 //! purpose: iDrips' rent-or-buy hand-over to `Pi` (its module doc) moves
 //! the iDrips rows that run late enough in the order to buy.
+//! Streamer's rows also pin its six work counters (refinements, dominance
+//! links created, recycled and invalidated, utility recomputations and
+//! resumes), so a change to how it stores its links shows up here too.
 
-use qpo_bench::{all_experiments, run_experiment, ResultRow};
+use qpo_bench::{all_experiments, run_experiment, AlgorithmKind, Experiment, ResultRow};
+use qpo_core::{PlanOrderer, Streamer};
 
 /// `(algorithm, m, k, emitted, evals)`, in the table's row order.
 const FIG6_COVERAGE: [(&str, usize, usize, usize, u64); 36] = [
@@ -224,13 +228,17 @@ const COST2: [(&str, usize, usize, usize, u64); 36] = [
     ("streamer", 16, 100, 100, 903),
 ];
 
-/// The rows of one experiment of the index, in the table's row order.
-fn rows(id: &str) -> Vec<ResultRow> {
-    let exp = all_experiments()
+/// One experiment of the index.
+fn experiment(id: &str) -> Experiment {
+    all_experiments()
         .into_iter()
         .find(|e| e.id == id)
-        .unwrap_or_else(|| panic!("{id} is in the index"));
-    run_experiment(&exp, 2)
+        .unwrap_or_else(|| panic!("{id} is in the index"))
+}
+
+/// The rows of one experiment of the index, in the table's row order.
+fn rows(id: &str) -> Vec<ResultRow> {
+    run_experiment(&experiment(id), 2)
 }
 
 /// `(algorithm, m, k, emitted, evals)` of a one-measure experiment.
@@ -273,4 +281,117 @@ fn fig6_monetary_evaluation_counts_are_pinned() {
         })
         .collect();
     assert_eq!(got, FIG6_MONETARY);
+}
+
+/// `(m, k, work)`, where `work` is [`qpo_core::StreamerStats`] after the
+/// `k`-th plan as `[refinements, links_created, links_recycled,
+/// links_invalidated, utility_recomputations, utility_resumes]`.
+type Work = (usize, usize, [usize; 6]);
+
+/// Streamer's work per experiment, for every Streamer row pinned above,
+/// each run on its experiment's own instance and heuristic.
+const STREAMER_WORK: [(&str, [Work; 12]); 4] = [
+    (
+        "fig6-coverage",
+        [
+            (4, 1, [6, 11, 3, 2, 13, 0]),
+            (4, 10, [31, 119, 72, 42, 88, 25]),
+            (4, 100, [63, 594, 729, 74, 281, 154]),
+            (8, 1, [9, 17, 5, 3, 19, 0]),
+            (8, 10, [66, 204, 167, 30, 175, 42]),
+            (8, 100, [468, 5943, 20910, 2899, 2536, 1599]),
+            (12, 1, [9, 15, 5, 1, 19, 0]),
+            (12, 10, [56, 232, 127, 33, 160, 47]),
+            (12, 100, [1319, 12056, 45585, 5861, 4976, 2337]),
+            (16, 1, [12, 22, 10, 0, 25, 0]),
+            (16, 10, [82, 335, 215, 68, 232, 67]),
+            (16, 100, [2207, 18630, 64517, 5844, 7302, 2887]),
+        ],
+    ),
+    (
+        "fig6-failure-nocache",
+        [
+            (4, 1, [11, 14, 2, 0, 23, 0]),
+            (4, 10, [27, 90, 90, 0, 55, 0]),
+            (4, 100, [63, 515, 292, 0, 127, 0]),
+            (8, 1, [11, 11, 0, 0, 23, 0]),
+            (8, 10, [49, 220, 46, 0, 99, 0]),
+            (8, 100, [260, 2935, 7434, 0, 521, 0]),
+            (12, 1, [22, 24, 2, 0, 45, 0]),
+            (12, 10, [61, 309, 113, 0, 123, 0]),
+            (12, 100, [361, 5430, 10799, 0, 723, 0]),
+            (16, 1, [39, 39, 1, 0, 79, 0]),
+            (16, 10, [95, 610, 64, 0, 191, 0]),
+            (16, 100, [480, 12126, 12263, 0, 961, 0]),
+        ],
+    ),
+    (
+        "fig6-monetary",
+        [
+            (4, 1, [6, 11, 1, 0, 13, 0]),
+            (4, 10, [19, 62, 51, 0, 39, 0]),
+            (4, 100, [63, 320, 250, 0, 127, 0]),
+            (8, 1, [17, 26, 3, 0, 35, 0]),
+            (8, 10, [55, 159, 239, 0, 111, 0]),
+            (8, 100, [179, 1381, 5426, 0, 359, 0]),
+            (12, 1, [48, 48, 0, 0, 97, 0]),
+            (12, 10, [113, 590, 388, 0, 227, 0]),
+            (12, 100, [339, 2889, 15636, 0, 679, 0]),
+            (16, 1, [59, 64, 8, 0, 119, 0]),
+            (16, 10, [144, 737, 348, 0, 289, 0]),
+            (16, 100, [516, 5187, 23548, 0, 1033, 0]),
+        ],
+    ),
+    (
+        "cost2",
+        [
+            (4, 1, [10, 14, 4, 0, 21, 0]),
+            (4, 10, [27, 82, 96, 0, 55, 0]),
+            (4, 100, [63, 483, 300, 0, 127, 0]),
+            (8, 1, [15, 15, 1, 0, 31, 0]),
+            (8, 10, [44, 189, 55, 0, 89, 0]),
+            (8, 100, [260, 2800, 7411, 0, 521, 0]),
+            (12, 1, [24, 24, 0, 0, 49, 0]),
+            (12, 10, [92, 441, 226, 0, 185, 0]),
+            (12, 100, [358, 5102, 11308, 0, 717, 0]),
+            (16, 1, [51, 51, 0, 0, 103, 0]),
+            (16, 10, [132, 565, 262, 0, 265, 0]),
+            (16, 100, [451, 8643, 14661, 0, 903, 0]),
+        ],
+    ),
+];
+
+#[test]
+fn streamer_work_counters_are_pinned() {
+    for (id, pinned) in STREAMER_WORK {
+        let mut got = Vec::new();
+        for cfg in experiment(id)
+            .configs
+            .iter()
+            .filter(|c| c.algorithm == AlgorithmKind::Streamer)
+        {
+            let (inst, measure) = (cfg.instance(), cfg.measure.build());
+            // The caching monetary measure lacks diminishing returns.
+            let Ok(mut streamer) = Streamer::new(&inst, &*measure, &*cfg.heuristic.build()) else {
+                continue;
+            };
+            let mut emitted = 0;
+            for &k in &cfg.ks {
+                while emitted < k && streamer.next_plan().is_some() {
+                    emitted += 1;
+                }
+                let st = streamer.stats();
+                let work = [
+                    st.refinements,
+                    st.links_created,
+                    st.links_recycled,
+                    st.links_invalidated,
+                    st.utility_recomputations,
+                    st.utility_resumes,
+                ];
+                got.push((cfg.bucket_size, k, work));
+            }
+        }
+        assert_eq!(got, pinned, "{id}");
+    }
 }
