@@ -88,9 +88,12 @@ pub fn utility_cmp(a: f64, b: f64) -> std::cmp::Ordering {
 /// later emissions condition on what actually happened.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OutcomeStatus {
-    /// The plan executed; it produced this many answer tuples (new or not).
+    /// The plan executed; it produced this many answer tuples (new or
+    /// not), or 0 when the runtime merged it unjoined — a plan a streaming
+    /// session pulled, joined later by its ranked stream. No shipped
+    /// orderer reads the count.
     Succeeded {
-        /// Tuples the plan returned.
+        /// Tuples the plan returned; 0 for a plan merged unjoined.
         tuples: usize,
     },
     /// The plan never executed (a source was permanently down or retries
@@ -108,7 +111,8 @@ pub struct PlanOutcome {
 }
 
 impl PlanOutcome {
-    /// A successful execution returning `tuples` answers.
+    /// A successful execution returning `tuples` answers (0 for a plan
+    /// merged unjoined; see [`OutcomeStatus::Succeeded`]).
     pub fn succeeded(plan: &[usize], tuples: usize) -> Self {
         PlanOutcome {
             plan: plan.to_vec(),

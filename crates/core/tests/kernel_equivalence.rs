@@ -20,19 +20,26 @@
 //!    measures re-evaluate after every context change (otherwise it is
 //!    just wrong) — resuming from their carries after an append, starting
 //!    over after a retract.
+//!
+//! Streamer has its own twin in `support/`: `support::streamer::ReferenceStreamer`,
+//! the Streamer that kept its dominance links in a list beside the graph,
+//! which the shipped one must match emission for emission, counters
+//! included.
 
 mod support;
 
+use proptest::prelude::*;
 use qpo_catalog::{GeneratorConfig, ProblemInstance, StatRange};
 use qpo_core::{
-    full_space, verify_ordering, ByExpectedTuples, ByExtentMidpoint, IDrips, Naive, OrderedPlan,
-    OrderingKernel, Pi, PlanOrderer, PlanOutcome, RandomKey,
+    full_space, verify_ordering, AbstractionHeuristic, ByExpectedTuples, ByExtentMidpoint, IDrips,
+    Naive, OrderedPlan, OrderingKernel, Pi, PlanOrderer, PlanOutcome, RandomKey, Streamer,
 };
 use qpo_obs::{EliminationCertificate, Obs};
 use qpo_utility::{
     CountingMeasure, Coverage, ExecutionContext, FailureCost, FusionCost, LinearCost, MonetaryCost,
     UtilityMeasure,
 };
+use support::streamer::ReferenceStreamer;
 use support::{
     all_measures, assert_same_steps, reference_find_best, tied_max, verify_certificates,
     ReferenceIDrips,
@@ -632,4 +639,62 @@ fn verify_replays_context_sensitive_epochs_from_emissions() {
     // Without the emissions the later epochs are unreachable.
     let err = verify_certificates(&inst, &measure, &[], &certs).unwrap_err();
     assert!(err.reason.contains("unreachable"), "{err}");
+}
+
+/// Instances per run of the twin property below.
+const CASES: u32 = 64;
+
+/// Plans per instance of the twin property: a drain costs about the
+/// square of the space, and the property runs in the debug test suite, so
+/// four subgoals stop at three sources each.
+const MAX_TWIN_PLANS: usize = 216;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// Streamer, with one dominance link held by each node it dominates, is
+    /// the Streamer that kept its links in a list beside the graph: the
+    /// same plan, the same utility bits and the same work counters after
+    /// every emission, drained to the end under every measure with
+    /// diminishing returns and both abstraction heuristics.
+    #[test]
+    fn streamer_matches_its_reference_twin(
+        shape in (1usize..=4, 1usize..=6)
+            .prop_filter("space too large", |&(n, m)| m.pow(n as u32) <= MAX_TWIN_PLANS),
+        overlap in 0.0f64..=0.9,
+        seed in any::<u64>(),
+    ) {
+        let (n, m) = shape;
+        let inst = GeneratorConfig::new(n, m)
+            .with_overlap_rate(overlap)
+            .with_seed(seed)
+            .build();
+        let (failure, monetary) = (FailureCost::without_caching(), MonetaryCost::without_caching());
+        let measures: [&dyn UtilityMeasure; 4] = [&Coverage, &FusionCost, &failure, &monetary];
+        let heuristics: [(&str, &dyn AbstractionHeuristic); 2] =
+            [("by-tuples", &ByExpectedTuples), ("by-extent", &ByExtentMidpoint)];
+        for measure in measures {
+            for (by, heuristic) in heuristics {
+                let label = format!(
+                    "n {n}, m {m}, overlap {overlap}, seed {seed}, {} {by}",
+                    measure.name()
+                );
+                let mut fast = Streamer::new(&inst, measure, heuristic).unwrap();
+                let mut slow = ReferenceStreamer::new(&inst, measure, heuristic).unwrap();
+                for step in 0..=inst.plan_count() {
+                    let (a, b) = (fast.next_plan(), slow.next_plan());
+                    prop_assert_eq!(
+                        a.as_ref().map(|o| (&o.plan, o.utility.to_bits())),
+                        b.as_ref().map(|o| (&o.plan, o.utility.to_bits())),
+                        "{}: emissions diverge at step {}", label, step
+                    );
+                    prop_assert_eq!(
+                        fast.stats(),
+                        slow.stats(),
+                        "{}: work diverges at step {}", label, step
+                    );
+                }
+            }
+        }
+    }
 }

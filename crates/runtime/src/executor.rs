@@ -1188,7 +1188,8 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
                 fields.push(("latency", Value::F64(latency)));
                 journal.record_at(done, "plan_completed", fields);
             }
-            // The one feedback call for a plan that ran, on every driver.
+            // The one feedback call for a plan that ran, on every driver;
+            // an unjoined plan reports 0 tuples, its join still ahead.
             orderer.observe(&PlanOutcome::succeeded(&ordered.plan, total));
             PlanStatus::Executed {
                 tuples: total,
