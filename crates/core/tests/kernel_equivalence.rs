@@ -698,3 +698,67 @@ proptest! {
         }
     }
 }
+
+/// Instances per run of the wide twin below (≈ 20 s in release on a
+/// 2-core x86-64 VM).
+const WIDE_CASES: u32 = 200;
+
+/// Drains `Streamer` beside [`ReferenceStreamer`] on one generated
+/// instance, as `streamer_matches_its_reference_twin` does, panicking on
+/// the first emission or counter that differs.
+fn drain_beside_twin(n: usize, m: usize, overlap: f64, seed: u64) {
+    let inst = GeneratorConfig::new(n, m)
+        .with_overlap_rate(overlap)
+        .with_seed(seed)
+        .build();
+    let (failure, monetary) = (
+        FailureCost::without_caching(),
+        MonetaryCost::without_caching(),
+    );
+    let measures: [&dyn UtilityMeasure; 4] = [&Coverage, &FusionCost, &failure, &monetary];
+    let heuristics: [(&str, &dyn AbstractionHeuristic); 2] = [
+        ("by-tuples", &ByExpectedTuples),
+        ("by-extent", &ByExtentMidpoint),
+    ];
+    for measure in measures {
+        for (by, heuristic) in heuristics {
+            let label = format!(
+                "n {n}, m {m}, overlap {overlap}, seed {seed}, {} {by}",
+                measure.name()
+            );
+            let mut fast = Streamer::new(&inst, measure, heuristic).unwrap();
+            let mut slow = ReferenceStreamer::new(&inst, measure, heuristic).unwrap();
+            for step in 0..=inst.plan_count() {
+                let (a, b) = (fast.next_plan(), slow.next_plan());
+                assert_eq!(
+                    a.as_ref().map(|o| (&o.plan, o.utility.to_bits())),
+                    b.as_ref().map(|o| (&o.plan, o.utility.to_bits())),
+                    "{label}: emissions diverge at step {step}"
+                );
+                assert_eq!(
+                    fast.stats(),
+                    slow.stats(),
+                    "{label}: work diverges at step {step}"
+                );
+            }
+        }
+    }
+}
+
+/// The twin property over the whole n 1–4 × m 1–6 range, up to 1 296
+/// plans per instance: the large graphs are where step 2.b's fresh-pair
+/// rule skips the most. A debug drain of those takes minutes, so this one
+/// runs in release (`scripts/ci.sh` does).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release only: cargo test --release -p qpo-core --test kernel_equivalence wide"
+)]
+fn streamer_matches_its_reference_twin_wide() {
+    let mut rng = proptest::test_rng("streamer_matches_its_reference_twin_wide");
+    let draw = ((1usize..=4, 1usize..=6), 0.0f64..=0.9, any::<u64>());
+    for _ in 0..WIDE_CASES {
+        let ((n, m), overlap, seed) = draw.generate(&mut rng);
+        drain_beside_twin(n, m, overlap, seed);
+    }
+}

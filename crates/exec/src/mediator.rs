@@ -634,6 +634,34 @@ mod tests {
     }
 
     #[test]
+    fn unsafe_queries_are_rejected_before_any_plan_runs() {
+        // A head variable absent from the body cannot be evaluated; the
+        // query is refused at `prepare`, never cached, under every
+        // strategy the measure allows.
+        let m = mediator();
+        for text in [
+            "q(X) :- play_in(ford, M)",
+            "q(X, M) :- play_in(ford, M), review_of(R, M)",
+            "q(X) :- ",
+        ] {
+            let q = qpo_datalog::parse_query(text).unwrap();
+            let unsafe_x = |err: &MediatorError| match err {
+                MediatorError::Reformulation(ReformulationError::UnsafeQuery(v)) => &**v == "X",
+                _ => false,
+            };
+            assert!(m.prepare(&q).err().is_some_and(|e| unsafe_x(&e)), "{text}");
+            for strategy in [Strategy::IDrips, Strategy::Streamer, Strategy::Pi] {
+                let err = m.answer(&q, &Coverage, strategy, 3).err();
+                assert!(
+                    err.as_ref().is_some_and(unsafe_x),
+                    "{text}, {strategy}: {err:?}"
+                );
+            }
+        }
+        assert_eq!(m.cache_stats().hits, 0, "no unsafe query was cached");
+    }
+
+    #[test]
     fn answer_until_stops_on_enough_answers() {
         let m = mediator();
         let run = m

@@ -12,6 +12,7 @@ use qpo_catalog::schema::SchemaError;
 use qpo_catalog::{Catalog, ProblemInstance};
 use qpo_datalog::ConjunctiveQuery;
 use std::fmt;
+use std::sync::Arc;
 
 /// A reformulated query: its buckets plus everything needed to materialize
 /// and execute plans.
@@ -28,6 +29,9 @@ pub struct Reformulation {
 pub enum ReformulationError {
     /// The query does not conform to the catalog's schema.
     Schema(SchemaError),
+    /// The query is unsafe: this head variable does not occur in its body,
+    /// so no plan could bind it.
+    UnsafeQuery(Arc<str>),
     /// Some subgoal has no usable source: no plan can cover the query.
     EmptyBucket(usize),
     /// A bucket entry references a source the catalog does not know (can
@@ -39,6 +43,9 @@ impl fmt::Display for ReformulationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReformulationError::Schema(e) => write!(f, "schema error: {e}"),
+            ReformulationError::UnsafeQuery(v) => {
+                write!(f, "unsafe query: head variable `{v}` is not in the body")
+            }
             ReformulationError::EmptyBucket(b) => {
                 write!(f, "no source can answer subgoal {b}")
             }
@@ -50,10 +57,19 @@ impl fmt::Display for ReformulationError {
 impl std::error::Error for ReformulationError {}
 
 /// Reformulates `query` against `catalog` using the bucket algorithm.
+/// An unsafe query is refused before anything else.
 pub fn reformulate(
     catalog: &Catalog,
     query: &ConjunctiveQuery,
 ) -> Result<Reformulation, ReformulationError> {
+    let body = query.body_variables();
+    if let Some(v) = query
+        .head_variables()
+        .into_iter()
+        .find(|v| !body.contains(v))
+    {
+        return Err(ReformulationError::UnsafeQuery(v));
+    }
     catalog
         .validate_query(query)
         .map_err(ReformulationError::Schema)?;
