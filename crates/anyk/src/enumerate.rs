@@ -9,7 +9,10 @@
 //! variables shared with the prefix and sorts each group best-first; a
 //! priority queue then runs A\*/Lawler successor expansion over partial
 //! joins. Rows are positional, as in the join: a frontier entry's prefix
-//! is each chosen fact's fresh values, level after level. An entry's
+//! is each chosen fact's fresh values, level after level. Entries are
+//! `Copy` records: a prefix row lives in the join's row arena and its
+//! fact-index path in its path arena, written once per descent and shared
+//! by every sibling, so a pop allocates nothing. An entry's
 //! priority is its prefix score plus an admissible bound on the best
 //! completion (the sum of the remaining levels' best fact scores), so a
 //! full assignment pops only once nothing pending can beat it — the first
@@ -27,9 +30,11 @@ use qpo_core::utility_cmp;
 use qpo_datalog::eval::{admits, compile, project, Slot};
 use qpo_datalog::{Atom, ConjunctiveQuery, Constant, Database, RowHasher, Tuple};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex};
+
+use crate::heap;
 
 /// One body atom's admitted facts, scored, grouped by join key and sorted
 /// best-first within each group. A fact is an id: its fresh values sit in
@@ -212,8 +217,8 @@ impl LevelCache {
 }
 
 /// A frontier entry: the choice of fact `idx` (within `group`) at
-/// `level`, extending the prefix row `prefix` whose score is
-/// `prefix_score`.
+/// `level`, extending a prefix whose score is `prefix_score`.
+#[derive(Clone, Copy)]
 struct Entry {
     /// `prefix_score + fact score + rest_bound[level]` — an upper bound on
     /// the best full answer under this entry, exact at the last level.
@@ -223,16 +228,20 @@ struct Entry {
     idx: usize,
     /// Prefix score *before* this entry's fact.
     prefix_score: f64,
-    /// The fresh values of the facts chosen at levels `0..level`, level by
-    /// level (shared with siblings).
-    prefix: Arc<Vec<Constant>>,
-    /// Fact indices chosen at levels `0..=level` (this entry's `idx`
-    /// last) — the deterministic tie-break.
-    path: Vec<usize>,
+    /// Row arena offset of the fresh values chosen at levels `0..level`.
+    row: usize,
+    /// Path arena offset of the fact indices chosen at levels `0..level`;
+    /// with `idx` appended, the entry's path: the deterministic tie-break.
+    path: usize,
 }
 
-heap_order!(Entry, |a, b| utility_cmp(a.priority, b.priority)
-    .then_with(|| b.path.cmp(&a.path)));
+/// Whether `a` pops before `b`: the higher priority, then the smaller
+/// path.
+fn first(paths: &[usize], a: &Entry, b: &Entry) -> bool {
+    let path = |e: &Entry| (paths[e.path..e.path + e.level].iter().copied()).chain([e.idx]);
+    let order = utility_cmp(a.priority, b.priority).then_with(|| path(b).cmp(path(a)));
+    order == Ordering::Greater
+}
 
 /// Lazy best-first enumeration of one conjunctive query's answers.
 ///
@@ -246,8 +255,15 @@ pub struct RankedJoin {
     levels: Vec<Arc<Level>>,
     /// `rest_bound[i]` = sum of `levels[i+1..]` best scores.
     rest_bound: Vec<f64>,
-    heap: BinaryHeap<Entry>,
-    emitted: BTreeSet<Tuple>,
+    /// The frontier, a heap under [`first`].
+    heap: Vec<Entry>,
+    /// Row arena: every descent appends its prefix row.
+    rows: Vec<Constant>,
+    /// Path arena: every descent appends its prefix path.
+    paths: Vec<usize>,
+    /// A descent's join key, or a full row's projected head.
+    scratch: Vec<Constant>,
+    emitted: HashSet<Tuple, BuildHasherDefault<RowHasher>>,
     /// Empty-body queries emit their (all-constant) head once.
     trivial: Option<Tuple>,
 }
@@ -286,10 +302,7 @@ impl RankedJoin {
             let shared: Vec<&str> = key.iter().map(|&c| columns[c]).collect();
             let mut name = level_key(ai);
             name.push('|');
-            for v in &shared {
-                name.push_str(v);
-                name.push(',');
-            }
+            name.extend(shared.iter().flat_map(|v| [*v, ","]));
             let score = |fact: &Tuple| atom_score(ai, fact);
             levels.push(cache.get_or_build(name, || build_level(db, atom, &shared, score)));
             keys.push(key);
@@ -309,8 +322,11 @@ impl RankedJoin {
             keys,
             levels,
             rest_bound,
-            heap: BinaryHeap::new(),
-            emitted: BTreeSet::new(),
+            heap: Vec::new(),
+            rows: Vec::new(),
+            paths: Vec::new(),
+            scratch: Vec::new(),
+            emitted: HashSet::default(),
             trivial,
         };
         join.seed();
@@ -332,8 +348,8 @@ impl RankedJoin {
                 group: gid,
                 idx: 0,
                 prefix_score: 0.0,
-                prefix: Arc::new(Vec::new()),
-                path: vec![0],
+                row: 0,
+                path: 0,
             });
         }
     }
@@ -358,61 +374,66 @@ impl Iterator for RankedJoin {
         if let Some(tuple) = self.trivial.take() {
             return Some((0.0, tuple));
         }
-        while let Some(entry) = self.heap.pop() {
+        while let Some(&entry) = self.heap.first() {
             let level = &self.levels[entry.level];
             let group = &level.groups[entry.group];
             let fact = group[entry.idx];
             // Lawler successor: the same prefix with this level's next-best
-            // fact stays on the frontier.
-            if let Some(&sibling) = group.get(entry.idx + 1) {
-                let mut path = entry.path.clone();
-                path[entry.level] = entry.idx + 1;
-                self.heap.push(Entry {
+            // fact takes the entry's place on the frontier.
+            let sibling = group.get(entry.idx + 1);
+            if let Some(&sibling) = sibling {
+                self.heap[0] = Entry {
                     priority: entry.prefix_score
                         + level.scores[sibling]
                         + self.rest_bound[entry.level]
                         + 0.0,
-                    level: entry.level,
-                    group: entry.group,
                     idx: entry.idx + 1,
-                    prefix_score: entry.prefix_score,
-                    prefix: Arc::clone(&entry.prefix),
-                    path,
-                });
+                    ..entry
+                };
             }
+            let order = |a: &Entry, b: &Entry| first(&self.paths, a, b);
+            heap::settle(&mut self.heap, sibling.is_some(), order);
             let score = entry.prefix_score + level.scores[fact] + 0.0;
-            let row = [&entry.prefix[..], level.fresh(fact)].concat();
+            // The full row, at the row arena's end: kept only as the prefix
+            // of a descent.
+            let start = self.rows.len();
+            let width: usize = self.levels[..entry.level].iter().map(|l| l.width).sum();
+            self.rows.extend_from_within(entry.row..entry.row + width);
+            self.rows.extend_from_slice(level.fresh(fact));
+            let row = &self.rows[start..];
+            self.scratch.clear();
             if entry.level + 1 == self.levels.len() {
-                let mut tuple = Vec::with_capacity(self.head.len());
-                project(&self.head, &row, &mut tuple);
-                if self.emitted.insert(tuple.clone()) {
-                    return Some((score, tuple));
+                project(&self.head, row, &mut self.scratch);
+                self.rows.truncate(start);
+                if self.emitted.contains(&self.scratch[..]) {
+                    continue;
                 }
-                continue;
+                self.emitted.insert(self.scratch.clone());
+                return Some((score, self.scratch.clone()));
             }
             // Descend: best fact of the next level's matching group.
             let next_level = &self.levels[entry.level + 1];
-            let key: Tuple = self.keys[entry.level + 1]
-                .iter()
-                .map(|&c| row[c].clone())
-                .collect();
-            if let Some(&gid) = next_level.index.get(&key[..]) {
-                let child = next_level.groups[gid][0];
-                let mut path = entry.path.clone();
-                path.push(0);
-                self.heap.push(Entry {
-                    priority: score
-                        + next_level.scores[child]
-                        + self.rest_bound[entry.level + 1]
-                        + 0.0,
-                    level: entry.level + 1,
-                    group: gid,
-                    idx: 0,
-                    prefix_score: score,
-                    prefix: Arc::new(row),
-                    path,
-                });
-            }
+            let key = self.keys[entry.level + 1].iter().map(|&c| row[c].clone());
+            self.scratch.extend(key);
+            let Some(&gid) = next_level.index.get(&self.scratch[..]) else {
+                self.rows.truncate(start);
+                continue;
+            };
+            let child = next_level.groups[gid][0];
+            let path = self.paths.len();
+            self.paths
+                .extend_from_within(entry.path..entry.path + entry.level);
+            self.paths.push(entry.idx);
+            let child = Entry {
+                priority: score + next_level.scores[child] + self.rest_bound[entry.level + 1] + 0.0,
+                level: entry.level + 1,
+                group: gid,
+                idx: 0,
+                prefix_score: score,
+                row: start,
+                path,
+            };
+            heap::push(&mut self.heap, child, |a, b| first(&self.paths, a, b));
         }
         None
     }
@@ -422,6 +443,7 @@ impl Iterator for RankedJoin {
 mod tests {
     use super::*;
     use qpo_datalog::parse_query;
+    use std::collections::BTreeSet;
 
     fn movie_db() -> Database {
         let mut db = Database::new();

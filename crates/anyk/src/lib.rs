@@ -47,6 +47,42 @@ macro_rules! heap_order {
     };
 }
 
+/// A binary max-heap in a `Vec` under the caller's order, `first(a, b)`
+/// = `a` pops before `b`. Entries are `Copy` handles (arena offsets, slot
+/// indices) the order reads through state an `Ord` on them cannot see.
+/// Under a total order the pops are those of any binary heap.
+mod heap {
+    pub(crate) fn push<T>(heap: &mut Vec<T>, item: T, first: impl Fn(&T, &T) -> bool) {
+        heap.push(item);
+        let mut at = heap.len() - 1;
+        while at > 0 && first(&heap[at], &heap[(at - 1) / 2]) {
+            heap.swap(at, (at - 1) / 2);
+            at = (at - 1) / 2;
+        }
+    }
+
+    /// Restores the order once the top changed in place (`kept`) or left.
+    pub(crate) fn settle<T>(heap: &mut Vec<T>, kept: bool, first: impl Fn(&T, &T) -> bool) {
+        if !kept && !heap.is_empty() {
+            heap.swap_remove(0);
+        }
+        let mut at = 0;
+        loop {
+            let mut best = at;
+            for child in [2 * at + 1, 2 * at + 2] {
+                if child < heap.len() && first(&heap[child], &heap[best]) {
+                    best = child;
+                }
+            }
+            if best == at {
+                return;
+            }
+            heap.swap(at, best);
+            at = best;
+        }
+    }
+}
+
 mod enumerate;
 mod gate;
 mod merge;

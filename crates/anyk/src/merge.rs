@@ -15,19 +15,25 @@
 //! of everything they stand for, the delivered sequence is globally
 //! non-increasing — including across later attaches and the final drain.
 //!
+//! The slots live in a `Vec`, and the heap holds slot indices: it
+//! compares the slots' buffered heads in place, so a pull clones no key.
+//! An evicted slot drops its stream at once and its head when the heap
+//! pops it.
+//!
 //! Determinism: heap ties break on the score under the normalized
 //! [`qpo_core::utility_cmp`] total order, then the smaller plan encoding,
-//! then the smaller tuple — never on attach order or wall-clock — so the
-//! emitted sequence is bit-stable across worker counts.
+//! then the smaller tuple, then the smaller `plan_seq` — never on attach
+//! order or wall-clock — so the emitted sequence is bit-stable across
+//! worker counts.
 
 use qpo_core::utility_cmp;
-use qpo_datalog::{Constant, Tuple};
+use qpo_datalog::{Constant, RowHasher, Tuple};
 use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
+use std::hash::BuildHasherDefault;
 
-use crate::RankedJoin;
+use crate::{heap, RankedJoin};
 
 /// A pull-based stream of `(score, tuple)` pairs in non-increasing score
 /// order — the unit the cross-plan merge operates on.
@@ -81,8 +87,11 @@ pub struct RankedTuple {
 }
 
 /// Deterministic string encoding of a ground tuple, used for journal
-/// events and tie-breaking documentation: `(v1,v2,...)` with strings
-/// quoted exactly as `Constant`'s `Display` renders them.
+/// events and tie-breaking documentation: `(v1,v2,...)`, an integer as
+/// its digits and a string double-quoted with `Debug`'s escapes (`"` as
+/// `\"`, `\` as `\\`, control characters escaped), so a string holding
+/// a quote, comma or parenthesis cannot be read as a different tuple.
+/// `Constant`'s `Display` quotes the raw characters instead.
 pub fn encode_tuple(tuple: &Tuple) -> String {
     let mut out = String::from("(");
     for (i, c) in tuple.iter().enumerate() {
@@ -103,34 +112,41 @@ pub fn encode_tuple(tuple: &Tuple) -> String {
 }
 
 struct Slot {
+    plan_seq: u64,
     plan: Vec<usize>,
-    stream: Box<dyn TupleStream>,
-    /// Buffered head (the stream's next undelivered tuple).
+    /// `None` once evicted: the tuples still inside are dropped.
+    stream: Option<Box<dyn TupleStream>>,
+    /// Buffered head (the stream's next undelivered tuple); a slot is in
+    /// the heap exactly while it has one.
     head: Option<(f64, Tuple)>,
 }
 
-/// Heap key for one stream's current head. `Ord` is "greater = delivered
-/// first": best score, then smaller plan, then smaller tuple.
-struct HeadKey {
-    score: f64,
-    plan: Vec<usize>,
-    tuple: Tuple,
-    plan_seq: u64,
+/// Whether slot `a`'s head is delivered before slot `b`'s: the better
+/// score, then the smaller plan, then the smaller tuple, then the smaller
+/// `plan_seq`.
+fn first(slots: &[Slot], a: usize, b: usize) -> bool {
+    let (a, b) = (&slots[a], &slots[b]);
+    let order = match (&a.head, &b.head) {
+        (Some((sa, ta)), Some((sb, tb))) => utility_cmp(*sa, *sb)
+            .then_with(|| b.plan.cmp(&a.plan))
+            .then_with(|| tb.cmp(ta))
+            .then_with(|| b.plan_seq.cmp(&a.plan_seq)),
+        (ha, hb) => ha.is_some().cmp(&hb.is_some()),
+    };
+    order == Ordering::Greater
 }
-
-heap_order!(HeadKey, |a, b| utility_cmp(a.score, b.score)
-    .then_with(|| b.plan.cmp(&a.plan))
-    .then_with(|| b.tuple.cmp(&a.tuple))
-    .then_with(|| b.plan_seq.cmp(&a.plan_seq)));
 
 /// The k-way merge of per-plan ranked streams.
 #[derive(Default)]
 pub struct AnyKMerge {
-    slots: BTreeMap<u64, Slot>,
-    heap: BinaryHeap<HeadKey>,
+    slots: Vec<Slot>,
+    /// `plan_seq` → index into `slots`, while attached.
+    attached: BTreeMap<u64, usize>,
+    /// Indices of the slots with a head, a heap under [`first`].
+    heap: Vec<usize>,
     /// Global projection dedup: a tuple is delivered once, by the
     /// best-ranked stream that reaches it first.
-    delivered: BTreeSet<Tuple>,
+    delivered: HashSet<Tuple, BuildHasherDefault<RowHasher>>,
     delivered_count: u64,
 }
 
@@ -144,25 +160,29 @@ impl AnyKMerge {
     /// fresh). The stream is live immediately: its head competes in the
     /// heap from the next [`AnyKMerge::next_within`] call on.
     pub fn attach(&mut self, plan_seq: u64, plan: Vec<usize>, mut stream: Box<dyn TupleStream>) {
-        debug_assert!(!self.slots.contains_key(&plan_seq), "plan_seq reused");
+        let at = self.slots.len();
+        let fresh = self.attached.insert(plan_seq, at).is_none();
+        debug_assert!(fresh, "plan_seq reused");
         let head = stream.next().map(|(s, t)| (s + 0.0, t));
-        if let Some((score, tuple)) = &head {
-            self.heap.push(HeadKey {
-                score: *score,
-                plan: plan.clone(),
-                tuple: tuple.clone(),
-                plan_seq,
-            });
+        let live = head.is_some();
+        self.slots.push(Slot {
+            plan_seq,
+            plan,
+            stream: Some(stream),
+            head,
+        });
+        if live {
+            heap::push(&mut self.heap, at, |&a, &b| first(&self.slots, a, b));
         }
-        self.slots.insert(plan_seq, Slot { plan, stream, head });
     }
 
     /// Evicts the stream attached under `plan_seq`: its pending tuples
     /// (head and everything still inside the stream) are dropped. No-op
     /// for unknown sequence numbers.
     pub fn evict(&mut self, plan_seq: u64) {
-        // Stale heap keys for the removed slot are skipped lazily on pop.
-        self.slots.remove(&plan_seq);
+        if let Some(at) = self.attached.remove(&plan_seq) {
+            self.slots[at].stream = None;
+        }
     }
 
     /// Tuples delivered so far across all streams.
@@ -176,58 +196,41 @@ impl AnyKMerge {
     /// stream back.
     pub fn next_within(&mut self, bound: Option<f64>) -> Option<RankedTuple> {
         loop {
-            let (top, slot) = skim(&mut self.heap, &mut self.slots)?;
-            if bound.is_some_and(|b| utility_cmp(top.score, b) != Ordering::Greater) {
+            let &top = self.heap.first()?;
+            let slot = &mut self.slots[top];
+            let (Some(stream), Some((score, _))) = (&mut slot.stream, &slot.head) else {
+                slot.head = None; // evicted: its head leaves with its heap entry
+                heap::settle(&mut self.heap, false, |&a, &b| first(&self.slots, a, b));
+                continue;
+            };
+            let score = *score;
+            if bound.is_some_and(|b| utility_cmp(score, b) != Ordering::Greater) {
                 return None;
             }
-            let top = PeekMut::pop(top);
-            // Advance the stream and re-key its new head.
-            slot.head = slot.stream.next().map(|(s, t)| (s + 0.0, t));
-            if let Some((score, tuple)) = &slot.head {
-                debug_assert!(
-                    utility_cmp(*score, top.score) != Ordering::Greater,
-                    "per-plan stream must be non-increasing"
-                );
-                self.heap.push(HeadKey {
-                    score: *score,
-                    plan: slot.plan.clone(),
-                    tuple: tuple.clone(),
-                    plan_seq: top.plan_seq,
-                });
-            }
-            if !self.delivered.insert(top.tuple.clone()) {
+            // Advance the stream; its new head sifts down from the top.
+            let next = stream.next().map(|(s, t)| (s + 0.0, t));
+            debug_assert!(
+                (next.as_ref()).is_none_or(|(s, _)| utility_cmp(*s, score) != Ordering::Greater),
+                "per-plan stream must be non-increasing"
+            );
+            let head = std::mem::replace(&mut slot.head, next);
+            let (live, plan_seq) = (slot.head.is_some(), slot.plan_seq);
+            heap::settle(&mut self.heap, live, |&a, &b| first(&self.slots, a, b));
+            let (_, tuple) = head?;
+            if self.delivered.contains(&tuple) {
                 continue; // another plan already delivered this answer
             }
+            self.delivered.insert(tuple.clone());
             self.delivered_count += 1;
+            let plan = self.slots[top].plan.clone();
             return Some(RankedTuple {
-                score: top.score,
-                plan_seq: top.plan_seq,
-                plan: slot.plan.clone(),
-                tuple: top.tuple,
+                score,
+                plan_seq,
+                plan,
+                tuple,
             });
         }
     }
-}
-
-/// Drops heap keys whose slot was evicted or whose head moved on; the live
-/// top, if any, with its slot.
-fn skim<'h, 's>(
-    heap: &'h mut BinaryHeap<HeadKey>,
-    slots: &'s mut BTreeMap<u64, Slot>,
-) -> Option<(PeekMut<'h, HeadKey>, &'s mut Slot)> {
-    while let Some(top) = heap.peek() {
-        let live = slots.get(&top.plan_seq).is_some_and(|slot| {
-            slot.head
-                .as_ref()
-                .is_some_and(|(s, t)| s.to_bits() == top.score.to_bits() && *t == top.tuple)
-        });
-        if live {
-            break;
-        }
-        heap.pop();
-    }
-    let top = heap.peek_mut()?;
-    slots.get_mut(&top.plan_seq).map(|slot| (top, slot))
 }
 
 #[cfg(test)]
@@ -318,5 +321,16 @@ mod tests {
             "(3,\"x\")"
         );
         assert_eq!(encode_tuple(&Vec::new()), "()");
+    }
+
+    #[test]
+    fn encode_tuple_escapes_quotes_and_backslashes() {
+        let tuple = vec![Constant::str(r#"a"b\c"#), Constant::int(-1)];
+        assert_eq!(encode_tuple(&tuple), r#"("a\"b\\c",-1)"#);
+        assert_eq!(
+            tuple[0].to_string(),
+            r#""a"b\c""#,
+            "Display does not escape"
+        );
     }
 }

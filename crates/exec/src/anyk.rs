@@ -36,17 +36,43 @@ pub fn ranked_join_for_plan(
     plan: &[usize],
 ) -> RankedJoin {
     let plan_query = reform.plan_query(plan);
-    ranked_join(db, &plan_query, inst, scorer, plan, &LevelCache::new())
+    // The cache is this call's own: a level's position names it.
+    let key = |ai: usize| ai.to_string();
+    ranked_join(db, &plan_query, inst, scorer, plan, &LevelCache::new(), key)
+}
+
+/// The level keys of one stream's plans: `(bucket, entry)` plus the
+/// rendered atom, rendered once per `(bucket, entry)` rather than once
+/// per plan. One table serves the plans of one reformulation, where a
+/// `(bucket, entry)` always names the same atom.
+#[derive(Debug, Default)]
+pub(crate) struct LevelKeys(BTreeMap<(usize, usize), String>);
+
+impl LevelKeys {
+    /// The key of each body atom of `plan`, whose query is `plan_query`.
+    pub(crate) fn of<'a>(
+        &'a mut self,
+        plan_query: &'a ConjunctiveQuery,
+        plan: &'a [usize],
+    ) -> impl FnMut(usize) -> String + 'a {
+        move |ai| {
+            let key = self.0.entry((ai, plan[ai]));
+            key.or_insert_with(|| format!("b{ai}e{}|{}", plan[ai], plan_query.body[ai]))
+                .clone()
+        }
+    }
 }
 
 /// [`ranked_join_for_plan`] over the already materialized `plan_query`,
 /// reading its levels through `levels`: plans that chose the same source
 /// for a bucket share that bucket's scored level ([`Arc`]), instead of
-/// re-scanning, re-scoring, and re-sorting it. The key carries `(bucket,
-/// entry)` plus the rendered atom (the cache appends the shared
-/// variables), so distinct choices never alias; the cache assumes one
-/// scorer per cache (see [`ExecutionMemo`](crate::ExecutionMemo)). The
-/// stream is bit-identical whether a level hits or is built.
+/// re-scanning, re-scoring, and re-sorting it. `level_key` names each
+/// level under the cache's key contract: for a cache its plans share,
+/// [`LevelKeys`], whose key carries `(bucket, entry)` plus the rendered
+/// atom (the cache appends the shared variables), so distinct choices
+/// never alias. The cache assumes one scorer per cache (see
+/// [`ExecutionMemo`](crate::ExecutionMemo)). The stream is bit-identical
+/// whether a level hits or is built.
 pub(crate) fn ranked_join(
     db: &Database,
     plan_query: &ConjunctiveQuery,
@@ -54,13 +80,12 @@ pub(crate) fn ranked_join(
     scorer: &dyn TupleScorer,
     plan: &[usize],
     levels: &LevelCache,
+    level_key: impl FnMut(usize) -> String,
 ) -> RankedJoin {
     let score = |atom: usize, fact: &Tuple| {
         scorer.atom_score(atom, inst.stat(SourceRef::new(atom, plan[atom])), fact)
     };
-    RankedJoin::new(db, plan_query, score, levels, |ai| {
-        format!("b{ai}e{}|{}", plan[ai], plan_query.body[ai])
-    })
+    RankedJoin::new(db, plan_query, score, levels, level_key)
 }
 
 /// The exact offline reference the anytime stream trails: drain every
@@ -77,13 +102,15 @@ pub fn offline_ranked_answers(
     scorer: &dyn TupleScorer,
 ) -> Vec<(f64, Tuple)> {
     let mut best: BTreeMap<Tuple, f64> = BTreeMap::new();
-    let levels = LevelCache::new();
+    let (levels, mut keys) = (LevelCache::new(), LevelKeys::default());
     for plan in inst.all_plans() {
         let plan_query = reform.plan_query(&plan);
         if !is_sound_plan(&plan_query, view_map, &reform.query).unwrap_or(false) {
             continue;
         }
-        for (score, tuple) in ranked_join(db, &plan_query, inst, scorer, &plan, &levels).drain() {
+        let key = keys.of(&plan_query, &plan);
+        let mut join = ranked_join(db, &plan_query, inst, scorer, &plan, &levels, key);
+        for (score, tuple) in join.drain() {
             let best_score = best.entry(tuple).or_insert(score);
             if utility_cmp(score, *best_score) == Ordering::Greater {
                 *best_score = score;

@@ -41,7 +41,7 @@
 //! data version; the sharing part keeps the subplan memo on the source
 //! memo's.
 
-use crate::anyk::ranked_join;
+use crate::anyk::{ranked_join, LevelKeys};
 use crate::mediator::Mediator;
 use crate::sharing::{ExecutionMemo, SubplanMemo};
 use qpo_anyk::{encode_tuple, AnyKMerge, LevelCache, RankedTuple, ReleaseGate, TupleScorer};
@@ -282,6 +282,8 @@ struct Stream<'a> {
     /// The scored levels of a stream without a shared memo, so a `(bucket,
     /// source)` is scanned, scored and sorted once, not once per plan.
     levels: LevelCache,
+    /// The key each `(bucket, source)` level is cached under.
+    keys: LevelKeys,
 }
 
 /// What surrounds the per-plan step on the coordinating thread; see the
@@ -355,6 +357,7 @@ impl<'a> Hooks<'a> {
             merge: AnyKMerge::new(),
             gate,
             levels: LevelCache::new(),
+            keys: LevelKeys::default(),
         });
         schedule
     }
@@ -452,7 +455,8 @@ impl WaveObserver<Ticket> for Hooks<'_> {
             let levels = shared.unwrap_or(&stream.levels);
             let scorer = stream.scorer.as_ref();
             let inst = &self.prepared.instance;
-            let ranked = ranked_join(self.db, plan_query, inst, scorer, plan, levels);
+            let key = stream.keys.of(plan_query, plan);
+            let ranked = ranked_join(self.db, plan_query, inst, scorer, plan, levels, key);
             self.memo_hits += shared.map_or(0, |l| l.hits()) - before;
             stream.gate.leave(plan);
             for (bucket, bound) in ranked.level_bounds().enumerate() {

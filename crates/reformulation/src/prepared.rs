@@ -227,12 +227,7 @@ impl ReformulationCache {
 
     /// Current counter values and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let len = self
-            .inner
-            .lock()
-            .expect("cache lock never poisoned")
-            .map
-            .len();
+        let len = self.lock().map.len();
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
@@ -244,11 +239,7 @@ impl ReformulationCache {
 
     /// Drops every entry (counters are preserved).
     pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("cache lock never poisoned")
-            .map
-            .clear();
+        self.lock().map.clear();
     }
 
     /// Looks up the canonical key of `query`, preparing and inserting on a
@@ -261,7 +252,7 @@ impl ReformulationCache {
     ) -> Result<Arc<PreparedQuery>, ReformulationError> {
         let key = CanonicalQuery::of(query);
         {
-            let mut inner = self.inner.lock().expect("cache lock never poisoned");
+            let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
             if let Some(slot) = inner.map.get_mut(&key) {
@@ -274,7 +265,7 @@ impl ReformulationCache {
         self.misses.inc();
         self.generations.inc();
         let prepared = Arc::new(prepare(catalog, query, self.universe, self.overhead)?);
-        let mut inner = self.inner.lock().expect("cache lock never poisoned");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(slot) = inner.map.get_mut(&key) {
@@ -293,16 +284,21 @@ impl ReformulationCache {
         while inner.map.len() > self.capacity {
             // Evict the least-recently-used key (ties broken by key order,
             // deterministically, courtesy of the BTreeMap walk).
-            let lru = inner
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map has an LRU entry");
+            let lru = inner.map.iter().min_by_key(|(_, slot)| slot.last_used);
+            let Some(lru) = lru.map(|(k, _)| k.clone()) else {
+                break;
+            };
             inner.map.remove(&lru);
             self.evictions.inc();
         }
         Ok(prepared)
+    }
+
+    /// The cache's map. Every update under the lock inserts or removes a
+    /// whole entry, so a guard poisoned by a panicking holder still holds
+    /// a consistent map, and the cache goes on serving from it.
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -394,6 +390,29 @@ mod tests {
         assert_eq!(p.reformulation.buckets, r.buckets);
         assert_eq!(p.instance.buckets, inst.buckets);
         assert_eq!(p.plan_count(), 9);
+    }
+
+    #[test]
+    fn a_poisoned_lock_keeps_serving() {
+        let catalog = movie_domain();
+        let c = cache(1);
+        c.get_or_prepare(&catalog, &movie_query()).unwrap();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = c.inner.lock();
+                panic!("poison the cache lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && c.inner.is_poisoned());
+        let a = c.get_or_prepare(&catalog, &movie_query()).unwrap();
+        assert_eq!(c.stats().hits, 1, "the entry survived the poisoning");
+        let other = parse_query("q(M, R) :- play_in(hanks, M), review_of(R, M)").unwrap();
+        let b = c.get_or_prepare(&catalog, &other).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!((c.stats().evictions, c.stats().len), (1, 1));
+        c.clear();
+        assert_eq!(c.stats().len, 0);
     }
 
     #[test]
