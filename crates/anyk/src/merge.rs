@@ -18,7 +18,7 @@
 //! The slots live in a `Vec`, and the heap holds slot indices: it
 //! compares the slots' buffered heads in place, so a pull clones no key.
 //! An evicted slot drops its stream at once and its head when the heap
-//! pops it.
+//! pops it; a stream that runs dry is dropped as its last tuple leaves.
 //!
 //! Determinism: heap ties break on the score under the normalized
 //! [`qpo_core::utility_cmp`] total order, then the smaller plan encoding,
@@ -114,7 +114,7 @@ pub fn encode_tuple(tuple: &Tuple) -> String {
 struct Slot {
     plan_seq: u64,
     plan: Vec<usize>,
-    /// `None` once evicted: the tuples still inside are dropped.
+    /// `None` once evicted (the tuples still inside are dropped) or dry.
     stream: Option<Box<dyn TupleStream>>,
     /// Buffered head (the stream's next undelivered tuple); a slot is in
     /// the heap exactly while it has one.
@@ -168,7 +168,7 @@ impl AnyKMerge {
         self.slots.push(Slot {
             plan_seq,
             plan,
-            stream: Some(stream),
+            stream: live.then_some(stream),
             head,
         });
         if live {
@@ -215,6 +215,9 @@ impl AnyKMerge {
             );
             let head = std::mem::replace(&mut slot.head, next);
             let (live, plan_seq) = (slot.head.is_some(), slot.plan_seq);
+            if !live {
+                slot.stream = None; // dry: nothing more to deliver
+            }
             heap::settle(&mut self.heap, live, |&a, &b| first(&self.slots, a, b));
             let (_, tuple) = head?;
             if self.delivered.contains(&tuple) {
@@ -236,6 +239,8 @@ impl AnyKMerge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn t(v: i64) -> Tuple {
         vec![Constant::int(v)]
@@ -312,6 +317,54 @@ mod tests {
         assert_eq!((all[0].plan_seq, all[0].score), (0, 5.0));
         assert_eq!(all[1].tuple, t(9));
         assert_eq!(m.delivered(), 2);
+    }
+
+    /// A stream that marks its drop.
+    struct Marked(VecStream, Rc<Cell<bool>>);
+
+    impl TupleStream for Marked {
+        fn next(&mut self) -> Option<(f64, Tuple)> {
+            self.0.next()
+        }
+    }
+
+    impl Drop for Marked {
+        fn drop(&mut self) {
+            self.1.set(true);
+        }
+    }
+
+    #[test]
+    fn a_dry_stream_is_dropped_as_its_last_tuple_leaves() {
+        let marked = |items: &[(f64, i64)]| {
+            let dropped = Rc::new(Cell::new(false));
+            let ranked = VecStream::ranked(items.iter().map(|&(s, v)| (s, t(v))).collect());
+            let stream: Box<dyn TupleStream> = Box::new(Marked(ranked, Rc::clone(&dropped)));
+            (stream, dropped)
+        };
+        let (a, a_dropped) = marked(&[(5.0, 1), (3.0, 2)]);
+        let (b, b_dropped) = marked(&[(4.0, 3)]);
+        let (empty, empty_dropped) = marked(&[]);
+        let mut m = AnyKMerge::new();
+        m.attach(0, vec![0], a);
+        m.attach(1, vec![1], b);
+        m.attach(2, vec![2], empty);
+        assert!(
+            empty_dropped.get(),
+            "empty from the start: dropped at attach"
+        );
+        assert_eq!(m.next_within(None).map(|r| r.tuple), Some(t(1)));
+        assert!(!a_dropped.get() && !b_dropped.get());
+        assert_eq!(m.next_within(None).map(|r| r.tuple), Some(t(3)));
+        assert!(b_dropped.get(), "b delivered its last tuple");
+        assert!(!a_dropped.get(), "a still holds 3.0");
+        // Evicting a dry slot is a no-op.
+        m.evict(1);
+        m.evict(2);
+        assert_eq!(m.next_within(None).map(|r| r.tuple), Some(t(2)));
+        assert!(a_dropped.get());
+        assert!(m.next_within(None).is_none());
+        assert_eq!(m.delivered(), 3);
     }
 
     #[test]

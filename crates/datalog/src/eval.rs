@@ -53,6 +53,39 @@ impl Hasher for RowHasher {
     }
 }
 
+/// Sorts `tuples` as `sort_unstable()` does. Rows of one width, all `Int`,
+/// whose column spans `max − min` fit in 64 bits together sort by one `u64`:
+/// the columns left to right, each `v − min` in its span's bit length, a key
+/// that is order-preserving and injective, so it needs no tie-break.
+pub fn sort_tuples(tuples: &mut [Tuple]) {
+    let Some(columns) = packing(tuples) else {
+        return tuples.sort_unstable();
+    };
+    let pack = |key: u64, (c, &(lo, bits)): (&Constant, &(i64, u32))| match *c {
+        Constant::Int(v) => key.checked_shl(bits).unwrap_or(0) | v.wrapping_sub(lo) as u64,
+        Constant::Str(_) => key, // `packing` refused strings
+    };
+    tuples.sort_by_cached_key(|row| row.iter().zip(&columns).fold(0, pack));
+}
+
+/// Each column's `(min, bit length of max − min)`, if the rows pack.
+fn packing(tuples: &[Tuple]) -> Option<Vec<(i64, u32)>> {
+    let width = tuples.first()?.len();
+    let mut spans = vec![(i64::MAX, i64::MIN); width];
+    for row in tuples {
+        if row.len() != width {
+            return None;
+        }
+        for (c, (lo, hi)) in row.iter().zip(&mut spans) {
+            let Constant::Int(v) = *c else { return None };
+            (*lo, *hi) = ((*lo).min(v), (*hi).max(v));
+        }
+    }
+    let bits = |(lo, hi): (i64, i64)| u64::BITS - (hi.wrapping_sub(lo) as u64).leading_zeros();
+    let columns: Vec<_> = spans.into_iter().map(|s| (s.0, bits(s))).collect();
+    (columns.iter().map(|c| c.1).sum::<u32>() <= u64::BITS).then_some(columns)
+}
+
 /// The intermediate rows of the hash-join pipeline after a body-atom
 /// prefix, as one flat row-major table: column `i` holds the `i`-th
 /// variable of the prefix in first-occurrence order, so a row needs no
@@ -403,7 +436,7 @@ impl Database {
     ) -> (Vec<Tuple>, Vec<JoinPrefix>) {
         let (rows, captured) = self.evaluate_rows(query, seed);
         let mut answers: Vec<Tuple> = rows.iter().map(<[Constant]>::to_vec).collect();
-        answers.sort_unstable();
+        sort_tuples(&mut answers);
         answers.dedup();
         (answers, captured)
     }

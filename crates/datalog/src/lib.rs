@@ -38,7 +38,7 @@ pub mod view;
 pub use atom::Atom;
 pub use canonical::{canonicalize, is_variable_renaming, CanonicalQuery};
 pub use containment::{contains, equivalent, find_containment_mapping};
-pub use eval::{evaluate_slots, Database, JoinPrefix, PrefixRows, RowHasher, Tuple};
+pub use eval::{evaluate_slots, sort_tuples, Database, JoinPrefix, PrefixRows, RowHasher, Tuple};
 pub use expansion::{expand_plan, ExpansionError};
 pub use parse::{parse_atom, parse_query, ParseError};
 pub use query::ConjunctiveQuery;

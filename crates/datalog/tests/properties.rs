@@ -4,10 +4,11 @@ mod support;
 
 use proptest::prelude::*;
 use qpo_datalog::{
-    contains, equivalent, evaluate_slots, expand_plan, expansion::view_map, parse_query, Atom,
-    ConjunctiveQuery, Constant, Database, JoinPrefix, PrefixRows, SourceDescription, Term, Tuple,
+    contains, equivalent, evaluate_slots, expand_plan, expansion::view_map, parse_query,
+    sort_tuples, Atom, ConjunctiveQuery, Constant, Database, JoinPrefix, PrefixRows,
+    SourceDescription, Term, Tuple,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use support::evaluate_naive;
 
 /// Arity of relation `r{i}`.
@@ -92,6 +93,99 @@ fn whole_slots(q: &ConjunctiveQuery, db: &Database) -> Vec<Vec<Tuple>> {
         .iter()
         .map(|a| db.tuples(&a.predicate).cloned().collect())
         .collect()
+}
+
+/// One value draw of [`arb_sort_rows`]: `(pool, small, edge, string)`.
+type SortCell = (u8, i64, usize, usize);
+
+/// Strategy: rows for [`sort_tuples`], fewer than `most` of them, and then
+/// their first third again, so rows repeat. A case has a width of 0–4,
+/// and one case in four is ragged: every row takes a width of its own.
+/// Values are `Int`s from `-3..4`; a quarter of the cells of the columns
+/// a case marks (about half) are from {`i64::MIN`, −1, 0, 1, `i64::MAX`}
+/// instead, so one column can need all 64 bits of a packed key and the
+/// columns together more; in half the cases, a quarter of the cells of
+/// one column, any column, are strings.
+fn arb_sort_rows(most: usize) -> impl Strategy<Value = Vec<Tuple>> {
+    let cell = (0u8..4, -3i64..4, 0usize..5, 0usize..2);
+    let row = (proptest::collection::vec(cell, 4), 0usize..5);
+    let case = (0usize..5, 0u8..4, 0u8..16, 0usize..8);
+    (case, proptest::collection::vec(row, 0..most)).prop_map(
+        |((width, ragged, edges, strings), rows)| {
+            let value = |col: usize, (pool, small, edge, string): SortCell| match pool {
+                0 if edges >> col & 1 == 1 => Constant::Int([i64::MIN, -1, 0, 1, i64::MAX][edge]),
+                1 if strings == col => Constant::str(["a", "b"][string]),
+                _ => Constant::Int(small),
+            };
+            let mut rows: Vec<Tuple> = rows
+                .into_iter()
+                .map(|(cells, own)| {
+                    let width = if ragged == 0 { own } else { width };
+                    let cells = cells.into_iter().take(width).enumerate();
+                    cells.map(|(col, cell)| value(col, cell)).collect()
+                })
+                .collect();
+            rows.extend_from_within(..rows.len() / 3);
+            rows
+        },
+    )
+}
+
+/// `sort_tuples` leaves `rows` exactly as `sort_unstable` does. Compared
+/// as vectors: through a `BTreeSet`, a wrong order would only be slow.
+fn sorts_like_sort_unstable(rows: Vec<Tuple>) {
+    let mut want = rows.clone();
+    want.sort_unstable();
+    let mut got = rows;
+    sort_tuples(&mut got);
+    assert_eq!(got, want);
+}
+
+/// The boundary sort on the shape of a `share-warm` run's answers:
+/// 18 × 18 × 20 rows of three `Int` columns, handed over in the order a
+/// `HashSet` iterates them.
+#[test]
+fn sort_tuples_orders_a_share_warm_sized_union() {
+    let union: HashSet<Tuple> = (0..18)
+        .flat_map(|a| (0..18).flat_map(move |b| (0..20).map(move |c| (a, b, c))))
+        .map(|(a, b, c)| {
+            vec![
+                Constant::Int(a),
+                Constant::Int(b + 11),
+                Constant::Int(c + 20),
+            ]
+        })
+        .collect();
+    let rows: Vec<Tuple> = union.into_iter().collect();
+    assert_eq!(rows.len(), 18 * 18 * 20);
+    sorts_like_sort_unstable(rows);
+}
+
+/// Draws per wide run of the boundary sort's property.
+const WIDE_SORT_CASES: usize = 20000;
+
+/// [`sort_tuples_matches_sort_unstable`] over larger sets.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release only: cargo test --release -p qpo-datalog --test properties wide"
+)]
+fn sort_tuples_matches_sort_unstable_wide() {
+    let mut rng = proptest::test_rng("sort_tuples_matches_sort_unstable_wide");
+    let draw = arb_sort_rows(2048);
+    for _ in 0..WIDE_SORT_CASES {
+        sorts_like_sort_unstable(draw.generate(&mut rng));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The packed-key sort and the comparison sort agree on every set.
+    #[test]
+    fn sort_tuples_matches_sort_unstable(rows in arb_sort_rows(64)) {
+        sorts_like_sort_unstable(rows);
+    }
 }
 
 proptest! {

@@ -64,7 +64,7 @@ use crate::policy::{RetryPolicy, RuntimePolicy};
 use crate::source::{AccessOutcome, SourceGrid, SourceService};
 use crossbeam::channel;
 use qpo_core::{OrderedPlan, PlanOrderer, PlanOutcome};
-use qpo_datalog::{PrefixRows, RowHasher, Tuple};
+use qpo_datalog::{sort_tuples, PrefixRows, RowHasher, Tuple};
 use qpo_obs::{Counter, DivergenceMonitor, Gauge, Histogram, Obs, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
@@ -519,11 +519,17 @@ pub struct RunState {
     finished: bool,
 }
 
+/// `answers` as the public tree: sorted first, `collect`'s sort finds one run.
+fn sorted(mut answers: Vec<Tuple>) -> BTreeSet<Tuple> {
+    sort_tuples(&mut answers);
+    answers.into_iter().collect()
+}
+
 impl RunState {
     /// The distinct answers in the union so far — those of every plan
     /// joined — sorted: a copy, built per call.
     pub fn answers(&self) -> BTreeSet<Tuple> {
-        self.union.keys().cloned().collect()
+        sorted(self.union.keys().cloned().collect())
     }
 
     /// How many distinct answers are in the union so far.
@@ -732,7 +738,7 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
         // The public type is a tree: the run's one sort, at its boundary.
         RuntimeRun {
             reports,
-            answers: state.union.into_keys().collect(),
+            answers: sorted(state.union.into_keys().collect()),
             stats: state.stats,
             divergence: state.divergence,
         }

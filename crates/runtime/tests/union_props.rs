@@ -60,21 +60,40 @@ struct Silent;
 impl qpo_runtime::WaveObserver<()> for Silent {}
 
 /// A value from a pool small enough that rows repeat — inside a plan
-/// and across plans — and mixed enough to cross `Int` with `Str`.
+/// and across plans — and mixed enough to cross `Int` with `Str`. The
+/// `Int`s reach below zero and, at `-3` and `3`, to `i64::MIN` and
+/// `i64::MAX`, so a column of the sorted view's packed key can need all
+/// 64 bits, and two columns more.
 fn arb_constant() -> impl Strategy<Value = Constant> {
+    let edge = |v| match v {
+        -3 => i64::MIN,
+        3 => i64::MAX,
+        v => v,
+    };
     prop_oneof![
-        (0i64..3).prop_map(Constant::Int),
+        (-3i64..4).prop_map(move |v| Constant::Int(edge(v))),
         (0usize..3).prop_map(|i| Constant::str(["a", "b", "ab"][i])),
     ]
 }
 
 /// `(head width, rows per plan)`. Width 0 is the boolean query: every row
-/// is the empty tuple, so a plan has one answer or none.
+/// is the empty tuple, so a plan has one answer or none. One case in
+/// three has each string replaced by its length, so every answer is an
+/// `Int` and the sorts at the run's boundary and in the sorted view pack
+/// their keys unless the columns span more than 64 bits together.
 fn arb_plans() -> impl Strategy<Value = (usize, Vec<Vec<Tuple>>)> {
     let row = proptest::collection::vec(arb_constant(), 2);
     let plans = proptest::collection::vec(proptest::collection::vec(row, 0..8), 0..7);
-    (0usize..3, plans).prop_map(|(width, plans)| {
-        let cut = |plan: Vec<Tuple>| plan.into_iter().map(|t| t[..width].to_vec()).collect();
+    (0usize..3, 0usize..3, plans).prop_map(|(width, mix, plans)| {
+        let value = |c: &Constant| match c {
+            Constant::Str(s) if mix == 0 => Constant::Int(s.len() as i64),
+            c => c.clone(),
+        };
+        let cut = |plan: Vec<Tuple>| {
+            plan.iter()
+                .map(|t| t[..width].iter().map(value).collect())
+                .collect()
+        };
         (width, plans.into_iter().map(cut).collect())
     })
 }

@@ -36,6 +36,9 @@ cargo test -q --release -p qpo-core --test kernel_equivalence streamer_matches_i
 echo "==> the any-k merge and positional join beside their reference twins, wide (release only)"
 cargo test -q --release -p qpo-anyk --test twins wide
 
+echo "==> the boundary sort beside sort_unstable, up to 2 048 rows (release only)"
+cargo test -q --release -p qpo-datalog --test properties wide
+
 echo "==> non-test src lines per crate (ROADMAP: net line count is a tracked metric)"
 bash scripts/loc.sh
 
