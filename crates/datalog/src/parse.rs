@@ -71,7 +71,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, token: &str) -> Result<(), ParseError> {
+    fn require(&mut self, token: &str) -> Result<(), ParseError> {
         if self.eat(token) {
             Ok(())
         } else {
@@ -130,8 +130,7 @@ impl<'a> Parser<'a> {
             return Ok(Term::int(v));
         }
         let ident = self.ident()?;
-        let first = ident.chars().next().expect("ident is non-empty");
-        if first.is_uppercase() || first == '_' {
+        if ident.starts_with(|c: char| c.is_uppercase() || c == '_') {
             Ok(Term::var(ident))
         } else {
             Ok(Term::str(ident))
@@ -140,13 +139,12 @@ impl<'a> Parser<'a> {
 
     fn atom(&mut self) -> Result<Atom, ParseError> {
         let name = self.ident()?;
-        let first = name.chars().next().expect("ident is non-empty");
-        if first.is_uppercase() {
+        if name.starts_with(char::is_uppercase) {
             return Err(self.error(format!(
                 "predicate `{name}` must start with a lowercase letter"
             )));
         }
-        self.expect("(")?;
+        self.require("(")?;
         let mut terms = Vec::new();
         if !self.eat(")") {
             loop {
@@ -154,7 +152,7 @@ impl<'a> Parser<'a> {
                 if self.eat(")") {
                     break;
                 }
-                self.expect(",")?;
+                self.require(",")?;
             }
         }
         Ok(Atom::new(name, terms))
@@ -162,7 +160,7 @@ impl<'a> Parser<'a> {
 
     fn query(&mut self) -> Result<ConjunctiveQuery, ParseError> {
         let head = self.atom()?;
-        self.expect(":-")?;
+        self.require(":-")?;
         let mut body = Vec::new();
         if !self.at_end() {
             // Allow an explicit empty body written as `true`.
