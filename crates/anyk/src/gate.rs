@@ -38,8 +38,12 @@ struct Node {
     free: usize,
 }
 
+// Total: at equal key and `free`, the lower ranks pop first, so which of
+// two equal-bound plans leaves first is fixed by the ranking, not by the
+// heap's sift order.
 heap_order!(Node, |a, b| utility_cmp(a.key, b.key)
-    .then_with(|| a.free.cmp(&b.free)));
+    .then_with(|| a.free.cmp(&b.free))
+    .then_with(|| b.ranks.cmp(&a.ranks)));
 
 /// The release gate over one plan space; see the module docs.
 #[derive(Clone)]
@@ -229,5 +233,27 @@ mod tests {
         assert_eq!(gate.pop(), Some((vec![1], 2.0)));
         assert_eq!(gate.pop(), Some((vec![0], 1.0)));
         assert_eq!((gate.pop(), gate.left()), (None, 2));
+    }
+
+    #[test]
+    fn equal_bounds_pop_in_rank_order() {
+        // Every plan of a 3 × 3 product keys 2.0, so key and `free` tie
+        // between every two plans: the ranks alone decide, lowest first.
+        let mut gate = ReleaseGate::new(vec![vec![1.0; 3]; 2]);
+        let pops: Vec<_> = std::iter::from_fn(|| gate.pop()).collect();
+        let want: Vec<_> = (0..3)
+            .flat_map(|a| (0..3).map(move |b| (vec![a, b], 2.0)))
+            .collect();
+        assert_eq!(pops, want);
+        // And so do equal-key frontier nodes that are not plans yet.
+        let mut frontier: BinaryHeap<_> = [vec![1, 0], vec![0, 1], vec![0, 0]]
+            .map(|ranks| Node {
+                key: 1.0,
+                ranks,
+                free: 1,
+            })
+            .into();
+        let ranks: Vec<_> = std::iter::from_fn(|| frontier.pop().map(|n| n.ranks)).collect();
+        assert_eq!(ranks, [[0, 0], [0, 1], [1, 0]]);
     }
 }
