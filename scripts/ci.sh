@@ -39,6 +39,9 @@ cargo test -q --release -p qpo-anyk --test twins wide
 echo "==> the boundary sort beside sort_unstable, up to 2 048 rows (release only)"
 cargo test -q --release -p qpo-datalog --test properties wide
 
+echo "==> the answer union beside its reference twin, up to 600-row tables (release only)"
+cargo test -q --release -p qpo-runtime --test twins wide
+
 echo "==> non-test src lines per crate (ROADMAP: net line count is a tracked metric)"
 bash scripts/loc.sh
 
