@@ -15,17 +15,17 @@
 //! later call and `observe`, re-valuing a row from its measure carry. The
 //! *rent* is the evaluations the Drips calls have made, the *price* the
 //! plans remaining. iDrips buys when rent ≥ 2 × price (`RENT_FACTOR`) and
-//! the remaining plans not `independent` of the last emitted one (what a
-//! later `Pi` call re-values; 0 under a context-free measure) are no more
-//! than the last Drips call's evaluations. A failed guard is checked again
-//! only after another `price` evaluations, so counting costs at most one
-//! independence test per Drips evaluation. Probes chose the 2 and the
-//! guard: at 1× rent, context-free m 8, k 100 `regen-experiments` rows
-//! ended above PI; without the guard, `fig6-failure-cache` m 8, k 100
-//! went from 1 545 to 6 548–8 658 evaluations. `Pi` takes the maximum of
-//! the point values Drips' survivors would carry, so no utility bit
-//! moves; a tied maximum goes to the smallest plan, where Drips takes its
-//! pool's first.
+//! the plans left not `independent` of the last emitted one (a bound on
+//! the rows a later `Pi` call re-values; 0 under a context-free measure)
+//! are no more than the last Drips call's evaluations. A failed guard is
+//! checked again only after another `price` evaluations, so counting
+//! costs at most one independence test per Drips evaluation. Probes chose
+//! the 2 and the guard: at 1× rent, context-free m 8, k 100
+//! `regen-experiments` rows ended above PI; without the guard,
+//! `fig6-failure-cache` m 8, k 100 went from 1 545 to 6 548–8 658
+//! evaluations. `Pi` takes the maximum of the point values Drips'
+//! survivors would carry, so no utility bit moves; a tied maximum goes to
+//! the smallest plan, where Drips takes its pool's first.
 
 use crate::abstraction::AbstractionHeuristic;
 use crate::kernel::{KernelStats, OrderingKernel};
@@ -115,7 +115,7 @@ impl<'a, M: UtilityMeasure + ?Sized, H: AbstractionHeuristic> IDrips<'a, M, H> {
     /// The plans remaining when the rent-or-buy rule (module doc) buys;
     /// never after a buy, which empties the spaces.
     fn rule(&mut self) -> Option<Vec<Vec<usize>>> {
-        let rent = self.kernel.evaluations;
+        let rent = self.kernel.stats().interval_evals; // `Pi` adds none before the buy
         let price: u64 = self.spaces.iter().map(|s| space_size(s) as u64).sum();
         if price == 0 || rent < RENT_FACTOR * price || rent < self.next_check {
             return None;
@@ -155,7 +155,7 @@ impl<M: UtilityMeasure + ?Sized, H: AbstractionHeuristic> PlanOrderer for IDrips
             self.kernel.count_brute_force(pi.evaluations - before);
             next
         } else {
-            let before = self.kernel.evaluations;
+            let before = self.kernel.stats().interval_evals;
             let outcome = self.kernel.find_best(
                 self.inst,
                 self.measure,
@@ -163,7 +163,7 @@ impl<M: UtilityMeasure + ?Sized, H: AbstractionHeuristic> PlanOrderer for IDrips
                 &self.spaces,
                 &self.heuristic,
             )?;
-            self.last_call = self.kernel.evaluations - before;
+            self.last_call = self.kernel.stats().interval_evals - before;
             let space = self.spaces.swap_remove(outcome.space);
             self.spaces.extend(remove_plan(&space, &outcome.plan));
             self.ctx.record(&outcome.plan);

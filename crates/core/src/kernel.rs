@@ -66,10 +66,9 @@ use std::sync::Arc;
 /// calls. All counters are monotone; snapshot via [`OrderingKernel::stats`]
 /// and diff to meter a single call.
 ///
-/// Since the telemetry layer landed this is a *view*: the live cells are
-/// `qpo_kernel_*_total` counters (on the kernel's own registry, or a
-/// shared one after [`OrderingKernel::with_obs`]), and this struct is
-/// materialized from them on demand.
+/// They are the kernel's own counts, kept in plain fields. After
+/// [`OrderingKernel::with_obs`] each call also adds what it counted to the
+/// shared registry's `qpo_kernel_*_total` counters, once, at its end.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Search rounds executed (evaluate → eliminate → refine).
@@ -110,11 +109,9 @@ impl KernelStats {
     }
 }
 
-/// Live metric handles behind [`KernelStats`], plus the interval-width
-/// histogram. Detached by default (registered nowhere) so a bare kernel
-/// still counts; [`OrderingKernel::with_obs`] re-homes them onto a
-/// shared registry.
-#[derive(Debug, Clone, Default)]
+/// The registry handles [`KernelStats`] are published to, plus the
+/// interval-width histogram ([`OrderingKernel::with_obs`]).
+#[derive(Debug, Clone)]
 struct KernelMetrics {
     rounds: Counter,
     refinements: Counter,
@@ -151,21 +148,22 @@ impl KernelMetrics {
         }
     }
 
-    fn stats(&self) -> KernelStats {
-        KernelStats {
-            rounds: self.rounds.get(),
-            refinements: self.refinements.get(),
-            dominance_checks: self.dominance_checks.get(),
-            eliminations: self.eliminations.get(),
-            champion_sweeps: self.champion_sweeps.get(),
-            interval_evals: self.interval_evals.get(),
-            interval_resumes: self.interval_resumes.get(),
-            interval_cache_hits: self.interval_cache_hits.get(),
-            tree_builds: self.tree_builds.get(),
-            tree_cache_hits: self.tree_cache_hits.get(),
-            floor_calls: self.floor_calls.get(),
-            parallel_batches: 0,
-        }
+    /// Adds what `now` counts beyond `before`, and drains the `widths`.
+    fn publish(&self, before: &KernelStats, now: &KernelStats, widths: &mut Vec<f64>) {
+        let add = |c: &Counter, f: fn(&KernelStats) -> u64| c.add(f(now) - f(before));
+        add(&self.rounds, |s| s.rounds);
+        add(&self.refinements, |s| s.refinements);
+        add(&self.dominance_checks, |s| s.dominance_checks);
+        add(&self.eliminations, |s| s.eliminations);
+        add(&self.champion_sweeps, |s| s.champion_sweeps);
+        add(&self.interval_evals, |s| s.interval_evals);
+        add(&self.interval_resumes, |s| s.interval_resumes);
+        add(&self.interval_cache_hits, |s| s.interval_cache_hits);
+        add(&self.tree_builds, |s| s.tree_builds);
+        add(&self.tree_cache_hits, |s| s.tree_cache_hits);
+        add(&self.floor_calls, |s| s.floor_calls);
+        self.interval_width.record_all(widths);
+        widths.clear();
     }
 }
 
@@ -245,7 +243,7 @@ fn champion_beats(a: (Interval, usize), b: (Interval, usize)) -> bool {
 /// mapped to the integer whose order is [`f64::total_cmp`]'s, so it stays
 /// total (no panic) even if a degenerate measure ever smuggled a NaN past
 /// [`Interval`]'s constructor.
-fn heap_key(hi: f64, id: usize) -> (i64, Reverse<usize>) {
+pub(crate) fn heap_key(hi: f64, id: usize) -> (i64, Reverse<usize>) {
     // +0.0 normalizes -0.0 and leaves every other value unchanged.
     let bits = (hi + 0.0).to_bits() as i64;
     (bits ^ (((bits >> 63) as u64) >> 1) as i64, Reverse(id))
@@ -320,12 +318,12 @@ pub struct OrderingKernel {
     /// every tree built so far.
     set_ids: IdMap<(usize, Vec<usize>), u32>,
     memo: Memo,
-    /// Evaluations this kernel made, whatever registry `metrics` shares.
-    pub(crate) evaluations: u64,
     /// [`ExecutionContext::retractions`] the memoized carries were built
     /// under: while it stands still, the history only grew by appends.
     retractions: u64,
-    metrics: KernelMetrics,
+    counts: KernelStats,
+    /// Where `counts` is published, and the widths this call buffered.
+    metrics: Option<(KernelMetrics, Vec<f64>)>,
     journal: TraceJournal,
     batch: Batch,
 }
@@ -343,26 +341,34 @@ impl OrderingKernel {
             trees: IdMap::default(),
             set_ids: IdMap::default(),
             memo: Memo::default(),
-            evaluations: 0,
             retractions: 0,
-            metrics: KernelMetrics::default(),
+            counts: KernelStats::default(),
+            metrics: None,
             journal: TraceJournal::default(),
             batch: Batch::default(),
         }
     }
 
-    /// Re-homes the kernel's counters onto a shared registry and adopts
-    /// its trace journal. Call right after construction — previously
-    /// accumulated counts stay behind on the private cells.
+    /// Publishes the kernel's counts to a shared registry, each call's at
+    /// its end, and adopts its trace journal. Call right after
+    /// construction — counts from before are not published.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.metrics = KernelMetrics::registered(obs);
+        self.metrics = Some((KernelMetrics::registered(obs), Vec::new()));
         self.journal = obs.journal.clone();
         self
     }
 
-    /// Snapshot of the accumulated counters.
+    /// Snapshot of this kernel's own counters (see [`KernelStats`]).
     pub fn stats(&self) -> KernelStats {
-        self.metrics.stats()
+        self.counts
+    }
+
+    /// Adds the counts since `before` to the shared registry, if any.
+    fn publish(&mut self, before: &KernelStats) {
+        let now = &self.counts;
+        self.metrics
+            .iter_mut()
+            .for_each(|(m, w)| m.publish(before, now, w));
     }
 
     fn tree<H: AbstractionHeuristic + ?Sized>(
@@ -374,7 +380,7 @@ impl OrderingKernel {
     ) -> Arc<SetTree> {
         let table = self.trees.entry(bucket).or_default();
         if let Some(t) = table.get(cands) {
-            self.metrics.tree_cache_hits.inc();
+            self.counts.tree_cache_hits += 1;
             if self.journal.is_enabled() {
                 self.journal.record(
                     "kernel_cache_hit",
@@ -386,7 +392,7 @@ impl OrderingKernel {
             }
             return Arc::clone(t);
         }
-        self.metrics.tree_builds.inc();
+        self.counts.tree_builds += 1;
         let tree = AbstractionTree::build(inst, bucket, cands, heuristic);
         let ids = (0..tree.node_count()).map(|n| {
             let next = self.set_ids.len() as u32;
@@ -421,6 +427,7 @@ impl OrderingKernel {
         if spaces.is_empty() {
             return None;
         }
+        let before = self.counts;
         // Context-free measures cache forever. Context-sensitive entries
         // resume across appends; a retraction since the last call means
         // their carries folded in a plan that is gone.
@@ -458,8 +465,8 @@ impl OrderingKernel {
         let mut champion: Option<usize> = None;
         let mut refinements = 0usize;
 
-        loop {
-            self.metrics.rounds.inc();
+        let best = loop {
+            self.counts.rounds += 1;
             // (a) evaluate the built plans into the pool (memoized) and
             // queue the abstract ones for refinement.
             let pending = self.evaluate(inst, measure, ctx, &trees, &mut plans, &mut nodes);
@@ -490,7 +497,7 @@ impl OrderingKernel {
             // same champion was already withstood by every survivor: only
             // the fresh plans need checking.
             let checked = if prev != champion {
-                self.metrics.champion_sweeps.inc();
+                self.counts.champion_sweeps += 1;
                 if self.journal.is_enabled() {
                     self.journal.record(
                         "kernel_champion_change",
@@ -515,7 +522,7 @@ impl OrderingKernel {
                 if id == champ || !plans[id].alive {
                     continue;
                 }
-                self.metrics.dominance_checks.inc();
+                self.counts.dominance_checks += 1;
                 if eliminates((champ_u, champ), (plans[id].utility, id)) {
                     self.kill(&mut plans, id, champ, epoch, champ_enc.as_deref());
                 }
@@ -537,15 +544,15 @@ impl OrderingKernel {
                 let winner = &plans[champ];
                 let cands = &self.memo.entries[winner.entry].cands;
                 let plan = as_concrete(cands).expect("survivors are concrete");
-                return Some(DripsOutcome {
+                break DripsOutcome {
                     space: winner.space,
                     plan,
                     utility: champ_u.lo(),
                     refinements,
-                });
+                };
             };
             refinements += 1;
-            self.metrics.refinements.inc();
+            self.counts.refinements += 1;
             if self.journal.is_enabled() {
                 self.journal.record(
                     "kernel_refinement",
@@ -567,7 +574,9 @@ impl OrderingKernel {
                 self.batch.nodes.extend_from_slice(parent_nodes);
                 self.batch.nodes[at + bucket] = child;
             }
-        }
+        };
+        self.publish(&before);
+        Some(best)
     }
 
     /// Eliminates plan `id`, dominated by `champ` at context `epoch`.
@@ -585,7 +594,7 @@ impl OrderingKernel {
         epoch: u64,
         champ_enc: Option<&str>,
     ) {
-        self.metrics.eliminations.inc();
+        self.counts.eliminations += 1;
         if let Some(champion_enc) = champ_enc {
             let (champ_u, victim_u) = (plans[champ].utility, plans[id].utility);
             let victim_enc = encode_candidates(&self.memo.entries[plans[id].entry].cands);
@@ -650,7 +659,7 @@ impl OrderingKernel {
             });
             let memo = &mut entries[entry];
             if known.is_some() && (context_free || memo.seen == ctx.len()) {
-                self.metrics.interval_cache_hits.inc();
+                self.counts.interval_cache_hits += 1;
                 if self.journal.is_enabled() {
                     self.journal.record(
                         "kernel_cache_hit",
@@ -661,15 +670,16 @@ impl OrderingKernel {
                     );
                 }
             } else {
-                self.evaluations += 1;
-                self.metrics.interval_evals.inc();
+                self.counts.interval_evals += 1;
                 if !memo.carry.is_fresh() {
-                    self.metrics.interval_resumes.inc();
+                    self.counts.interval_resumes += 1;
                 }
                 let iv = measure.resume_interval(inst, &memo.cands, ctx, &mut memo.carry);
                 memo.interval = iv;
                 memo.seen = ctx.len();
-                self.metrics.interval_width.record(iv.hi() - iv.lo());
+                if let Some((_, widths)) = &mut self.metrics {
+                    widths.push(iv.hi() - iv.lo());
+                }
             }
             let width = |b: usize| memo.cands[b].len();
             plans.push(PoolPlan {
@@ -689,9 +699,11 @@ impl OrderingKernel {
 
     /// Counts one call [`Pi`](crate::Pi) answered for an orderer of this
     /// kernel, and the `evaluations` it made.
-    pub(crate) fn count_brute_force(&self, evaluations: u64) {
-        self.metrics.floor_calls.inc();
-        self.metrics.interval_evals.add(evaluations);
+    pub(crate) fn count_brute_force(&mut self, evaluations: u64) {
+        let before = self.counts;
+        self.counts.floor_calls += 1;
+        self.counts.interval_evals += evaluations;
+        self.publish(&before);
     }
 }
 

@@ -1,13 +1,18 @@
 //! PI — the paper's reference baseline (§6): brute force over the full
 //! plan space, made as strong as possible by exploiting plan independence.
 //!
-//! PI materializes every concrete plan once. Each round it recomputes only
-//! the utilities invalidated by the previously emitted plan (those of plans
-//! *not independent* of it), then emits the maximum. Its first round
-//! therefore evaluates the whole plan space — exactly the cost the
-//! abstraction algorithms avoid. It is also the crate's one brute force:
-//! [`Pi::from_plans`] takes over the context and remaining plans of an
-//! [`IDrips`](crate::IDrips) that stopped paying for abstraction.
+//! PI pops a max-heap of plan rows keyed `(utility as last valued, smaller
+//! plan first)`: the top is emitted if every plan executed since it was
+//! valued is `independent` of it, else re-valued and pushed back. Every
+//! key stays at or above its row's utility, so the first row emitted is
+//! the argmax: under [`diminishing_returns`](UtilityMeasure::diminishing_returns)
+//! a stale value is such a bound, and only rows reaching the top are
+//! re-valued (Minoux's accelerated greedy); the rows a retraction, or an
+//! emission under another measure, can move get key +∞, all re-valued
+//! first, as an eager PI would. The first call values every plan — the
+//! cost the abstraction algorithms avoid. [`Pi::from_plans`] takes over
+//! the context and plans of an [`IDrips`](crate::IDrips) that stopped
+//! paying for abstraction: `Pi` is the crate's one brute force.
 //!
 //! A row is valued by [`UtilityMeasure::resume_interval`] on its singleton
 //! candidates, from the measure's [`IntervalCarry`], so a stale row folds
@@ -15,19 +20,25 @@
 //! every carry). A resumed value has a fresh one's bits — the measure's
 //! contract — so `Pi` emits what [`Naive`] does, bit for bit.
 
+use crate::kernel::heap_key;
 use crate::orderer::{OrderedPlan, PlanOrderer, PlanOutcome};
 use qpo_catalog::ProblemInstance;
 use qpo_utility::{ExecutionContext, IntervalCarry, UtilityMeasure};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// The independence-aware brute-force orderer.
 pub struct Pi<'a, M: UtilityMeasure + ?Sized> {
     inst: &'a ProblemInstance,
     measure: &'a M,
     ctx: ExecutionContext,
-    /// `(plan, utility, stale)`; a stale utility needs re-valuing. A
-    /// row's carry sits at its index in `carries`, out of the scans' way.
-    rows: Vec<(Vec<usize>, f64, bool)>,
+    /// `(plan, utility, stamp)` in plan order, so a row's index breaks
+    /// ties: the utility as valued at context length `stamp` (`None`: key
+    /// +∞, to be valued). A row's carry sits at its index in `carries`.
+    rows: Vec<(Vec<usize>, f64, Option<usize>)>,
     carries: Vec<IntervalCarry>,
+    /// The rows not emitted, by [`heap_key`] of a bound on their utility.
+    heap: BinaryHeap<(i64, Reverse<usize>)>,
     /// A plan's singleton candidates, rewritten per valuation.
     singletons: Vec<Vec<usize>>,
     /// Rows valued so far, one measure evaluation each.
@@ -47,15 +58,17 @@ impl<'a, M: UtilityMeasure + ?Sized> Pi<'a, M> {
         inst: &'a ProblemInstance,
         measure: &'a M,
         ctx: ExecutionContext,
-        plans: Vec<Vec<usize>>,
+        mut plans: Vec<Vec<usize>>,
     ) -> Self {
-        let row = |p| (p, 0.0, true);
+        plans.sort_unstable();
+        let unvalued = (0..plans.len()).map(|r| heap_key(f64::INFINITY, r));
         Pi {
             inst,
             measure,
             ctx,
             carries: vec![IntervalCarry::default(); plans.len()],
-            rows: plans.into_iter().map(row).collect(),
+            heap: unvalued.collect(),
+            rows: plans.into_iter().map(|p| (p, 0.0, None)).collect(),
             singletons: vec![vec![0]; inst.query_len()],
             evaluations: 0,
         }
@@ -63,16 +76,21 @@ impl<'a, M: UtilityMeasure + ?Sized> Pi<'a, M> {
 
     /// Plans still available.
     pub fn remaining(&self) -> usize {
-        self.rows.len()
+        self.heap.len()
     }
 
-    /// Marks stale every row `plan`'s execution or retraction can move.
-    fn invalidate(&mut self, plan: &[usize]) {
-        for (p, _, stale) in &mut self.rows {
-            if !self.measure.independent(self.inst, p, plan) {
-                *stale = true;
+    /// Keys +∞ every row `plan`'s execution or retraction (from history
+    /// position `retracted`, which shifts the later stamps) can move.
+    fn unsettle(&mut self, plan: &[usize], retracted: Option<usize>) {
+        let mut keys = std::mem::take(&mut self.heap).into_vec();
+        for key in &mut keys {
+            let (row, _, stamp) = &mut self.rows[key.1 .0];
+            *stamp = stamp.map(|s| s - usize::from(retracted.is_some_and(|at| s > at)));
+            if !self.measure.independent(self.inst, row, plan) {
+                (*key, *stamp) = (heap_key(f64::INFINITY, key.1 .0), None);
             }
         }
+        self.heap = keys.into();
     }
 }
 
@@ -82,36 +100,39 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Pi<'_, M> {
     }
 
     fn next_plan(&mut self) -> Option<OrderedPlan> {
-        for ((plan, utility, stale), carry) in self.rows.iter_mut().zip(&mut self.carries) {
-            if *stale {
-                let singletons = self.singletons.iter_mut().zip(plan.iter());
-                singletons.for_each(|(cands, &source)| cands[0] = source);
-                let (inst, cands) = (self.inst, &self.singletons);
-                let point = self.measure.resume_interval(inst, cands, &self.ctx, carry);
-                *utility = point.lo();
-                *stale = false;
-                self.evaluations += 1;
+        let (inst, measure) = (self.inst, self.measure);
+        let best = loop {
+            let mut top = self.heap.peek_mut()?;
+            let Reverse(r) = top.1;
+            let (plan, utility, stamp) = &mut self.rows[r];
+            let since = stamp.and_then(|s| self.ctx.executed().get(s..));
+            if since.is_some_and(|s| s.iter().all(|e| measure.independent(inst, plan, e))) {
+                PeekMut::pop(top);
+                break r;
             }
-        }
-        let best = self
-            .rows
-            .iter()
-            .enumerate()
-            .max_by(|(_, (pa, ua, ..)), (_, (pb, ub, ..))| {
-                crate::utility_cmp(*ua, *ub).then_with(|| pb.cmp(pa)) // ties → smaller plan wins
-            })
-            .map(|(i, _)| i)?;
-        let (plan, utility, _) = self.rows.swap_remove(best);
-        self.carries.swap_remove(best);
-        self.invalidate(&plan);
+            let singletons = self.singletons.iter_mut().zip(plan.iter());
+            singletons.for_each(|(cands, &source)| cands[0] = source);
+            let (cands, carry) = (&self.singletons, &mut self.carries[r]);
+            let point = measure.resume_interval(inst, cands, &self.ctx, carry);
+            (*utility, *stamp) = (point.lo(), Some(self.ctx.len()));
+            *top = heap_key(*utility, r);
+            self.evaluations += 1;
+        };
+        let (plan, utility) = (std::mem::take(&mut self.rows[best].0), self.rows[best].1);
         self.ctx.record(&plan);
+        if !measure.diminishing_returns() {
+            self.unsettle(&plan, None);
+        }
         Some(OrderedPlan { plan, utility })
     }
 
     fn observe(&mut self, outcome: &PlanOutcome) {
-        if outcome.is_failure() && self.ctx.retract(&outcome.plan) {
+        let failed = outcome.is_failure().then_some(&outcome.plan);
+        let at = failed.and_then(|f| self.ctx.executed().iter().rposition(|p| p == f));
+        if let Some(at) = at {
+            self.ctx.retract(&outcome.plan);
             self.carries.fill(IntervalCarry::default());
-            self.invalidate(&outcome.plan);
+            self.unsettle(&outcome.plan, Some(at));
         }
     }
 }

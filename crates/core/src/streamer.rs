@@ -45,11 +45,9 @@ use qpo_obs::{Counter, Obs};
 use qpo_utility::{as_concrete, ExecutionContext, IntervalCarry, UtilityMeasure};
 use std::mem::take;
 
-/// Work counters exposed for the experiments.
-///
-/// A view over the live `qpo_streamer_*_total` counters — on the
-/// orderer's own registry by default, on a shared one after
-/// [`Streamer::with_obs`] — materialized by [`Streamer::stats`].
+/// Work counters exposed for the experiments: the orderer's own, kept in
+/// plain fields. After [`Streamer::with_obs`] each `next_plan` also adds
+/// what it counted to the shared `qpo_streamer_*_total` counters, once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamerStats {
     /// Refinements of abstract plans (Step 2.c).
@@ -67,9 +65,8 @@ pub struct StreamerStats {
     pub utility_resumes: usize,
 }
 
-/// Live metric handles behind [`StreamerStats`]; detached (registered
-/// nowhere) until [`Streamer::with_obs`].
-#[derive(Debug, Clone, Default)]
+/// The registry handles [`StreamerStats`] are published to.
+#[derive(Debug, Clone)]
 struct StreamerMetrics {
     refinements: Counter,
     links_created: Counter,
@@ -92,15 +89,15 @@ impl StreamerMetrics {
         }
     }
 
-    fn stats(&self) -> StreamerStats {
-        StreamerStats {
-            refinements: self.refinements.get() as usize,
-            links_created: self.links_created.get() as usize,
-            links_recycled: self.links_recycled.get() as usize,
-            links_invalidated: self.links_invalidated.get() as usize,
-            utility_recomputations: self.utility_recomputations.get() as usize,
-            utility_resumes: self.utility_resumes.get() as usize,
-        }
+    /// Adds what `now` counts beyond `before`.
+    fn publish(&self, before: &StreamerStats, now: &StreamerStats) {
+        let add = |c: &Counter, f: fn(&StreamerStats) -> usize| c.add((f(now) - f(before)) as u64);
+        add(&self.refinements, |s| s.refinements);
+        add(&self.links_created, |s| s.links_created);
+        add(&self.links_recycled, |s| s.links_recycled);
+        add(&self.links_invalidated, |s| s.links_invalidated);
+        add(&self.utility_recomputations, |s| s.utility_recomputations);
+        add(&self.utility_resumes, |s| s.utility_resumes);
     }
 }
 
@@ -151,7 +148,8 @@ pub struct Streamer<'a, M: UtilityMeasure + ?Sized> {
     /// Plans turned fresh since the last step 2.a: created, unlinked, or
     /// reset to nil while nondominated.
     pending: Vec<usize>,
-    metrics: StreamerMetrics,
+    counts: StreamerStats,
+    metrics: Option<StreamerMetrics>,
 }
 
 impl<'a, M: UtilityMeasure + ?Sized> Streamer<'a, M> {
@@ -187,20 +185,22 @@ impl<'a, M: UtilityMeasure + ?Sized> Streamer<'a, M> {
             nodes: vec![Some(root)],
             top: Vec::new(),
             pending: vec![0],
-            metrics: StreamerMetrics::default(),
+            counts: StreamerStats::default(),
+            metrics: None,
         })
     }
 
-    /// Re-homes the orderer's counters onto a shared registry. Call right
-    /// after construction — previously accumulated counts stay behind.
+    /// Publishes the orderer's counters to a shared registry, each
+    /// `next_plan`'s at its end. Call right after construction — counts
+    /// from before are not published.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.metrics = StreamerMetrics::registered(obs);
+        self.metrics = Some(StreamerMetrics::registered(obs));
         self
     }
 
-    /// Work counters.
+    /// This orderer's own work counters (see [`StreamerStats`]).
     pub fn stats(&self) -> StreamerStats {
-        self.metrics.stats()
+        self.counts
     }
 
     /// Removes a nondominated plan and the links it is the source of; the
@@ -244,7 +244,7 @@ impl<'a, M: UtilityMeasure + ?Sized> Streamer<'a, M> {
             };
             self.nodes.push(Some(node));
         }
-        self.metrics.refinements.inc();
+        self.counts.refinements += 1;
     }
 }
 
@@ -254,7 +254,8 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Streamer<'_, M> {
     }
 
     fn next_plan(&mut self) -> Option<OrderedPlan> {
-        loop {
+        let before = self.counts;
+        let next = loop {
             // Step 2.a: recompute nil utilities of nondominated plans —
             // all of them fresh — and enter the fresh plans in `top`.
             self.pending.sort_unstable();
@@ -268,9 +269,9 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Streamer<'_, M> {
                     Some(u) => u,
                     None => {
                         if !node.carry.is_fresh() {
-                            self.metrics.utility_resumes.inc();
+                            self.counts.utility_resumes += 1;
                         }
-                        self.metrics.utility_recomputations.inc();
+                        self.counts.utility_recomputations += 1;
                         *node.utility.insert(self.measure.resume_interval(
                             self.inst,
                             &node.cands,
@@ -311,7 +312,7 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Streamer<'_, M> {
                             from: b,
                             removed: Vec::new(),
                         });
-                        self.metrics.links_created.inc();
+                        self.counts.links_created += 1;
                         if let Some(source) = self.nodes[b].as_mut() {
                             source.dominates.push(c);
                         }
@@ -337,10 +338,13 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Streamer<'_, M> {
             // Step 2.d: every nondominated plan is concrete (and, by 2.b,
             // they all tie); output one. None is left once the graph is
             // empty (it is a forest, so a non-empty one has a root).
-            let &(d_id, d_utility) = self
+            let Some(&(d_id, d_utility)) = self
                 .top
                 .iter()
-                .max_by(|(a, ua), (b, ub)| crate::utility_cmp(ua.lo(), ub.lo()).then(b.cmp(a)))?;
+                .max_by(|(a, ua), (b, ub)| crate::utility_cmp(ua.lo(), ub.lo()).then(b.cmp(a)))
+            else {
+                break None;
+            };
             let d = self.remove_node_and_links(d_id).expect("top ids are live");
             let d_plan = as_concrete(&d.cands).expect("2.c left only concrete plans");
             // Recheck each surviving node's link, in id order: CheckValidity(q, E ∪ {d}).
@@ -369,11 +373,11 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Streamer<'_, M> {
                         measure.exists_independent(inst, q, &link.removed)
                     };
                     let counter = if valid {
-                        &self.metrics.links_recycled
+                        &mut self.counts.links_recycled
                     } else {
-                        &self.metrics.links_invalidated
+                        &mut self.counts.links_invalidated
                     };
-                    counter.inc();
+                    *counter += 1;
                     valid.then_some(link)
                 });
                 let Some(node) = self.nodes[id].as_mut() else {
@@ -390,11 +394,14 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Streamer<'_, M> {
                 }
             }
             self.ctx.record(&d_plan);
-            return Some(OrderedPlan {
+            break Some(OrderedPlan {
                 plan: d_plan,
                 utility: d_utility.lo(),
             });
-        }
+        };
+        let publish = |m: &StreamerMetrics| m.publish(&before, &self.counts);
+        self.metrics.iter().for_each(publish);
+        next
     }
 }
 

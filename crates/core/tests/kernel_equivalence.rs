@@ -21,6 +21,10 @@
 //!    just wrong) — resuming from their carries after an append, starting
 //!    over after a retract.
 //!
+//! `Pi` has its own twin there too: `support::pi::ReferencePi`, the
+//! eager PI of §6 it replaced, which it must match emission for emission
+//! with no more evaluations.
+//!
 //! Streamer has its own twin in `support/`: `support::streamer::ReferenceStreamer`,
 //! the Streamer that kept its dominance links in a list beside the graph,
 //! which the shipped one must match emission for emission, counters
@@ -32,13 +36,15 @@ use proptest::prelude::*;
 use qpo_catalog::{GeneratorConfig, ProblemInstance, StatRange};
 use qpo_core::{
     full_space, verify_ordering, AbstractionHeuristic, ByExpectedTuples, ByExtentMidpoint, IDrips,
-    Naive, OrderedPlan, OrderingKernel, Pi, PlanOrderer, PlanOutcome, RandomKey, Streamer,
+    KernelStats, Naive, OrderedPlan, OrderingKernel, Pi, PlanOrderer, PlanOutcome, RandomKey,
+    Streamer, StreamerStats,
 };
 use qpo_obs::{EliminationCertificate, Obs};
 use qpo_utility::{
-    CountingMeasure, Coverage, ExecutionContext, FailureCost, FusionCost, LinearCost, MonetaryCost,
-    UtilityMeasure,
+    Combined, CountingMeasure, Coverage, ExecutionContext, FailureCost, FusionCost, LinearCost,
+    MonetaryCost, UtilityMeasure,
 };
+use support::pi::ReferencePi;
 use support::streamer::ReferenceStreamer;
 use support::{
     all_measures, assert_same_steps, reference_find_best, tied_max, verify_certificates,
@@ -415,6 +421,72 @@ fn instrumentation_does_not_change_emissions() {
     );
 }
 
+/// A counter's registry name (less its prefix and `_total`) and its
+/// field in an orderer's stats.
+type Count<S, N> = (&'static str, fn(&S) -> N);
+
+#[test]
+fn shared_registry_totals_are_the_sum_of_each_orderers_stats() {
+    // Two sessions on one mediator put their orderers on its one registry.
+    // Each orderer counts into its own fields and publishes at the end of
+    // every call, so after any call the registry holds the sum of the
+    // orderers' `stats()` — what it held when every count went straight
+    // to the shared cells — and each `stats()` is that orderer's alone.
+    let obs = Obs::new();
+    let inst = order_coverage_shape();
+    let mut idrips = (
+        IDrips::new(&inst, &Coverage, ByExpectedTuples).with_obs(&obs),
+        IDrips::new(&inst, &Coverage, ByExtentMidpoint).with_obs(&obs),
+    );
+    let streamer =
+        |h: &dyn AbstractionHeuristic| Streamer::new(&inst, &Coverage, h).unwrap().with_obs(&obs);
+    let mut streamers = (streamer(&ByExpectedTuples), streamer(&ByExtentMidpoint));
+    let registry = |name: &str| obs.registry.counter_value(name, &[]);
+    let kernel: [Count<KernelStats, u64>; 11] = [
+        ("rounds", |s| s.rounds),
+        ("refinements", |s| s.refinements),
+        ("dominance_checks", |s| s.dominance_checks),
+        ("eliminations", |s| s.eliminations),
+        ("champion_sweeps", |s| s.champion_sweeps),
+        ("interval_evals", |s| s.interval_evals),
+        ("interval_resumes", |s| s.interval_resumes),
+        ("interval_cache_hits", |s| s.interval_cache_hits),
+        ("tree_builds", |s| s.tree_builds),
+        ("tree_cache_hits", |s| s.tree_cache_hits),
+        ("floor_calls", |s| s.floor_calls),
+    ];
+    let streamer_counts: [Count<StreamerStats, usize>; 6] = [
+        ("refinements", |s| s.refinements),
+        ("links_created", |s| s.links_created),
+        ("links_recycled", |s| s.links_recycled),
+        ("links_invalidated", |s| s.links_invalidated),
+        ("utility_recomputations", |s| s.utility_recomputations),
+        ("utility_resumes", |s| s.utility_resumes),
+    ];
+    for step in 0..=inst.plan_count() {
+        // Interleaved, as two clients' pulls are.
+        idrips.0.next_plan();
+        streamers.1.next_plan();
+        idrips.1.next_plan();
+        streamers.0.next_plan();
+        let (a, b) = (idrips.0.kernel_stats(), idrips.1.kernel_stats());
+        for (name, count) in kernel {
+            let total = registry(&format!("qpo_kernel_{name}_total"));
+            assert_eq!(total, count(&a) + count(&b), "step {step}: {name}");
+        }
+        let (a, b) = (streamers.0.stats(), streamers.1.stats());
+        for (name, count) in streamer_counts {
+            let total = registry(&format!("qpo_streamer_{name}_total"));
+            assert_eq!(total, (count(&a) + count(&b)) as u64, "step {step}: {name}");
+        }
+    }
+    assert!(
+        idrips.0.kernel_stats().floor_calls > 0,
+        "Pi's calls count too"
+    );
+    assert_ne!(idrips.0.kernel_stats(), idrips.1.kernel_stats());
+}
+
 /// Every elimination `obs`'s journal holds, as the certificate its event
 /// decodes to — the journal is the kernel's only record of one.
 fn journalled_certificates(obs: &Obs) -> Vec<EliminationCertificate> {
@@ -760,5 +832,140 @@ fn streamer_matches_its_reference_twin_wide() {
     for _ in 0..WIDE_CASES {
         let ((n, m), overlap, seed) = draw.generate(&mut rng);
         drain_beside_twin(n, m, overlap, seed);
+    }
+}
+
+/// Every measure `Pi` accepts, for its twin property: [`all_measures`],
+/// a context-free one, and two combined ones, one with diminishing returns
+/// and one without.
+fn pi_measures() -> Vec<Box<dyn UtilityMeasure>> {
+    let mut measures: Vec<_> = all_measures().into_iter().map(|(_, m)| m).collect();
+    measures.push(Box::new(LinearCost));
+    let cost = MonetaryCost::without_caching();
+    measures.push(Box::new(Combined::new(Coverage, 100.0, cost, 1.0)));
+    let cost = FailureCost::with_caching();
+    measures.push(Box::new(Combined::new(Coverage, 100.0, cost, 1.0)));
+    measures
+}
+
+/// Drains `Pi` beside [`ReferencePi`] on one generated instance, under
+/// every measure of [`pi_measures`]: both take over a random prefix of a
+/// shuffled plan list as their context through `from_plans`, and after a
+/// random fifth of the emissions both observe a random plan of the history
+/// failed. Per emission: the same plan and utility bits, and no more
+/// evaluations than the twin — exactly as many without diminishing
+/// returns, where every row an emission moves is keyed +∞.
+fn drain_pi_beside_twin(n: usize, m: usize, overlap: f64, seed: u64) {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let inst = GeneratorConfig::new(n, m)
+        .with_overlap_rate(overlap)
+        .with_seed(seed)
+        .build();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut plans = inst.all_plans();
+    for i in (1..plans.len()).rev() {
+        plans.swap(i, rng.gen_range(0..=i));
+    }
+    let taken = match rng.gen_bool(0.25) {
+        true => 0,
+        false => rng.gen_range(0..=plans.len()),
+    };
+    let rest = plans.split_off(taken);
+    let mut ctx = ExecutionContext::new();
+    plans.iter().for_each(|p| ctx.record(p));
+    for measure in pi_measures() {
+        let label = format!(
+            "n {n}, m {m}, overlap {overlap}, seed {seed}, {} from {taken}",
+            measure.name()
+        );
+        let (fast_m, slow_m) = (
+            CountingMeasure::new(measure.as_ref()),
+            CountingMeasure::new(measure.as_ref()),
+        );
+        let mut fast = Pi::from_plans(&inst, &fast_m, ctx.clone(), rest.clone());
+        let mut slow = ReferencePi::from_plans(&inst, &slow_m, ctx.clone(), rest.clone());
+        let mut history = plans.clone();
+        for step in 0..=rest.len() {
+            let (a, b) = (fast.next_plan(), slow.next_plan());
+            assert_eq!(
+                a.as_ref().map(|o| (&o.plan, o.utility.to_bits())),
+                b.as_ref().map(|o| (&o.plan, o.utility.to_bits())),
+                "{label}: emissions diverge at step {step}"
+            );
+            let (lazy, eager) = (fast_m.total_evals(), slow_m.total_evals());
+            match measure.diminishing_returns() {
+                true => assert!(
+                    lazy <= eager,
+                    "{label}: {lazy} > {eager} evaluations at step {step}"
+                ),
+                false => assert_eq!(lazy, eager, "{label}: evaluations at step {step}"),
+            }
+            history.extend(a.map(|o| o.plan));
+            if !history.is_empty() && rng.gen_bool(0.2) {
+                let failed = history.swap_remove(rng.gen_range(0..history.len()));
+                fast.observe(&PlanOutcome::failed(&failed));
+                slow.observe(&PlanOutcome::failed(&failed));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// `Pi`, popping a heap of utility bounds, is the eager PI that
+    /// re-valued every invalidated row per emission (module doc of
+    /// `support::pi`), emission for emission, under every measure `Pi`
+    /// accepts, from a random hand-over and through random retractions.
+    #[test]
+    fn pi_matches_its_reference_twin(
+        shape in (1usize..=4, 1usize..=6)
+            .prop_filter("space too large", |&(n, m)| m.pow(n as u32) <= MAX_TWIN_PLANS),
+        overlap in 0.0f64..=0.9,
+        seed in any::<u64>(),
+    ) {
+        let (n, m) = shape;
+        drain_pi_beside_twin(n, m, overlap, seed);
+    }
+}
+
+/// Instances per run of the wide `Pi` twin below (≈ 10 s in release on a
+/// 2-core x86-64 VM; the eager twin's drains of the largest spaces are
+/// most of it, and 100 instances take ≈ 40 s).
+const WIDE_PI_CASES: u32 = 60;
+
+/// The `Pi` twin property over the whole n 1–4 × m 1–6 range, up to
+/// 1 296 plans per instance, where the lazy heap skips the most. Release
+/// only, like the Streamer's wide twin (`scripts/ci.sh` runs both).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release only: cargo test --release -p qpo-core --test kernel_equivalence wide"
+)]
+fn pi_matches_its_reference_twin_wide() {
+    let mut rng = proptest::test_rng("pi_matches_its_reference_twin_wide");
+    let draw = ((1usize..=4, 1usize..=6), 0.0f64..=0.9, any::<u64>());
+    for _ in 0..WIDE_PI_CASES {
+        let ((n, m), overlap, seed) = draw.generate(&mut rng);
+        drain_pi_beside_twin(n, m, overlap, seed);
+    }
+}
+
+/// The paper's eager §6 baseline stays reproducible: the twin's
+/// `fig6-coverage` PI evaluations at k = 100 (the `regen-experiments`
+/// instance: n 3, overlap 0.3, seed 7), before `Pi` became lazy.
+#[test]
+fn the_eager_twin_keeps_the_fig6_coverage_counts() {
+    for (m, evals) in [(4, 272), (8, 3_570), (12, 9_478), (16, 17_275)] {
+        let inst = GeneratorConfig::new(3, m)
+            .with_overlap_rate(0.3)
+            .with_seed(7)
+            .with_failure_prob(StatRange::new(0.0, 0.3))
+            .build();
+        let measure = CountingMeasure::new(Coverage);
+        let mut eager = ReferencePi::new(&inst, &measure);
+        eager.order_k(100);
+        assert_eq!(measure.total_evals(), evals, "m {m}");
+        assert_eq!(eager.evaluations, evals, "m {m}");
     }
 }

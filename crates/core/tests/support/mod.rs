@@ -4,6 +4,9 @@
 //! - [`reference_find_best`] — the textbook Drips loop the incremental
 //!   [`OrderingKernel`](qpo_core::OrderingKernel) replaced;
 //! - [`ReferenceIDrips`] — iDrips over it: one fresh search per emission;
+//! - [`pi::ReferencePi`] — the eager PI the shipped lazy one replaced:
+//!   every row the last emission invalidated re-valued, then a scan for
+//!   the maximum;
 //! - [`streamer::ReferenceStreamer`] — Streamer with its dominance links
 //!   kept as a list beside the graph, the representation the shipped one
 //!   replaced;
@@ -12,6 +15,7 @@
 //! - [`assert_same_steps`] — steps an orderer beside a reference one under
 //!   the equivalence contract, over the measures of [`all_measures`].
 
+pub mod pi;
 pub mod streamer;
 
 use qpo_catalog::ProblemInstance;

@@ -3,7 +3,6 @@
 use crate::atom::Atom;
 use crate::substitution::Substitution;
 use crate::term::Term;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -69,9 +68,10 @@ impl ConjunctiveQuery {
     }
 
     /// A query is *safe* iff every head variable appears in the body.
+    /// A scan, allocation-free: evaluation asserts it once per plan.
     pub fn is_safe(&self) -> bool {
-        let body: BTreeSet<_> = self.body_variables().into_iter().collect();
-        self.head_variables().iter().all(|v| body.contains(v))
+        let in_body = |t: &Term| self.body.iter().any(|atom| atom.terms.contains(t));
+        self.head.terms.iter().all(|t| !t.is_var() || in_body(t))
     }
 
     /// Applies a substitution to head and body.
@@ -114,6 +114,7 @@ impl fmt::Display for ConjunctiveQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// `q(M, R) :- play_in("ford", M), review_of(R, M)` — Figure 1's query.
     fn figure1_query() -> ConjunctiveQuery {

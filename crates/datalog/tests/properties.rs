@@ -221,6 +221,24 @@ proptest! {
         }
     }
 
+    /// `is_safe`'s allocation-free scan answers what the set definition
+    /// does — every head variable among the body's — on heads that may
+    /// name variables (`X4`, `X5`) no body atom has.
+    #[test]
+    fn is_safe_is_the_set_definition(
+        body in proptest::collection::vec(arb_atom(), 0..4),
+        head in proptest::collection::vec((0usize..7, arb_constant()), 0..4),
+    ) {
+        let head = head.into_iter().map(|(i, c)| match i {
+            0..=5 => Term::var(format!("X{i}")),
+            _ => Term::Const(c),
+        });
+        let q = ConjunctiveQuery::new(Atom::new("q", head.collect()), body);
+        let body_vars: BTreeSet<_> = q.body_variables().into_iter().collect();
+        let by_sets = q.head_variables().iter().all(|v| body_vars.contains(v));
+        prop_assert_eq!(q.is_safe(), by_sets, "{}", q);
+    }
+
     #[test]
     fn minimize_preserves_equivalence(q in arb_query()) {
         let m = qpo_datalog::containment::minimize(&q);

@@ -29,9 +29,11 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n`.
+    /// Adds `n` (nothing to do for 0).
     pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
+        if n > 0 {
+            self.cell.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Current value.
@@ -147,6 +149,22 @@ impl Histogram {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
                 Some((f64::from_bits(bits) + v).to_bits())
             });
+    }
+
+    /// Records `values` in order, as one [`record`](Histogram::record)
+    /// each would, with one atomic add per bucket they touch: a client
+    /// that buffers its observations publishes them at a call's end.
+    pub fn record_all(&self, values: &[f64]) {
+        let mut buckets = [0u64; TOTAL_BUCKETS];
+        values.iter().for_each(|&v| buckets[bucket_index(v)] += 1);
+        let (inner, count) = (&self.inner, values.len() as u64);
+        for (cell, n) in inner.buckets.iter().zip(buckets).filter(|b| b.1 > 0) {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
+        inner.count.fetch_add(count, Ordering::Relaxed);
+        let sum = |bits: u64| values.iter().fold(f64::from_bits(bits), |s, v| s + v);
+        let add = |bits| Some(sum(bits).to_bits());
+        let _ = (inner.sum_bits).fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
     }
 
     /// Observations recorded so far.
@@ -360,6 +378,20 @@ pub struct RegistrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn record_all_is_one_record_per_value() {
+        let values = [0.0, 1e-9, 0.1, 0.3, 0.3, 7.5, 1e9, -2.0, 1.0 / 3.0];
+        let (one_by_one, batched) = (Histogram::detached(), Histogram::detached());
+        one_by_one.record(0.25);
+        batched.record(0.25);
+        values.iter().for_each(|&v| one_by_one.record(v));
+        batched.record_all(&values);
+        batched.record_all(&[]);
+        let (a, b) = (one_by_one.snapshot(), batched.snapshot());
+        assert_eq!((a.buckets, a.count), (b.buckets, b.count));
+        assert_eq!(a.sum.to_bits(), b.sum.to_bits());
+    }
 
     #[test]
     fn counters_accumulate_and_share_storage() {

@@ -33,6 +33,9 @@ cargo test -q --workspace
 echo "==> Streamer beside its reference twin over n 1-4 x m 1-6, up to 1 296 plans (release only)"
 cargo test -q --release -p qpo-core --test kernel_equivalence streamer_matches_its_reference_twin_wide
 
+echo "==> lazy Pi beside its eager reference twin over n 1-4 x m 1-6, up to 1 296 plans (release only)"
+cargo test -q --release -p qpo-core --test kernel_equivalence pi_matches_its_reference_twin_wide
+
 echo "==> the any-k merge and positional join beside their reference twins, wide (release only)"
 cargo test -q --release -p qpo-anyk --test twins wide
 
