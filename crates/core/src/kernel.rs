@@ -109,63 +109,29 @@ impl KernelStats {
     }
 }
 
-/// The registry handles [`KernelStats`] are published to, plus the
-/// interval-width histogram ([`OrderingKernel::with_obs`]).
-#[derive(Debug, Clone)]
-struct KernelMetrics {
-    rounds: Counter,
-    refinements: Counter,
-    dominance_checks: Counter,
-    eliminations: Counter,
-    champion_sweeps: Counter,
-    interval_evals: Counter,
-    interval_resumes: Counter,
-    interval_cache_hits: Counter,
-    tree_builds: Counter,
-    tree_cache_hits: Counter,
-    floor_calls: Counter,
-    /// Width (`hi − lo`) of every freshly evaluated utility interval — how
-    /// abstract the plans the kernel actually touches are.
-    interval_width: Histogram,
-}
+/// A registry counter and the [`KernelStats`] field published to it.
+type Published = (&'static str, fn(&KernelStats) -> u64);
 
-impl KernelMetrics {
-    fn registered(obs: &Obs) -> Self {
-        let c = |name| obs.registry.counter(name, &[]);
-        KernelMetrics {
-            rounds: c("qpo_kernel_rounds_total"),
-            refinements: c("qpo_kernel_refinements_total"),
-            dominance_checks: c("qpo_kernel_dominance_checks_total"),
-            eliminations: c("qpo_kernel_eliminations_total"),
-            champion_sweeps: c("qpo_kernel_champion_sweeps_total"),
-            interval_evals: c("qpo_kernel_interval_evals_total"),
-            interval_resumes: c("qpo_kernel_interval_resumes_total"),
-            interval_cache_hits: c("qpo_kernel_interval_cache_hits_total"),
-            tree_builds: c("qpo_kernel_tree_builds_total"),
-            tree_cache_hits: c("qpo_kernel_tree_cache_hits_total"),
-            floor_calls: c("qpo_kernel_floor_calls_total"),
-            interval_width: obs.registry.histogram("qpo_kernel_interval_width", &[]),
-        }
-    }
+/// Every [`KernelStats`] counter and its registry counter
+/// ([`OrderingKernel::with_obs`]).
+#[rustfmt::skip]
+const PUBLISHED: [Published; 11] = [
+    ("qpo_kernel_rounds_total", |s| s.rounds),
+    ("qpo_kernel_refinements_total", |s| s.refinements),
+    ("qpo_kernel_dominance_checks_total", |s| s.dominance_checks),
+    ("qpo_kernel_eliminations_total", |s| s.eliminations),
+    ("qpo_kernel_champion_sweeps_total", |s| s.champion_sweeps),
+    ("qpo_kernel_interval_evals_total", |s| s.interval_evals),
+    ("qpo_kernel_interval_resumes_total", |s| s.interval_resumes),
+    ("qpo_kernel_interval_cache_hits_total", |s| s.interval_cache_hits),
+    ("qpo_kernel_tree_builds_total", |s| s.tree_builds),
+    ("qpo_kernel_tree_cache_hits_total", |s| s.tree_cache_hits),
+    ("qpo_kernel_floor_calls_total", |s| s.floor_calls),
+];
 
-    /// Adds what `now` counts beyond `before`, and drains the `widths`.
-    fn publish(&self, before: &KernelStats, now: &KernelStats, widths: &mut Vec<f64>) {
-        let add = |c: &Counter, f: fn(&KernelStats) -> u64| c.add(f(now) - f(before));
-        add(&self.rounds, |s| s.rounds);
-        add(&self.refinements, |s| s.refinements);
-        add(&self.dominance_checks, |s| s.dominance_checks);
-        add(&self.eliminations, |s| s.eliminations);
-        add(&self.champion_sweeps, |s| s.champion_sweeps);
-        add(&self.interval_evals, |s| s.interval_evals);
-        add(&self.interval_resumes, |s| s.interval_resumes);
-        add(&self.interval_cache_hits, |s| s.interval_cache_hits);
-        add(&self.tree_builds, |s| s.tree_builds);
-        add(&self.tree_cache_hits, |s| s.tree_cache_hits);
-        add(&self.floor_calls, |s| s.floor_calls);
-        self.interval_width.record_all(widths);
-        widths.clear();
-    }
-}
+/// One handle per [`PUBLISHED`] row, and the histogram of the widths
+/// (`hi − lo`) of freshly evaluated intervals with this call's widths.
+type Handles = ([Counter; PUBLISHED.len()], Histogram, Vec<f64>);
 
 /// Outcome of a Drips search: the best concrete plan across the spaces.
 #[derive(Debug, Clone, PartialEq)]
@@ -322,8 +288,8 @@ pub struct OrderingKernel {
     /// under: while it stands still, the history only grew by appends.
     retractions: u64,
     counts: KernelStats,
-    /// Where `counts` is published, and the widths this call buffered.
-    metrics: Option<(KernelMetrics, Vec<f64>)>,
+    /// Where `counts` is published.
+    metrics: Option<Handles>,
     journal: TraceJournal,
     batch: Batch,
 }
@@ -353,7 +319,9 @@ impl OrderingKernel {
     /// its end, and adopts its trace journal. Call right after
     /// construction — counts from before are not published.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.metrics = Some((KernelMetrics::registered(obs), Vec::new()));
+        let counters = PUBLISHED.map(|(name, _)| obs.registry.counter(name, &[]));
+        let width = obs.registry.histogram("qpo_kernel_interval_width", &[]);
+        self.metrics = Some((counters, width, Vec::new()));
         self.journal = obs.journal.clone();
         self
     }
@@ -365,10 +333,14 @@ impl OrderingKernel {
 
     /// Adds the counts since `before` to the shared registry, if any.
     fn publish(&mut self, before: &KernelStats) {
-        let now = &self.counts;
-        self.metrics
-            .iter_mut()
-            .for_each(|(m, w)| m.publish(before, now, w));
+        let Some((counters, width, widths)) = &mut self.metrics else {
+            return;
+        };
+        for ((_, field), counter) in PUBLISHED.iter().zip(counters.iter()) {
+            counter.add(field(&self.counts) - field(before));
+        }
+        width.record_all(widths);
+        widths.clear();
     }
 
     fn tree<H: AbstractionHeuristic + ?Sized>(
@@ -677,7 +649,7 @@ impl OrderingKernel {
                 let iv = measure.resume_interval(inst, &memo.cands, ctx, &mut memo.carry);
                 memo.interval = iv;
                 memo.seen = ctx.len();
-                if let Some((_, widths)) = &mut self.metrics {
+                if let Some((_, _, widths)) = &mut self.metrics {
                     widths.push(iv.hi() - iv.lo());
                 }
             }

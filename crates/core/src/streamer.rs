@@ -65,41 +65,20 @@ pub struct StreamerStats {
     pub utility_resumes: usize,
 }
 
-/// The registry handles [`StreamerStats`] are published to.
-#[derive(Debug, Clone)]
-struct StreamerMetrics {
-    refinements: Counter,
-    links_created: Counter,
-    links_recycled: Counter,
-    links_invalidated: Counter,
-    utility_recomputations: Counter,
-    utility_resumes: Counter,
-}
+/// A registry counter and the [`StreamerStats`] field published to it.
+type Published = (&'static str, fn(&StreamerStats) -> usize);
 
-impl StreamerMetrics {
-    fn registered(obs: &Obs) -> Self {
-        let c = |name| obs.registry.counter(name, &[]);
-        StreamerMetrics {
-            refinements: c("qpo_streamer_refinements_total"),
-            links_created: c("qpo_streamer_links_created_total"),
-            links_recycled: c("qpo_streamer_links_recycled_total"),
-            links_invalidated: c("qpo_streamer_links_invalidated_total"),
-            utility_recomputations: c("qpo_streamer_utility_recomputations_total"),
-            utility_resumes: c("qpo_streamer_utility_resumes_total"),
-        }
-    }
-
-    /// Adds what `now` counts beyond `before`.
-    fn publish(&self, before: &StreamerStats, now: &StreamerStats) {
-        let add = |c: &Counter, f: fn(&StreamerStats) -> usize| c.add((f(now) - f(before)) as u64);
-        add(&self.refinements, |s| s.refinements);
-        add(&self.links_created, |s| s.links_created);
-        add(&self.links_recycled, |s| s.links_recycled);
-        add(&self.links_invalidated, |s| s.links_invalidated);
-        add(&self.utility_recomputations, |s| s.utility_recomputations);
-        add(&self.utility_resumes, |s| s.utility_resumes);
-    }
-}
+/// Every [`StreamerStats`] counter and its registry counter
+/// ([`Streamer::with_obs`]).
+#[rustfmt::skip]
+const PUBLISHED: [Published; 6] = [
+    ("qpo_streamer_refinements_total", |s| s.refinements),
+    ("qpo_streamer_links_created_total", |s| s.links_created),
+    ("qpo_streamer_links_recycled_total", |s| s.links_recycled),
+    ("qpo_streamer_links_invalidated_total", |s| s.links_invalidated),
+    ("qpo_streamer_utility_recomputations_total", |s| s.utility_recomputations),
+    ("qpo_streamer_utility_resumes_total", |s| s.utility_resumes),
+];
 
 #[derive(Debug, Clone, Default)]
 struct SNode {
@@ -149,7 +128,8 @@ pub struct Streamer<'a, M: UtilityMeasure + ?Sized> {
     /// reset to nil while nondominated.
     pending: Vec<usize>,
     counts: StreamerStats,
-    metrics: Option<StreamerMetrics>,
+    /// One registry handle per [`PUBLISHED`] row.
+    metrics: Option<[Counter; PUBLISHED.len()]>,
 }
 
 impl<'a, M: UtilityMeasure + ?Sized> Streamer<'a, M> {
@@ -194,7 +174,7 @@ impl<'a, M: UtilityMeasure + ?Sized> Streamer<'a, M> {
     /// `next_plan`'s at its end. Call right after construction — counts
     /// from before are not published.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.metrics = Some(StreamerMetrics::registered(obs));
+        self.metrics = Some(PUBLISHED.map(|(name, _)| obs.registry.counter(name, &[])));
         self
     }
 
@@ -399,8 +379,11 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Streamer<'_, M> {
                 utility: d_utility.lo(),
             });
         };
-        let publish = |m: &StreamerMetrics| m.publish(&before, &self.counts);
-        self.metrics.iter().for_each(publish);
+        if let Some(counters) = &self.metrics {
+            for ((_, field), counter) in PUBLISHED.iter().zip(counters) {
+                counter.add((field(&self.counts) - field(&before)) as u64);
+            }
+        }
         next
     }
 }

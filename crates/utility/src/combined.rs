@@ -22,9 +22,10 @@ use qpo_interval::Interval;
 /// - monotonicity is not claimed (even two fully monotonic components may
 ///   rank a bucket's sources differently), so Greedy does not apply;
 /// - abstract independence witnesses are only certified for concrete
-///   plans — a shared witness for both components cannot be derived from
-///   the components' separate witnesses, so Streamer recycles fewer links
-///   under combined measures (correctness is unaffected).
+///   plans, or when both components are context-free (the trait's
+///   default) — a shared witness for both components cannot be derived
+///   from the components' separate witnesses, so Streamer recycles fewer
+///   links under combined measures (correctness is unaffected).
 pub struct Combined<A, B> {
     a: A,
     b: B,
@@ -120,10 +121,6 @@ impl<A: UtilityMeasure, B: UtilityMeasure> UtilityMeasure for Combined<A, B> {
 
     fn context_free(&self) -> bool {
         self.a.context_free() && self.b.context_free()
-    }
-
-    fn monotone_subgoals(&self, inst: &ProblemInstance) -> Vec<bool> {
-        vec![false; inst.query_len()]
     }
 
     fn independent(&self, inst: &ProblemInstance, p: &[usize], q: &[usize]) -> bool {

@@ -1,10 +1,11 @@
-//! Transmission-cost utility measures (§3 of the paper).
+//! Transmission-cost utility measures (§3 of the paper), and the
+//! bound-parameter chain every chain-shaped measure prices plans with.
 //!
-//! All cost measures share the *bound-parameter chain* estimate of
-//! intermediate result sizes: the first source returns `r̂_0 = n_0` items;
-//! source `i > 0` is probed with the `r_{i-1}` items produced so far and
-//! returns `r̂_i = r_{i-1}·n_i/N_i` (eq. (2)'s `n_j·n_i/N`, generalized to
-//! query length `m`). Utilities are negated costs so that higher is better.
+//! `chain` is the *bound-parameter chain* estimate of intermediate
+//! result sizes: the first source returns `r̂_0 = n_0` items; source
+//! `i > 0` is probed with the `r_{i-1}` items produced so far and returns
+//! `r̂_i = r_{i-1}·n_i/N_i` (eq. (2)'s `n_j·n_i/N`, generalized to query
+//! length `m`). Utilities are negated costs so that higher is better.
 //!
 //! - [`LinearCost`] — eq. (1): `Σ (h + α_i·n_i)`; *fully monotonic*.
 //! - [`FusionCost`] — eq. (2): `Σ (h + α_i·r̂_i)`; monotonic w.r.t. the
@@ -13,18 +14,13 @@
 //! - [`FailureCost`] — eq. (2) with source failure: each term is multiplied
 //!   by the expected number of attempts `1/(1−f_i)`; optional *caching*
 //!   zeroes the term of an already-cached source operation, which breaks
-//!   both plan independence and diminishing returns (§6).
+//!   both plan independence and diminishing returns (§6). `caching` is
+//!   that model, shared with [`MonetaryCost`](crate::MonetaryCost).
 
 use crate::context::ExecutionContext;
 use crate::measure::{IntervalCarry, UtilityMeasure};
 use qpo_catalog::{ProblemInstance, SourceRef};
 use qpo_interval::Interval;
-
-/// Builds singleton candidate vectors for a concrete plan, letting the
-/// concrete path share the interval code (a point interval falls out).
-fn singletons(plan: &[usize]) -> Vec<Vec<usize>> {
-    plan.iter().map(|&i| vec![i]).collect()
-}
 
 /// Per-bucket term computation for chain-shaped costs.
 ///
@@ -54,23 +50,89 @@ fn bucket_term(
     Interval::new(lo, hi)
 }
 
-/// Interval of `r̂_b` (items returned by bucket `b`'s source) given the
-/// candidates and the incoming interval.
-fn flow_out(
+/// The bound-parameter chain over a candidate product: the sum of the
+/// per-bucket [`bucket_term`]s, and the interval of the chain's final
+/// result size `r̂_{m-1}` (zero for no buckets). `term_of(b, i, first)`
+/// gives candidate `i` of bucket `b` its `(constant, slope)`; `first` says
+/// `b` is the first bucket, which has no incoming result. Data flows out
+/// of every operation, cached or not: only its term can vanish.
+pub(crate) fn chain(
     inst: &ProblemInstance,
-    bucket: usize,
-    cands: &[usize],
-    r_prev: Option<Interval>,
-) -> Interval {
-    let n = |i: usize| inst.buckets[bucket][i].tuples;
-    let n_lo = cands.iter().map(|&i| n(i)).fold(f64::MAX, f64::min);
-    let n_hi = cands.iter().map(|&i| n(i)).fold(f64::MIN, f64::max);
-    match r_prev {
-        None => Interval::new(n_lo, n_hi),
-        Some(r) => {
-            let universe = inst.universes[bucket] as f64;
-            Interval::new(r.lo() * n_lo / universe, r.hi() * n_hi / universe)
+    candidates: &[Vec<usize>],
+    mut term_of: impl FnMut(usize, usize, bool) -> (f64, f64),
+) -> (Interval, Interval) {
+    let mut total = Interval::ZERO;
+    let mut r_prev: Option<Interval> = None;
+    for (b, cands) in candidates.iter().enumerate() {
+        total = total + bucket_term(cands, r_prev, |i| term_of(b, i, r_prev.is_none()));
+        let n = |i: usize| inst.buckets[b][i].tuples;
+        let n_lo = cands.iter().map(|&i| n(i)).fold(f64::MAX, f64::min);
+        let n_hi = cands.iter().map(|&i| n(i)).fold(f64::MIN, f64::max);
+        r_prev = Some(match r_prev {
+            None => Interval::new(n_lo, n_hi),
+            Some(r) => {
+                let universe = inst.universes[b] as f64;
+                Interval::new(r.lo() * n_lo / universe, r.hi() * n_hi / universe)
+            }
+        });
+    }
+    (total, r_prev.unwrap_or(Interval::ZERO))
+}
+
+/// The caching model of §6, shared by the caching variants of
+/// [`FailureCost`] and [`MonetaryCost`](crate::MonetaryCost): one
+/// operation per `(bucket, source)`, and a cached operation is free. Two
+/// plans are dependent iff some bucket uses the same source in both.
+pub(crate) mod caching {
+    use super::*;
+    use crate::measure::CarryState;
+
+    /// No bucket uses the same source in `p` and `q`.
+    pub(crate) fn independent(p: &[usize], q: &[usize]) -> bool {
+        p.iter().zip(q).all(|(a, b)| a != b)
+    }
+
+    /// No candidate is the source `d` uses in its bucket.
+    pub(crate) fn all_independent(candidates: &[Vec<usize>], d: &[usize]) -> bool {
+        candidates
+            .iter()
+            .zip(d)
+            .all(|(cands, &di)| !cands.contains(&di))
+    }
+
+    /// Exact: pick per bucket any candidate unused by every executed plan
+    /// at that bucket.
+    pub(crate) fn exists_independent(candidates: &[Vec<usize>], executed: &[Vec<usize>]) -> bool {
+        candidates
+            .iter()
+            .enumerate()
+            .all(|(b, cands)| cands.iter().any(|&i| executed.iter().all(|e| e[b] != i)))
+    }
+
+    /// A caching measure reads the context only through `is_cached(b, i)`
+    /// for `i ∈ candidates[b]`: exactly what `all_independent` tests. So
+    /// the carried interval stands until an appended plan uses a candidate
+    /// source, and is recomputed from scratch then (or on a fresh carry).
+    pub(crate) fn resume_interval<M: UtilityMeasure + ?Sized>(
+        m: &M,
+        inst: &ProblemInstance,
+        candidates: &[Vec<usize>],
+        ctx: &ExecutionContext,
+        carry: &mut IntervalCarry,
+    ) -> Interval {
+        let stale = carry.is_fresh();
+        let init = || CarryState::Standing(Interval::ZERO);
+        let (CarryState::Standing(interval), unseen) = carry.resume(ctx, init) else {
+            unreachable!("carry belongs to another measure");
+        };
+        if stale
+            || unseen
+                .iter()
+                .any(|e| !m.all_independent(inst, candidates, e))
+        {
+            *interval = m.utility_interval(inst, candidates, ctx);
         }
+        *interval
     }
 }
 
@@ -119,10 +181,6 @@ impl UtilityMeasure for LinearCost {
         -cost
     }
 
-    fn diminishing_returns(&self) -> bool {
-        true // context-free: utilities never change at all
-    }
-
     fn context_free(&self) -> bool {
         true
     }
@@ -133,18 +191,6 @@ impl UtilityMeasure for LinearCost {
 
     fn source_preference(&self, inst: &ProblemInstance, source: SourceRef) -> f64 {
         -self.term(inst, source.bucket, source.index)
-    }
-
-    fn independent(&self, _inst: &ProblemInstance, _p: &[usize], _q: &[usize]) -> bool {
-        true
-    }
-
-    fn all_independent(&self, _: &ProblemInstance, _: &[Vec<usize>], _: &[usize]) -> bool {
-        true
-    }
-
-    fn exists_independent(&self, _: &ProblemInstance, _: &[Vec<usize>], _: &[Vec<usize>]) -> bool {
-        true
     }
 }
 
@@ -157,24 +203,6 @@ impl FusionCost {
     /// Creates the measure.
     pub fn new() -> Self {
         FusionCost
-    }
-
-    fn cost_interval(&self, inst: &ProblemInstance, candidates: &[Vec<usize>]) -> Interval {
-        let mut total = Interval::ZERO;
-        let mut r_prev: Option<Interval> = None;
-        for (b, cands) in candidates.iter().enumerate() {
-            let universe = inst.universes[b] as f64;
-            let term = bucket_term(cands, r_prev, |i| {
-                let s = &inst.buckets[b][i];
-                match r_prev {
-                    None => (inst.overhead + s.transmission_cost * s.tuples, 0.0),
-                    Some(_) => (inst.overhead, s.transmission_cost * s.tuples / universe),
-                }
-            });
-            total = total + term;
-            r_prev = Some(flow_out(inst, b, cands, r_prev));
-        }
-        total
     }
 
     /// True iff all sources in `bucket` share the same transmission cost —
@@ -198,21 +226,22 @@ impl UtilityMeasure for FusionCost {
         true
     }
 
-    fn utility(&self, inst: &ProblemInstance, plan: &[usize], _ctx: &ExecutionContext) -> f64 {
-        (-self.cost_interval(inst, &singletons(plan))).lo()
-    }
-
     fn utility_interval(
         &self,
         inst: &ProblemInstance,
         candidates: &[Vec<usize>],
         _ctx: &ExecutionContext,
     ) -> Interval {
-        -self.cost_interval(inst, candidates)
-    }
-
-    fn diminishing_returns(&self) -> bool {
-        true
+        let (cost, _) = chain(inst, candidates, |b, i, first| {
+            let s = &inst.buckets[b][i];
+            if first {
+                (inst.overhead + s.transmission_cost * s.tuples, 0.0)
+            } else {
+                let universe = inst.universes[b] as f64;
+                (inst.overhead, s.transmission_cost * s.tuples / universe)
+            }
+        });
+        -cost
     }
 
     fn monotone_subgoals(&self, inst: &ProblemInstance) -> Vec<bool> {
@@ -232,24 +261,16 @@ impl UtilityMeasure for FusionCost {
             -s.tuples
         }
     }
-
-    fn independent(&self, _inst: &ProblemInstance, _p: &[usize], _q: &[usize]) -> bool {
-        true
-    }
-
-    fn all_independent(&self, _: &ProblemInstance, _: &[Vec<usize>], _: &[usize]) -> bool {
-        true
-    }
-
-    fn exists_independent(&self, _: &ProblemInstance, _: &[Vec<usize>], _: &[Vec<usize>]) -> bool {
-        true
-    }
 }
 
 /// Eq. (2) with source failure and optional result caching (§6's "cost with
 /// probability of source failure"). Each access is retried until success,
 /// multiplying its term by `1/(1−f_i)`; with `caching`, the term of a
 /// source operation whose result is cached is zero.
+///
+/// No subgoal is monotonic (the trait's default): the attempts multiplier
+/// couples the overhead and transmission terms, so no per-bucket total
+/// order exists in general (sound: Greedy simply does not apply).
 #[derive(Debug, Clone, Copy)]
 pub struct FailureCost {
     caching: bool,
@@ -273,40 +294,6 @@ impl FailureCost {
     pub fn caching(&self) -> bool {
         self.caching
     }
-
-    fn cost_interval(
-        &self,
-        inst: &ProblemInstance,
-        candidates: &[Vec<usize>],
-        ctx: &ExecutionContext,
-    ) -> Interval {
-        let mut total = Interval::ZERO;
-        let mut r_prev: Option<Interval> = None;
-        for (b, cands) in candidates.iter().enumerate() {
-            let universe = inst.universes[b] as f64;
-            let term = bucket_term(cands, r_prev, |i| {
-                if self.caching && ctx.is_cached(b, i) {
-                    return (0.0, 0.0);
-                }
-                let s = &inst.buckets[b][i];
-                let attempts = s.expected_attempts();
-                match r_prev {
-                    None => (
-                        attempts * (inst.overhead + s.transmission_cost * s.tuples),
-                        0.0,
-                    ),
-                    Some(_) => (
-                        attempts * inst.overhead,
-                        attempts * s.transmission_cost * s.tuples / universe,
-                    ),
-                }
-            });
-            total = total + term;
-            // Data still flows out of cached operations; only cost is saved.
-            r_prev = Some(flow_out(inst, b, cands, r_prev));
-        }
-        total
-    }
 }
 
 impl UtilityMeasure for FailureCost {
@@ -318,17 +305,28 @@ impl UtilityMeasure for FailureCost {
         }
     }
 
-    fn utility(&self, inst: &ProblemInstance, plan: &[usize], ctx: &ExecutionContext) -> f64 {
-        (-self.cost_interval(inst, &singletons(plan), ctx)).lo()
-    }
-
     fn utility_interval(
         &self,
         inst: &ProblemInstance,
         candidates: &[Vec<usize>],
         ctx: &ExecutionContext,
     ) -> Interval {
-        -self.cost_interval(inst, candidates, ctx)
+        let (cost, _) = chain(inst, candidates, |b, i, first| {
+            if self.caching && ctx.is_cached(b, i) {
+                return (0.0, 0.0);
+            }
+            let s = &inst.buckets[b][i];
+            let attempts = s.expected_attempts();
+            if first {
+                let constant = attempts * (inst.overhead + s.transmission_cost * s.tuples);
+                (constant, 0.0)
+            } else {
+                let universe = inst.universes[b] as f64;
+                let slope = attempts * s.transmission_cost * s.tuples / universe;
+                (attempts * inst.overhead, slope)
+            }
+        });
+        -cost
     }
 
     fn resume_interval(
@@ -338,69 +336,29 @@ impl UtilityMeasure for FailureCost {
         ctx: &ExecutionContext,
         carry: &mut IntervalCarry,
     ) -> Interval {
-        // The context is read only through `is_cached(b, i)` for
-        // `i ∈ candidates[b]`: exactly what `all_independent` tests.
-        let disturbs = |e: &[usize]| !self.all_independent(inst, candidates, e);
-        carry.stand_unless(ctx, disturbs, || {
-            self.utility_interval(inst, candidates, ctx)
-        })
+        caching::resume_interval(self, inst, candidates, ctx, carry)
     }
 
-    fn diminishing_returns(&self) -> bool {
-        // With caching, executing plans makes overlapping plans *cheaper*.
-        !self.caching
-    }
-
+    /// With caching, executing plans makes overlapping plans *cheaper*.
     fn context_free(&self) -> bool {
         !self.caching
     }
 
-    fn monotone_subgoals(&self, inst: &ProblemInstance) -> Vec<bool> {
-        // The attempts multiplier couples the overhead and transmission
-        // terms, so no per-bucket total order exists in general; report
-        // non-monotonic (sound: Greedy simply does not apply).
-        vec![false; inst.query_len()]
-    }
-
     fn independent(&self, _inst: &ProblemInstance, p: &[usize], q: &[usize]) -> bool {
-        if !self.caching {
-            return true;
-        }
-        // Source-operation model: dependent iff some bucket uses the same
-        // source in both plans.
-        p.iter().zip(q).all(|(a, b)| a != b)
+        !self.caching || caching::independent(p, q)
     }
 
-    fn all_independent(
-        &self,
-        _inst: &ProblemInstance,
-        candidates: &[Vec<usize>],
-        d: &[usize],
-    ) -> bool {
-        if !self.caching {
-            return true;
-        }
-        candidates
-            .iter()
-            .zip(d)
-            .all(|(cands, &di)| !cands.contains(&di))
+    fn all_independent(&self, _: &ProblemInstance, candidates: &[Vec<usize>], d: &[usize]) -> bool {
+        !self.caching || caching::all_independent(candidates, d)
     }
 
     fn exists_independent(
         &self,
-        _inst: &ProblemInstance,
+        _: &ProblemInstance,
         candidates: &[Vec<usize>],
         executed: &[Vec<usize>],
     ) -> bool {
-        if !self.caching {
-            return true;
-        }
-        // Exact: pick per bucket any candidate unused by every executed
-        // plan at that bucket.
-        candidates
-            .iter()
-            .enumerate()
-            .all(|(b, cands)| cands.iter().any(|&i| executed.iter().all(|e| e[b] != i)))
+        !self.caching || caching::exists_independent(candidates, executed)
     }
 }
 

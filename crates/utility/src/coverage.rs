@@ -15,6 +15,10 @@ use qpo_catalog::{Extent, ProblemInstance};
 use qpo_interval::Interval;
 
 /// The plan-coverage utility measure.
+///
+/// No subgoal is monotonic (the trait's default): coverage depends on
+/// overlap structure, not a per-bucket total order, so replacing a source
+/// can help in one plan and hurt in another.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Coverage;
 
@@ -142,13 +146,6 @@ impl UtilityMeasure for Coverage {
 
     fn diminishing_returns(&self) -> bool {
         true
-    }
-
-    fn monotone_subgoals(&self, inst: &ProblemInstance) -> Vec<bool> {
-        // Coverage depends on overlap structure, not a per-bucket total
-        // order: replacing a source can help in one plan and hurt in
-        // another. Conservatively: no subgoal is monotonic.
-        vec![false; inst.query_len()]
     }
 
     /// Exact under the box model: disjoint boxes cannot affect each other's

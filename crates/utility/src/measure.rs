@@ -65,26 +65,6 @@ impl IntervalCarry {
         self.seen = ctx.len();
         (&mut self.state, unseen)
     }
-
-    /// Resume for a measure whose interval for these candidates changes
-    /// only when an appended plan `disturbs` them: the carried interval
-    /// stands, or `from_scratch` replaces it.
-    pub(crate) fn stand_unless(
-        &mut self,
-        ctx: &ExecutionContext,
-        disturbs: impl Fn(&[usize]) -> bool,
-        from_scratch: impl FnOnce() -> Interval,
-    ) -> Interval {
-        let stale = self.is_fresh();
-        let init = || CarryState::Standing(Interval::ZERO);
-        let (CarryState::Standing(interval), unseen) = self.resume(ctx, init) else {
-            unreachable!("carry belongs to another measure");
-        };
-        if stale || unseen.iter().any(|e| disturbs(e)) {
-            *interval = from_scratch();
-        }
-        *interval
-    }
 }
 
 /// A utility measure `u(p | executed, Q)` over a [`ProblemInstance`].
@@ -117,12 +97,29 @@ impl IntervalCarry {
 ///   `true`, then replacing a source by one with a higher
 ///   [`source_preference`](UtilityMeasure::source_preference) in any plan,
 ///   under any context, must not lower the plan's utility.
+///
+/// # Defaults
+///
+/// A context-free utility never changes as plans execute, so it cannot
+/// increase and no plan's execution moves another's. Hence
+/// [`diminishing_returns`](UtilityMeasure::diminishing_returns) and the
+/// three independence tests default to
+/// [`context_free`](UtilityMeasure::context_free), sound either way (the
+/// set tests still decide concrete candidates exactly); a measure
+/// overrides one only to say more. No subgoal is monotonic by default, and
+/// [`utility`](UtilityMeasure::utility) is the point of the plan's
+/// singleton interval, which the first contract makes exact.
 pub trait UtilityMeasure {
     /// Short identifier used in logs and experiment tables.
     fn name(&self) -> &'static str;
 
     /// Exact utility of a concrete plan (one source index per bucket).
-    fn utility(&self, inst: &ProblemInstance, plan: &[usize], ctx: &ExecutionContext) -> f64;
+    /// Default: the point [`utility_interval`](UtilityMeasure::utility_interval)
+    /// gives the plan's singleton candidates, so the two agree bit for bit.
+    fn utility(&self, inst: &ProblemInstance, plan: &[usize], ctx: &ExecutionContext) -> f64 {
+        let singletons: Vec<Vec<usize>> = plan.iter().map(|&i| vec![i]).collect();
+        self.utility_interval(inst, &singletons, ctx).lo()
+    }
 
     /// Sound utility interval for an abstract plan (one non-empty candidate
     /// index set per bucket).
@@ -150,7 +147,10 @@ pub trait UtilityMeasure {
     }
 
     /// True iff utilities can never increase as more plans execute.
-    fn diminishing_returns(&self) -> bool;
+    /// Default: [`context_free`](UtilityMeasure::context_free).
+    fn diminishing_returns(&self) -> bool {
+        self.context_free()
+    }
 
     /// True iff utilities do not depend on the execution context at all
     /// (`u(p | E, Q) = u(p | ∅, Q)` for every `E`). Context-free measures
@@ -162,8 +162,10 @@ pub trait UtilityMeasure {
     }
 
     /// Per-subgoal monotonicity flags (see §3 of the paper). The measure is
-    /// *fully monotonic* iff all entries are `true`.
-    fn monotone_subgoals(&self, inst: &ProblemInstance) -> Vec<bool>;
+    /// *fully monotonic* iff all entries are `true`. Default: all `false`.
+    fn monotone_subgoals(&self, inst: &ProblemInstance) -> Vec<bool> {
+        vec![false; inst.query_len()]
+    }
 
     /// True iff the measure is monotonic with respect to every subgoal.
     fn is_fully_monotonic(&self, inst: &ProblemInstance) -> bool {
@@ -178,37 +180,39 @@ pub trait UtilityMeasure {
         unimplemented!("{} is not fully monotonic", self.name())
     }
 
-    /// Sound pairwise independence of two concrete plans.
-    fn independent(&self, inst: &ProblemInstance, p: &[usize], q: &[usize]) -> bool;
+    /// Sound pairwise independence of two concrete plans. Default:
+    /// [`context_free`](UtilityMeasure::context_free).
+    fn independent(&self, _inst: &ProblemInstance, _p: &[usize], _q: &[usize]) -> bool {
+        self.context_free()
+    }
 
     /// Sound test that *every* concrete plan in `candidates` is independent
-    /// of the concrete plan `d`. Default: decide exactly for concrete
-    /// candidates, otherwise answer conservatively (`false`).
+    /// of the concrete plan `d`. Default: `true` for a context-free
+    /// measure; else exact for concrete candidates, and conservatively
+    /// `false` for abstract ones.
     fn all_independent(
         &self,
         inst: &ProblemInstance,
         candidates: &[Vec<usize>],
         d: &[usize],
     ) -> bool {
-        match as_concrete(candidates) {
-            Some(p) => self.independent(inst, &p, d),
-            None => false,
-        }
+        self.context_free()
+            || as_concrete(candidates).is_some_and(|p| self.independent(inst, &p, d))
     }
 
     /// Sound test that *some* concrete plan in `candidates` is independent
-    /// of every plan in `executed`. Default: decide exactly for concrete
-    /// candidates, otherwise answer conservatively (`false`).
+    /// of every plan in `executed`. Default: `true` for a context-free
+    /// measure; else exact for concrete candidates, and conservatively
+    /// `false` for abstract ones.
     fn exists_independent(
         &self,
         inst: &ProblemInstance,
         candidates: &[Vec<usize>],
         executed: &[Vec<usize>],
     ) -> bool {
-        match as_concrete(candidates) {
-            Some(p) => executed.iter().all(|e| self.independent(inst, &p, e)),
-            None => false,
-        }
+        self.context_free()
+            || as_concrete(candidates)
+                .is_some_and(|p| executed.iter().all(|e| self.independent(inst, &p, e)))
     }
 }
 

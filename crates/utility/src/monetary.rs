@@ -1,16 +1,24 @@
 //! Average monetary cost per output tuple (§6's fourth measure):
 //! `u(p) = −Cost(p) / NumOutputTuples(p)`, where `Cost` charges each
 //! source's per-tuple fee on the items it ships (computed over the eq. (2)
-//! bound-parameter chain) and `NumOutputTuples` is the chain's final result
-//! size, as in \[23\] (Yerneni et al., EDBT '98).
+//! bound-parameter chain, `cost::chain`) and `NumOutputTuples` is the chain's
+//! final result size, as in \[23\] (Yerneni et al., EDBT '98).
 
 use crate::context::ExecutionContext;
+use crate::cost::{caching, chain};
 use crate::measure::{IntervalCarry, UtilityMeasure};
 use qpo_catalog::ProblemInstance;
 use qpo_interval::Interval;
 
 /// The average-monetary-cost-per-tuple measure, with optional caching of
 /// source operations (a cached operation incurs no fee).
+///
+/// Its [`utility`](UtilityMeasure::utility) is the trait's default, the
+/// point of the singleton interval: `fee · (1/out)` as interval division
+/// rounds it, which may sit an ulp from `fee / out`. No subgoal is
+/// monotonic (the default): a ratio of two source-dependent quantities,
+/// replacing a source can raise the numerator and denominator together,
+/// so no per-bucket total order exists in general.
 #[derive(Debug, Clone, Copy)]
 pub struct MonetaryCost {
     caching: bool,
@@ -33,61 +41,6 @@ impl MonetaryCost {
     pub fn caching(&self) -> bool {
         self.caching
     }
-
-    /// Returns `(fee interval, output-tuples interval)` for the candidate
-    /// product under `ctx`.
-    fn fee_and_output(
-        &self,
-        inst: &ProblemInstance,
-        candidates: &[Vec<usize>],
-        ctx: &ExecutionContext,
-    ) -> (Interval, Interval) {
-        let mut fee = Interval::ZERO;
-        let mut r_prev: Option<Interval> = None;
-        for (b, cands) in candidates.iter().enumerate() {
-            let universe = inst.universes[b] as f64;
-            // Fee term per candidate is affine in the incoming result size
-            // (constant for the first bucket); hull over candidates at the
-            // extremes of r_prev, exactly as the cost chain does.
-            let mut lo = f64::MAX;
-            let mut hi = f64::MIN;
-            let mut n_lo = f64::MAX;
-            let mut n_hi = f64::MIN;
-            for &i in cands {
-                let s = &inst.buckets[b][i];
-                let waived = self.caching && ctx.is_cached(b, i);
-                let (t_lo, t_hi) = match r_prev {
-                    None => {
-                        let t = if waived {
-                            0.0
-                        } else {
-                            s.fee_per_tuple * s.tuples
-                        };
-                        (t, t)
-                    }
-                    Some(r) => {
-                        let slope = if waived {
-                            0.0
-                        } else {
-                            s.fee_per_tuple * s.tuples / universe
-                        };
-                        (slope * r.lo(), slope * r.hi())
-                    }
-                };
-                lo = lo.min(t_lo);
-                hi = hi.max(t_hi);
-                n_lo = n_lo.min(s.tuples);
-                n_hi = n_hi.max(s.tuples);
-            }
-            fee = fee + Interval::new(lo, hi);
-            r_prev = Some(match r_prev {
-                None => Interval::new(n_lo, n_hi),
-                Some(r) => Interval::new(r.lo() * n_lo / universe, r.hi() * n_hi / universe),
-            });
-        }
-        let out = r_prev.expect("at least one bucket");
-        (fee, out)
-    }
 }
 
 impl UtilityMeasure for MonetaryCost {
@@ -99,21 +52,25 @@ impl UtilityMeasure for MonetaryCost {
         }
     }
 
-    /// The point of the singleton interval, so the two agree bit for bit
-    /// (the trait's contract): `fee · (1/out)` as interval division
-    /// rounds it, which may sit an ulp from `fee / out`.
-    fn utility(&self, inst: &ProblemInstance, plan: &[usize], ctx: &ExecutionContext) -> f64 {
-        let singles: Vec<Vec<usize>> = plan.iter().map(|&i| vec![i]).collect();
-        self.utility_interval(inst, &singles, ctx).lo()
-    }
-
     fn utility_interval(
         &self,
         inst: &ProblemInstance,
         candidates: &[Vec<usize>],
         ctx: &ExecutionContext,
     ) -> Interval {
-        let (fee, out) = self.fee_and_output(inst, candidates, ctx);
+        // A fee is a slope on the incoming result size (a constant for the
+        // first bucket); a waived one is zero.
+        let (fee, out) = chain(inst, candidates, |b, i, first| {
+            if self.caching && ctx.is_cached(b, i) {
+                return (0.0, 0.0);
+            }
+            let s = &inst.buckets[b][i];
+            if first {
+                (s.fee_per_tuple * s.tuples, 0.0)
+            } else {
+                (0.0, s.fee_per_tuple * s.tuples / inst.universes[b] as f64)
+            }
+        });
         assert!(
             out.lo() > 0.0,
             "candidate plans may produce no tuples; fee/tuple undefined"
@@ -128,64 +85,28 @@ impl UtilityMeasure for MonetaryCost {
         ctx: &ExecutionContext,
         carry: &mut IntervalCarry,
     ) -> Interval {
-        // As for `FailureCost`: fees read the context through `is_cached`
-        // of the candidates only.
-        let disturbs = |e: &[usize]| !self.all_independent(inst, candidates, e);
-        carry.stand_unless(ctx, disturbs, || {
-            self.utility_interval(inst, candidates, ctx)
-        })
-    }
-
-    fn diminishing_returns(&self) -> bool {
-        !self.caching
+        caching::resume_interval(self, inst, candidates, ctx, carry)
     }
 
     fn context_free(&self) -> bool {
         !self.caching
     }
 
-    fn monotone_subgoals(&self, inst: &ProblemInstance) -> Vec<bool> {
-        // A ratio of two source-dependent quantities: replacing a source
-        // can raise the numerator and denominator together, so no
-        // per-bucket total order exists in general.
-        vec![false; inst.query_len()]
-    }
-
     fn independent(&self, _inst: &ProblemInstance, p: &[usize], q: &[usize]) -> bool {
-        if !self.caching {
-            return true;
-        }
-        p.iter().zip(q).all(|(a, b)| a != b)
+        !self.caching || caching::independent(p, q)
     }
 
-    fn all_independent(
-        &self,
-        _inst: &ProblemInstance,
-        candidates: &[Vec<usize>],
-        d: &[usize],
-    ) -> bool {
-        if !self.caching {
-            return true;
-        }
-        candidates
-            .iter()
-            .zip(d)
-            .all(|(cands, &di)| !cands.contains(&di))
+    fn all_independent(&self, _: &ProblemInstance, candidates: &[Vec<usize>], d: &[usize]) -> bool {
+        !self.caching || caching::all_independent(candidates, d)
     }
 
     fn exists_independent(
         &self,
-        _inst: &ProblemInstance,
+        _: &ProblemInstance,
         candidates: &[Vec<usize>],
         executed: &[Vec<usize>],
     ) -> bool {
-        if !self.caching {
-            return true;
-        }
-        candidates
-            .iter()
-            .enumerate()
-            .all(|(b, cands)| cands.iter().any(|&i| executed.iter().all(|e| e[b] != i)))
+        !self.caching || caching::exists_independent(candidates, executed)
     }
 }
 

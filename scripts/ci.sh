@@ -45,6 +45,9 @@ cargo test -q --release -p qpo-datalog --test properties wide
 echo "==> the answer union beside its reference twin, up to 600-row tables (release only)"
 cargo test -q --release -p qpo-runtime --test twins wide
 
+echo "==> the chain measures beside their reference twins, wide (release only)"
+cargo test -q --release -p qpo-utility --test twins wide
+
 echo "==> non-test src lines per crate (ROADMAP: net line count is a tracked metric)"
 bash scripts/loc.sh
 
