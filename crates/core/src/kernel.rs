@@ -353,15 +353,6 @@ impl OrderingKernel {
         let table = self.trees.entry(bucket).or_default();
         if let Some(t) = table.get(cands) {
             self.counts.tree_cache_hits += 1;
-            if self.journal.is_enabled() {
-                self.journal.record(
-                    "kernel_cache_hit",
-                    vec![
-                        ("cache", Value::Str("tree".into())),
-                        ("bucket", Value::U64(bucket as u64)),
-                    ],
-                );
-            }
             return Arc::clone(t);
         }
         self.counts.tree_builds += 1;
@@ -470,15 +461,6 @@ impl OrderingKernel {
             // the fresh plans need checking.
             let checked = if prev != champion {
                 self.counts.champion_sweeps += 1;
-                if self.journal.is_enabled() {
-                    self.journal.record(
-                        "kernel_champion_change",
-                        vec![
-                            ("plan_id", Value::U64(champ as u64)),
-                            ("lower_bound", Value::F64(champ_u.lo())),
-                        ],
-                    );
-                }
                 0..plans.len()
             } else {
                 pending.clone()
@@ -525,15 +507,6 @@ impl OrderingKernel {
             };
             refinements += 1;
             self.counts.refinements += 1;
-            if self.journal.is_enabled() {
-                self.journal.record(
-                    "kernel_refinement",
-                    vec![
-                        ("plan_id", Value::U64(target_id as u64)),
-                        ("space", Value::U64(plans[target_id].space as u64)),
-                    ],
-                );
-            }
             // Split the plan's split bucket: replace its node by the
             // children, one child plan each.
             let parent = &mut plans[target_id];
@@ -632,15 +605,6 @@ impl OrderingKernel {
             let memo = &mut entries[entry];
             if known.is_some() && (context_free || memo.seen == ctx.len()) {
                 self.counts.interval_cache_hits += 1;
-                if self.journal.is_enabled() {
-                    self.journal.record(
-                        "kernel_cache_hit",
-                        vec![
-                            ("cache", Value::Str("interval".into())),
-                            ("plan_id", Value::U64((first + i) as u64)),
-                        ],
-                    );
-                }
             } else {
                 self.counts.interval_evals += 1;
                 if !memo.carry.is_fresh() {

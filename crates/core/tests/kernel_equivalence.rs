@@ -557,6 +557,12 @@ fn fig6_coverage_run_verifies_every_certificate() {
             "certificate {i} does not justify its kill"
         );
     }
+    // The kernel journals its certificates and nothing else, one per
+    // elimination.
+    let events = obs.journal.events();
+    let other = events.iter().find(|e| e.kind != "kernel_elimination");
+    assert!(other.is_none(), "a non-certificate event: {other:?}");
+    assert_eq!(events.len() as u64, alg.kernel_stats().eliminations);
 }
 
 #[test]

@@ -280,23 +280,11 @@ impl Mediator {
     /// call during setup, before serving.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.obs = obs.clone();
-        self.rebuild_cache(self.cache.capacity());
+        let c = &self.cache;
+        let cache = ReformulationCache::new(c.capacity(), c.universe(), c.overhead());
+        self.cache = Arc::new(cache.with_obs(obs));
         self.publish_backends();
         self
-    }
-
-    /// Replaces the reformulation cache with an empty one bounded at
-    /// `capacity` entries (minimum 1).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.rebuild_cache(capacity);
-        self
-    }
-
-    fn rebuild_cache(&mut self, capacity: usize) {
-        self.cache = Arc::new(
-            ReformulationCache::new(capacity, self.cache.universe(), self.cache.overhead())
-                .with_obs(&self.obs),
-        );
     }
 
     /// The source database (for inspection).
@@ -332,7 +320,7 @@ impl Mediator {
     /// when the journal is disabled; a session without a backend accesses
     /// none).
     pub fn divergence(&self) -> qpo_obs::DivergenceMonitor {
-        qpo_obs::DivergenceMonitor::from_events(&self.obs.journal.events())
+        qpo_obs::DivergenceMonitor::from_profile(&self.profiles())
     }
 
     /// Starts the dependency-free introspection server over this
@@ -871,25 +859,6 @@ mod tests {
         assert_eq!(erred, 3, "v3 × three review sources");
         let reported = seen.0.iter().filter(|r| r.contains("Some(UnknownSource"));
         assert_eq!(reported.count(), 3);
-    }
-
-    #[test]
-    fn an_evicted_shape_is_tested_again() {
-        let m = mediator().with_cache_capacity(1);
-        let tests = || soundness_counters(m.obs())[0];
-        let serve = |q: &ConjunctiveQuery| {
-            m.answer(q, &LinearCost, Strategy::Greedy, 9).unwrap();
-        };
-        serve(&movie_query());
-        let once = tests();
-        serve(&movie_query());
-        assert_eq!((once, tests()), (9, 9), "remembered while cached");
-        // Another shape takes the only cache slot; the first entry's
-        // verdicts go with it.
-        serve(&qpo_datalog::parse_query("q(M, R) :- play_in(hanks, M), review_of(R, M)").unwrap());
-        serve(&movie_query());
-        assert_eq!(tests(), 3 * once);
-        assert_eq!(m.cache_stats().evictions, 2);
     }
 
     #[test]

@@ -337,7 +337,7 @@ fn tcp_runs_stitch_remote_spans_with_exact_attribution() {
     // The drift replay is a fold over these very spans: the JSONL replay,
     // the fold of the profile and the live monitor agree to the bit,
     // network/server split included.
-    let replayed = DivergenceMonitor::from_jsonl(&jsonl).unwrap();
+    let replayed = DivergenceMonitor::from_profile(&ProfileIndex::from_jsonl(&jsonl).unwrap());
     let folded = DivergenceMonitor::from_profile(&index);
     assert!(replayed.iter().any(|(_, d)| d.ewma_network.is_some()));
     for other in [&folded, &live.runtime.divergence] {

@@ -368,11 +368,15 @@ fn backends_endpoint_is_byte_identical_to_the_offline_renderer() {
 #[test]
 fn divergence_endpoint_matches_the_offline_recomputation() {
     let (obs, mediator) = served_mediator();
-    let offline = qpo_obs::DivergenceMonitor::from_events(&obs.journal.events());
+    let index = qpo_obs::ProfileIndex::from_journal(&obs.journal);
+    let offline = qpo_obs::DivergenceMonitor::from_profile(&index);
+    let file = qpo_obs::ProfileIndex::from_jsonl(&obs.journal.to_jsonl()).unwrap();
+    let from_file = qpo_obs::DivergenceMonitor::from_profile(&file);
     let server = mediator.spawn_introspection(0).unwrap();
     let (status, body) = http_get(&server.addr(), "/divergence");
     assert!(status.contains("200"), "{status}");
     assert_eq!(body, offline.to_json().as_bytes());
+    assert_eq!(body, from_file.to_json().as_bytes());
     assert_eq!(body, mediator.divergence().to_json().as_bytes());
 }
 

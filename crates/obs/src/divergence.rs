@@ -18,14 +18,13 @@
 //! 1. the executor journals each run's catalog expectations
 //!    (`source_declared`) and each access chain's exact charges
 //!    (`source_attempt` with `backoff`/`latency` fields), so
-//!    [`DivergenceMonitor::from_jsonl`] / [`from_events`] can replay the
-//!    identical observation sequence offline with no catalog in hand;
+//!    [`DivergenceMonitor::from_profile`] can replay the identical
+//!    observation sequence offline, over a live journal or a JSONL file,
+//!    with no catalog in hand;
 //! 2. estimators accumulate strictly left-to-right in observation order
 //!    — same fold live and offline, hence `to_bits`-equal gauges.
-//!
-//! [`from_events`]: DivergenceMonitor::from_events
 
-use crate::journal::{TraceEvent, Value};
+use crate::journal::Value;
 use crate::json::Json;
 use crate::profile::{ProfileIndex, SpanStatus};
 use crate::Obs;
@@ -162,8 +161,8 @@ fn relative(observed: f64, expected: f64) -> f64 {
 
 /// The drift monitor: per-source estimators, divergence gauges, and the
 /// `drift_detected` journal hook. The executor feeds one per run as its
-/// plans merge, or replay a trace through [`DivergenceMonitor::from_events`] /
-/// [`DivergenceMonitor::from_jsonl`] — both produce bit-equal state.
+/// plans merge, or replay a trace through [`DivergenceMonitor::from_profile`]
+/// — both produce bit-equal state.
 #[derive(Debug, Clone)]
 pub struct DivergenceMonitor {
     obs: Obs,
@@ -272,29 +271,20 @@ impl DivergenceMonitor {
     }
 
     /// Replays a trace's observation sequence through a fresh detached
-    /// monitor. The trace is reconstructed once, by the profiler
-    /// ([`ProfileIndex`]); see [`DivergenceMonitor::from_profile`] for the
-    /// fold. The resulting estimator state — and therefore every
-    /// divergence value — bit-equals the live monitor fed from the same
-    /// run.
-    pub fn from_events(events: &[TraceEvent]) -> Self {
-        DivergenceMonitor::from_profile(&ProfileIndex::from_events(events))
-    }
-
-    /// [`DivergenceMonitor::from_events`] over a JSONL trace file.
-    pub fn from_jsonl(jsonl: &str) -> Result<Self, String> {
-        let index = ProfileIndex::from_jsonl(jsonl)?;
-        Ok(DivergenceMonitor::from_profile(&index))
-    }
-
-    /// Folds a reconstructed journal into a fresh detached monitor: the
-    /// run's `source_declared` expectations, then, plan by plan in the
-    /// order their terminal events were journalled, each source span as
-    /// one [`AccessObservation`] (`total` and `network` were computed in
-    /// the runtime's own order, so the EWMAs fold bit-equal). The loop
-    /// binds a fresh monitor to each run and later runs
-    /// overwrite the gauges, so a multi-run journal folds to its latest
-    /// run; a journal with no `run_started` folds everything it recorded.
+    /// monitor. The trace is reconstructed once, by the profiler:
+    /// [`ProfileIndex::from_journal`] for a live journal,
+    /// [`ProfileIndex::from_jsonl`] for a file. The resulting estimator
+    /// state — and therefore every divergence value — bit-equals the live
+    /// monitor fed from the same run.
+    ///
+    /// The fold: the run's `source_declared` expectations, then, plan by
+    /// plan in the order their terminal events were journalled, each
+    /// source span as one [`AccessObservation`] (`total` and `network`
+    /// were computed in the runtime's own order, so the EWMAs fold
+    /// bit-equal). The loop binds a fresh monitor to each run and later
+    /// runs overwrite the gauges, so a multi-run journal folds to its
+    /// latest run; a journal with no `run_started` folds everything it
+    /// recorded.
     /// A plan without a terminal event was never reported, so not observed.
     pub fn from_profile(index: &ProfileIndex) -> Self {
         let mut monitor = DivergenceMonitor::detached();
@@ -587,7 +577,7 @@ mod tests {
                 },
             );
         }
-        let replayed = DivergenceMonitor::from_events(&obs.journal.events());
+        let replayed = DivergenceMonitor::from_profile(&ProfileIndex::from_journal(&obs.journal));
         let (r, l) = (replayed.source("s").unwrap(), live.source("s").unwrap());
         assert_eq!(
             r.ewma_network.unwrap().to_bits(),
@@ -635,11 +625,12 @@ mod tests {
                 ],
             );
         }
-        let replayed = DivergenceMonitor::from_events(&obs.journal.events());
+        let replayed = DivergenceMonitor::from_profile(&ProfileIndex::from_journal(&obs.journal));
         let d = replayed.source("s").unwrap();
         assert_eq!(d.accesses, 1, "first run's estimators were reset");
         assert_eq!(d.ewma_latency, Some(3.0));
-        let from_jsonl = DivergenceMonitor::from_jsonl(&obs.journal.to_jsonl()).unwrap();
+        let file = ProfileIndex::from_jsonl(&obs.journal.to_jsonl()).unwrap();
+        let from_jsonl = DivergenceMonitor::from_profile(&file);
         assert_eq!(
             d,
             from_jsonl.source("s").unwrap(),

@@ -1,5 +1,5 @@
-//! The structured event journal: plan-lifecycle spans and kernel events,
-//! timestamped by the executor's *virtual clock*.
+//! The structured event journal: plan-lifecycle spans and the kernel's
+//! certificates, timestamped by the executor's *virtual clock*.
 //!
 //! Every event carries the virtual time at which it logically happened,
 //! not the wall time at which some worker thread got around to reporting
@@ -35,7 +35,7 @@ use crate::vocab::{fields_of, role_of, FieldSpec, FieldType, Role};
 /// A field value attached to a trace event.
 ///
 /// Strings are `Cow<'static, str>` so the instrumented hot paths can
-/// attach static labels (outcomes, cache names) without a heap
+/// attach static labels (outcomes, strategies) without a heap
 /// allocation per event — `Value::Str("ok".into())` borrows; dynamic
 /// names still pass an owned `String` through the same constructor.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,7 +60,7 @@ pub struct TraceEvent {
     pub seq: u64,
     /// Virtual time of the event.
     pub clock: f64,
-    /// Event kind (`plan_emitted`, `source_attempt`, `kernel_refinement`, …).
+    /// Event kind (`plan_emitted`, `source_attempt`, `kernel_elimination`, …).
     pub kind: &'static str,
     /// Event fields, serialized in insertion order.
     pub fields: Vec<(&'static str, Value)>,
@@ -694,7 +694,7 @@ mod tests {
         let a = TraceJournal::enabled();
         let b = a.clone();
         a.set_clock(2.0);
-        b.record("kernel_refinement", vec![]);
+        b.record("kernel_elimination", vec![]);
         assert_eq!(a.len(), 1);
         assert_eq!(a.events()[0].clock, 2.0);
         assert_eq!(b.clock(), 2.0);
@@ -714,14 +714,14 @@ mod tests {
                 ("timeout", Value::F64(f64::INFINITY)),
             ],
         );
-        j.record_at(0.75, "kernel_champion_change", vec![]);
+        j.record_at(0.75, "kernel_elimination", vec![]);
         assert_eq!(
             j.to_jsonl(),
             concat!(
                 "{\"seq\":0,\"clock\":0.5,\"kind\":\"source_attempt\",",
                 "\"plan_seq\":3,\"source\":\"review\\\"db\",\"latency\":1.25,",
                 "\"ok\":true,\"timeout\":null}\n",
-                "{\"seq\":1,\"clock\":0.75,\"kind\":\"kernel_champion_change\"}\n",
+                "{\"seq\":1,\"clock\":0.75,\"kind\":\"kernel_elimination\"}\n",
             )
         );
         // record_at must not move the shared clock.

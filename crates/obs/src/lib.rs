@@ -10,11 +10,11 @@
 //!   fixed-bucket log₂ [`Histogram`]s, labelled by source / plan / orderer
 //!   and cheap enough to leave enabled in benchmarks;
 //! - [`journal`] — a [`TraceJournal`] of structured plan-lifecycle and
-//!   kernel events, timestamped by the executor's **virtual clock** so a
-//!   trace is bit-for-bit identical under any worker count (the
-//!   fixed-seed-replay guarantee of the runtime, extended to the trace
-//!   itself); [`Record`], the one decoded view every trace reader folds,
-//!   and [`read_jsonl`], the one place a trace line is parsed;
+//!   kernel-certificate events, timestamped by the executor's **virtual
+//!   clock** so a trace is bit-for-bit identical under any worker count
+//!   (the fixed-seed-replay guarantee of the runtime, extended to the
+//!   trace itself); [`Record`], the one decoded view every trace reader
+//!   folds, and [`read_jsonl`], the one place a trace line is parsed;
 //! - [`vocab`] — the journal's event vocabulary stated once, as data:
 //!   every kind's span role, every field's type and whether it is
 //!   required. The validator, the debug-build emit check and the

@@ -4,14 +4,14 @@
 //! The executor journals every run on a **serial virtual clock** (plan
 //! latencies summed in emission order), so the JSONL trace — and
 //! therefore everything this module derives from it — is byte-identical
-//! across worker counts. [`ProfileIndex`] replays a journal (live
-//! [`TraceEvent`]s or a JSONL file) into one [`RunProfile`] per
+//! across worker counts. [`ProfileIndex`] replays a journal (a live
+//! [`TraceJournal`] or a JSONL file) into one [`RunProfile`] per
 //! `run_started` scope:
 //!
 //! ```text
 //! run
-//! ├── prepare   (kernel events before the first emission)
-//! ├── ordering  (kernel events interleaved with emissions)
+//! ├── prepare   (elimination certificates before the first emission)
+//! ├── ordering  (elimination certificates after it)
 //! └── plan* — schedule wait · per-source {backoff, attempt}* · join · self
 //!                              └ remote: network + server {recv, lookup, encode}
 //! ```
@@ -49,7 +49,7 @@
 
 use crate::divergence::SourceExpectation;
 use crate::explain::{encode_plan, EncodedCertificate, Explanation};
-use crate::journal::{read_jsonl, Record, TraceEvent, TraceJournal};
+use crate::journal::{read_jsonl, Record, TraceJournal};
 use crate::json::Json;
 use crate::vocab::{role_of, Role};
 use std::borrow::Borrow;
@@ -188,9 +188,11 @@ pub struct RunProfile {
     pub strategy: Option<String>,
     /// The executor lookahead.
     pub lookahead: Option<u64>,
-    /// Kernel events before the first plan emission (orderer build).
+    /// Kernel elimination certificates journalled before the first plan
+    /// emission (orderer build), those ahead of the run's marker included.
     pub prepare_events: u64,
-    /// Kernel events interleaved with emissions (incremental ordering).
+    /// Kernel elimination certificates journalled after the first plan
+    /// emission (incremental ordering).
     pub ordering_events: u64,
     /// Plan spans in emission order.
     pub plans: Vec<PlanSpan>,
@@ -440,7 +442,7 @@ impl RunProfile {
         out.push('\n');
         let _ = writeln!(
             out,
-            "prepare: {} kernel events · ordering: {} kernel events",
+            "prepare: {} certificates · ordering: {} certificates",
             self.prepare_events, self.ordering_events
         );
         match self.critical_plan() {
@@ -567,11 +569,6 @@ pub struct ProfileIndex {
 }
 
 impl ProfileIndex {
-    /// Replays recorded events (in journal order) into run profiles.
-    pub fn from_events(events: &[TraceEvent]) -> Self {
-        ProfileIndex::from_records(events.iter().map(Record::from))
-    }
-
     /// Replays a live journal in place, without copying its events.
     pub fn from_journal(journal: &TraceJournal) -> Self {
         journal.with_events(|events| ProfileIndex::from_records(events.iter().map(Record::from)))
@@ -636,7 +633,7 @@ struct Builder {
     /// plan_seq → index into the current scope's `plans`, while the span
     /// is open.
     open: BTreeMap<u64, usize>,
-    /// Kernel events seen before any `run_started` (orderer build work
+    /// Certificates seen before any `run_started` (orderer build work
     /// journalled ahead of the run scope); absorbed by the next run.
     pending_prepare: u64,
 }
@@ -845,9 +842,9 @@ mod tests {
     /// source-free (charged latency 0).
     fn fixture() -> TraceJournal {
         let j = TraceJournal::enabled();
-        j.record("kernel_cache_hit", vec![("bucket", Value::U64(3))]);
+        j.record("kernel_elimination", vec![("plan_id", Value::U64(3))]);
         j.record("run_started", vec![("lookahead", Value::U64(2))]);
-        j.record("kernel_refinement", vec![("frontier", Value::U64(1))]);
+        j.record("kernel_elimination", vec![("plan_id", Value::U64(1))]);
         j.record(
             "plan_emitted",
             vec![
@@ -932,7 +929,7 @@ mod tests {
         assert_eq!(index.runs().len(), 1);
         let run = index.latest().unwrap();
         run.check().expect("invariants");
-        // Kernel event before run_started counts as prepare work, the
+        // The certificate before run_started counts as prepare work, the
         // one after (pre-emission) too.
         assert_eq!(run.prepare_events, 2);
         assert_eq!(run.lookahead, Some(2));
@@ -1280,7 +1277,7 @@ mod tests {
     fn certificates_ahead_of_the_first_marker_belong_to_no_run() {
         let j = explained();
         let events = j.events();
-        let index = ProfileIndex::from_events(&events[1..]);
+        let index = ProfileIndex::from_records(events[1..].iter().map(Record::from));
         assert!(index.runs().is_empty());
         assert_eq!(index.latest_scope().certificates.len(), 1);
     }

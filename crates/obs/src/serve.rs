@@ -248,7 +248,7 @@ pub(crate) fn respond(target: &str, obs: &Obs) -> Response {
         "/backends" => ok(TEXT, backends_text(&obs.backends)),
         "/divergence" => ok(
             JSON,
-            DivergenceMonitor::from_events(&obs.journal.events()).to_json(),
+            DivergenceMonitor::from_profile(&ProfileIndex::from_journal(&obs.journal)).to_json(),
         ),
         _ => fail(
             404,

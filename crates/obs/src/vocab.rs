@@ -90,9 +90,6 @@ pub const KINDS: &[(&str, Role)] = &[
     ("plan_unsound", Role::SpanClose),
     ("drift_detected", Role::Free),
     ("run_finished", Role::Free),
-    ("kernel_cache_hit", Role::Ordering),
-    ("kernel_champion_change", Role::Ordering),
-    ("kernel_refinement", Role::Ordering),
     ("kernel_elimination", Role::Ordering),
 ];
 
@@ -169,13 +166,6 @@ pub const FIELDS: &[FieldSpec] = &[
     // Absent while an executed plan of the run is still unjoined.
     field("run_finished", "answers", U64, OPTIONAL),
     field("run_finished", "makespan", F64, REQUIRED),
-    field("kernel_cache_hit", "cache", Str, OPTIONAL),
-    field("kernel_cache_hit", "bucket", U64, OPTIONAL),
-    field("kernel_cache_hit", "plan_id", U64, OPTIONAL),
-    field("kernel_champion_change", "plan_id", U64, OPTIONAL),
-    field("kernel_champion_change", "lower_bound", F64, OPTIONAL),
-    field("kernel_refinement", "plan_id", U64, OPTIONAL),
-    field("kernel_refinement", "space", U64, OPTIONAL),
     field("kernel_elimination", "plan_id", U64, OPTIONAL),
     field("kernel_elimination", "champion_id", U64, OPTIONAL),
     field("kernel_elimination", "victim", Str, OPTIONAL),

@@ -148,7 +148,7 @@ fn journal_runs(runs: &[SynthRun]) -> TraceJournal {
             vec![("lookahead", Value::U64(run.lookahead))],
         );
         for _ in 0..run.prepare_kernel {
-            journal.record("kernel_refinement", vec![("frontier", Value::U64(1))]);
+            journal.record("kernel_elimination", vec![]);
         }
         let mut emitted = 0usize;
         let mut answers = 0u64;
@@ -167,7 +167,7 @@ fn journal_runs(runs: &[SynthRun]) -> TraceJournal {
             }
             if i == 0 && run.ordering_kernel > 0 {
                 for _ in 0..run.ordering_kernel {
-                    journal.record("kernel_refinement", vec![("frontier", Value::U64(1))]);
+                    journal.record("kernel_elimination", vec![]);
                 }
             }
             for c in &p.chains {

@@ -370,6 +370,37 @@ mod tests {
     }
 
     #[test]
+    fn an_evicted_shape_is_tested_again() {
+        // Verdicts live on the entry: the one the LRU bound evicts takes
+        // them along, and its shape's next entry tests every plan again.
+        let catalog = movie_domain();
+        let views = catalog.view_map();
+        let c = cache(1);
+        let tests = std::cell::Cell::new(0);
+        let serve = |q: &ConjunctiveQuery| {
+            let p = c.get_or_prepare(&catalog, q).unwrap();
+            for plan in p.instance.all_plans() {
+                let plan_query = p.reformulation.plan_query(&plan);
+                let verdict = p.verdict(&plan, || {
+                    tests.set(tests.get() + 1);
+                    qpo_datalog::is_sound_plan(&plan_query, &views, &p.reformulation.query)
+                });
+                verdict.unwrap();
+            }
+        };
+        serve(&movie_query());
+        let once = tests.get();
+        serve(&movie_query());
+        assert_eq!((once, tests.get()), (9, 9), "remembered while cached");
+        // Another shape takes the only slot; the first entry's verdicts
+        // go with it.
+        serve(&parse_query("q(M, R) :- play_in(hanks, M), review_of(R, M)").unwrap());
+        serve(&movie_query());
+        assert_eq!(tests.get(), 3 * once);
+        assert_eq!(c.stats().evictions, 2);
+    }
+
+    #[test]
     fn errors_are_not_cached() {
         let catalog = movie_domain();
         let c = cache(8);

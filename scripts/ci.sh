@@ -83,6 +83,9 @@ cargo build --release -p qpo-bench --bin trace-validate
 trace_file="$(mktemp /tmp/qpo-trace.XXXXXX.jsonl)"
 ./target/release/examples/flaky_sources --trace "$trace_file" > /dev/null
 ./target/release/trace-validate "$trace_file"
+# The kernel's one trace record, the certificates `/explain` answers from.
+grep -q '"kind":"kernel_elimination"' "$trace_file" \
+  || { echo "no kernel_elimination certificate in the flaky_sources trace"; exit 1; }
 # Sessions are the only emitter of `stream_attached` and `tuple_emitted`.
 ./target/release/examples/anytime_answers --trace "$trace_file" > /dev/null
 ./target/release/trace-validate "$trace_file"
