@@ -8,6 +8,7 @@
 //! the ablation experiment.
 
 use qpo_catalog::{ProblemInstance, SourceRef};
+use std::ops::Deref;
 
 /// Orders sources within a bucket so that neighbours are "similar"; the
 /// hierarchy then merges neighbours.
@@ -19,16 +20,12 @@ pub trait AbstractionHeuristic {
     fn key(&self, inst: &ProblemInstance, source: SourceRef) -> f64;
 }
 
-impl<H: AbstractionHeuristic + ?Sized> AbstractionHeuristic for &H {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn key(&self, inst: &ProblemInstance, source: SourceRef) -> f64 {
-        (**self).key(inst, source)
-    }
-}
-
-impl<H: AbstractionHeuristic + ?Sized> AbstractionHeuristic for Box<H> {
+/// Every pointer to a heuristic forwards to it.
+impl<P> AbstractionHeuristic for P
+where
+    P: Deref,
+    P::Target: AbstractionHeuristic,
+{
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -213,6 +210,31 @@ impl AbstractionTree {
 mod tests {
     use super::*;
     use qpo_catalog::{Extent, SourceStats};
+
+    struct Probe;
+
+    impl AbstractionHeuristic for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn key(&self, _: &ProblemInstance, source: SourceRef) -> f64 {
+            1.5 + source.index as f64
+        }
+    }
+
+    #[test]
+    fn pointers_forward_every_method() {
+        fn answers<H: AbstractionHeuristic + ?Sized>(h: &H) -> (&'static str, f64) {
+            (h.name(), h.key(&inst(&[1.0, 2.0]), SourceRef::new(0, 1)))
+        }
+        let want = answers(&Probe);
+        let boxed: Box<dyn AbstractionHeuristic> = Box::new(Probe);
+        assert_eq!(answers(&&Probe), want, "&P");
+        assert_eq!(answers(&&&Probe), want, "&&P");
+        assert_eq!(answers(&Box::new(Probe)), want, "Box<P>");
+        assert_eq!(answers(&boxed), want, "Box<dyn AbstractionHeuristic>");
+        assert_eq!(answers(&std::sync::Arc::new(Probe)), want, "Arc<P>");
+    }
 
     fn inst(tuples: &[f64]) -> ProblemInstance {
         let bucket = tuples

@@ -49,24 +49,22 @@ impl<'a, M: UtilityMeasure + ?Sized> Greedy<'a, M> {
 
     /// Best plan of a space: the most-preferred source per bucket
     /// (monotonicity makes this exact). Ties break to the smallest index
-    /// for determinism.
-    fn best_of_space(&self, space: &PlanSpace) -> Vec<usize> {
+    /// for determinism; `None` only for an empty bucket, which no plan
+    /// space holds.
+    fn best_of_space(&self, space: &PlanSpace) -> Option<Vec<usize>> {
         space
             .iter()
             .enumerate()
             .map(|(b, cands)| {
-                *cands
-                    .iter()
-                    .max_by(|&&x, &&y| {
-                        let kx = self
-                            .measure
-                            .source_preference(self.inst, SourceRef::new(b, x));
-                        let ky = self
-                            .measure
-                            .source_preference(self.inst, SourceRef::new(b, y));
-                        crate::utility_cmp(kx, ky).then(y.cmp(&x)) // prefer the smaller index on ties
-                    })
-                    .expect("plan-space buckets are non-empty")
+                cands.iter().copied().max_by(|&x, &y| {
+                    let kx = self
+                        .measure
+                        .source_preference(self.inst, SourceRef::new(b, x));
+                    let ky = self
+                        .measure
+                        .source_preference(self.inst, SourceRef::new(b, y));
+                    crate::utility_cmp(kx, ky).then(y.cmp(&x)) // prefer the smaller index on ties
+                })
             })
             .collect()
     }
@@ -78,15 +76,12 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Greedy<'_, M> {
     }
 
     fn next_plan(&mut self) -> Option<OrderedPlan> {
-        if self.spaces.is_empty() {
-            return None;
-        }
         // Compare the best plan of every frontier space under the current
         // context; monotonicity fixes each space's champion, but champions
         // across spaces must be compared by actual utility.
         let mut best: Option<(usize, Vec<usize>, f64)> = None;
         for (idx, space) in self.spaces.iter().enumerate() {
-            let plan = self.best_of_space(space);
+            let plan = self.best_of_space(space)?;
             let utility = self.measure.utility(self.inst, &plan, &self.ctx);
             let better = match &best {
                 None => true,
@@ -96,7 +91,7 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Greedy<'_, M> {
                 best = Some((idx, plan, utility));
             }
         }
-        let (idx, plan, utility) = best.expect("non-empty frontier");
+        let (idx, plan, utility) = best?;
         let space = self.spaces.swap_remove(idx);
         self.spaces.extend(remove_plan(&space, &plan));
         self.ctx.record(&plan);

@@ -56,7 +56,7 @@ impl<'a> MergedOrderer<'a> {
                 crate::utility_cmp(*ua, *ub).then(ib.cmp(ia)) // ties → lower space index
             })
             .map(|(i, _)| i)?;
-        let plan = self.heads[best].take().expect("head buffered");
+        let plan = self.heads[best].take()?;
         self.heads[best] = self.orderers[best].next_plan();
         Some((best, plan))
     }

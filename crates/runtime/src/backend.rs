@@ -12,7 +12,7 @@
 //!   The default everywhere; all determinism and differential suites run
 //!   against it unchanged.
 //! - [`crate::store::StoreBackend`] — an in-process persistent indexed
-//!   store (append-only log segments + an in-memory index rebuilt on
+//!   store (one append-only log + an in-memory index rebuilt on
 //!   open), so sources survive process restarts.
 //! - [`crate::net::TcpBackend`] — an out-of-process source reached over a
 //!   length-prefixed wire protocol ([`crate::wire`]), with genuine network

@@ -1,15 +1,17 @@
 //! [`StoreBackend`]: an in-process persistent indexed source store.
 //!
-//! Sources live in a directory of append-only log segments
-//! (`segment-NNNNNN.log`). Each record is one wire-framed
+//! Sources live in one append-only log, `store.log` in the store's
+//! directory. Each record is one wire-framed
 //! [`crate::wire::encode_relation`] payload — a full snapshot of one
-//! relation. On open the segments are replayed in order and the *latest*
-//! record per relation wins, rebuilding the in-memory index; a torn or
-//! garbled tail (crash mid-append) is detected and the segment is truncated
-//! back to the last whole record, so recovery is last-good-record *and*
-//! records appended after the reopen land at a frame-aligned offset,
-//! keeping them reachable on every later replay. [`StoreBackend::flush`]
-//! fsyncs the active segment, making everything before it durable.
+//! relation. On open the log is replayed and the *latest* record per
+//! relation wins, rebuilding the in-memory index; a torn or garbled tail
+//! (crash mid-append) is detected and the log is truncated back to the
+//! last whole record, so recovery is last-good-record *and* records
+//! appended after the reopen land at a frame-aligned offset, keeping them
+//! reachable on every later replay. A garbled frame mid-log cuts the log
+//! there: nothing after it can be trusted to align.
+//! [`StoreBackend::flush`] fsyncs the log, making everything before it
+//! durable.
 //!
 //! Accesses are served from the in-memory index and charged the *measured*
 //! wall time of the lookup, mapped onto the virtual-time axis via
@@ -31,21 +33,18 @@ use qpo_datalog::Tuple;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::ErrorKind::{InvalidData, UnexpectedEof};
-use std::io::{BufReader, BufWriter, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{BufReader, BufWriter, Write};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Active segment rotation threshold: appends past this many bytes open a
-/// fresh segment, keeping individual files bounded and replayable.
-const SEGMENT_ROTATE_BYTES: u64 = 4 * 1024 * 1024;
+/// The log's file name inside the store's directory.
+const LOG_FILE: &str = "store.log";
 
 struct StoreInner {
     index: BTreeMap<String, Arc<Vec<Tuple>>>,
     log: BufWriter<File>,
-    log_bytes: u64,
-    segment: u64,
 }
 
 /// Persistent indexed source store; see the module docs.
@@ -67,19 +66,15 @@ impl std::fmt::Debug for StoreBackend {
     }
 }
 
-fn segment_path(dir: &Path, segment: u64) -> PathBuf {
-    dir.join(format!("segment-{segment:06}.log"))
-}
-
-/// Replays one segment file into the index, stopping (without error) at a
-/// torn or garbled tail. Returns the number of whole records applied and
-/// the byte offset just past the last whole record — the offset the
-/// segment must be truncated to before it can take further appends.
-fn replay_segment(
-    path: &Path,
+/// Replays the log into the index, stopping (without error) at a torn or
+/// garbled tail. Returns the number of whole records applied and the byte
+/// offset just past the last whole record — the offset the log must be
+/// truncated to before it can take further appends.
+fn replay(
+    log: &File,
     index: &mut BTreeMap<String, Arc<Vec<Tuple>>>,
 ) -> std::io::Result<(u64, u64)> {
-    let mut reader = BufReader::new(File::open(path)?);
+    let mut reader = BufReader::new(log);
     let mut applied = 0u64;
     let mut good_bytes = 0u64;
     loop {
@@ -105,57 +100,33 @@ fn replay_segment(
 }
 
 impl StoreBackend {
-    /// Opens (or creates) a store at `dir`, replaying all segments to
-    /// rebuild the index.
+    /// Opens (or creates) a store at `dir`, replaying its log to rebuild
+    /// the index.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let mut segments: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(num) = name
-                .strip_prefix("segment-")
-                .and_then(|s| s.strip_suffix(".log"))
-            {
-                if let Ok(n) = num.parse::<u64>() {
-                    segments.push((n, entry.path()));
-                }
-            }
-        }
-        segments.sort();
-        let mut index = BTreeMap::new();
-        let mut replayed = 0u64;
-        for (_, path) in &segments {
-            let (applied, good_bytes) = replay_segment(path, &mut index)?;
-            replayed += applied;
-            // A torn or garbled tail (crash mid-append) leaves garbage
-            // bytes past the last whole record. Appending after them
-            // would make every later record unreachable on the next
-            // replay (the stale length prefix misaligns the frame
-            // stream), so cut the segment back to the last whole record
-            // before it can take appends again.
-            if std::fs::metadata(path)?.len() > good_bytes {
-                let tail = OpenOptions::new().write(true).open(path)?;
-                tail.set_len(good_bytes)?;
-                tail.sync_all()?;
-            }
-        }
-        let segment = segments.last().map_or(0, |(n, _)| *n);
-        let mut log_file = OpenOptions::new()
-            .create(true)
+        let log = OpenOptions::new()
+            .read(true)
             .append(true)
-            .open(segment_path(&dir, segment))?;
-        let log_bytes = log_file.seek(SeekFrom::End(0))?;
+            .create(true)
+            .open(dir.join(LOG_FILE))?;
+        let mut index = BTreeMap::new();
+        let (replayed, good_bytes) = replay(&log, &mut index)?;
+        // A torn or garbled tail (crash mid-append) leaves garbage bytes
+        // past the last whole record. Appending after them would make
+        // every later record unreachable on the next replay (the stale
+        // length prefix misaligns the frame stream), so cut the log back
+        // to the last whole record before it takes appends again.
+        if log.metadata()?.len() > good_bytes {
+            log.set_len(good_bytes)?;
+            log.sync_all()?;
+        }
         Ok(StoreBackend {
             dir,
             latency_unit: 1000.0,
             inner: Mutex::new(StoreInner {
                 index,
-                log: BufWriter::new(log_file),
-                log_bytes,
-                segment,
+                log: BufWriter::new(log),
             }),
             records: AtomicU64::new(replayed),
         })
@@ -174,19 +145,7 @@ impl StoreBackend {
         let payload = wire::encode_relation(name, rows)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let mut inner = self.lock();
-        if inner.log_bytes >= SEGMENT_ROTATE_BYTES {
-            inner.log.flush()?;
-            let segment = inner.segment + 1;
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(segment_path(&self.dir, segment))?;
-            inner.log = BufWriter::new(file);
-            inner.log_bytes = 0;
-            inner.segment = segment;
-        }
         wire::write_frame(&mut inner.log, &payload)?;
-        inner.log_bytes += 4 + payload.len() as u64;
         inner
             .index
             .insert(name.to_string(), Arc::new(rows.to_vec()));
@@ -194,7 +153,7 @@ impl StoreBackend {
         Ok(())
     }
 
-    /// Flushes and fsyncs the active segment: everything appended so far
+    /// Flushes and fsyncs the log: everything appended so far
     /// survives a crash.
     pub fn flush(&self) -> std::io::Result<()> {
         let mut inner = self.lock();
@@ -220,11 +179,6 @@ impl StoreBackend {
     /// Total records ever appended (equals [`SourceBackend::epoch`]).
     pub fn records(&self) -> u64 {
         self.records.load(Ordering::Relaxed)
-    }
-
-    /// The directory backing this store.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn lock(&self) -> MutexGuard<'_, StoreInner> {
@@ -340,7 +294,7 @@ mod tests {
             store.flush().unwrap();
         }
         // Simulate a crash mid-append: a length prefix with half a payload.
-        let path = segment_path(&dir, 0);
+        let path = dir.join(LOG_FILE);
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
         file.write_all(&100u32.to_be_bytes()).unwrap();
         file.write_all(&[1, 2, 3]).unwrap();
@@ -364,11 +318,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Every prefix of a segment is what a crash mid-append can leave:
+    /// Every prefix of the log is what a crash mid-append can leave:
     /// opening it must recover exactly the whole records before the cut,
     /// and a record appended after that reopen must survive the next one.
     #[test]
-    fn a_segment_cut_at_any_byte_recovers_its_whole_records() {
+    fn a_log_cut_at_any_byte_recovers_its_whole_records() {
         let records = [
             ("v1", rows(&[1, 2])),
             ("v2", rows(&[3])),
@@ -382,7 +336,7 @@ mod tests {
             }
             store.flush().unwrap();
         }
-        let bytes = std::fs::read(segment_path(&source, 0)).unwrap();
+        let bytes = std::fs::read(source.join(LOG_FILE)).unwrap();
         // Byte offsets where each record ends.
         let mut ends = Vec::new();
         for (name, rows) in &records {
@@ -394,7 +348,7 @@ mod tests {
         for cut in 0..=bytes.len() {
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(segment_path(&dir, 0), &bytes[..cut]).unwrap();
+            std::fs::write(dir.join(LOG_FILE), &bytes[..cut]).unwrap();
             let whole = ends.iter().filter(|&&end| end <= cut).count();
             let mut expected = BTreeMap::new();
             for (name, rows) in &records[..whole] {
@@ -432,7 +386,7 @@ mod tests {
             store.put_relation("v1", &rows(&[1])).unwrap();
             store.flush().unwrap();
         }
-        let path = segment_path(&dir, 0);
+        let path = dir.join(LOG_FILE);
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
         let len = wire::MAX_FRAME_BYTES as u32 + 1;
         file.write_all(&len.to_be_bytes()).unwrap();
@@ -486,30 +440,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A frame that is whole but does not decode cuts the log there, even
+    /// mid-log: the records before it survive, the ones after it are
+    /// dropped with it, and appends after the reopen replay.
     #[test]
-    fn segments_rotate_and_replay_in_order() {
-        let dir = scratch("rotate");
+    fn a_garbled_frame_mid_log_cuts_the_log_there() {
+        let dir = scratch("garbled");
         {
             let store = StoreBackend::open(&dir).unwrap();
-            // Big rows force rotation past the 4 MiB threshold.
-            let big: Vec<Tuple> = (0..2000)
-                .map(|i| vec![Constant::Str(format!("row-{i}-{}", "x".repeat(500)).into())])
-                .collect();
-            for round in 0..6 {
-                store.put_relation("big", &big).unwrap();
-                store.put_relation("tick", &rows(&[round])).unwrap();
-            }
+            store.put_relation("v1", &rows(&[1])).unwrap();
+            store.put_relation("v2", &rows(&[2])).unwrap();
+            store.put_relation("v3", &rows(&[3])).unwrap();
             store.flush().unwrap();
-            let segments = std::fs::read_dir(&dir).unwrap().count();
-            assert!(segments > 1, "rotation produced {segments} segment(s)");
         }
+        let path = dir.join(LOG_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let first = 4 + wire::encode_relation("v1", &rows(&[1])).unwrap().len();
+        // The second frame's `u16` name length, past its payload: the
+        // length prefix still frames it, `decode_relation` rejects it.
+        bytes[first + 4..first + 6].copy_from_slice(&u16::MAX.to_be_bytes());
+        std::fs::write(&path, &bytes).unwrap();
         let store = StoreBackend::open(&dir).unwrap();
-        assert_eq!(
-            store.relation("tick").unwrap().as_ref(),
-            &rows(&[5]),
-            "latest record wins across segments"
-        );
-        assert_eq!(store.records(), 12);
+        assert_eq!(store.records(), 1);
+        assert_eq!(store.relation("v1").unwrap().as_ref(), &rows(&[1]));
+        assert!(store.relation("v2").is_none() && store.relation("v3").is_none());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), first as u64);
+        store.put_relation("v4", &rows(&[4])).unwrap();
+        store.flush().unwrap();
+        drop(store);
+        let store = StoreBackend::open(&dir).unwrap();
+        assert_eq!(store.records(), 2);
+        assert_eq!(store.relation("v4").unwrap().as_ref(), &rows(&[4]));
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "one log file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

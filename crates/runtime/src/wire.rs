@@ -401,8 +401,8 @@ pub fn decode_response(payload: &[u8]) -> Result<Reply, WireError> {
     })
 }
 
-/// Encodes one named relation — the record format of the store's log
-/// segments: `[u16 len][name]` then `[u32 row count]` and the rows.
+/// Encodes one named relation — the record format of the store's log:
+/// `[u16 len][name]` then `[u32 row count]` and the rows.
 pub fn encode_relation(name: &str, rows: &[Tuple]) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::new();
     put_string(&mut out, name)?;

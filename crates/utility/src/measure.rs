@@ -12,6 +12,7 @@ use crate::context::ExecutionContext;
 use crate::geometry::Residual;
 use qpo_catalog::{ProblemInstance, SourceRef};
 use qpo_interval::Interval;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a measure keeps between two evaluations of one candidate list so
@@ -216,7 +217,13 @@ pub trait UtilityMeasure {
     }
 }
 
-impl<M: UtilityMeasure + ?Sized> UtilityMeasure for &M {
+/// Every pointer to a measure is that measure: `&M`, `Box<M>`,
+/// `Box<dyn UtilityMeasure>`, `Arc<M>`, `&&M` forward every method here.
+impl<P> UtilityMeasure for P
+where
+    P: Deref,
+    P::Target: UtilityMeasure,
+{
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -249,62 +256,8 @@ impl<M: UtilityMeasure + ?Sized> UtilityMeasure for &M {
     fn monotone_subgoals(&self, inst: &ProblemInstance) -> Vec<bool> {
         (**self).monotone_subgoals(inst)
     }
-    fn source_preference(&self, inst: &ProblemInstance, source: SourceRef) -> f64 {
-        (**self).source_preference(inst, source)
-    }
-    fn independent(&self, inst: &ProblemInstance, p: &[usize], q: &[usize]) -> bool {
-        (**self).independent(inst, p, q)
-    }
-    fn all_independent(
-        &self,
-        inst: &ProblemInstance,
-        candidates: &[Vec<usize>],
-        d: &[usize],
-    ) -> bool {
-        (**self).all_independent(inst, candidates, d)
-    }
-    fn exists_independent(
-        &self,
-        inst: &ProblemInstance,
-        candidates: &[Vec<usize>],
-        executed: &[Vec<usize>],
-    ) -> bool {
-        (**self).exists_independent(inst, candidates, executed)
-    }
-}
-
-impl<M: UtilityMeasure + ?Sized> UtilityMeasure for Box<M> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn utility(&self, inst: &ProblemInstance, plan: &[usize], ctx: &ExecutionContext) -> f64 {
-        (**self).utility(inst, plan, ctx)
-    }
-    fn utility_interval(
-        &self,
-        inst: &ProblemInstance,
-        candidates: &[Vec<usize>],
-        ctx: &ExecutionContext,
-    ) -> Interval {
-        (**self).utility_interval(inst, candidates, ctx)
-    }
-    fn resume_interval(
-        &self,
-        inst: &ProblemInstance,
-        candidates: &[Vec<usize>],
-        ctx: &ExecutionContext,
-        carry: &mut IntervalCarry,
-    ) -> Interval {
-        (**self).resume_interval(inst, candidates, ctx, carry)
-    }
-    fn diminishing_returns(&self) -> bool {
-        (**self).diminishing_returns()
-    }
-    fn context_free(&self) -> bool {
-        (**self).context_free()
-    }
-    fn monotone_subgoals(&self, inst: &ProblemInstance) -> Vec<bool> {
-        (**self).monotone_subgoals(inst)
+    fn is_fully_monotonic(&self, inst: &ProblemInstance) -> bool {
+        (**self).is_fully_monotonic(inst)
     }
     fn source_preference(&self, inst: &ProblemInstance, source: SourceRef) -> f64 {
         (**self).source_preference(inst, source)
@@ -567,6 +520,107 @@ mod tests {
         assert!(m.is_fully_monotonic(&inst));
         assert!(m.independent(&inst, &[0, 0], &[1, 1]));
         assert_eq!(m.inner().name(), "toy");
+    }
+
+    /// Answers every method with something its default would not give,
+    /// so a pointer that falls back on a default instead of forwarding
+    /// answers differently.
+    struct Probe;
+
+    impl UtilityMeasure for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn utility(&self, _: &ProblemInstance, _: &[usize], _: &ExecutionContext) -> f64 {
+            7.0
+        }
+        fn utility_interval(
+            &self,
+            _: &ProblemInstance,
+            _: &[Vec<usize>],
+            _: &ExecutionContext,
+        ) -> Interval {
+            Interval::new(1.0, 2.0)
+        }
+        fn resume_interval(
+            &self,
+            _: &ProblemInstance,
+            _: &[Vec<usize>],
+            _: &ExecutionContext,
+            carry: &mut IntervalCarry,
+        ) -> Interval {
+            carry.state = CarryState::Standing(Interval::point(3.0));
+            Interval::new(3.0, 4.0)
+        }
+        fn diminishing_returns(&self) -> bool {
+            false
+        }
+        fn context_free(&self) -> bool {
+            true
+        }
+        fn monotone_subgoals(&self, inst: &ProblemInstance) -> Vec<bool> {
+            vec![true; inst.query_len()]
+        }
+        fn is_fully_monotonic(&self, _: &ProblemInstance) -> bool {
+            false
+        }
+        fn source_preference(&self, _: &ProblemInstance, _: SourceRef) -> f64 {
+            5.0
+        }
+        fn independent(&self, _: &ProblemInstance, _: &[usize], _: &[usize]) -> bool {
+            false
+        }
+        fn all_independent(&self, _: &ProblemInstance, _: &[Vec<usize>], _: &[usize]) -> bool {
+            false
+        }
+        fn exists_independent(
+            &self,
+            _: &ProblemInstance,
+            _: &[Vec<usize>],
+            _: &[Vec<usize>],
+        ) -> bool {
+            false
+        }
+    }
+
+    /// Every answer `m` gives on one fixed input, method by method.
+    fn answers<M: UtilityMeasure + ?Sized>(m: &M) -> Vec<String> {
+        let inst = inst();
+        let ctx = ExecutionContext::new();
+        let cands = [vec![0, 1], vec![0]];
+        let mut carry = IntervalCarry::default();
+        let resumed = m.resume_interval(&inst, &cands, &ctx, &mut carry);
+        vec![
+            m.name().to_string(),
+            format!("{:?}", m.utility(&inst, &[0, 0], &ctx)),
+            format!("{:?}", m.utility_interval(&inst, &cands, &ctx)),
+            format!("{resumed:?} {:?}", carry.state),
+            format!("{:?}", m.diminishing_returns()),
+            format!("{:?}", m.context_free()),
+            format!("{:?}", m.monotone_subgoals(&inst)),
+            format!("{:?}", m.is_fully_monotonic(&inst)),
+            format!("{:?}", m.source_preference(&inst, SourceRef::new(0, 1))),
+            format!("{:?}", m.independent(&inst, &[0, 0], &[1, 1])),
+            format!(
+                "{:?}",
+                m.all_independent(&inst, &[vec![0], vec![0]], &[1, 1])
+            ),
+            format!(
+                "{:?}",
+                m.exists_independent(&inst, &[vec![0], vec![0]], &[])
+            ),
+        ]
+    }
+
+    #[test]
+    fn pointers_forward_every_method() {
+        let want = answers(&Probe);
+        let boxed: Box<dyn UtilityMeasure> = Box::new(Probe);
+        assert_eq!(answers(&&Probe), want, "&P");
+        assert_eq!(answers(&&&Probe), want, "&&P");
+        assert_eq!(answers(&Box::new(Probe)), want, "Box<P>");
+        assert_eq!(answers(&boxed), want, "Box<dyn UtilityMeasure>");
+        assert_eq!(answers(&std::sync::Arc::new(Probe)), want, "Arc<P>");
     }
 
     #[test]
