@@ -88,8 +88,8 @@ impl Mediator {
     /// The concurrent, failure-aware variant of [`Mediator::answer_until`]:
     /// same reformulation, same ordering algorithm, but plans execute on
     /// `policy.workers` threads against (by default simulated) flaky
-    /// sources under `policy.faults`, with `policy.retry` governing
-    /// per-source retries, composed with whatever `opts` asks for.
+    /// sources under `policy.faults`, with up to `policy.max_attempts`
+    /// attempts per source access, composed with whatever `opts` asks for.
     ///
     /// Plan outcomes feed back into the orderer, so with faults enabled a
     /// failed plan stops being credited (e.g. as cached) by later
@@ -123,7 +123,7 @@ impl Mediator {
             hooks.share(memo);
         }
         let executor = core.executor(policy, obs);
-        let runtime = executor.run_observed(orderer.as_mut(), stop, &mut hooks);
+        let runtime = executor.run(orderer.as_mut(), stop, &mut hooks);
         Ok(ConcurrentRun { runtime })
     }
 }

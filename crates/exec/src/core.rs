@@ -676,10 +676,7 @@ pub(crate) mod tests {
         }
         // The first pass promoted what it captured; the second was seeded
         // from it through its ticket and answered the same.
-        assert_eq!(
-            (memo.subplans.stores(), hooks.reused),
-            (plan.len() as u64, 1)
-        );
+        assert_eq!((memo.subplans.len(), hooks.reused), (plan.len(), 1));
         assert_eq!(answers[0], answers[1], "seeded: the same rows, in order");
         assert!(!reference.is_empty());
         // With the hooks idle nothing asks: the executing thread assembles
@@ -718,9 +715,11 @@ pub(crate) mod tests {
         assert!(core.serve_from(backend.clone()));
         core.memo = Some(SourceMemo::new());
         let mut twice = Script(vec![plan.to_vec(); 2].into_iter());
-        let run = core
-            .executor(RuntimePolicy::serial(), m.obs())
-            .run(&mut twice, qpo_runtime::RunBudget::unbounded());
+        let run = core.executor(RuntimePolicy::serial(), m.obs()).run(
+            &mut twice,
+            qpo_runtime::RunBudget::unbounded(),
+            &mut (),
+        );
         let requests = backend.requests.load(AtomicOrdering::Relaxed);
         assert_eq!(requests as usize, plan.len(), "one live access per slot");
         let replayed = &run.reports[1];

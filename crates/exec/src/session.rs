@@ -761,8 +761,8 @@ mod tests {
 
     #[test]
     fn exhausted_retries_fail_the_plan_and_the_session_carries_on() {
-        use qpo_runtime::{FailureReason, RetryPolicy};
-        flaky_session(RetryPolicy::standard().max_attempts, |mut s, flaky, obs| {
+        use qpo_runtime::FailureReason;
+        flaky_session(RuntimePolicy::serial().max_attempts, |mut s, flaky, obs| {
             let failed = s.next_report().unwrap();
             let reason = FailureReason::RetriesExhausted {
                 source: flaky.to_string(),
@@ -830,7 +830,7 @@ mod tests {
     fn a_streamed_plan_joined_late_adds_what_it_would_have_at_once() {
         use crate::backends::{snapshot_relations, BackendRegistry};
         use crate::core::tests::RowsBackend;
-        use qpo_runtime::{RetryPolicy, SourceBackend, StoreBackend};
+        use qpo_runtime::{SourceBackend, StoreBackend};
         fn stream<'a>(m: &'a Mediator, prepared: &'a PreparedQuery) -> QuerySession<'a> {
             QuerySession::new(m, prepared, &LinearCost, Strategy::Greedy).unwrap()
         }
@@ -872,7 +872,7 @@ mod tests {
             let rows = |_| {
                 let mut backend = RowsBackend::seeded(&m);
                 backend.flaky = flaky.clone();
-                backend.outages = RetryPolicy::standard().max_attempts.into();
+                backend.outages = RuntimePolicy::serial().max_attempts.into();
                 backend.moves_at = Some(1);
                 Arc::new(backend)
             };

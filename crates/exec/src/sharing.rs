@@ -54,9 +54,6 @@ fn prefix_key(query: &ConjunctiveQuery, len: usize) -> String {
 #[derive(Debug, Default)]
 struct SubplanInner {
     entries: BTreeMap<Arc<str>, JoinPrefix>,
-    hits: u64,
-    misses: u64,
-    stores: u64,
     /// Running byte total, maintained at store time so [`SubplanMemo::approx_bytes`]
     /// is O(1) — it is polled after every plan merge for the gauge.
     bytes: usize,
@@ -118,21 +115,13 @@ impl SubplanMemo {
     }
 
     /// The longest already-computed prefix of `query`'s body, if any.
-    /// Counts one hit or one miss per call (lookup granularity, not
-    /// per-length probes). The returned [`JoinPrefix`] shares its rows
-    /// with the memo ([`Arc`]), so the clone is cheap.
+    /// The returned [`JoinPrefix`] shares its rows with the memo
+    /// ([`Arc`]), so the clone is cheap.
     pub fn longest_prefix(&self, query: &ConjunctiveQuery) -> Option<JoinPrefix> {
-        let mut inner = self.lock();
-        for len in (1..=query.body.len()).rev() {
-            let key = prefix_key(query, len);
-            if let Some(p) = inner.entries.get(key.as_str()) {
-                let found = p.clone();
-                inner.hits += 1;
-                return Some(found);
-            }
-        }
-        inner.misses += 1;
-        None
+        let inner = self.lock();
+        (1..=query.body.len())
+            .rev()
+            .find_map(|len| inner.entries.get(prefix_key(query, len).as_str()).cloned())
     }
 
     /// Promotes every captured prefix of one evaluated plan into the
@@ -153,23 +142,7 @@ impl SubplanMemo {
             }
             inner.bytes += cost;
             inner.entries.insert(key, p.clone());
-            inner.stores += 1;
         }
-    }
-
-    /// Prefix lookups that found a match.
-    pub fn hits(&self) -> u64 {
-        self.lock().hits
-    }
-
-    /// Prefix lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.lock().misses
-    }
-
-    /// Prefixes promoted into the memo.
-    pub fn stores(&self) -> u64 {
-        self.lock().stores
     }
 
     /// Number of cached prefixes.

@@ -19,7 +19,7 @@ use qpo_exec::{
 use qpo_obs::{read_jsonl, validate_records, validate_trace, DivergenceMonitor, Obs, ProfileIndex};
 use qpo_runtime::{
     AccessContext, AccessReply, BackendError, BindingPattern, FaultConfig, MemProvider, RemoteSpan,
-    RetryPolicy, RuntimePolicy, SimBackend, SourceBackend, SourceGrid, SourceServer, SourceService,
+    RuntimePolicy, SimBackend, SourceBackend, SourceGrid, SourceServer, SourceService,
     StoreBackend, TcpBackend, SCAN_PATTERN,
 };
 use qpo_utility::{Coverage, LinearCost};
@@ -159,15 +159,15 @@ fn server_death_mid_serving_degrades_gracefully() {
     let mut server = SourceServer::serve(Arc::new(provider), 0).expect("loopback bind");
     let addr = server.addr().to_string();
     let m = m.with_backends(BackendRegistry::new().with("tcp", Arc::new(TcpBackend::new(addr))));
-    let retry = RetryPolicy::standard();
-    assert!(retry.max_attempts > 1, "retries are what we are testing");
+    let policy = RuntimePolicy::parallel(2);
+    assert!(policy.max_attempts > 1, "retries are what we are testing");
     let run = |m: &Mediator| {
         m.run(
             &movie_query(),
             &LinearCost,
             Strategy::Greedy,
             StopCondition::unbounded(),
-            RuntimePolicy::parallel(2).with_retry(retry),
+            policy.clone(),
             &RunOptions {
                 backend: Some("tcp"),
                 ..RunOptions::default()
@@ -196,7 +196,7 @@ fn server_death_mid_serving_degrades_gracefully() {
     );
     for report in &dead.runtime.reports {
         for access in &report.accesses {
-            assert_eq!(access.attempts, retry.max_attempts);
+            assert_eq!(access.attempts, policy.max_attempts);
             assert!(
                 access.latency > 0.0,
                 "backoff and connect latency are charged"
@@ -385,14 +385,13 @@ fn killed_server_leaves_no_remote_spans_but_still_charges_latency() {
     let m = m.with_backends(BackendRegistry::new().with("tcp", Arc::new(TcpBackend::new(addr))));
     server.stop();
     let obs = Obs::with_trace();
-    let retry = RetryPolicy::standard();
     let dead = m
         .run(
             &movie_query(),
             &LinearCost,
             Strategy::Greedy,
             StopCondition::unbounded(),
-            RuntimePolicy::parallel(2).with_retry(retry),
+            RuntimePolicy::parallel(2),
             &RunOptions {
                 backend: Some("tcp"),
                 obs: Some(&obs),

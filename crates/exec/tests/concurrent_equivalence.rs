@@ -11,7 +11,7 @@ use qpo_catalog::domains::{
     camera_domain, camera_query, movie_domain, movie_query, CAMERA_UNIVERSE, MOVIE_UNIVERSE,
 };
 use qpo_exec::{Mediator, RunOptions, StopCondition, Strategy};
-use qpo_runtime::{FaultConfig, PlanStatus, RetryPolicy, RuntimePolicy};
+use qpo_runtime::{FaultConfig, PlanStatus, RuntimePolicy};
 use qpo_utility::{Coverage, FailureCost, LinearCost, UtilityMeasure};
 
 fn movie_mediator() -> Mediator {
@@ -165,10 +165,7 @@ fn fixed_seed_replays_a_faulty_run_bit_for_bit() {
         RuntimePolicy::parallel(workers)
             .with_lookahead(3)
             .with_faults(faults.clone())
-            .with_retry(RetryPolicy {
-                max_attempts: 2,
-                ..RetryPolicy::standard()
-            })
+            .with_max_attempts(2)
     };
     let runs: Vec<_> = [1, 4, 4]
         .iter()
@@ -222,10 +219,7 @@ fn flaky_sources_still_yield_the_full_answer_set() {
         .unwrap();
     let policy = RuntimePolicy::parallel(4)
         .with_faults(FaultConfig::with_seed(42).with_extra_transient_rate(0.25))
-        .with_retry(RetryPolicy {
-            max_attempts: 10,
-            ..RetryPolicy::standard()
-        });
+        .with_max_attempts(10);
     let run = m
         .run(
             &q,

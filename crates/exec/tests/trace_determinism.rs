@@ -29,7 +29,7 @@ use qpo_exec::{
 };
 use qpo_obs::{validate_trace, Obs};
 use qpo_runtime::{
-    AccessContext, AccessReply, BackendError, FaultConfig, MemProvider, RetryPolicy, RuntimePolicy,
+    AccessContext, AccessReply, BackendError, FaultConfig, MemProvider, RuntimePolicy,
     SourceBackend, SourceServer, SourceService, StoreBackend, TcpBackend,
 };
 use qpo_utility::Coverage;
@@ -51,10 +51,7 @@ fn traced_run(workers: usize) -> Obs {
                 .with_extra_transient_rate(0.35)
                 .with_source_down("v1"),
         )
-        .with_retry(RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::standard()
-        });
+        .with_max_attempts(2);
     mediator()
         .run(
             &movie_query(),
@@ -155,10 +152,7 @@ fn disabled_journal_changes_nothing_and_records_nothing() {
                         .with_extra_transient_rate(0.35)
                         .with_source_down("v1"),
                 )
-                .with_retry(RetryPolicy {
-                    max_attempts: 2,
-                    ..RetryPolicy::standard()
-                }),
+                .with_max_attempts(2),
             &RunOptions {
                 obs: Some(&obs),
                 ..RunOptions::default()

@@ -50,7 +50,7 @@ pub struct SourceExpectation {
 pub struct AccessObservation {
     /// Attempts made.
     pub attempts: u64,
-    /// Attempts that failed transiently (timeouts included).
+    /// Attempts that failed transiently.
     pub transient_failures: u64,
     /// Whether the chain ultimately succeeded.
     pub ok: bool,

@@ -25,30 +25,6 @@ pub fn escape_label_value(v: &str) -> String {
     out
 }
 
-fn render_with_le(id: &MetricId, suffix: &str, le: &str) -> String {
-    let mut pairs: Vec<String> = id
-        .labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    pairs.push(format!("le=\"{le}\""));
-    format!("{}{}{{{}}}", id.name, suffix, pairs.join(","))
-}
-
-fn render_suffixed(id: &MetricId, suffix: &str) -> String {
-    let mut out = id.name.clone();
-    out.push_str(suffix);
-    if !id.labels.is_empty() {
-        let pairs: Vec<String> = id
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-            .collect();
-        let _ = write!(out, "{{{}}}", pairs.join(","));
-    }
-    out
-}
-
 fn push_type_line(out: &mut String, last: &mut Option<String>, name: &str, kind: &str) {
     if last.as_deref() != Some(name) {
         let _ = writeln!(out, "# TYPE {name} {kind}");
@@ -65,12 +41,12 @@ pub fn prometheus_text(registry: &Registry) -> String {
     let mut last_family: Option<String> = None;
     for (id, value) in &snap.counters {
         push_type_line(&mut out, &mut last_family, &id.name, "counter");
-        let _ = writeln!(out, "{} {}", id.render(), value);
+        let _ = writeln!(out, "{} {}", id.render("", None), value);
     }
     last_family = None;
     for (id, value) in &snap.gauges {
         push_type_line(&mut out, &mut last_family, &id.name, "gauge");
-        let _ = writeln!(out, "{} {}", id.render(), value);
+        let _ = writeln!(out, "{} {}", id.render("", None), value);
     }
     last_family = None;
     for (id, hist) in &snap.histograms {
@@ -85,10 +61,11 @@ pub fn prometheus_text(registry: &Registry) -> String {
             } else {
                 "+Inf".to_string()
             };
-            let _ = writeln!(out, "{} {}", render_with_le(id, "_bucket", &le), cumulative);
+            let bucket = id.render("_bucket", Some(("le", &le)));
+            let _ = writeln!(out, "{bucket} {cumulative}");
         }
-        let _ = writeln!(out, "{} {}", render_suffixed(id, "_sum"), hist.sum);
-        let _ = writeln!(out, "{} {}", render_suffixed(id, "_count"), hist.count);
+        let _ = writeln!(out, "{} {}", id.render("_sum", None), hist.sum);
+        let _ = writeln!(out, "{} {}", id.render("_count", None), hist.count);
     }
     out
 }
@@ -103,11 +80,11 @@ where
     let _ = writeln!(out, "  {title}:");
     let width = rows
         .iter()
-        .map(|(id, _)| id.render().len())
+        .map(|(id, _)| id.render("", None).len())
         .max()
         .unwrap_or(0);
     for (id, v) in rows {
-        let _ = writeln!(out, "    {:<width$}  {}", id.render(), fmt(v));
+        let _ = writeln!(out, "    {:<width$}  {}", id.render("", None), fmt(v));
     }
 }
 
@@ -159,6 +136,7 @@ mod tests {
         for v in [0.5, 0.5, 3.0] {
             h.record(v);
         }
+        reg.histogram("h", &[]).record(1.0);
         reg
     }
 
@@ -184,6 +162,11 @@ mod tests {
         assert!(text.contains("qpo_runtime_access_latency_bucket{source=\"s1\",le=\"+Inf\"} 3\n"));
         assert!(text.contains("qpo_runtime_access_latency_sum{source=\"s1\"} 4\n"));
         assert!(text.contains("qpo_runtime_access_latency_count{source=\"s1\"} 3\n"));
+        // Unlabelled: `le` is the only label of a bucket, and the sum and
+        // count carry no braces.
+        assert!(text.contains("h_bucket{le=\"1\"} 1\n"));
+        assert!(text.contains("h_bucket{le=\"+Inf\"} 1\n"));
+        assert!(text.contains("\nh_sum 1\nh_count 1\n"));
     }
 
     #[test]

@@ -150,14 +150,6 @@ impl TraceJournal {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).clock = t;
     }
 
-    /// Current virtual clock (0 when disabled).
-    pub fn clock(&self) -> f64 {
-        if !self.recording {
-            return 0.0;
-        }
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).clock
-    }
-
     /// Appends an event at the current virtual clock.
     pub fn record(&self, kind: &'static str, fields: Vec<(&'static str, Value)>) {
         if !self.recording {
@@ -484,7 +476,8 @@ enum SpanState {
 /// `memo_hit` must follow a `memo_store` for the same `source` earlier in
 /// the same run unless it carries `"warm":true` (the entry survives from
 /// a prior run sharing the memo); a run seals with at most one
-/// `run_finished`; an `error_class` is `transient` or `permanent`.
+/// `run_finished`; a `source_attempt`'s `outcome` is `ok`, `transient`
+/// or `permanent`, and its `error_class` `transient` or `permanent`.
 ///
 /// Remote spans (`remote_*` fields on `source_attempt`) may only appear
 /// in runs whose `run_started` declares `"backend":"tcp"`, the five
@@ -618,11 +611,13 @@ pub fn validate_records<'a, R: Borrow<Record<'a>>>(
             }
             "run_finished" => run_finished_seen = true,
             "source_attempt" => {
-                if let Some(class) = rec.str("error_class") {
-                    if class != "transient" && class != "permanent" {
+                let classes = ["ok", "transient", "permanent"];
+                for (field, allowed) in [("outcome", &classes[..]), ("error_class", &classes[1..])]
+                {
+                    if let Some(v) = rec.str(field).filter(|v| !allowed.contains(v)) {
                         return Err(rec.error(format!(
-                            "\"source_attempt\" carries invalid \"error_class\" {class:?} \
-                             (expected \"transient\" or \"permanent\")"
+                            "\"source_attempt\" carries invalid {field:?} {v:?} \
+                             (expected one of {allowed:?})"
                         )));
                     }
                 }
@@ -678,6 +673,11 @@ pub fn validate_records<'a, R: Borrow<Record<'a>>>(
 mod tests {
     use super::*;
 
+    /// The journal's virtual clock, as the next `record` would stamp it.
+    fn clock(j: &TraceJournal) -> f64 {
+        j.inner.lock().unwrap_or_else(|e| e.into_inner()).clock
+    }
+
     #[test]
     fn disabled_journal_drops_everything_for_free() {
         let j = TraceJournal::default();
@@ -686,7 +686,7 @@ mod tests {
         j.record("plan_emitted", vec![("plan_seq", Value::U64(0))]);
         assert!(j.is_empty());
         assert_eq!(j.to_jsonl(), "");
-        assert_eq!(j.clock(), 0.0);
+        assert_eq!(clock(&j), 0.0);
     }
 
     #[test]
@@ -697,7 +697,7 @@ mod tests {
         b.record("kernel_elimination", vec![]);
         assert_eq!(a.len(), 1);
         assert_eq!(a.events()[0].clock, 2.0);
-        assert_eq!(b.clock(), 2.0);
+        assert_eq!(clock(&b), 2.0);
     }
 
     #[test]
@@ -725,7 +725,7 @@ mod tests {
             )
         );
         // record_at must not move the shared clock.
-        assert_eq!(j.clock(), 0.5);
+        assert_eq!(clock(&j), 0.5);
     }
 
     fn lifecycle_trace() -> String {
@@ -914,6 +914,16 @@ mod tests {
         let err = validate_trace(bad_label).unwrap_err();
         assert!(err.contains("error_class"), "{err}");
         assert!(err.contains("line 2"), "{err}");
+
+        // An attempt's outcome is one of the three the retry loop writes.
+        let bad_outcome = concat!(
+            "{\"seq\":0,\"clock\":0,\"kind\":\"plan_emitted\",\"plan_seq\":0}\n",
+            "{\"seq\":1,\"clock\":0,\"kind\":\"source_attempt\",\"plan_seq\":0,\"source\":\"s0\",\"outcome\":\"ok\"}\n",
+            "{\"seq\":2,\"clock\":0,\"kind\":\"source_attempt\",\"plan_seq\":0,\"source\":\"s0\",\"outcome\":\"timeout\"}\n",
+        );
+        let err = validate_trace(bad_outcome).unwrap_err();
+        assert!(err.contains("outcome"), "{err}");
+        assert!(err.contains("line 3"), "{err}");
     }
 
     #[test]
@@ -1247,7 +1257,7 @@ mod tests {
         assert!(j.inner.is_poisoned(), "the panic must poison the lock");
         j.record("plan_completed", vec![("plan_seq", Value::U64(0))]);
         assert_eq!(j.len(), 2);
-        assert_eq!(j.clock(), 1.0);
+        assert_eq!(clock(&j), 1.0);
         let report = validate_trace(&j.to_jsonl()).expect("export survives poison");
         assert_eq!(report.events, 2);
         assert_eq!(report.spans_opened, report.spans_closed);

@@ -90,7 +90,7 @@ pub struct SourceSpan {
     pub name: String,
     /// Attempts observed (highest `attempt` field).
     pub attempts: u64,
-    /// Attempts that failed transiently (timeouts included).
+    /// Attempts that failed transiently.
     pub transient: u64,
     /// Total backoff wait before attempts.
     pub backoff: f64,
@@ -100,7 +100,7 @@ pub struct SourceSpan {
     /// (backoff, attempt, backoff, attempt, …) so it bit-equals the
     /// runtime's own accumulation for the access.
     pub total: f64,
-    /// Outcome of the final attempt (`ok`/`timeout`/`transient`/`permanent`).
+    /// Outcome of the final attempt (`ok`/`transient`/`permanent`).
     pub outcome: String,
     /// The server span from the successful attempt, when its reply
     /// carried one. At most one per chain: only an `ok` attempt ends the
@@ -747,7 +747,7 @@ impl Builder {
         let charge = rec.f64("latency").unwrap_or(0.0);
         let outcome = rec.str("outcome").unwrap_or("");
         s.attempts = s.attempts.max(rec.u64("attempt").unwrap_or(0));
-        s.transient += u64::from(outcome == "timeout" || outcome == "transient");
+        s.transient += u64::from(outcome == "transient");
         s.backoff += backoff;
         s.attempt_time += charge;
         // Charge order matters for bit-equality with the runtime's own
@@ -862,7 +862,7 @@ mod tests {
             ],
         );
         for (attempt, backoff, charge, outcome) in
-            [(1u64, 0.0, 2.0, "timeout"), (2, 0.5, 2.5, "ok")]
+            [(1u64, 0.0, 2.0, "transient"), (2, 0.5, 2.5, "ok")]
         {
             j.record(
                 "source_attempt",

@@ -8,6 +8,7 @@
 //! value that some interleaving of the updates could have produced.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -257,17 +258,22 @@ impl MetricId {
         }
     }
 
-    /// `name{k="v",…}` (bare name when unlabelled).
-    pub fn render(&self) -> String {
-        if self.labels.is_empty() {
-            return self.name.clone();
+    /// `name` + `suffix`, then `{k="v",…}` over the labels and `extra`
+    /// after them (bare when there are neither): the one label renderer
+    /// of the exporters.
+    pub fn render(&self, suffix: &str, extra: Option<(&str, &str)>) -> String {
+        let mut out = format!("{}{suffix}", self.name);
+        let labels = self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        let mut sep = '{';
+        for (k, v) in labels.chain(extra) {
+            let v = crate::export::escape_label_value(v);
+            let _ = write!(out, "{sep}{k}=\"{v}\"");
+            sep = ',';
         }
-        let pairs: Vec<String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", crate::export::escape_label_value(v)))
-            .collect();
-        format!("{}{{{}}}", self.name, pairs.join(","))
+        if sep == ',' {
+            out.push('}');
+        }
+        out
     }
 }
 
@@ -480,7 +486,7 @@ mod tests {
             .snapshot()
             .counters
             .iter()
-            .map(|(id, _)| id.render())
+            .map(|(id, _)| id.render("", None))
             .collect();
         assert_eq!(names, vec!["a{l=\"1\"}", "a{l=\"2\"}", "z"]);
     }
@@ -488,14 +494,14 @@ mod tests {
     #[test]
     fn metric_id_renders_prometheus_style() {
         let id = MetricId::new("m", &[("b", "2"), ("a", "1")]);
-        assert_eq!(id.render(), "m{a=\"1\",b=\"2\"}");
-        assert_eq!(MetricId::new("bare", &[]).render(), "bare");
+        assert_eq!(id.render("", None), "m{a=\"1\",b=\"2\"}");
+        assert_eq!(MetricId::new("bare", &[]).render("", None), "bare");
     }
 
     #[test]
     fn metric_id_escapes_label_values() {
         let id = MetricId::new("m", &[("q", "a\"b\\c\nd")]);
-        assert_eq!(id.render(), "m{q=\"a\\\"b\\\\c\\nd\"}");
+        assert_eq!(id.render("", None), "m{q=\"a\\\"b\\\\c\\nd\"}");
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn gen_chain(rng: &mut TestRng, name: &'static str) -> Chain {
             let outcome = if last {
                 ["ok", "permanent", "transient"][rng.gen_range(0usize..3)]
             } else {
-                ["transient", "timeout"][rng.gen_range(0usize..2)]
+                "transient"
             };
             let charge = if outcome == "permanent" {
                 0.0

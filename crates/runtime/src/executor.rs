@@ -9,7 +9,7 @@
 //! execute (the same assumption the serial mediator makes), which is why,
 //! with faults disabled, any lookahead reproduces the serial ordering
 //! exactly. The plans of one such *wave* perform their source accesses
-//! (retries, backoff, timeouts) and are evaluated; the coordinator merges
+//! (retries with backoff) and are evaluated; the coordinator merges
 //! completions in emission order, so answers and per-plan novelty counts
 //! are deterministic. When a plan fails, the coordinator reports it back
 //! via [`PlanOrderer::observe`] so later pops are conditioned on what
@@ -60,7 +60,7 @@
 
 use crate::backend::{AccessContext, BackendErrorClass, RemoteSpan, SimBackend, SourceBackend};
 use crate::memo::{MemoOutcome, SourceMemo, SCAN_PATTERN};
-use crate::policy::{RetryPolicy, RuntimePolicy};
+use crate::policy::{backoff_before, RuntimePolicy};
 use crate::source::{AccessOutcome, SourceGrid, SourceService};
 use crossbeam::channel;
 use qpo_core::{OrderedPlan, PlanOrderer, PlanOutcome};
@@ -153,10 +153,8 @@ pub trait WaveObserver<T> {
     fn plan_merged(&mut self, _report: &PlanExecution, _ticket: T, _vclock: f64) {}
 }
 
-/// The do-nothing observer [`Executor::run`] uses.
-struct NoopObserver;
-
-impl<T> WaveObserver<T> for NoopObserver {}
+/// The do-nothing observer: `&mut ()` runs a plain, unhooked loop.
+impl<T> WaveObserver<T> for () {}
 
 /// When a run stops popping further plans (§1: "query execution can then
 /// be aborted as soon as the user has found a satisfactory answer, or when
@@ -226,7 +224,7 @@ pub struct SourceAccess {
     pub name: String,
     /// Attempts made (1 = first try succeeded).
     pub attempts: u32,
-    /// Attempts that failed transiently (timeouts included).
+    /// Attempts that failed transiently.
     pub transient_failures: u32,
     /// Virtual time spent on this source: attempt latencies plus backoffs.
     pub latency: f64,
@@ -755,13 +753,11 @@ impl<'a, E: PlanEvaluator> Executor<'a, E> {
     /// that is what makes the JSONL trace byte-identical across worker
     /// counts (with the lookahead held fixed; lookahead changes *which*
     /// plans are emitted, which is run semantics, not scheduling).
-    pub fn run(&self, orderer: &mut dyn PlanOrderer, budget: RunBudget) -> RuntimeRun {
-        self.run_observed(orderer, budget, &mut NoopObserver)
-    }
-
-    /// [`Executor::run`] with a [`WaveObserver`] hooked into the
-    /// coordinator loop (see the trait docs for the callback contract).
-    pub fn run_observed(
+    ///
+    /// `observer` is hooked into the coordinator loop (see the
+    /// [`WaveObserver`] docs for the callback contract); `&mut ()` hooks
+    /// nothing.
+    pub fn run(
         &self,
         orderer: &mut dyn PlanOrderer,
         budget: RunBudget,
@@ -1445,7 +1441,7 @@ struct ResolvedAccess {
 /// policy's retry discipline, accumulating backoffs and attempt latencies
 /// into one virtual-time charge. When `events` is given, every resolved
 /// attempt is appended with its plan-relative virtual-time offset and
-/// outcome (`ok`/`timeout`/`transient`/`permanent`); attempts behind a
+/// outcome (`ok`/`transient`/`permanent`); attempts behind a
 /// typed [`crate::backend::BackendError`] additionally carry its class and
 /// message. Backend errors never panic the retry loop: they map onto the
 /// simulator's outcome vocabulary — transient ones consume an attempt and
@@ -1460,13 +1456,11 @@ fn access_with_retries(
     seq: u64,
     mut events: Option<&mut Vec<AttemptEvent>>,
 ) -> ResolvedAccess {
-    let retry: &RetryPolicy = &policy.retry;
-    let timeout = retry.access_timeout;
     let mut access = unattempted(svc);
     let mut tuples = None;
     let mut backend_errors = [0u64; 2];
-    for attempt in 0..retry.max_attempts.max(1) {
-        let backoff = retry.backoff_before(attempt);
+    for attempt in 0..policy.max_attempts.max(1) {
+        let backoff = backoff_before(attempt);
         access.attempts = attempt + 1;
         access.latency += backoff;
         let ctx = AccessContext {
@@ -1478,25 +1472,19 @@ fn access_with_retries(
         };
         // The attempt's outcome, the latency it is charged, whether it
         // found the source down for good, and the typed error behind it.
-        // A success slower than the timeout is indistinguishable from a
-        // transient failure to the caller: charge the timeout, retry.
         let (outcome, charge, down, error, reply) = match backend.access(svc, &ctx) {
             Ok(reply) => match reply.access.outcome {
-                AccessOutcome::Success if reply.access.latency <= timeout => {
-                    ("ok", reply.access.latency, false, None, Some(reply))
-                }
-                AccessOutcome::Success => ("timeout", timeout, false, None, None),
+                AccessOutcome::Success => ("ok", reply.access.latency, false, None, Some(reply)),
                 AccessOutcome::TransientFailure => {
-                    let charge = reply.access.latency.min(timeout);
-                    ("transient", charge, false, None, None)
+                    ("transient", reply.access.latency, false, None, None)
                 }
                 AccessOutcome::PermanentFailure => ("permanent", 0.0, true, None, None),
             },
             Err(err) => {
                 let down = err.class == BackendErrorClass::Permanent;
                 backend_errors[usize::from(down)] += 1;
-                let (label, charge) = (err.class.label(), err.latency.min(timeout));
-                (label, charge, down, Some((label, err.message)), None)
+                let label = err.class.label();
+                (label, err.latency, down, Some((label, err.message)), None)
             }
         };
         access.latency += charge;
@@ -1604,7 +1592,7 @@ mod tests {
         let grid = SourceGrid::from_instance(&inst);
         let eval = ToyEval { inst: inst.clone() };
         let mut orderer = Pi::new(&inst, &Coverage);
-        Executor::new(&grid, &eval, policy).run(&mut orderer, budget)
+        Executor::new(&grid, &eval, policy).run(&mut orderer, budget, &mut ())
     }
 
     fn plan_sequence(run: &RuntimeRun) -> Vec<Vec<usize>> {
@@ -1637,10 +1625,7 @@ mod tests {
             RuntimePolicy::parallel(w)
                 .with_lookahead(2)
                 .with_faults(faults.clone())
-                .with_retry(RetryPolicy {
-                    max_attempts: 2,
-                    ..RetryPolicy::standard()
-                })
+                .with_max_attempts(2)
         };
         let a = run_with(policy(1), RunBudget::unbounded());
         let b = run_with(policy(4), RunBudget::unbounded());
@@ -1690,10 +1675,7 @@ mod tests {
         let run = run_with(
             RuntimePolicy::parallel(2)
                 .with_faults(faults.clone())
-                .with_retry(RetryPolicy {
-                    max_attempts: 8,
-                    ..RetryPolicy::standard()
-                }),
+                .with_max_attempts(8),
             RunBudget::unbounded(),
         );
         assert!(run.stats.transient_failures > 0);
@@ -1744,14 +1726,15 @@ mod tests {
                         .with_extra_transient_rate(0.3)
                         .with_source_down("w2"),
                 )
-                .with_retry(RetryPolicy {
-                    max_attempts: 2,
-                    ..RetryPolicy::standard()
-                });
+                .with_max_attempts(2);
             let whole_obs = Obs::with_trace();
             let whole = Executor::new(&grid, &eval, policy.clone())
                 .with_obs(&whole_obs)
-                .run(&mut Pi::new(&inst, &Coverage), RunBudget::unbounded());
+                .run(
+                    &mut Pi::new(&inst, &Coverage),
+                    RunBudget::unbounded(),
+                    &mut (),
+                );
             assert!(whole.stats.transient_failures > 0 && whole.failed() > 0);
             for k in [0, 1, 3, 5] {
                 let obs = Obs::with_trace();
@@ -1759,12 +1742,7 @@ mod tests {
                 let mut orderer = Pi::new(&inst, &Coverage);
                 let mut state = executor.begin(&orderer);
                 let mut step = |state: &mut RunState| {
-                    executor.step(
-                        state,
-                        &mut orderer,
-                        RunBudget::unbounded(),
-                        &mut NoopObserver,
-                    )
+                    executor.step(state, &mut orderer, RunBudget::unbounded(), &mut ())
                 };
                 let mut reports: Vec<PlanExecution> =
                     (0..k).map_while(|_| step(&mut state)).collect();
@@ -1831,7 +1809,8 @@ mod tests {
             plans: vec![vec![0, 0], vec![1, 1], vec![2, 0]],
             failures_seen: Cell::new(0),
         };
-        let run = Executor::new(&grid, &eval, policy).run(&mut probe, RunBudget::unbounded());
+        let run =
+            Executor::new(&grid, &eval, policy).run(&mut probe, RunBudget::unbounded(), &mut ());
         assert_eq!(run.failed(), 2, "plans through w1 fail");
         assert_eq!(probe.failures_seen.get(), 2, "each failure observed once");
     }
@@ -1964,7 +1943,11 @@ mod tests {
         let memoized = Executor::new(&grid, &eval, policy.clone()).with_source_memo(&memo);
         let local = Executor::local(&eval, policy);
         for (label, executor) in [("sim", simulated), ("memo", memoized), ("local", local)] {
-            let run = executor.run(&mut Pi::new(&inst, &Coverage), RunBudget::unbounded());
+            let run = executor.run(
+                &mut Pi::new(&inst, &Coverage),
+                RunBudget::unbounded(),
+                &mut (),
+            );
             assert_eq!(run.executed(), 6, "{label}");
             assert_eq!(eval.take_threads(), caller, "{label}");
         }
@@ -1981,7 +1964,11 @@ mod tests {
             let eval = Recording::new();
             let run = Executor::new(&grid, &eval, RuntimePolicy::parallel(workers))
                 .with_backend(backend)
-                .run(&mut Pi::new(&inst, &Coverage), RunBudget::plans(plans));
+                .run(
+                    &mut Pi::new(&inst, &Coverage),
+                    RunBudget::plans(plans),
+                    &mut (),
+                );
             assert_eq!(run.executed(), plans);
             let threads = eval.take_threads();
             assert_eq!(threads.len(), workers, "workers={workers} plans={plans}");
@@ -2002,7 +1989,7 @@ mod tests {
             Executor::new(&grid, &eval, RuntimePolicy::parallel(2))
                 .with_backend(backend.clone())
                 .with_source_memo(&memo)
-                .run(&mut Pi::new(&inst, &Coverage), RunBudget::plans(2))
+                .run(&mut Pi::new(&inst, &Coverage), RunBudget::plans(2), &mut ())
         };
         // Cold: both plans of the wave have live slots, hence wait — on
         // two threads, or the rendezvous times out.
@@ -2033,7 +2020,11 @@ mod tests {
             let run = Executor::new(&grid, &eval, RuntimePolicy::parallel(3))
                 .with_backend(backend.clone())
                 .with_source_memo(&memo)
-                .run(&mut Pi::new(&inst, &Coverage), RunBudget::unbounded());
+                .run(
+                    &mut Pi::new(&inst, &Coverage),
+                    RunBudget::unbounded(),
+                    &mut (),
+                );
             assert_eq!(run.executed(), 6);
             let seen = std::mem::take(&mut *eval.slots_with_rows.lock().unwrap());
             assert_eq!(seen, [2; 6], "rows in both slots of every plan");
@@ -2061,7 +2052,11 @@ mod tests {
             let executor = Executor::new(&grid, &eval, RuntimePolicy::parallel(2))
                 .with_backend(Arc::new(WaitingBackend(None)));
             let run = std::panic::AssertUnwindSafe(|| {
-                executor.run(&mut Pi::new(&inst, &Coverage), RunBudget::unbounded())
+                executor.run(
+                    &mut Pi::new(&inst, &Coverage),
+                    RunBudget::unbounded(),
+                    &mut (),
+                )
             });
             let _ = outcome.send(std::panic::catch_unwind(run).is_err());
         });
@@ -2076,7 +2071,7 @@ mod tests {
         let mut orderer = Pi::new(&inst, &Coverage);
         Executor::new(&grid, &eval, policy)
             .with_source_memo(memo)
-            .run(&mut orderer, budget)
+            .run(&mut orderer, budget, &mut ())
     }
 
     #[test]
@@ -2153,9 +2148,15 @@ mod tests {
             .map(|a| a.attempts)
             .sum();
         assert_eq!(v2_attempts, 1);
-        // The live failure bumped the epoch, so earlier successes were
-        // re-verified at least once afterwards.
-        assert!(memo.epoch() >= 1);
+        // The live failure cleared the memo, so some earlier success was
+        // re-verified: another source is accessed live in two plans.
+        let mut live: BTreeMap<&str, usize> = BTreeMap::new();
+        for a in run.reports.iter().flat_map(|r| &r.accesses) {
+            if a.attempts > 0 && a.name != "v2" {
+                *live.entry(&a.name).or_default() += 1;
+            }
+        }
+        assert!(live.values().any(|&n| n >= 2), "live accesses: {live:?}");
     }
 
     #[test]
@@ -2165,7 +2166,7 @@ mod tests {
         let faults = FaultConfig::with_seed(99).with_extra_transient_rate(0.3);
         let policy = RuntimePolicy::serial()
             .with_faults(faults)
-            .with_retry(RetryPolicy::none());
+            .with_max_attempts(1);
         let baseline = run_with(policy.clone(), RunBudget::unbounded());
         let exhausted: Vec<&PlanExecution> = baseline
             .reports
@@ -2206,25 +2207,9 @@ mod tests {
     }
 
     #[test]
-    fn timeout_turns_slow_successes_into_retries() {
+    fn a_reliable_simulated_access_succeeds_first_try() {
         let inst = inst();
         let grid = SourceGrid::from_instance(&inst);
-        let svc = grid.service(0, 0);
-        let policy = RuntimePolicy::serial()
-            .with_faults(FaultConfig::with_seed(4))
-            .with_retry(RetryPolicy {
-                access_timeout: svc.stats.expected_latency() * 0.9,
-                ..RetryPolicy::standard()
-            });
-        // With the timeout below the expected latency, roughly half of the
-        // jittered draws exceed it; over many sequences some access must
-        // record a timeout-induced retry.
-        let timed_out = (0..50).any(|seq| {
-            let a = access_with_retries(&SimBackend, svc, SCAN_PATTERN, &policy, 0, seq, None);
-            a.access.transient_failures > 0
-        });
-        assert!(timed_out);
-        // And an infinite timeout on a reliable source never retries.
         let policy = RuntimePolicy::serial().with_faults(FaultConfig::with_seed(4));
         let a = access_with_retries(
             &SimBackend,
@@ -2306,7 +2291,7 @@ mod tests {
         assert!(a.tuples.is_some(), "data arrives with the success");
         // Backoffs accrued: attempt 1 free, attempts 2 and 3 back off,
         // plus two 0.5 error charges and the final 1.0 access.
-        let expected = policy.retry.backoff_before(1) + policy.retry.backoff_before(2) + 2.0;
+        let expected = backoff_before(1) + backoff_before(2) + 2.0;
         assert!((a.access.latency - expected).abs() < 1e-9);
         // The typed classification rides on the attempt events.
         assert_eq!(events.len(), 3);
@@ -2328,7 +2313,7 @@ mod tests {
         let mut orderer = Pi::new(&inst, &Coverage);
         let run = Executor::new(&grid, &eval, RuntimePolicy::parallel(2))
             .with_backend(Arc::new(backend))
-            .run(&mut orderer, RunBudget::unbounded());
+            .run(&mut orderer, RunBudget::unbounded(), &mut ());
         assert_eq!(run.reports.len(), 6, "the run still covers the plan space");
         let failed: Vec<_> = run.reports.iter().filter(|r| r.failed()).collect();
         assert_eq!(failed.len(), 3, "every plan through w1 fails");

@@ -10,8 +10,8 @@
 //!   a deterministic, seed-driven behavior model (latency distribution,
 //!   transient/permanent failure injection, per-access fees) derived from
 //!   the same statistics that parameterize the utility measures;
-//! - [`policy`] — bounded parallelism, speculation depth, capped
-//!   exponential backoff retries, per-access timeouts, fault injection;
+//! - [`policy`] — bounded parallelism, speculation depth, an attempt
+//!   count per access (capped exponential backoff), fault injection;
 //! - [`executor`] — a speculative bounded-parallel executor over any
 //!   [`PlanOrderer`](qpo_core::PlanOrderer), as one steppable loop: pops
 //!   stay serial (utilities are conditioned on emission order), a wave
@@ -60,6 +60,6 @@ pub use executor::{
 pub use memo::{MemoHit, MemoOutcome, SourceMemo};
 pub use net::{fetch_server_trace, MemProvider, RelationProvider, SourceServer, TcpBackend};
 pub use pattern::{BindingPattern, SCAN_PATTERN};
-pub use policy::{FaultConfig, RetryPolicy, RuntimePolicy};
+pub use policy::{FaultConfig, RuntimePolicy};
 pub use source::{Access, AccessOutcome, SourceGrid, SourceService};
 pub use store::StoreBackend;

@@ -30,18 +30,19 @@
 //! transient failure would mask plans that could have succeeded. Later
 //! plans through that source roll fresh attempts.
 //!
-//! ## Epoch invalidation
+//! ## Invalidation
 //!
-//! The memo carries an epoch counter mirroring the feedback discipline of
-//! `ExecutionContext` (qpo-core), whose epoch bumps whenever observed
-//! outcomes retract assumed state. When a plan fails from *live* (non-
-//! memoized) accesses the executor calls [`SourceMemo::invalidate`]: the
-//! epoch bumps and the memo is cleared, so post-failure plans re-verify
-//! sources instead of trusting stale successes. Outcomes of the failing
-//! plan itself are stored *after* the bump, which is why a
-//! permanently-down source costs exactly one real access per epoch. Plans
-//! that fail purely from memoized outcomes do not bump the epoch — nothing
-//! new was observed.
+//! The memo follows the feedback discipline of `ExecutionContext`
+//! (qpo-core), whose epoch bumps whenever observed outcomes retract
+//! assumed state. When a plan fails from *live* (non-memoized) accesses
+//! the executor calls [`SourceMemo::invalidate`], which clears the memo,
+//! so post-failure plans re-verify sources instead of trusting stale
+//! successes. Outcomes of the failing plan itself are stored *after* the
+//! clear, which is why a permanently-down source costs exactly one real
+//! access per clear. Plans that fail purely from memoized outcomes clear
+//! nothing — nothing new was observed. The registry's
+//! `qpo_memo_{hits,misses}_total{layer}` count lookups; the memo keeps
+//! only the hit and miss counts the benchmark harness reads.
 //!
 //! A move of the backend's data version clears the memo the same way
 //! ([`SourceMemo::sync_backend_epoch`]); only the executor's loop reads
@@ -86,7 +87,7 @@ pub struct MemoHit {
     pub warm: bool,
 }
 
-/// One memoized outcome; no epoch, as a bump of either kind clears all.
+/// One memoized outcome; no epoch, as a clear of either kind drops all.
 #[derive(Debug)]
 struct MemoEntry {
     outcome: MemoOutcome,
@@ -121,12 +122,10 @@ struct MemoInner {
     entries: BTreeMap<(usize, usize), BTreeMap<Arc<str>, MemoEntry>>,
     /// Running total of the entries' `bytes`.
     bytes: usize,
-    epoch: u64,
     run_token: u64,
     backend_epoch: u64,
     hits: u64,
     misses: u64,
-    stores: u64,
 }
 
 /// Cross-plan source-access memo, cheaply cloneable (shared interior).
@@ -154,8 +153,7 @@ impl SourceMemo {
     /// Declares the backend's current data version
     /// ([`crate::backend::SourceBackend::epoch`]). A changed epoch clears
     /// the memo — a store write or a restarted server invalidates terminal
-    /// outcomes the same way a live failure does, without touching the
-    /// failure-driven [`SourceMemo::epoch`] count. The executor calls this
+    /// outcomes the same way a live failure does. The executor calls this
     /// at the top of every wave; `SimBackend`'s epoch is constant `0`, so
     /// purely simulated sessions are unaffected.
     pub fn sync_backend_epoch(&self, epoch: u64) {
@@ -189,13 +187,13 @@ impl SourceMemo {
         hit
     }
 
-    /// Stores a terminal outcome in the current epoch, no rows beside it.
+    /// Stores a terminal outcome, no rows beside it.
     pub fn store(&self, bucket: usize, index: usize, pattern: &str, outcome: MemoOutcome) {
         self.store_rows(bucket, index, pattern, outcome, None);
     }
 
-    /// Stores a terminal outcome in the current epoch and, beside a
-    /// success, the `rows` the access returned (shared, not copied).
+    /// Stores a terminal outcome and, beside a success, the `rows` the
+    /// access returned (shared, not copied).
     pub fn store_rows(
         &self,
         bucket: usize,
@@ -219,22 +217,14 @@ impl SourceMemo {
             None => patterns.insert(Arc::from(pattern), entry),
         };
         inner.bytes -= replaced.map_or(0, |old| old.bytes);
-        inner.stores += 1;
     }
 
-    /// Bumps the epoch and clears the memo. Called by the executor when a
-    /// plan fails from live accesses, mirroring the `ExecutionContext`
-    /// retract feedback.
+    /// Clears the memo. Called by the executor when a plan fails from
+    /// live accesses, mirroring the `ExecutionContext` retract feedback.
     pub fn invalidate(&self) {
         let mut inner = self.lock();
-        inner.epoch += 1;
         inner.entries.clear();
         inner.bytes = 0;
-    }
-
-    /// The current invalidation epoch: how many bumps so far.
-    pub fn epoch(&self) -> u64 {
-        self.lock().epoch
     }
 
     /// Lookups served from the memo so far.
@@ -245,11 +235,6 @@ impl SourceMemo {
     /// Lookups that found nothing so far.
     pub fn misses(&self) -> u64 {
         self.lock().misses
-    }
-
-    /// Outcomes stored so far (including overwrites).
-    pub fn stores(&self) -> u64 {
-        self.lock().stores
     }
 
     /// Number of cached entries.
@@ -290,7 +275,7 @@ mod tests {
         let hit = memo.lookup(0, 1, SCAN_PATTERN).expect("stored");
         assert_eq!(hit.outcome, MemoOutcome::Success);
         assert!(!hit.warm, "same-run entry is cold");
-        assert_eq!((memo.hits(), memo.misses(), memo.stores()), (1, 1, 1));
+        assert_eq!((memo.hits(), memo.misses()), (1, 1));
         assert_eq!(memo.len(), 1);
         assert!(memo.approx_bytes() > 0);
     }
@@ -309,15 +294,14 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_drops_older_epochs() {
+    fn invalidate_drops_every_entry() {
         let memo = SourceMemo::new();
         memo.store(0, 0, SCAN_PATTERN, MemoOutcome::Success);
         assert!(memo.lookup(0, 0, SCAN_PATTERN).is_some());
         memo.invalidate();
-        assert_eq!(memo.epoch(), 1);
         assert!(memo.lookup(0, 0, SCAN_PATTERN).is_none());
         assert!(memo.is_empty());
-        // Post-bump stores land in the new epoch and survive.
+        // Stores after the clear survive.
         memo.store(0, 0, SCAN_PATTERN, MemoOutcome::PermanentFailure);
         assert!(memo.lookup(0, 0, SCAN_PATTERN).is_some());
     }
@@ -332,8 +316,6 @@ mod tests {
             memo.lookup(0, 0, SCAN_PATTERN).is_none(),
             "outcomes from the old data version are gone"
         );
-        // The failure epoch is untouched — only the data version moved.
-        assert_eq!(memo.epoch(), 0);
         memo.store(0, 0, SCAN_PATTERN, MemoOutcome::Success);
         memo.sync_backend_epoch(1); // same version: entries survive
         assert!(memo.lookup(0, 0, SCAN_PATTERN).is_some());

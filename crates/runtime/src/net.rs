@@ -1029,7 +1029,7 @@ mod tests {
     #[test]
     fn a_peer_that_rejects_every_request_costs_max_attempts_and_a_typed_failure() {
         use crate::executor::{Executor, FailureReason, PlanEvaluator, PlanStatus, RunBudget};
-        use crate::policy::{RetryPolicy, RuntimePolicy};
+        use crate::policy::RuntimePolicy;
 
         struct NoRows;
         impl PlanEvaluator for NoRows {
@@ -1067,13 +1067,10 @@ mod tests {
         });
         let inst = inst();
         let grid = SourceGrid::from_instance(&inst);
-        let retry = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::standard()
-        };
-        let run = Executor::new(&grid, &NoRows, RuntimePolicy::serial().with_retry(retry))
+        let policy = RuntimePolicy::serial().with_max_attempts(3);
+        let run = Executor::new(&grid, &NoRows, policy)
             .with_backend(Arc::new(TcpBackend::new(addr.to_string())))
-            .run(&mut Pi::new(&inst, &Coverage), RunBudget::plans(1));
+            .run(&mut Pi::new(&inst, &Coverage), RunBudget::plans(1), &mut ());
         assert_eq!((run.stats.attempts, run.stats.transient_failures), (3, 3));
         assert!(matches!(
             run.reports[0].status,

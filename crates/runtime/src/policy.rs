@@ -1,5 +1,5 @@
-//! Execution policies: parallelism, retries with capped exponential
-//! backoff, per-access timeouts, and fault injection.
+//! Execution policies: parallelism, an attempt count per access (with a
+//! fixed capped exponential backoff), and fault injection.
 
 use std::collections::BTreeSet;
 
@@ -70,57 +70,19 @@ impl FaultConfig {
     }
 }
 
-/// Retry discipline for one source access.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Attempts per access before the plan is marked failed (≥ 1).
-    pub max_attempts: u32,
-    /// Backoff before the second attempt, in virtual time units.
-    pub base_backoff: f64,
-    /// Multiplier applied per further attempt.
-    pub backoff_factor: f64,
-    /// Ceiling on a single backoff.
-    pub max_backoff: f64,
-    /// Per-attempt latency budget: an attempt whose drawn latency exceeds
-    /// this counts as a transient failure charged at the timeout.
-    pub access_timeout: f64,
-}
+/// The wait before a source's second attempt, in virtual time units; each
+/// further attempt doubles it.
+const FIRST_BACKOFF: f64 = 1.0;
+/// Ceiling on a single backoff.
+const MAX_BACKOFF: f64 = 8.0;
 
-impl RetryPolicy {
-    /// Four attempts, backoff 1·2^k capped at 8, no timeout.
-    pub fn standard() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: 1.0,
-            backoff_factor: 2.0,
-            max_backoff: 8.0,
-            access_timeout: f64::INFINITY,
-        }
+/// Virtual time waited before `attempt` (0-based): nothing before the
+/// first, then `FIRST_BACKOFF · 2^(attempt−1)` capped at `MAX_BACKOFF`.
+pub(crate) fn backoff_before(attempt: u32) -> f64 {
+    if attempt == 0 {
+        return 0.0;
     }
-
-    /// One attempt, no backoff — fail fast.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::standard()
-        }
-    }
-
-    /// Virtual time waited before `attempt` (0-based): nothing before the
-    /// first, then `base · factor^(attempt−1)` capped at `max_backoff`.
-    pub fn backoff_before(&self, attempt: u32) -> f64 {
-        if attempt == 0 {
-            return 0.0;
-        }
-        let raw = self.base_backoff * self.backoff_factor.powi(attempt as i32 - 1);
-        raw.min(self.max_backoff)
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::standard()
-    }
+    (FIRST_BACKOFF * 2f64.powi(attempt as i32 - 1)).min(MAX_BACKOFF)
 }
 
 /// Everything the executor needs to know about *how* to run.
@@ -135,20 +97,21 @@ pub struct RuntimePolicy {
     /// window are optimistic — exactly the assumption the serial mediator
     /// makes — so with faults disabled any depth gives the serial ordering.
     pub lookahead: usize,
-    /// Retry discipline per source access.
-    pub retry: RetryPolicy,
+    /// Attempts per source access before the plan is marked failed (≥ 1),
+    /// with the fixed capped exponential backoff between them.
+    pub max_attempts: u32,
     /// Fault injection.
     pub faults: FaultConfig,
 }
 
 impl RuntimePolicy {
-    /// Serial-equivalent defaults: one worker, no speculation, standard
-    /// retries, faults off.
+    /// Serial-equivalent defaults: one worker, no speculation, four
+    /// attempts per access, faults off.
     pub fn serial() -> Self {
         RuntimePolicy {
             workers: 1,
             lookahead: 1,
-            retry: RetryPolicy::standard(),
+            max_attempts: 4,
             faults: FaultConfig::disabled(),
         }
     }
@@ -169,9 +132,9 @@ impl RuntimePolicy {
         self
     }
 
-    /// Replaces the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+    /// Replaces the attempts per access (≥ 1 enforced).
+    pub fn with_max_attempts(mut self, max_attempts: u32) -> Self {
+        self.max_attempts = max_attempts.max(1);
         self
     }
 
@@ -188,13 +151,12 @@ mod tests {
 
     #[test]
     fn backoff_grows_then_caps() {
-        let r = RetryPolicy::standard();
-        assert_eq!(r.backoff_before(0), 0.0);
-        assert_eq!(r.backoff_before(1), 1.0);
-        assert_eq!(r.backoff_before(2), 2.0);
-        assert_eq!(r.backoff_before(3), 4.0);
-        assert_eq!(r.backoff_before(4), 8.0);
-        assert_eq!(r.backoff_before(9), 8.0, "capped");
+        assert_eq!(backoff_before(0), 0.0);
+        assert_eq!(backoff_before(1), 1.0);
+        assert_eq!(backoff_before(2), 2.0);
+        assert_eq!(backoff_before(3), 4.0);
+        assert_eq!(backoff_before(4), 8.0);
+        assert_eq!(backoff_before(9), 8.0, "capped");
     }
 
     #[test]
@@ -221,6 +183,7 @@ mod tests {
     fn policy_builders_enforce_minima() {
         assert_eq!(RuntimePolicy::parallel(0).workers, 1);
         assert_eq!(RuntimePolicy::serial().with_lookahead(0).lookahead, 1);
+        assert_eq!(RuntimePolicy::serial().with_max_attempts(0).max_attempts, 1);
         let p = RuntimePolicy::parallel(4);
         assert_eq!((p.workers, p.lookahead), (4, 4));
     }

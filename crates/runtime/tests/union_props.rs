@@ -132,7 +132,7 @@ proptest! {
         let eval = Scripted { width, rows: rows.clone() };
         let policy = RuntimePolicy::serial().with_lookahead(lookahead);
         let executor = Executor::local(&eval, policy);
-        let run = executor.run(&mut InOrder(0..rows.len()), RunBudget::unbounded());
+        let run = executor.run(&mut InOrder(0..rows.len()), RunBudget::unbounded(), &mut ());
         let statuses: Vec<_> = run.reports.iter().map(|r| r.status.clone()).collect();
         prop_assert_eq!(&statuses, &want);
         prop_assert_eq!(&run.answers, &want_answers);
@@ -157,7 +157,7 @@ proptest! {
 
         // An answer budget stops at the first boundary with enough.
         let budgeted = Executor::local(&eval, RuntimePolicy::serial())
-            .run(&mut InOrder(0..rows.len()), RunBudget::answers(enough));
+            .run(&mut InOrder(0..rows.len()), RunBudget::answers(enough), &mut ());
         let cumulative = |status: &PlanStatus| match status {
             PlanStatus::Executed { cumulative, .. } => *cumulative,
             other => panic!("{other:?}"),

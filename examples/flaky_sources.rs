@@ -98,10 +98,7 @@ fn main() {
             StopCondition::unbounded(),
             RuntimePolicy::parallel(4)
                 .with_faults(FaultConfig::with_seed(2002).with_extra_transient_rate(0.25))
-                .with_retry(RetryPolicy {
-                    max_attempts: 10,
-                    ..RetryPolicy::standard()
-                }),
+                .with_max_attempts(10),
             &observed,
         )
         .expect("mediation succeeds");

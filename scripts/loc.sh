@@ -6,7 +6,10 @@
 # count the same way what lives outside `src/*.rs`: the bins, any cargo
 # benches, and the first-party shims. A last row, `builders`, is the
 # option count: `pub fn with_*` / `pub fn set_*` in the same non-test
-# `src` lines — each one a value somebody can set independently. The
+# `src` lines — each one a value somebody can set independently. After
+# it, `fields` counts the settable values `builders` cannot see: the
+# `pub` fields of every `pub struct *Policy` / `*Config` / `*Options` in
+# the same lines. The
 # crate rows and `total` carry a second column: how many of those lines
 # call `.unwrap(` / `.expect(` (ROADMAP item 6's panic audit); comment
 # lines, whose first non-blank characters are `//`, do not count there.
@@ -35,3 +38,6 @@ printf '%-14s %6d\n' bins "$(count crates/*/src/bin/*.rs)"
 printf '%-14s %6d\n' benches "$(count crates/*/benches/*.rs)"
 printf '%-14s %6d\n' shims "$(count shims/*/src/*.rs)"
 printf '%-14s %6d\n' builders "$(pat='pub fn (with|set)_' count crates/*/src/*.rs)"
+printf '%-14s %6d\n' fields "$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1}
+  !t && /^pub struct [A-Za-z]*(Policy|Config|Options)[<{ ]/{s=1; next}
+  s && /^}/{s=0} !t && s && /^    pub [a-z_0-9]+:/{n++} END{print n+0}' crates/*/src/*.rs)"

@@ -23,7 +23,7 @@
 //!   join enumeration per plan and a lazy cross-plan merge delivering one
 //!   globally ranked anytime answer stream;
 //! - [`runtime`] — simulated flaky remote sources and the bounded-parallel
-//!   speculative executor with retry, timeout, and outcome feedback;
+//!   speculative executor with retries and outcome feedback;
 //! - [`obs`] — first-party telemetry: a metrics registry, a deterministic
 //!   virtual-clock trace journal, JSONL / Prometheus / human exporters,
 //!   a live session directory, dominance-elimination certificates with an `explain` index, an
@@ -112,8 +112,8 @@ pub mod prelude {
     };
     pub use qpo_runtime::{
         BackendError, BackendErrorClass, FaultConfig, MemProvider, PlanStatus, RelationProvider,
-        RetryPolicy, RunBudget, RuntimePolicy, SimBackend, SourceBackend, SourceServer,
-        StoreBackend, TcpBackend,
+        RunBudget, RuntimePolicy, SimBackend, SourceBackend, SourceServer, StoreBackend,
+        TcpBackend,
     };
     pub use qpo_utility::{
         Combined, CountingMeasure, Coverage, ExecutionContext, FailureCost, FusionCost, LinearCost,
