@@ -28,7 +28,7 @@
 //! ones only. This is exact: two nondominated plans that are not fresh
 //! were both nondominated, with the same utilities, all through the last
 //! pass, which left them unlinked; `dominates` reads only the two
-//! utilities (and ties are oriented by id), so they cannot link now.
+//! utilities (and ties go by a rank fixed per node), so they cannot link now.
 //!
 //! Utilities are recycled the same way: a node whose utility step 2.d
 //! resets to nil keeps its [`IntervalCarry`], so step 2.a's recomputation
@@ -39,6 +39,7 @@
 
 use crate::abstraction::{AbstractionHeuristic, AbstractionTree, NodeId};
 use crate::orderer::{OrderedPlan, OrdererError, PlanOrderer};
+use crate::planspace::space_size;
 use qpo_catalog::ProblemInstance;
 use qpo_interval::Interval;
 use qpo_obs::{Counter, Obs};
@@ -200,10 +201,15 @@ impl<'a, M: UtilityMeasure + ?Sized> Streamer<'a, M> {
         Some(node)
     }
 
-    /// Step 2.c: replace an abstract plan by its children (splitting
-    /// `bucket`, its widest).
-    fn refine(&mut self, id: usize, bucket: usize) {
-        let mut parent = self.remove_node_and_links(id).expect("top ids are live");
+    /// Step 2.b's tie rank, fixed per node: member count, then id.
+    fn rank(&self, id: usize) -> (usize, usize) {
+        let members = self.nodes[id].as_ref().map_or(0, |n| space_size(&n.cands));
+        (members, id)
+    }
+
+    /// Step 2.c: replace an abstract plan, just removed, by its children
+    /// (splitting `bucket`, its widest).
+    fn refine(&mut self, mut parent: SNode, bucket: usize) {
         let tree = &self.trees[bucket];
         let children = tree.children(parent.nodes[bucket]);
         for (i, &child) in children.iter().enumerate() {
@@ -280,10 +286,11 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Streamer<'_, M> {
                     continue; // a dominated plan need not dominate others
                 }
                 let is_fresh = fresh.get(f).is_some_and(|&(id, _)| id == b);
+                let rank = self.rank(b);
                 for &(c, uc) in if is_fresh { &self.top } else { &fresh } {
-                    // Mutual (tied) dominance: orient by id so exactly one
-                    // of each tied pair stays nondominated.
-                    if b == c || !ub.dominates(uc) || (uc.dominates(ub) && b > c) {
+                    // Mutual (tied) dominance: orient by rank so the smaller
+                    // plan of each tied pair stays nondominated.
+                    if b == c || !ub.dominates(uc) || (uc.dominates(ub) && rank > self.rank(c)) {
                         continue;
                     }
                     let target = self.nodes[c].as_mut();
@@ -310,23 +317,21 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for Streamer<'_, M> {
                 .filter_map(|&(id, u)| Some((id, u, nodes[id].as_ref()?.widest_bucket()?)))
                 .max_by(|(a, ua, _), (b, ub, _)| {
                     crate::utility_cmp(ua.hi(), ub.hi()).then(b.cmp(a))
-                });
-            if let Some((id, _, bucket)) = to_refine {
-                self.refine(id, bucket);
+                })
+                .and_then(|(id, _, bucket)| Some((self.remove_node_and_links(id)?, bucket)));
+            if let Some((parent, bucket)) = to_refine {
+                self.refine(parent, bucket);
                 continue;
             }
-            // Step 2.d: every nondominated plan is concrete (and, by 2.b,
-            // they all tie); output one. None is left once the graph is
-            // empty (it is a forest, so a non-empty one has a root).
-            let Some(&(d_id, d_utility)) = self
-                .top
-                .iter()
-                .max_by(|(a, ua), (b, ub)| crate::utility_cmp(ua.lo(), ub.lo()).then(b.cmp(a)))
-            else {
+            // Step 2.d: every nondominated plan is a concrete point, and points
+            // compare, so 2.b left one; output it. Only an empty forest has none.
+            let d = self.top.first().copied();
+            let d_plan = d.and_then(|(id, _)| as_concrete(&self.nodes[id].as_ref()?.cands));
+            let (Some((d_id, d_utility)), Some(d_plan)) = (d, d_plan) else {
+                debug_assert!(d.is_none(), "2.d met a dead or abstract plan");
                 break None;
             };
-            let d = self.remove_node_and_links(d_id).expect("top ids are live");
-            let d_plan = as_concrete(&d.cands).expect("2.c left only concrete plans");
+            self.remove_node_and_links(d_id);
             // Recheck each surviving node's link, in id order: CheckValidity(q, E ∪ {d}).
             // Then reset its utility if it may depend on d.
             //
@@ -516,6 +521,41 @@ mod tests {
         let mut alg = Streamer::new(&inst, &m, &ByExpectedTuples).unwrap();
         alg.order_k(36);
         assert_eq!(alg.stats().links_invalidated, 0);
+    }
+
+    /// Instances on which every plan covers the same volume until plans
+    /// run: the `serve-mix` benchmark's shape (3 buckets × 6 sources of
+    /// length 160, starts staggered by 4, universe 2000) and a jitter-free
+    /// generated one. Streamer's first emission must descend straight to
+    /// a concrete plan: at most `Σ_b |bucket_b|` refinements, not one per
+    /// abstract node. A full drain of the 216-plan shape stays exact at
+    /// tolerance 0 (the 512-plan one takes seconds to verify in debug).
+    #[test]
+    fn exact_ties_go_to_the_smaller_plan() {
+        use qpo_catalog::{Extent, SourceStats};
+        let src = |b: u64, j: u64| SourceStats::new().with_extent(Extent::new(4 * j + b, 160));
+        let buckets = (0..3)
+            .map(|b| (0..6).map(|j| src(b, j)).collect())
+            .collect();
+        let serve_mix = ProblemInstance::new(0.0, vec![2000; 3], buckets).unwrap();
+        let jitter_free = GeneratorConfig {
+            extent_jitter: 0.0,
+            ..GeneratorConfig::new(3, 8)
+        }
+        .build();
+        for (inst, drain) in [(serve_mix, true), (jitter_free, false)] {
+            let sources: usize = inst.buckets.iter().map(Vec::len).sum();
+            let mut alg = Streamer::new(&inst, &Coverage, &ByExpectedTuples).unwrap();
+            let first = alg.next_plan().unwrap();
+            let refinements = alg.stats().refinements;
+            assert!(refinements <= sources, "{refinements} refinements");
+            if drain {
+                let mut ordering = vec![first];
+                ordering.extend(alg.order_k(inst.plan_count()));
+                assert_eq!(ordering.len(), inst.plan_count());
+                verify_ordering(&inst, &Coverage, &ordering, 0.0).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -783,12 +783,16 @@ const WIDE_CASES: u32 = 200;
 
 /// Drains `Streamer` beside [`ReferenceStreamer`] on one generated
 /// instance, as `streamer_matches_its_reference_twin` does, panicking on
-/// the first emission or counter that differs.
-fn drain_beside_twin(n: usize, m: usize, overlap: f64, seed: u64) {
-    let inst = GeneratorConfig::new(n, m)
+/// the first emission or counter that differs. A `tied` instance has
+/// sources of one length, so Coverage ties every plan until some run.
+fn drain_beside_twin(n: usize, m: usize, overlap: f64, seed: u64, tied: bool) {
+    let mut config = GeneratorConfig::new(n, m)
         .with_overlap_rate(overlap)
-        .with_seed(seed)
-        .build();
+        .with_seed(seed);
+    if tied {
+        config.extent_jitter = 0.0;
+    }
+    let inst = config.build();
     let (failure, monetary) = (
         FailureCost::without_caching(),
         MonetaryCost::without_caching(),
@@ -801,7 +805,7 @@ fn drain_beside_twin(n: usize, m: usize, overlap: f64, seed: u64) {
     for measure in measures {
         for (by, heuristic) in heuristics {
             let label = format!(
-                "n {n}, m {m}, overlap {overlap}, seed {seed}, {} {by}",
+                "n {n}, m {m}, overlap {overlap}, seed {seed}, tied {tied}, {} {by}",
                 measure.name()
             );
             let mut fast = Streamer::new(&inst, measure, heuristic).unwrap();
@@ -825,8 +829,10 @@ fn drain_beside_twin(n: usize, m: usize, overlap: f64, seed: u64) {
 
 /// The twin property over the whole n 1–4 × m 1–6 range, up to 1 296
 /// plans per instance: the large graphs are where step 2.b's fresh-pair
-/// rule skips the most. A debug drain of those takes minutes, so this one
-/// runs in release (`scripts/ci.sh` does).
+/// rule skips the most. Every other draw is drained a second time tied
+/// (jitter-free), where step 2.b's `(members, id)` tie rule decides the
+/// links. A debug drain of those takes minutes, so this one runs in
+/// release (`scripts/ci.sh` does).
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -835,9 +841,12 @@ fn drain_beside_twin(n: usize, m: usize, overlap: f64, seed: u64) {
 fn streamer_matches_its_reference_twin_wide() {
     let mut rng = proptest::test_rng("streamer_matches_its_reference_twin_wide");
     let draw = ((1usize..=4, 1usize..=6), 0.0f64..=0.9, any::<u64>());
-    for _ in 0..WIDE_CASES {
+    for case in 0..WIDE_CASES {
         let ((n, m), overlap, seed) = draw.generate(&mut rng);
-        drain_beside_twin(n, m, overlap, seed);
+        drain_beside_twin(n, m, overlap, seed, false);
+        if case % 2 == 1 {
+            drain_beside_twin(n, m, overlap, seed, true);
+        }
     }
 }
 

@@ -5,6 +5,8 @@
 //! it dominates instead and must match this one bit for bit: the same
 //! plans, the same utility bits and the same `StreamerStats` after every
 //! emission. Only `with_obs` is left out; the counters stay detached.
+//! It orients an exact tie as `Streamer` does: the plan with fewer
+//! members, then the older one, stays nondominated.
 
 use qpo_catalog::ProblemInstance;
 use qpo_core::{
@@ -146,6 +148,11 @@ impl<'a, M: UtilityMeasure + ?Sized> ReferenceStreamer<'a, M> {
             .collect()
     }
 
+    /// The number of member plans of node `id`.
+    fn members(&self, id: usize) -> usize {
+        self.nodes[&id].cands.iter().map(Vec::len).product()
+    }
+
     fn has_link(&self, from: usize, to: usize) -> bool {
         self.link_set.contains(&(from, to))
     }
@@ -230,9 +237,10 @@ impl<M: UtilityMeasure + ?Sized> PlanOrderer for ReferenceStreamer<'_, M> {
                     if b == c || dominated_now.contains(&c) || !ub.dominates(uc) {
                         continue;
                     }
-                    // Mutual (tied) dominance: orient by id so exactly one
-                    // of each tied pair stays nondominated.
-                    if uc.dominates(ub) && b > c {
+                    // Mutual (tied) dominance: orient by (members, id) so
+                    // exactly one of each tied pair, the smaller plan,
+                    // stays nondominated.
+                    if uc.dominates(ub) && (self.members(b), b) > (self.members(c), c) {
                         continue;
                     }
                     if self.has_link(b, c) {

@@ -281,8 +281,8 @@ fn explain_bodies_are_pinned() {
             concat!(
                 r#"{"run":1,"plan":"15,7","status":"eliminated","matches":4,"certificate":"#,
                 r#"{"victim_id":47,"champion_id":70,"victim":"14,15|6,7","champion":"6,7|5","#,
-                r#""victim_interval":[0.01475,0.042949999999999995],"#,
-                r#""champion_interval":[0.048799999999999996,0.06635],"epoch":3}}"#,
+                r#""victim_interval":[0.01475,0.04295],"#,
+                r#""champion_interval":[0.0488,0.06635],"epoch":3}}"#,
             ),
         ),
         (

@@ -7,6 +7,8 @@
 //! *utility-diminishing returns* (executing more plans can only shrink what
 //! is new) and plans with disjoint boxes are *independent* — both exactly
 //! the properties §3 of the paper derives for its coverage measure.
+//! Abstract bounds are integer volumes normalized once, as a concrete
+//! plan's are, so they enclose every member bit for bit (tolerance 0).
 
 use crate::context::ExecutionContext;
 use crate::geometry::Residual;
@@ -23,11 +25,6 @@ use qpo_interval::Interval;
 pub struct Coverage;
 
 impl Coverage {
-    /// Creates the measure.
-    pub fn new() -> Self {
-        Coverage
-    }
-
     fn extent(inst: &ProblemInstance, bucket: usize, index: usize) -> Extent {
         inst.buckets[bucket][index].extent
     }
@@ -56,23 +53,15 @@ impl Coverage {
         }
     }
 
-    /// Hull over the candidate product of `Π_b frac(i_b)`, where `frac`
-    /// gives a candidate's normalized per-axis length (normalized
-    /// fractions keep products well-conditioned).
-    fn product_hull(
-        inst: &ProblemInstance,
-        candidates: &[Vec<usize>],
-        len: impl Fn(usize, usize) -> u64,
-    ) -> Interval {
-        let mut product = Interval::ONE;
+    /// `(Π_b min, Π_b max)` of `len(b, i)` over each bucket's candidates.
+    fn volume_hull(candidates: &[Vec<usize>], len: impl Fn(usize, usize) -> u64) -> (u128, u128) {
+        let mut hull = (1, 1);
         for (b, cands) in candidates.iter().enumerate() {
-            let u = inst.universes[b] as f64;
-            let fracs = cands.iter().map(|&i| len(b, i) as f64 / u);
-            let lo = fracs.clone().fold(f64::MAX, f64::min);
-            let hi = fracs.fold(f64::MIN, f64::max);
-            product = product * Interval::new(lo, hi);
+            let lens = cands.iter().map(|&i| len(b, i) as u128);
+            hull.0 *= lens.clone().min().unwrap_or(0);
+            hull.1 *= lens.max().unwrap_or(0);
         }
-        product
+        hull
     }
 }
 
@@ -102,10 +91,10 @@ impl UtilityMeasure for Coverage {
     /// for any member plan `s`,
     /// `max_e vol(s∩e) ≤ vol(s ∩ ∪E) ≤ Σ_e vol(s∩e)`, so
     /// `coverage(s) ∈ [vol_lo(p) − Σ_e hi(p∩e),  vol_hi(p) − max_e lo(p∩e)]`
-    /// (clamped to non-negative, normalized by the universe volume). Both
-    /// accumulators — and, for a concrete plan, the exact residual box —
-    /// are left-to-right folds over the executed plans, so the carry holds
-    /// them and a resumed call folds in the appended plans only.
+    /// (clamped to non-negative). Both accumulators — and, for a concrete
+    /// plan, the exact residual box — are left-to-right folds over the
+    /// executed plans, so the carry holds them and a resumed call folds in
+    /// the appended plans only.
     fn resume_interval(
         &self,
         inst: &ProblemInstance,
@@ -124,9 +113,12 @@ impl UtilityMeasure for Coverage {
             }
             return Interval::point(left.volume() as f64 / Self::total_volume(inst));
         }
-        let own_len = |b, i| Self::extent(inst, b, i).len;
-        let init = || CarryState::Overlap(Self::product_hull(inst, candidates, own_len), 0.0, 0.0);
-        let (CarryState::Overlap(vol, hi_sum, lo_max), unseen) = carry.resume(ctx, init) else {
+        let init = || {
+            let (lo, hi) = Self::volume_hull(candidates, |b, i| Self::extent(inst, b, i).len);
+            CarryState::Overlap(lo, hi, 0, 0)
+        };
+        let (CarryState::Overlap(vol_lo, vol_hi, hi_sum, lo_max), unseen) = carry.resume(ctx, init)
+        else {
             unreachable!("{MISMATCH}");
         };
         for e in unseen {
@@ -135,12 +127,14 @@ impl UtilityMeasure for Coverage {
                     .intersect(Self::extent(inst, b, e[b]))
                     .len
             };
-            let ov = Self::product_hull(inst, candidates, shared_len);
-            *hi_sum += ov.hi();
-            *lo_max = lo_max.max(ov.lo());
+            let (ov_lo, ov_hi) = Self::volume_hull(candidates, shared_len);
+            *hi_sum = hi_sum.saturating_add(ov_hi);
+            *lo_max = (*lo_max).max(ov_lo);
         }
-        let lo = (vol.lo() - *hi_sum).max(0.0);
-        let hi = (vol.hi() - *lo_max).max(lo);
+        // `lo_max ≤ hi_sum` and `vol_lo ≤ vol_hi`, so `lo ≤ hi`.
+        let total = Self::total_volume(inst);
+        let lo = vol_lo.saturating_sub(*hi_sum) as f64 / total;
+        let hi = vol_hi.saturating_sub(*lo_max) as f64 / total;
         Interval::new(lo, hi)
     }
 
@@ -297,11 +291,42 @@ mod tests {
             for &j in &cands[1] {
                 let u = Coverage.utility(&inst, &[i, j], &ctx);
                 assert!(
-                    iv.lo() <= u + 1e-12 && u <= iv.hi() + 1e-12,
+                    iv.lo() <= u && u <= iv.hi(),
                     "utility {u} of [{i},{j}] outside {iv}"
                 );
             }
         }
+    }
+
+    /// The `serve-mix` benchmark's shape: 3 buckets × 6 sources of length
+    /// 160, starts staggered by 4, in a universe of 2000 per axis. Every
+    /// plan's box has volume `160³`, and the root interval must enclose
+    /// that exactly — a product of `f64` fractions lands one ulp above.
+    #[test]
+    fn root_interval_encloses_equal_volume_members_exactly() {
+        let src = |b: u64, j: u64| SourceStats::new().with_extent(Extent::new(4 * j + b, 160));
+        let buckets = (0..3)
+            .map(|b| (0..6).map(|j| src(b, j)).collect())
+            .collect();
+        let inst = ProblemInstance::new(0.0, vec![2000; 3], buckets).unwrap();
+        let root = vec![(0..6).collect::<Vec<usize>>(); 3];
+        let mut ctx = ExecutionContext::new();
+        for executed in [None, Some([0, 5, 2]), Some([3, 3, 3])] {
+            if let Some(e) = executed {
+                ctx.record(&e);
+            }
+            let iv = Coverage.utility_interval(&inst, &root, &ctx);
+            for plan in inst.all_plans() {
+                let u = Coverage.utility(&inst, &plan, &ctx);
+                assert!(
+                    iv.lo() <= u && u <= iv.hi(),
+                    "utility {u} of {plan:?} outside {iv} after {} plans",
+                    ctx.len()
+                );
+            }
+        }
+        let fresh = Coverage.utility_interval(&inst, &root, &ExecutionContext::new());
+        assert!(fresh.is_point() && fresh.lo() == 0.000512, "{fresh}");
     }
 
     #[test]

@@ -33,9 +33,9 @@ pub struct IntervalCarry {
 pub(crate) enum CarryState {
     #[default]
     Fresh,
-    /// Abstract coverage: the box-volume interval and the Bonferroni
-    /// accumulators `Σ_e hi(p∩e)` and `max_e lo(p∩e)`.
-    Overlap(Interval, f64, f64),
+    /// Abstract coverage, in integer volumes: the box-volume hull and the
+    /// Bonferroni accumulators `Σ_e hi(p∩e)` and `max_e lo(p∩e)`.
+    Overlap(u128, u128, u128, u128),
     /// Concrete coverage: what is left of the plan's box.
     Residual(Residual),
     /// Caching costs: the interval as of `seen`, which stands until an
@@ -82,7 +82,8 @@ impl IntervalCarry {
 /// - [`utility_interval`](UtilityMeasure::utility_interval) contains
 ///   [`utility`](UtilityMeasure::utility) of **every** concrete plan in the
 ///   candidate product, for the same context; for an all-singleton candidate
-///   list it must be the exact point.
+///   list it must be the exact point. [`Coverage`](crate::Coverage) meets
+///   it at tolerance 0; the cost measures' `f64` chains to within rounding.
 /// - [`independent`](UtilityMeasure::independent) may only return `true` if
 ///   neither plan's utility changes when the other is executed (it may
 ///   return `false` even for independent plans — sound, not complete).

@@ -1,7 +1,10 @@
 //! Soundness of abstract-plan evaluation: the utility interval of an
 //! abstract plan must contain the exact utility of *every* concrete plan it
 //! represents, for every measure, under arbitrary execution contexts —
-//! the invariant the whole Drips family rests on (§5.1).
+//! the invariant the whole Drips family rests on (§5.1). Coverage must
+//! enclose its members bit for bit (an orderer reads an exact tie between
+//! equal-volume plans off its bounds); the cost measures chain `f64`
+//! bounds and may miss by rounding.
 
 use proptest::prelude::*;
 use query_plan_ordering::prelude::*;
@@ -11,6 +14,19 @@ fn instance(seed: u64, query_len: usize, bucket_size: usize) -> ProblemInstance 
         .with_seed(seed)
         .build()
 }
+
+/// An instance whose sources all have the same length, so every plan's
+/// box has the same volume and the plans tie until some run.
+fn jitter_free(seed: u64, query_len: usize, bucket_size: usize) -> ProblemInstance {
+    GeneratorConfig {
+        extent_jitter: 0.0,
+        ..GeneratorConfig::new(query_len, bucket_size).with_seed(seed)
+    }
+    .build()
+}
+
+/// The slack [`assert_sound`] allows the chained-`f64` cost measures.
+const COST_TOLERANCE: f64 = 1e-9;
 
 /// Deterministically picks a sub-cube of candidates and an executed set
 /// from the seed.
@@ -48,11 +64,12 @@ fn candidates_and_context(
     (candidates, ctx)
 }
 
-fn assert_sound<M: UtilityMeasure>(
+fn assert_sound<M: UtilityMeasure + ?Sized>(
     inst: &ProblemInstance,
     measure: &M,
     candidates: &[Vec<usize>],
     ctx: &ExecutionContext,
+    tolerance: f64,
 ) {
     let interval = measure.utility_interval(inst, candidates, ctx);
     // Enumerate the member product.
@@ -71,7 +88,7 @@ fn assert_sound<M: UtilityMeasure>(
     for plan in members {
         let u = measure.utility(inst, &plan, ctx);
         assert!(
-            interval.lo() - 1e-9 <= u && u <= interval.hi() + 1e-9,
+            interval.lo() - tolerance <= u && u <= interval.hi() + tolerance,
             "{}: member {:?} utility {} outside {} (ctx: {} executed)",
             measure.name(),
             plan,
@@ -85,18 +102,25 @@ fn assert_sound<M: UtilityMeasure>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
+    /// Each draw is checked on its instance and on the instance's
+    /// jitter-free twin.
     #[test]
     fn intervals_contain_members(seed in 0u64..10_000, pick in 0u64..10_000,
                                  qlen in 1usize..4, m in 2usize..6) {
-        let inst = instance(seed, qlen, m);
-        let (cands, ctx) = candidates_and_context(&inst, pick);
-        assert_sound(&inst, &Coverage, &cands, &ctx);
-        assert_sound(&inst, &LinearCost, &cands, &ctx);
-        assert_sound(&inst, &FusionCost, &cands, &ctx);
-        assert_sound(&inst, &FailureCost::without_caching(), &cands, &ctx);
-        assert_sound(&inst, &FailureCost::with_caching(), &cands, &ctx);
-        assert_sound(&inst, &MonetaryCost::without_caching(), &cands, &ctx);
-        assert_sound(&inst, &MonetaryCost::with_caching(), &cands, &ctx);
+        for inst in [instance(seed, qlen, m), jitter_free(seed, qlen, m)] {
+            let (cands, ctx) = candidates_and_context(&inst, pick);
+            assert_sound(&inst, &Coverage, &cands, &ctx, 0.0);
+            for measure in [
+                Box::new(LinearCost) as Box<dyn UtilityMeasure>,
+                Box::new(FusionCost),
+                Box::new(FailureCost::without_caching()),
+                Box::new(FailureCost::with_caching()),
+                Box::new(MonetaryCost::without_caching()),
+                Box::new(MonetaryCost::with_caching()),
+            ] {
+                assert_sound(&inst, &*measure, &cands, &ctx, COST_TOLERANCE);
+            }
+        }
     }
 
     /// Concrete candidate lists collapse to exact points.
